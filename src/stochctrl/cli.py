@@ -5,6 +5,10 @@ as ``key: value`` lines or ``key,value`` rows under ``--format csv``.
 Reports are deterministic: fixed key order, fixed iteration orders, and
 17-significant-digit floats, so identical invocations are byte-identical.
 
+Each route kind (full, partial, reduced, input-delay, state-delay) is one
+:class:`Route` record in ``ROUTES``; :func:`_route` is the only place
+that tells the kinds apart.
+
 Exit codes: 0 controllable / verified / matching; 1 negative outcome;
 2 the criterion does not apply to the instance; 3 singular Gramian;
 4 target not attainable; 5 malformed controller table; 6 anything else.
@@ -13,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .criteria import decide, gramian, gramian_oracle
+from .criteria import ControllabilityReport, decide, gramian, gramian_oracle
 from .delay import (
     input_delay_controller,
     input_delay_decide,
@@ -40,13 +46,12 @@ from .errors import (
     TargetNotInS,
     UnsupportedReducedStructure,
 )
-from .model import ProblemInstance, ValidatedSystem, parse_instance_file, validate
-from .partial import output_form, partial_decide, reduced_rank_setup
+from .model import SystemSpec, ValidatedSystem, parse_instance_file, validate
+from .partial import output_form, partial_decide, reduced_form, reduced_rank_setup
 from .pathspace import DEFAULT_CAP, PathTree, forward_simulate, terminal_from_map
 from .synthesis import (
     FLOAT_FMT,
     controller_csv_text,
-    null_controller,
     read_controller_table,
     steer_to_target,
     write_controller_csv,
@@ -61,12 +66,74 @@ EXIT_TARGET = 4
 EXIT_BAD_TABLE = 5
 EXIT_ERROR = 6
 
-_VERDICTS = {
-    "full": ("exactly controllable", "not exactly controllable"),
-    "partial": ("H-partially exactly controllable", "not H-partially exactly controllable"),
-    "reduced": ("leading-block exactly controllable", "not leading-block exactly controllable"),
-    "input-delay": ("exactly controllable (input delay)", "not shown controllable (input delay)"),
-    "state-delay": ("exactly controllable (state delay)", "not shown controllable (state delay)"),
+
+@dataclass(frozen=True)
+class Route:
+    """What each command does for one kind of instance.
+
+    The callables reach the library through this module's globals at call
+    time, so wrappers installed on those names see every call.
+    """
+
+    verdicts: tuple[str, str]  # analyze verdict when (controllable, not)
+    decide: Callable[[ValidatedSystem, int], ControllabilityReport]
+    form: Callable[[ValidatedSystem], BsdeForm]  # coefficients oracle-check compares on
+    # (form, spec, N, cap) -> (closed-form Gramian, enumerated Gramian)
+    gramians: Callable[[BsdeForm, SystemSpec, int, int], tuple[np.ndarray, np.ndarray]]
+    # (ts, tree, x0, target leaves or None, tol) -> ControllerProcess; None: no synthesis
+    controller: Callable | None
+
+
+def _form(vs: ValidatedSystem) -> BsdeForm:
+    return TransformedSystem.build(vs).form
+
+
+def _plain_gramians(form: BsdeForm, spec: SystemSpec, N: int, cap: int):
+    return gramian(form, N), gramian_oracle(form, N, spec.noise, cap=cap)
+
+
+ROUTES = {
+    "full": Route(
+        ("exactly controllable", "not exactly controllable"),
+        lambda vs, N: decide(vs, N_max=N),
+        _form,
+        _plain_gramians,
+        lambda ts, tree, x0, target, tol: steer_to_target(ts, tree, x0, target, tol=tol),
+    ),
+    "partial": Route(
+        ("H-partially exactly controllable", "not H-partially exactly controllable"),
+        lambda vs, N: partial_decide(vs, N_max=N),
+        lambda vs: output_form(TransformedSystem.build(vs)),
+        _plain_gramians,
+        None,
+    ),
+    "reduced": Route(
+        ("leading-block exactly controllable", "not leading-block exactly controllable"),
+        lambda vs, N: reduced_rank_setup(vs, N_max=N)[1],
+        lambda vs: reduced_form(vs).form,
+        _plain_gramians,
+        None,
+    ),
+    "input-delay": Route(
+        ("exactly controllable (input delay)", "not shown controllable (input delay)"),
+        lambda vs, N: input_delay_decide(vs, N_max=N),
+        _form,
+        lambda form, spec, N, cap: (
+            input_delay_gramian(form, spec.tau, N),
+            input_delay_gramian_oracle(form, spec.tau, N, spec.noise, cap=cap),
+        ),
+        lambda ts, tree, x0, target, tol: input_delay_controller(ts, tree, x0, target, tol=tol),
+    ),
+    "state-delay": Route(
+        ("exactly controllable (state delay)", "not shown controllable (state delay)"),
+        lambda vs, N: state_delay_decide(vs, N_max=N),
+        _form,
+        lambda form, spec, N, cap: (
+            state_delay_gramian(form, spec.d, N),
+            state_delay_gramian_oracle(form, spec.d, N, spec.noise, cap=cap),
+        ),
+        lambda ts, tree, x0, target, tol: state_delay_controller(ts, tree, x0, target, tol=tol),
+    ),
 }
 
 
@@ -111,22 +178,17 @@ def _matrix_pairs(name: str, M: np.ndarray):
             yield f"{name}_{i}_{j}", float(M[i, j])
 
 
-def cmd_analyze(args) -> int:
+def _load(args):
+    """Instance, validated system, route kind and horizon the arguments name."""
     inst = parse_instance_file(args.instance)
     vs = validate(inst.system)
-    route = _route(vs)
-    N_max = args.N if args.N is not None else inst.N
-    if route == "full":
-        report = decide(vs, N_max=N_max)
-    elif route == "partial":
-        report = partial_decide(vs, N_max=N_max)
-    elif route == "reduced":
-        _, report = reduced_rank_setup(vs, N_max=N_max)
-    elif route == "input-delay":
-        report = input_delay_decide(vs, N_max=N_max)
-    else:
-        report = state_delay_decide(vs, N_max=N_max)
-    verdict = _VERDICTS[report.kind][0 if report.controllable else 1]
+    return inst, vs, _route(vs), args.N if args.N is not None else inst.N
+
+
+def cmd_analyze(args) -> int:
+    _, vs, route, N = _load(args)
+    report = ROUTES[route].decide(vs, N)
+    verdict = ROUTES[route].verdicts[0 if report.controllable else 1]
     pairs = [
         ("command", "analyze"),
         ("kind", report.kind),
@@ -146,48 +208,36 @@ def cmd_analyze(args) -> int:
     return EXIT_YES if report.controllable else EXIT_NO
 
 
-def _build_controller(inst: ProblemInstance, route: str, tree: PathTree, tol: float):
-    spec = inst.system
-    ts = TransformedSystem.build(validate(spec))
-    target = None
-    if inst.target is not None:
-        target = terminal_from_map(tree, spec.n, inst.target)
-    if route == "full":
-        if target is None:
-            return ts, None, null_controller(ts, tree, inst.x0)
-        return ts, target, steer_to_target(ts, tree, inst.x0, target, tol=tol)
-    if route == "input-delay":
-        return ts, target, input_delay_controller(ts, tree, inst.x0, target, tol=tol)
-    return ts, target, state_delay_controller(ts, tree, inst.x0, target, tol=tol)
+def _steering_setup(args, what: str):
+    """Shared prologue of synthesize and verify: route, x0 and tree."""
+    inst, vs, route, N = _load(args)
+    if ROUTES[route].controller is None:
+        raise StructureUnsupported(f"{what} is only available for the full-state routes")
+    if inst.x0 is None:
+        raise SchemaError(f"instance has no x0; {what} needs an initial state")
+    return inst, vs, route, PathTree(inst.system.noise, N, cap=args.cap)
+
+
+def _deviation(tree: PathTree, xs, target) -> float:
+    """Worst terminal gap from the target leaves (the origin when None)."""
+    final = xs.at(tree.horizon + 1)
+    return float(np.abs(final if target is None else final - target).max())
 
 
 def cmd_synthesize(args) -> int:
-    inst = parse_instance_file(args.instance)
-    vs = validate(inst.system)
-    route = _route(vs)
-    if route in ("partial", "reduced"):
-        raise StructureUnsupported(
-            "controller synthesis is only available for the full-state routes"
-        )
-    if inst.x0 is None:
-        raise SchemaError("instance has no x0; synthesis needs an initial state")
-    N = args.N if args.N is not None else inst.N
-    tree = PathTree(inst.system.noise, N, cap=args.cap)
-    ts, target, ctrl = _build_controller(inst, route, tree, args.tol)
-
+    inst, vs, route, tree = _steering_setup(args, "controller synthesis")
     spec = inst.system
+    ts = TransformedSystem.build(vs)
+    target = None if inst.target is None else terminal_from_map(tree, spec.n, inst.target)
+    ctrl = ROUTES[route].controller(ts, tree, inst.x0, target, args.tol)
     xs = forward_simulate(tree, spec, inst.x0, ctrl.u, u1=ctrl.u1)
-    final = xs.at(N + 1)
-    want = target if target is not None else np.zeros(spec.n)
-    deviation = float(np.abs(final - want).max())
-    x0_err = float(np.abs(ctrl.solution.x0 - inst.x0).max())
     pairs = [
         ("command", "synthesize"),
         ("kind", ctrl.kind),
-        ("N", N),
-        ("paths", tree.n_nodes(N + 1)),
-        ("x0_error", x0_err),
-        ("terminal_deviation", deviation),
+        ("N", tree.horizon),
+        ("paths", tree.n_nodes(tree.horizon + 1)),
+        ("x0_error", float(np.abs(ctrl.solution.x0 - inst.x0).max())),
+        ("terminal_deviation", _deviation(tree, xs, target)),
         ("tolerance", args.tol),
         ("gramian_min_singular", float(np.linalg.svd(ctrl.gramian, compute_uv=False)[-1])),
     ]
@@ -201,16 +251,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = parse_instance_file(args.instance)
-    vs = validate(inst.system)
-    route = _route(vs)
-    if route in ("partial", "reduced"):
-        raise StructureUnsupported("verification applies to the full-state routes")
-    if inst.x0 is None:
-        raise SchemaError("instance has no x0; verification needs an initial state")
+    inst, _, route, tree = _steering_setup(args, "verification")
     spec = inst.system
-    N = args.N if args.N is not None else inst.N
-    tree = PathTree(spec.noise, N, cap=args.cap)
     m1 = spec.B1.shape[1] if spec.B1 is not None else None
     try:
         u, u1 = read_controller_table(args.controller, tree, spec.m, m1)
@@ -218,18 +260,14 @@ def cmd_verify(args) -> int:
     except (SchemaError, AdaptednessViolation, StageMismatch) as exc:
         sys.stderr.write(f"bad controller table: {exc}\n")
         return EXIT_BAD_TABLE
-    want = (
-        terminal_from_map(tree, spec.n, inst.target)
-        if inst.target is not None
-        else np.zeros(spec.n)
-    )
-    deviation = float(np.abs(xs.at(N + 1) - want).max())
+    target = None if inst.target is None else terminal_from_map(tree, spec.n, inst.target)
+    deviation = _deviation(tree, xs, target)
     ok = deviation <= args.tol
     pairs = [
         ("command", "verify"),
         ("kind", route),
-        ("N", N),
-        ("paths", tree.n_nodes(N + 1)),
+        ("N", tree.horizon),
+        ("paths", tree.n_nodes(tree.horizon + 1)),
         ("terminal_deviation", deviation),
         ("tolerance", args.tol),
         ("verdict", "ok" if ok else "failed"),
@@ -239,31 +277,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    inst = parse_instance_file(args.instance)
-    vs = validate(inst.system)
-    route = _route(vs)
-    spec = inst.system
-    N = args.N if args.N is not None else inst.N
-    if route == "reduced":
-        reduced, _ = reduced_rank_setup(vs)
-        form = BsdeForm(C=reduced.A1, Cbar=reduced.B1, D=reduced.D1)
-        closed = gramian(form, N)
-        literal = gramian_oracle(form, N, spec.noise, cap=args.cap)
-    else:
-        ts = TransformedSystem.build(vs)
-        if route == "partial":
-            form = output_form(ts)
-            closed = gramian(form, N)
-            literal = gramian_oracle(form, N, spec.noise, cap=args.cap)
-        elif route == "input-delay":
-            closed = input_delay_gramian(ts.form, spec.tau, N)
-            literal = input_delay_gramian_oracle(ts.form, spec.tau, N, spec.noise, cap=args.cap)
-        elif route == "state-delay":
-            closed = state_delay_gramian(ts.form, spec.d, N)
-            literal = state_delay_gramian_oracle(ts.form, spec.d, N, spec.noise, cap=args.cap)
-        else:
-            closed = gramian(ts.form, N)
-            literal = gramian_oracle(ts.form, N, spec.noise, cap=args.cap)
+    inst, vs, route, N = _load(args)
+    closed, literal = ROUTES[route].gramians(ROUTES[route].form(vs), inst.system, N, args.cap)
     error = float(np.linalg.norm(closed - literal))
     ok = error <= args.tol
     pairs = [

@@ -9,8 +9,10 @@ where Lambda is the second-moment operator of the random factor
 C + w Cbar; the i-th term equals the expectation of the i-fold product
 applied to D D' because the noise is independent across stages with zero
 mean and unit variance. An independent enumeration oracle recomputes each
-term literally over all noise paths; the two routes are kept separate so
-they can check each other.
+term literally over all noise paths, with the per-path products taken
+from :func:`pathspace.path_products`; the two routes are kept separate so
+they can check each other. The CLI's route table (``cli.ROUTES``) pairs
+each closed form with its oracle.
 
 The rank test spans {W D : W a word over {C, Cbar}}. Reachability of the
 whole state space by some horizon is equivalent to that span being full,
@@ -23,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriteriaDisagreement, EnumerationTooLarge
-from .model import NoiseModel, SystemSpec, ValidatedSystem, validate
+from .errors import CriteriaDisagreement
+from .model import NoiseModel, SystemSpec, ValidatedSystem
+from .pathspace import DEFAULT_CAP, PathTree, path_products, weighted_gram
 from .transform import BsdeForm, TransformedSystem
-
-DEFAULT_CAP = 2**20
 
 
 def moment_step(C: np.ndarray, Cbar: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -35,14 +36,17 @@ def moment_step(C: np.ndarray, Cbar: np.ndarray, X: np.ndarray) -> np.ndarray:
     return C @ X @ C.T + Cbar @ X @ Cbar.T
 
 
+def _moment_terms(form: BsdeForm):
+    """Yield the Gramian's summands Lambda^i(D D') for i = 0, 1, ..."""
+    X = form.D @ form.D.T
+    while True:
+        yield X
+        X = moment_step(form.C, form.Cbar, X)
+
+
 def gramian(form: BsdeForm, N: int) -> np.ndarray:
     """Steering Gramian over horizon N via the moment recursion."""
-    X = form.D @ form.D.T
-    G = np.zeros((form.n, form.n))
-    for _ in range(N + 1):
-        G += X
-        X = moment_step(form.C, form.Cbar, X)
-    return G
+    return sum(itertools.islice(_moment_terms(form), N + 1), np.zeros((form.n, form.n)))
 
 
 def gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -52,30 +56,11 @@ def gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int = DEFAULT
     explicit products (C + w(0) Cbar) ... (C + w(i-1) Cbar) D over all
     paths of the given law. Used as an independent check.
     """
-    n = form.n
-    support = [float(w) for w in noise.support]
-    probs = [float(p) for p in noise.probs]
-    if len(support) ** (N + 1) > cap:
-        raise EnumerationTooLarge(
-            f"{len(support)}^{N + 1} paths exceed cap {cap}"
-        )
-    G = np.zeros((n, n))
-    for i in range(N + 1):
-        for path in itertools.product(range(len(support)), repeat=i):
-            p = 1.0
-            prod = np.eye(n)
-            for j in path:
-                p *= probs[j]
-                prod = prod @ (form.C + support[j] * form.Cbar)
-            col = prod @ form.D
-            G += p * (col @ col.T)
+    tree = PathTree(noise, N, cap)
+    G = np.zeros((form.n, form.n))
+    for i, prods in enumerate(path_products(form, tree.support, N)):
+        G += weighted_gram(tree.node_probs(i), prods @ form.D)
     return G
-
-
-def min_singular_value(G: np.ndarray) -> float:
-    if G.size == 0:
-        return 0.0
-    return float(np.linalg.svd(G, compute_uv=False)[-1])
 
 
 def gramian_invertible(G: np.ndarray, tol: float | None = None) -> tuple[bool, float]:
@@ -208,13 +193,20 @@ class ControllabilityReport:
     transform_source: str | None = None
 
 
-def _scan_gramians(step_terms, dim: int, N_max: int, rank_tol: float | None):
-    """Shared Gramian scan. ``step_terms`` yields the N-th summand."""
+def _running_sums(terms, dim: int):
+    """Yield the partial sums of a sequence of summands, starting from zero."""
+    G = np.zeros((dim, dim))
+    for term in terms:
+        G = G + term
+        yield G
+
+
+def _scan_gramians(gramians, dim: int, N_max: int, rank_tol: float | None):
+    """Shared Gramian scan. ``gramians`` yields the horizon-N Gramian for N = 0, 1, ..."""
     G = np.zeros((dim, dim))
     min_sv = []
     witness = None
-    for N, term in zip(range(N_max + 1), step_terms):
-        G = G + term
+    for N, G in zip(range(N_max + 1), gramians):
         ok, smin = gramian_invertible(G, rank_tol)
         min_sv.append(smin)
         if ok and witness is None:
@@ -231,14 +223,7 @@ def decide_form(
 ) -> ControllabilityReport:
     """Run both criteria on backward-form coefficients and cross-check."""
     dim = form.n
-
-    def terms():
-        X = form.D @ form.D.T
-        while True:
-            yield X
-            X = moment_step(form.C, form.Cbar, X)
-
-    G, min_sv, witness = _scan_gramians(terms(), dim, N_max, rank_tol)
+    G, min_sv, witness = _scan_gramians(_running_sums(_moment_terms(form), dim), dim, N_max, rank_tol)
     span = word_span(form)
     by_rank = span.rank == dim
     if witness is None and by_rank:
@@ -246,7 +231,9 @@ def decide_form(
         # invertible Gramian by N = dim - 1. Look further before calling
         # the two criteria inconsistent; the report keeps the requested
         # window for its figures, only the witness may exceed it.
-        _, _, witness = _scan_gramians(terms(), dim, max(N_max, 2 * dim), rank_tol)
+        _, _, witness = _scan_gramians(
+            _running_sums(_moment_terms(form), dim), dim, max(N_max, 2 * dim), rank_tol
+        )
     by_gramian = witness is not None
     if by_gramian != by_rank:
         raise CriteriaDisagreement(
@@ -281,16 +268,10 @@ def decide(
     suffices: if the rank test passes, some Gramian with N < n is already
     invertible.
     """
-    if isinstance(system, SystemSpec):
-        system = validate(system)
-    if isinstance(system, ValidatedSystem):
-        system = TransformedSystem.build(system)
-    spec = system.spec
-    if N_max is None:
-        N_max = spec.horizon_max if spec.horizon_max is not None else 2 * spec.n
+    system = TransformedSystem.build(system)
     return decide_form(
         system.form,
-        N_max,
+        system.spec.default_horizon if N_max is None else N_max,
         rank_tol,
         kind="full",
         transform_source=system.transform.source,

@@ -11,7 +11,9 @@ the Gramian weaves P(k) between the random stage factors.
 Each Gramian has a literal path-enumeration oracle next to it. The
 closed forms are derived (the collapse step is not written out in any
 one place); the oracles recompute the defining expectations term by
-term so the two routes can check each other.
+term, over the per-path products of :func:`pathspace.path_products`,
+so the two routes can check each other. The CLI's route table
+(``cli.ROUTES``) reaches these functions for the two delay routes.
 """
 from __future__ import annotations
 
@@ -20,48 +22,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import (
-    ControllabilityReport,
-    _scan_gramians,
-    gramian_invertible,
-    moment_step,
-)
-from .errors import DimensionMismatch, EnumerationTooLarge, SingularPBracket, TargetNotInS
-from .model import NoiseModel, SystemSpec, ValidatedSystem, validate
+from .criteria import ControllabilityReport, _moment_terms, _running_sums, _scan_gramians, moment_step
+from .errors import DimensionMismatch, SingularPBracket
+from .model import NoiseModel, SystemSpec, ValidatedSystem
 from .pathspace import (
+    DEFAULT_CAP,
     AdaptedProcess,
     PathTree,
     SMembership,
+    _membership,
     _terminal_array,
     _zero_v,
     backward_solve,
     backward_solve_state_delay,
     member_of_S,
-    representation_residual,
+    path_products,
+    weighted_gram,
 )
 from .synthesis import (
     ControllerProcess,
-    _assemble,
+    _controller,
     _free_input_from_products,
     _invert_gramian,
+    _steering_start,
     stage_products,
 )
 from .transform import BsdeForm, TransformedSystem
 
-DEFAULT_CAP = 2**20
 P_RCOND = 1e-12
-
-
-def _transformed(system) -> TransformedSystem:
-    if isinstance(system, SystemSpec):
-        system = validate(system)
-    if isinstance(system, ValidatedSystem):
-        system = TransformedSystem.build(system)
-    return system
-
-
-def _default_horizon(spec: SystemSpec) -> int:
-    return spec.horizon_max if spec.horizon_max is not None else 2 * spec.n
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +65,10 @@ def _input_delay_terms(form: BsdeForm, tau: int):
     to C(0)...C(i-tau-1) C^tau, so the term is C^i D1 D1' (C^i)' while
     i <= tau and gains one Lambda application per stage after that.
     """
-    X = form.D @ form.D.T
     T = form.D1 @ form.D1.T
-    i = 0
-    while True:
+    for i, X in enumerate(_moment_terms(form)):
         yield X + T
-        i += 1
-        X = moment_step(form.C, form.Cbar, X)
-        if i <= tau:
-            T = form.C @ T @ form.C.T
-        else:
-            T = moment_step(form.C, form.Cbar, T)
+        T = form.C @ T @ form.C.T if i < tau else moment_step(form.C, form.Cbar, T)
 
 
 def input_delay_gramian(form: BsdeForm, tau: int, N: int) -> np.ndarray:
@@ -96,10 +77,7 @@ def input_delay_gramian(form: BsdeForm, tau: int, N: int) -> np.ndarray:
         raise DimensionMismatch("form has no delayed input channel D1")
     if tau < 1:
         raise ValueError(f"input delay must be >= 1, got {tau}")
-    G = np.zeros((form.n, form.n))
-    for _, term in zip(range(N + 1), _input_delay_terms(form, tau)):
-        G += term
-    return G
+    return sum(itertools.islice(_input_delay_terms(form, tau), N + 1), np.zeros((form.n, form.n)))
 
 
 def input_delay_gramian_oracle(
@@ -113,39 +91,15 @@ def input_delay_gramian_oracle(
     """
     if form.D1 is None:
         raise DimensionMismatch("form has no delayed input channel D1")
-    n = form.n
-    support = [float(w) for w in noise.support]
-    probs = [float(p) for p in noise.probs]
-    s = len(support)
-    if s ** (N + 1) > cap:
-        raise EnumerationTooLarge(f"{s}^{N + 1} paths exceed cap {cap}")
-    cmats = [form.C + w * form.Cbar for w in support]
-    Y = form.D1 @ form.D1.T
+    tree = PathTree(noise, N, cap)
+    n, s = form.n, tree.s
     G = np.zeros((n, n))
-    for i in range(N + 1):
-        for path in itertools.product(range(s), repeat=i):
-            p = 1.0
-            prod = np.eye(n)
-            for j in path:
-                p *= probs[j]
-                prod = prod @ cmats[j]
-            col = prod @ form.D
-            G += p * (col @ col.T)
+    for i, prods in enumerate(path_products(form, tree.support, N)):
+        G += weighted_gram(tree.node_probs(i), prods @ form.D)
         depth = max(0, i - tau)
-        for prefix in itertools.product(range(s), repeat=depth):
-            p = 1.0
-            for j in prefix:
-                p *= probs[j]
-            Phi = np.zeros((n, n))
-            for tail in itertools.product(range(s), repeat=i - depth):
-                q = 1.0
-                for j in tail:
-                    q *= probs[j]
-                prod = np.eye(n)
-                for j in prefix + tail:
-                    prod = prod @ cmats[j]
-                Phi += q * prod
-            G += p * (Phi @ Y @ Phi.T)
+        tails = prods.reshape(s**depth, s ** (i - depth), n, n)
+        Phi = np.einsum("htab,t->hab", tails, tree.node_probs(i - depth))
+        G += weighted_gram(tree.node_probs(depth), Phi @ form.D1)
     return G
 
 
@@ -167,21 +121,9 @@ def input_delay_controller(
     if spec.B1 is None or spec.tau is None:
         raise ValueError("system has no delayed input channel")
     tau, N = spec.tau, tree.horizon
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (form.n,):
-        raise DimensionMismatch(f"x0 must have length {form.n}, got {x0.shape}")
-
-    terminal = None
-    offset = np.zeros(form.n)
-    if target is not None:
-        terminal = _terminal_array(tree, form.n, target)
-        membership = member_of_S(tree, form, terminal, tol=tol)
-        if not membership.member:
-            raise TargetNotInS(
-                f"terminal residual {membership.max_residual:.3e} exceeds tolerance {tol}"
-            )
-        offset = membership.x0
-
+    x0, terminal, offset = _steering_start(
+        tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol)
+    )
     G = input_delay_gramian(form, tau, N)
     g = _invert_gramian(G, x0 - offset, f"delayed-input Gramian at N = {N}")
     prods = stage_products(tree, form, N)
@@ -195,19 +137,7 @@ def input_delay_controller(
         u1_depths[i - tau] = depth
     u1 = AdaptedProcess(tree, u1_vals, u1_depths)
     sol = backward_solve(tree, form, terminal, v, u1=u1, tau=tau)
-    q, u = _assemble(ts, tree, sol, v)
-    return ControllerProcess(
-        kind="input-delay",
-        tree=tree,
-        x0=x0,
-        v=v,
-        q=q,
-        u=u,
-        solution=sol,
-        gramian=G,
-        u1=u1,
-        target=terminal,
-    )
+    return _controller("input-delay", ts, x0, G, v, sol, terminal, u1)
 
 
 def input_delay_decide(
@@ -215,22 +145,27 @@ def input_delay_decide(
     N_max: int | None = None,
     rank_tol: float | None = None,
 ) -> ControllabilityReport:
-    """Scan the delayed-input Gramians; a witness proves controllability.
-
-    Only the sufficient direction is available here, so the rank-test
-    fields stay None and a missing witness means "not shown".
-    """
-    ts = _transformed(system)
+    """Scan the delayed-input Gramians; a witness proves controllability."""
+    ts = TransformedSystem.build(system)
     spec = ts.spec
     if spec.B1 is None or spec.tau is None:
         raise ValueError("system has no delayed input channel")
+    gramians = _running_sums(_input_delay_terms(ts.form, spec.tau), spec.n)
+    return _delay_scan("input-delay", ts, gramians, N_max, rank_tol)
+
+
+def _delay_scan(kind: str, ts: TransformedSystem, gramians, N_max, rank_tol) -> ControllabilityReport:
+    """Scan the horizon-N Gramians of a delay route for N = 0..N_max.
+
+    Only the sufficient direction is available on the delay routes, so the
+    rank-test fields stay None and a missing witness means "not shown".
+    """
+    spec = ts.spec
     if N_max is None:
-        N_max = _default_horizon(spec)
-    G, min_sv, witness = _scan_gramians(
-        _input_delay_terms(ts.form, spec.tau), spec.n, N_max, rank_tol
-    )
+        N_max = spec.default_horizon
+    G, min_sv, witness = _scan_gramians(gramians, spec.n, N_max, rank_tol)
     return ControllabilityReport(
-        kind="input-delay",
+        kind=kind,
         dim=spec.n,
         N_max=N_max,
         controllable=witness is not None,
@@ -307,35 +242,11 @@ def state_delay_gramian_oracle(
 ) -> np.ndarray:
     """Same Gramian by literal enumeration of P(0)C(0)...P(j-1)C(j-1)P(j)D."""
     pseq = state_delay_P(form, d, N)
-    n = form.n
-    support = [float(w) for w in noise.support]
-    probs = [float(p) for p in noise.probs]
-    s = len(support)
-    if s ** (N + 1) > cap:
-        raise EnumerationTooLarge(f"{s}^{N + 1} paths exceed cap {cap}")
-    cmats = [form.C + w * form.Cbar for w in support]
-    G = np.zeros((n, n))
-    for j in range(N + 1):
-        for path in itertools.product(range(s), repeat=j):
-            p = 1.0
-            prod = pseq.P[0]
-            for t, dig in enumerate(path):
-                p *= probs[dig]
-                prod = prod @ cmats[dig] @ pseq.P[t + 1]
-            col = prod @ form.D
-            G += p * (col @ col.T)
+    tree = PathTree(noise, N, cap)
+    G = np.zeros((form.n, form.n))
+    for j, prods in enumerate(path_products(form, tree.support, N, pseq.P)):
+        G += weighted_gram(tree.node_probs(j), prods @ form.D)
     return G
-
-
-def _delayed_stage_products(tree: PathTree, form: BsdeForm, pseq: PSequence) -> list[np.ndarray]:
-    """Per-history products P(0)C(0) ... C(j-1)P(j) for j = 0..N."""
-    n = form.n
-    cmats = np.stack([form.C + w * form.Cbar for w in tree.support])
-    prods = [pseq.P[0][None, :, :]]
-    for j in range(tree.horizon):
-        grown = np.einsum("hab,jbc->hjac", prods[-1], cmats).reshape(-1, n, n)
-        prods.append(grown @ pseq.P[j + 1])
-    return prods
 
 
 def member_of_S_state_delay(
@@ -344,24 +255,11 @@ def member_of_S_state_delay(
     """Attainability test against the delayed homogeneous backward equation.
 
     Same residual method as :func:`member_of_S`, with the zero-input
-    solve replaced by the delayed one. There is no product formula for
-    the recovered initial state here, so that cross-check is omitted.
+    solve replaced by the delayed one.
     """
     terminal_arr = _terminal_array(tree, form.n, terminal)
-    v = None if form.m_free == 0 else _zero_v(tree, form)
-    sol = backward_solve_state_delay(tree, form, d, terminal_arr, v)
-    residuals = representation_residual(sol)
-    worst = max(residuals.values()) if residuals else 0.0
-    scale = max(1.0, float(np.abs(terminal_arr).max()))
-    return SMembership(
-        member=bool(worst <= tol * scale),
-        max_residual=worst,
-        tol=tol,
-        residuals=residuals,
-        x0=sol.x0,
-        x0_product=None,
-        solution=sol,
-    )
+    sol = backward_solve_state_delay(tree, form, d, terminal_arr, _zero_v(tree, form))
+    return _membership(sol, terminal_arr, tol)
 
 
 def state_delay_controller(
@@ -381,39 +279,16 @@ def state_delay_controller(
     if spec.A1 is None or spec.d is None:
         raise ValueError("system has no delayed state channel")
     d, N = spec.d, tree.horizon
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (form.n,):
-        raise DimensionMismatch(f"x0 must have length {form.n}, got {x0.shape}")
-
-    terminal = None
-    offset = np.zeros(form.n)
-    if target is not None:
-        terminal = _terminal_array(tree, form.n, target)
-        membership = member_of_S_state_delay(tree, form, d, terminal, tol=tol)
-        if not membership.member:
-            raise TargetNotInS(
-                f"terminal residual {membership.max_residual:.3e} exceeds tolerance {tol}"
-            )
-        offset = membership.x0
-
+    x0, terminal, offset = _steering_start(
+        tree, form, x0, target, lambda t: member_of_S_state_delay(tree, form, d, t, tol=tol)
+    )
     pseq = state_delay_P(form, d, N)
     G = state_delay_gramian(form, d, N, pseq)
     g = _invert_gramian(G, x0 - offset, f"delayed-state Gramian at N = {N}")
-    prods = _delayed_stage_products(tree, form, pseq)
+    prods = stage_products(tree, form, N, pseq.P)
     v = _free_input_from_products(tree, form, prods, g)
     sol = backward_solve_state_delay(tree, form, d, terminal, v)
-    q, u = _assemble(ts, tree, sol, v)
-    return ControllerProcess(
-        kind="state-delay",
-        tree=tree,
-        x0=x0,
-        v=v,
-        q=q,
-        u=u,
-        solution=sol,
-        gramian=G,
-        target=terminal,
-    )
+    return _controller("state-delay", ts, x0, G, v, sol, terminal)
 
 
 def state_delay_decide(
@@ -427,32 +302,9 @@ def state_delay_decide(
     rather than by extending a running sum. A singular bracket at any
     scanned horizon propagates; the criterion is inapplicable there.
     """
-    ts = _transformed(system)
+    ts = TransformedSystem.build(system)
     spec = ts.spec
     if spec.A1 is None or spec.d is None:
         raise ValueError("system has no delayed state channel")
-    if N_max is None:
-        N_max = _default_horizon(spec)
-    min_sv: list[float] = []
-    witness = None
-    G = np.zeros((spec.n, spec.n))
-    for N in range(N_max + 1):
-        G = state_delay_gramian(ts.form, spec.d, N)
-        ok, smin = gramian_invertible(G, rank_tol)
-        min_sv.append(smin)
-        if ok and witness is None:
-            witness = N
-    return ControllabilityReport(
-        kind="state-delay",
-        dim=spec.n,
-        N_max=N_max,
-        controllable=witness is not None,
-        witness_N=witness,
-        min_singular=tuple(min_sv),
-        gramian=G,
-        gramian_rank=int(np.linalg.matrix_rank(G)),
-        rank_R=None,
-        span_depth=None,
-        criteria_agree=None,
-        transform_source=ts.transform.source,
-    )
+    gramians = (state_delay_gramian(ts.form, spec.d, N) for N in itertools.count())
+    return _delay_scan("state-delay", ts, gramians, N_max, rank_tol)

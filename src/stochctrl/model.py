@@ -173,6 +173,11 @@ class SystemSpec:
     def m(self) -> int:
         return self.B.shape[1]
 
+    @property
+    def default_horizon(self) -> int:
+        """Scan limit when none is given: ``horizon_max``, else 2n."""
+        return self.horizon_max if self.horizon_max is not None else 2 * self.n
+
     def __eq__(self, other):
         if not isinstance(other, SystemSpec):
             return NotImplemented

@@ -72,17 +72,10 @@ def partial_decide(
     otherwise the criterion does not apply and :class:`NoIntertwiner`
     propagates. The report's dimension is the number of output rows.
     """
-    if isinstance(system, SystemSpec):
-        system = validate(system)
-    if isinstance(system, ValidatedSystem):
-        system = TransformedSystem.build(system)
-    spec = system.spec
-    if N_max is None:
-        N_max = spec.horizon_max if spec.horizon_max is not None else 2 * spec.n
-    form_l = output_form(system, tol)
+    system = TransformedSystem.build(system)
     return decide_form(
-        form_l,
-        N_max,
+        output_form(system, tol),
+        system.spec.default_horizon if N_max is None else N_max,
         rank_tol,
         kind="partial",
         transform_source=system.transform.source,
@@ -101,14 +94,14 @@ class ReducedForm:
     B1: np.ndarray  # r x r, first block row of Bblk
     D1: np.ndarray  # r x (m - r), first block row of Dblk
 
+    @property
+    def form(self) -> BsdeForm:
+        """The r-dimensional backward form the criteria run on."""
+        return BsdeForm(C=self.A1, Cbar=self.B1, D=self.D1)
 
-def reduced_rank_setup(
-    system: SystemSpec | ValidatedSystem,
-    N_max: int | None = None,
-    rank_tol: float | None = None,
-    tol: float = INTERTWINE_TOL,
-) -> tuple[ReducedForm, ControllabilityReport]:
-    """Assemble the reduced coefficients and run the criteria in dimension r.
+
+def reduced_form(system: SystemSpec | ValidatedSystem, tol: float = INTERTWINE_TOL) -> ReducedForm:
+    """Assemble the reduced coefficients of a rank-deficient system.
 
     The structure requirements on Bbar and Abar were already enforced by
     :func:`validate`. Raises :class:`SingularBlock` when the script-A
@@ -121,7 +114,7 @@ def reduced_rank_setup(
         raise ValueError("system is full rank; use the standard route")
     spec = system.spec
     r = system.reduced_r
-    n, m = spec.n, spec.m
+    n = spec.n
     A11, A12 = spec.A[:r, :r], spec.A[:r, r:]
     A21, A22 = spec.A[r:, :r], spec.A[r:, r:]
     Ab11, Ab12 = spec.Abar[:r, :r], spec.Abar[:r, r:]
@@ -145,15 +138,22 @@ def reduced_rank_setup(
 
     proj = np.hstack([np.eye(r), np.zeros((r, n - r))])
     A1, _ = intertwine(proj, Ablk, tol)
-    B1 = Bblk[:r, :]
-    D1 = Dblk[:r, :]
-    reduced = ReducedForm(r=r, Ablk=Ablk, Bblk=Bblk, Dblk=Dblk, A1=A1, B1=B1, D1=D1)
+    return ReducedForm(r=r, Ablk=Ablk, Bblk=Bblk, Dblk=Dblk, A1=A1, B1=Bblk[:r, :], D1=Dblk[:r, :])
 
-    if N_max is None:
-        N_max = spec.horizon_max if spec.horizon_max is not None else 2 * spec.n
+
+def reduced_rank_setup(
+    system: SystemSpec | ValidatedSystem,
+    N_max: int | None = None,
+    rank_tol: float | None = None,
+    tol: float = INTERTWINE_TOL,
+) -> tuple[ReducedForm, ControllabilityReport]:
+    """Assemble the reduced coefficients and run the criteria in dimension r."""
+    if isinstance(system, SystemSpec):
+        system = validate(system)
+    reduced = reduced_form(system, tol)
     report = decide_form(
-        BsdeForm(C=A1, Cbar=B1, D=D1),
-        N_max,
+        reduced.form,
+        system.spec.default_horizon if N_max is None else N_max,
         rank_tol,
         kind="reduced",
         transform_source=None,

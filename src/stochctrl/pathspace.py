@@ -9,6 +9,11 @@ nothing here samples.
 Stage-k values that are measurable with respect to the noise up to stage
 k-1 live at depth k. An :class:`AdaptedProcess` stores each stage at its
 coarsest measurable depth and never replicates values per leaf.
+
+:func:`path_products` is the one place per-history products of the
+random factors C + w Cbar are built: the steering controllers, the
+terminal-product formula and every enumeration oracle (in ``criteria``
+and ``delay``) take their products from it.
 """
 from __future__ import annotations
 
@@ -93,11 +98,6 @@ class PathTree:
         shaped = values.reshape(self.s**to_depth, len(tail), -1)
         return np.einsum("hsd,s->hd", shaped, tail)
 
-    def child_contract(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """One-stage contraction: out[h] = sum_j weights[j] * values[h*s + j]."""
-        shaped = values.reshape(-1, self.s, values.shape[-1])
-        return np.einsum("hjd,j->hd", shaped, weights)
-
 
 @dataclass(eq=False)
 class AdaptedProcess:
@@ -180,6 +180,30 @@ class AdaptedProcess:
 def cond_expect(p: AdaptedProcess, stage: int, to_depth: int) -> np.ndarray:
     """E[p(stage) | noise up to depth to_depth], as a node array."""
     return p.tree.cond_expect_array(p.at(stage), p.depth(stage), to_depth)
+
+
+def path_products(form: BsdeForm, support, depth: int, P=None):
+    """Yield the per-history products C(0) ... C(k-1) for k = 0..depth.
+
+    Level k has shape (s^k, n, n) with rows in node-index order; level 0
+    is the identity. With a sequence P(0..depth) the products are
+    P(0) C(0) P(1) ... C(k-1) P(k) instead. Only two levels are alive at
+    a time; take ``list`` of the result to keep them all.
+    """
+    n = form.n
+    cmats = form.stage_factors(support)
+    prods = (np.eye(n) if P is None else P[0])[None, :, :]
+    yield prods
+    for k in range(depth):
+        prods = np.einsum("hab,jbc->hjac", prods, cmats).reshape(-1, n, n)
+        if P is not None:
+            prods = prods @ P[k + 1]
+        yield prods
+
+
+def weighted_gram(probs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum_h probs[h] cols[h] cols[h]' over a stack of (rows x k) blocks."""
+    return np.einsum("h,hab,hcb->ac", probs, cols, cols)
 
 
 def _check_input(tree, proc, stage, want_dim, what, to_depth=None) -> np.ndarray:
@@ -277,12 +301,8 @@ def backward_solve(
         raise StageMismatch("u1 and tau must be supplied together")
     if u1 is not None and form.D1 is None:
         raise DimensionMismatch("form has no delayed input channel D1")
-    cmats = np.stack([form.C + w * form.Cbar for w in tree.support])
-    wprobs = tree.probs * tree.support
-
+    cmats = form.stage_factors(tree.support)
     x_vals = {N + 1: _terminal_array(tree, n, terminal)}
-    x_depths = {N + 1: N + 1}
-    z_vals, z_depths = {}, {}
     for k in range(N, -1, -1):
         xk1 = x_vals[k + 1].reshape(-1, s, n)
         xk = np.einsum("j,jab,hjb->ha", tree.probs, cmats, xk1)
@@ -293,13 +313,21 @@ def backward_solve(
         if u1 is not None:
             xk = xk + _check_input(tree, u1, k - tau, form.D1.shape[1], "u1", to_depth=k) @ form.D1.T
         x_vals[k] = xk
-        x_depths[k] = k
-        z_vals[k] = np.einsum("j,hjb->hb", wprobs, xk1)
-        z_depths[k] = k
+    return _solution(tree, x_vals)
+
+
+def _solution(tree: PathTree, x_vals: dict[int, np.ndarray]) -> BsdeSolution:
+    """Pair node states x(0..N+1) with z(k) = E[w(k) x(k+1) | past], stage k at depth k."""
+    wprobs = tree.probs * tree.support
+    n = x_vals[tree.horizon + 1].shape[1]
+    z_vals = {
+        k: np.einsum("j,hjb->hb", wprobs, x_vals[k + 1].reshape(-1, tree.s, n))
+        for k in range(tree.horizon + 1)
+    }
     return BsdeSolution(
         tree,
-        AdaptedProcess(tree, x_vals, x_depths),
-        AdaptedProcess(tree, z_vals, z_depths),
+        AdaptedProcess(tree, x_vals, {k: k for k in x_vals}),
+        AdaptedProcess(tree, z_vals, {k: k for k in z_vals}),
     )
 
 
@@ -321,8 +349,7 @@ def backward_solve_state_delay(
     if d < 1:
         raise StageMismatch(f"state delay must be >= 1, got {d}")
     n, N, s = form.n, tree.horizon, tree.s
-    cmats = np.stack([form.C + w * form.Cbar for w in tree.support])
-    wprobs = tree.probs * tree.support
+    cmats = form.stage_factors(tree.support)
     terminal_arr = _terminal_array(tree, n, terminal)
 
     offsets, total = {}, 0
@@ -358,16 +385,7 @@ def backward_solve_state_delay(
 
     x_vals = {k: sol[offsets[k] : offsets[k] + tree.n_nodes(k) * n].reshape(-1, n) for k in range(N + 1)}
     x_vals[N + 1] = terminal_arr
-    x_depths = {k: k for k in range(N + 2)}
-    z_vals = {
-        k: np.einsum("j,hjb->hb", wprobs, x_vals[k + 1].reshape(-1, s, n)) for k in range(N + 1)
-    }
-    z_depths = {k: k for k in range(N + 1)}
-    return BsdeSolution(
-        tree,
-        AdaptedProcess(tree, x_vals, x_depths),
-        AdaptedProcess(tree, z_vals, z_depths),
-    )
+    return _solution(tree, x_vals)
 
 
 def representation_residual(sol: BsdeSolution) -> dict[int, float]:
@@ -384,12 +402,8 @@ def representation_residual(sol: BsdeSolution) -> dict[int, float]:
 
 def expected_terminal_product(tree: PathTree, form: BsdeForm, terminal: np.ndarray) -> np.ndarray:
     """E[C(0) C(1) ... C(N) xi] by direct path enumeration."""
-    n, N = form.n, tree.horizon
-    cmats = np.stack([form.C + w * form.Cbar for w in tree.support])
-    prods = np.eye(n)[None, :, :]
-    for _ in range(N + 1):
-        prods = np.einsum("hab,jbc->hjac", prods, cmats).reshape(-1, n, n)
-    leaf_p = tree.node_probs(N + 1)
+    *_, prods = path_products(form, tree.support, tree.horizon + 1)
+    leaf_p = tree.node_probs(tree.horizon + 1)
     return np.einsum("h,hab,hb->a", leaf_p, prods, terminal)
 
 
@@ -402,7 +416,6 @@ class SMembership:
     tol: float
     residuals: dict[int, float]
     x0: np.ndarray
-    x0_product: np.ndarray | None  # None when no product formula applies
     solution: BsdeSolution
 
 
@@ -414,9 +427,16 @@ def member_of_S(tree: PathTree, form: BsdeForm, terminal, tol: float = 1e-8) -> 
     every terminal passes; richer laws reject terminals whose dependence on
     the final noise is not affine.
     """
-    n = form.n
-    terminal_arr = _terminal_array(tree, n, terminal)
-    sol = backward_solve(tree, form, terminal_arr, None if form.m_free == 0 else _zero_v(tree, form))
+    terminal_arr = _terminal_array(tree, form.n, terminal)
+    sol = backward_solve(tree, form, terminal_arr, _zero_v(tree, form))
+    return _membership(sol, terminal_arr, tol)
+
+
+def _membership(sol: BsdeSolution, terminal_arr: np.ndarray, tol: float) -> SMembership:
+    """Judge a homogeneous solve by its worst representation residual.
+
+    The tolerance scales with the largest terminal entry (at least 1).
+    """
     residuals = representation_residual(sol)
     worst = max(residuals.values()) if residuals else 0.0
     scale = max(1.0, float(np.abs(terminal_arr).max()))
@@ -426,12 +446,14 @@ def member_of_S(tree: PathTree, form: BsdeForm, terminal, tol: float = 1e-8) -> 
         tol=tol,
         residuals=residuals,
         x0=sol.x0,
-        x0_product=expected_terminal_product(tree, form, terminal_arr),
         solution=sol,
     )
 
 
-def _zero_v(tree: PathTree, form: BsdeForm) -> AdaptedProcess:
+def _zero_v(tree: PathTree, form: BsdeForm) -> AdaptedProcess | None:
+    """Zero free input over stages 0..N, or None when D has no columns."""
+    if form.m_free == 0:
+        return None
     stages = range(tree.horizon + 1)
     return AdaptedProcess(
         tree,

@@ -33,6 +33,7 @@ from .pathspace import (
     PathTree,
     backward_solve,
     member_of_S,
+    path_products,
     _terminal_array,
 )
 from .transform import TransformedSystem
@@ -40,17 +41,14 @@ from .transform import TransformedSystem
 FLOAT_FMT = "%.17g"
 
 
-def stage_products(tree: PathTree, form, upto: int) -> list[np.ndarray]:
+def stage_products(tree: PathTree, form, upto: int, P=None) -> list[np.ndarray]:
     """Per-history products C(0) ... C(k-1) for k = 0..upto.
 
-    Entry k has shape (s^k, n, n); entry 0 is the identity.
+    Entry k has shape (s^k, n, n); entry 0 is the identity. With a
+    P-sequence the entries are P(0) C(0) P(1) ... C(k-1) P(k), as the
+    delayed-state controller needs.
     """
-    n = form.n
-    cmats = np.stack([form.C + w * form.Cbar for w in tree.support])
-    prods = [np.eye(n)[None, :, :]]
-    for _ in range(upto):
-        prods.append(np.einsum("hab,jbc->hjac", prods[-1], cmats).reshape(-1, n, n))
-    return prods
+    return list(path_products(form, tree.support, upto, P))
 
 
 @dataclass(eq=False)
@@ -80,6 +78,25 @@ def _invert_gramian(G: np.ndarray, x0: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(G, x0)
 
 
+def _steering_start(tree: PathTree, form, x0, target, membership):
+    """Shared start of every steering controller.
+
+    Checks x0 and, for a target, runs ``membership`` on its leaf array and
+    rejects it with :class:`TargetNotInS` when it is not attainable.
+    Returns (x0, terminal leaf array or None, homogeneous initial offset).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (form.n,):
+        raise DimensionMismatch(f"x0 must have length {form.n}, got {x0.shape}")
+    if target is None:
+        return x0, None, np.zeros(form.n)
+    terminal = _terminal_array(tree, form.n, target)
+    result = membership(terminal)
+    if not result.member:
+        raise TargetNotInS(f"terminal residual {result.max_residual:.3e} exceeds tolerance {result.tol}")
+    return x0, terminal, result.x0
+
+
 def _free_input_from_products(tree, form, prods, g) -> AdaptedProcess:
     vals, depths = {}, {}
     for k in range(tree.horizon + 1):
@@ -89,9 +106,11 @@ def _free_input_from_products(tree, form, prods, g) -> AdaptedProcess:
     return AdaptedProcess(tree, vals, depths)
 
 
-def _assemble(ts: TransformedSystem, tree, sol: BsdeSolution, v: AdaptedProcess):
-    """q from the solved pair, then u = M [q; v] stage by stage."""
-    spec = ts.spec
+def _controller(
+    kind: str, ts: TransformedSystem, x0, G, v: AdaptedProcess, sol: BsdeSolution, terminal, u1=None
+) -> ControllerProcess:
+    """q from the solved pair, then u = M [q; v] stage by stage, bundled with the rest."""
+    spec, tree = ts.spec, sol.tree
     q_vals, u_vals, depths = {}, {}, {}
     for k in range(tree.horizon + 1):
         xk = sol.x.at(k)
@@ -102,7 +121,9 @@ def _assemble(ts: TransformedSystem, tree, sol: BsdeSolution, v: AdaptedProcess)
         depths[k] = k
     q = AdaptedProcess(tree, q_vals, depths)
     u = AdaptedProcess(tree, u_vals, dict(depths))
-    return q, u
+    return ControllerProcess(
+        kind=kind, tree=tree, x0=x0, v=v, q=q, u=u, solution=sol, gramian=G, u1=u1, target=terminal
+    )
 
 
 def null_controller(ts: TransformedSystem, tree: PathTree, x0: np.ndarray) -> ControllerProcess:
@@ -111,20 +132,7 @@ def null_controller(ts: TransformedSystem, tree: PathTree, x0: np.ndarray) -> Co
     Raises :class:`SingularGramian` when the Gramian at that horizon is not
     invertible at the scale-aware threshold.
     """
-    form = ts.form
-    N = tree.horizon
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (form.n,):
-        raise DimensionMismatch(f"x0 must have length {form.n}, got {x0.shape}")
-    G = gramian(form, N)
-    g = _invert_gramian(G, x0, f"Gramian at N = {N}")
-    prods = stage_products(tree, form, N)
-    v = _free_input_from_products(tree, form, prods, g)
-    sol = backward_solve(tree, form, None, v)
-    q, u = _assemble(ts, tree, sol, v)
-    return ControllerProcess(
-        kind="null", tree=tree, x0=x0, v=v, q=q, u=u, solution=sol, gramian=G
-    )
+    return steer_to_target(ts, tree, x0, None)
 
 
 def steer_to_target(
@@ -137,28 +145,20 @@ def steer_to_target(
     """Steer x0 to an attainable terminal value over the tree's horizon.
 
     The terminal may be a vector (constant over paths) or a full leaf
-    array. Rejects terminals outside the attainable set with
+    array; None steers to the origin and gives the null controller.
+    Rejects terminals outside the attainable set with
     :class:`TargetNotInS`.
     """
     form = ts.form
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (form.n,):
-        raise DimensionMismatch(f"x0 must have length {form.n}, got {x0.shape}")
-    terminal = _terminal_array(tree, form.n, target)
-    membership = member_of_S(tree, form, terminal, tol=tol)
-    if not membership.member:
-        raise TargetNotInS(
-            f"terminal residual {membership.max_residual:.3e} exceeds tolerance {tol}"
-        )
+    x0, terminal, offset = _steering_start(
+        tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol)
+    )
     G = gramian(form, tree.horizon)
-    g = _invert_gramian(G, x0 - membership.x0, f"Gramian at N = {tree.horizon}")
+    g = _invert_gramian(G, x0 - offset, f"Gramian at N = {tree.horizon}")
     prods = stage_products(tree, form, tree.horizon)
     v = _free_input_from_products(tree, form, prods, g)
     sol = backward_solve(tree, form, terminal, v)  # superposition of both parts
-    q, u = _assemble(ts, tree, sol, v)
-    return ControllerProcess(
-        kind="target", tree=tree, x0=x0, v=v, q=q, u=u, solution=sol, gramian=G, target=terminal
-    )
+    return _controller("null" if terminal is None else "target", ts, x0, G, v, sol, terminal)
 
 
 def q_expanded(ts: TransformedSystem, tree: PathTree, v: AdaptedProcess) -> AdaptedProcess:
@@ -170,7 +170,7 @@ def q_expanded(ts: TransformedSystem, tree: PathTree, v: AdaptedProcess) -> Adap
     """
     form, spec = ts.form, ts.spec
     n, N, s = form.n, tree.horizon, tree.s
-    cmats = np.stack([form.C + w * form.Cbar for w in tree.support])
+    cmats = form.stage_factors(tree.support)
     sol = backward_solve(tree, form, None, v)
     full = tree.n_nodes(N)
 
@@ -251,8 +251,9 @@ def read_controller_table(
     """Parse a controller table back into adapted processes.
 
     ``m1`` must match the delayed channel width when the instance has one,
-    else None. Malformed tables (wrong header, ragged stages, non-numeric
-    cells, duplicate or missing histories) raise :class:`SchemaError`.
+    else None. Malformed tables (wrong header, ragged stages, u rows at
+    stages outside 0..N, non-numeric cells, duplicate or missing
+    histories) raise :class:`SchemaError`.
     """
     if isinstance(source, (str, bytes)) and "\n" in str(source):
         fh = io.StringIO(source)
@@ -288,6 +289,8 @@ def read_controller_table(
             u_part = row[2 : 2 + m]
             u1_part = row[2 + m :]
             if any(c != "" for c in u_part):
+                if not 0 <= stage <= tree.horizon:
+                    raise SchemaError(f"line {lineno}: u row at stage {stage} outside 0..{tree.horizon}")
                 u_cells.setdefault(stage, {})
                 if label in u_cells[stage]:
                     raise SchemaError(f"line {lineno}: duplicate history {label!r} at stage {stage}")

@@ -136,6 +136,10 @@ class BsdeForm:
     def m_free(self) -> int:
         return self.D.shape[1]
 
+    def stage_factors(self, support) -> np.ndarray:
+        """The random factor C + w Cbar at each support point, shape (s, n, n)."""
+        return np.stack([self.C + w * self.Cbar for w in support])
+
 
 def to_bsde(spec: SystemSpec, tr: InputTransform) -> BsdeForm:
     """Invert the drift pencil A - L Abar and assemble the backward form.
@@ -170,7 +174,10 @@ class TransformedSystem:
     form: BsdeForm
 
     @classmethod
-    def build(cls, system: SystemSpec | ValidatedSystem) -> "TransformedSystem":
+    def build(cls, system: SystemSpec | ValidatedSystem | TransformedSystem) -> "TransformedSystem":
+        """Validate if needed and transform; an already built system is returned as is."""
+        if isinstance(system, cls):
+            return system
         if isinstance(system, SystemSpec):
             system = validate(system)
         if not system.full_rank:

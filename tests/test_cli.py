@@ -185,6 +185,22 @@ def test_verify_stage_gap_is_table_error(capsys, tmp_path):
     assert code == 5
 
 
+def test_verify_rejects_u_rows_outside_the_horizon(capsys, tmp_path):
+    table = tmp_path / "n3.csv"
+    code, _, _ = run(capsys, "synthesize", "--instance", FULL, "--N", "3", "--out", str(table))
+    assert code == 0
+    # a horizon-3 table replayed at horizon 2 carries stage-3 rows
+    code, _, err = run(capsys, "verify", "--instance", FULL, "--N", "2", "--controller", str(table))
+    assert code == 5
+    assert "stage 3" in err
+    # an extra row past the horizon does not slip through either
+    with table.open("a") as fh:
+        fh.write("9,,1,2,3\n")
+    code, _, err = run(capsys, "verify", "--instance", FULL, "--N", "3", "--controller", str(table))
+    assert code == 5
+    assert "stage 9" in err
+
+
 def test_oracle_check_all_instances(capsys):
     for inst in (FULL, OUTPUT, IN_DELAY, ST_DELAY, UNCTRL):
         code, out, _ = run(capsys, "oracle-check", "--instance", inst)
@@ -228,16 +244,18 @@ def test_singular_pencil_inapplicable(capsys, tmp_path):
     assert "inapplicable" in err
 
 
+REDUCED_DOC = {
+    "n": 2, "m": 3, "N": 3,
+    "A": [[2.0, 0.5], [1.0, 1.0]],
+    "B": [[2.0, 1.0, 0.0], [1.0, 0.0, 1.0]],
+    "Abar": [[0.5, 0.25], [1.0, 0.0]],
+    "Bbar": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+}
+
+
 def test_reduced_route_analyze(capsys, tmp_path):
-    doc = {
-        "n": 2, "m": 3, "N": 3,
-        "A": [[2.0, 0.5], [1.0, 1.0]],
-        "B": [[2.0, 1.0, 0.0], [1.0, 0.0, 1.0]],
-        "Abar": [[0.5, 0.25], [1.0, 0.0]],
-        "Bbar": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-    }
     inst = tmp_path / "reduced.json"
-    inst.write_text(json.dumps(doc))
+    inst.write_text(json.dumps(REDUCED_DOC))
     code, out, _ = run(capsys, "analyze", "--instance", str(inst))
     assert code == 0
     got = as_dict(out)
@@ -246,3 +264,47 @@ def test_reduced_route_analyze(capsys, tmp_path):
     assert got["dim"] == "1"
     code, _, err = run(capsys, "synthesize", "--instance", str(inst))
     assert code == 2
+
+
+def test_every_route_through_every_command(capsys, tmp_path):
+    reduced = tmp_path / "reduced.json"
+    reduced.write_text(json.dumps(REDUCED_DOC))
+    # route -> (instance, exit codes of analyze, oracle-check, synthesize, verify)
+    cases = {
+        "full": (FULL, (0, 0, 0, 0)),
+        "partial": (OUTPUT, (0, 0, 2, 2)),
+        "reduced": (str(reduced), (0, 0, 2, 2)),
+        "input-delay": (IN_DELAY, (0, 0, 0, 0)),
+        "state-delay": (ST_DELAY, (0, 0, 0, 0)),
+    }
+    for route, (inst, want) in cases.items():
+        table = tmp_path / f"{route}.csv"
+        got = []
+        code, out, _ = run(capsys, "analyze", "--instance", inst)
+        got.append(code)
+        assert as_dict(out)["kind"] == route
+        code, out, _ = run(capsys, "oracle-check", "--instance", inst)
+        got.append(code)
+        assert as_dict(out)["kind"] == route and as_dict(out)["verdict"] == "ok"
+        code, _, err = run(capsys, "synthesize", "--instance", inst, "--out", str(table))
+        got.append(code)
+        code, out, err = run(capsys, "verify", "--instance", inst, "--controller", str(table))
+        got.append(code)
+        if code == 0:
+            assert as_dict(out)["kind"] == route and as_dict(out)["verdict"] == "ok"
+        else:
+            assert "inapplicable" in err
+        assert tuple(got) == want, route
+
+
+def test_reduced_oracle_check_runs_no_criteria(capsys, tmp_path, monkeypatch):
+    import stochctrl.cli as cli
+
+    def no_criteria(*args, **kwargs):
+        raise AssertionError("oracle-check ran the reduced-route criteria")
+
+    monkeypatch.setattr(cli, "reduced_rank_setup", no_criteria)
+    inst = tmp_path / "reduced.json"
+    inst.write_text(json.dumps(REDUCED_DOC))
+    code, out, _ = run(capsys, "oracle-check", "--instance", str(inst))
+    assert code == 0 and as_dict(out)["verdict"] == "ok"

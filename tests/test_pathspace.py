@@ -133,9 +133,8 @@ def test_membership_x0_matches_product_formula(rng):
     tree = PathTree(ts.spec.noise, 2)
     terminal = random_attainable_terminal(rng, tree, ts.form)
     m = member_of_S(tree, ts.form, terminal)
-    np.testing.assert_allclose(m.x0, m.x0_product, atol=1e-9)
     direct = expected_terminal_product(tree, ts.form, terminal)
-    np.testing.assert_allclose(m.x0_product, direct, atol=1e-12)
+    np.testing.assert_allclose(m.x0, direct, atol=1e-9)
 
 
 def test_forward_simulate_matches_plain_loops(rng, bench_full):
