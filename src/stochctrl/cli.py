@@ -253,9 +253,9 @@ def cmd_synthesize(args) -> int:
 def cmd_verify(args) -> int:
     inst, _, route, tree = _steering_setup(args, "verification")
     spec = inst.system
-    m1 = spec.B1.shape[1] if spec.B1 is not None else None
+    delayed = (spec.B1.shape[1], spec.tau) if spec.B1 is not None else (None, None)
     try:
-        u, u1 = read_controller_table(args.controller, tree, spec.m, m1)
+        u, u1 = read_controller_table(args.controller, tree, spec.m, *delayed)
         xs = forward_simulate(tree, spec, inst.x0, u, u1=u1)
     except (SchemaError, AdaptednessViolation, StageMismatch) as exc:
         sys.stderr.write(f"bad controller table: {exc}\n")

@@ -6,7 +6,8 @@ equation; its Gramian augments G_N with terms built from conditional
 expectations of the stage products, which collapse by independence to
 C^tau times an ordinary product. A delayed state adds the drift
 C1 x(k - d); the deterministic P(k) iteration absorbs that coupling and
-the Gramian weaves P(k) between the random stage factors.
+the Gramian weaves P(k) between the random stage factors. The same P(k)
+pivot the elimination that solves the delayed backward equation.
 
 Each Gramian has a literal path-enumeration oracle next to it. The
 closed forms are derived (the collapse step is not written out in any
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import ControllabilityReport, _moment_terms, _running_sums, _scan_gramians, moment_step
-from .errors import DimensionMismatch, SingularPBracket
+from .errors import DimensionMismatch
 from .model import NoiseModel, SystemSpec, ValidatedSystem
 from .pathspace import (
     DEFAULT_CAP,
@@ -31,6 +32,7 @@ from .pathspace import (
     PathTree,
     SMembership,
     _membership,
+    _state_delay_gains,
     _terminal_array,
     _zero_v,
     backward_solve,
@@ -48,8 +50,6 @@ from .synthesis import (
     stage_products,
 )
 from .transform import BsdeForm, TransformedSystem
-
-P_RCOND = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,8 @@ class PSequence:
     """Deterministic backward iteration absorbing the delayed-state drift.
 
     P(k) is the identity on the tail band k = N .. N-d+1 and
-    [I - C P(k+1) ... C P(k+d) C1]^{-1} below it.
+    [I - C P(k+1) ... C P(k+d) C1]^{-1} below it: the pivots of
+    :func:`pathspace.backward_solve_state_delay`.
     """
 
     d: int
@@ -203,18 +204,8 @@ def state_delay_P(form: BsdeForm, d: int, N: int) -> PSequence:
         raise DimensionMismatch("form has no delayed state channel C1")
     if d < 1:
         raise ValueError(f"state delay must be >= 1, got {d}")
-    n = form.n
-    P: dict[int, np.ndarray] = {k: np.eye(n) for k in range(max(0, N - d + 1), N + 1)}
-    for k in range(N - d, -1, -1):
-        bracket = np.eye(n)
-        for j in range(k + 1, k + d + 1):
-            bracket = bracket @ form.C @ P[j]
-        bracket = np.eye(n) - bracket @ form.C1
-        svals = np.linalg.svd(bracket, compute_uv=False)
-        if svals[0] == 0.0 or svals[-1] / svals[0] <= P_RCOND:
-            raise SingularPBracket(k)
-        P[k] = np.linalg.inv(bracket)
-    return PSequence(d=d, N=N, P=tuple(P[k] for k in range(N + 1)))
+    P, _ = _state_delay_gains(form, d, N)
+    return PSequence(d=d, N=N, P=tuple(P))
 
 
 def state_delay_gramian(
@@ -272,8 +263,8 @@ def state_delay_controller(
     """Steer x0 to the origin (or an attainable target) despite the lag.
 
     Pre-horizon states are zero, so the P-weighted products start clean
-    at stage 0. The backward solution couples stages d apart and is
-    computed in one dense solve.
+    at stage 0. The backward solution couples stages d apart; elimination
+    with the P-sequence as pivots solves it in two sweeps over the tree.
     """
     spec, form = ts.spec, ts.form
     if spec.A1 is None or spec.d is None:

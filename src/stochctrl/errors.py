@@ -75,15 +75,8 @@ class SingularBlock(StochctrlError):
 
 
 class SingularPBracket(StochctrlError):
-    """Bracket matrix of the delay compensator sequence is singular.
+    """Bracket matrix of the delay compensator sequence is singular at stage ``k``."""
 
-    Carries the stage index ``k`` at which the inversion failed, or ``None``
-    when the failure cannot be attributed to a single stage.
-    """
-
-    def __init__(self, k, message=None):
+    def __init__(self, k: int):
         self.k = k
-        if message is None:
-            where = f"stage {k}" if k is not None else "the coupled stage system"
-            message = f"delay compensator bracket singular at {where}"
-        super().__init__(message)
+        super().__init__(f"delay compensator bracket singular at stage {k}")

@@ -27,12 +27,14 @@ from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
     SchemaError,
+    SingularPBracket,
     StageMismatch,
 )
 from .model import NoiseModel, SystemSpec
 from .transform import BsdeForm
 
 DEFAULT_CAP = 2**20
+P_RCOND = 1e-12
 
 
 class PathTree:
@@ -296,7 +298,7 @@ def backward_solve(
     ``v`` must hold stages 0..N with stage k measurable at depth <= k; the
     same applies to ``u1`` at stages -tau..N-tau (depth 0 before stage 0).
     """
-    n, N, s = form.n, tree.horizon, tree.s
+    n, N = form.n, tree.horizon
     if (u1 is None) != (tau is None):
         raise StageMismatch("u1 and tau must be supplied together")
     if u1 is not None and form.D1 is None:
@@ -304,16 +306,21 @@ def backward_solve(
     cmats = form.stage_factors(tree.support)
     x_vals = {N + 1: _terminal_array(tree, n, terminal)}
     for k in range(N, -1, -1):
-        xk1 = x_vals[k + 1].reshape(-1, s, n)
-        xk = np.einsum("j,jab,hjb->ha", tree.probs, cmats, xk1)
-        if form.m_free > 0:
-            xk = xk + _check_input(tree, v, k, form.m_free, "v") @ form.D.T
-        elif v is not None and v.at(k).shape[1] != 0:
-            raise DimensionMismatch("v must be empty when D has no columns")
+        xk = _stage_step(tree, form, cmats, x_vals[k + 1], v, k)
         if u1 is not None:
             xk = xk + _check_input(tree, u1, k - tau, form.D1.shape[1], "u1", to_depth=k) @ form.D1.T
         x_vals[k] = xk
     return _solution(tree, x_vals)
+
+
+def _stage_step(tree: PathTree, form: BsdeForm, cmats, x_next: np.ndarray, v, k: int) -> np.ndarray:
+    """E[C(k) x(k+1) | past] + D v(k), at depth k."""
+    xk = np.einsum("j,jab,hjb->ha", tree.probs, cmats, x_next.reshape(-1, tree.s, form.n))
+    if form.m_free > 0:
+        xk = xk + _check_input(tree, v, k, form.m_free, "v") @ form.D.T
+    elif v is not None and v.at(k).shape[1] != 0:
+        raise DimensionMismatch("v must be empty when D has no columns")
+    return xk
 
 
 def _solution(tree: PathTree, x_vals: dict[int, np.ndarray]) -> BsdeSolution:
@@ -331,6 +338,34 @@ def _solution(tree: PathTree, x_vals: dict[int, np.ndarray]) -> BsdeSolution:
     )
 
 
+def _state_delay_gains(form: BsdeForm, d: int, N: int):
+    """Pivots P(k) and lag gains Q_j(k) of the delayed backward equation.
+
+    Eliminating stages N..0 leaves x(k) = r(k) + sum_j Q_j(k) x(k-j), with
+    Q(N+1) = 0, P(k) = (I - C Q_1(k+1))^{-1}, Q_j(k) = P(k) C Q_{j+1}(k+1)
+    for j < d and Q_d(k) = P(k) C1. So P(k) = I for k > N - d and below it
+    inverts the bracket I - C P(k+1) ... C P(k+d) C1, multiplied out left to
+    right so the Gramians keep their last digits. The system is singular
+    exactly when a bracket is: rcond <= ``P_RCOND`` raises SingularPBracket(k).
+    """
+    n = form.n
+    P = [np.eye(n)] * (N + 1)
+    Q = [[np.zeros((n, n))] * d] * (N + 2)
+    for k in range(N, -1, -1):
+        if k + d <= N:
+            bracket = np.eye(n)
+            for j in range(k + 1, k + d + 1):
+                bracket = bracket @ form.C @ P[j]
+            bracket = np.eye(n) - bracket @ form.C1
+            svals = np.linalg.svd(bracket, compute_uv=False)
+            if svals[0] == 0.0 or svals[-1] / svals[0] <= P_RCOND:
+                raise SingularPBracket(k)
+            P[k] = np.linalg.inv(bracket)
+        PC = P[k] @ form.C
+        Q[k] = [PC @ Qj for Qj in Q[k + 1][1:]] + [P[k] @ form.C1]
+    return P, Q
+
+
 def backward_solve_state_delay(
     tree: PathTree,
     form: BsdeForm,
@@ -340,51 +375,24 @@ def backward_solve_state_delay(
 ) -> BsdeSolution:
     """Solve the backward equation with the extra drift term C1 x(k-d).
 
-    The delayed state couples stage k to the earlier unknown x(k-d), so the
-    stages cannot be peeled off one at a time; all node values are solved as
-    one linear system. Pre-horizon states x(s), s < 0, are zero.
+    Block elimination with the P-sequence as pivots (:func:`_state_delay_gains`):
+    r(k) = P(k) (E[C(k) r(k+1) | past] + D v(k)) backward from r(N+1) =
+    terminal, then x(k) = r(k) + sum_j Q_j(k) x(k-j) forward. Pre-horizon
+    states x(s), s < 0, are zero.
     """
     if form.C1 is None:
         raise DimensionMismatch("form has no delayed state channel C1")
     if d < 1:
         raise StageMismatch(f"state delay must be >= 1, got {d}")
-    n, N, s = form.n, tree.horizon, tree.s
+    N = tree.horizon
+    P, Q = _state_delay_gains(form, d, N)
     cmats = form.stage_factors(tree.support)
-    terminal_arr = _terminal_array(tree, n, terminal)
-
-    offsets, total = {}, 0
-    for k in range(N + 1):
-        offsets[k] = total
-        total += tree.n_nodes(k) * n
-    lhs = np.eye(total)
-    rhs = np.zeros(total)
-    for k in range(N + 1):
-        nodes = tree.n_nodes(k)
-        drive = np.zeros((nodes, n))
-        if form.m_free > 0:
-            drive = drive + _check_input(tree, v, k, form.m_free, "v") @ form.D.T
-        if k == N:
-            xk1 = terminal_arr.reshape(nodes, s, n)
-            drive = drive + np.einsum("j,jab,hjb->ha", tree.probs, cmats, xk1)
-        for h in range(nodes):
-            r0 = offsets[k] + h * n
-            rhs[r0 : r0 + n] = drive[h]
-            if k < N:
-                for j in range(s):
-                    c0 = offsets[k + 1] + (h * s + j) * n
-                    lhs[r0 : r0 + n, c0 : c0 + n] -= tree.probs[j] * cmats[j]
-            if k - d >= 0:
-                c0 = offsets[k - d] + (h // s**d) * n
-                lhs[r0 : r0 + n, c0 : c0 + n] -= form.C1
-    try:
-        sol = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError:
-        from .errors import SingularPBracket
-
-        raise SingularPBracket(None) from None
-
-    x_vals = {k: sol[offsets[k] : offsets[k] + tree.n_nodes(k) * n].reshape(-1, n) for k in range(N + 1)}
-    x_vals[N + 1] = terminal_arr
+    x_vals = {N + 1: _terminal_array(tree, form.n, terminal)}
+    for k in range(N, -1, -1):
+        x_vals[k] = _stage_step(tree, form, cmats, x_vals[k + 1], v, k) @ P[k].T
+    for k in range(1, N + 1):
+        for j in range(1, min(d, k) + 1):
+            x_vals[k] += tree.lift(x_vals[k - j], k - j, k) @ Q[k][j - 1].T
     return _solution(tree, x_vals)
 
 

@@ -19,6 +19,7 @@ significant digits, which round-trips float64 exactly.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from dataclasses import dataclass
@@ -199,6 +200,13 @@ def q_expanded(ts: TransformedSystem, tree: PathTree, v: AdaptedProcess) -> Adap
     return AdaptedProcess(tree, out_vals, out_depths)
 
 
+def _opened(target, mode: str):
+    """A file opened on a path (closed on exit), or an open stream as it is."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        return open(target, mode, encoding="utf-8", newline="")
+    return contextlib.nullcontext(target)
+
+
 def write_controller_csv(dest, ctrl: ControllerProcess) -> None:
     """One row per (stage, history): stage, history, u columns, u1 columns.
 
@@ -206,13 +214,7 @@ def write_controller_csv(dest, ctrl: ControllerProcess) -> None:
     pre-horizon stages carry only u1 values, and trailing stages past the
     delayed channel's range leave the u1 cells empty.
     """
-    close = False
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        fh = open(dest, "w", encoding="utf-8", newline="")
-        close = True
-    else:
-        fh = dest
-    try:
+    with _opened(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         m = ctrl.u.dim
         m1 = ctrl.u1.dim if ctrl.u1 is not None else 0
@@ -234,9 +236,6 @@ def write_controller_csv(dest, ctrl: ControllerProcess) -> None:
                 row += [FLOAT_FMT % x for x in u_rows[idx]] if has_u else [""] * m
                 row += [FLOAT_FMT % x for x in u1_rows[idx]] if has_u1 else [""] * m1
                 writer.writerow(row)
-    finally:
-        if close:
-            fh.close()
 
 
 def controller_csv_text(ctrl: ControllerProcess) -> str:
@@ -246,25 +245,27 @@ def controller_csv_text(ctrl: ControllerProcess) -> str:
 
 
 def read_controller_table(
-    source, tree: PathTree, m: int, m1: int | None = None
+    source, tree: PathTree, m: int, m1: int | None = None, tau: int | None = None
 ) -> tuple[AdaptedProcess, AdaptedProcess | None]:
     """Parse a controller table back into adapted processes.
 
-    ``m1`` must match the delayed channel width when the instance has one,
-    else None. Malformed tables (wrong header, ragged stages, u rows at
-    stages outside 0..N, non-numeric cells, duplicate or missing
+    ``m1`` and ``tau`` describe the delayed input channel (its width and
+    lag) when the instance has one, else both are None. Malformed tables
+    (wrong header, ragged stages, u rows at stages outside 0..N, u1 rows
+    outside -tau..N-tau, non-numeric cells, duplicate or missing
     histories) raise :class:`SchemaError`.
     """
-    if isinstance(source, (str, bytes)) and "\n" in str(source):
-        fh = io.StringIO(source)
-        close = False
-    elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, "r", encoding="utf-8", newline="")
-        close = True
-    else:
-        fh = source
-        close = False
-    try:
+    if (m1 is None) != (tau is None):
+        raise StageMismatch("m1 and tau must be supplied together")
+    N = tree.horizon
+    u_cells, u1_cells = {}, {}  # stage -> history label -> values
+    # channel -> (its columns, first and last stage, its cells)
+    channels = {"u": (slice(2, 2 + m), 0, N, u_cells)}
+    if m1:
+        channels["u1"] = (slice(2 + m, None), -tau, N - tau, u1_cells)
+    if isinstance(source, str) and "\n" in source:
+        source = io.StringIO(source)
+    with _opened(source, "r") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -274,8 +275,6 @@ def read_controller_table(
         want += [f"u1_{i}" for i in range(m1)] if m1 else []
         if header != want:
             raise SchemaError(f"controller header {header!r} does not match expected {want!r}")
-        u_cells: dict[int, dict[str, list[float]]] = {}
-        u1_cells: dict[int, dict[str, list[float]]] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -286,29 +285,22 @@ def read_controller_table(
             except ValueError:
                 raise SchemaError(f"line {lineno}: stage {row[0]!r} is not an integer") from None
             label = row[1]
-            u_part = row[2 : 2 + m]
-            u1_part = row[2 + m :]
-            if any(c != "" for c in u_part):
-                if not 0 <= stage <= tree.horizon:
-                    raise SchemaError(f"line {lineno}: u row at stage {stage} outside 0..{tree.horizon}")
-                u_cells.setdefault(stage, {})
-                if label in u_cells[stage]:
-                    raise SchemaError(f"line {lineno}: duplicate history {label!r} at stage {stage}")
-                u_cells[stage][label] = _parse_floats(u_part, lineno)
-            if m1 and any(c != "" for c in u1_part):
-                u1_cells.setdefault(stage, {})
-                if label in u1_cells[stage]:
-                    raise SchemaError(f"line {lineno}: duplicate u1 history {label!r} at stage {stage}")
-                u1_cells[stage][label] = _parse_floats(u1_part, lineno)
-        missing = sorted(set(range(tree.horizon + 1)) - set(u_cells))
-        if missing:
-            raise SchemaError(f"controller table lacks u rows for stages {missing}")
-        u = _cells_to_process(tree, u_cells, m, "u")
-        u1 = _cells_to_process(tree, u1_cells, m1, "u1") if m1 else None
-        return u, u1
-    finally:
-        if close:
-            fh.close()
+            for what, (cols, first, last, cells) in channels.items():
+                part = row[cols]
+                if all(c == "" for c in part):
+                    continue
+                if not first <= stage <= last:
+                    raise SchemaError(f"line {lineno}: {what} row at stage {stage} outside {first}..{last}")
+                rows = cells.setdefault(stage, {})
+                if label in rows:
+                    raise SchemaError(f"line {lineno}: duplicate {what} history {label!r} at stage {stage}")
+                rows[label] = _parse_floats(part, lineno)
+    missing = sorted(set(range(N + 1)) - set(u_cells))
+    if missing:
+        raise SchemaError(f"controller table lacks u rows for stages {missing}")
+    u = _cells_to_process(tree, u_cells, m, "u")
+    u1 = _cells_to_process(tree, u1_cells, m1, "u1") if m1 else None
+    return u, u1
 
 
 def _parse_floats(cells, lineno) -> list[float]:

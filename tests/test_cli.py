@@ -201,6 +201,19 @@ def test_verify_rejects_u_rows_outside_the_horizon(capsys, tmp_path):
     assert "stage 9" in err
 
 
+@pytest.mark.parametrize("row", ["9,,,,,1,2,3", "-5,,,,,1,2,3"])
+def test_verify_rejects_u1_rows_outside_the_delayed_range(capsys, tmp_path, row):
+    # tau 1, N 2: the delayed channel's stages are -1..1
+    table = tmp_path / "delayed.csv"
+    code, _, _ = run(capsys, "synthesize", "--instance", IN_DELAY, "--out", str(table))
+    assert code == 0
+    with table.open("a") as fh:
+        fh.write(row + "\n")
+    code, _, err = run(capsys, "verify", "--instance", IN_DELAY, "--controller", str(table))
+    assert code == 5
+    assert f"stage {row.split(',')[0]}" in err
+
+
 def test_oracle_check_all_instances(capsys):
     for inst in (FULL, OUTPUT, IN_DELAY, ST_DELAY, UNCTRL):
         code, out, _ = run(capsys, "oracle-check", "--instance", inst)

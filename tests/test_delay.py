@@ -8,6 +8,7 @@ from stochctrl import (
     SingularPBracket,
     SystemSpec,
     TransformedSystem,
+    backward_solve_state_delay,
     forward_simulate,
     gramian,
     input_delay_controller,
@@ -15,6 +16,7 @@ from stochctrl import (
     input_delay_gramian,
     input_delay_gramian_oracle,
     member_of_S_state_delay,
+    random_free_input,
     random_system,
     state_delay_P,
     state_delay_controller,
@@ -161,6 +163,23 @@ def test_singular_bracket_reported():
     )
     with pytest.raises(SingularPBracket) as info:
         state_delay_P(form, 1, 2)
+    assert info.value.k == 1
+
+
+@pytest.mark.parametrize(
+    "C1", [np.eye(2), np.diag([1.0 - 1e-14, 0.5])], ids=["singular", "near-singular"]
+)
+def test_solve_and_membership_report_the_bracket_stage(C1):
+    # the coupled solve's pivots are the brackets, so it fails at the
+    # same stage as the P-sequence, near-singular brackets included
+    form = BsdeForm(C=np.eye(2), Cbar=np.zeros((2, 2)), D=np.array([[1.0], [0.0]]), C1=C1)
+    tree = PathTree(NoiseModel.rademacher(), 2)
+    v = random_free_input(np.random.default_rng(0), tree, 1)
+    with pytest.raises(SingularPBracket) as info:
+        backward_solve_state_delay(tree, form, 1, np.ones(2), v)
+    assert info.value.k == 1
+    with pytest.raises(SingularPBracket) as info:
+        member_of_S_state_delay(tree, form, 1, np.ones(2))
     assert info.value.k == 1
 
 

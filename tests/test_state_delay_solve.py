@@ -1,0 +1,164 @@
+"""State-delay backward solve: elimination along the P-sequence.
+
+``dense_backward_solve_state_delay`` and ``loop_state_delay_P`` below are
+the package's earlier implementations, kept verbatim as the reference:
+every node value as one unknown of a dense linear system, and the bracket
+iteration on its own. The elimination reorders the same arithmetic, so
+the solve must agree within a relative rounding tolerance fixed here;
+the P-sequence must agree to 1e-14. ``node_residual`` checks the delayed
+backward equation itself at every node, independently of both.
+"""
+import numpy as np
+import pytest
+
+from stochctrl import (
+    NoiseModel,
+    PathTree,
+    ProblemInstance,
+    SingularPBracket,
+    TransformedSystem,
+    backward_solve_state_delay,
+    random_controllable,
+    random_free_input,
+    random_system,
+    random_x0,
+    serialize_instance,
+    state_delay_P,
+)
+from stochctrl.cli import main
+from stochctrl.errors import DimensionMismatch, StageMismatch
+from stochctrl.pathspace import _check_input, _solution, _terminal_array
+
+P_RCOND = 1e-12
+RTOL = 1e-12
+
+
+def dense_backward_solve_state_delay(tree, form, d, terminal, v=None):
+    if form.C1 is None:
+        raise DimensionMismatch("form has no delayed state channel C1")
+    if d < 1:
+        raise StageMismatch(f"state delay must be >= 1, got {d}")
+    n, N, s = form.n, tree.horizon, tree.s
+    cmats = form.stage_factors(tree.support)
+    terminal_arr = _terminal_array(tree, n, terminal)
+
+    offsets, total = {}, 0
+    for k in range(N + 1):
+        offsets[k] = total
+        total += tree.n_nodes(k) * n
+    lhs = np.eye(total)
+    rhs = np.zeros(total)
+    for k in range(N + 1):
+        nodes = tree.n_nodes(k)
+        drive = np.zeros((nodes, n))
+        if form.m_free > 0:
+            drive = drive + _check_input(tree, v, k, form.m_free, "v") @ form.D.T
+        if k == N:
+            xk1 = terminal_arr.reshape(nodes, s, n)
+            drive = drive + np.einsum("j,jab,hjb->ha", tree.probs, cmats, xk1)
+        for h in range(nodes):
+            r0 = offsets[k] + h * n
+            rhs[r0 : r0 + n] = drive[h]
+            if k < N:
+                for j in range(s):
+                    c0 = offsets[k + 1] + (h * s + j) * n
+                    lhs[r0 : r0 + n, c0 : c0 + n] -= tree.probs[j] * cmats[j]
+            if k - d >= 0:
+                c0 = offsets[k - d] + (h // s**d) * n
+                lhs[r0 : r0 + n, c0 : c0 + n] -= form.C1
+    try:
+        sol = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularPBracket(None) from None
+
+    x_vals = {k: sol[offsets[k] : offsets[k] + tree.n_nodes(k) * n].reshape(-1, n) for k in range(N + 1)}
+    x_vals[N + 1] = terminal_arr
+    return _solution(tree, x_vals)
+
+
+def loop_state_delay_P(form, d, N):
+    n = form.n
+    P = {k: np.eye(n) for k in range(max(0, N - d + 1), N + 1)}
+    for k in range(N - d, -1, -1):
+        bracket = np.eye(n)
+        for j in range(k + 1, k + d + 1):
+            bracket = bracket @ form.C @ P[j]
+        bracket = np.eye(n) - bracket @ form.C1
+        svals = np.linalg.svd(bracket, compute_uv=False)
+        if svals[0] == 0.0 or svals[-1] / svals[0] <= P_RCOND:
+            raise SingularPBracket(k)
+        P[k] = np.linalg.inv(bracket)
+    return tuple(P[k] for k in range(N + 1))
+
+
+def node_residual(tree, form, d, sol, v):
+    """Worst |x(k) - E[C(k) x(k+1) | past] - C1 x(k-d) - D v(k)| over all nodes,
+    relative to max(1, max |x|). One plain loop per stage and noise value."""
+    n, N, s = form.n, tree.horizon, tree.s
+    worst, scale = 0.0, 1.0
+    for k in range(N + 1):
+        xk = sol.x.at(k)
+        children = sol.x.at(k + 1).reshape(s**k, s, n)
+        gap = xk.copy()
+        for j in range(s):
+            gap -= tree.probs[j] * children[:, j, :] @ (form.C + tree.support[j] * form.Cbar).T
+        if k >= d:
+            gap -= np.repeat(sol.x.at(k - d), s**d, axis=0) @ form.C1.T
+        if form.m_free:
+            gap -= np.repeat(v.at(k), s ** (k - v.depth(k)), axis=0) @ form.D.T
+        worst = max(worst, float(np.abs(gap).max()))
+        scale = max(scale, float(np.abs(xk).max()))
+    return worst / max(scale, float(np.abs(sol.x.at(N + 1)).max()))
+
+
+LAWS = {"2pt": NoiseModel.rademacher(), "3pt": NoiseModel.symmetric_three_point()}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_elimination_matches_dense_solve(law, n, d):
+    noise = LAWS[law]
+    rng = np.random.default_rng([n, d, len(noise.support)])
+    form = TransformedSystem.build(random_system(rng, n, n + 1, noise=noise, d=d)).form
+    for N in range(6 if law == "2pt" else 5):
+        for k, (P, ref) in enumerate(zip(state_delay_P(form, d, N).P, loop_state_delay_P(form, d, N))):
+            assert np.abs(P - ref).max() <= 1e-14, (N, k)
+        tree = PathTree(noise, N)
+        v = random_free_input(rng, tree, form.m_free)
+        terminal = rng.normal(size=(tree.n_nodes(N + 1), n))
+        sol = backward_solve_state_delay(tree, form, d, terminal, v)
+        ref = dense_backward_solve_state_delay(tree, form, d, terminal, v)
+        scale = max(1.0, max(float(np.abs(ref.x.at(k)).max()) for k in range(N + 2)))
+        for k in range(N + 1):
+            assert np.abs(sol.x.at(k) - ref.x.at(k)).max() <= RTOL * scale, (N, k)
+            assert np.abs(sol.z.at(k) - ref.z.at(k)).max() <= RTOL * scale, (N, k)
+        assert node_residual(tree, form, d, sol, v) <= RTOL, N
+
+
+def test_horizon_beyond_the_dense_solve(rng, tmp_path, capsys):
+    # N = 14 on two-point noise: 2 * (2^15 - 1) = 65,534 unknowns, a
+    # dense system of about 34 GB
+    N = 14
+    ts = random_controllable(rng, 2, 3, N, d=1)
+    tree = PathTree(ts.spec.noise, N)
+    v = random_free_input(rng, tree, ts.form.m_free)
+    terminal = rng.normal(size=(tree.n_nodes(N + 1), 2))
+    sol = backward_solve_state_delay(tree, ts.form, 1, terminal, v)
+    assert node_residual(tree, ts.form, 1, sol, v) <= RTOL
+
+    inst = tmp_path / "deep.json"
+    inst.write_text(serialize_instance(ProblemInstance(ts.spec, N, x0=random_x0(rng, 2))))
+    table = tmp_path / "deep.csv"
+    code = main(["synthesize", "--instance", str(inst), "--format", "csv", "--out", str(table)])
+    assert code == 0
+    synth = _csv_report(capsys)
+    main(["verify", "--instance", str(inst), "--format", "csv", "--controller", str(table)])
+    verify = _csv_report(capsys)
+    assert synth["kind"] == verify["kind"] == "state-delay"
+    # the table replays exactly what synthesize simulated
+    assert verify["terminal_deviation"] == synth["terminal_deviation"]
+
+
+def _csv_report(capsys) -> dict:
+    return dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())

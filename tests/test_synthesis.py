@@ -120,7 +120,7 @@ def test_csv_roundtrip_with_delay_channel(rng):
     tree = PathTree(ts.spec.noise, 2)
     ctrl = input_delay_controller(ts, tree, np.array([1.0, -1.0]))
     text = controller_csv_text(ctrl)
-    u, u1 = read_controller_table(text, tree, 3, m1=3)
+    u, u1 = read_controller_table(text, tree, 3, m1=3, tau=1)
     assert u1 is not None
     assert sorted(u1.stages()) == sorted(ctrl.u1.stages())
     sim = forward_simulate(tree, ts.spec, np.array([1.0, -1.0]), u, u1=u1)

@@ -73,6 +73,8 @@ def test_tracer_records_every_route_layer(tmp_path):
         "criteria.gramian_oracle",
         "delay.oracle",
         "delay.controller",
+        "delay.state_delay_P",
+        "pathspace.backward_solve_state_delay",
         "synthesis.controller",
     }
     assert want <= layers, sorted(want - layers)
