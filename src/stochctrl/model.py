@@ -37,6 +37,44 @@ STRUCTURE_TOL = 1e-12
 MAX_SUPPORT = 10  # path labels use one decimal digit per stage
 
 
+def _level_text(s: int, depth: int) -> str:
+    """The depth-``depth`` labels in node order, each ended by a newline."""
+    digits = np.full((s**depth, depth + 1), ord("\n"), dtype=np.uint8)
+    per_stage = digits.reshape((s,) * depth + (depth + 1,))  # one axis per stage
+    ascii_digits = np.arange(ord("0"), ord("0") + s, dtype=np.uint8)
+    for j in range(depth):
+        per_stage[..., j] = ascii_digits.reshape((s,) + (1,) * (depth - 1 - j))
+    return digits.tobytes().decode("ascii")
+
+
+def path_labels(s: int, depth: int) -> list[str]:
+    """Labels of the s^depth noise histories of one tree level, in node order.
+
+    This module owns the label format: one ASCII digit (a support index)
+    per stage, earliest stage first, so node order is lexicographic order.
+    """
+    return _level_text(s, depth).split("\n")[:-1]
+
+
+def check_level(labels, s: int, depth: int, what: str) -> None:
+    """Raise :class:`SchemaError` unless ``labels`` are exactly one tree level in node order."""
+    if len(labels) != s**depth:
+        raise SchemaError(f"{what}: {len(labels)} labels, but a depth-{depth} level has {s**depth} paths")
+    # Exact: the newlines sit where the level's do only if no label holds one.
+    if "\n".join(labels) + "\n" != _level_text(s, depth):
+        bad = next(a for a, b in zip(labels, path_labels(s, depth)) if a != b)
+        raise SchemaError(
+            f"{what}: {bad!r} breaks the node order of the length-{depth} paths over ASCII digits 0..{s - 1}"
+        )
+
+
+def level_values(mapping: dict, s: int, depth: int, n: int, what: str) -> np.ndarray:
+    """The n-vectors of a {label: vector} map over one tree level, as read-only rows in node order."""
+    labels = sorted(mapping)
+    check_level(labels, s, depth, f"{what} keys")
+    return _as_float_matrix(f"{what} values", [mapping[label] for label in labels], len(labels), n)
+
+
 def _as_float_matrix(name: str, value, rows: int, cols: int) -> np.ndarray:
     try:
         arr = np.array(value, dtype=float)  # copy, so freezing cannot alias caller data
@@ -270,8 +308,10 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
 class ProblemInstance:
     """A system together with a horizon and optional steering data.
 
-    ``target`` maps full noise-path labels (one support digit per stage,
-    length N + 1) to terminal n-vectors; ``None`` means steer to the origin.
+    ``target`` maps full noise-path labels (see :func:`path_labels`; length
+    N + 1) to terminal n-vectors; ``None`` means steer to the origin. The
+    keys must be every leaf label, and the vectors are stored as the rows
+    of one read-only array in node order.
     """
 
     system: SystemSpec
@@ -290,24 +330,8 @@ class ProblemInstance:
             object.__setattr__(self, "x0", x0)
         if self.target is not None:
             s = len(self.system.noise.support)
-            checked = {}
-            for label in sorted(self.target):
-                vec = np.array(self.target[label], dtype=float)
-                if vec.shape != (self.system.n,):
-                    raise DimensionMismatch(
-                        f"target[{label!r}] must have length {self.system.n}, got shape {vec.shape}"
-                    )
-                if len(label) != self.N + 1 or not all(c.isdigit() and int(c) < s for c in label):
-                    raise SchemaError(
-                        f"target key {label!r} is not a length-{self.N + 1} path over digits 0..{s - 1}"
-                    )
-                vec.setflags(write=False)
-                checked[label] = vec
-            if len(checked) != s ** (self.N + 1):
-                raise SchemaError(
-                    f"target must cover all {s ** (self.N + 1)} paths, got {len(checked)}"
-                )
-            object.__setattr__(self, "target", checked)
+            values = level_values(self.target, s, self.N + 1, self.system.n, "target")
+            object.__setattr__(self, "target", dict(zip(sorted(self.target), values)))
 
     def __eq__(self, other):
         if not isinstance(other, ProblemInstance):
@@ -344,21 +368,16 @@ def _schema_matrix(doc: dict, key: str, rows: int, cols: int) -> list:
     if not isinstance(value, list) or len(value) != rows:
         raise SchemaError(f"{key} must be a list of {rows} rows")
     for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(f"{key} row {i} must be a list of {cols} numbers")
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise SchemaError(f"{key} row {i} contains a non-numeric entry {x!r}")
+        _schema_vector(row, f"{key} row {i}", cols)
     return value
 
 
-def _schema_vector(doc: dict, key: str, length: int) -> list:
-    value = doc[key]
+def _schema_vector(value, name: str, length: int) -> list:
     if not isinstance(value, list) or len(value) != length:
-        raise SchemaError(f"{key} must be a list of {length} numbers")
+        raise SchemaError(f"{name} must be a list of {length} numbers")
     for x in value:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise SchemaError(f"{key} contains a non-numeric entry {x!r}")
+            raise SchemaError(f"{name} contains a non-numeric entry {x!r}")
     return value
 
 
@@ -435,22 +454,13 @@ def parse_instance(text: str) -> ProblemInstance:
 
     x0 = None
     if "x0" in doc:
-        x0 = _schema_vector(doc, "x0", n)
+        x0 = _schema_vector(doc["x0"], "x0", n)
     target = None
     if "target" in doc:
         tdoc = doc["target"]
         if not isinstance(tdoc, dict):
             raise SchemaError("target must map path labels to vectors")
-        target = {}
-        for label, vec in tdoc.items():
-            if not isinstance(label, str):
-                raise SchemaError(f"target key {label!r} must be a string")
-            if not isinstance(vec, list) or len(vec) != n:
-                raise SchemaError(f"target[{label!r}] must be a list of {n} numbers")
-            for x in vec:
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise SchemaError(f"target[{label!r}] contains a non-numeric entry {x!r}")
-            target[label] = vec
+        target = {label: _schema_vector(vec, f"target[{label!r}]", n) for label, vec in tdoc.items()}
     return ProblemInstance(spec, N, x0=x0, target=target)
 
 

@@ -26,11 +26,10 @@ from .errors import (
     AdaptednessViolation,
     DimensionMismatch,
     EnumerationTooLarge,
-    SchemaError,
     SingularPBracket,
     StageMismatch,
 )
-from .model import NoiseModel, SystemSpec
+from .model import NoiseModel, SystemSpec, level_values
 from .transform import BsdeForm
 
 DEFAULT_CAP = 2**20
@@ -64,18 +63,8 @@ class PathTree:
         """Tuples of support indices, in node-index order."""
         return itertools.product(range(self.s), repeat=depth)
 
-    def label(self, history) -> str:
-        return "".join(str(i) for i in history)
-
-    def label_to_index(self, label: str) -> int:
-        idx = 0
-        for c in label:
-            if not c.isdigit() or int(c) >= self.s:
-                raise SchemaError(f"path label {label!r} has a digit outside 0..{self.s - 1}")
-            idx = idx * self.s + int(c)
-        return idx
-
     def index_label(self, depth: int, index: int) -> str:
+        """Label of one node (see ``model.path_labels`` for whole levels)."""
         digits = []
         for _ in range(depth):
             digits.append(str(index % self.s))
@@ -148,9 +137,7 @@ class AdaptedProcess:
         return self.tree.lift(self.at(stage), self.depth(stage), depth)
 
     def value(self, stage: int, history) -> np.ndarray:
-        """Value at a history of any length >= the stage's depth."""
-        if isinstance(history, str):
-            history = tuple(int(c) for c in history)
+        """Value at a history (support indices) of any length >= the stage's depth."""
         depth = self.depth(stage)
         if len(history) < depth:
             raise StageMismatch(
@@ -246,24 +233,7 @@ def _terminal_array(tree: PathTree, n: int, terminal) -> np.ndarray:
 
 def terminal_from_map(tree: PathTree, n: int, mapping: dict) -> np.ndarray:
     """Terminal node array from a {path label: vector} map covering all leaves."""
-    N = tree.horizon
-    want = tree.n_nodes(N + 1)
-    if len(mapping) != want:
-        raise SchemaError(f"terminal map must cover all {want} paths, got {len(mapping)}")
-    out = np.zeros((want, n))
-    seen = set()
-    for label, vec in mapping.items():
-        if len(label) != N + 1:
-            raise SchemaError(f"terminal path label {label!r} must have length {N + 1}")
-        idx = tree.label_to_index(label)
-        if idx in seen:
-            raise SchemaError(f"duplicate terminal path label {label!r}")
-        seen.add(idx)
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (n,):
-            raise DimensionMismatch(f"terminal value for {label!r} must have length {n}")
-        out[idx] = vec
-    return out
+    return level_values(mapping, tree.s, tree.horizon + 1, n, "terminal map")
 
 
 @dataclass(eq=False)

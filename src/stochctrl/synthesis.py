@@ -22,12 +22,15 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .criteria import gramian, gramian_invertible
 from .errors import DimensionMismatch, SchemaError, SingularGramian, StageMismatch, TargetNotInS
+from .model import check_level, path_labels
 from .pathspace import (
     AdaptedProcess,
     BsdeSolution,
@@ -40,6 +43,7 @@ from .pathspace import (
 from .transform import TransformedSystem
 
 FLOAT_FMT = "%.17g"
+_ROWS_PER_WRITE = 4096
 
 
 def stage_products(tree: PathTree, form, upto: int, P=None) -> list[np.ndarray]:
@@ -210,32 +214,29 @@ def _opened(target, mode: str):
 def write_controller_csv(dest, ctrl: ControllerProcess) -> None:
     """One row per (stage, history): stage, history, u columns, u1 columns.
 
-    Stages appear in increasing order; for a delayed input channel the
+    Stages appear in increasing order, each with one tree level's labels in
+    node order (``model.path_labels``); for a delayed input channel the
     pre-horizon stages carry only u1 values, and trailing stages past the
     delayed channel's range leave the u1 cells empty.
     """
+    channels = [p for p in (ctrl.u, ctrl.u1) if p is not None]
+    header = ["stage", "history"] + [f"u_{i}" for i in range(ctrl.u.dim)]
+    header += [f"u1_{i}" for i in range(ctrl.u1.dim)] if ctrl.u1 is not None else []
+    s = ctrl.tree.s
     with _opened(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        m = ctrl.u.dim
-        m1 = ctrl.u1.dim if ctrl.u1 is not None else 0
-        header = ["stage", "history"] + [f"u_{i}" for i in range(m)] + [f"u1_{i}" for i in range(m1)]
-        writer.writerow(header)
-        stages = sorted(set(ctrl.u.stages()) | (set(ctrl.u1.stages()) if ctrl.u1 else set()))
-        for stage in stages:
-            has_u = stage in ctrl.u.values
-            has_u1 = ctrl.u1 is not None and stage in ctrl.u1.values
-            depth = max(
-                ctrl.u.depth(stage) if has_u else 0,
-                ctrl.u1.depth(stage) if has_u1 else 0,
-            )
-            u_rows = ctrl.u.at_depth(stage, depth) if has_u else None
-            u1_rows = ctrl.u1.at_depth(stage, depth) if has_u1 else None
-            for idx in range(ctrl.tree.n_nodes(depth)):
-                label = ctrl.tree.index_label(depth, idx)
-                row = [str(stage), label]
-                row += [FLOAT_FMT % x for x in u_rows[idx]] if has_u else [""] * m
-                row += [FLOAT_FMT % x for x in u1_rows[idx]] if has_u1 else [""] * m1
-                writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        for stage in sorted(set().union(*(p.values for p in channels))):
+            present = [p for p in channels if stage in p.values]
+            depth = max(p.depth(stage) for p in present)
+            cells = [FLOAT_FMT if p in present else "" for p in channels for _ in range(p.dim)]
+            row = f"{stage},%s%s," + ",".join(cells) + "\n"
+            values = np.hstack([p.at_depth(stage, depth) for p in present])
+            # Blocks of s^tail_depth rows, label = head + tail: only one block's floats are Python objects.
+            tail_depth = min(depth, int(math.log(_ROWS_PER_WRITE, s)))
+            tails = path_labels(s, tail_depth)
+            for i, head in enumerate(path_labels(s, depth - tail_depth)):
+                block = values[i * len(tails) : (i + 1) * len(tails)].tolist()
+                fh.writelines(row % (head, tail, *numbers) for tail, numbers in zip(tails, block))
 
 
 def controller_csv_text(ctrl: ControllerProcess) -> str:
@@ -250,19 +251,20 @@ def read_controller_table(
     """Parse a controller table back into adapted processes.
 
     ``m1`` and ``tau`` describe the delayed input channel (its width and
-    lag) when the instance has one, else both are None. Malformed tables
-    (wrong header, ragged stages, u rows at stages outside 0..N, u1 rows
-    outside -tau..N-tau, non-numeric cells, duplicate or missing
-    histories) raise :class:`SchemaError`.
+    lag) when the instance has one, else both are None. Each stage's
+    histories must be one tree level in node order, as
+    :func:`write_controller_csv` writes them. Malformed tables (wrong
+    header, ragged rows, u rows at stages outside 0..N, u1 rows outside
+    -tau..N-tau, non-numeric cells, histories that are not one level in
+    node order) raise :class:`SchemaError`.
     """
     if (m1 is None) != (tau is None):
         raise StageMismatch("m1 and tau must be supplied together")
     N = tree.horizon
-    u_cells, u1_cells = {}, {}  # stage -> history label -> values
-    # channel -> (its columns, first and last stage, its cells)
-    channels = {"u": (slice(2, 2 + m), 0, N, u_cells)}
+    # channel -> (its columns, first and last stage, stage -> (first line, labels, values))
+    channels = {"u": (slice(2, 2 + m), 0, N, {})}
     if m1:
-        channels["u1"] = (slice(2 + m, None), -tau, N - tau, u1_cells)
+        channels["u1"] = (slice(2 + m, None), -tau, N - tau, {})
     if isinstance(source, str) and "\n" in source:
         source = io.StringIO(source)
     with _opened(source, "r") as fh:
@@ -284,54 +286,36 @@ def read_controller_table(
                 stage = int(row[0])
             except ValueError:
                 raise SchemaError(f"line {lineno}: stage {row[0]!r} is not an integer") from None
-            label = row[1]
-            for what, (cols, first, last, cells) in channels.items():
+            for what, (cols, first, last, stages) in channels.items():
                 part = row[cols]
-                if all(c == "" for c in part):
+                if not any(part):
                     continue
                 if not first <= stage <= last:
                     raise SchemaError(f"line {lineno}: {what} row at stage {stage} outside {first}..{last}")
-                rows = cells.setdefault(stage, {})
-                if label in rows:
-                    raise SchemaError(f"line {lineno}: duplicate {what} history {label!r} at stage {stage}")
-                rows[label] = _parse_floats(part, lineno)
-    missing = sorted(set(range(N + 1)) - set(u_cells))
+                _, labels, values = stages.setdefault(stage, (lineno, [], array("d")))
+                labels.append(row[1])
+                try:
+                    values.extend(map(float, part))
+                except ValueError as exc:
+                    raise SchemaError(f"line {lineno}: {exc}") from None
+    missing = sorted(set(range(N + 1)) - set(channels["u"][3]))
     if missing:
         raise SchemaError(f"controller table lacks u rows for stages {missing}")
-    u = _cells_to_process(tree, u_cells, m, "u")
-    u1 = _cells_to_process(tree, u1_cells, m1, "u1") if m1 else None
+    u = _stages_to_process(tree, channels["u"][3], m, "u")
+    u1 = _stages_to_process(tree, channels["u1"][3], m1, "u1") if m1 else None
     return u, u1
 
 
-def _parse_floats(cells, lineno) -> list[float]:
-    out = []
-    for c in cells:
-        try:
-            out.append(float(c))
-        except ValueError:
-            raise SchemaError(f"line {lineno}: non-numeric cell {c!r}") from None
-    return out
-
-
-def _cells_to_process(tree, cells, dim, what) -> AdaptedProcess:
-    if not cells:
+def _stages_to_process(tree, stages, dim, what) -> AdaptedProcess:
+    if not stages:
         raise SchemaError(f"controller table has no {what} rows")
     vals, depths = {}, {}
-    for stage, rows in cells.items():
-        lengths = {len(label) for label in rows}
-        if len(lengths) != 1:
-            raise SchemaError(f"{what} stage {stage}: mixed history lengths {sorted(lengths)}")
-        depth = lengths.pop()
-        if depth > tree.horizon + 1:
-            raise SchemaError(f"{what} stage {stage}: history length {depth} exceeds the tree")
-        if len(rows) != tree.n_nodes(depth):
-            raise SchemaError(
-                f"{what} stage {stage}: {len(rows)} rows do not cover depth {depth} "
-                f"({tree.n_nodes(depth)} nodes)"
-            )
-        arr = np.zeros((tree.n_nodes(depth), dim))
-        for label, numbers in rows.items():
-            arr[tree.label_to_index(label)] = numbers
-        vals[stage] = arr
+    for stage, (lineno, labels, values) in stages.items():
+        where = f"{what} stage {stage} (from line {lineno})"
+        depth = len(labels[0])
+        if depth > tree.horizon + 1:  # before the level is built
+            raise SchemaError(f"{where}: history length {depth} exceeds the tree's {tree.horizon + 1}")
+        check_level(labels, tree.s, depth, f"{where} histories")
+        vals[stage] = np.frombuffer(values).reshape(-1, dim)
         depths[stage] = depth
     return AdaptedProcess(tree, vals, depths)

@@ -321,3 +321,57 @@ def test_reduced_oracle_check_runs_no_criteria(capsys, tmp_path, monkeypatch):
     inst.write_text(json.dumps(REDUCED_DOC))
     code, out, _ = run(capsys, "oracle-check", "--instance", str(inst))
     assert code == 0 and as_dict(out)["verdict"] == "ok"
+
+
+def _two_stage_target(tmp_path, key):
+    # fullrank_2x3 at N = 1 steered to the origin on every leaf but one relabelled key
+    doc = json.loads((INSTANCE_DIR / "fullrank_2x3.json").read_text())
+    doc["N"] = 1
+    doc["target"] = {label: [0.0, 0.0] for label in ("00", "10", "11")}
+    doc["target"][key] = [0.0, 0.0]
+    inst = tmp_path / "target.json"
+    inst.write_text(json.dumps(doc))
+    return str(inst)
+
+
+@pytest.mark.parametrize("key", ["0²", "0١"])  # superscript two; Arabic-Indic one
+@pytest.mark.parametrize("command", ["analyze", "synthesize"])
+def test_non_ascii_target_digits_are_schema_errors(capsys, tmp_path, command, key):
+    code, _, err = run(capsys, command, "--instance", _two_stage_target(tmp_path, key))
+    assert code == 6
+    assert repr(key) in err
+    code, _, _ = run(capsys, command, "--instance", _two_stage_target(tmp_path, "01"))
+    assert code == 0
+
+
+def _edited_table(capsys, tmp_path, edit):
+    table = tmp_path / "controller.csv"
+    code, _, _ = run(capsys, "synthesize", "--instance", FULL, "--out", str(table))
+    assert code == 0
+    lines = table.read_text().strip().split("\n")
+    table.write_text("\n".join([lines[0]] + edit(lines[1:])) + "\n")
+    return str(table)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rows: [r.replace(",01,", ",0²,") for r in rows],
+        lambda rows: [r.replace(",01,", ",0١,") for r in rows],
+        lambda rows: rows[::-1],
+        lambda rows: rows[:-1] + [rows[-1].replace("2,11,", "2,110,")],
+        lambda rows: [rows[0].replace("0,,", "0," + "1" * 40 + ",")] + rows[1:],
+    ],
+    ids=["superscript-two", "arabic-indic-one", "rows-reversed", "one-extra-digit", "forty-digits"],
+)
+def test_verify_wants_each_stage_in_node_order(capsys, tmp_path, monkeypatch, edit):
+    import stochctrl.model as model
+
+    built = []
+    level_text = model._level_text
+    monkeypatch.setattr(model, "_level_text", lambda s, depth: built.append(depth) or level_text(s, depth))
+    table = _edited_table(capsys, tmp_path, edit)
+    code, _, err = run(capsys, "verify", "--instance", FULL, "--controller", table)
+    assert code == 5
+    assert "bad controller table" in err
+    assert max(built) <= 3  # N + 1: no level of a longer label is ever built

@@ -14,6 +14,7 @@ from stochctrl import (
     serialize_instance,
     validate,
 )
+from stochctrl.model import check_level
 
 
 def test_rademacher_moments():
@@ -172,3 +173,21 @@ def test_target_keys_checked(bench_full):
     doc["target"] = full
     inst = parse_instance(json.dumps(doc))
     assert set(inst.target) == set(full)
+    with pytest.raises(DimensionMismatch):  # built directly, a short vector is no schema error
+        ProblemInstance(system=spec, N=1, target=dict(full, **{"11": [0.0]}))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        ["00", "01", "11", "10"],  # out of node order
+        ["00", "01", "10", "1١"],  # Arabic-Indic one
+        ["00", "01", "10", "11\x00"],  # a trailing NUL, which numpy strings would drop
+        ["00", "01\n10", "", "11"],  # the join separator inside a label
+        ["00", "01", "10"],  # a path missing
+    ],
+)
+def test_check_level_is_exact(labels):
+    check_level(["00", "01", "10", "11"], 2, 2, "level")
+    with pytest.raises(SchemaError, match="^level"):
+        check_level(labels, 2, 2, "level")

@@ -20,6 +20,7 @@ from stochctrl import (
     representation_residual,
     terminal_from_map,
 )
+from stochctrl.model import check_level, path_labels
 from conftest import path_expectation, simulate_paths
 
 
@@ -39,10 +40,11 @@ def test_tree_cap():
 
 def test_label_roundtrip():
     tree = PathTree(NoiseModel.symmetric_three_point(), 2)
-    for idx, h in enumerate(tree.histories(2)):
-        label = tree.label(h)
-        assert tree.label_to_index(label) == idx
-        assert tree.index_label(2, idx) == label
+    labels = path_labels(tree.s, 2)
+    assert labels == ["".join(map(str, h)) for h in tree.histories(2)]
+    assert labels == [tree.index_label(2, idx) for idx in range(tree.n_nodes(2))]
+    check_level(labels, tree.s, 2, "level")
+    assert path_labels(tree.s, 0) == [""]
 
 
 def test_lift_repeats_per_child(rng):
@@ -85,7 +87,7 @@ def test_terminal_from_map(rng):
     mapping = {"00": [1.0, 0.0], "01": [0.0, 1.0], "10": [2.0, 0.0], "11": [0.0, 2.0]}
     arr = terminal_from_map(tree, 2, mapping)
     assert arr.shape == (4, 2)
-    np.testing.assert_array_equal(arr[tree.label_to_index("10")], [2.0, 0.0])
+    np.testing.assert_array_equal(arr[2], [2.0, 0.0])  # node order: "10" is leaf 2
 
 
 def test_backward_solve_z_is_weighted_mean(rng):

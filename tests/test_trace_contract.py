@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import inspect
 import io
+import json
 from pathlib import Path
 
 import stochctrl.cli as cli
@@ -52,6 +53,11 @@ def test_tracer_records_every_route_layer(tmp_path):
     bundled = sorted(str(p) for p in INSTANCE_DIR.glob("*.json"))
     steered = [str(INSTANCE_DIR / name) for name in
                ("fullrank_2x3.json", "input_delay_tau1.json", "state_delay_d1.json")]
+    doc = json.loads((INSTANCE_DIR / "fullrank_2x3.json").read_text())
+    doc["N"], doc["target"] = 1, {label: [0.0, 0.0] for label in ("00", "01", "10", "11")}
+    path_target = tmp_path / "path_target.json"
+    path_target.write_text(json.dumps(doc))
+    steered.append(str(path_target))
     original = cli.gramian_oracle
     tracer = spans.Tracer()
     tracer.install()
@@ -59,8 +65,10 @@ def test_tracer_records_every_route_layer(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes = [cli.main([command, "--instance", inst])
                      for inst in bundled for command in ("analyze", "oracle-check")]
-            codes += [cli.main(["synthesize", "--instance", inst, "--out", str(tmp_path / "c.csv")])
-                      for inst in steered]
+            for inst in steered:
+                table = str(tmp_path / "c.csv")
+                codes.append(cli.main(["synthesize", "--instance", inst, "--out", table]))
+                codes.append(cli.main(["verify", "--instance", inst, "--controller", table]))
     finally:
         tracer.uninstall()
     assert cli.gramian_oracle is original
@@ -76,6 +84,10 @@ def test_tracer_records_every_route_layer(tmp_path):
         "delay.state_delay_P",
         "pathspace.backward_solve_state_delay",
         "synthesis.controller",
+        "model.parse_instance",
+        "pathspace.terminal_from_map",
+        "synthesis.write_controller_csv",
+        "synthesis.read_controller_table",
     }
     assert want <= layers, sorted(want - layers)
     counts = tracer.counts_in(0, len(tracer.spans))
