@@ -19,7 +19,9 @@ typos cannot silently change a run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -75,15 +77,30 @@ def level_values(mapping: dict, s: int, depth: int, n: int, what: str) -> np.nda
     return _as_float_matrix(f"{what} values", [mapping[label] for label in labels], len(labels), n)
 
 
-def _as_float_matrix(name: str, value, rows: int, cols: int) -> np.ndarray:
+def _float_array(name: str, value) -> np.ndarray:
+    """A read-only float copy of ``value``; :class:`DimensionMismatch` unless numeric and finite."""
     try:
         arr = np.array(value, dtype=float)  # copy, so freezing cannot alias caller data
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(f"{name}: not a numeric matrix ({exc})") from None
-    if arr.shape != (rows, cols):
-        raise DimensionMismatch(f"{name}: expected shape ({rows}, {cols}), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DimensionMismatch(f"{name}: entries must be finite")
     arr.setflags(write=False)
     return arr
+
+
+def _as_float_matrix(name: str, value, rows: int, cols: int) -> np.ndarray:
+    arr = _float_array(name, value)
+    if arr.shape != (rows, cols):
+        raise DimensionMismatch(f"{name}: expected shape ({rows}, {cols}), got {arr.shape}")
+    return arr
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` if it is an int (not a bool) of at least ``minimum``, else ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _numerical_rank(a: np.ndarray) -> int:
@@ -107,8 +124,14 @@ class NoiseModel:
     probs: tuple[float, ...] = (0.5, 0.5)
 
     def __post_init__(self):
-        support = tuple(float(s) for s in self.support)
-        probs = tuple(float(p) for p in self.probs)
+        try:
+            support = tuple(map(float, self.support))
+            probs = tuple(map(float, self.probs))
+            finite = all(map(math.isfinite, support + probs))
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise NoiseMomentViolation("noise support points and probabilities must be finite")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
         if len(support) != len(probs):
@@ -166,42 +189,40 @@ class SystemSpec:
     d: int | None = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        A = _float_array("A", self.A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
-        B = np.asarray(self.B, dtype=float)
+        B = _float_array("B", self.B)
         if B.ndim != 2 or B.shape[0] != n:
             raise DimensionMismatch(f"B must have {n} rows, got shape {B.shape}")
         m = B.shape[1]
-        object.__setattr__(self, "A", _as_float_matrix("A", A, n, n))
-        object.__setattr__(self, "B", _as_float_matrix("B", B, n, m))
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
         object.__setattr__(self, "Abar", _as_float_matrix("Abar", self.Abar, n, n))
         object.__setattr__(self, "Bbar", _as_float_matrix("Bbar", self.Bbar, n, m))
         if self.M is not None:
             object.__setattr__(self, "M", _as_float_matrix("M", self.M, m, m))
         if self.H is not None:
-            H = np.asarray(self.H, dtype=float)
+            H = _float_array("H", self.H)
             if H.ndim != 2 or H.shape[1] != n or not 1 <= H.shape[0] <= n:
                 raise DimensionMismatch(f"H must be l x {n} with 1 <= l <= {n}, got {H.shape}")
-            object.__setattr__(self, "H", _as_float_matrix("H", H, H.shape[0], n))
+            object.__setattr__(self, "H", H)
         if (self.B1 is None) != (self.tau is None):
             raise ValueError("B1 and tau must be given together")
         if self.B1 is not None:
-            B1 = np.asarray(self.B1, dtype=float)
+            B1 = _float_array("B1", self.B1)
             if B1.ndim != 2 or B1.shape[0] != n or B1.shape[1] < 1:
                 raise DimensionMismatch(f"B1 must have {n} rows and at least one column, got {B1.shape}")
-            object.__setattr__(self, "B1", _as_float_matrix("B1", B1, n, B1.shape[1]))
-            if not isinstance(self.tau, int) or isinstance(self.tau, bool) or self.tau < 1:
-                raise ValueError(f"tau must be a positive integer, got {self.tau!r}")
+            object.__setattr__(self, "B1", B1)
+            _integer("tau", self.tau, 1)
         if (self.A1 is None) != (self.d is None):
             raise ValueError("A1 and d must be given together")
         if self.A1 is not None:
             object.__setattr__(self, "A1", _as_float_matrix("A1", self.A1, n, n))
-            if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
-                raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        if self.horizon_max is not None and (not isinstance(self.horizon_max, int) or self.horizon_max < 0):
-            raise ValueError(f"horizon_max must be a nonnegative integer, got {self.horizon_max!r}")
+            _integer("d", self.d, 1)
+        if self.horizon_max is not None:
+            _integer("horizon_max", self.horizon_max, 0)
 
     @property
     def n(self) -> int:
@@ -215,30 +236,6 @@ class SystemSpec:
     def default_horizon(self) -> int:
         """Scan limit when none is given: ``horizon_max``, else 2n."""
         return self.horizon_max if self.horizon_max is not None else 2 * self.n
-
-    def __eq__(self, other):
-        if not isinstance(other, SystemSpec):
-            return NotImplemented
-        return (
-            _opt_equal(self.A, other.A)
-            and _opt_equal(self.B, other.B)
-            and _opt_equal(self.Abar, other.Abar)
-            and _opt_equal(self.Bbar, other.Bbar)
-            and self.noise == other.noise
-            and self.horizon_max == other.horizon_max
-            and _opt_equal(self.M, other.M)
-            and _opt_equal(self.H, other.H)
-            and _opt_equal(self.B1, other.B1)
-            and self.tau == other.tau
-            and _opt_equal(self.A1, other.A1)
-            and self.d == other.d
-        )
-
-
-def _opt_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return bool(np.array_equal(a, b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,65 +317,28 @@ class ProblemInstance:
     target: dict[str, np.ndarray] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
-            raise ValueError(f"N must be a nonnegative integer, got {self.N!r}")
+        _integer("N", self.N, 0)
         if self.x0 is not None:
-            x0 = np.array(self.x0, dtype=float)
-            if x0.shape != (self.system.n,):
-                raise DimensionMismatch(f"x0 must have length {self.system.n}, got shape {x0.shape}")
-            x0.setflags(write=False)
-            object.__setattr__(self, "x0", x0)
+            object.__setattr__(self, "x0", _as_float_matrix("x0", [self.x0], 1, self.system.n)[0])
         if self.target is not None:
             s = len(self.system.noise.support)
             values = level_values(self.target, s, self.N + 1, self.system.n, "target")
             object.__setattr__(self, "target", dict(zip(sorted(self.target), values)))
 
-    def __eq__(self, other):
-        if not isinstance(other, ProblemInstance):
-            return NotImplemented
-        if self.system != other.system or self.N != other.N:
-            return False
-        if not _opt_equal(self.x0, other.x0):
-            return False
-        if (self.target is None) != (other.target is None):
-            return False
-        if self.target is not None:
-            if set(self.target) != set(other.target):
-                return False
-            return all(np.array_equal(self.target[k], other.target[k]) for k in self.target)
-        return True
-
 
 _REQUIRED_KEYS = ("n", "m", "N", "A", "B", "Abar", "Bbar")
 _OPTIONAL_KEYS = ("M", "H", "B1", "tau", "A1", "d", "noise", "x0", "target")
 _NOISE_KEYS = ("support", "probs")
+_MATRIX_KEYS = ("A", "B", "Abar", "Bbar", "M", "H", "B1", "A1")
+_JSON_NUMBERS = {int, float}
 
 
-def _schema_int(doc: dict, key: str, minimum: int) -> int:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise SchemaError(f"{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _schema_matrix(doc: dict, key: str, rows: int, cols: int) -> list:
-    value = doc[key]
-    if not isinstance(value, list) or len(value) != rows:
-        raise SchemaError(f"{key} must be a list of {rows} rows")
-    for i, row in enumerate(value):
-        _schema_vector(row, f"{key} row {i}", cols)
-    return value
-
-
-def _schema_vector(value, name: str, length: int) -> list:
-    if not isinstance(value, list) or len(value) != length:
-        raise SchemaError(f"{name} must be a list of {length} numbers")
-    for x in value:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise SchemaError(f"{name} contains a non-numeric entry {x!r}")
-    return value
+def _json_numbers(rows) -> bool:
+    """Whether every entry of every row is a JSON number: an int or float, not a bool, string, null or list."""
+    try:
+        return set(map(type, chain.from_iterable(rows))) <= _JSON_NUMBERS
+    except TypeError:  # a scalar where a list belongs
+        return False
 
 
 def parse_instance(text: str) -> ProblemInstance:
@@ -386,7 +346,11 @@ def parse_instance(text: str) -> ProblemInstance:
 
     Required keys: n, m, N, A, B, Abar, Bbar. Optional: M, H, B1, tau,
     A1, d, noise {support, probs}, x0, target. Any other key raises
-    :class:`SchemaError`.
+    :class:`SchemaError`. This layer checks the keys, that every number is
+    a JSON number, and the declared n and m; shapes, pairings, integer
+    ranges and finiteness are checked by :class:`SystemSpec`,
+    :class:`ProblemInstance` and :class:`NoiseModel`, whose shape, pairing
+    and range errors are raised here as :class:`SchemaError`.
     """
     try:
         doc = json.loads(text)
@@ -401,67 +365,37 @@ def parse_instance(text: str) -> ProblemInstance:
     if missing:
         raise SchemaError(f"missing required keys: {', '.join(missing)}")
 
-    n = _schema_int(doc, "n", 1)
-    m = _schema_int(doc, "m", 1)
-    N = _schema_int(doc, "N", 0)
-
-    kwargs: dict = {}
-    kwargs["A"] = _schema_matrix(doc, "A", n, n)
-    kwargs["B"] = _schema_matrix(doc, "B", n, m)
-    kwargs["Abar"] = _schema_matrix(doc, "Abar", n, n)
-    kwargs["Bbar"] = _schema_matrix(doc, "Bbar", n, m)
-    if "M" in doc:
-        kwargs["M"] = _schema_matrix(doc, "M", m, m)
-    if "H" in doc:
-        value = doc["H"]
-        if not isinstance(value, list) or not value:
-            raise SchemaError("H must be a nonempty list of rows")
-        kwargs["H"] = _schema_matrix(doc, "H", len(value), n)
-    if ("B1" in doc) != ("tau" in doc):
-        raise SchemaError("B1 and tau must be given together")
-    if "B1" in doc:
-        value = doc["B1"]
-        if not isinstance(value, list) or not value or not isinstance(value[0], list):
-            raise SchemaError("B1 must be a list of rows")
-        kwargs["B1"] = _schema_matrix(doc, "B1", n, len(value[0]))
-        kwargs["tau"] = _schema_int(doc, "tau", 1)
-    if ("A1" in doc) != ("d" in doc):
-        raise SchemaError("A1 and d must be given together")
-    if "A1" in doc:
-        kwargs["A1"] = _schema_matrix(doc, "A1", n, n)
-        kwargs["d"] = _schema_int(doc, "d", 1)
-
+    kwargs = {key: doc[key] for key in _MATRIX_KEYS if key in doc}
+    for key, rows in kwargs.items():
+        if not _json_numbers(rows):
+            raise SchemaError(f"{key} must be a list of rows of JSON numbers")
+    kwargs.update((key, doc[key]) for key in ("tau", "d") if key in doc)
     if "noise" in doc:
         noise_doc = doc["noise"]
-        if not isinstance(noise_doc, dict):
-            raise SchemaError("noise must be an object with support and probs")
-        extra = sorted(set(noise_doc) - set(_NOISE_KEYS))
-        if extra:
-            raise SchemaError(f"unknown noise keys: {', '.join(extra)}")
-        if set(noise_doc) != set(_NOISE_KEYS):
-            raise SchemaError("noise needs both support and probs")
-        support = noise_doc["support"]
-        probs = noise_doc["probs"]
-        for name, lst in (("noise.support", support), ("noise.probs", probs)):
-            if not isinstance(lst, list) or not lst:
-                raise SchemaError(f"{name} must be a nonempty list")
-            for x in lst:
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise SchemaError(f"{name} contains a non-numeric entry {x!r}")
-        kwargs["noise"] = NoiseModel(tuple(support), tuple(probs))
-
-    spec = SystemSpec(**kwargs)
-
-    x0 = None
-    if "x0" in doc:
-        x0 = _schema_vector(doc["x0"], "x0", n)
-    target = None
+        if not isinstance(noise_doc, dict) or set(noise_doc) != set(_NOISE_KEYS):
+            raise SchemaError("noise must be an object with exactly the keys support and probs")
+        for key in _NOISE_KEYS:
+            if not _json_numbers([noise_doc[key]]):
+                raise SchemaError(f"noise.{key} must be a list of JSON numbers")
+        kwargs["noise"] = NoiseModel(noise_doc["support"], noise_doc["probs"])
+    if "x0" in doc and not _json_numbers([doc["x0"]]):
+        raise SchemaError("x0 must be a list of JSON numbers")
+    target = doc.get("target")
     if "target" in doc:
-        tdoc = doc["target"]
-        if not isinstance(tdoc, dict):
+        if not isinstance(target, dict):
             raise SchemaError("target must map path labels to vectors")
-        target = {label: _schema_vector(vec, f"target[{label!r}]", n) for label, vec in tdoc.items()}
-    return ProblemInstance(spec, N, x0=x0, target=target)
+        if not _json_numbers(target.values()):
+            bad = next(label for label, vec in target.items() if not _json_numbers([vec]))
+            raise SchemaError(f"target[{bad!r}] must be a list of JSON numbers")
+
+    try:
+        n, m = _integer("n", doc["n"], 1), _integer("m", doc["m"], 1)
+        spec = SystemSpec(**kwargs)
+        if (spec.n, spec.m) != (n, m):
+            raise SchemaError(f"declared n = {n}, m = {m}, but A and B give n = {spec.n}, m = {spec.m}")
+        return ProblemInstance(spec, doc["N"], x0=doc.get("x0"), target=target)
+    except (DimensionMismatch, ValueError) as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def parse_instance_file(path) -> ProblemInstance:

@@ -148,23 +148,6 @@ class AdaptedProcess:
             idx = idx * self.tree.s + int(i)
         return self.at(stage)[idx]
 
-    def __add__(self, other: "AdaptedProcess") -> "AdaptedProcess":
-        if self.tree is not other.tree and self.tree.noise != other.tree.noise:
-            raise StageMismatch("cannot add processes over different trees")
-        if set(self.values) != set(other.values):
-            raise StageMismatch("cannot add processes with different stage sets")
-        values, depths = {}, {}
-        for stage in self.values:
-            depth = max(self.depth(stage), other.depth(stage))
-            values[stage] = self.at_depth(stage, depth) + other.at_depth(stage, depth)
-            depths[stage] = depth
-        return AdaptedProcess(self.tree, values, depths)
-
-    @classmethod
-    def constant(cls, tree: PathTree, stages, vec: np.ndarray) -> "AdaptedProcess":
-        vec = np.atleast_2d(np.asarray(vec, dtype=float))
-        return cls(tree, {k: vec.copy() for k in stages}, {k: 0 for k in stages})
-
 
 def cond_expect(p: AdaptedProcess, stage: int, to_depth: int) -> np.ndarray:
     """E[p(stage) | noise up to depth to_depth], as a node array."""

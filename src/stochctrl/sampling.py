@@ -1,4 +1,4 @@
-"""Random instances for property tests and sweeps.
+"""Random instances for property tests and the benchmark.
 
 The draws are built backward-first: pick well-conditioned backward-form
 coefficients, then invert the transform algebra to recover the forward

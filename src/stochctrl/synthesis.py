@@ -44,6 +44,10 @@ from .transform import TransformedSystem
 
 FLOAT_FMT = "%.17g"
 _ROWS_PER_WRITE = 4096
+_CHARS_PER_READ = 1 << 16
+# Data lines hold printable ASCII but blank and '_', plus line ends: int() and float()
+# would also take blanks, '_' and non-ASCII digits.
+_LINE_CHARS = bytes(c for c in range(0x21, 0x7F) if c != ord("_")) + b"\r\n"
 
 
 def stage_products(tree: PathTree, form, upto: int, P=None) -> list[np.ndarray]:
@@ -255,8 +259,9 @@ def read_controller_table(
     histories must be one tree level in node order, as
     :func:`write_controller_csv` writes them. Malformed tables (wrong
     header, ragged rows, u rows at stages outside 0..N, u1 rows outside
-    -tau..N-tau, non-numeric cells, histories that are not one level in
-    node order) raise :class:`SchemaError`.
+    -tau..N-tau, cells that are not ASCII or hold blanks or '_', values
+    that are not finite numbers, histories that are not one level in node
+    order) raise :class:`SchemaError`.
     """
     if (m1 is None) != (tau is None):
         raise StageMismatch("m1 and tau must be supplied together")
@@ -268,7 +273,7 @@ def read_controller_table(
     if isinstance(source, str) and "\n" in source:
         source = io.StringIO(source)
     with _opened(source, "r") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_checked_lines(fh))
         try:
             header = next(reader)
         except StopIteration:
@@ -306,6 +311,22 @@ def read_controller_table(
     return u, u1
 
 
+def _plain(text: str) -> bool:
+    return text.isascii() and not text.encode().translate(None, _LINE_CHARS)
+
+
+def _checked_lines(fh):
+    """The lines of a table, each block of data lines checked at once to hold only ``_LINE_CHARS``."""
+    yield from fh.readlines(1)  # the header, compared with the expected one
+    lineno = 2
+    while block := fh.readlines(_CHARS_PER_READ):
+        if not _plain("".join(block)):
+            bad = lineno + next(i for i, line in enumerate(block) if not _plain(line))
+            raise SchemaError(f"line {bad}: cells must be ASCII, without blanks or '_'")
+        lineno += len(block)
+        yield from block
+
+
 def _stages_to_process(tree, stages, dim, what) -> AdaptedProcess:
     if not stages:
         raise SchemaError(f"controller table has no {what} rows")
@@ -317,5 +338,7 @@ def _stages_to_process(tree, stages, dim, what) -> AdaptedProcess:
             raise SchemaError(f"{where}: history length {depth} exceeds the tree's {tree.horizon + 1}")
         check_level(labels, tree.s, depth, f"{where} histories")
         vals[stage] = np.frombuffer(values).reshape(-1, dim)
+        if not np.isfinite(vals[stage]).all():
+            raise SchemaError(f"{where}: values must be finite")
         depths[stage] = depth
     return AdaptedProcess(tree, vals, depths)

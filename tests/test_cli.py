@@ -344,6 +344,34 @@ def test_non_ascii_target_digits_are_schema_errors(capsys, tmp_path, command, ke
     assert code == 0
 
 
+# Edits of fullrank_2x3.json whose numbers json reads but no criterion can use.
+NON_FINITE = {
+    "nan-in-A": ('"A": [[1, 1]', '"A": [[NaN, 1]'),
+    "1e400-in-A": ('"A": [[1, 1]', '"A": [[1e400, 1]'),  # read as inf
+    "int-1e400-in-A": ('"A": [[1, 1]', '"A": [[1' + "0" * 400 + ", 1]"),
+    "infinity-in-x0": ('"x0": [3, -1]', '"x0": [Infinity, -1]'),
+    "nan-probs": ('"x0"', '"noise": {"support": [-1, 1], "probs": [NaN, NaN]}, "x0"'),
+    "nan-atom-without-mass": ('"x0"', '"noise": {"support": [-1, NaN, 1], "probs": [0.5, 0, 0.5]}, "x0"'),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "oracle-check", "verify"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_numbers_are_errors(capsys, tmp_path, case, command):
+    text = (INSTANCE_DIR / "fullrank_2x3.json").read_text()
+    old, new = NON_FINITE[case]
+    assert old in text
+    inst = tmp_path / "bad.json"
+    inst.write_text(text.replace(old, new))
+    table = tmp_path / "controller.csv"
+    code, _, _ = run(capsys, "synthesize", "--instance", FULL, "--out", str(table))
+    assert code == 0
+    extra = ["--controller", str(table)] if command == "verify" else []
+    code, _, err = run(capsys, command, "--instance", str(inst), *extra)
+    assert code == 6
+    assert "finite" in err or "numeric" in err
+
+
 def _edited_table(capsys, tmp_path, edit):
     table = tmp_path / "controller.csv"
     code, _, _ = run(capsys, "synthesize", "--instance", FULL, "--out", str(table))
@@ -375,3 +403,22 @@ def test_verify_wants_each_stage_in_node_order(capsys, tmp_path, monkeypatch, ed
     assert code == 5
     assert "bad controller table" in err
     assert max(built) <= 3  # N + 1: no level of a longer label is ever built
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rows: [rows[0].replace("0,", "\u0660,", 1)] + rows[1:],
+        lambda rows: [" " + r if r.startswith("1,") else r for r in rows],
+        lambda rows: [rows[0].replace(",-0.9", ", -0.9", 1)] + rows[1:],
+        lambda rows: [rows[0].replace("46,", "4\u0665,", 1)] + rows[1:],
+        lambda rows: [rows[0].replace(",-0.95", ",-0.95_", 1)] + rows[1:],
+        lambda rows: [rows[0].replace(",-0.95645073489384846,", ",nan,", 1)] + rows[1:],
+    ],
+    ids=["stage-arabic-indic-zero", "stage-blank", "value-blank", "value-arabic-indic-five", "value-underscore", "value-nan"],
+)
+def test_verify_wants_plain_finite_cells(capsys, tmp_path, edit):
+    table = _edited_table(capsys, tmp_path, edit)  # an edit that missed would verify ok
+    code, _, err = run(capsys, "verify", "--instance", FULL, "--controller", table)
+    assert code == 5
+    assert "bad controller table" in err

@@ -8,13 +8,14 @@ from stochctrl import (
     DimensionMismatch,
     NoiseModel,
     NoiseMomentViolation,
+    ProblemInstance,
     SchemaError,
     SystemSpec,
     parse_instance,
     serialize_instance,
     validate,
 )
-from stochctrl.model import check_level
+from stochctrl.model import check_level, path_labels
 
 
 def test_rademacher_moments():
@@ -40,6 +41,10 @@ def test_three_point_moments_any_spread():
         ((-0.5, 0.5), (0.5, 0.5)),  # variance
         ((1.0, 1.0), (0.5, 0.5)),  # repeated atom
         ((1.0,), (1.0,)),  # degenerate
+        ((-1.0, 1.0), (float("nan"), float("nan"))),  # every moment check is False for NaN
+        ((-1.0, float("nan"), 1.0), (0.5, 0.0, 0.5)),  # a NaN atom without mass
+        ((-1.0, float("inf"), 1.0), (0.5, 0.0, 0.5)),
+        ((-1.0, 10**400), (0.5, 0.5)),  # an int beyond the float range
     ],
 )
 def test_bad_noise_rejected(support, probs):
@@ -103,15 +108,22 @@ def test_delay_needs_both_fields(bench_full):
 
 def test_instance_roundtrip(bench_full):
     spec, expected = bench_full
-    from stochctrl import ProblemInstance
-
-    inst = ProblemInstance(system=spec, N=2, x0=expected["x0"])
-    text = serialize_instance(inst)
-    again = parse_instance(text)
-    assert again.N == 2
-    np.testing.assert_array_equal(again.system.A, spec.A)
-    np.testing.assert_array_equal(again.system.M, spec.M)
-    np.testing.assert_array_equal(again.x0, expected["x0"])
+    rng = np.random.default_rng(7)
+    noise = NoiseModel.symmetric_three_point(2.0)
+    every_key = SystemSpec(
+        A=spec.A, B=spec.B, Abar=spec.Abar, Bbar=spec.Bbar, noise=noise, M=spec.M,
+        H=[[1.0, -0.5]], B1=rng.normal(size=(2, 2)), tau=2, A1=rng.normal(size=(2, 2)), d=1,
+    )
+    target = dict(zip(path_labels(3, 2), rng.normal(size=(9, 2))))
+    inst = ProblemInstance(system=every_key, N=1, x0=expected["x0"], target=target)
+    again = parse_instance(serialize_instance(inst))
+    assert again.N == 1
+    for field in ("A", "B", "Abar", "Bbar", "M", "H", "B1", "tau", "A1", "d"):
+        assert np.array_equal(getattr(again.system, field), getattr(every_key, field)), field
+    assert again.system.noise == noise
+    assert np.array_equal(again.x0, expected["x0"])
+    assert list(again.target) == list(target)
+    assert all(np.array_equal(again.target[label], target[label]) for label in target)
 
 
 def test_bundled_instances_parse():
@@ -133,8 +145,6 @@ def test_bundled_instances_parse():
 
 def test_unknown_key_rejected(bench_full):
     spec, _ = bench_full
-    from stochctrl import ProblemInstance
-
     doc = json.loads(serialize_instance(ProblemInstance(system=spec, N=1)))
     doc["extra"] = 1
     with pytest.raises(SchemaError):
@@ -146,20 +156,48 @@ def test_missing_required_key_rejected():
         parse_instance(json.dumps({"n": 2, "m": 3, "N": 1}))
 
 
-def test_ragged_matrix_rejected(bench_full):
-    spec, _ = bench_full
-    from stochctrl import ProblemInstance
+def _set_entry(key, row, col, value):
+    return lambda doc: doc[key][row].__setitem__(col, value)
 
-    doc = json.loads(serialize_instance(ProblemInstance(system=spec, N=1)))
-    doc["A"] = [[1.0, 0.0], [1.0]]
-    with pytest.raises(SchemaError):
+
+@pytest.mark.parametrize(
+    "edit,field",
+    [
+        (_set_entry("A", 0, 0, True), "^A "),
+        (_set_entry("B", 0, 1, "1"), "^B "),
+        (_set_entry("Abar", 1, 1, None), "^Abar "),
+        (lambda doc: doc.update(A=[[1.0, 0.0], [1.0]]), "^A: "),
+        (lambda doc: doc.update(n=3), "declared n = 3"),
+        (lambda doc: doc.update(B1=[[1.0], [0.0]]), "^B1 and tau"),
+        (lambda doc: doc.update(H=[]), "^H "),
+        (lambda doc: doc.update(x0=None), "^x0 "),
+        (lambda doc: doc.update(target={"0": [0.0, 0.0], "1": [0.0, "0"]}), r"^target\['1'\]"),
+    ],
+    ids=["bool", "string", "null", "ragged-row", "declared-n", "B1-without-tau", "empty-H", "null-x0", "target"],
+)
+def test_ragged_matrix_rejected(bench_full, edit, field):
+    spec, _ = bench_full
+    doc = json.loads(serialize_instance(ProblemInstance(system=spec, N=0)))
+    edit(doc)
+    with pytest.raises(SchemaError, match=field):
         parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "int-1e400"])
+def test_entries_must_be_finite(bench_full, bad):
+    spec, _ = bench_full
+    good = dict(A=spec.A, B=spec.B, Abar=spec.Abar, Bbar=spec.Bbar, M=spec.M, H=[[1.0, 0.5]])
+    for field in good:
+        fields = dict(good, **{field: np.asarray(good[field]).tolist()})
+        fields[field][0][0] = bad
+        with pytest.raises(DimensionMismatch, match=f"^{field}: "):
+            SystemSpec(**fields)
+    with pytest.raises(DimensionMismatch, match="^x0: "):
+        ProblemInstance(system=spec, N=1, x0=[bad, 0.0])
 
 
 def test_target_keys_checked(bench_full):
     spec, _ = bench_full
-    from stochctrl import ProblemInstance
-
     doc = json.loads(serialize_instance(ProblemInstance(system=spec, N=1)))
     full = {"00": [0.0, 0.0], "01": [0.0, 0.0], "10": [0.0, 0.0], "11": [0.0, 0.0]}
     doc["target"] = dict(full, **{"02": [0.0, 0.0]})  # digit 2 invalid for two atoms
