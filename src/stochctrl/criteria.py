@@ -80,8 +80,6 @@ class WordSpanBasis:
     """Linearly independent columns W D collected in breadth-first order."""
 
     basis: np.ndarray  # n x rank, admitted columns in admission order
-    words: list[tuple[int, ...]]  # generating word per column, 0 = C, 1 = Cbar
-    columns: list[int]  # source column of D per admitted column
     rank: int
     depth: int  # rounds applied before the span closed
 
@@ -103,9 +101,9 @@ def word_span(form: BsdeForm, tol: float | None = None) -> WordSpanBasis:
     threshold = tol if tol is not None else max(n, max(1, D.shape[1])) * np.finfo(float).eps * scale
 
     Q = np.zeros((n, 0))
-    basis_cols, words, col_ids = [], [], []
+    basis_cols = []
 
-    def admit(col, word, src) -> bool:
+    def admit(col) -> bool:
         nonlocal Q
         resid = col - Q @ (Q.T @ col)
         resid = resid - Q @ (Q.T @ resid)  # second pass for orthogonality
@@ -114,23 +112,18 @@ def word_span(form: BsdeForm, tol: float | None = None) -> WordSpanBasis:
             return False
         Q = np.hstack([Q, (resid / norm)[:, None]])
         basis_cols.append(col)
-        words.append(word)
-        col_ids.append(src)
         return True
 
-    frontier = []
-    for j in range(D.shape[1]):
-        if admit(D[:, j], (), j):
-            frontier.append(((), D[:, j], j))
+    frontier = [D[:, j] for j in range(D.shape[1]) if admit(D[:, j])]
     depth = 0
     while frontier and len(basis_cols) < n:
         new_frontier = []
         grew = False
-        for letter, mat in ((0, C), (1, Cbar)):
-            for word, col, src in frontier:
+        for mat in (C, Cbar):
+            for col in frontier:
                 cand = mat @ col
-                if admit(cand, (letter,) + word, src):
-                    new_frontier.append((((letter,) + word), cand, src))
+                if admit(cand):
+                    new_frontier.append(cand)
                     grew = True
         if not grew:
             break
@@ -138,7 +131,7 @@ def word_span(form: BsdeForm, tol: float | None = None) -> WordSpanBasis:
         frontier = new_frontier
 
     basis = np.column_stack(basis_cols) if basis_cols else np.zeros((n, 0))
-    return WordSpanBasis(basis=basis, words=words, columns=col_ids, rank=len(basis_cols), depth=depth)
+    return WordSpanBasis(basis=basis, rank=len(basis_cols), depth=depth)
 
 
 def rank_test_words(max_len: int) -> list[tuple[int, ...]]:

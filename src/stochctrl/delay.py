@@ -34,7 +34,6 @@ from .pathspace import (
     _membership,
     _state_delay_gains,
     _terminal_array,
-    _zero_v,
     backward_solve,
     backward_solve_state_delay,
     member_of_S,
@@ -43,9 +42,9 @@ from .pathspace import (
 )
 from .synthesis import (
     ControllerProcess,
+    _check_gramian,
     _controller,
     _free_input_from_products,
-    _invert_gramian,
     _steering_start,
     stage_products,
 )
@@ -121,11 +120,12 @@ def input_delay_controller(
     if spec.B1 is None or spec.tau is None:
         raise ValueError("system has no delayed input channel")
     tau, N = spec.tau, tree.horizon
-    x0, terminal, offset = _steering_start(
+    x0, terminal, hom = _steering_start(
         tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol)
     )
     G = input_delay_gramian(form, tau, N)
-    g = _invert_gramian(G, x0 - offset, f"delayed-input Gramian at N = {N}")
+    _check_gramian(G, f"delayed-input Gramian at N = {N}")
+    g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
     prods = stage_products(tree, form, N)
     v = _free_input_from_products(tree, form, prods, g)
     u1_vals, u1_depths = {}, {}
@@ -137,7 +137,7 @@ def input_delay_controller(
         u1_depths[i - tau] = depth
     u1 = AdaptedProcess(tree, u1_vals, u1_depths)
     sol = backward_solve(tree, form, terminal, v, u1=u1, tau=tau)
-    return _controller("input-delay", ts, x0, G, v, sol, terminal, u1)
+    return _controller("input-delay", ts, G, v, sol, u1)
 
 
 def input_delay_decide(
@@ -249,7 +249,7 @@ def member_of_S_state_delay(
     solve replaced by the delayed one.
     """
     terminal_arr = _terminal_array(tree, form.n, terminal)
-    sol = backward_solve_state_delay(tree, form, d, terminal_arr, _zero_v(tree, form))
+    sol = backward_solve_state_delay(tree, form, d, terminal_arr)
     return _membership(sol, terminal_arr, tol)
 
 
@@ -270,16 +270,17 @@ def state_delay_controller(
     if spec.A1 is None or spec.d is None:
         raise ValueError("system has no delayed state channel")
     d, N = spec.d, tree.horizon
-    x0, terminal, offset = _steering_start(
+    x0, terminal, hom = _steering_start(
         tree, form, x0, target, lambda t: member_of_S_state_delay(tree, form, d, t, tol=tol)
     )
     pseq = state_delay_P(form, d, N)
     G = state_delay_gramian(form, d, N, pseq)
-    g = _invert_gramian(G, x0 - offset, f"delayed-state Gramian at N = {N}")
+    _check_gramian(G, f"delayed-state Gramian at N = {N}")
+    g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
     prods = stage_products(tree, form, N, pseq.P)
     v = _free_input_from_products(tree, form, prods, g)
     sol = backward_solve_state_delay(tree, form, d, terminal, v)
-    return _controller("state-delay", ts, x0, G, v, sol, terminal)
+    return _controller("state-delay", ts, G, v, sol)
 
 
 def state_delay_decide(

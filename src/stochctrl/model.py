@@ -305,16 +305,16 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
 class ProblemInstance:
     """A system together with a horizon and optional steering data.
 
-    ``target`` maps full noise-path labels (see :func:`path_labels`; length
-    N + 1) to terminal n-vectors; ``None`` means steer to the origin. The
-    keys must be every leaf label, and the vectors are stored as the rows
-    of one read-only array in node order.
+    ``target`` is given as a map from every full noise-path label (see
+    :func:`path_labels`; length N + 1) to a terminal n-vector, and stored
+    as the rows of one read-only leaf array in node order; ``None`` means
+    steer to the origin.
     """
 
     system: SystemSpec
     N: int
     x0: np.ndarray | None = None
-    target: dict[str, np.ndarray] | None = None
+    target: dict[str, np.ndarray] | np.ndarray | None = None
 
     def __post_init__(self):
         _integer("N", self.N, 0)
@@ -322,8 +322,7 @@ class ProblemInstance:
             object.__setattr__(self, "x0", _as_float_matrix("x0", [self.x0], 1, self.system.n)[0])
         if self.target is not None:
             s = len(self.system.noise.support)
-            values = level_values(self.target, s, self.N + 1, self.system.n, "target")
-            object.__setattr__(self, "target", dict(zip(sorted(self.target), values)))
+            object.__setattr__(self, "target", level_values(self.target, s, self.N + 1, self.system.n, "target"))
 
 
 _REQUIRED_KEYS = ("n", "m", "N", "A", "B", "Abar", "Bbar")
@@ -429,5 +428,6 @@ def serialize_instance(inst: ProblemInstance) -> str:
     if inst.x0 is not None:
         doc["x0"] = inst.x0.tolist()
     if inst.target is not None:
-        doc["target"] = {label: inst.target[label].tolist() for label in sorted(inst.target)}
+        labels = path_labels(len(spec.noise.support), inst.N + 1)
+        doc["target"] = dict(zip(labels, inst.target.tolist()))
     return json.dumps(doc, indent=2) + "\n"

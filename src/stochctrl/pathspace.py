@@ -11,7 +11,7 @@ k-1 live at depth k. An :class:`AdaptedProcess` stores each stage at its
 coarsest measurable depth and never replicates values per leaf.
 
 :func:`path_products` is the one place per-history products of the
-random factors C + w Cbar are built: the steering controllers, the
+random factors C + w Cbar are built: the delay routes' controllers, the
 terminal-product formula and every enumeration oracle (in ``criteria``
 and ``delay``) take their products from it.
 """
@@ -26,10 +26,11 @@ from .errors import (
     AdaptednessViolation,
     DimensionMismatch,
     EnumerationTooLarge,
+    SchemaError,
     SingularPBracket,
     StageMismatch,
 )
-from .model import NoiseModel, SystemSpec, level_values
+from .model import NoiseModel, SystemSpec
 from .transform import BsdeForm
 
 DEFAULT_CAP = 2**20
@@ -214,9 +215,12 @@ def _terminal_array(tree: PathTree, n: int, terminal) -> np.ndarray:
     return arr.copy()
 
 
-def terminal_from_map(tree: PathTree, n: int, mapping: dict) -> np.ndarray:
-    """Terminal node array from a {path label: vector} map covering all leaves."""
-    return level_values(mapping, tree.s, tree.horizon + 1, n, "terminal map")
+def terminal_from_map(tree: PathTree, n: int, leaves: np.ndarray) -> np.ndarray:
+    """An instance's target leaf array (``ProblemInstance.target``), checked against the tree's depth."""
+    want = (tree.n_nodes(tree.horizon + 1), n)
+    if leaves.shape != want:
+        raise SchemaError(f"target leaf array has shape {leaves.shape}; depth {tree.horizon + 1} needs {want}")
+    return leaves
 
 
 @dataclass(eq=False)
@@ -248,8 +252,9 @@ def backward_solve(
     """Solve x(k) = E[(C + w(k) Cbar) x(k+1) | past] + D v(k) [+ D1 u1(k-tau)].
 
     ``terminal`` may be None (origin), an n-vector, or a full leaf array.
-    ``v`` must hold stages 0..N with stage k measurable at depth <= k; the
-    same applies to ``u1`` at stages -tau..N-tau (depth 0 before stage 0).
+    ``v`` (None: zero free input) must hold stages 0..N with stage k
+    measurable at depth <= k; the same applies to ``u1`` at stages
+    -tau..N-tau (depth 0 before stage 0).
     """
     n, N = form.n, tree.horizon
     if (u1 is None) != (tau is None):
@@ -267,12 +272,10 @@ def backward_solve(
 
 
 def _stage_step(tree: PathTree, form: BsdeForm, cmats, x_next: np.ndarray, v, k: int) -> np.ndarray:
-    """E[C(k) x(k+1) | past] + D v(k), at depth k."""
+    """E[C(k) x(k+1) | past] + D v(k), at depth k; no v is zero free input."""
     xk = np.einsum("j,jab,hjb->ha", tree.probs, cmats, x_next.reshape(-1, tree.s, form.n))
-    if form.m_free > 0:
+    if v is not None:
         xk = xk + _check_input(tree, v, k, form.m_free, "v") @ form.D.T
-    elif v is not None and v.at(k).shape[1] != 0:
-        raise DimensionMismatch("v must be empty when D has no columns")
     return xk
 
 
@@ -375,7 +378,6 @@ class SMembership:
     member: bool
     max_residual: float
     tol: float
-    residuals: dict[int, float]
     x0: np.ndarray
     solution: BsdeSolution
 
@@ -389,7 +391,7 @@ def member_of_S(tree: PathTree, form: BsdeForm, terminal, tol: float = 1e-8) -> 
     the final noise is not affine.
     """
     terminal_arr = _terminal_array(tree, form.n, terminal)
-    sol = backward_solve(tree, form, terminal_arr, _zero_v(tree, form))
+    sol = backward_solve(tree, form, terminal_arr)
     return _membership(sol, terminal_arr, tol)
 
 
@@ -405,21 +407,8 @@ def _membership(sol: BsdeSolution, terminal_arr: np.ndarray, tol: float) -> SMem
         member=bool(worst <= tol * scale),
         max_residual=worst,
         tol=tol,
-        residuals=residuals,
         x0=sol.x0,
         solution=sol,
-    )
-
-
-def _zero_v(tree: PathTree, form: BsdeForm) -> AdaptedProcess | None:
-    """Zero free input over stages 0..N, or None when D has no columns."""
-    if form.m_free == 0:
-        return None
-    stages = range(tree.horizon + 1)
-    return AdaptedProcess(
-        tree,
-        {k: np.zeros((1, form.m_free)) for k in stages},
-        {k: 0 for k in stages},
     )
 
 
@@ -444,15 +433,22 @@ def forward_simulate(
         raise StageMismatch("system has a delayed input channel; u1 is required")
     xs = {0: x0[None, :].copy()}
     for k in range(N + 1):
-        xk = xs[k]
-        uk = _check_input(tree, u, k, spec.m, "u")
-        drift = xk @ spec.A.T + uk @ spec.B.T
-        if spec.B1 is not None:
-            drift = drift + _check_input(tree, u1, k - spec.tau, spec.B1.shape[1], "u1", to_depth=k) @ spec.B1.T
-        if spec.A1 is not None and k - spec.d >= 0:
-            xkd = tree.lift(xs[k - spec.d], k - spec.d, k)
-            drift = drift + xkd @ spec.A1.T
-        diffusion = xk @ spec.Abar.T + uk @ spec.Bbar.T
-        step = drift[:, None, :] + tree.support[None, :, None] * diffusion[:, None, :]
-        xs[k + 1] = step.reshape(-1, n)
+        xs[k + 1] = plant_step(tree, spec, xs, k, _check_input(tree, u, k, spec.m, "u"), u1)
     return AdaptedProcess(tree, xs, {k: k for k in range(N + 2)})
+
+
+def plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk: np.ndarray, u1=None) -> np.ndarray:
+    """x(k+1) from the states ``xs`` up to stage k and u(k), at depth k + 1.
+
+    The full route's closed loop takes this step too, so its table replays exactly.
+    """
+    xk = xs[k]
+    drift = xk @ spec.A.T + uk @ spec.B.T
+    if spec.B1 is not None:
+        drift = drift + _check_input(tree, u1, k - spec.tau, spec.B1.shape[1], "u1", to_depth=k) @ spec.B1.T
+    if spec.A1 is not None and k - spec.d >= 0:
+        xkd = tree.lift(xs[k - spec.d], k - spec.d, k)
+        drift = drift + xkd @ spec.A1.T
+    diffusion = xk @ spec.Abar.T + uk @ spec.Bbar.T
+    step = drift[:, None, :] + tree.support[None, :, None] * diffusion[:, None, :]
+    return step.reshape(-1, spec.n)

@@ -1,18 +1,20 @@
 """Steering controller construction and controller table I/O.
 
-The null controller inverts the steering Gramian once:
+On the full route the minimum-energy controller is a state feedback. With
+G_j the Gramian over horizon j (G_{-1} = 0), the backward equation gives
+x(k) = G_{N-k} y(k) for y(k) = (C(k-1) ... C(0))' G_N^{-1} x0, so
 
-    v(i) = D' (C(i-1) ... C(0))' G_N^{-1} x0
+    u(k) = M [q(k); v(k)] = K_k x(k),  K_k = M [G_{N-k-1} Cbar' G_{N-k}^+ - Abar; D' G_{N-k}^+]
 
-with C(k) = C + w(k) Cbar evaluated on each noise history, so v(i) is
-measurable at stage i - 1 as required. Solving the backward equation with
-terminal 0 under this v yields states x and companions z; the absorbed
-input q(k) = z(k) - Abar x(k) completes u = M [q; v]. By construction
-x(0) = x0 and every noise path ends at the origin.
+with v = D' y and q = z - Abar x, z(k) = G_{N-k-1} Cbar' y(k). The
+pseudo-inverse is exact: range D lies in range G_j, and Cbar' maps null
+G_j into null G_{j-1}. One closed-loop pass, through the plant step of
+:func:`pathspace.forward_simulate`, writes u; x(0) = x0 by construction.
+An attainable terminal adds the homogeneous solution (x_h, z_h) reached
+with zero free input: u(k) = K_k (x(k) - x_h(k)) + M [z_h(k) - Abar x_h(k); 0].
 
-Arbitrary attainable terminals split into a homogeneous part (reached with
-zero free input) plus a null-steering correction for the remaining initial
-offset; superposition of the linear backward equation does the rest.
+The delay routes stay open loop: v(i) = D' (C(i-1) ... C(0))' G^{-1} x0
+per history, the backward equation solved under it, and u = M [q; v].
 
 Controller tables serialize one row per (stage, history) with 17
 significant digits, which round-trips float64 exactly.
@@ -22,13 +24,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import gramian, gramian_invertible
+from .criteria import _moment_terms, _running_sums, gramian_invertible
 from .errors import DimensionMismatch, SchemaError, SingularGramian, StageMismatch, TargetNotInS
 from .model import check_level, path_labels
 from .pathspace import (
@@ -38,6 +41,8 @@ from .pathspace import (
     backward_solve,
     member_of_S,
     path_products,
+    plant_step,
+    _solution,
     _terminal_array,
 )
 from .transform import TransformedSystem
@@ -62,29 +67,20 @@ def stage_products(tree: PathTree, form, upto: int, P=None) -> list[np.ndarray]:
 
 @dataclass(eq=False)
 class ControllerProcess:
-    """Synthesized steering inputs plus the backward solution they came from."""
+    """Steering inputs plus their states: closed loop (full route) or backward solution (delay routes)."""
 
     kind: str
     tree: PathTree
-    x0: np.ndarray
-    v: AdaptedProcess
-    q: AdaptedProcess
     u: AdaptedProcess
     solution: BsdeSolution
     gramian: np.ndarray
     u1: AdaptedProcess | None = None
-    target: np.ndarray | None = None  # leaf array; None steers to the origin
-
-    @property
-    def N(self) -> int:
-        return self.tree.horizon
 
 
-def _invert_gramian(G: np.ndarray, x0: np.ndarray, what: str) -> np.ndarray:
+def _check_gramian(G: np.ndarray, what: str) -> None:
     ok, smin = gramian_invertible(G)
     if not ok:
         raise SingularGramian(f"{what} has min singular value {smin:.3e}; cannot invert")
-    return np.linalg.solve(G, x0)
 
 
 def _steering_start(tree: PathTree, form, x0, target, membership):
@@ -92,47 +88,52 @@ def _steering_start(tree: PathTree, form, x0, target, membership):
 
     Checks x0 and, for a target, runs ``membership`` on its leaf array and
     rejects it with :class:`TargetNotInS` when it is not attainable.
-    Returns (x0, terminal leaf array or None, homogeneous initial offset).
+    Returns (x0, terminal leaf array, its zero-free-input solution), both None without a target.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (form.n,):
         raise DimensionMismatch(f"x0 must have length {form.n}, got {x0.shape}")
     if target is None:
-        return x0, None, np.zeros(form.n)
+        return x0, None, None
     terminal = _terminal_array(tree, form.n, target)
     result = membership(terminal)
     if not result.member:
         raise TargetNotInS(f"terminal residual {result.max_residual:.3e} exceeds tolerance {result.tol}")
-    return x0, terminal, result.x0
+    return x0, terminal, result.solution
 
 
 def _free_input_from_products(tree, form, prods, g) -> AdaptedProcess:
-    vals, depths = {}, {}
+    vals = {}
     for k in range(tree.horizon + 1):
         y = np.einsum("hab,a->hb", prods[k], g)  # (C(k-1)...C(0))' g per history
         vals[k] = y @ form.D
-        depths[k] = k
-    return AdaptedProcess(tree, vals, depths)
+    return AdaptedProcess(tree, vals, {k: k for k in vals})
 
 
 def _controller(
-    kind: str, ts: TransformedSystem, x0, G, v: AdaptedProcess, sol: BsdeSolution, terminal, u1=None
+    kind: str, ts: TransformedSystem, G, v: AdaptedProcess, sol: BsdeSolution, u1=None
 ) -> ControllerProcess:
-    """q from the solved pair, then u = M [q; v] stage by stage, bundled with the rest."""
+    """u = M [z - Abar x; v] stage by stage from the solved pair, bundled with the rest."""
     spec, tree = ts.spec, sol.tree
-    q_vals, u_vals, depths = {}, {}, {}
+    u_vals = {}
     for k in range(tree.horizon + 1):
-        xk = sol.x.at(k)
-        qk = sol.z.at(k) - xk @ spec.Abar.T
-        vk = v.at_depth(k, k)
-        q_vals[k] = qk
-        u_vals[k] = np.hstack([qk, vk]) @ ts.transform.M.T
-        depths[k] = k
-    q = AdaptedProcess(tree, q_vals, depths)
-    u = AdaptedProcess(tree, u_vals, dict(depths))
-    return ControllerProcess(
-        kind=kind, tree=tree, x0=x0, v=v, q=q, u=u, solution=sol, gramian=G, u1=u1, target=terminal
-    )
+        q = sol.z.at(k) - sol.x.at(k) @ spec.Abar.T
+        u_vals[k] = np.hstack([q, v.at_depth(k, k)]) @ ts.transform.M.T
+    u = AdaptedProcess(tree, u_vals, {k: k for k in u_vals})
+    return ControllerProcess(kind=kind, tree=tree, u=u, solution=sol, gramian=G, u1=u1)
+
+
+def _feedback_gains(ts: TransformedSystem, N: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The full route's gains K_0..K_N and G_N; pseudo-inverses cut where :func:`gramian_invertible` does."""
+    form, n = ts.form, ts.form.n
+    G = [np.zeros((n, n)), *itertools.islice(_running_sums(_moment_terms(form), n), N + 1)]  # G_{j-1}
+    _check_gramian(G[-1], f"Gramian at N = {N}")
+    gains = []
+    for j in range(N, -1, -1):  # j = N - k
+        G_plus = np.linalg.pinv(G[j + 1], rtol=n * np.finfo(float).eps)
+        q_gain = G[j] @ form.Cbar.T @ G_plus - ts.spec.Abar
+        gains.append(ts.transform.M @ np.vstack([q_gain, form.D.T @ G_plus]))
+    return gains, G[-1]
 
 
 def null_controller(ts: TransformedSystem, tree: PathTree, x0: np.ndarray) -> ControllerProcess:
@@ -156,18 +157,26 @@ def steer_to_target(
     The terminal may be a vector (constant over paths) or a full leaf
     array; None steers to the origin and gives the null controller.
     Rejects terminals outside the attainable set with
-    :class:`TargetNotInS`.
+    :class:`TargetNotInS`. The inputs come from one closed-loop pass of
+    the feedback law in this module's docstring.
     """
-    form = ts.form
-    x0, terminal, offset = _steering_start(
+    form, spec = ts.form, ts.spec
+    x0, terminal, hom = _steering_start(
         tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol)
     )
-    G = gramian(form, tree.horizon)
-    g = _invert_gramian(G, x0 - offset, f"Gramian at N = {tree.horizon}")
-    prods = stage_products(tree, form, tree.horizon)
-    v = _free_input_from_products(tree, form, prods, g)
-    sol = backward_solve(tree, form, terminal, v)  # superposition of both parts
-    return _controller("null" if terminal is None else "target", ts, x0, G, v, sol, terminal)
+    gains, G = _feedback_gains(ts, tree.horizon)
+    Mq = ts.transform.M[:, : form.n]
+    xs, u_vals = {0: x0[None, :].copy()}, {}
+    for k, K in enumerate(gains):
+        if hom is None:
+            u_vals[k] = xs[k] @ K.T
+        else:
+            xh = hom.x.at(k)
+            u_vals[k] = (xs[k] - xh) @ K.T + (hom.z.at(k) - xh @ spec.Abar.T) @ Mq.T
+        xs[k + 1] = plant_step(tree, spec, xs, k, u_vals[k])
+    u = AdaptedProcess(tree, u_vals, {k: k for k in u_vals})
+    kind = "null" if terminal is None else "target"
+    return ControllerProcess(kind=kind, tree=tree, u=u, solution=_solution(tree, xs), gramian=G)
 
 
 def q_expanded(ts: TransformedSystem, tree: PathTree, v: AdaptedProcess) -> AdaptedProcess:

@@ -405,15 +405,22 @@ def test_verify_wants_each_stage_in_node_order(capsys, tmp_path, monkeypatch, ed
     assert max(built) <= 3  # N + 1: no level of a longer label is ever built
 
 
+def _first_value(rows, edit):
+    """The rows with the first row's first value cell (by position, not by its digits) edited."""
+    cells = rows[0].split(",")
+    cells[2] = edit(cells[2])
+    return [",".join(cells)] + rows[1:]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         lambda rows: [rows[0].replace("0,", "\u0660,", 1)] + rows[1:],
         lambda rows: [" " + r if r.startswith("1,") else r for r in rows],
-        lambda rows: [rows[0].replace(",-0.9", ", -0.9", 1)] + rows[1:],
-        lambda rows: [rows[0].replace("46,", "4\u0665,", 1)] + rows[1:],
-        lambda rows: [rows[0].replace(",-0.95", ",-0.95_", 1)] + rows[1:],
-        lambda rows: [rows[0].replace(",-0.95645073489384846,", ",nan,", 1)] + rows[1:],
+        lambda rows: _first_value(rows, lambda cell: " " + cell),
+        lambda rows: _first_value(rows, lambda cell: cell[:-1] + "\u0665"),
+        lambda rows: _first_value(rows, lambda cell: cell[:-1] + "_" + cell[-1]),
+        lambda rows: _first_value(rows, lambda cell: "nan"),
     ],
     ids=["stage-arabic-indic-zero", "stage-blank", "value-blank", "value-arabic-indic-five", "value-underscore", "value-nan"],
 )

@@ -122,8 +122,8 @@ def test_instance_roundtrip(bench_full):
         assert np.array_equal(getattr(again.system, field), getattr(every_key, field)), field
     assert again.system.noise == noise
     assert np.array_equal(again.x0, expected["x0"])
-    assert list(again.target) == list(target)
-    assert all(np.array_equal(again.target[label], target[label]) for label in target)
+    assert np.array_equal(again.target, np.array([target[label] for label in path_labels(3, 2)]))
+    assert not again.target.flags.writeable
 
 
 def test_bundled_instances_parse():
@@ -210,7 +210,7 @@ def test_target_keys_checked(bench_full):
         parse_instance(json.dumps(doc))
     doc["target"] = full
     inst = parse_instance(json.dumps(doc))
-    assert set(inst.target) == set(full)
+    assert np.array_equal(inst.target, [full[label] for label in path_labels(2, 2)])
     with pytest.raises(DimensionMismatch):  # built directly, a short vector is no schema error
         ProblemInstance(system=spec, N=1, target=dict(full, **{"11": [0.0]}))
 

@@ -7,6 +7,8 @@ from stochctrl import (
     EnumerationTooLarge,
     NoiseModel,
     PathTree,
+    ProblemInstance,
+    SchemaError,
     StageMismatch,
     TransformedSystem,
     backward_solve,
@@ -82,12 +84,15 @@ def test_adapted_process_guards(rng):
         AdaptedProcess(tree, {0: rng.normal(size=(3, 2))}, {0: 0})  # wrong node count
 
 
-def test_terminal_from_map(rng):
-    tree = PathTree(NoiseModel.rademacher(), 1)
+def test_terminal_from_map(bench_full):
+    spec, _ = bench_full
     mapping = {"00": [1.0, 0.0], "01": [0.0, 1.0], "10": [2.0, 0.0], "11": [0.0, 2.0]}
-    arr = terminal_from_map(tree, 2, mapping)
+    leaves = ProblemInstance(spec, 1, target=mapping).target
+    arr = terminal_from_map(PathTree(spec.noise, 1), 2, leaves)
     assert arr.shape == (4, 2)
     np.testing.assert_array_equal(arr[2], [2.0, 0.0])  # node order: "10" is leaf 2
+    with pytest.raises(SchemaError):  # a horizon override that does not fit the target
+        terminal_from_map(PathTree(spec.noise, 2), 2, leaves)
 
 
 def test_backward_solve_z_is_weighted_mean(rng):

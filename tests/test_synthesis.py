@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from stochctrl import (
+    AdaptedProcess,
     NoiseModel,
     PathTree,
     SchemaError,
@@ -18,6 +19,7 @@ from stochctrl import (
     random_free_input,
     random_x0,
     read_controller_table,
+    split_u,
     steer_to_target,
 )
 
@@ -86,14 +88,15 @@ def test_singular_gramian_refused(bench_uncontrollable):
 
 
 def test_q_expanded_cross_check(rng):
-    # Two routes to the absorbed input must agree: solved pair vs
-    # expanded tail sum.
+    # Two routes to the absorbed input must agree: the feedback's q vs the
+    # expanded tail sum under the feedback's v, both split from u = M [q; v].
     ts = random_controllable(rng, 2, 3, 2)
     tree = PathTree(ts.spec.noise, 2)
     ctrl = null_controller(ts, tree, random_x0(rng, 2))
-    alt = q_expanded(ts, tree, ctrl.v)
+    q, v = zip(*(split_u(ts.transform, ctrl.u.at_depth(k, k)) for k in range(3)))
+    alt = q_expanded(ts, tree, AdaptedProcess(tree, dict(enumerate(v)), {k: k for k in range(3)}))
     for k in range(3):
-        np.testing.assert_allclose(ctrl.q.at_depth(k, k), alt.at(k), atol=1e-10)
+        np.testing.assert_allclose(q[k], alt.at(k), atol=1e-10)
 
 
 def test_csv_roundtrip_exact(rng, tmp_path):
