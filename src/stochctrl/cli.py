@@ -9,7 +9,9 @@ Each route kind (full, partial, reduced, input-delay, state-delay) is one
 :class:`Route` record in ``ROUTES``; :func:`_route` is the only place
 that tells the kinds apart.
 
-Exit codes: 0 controllable / verified / matching; 1 negative outcome;
+Exit codes: 0 controllable / verified / matching; 1 negative outcome,
+including a synthesized controller whose own closed loop ends farther
+than ``--tol`` from the target (the report and table are still written);
 2 the criterion does not apply to the instance; 3 singular Gramian;
 4 target not attainable; 5 malformed controller table; 6 anything else.
 """
@@ -230,14 +232,14 @@ def cmd_synthesize(args) -> int:
     ts = TransformedSystem.build(vs)
     target = None if inst.target is None else terminal_from_map(tree, spec.n, inst.target)
     ctrl = ROUTES[route].controller(ts, tree, inst.x0, target, args.tol)
-    xs = forward_simulate(tree, spec, inst.x0, ctrl.u, u1=ctrl.u1)
+    deviation = _deviation(tree, ctrl.x, target)
     pairs = [
         ("command", "synthesize"),
         ("kind", ctrl.kind),
         ("N", tree.horizon),
         ("paths", tree.n_nodes(tree.horizon + 1)),
-        ("x0_error", float(np.abs(ctrl.solution.x0 - inst.x0).max())),
-        ("terminal_deviation", _deviation(tree, xs, target)),
+        ("x0_error", float(np.abs(ctrl.x.at(0)[0] - inst.x0).max())),
+        ("terminal_deviation", deviation),
         ("tolerance", args.tol),
         ("gramian_min_singular", float(np.linalg.svd(ctrl.gramian, compute_uv=False)[-1])),
     ]
@@ -247,7 +249,7 @@ def cmd_synthesize(args) -> int:
         _emit(_render(pairs, args.format), None)
     else:
         sys.stdout.write(controller_csv_text(ctrl))
-    return EXIT_YES
+    return EXIT_YES if deviation <= args.tol else EXIT_NO
 
 
 def cmd_verify(args) -> int:

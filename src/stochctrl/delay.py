@@ -9,6 +9,21 @@ C1 x(k - d); the deterministic P(k) iteration absorbs that coupling and
 the Gramian weaves P(k) between the random stage factors. The same P(k)
 pivot the elimination that solves the delayed backward equation.
 
+Both controllers are feedback laws in ``synthesis``'s closed loop, on
+e = x - x_h with j = N - k. Input delay, a Smith predictor: xi(k) is e(k)
+less sum_{i=k}^{min(k+tau-1, N)} C^{i-k} D1 u1(i - tau), the delayed
+inputs on their way; y = H_j^+ xi with H_j the Gramian less its
+pre-horizon terms i < tau (H_{-1} = 0); v = D' y, z = z_h + H_{j-1} Cbar' y
+and u1(k) = D1' C^tau' y for k <= N - tau. The pre-horizon inputs are
+u1(i - tau) = D1' C^i' G_N^{-1} e(0). State delay: r(k) = e(k) -
+sum_j Q_j(k) e(k - j) with the elimination's lag gains,
+S_k = P(k) (D D' + Lambda(S_{k+1})) P(k)' from S_{N+1} = 0 (S_0 is the
+Gramian), y = S_k^+ r, v = D' P(k)' y and z = z_h + S_{k+1} Cbar' P(k)' y.
+The pseudo-inverses are exact: the positive semi-definite sums H_j (of
+D D', Cbar H_{j-1} Cbar' and, for j >= tau, C^tau D1 D1' C^tau') and S_k
+(of P(k) D D' P(k)' and P(k) Cbar S_{k+1} Cbar' P(k)') span every range
+the laws map y through.
+
 Each Gramian has a literal path-enumeration oracle next to it. The
 closed forms are derived (the collapse step is not written out in any
 one place); the oracles recompute the defining expectations term by
@@ -28,26 +43,17 @@ from .errors import DimensionMismatch
 from .model import NoiseModel, SystemSpec, ValidatedSystem
 from .pathspace import (
     DEFAULT_CAP,
-    AdaptedProcess,
     PathTree,
     SMembership,
     _membership,
     _state_delay_gains,
     _terminal_array,
-    backward_solve,
     backward_solve_state_delay,
     member_of_S,
     path_products,
     weighted_gram,
 )
-from .synthesis import (
-    ControllerProcess,
-    _check_gramian,
-    _controller,
-    _free_input_from_products,
-    _steering_start,
-    stage_products,
-)
+from .synthesis import ControllerProcess, _check_gramian, _closed_loop, _pinv, _steering_start
 from .transform import BsdeForm, TransformedSystem
 
 
@@ -56,17 +62,18 @@ from .transform import BsdeForm, TransformedSystem
 
 
 def _input_delay_terms(form: BsdeForm, tau: int):
-    """N-th summand of the delayed-input Gramian.
+    """Free and delayed parts (X, T) of the N-th summand of the delayed-input Gramian.
 
-    The free channel contributes Lambda^i(D D') as usual. The delayed
+    The free channel contributes X = Lambda^i(D D') as usual. The delayed
     channel's i-th term is E[Phi_i D1 D1' Phi_i'] with
     Phi_i = E[C(0)...C(i-1) | F(i-tau-1)]; independence collapses Phi_i
-    to C(0)...C(i-tau-1) C^tau, so the term is C^i D1 D1' (C^i)' while
-    i <= tau and gains one Lambda application per stage after that.
+    to C(0)...C(i-tau-1) C^tau, so T = C^i D1 D1' (C^i)' while i <= tau
+    and gains one Lambda application per stage after that. T belongs to
+    the pre-horizon input u1(i - tau) while i < tau.
     """
     T = form.D1 @ form.D1.T
     for i, X in enumerate(_moment_terms(form)):
-        yield X + T
+        yield X, T
         T = form.C @ T @ form.C.T if i < tau else moment_step(form.C, form.Cbar, T)
 
 
@@ -76,7 +83,8 @@ def input_delay_gramian(form: BsdeForm, tau: int, N: int) -> np.ndarray:
         raise DimensionMismatch("form has no delayed input channel D1")
     if tau < 1:
         raise ValueError(f"input delay must be >= 1, got {tau}")
-    return sum(itertools.islice(_input_delay_terms(form, tau), N + 1), np.zeros((form.n, form.n)))
+    terms = (X + T for X, T in _input_delay_terms(form, tau))
+    return sum(itertools.islice(terms, N + 1), np.zeros((form.n, form.n)))
 
 
 def input_delay_gramian_oracle(
@@ -109,35 +117,36 @@ def input_delay_controller(
     target=None,
     tol: float = 1e-8,
 ) -> ControllerProcess:
-    """Steer x0 to the origin (or an attainable target) despite the lag.
+    """Steer x0 to the origin (or an attainable target) by this module's Smith-predictor law.
 
-    The free input v follows the plain Gramian pattern; the delayed input
-    at stage i - tau uses the conditional mean of the stage product,
-    which is known that early. Stages i - tau < 0 are pre-horizon
-    decisions; they are deterministic and carried in the output table.
+    The pre-horizon u1 stages -tau..-1 are deterministic and carried in the output table.
     """
     spec, form = ts.spec, ts.form
     if spec.B1 is None or spec.tau is None:
         raise ValueError("system has no delayed input channel")
-    tau, N = spec.tau, tree.horizon
-    x0, terminal, hom = _steering_start(
-        tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol)
-    )
+    tau, N, n = spec.tau, tree.horizon, form.n
+    x0, hom = _steering_start(tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol))
     G = input_delay_gramian(form, tau, N)
     _check_gramian(G, f"delayed-input Gramian at N = {N}")
     g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
-    prods = stage_products(tree, form, N)
-    v = _free_input_from_products(tree, form, prods, g)
-    u1_vals, u1_depths = {}, {}
-    for i in range(N + 1):
-        depth = max(0, i - tau)
-        Phi = prods[depth] @ np.linalg.matrix_power(form.C, min(i, tau))
-        y = np.einsum("hab,a->hb", Phi, g)
-        u1_vals[i - tau] = y @ form.D1
-        u1_depths[i - tau] = depth
-    u1 = AdaptedProcess(tree, u1_vals, u1_depths)
-    sol = backward_solve(tree, form, terminal, v, u1=u1, tau=tau)
-    return _controller("input-delay", ts, G, v, sol, u1)
+    in_horizon = (X + T if i >= tau else X for i, (X, T) in enumerate(_input_delay_terms(form, tau)))
+    H = [np.zeros((n, n)), *itertools.islice(_running_sums(in_horizon, n), N + 1)]  # H_{j-1}
+    CD1 = [np.linalg.matrix_power(form.C, i) @ form.D1 for i in range(tau + 1)]  # C^i D1
+    gains, u1_gains = [], []
+    for j in range(N, -1, -1):
+        H_plus = _pinv(H[j + 1])
+        gains.append(ts.transform.M @ np.vstack([H[j] @ form.Cbar.T, form.D.T]) @ H_plus)
+        if j >= tau:
+            u1_gains.append(CD1[tau].T @ H_plus)
+    pre = {i - tau: (g @ CD1[i])[None, :] for i in range(min(tau, N + 1))}
+
+    def predict(k, e, u1):
+        xi = e[k]
+        for i in range(k, min(k + tau - 1, N) + 1):
+            xi = xi - tree.lift(u1[i - tau], max(0, i - tau), k) @ CD1[i - k].T
+        return xi
+
+    return _closed_loop("input-delay", ts, tree, x0, hom, G, gains, predict, (u1_gains, pre))
 
 
 def input_delay_decide(
@@ -150,7 +159,7 @@ def input_delay_decide(
     spec = ts.spec
     if spec.B1 is None or spec.tau is None:
         raise ValueError("system has no delayed input channel")
-    gramians = _running_sums(_input_delay_terms(ts.form, spec.tau), spec.n)
+    gramians = _running_sums((X + T for X, T in _input_delay_terms(ts.form, spec.tau)), spec.n)
     return _delay_scan("input-delay", ts, gramians, N_max, rank_tol)
 
 
@@ -221,11 +230,16 @@ def state_delay_gramian(
         pseq = state_delay_P(form, d, N)
     if pseq.N != N or pseq.d != d:
         raise ValueError("P-sequence was built for a different horizon or delay")
+    return _state_delay_sums(form, pseq.P)[0]
+
+
+def _state_delay_sums(form: BsdeForm, P) -> list[np.ndarray]:
+    """S_0, ..., S_{N+1}: S_{N+1} = 0 and S_k = P(k) (D D' + Lambda(S_{k+1})) P(k)'."""
     DDt = form.D @ form.D.T
-    S = np.zeros((form.n, form.n))
-    for j in range(N, -1, -1):
-        S = pseq.P[j] @ (DDt + moment_step(form.C, form.Cbar, S)) @ pseq.P[j].T
-    return S
+    S = [np.zeros((form.n, form.n))]
+    for Pk in reversed(P):
+        S.append(Pk @ (DDt + moment_step(form.C, form.Cbar, S[-1])) @ Pk.T)
+    return S[::-1]
 
 
 def state_delay_gramian_oracle(
@@ -260,27 +274,32 @@ def state_delay_controller(
     target=None,
     tol: float = 1e-8,
 ) -> ControllerProcess:
-    """Steer x0 to the origin (or an attainable target) despite the lag.
+    """Steer x0 to the origin (or an attainable target) by this module's lag-gain law.
 
-    Pre-horizon states are zero, so the P-weighted products start clean
-    at stage 0. The backward solution couples stages d apart; elimination
-    with the P-sequence as pivots solves it in two sweeps over the tree.
+    Pre-horizon states are zero.
     """
     spec, form = ts.spec, ts.form
     if spec.A1 is None or spec.d is None:
         raise ValueError("system has no delayed state channel")
     d, N = spec.d, tree.horizon
-    x0, terminal, hom = _steering_start(
+    x0, hom = _steering_start(
         tree, form, x0, target, lambda t: member_of_S_state_delay(tree, form, d, t, tol=tol)
     )
-    pseq = state_delay_P(form, d, N)
-    G = state_delay_gramian(form, d, N, pseq)
-    _check_gramian(G, f"delayed-state Gramian at N = {N}")
-    g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
-    prods = stage_products(tree, form, N, pseq.P)
-    v = _free_input_from_products(tree, form, prods, g)
-    sol = backward_solve_state_delay(tree, form, d, terminal, v)
-    return _controller("state-delay", ts, G, v, sol)
+    P, Q = _state_delay_gains(form, d, N)
+    S = _state_delay_sums(form, P)
+    _check_gramian(S[0], f"delayed-state Gramian at N = {N}")
+    gains = [
+        ts.transform.M @ np.vstack([S[k + 1] @ form.Cbar.T, form.D.T]) @ P[k].T @ _pinv(S[k])
+        for k in range(N + 1)
+    ]
+
+    def predict(k, e, _):
+        r = e[k]
+        for j in range(1, min(d, k) + 1):
+            r = r - tree.lift(e[k - j], k - j, k) @ Q[k][j - 1].T
+        return r
+
+    return _closed_loop("state-delay", ts, tree, x0, hom, S[0], gains, predict)
 
 
 def state_delay_decide(

@@ -11,9 +11,10 @@ k-1 live at depth k. An :class:`AdaptedProcess` stores each stage at its
 coarsest measurable depth and never replicates values per leaf.
 
 :func:`path_products` is the one place per-history products of the
-random factors C + w Cbar are built: the delay routes' controllers, the
-terminal-product formula and every enumeration oracle (in ``criteria``
-and ``delay``) take their products from it.
+random factors C + w Cbar are built: the terminal-product formula and
+every enumeration oracle (in ``criteria`` and ``delay``) take their
+products from it. No controller builds them; every route steers by
+state feedback (see ``synthesis``).
 """
 from __future__ import annotations
 
@@ -245,29 +246,17 @@ def backward_solve(
     form: BsdeForm,
     terminal,
     v: AdaptedProcess | None = None,
-    *,
-    u1: AdaptedProcess | None = None,
-    tau: int | None = None,
 ) -> BsdeSolution:
-    """Solve x(k) = E[(C + w(k) Cbar) x(k+1) | past] + D v(k) [+ D1 u1(k-tau)].
+    """Solve x(k) = E[(C + w(k) Cbar) x(k+1) | past] + D v(k).
 
     ``terminal`` may be None (origin), an n-vector, or a full leaf array.
     ``v`` (None: zero free input) must hold stages 0..N with stage k
-    measurable at depth <= k; the same applies to ``u1`` at stages
-    -tau..N-tau (depth 0 before stage 0).
+    measurable at depth <= k.
     """
-    n, N = form.n, tree.horizon
-    if (u1 is None) != (tau is None):
-        raise StageMismatch("u1 and tau must be supplied together")
-    if u1 is not None and form.D1 is None:
-        raise DimensionMismatch("form has no delayed input channel D1")
     cmats = form.stage_factors(tree.support)
-    x_vals = {N + 1: _terminal_array(tree, n, terminal)}
-    for k in range(N, -1, -1):
-        xk = _stage_step(tree, form, cmats, x_vals[k + 1], v, k)
-        if u1 is not None:
-            xk = xk + _check_input(tree, u1, k - tau, form.D1.shape[1], "u1", to_depth=k) @ form.D1.T
-        x_vals[k] = xk
+    x_vals = {tree.horizon + 1: _terminal_array(tree, form.n, terminal)}
+    for k in range(tree.horizon, -1, -1):
+        x_vals[k] = _stage_step(tree, form, cmats, x_vals[k + 1], v, k)
     return _solution(tree, x_vals)
 
 
@@ -433,19 +422,24 @@ def forward_simulate(
         raise StageMismatch("system has a delayed input channel; u1 is required")
     xs = {0: x0[None, :].copy()}
     for k in range(N + 1):
-        xs[k + 1] = plant_step(tree, spec, xs, k, _check_input(tree, u, k, spec.m, "u"), u1)
+        uk = _check_input(tree, u, k, spec.m, "u")
+        u1k = None if spec.B1 is None else _check_input(
+            tree, u1, k - spec.tau, spec.B1.shape[1], "u1", to_depth=k
+        )
+        xs[k + 1] = plant_step(tree, spec, xs, k, uk, u1k)
     return AdaptedProcess(tree, xs, {k: k for k in range(N + 2)})
 
 
-def plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk: np.ndarray, u1=None) -> np.ndarray:
-    """x(k+1) from the states ``xs`` up to stage k and u(k), at depth k + 1.
+def plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk: np.ndarray, u1k=None) -> np.ndarray:
+    """x(k+1) from the states ``xs`` up to stage k, u(k) and u1(k - tau), at depth k + 1.
 
-    The full route's closed loop takes this step too, so its table replays exactly.
+    ``u1k`` is the delayed input entering at stage k, already at depth k.
+    Every route's closed loop takes this step too, so its table replays exactly.
     """
     xk = xs[k]
     drift = xk @ spec.A.T + uk @ spec.B.T
-    if spec.B1 is not None:
-        drift = drift + _check_input(tree, u1, k - spec.tau, spec.B1.shape[1], "u1", to_depth=k) @ spec.B1.T
+    if u1k is not None:
+        drift = drift + u1k @ spec.B1.T
     if spec.A1 is not None and k - spec.d >= 0:
         xkd = tree.lift(xs[k - spec.d], k - spec.d, k)
         drift = drift + xkd @ spec.A1.T

@@ -1,20 +1,19 @@
 """Steering controller construction and controller table I/O.
 
-On the full route the minimum-energy controller is a state feedback. With
-G_j the Gramian over horizon j (G_{-1} = 0), the backward equation gives
-x(k) = G_{N-k} y(k) for y(k) = (C(k-1) ... C(0))' G_N^{-1} x0, so
-
-    u(k) = M [q(k); v(k)] = K_k x(k),  K_k = M [G_{N-k-1} Cbar' G_{N-k}^+ - Abar; D' G_{N-k}^+]
-
-with v = D' y and q = z - Abar x, z(k) = G_{N-k-1} Cbar' y(k). The
-pseudo-inverse is exact: range D lies in range G_j, and Cbar' maps null
-G_j into null G_{j-1}. One closed-loop pass, through the plant step of
-:func:`pathspace.forward_simulate`, writes u; x(0) = x0 by construction.
-An attainable terminal adds the homogeneous solution (x_h, z_h) reached
-with zero free input: u(k) = K_k (x(k) - x_h(k)) + M [z_h(k) - Abar x_h(k); 0].
-
-The delay routes stay open loop: v(i) = D' (C(i-1) ... C(0))' G^{-1} x0
-per history, the backward equation solved under it, and u = M [q; v].
+Every route steers by the minimum-energy law of its backward equation,
+run as a state feedback. Along that equation's solution a predictor
+p(k) equals S_k y(k), with S_k the route's Gramian over stages k..N and
+y the costate carried from y(0) = S_0^{-1} x0 by the stage factors; v
+and z = E[w x(k+1) | past] are fixed matrices times y. Each stage reads
+y = S_k^+ p(k) off the states and applies u = M [z - Abar x; v]. With
+j = N - k the full route has S_k = G_j (G_{-1} = 0), p = x, v = D' y and
+z = G_{j-1} Cbar' y, exact as range D and range Cbar G_{j-1} lie in
+range G_j; the input-delay (Smith predictor, S_k = H_j) and state-delay
+(lag gains, P-weighted S_k) laws are in ``delay``. A target adds the
+homogeneous solution (x_h, z_h) reached with zero free input: the law
+acts on e = x - x_h and z gains z_h. One closed-loop pass through
+:func:`pathspace.plant_step`, the step of forward simulation, writes u
+(and u1), so a table replays its own states bit for bit and x(0) = x0.
 
 Controller tables serialize one row per (stage, history) with 17
 significant digits, which round-trips float64 exactly.
@@ -36,13 +35,11 @@ from .errors import DimensionMismatch, SchemaError, SingularGramian, StageMismat
 from .model import check_level, path_labels
 from .pathspace import (
     AdaptedProcess,
-    BsdeSolution,
     PathTree,
     backward_solve,
     member_of_S,
     path_products,
     plant_step,
-    _solution,
     _terminal_array,
 )
 from .transform import TransformedSystem
@@ -56,23 +53,18 @@ _LINE_CHARS = bytes(c for c in range(0x21, 0x7F) if c != ord("_")) + b"\r\n"
 
 
 def stage_products(tree: PathTree, form, upto: int, P=None) -> list[np.ndarray]:
-    """Per-history products C(0) ... C(k-1) for k = 0..upto.
-
-    Entry k has shape (s^k, n, n); entry 0 is the identity. With a
-    P-sequence the entries are P(0) C(0) P(1) ... C(k-1) P(k), as the
-    delayed-state controller needs.
-    """
+    """Per-history products C(0) ... C(k-1) (P-weighted with ``P``), k = 0..upto; no controller uses them."""
     return list(path_products(form, tree.support, upto, P))
 
 
 @dataclass(eq=False)
 class ControllerProcess:
-    """Steering inputs plus their states: closed loop (full route) or backward solution (delay routes)."""
+    """Steering inputs plus the closed-loop states x(0..N+1) they produce."""
 
     kind: str
     tree: PathTree
     u: AdaptedProcess
-    solution: BsdeSolution
+    x: AdaptedProcess
     gramian: np.ndarray
     u1: AdaptedProcess | None = None
 
@@ -83,57 +75,55 @@ def _check_gramian(G: np.ndarray, what: str) -> None:
         raise SingularGramian(f"{what} has min singular value {smin:.3e}; cannot invert")
 
 
+def _pinv(S: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse cut where :func:`gramian_invertible` cuts, at n eps sigma_max."""
+    return np.linalg.pinv(S, rtol=S.shape[0] * np.finfo(float).eps)
+
+
 def _steering_start(tree: PathTree, form, x0, target, membership):
     """Shared start of every steering controller.
 
     Checks x0 and, for a target, runs ``membership`` on its leaf array and
     rejects it with :class:`TargetNotInS` when it is not attainable.
-    Returns (x0, terminal leaf array, its zero-free-input solution), both None without a target.
+    Returns x0 and the target's zero-free-input solution (None without a target).
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (form.n,):
         raise DimensionMismatch(f"x0 must have length {form.n}, got {x0.shape}")
     if target is None:
-        return x0, None, None
-    terminal = _terminal_array(tree, form.n, target)
-    result = membership(terminal)
+        return x0, None
+    result = membership(_terminal_array(tree, form.n, target))
     if not result.member:
         raise TargetNotInS(f"terminal residual {result.max_residual:.3e} exceeds tolerance {result.tol}")
-    return x0, terminal, result.solution
+    return x0, result.solution
 
 
-def _free_input_from_products(tree, form, prods, g) -> AdaptedProcess:
-    vals = {}
-    for k in range(tree.horizon + 1):
-        y = np.einsum("hab,a->hb", prods[k], g)  # (C(k-1)...C(0))' g per history
-        vals[k] = y @ form.D
-    return AdaptedProcess(tree, vals, {k: k for k in vals})
+def _closed_loop(kind, ts: TransformedSystem, tree: PathTree, x0, hom, G, gains, predict, u1_law=None):
+    """Run one route's feedback law over the tree: the pass every route shares.
 
-
-def _controller(
-    kind: str, ts: TransformedSystem, G, v: AdaptedProcess, sol: BsdeSolution, u1=None
-) -> ControllerProcess:
-    """u = M [z - Abar x; v] stage by stage from the solved pair, bundled with the rest."""
-    spec, tree = ts.spec, sol.tree
-    u_vals = {}
-    for k in range(tree.horizon + 1):
-        q = sol.z.at(k) - sol.x.at(k) @ spec.Abar.T
-        u_vals[k] = np.hstack([q, v.at_depth(k, k)]) @ ts.transform.M.T
-    u = AdaptedProcess(tree, u_vals, {k: k for k in u_vals})
-    return ControllerProcess(kind=kind, tree=tree, u=u, solution=sol, gramian=G, u1=u1)
-
-
-def _feedback_gains(ts: TransformedSystem, N: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """The full route's gains K_0..K_N and G_N; pseudo-inverses cut where :func:`gramian_invertible` does."""
-    form, n = ts.form, ts.form.n
-    G = [np.zeros((n, n)), *itertools.islice(_running_sums(_moment_terms(form), n), N + 1)]  # G_{j-1}
-    _check_gramian(G[-1], f"Gramian at N = {N}")
-    gains = []
-    for j in range(N, -1, -1):  # j = N - k
-        G_plus = np.linalg.pinv(G[j + 1], rtol=n * np.finfo(float).eps)
-        q_gain = G[j] @ form.Cbar.T @ G_plus - ts.spec.Abar
-        gains.append(ts.transform.M @ np.vstack([q_gain, form.D.T @ G_plus]))
-    return gains, G[-1]
+    ``gains[k]`` maps the predictor p = ``predict(k, e, u1)`` to M [z - z_h; v], where
+    ``e`` holds x - x_h at stages 0..k (x_h = 0 without the target solution ``hom``) and
+    ``u1`` the delayed inputs decided so far. On the input-delay route ``u1_law`` is
+    (gains from p to u1(k) for k = 0..N - tau, pre-horizon u1 by stage).
+    """
+    spec = ts.spec
+    Mq = ts.transform.M[:, : ts.form.n]
+    Mq_Abar = Mq @ spec.Abar
+    u1_gains, u1_vals = u1_law or ((), None)
+    xs, es, u_vals = {0: x0[None, :].copy()}, {}, {}
+    for k, K in enumerate(gains):
+        es[k] = xs[k] if hom is None else xs[k] - hom.x.at(k)
+        p = predict(k, es, u1_vals)
+        u_vals[k] = p @ K.T - xs[k] @ Mq_Abar.T  # M [z - z_h - Abar x; v]
+        if hom is not None:
+            u_vals[k] += hom.z.at(k) @ Mq.T
+        if k < len(u1_gains):
+            u1_vals[k] = p @ u1_gains[k].T
+        u1k = None if u1_vals is None else tree.lift(u1_vals[k - spec.tau], max(0, k - spec.tau), k)
+        xs[k + 1] = plant_step(tree, spec, xs, k, u_vals[k], u1k)
+    u1 = None if u1_vals is None else AdaptedProcess(tree, u1_vals, {j: max(0, j) for j in u1_vals})
+    u, x = (AdaptedProcess(tree, vals, {k: k for k in vals}) for vals in (u_vals, xs))
+    return ControllerProcess(kind=kind, tree=tree, u=u, x=x, gramian=G, u1=u1)
 
 
 def null_controller(ts: TransformedSystem, tree: PathTree, x0: np.ndarray) -> ControllerProcess:
@@ -158,25 +148,18 @@ def steer_to_target(
     array; None steers to the origin and gives the null controller.
     Rejects terminals outside the attainable set with
     :class:`TargetNotInS`. The inputs come from one closed-loop pass of
-    the feedback law in this module's docstring.
+    the full route's law in this module's docstring, with the N+1 gains
+    K_k = M [G_{N-k-1} Cbar'; D'] G_{N-k}^+ built in O(N n^3), no tree.
     """
-    form, spec = ts.form, ts.spec
-    x0, terminal, hom = _steering_start(
-        tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol)
-    )
-    gains, G = _feedback_gains(ts, tree.horizon)
-    Mq = ts.transform.M[:, : form.n]
-    xs, u_vals = {0: x0[None, :].copy()}, {}
-    for k, K in enumerate(gains):
-        if hom is None:
-            u_vals[k] = xs[k] @ K.T
-        else:
-            xh = hom.x.at(k)
-            u_vals[k] = (xs[k] - xh) @ K.T + (hom.z.at(k) - xh @ spec.Abar.T) @ Mq.T
-        xs[k + 1] = plant_step(tree, spec, xs, k, u_vals[k])
-    u = AdaptedProcess(tree, u_vals, {k: k for k in u_vals})
-    kind = "null" if terminal is None else "target"
-    return ControllerProcess(kind=kind, tree=tree, u=u, solution=_solution(tree, xs), gramian=G)
+    form, n, N = ts.form, ts.form.n, tree.horizon
+    x0, hom = _steering_start(tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol))
+    G = [np.zeros((n, n)), *itertools.islice(_running_sums(_moment_terms(form), n), N + 1)]  # G_{j-1}
+    _check_gramian(G[-1], f"Gramian at N = {N}")
+    gains = [
+        ts.transform.M @ np.vstack([G[j] @ form.Cbar.T, form.D.T]) @ _pinv(G[j + 1]) for j in range(N, -1, -1)
+    ]
+    kind = "null" if hom is None else "target"
+    return _closed_loop(kind, ts, tree, x0, hom, G[-1], gains, lambda k, e, _: e[k])
 
 
 def q_expanded(ts: TransformedSystem, tree: PathTree, v: AdaptedProcess) -> AdaptedProcess:

@@ -125,6 +125,21 @@ def test_synthesize_delay_routes(capsys, tmp_path):
         assert code == 0
 
 
+@pytest.mark.parametrize("inst", [FULL, IN_DELAY, ST_DELAY])
+def test_synthesize_fails_past_its_own_tolerance(capsys, tmp_path, inst):
+    # Each closed loop ends within 1e-13 of the origin, but not on it.
+    table = tmp_path / "c.csv"
+    code, out, _ = run(capsys, "synthesize", "--instance", inst, "--tol", "1e-30", "--out", str(table))
+    got = as_dict(out)
+    assert code == 1
+    assert 1e-30 < float(got["terminal_deviation"]) < 1e-13
+    assert got["tolerance"] == "1.0000000000000001e-30"
+    assert table.read_text().startswith("stage,history,u_0")
+    code, out, _ = run(capsys, "synthesize", "--instance", inst, "--tol", "1e-30")
+    assert code == 1
+    assert out.startswith("stage,history,u_0")
+
+
 def test_synthesize_inapplicable_routes(capsys):
     code, _, err = run(capsys, "synthesize", "--instance", OUTPUT)
     assert code == 2

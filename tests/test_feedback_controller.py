@@ -126,8 +126,8 @@ def test_table_replays_the_closed_loop_bit_for_bit(law, n, N, target):
     ctrl = steer_to_target(ts, tree, x0, goal)
     sim = forward_simulate(tree, ts.spec, x0, ctrl.u)
     for k in range(N + 2):
-        assert np.array_equal(sim.at(k), ctrl.solution.x.at(k)), k
-    assert np.array_equal(ctrl.solution.x0, x0)
+        assert np.array_equal(sim.at(k), ctrl.x.at(k)), k
+    assert np.array_equal(ctrl.x.at(0)[0], x0)
 
 
 def test_deep_full_route_stays_exact_through_the_cli(capsys, tmp_path):

@@ -34,7 +34,7 @@ def test_null_controller_benchmark(bench_full_ts, bench_full):
     _, expected = bench_full
     tree = PathTree(bench_full_ts.spec.noise, 2)
     ctrl = null_controller(bench_full_ts, tree, expected["x0"])
-    assert np.abs(ctrl.solution.x0 - expected["x0"]).max() < 1e-10
+    assert np.abs(ctrl.x.at(0)[0] - expected["x0"]).max() < 1e-10
     assert closed_loop_gap(bench_full_ts, tree, expected["x0"], ctrl) < 1e-8
 
 

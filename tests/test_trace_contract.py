@@ -53,11 +53,13 @@ def test_tracer_records_every_route_layer(tmp_path):
     bundled = sorted(str(p) for p in INSTANCE_DIR.glob("*.json"))
     steered = [str(INSTANCE_DIR / name) for name in
                ("fullrank_2x3.json", "input_delay_tau1.json", "state_delay_d1.json")]
-    doc = json.loads((INSTANCE_DIR / "fullrank_2x3.json").read_text())
-    doc["N"], doc["target"] = 1, {label: [0.0, 0.0] for label in ("00", "01", "10", "11")}
-    path_target = tmp_path / "path_target.json"
-    path_target.write_text(json.dumps(doc))
-    steered.append(str(path_target))
+    # Zero path targets: membership runs each route's homogeneous backward solve.
+    for name in ("fullrank_2x3.json", "state_delay_d1.json"):
+        doc = json.loads((INSTANCE_DIR / name).read_text())
+        doc["N"], doc["target"] = 1, {label: [0.0, 0.0] for label in ("00", "01", "10", "11")}
+        path_target = tmp_path / f"path_target_{name}"
+        path_target.write_text(json.dumps(doc))
+        steered.append(str(path_target))
     original = cli.gramian_oracle
     tracer = spans.Tracer()
     tracer.install()
