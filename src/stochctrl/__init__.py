@@ -15,9 +15,8 @@ from .criteria import (
     gramian,
     gramian_invertible,
     gramian_oracle,
+    gramian_sequence,
     moment_step,
-    rank_test_words,
-    word_matrix,
     word_span,
 )
 from .delay import (
@@ -90,7 +89,6 @@ from .synthesis import (
     ControllerProcess,
     controller_csv_text,
     null_controller,
-    q_expanded,
     read_controller_table,
     steer_to_target,
     write_controller_csv,

@@ -13,11 +13,14 @@ Exit codes: 0 controllable / verified / matching; 1 negative outcome,
 including a synthesized controller whose own closed loop ends farther
 than ``--tol`` from the target (the report and table are still written);
 2 the criterion does not apply to the instance; 3 singular Gramian;
-4 target not attainable; 5 malformed controller table; 6 anything else.
+4 target not attainable; 5 malformed controller table; 6 anything else,
+command-line usage errors included (a horizon below 0, a tolerance that
+is negative or not finite).
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -296,22 +299,44 @@ def cmd_oracle_check(args) -> int:
     return EXIT_YES if ok else EXIT_NO
 
 
-def _add_common(sub, tol_default: float) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with ``EXIT_ERROR``: argparse's own 2 means "inapplicable" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _nonnegative(convert):
+    """Argument type: ``convert(text)``, rejected unless finite and >= 0."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value: 'abc'"
+    return parse
+
+
+def _add_common(sub, tol_default: float | None) -> None:
     sub.add_argument("--instance", required=True, help="path to a JSON instance file")
-    sub.add_argument("--N", type=int, default=None, help="horizon override")
-    sub.add_argument("--tol", type=float, default=tol_default, help="decision tolerance")
+    sub.add_argument("--N", type=_nonnegative(int), default=None, help="horizon override (>= 0)")
+    if tol_default is not None:
+        sub.add_argument("--tol", type=_nonnegative(float), default=tol_default, help="decision tolerance")
     sub.add_argument("--format", choices=("text", "csv"), default="text", help="report format")
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help="path enumeration cap")
     sub.add_argument("--out", default=None, help="also write the report (or controller table) here")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stochctrl",
         description="Exact controllability analysis for linear systems with multiplicative noise.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    _add_common(commands.add_parser("analyze", help="run both controllability criteria"), 1e-8)
+    _add_common(commands.add_parser("analyze", help="run both controllability criteria"), None)
     _add_common(commands.add_parser("synthesize", help="build a steering controller table"), 1e-8)
     verify = commands.add_parser("verify", help="forward-simulate a controller table")
     _add_common(verify, 1e-8)

@@ -8,7 +8,12 @@ Gramian over horizon N is
 where Lambda is the second-moment operator of the random factor
 C + w Cbar; the i-th term equals the expectation of the i-fold product
 applied to D D' because the noise is independent across stages with zero
-mean and unit variance. An independent enumeration oracle recomputes each
+mean and unit variance. It is accumulated in backward-equation form,
+G_N = D D' + Lambda(G_{N-1}) from G_{-1} = 0, by
+:func:`gramian_sequence`. That recursion, with a delayed-input term and
+state-delay pivots added, is the only place any route's steering Gramian
+is built: the decisions, the delay routes and every controller's gains
+read it. An independent enumeration oracle recomputes each
 term literally over all noise paths, with the per-path products taken
 from :func:`pathspace.path_products`; the two routes are kept separate so
 they can check each other. The CLI's route table (``cli.ROUTES``) pairs
@@ -36,17 +41,33 @@ def moment_step(C: np.ndarray, Cbar: np.ndarray, X: np.ndarray) -> np.ndarray:
     return C @ X @ C.T + Cbar @ X @ Cbar.T
 
 
-def _moment_terms(form: BsdeForm):
-    """Yield the Gramian's summands Lambda^i(D D') for i = 0, 1, ..."""
-    X = form.D @ form.D.T
-    while True:
-        yield X
-        X = moment_step(form.C, form.Cbar, X)
+def gramian_sequence(form: BsdeForm, delayed: int | None = None, pivots=()):
+    """Yield S(0), S(1), ...: the one place a steering Gramian is accumulated.
+
+    S(j) = P(j) (D D' + E(j) + Lambda(S(j-1))) P(j)' from S(-1) = 0, the
+    backward equation's Gramian over its last j + 1 stages. With
+    ``delayed`` = tau the delayed input adds E(j) = C^tau D1 D1' C^tau' for
+    j >= tau, and E(j) = 0 otherwise. ``pivots`` lists the state-delay
+    pivots of one horizon N by j, P(j) being the pivot at stage N - j; the
+    sequence ends with them. Without pivots P(j) = I and it never ends.
+    """
+    DDt = form.D @ form.D.T
+    if delayed is not None:
+        CD1 = np.linalg.matrix_power(form.C, delayed) @ form.D1
+        E = CD1 @ CD1.T
+    S = np.zeros((form.n, form.n))
+    for j, P in enumerate(pivots or itertools.repeat(None)):
+        S = DDt + moment_step(form.C, form.Cbar, S)
+        if delayed is not None and j >= delayed:
+            S = S + E
+        if P is not None:
+            S = P @ S @ P.T
+        yield S
 
 
 def gramian(form: BsdeForm, N: int) -> np.ndarray:
-    """Steering Gramian over horizon N via the moment recursion."""
-    return sum(itertools.islice(_moment_terms(form), N + 1), np.zeros((form.n, form.n)))
+    """Steering Gramian over horizon N: S(N) of :func:`gramian_sequence`."""
+    return next(itertools.islice(gramian_sequence(form), N, None))
 
 
 def gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -63,16 +84,14 @@ def gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int = DEFAULT
     return G
 
 
-def gramian_invertible(G: np.ndarray, tol: float | None = None) -> tuple[bool, float]:
-    """Invertibility decision with a scale-aware threshold.
+def gramian_invertible(G: np.ndarray) -> tuple[bool, float]:
+    """Invertibility decision at the scale-aware threshold dim * eps * sigma_max(G).
 
-    Default threshold is dim * eps * sigma_max(G); pass ``tol`` for an
-    absolute cutoff. Returns (invertible, min singular value).
+    Returns (invertible, min singular value).
     """
     svals = np.linalg.svd(G, compute_uv=False)
     smin = float(svals[-1])
-    threshold = tol if tol is not None else G.shape[0] * np.finfo(float).eps * float(svals[0])
-    return smin > threshold, smin
+    return smin > G.shape[0] * np.finfo(float).eps * float(svals[0]), smin
 
 
 @dataclass(eq=False)
@@ -84,7 +103,7 @@ class WordSpanBasis:
     depth: int  # rounds applied before the span closed
 
 
-def word_span(form: BsdeForm, tol: float | None = None) -> WordSpanBasis:
+def word_span(form: BsdeForm) -> WordSpanBasis:
     """Breadth-first closure of span{W D} under left products by C and Cbar.
 
     Columns are admitted in word-length order, C before Cbar, and within a
@@ -98,7 +117,7 @@ def word_span(form: BsdeForm, tol: float | None = None) -> WordSpanBasis:
         np.linalg.norm(Cbar, 2) if n else 0.0,
         1.0,
     ) * max(1.0, np.linalg.norm(D, 2) if D.size else 0.0)
-    threshold = tol if tol is not None else max(n, max(1, D.shape[1])) * np.finfo(float).eps * scale
+    threshold = max(n, max(1, D.shape[1])) * np.finfo(float).eps * scale
 
     Q = np.zeros((n, 0))
     basis_cols = []
@@ -134,34 +153,6 @@ def word_span(form: BsdeForm, tol: float | None = None) -> WordSpanBasis:
     return WordSpanBasis(basis=basis, rank=len(basis_cols), depth=depth)
 
 
-def rank_test_words(max_len: int) -> list[tuple[int, ...]]:
-    """Word order used when listing the rank matrix explicitly.
-
-    Per length: the two pure powers first (C^k then Cbar^k), then the mixed
-    words in lexicographic order with C before Cbar.
-    """
-    out: list[tuple[int, ...]] = [()]
-    for length in range(1, max_len + 1):
-        pure = [(0,) * length, (1,) * length]
-        out.extend(pure)
-        for word in itertools.product((0, 1), repeat=length):
-            if word not in pure:
-                out.append(word)
-    return out
-
-
-def word_matrix(C: np.ndarray, Cbar: np.ndarray, D: np.ndarray, max_len: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Stack [W D] for all words up to max_len in :func:`rank_test_words` order."""
-    words = rank_test_words(max_len)
-    blocks = []
-    for word in words:
-        block = D
-        for letter in reversed(word):
-            block = (C if letter == 0 else Cbar) @ block
-        blocks.append(block)
-    return np.hstack(blocks) if blocks else np.zeros((C.shape[0], 0)), words
-
-
 @dataclass(eq=False)
 class ControllabilityReport:
     """Joint outcome of the Gramian scan and the rank test.
@@ -186,74 +177,65 @@ class ControllabilityReport:
     transform_source: str | None = None
 
 
-def _running_sums(terms, dim: int):
-    """Yield the partial sums of a sequence of summands, starting from zero."""
-    G = np.zeros((dim, dim))
-    for term in terms:
-        G = G + term
-        yield G
+def _scan_gramians(kind, gramians, dim: int, N_max: int, transform_source=None, span=None) -> ControllabilityReport:
+    """Report on the horizon-N Gramians ``gramians`` yields for N = 0..N_max.
 
-
-def _scan_gramians(gramians, dim: int, N_max: int, rank_tol: float | None):
-    """Shared Gramian scan. ``gramians`` yields the horizon-N Gramian for N = 0, 1, ..."""
+    ``span`` is the rank test's outcome where it applies; without it the
+    rank-test fields stay None.
+    """
     G = np.zeros((dim, dim))
     min_sv = []
     witness = None
     for N, G in zip(range(N_max + 1), gramians):
-        ok, smin = gramian_invertible(G, rank_tol)
+        ok, smin = gramian_invertible(G)
         min_sv.append(smin)
         if ok and witness is None:
             witness = N
-    return G, min_sv, witness
+    return ControllabilityReport(
+        kind=kind,
+        dim=dim,
+        N_max=N_max,
+        controllable=witness is not None,
+        witness_N=witness,
+        min_singular=tuple(min_sv),
+        gramian=G,
+        gramian_rank=int(np.linalg.matrix_rank(G)) if G.size else 0,
+        rank_R=None if span is None else span.rank,
+        span_depth=None if span is None else span.depth,
+        criteria_agree=None if span is None else True,
+        transform_source=transform_source,
+    )
 
 
 def decide_form(
     form: BsdeForm,
     N_max: int,
-    rank_tol: float | None = None,
     kind: str = "full",
     transform_source: str | None = None,
 ) -> ControllabilityReport:
     """Run both criteria on backward-form coefficients and cross-check."""
     dim = form.n
-    G, min_sv, witness = _scan_gramians(_running_sums(_moment_terms(form), dim), dim, N_max, rank_tol)
     span = word_span(form)
+    report = _scan_gramians(kind, gramian_sequence(form), dim, N_max, transform_source, span)
     by_rank = span.rank == dim
-    if witness is None and by_rank:
+    if report.witness_N is None and by_rank:
         # The window may simply be short: a controllable form has an
         # invertible Gramian by N = dim - 1. Look further before calling
         # the two criteria inconsistent; the report keeps the requested
         # window for its figures, only the witness may exceed it.
-        _, _, witness = _scan_gramians(
-            _running_sums(_moment_terms(form), dim), dim, max(N_max, 2 * dim), rank_tol
-        )
-    by_gramian = witness is not None
-    if by_gramian != by_rank:
+        report.witness_N = _scan_gramians(kind, gramian_sequence(form), dim, max(N_max, 2 * dim)).witness_N
+        report.controllable = report.witness_N is not None
+    if report.controllable != by_rank:
         raise CriteriaDisagreement(
-            f"Gramian scan says {by_gramian} (witness {witness}) but rank test says "
+            f"Gramian scan says {report.controllable} (witness {report.witness_N}) but rank test says "
             f"{by_rank} (rank {span.rank} of {dim}); check conditioning"
         )
-    ok, _ = gramian_invertible(G, rank_tol)
-    return ControllabilityReport(
-        kind=kind,
-        dim=dim,
-        N_max=N_max,
-        controllable=by_gramian,
-        witness_N=witness,
-        min_singular=tuple(min_sv),
-        gramian=G,
-        gramian_rank=int(np.linalg.matrix_rank(G)) if G.size else 0,
-        rank_R=span.rank,
-        span_depth=span.depth,
-        criteria_agree=True,
-        transform_source=transform_source,
-    )
+    return report
 
 
 def decide(
     system: SystemSpec | ValidatedSystem | TransformedSystem,
     N_max: int | None = None,
-    rank_tol: float | None = None,
 ) -> ControllabilityReport:
     """Full-rank route: transform, then Gramian scan plus rank test.
 
@@ -265,7 +247,6 @@ def decide(
     return decide_form(
         system.form,
         system.spec.default_horizon if N_max is None else N_max,
-        rank_tol,
         kind="full",
         transform_source=system.transform.source,
     )

@@ -1,28 +1,32 @@
 """Controllability with a delayed input or a delayed state.
 
 Both variants keep the backward-form coefficients (C, Cbar, D) and add
-one channel. A delayed input contributes D1 u1(k - tau) to the backward
-equation; its Gramian augments G_N with terms built from conditional
-expectations of the stage products, which collapse by independence to
-C^tau times an ordinary product. A delayed state adds the drift
-C1 x(k - d); the deterministic P(k) iteration absorbs that coupling and
-the Gramian weaves P(k) between the random stage factors. The same P(k)
-pivot the elimination that solves the delayed backward equation.
+one channel, and both Gramians come from :func:`criteria.gramian_sequence`,
+S(j) = P(j) (D D' + E(j) + Lambda(S(j-1))) P(j)' from S(-1) = 0. A
+delayed input contributes D1 u1(k - tau) to the backward equation; its
+Gramian terms are conditional expectations of the stage products, which
+collapse by independence to C^tau times an ordinary product: the
+sequence's E(j) = C^tau D1 D1' C^tau' for j >= tau, plus the pre-horizon
+terms C^i D1 D1' C^i', i < tau, added outside it. A delayed state adds
+the drift C1 x(k - d); the deterministic P(k) iteration absorbs that
+coupling and the Gramian weaves P(k) between the random stage factors,
+as the sequence's pivots P(j) = P(N - j). The same P(k) pivot the
+elimination that solves the delayed backward equation. P(k) depends on
+the horizon only through N - k, so one P-sequence serves every horizon
+up to its own.
 
 Both controllers are feedback laws in ``synthesis``'s closed loop, on
-e = x - x_h with j = N - k. Input delay, a Smith predictor: xi(k) is e(k)
-less sum_{i=k}^{min(k+tau-1, N)} C^{i-k} D1 u1(i - tau), the delayed
-inputs on their way; y = H_j^+ xi with H_j the Gramian less its
-pre-horizon terms i < tau (H_{-1} = 0); v = D' y, z = z_h + H_{j-1} Cbar' y
-and u1(k) = D1' C^tau' y for k <= N - tau. The pre-horizon inputs are
-u1(i - tau) = D1' C^i' G_N^{-1} e(0). State delay: r(k) = e(k) -
-sum_j Q_j(k) e(k - j) with the elimination's lag gains,
-S_k = P(k) (D D' + Lambda(S_{k+1})) P(k)' from S_{N+1} = 0 (S_0 is the
-Gramian), y = S_k^+ r, v = D' P(k)' y and z = z_h + S_{k+1} Cbar' P(k)' y.
-The pseudo-inverses are exact: the positive semi-definite sums H_j (of
-D D', Cbar H_{j-1} Cbar' and, for j >= tau, C^tau D1 D1' C^tau') and S_k
-(of P(k) D D' P(k)' and P(k) Cbar S_{k+1} Cbar' P(k)') span every range
-the laws map y through.
+e = x - x_h with j = N - k, and take their gains from its one gain law
+``synthesis._gains``: y = S(j)^+ p(k) for a predictor p, v = D' P(j)' y
+and z = z_h + S(j-1) Cbar' P(j)' y. Input delay, a Smith predictor: p(k)
+is e(k) less sum_{i=k}^{min(k+tau-1, N)} C^{i-k} D1 u1(i - tau), the
+delayed inputs on their way; S(j) is the Gramian less its pre-horizon
+terms and u1(k) = D1' C^tau' y for k <= N - tau. The pre-horizon inputs
+are u1(i - tau) = D1' C^i' G_N^{-1} e(0). State delay: p(k) = e(k) -
+sum_j Q_j(k) e(k - j) with the elimination's lag gains. The
+pseudo-inverses are exact: the positive semi-definite sums S(j) (of
+P(j) D D' P(j)', P(j) Cbar S(j-1) Cbar' P(j)' and, for j >= tau,
+C^tau D1 D1' C^tau') span every range the laws map y through.
 
 Each Gramian has a literal path-enumeration oracle next to it. The
 closed forms are derived (the collapse step is not written out in any
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import ControllabilityReport, _moment_terms, _running_sums, _scan_gramians, moment_step
+from .criteria import ControllabilityReport, _scan_gramians, gramian_sequence
 from .errors import DimensionMismatch
 from .model import NoiseModel, SystemSpec, ValidatedSystem
 from .pathspace import (
@@ -53,7 +57,7 @@ from .pathspace import (
     path_products,
     weighted_gram,
 )
-from .synthesis import ControllerProcess, _check_gramian, _closed_loop, _pinv, _steering_start
+from .synthesis import ControllerProcess, _check_gramian, _closed_loop, _gains, _pinv, _steering_start
 from .transform import BsdeForm, TransformedSystem
 
 
@@ -61,20 +65,15 @@ from .transform import BsdeForm, TransformedSystem
 # input delay
 
 
-def _input_delay_terms(form: BsdeForm, tau: int):
-    """Free and delayed parts (X, T) of the N-th summand of the delayed-input Gramian.
-
-    The free channel contributes X = Lambda^i(D D') as usual. The delayed
-    channel's i-th term is E[Phi_i D1 D1' Phi_i'] with
-    Phi_i = E[C(0)...C(i-1) | F(i-tau-1)]; independence collapses Phi_i
-    to C(0)...C(i-tau-1) C^tau, so T = C^i D1 D1' (C^i)' while i <= tau
-    and gains one Lambda application per stage after that. T belongs to
-    the pre-horizon input u1(i - tau) while i < tau.
-    """
-    T = form.D1 @ form.D1.T
-    for i, X in enumerate(_moment_terms(form)):
-        yield X, T
-        T = form.C @ T @ form.C.T if i < tau else moment_step(form.C, form.Cbar, T)
+def _input_delay_gramians(form: BsdeForm, tau: int):
+    """Yield the delayed-input Gramian at N = 0, 1, ...: S(N) of
+    :func:`criteria.gramian_sequence` plus C^i D1 D1' C^i', i < min(tau, N + 1)."""
+    pre, CD1 = np.zeros((form.n, form.n)), form.D1
+    for N, S in enumerate(gramian_sequence(form, tau)):
+        if N < tau:
+            pre = pre + CD1 @ CD1.T
+            CD1 = form.C @ CD1
+        yield S + pre
 
 
 def input_delay_gramian(form: BsdeForm, tau: int, N: int) -> np.ndarray:
@@ -83,8 +82,7 @@ def input_delay_gramian(form: BsdeForm, tau: int, N: int) -> np.ndarray:
         raise DimensionMismatch("form has no delayed input channel D1")
     if tau < 1:
         raise ValueError(f"input delay must be >= 1, got {tau}")
-    terms = (X + T for X, T in _input_delay_terms(form, tau))
-    return sum(itertools.islice(terms, N + 1), np.zeros((form.n, form.n)))
+    return next(itertools.islice(_input_delay_gramians(form, tau), N, None))
 
 
 def input_delay_gramian_oracle(
@@ -129,15 +127,9 @@ def input_delay_controller(
     G = input_delay_gramian(form, tau, N)
     _check_gramian(G, f"delayed-input Gramian at N = {N}")
     g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
-    in_horizon = (X + T if i >= tau else X for i, (X, T) in enumerate(_input_delay_terms(form, tau)))
-    H = [np.zeros((n, n)), *itertools.islice(_running_sums(in_horizon, n), N + 1)]  # H_{j-1}
+    S = [np.zeros((n, n)), *itertools.islice(gramian_sequence(form, tau), N + 1)]  # S(j-1)
     CD1 = [np.linalg.matrix_power(form.C, i) @ form.D1 for i in range(tau + 1)]  # C^i D1
-    gains, u1_gains = [], []
-    for j in range(N, -1, -1):
-        H_plus = _pinv(H[j + 1])
-        gains.append(ts.transform.M @ np.vstack([H[j] @ form.Cbar.T, form.D.T]) @ H_plus)
-        if j >= tau:
-            u1_gains.append(CD1[tau].T @ H_plus)
+    u1_gains = [CD1[tau].T @ _pinv(S[j + 1]) for j in range(N, tau - 1, -1)]
     pre = {i - tau: (g @ CD1[i])[None, :] for i in range(min(tau, N + 1))}
 
     def predict(k, e, u1):
@@ -146,47 +138,29 @@ def input_delay_controller(
             xi = xi - tree.lift(u1[i - tau], max(0, i - tau), k) @ CD1[i - k].T
         return xi
 
-    return _closed_loop("input-delay", ts, tree, x0, hom, G, gains, predict, (u1_gains, pre))
+    return _closed_loop("input-delay", ts, tree, x0, hom, G, _gains(ts, S), predict, (u1_gains, pre))
 
 
 def input_delay_decide(
     system: SystemSpec | ValidatedSystem | TransformedSystem,
     N_max: int | None = None,
-    rank_tol: float | None = None,
 ) -> ControllabilityReport:
     """Scan the delayed-input Gramians; a witness proves controllability."""
     ts = TransformedSystem.build(system)
     spec = ts.spec
     if spec.B1 is None or spec.tau is None:
         raise ValueError("system has no delayed input channel")
-    gramians = _running_sums((X + T for X, T in _input_delay_terms(ts.form, spec.tau)), spec.n)
-    return _delay_scan("input-delay", ts, gramians, N_max, rank_tol)
+    return _delay_scan("input-delay", ts, N_max, lambda _: _input_delay_gramians(ts.form, spec.tau))
 
 
-def _delay_scan(kind: str, ts: TransformedSystem, gramians, N_max, rank_tol) -> ControllabilityReport:
-    """Scan the horizon-N Gramians of a delay route for N = 0..N_max.
+def _delay_scan(kind: str, ts: TransformedSystem, N_max, gramians) -> ControllabilityReport:
+    """Scan the horizon-N Gramians ``gramians(N_max)`` yields for N = 0..N_max.
 
     Only the sufficient direction is available on the delay routes, so the
     rank-test fields stay None and a missing witness means "not shown".
     """
-    spec = ts.spec
-    if N_max is None:
-        N_max = spec.default_horizon
-    G, min_sv, witness = _scan_gramians(gramians, spec.n, N_max, rank_tol)
-    return ControllabilityReport(
-        kind=kind,
-        dim=spec.n,
-        N_max=N_max,
-        controllable=witness is not None,
-        witness_N=witness,
-        min_singular=tuple(min_sv),
-        gramian=G,
-        gramian_rank=int(np.linalg.matrix_rank(G)),
-        rank_R=None,
-        span_depth=None,
-        criteria_agree=None,
-        transform_source=ts.transform.source,
-    )
+    N_max = ts.spec.default_horizon if N_max is None else N_max
+    return _scan_gramians(kind, gramians(N_max), ts.spec.n, N_max, ts.transform.source)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +173,11 @@ class PSequence:
 
     P(k) is the identity on the tail band k = N .. N-d+1 and
     [I - C P(k+1) ... C P(k+d) C1]^{-1} below it: the pivots of
-    :func:`pathspace.backward_solve_state_delay`.
+    :func:`pathspace.backward_solve_state_delay`. P(k) depends on the
+    horizon N only through N - k, so one sequence serves every shorter
+    horizon as its tail.
     """
 
-    d: int
-    N: int
     P: tuple[np.ndarray, ...]  # indices 0..N
 
 
@@ -214,32 +188,22 @@ def state_delay_P(form: BsdeForm, d: int, N: int) -> PSequence:
     if d < 1:
         raise ValueError(f"state delay must be >= 1, got {d}")
     P, _ = _state_delay_gains(form, d, N)
-    return PSequence(d=d, N=N, P=tuple(P))
+    return PSequence(P=tuple(P))
 
 
-def state_delay_gramian(
-    form: BsdeForm, d: int, N: int, pseq: PSequence | None = None
-) -> np.ndarray:
+def state_delay_gramian(form: BsdeForm, d: int, N: int) -> np.ndarray:
     """Steering Gramian of the delayed-state system over horizon N.
 
-    Accumulated backward: S <- P(j)(D D' + Lambda(S))P(j)' from j = N
-    down to 0, which sums the defining products exactly because the
-    moment recursion is linear in its seed.
+    S(N) of :func:`criteria.gramian_sequence` pivoted by this horizon's
+    P-sequence: it sums the defining products exactly because the moment
+    recursion is linear in its seed.
     """
-    if pseq is None:
-        pseq = state_delay_P(form, d, N)
-    if pseq.N != N or pseq.d != d:
-        raise ValueError("P-sequence was built for a different horizon or delay")
-    return _state_delay_sums(form, pseq.P)[0]
+    return next(itertools.islice(_state_delay_sequence(form, d, N), N, None))
 
 
-def _state_delay_sums(form: BsdeForm, P) -> list[np.ndarray]:
-    """S_0, ..., S_{N+1}: S_{N+1} = 0 and S_k = P(k) (D D' + Lambda(S_{k+1})) P(k)'."""
-    DDt = form.D @ form.D.T
-    S = [np.zeros((form.n, form.n))]
-    for Pk in reversed(P):
-        S.append(Pk @ (DDt + moment_step(form.C, form.Cbar, S[-1])) @ Pk.T)
-    return S[::-1]
+def _state_delay_sequence(form: BsdeForm, d: int, N: int):
+    """S(0), ..., S(N) of :func:`criteria.gramian_sequence` pivoted by the horizon-N P-sequence."""
+    return gramian_sequence(form, pivots=state_delay_P(form, d, N).P[::-1])
 
 
 def state_delay_gramian_oracle(
@@ -286,12 +250,8 @@ def state_delay_controller(
         tree, form, x0, target, lambda t: member_of_S_state_delay(tree, form, d, t, tol=tol)
     )
     P, Q = _state_delay_gains(form, d, N)
-    S = _state_delay_sums(form, P)
-    _check_gramian(S[0], f"delayed-state Gramian at N = {N}")
-    gains = [
-        ts.transform.M @ np.vstack([S[k + 1] @ form.Cbar.T, form.D.T]) @ P[k].T @ _pinv(S[k])
-        for k in range(N + 1)
-    ]
+    S = [np.zeros((form.n, form.n)), *itertools.islice(gramian_sequence(form, pivots=P[::-1]), N + 1)]
+    _check_gramian(S[-1], f"delayed-state Gramian at N = {N}")
 
     def predict(k, e, _):
         r = e[k]
@@ -299,23 +259,22 @@ def state_delay_controller(
             r = r - tree.lift(e[k - j], k - j, k) @ Q[k][j - 1].T
         return r
 
-    return _closed_loop("state-delay", ts, tree, x0, hom, S[0], gains, predict)
+    return _closed_loop("state-delay", ts, tree, x0, hom, S[-1], _gains(ts, S, P), predict)
 
 
 def state_delay_decide(
     system: SystemSpec | ValidatedSystem | TransformedSystem,
     N_max: int | None = None,
-    rank_tol: float | None = None,
 ) -> ControllabilityReport:
     """Scan the delayed-state Gramians; a witness proves controllability.
 
-    The P-sequence depends on the horizon, so each N is computed afresh
-    rather than by extending a running sum. A singular bracket at any
-    scanned horizon propagates; the criterion is inapplicable there.
+    P(k) depends on the horizon N only through N - k, so the horizon-N
+    Gramian is S(N) of one sequence pivoted by the P-sequence built once at
+    N_max, read from its tail. A singular bracket at any scanned horizon
+    propagates; the criterion is inapplicable there.
     """
     ts = TransformedSystem.build(system)
     spec = ts.spec
     if spec.A1 is None or spec.d is None:
         raise ValueError("system has no delayed state channel")
-    gramians = (state_delay_gramian(ts.form, spec.d, N) for N in itertools.count())
-    return _delay_scan("state-delay", ts, gramians, N_max, rank_tol)
+    return _delay_scan("state-delay", ts, N_max, lambda N: _state_delay_sequence(ts.form, spec.d, N))

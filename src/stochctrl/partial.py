@@ -28,13 +28,13 @@ from .transform import BsdeForm, TransformedSystem
 INTERTWINE_TOL = 1e-8
 
 
-def intertwine(H: np.ndarray, X: np.ndarray, tol: float = INTERTWINE_TOL) -> tuple[np.ndarray, float]:
+def intertwine(H: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve H X = X1 H for X1, or raise :class:`NoIntertwiner`.
 
     A solution exists exactly when the rows of H X lie in the row space of
     H; then X1 = H X H^+ with the right pseudoinverse H^+. The residual
-    norm of H X outside that row space is compared to tol relative to
-    the norm of H X.
+    norm of H X outside that row space is compared to ``INTERTWINE_TOL``
+    relative to the norm of H X.
     """
     H = np.asarray(H, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -43,28 +43,26 @@ def intertwine(H: np.ndarray, X: np.ndarray, tol: float = INTERTWINE_TOL) -> tup
     residual = float(np.linalg.norm(H @ X - X1 @ H))
     scale = float(np.linalg.norm(H @ X))
     rel = residual / scale if scale > 0 else 0.0
-    if rel > tol:
+    if rel > INTERTWINE_TOL:
         raise NoIntertwiner(
-            f"H X leaves the row space of H: relative residual {rel:.3e} > {tol}"
+            f"H X leaves the row space of H: relative residual {rel:.3e} > {INTERTWINE_TOL}"
         )
     return X1, residual
 
 
-def output_form(ts: TransformedSystem, tol: float = INTERTWINE_TOL) -> BsdeForm:
+def output_form(ts: TransformedSystem) -> BsdeForm:
     """Push the backward form through the output map H."""
     H = ts.spec.H
     if H is None:
         raise ValueError("system has no output map H")
-    C1, _ = intertwine(H, ts.form.C, tol)
-    Cbar1, _ = intertwine(H, ts.form.Cbar, tol)
+    C1, _ = intertwine(H, ts.form.C)
+    Cbar1, _ = intertwine(H, ts.form.Cbar)
     return BsdeForm(C=C1, Cbar=Cbar1, D=H @ ts.form.D)
 
 
 def partial_decide(
     system: SystemSpec | ValidatedSystem | TransformedSystem,
     N_max: int | None = None,
-    rank_tol: float | None = None,
-    tol: float = INTERTWINE_TOL,
 ) -> ControllabilityReport:
     """Decide controllability of the output y = H x.
 
@@ -74,9 +72,8 @@ def partial_decide(
     """
     system = TransformedSystem.build(system)
     return decide_form(
-        output_form(system, tol),
+        output_form(system),
         system.spec.default_horizon if N_max is None else N_max,
-        rank_tol,
         kind="partial",
         transform_source=system.transform.source,
     )
@@ -100,7 +97,7 @@ class ReducedForm:
         return BsdeForm(C=self.A1, Cbar=self.B1, D=self.D1)
 
 
-def reduced_form(system: SystemSpec | ValidatedSystem, tol: float = INTERTWINE_TOL) -> ReducedForm:
+def reduced_form(system: SystemSpec | ValidatedSystem) -> ReducedForm:
     """Assemble the reduced coefficients of a rank-deficient system.
 
     The structure requirements on Bbar and Abar were already enforced by
@@ -137,24 +134,21 @@ def reduced_form(system: SystemSpec | ValidatedSystem, tol: float = INTERTWINE_T
     Dblk = -Ablk @ np.vstack([B12, B22])
 
     proj = np.hstack([np.eye(r), np.zeros((r, n - r))])
-    A1, _ = intertwine(proj, Ablk, tol)
+    A1, _ = intertwine(proj, Ablk)
     return ReducedForm(r=r, Ablk=Ablk, Bblk=Bblk, Dblk=Dblk, A1=A1, B1=Bblk[:r, :], D1=Dblk[:r, :])
 
 
 def reduced_rank_setup(
     system: SystemSpec | ValidatedSystem,
     N_max: int | None = None,
-    rank_tol: float | None = None,
-    tol: float = INTERTWINE_TOL,
 ) -> tuple[ReducedForm, ControllabilityReport]:
     """Assemble the reduced coefficients and run the criteria in dimension r."""
     if isinstance(system, SystemSpec):
         system = validate(system)
-    reduced = reduced_form(system, tol)
+    reduced = reduced_form(system)
     report = decide_form(
         reduced.form,
         system.spec.default_horizon if N_max is None else N_max,
-        rank_tol,
         kind="reduced",
         transform_source=None,
     )

@@ -1,15 +1,18 @@
 """Steering controller construction and controller table I/O.
 
 Every route steers by the minimum-energy law of its backward equation,
-run as a state feedback. Along that equation's solution a predictor
-p(k) equals S_k y(k), with S_k the route's Gramian over stages k..N and
-y the costate carried from y(0) = S_0^{-1} x0 by the stage factors; v
-and z = E[w x(k+1) | past] are fixed matrices times y. Each stage reads
-y = S_k^+ p(k) off the states and applies u = M [z - Abar x; v]. With
-j = N - k the full route has S_k = G_j (G_{-1} = 0), p = x, v = D' y and
-z = G_{j-1} Cbar' y, exact as range D and range Cbar G_{j-1} lie in
-range G_j; the input-delay (Smith predictor, S_k = H_j) and state-delay
-(lag gains, P-weighted S_k) laws are in ``delay``. A target adds the
+run as a state feedback. With j = N - k, along that equation's solution
+a predictor p(k) equals S(j) y(k), with S(j) the route's Gramian over
+stages k..N from :func:`criteria.gramian_sequence` and y the costate
+carried from y(0) = S(N)^{-1} x0 by the stage factors; v and
+z = E[w x(k+1) | past] are fixed matrices times y. Each stage reads
+y = S(j)^+ p(k) off the states and applies u = M [z - Abar x; v] =
+K_k p(k), with the one gain law of :func:`_gains`,
+K_k = M [S(j-1) Cbar'; D'] P(j)' S(j)^+ (S(-1) = 0, P the state-delay
+pivots, else I). The full route has p = x, v = D' y and
+z = S(j-1) Cbar' y, exact as range D and range Cbar S(j-1) lie in
+range S(j); the input-delay (Smith predictor) and state-delay (lag
+gains) predictors are in ``delay``. A target adds the
 homogeneous solution (x_h, z_h) reached with zero free input: the law
 acts on e = x - x_h and z gains z_h. One closed-loop pass through
 :func:`pathspace.plant_step`, the step of forward simulation, writes u
@@ -30,13 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import _moment_terms, _running_sums, gramian_invertible
+from .criteria import gramian_invertible, gramian_sequence
 from .errors import DimensionMismatch, SchemaError, SingularGramian, StageMismatch, TargetNotInS
 from .model import check_level, path_labels
 from .pathspace import (
     AdaptedProcess,
     PathTree,
-    backward_solve,
     member_of_S,
     path_products,
     plant_step,
@@ -52,9 +54,9 @@ _CHARS_PER_READ = 1 << 16
 _LINE_CHARS = bytes(c for c in range(0x21, 0x7F) if c != ord("_")) + b"\r\n"
 
 
-def stage_products(tree: PathTree, form, upto: int, P=None) -> list[np.ndarray]:
-    """Per-history products C(0) ... C(k-1) (P-weighted with ``P``), k = 0..upto; no controller uses them."""
-    return list(path_products(form, tree.support, upto, P))
+def stage_products(tree: PathTree, form, upto: int) -> list[np.ndarray]:
+    """Per-history products C(0) ... C(k-1), k = 0..upto; no controller uses them."""
+    return list(path_products(form, tree.support, upto))
 
 
 @dataclass(eq=False)
@@ -78,6 +80,18 @@ def _check_gramian(G: np.ndarray, what: str) -> None:
 def _pinv(S: np.ndarray) -> np.ndarray:
     """Pseudo-inverse cut where :func:`gramian_invertible` cuts, at n eps sigma_max."""
     return np.linalg.pinv(S, rtol=S.shape[0] * np.finfo(float).eps)
+
+
+def _gains(ts: TransformedSystem, S, P=None) -> list[np.ndarray]:
+    """Every route's gains K_k = M [S(j-1) Cbar'; D'] P(j)' S(j)^+, k = 0..N, j = N - k.
+
+    ``S`` lists S(-1) = 0, S(0), ..., S(N); ``P`` the state-delay pivots by stage (None: I).
+    """
+    N = len(S) - 2
+    K = [ts.transform.M @ np.vstack([S[N - k] @ ts.form.Cbar.T, ts.form.D.T]) for k in range(N + 1)]
+    if P is not None:
+        K = [Kk @ Pk.T for Kk, Pk in zip(K, P)]
+    return [Kk @ _pinv(S[N - k + 1]) for k, Kk in enumerate(K)]
 
 
 def _steering_start(tree: PathTree, form, x0, target, membership):
@@ -153,51 +167,10 @@ def steer_to_target(
     """
     form, n, N = ts.form, ts.form.n, tree.horizon
     x0, hom = _steering_start(tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol))
-    G = [np.zeros((n, n)), *itertools.islice(_running_sums(_moment_terms(form), n), N + 1)]  # G_{j-1}
+    G = [np.zeros((n, n)), *itertools.islice(gramian_sequence(form), N + 1)]  # G_{j-1}
     _check_gramian(G[-1], f"Gramian at N = {N}")
-    gains = [
-        ts.transform.M @ np.vstack([G[j] @ form.Cbar.T, form.D.T]) @ _pinv(G[j + 1]) for j in range(N, -1, -1)
-    ]
     kind = "null" if hom is None else "target"
-    return _closed_loop(kind, ts, tree, x0, hom, G[-1], gains, lambda k, e, _: e[k])
-
-
-def q_expanded(ts: TransformedSystem, tree: PathTree, v: AdaptedProcess) -> AdaptedProcess:
-    """Absorbed input via the expanded tail sum instead of the solved pair.
-
-    Evaluates q(k) = E[w(k) sum_{i>k} C(k+1)...C(i-1) D v(i) | stage k-1]
-    - Abar x(k) literally on the tree. Exists as a cross-check of the
-    primary construction; the two must agree to rounding.
-    """
-    form, spec = ts.form, ts.spec
-    n, N, s = form.n, tree.horizon, tree.s
-    cmats = form.stage_factors(tree.support)
-    sol = backward_solve(tree, form, None, v)
-    full = tree.n_nodes(N)
-
-    def stage_digit(t):
-        return (np.arange(full) // s ** (N - 1 - t)) % s
-
-    # psi(j) = D v(j) + C(j) psi(j+1), evaluated at full depth N
-    psi = {N + 1: np.zeros((full, n))}
-    for j in range(N, 0, -1):
-        vj = tree.lift(v.at_depth(j, j), j, N) @ form.D.T
-        if j <= N - 1:
-            rotated = np.einsum("hab,hb->ha", cmats[stage_digit(j)], psi[j + 1])
-        else:
-            rotated = np.zeros((full, n))
-        psi[j] = vj + rotated
-
-    out_vals, out_depths = {}, {}
-    for k in range(N + 1):
-        if k == N:
-            q_free = np.zeros((tree.n_nodes(N), n))
-        else:
-            weighted = psi[k + 1] * tree.support[stage_digit(k)][:, None]
-            q_free = tree.cond_expect_array(weighted, N, k)
-        out_vals[k] = q_free - sol.x.at(k) @ spec.Abar.T
-        out_depths[k] = k
-    return AdaptedProcess(tree, out_vals, out_depths)
+    return _closed_loop(kind, ts, tree, x0, hom, G[-1], _gains(ts, G), lambda k, e, _: e[k])
 
 
 def _opened(target, mode: str):

@@ -444,3 +444,58 @@ def test_verify_wants_plain_finite_cells(capsys, tmp_path, edit):
     code, _, err = run(capsys, "verify", "--instance", FULL, "--controller", table)
     assert code == 5
     assert "bad controller table" in err
+
+
+BUNDLED = [FULL, OUTPUT, IN_DELAY, ST_DELAY, UNCTRL]
+COMMANDS = {
+    "analyze": [],
+    "synthesize": [],
+    "verify": ["--controller", "unread.csv"],
+    "oracle-check": [],
+}
+
+
+@pytest.mark.parametrize("inst", BUNDLED, ids=lambda p: p.rsplit("/", 1)[-1])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_bad_overrides_exit_6_before_any_work(capsys, monkeypatch, command, inst):
+    import stochctrl.cli as cli
+
+    def no_work(path):
+        raise AssertionError(f"{command} read {path} despite a bad override")
+
+    monkeypatch.setattr(cli, "parse_instance_file", no_work)
+    overrides = [["--N", "-1"]]
+    if command != "analyze":
+        overrides += [["--tol", bad] for bad in ("-1e-8", "inf", "-inf", "nan")]
+    for override in overrides:
+        with pytest.raises(SystemExit) as info:
+            main([command, "--instance", inst, *COMMANDS[command], *override])
+        assert info.value.code == 6, override
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["analyze", "--instance", FULL, "--format", "xml"],
+        ["analyze", "--instance", FULL, "--N", "abc"],
+        ["analyze", "--instance", FULL, "--tol", "1e-3"],
+        ["verify", "--instance", FULL],
+        ["transmogrify", "--instance", FULL],
+    ],
+    ids=["no-instance", "format-xml", "N-abc", "analyze-tol", "verify-no-controller", "no-such-command"],
+)
+def test_usage_errors_exit_6(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 6
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["analyze", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out

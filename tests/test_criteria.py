@@ -14,10 +14,9 @@ from stochctrl import (
     gramian_oracle,
     moment_step,
     random_system,
-    rank_test_words,
-    word_matrix,
     word_span,
 )
+from crosschecks import rank_test_words, word_matrix
 
 
 def test_benchmark_gramian(bench_full):

@@ -11,6 +11,7 @@ from stochctrl import (
     backward_solve_state_delay,
     forward_simulate,
     gramian,
+    gramian_invertible,
     input_delay_controller,
     input_delay_decide,
     input_delay_gramian,
@@ -189,6 +190,37 @@ def test_state_delay_decide_benchmark(bench_state_delay):
     assert report.kind == "state-delay"
     assert report.controllable and report.witness_N == 1
     assert abs(report.min_singular[2] - 0.063550705672848526) < 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "noise", [NoiseModel.rademacher(), NoiseModel.symmetric_three_point()], ids=["two-point", "three-point"]
+)
+def test_state_delay_scan_equals_each_horizon_built_alone(noise, n, d):
+    # The scan pivots one sequence by the P-sequence of N_max; each horizon's
+    # own P-sequence is that one's tail, so the figures match bit for bit.
+    spec = random_system(np.random.default_rng(10 * n + d), n, n + 1, d=d, noise=noise)
+    ts = TransformedSystem.build(spec)
+    report = state_delay_decide(ts, N_max=12)
+    for N in range(13):
+        assert report.min_singular[N] == gramian_invertible(state_delay_gramian(ts.form, d, N))[1], N
+
+
+def test_state_delay_scan_raises_on_a_singular_bracket():
+    # A = I, Abar = 0 and A1 = -I give C = C1 = I: every bracket I - C C1 is zero.
+    spec = SystemSpec(
+        A=np.eye(2),
+        B=np.array([[0.5, 0.0, 1.0], [0.0, 0.5, 0.0]]),
+        Abar=np.zeros((2, 2)),
+        Bbar=np.hstack([np.eye(2), np.zeros((2, 1))]),
+        noise=NoiseModel.rademacher(),
+        A1=-np.eye(2),
+        d=1,
+    )
+    assert len(state_delay_decide(spec, N_max=0).min_singular) == 1  # no bracket inside N = 0
+    with pytest.raises(SingularPBracket):
+        state_delay_decide(spec, N_max=12)
 
 
 def test_state_delay_controller_benchmark(bench_state_delay):

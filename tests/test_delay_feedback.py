@@ -133,7 +133,7 @@ def reference_state_delay_controller(ts, tree, x0, target=None, tol=1e-8):
         tree, form, x0, target, lambda t: member_of_S_state_delay(tree, form, d, t, tol=tol)
     )
     pseq = state_delay_P(form, d, N)
-    G = state_delay_gramian(form, d, N, pseq)
+    G = state_delay_gramian(form, d, N)
     reference_check_gramian(G, f"delayed-state Gramian at N = {N}")
     g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
     prods = reference_stage_products(tree, form, N, pseq.P)

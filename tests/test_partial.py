@@ -12,8 +12,8 @@ from stochctrl import (
     partial_decide,
     random_system,
     reduced_rank_setup,
-    word_matrix,
 )
+from crosschecks import word_matrix
 
 
 def test_intertwine_recovers_compatible_factor(rng):

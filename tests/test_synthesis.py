@@ -13,7 +13,6 @@ from stochctrl import (
     controller_csv_text,
     forward_simulate,
     null_controller,
-    q_expanded,
     random_attainable_terminal,
     random_controllable,
     random_free_input,
@@ -22,6 +21,7 @@ from stochctrl import (
     split_u,
     steer_to_target,
 )
+from crosschecks import q_expanded
 
 
 def closed_loop_gap(ts, tree, x0, ctrl, target=None):
