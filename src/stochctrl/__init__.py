@@ -20,15 +20,12 @@ from .criteria import (
     word_span,
 )
 from .delay import (
-    PSequence,
     input_delay_controller,
     input_delay_decide,
-    input_delay_gramian,
     input_delay_gramian_oracle,
     member_of_S_state_delay,
     state_delay_controller,
     state_delay_decide,
-    state_delay_gramian,
     state_delay_gramian_oracle,
     state_delay_P,
 )
@@ -40,6 +37,7 @@ from .errors import (
     EnumerationTooLarge,
     NoIntertwiner,
     NoiseMomentViolation,
+    NonFiniteGramian,
     RankDeficient,
     SchemaError,
     SingularBlock,

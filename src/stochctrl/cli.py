@@ -15,7 +15,8 @@ than ``--tol`` from the target (the report and table are still written);
 2 the criterion does not apply to the instance; 3 singular Gramian;
 4 target not attainable; 5 malformed controller table; 6 anything else,
 command-line usage errors included (a horizon below 0, a tolerance that
-is negative or not finite).
+is negative or not finite), a Gramian that overflows to a non-finite
+value, and a horizon whose path tree would exceed ``--cap`` leaves.
 """
 from __future__ import annotations
 
@@ -31,11 +32,9 @@ from .criteria import ControllabilityReport, decide, gramian, gramian_oracle
 from .delay import (
     input_delay_controller,
     input_delay_decide,
-    input_delay_gramian,
     input_delay_gramian_oracle,
     state_delay_controller,
     state_delay_decide,
-    state_delay_gramian,
     state_delay_gramian_oracle,
 )
 from .errors import (
@@ -51,7 +50,7 @@ from .errors import (
     TargetNotInS,
     UnsupportedReducedStructure,
 )
-from .model import SystemSpec, ValidatedSystem, parse_instance_file, validate
+from .model import NoiseModel, ValidatedSystem, parse_instance_file, validate
 from .partial import output_form, partial_decide, reduced_form, reduced_rank_setup
 from .pathspace import DEFAULT_CAP, PathTree, forward_simulate, terminal_from_map
 from .synthesis import (
@@ -76,15 +75,18 @@ EXIT_ERROR = 6
 class Route:
     """What each command does for one kind of instance.
 
-    The callables reach the library through this module's globals at call
-    time, so wrappers installed on those names see every call.
+    The form carries any delay channel with its lag, so oracle-check's
+    closed form is :func:`criteria.gramian` on every route and only the
+    enumeration oracle differs. The callables reach the library through
+    this module's globals at call time, so wrappers installed on those
+    names see every call.
     """
 
     verdicts: tuple[str, str]  # analyze verdict when (controllable, not)
     decide: Callable[[ValidatedSystem, int], ControllabilityReport]
     form: Callable[[ValidatedSystem], BsdeForm]  # coefficients oracle-check compares on
-    # (form, spec, N, cap) -> (closed-form Gramian, enumerated Gramian)
-    gramians: Callable[[BsdeForm, SystemSpec, int, int], tuple[np.ndarray, np.ndarray]]
+    # (form, N, noise, cap) -> the Gramian by path enumeration
+    oracle: Callable[[BsdeForm, int, NoiseModel, int], np.ndarray]
     # (ts, tree, x0, target leaves or None, tol) -> ControllerProcess; None: no synthesis
     controller: Callable | None
 
@@ -93,8 +95,8 @@ def _form(vs: ValidatedSystem) -> BsdeForm:
     return TransformedSystem.build(vs).form
 
 
-def _plain_gramians(form: BsdeForm, spec: SystemSpec, N: int, cap: int):
-    return gramian(form, N), gramian_oracle(form, N, spec.noise, cap=cap)
+def _plain_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int) -> np.ndarray:
+    return gramian_oracle(form, N, noise, cap=cap)
 
 
 ROUTES = {
@@ -102,41 +104,35 @@ ROUTES = {
         ("exactly controllable", "not exactly controllable"),
         lambda vs, N: decide(vs, N_max=N),
         _form,
-        _plain_gramians,
+        _plain_oracle,
         lambda ts, tree, x0, target, tol: steer_to_target(ts, tree, x0, target, tol=tol),
     ),
     "partial": Route(
         ("H-partially exactly controllable", "not H-partially exactly controllable"),
         lambda vs, N: partial_decide(vs, N_max=N),
         lambda vs: output_form(TransformedSystem.build(vs)),
-        _plain_gramians,
+        _plain_oracle,
         None,
     ),
     "reduced": Route(
         ("leading-block exactly controllable", "not leading-block exactly controllable"),
         lambda vs, N: reduced_rank_setup(vs, N_max=N)[1],
         lambda vs: reduced_form(vs).form,
-        _plain_gramians,
+        _plain_oracle,
         None,
     ),
     "input-delay": Route(
         ("exactly controllable (input delay)", "not shown controllable (input delay)"),
         lambda vs, N: input_delay_decide(vs, N_max=N),
         _form,
-        lambda form, spec, N, cap: (
-            input_delay_gramian(form, spec.tau, N),
-            input_delay_gramian_oracle(form, spec.tau, N, spec.noise, cap=cap),
-        ),
+        lambda form, N, noise, cap: input_delay_gramian_oracle(form, N, noise, cap=cap),
         lambda ts, tree, x0, target, tol: input_delay_controller(ts, tree, x0, target, tol=tol),
     ),
     "state-delay": Route(
         ("exactly controllable (state delay)", "not shown controllable (state delay)"),
         lambda vs, N: state_delay_decide(vs, N_max=N),
         _form,
-        lambda form, spec, N, cap: (
-            state_delay_gramian(form, spec.d, N),
-            state_delay_gramian_oracle(form, spec.d, N, spec.noise, cap=cap),
-        ),
+        lambda form, N, noise, cap: state_delay_gramian_oracle(form, N, noise, cap=cap),
         lambda ts, tree, x0, target, tol: state_delay_controller(ts, tree, x0, target, tol=tol),
     ),
 }
@@ -258,9 +254,8 @@ def cmd_synthesize(args) -> int:
 def cmd_verify(args) -> int:
     inst, _, route, tree = _steering_setup(args, "verification")
     spec = inst.system
-    delayed = (spec.B1.shape[1], spec.tau) if spec.B1 is not None else (None, None)
     try:
-        u, u1 = read_controller_table(args.controller, tree, spec.m, *delayed)
+        u, u1 = read_controller_table(args.controller, tree, spec)
         xs = forward_simulate(tree, spec, inst.x0, u, u1=u1)
     except (SchemaError, AdaptednessViolation, StageMismatch) as exc:
         sys.stderr.write(f"bad controller table: {exc}\n")
@@ -283,7 +278,10 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     inst, vs, route, N = _load(args)
-    closed, literal = ROUTES[route].gramians(ROUTES[route].form(vs), inst.system, N, args.cap)
+    form = ROUTES[route].form(vs)
+    # The oracle first: its path tree refuses a horizon over the cap before any closed-form work.
+    literal = ROUTES[route].oracle(form, N, inst.system.noise, args.cap)
+    closed = gramian(form, N)
     error = float(np.linalg.norm(closed - literal))
     ok = error <= args.tol
     pairs = [

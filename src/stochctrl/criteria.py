@@ -10,14 +10,16 @@ C + w Cbar; the i-th term equals the expectation of the i-fold product
 applied to D D' because the noise is independent across stages with zero
 mean and unit variance. It is accumulated in backward-equation form,
 G_N = D D' + Lambda(G_{N-1}) from G_{-1} = 0, by
-:func:`gramian_sequence`. That recursion, with a delayed-input term and
-state-delay pivots added, is the only place any route's steering Gramian
-is built: the decisions, the delay routes and every controller's gains
-read it. An independent enumeration oracle recomputes each
-term literally over all noise paths, with the per-path products taken
-from :func:`pathspace.path_products`; the two routes are kept separate so
-they can check each other. The CLI's route table (``cli.ROUTES``) pairs
-each closed form with its oracle.
+:func:`gramian_sequence`. That recursion, with the delayed-input term and
+state-delay pivots of the form's delay channel added, is the only place
+any route's steering Gramian is built. :func:`gramian` is every route's
+horizon-N Gramian, :func:`decide_form` every route's scan (with the rank
+test where no delay channel makes it inapplicable), and every
+controller's gains read the sequence. An independent enumeration oracle
+recomputes each term literally over all noise paths, with the per-path
+products taken from :func:`pathspace.path_products`; the two routes are
+kept separate so they can check each other. The CLI's route table
+(``cli.ROUTES``) pairs each route with its oracle.
 
 The rank test spans {W D : W a word over {C, Cbar}}. Reachability of the
 whole state space by some horizon is equivalent to that span being full,
@@ -25,14 +27,13 @@ and the span closes after at most n productive rounds.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriteriaDisagreement
+from .errors import CriteriaDisagreement, NonFiniteGramian
 from .model import NoiseModel, SystemSpec, ValidatedSystem
-from .pathspace import DEFAULT_CAP, PathTree, path_products, weighted_gram
+from .pathspace import DEFAULT_CAP, PathTree, path_products, state_delay_P, weighted_gram
 from .transform import BsdeForm, TransformedSystem
 
 
@@ -41,33 +42,53 @@ def moment_step(C: np.ndarray, Cbar: np.ndarray, X: np.ndarray) -> np.ndarray:
     return C @ X @ C.T + Cbar @ X @ Cbar.T
 
 
-def gramian_sequence(form: BsdeForm, delayed: int | None = None, pivots=()):
-    """Yield S(0), S(1), ...: the one place a steering Gramian is accumulated.
+def gramian_sequence(form: BsdeForm, N: int):
+    """Yield S(0), ..., S(N): the one place a steering Gramian is accumulated.
 
     S(j) = P(j) (D D' + E(j) + Lambda(S(j-1))) P(j)' from S(-1) = 0, the
-    backward equation's Gramian over its last j + 1 stages. With
-    ``delayed`` = tau the delayed input adds E(j) = C^tau D1 D1' C^tau' for
-    j >= tau, and E(j) = 0 otherwise. ``pivots`` lists the state-delay
-    pivots of one horizon N by j, P(j) being the pivot at stage N - j; the
-    sequence ends with them. Without pivots P(j) = I and it never ends.
+    backward equation's Gramian over its last j + 1 stages. A delayed
+    input adds E(j) = C^tau D1 D1' C^tau' for j >= tau, and E(j) = 0
+    otherwise. A delayed state pivots by P(j), the pivot at stage N - j of
+    :func:`pathspace.state_delay_P` at horizon N; otherwise P(j) = I. The
+    lags are the form's. A non-finite S(j) raises :class:`NonFiniteGramian`
+    at horizon j.
     """
     DDt = form.D @ form.D.T
-    if delayed is not None:
-        CD1 = np.linalg.matrix_power(form.C, delayed) @ form.D1
+    if form.tau is not None:
+        CD1 = np.linalg.matrix_power(form.C, form.tau) @ form.D1
         E = CD1 @ CD1.T
+    pivots = None if form.C1 is None else state_delay_P(form, N)[::-1]
     S = np.zeros((form.n, form.n))
-    for j, P in enumerate(pivots or itertools.repeat(None)):
-        S = DDt + moment_step(form.C, form.Cbar, S)
-        if delayed is not None and j >= delayed:
-            S = S + E
-        if P is not None:
-            S = P @ S @ P.T
+    for j in range(N + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = DDt + moment_step(form.C, form.Cbar, S)
+            if form.tau is not None and j >= form.tau:
+                S = S + E
+            if pivots is not None:
+                S = pivots[j] @ S @ pivots[j].T
+        if not np.isfinite(S).all():
+            raise NonFiniteGramian(j)
         yield S
 
 
+def _gramians(form: BsdeForm, N: int):
+    """Yield the horizon-j Gramians, j = 0..N: S(j) of :func:`gramian_sequence`,
+    plus with a delayed input its pre-horizon terms C^i D1 D1' C^i', i < min(tau, j + 1)."""
+    if form.D1 is None:
+        yield from gramian_sequence(form, N)
+        return
+    pre, CD1 = np.zeros((form.n, form.n)), form.D1
+    for j, S in enumerate(gramian_sequence(form, N)):
+        if j < form.tau:
+            pre = pre + CD1 @ CD1.T
+            CD1 = form.C @ CD1
+        yield S + pre
+
+
 def gramian(form: BsdeForm, N: int) -> np.ndarray:
-    """Steering Gramian over horizon N: S(N) of :func:`gramian_sequence`."""
-    return next(itertools.islice(gramian_sequence(form), N, None))
+    """Steering Gramian over horizon N on every route, delay channels included."""
+    *_, G = _gramians(form, N)
+    return G
 
 
 def gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -177,23 +198,23 @@ class ControllabilityReport:
     transform_source: str | None = None
 
 
-def _scan_gramians(kind, gramians, dim: int, N_max: int, transform_source=None, span=None) -> ControllabilityReport:
-    """Report on the horizon-N Gramians ``gramians`` yields for N = 0..N_max.
+def _scan_gramians(kind, form: BsdeForm, N_max: int, transform_source=None, span=None) -> ControllabilityReport:
+    """Report on the horizon-N Gramians for N = 0..N_max.
 
     ``span`` is the rank test's outcome where it applies; without it the
     rank-test fields stay None.
     """
-    G = np.zeros((dim, dim))
+    G = np.zeros((form.n, form.n))
     min_sv = []
     witness = None
-    for N, G in zip(range(N_max + 1), gramians):
+    for N, G in enumerate(_gramians(form, N_max)):
         ok, smin = gramian_invertible(G)
         min_sv.append(smin)
         if ok and witness is None:
             witness = N
     return ControllabilityReport(
         kind=kind,
-        dim=dim,
+        dim=form.n,
         N_max=N_max,
         controllable=witness is not None,
         witness_N=witness,
@@ -213,17 +234,24 @@ def decide_form(
     kind: str = "full",
     transform_source: str | None = None,
 ) -> ControllabilityReport:
-    """Run both criteria on backward-form coefficients and cross-check."""
+    """Scan the Gramians of every route and, without a delay channel, cross-check with the rank test.
+
+    With a delayed input or state only the Gramian's sufficient direction
+    is available, so the rank-test fields stay None and a missing witness
+    means "not shown".
+    """
     dim = form.n
-    span = word_span(form)
-    report = _scan_gramians(kind, gramian_sequence(form), dim, N_max, transform_source, span)
+    span = None if form.D1 is not None or form.C1 is not None else word_span(form)
+    report = _scan_gramians(kind, form, N_max, transform_source, span)
+    if span is None:
+        return report
     by_rank = span.rank == dim
     if report.witness_N is None and by_rank:
         # The window may simply be short: a controllable form has an
         # invertible Gramian by N = dim - 1. Look further before calling
         # the two criteria inconsistent; the report keeps the requested
         # window for its figures, only the witness may exceed it.
-        report.witness_N = _scan_gramians(kind, gramian_sequence(form), dim, max(N_max, 2 * dim)).witness_N
+        report.witness_N = _scan_gramians(kind, form, max(N_max, 2 * dim)).witness_N
         report.controllable = report.witness_N is not None
     if report.controllable != by_rank:
         raise CriteriaDisagreement(
@@ -237,16 +265,18 @@ def decide(
     system: SystemSpec | ValidatedSystem | TransformedSystem,
     N_max: int | None = None,
 ) -> ControllabilityReport:
-    """Full-rank route: transform, then Gramian scan plus rank test.
+    """Full-rank route: transform, then the scan of :func:`decide_form`.
 
     ``N_max`` defaults to the spec's horizon_max, else 2n, which always
-    suffices: if the rank test passes, some Gramian with N < n is already
-    invertible.
+    suffices without a delay channel: if the rank test passes, some
+    Gramian with N < n is already invertible. A delayed input or state is
+    part of the form, so the report decides the delayed system.
     """
     system = TransformedSystem.build(system)
+    form = system.form
     return decide_form(
-        system.form,
+        form,
         system.spec.default_horizon if N_max is None else N_max,
-        kind="full",
+        kind="input-delay" if form.D1 is not None else "state-delay" if form.C1 is not None else "full",
         transform_source=system.transform.source,
     )

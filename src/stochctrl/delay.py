@@ -1,19 +1,23 @@
 """Controllability with a delayed input or a delayed state.
 
 Both variants keep the backward-form coefficients (C, Cbar, D) and add
-one channel, and both Gramians come from :func:`criteria.gramian_sequence`,
+one channel, which the form carries with its lag (D1 with tau, C1 with
+d), so nothing here takes a lag argument. Their Gramians are
+:func:`criteria.gramian` and their scans :func:`criteria.decide_form`,
+both read off the one recursion :func:`criteria.gramian_sequence`,
 S(j) = P(j) (D D' + E(j) + Lambda(S(j-1))) P(j)' from S(-1) = 0. A
 delayed input contributes D1 u1(k - tau) to the backward equation; its
 Gramian terms are conditional expectations of the stage products, which
 collapse by independence to C^tau times an ordinary product: the
 sequence's E(j) = C^tau D1 D1' C^tau' for j >= tau, plus the pre-horizon
-terms C^i D1 D1' C^i', i < tau, added outside it. A delayed state adds
-the drift C1 x(k - d); the deterministic P(k) iteration absorbs that
-coupling and the Gramian weaves P(k) between the random stage factors,
-as the sequence's pivots P(j) = P(N - j). The same P(k) pivot the
-elimination that solves the delayed backward equation. P(k) depends on
-the horizon only through N - k, so one P-sequence serves every horizon
-up to its own.
+terms C^i D1 D1' C^i', i < tau, that :func:`criteria.gramian` adds. A
+delayed state adds the drift C1 x(k - d); the deterministic P(k)
+iteration (:func:`pathspace.state_delay_P`) absorbs that coupling and
+the Gramian weaves P(k) between the random stage factors, as the
+sequence's pivots P(j) = P(N - j). The same P(k) pivot the elimination
+that solves the delayed backward equation. P(k) depends on the horizon
+only through N - k, so one P-sequence serves every horizon up to its
+own.
 
 Both controllers are feedback laws in ``synthesis``'s closed loop, on
 e = x - x_h with j = N - k, and take their gains from its one gain law
@@ -37,12 +41,9 @@ so the two routes can check each other. The CLI's route table
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
-from .criteria import ControllabilityReport, _scan_gramians, gramian_sequence
+from .criteria import ControllabilityReport, decide, gramian, gramian_sequence
 from .errors import DimensionMismatch
 from .model import NoiseModel, SystemSpec, ValidatedSystem
 from .pathspace import (
@@ -55,6 +56,7 @@ from .pathspace import (
     backward_solve_state_delay,
     member_of_S,
     path_products,
+    state_delay_P,  # noqa: F401  (part of this module's surface; defined next to the elimination)
     weighted_gram,
 )
 from .synthesis import ControllerProcess, _check_gramian, _closed_loop, _gains, _pinv, _steering_start
@@ -65,30 +67,8 @@ from .transform import BsdeForm, TransformedSystem
 # input delay
 
 
-def _input_delay_gramians(form: BsdeForm, tau: int):
-    """Yield the delayed-input Gramian at N = 0, 1, ...: S(N) of
-    :func:`criteria.gramian_sequence` plus C^i D1 D1' C^i', i < min(tau, N + 1)."""
-    pre, CD1 = np.zeros((form.n, form.n)), form.D1
-    for N, S in enumerate(gramian_sequence(form, tau)):
-        if N < tau:
-            pre = pre + CD1 @ CD1.T
-            CD1 = form.C @ CD1
-        yield S + pre
-
-
-def input_delay_gramian(form: BsdeForm, tau: int, N: int) -> np.ndarray:
-    """Steering Gramian of the delayed-input system over horizon N."""
-    if form.D1 is None:
-        raise DimensionMismatch("form has no delayed input channel D1")
-    if tau < 1:
-        raise ValueError(f"input delay must be >= 1, got {tau}")
-    return next(itertools.islice(_input_delay_gramians(form, tau), N, None))
-
-
-def input_delay_gramian_oracle(
-    form: BsdeForm, tau: int, N: int, noise: NoiseModel, cap: int = DEFAULT_CAP
-) -> np.ndarray:
-    """Same Gramian by literal enumeration, conditional expectations and all.
+def input_delay_gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """The delayed-input Gramian by literal enumeration, conditional expectations and all.
 
     For each i the delayed term averages, over prefixes of depth
     max(0, i - tau), the squared conditional mean of the full product
@@ -97,7 +77,7 @@ def input_delay_gramian_oracle(
     if form.D1 is None:
         raise DimensionMismatch("form has no delayed input channel D1")
     tree = PathTree(noise, N, cap)
-    n, s = form.n, tree.s
+    n, s, tau = form.n, tree.s, form.tau
     G = np.zeros((n, n))
     for i, prods in enumerate(path_products(form, tree.support, N)):
         G += weighted_gram(tree.node_probs(i), prods @ form.D)
@@ -119,15 +99,15 @@ def input_delay_controller(
 
     The pre-horizon u1 stages -tau..-1 are deterministic and carried in the output table.
     """
-    spec, form = ts.spec, ts.form
-    if spec.B1 is None or spec.tau is None:
+    form = ts.form
+    if form.D1 is None:
         raise ValueError("system has no delayed input channel")
-    tau, N, n = spec.tau, tree.horizon, form.n
+    tau, N, n = form.tau, tree.horizon, form.n
     x0, hom = _steering_start(tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol))
-    G = input_delay_gramian(form, tau, N)
+    G = gramian(form, N)
     _check_gramian(G, f"delayed-input Gramian at N = {N}")
     g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
-    S = [np.zeros((n, n)), *itertools.islice(gramian_sequence(form, tau), N + 1)]  # S(j-1)
+    S = [np.zeros((n, n)), *gramian_sequence(form, N)]  # S(j-1)
     CD1 = [np.linalg.matrix_power(form.C, i) @ form.D1 for i in range(tau + 1)]  # C^i D1
     u1_gains = [CD1[tau].T @ _pinv(S[j + 1]) for j in range(N, tau - 1, -1)]
     pre = {i - tau: (g @ CD1[i])[None, :] for i in range(min(tau, N + 1))}
@@ -147,87 +127,34 @@ def input_delay_decide(
 ) -> ControllabilityReport:
     """Scan the delayed-input Gramians; a witness proves controllability."""
     ts = TransformedSystem.build(system)
-    spec = ts.spec
-    if spec.B1 is None or spec.tau is None:
+    if ts.form.D1 is None:
         raise ValueError("system has no delayed input channel")
-    return _delay_scan("input-delay", ts, N_max, lambda _: _input_delay_gramians(ts.form, spec.tau))
-
-
-def _delay_scan(kind: str, ts: TransformedSystem, N_max, gramians) -> ControllabilityReport:
-    """Scan the horizon-N Gramians ``gramians(N_max)`` yields for N = 0..N_max.
-
-    Only the sufficient direction is available on the delay routes, so the
-    rank-test fields stay None and a missing witness means "not shown".
-    """
-    N_max = ts.spec.default_horizon if N_max is None else N_max
-    return _scan_gramians(kind, gramians(N_max), ts.spec.n, N_max, ts.transform.source)
+    return decide(ts, N_max)
 
 
 # ---------------------------------------------------------------------------
 # state delay
 
 
-@dataclass(frozen=True, eq=False)
-class PSequence:
-    """Deterministic backward iteration absorbing the delayed-state drift.
-
-    P(k) is the identity on the tail band k = N .. N-d+1 and
-    [I - C P(k+1) ... C P(k+d) C1]^{-1} below it: the pivots of
-    :func:`pathspace.backward_solve_state_delay`. P(k) depends on the
-    horizon N only through N - k, so one sequence serves every shorter
-    horizon as its tail.
-    """
-
-    P: tuple[np.ndarray, ...]  # indices 0..N
-
-
-def state_delay_P(form: BsdeForm, d: int, N: int) -> PSequence:
-    """Run the backward iteration, failing loudly on a singular bracket."""
+def state_delay_gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """The delayed-state Gramian by literal enumeration of P(0)C(0)...P(j-1)C(j-1)P(j)D."""
+    tree = PathTree(noise, N, cap)
     if form.C1 is None:
         raise DimensionMismatch("form has no delayed state channel C1")
-    if d < 1:
-        raise ValueError(f"state delay must be >= 1, got {d}")
-    P, _ = _state_delay_gains(form, d, N)
-    return PSequence(P=tuple(P))
-
-
-def state_delay_gramian(form: BsdeForm, d: int, N: int) -> np.ndarray:
-    """Steering Gramian of the delayed-state system over horizon N.
-
-    S(N) of :func:`criteria.gramian_sequence` pivoted by this horizon's
-    P-sequence: it sums the defining products exactly because the moment
-    recursion is linear in its seed.
-    """
-    return next(itertools.islice(_state_delay_sequence(form, d, N), N, None))
-
-
-def _state_delay_sequence(form: BsdeForm, d: int, N: int):
-    """S(0), ..., S(N) of :func:`criteria.gramian_sequence` pivoted by the horizon-N P-sequence."""
-    return gramian_sequence(form, pivots=state_delay_P(form, d, N).P[::-1])
-
-
-def state_delay_gramian_oracle(
-    form: BsdeForm, d: int, N: int, noise: NoiseModel, cap: int = DEFAULT_CAP
-) -> np.ndarray:
-    """Same Gramian by literal enumeration of P(0)C(0)...P(j-1)C(j-1)P(j)D."""
-    pseq = state_delay_P(form, d, N)
-    tree = PathTree(noise, N, cap)
     G = np.zeros((form.n, form.n))
-    for j, prods in enumerate(path_products(form, tree.support, N, pseq.P)):
+    for j, prods in enumerate(path_products(form, tree.support, N)):
         G += weighted_gram(tree.node_probs(j), prods @ form.D)
     return G
 
 
-def member_of_S_state_delay(
-    tree: PathTree, form: BsdeForm, d: int, terminal, tol: float = 1e-8
-) -> SMembership:
+def member_of_S_state_delay(tree: PathTree, form: BsdeForm, terminal, tol: float = 1e-8) -> SMembership:
     """Attainability test against the delayed homogeneous backward equation.
 
     Same residual method as :func:`member_of_S`, with the zero-input
     solve replaced by the delayed one.
     """
     terminal_arr = _terminal_array(tree, form.n, terminal)
-    sol = backward_solve_state_delay(tree, form, d, terminal_arr)
+    sol = backward_solve_state_delay(tree, form, terminal_arr)
     return _membership(sol, terminal_arr, tol)
 
 
@@ -242,15 +169,13 @@ def state_delay_controller(
 
     Pre-horizon states are zero.
     """
-    spec, form = ts.spec, ts.form
-    if spec.A1 is None or spec.d is None:
+    form = ts.form
+    if form.C1 is None:
         raise ValueError("system has no delayed state channel")
-    d, N = spec.d, tree.horizon
-    x0, hom = _steering_start(
-        tree, form, x0, target, lambda t: member_of_S_state_delay(tree, form, d, t, tol=tol)
-    )
-    P, Q = _state_delay_gains(form, d, N)
-    S = [np.zeros((form.n, form.n)), *itertools.islice(gramian_sequence(form, pivots=P[::-1]), N + 1)]
+    d, N = form.d, tree.horizon
+    x0, hom = _steering_start(tree, form, x0, target, lambda t: member_of_S_state_delay(tree, form, t, tol=tol))
+    _, Q = _state_delay_gains(form, N)
+    S = [np.zeros((form.n, form.n)), *gramian_sequence(form, N)]
     _check_gramian(S[-1], f"delayed-state Gramian at N = {N}")
 
     def predict(k, e, _):
@@ -259,7 +184,7 @@ def state_delay_controller(
             r = r - tree.lift(e[k - j], k - j, k) @ Q[k][j - 1].T
         return r
 
-    return _closed_loop("state-delay", ts, tree, x0, hom, S[-1], _gains(ts, S, P), predict)
+    return _closed_loop("state-delay", ts, tree, x0, hom, S[-1], _gains(ts, S), predict)
 
 
 def state_delay_decide(
@@ -270,11 +195,10 @@ def state_delay_decide(
 
     P(k) depends on the horizon N only through N - k, so the horizon-N
     Gramian is S(N) of one sequence pivoted by the P-sequence built once at
-    N_max, read from its tail. A singular bracket at any scanned horizon
-    propagates; the criterion is inapplicable there.
+    N_max. A singular bracket at any scanned horizon propagates; the
+    criterion is inapplicable there.
     """
     ts = TransformedSystem.build(system)
-    spec = ts.spec
-    if spec.A1 is None or spec.d is None:
+    if ts.form.C1 is None:
         raise ValueError("system has no delayed state channel")
-    return _delay_scan("state-delay", ts, N_max, lambda N: _state_delay_sequence(ts.form, spec.d, N))
+    return decide(ts, N_max)

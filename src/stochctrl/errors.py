@@ -62,6 +62,14 @@ class SingularGramian(StochctrlError):
     """Steering Gramian is singular at the requested horizon."""
 
 
+class NonFiniteGramian(StochctrlError):
+    """The Gramian recursion overflowed: S(``horizon``) is the first non-finite one."""
+
+    def __init__(self, horizon: int):
+        self.horizon = horizon
+        super().__init__(f"Gramian is not finite at horizon {horizon}; the moment recursion overflows")
+
+
 class TargetNotInS(StochctrlError):
     """Terminal value is not attainable by the homogeneous backward equation."""
 

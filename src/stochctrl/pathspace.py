@@ -11,10 +11,11 @@ k-1 live at depth k. An :class:`AdaptedProcess` stores each stage at its
 coarsest measurable depth and never replicates values per leaf.
 
 :func:`path_products` is the one place per-history products of the
-random factors C + w Cbar are built: the terminal-product formula and
-every enumeration oracle (in ``criteria`` and ``delay``) take their
-products from it. No controller builds them; every route steers by
-state feedback (see ``synthesis``).
+random factors C + w Cbar are built, with the state-delay pivots of
+:func:`state_delay_P` woven in when the form has a delayed state: the
+terminal-product formula and every enumeration oracle (in ``criteria``
+and ``delay``) take their products from it. No controller builds them;
+every route steers by state feedback (see ``synthesis``).
 """
 from __future__ import annotations
 
@@ -45,10 +46,11 @@ class PathTree:
         self.noise = noise
         self.horizon = int(horizon)
         self.s = len(noise.support)
-        if self.s ** (self.horizon + 1) > cap:
-            raise EnumerationTooLarge(
-                f"{self.s}^{self.horizon + 1} = {self.s ** (self.horizon + 1)} leaves exceed cap {cap}"
-            )
+        leaves = 1
+        for _ in range(self.horizon + 1):  # stops past the cap, before s^(N+1) is formed
+            leaves *= self.s
+            if leaves > cap:
+                raise EnumerationTooLarge(f"{self.s}^{self.horizon + 1} leaves exceed cap {cap}")
         self.support = np.asarray(noise.support, dtype=float)
         self.probs = np.asarray(noise.probs, dtype=float)
         self._node_probs = [np.array([1.0])]
@@ -156,16 +158,18 @@ def cond_expect(p: AdaptedProcess, stage: int, to_depth: int) -> np.ndarray:
     return p.tree.cond_expect_array(p.at(stage), p.depth(stage), to_depth)
 
 
-def path_products(form: BsdeForm, support, depth: int, P=None):
+def path_products(form: BsdeForm, support, depth: int):
     """Yield the per-history products C(0) ... C(k-1) for k = 0..depth.
 
     Level k has shape (s^k, n, n) with rows in node-index order; level 0
-    is the identity. With a sequence P(0..depth) the products are
-    P(0) C(0) P(1) ... C(k-1) P(k) instead. Only two levels are alive at
-    a time; take ``list`` of the result to keep them all.
+    is the identity. A form with a delayed state weaves in the pivots
+    P(0..depth) of :func:`state_delay_P` at horizon ``depth``: the products
+    are P(0) C(0) P(1) ... C(k-1) P(k) instead. Only two levels are alive
+    at a time; take ``list`` of the result to keep them all.
     """
     n = form.n
     cmats = form.stage_factors(support)
+    P = None if form.C1 is None else state_delay_P(form, depth)
     prods = (np.eye(n) if P is None else P[0])[None, :, :]
     yield prods
     for k in range(depth):
@@ -283,7 +287,21 @@ def _solution(tree: PathTree, x_vals: dict[int, np.ndarray]) -> BsdeSolution:
     )
 
 
-def _state_delay_gains(form: BsdeForm, d: int, N: int):
+def state_delay_P(form: BsdeForm, N: int) -> tuple[np.ndarray, ...]:
+    """Pivots P(0..N) of the delayed backward equation over horizon N.
+
+    P(k) is the identity on the tail band k = N .. N-d+1 and
+    [I - C P(k+1) ... C P(k+d) C1]^{-1} below it (:func:`_state_delay_gains`).
+    P(k) depends on the horizon only through N - k, so one sequence serves
+    every shorter horizon as its tail. A singular bracket raises
+    :class:`SingularPBracket`.
+    """
+    if form.C1 is None:
+        raise DimensionMismatch("form has no delayed state channel C1")
+    return tuple(_state_delay_gains(form, N)[0])
+
+
+def _state_delay_gains(form: BsdeForm, N: int):
     """Pivots P(k) and lag gains Q_j(k) of the delayed backward equation.
 
     Eliminating stages N..0 leaves x(k) = r(k) + sum_j Q_j(k) x(k-j), with
@@ -292,8 +310,9 @@ def _state_delay_gains(form: BsdeForm, d: int, N: int):
     inverts the bracket I - C P(k+1) ... C P(k+d) C1, multiplied out left to
     right so the Gramians keep their last digits. The system is singular
     exactly when a bracket is: rcond <= ``P_RCOND`` raises SingularPBracket(k).
+    The lag d is the form's.
     """
-    n = form.n
+    n, d = form.n, form.d
     P = [np.eye(n)] * (N + 1)
     Q = [[np.zeros((n, n))] * d] * (N + 2)
     for k in range(N, -1, -1):
@@ -314,11 +333,10 @@ def _state_delay_gains(form: BsdeForm, d: int, N: int):
 def backward_solve_state_delay(
     tree: PathTree,
     form: BsdeForm,
-    d: int,
     terminal,
     v: AdaptedProcess | None = None,
 ) -> BsdeSolution:
-    """Solve the backward equation with the extra drift term C1 x(k-d).
+    """Solve the backward equation with the extra drift term C1 x(k-d), d the form's lag.
 
     Block elimination with the P-sequence as pivots (:func:`_state_delay_gains`):
     r(k) = P(k) (E[C(k) r(k+1) | past] + D v(k)) backward from r(N+1) =
@@ -327,10 +345,8 @@ def backward_solve_state_delay(
     """
     if form.C1 is None:
         raise DimensionMismatch("form has no delayed state channel C1")
-    if d < 1:
-        raise StageMismatch(f"state delay must be >= 1, got {d}")
-    N = tree.horizon
-    P, Q = _state_delay_gains(form, d, N)
+    N, d = tree.horizon, form.d
+    P, Q = _state_delay_gains(form, N)
     cmats = form.stage_factors(tree.support)
     x_vals = {N + 1: _terminal_array(tree, form.n, terminal)}
     for k in range(N, -1, -1):

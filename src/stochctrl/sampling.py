@@ -108,11 +108,12 @@ def random_controllable(
     """Draw a system whose Gramian at horizon N is comfortably invertible.
 
     The conditioning cap keeps synthesized controllers' closed-loop
-    errors well inside the test tolerances.
+    errors well inside the test tolerances. The screen reads the Gramian
+    without the delay channel, so a draw does not depend on its lag.
     """
     for _ in range(max_tries):
         ts = random_transformed(rng, n, m, **kwargs)
-        G = gramian(ts.form, N)
+        G = gramian(BsdeForm(ts.form.C, ts.form.Cbar, ts.form.D), N)
         ok, _ = gramian_invertible(G)
         if not ok:
             continue

@@ -26,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -34,14 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import gramian_invertible, gramian_sequence
-from .errors import DimensionMismatch, SchemaError, SingularGramian, StageMismatch, TargetNotInS
-from .model import check_level, path_labels
+from .errors import DimensionMismatch, SchemaError, SingularGramian, TargetNotInS
+from .model import SystemSpec, check_level, path_labels
 from .pathspace import (
     AdaptedProcess,
     PathTree,
     member_of_S,
     path_products,
     plant_step,
+    state_delay_P,
     _terminal_array,
 )
 from .transform import TransformedSystem
@@ -82,15 +82,16 @@ def _pinv(S: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(S, rtol=S.shape[0] * np.finfo(float).eps)
 
 
-def _gains(ts: TransformedSystem, S, P=None) -> list[np.ndarray]:
+def _gains(ts: TransformedSystem, S) -> list[np.ndarray]:
     """Every route's gains K_k = M [S(j-1) Cbar'; D'] P(j)' S(j)^+, k = 0..N, j = N - k.
 
-    ``S`` lists S(-1) = 0, S(0), ..., S(N); ``P`` the state-delay pivots by stage (None: I).
+    ``S`` lists S(-1) = 0, S(0), ..., S(N); P(j) is the state-delay pivot at
+    stage k when the form has a delayed state, else I.
     """
-    N = len(S) - 2
-    K = [ts.transform.M @ np.vstack([S[N - k] @ ts.form.Cbar.T, ts.form.D.T]) for k in range(N + 1)]
-    if P is not None:
-        K = [Kk @ Pk.T for Kk, Pk in zip(K, P)]
+    N, form = len(S) - 2, ts.form
+    K = [ts.transform.M @ np.vstack([S[N - k] @ form.Cbar.T, form.D.T]) for k in range(N + 1)]
+    if form.C1 is not None:
+        K = [Kk @ Pk.T for Kk, Pk in zip(K, state_delay_P(form, N))]
     return [Kk @ _pinv(S[N - k + 1]) for k, Kk in enumerate(K)]
 
 
@@ -167,7 +168,7 @@ def steer_to_target(
     """
     form, n, N = ts.form, ts.form.n, tree.horizon
     x0, hom = _steering_start(tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol))
-    G = [np.zeros((n, n)), *itertools.islice(gramian_sequence(form), N + 1)]  # G_{j-1}
+    G = [np.zeros((n, n)), *gramian_sequence(form, N)]  # G_{j-1}
     _check_gramian(G[-1], f"Gramian at N = {N}")
     kind = "null" if hom is None else "target"
     return _closed_loop(kind, ts, tree, x0, hom, G[-1], _gains(ts, G), lambda k, e, _: e[k])
@@ -215,26 +216,23 @@ def controller_csv_text(ctrl: ControllerProcess) -> str:
 
 
 def read_controller_table(
-    source, tree: PathTree, m: int, m1: int | None = None, tau: int | None = None
+    source, tree: PathTree, spec: SystemSpec
 ) -> tuple[AdaptedProcess, AdaptedProcess | None]:
-    """Parse a controller table back into adapted processes.
+    """Parse a controller table of the system ``spec`` back into adapted processes.
 
-    ``m1`` and ``tau`` describe the delayed input channel (its width and
-    lag) when the instance has one, else both are None. Each stage's
-    histories must be one tree level in node order, as
-    :func:`write_controller_csv` writes them. Malformed tables (wrong
-    header, ragged rows, u rows at stages outside 0..N, u1 rows outside
-    -tau..N-tau, cells that are not ASCII or hold blanks or '_', values
-    that are not finite numbers, histories that are not one level in node
-    order) raise :class:`SchemaError`.
+    The input widths, and the delayed input channel's lag where there is
+    one, are the spec's. Each stage's histories must be one tree level in
+    node order, as :func:`write_controller_csv` writes them. Malformed
+    tables (wrong header, ragged rows, u rows at stages outside 0..N, u1
+    rows outside -tau..N-tau, cells that are not ASCII or hold blanks or
+    '_', values that are not finite numbers, histories that are not one
+    level in node order) raise :class:`SchemaError`.
     """
-    if (m1 is None) != (tau is None):
-        raise StageMismatch("m1 and tau must be supplied together")
-    N = tree.horizon
+    N, m, m1 = tree.horizon, spec.m, 0 if spec.B1 is None else spec.B1.shape[1]
     # channel -> (its columns, first and last stage, stage -> (first line, labels, values))
     channels = {"u": (slice(2, 2 + m), 0, N, {})}
     if m1:
-        channels["u1"] = (slice(2 + m, None), -tau, N - tau, {})
+        channels["u1"] = (slice(2 + m, None), -spec.tau, N - spec.tau, {})
     if isinstance(source, str) and "\n" in source:
         source = io.StringIO(source)
     with _opened(source, "r") as fh:
@@ -244,7 +242,7 @@ def read_controller_table(
         except StopIteration:
             raise SchemaError("controller table is empty") from None
         want = ["stage", "history"] + [f"u_{i}" for i in range(m)]
-        want += [f"u1_{i}" for i in range(m1)] if m1 else []
+        want += [f"u1_{i}" for i in range(m1)]
         if header != want:
             raise SchemaError(f"controller header {header!r} does not match expected {want!r}")
         for lineno, row in enumerate(reader, start=2):

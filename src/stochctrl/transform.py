@@ -12,7 +12,9 @@ A - L Abar yields the backward-form coefficients
 where B M = [L F]. A state value then satisfies
 x(k) = E[(C + w(k) Cbar) x(k+1) | past] + D v(k), which is the equation the
 rest of the package analyzes. Delay channels transform alongside:
-D1 = -C B1 and C1 = -C A1.
+D1 = -C B1 and C1 = -C A1, and the form keeps each one's lag (tau with
+D1, d with C1), so every Gramian, scan, solve and oracle reads the lag
+from the form it is given.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadUserM, RankDeficient, SingularPencil
-from .model import SystemSpec, ValidatedSystem, validate
+from .model import SystemSpec, ValidatedSystem, _integer, validate
 
 USER_M_TOL = 1e-10
 PENCIL_RCOND = 1e-12
@@ -120,13 +122,27 @@ def split_u(tr: InputTransform, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class BsdeForm:
-    """Coefficients of the backward form, plus transformed delay channels."""
+    """Coefficients of the backward form, plus transformed delay channels and their lags.
+
+    The delayed input D1 u1(k - tau) and the delayed state C1 x(k - d) each
+    come with their lag; a channel without its lag, a lag without its
+    channel and a lag below 1 are rejected.
+    """
 
     C: np.ndarray
     Cbar: np.ndarray
     D: np.ndarray
     D1: np.ndarray | None = None
     C1: np.ndarray | None = None
+    tau: int | None = None
+    d: int | None = None
+
+    def __post_init__(self):
+        for channel, name, lag, lag_name in ((self.D1, "D1", self.tau, "tau"), (self.C1, "C1", self.d, "d")):
+            if (channel is None) != (lag is None):
+                raise ValueError(f"{name} and {lag_name} must be given together")
+            if lag is not None:
+                _integer(lag_name, lag, 1)
 
     @property
     def n(self) -> int:
@@ -155,14 +171,15 @@ def to_bsde(spec: SystemSpec, tr: InputTransform) -> BsdeForm:
             f"A - L Abar has reciprocal condition number {rcond:.3e} (needs > {PENCIL_RCOND})"
         )
     C = np.linalg.inv(S)
-    form = BsdeForm(
+    return BsdeForm(
         C=C,
         Cbar=-C @ tr.L,
         D=-C @ tr.F,
         D1=None if spec.B1 is None else -C @ spec.B1,
         C1=None if spec.A1 is None else -C @ spec.A1,
+        tau=spec.tau,
+        d=spec.d,
     )
-    return form
 
 
 @dataclass(frozen=True, eq=False)

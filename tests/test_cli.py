@@ -499,3 +499,37 @@ def test_help_exits_0(capsys):
             main(argv)
         assert info.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+def test_overflowing_gramian_exits_6_with_its_horizon(capsys):
+    # The moment operator of this instance has spectral radius 2.3: its Gramian leaves
+    # float range near N = 855. That is an error (exit 6), not a negative verdict (exit 1).
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would escape as an exception
+        code, out, err = run(capsys, "analyze", "--instance", FULL, "--N", "3000")
+    assert code == 6 and out == ""
+    assert err.startswith("error: Gramian is not finite at horizon ")
+    horizon = int(err.split("horizon ")[1].split(";")[0])
+    assert 0 < horizon < 3000
+
+
+@pytest.mark.parametrize("command", ["synthesize", "verify", "oracle-check"])
+def test_over_cap_horizon_exits_6(capsys, command):
+    # 2^20001 leaves: the refusal must not form or print that number.
+    code, out, err = run(capsys, command, "--instance", FULL, *COMMANDS[command], "--N", "20000")
+    assert code == 6 and out == ""
+    assert err == "error: 2^20001 leaves exceed cap 1048576\n"
+
+
+def test_oracle_check_refuses_over_cap_before_the_closed_form(capsys, monkeypatch):
+    import stochctrl.cli as cli
+
+    def no_closed_form(*args, **kwargs):
+        raise AssertionError("oracle-check built the closed-form Gramian past the cap")
+
+    monkeypatch.setattr(cli, "gramian", no_closed_form)
+    for inst in BUNDLED:
+        code, _, err = run(capsys, "oracle-check", "--instance", inst, "--N", "1000000")
+        assert code == 6 and "exceed cap" in err, inst

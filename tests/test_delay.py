@@ -14,7 +14,6 @@ from stochctrl import (
     gramian_invertible,
     input_delay_controller,
     input_delay_decide,
-    input_delay_gramian,
     input_delay_gramian_oracle,
     member_of_S_state_delay,
     random_free_input,
@@ -22,7 +21,6 @@ from stochctrl import (
     state_delay_P,
     state_delay_controller,
     state_delay_decide,
-    state_delay_gramian,
     state_delay_gramian_oracle,
 )
 from stochctrl.transform import BsdeForm
@@ -31,7 +29,7 @@ from stochctrl.transform import BsdeForm
 def test_input_delay_benchmark_gramian(bench_input_delay):
     spec, expected = bench_input_delay
     ts = TransformedSystem.build(spec)
-    G = input_delay_gramian(ts.form, spec.tau, 2)
+    G = gramian(ts.form, 2)
     np.testing.assert_allclose(G, expected["G2"], atol=1e-12)
     assert np.linalg.matrix_rank(G) == 2
 
@@ -51,8 +49,8 @@ def test_input_delay_gramian_matches_enumeration(rng):
             tau = int(rng.integers(1, 3))
             ts = TransformedSystem.build(random_system(rng, n, n + 1, noise=noise, tau=tau))
             N = int(rng.integers(0, 4))
-            G = input_delay_gramian(ts.form, tau, N)
-            Go = input_delay_gramian_oracle(ts.form, tau, N, noise)
+            G = gramian(ts.form, N)
+            Go = input_delay_gramian_oracle(ts.form, N, noise)
             assert np.linalg.norm(G - Go) < 1e-9
 
 
@@ -66,15 +64,15 @@ def test_zero_delayed_channel_collapses(rng):
     ts = TransformedSystem.build(spec)
     for N in range(4):
         np.testing.assert_allclose(
-            input_delay_gramian(ts.form, 2, N), gramian(ts.form, N), atol=1e-12
+            gramian(ts.form, N), gramian(BsdeForm(ts.form.C, ts.form.Cbar, ts.form.D), N), atol=1e-12
         )
 
 
 def test_delay_longer_than_horizon(rng):
     # every delayed summand stays in its deterministic regime
     ts = TransformedSystem.build(random_system(rng, 2, 3, tau=4))
-    G = input_delay_gramian(ts.form, 4, 2)
-    Go = input_delay_gramian_oracle(ts.form, 4, 2, ts.spec.noise)
+    G = gramian(ts.form, 2)
+    Go = input_delay_gramian_oracle(ts.form, 2, ts.spec.noise)
     assert np.linalg.norm(G - Go) < 1e-12
 
 
@@ -105,16 +103,16 @@ def test_input_delay_steer_to_target(rng):
 def test_state_delay_P_benchmark(bench_state_delay):
     spec, expected = bench_state_delay
     ts = TransformedSystem.build(spec)
-    pseq = state_delay_P(ts.form, 1, 2)
-    np.testing.assert_allclose(pseq.P[2], np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(pseq.P[1], expected["P1"], atol=1e-9)
-    np.testing.assert_allclose(pseq.P[0], expected["P0"], atol=1e-9)
+    pseq = state_delay_P(ts.form, 2)
+    np.testing.assert_allclose(pseq[2], np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(pseq[1], expected["P1"], atol=1e-9)
+    np.testing.assert_allclose(pseq[0], expected["P0"], atol=1e-9)
 
 
 def test_state_delay_benchmark_gramian(bench_state_delay):
     spec, expected = bench_state_delay
     ts = TransformedSystem.build(spec)
-    G = state_delay_gramian(ts.form, 1, 2)
+    G = gramian(ts.form, 2)
     np.testing.assert_allclose(G, expected["G2"], atol=1e-9)
     assert np.linalg.matrix_rank(G) == 2
 
@@ -124,8 +122,8 @@ def test_state_delay_gramian_matches_enumeration(rng):
         n = int(rng.integers(1, 3))
         ts = TransformedSystem.build(random_system(rng, n, n + 1, d=1))
         N = int(rng.integers(0, 4))
-        G = state_delay_gramian(ts.form, 1, N)
-        Go = state_delay_gramian_oracle(ts.form, 1, N, ts.spec.noise)
+        G = gramian(ts.form, N)
+        Go = state_delay_gramian_oracle(ts.form, N, ts.spec.noise)
         assert np.linalg.norm(G - Go) < 1e-9
 
 
@@ -136,12 +134,12 @@ def test_zero_delayed_state_collapses(rng):
         A1=np.zeros((2, 2)), d=1,
     )
     ts = TransformedSystem.build(spec)
-    pseq = state_delay_P(ts.form, 1, 3)
+    pseq = state_delay_P(ts.form, 3)
     for k in range(4):
-        np.testing.assert_allclose(pseq.P[k], np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(pseq[k], np.eye(2), atol=1e-12)
     for N in range(4):
         np.testing.assert_allclose(
-            state_delay_gramian(ts.form, 1, N), gramian(ts.form, N), atol=1e-12
+            gramian(ts.form, N), gramian(BsdeForm(ts.form.C, ts.form.Cbar, ts.form.D), N), atol=1e-12
         )
 
 
@@ -150,7 +148,7 @@ def test_state_delay_longer_than_horizon(rng):
     spec = random_system(rng, 2, 3, d=4)
     ts = TransformedSystem.build(spec)
     np.testing.assert_allclose(
-        state_delay_gramian(ts.form, 4, 2), gramian(ts.form, 2), atol=1e-12
+        gramian(ts.form, 2), gramian(BsdeForm(ts.form.C, ts.form.Cbar, ts.form.D), 2), atol=1e-12
     )
 
 
@@ -161,9 +159,10 @@ def test_singular_bracket_reported():
         Cbar=np.zeros((2, 2)),
         D=np.array([[1.0], [0.0]]),
         C1=np.eye(2),
+        d=1,
     )
     with pytest.raises(SingularPBracket) as info:
-        state_delay_P(form, 1, 2)
+        state_delay_P(form, 2)
     assert info.value.k == 1
 
 
@@ -173,14 +172,14 @@ def test_singular_bracket_reported():
 def test_solve_and_membership_report_the_bracket_stage(C1):
     # the coupled solve's pivots are the brackets, so it fails at the
     # same stage as the P-sequence, near-singular brackets included
-    form = BsdeForm(C=np.eye(2), Cbar=np.zeros((2, 2)), D=np.array([[1.0], [0.0]]), C1=C1)
+    form = BsdeForm(C=np.eye(2), Cbar=np.zeros((2, 2)), D=np.array([[1.0], [0.0]]), C1=C1, d=1)
     tree = PathTree(NoiseModel.rademacher(), 2)
     v = random_free_input(np.random.default_rng(0), tree, 1)
     with pytest.raises(SingularPBracket) as info:
-        backward_solve_state_delay(tree, form, 1, np.ones(2), v)
+        backward_solve_state_delay(tree, form, np.ones(2), v)
     assert info.value.k == 1
     with pytest.raises(SingularPBracket) as info:
-        member_of_S_state_delay(tree, form, 1, np.ones(2))
+        member_of_S_state_delay(tree, form, np.ones(2))
     assert info.value.k == 1
 
 
@@ -204,7 +203,7 @@ def test_state_delay_scan_equals_each_horizon_built_alone(noise, n, d):
     ts = TransformedSystem.build(spec)
     report = state_delay_decide(ts, N_max=12)
     for N in range(13):
-        assert report.min_singular[N] == gramian_invertible(state_delay_gramian(ts.form, d, N))[1], N
+        assert report.min_singular[N] == gramian_invertible(gramian(ts.form, N))[1], N
 
 
 def test_state_delay_scan_raises_on_a_singular_bracket():
@@ -254,10 +253,10 @@ def test_state_delay_membership_three_point(rng):
     ts = TransformedSystem.build(spec)
     tree = PathTree(noise, 2)
     good = delayed_attainable_terminal(rng, tree, ts.form, 1, scale=0.5)
-    assert member_of_S_state_delay(tree, ts.form, 1, good).member
+    assert member_of_S_state_delay(tree, ts.form, good).member
     w_last = tree.support[[h[-1] for h in tree.histories(3)]]
     bad = (w_last**2)[:, None] * np.array([0.4, -0.2])[None, :]
-    assert not member_of_S_state_delay(tree, ts.form, 1, bad).member
+    assert not member_of_S_state_delay(tree, ts.form, bad).member
 
 
 def test_state_delay_steer_to_target(rng):
@@ -269,3 +268,52 @@ def test_state_delay_steer_to_target(rng):
     ctrl = state_delay_controller(ts, tree, x0, target=target)
     sim = forward_simulate(tree, spec, x0, ctrl.u)
     assert np.abs(sim.at(4) - target).max() < 1e-8
+
+
+def test_no_public_function_takes_a_lag():
+    # The form (and the spec) carry each delay channel's lag; nothing takes it again.
+    import inspect
+
+    import stochctrl
+
+    lag_names = {"tau", "d", "delayed", "pivots", "m1"}
+    # random_system draws a spec, so it sets the lag the spec then carries.
+    functions = [
+        (name, obj) for name, obj in vars(stochctrl).items()
+        if inspect.isfunction(obj) and not name.startswith("_") and name != "random_system"
+    ]
+    assert len(functions) > 30
+    for name, fn in functions:
+        assert not lag_names & set(inspect.signature(fn).parameters), name
+
+
+def test_bsde_form_pairs_each_channel_with_its_lag():
+    C, Cbar, D = np.eye(2), np.zeros((2, 2)), np.ones((2, 1))
+    for bad in (
+        {"D1": np.ones((2, 1))},
+        {"C1": np.eye(2)},
+        {"tau": 1},
+        {"d": 1},
+        {"D1": np.ones((2, 1)), "tau": 0},
+        {"C1": np.eye(2), "d": 0},
+        {"C1": np.eye(2), "d": -2},
+    ):
+        with pytest.raises(ValueError):
+            BsdeForm(C, Cbar, D, **bad)
+    form = BsdeForm(C, Cbar, D, D1=np.ones((2, 1)), tau=2)
+    assert (form.tau, form.d) == (2, None)
+
+
+@pytest.mark.parametrize("lag", [1, 2])
+@pytest.mark.parametrize("channel", ["tau", "d"])
+@pytest.mark.parametrize(
+    "noise", [NoiseModel.rademacher(), NoiseModel.symmetric_three_point()], ids=["two-point", "three-point"]
+)
+def test_decide_on_a_delayed_system_decides_that_system(noise, channel, lag):
+    from stochctrl import decide
+
+    spec = random_system(np.random.default_rng(lag), 2, 3, noise=noise, **{channel: lag})
+    by_route = (input_delay_decide if channel == "tau" else state_delay_decide)(spec, N_max=6)
+    report = decide(spec, N_max=6)
+    assert report.min_singular == by_route.min_singular
+    assert report.kind == by_route.kind

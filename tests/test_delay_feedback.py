@@ -18,14 +18,11 @@ import pytest
 
 from stochctrl import NoiseModel, PathTree, ProblemInstance, forward_simulate, serialize_instance
 from stochctrl.cli import main
-from stochctrl.criteria import gramian_invertible
+from stochctrl.criteria import gramian, gramian_invertible
 from stochctrl.delay import (
     input_delay_controller,
-    input_delay_gramian,
     member_of_S_state_delay,
     state_delay_controller,
-    state_delay_gramian,
-    state_delay_P,
 )
 from stochctrl.errors import DimensionMismatch, SingularGramian, StageMismatch, TargetNotInS
 from stochctrl.pathspace import (
@@ -61,8 +58,8 @@ def reference_steering_start(tree, form, x0, target, membership):
     return x0, terminal, result.solution
 
 
-def reference_stage_products(tree, form, upto, P=None):
-    return list(path_products(form, tree.support, upto, P))
+def reference_stage_products(tree, form, upto):
+    return list(path_products(form, tree.support, upto))
 
 
 def reference_free_input(tree, form, prods, g):
@@ -107,7 +104,7 @@ def reference_input_delay_controller(ts, tree, x0, target=None, tol=1e-8):
     x0, terminal, hom = reference_steering_start(
         tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol)
     )
-    G = input_delay_gramian(form, tau, N)
+    G = gramian(form, N)
     reference_check_gramian(G, f"delayed-input Gramian at N = {N}")
     g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
     prods = reference_stage_products(tree, form, N)
@@ -130,15 +127,14 @@ def reference_state_delay_controller(ts, tree, x0, target=None, tol=1e-8):
         raise ValueError("system has no delayed state channel")
     d, N = spec.d, tree.horizon
     x0, terminal, hom = reference_steering_start(
-        tree, form, x0, target, lambda t: member_of_S_state_delay(tree, form, d, t, tol=tol)
+        tree, form, x0, target, lambda t: member_of_S_state_delay(tree, form, t, tol=tol)
     )
-    pseq = state_delay_P(form, d, N)
-    G = state_delay_gramian(form, d, N)
+    G = gramian(form, N)
     reference_check_gramian(G, f"delayed-state Gramian at N = {N}")
     g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
-    prods = reference_stage_products(tree, form, N, pseq.P)
+    prods = reference_stage_products(tree, form, N)
     v = reference_free_input(tree, form, prods, g)
-    sol = backward_solve_state_delay(tree, form, d, terminal, v)
+    sol = backward_solve_state_delay(tree, form, terminal, v)
     return reference_controller("state-delay", ts, G, v, sol)
 
 

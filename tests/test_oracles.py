@@ -87,7 +87,7 @@ def loop_input_delay_gramian_oracle(form, tau, N, noise, cap=DEFAULT_CAP):
 
 
 def loop_state_delay_gramian_oracle(form, d, N, noise, cap=DEFAULT_CAP):
-    pseq = state_delay_P(form, d, N)
+    pseq = state_delay_P(form, N)
     n = form.n
     support = [float(w) for w in noise.support]
     probs = [float(p) for p in noise.probs]
@@ -99,10 +99,10 @@ def loop_state_delay_gramian_oracle(form, d, N, noise, cap=DEFAULT_CAP):
     for j in range(N + 1):
         for path in itertools.product(range(s), repeat=j):
             p = 1.0
-            prod = pseq.P[0]
+            prod = pseq[0]
             for t, dig in enumerate(path):
                 p *= probs[dig]
-                prod = prod @ cmats[dig] @ pseq.P[t + 1]
+                prod = prod @ cmats[dig] @ pseq[t + 1]
             col = prod @ form.D
             G += p * (col @ col.T)
     return G
@@ -133,12 +133,12 @@ def test_vectorized_oracles_match_loop_oracles(law, n, free):
         assert_close(gramian_oracle(plain, N, noise), loop_gramian_oracle(plain, N, noise))
         for tau, form in lagged_input.items():
             assert_close(
-                input_delay_gramian_oracle(form, tau, N, noise),
+                input_delay_gramian_oracle(form, N, noise),
                 loop_input_delay_gramian_oracle(form, tau, N, noise),
             )
         for d, form in lagged_state.items():
             assert_close(
-                state_delay_gramian_oracle(form, d, N, noise),
+                state_delay_gramian_oracle(form, N, noise),
                 loop_state_delay_gramian_oracle(form, d, N, noise),
             )
 

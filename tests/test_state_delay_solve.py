@@ -122,12 +122,12 @@ def test_elimination_matches_dense_solve(law, n, d):
     rng = np.random.default_rng([n, d, len(noise.support)])
     form = TransformedSystem.build(random_system(rng, n, n + 1, noise=noise, d=d)).form
     for N in range(6 if law == "2pt" else 5):
-        for k, (P, ref) in enumerate(zip(state_delay_P(form, d, N).P, loop_state_delay_P(form, d, N))):
+        for k, (P, ref) in enumerate(zip(state_delay_P(form, N), loop_state_delay_P(form, d, N))):
             assert np.abs(P - ref).max() <= 1e-14, (N, k)
         tree = PathTree(noise, N)
         v = random_free_input(rng, tree, form.m_free)
         terminal = rng.normal(size=(tree.n_nodes(N + 1), n))
-        sol = backward_solve_state_delay(tree, form, d, terminal, v)
+        sol = backward_solve_state_delay(tree, form, terminal, v)
         ref = dense_backward_solve_state_delay(tree, form, d, terminal, v)
         scale = max(1.0, max(float(np.abs(ref.x.at(k)).max()) for k in range(N + 2)))
         for k in range(N + 1):
@@ -144,7 +144,7 @@ def test_horizon_beyond_the_dense_solve(rng, tmp_path, capsys):
     tree = PathTree(ts.spec.noise, N)
     v = random_free_input(rng, tree, ts.form.m_free)
     terminal = rng.normal(size=(tree.n_nodes(N + 1), 2))
-    sol = backward_solve_state_delay(tree, ts.form, 1, terminal, v)
+    sol = backward_solve_state_delay(tree, ts.form, terminal, v)
     assert node_residual(tree, ts.form, 1, sol, v) <= RTOL
 
     inst = tmp_path / "deep.json"

@@ -107,7 +107,7 @@ def test_csv_roundtrip_exact(rng, tmp_path):
     from stochctrl import write_controller_csv
 
     write_controller_csv(path, ctrl)
-    u, u1 = read_controller_table(path, tree, 3)
+    u, u1 = read_controller_table(path, tree, ts.spec)
     assert u1 is None
     for k in range(3):
         np.testing.assert_array_equal(u.at(k), ctrl.u.at_depth(k, u.depth(k)))
@@ -123,7 +123,7 @@ def test_csv_roundtrip_with_delay_channel(rng):
     tree = PathTree(ts.spec.noise, 2)
     ctrl = input_delay_controller(ts, tree, np.array([1.0, -1.0]))
     text = controller_csv_text(ctrl)
-    u, u1 = read_controller_table(text, tree, 3, m1=3, tau=1)
+    u, u1 = read_controller_table(text, tree, ts.spec)
     assert u1 is not None
     assert sorted(u1.stages()) == sorted(ctrl.u1.stages())
     sim = forward_simulate(tree, ts.spec, np.array([1.0, -1.0]), u, u1=u1)
@@ -148,7 +148,7 @@ def test_malformed_tables_rejected(rng, mangle):
     lines = controller_csv_text(ctrl).strip().split("\n")
     bad = "\n".join(mangle(lines)) + "\n"
     with pytest.raises(SchemaError):
-        read_controller_table(bad, tree, 3)
+        read_controller_table(bad, tree, ts.spec)
 
 
 def test_table_history_depth_checked(rng):
@@ -159,4 +159,4 @@ def test_table_history_depth_checked(rng):
     lines = controller_csv_text(ctrl).strip().split("\n")
     lines = [lines[0]] + ["0,000,1.0,1.0,1.0"] + lines[2:]
     with pytest.raises(SchemaError):
-        read_controller_table("\n".join(lines) + "\n", tree, 3)
+        read_controller_table("\n".join(lines) + "\n", tree, ts.spec)

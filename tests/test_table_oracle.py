@@ -103,8 +103,7 @@ def test_tables_match_the_row_by_row_writer(law, N, route):
         assert min(ctrl.u1.stages()) == -ts.spec.tau
         assert f"\n-1,,{',' * (ctrl.u.dim - 1)}," in text
 
-    delayed = (ts.spec.B1.shape[1], ts.spec.tau) if ts.spec.B1 is not None else (None, None)
-    u, u1 = read_controller_table(text, tree, ctrl.u.dim, *delayed)
+    u, u1 = read_controller_table(text, tree, ts.spec)
     for got, want in ((u, ctrl.u), (u1, ctrl.u1)):
         if want is None:
             assert got is None
