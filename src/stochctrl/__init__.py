@@ -76,7 +76,6 @@ from .pathspace import (
     SMembership,
     backward_solve,
     backward_solve_state_delay,
-    cond_expect,
     expected_terminal_product,
     forward_simulate,
     member_of_S,
@@ -85,9 +84,13 @@ from .pathspace import (
 )
 from .synthesis import (
     ControllerProcess,
+    FeedbackLaw,
     controller_csv_text,
+    feedback_loop,
+    law_text,
     null_controller,
     read_controller_table,
+    read_feedback_law,
     steer_to_target,
     write_controller_csv,
 )
@@ -96,8 +99,6 @@ from .transform import (
     InputTransform,
     TransformedSystem,
     compute_M,
-    reconstruct_u,
-    split_u,
     to_bsde,
 )
 

@@ -11,16 +11,18 @@ that tells the kinds apart.
 
 Exit codes: 0 controllable / verified / matching; 1 negative outcome,
 including a synthesized controller whose own closed loop ends farther
-than ``--tol`` from the target (the report and table are still written);
-2 the criterion does not apply to the instance; 3 singular Gramian;
-4 target not attainable; 5 malformed controller table; 6 anything else,
-command-line usage errors included (a horizon below 0, a tolerance that
-is negative or not finite), a Gramian that overflows to a non-finite
-value, and a horizon whose path tree would exceed ``--cap`` leaves.
+than ``--tol`` from the target (the report and controller are still
+written); 2 the criterion does not apply to the instance; 3 singular
+Gramian; 4 target not attainable; 5 malformed controller law or table;
+6 anything else, command-line usage errors included (a horizon below 0,
+a tolerance that is negative or not finite), a Gramian that overflows to
+a non-finite value, and a horizon whose path tree would exceed ``--cap``
+leaves.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -56,7 +58,10 @@ from .pathspace import DEFAULT_CAP, PathTree, forward_simulate, terminal_from_ma
 from .synthesis import (
     FLOAT_FMT,
     controller_csv_text,
+    feedback_loop,
+    law_text,
     read_controller_table,
+    read_feedback_law,
     steer_to_target,
     write_controller_csv,
 )
@@ -166,11 +171,15 @@ def _render(pairs, fmt: str) -> str:
     return "".join(f"{key}{sep}{_fmt(value)}\n" for key, value in pairs)
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(out_path, text)
 
 
 def _matrix_pairs(name: str, M: np.ndarray):
@@ -242,23 +251,32 @@ def cmd_synthesize(args) -> int:
         ("tolerance", args.tol),
         ("gramian_min_singular", float(np.linalg.svd(ctrl.gramian, compute_uv=False)[-1])),
     ]
+    law = law_text(ctrl)
     if args.out:
-        write_controller_csv(args.out, ctrl)
+        if law is None:
+            write_controller_csv(args.out, ctrl)
+        else:
+            _write(args.out, law)
         pairs.append(("controller", args.out))
         _emit(_render(pairs, args.format), None)
     else:
-        sys.stdout.write(controller_csv_text(ctrl))
+        sys.stdout.write(controller_csv_text(ctrl) if law is None else law)
     return EXIT_YES if deviation <= args.tol else EXIT_NO
 
 
 def cmd_verify(args) -> int:
     inst, _, route, tree = _steering_setup(args, "verification")
     spec = inst.system
+    with open(args.controller, "rb") as fh:
+        artifact = "law" if fh.read(1) == b"{" else "table"
     try:
-        u, u1 = read_controller_table(args.controller, tree, spec)
-        xs = forward_simulate(tree, spec, inst.x0, u, u1=u1)
+        if artifact == "law":
+            _, xs = feedback_loop(tree, spec, inst.x0, read_feedback_law(args.controller, tree, spec))
+        else:
+            u, u1 = read_controller_table(args.controller, tree, spec)
+            xs = forward_simulate(tree, spec, inst.x0, u, u1=u1)
     except (SchemaError, AdaptednessViolation, StageMismatch) as exc:
-        sys.stderr.write(f"bad controller table: {exc}\n")
+        sys.stderr.write(f"bad controller {artifact}: {exc}\n")
         return EXIT_BAD_TABLE
     target = None if inst.target is None else terminal_from_map(tree, spec.n, inst.target)
     deviation = _deviation(tree, xs, target)
@@ -325,7 +343,7 @@ def _add_common(sub, tol_default: float | None) -> None:
         sub.add_argument("--tol", type=_nonnegative(float), default=tol_default, help="decision tolerance")
     sub.add_argument("--format", choices=("text", "csv"), default="text", help="report format")
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help="path enumeration cap")
-    sub.add_argument("--out", default=None, help="also write the report (or controller table) here")
+    sub.add_argument("--out", default=None, help="also write the report (or the controller) here")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -335,12 +353,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
     _add_common(commands.add_parser("analyze", help="run both controllability criteria"), None)
-    _add_common(commands.add_parser("synthesize", help="build a steering controller table"), 1e-8)
-    verify = commands.add_parser("verify", help="forward-simulate a controller table")
+    _add_common(commands.add_parser("synthesize", help="build a steering controller"), 1e-8)
+    verify = commands.add_parser("verify", help="forward-simulate a controller law or table")
     _add_common(verify, 1e-8)
-    verify.add_argument("--controller", required=True, help="controller CSV to check")
+    verify.add_argument("--controller", required=True, help="controller law (JSON) or table (CSV) to check")
     _add_common(commands.add_parser("oracle-check", help="compare Gramian against enumeration"), 1e-9)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; each ``parse_args`` returns a fresh namespace."""
+    return _build_parser()
 
 
 _HANDLERS = {
@@ -352,7 +376,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (

@@ -83,16 +83,6 @@ class PathTree:
             return values
         return np.repeat(values, self.s ** (to_depth - from_depth), axis=0)
 
-    def cond_expect_array(self, values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
-        """Average out the trailing from_depth - to_depth stages."""
-        if to_depth > from_depth:
-            raise StageMismatch(f"conditioning depth {to_depth} exceeds value depth {from_depth}")
-        if to_depth == from_depth:
-            return values.copy()
-        tail = self._node_probs[from_depth - to_depth]
-        shaped = values.reshape(self.s**to_depth, len(tail), -1)
-        return np.einsum("hsd,s->hd", shaped, tail)
-
 
 @dataclass(eq=False)
 class AdaptedProcess:
@@ -151,11 +141,6 @@ class AdaptedProcess:
         for i in history[:depth]:
             idx = idx * self.tree.s + int(i)
         return self.at(stage)[idx]
-
-
-def cond_expect(p: AdaptedProcess, stage: int, to_depth: int) -> np.ndarray:
-    """E[p(stage) | noise up to depth to_depth], as a node array."""
-    return p.tree.cond_expect_array(p.at(stage), p.depth(stage), to_depth)
 
 
 def path_products(form: BsdeForm, support, depth: int):

@@ -1,4 +1,4 @@
-"""Steering controller construction and controller table I/O.
+"""Steering controller construction and controller artifact I/O.
 
 Every route steers by the minimum-energy law of its backward equation,
 run as a state feedback. With j = N - k, along that equation's solution
@@ -14,18 +14,30 @@ z = S(j-1) Cbar' y, exact as range D and range Cbar S(j-1) lie in
 range S(j); the input-delay (Smith predictor) and state-delay (lag
 gains) predictors are in ``delay``. A target adds the
 homogeneous solution (x_h, z_h) reached with zero free input: the law
-acts on e = x - x_h and z gains z_h. One closed-loop pass through
-:func:`pathspace.plant_step`, the step of forward simulation, writes u
-(and u1), so a table replays its own states bit for bit and x(0) = x0.
+acts on e = x - x_h and z gains z_h.
 
-Controller tables serialize one row per (stage, history) with 17
-significant digits, which round-trips float64 exactly.
+On the full route that makes the controller one law,
+u(k) = x(k) L_k' + c_k with L_k = K_k - M_q Abar (M_q the first n
+columns of M) and c_k = z_h(k) M_q' - x_h(k) K_k' (:class:`FeedbackLaw`).
+Each c_k is kept at its coarsest depth: one row when it is the same on
+every node, as for the origin and any constant target. The delay routes
+run their predictors in :func:`_closed_loop`. Every closed loop steps
+through :func:`pathspace.plant_step`, the step of forward simulation, so
+x(0) = x0 and a replay of the written controller reproduces its states
+bit for bit.
+
+Two artifacts store a controller. A law whose offsets are all one row is
+written as JSON, {"kind": "feedback", "N", "L", "c"}, with floats in
+``repr``, which round-trips float64 exactly: (N+1)(m n + m) numbers.
+Every other controller is a table of one row per (stage, history), with
+17 significant digits.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
 import io
+import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -34,7 +46,7 @@ import numpy as np
 
 from .criteria import gramian_invertible, gramian_sequence
 from .errors import DimensionMismatch, SchemaError, SingularGramian, TargetNotInS
-from .model import SystemSpec, check_level, path_labels
+from .model import _JSON_NUMBERS, SystemSpec, check_level, path_labels
 from .pathspace import (
     AdaptedProcess,
     PathTree,
@@ -52,6 +64,7 @@ _CHARS_PER_READ = 1 << 16
 # Data lines hold printable ASCII but blank and '_', plus line ends: int() and float()
 # would also take blanks, '_' and non-ASCII digits.
 _LINE_CHARS = bytes(c for c in range(0x21, 0x7F) if c != ord("_")) + b"\r\n"
+_LAW_KEYS = ("kind", "N", "L", "c")
 
 
 def stage_products(tree: PathTree, form, upto: int) -> list[np.ndarray]:
@@ -60,8 +73,24 @@ def stage_products(tree: PathTree, form, upto: int) -> list[np.ndarray]:
 
 
 @dataclass(eq=False)
+class FeedbackLaw:
+    """u(k) = x(k) L_k' + c_k for k = 0..N: the full route's closed loop.
+
+    ``L`` has shape (N+1, m, n). ``c`` holds each c_k at its coarsest
+    depth: one row (depth 0) when it is the same on every node, else the
+    depth-k node array.
+    """
+
+    L: np.ndarray
+    c: AdaptedProcess
+
+
+@dataclass(eq=False)
 class ControllerProcess:
-    """Steering inputs plus the closed-loop states x(0..N+1) they produce."""
+    """Steering inputs plus the closed-loop states x(0..N+1) they produce.
+
+    ``law`` is the full route's :class:`FeedbackLaw`; the delay routes have none.
+    """
 
     kind: str
     tree: PathTree
@@ -69,6 +98,7 @@ class ControllerProcess:
     x: AdaptedProcess
     gramian: np.ndarray
     u1: AdaptedProcess | None = None
+    law: FeedbackLaw | None = None
 
 
 def _check_gramian(G: np.ndarray, what: str) -> None:
@@ -114,7 +144,7 @@ def _steering_start(tree: PathTree, form, x0, target, membership):
 
 
 def _closed_loop(kind, ts: TransformedSystem, tree: PathTree, x0, hom, G, gains, predict, u1_law=None):
-    """Run one route's feedback law over the tree: the pass every route shares.
+    """Run a delay route's feedback law over the tree: the pass both delay routes share.
 
     ``gains[k]`` maps the predictor p = ``predict(k, e, u1)`` to M [z - z_h; v], where
     ``e`` holds x - x_h at stages 0..k (x_h = 0 without the target solution ``hom``) and
@@ -162,16 +192,110 @@ def steer_to_target(
     The terminal may be a vector (constant over paths) or a full leaf
     array; None steers to the origin and gives the null controller.
     Rejects terminals outside the attainable set with
-    :class:`TargetNotInS`. The inputs come from one closed-loop pass of
-    the full route's law in this module's docstring, with the N+1 gains
-    K_k = M [G_{N-k-1} Cbar'; D'] G_{N-k}^+ built in O(N n^3), no tree.
+    :class:`TargetNotInS`. The inputs come from one pass of the full
+    route's :class:`FeedbackLaw` (this module's docstring), whose N+1
+    gains K_k = M [G_{N-k-1} Cbar'; D'] G_{N-k}^+ are built in O(N n^3),
+    no tree.
     """
     form, n, N = ts.form, ts.form.n, tree.horizon
     x0, hom = _steering_start(tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol))
     G = [np.zeros((n, n)), *gramian_sequence(form, N)]  # G_{j-1}
     _check_gramian(G[-1], f"Gramian at N = {N}")
+    K = _gains(ts, G)
+    Mq = ts.transform.M[:, :n]
+    Mq_Abar = Mq @ ts.spec.Abar
+    law = FeedbackLaw(np.stack([Kk - Mq_Abar for Kk in K]), _offsets(tree, K, Mq, hom))
+    u, x = feedback_loop(tree, ts.spec, x0, law)
     kind = "null" if hom is None else "target"
-    return _closed_loop(kind, ts, tree, x0, hom, G[-1], _gains(ts, G), lambda k, e, _: e[k])
+    return ControllerProcess(kind=kind, tree=tree, u=u, x=x, gramian=G[-1], law=law)
+
+
+def _offsets(tree: PathTree, K, Mq, hom) -> AdaptedProcess:
+    """c_k = z_h(k) M_q' - x_h(k) K_k' for k = 0..N, one row wherever every node's is the same."""
+    if hom is None:
+        vals = dict.fromkeys(range(len(K)), np.zeros((1, Mq.shape[0])))
+        return AdaptedProcess(tree, vals, dict.fromkeys(vals, 0))
+    vals, depths = {}, {}
+    for k, Kk in enumerate(K):
+        c = hom.z.at(k) @ Mq.T - hom.x.at(k) @ Kk.T
+        vals[k], depths[k] = (c[:1], 0) if (c == c[0]).all() else (c, k)
+    return AdaptedProcess(tree, vals, depths)
+
+
+def feedback_loop(
+    tree: PathTree, spec: SystemSpec, x0: np.ndarray, law: FeedbackLaw
+) -> tuple[AdaptedProcess, AdaptedProcess]:
+    """Run u(k) = x(k) L_k' + c_k through :func:`pathspace.plant_step` from x0.
+
+    Returns u at stages 0..N and x at stages 0..N+1, stage k at depth k.
+    Synthesis and verification both run a law here, so a law read back
+    reproduces the synthesized states bit for bit.
+    """
+    xs, u_vals = {0: np.asarray(x0, dtype=float)[None, :].copy()}, {}
+    for k, Lk in enumerate(law.L):
+        u_vals[k] = xs[k] @ Lk.T + law.c.at_depth(k, k)
+        xs[k + 1] = plant_step(tree, spec, xs, k, u_vals[k])
+    u, x = (AdaptedProcess(tree, vals, {k: k for k in vals}) for vals in (u_vals, xs))
+    return u, x
+
+
+def law_text(ctrl: ControllerProcess) -> str | None:
+    """The controller's law as JSON when every c_k is one row, else None (write the table)."""
+    law = ctrl.law
+    if law is None or any(law.c.depths.values()):
+        return None
+    c = [law.c.at(k)[0].tolist() for k in range(len(law.L))]
+    return json.dumps({"kind": "feedback", "N": len(law.L) - 1, "L": law.L.tolist(), "c": c}) + "\n"
+
+
+def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
+    """Parse a law written by :func:`law_text` for the system ``spec`` at the tree's horizon.
+
+    Raises :class:`SchemaError` for text that is not a JSON object with
+    exactly the keys kind, N, L and c; a kind other than "feedback"; an N
+    other than the tree's horizon; an L that is not (N+1, m, n) or a c that
+    is not (N+1, m); entries that are not JSON numbers or not finite; and a
+    system with a delay channel, which a law over x alone cannot steer.
+    """
+    try:
+        with _opened(source, "r") as fh:
+            doc = json.loads(fh.read())
+    except ValueError as exc:  # bad UTF-8, bad JSON, an integer too long to read
+        raise SchemaError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("top level must be a JSON object")
+    if set(doc) != set(_LAW_KEYS):
+        missing, extra = sorted(set(_LAW_KEYS) - set(doc)), sorted(set(doc) - set(_LAW_KEYS))
+        raise SchemaError(f"law keys must be kind, N, L and c (missing {missing}, unknown {extra})")
+    if doc["kind"] != "feedback":
+        raise SchemaError(f"kind must be 'feedback', got {doc['kind']!r}")
+    N = doc["N"]
+    if type(N) is not int or N != tree.horizon:
+        raise SchemaError(f"law N is {N!r}, the horizon being verified is {tree.horizon}")
+    if spec.B1 is not None or spec.A1 is not None:
+        raise SchemaError("a feedback law steers only a system without delay channels")
+    L = _law_array("L", doc["L"], (N + 1, spec.m, spec.n))
+    c = _law_array("c", doc["c"], (N + 1, spec.m))
+    rows = {k: c[k : k + 1] for k in range(N + 1)}
+    return FeedbackLaw(L, AdaptedProcess(tree, rows, dict.fromkeys(rows, 0)))
+
+
+def _law_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array, or :class:`SchemaError` unless nested lists of finite numbers of ``shape``."""
+    entries = [value]
+    for size in shape:
+        if not all(type(v) is list and len(v) == size for v in entries):
+            raise SchemaError(f"{name} must be nested lists of shape {shape}")
+        entries = [x for v in entries for x in v]
+    if not set(map(type, entries)) <= _JSON_NUMBERS:
+        raise SchemaError(f"{name} entries must be JSON numbers")
+    try:
+        arr = np.array(entries, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(f"{name} entries must be finite") from None
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{name} entries must be finite")
+    return arr.reshape(shape)
 
 
 def _opened(target, mode: str):

@@ -81,7 +81,6 @@ class InputTransform:
     """Invertible input reorganization u = M [q; v] with B M = [L F]."""
 
     M: np.ndarray
-    Minv: np.ndarray
     L: np.ndarray
     F: np.ndarray
     source: str  # "user" or "constructed"
@@ -99,25 +98,7 @@ class InputTransform:
         M = compute_M(spec.Bbar, spec.M)
         source = "user" if spec.M is not None else "constructed"
         BM = spec.B @ M
-        return cls(M=M, Minv=np.linalg.inv(M), L=BM[:, : spec.n], F=BM[:, spec.n :], source=source)
-
-
-def reconstruct_u(tr: InputTransform, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u = M [q; v]; accepts single vectors or row-stacked batches."""
-    single = np.asarray(q).ndim == 1
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    u = np.hstack([q, v]) @ tr.M.T
-    return u[0] if single else u
-
-
-def split_u(tr: InputTransform, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`reconstruct_u`."""
-    single = np.asarray(u).ndim == 1
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    qv = u @ tr.Minv.T
-    q, v = qv[:, : tr.n], qv[:, tr.n :]
-    return (q[0], v[0]) if single else (q, v)
+        return cls(M=M, L=BM[:, : spec.n], F=BM[:, spec.n :], source=source)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,13 +3,49 @@
 ``rank_test_words`` and ``word_matrix`` list the rank criterion's matrix
 [W D] word by word, against which ``criteria.word_span``'s breadth-first
 closure is checked. ``q_expanded`` evaluates the absorbed input q as an
-expanded tail sum on the tree, against the feedback law's q.
+expanded tail sum on the tree, against the feedback law's q, which
+``split_u`` reads off u = M [q; v]; ``cond_expect_array`` and
+``cond_expect`` average out trailing stages of node values.
 """
 import itertools
 
 import numpy as np
 
-from stochctrl import AdaptedProcess, PathTree, TransformedSystem, backward_solve
+from stochctrl import AdaptedProcess, InputTransform, PathTree, StageMismatch, TransformedSystem, backward_solve
+
+
+def reconstruct_u(tr: InputTransform, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u = M [q; v]; accepts single vectors or row-stacked batches."""
+    single = np.asarray(q).ndim == 1
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    u = np.hstack([q, v]) @ tr.M.T
+    return u[0] if single else u
+
+
+def split_u(tr: InputTransform, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`reconstruct_u`."""
+    single = np.asarray(u).ndim == 1
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    qv = u @ np.linalg.inv(tr.M).T
+    q, v = qv[:, : tr.n], qv[:, tr.n :]
+    return (q[0], v[0]) if single else (q, v)
+
+
+def cond_expect_array(tree: PathTree, values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
+    """Average out the trailing from_depth - to_depth stages of depth-``from_depth`` node values."""
+    if to_depth > from_depth:
+        raise StageMismatch(f"conditioning depth {to_depth} exceeds value depth {from_depth}")
+    if to_depth == from_depth:
+        return values.copy()
+    tail = tree.node_probs(from_depth - to_depth)
+    shaped = values.reshape(tree.s**to_depth, len(tail), -1)
+    return np.einsum("hsd,s->hd", shaped, tail)
+
+
+def cond_expect(p: AdaptedProcess, stage: int, to_depth: int) -> np.ndarray:
+    """E[p(stage) | noise up to depth to_depth], as a node array."""
+    return cond_expect_array(p.tree, p.at(stage), p.depth(stage), to_depth)
 
 
 def rank_test_words(max_len: int) -> list[tuple[int, ...]]:
@@ -72,7 +108,7 @@ def q_expanded(ts: TransformedSystem, tree: PathTree, v: AdaptedProcess) -> Adap
             q_free = np.zeros((tree.n_nodes(N), n))
         else:
             weighted = psi[k + 1] * tree.support[stage_digit(k)][:, None]
-            q_free = tree.cond_expect_array(weighted, N, k)
+            q_free = cond_expect_array(tree, weighted, N, k)
         out_vals[k] = q_free - sol.x.at(k) @ spec.Abar.T
         out_depths[k] = k
     return AdaptedProcess(tree, out_vals, out_depths)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from stochctrl import PathTree, TransformedSystem, parse_instance_file, steer_to_target, write_controller_csv
 from stochctrl.cli import main
 from conftest import INSTANCE_DIR
 
@@ -26,6 +27,15 @@ def as_dict(out):
         key, _, value = line.partition(": ")
         pairs[key] = value
     return pairs
+
+
+def full_table(tmp_path, N=None, name="controller.csv"):
+    """FULL's null controller as a CSV table (synthesize writes its law instead)."""
+    inst = parse_instance_file(FULL)
+    tree = PathTree(inst.system.noise, inst.N if N is None else N)
+    table = tmp_path / name
+    write_controller_csv(table, steer_to_target(TransformedSystem.build(inst.system), tree, inst.x0, None))
+    return table
 
 
 def test_analyze_full(capsys):
@@ -110,10 +120,16 @@ def test_synthesize_and_verify_roundtrip(capsys, tmp_path):
 
 
 def test_synthesize_streams_csv_without_out(capsys):
+    # The full route streams its law, the delay routes their tables.
     code, out, _ = run(capsys, "synthesize", "--instance", FULL)
     assert code == 0
-    assert out.startswith("stage,history,u_0,u_1,u_2\n")
+    assert json.loads(out)["kind"] == "feedback"
     assert "verdict" not in out
+    for inst in (IN_DELAY, ST_DELAY):
+        code, out, _ = run(capsys, "synthesize", "--instance", inst)
+        assert code == 0
+        assert out.startswith("stage,history,u_0,u_1,u_2")
+        assert "verdict" not in out
 
 
 def test_synthesize_delay_routes(capsys, tmp_path):
@@ -134,10 +150,11 @@ def test_synthesize_fails_past_its_own_tolerance(capsys, tmp_path, inst):
     assert code == 1
     assert 1e-30 < float(got["terminal_deviation"]) < 1e-13
     assert got["tolerance"] == "1.0000000000000001e-30"
-    assert table.read_text().startswith("stage,history,u_0")
+    artifact = '{"kind": "feedback"' if inst == FULL else "stage,history,u_0"
+    assert table.read_text().startswith(artifact)
     code, out, _ = run(capsys, "synthesize", "--instance", inst, "--tol", "1e-30")
     assert code == 1
-    assert out.startswith("stage,history,u_0")
+    assert out.startswith(artifact)
 
 
 def test_synthesize_inapplicable_routes(capsys):
@@ -169,8 +186,8 @@ def test_synthesize_unattainable_target(capsys, tmp_path):
 
 
 def test_verify_rejects_wrong_controller(capsys, tmp_path):
-    table = tmp_path / "controller.csv"
-    code, out, _ = run(capsys, "synthesize", "--instance", FULL, "--out", str(table))
+    table = full_table(tmp_path)
+    code, out, _ = run(capsys, "verify", "--instance", FULL, "--controller", str(table))
     assert code == 0
     # zero out every input: the loop no longer reaches the origin
     lines = table.read_text().strip().split("\n")
@@ -191,8 +208,7 @@ def test_verify_malformed_table(capsys, tmp_path):
 
 
 def test_verify_stage_gap_is_table_error(capsys, tmp_path):
-    table = tmp_path / "gap.csv"
-    code, _, _ = run(capsys, "synthesize", "--instance", FULL, "--out", str(table))
+    table = full_table(tmp_path, name="gap.csv")
     lines = table.read_text().strip().split("\n")
     kept = [l for l in lines if not l.startswith("0,")]
     table.write_text("\n".join(kept) + "\n")
@@ -201,8 +217,8 @@ def test_verify_stage_gap_is_table_error(capsys, tmp_path):
 
 
 def test_verify_rejects_u_rows_outside_the_horizon(capsys, tmp_path):
-    table = tmp_path / "n3.csv"
-    code, _, _ = run(capsys, "synthesize", "--instance", FULL, "--N", "3", "--out", str(table))
+    table = full_table(tmp_path, N=3, name="n3.csv")
+    code, _, _ = run(capsys, "verify", "--instance", FULL, "--N", "3", "--controller", str(table))
     assert code == 0
     # a horizon-3 table replayed at horizon 2 carries stage-3 rows
     code, _, err = run(capsys, "verify", "--instance", FULL, "--N", "2", "--controller", str(table))
@@ -388,8 +404,8 @@ def test_non_finite_numbers_are_errors(capsys, tmp_path, case, command):
 
 
 def _edited_table(capsys, tmp_path, edit):
-    table = tmp_path / "controller.csv"
-    code, _, _ = run(capsys, "synthesize", "--instance", FULL, "--out", str(table))
+    table = full_table(tmp_path)
+    code, _, _ = run(capsys, "verify", "--instance", FULL, "--controller", str(table))
     assert code == 0
     lines = table.read_text().strip().split("\n")
     table.write_text("\n".join([lines[0]] + edit(lines[1:])) + "\n")
@@ -491,6 +507,24 @@ def test_usage_errors_exit_6(capsys, argv):
         main(argv)
     assert info.value.code == 6
     assert "usage:" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_parsed_state(capsys, monkeypatch):
+    import stochctrl.cli as cli
+
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        first = run(capsys, "analyze", "--instance", FULL, "--N", "5", "--format", "csv")
+        second = run(capsys, "analyze", "--instance", FULL)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert first[0] == second[0] == 0
+    assert "N_max,5\n" in first[1]
+    assert as_dict(second[1])["N_max"] == "2"  # the instance's N, in the default text format
 
 
 def test_help_exits_0(capsys):

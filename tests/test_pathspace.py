@@ -12,7 +12,6 @@ from stochctrl import (
     StageMismatch,
     TransformedSystem,
     backward_solve,
-    cond_expect,
     expected_terminal_product,
     forward_simulate,
     member_of_S,
@@ -23,6 +22,7 @@ from stochctrl import (
     terminal_from_map,
 )
 from stochctrl.model import check_level, path_labels
+from crosschecks import cond_expect
 from conftest import path_expectation, simulate_paths
 
 

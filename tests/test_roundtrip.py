@@ -4,7 +4,10 @@ For the full, input-delay and state-delay routes, a synthesized controller
 is written with ``write_controller_csv``, read back with
 ``read_controller_table`` and replayed with ``forward_simulate``; the
 replay must end on the target within 1e-10 of the problem's scale, at
-horizons up to 10 (two-point noise) and 6 (three-point noise).
+horizons up to 10 (two-point noise) and 6 (three-point noise). A full-route
+controller for the origin or a constant target is also a law: written with
+``law_text``, read back with ``read_feedback_law`` and run with
+``feedback_loop``, it reproduces the synthesized states bit for bit.
 """
 import io
 
@@ -12,7 +15,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochctrl import NoiseModel, PathTree, forward_simulate, read_controller_table, write_controller_csv
+from stochctrl import (
+    NoiseModel,
+    PathTree,
+    feedback_loop,
+    forward_simulate,
+    law_text,
+    read_controller_table,
+    read_feedback_law,
+    write_controller_csv,
+)
 from stochctrl.cli import ROUTES
 from stochctrl.errors import SingularGramian
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
@@ -65,4 +77,14 @@ def test_written_table_replays_onto_the_target(problem, seed):
     want = 0.0 if goal is None else goal
     scale = max(1.0, float(np.abs(x0).max()), float(np.abs(want).max()))
     assert np.abs(final - want).max() <= 1e-10 * scale
+
+    law = law_text(ctrl)
+    if route != "full":
+        assert law is None
+    elif target != "path":
+        assert law is not None  # every offset is one row: a law, not a table
+    if law is not None:
+        _, x = feedback_loop(tree, spec, x0, read_feedback_law(io.StringIO(law), tree, spec))
+        for k in range(N + 2):
+            assert np.array_equal(x.at(k), ctrl.x.at(k))
 

@@ -18,10 +18,9 @@ from stochctrl import (
     random_free_input,
     random_x0,
     read_controller_table,
-    split_u,
     steer_to_target,
 )
-from crosschecks import q_expanded
+from crosschecks import q_expanded, split_u
 
 
 def closed_loop_gap(ts, tree, x0, ctrl, target=None):

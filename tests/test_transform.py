@@ -13,9 +13,8 @@ from stochctrl import (
     compute_M,
     decide,
     random_system,
-    reconstruct_u,
-    split_u,
 )
+from crosschecks import reconstruct_u, split_u
 
 
 def identity_gap(bbar, M):
