@@ -271,7 +271,7 @@ def cmd_verify(args) -> int:
         artifact = "law" if fh.read(1) == b"{" else "table"
     try:
         if artifact == "law":
-            _, xs = feedback_loop(tree, spec, inst.x0, read_feedback_law(args.controller, tree, spec))
+            _, xs, _ = feedback_loop(tree, spec, inst.x0, read_feedback_law(args.controller, tree, spec))
         else:
             u, u1 = read_controller_table(args.controller, tree, spec)
             xs = forward_simulate(tree, spec, inst.x0, u, u1=u1)

@@ -19,16 +19,19 @@ that solves the delayed backward equation. P(k) depends on the horizon
 only through N - k, so one P-sequence serves every horizon up to its
 own.
 
-Both controllers are feedback laws in ``synthesis``'s closed loop, on
-e = x - x_h with j = N - k, and take their gains from its one gain law
-``synthesis._gains``: y = S(j)^+ p(k) for a predictor p, v = D' P(j)' y
-and z = z_h + S(j-1) Cbar' P(j)' y. Input delay, a Smith predictor: p(k)
-is e(k) less sum_{i=k}^{min(k+tau-1, N)} C^{i-k} D1 u1(i - tau), the
-delayed inputs on their way; S(j) is the Gramian less its pre-horizon
-terms and u1(k) = D1' C^tau' y for k <= N - tau. The pre-horizon inputs
-are u1(i - tau) = D1' C^i' G_N^{-1} e(0). State delay: p(k) = e(k) -
-sum_j Q_j(k) e(k - j) with the elimination's lag gains. The
-pseudo-inverses are exact: the positive semi-definite sums S(j) (of
+Both controllers are feedback laws run by ``synthesis.feedback_loop``,
+on e = x - x_h with j = N - k. Each hands ``synthesis._steer`` the gains
+of the one gain law ``synthesis._gains`` and a predictor map Pi_k from
+the lagged regressor (``synthesis.FeedbackLaw``) to the predictor p(k):
+y = S(j)^+ p(k), v = D' P(j)' y and z = z_h + S(j-1) Cbar' P(j)' y.
+Input delay, a Smith predictor: Pi_k = [I, -C^(tau-1) D1, ..., -D1]
+over [x(k), u1(k-1), ..., u1(k-tau)], the delayed inputs on their way (a
+block is zero for an input that enters after stage N); S(j) is the
+Gramian less its pre-horizon terms and u1(k) = D1' C^tau' y for
+k <= N - tau. The pre-horizon inputs u1(i - tau) = D1' C^i' G_N^{-1} e(0)
+depend on x0 and travel with the law. State delay:
+Pi_k = [I, -Q_1(k), ..., -Q_d(k)] over [x(k), x(k-1), ..., x(k-d)] with
+the elimination's lag gains. The pseudo-inverses are exact: the positive semi-definite sums S(j) (of
 P(j) D D' P(j)', P(j) Cbar S(j-1) Cbar' P(j)' and, for j >= tau,
 C^tau D1 D1' C^tau') span every range the laws map y through.
 
@@ -59,7 +62,7 @@ from .pathspace import (
     state_delay_P,  # noqa: F401  (part of this module's surface; defined next to the elimination)
     weighted_gram,
 )
-from .synthesis import ControllerProcess, _check_gramian, _closed_loop, _gains, _pinv, _steering_start
+from .synthesis import ControllerProcess, _check_gramian, _gains, _steer, _steering_start
 from .transform import BsdeForm, TransformedSystem
 
 
@@ -97,7 +100,7 @@ def input_delay_controller(
 ) -> ControllerProcess:
     """Steer x0 to the origin (or an attainable target) by this module's Smith-predictor law.
 
-    The pre-horizon u1 stages -tau..-1 are deterministic and carried in the output table.
+    The pre-horizon u1 stages -tau..-1 are deterministic and carried in the law as ``u1_pre``.
     """
     form = ts.form
     if form.D1 is None:
@@ -109,16 +112,11 @@ def input_delay_controller(
     g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
     S = [np.zeros((n, n)), *gramian_sequence(form, N)]  # S(j-1)
     CD1 = [np.linalg.matrix_power(form.C, i) @ form.D1 for i in range(tau + 1)]  # C^i D1
-    u1_gains = [CD1[tau].T @ _pinv(S[j + 1]) for j in range(N, tau - 1, -1)]
-    pre = {i - tau: (g @ CD1[i])[None, :] for i in range(min(tau, N + 1))}
-
-    def predict(k, e, u1):
-        xi = e[k]
-        for i in range(k, min(k + tau - 1, N) + 1):
-            xi = xi - tree.lift(u1[i - tau], max(0, i - tau), k) @ CD1[i - k].T
-        return xi
-
-    return _closed_loop("input-delay", ts, tree, x0, hom, G, _gains(ts, S), predict, (u1_gains, pre))
+    # u1(k - i) enters at stage k - i + tau; none that enters after N is on its way.
+    Pi = [np.hstack([np.eye(n)] + [-CD1[tau - i] * (k - i + tau <= N) for i in range(1, tau + 1)])
+          for k in range(N + 1)]
+    u1_pre = np.array([g @ CD1[i] for i in range(min(tau, N + 1))])
+    return _steer("input-delay", ts, tree, x0, hom, G, _gains(ts, S), Pi, u1_pre)
 
 
 def input_delay_decide(
@@ -172,19 +170,13 @@ def state_delay_controller(
     form = ts.form
     if form.C1 is None:
         raise ValueError("system has no delayed state channel")
-    d, N = form.d, tree.horizon
+    N = tree.horizon
     x0, hom = _steering_start(tree, form, x0, target, lambda t: member_of_S_state_delay(tree, form, t, tol=tol))
     _, Q = _state_delay_gains(form, N)
     S = [np.zeros((form.n, form.n)), *gramian_sequence(form, N)]
     _check_gramian(S[-1], f"delayed-state Gramian at N = {N}")
-
-    def predict(k, e, _):
-        r = e[k]
-        for j in range(1, min(d, k) + 1):
-            r = r - tree.lift(e[k - j], k - j, k) @ Q[k][j - 1].T
-        return r
-
-    return _closed_loop("state-delay", ts, tree, x0, hom, S[-1], _gains(ts, S), predict)
+    Pi = [np.hstack([np.eye(form.n)] + [-Qj for Qj in Q[k]]) for k in range(N + 1)]
+    return _steer("state-delay", ts, tree, x0, hom, S[-1], _gains(ts, S), Pi)
 
 
 def state_delay_decide(

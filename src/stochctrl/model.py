@@ -353,7 +353,7 @@ def parse_instance(text: str) -> ProblemInstance:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, an integer too long to read
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
@@ -399,7 +399,10 @@ def parse_instance(text: str) -> ProblemInstance:
 
 def parse_instance_file(path) -> ProblemInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            return parse_instance(fh.read())
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8 text: {exc}") from None
 
 
 def serialize_instance(inst: ProblemInstance) -> str:

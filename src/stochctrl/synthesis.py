@@ -11,26 +11,21 @@ K_k p(k), with the one gain law of :func:`_gains`,
 K_k = M [S(j-1) Cbar'; D'] P(j)' S(j)^+ (S(-1) = 0, P the state-delay
 pivots, else I). The full route has p = x, v = D' y and
 z = S(j-1) Cbar' y, exact as range D and range Cbar S(j-1) lie in
-range S(j); the input-delay (Smith predictor) and state-delay (lag
-gains) predictors are in ``delay``. A target adds the
-homogeneous solution (x_h, z_h) reached with zero free input: the law
-acts on e = x - x_h and z gains z_h.
+range S(j); the delay routes' predictors are in ``delay``. A target adds
+the homogeneous solution (x_h, z_h) reached with zero free input: the
+law acts on e = x - x_h and z gains z_h.
 
-On the full route that makes the controller one law,
-u(k) = x(k) L_k' + c_k with L_k = K_k - M_q Abar (M_q the first n
-columns of M) and c_k = z_h(k) M_q' - x_h(k) K_k' (:class:`FeedbackLaw`).
-Each c_k is kept at its coarsest depth: one row when it is the same on
-every node, as for the origin and any constant target. The delay routes
-run their predictors in :func:`_closed_loop`. Every closed loop steps
-through :func:`pathspace.plant_step`, the step of forward simulation, so
-x(0) = x0 and a replay of the written controller reproduces its states
-bit for bit.
-
-Two artifacts store a controller. A law whose offsets are all one row is
-written as JSON, {"kind": "feedback", "N", "L", "c"}, with floats in
-``repr``, which round-trips float64 exactly: (N+1)(m n + m) numbers.
-Every other controller is a table of one row per (stage, history), with
-17 significant digits.
+So every controller is one law (:class:`FeedbackLaw`) in the regressor
+r(k), p(k) = (r(k) - r_h(k)) Pi_k' with Pi_k = I on the full route:
+L_k = K_k Pi_k - [M_q Abar, 0] (M_q the first n columns of M) and
+c_k = [z_h(k) M_q', 0] - (r_h(k) Pi_k') K_k', each c_k at its coarsest
+depth (one row for the origin and any constant target). The one closed
+loop, :func:`feedback_loop`, steps through :func:`pathspace.plant_step`,
+the step of forward simulation, so a replay of the written controller
+reproduces its states bit for bit. A law whose offsets are all one row is
+written as JSON, {"kind": "feedback", "N", "L", "c"} plus "u1" on a
+delayed input, with floats in ``repr`` (exact for float64); every other
+controller is a table of one row per (stage, history), 17 digits a value.
 """
 from __future__ import annotations
 
@@ -74,31 +69,30 @@ def stage_products(tree: PathTree, form, upto: int) -> list[np.ndarray]:
 
 @dataclass(eq=False)
 class FeedbackLaw:
-    """u(k) = x(k) L_k' + c_k for k = 0..N: the full route's closed loop.
+    """[u(k), u1(k)] = r(k) L_k' + c_k for k = 0..N, r(k) from :func:`_regressor`.
 
-    ``L`` has shape (N+1, m, n). ``c`` holds each c_k at its coarsest
-    depth: one row (depth 0) when it is the same on every node, else the
-    depth-k node array.
+    ``L`` is (N+1, m+m1, n(1+d)+m1 tau). ``c`` holds each c_k as one row
+    (depth 0) when it is the same on every node, else at depth k.
+    ``u1_pre`` holds u1(-tau), u1(1-tau), ... that enter by stage N, one
+    row each (None without a delayed input).
     """
 
     L: np.ndarray
     c: AdaptedProcess
+    u1_pre: np.ndarray | None = None
 
 
 @dataclass(eq=False)
 class ControllerProcess:
-    """Steering inputs plus the closed-loop states x(0..N+1) they produce.
-
-    ``law`` is the full route's :class:`FeedbackLaw`; the delay routes have none.
-    """
+    """Steering inputs, the law that decides them and the closed-loop states x(0..N+1)."""
 
     kind: str
     tree: PathTree
     u: AdaptedProcess
     x: AdaptedProcess
     gramian: np.ndarray
+    law: FeedbackLaw
     u1: AdaptedProcess | None = None
-    law: FeedbackLaw | None = None
 
 
 def _check_gramian(G: np.ndarray, what: str) -> None:
@@ -116,12 +110,16 @@ def _gains(ts: TransformedSystem, S) -> list[np.ndarray]:
     """Every route's gains K_k = M [S(j-1) Cbar'; D'] P(j)' S(j)^+, k = 0..N, j = N - k.
 
     ``S`` lists S(-1) = 0, S(0), ..., S(N); P(j) is the state-delay pivot at
-    stage k when the form has a delayed state, else I.
+    stage k when the form has a delayed state, else I. On a delayed input
+    the rows D1' C^tau' S(j)^+ of u1(k) follow (zero if it enters after N).
     """
     N, form = len(S) - 2, ts.form
     K = [ts.transform.M @ np.vstack([S[N - k] @ form.Cbar.T, form.D.T]) for k in range(N + 1)]
     if form.C1 is not None:
         K = [Kk @ Pk.T for Kk, Pk in zip(K, state_delay_P(form, N))]
+    if form.D1 is not None:
+        CD1 = (np.linalg.matrix_power(form.C, form.tau) @ form.D1).T
+        K = [np.vstack([Kk, CD1 if k <= N - form.tau else 0 * CD1]) for k, Kk in enumerate(K)]
     return [Kk @ _pinv(S[N - k + 1]) for k, Kk in enumerate(K)]
 
 
@@ -143,32 +141,29 @@ def _steering_start(tree: PathTree, form, x0, target, membership):
     return x0, result.solution
 
 
-def _closed_loop(kind, ts: TransformedSystem, tree: PathTree, x0, hom, G, gains, predict, u1_law=None):
-    """Run a delay route's feedback law over the tree: the pass both delay routes share.
+def _steer(kind, ts: TransformedSystem, tree: PathTree, x0, hom, G, K, Pi=None, u1_pre=None) -> ControllerProcess:
+    """Build the law L_k, c_k of this module's docstring from gains ``K`` and maps ``Pi``, and run it.
 
-    ``gains[k]`` maps the predictor p = ``predict(k, e, u1)`` to M [z - z_h; v], where
-    ``e`` holds x - x_h at stages 0..k (x_h = 0 without the target solution ``hom``) and
-    ``u1`` the delayed inputs decided so far. On the input-delay route ``u1_law`` is
-    (gains from p to u1(k) for k = 0..N - tau, pre-horizon u1 by stage).
+    ``K[k]`` maps p(k) to M [z - z_h; v] and, on a delayed input, to u1(k);
+    ``Pi`` is None on the full route (Pi_k = I). r_h is the regressor of
+    the target's solution ``hom``, zero without one and in its u1 blocks.
     """
-    spec = ts.spec
-    Mq = ts.transform.M[:, : ts.form.n]
-    Mq_Abar = Mq @ spec.Abar
-    u1_gains, u1_vals = u1_law or ((), None)
-    xs, es, u_vals = {0: x0[None, :].copy()}, {}, {}
-    for k, K in enumerate(gains):
-        es[k] = xs[k] if hom is None else xs[k] - hom.x.at(k)
-        p = predict(k, es, u1_vals)
-        u_vals[k] = p @ K.T - xs[k] @ Mq_Abar.T  # M [z - z_h - Abar x; v]
+    spec, n, rows = ts.spec, ts.form.n, len(K[0])
+    Pi = Pi or [None] * len(K)
+    Mq = ts.transform.M[:, :n]
+    pad, width = (0, rows - spec.m), n if Pi[0] is None else Pi[0].shape[1]
+    Mq_Abar = np.pad(Mq @ spec.Abar, (pad, (0, width - n)))
+    L = np.stack([(Kk if P is None else Kk @ P) - Mq_Abar for Kk, P in zip(K, Pi)])
+    vals, depths = {}, {}
+    for k, (Kk, P) in enumerate(zip(K, Pi)):
+        c = np.zeros((1, rows))
         if hom is not None:
-            u_vals[k] += hom.z.at(k) @ Mq.T
-        if k < len(u1_gains):
-            u1_vals[k] = p @ u1_gains[k].T
-        u1k = None if u1_vals is None else tree.lift(u1_vals[k - spec.tau], max(0, k - spec.tau), k)
-        xs[k + 1] = plant_step(tree, spec, xs, k, u_vals[k], u1k)
-    u1 = None if u1_vals is None else AdaptedProcess(tree, u1_vals, {j: max(0, j) for j in u1_vals})
-    u, x = (AdaptedProcess(tree, vals, {k: k for k in vals}) for vals in (u_vals, xs))
-    return ControllerProcess(kind=kind, tree=tree, u=u, x=x, gramian=G, u1=u1)
+            r = _regressor(tree, spec, k, hom.x.values, {})
+            c = np.pad(hom.z.at(k) @ Mq.T, ((0, 0), pad)) - (r if P is None else r @ P.T) @ Kk.T
+        vals[k], depths[k] = (c[:1], 0) if (c == c[0]).all() else (c, k)
+    law = FeedbackLaw(L, AdaptedProcess(tree, vals, depths), u1_pre)
+    u, x, u1 = feedback_loop(tree, spec, x0, law)
+    return ControllerProcess(kind=kind, tree=tree, u=u, x=x, gramian=G, law=law, u1=u1)
 
 
 def null_controller(ts: TransformedSystem, tree: PathTree, x0: np.ndarray) -> ControllerProcess:
@@ -201,61 +196,67 @@ def steer_to_target(
     x0, hom = _steering_start(tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol))
     G = [np.zeros((n, n)), *gramian_sequence(form, N)]  # G_{j-1}
     _check_gramian(G[-1], f"Gramian at N = {N}")
-    K = _gains(ts, G)
-    Mq = ts.transform.M[:, :n]
-    Mq_Abar = Mq @ ts.spec.Abar
-    law = FeedbackLaw(np.stack([Kk - Mq_Abar for Kk in K]), _offsets(tree, K, Mq, hom))
-    u, x = feedback_loop(tree, ts.spec, x0, law)
-    kind = "null" if hom is None else "target"
-    return ControllerProcess(kind=kind, tree=tree, u=u, x=x, gramian=G[-1], law=law)
+    return _steer("null" if hom is None else "target", ts, tree, x0, hom, G[-1], _gains(ts, G))
 
 
-def _offsets(tree: PathTree, K, Mq, hom) -> AdaptedProcess:
-    """c_k = z_h(k) M_q' - x_h(k) K_k' for k = 0..N, one row wherever every node's is the same."""
-    if hom is None:
-        vals = dict.fromkeys(range(len(K)), np.zeros((1, Mq.shape[0])))
-        return AdaptedProcess(tree, vals, dict.fromkeys(vals, 0))
-    vals, depths = {}, {}
-    for k, Kk in enumerate(K):
-        c = hom.z.at(k) @ Mq.T - hom.x.at(k) @ Kk.T
-        vals[k], depths[k] = (c[:1], 0) if (c == c[0]).all() else (c, k)
-    return AdaptedProcess(tree, vals, depths)
+def _regressor(tree: PathTree, spec: SystemSpec, k: int, xs: dict, u1s: dict) -> np.ndarray:
+    """r(k) at depth k: x(k), then x(k-1), ..., x(k-d) or u1(k-1), ..., u1(k-tau).
+
+    ``xs`` and ``u1s`` map a stage j to its values at depth max(0, j); a
+    stage they lack (before stage 0, or entering after stage N) is zero.
+    """
+    lags = [(xs, k - j, spec.n) for j in range(1, (spec.d or 0) + 1)]
+    lags += [(u1s, k - j, spec.B1.shape[1]) for j in range(1, (spec.tau or 0) + 1)]
+    if not lags:
+        return xs[k]
+    blocks = [tree.lift(vals[j], max(0, j), k) if j in vals else np.zeros((tree.n_nodes(k), dim))
+              for vals, j, dim in lags]
+    return np.hstack([xs[k], *blocks])
 
 
 def feedback_loop(
     tree: PathTree, spec: SystemSpec, x0: np.ndarray, law: FeedbackLaw
-) -> tuple[AdaptedProcess, AdaptedProcess]:
-    """Run u(k) = x(k) L_k' + c_k through :func:`pathspace.plant_step` from x0.
+) -> tuple[AdaptedProcess, AdaptedProcess, AdaptedProcess | None]:
+    """Run [u(k), u1(k)] = r(k) L_k' + c_k through :func:`pathspace.plant_step` from x0.
 
-    Returns u at stages 0..N and x at stages 0..N+1, stage k at depth k.
-    Synthesis and verification both run a law here, so a law read back
-    reproduces the synthesized states bit for bit.
+    Returns u (stages 0..N) and x (0..N+1), stage k at depth k, and u1
+    (-tau..N-tau, at depth max(0, j); None without a delayed input).
+    Synthesis and verification both run a law here, bit for bit alike.
     """
+    m, N, tau = spec.m, len(law.L) - 1, spec.tau if spec.B1 is not None else 0
     xs, u_vals = {0: np.asarray(x0, dtype=float)[None, :].copy()}, {}
+    u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
     for k, Lk in enumerate(law.L):
-        u_vals[k] = xs[k] @ Lk.T + law.c.at_depth(k, k)
-        xs[k + 1] = plant_step(tree, spec, xs, k, u_vals[k])
+        v = _regressor(tree, spec, k, xs, u1s) @ Lk.T + law.c.at_depth(k, k)
+        u_vals[k] = np.ascontiguousarray(v[:, :m]) if tau else v  # laid out as a table reads back
+        if tau and k <= N - tau:
+            u1s[k] = np.ascontiguousarray(v[:, m:])
+        u1k = tree.lift(u1s[k - tau], max(0, k - tau), k) if tau else None
+        xs[k + 1] = plant_step(tree, spec, xs, k, u_vals[k], u1k)
     u, x = (AdaptedProcess(tree, vals, {k: k for k in vals}) for vals in (u_vals, xs))
-    return u, x
+    return u, x, AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None
 
 
 def law_text(ctrl: ControllerProcess) -> str | None:
     """The controller's law as JSON when every c_k is one row, else None (write the table)."""
     law = ctrl.law
-    if law is None or any(law.c.depths.values()):
+    if any(law.c.depths.values()):
         return None
     c = [law.c.at(k)[0].tolist() for k in range(len(law.L))]
-    return json.dumps({"kind": "feedback", "N": len(law.L) - 1, "L": law.L.tolist(), "c": c}) + "\n"
+    doc = {"kind": "feedback", "N": len(law.L) - 1, "L": law.L.tolist(), "c": c}
+    if law.u1_pre is not None:
+        doc["u1"] = law.u1_pre.tolist()
+    return json.dumps(doc) + "\n"
 
 
 def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     """Parse a law written by :func:`law_text` for the system ``spec`` at the tree's horizon.
 
     Raises :class:`SchemaError` for text that is not a JSON object with
-    exactly the keys kind, N, L and c; a kind other than "feedback"; an N
-    other than the tree's horizon; an L that is not (N+1, m, n) or a c that
-    is not (N+1, m); entries that are not JSON numbers or not finite; and a
-    system with a delay channel, which a law over x alone cannot steer.
+    exactly the keys kind, N, L and c, plus u1 exactly on a delayed input;
+    a kind other than "feedback"; an N other than the tree's horizon; an L,
+    c or u1 not of the instance's shapes (:class:`FeedbackLaw`; u1 is
+    (min(tau, N+1), m1)); and entries that are not finite JSON numbers.
     """
     try:
         with _opened(source, "r") as fh:
@@ -264,20 +265,21 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
-    if set(doc) != set(_LAW_KEYS):
-        missing, extra = sorted(set(_LAW_KEYS) - set(doc)), sorted(set(doc) - set(_LAW_KEYS))
-        raise SchemaError(f"law keys must be kind, N, L and c (missing {missing}, unknown {extra})")
+    keys = _LAW_KEYS + (("u1",) if spec.B1 is not None else ())
+    if set(doc) != set(keys):
+        missing, extra = sorted(set(keys) - set(doc)), sorted(set(doc) - set(keys))
+        raise SchemaError(f"law keys must be {', '.join(keys)} (missing {missing}, unknown {extra})")
     if doc["kind"] != "feedback":
         raise SchemaError(f"kind must be 'feedback', got {doc['kind']!r}")
     N = doc["N"]
     if type(N) is not int or N != tree.horizon:
         raise SchemaError(f"law N is {N!r}, the horizon being verified is {tree.horizon}")
-    if spec.B1 is not None or spec.A1 is not None:
-        raise SchemaError("a feedback law steers only a system without delay channels")
-    L = _law_array("L", doc["L"], (N + 1, spec.m, spec.n))
-    c = _law_array("c", doc["c"], (N + 1, spec.m))
+    m1, tau = (0, 0) if spec.B1 is None else (spec.B1.shape[1], spec.tau)
+    L = _law_array("L", doc["L"], (N + 1, spec.m + m1, spec.n * (1 + (spec.d or 0)) + m1 * tau))
+    c = _law_array("c", doc["c"], (N + 1, spec.m + m1))
+    u1_pre = _law_array("u1", doc["u1"], (min(tau, N + 1), m1)) if m1 else None
     rows = {k: c[k : k + 1] for k in range(N + 1)}
-    return FeedbackLaw(L, AdaptedProcess(tree, rows, dict.fromkeys(rows, 0)))
+    return FeedbackLaw(L, AdaptedProcess(tree, rows, dict.fromkeys(rows, 0)), u1_pre)
 
 
 def _law_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
@@ -404,14 +406,17 @@ def _plain(text: str) -> bool:
 
 def _checked_lines(fh):
     """The lines of a table, each block of data lines checked at once to hold only ``_LINE_CHARS``."""
-    yield from fh.readlines(1)  # the header, compared with the expected one
-    lineno = 2
-    while block := fh.readlines(_CHARS_PER_READ):
-        if not _plain("".join(block)):
-            bad = lineno + next(i for i, line in enumerate(block) if not _plain(line))
-            raise SchemaError(f"line {bad}: cells must be ASCII, without blanks or '_'")
-        lineno += len(block)
-        yield from block
+    try:
+        yield from fh.readlines(1)  # the header, compared with the expected one
+        lineno = 2
+        while block := fh.readlines(_CHARS_PER_READ):
+            if not _plain("".join(block)):
+                bad = lineno + next(i for i, line in enumerate(block) if not _plain(line))
+                raise SchemaError(f"line {bad}: cells must be ASCII, without blanks or '_'")
+            lineno += len(block)
+            yield from block
+    except UnicodeDecodeError as exc:  # its position counts from the decoder's chunk, not the file
+        raise SchemaError(f"not UTF-8 text: byte {exc.object[exc.start]:#04x}, {exc.reason}") from None
 
 
 def _stages_to_process(tree, stages, dim, what) -> AdaptedProcess:

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from stochctrl import PathTree, TransformedSystem, parse_instance_file, steer_to_target, write_controller_csv
-from stochctrl.cli import main
+from stochctrl import PathTree, TransformedSystem, parse_instance_file, validate, write_controller_csv
+from stochctrl.cli import ROUTES, _route, main
 from conftest import INSTANCE_DIR
 
 FULL = str(INSTANCE_DIR / "fullrank_2x3.json")
@@ -29,12 +29,13 @@ def as_dict(out):
     return pairs
 
 
-def full_table(tmp_path, N=None, name="controller.csv"):
-    """FULL's null controller as a CSV table (synthesize writes its law instead)."""
-    inst = parse_instance_file(FULL)
+def written_table(tmp_path, instance=FULL, N=None, name="controller.csv"):
+    """The instance's null controller as a CSV table (synthesize writes its law instead)."""
+    inst = parse_instance_file(instance)
+    vs = validate(inst.system)
     tree = PathTree(inst.system.noise, inst.N if N is None else N)
     table = tmp_path / name
-    write_controller_csv(table, steer_to_target(TransformedSystem.build(inst.system), tree, inst.x0, None))
+    write_controller_csv(table, ROUTES[_route(vs)].controller(TransformedSystem.build(vs), tree, inst.x0, None, 1e-8))
     return table
 
 
@@ -120,15 +121,11 @@ def test_synthesize_and_verify_roundtrip(capsys, tmp_path):
 
 
 def test_synthesize_streams_csv_without_out(capsys):
-    # The full route streams its law, the delay routes their tables.
-    code, out, _ = run(capsys, "synthesize", "--instance", FULL)
-    assert code == 0
-    assert json.loads(out)["kind"] == "feedback"
-    assert "verdict" not in out
-    for inst in (IN_DELAY, ST_DELAY):
+    # Every route streams its law: each bundled target is the origin.
+    for inst in (FULL, IN_DELAY, ST_DELAY):
         code, out, _ = run(capsys, "synthesize", "--instance", inst)
         assert code == 0
-        assert out.startswith("stage,history,u_0,u_1,u_2")
+        assert json.loads(out)["kind"] == "feedback"
         assert "verdict" not in out
 
 
@@ -150,7 +147,7 @@ def test_synthesize_fails_past_its_own_tolerance(capsys, tmp_path, inst):
     assert code == 1
     assert 1e-30 < float(got["terminal_deviation"]) < 1e-13
     assert got["tolerance"] == "1.0000000000000001e-30"
-    artifact = '{"kind": "feedback"' if inst == FULL else "stage,history,u_0"
+    artifact = '{"kind": "feedback"'
     assert table.read_text().startswith(artifact)
     code, out, _ = run(capsys, "synthesize", "--instance", inst, "--tol", "1e-30")
     assert code == 1
@@ -186,7 +183,7 @@ def test_synthesize_unattainable_target(capsys, tmp_path):
 
 
 def test_verify_rejects_wrong_controller(capsys, tmp_path):
-    table = full_table(tmp_path)
+    table = written_table(tmp_path)
     code, out, _ = run(capsys, "verify", "--instance", FULL, "--controller", str(table))
     assert code == 0
     # zero out every input: the loop no longer reaches the origin
@@ -208,7 +205,7 @@ def test_verify_malformed_table(capsys, tmp_path):
 
 
 def test_verify_stage_gap_is_table_error(capsys, tmp_path):
-    table = full_table(tmp_path, name="gap.csv")
+    table = written_table(tmp_path, name="gap.csv")
     lines = table.read_text().strip().split("\n")
     kept = [l for l in lines if not l.startswith("0,")]
     table.write_text("\n".join(kept) + "\n")
@@ -217,7 +214,7 @@ def test_verify_stage_gap_is_table_error(capsys, tmp_path):
 
 
 def test_verify_rejects_u_rows_outside_the_horizon(capsys, tmp_path):
-    table = full_table(tmp_path, N=3, name="n3.csv")
+    table = written_table(tmp_path, N=3, name="n3.csv")
     code, _, _ = run(capsys, "verify", "--instance", FULL, "--N", "3", "--controller", str(table))
     assert code == 0
     # a horizon-3 table replayed at horizon 2 carries stage-3 rows
@@ -235,8 +232,8 @@ def test_verify_rejects_u_rows_outside_the_horizon(capsys, tmp_path):
 @pytest.mark.parametrize("row", ["9,,,,,1,2,3", "-5,,,,,1,2,3"])
 def test_verify_rejects_u1_rows_outside_the_delayed_range(capsys, tmp_path, row):
     # tau 1, N 2: the delayed channel's stages are -1..1
-    table = tmp_path / "delayed.csv"
-    code, _, _ = run(capsys, "synthesize", "--instance", IN_DELAY, "--out", str(table))
+    table = written_table(tmp_path, IN_DELAY, name="delayed.csv")
+    code, _, _ = run(capsys, "verify", "--instance", IN_DELAY, "--controller", str(table))
     assert code == 0
     with table.open("a") as fh:
         fh.write(row + "\n")
@@ -271,6 +268,33 @@ def test_bad_instance_json(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "analyze", "--instance", str(missing))
     assert code == 6
+
+
+def test_instance_with_a_byte_that_is_not_utf8_exits_6(capsys, tmp_path):
+    inst = tmp_path / "latin.json"
+    inst.write_bytes(b"\xff" + (INSTANCE_DIR / "fullrank_2x3.json").read_bytes())
+    code, out, err = run(capsys, "analyze", "--instance", str(inst))
+    assert code == 6 and out == ""
+    assert err.startswith("error: not UTF-8 text")
+
+
+def test_instance_with_an_integer_too_long_to_read_exits_6(capsys, tmp_path):
+    # Python refuses to convert more than 4300 digits; 401 are already out of float range.
+    doc = json.loads((INSTANCE_DIR / "fullrank_2x3.json").read_text())
+    doc["A"][0][0] = "@@"
+    inst = tmp_path / "long.json"
+    inst.write_text(json.dumps(doc).replace('"@@"', "1" + "0" * 5000))
+    code, out, err = run(capsys, "analyze", "--instance", str(inst))
+    assert code == 6 and out == ""
+    assert err.startswith("error: not valid JSON") and "4300 digits" in err
+
+
+def test_verify_table_with_a_byte_that_is_not_utf8_exits_5(capsys, tmp_path):
+    table = tmp_path / "controller.csv"
+    table.write_bytes(b"stage,history,u_0,u_1,u_2\n0,,1,\xff,3\n")
+    code, out, err = run(capsys, "verify", "--instance", FULL, "--controller", str(table))
+    assert code == 5 and out == ""
+    assert err == "bad controller table: not UTF-8 text: byte 0xff, invalid start byte\n"
 
 
 def test_singular_pencil_inapplicable(capsys, tmp_path):
@@ -404,7 +428,7 @@ def test_non_finite_numbers_are_errors(capsys, tmp_path, case, command):
 
 
 def _edited_table(capsys, tmp_path, edit):
-    table = full_table(tmp_path)
+    table = written_table(tmp_path)
     code, _, _ = run(capsys, "verify", "--instance", FULL, "--controller", str(table))
     assert code == 0
     lines = table.read_text().strip().split("\n")

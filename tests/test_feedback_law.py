@@ -120,7 +120,8 @@ def test_read_law_reproduces_the_synthesized_states_bit_for_bit(rng, law, target
     assert text is not None
     law = read_feedback_law(io.StringIO(text), tree, ts.spec)
     np.testing.assert_array_equal(law.L, ctrl.law.L)
-    u, x = feedback_loop(tree, ts.spec, ctrl.x.at(0)[0], law)
+    u, x, u1 = feedback_loop(tree, ts.spec, ctrl.x.at(0)[0], law)
+    assert u1 is None
     for k in range(N + 2):
         np.testing.assert_array_equal(x.at(k), ctrl.x.at(k))
     for k in range(N + 1):
@@ -217,12 +218,12 @@ def test_law_for_another_horizon_exits_5_under_N(capsys, tmp_path):
 
 
 def test_law_for_a_delay_route_exits_5(capsys, tmp_path):
-    # input_delay_tau1 has n 2, m 3 and N 2, as fullrank_2x3: only its delay channel tells them apart.
+    # input_delay_tau1 has n 2, m 3 and N 2, as fullrank_2x3: its law also carries the pre-horizon u1.
     law = tmp_path / "law.json"
     law.write_text(_full_law(capsys))
     code, _, err = run(capsys, "verify", "--instance", IN_DELAY, "--controller", str(law))
     assert code == 5
-    assert "without delay channels" in err
+    assert "missing ['u1']" in err
 
 
 def test_top_level_must_be_an_object():

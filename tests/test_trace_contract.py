@@ -53,10 +53,12 @@ def test_tracer_records_every_route_layer(tmp_path):
     bundled = sorted(str(p) for p in INSTANCE_DIR.glob("*.json"))
     steered = [str(INSTANCE_DIR / name) for name in
                ("fullrank_2x3.json", "input_delay_tau1.json", "state_delay_d1.json")]
-    # Zero path targets: membership runs each route's homogeneous backward solve.
+    # Path targets that differ by node: membership runs each route's homogeneous backward
+    # solve, and the offsets differ by node, so synthesize writes a table. Two-point noise
+    # makes every leaf array attainable.
     for name in ("fullrank_2x3.json", "state_delay_d1.json"):
         doc = json.loads((INSTANCE_DIR / name).read_text())
-        doc["N"], doc["target"] = 1, {label: [0.0, 0.0] for label in ("00", "01", "10", "11")}
+        doc["N"], doc["target"] = 1, {label: [float(i), 0.0] for i, label in enumerate(("00", "01", "10", "11"))}
         path_target = tmp_path / f"path_target_{name}"
         path_target.write_text(json.dumps(doc))
         steered.append(str(path_target))
