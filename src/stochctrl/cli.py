@@ -80,11 +80,14 @@ EXIT_ERROR = 6
 class Route:
     """What each command does for one kind of instance.
 
-    The form carries any delay channel with its lag, so oracle-check's
-    closed form is :func:`criteria.gramian` on every route and only the
-    enumeration oracle differs. The callables reach the library through
-    this module's globals at call time, so wrappers installed on those
-    names see every call.
+    The library reads the route from the form, which carries any delay
+    channel with its lag: :func:`criteria.gramian` (oracle-check's closed
+    form), :func:`criteria.gramian_oracle` and
+    :func:`synthesis.steer_to_target` serve every full-state route. A
+    record names the entry point a command calls for its kind, so the
+    delay routes reach their named ``delay`` functions. The callables
+    reach the library through this module's globals at call time, so
+    wrappers installed on those names see every call.
     """
 
     verdicts: tuple[str, str]  # analyze verdict when (controllable, not)
@@ -100,30 +103,26 @@ def _form(vs: ValidatedSystem) -> BsdeForm:
     return TransformedSystem.build(vs).form
 
 
-def _plain_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int) -> np.ndarray:
-    return gramian_oracle(form, N, noise, cap=cap)
-
-
 ROUTES = {
     "full": Route(
         ("exactly controllable", "not exactly controllable"),
         lambda vs, N: decide(vs, N_max=N),
         _form,
-        _plain_oracle,
+        lambda form, N, noise, cap: gramian_oracle(form, N, noise, cap=cap),
         lambda ts, tree, x0, target, tol: steer_to_target(ts, tree, x0, target, tol=tol),
     ),
     "partial": Route(
         ("H-partially exactly controllable", "not H-partially exactly controllable"),
         lambda vs, N: partial_decide(vs, N_max=N),
         lambda vs: output_form(TransformedSystem.build(vs)),
-        _plain_oracle,
+        lambda form, N, noise, cap: gramian_oracle(form, N, noise, cap=cap),
         None,
     ),
     "reduced": Route(
         ("leading-block exactly controllable", "not leading-block exactly controllable"),
         lambda vs, N: reduced_rank_setup(vs, N_max=N)[1],
         lambda vs: reduced_form(vs).form,
-        _plain_oracle,
+        lambda form, N, noise, cap: gramian_oracle(form, N, noise, cap=cap),
         None,
     ),
     "input-delay": Route(

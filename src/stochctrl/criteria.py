@@ -10,16 +10,15 @@ C + w Cbar; the i-th term equals the expectation of the i-fold product
 applied to D D' because the noise is independent across stages with zero
 mean and unit variance. It is accumulated in backward-equation form,
 G_N = D D' + Lambda(G_{N-1}) from G_{-1} = 0, by
-:func:`gramian_sequence`. That recursion, with the delayed-input term and
-state-delay pivots of the form's delay channel added, is the only place
-any route's steering Gramian is built. :func:`gramian` is every route's
+:func:`gramian_sequence`. Each function here reads the route from the
+form, which carries any delay channel with its lag. That recursion, with
+the channel's delayed-input term or state-delay pivots added, is the
+only place a steering Gramian is built: :func:`gramian` is every route's
 horizon-N Gramian, :func:`decide_form` every route's scan (with the rank
 test where no delay channel makes it inapplicable), and every
-controller's gains read the sequence. An independent enumeration oracle
-recomputes each term literally over all noise paths, with the per-path
-products taken from :func:`pathspace.path_products`; the two routes are
-kept separate so they can check each other. The CLI's route table
-(``cli.ROUTES``) pairs each route with its oracle.
+controller's gains read the sequence. :func:`gramian_oracle`, every
+route's independent check, recomputes each term literally over all noise
+paths from the products of :func:`pathspace.path_products`.
 
 The rank test spans {W D : W a word over {C, Cbar}}. Reachability of the
 whole state space by some horizon is equivalent to that span being full,
@@ -92,16 +91,29 @@ def gramian(form: BsdeForm, N: int) -> np.ndarray:
 
 
 def gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int = DEFAULT_CAP) -> np.ndarray:
-    """Same Gramian by literal enumeration of every noise path.
+    """Same Gramian by literal enumeration of every noise path, delay channels included.
 
     Deliberately avoids the moment recursion: each term averages the
     explicit products (C + w(0) Cbar) ... (C + w(i-1) Cbar) D over all
-    paths of the given law. Used as an independent check.
+    paths of the given law, pivots woven in on a delayed state. A delayed
+    input adds, over prefixes of depth max(0, i - tau), the squared
+    conditional mean of the product over its continuations, times D1.
     """
+    return _gramian_oracle(form, N, noise, cap)
+
+
+def _gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int) -> np.ndarray:
+    """:func:`gramian_oracle`'s body, which ``delay``'s named oracles call too (a traced name would nest)."""
     tree = PathTree(noise, N, cap)
-    G = np.zeros((form.n, form.n))
+    n, s = form.n, tree.s
+    G = np.zeros((n, n))
     for i, prods in enumerate(path_products(form, tree.support, N)):
         G += weighted_gram(tree.node_probs(i), prods @ form.D)
+        if form.D1 is not None:
+            depth = max(0, i - form.tau)
+            tails = prods.reshape(s**depth, s ** (i - depth), n, n)
+            Phi = np.einsum("htab,t->hab", tails, tree.node_probs(i - depth))
+            G += weighted_gram(tree.node_probs(depth), Phi @ form.D1)
     return G
 
 

@@ -13,9 +13,10 @@ coarsest measurable depth and never replicates values per leaf.
 :func:`path_products` is the one place per-history products of the
 random factors C + w Cbar are built, with the state-delay pivots of
 :func:`state_delay_P` woven in when the form has a delayed state: the
-terminal-product formula and every enumeration oracle (in ``criteria``
-and ``delay``) take their products from it. No controller builds them;
-every route steers by state feedback (see ``synthesis``).
+terminal-product formula and every enumeration oracle take their
+products from it. :func:`backward_solve` hands a form with a delayed
+state to :func:`backward_solve_state_delay`, so :func:`member_of_S`
+serves every full-state route.
 """
 from __future__ import annotations
 
@@ -240,8 +241,11 @@ def backward_solve(
 
     ``terminal`` may be None (origin), an n-vector, or a full leaf array.
     ``v`` (None: zero free input) must hold stages 0..N with stage k
-    measurable at depth <= k.
+    measurable at depth <= k. A form with a delayed state is solved by
+    :func:`backward_solve_state_delay`, with its drift C1 x(k - d).
     """
+    if form.C1 is not None:
+        return backward_solve_state_delay(tree, form, terminal, v)
     cmats = form.stage_factors(tree.support)
     x_vals = {tree.horizon + 1: _terminal_array(tree, form.n, terminal)}
     for k in range(tree.horizon, -1, -1):
@@ -375,21 +379,19 @@ class SMembership:
 def member_of_S(tree: PathTree, form: BsdeForm, terminal, tol: float = 1e-8) -> SMembership:
     """Test whether a terminal value is attainable with zero free input.
 
-    Solves the homogeneous backward equation from the terminal and checks
-    the one-step representation residual at every node. On two-point noise
-    every terminal passes; richer laws reject terminals whose dependence on
-    the final noise is not affine.
+    Solves the homogeneous backward equation (:func:`backward_solve`,
+    delayed on a form with C1) from the terminal and checks the one-step
+    representation residual at every node, against ``tol`` times the
+    largest terminal entry (at least 1). On two-point noise every terminal
+    passes; richer laws reject terminals not affine in the final noise.
     """
+    return _membership(tree, form, terminal, tol)
+
+
+def _membership(tree: PathTree, form: BsdeForm, terminal, tol: float) -> SMembership:
+    """:func:`member_of_S`'s body, which ``delay.member_of_S_state_delay`` calls too."""
     terminal_arr = _terminal_array(tree, form.n, terminal)
     sol = backward_solve(tree, form, terminal_arr)
-    return _membership(sol, terminal_arr, tol)
-
-
-def _membership(sol: BsdeSolution, terminal_arr: np.ndarray, tol: float) -> SMembership:
-    """Judge a homogeneous solve by its worst representation residual.
-
-    The tolerance scales with the largest terminal entry (at least 1).
-    """
     residuals = representation_residual(sol)
     worst = max(residuals.values()) if residuals else 0.0
     scale = max(1.0, float(np.abs(terminal_arr).max()))

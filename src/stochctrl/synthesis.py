@@ -11,9 +11,11 @@ K_k p(k), with the one gain law of :func:`_gains`,
 K_k = M [S(j-1) Cbar'; D'] P(j)' S(j)^+ (S(-1) = 0, P the state-delay
 pivots, else I). The full route has p = x, v = D' y and
 z = S(j-1) Cbar' y, exact as range D and range Cbar S(j-1) lie in
-range S(j); the delay routes' predictors are in ``delay``. A target adds
-the homogeneous solution (x_h, z_h) reached with zero free input: the
-law acts on e = x - x_h and z gains z_h.
+range S(j); the delay routes' predictors are derived in ``delay``. A
+target adds the homogeneous solution (x_h, z_h) reached with zero free
+input: the law acts on e = x - x_h and z gains z_h. One body,
+:func:`_steer`, builds every route's controller, the route read from the
+form; ``delay``'s controllers are channel checks in front of it.
 
 So every controller is one law (:class:`FeedbackLaw`) in the regressor
 r(k), p(k) = (r(k) - r_h(k)) Pi_k' with Pi_k = I on the full route:
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import gramian_invertible, gramian_sequence
+from .criteria import gramian, gramian_invertible, gramian_sequence
 from .errors import DimensionMismatch, SchemaError, SingularGramian, TargetNotInS
 from .model import _JSON_NUMBERS, SystemSpec, check_level, path_labels
 from .pathspace import (
@@ -49,7 +51,7 @@ from .pathspace import (
     path_products,
     plant_step,
     state_delay_P,
-    _terminal_array,
+    _state_delay_gains,
 )
 from .transform import TransformedSystem
 
@@ -123,34 +125,47 @@ def _gains(ts: TransformedSystem, S) -> list[np.ndarray]:
     return [Kk @ _pinv(S[N - k + 1]) for k, Kk in enumerate(K)]
 
 
-def _steering_start(tree: PathTree, form, x0, target, membership):
-    """Shared start of every steering controller.
+def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> ControllerProcess:
+    """Steer x0 to ``target`` (None: the origin) by the law of this module's docstring, and run it.
 
-    Checks x0 and, for a target, runs ``membership`` on its leaf array and
-    rejects it with :class:`TargetNotInS` when it is not attainable.
-    Returns x0 and the target's zero-free-input solution (None without a target).
+    The form picks the membership solve, the Gramian, the maps Pi_k (None,
+    i.e. I, on the full route; the Smith predictor or the lag gains of
+    ``delay``), the pre-horizon inputs ``u1_pre`` and the kind. r_h is the
+    regressor of the target's solution, zero without one and in its u1 blocks.
     """
+    form, spec, n, N = ts.form, ts.spec, ts.form.n, tree.horizon
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (form.n,):
-        raise DimensionMismatch(f"x0 must have length {form.n}, got {x0.shape}")
-    if target is None:
-        return x0, None
-    result = membership(_terminal_array(tree, form.n, target))
-    if not result.member:
-        raise TargetNotInS(f"terminal residual {result.max_residual:.3e} exceeds tolerance {result.tol}")
-    return x0, result.solution
-
-
-def _steer(kind, ts: TransformedSystem, tree: PathTree, x0, hom, G, K, Pi=None, u1_pre=None) -> ControllerProcess:
-    """Build the law L_k, c_k of this module's docstring from gains ``K`` and maps ``Pi``, and run it.
-
-    ``K[k]`` maps p(k) to M [z - z_h; v] and, on a delayed input, to u1(k);
-    ``Pi`` is None on the full route (Pi_k = I). r_h is the regressor of
-    the target's solution ``hom``, zero without one and in its u1 blocks.
-    """
-    spec, n, rows = ts.spec, ts.form.n, len(K[0])
-    Pi = Pi or [None] * len(K)
-    Mq = ts.transform.M[:, :n]
+    if x0.shape != (n,):
+        raise DimensionMismatch(f"x0 must have length {n}, got {x0.shape}")
+    hom = None
+    if target is not None:
+        result = member_of_S(tree, form, target, tol=tol)
+        if not result.member:
+            raise TargetNotInS(f"terminal residual {result.max_residual:.3e} exceeds tolerance {result.tol}")
+        hom = result.solution
+    if form.D1 is not None:
+        kind, what = "input-delay", "delayed-input Gramian"
+    elif form.C1 is not None:
+        kind, what = "state-delay", "delayed-state Gramian"
+    else:
+        kind, what = "null" if hom is None else "target", "Gramian"
+    S = [np.zeros((n, n)), *gramian_sequence(form, N)]  # S(j-1)
+    G = S[-1] if form.D1 is None else gramian(form, N)  # a delayed input adds its pre-horizon terms
+    _check_gramian(G, f"{what} at N = {N}")
+    K = _gains(ts, S)
+    Pi, u1_pre = [None] * (N + 1), None
+    if form.D1 is not None:
+        tau = form.tau
+        CD1 = [np.linalg.matrix_power(form.C, i) @ form.D1 for i in range(tau + 1)]  # C^i D1
+        # u1(k - i) enters at stage k - i + tau; none that enters after N is on its way.
+        Pi = [np.hstack([np.eye(n)] + [-CD1[tau - i] * (k - i + tau <= N) for i in range(1, tau + 1)])
+              for k in range(N + 1)]
+        g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
+        u1_pre = np.array([g @ CD1[i] for i in range(min(tau, N + 1))])
+    elif form.C1 is not None:
+        _, Q = _state_delay_gains(form, N)
+        Pi = [np.hstack([np.eye(n)] + [-Qj for Qj in Q[k]]) for k in range(N + 1)]
+    Mq, rows = ts.transform.M[:, :n], len(K[0])
     pad, width = (0, rows - spec.m), n if Pi[0] is None else Pi[0].shape[1]
     Mq_Abar = np.pad(Mq @ spec.Abar, (pad, (0, width - n)))
     L = np.stack([(Kk if P is None else Kk @ P) - Mq_Abar for Kk, P in zip(K, Pi)])
@@ -167,12 +182,12 @@ def _steer(kind, ts: TransformedSystem, tree: PathTree, x0, hom, G, K, Pi=None, 
 
 
 def null_controller(ts: TransformedSystem, tree: PathTree, x0: np.ndarray) -> ControllerProcess:
-    """Steer x0 to the origin over the tree's horizon.
+    """Steer x0 to the origin over the tree's horizon, on any full-state route.
 
     Raises :class:`SingularGramian` when the Gramian at that horizon is not
     invertible at the scale-aware threshold.
     """
-    return steer_to_target(ts, tree, x0, None)
+    return _steer(ts, tree, x0, None, 1e-8)
 
 
 def steer_to_target(
@@ -182,21 +197,16 @@ def steer_to_target(
     target,
     tol: float = 1e-8,
 ) -> ControllerProcess:
-    """Steer x0 to an attainable terminal value over the tree's horizon.
+    """Steer x0 to an attainable terminal value over the tree's horizon, on any full-state route.
 
     The terminal may be a vector (constant over paths) or a full leaf
     array; None steers to the origin and gives the null controller.
     Rejects terminals outside the attainable set with
-    :class:`TargetNotInS`. The inputs come from one pass of the full
-    route's :class:`FeedbackLaw` (this module's docstring), whose N+1
-    gains K_k = M [G_{N-k-1} Cbar'; D'] G_{N-k}^+ are built in O(N n^3),
-    no tree.
+    :class:`TargetNotInS`. The inputs come from one pass of the route's
+    :class:`FeedbackLaw` (this module's docstring), whose N+1 gains are
+    built in O(N n^3), no tree; on a delay route it is ``delay``'s controller.
     """
-    form, n, N = ts.form, ts.form.n, tree.horizon
-    x0, hom = _steering_start(tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol))
-    G = [np.zeros((n, n)), *gramian_sequence(form, N)]  # G_{j-1}
-    _check_gramian(G[-1], f"Gramian at N = {N}")
-    return _steer("null" if hom is None else "target", ts, tree, x0, hom, G[-1], _gains(ts, G))
+    return _steer(ts, tree, x0, target, tol)
 
 
 def _regressor(tree: PathTree, spec: SystemSpec, k: int, xs: dict, u1s: dict) -> np.ndarray:

@@ -6,12 +6,23 @@ closure is checked. ``q_expanded`` evaluates the absorbed input q as an
 expanded tail sum on the tree, against the feedback law's q, which
 ``split_u`` reads off u = M [q; v]; ``cond_expect_array`` and
 ``cond_expect`` average out trailing stages of node values.
+``tree_rank_controllable`` decides exact controllability from the plant
+itself, by the rank of the map from adapted inputs to terminal leaves.
 """
 import itertools
 
 import numpy as np
 
-from stochctrl import AdaptedProcess, InputTransform, PathTree, StageMismatch, TransformedSystem, backward_solve
+from stochctrl import (
+    AdaptedProcess,
+    InputTransform,
+    PathTree,
+    StageMismatch,
+    SystemSpec,
+    TransformedSystem,
+    backward_solve,
+    forward_simulate,
+)
 
 
 def reconstruct_u(tr: InputTransform, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -112,3 +123,31 @@ def q_expanded(ts: TransformedSystem, tree: PathTree, v: AdaptedProcess) -> Adap
         out_vals[k] = q_free - sol.x.at(k) @ spec.Abar.T
         out_depths[k] = k
     return AdaptedProcess(tree, out_vals, out_depths)
+
+
+def tree_rank_controllable(spec: SystemSpec, N: int) -> tuple[bool, float]:
+    """Whether every leaf array x(N+1) is reached from x0 = 0, and by what margin.
+
+    Builds the map from adapted inputs (u(k) at depth k, k = 0..N) to the
+    leaves x(N+1) column by column, running :func:`forward_simulate` on
+    each unit input, and tests it for full row rank n s^(N+1) at numpy's
+    rank threshold max(shape) eps sigma_max. The margin is the deciding
+    singular value over that threshold (> 1 exactly when the rank is
+    full). On two-point noise every leaf array is attainable, so full rank
+    is exact controllability.
+    """
+    tree = PathTree(spec.noise, N)
+    zero = {k: np.zeros((tree.n_nodes(k), spec.m)) for k in range(N + 1)}
+    columns = []
+    for k in range(N + 1):
+        for entry in range(tree.n_nodes(k) * spec.m):
+            unit = np.zeros(tree.n_nodes(k) * spec.m)
+            unit[entry] = 1.0
+            u = AdaptedProcess(tree, {**zero, k: unit.reshape(-1, spec.m)}, {j: j for j in zero})
+            columns.append(forward_simulate(tree, spec, np.zeros(spec.n), u).at(N + 1).ravel())
+    T = np.column_stack(columns)
+    rows = T.shape[0]
+    svals = np.linalg.svd(T, compute_uv=False)
+    threshold = max(T.shape) * np.finfo(float).eps * svals[0]
+    deciding = svals[rows - 1] if len(svals) >= rows else 0.0
+    return bool(deciding > threshold), float(deciding / threshold)

@@ -16,7 +16,7 @@ from stochctrl import (
     random_system,
     word_span,
 )
-from crosschecks import rank_test_words, word_matrix
+from crosschecks import rank_test_words, tree_rank_controllable, word_matrix
 
 
 def test_benchmark_gramian(bench_full):
@@ -166,6 +166,40 @@ def test_rank_iff_invertible_gramian(rng):
         assert by_rank == by_gramian
         hits[by_rank] += 1
     assert hits[True] and hits[False]  # both sides actually exercised
+
+
+def gramian_margin(G):
+    """sigma_min over gramian_invertible's threshold n eps sigma_max (> 1 exactly when invertible)."""
+    svals = np.linalg.svd(G, compute_uv=False)
+    return svals[-1] / (G.shape[0] * np.finfo(float).eps * svals[0]) if svals[0] else 0.0
+
+
+def assert_tree_rank_matches_gramian(spec, N):
+    by_tree, tree_margin = tree_rank_controllable(spec, N)
+    G = gramian(TransformedSystem.build(spec).form, N)
+    by_gramian, _ = gramian_invertible(G)
+    assert by_tree == by_gramian, (
+        f"N = {N}: tree rank says {by_tree} (margin {tree_margin:.3e}), "
+        f"Gramian says {by_gramian} (margin {gramian_margin(G):.3e})"
+    )
+
+
+@pytest.mark.parametrize("m_extra", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tree_rank_of_the_plant_matches_the_gramian(seed, n, m_extra):
+    # Exact controllability read off the plant itself: on two-point noise every
+    # leaf array x(N+1) is reached from x0 = 0 exactly when the Gramian is invertible.
+    # Fixed seeds, so no draw sits near either threshold.
+    spec = random_system(np.random.default_rng([seed, n, n + m_extra]), n, n + m_extra)
+    for N in range(5):
+        assert_tree_rank_matches_gramian(spec, N)
+
+
+def test_tree_rank_of_an_uncontrollable_plant(bench_uncontrollable):
+    for N in range(5):
+        assert_tree_rank_matches_gramian(bench_uncontrollable, N)
+        assert not tree_rank_controllable(bench_uncontrollable, N)[0]
 
 
 def test_scan_reports_first_witness(bench_full):

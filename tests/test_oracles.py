@@ -4,7 +4,9 @@ The three ``loop_*`` functions below are the package's earlier oracles,
 kept verbatim as the reference: one noise path at a time, products
 multiplied out with ``itertools.product``. The vectorized versions sum the
 same per-path products in another order, so they must agree within a
-relative rounding tolerance fixed here, not bit for bit.
+relative rounding tolerance fixed here, not bit for bit. The package's
+one enumeration, ``gramian_oracle``, reads the delay channel from the
+form, so it equals each delay route's named oracle bit for bit.
 """
 import itertools
 
@@ -14,6 +16,7 @@ import pytest
 from stochctrl import (
     NoiseModel,
     TransformedSystem,
+    gramian,
     gramian_oracle,
     input_delay_gramian_oracle,
     random_system,
@@ -149,3 +152,20 @@ def test_vectorized_oracles_keep_the_cap(bench_full_ts):
         with pytest.raises(EnumerationTooLarge):
             oracle(bench_full_ts.form, 6, noise, cap=64)
         oracle(bench_full_ts.form, 5, noise, cap=64)
+
+
+@pytest.mark.parametrize("lag", ["tau1", "tau2", "d1", "d2"])
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_gramian_oracle_reads_the_delay_channel_from_the_form(law, lag):
+    # One enumeration serves every route: on a delayed input it adds the
+    # conditional-mean terms, on a delayed state the pivots come with the products.
+    noise = LAWS[law]
+    channel, lag_value = lag[:-1], int(lag[-1])
+    named = input_delay_gramian_oracle if channel == "tau" else state_delay_gramian_oracle
+    rng = np.random.default_rng([lag_value, len(noise.support), channel == "tau"])
+    for n in (1, 2, 3):
+        form = TransformedSystem.build(random_system(rng, n, n + 1, noise=noise, **{channel: lag_value})).form
+        for N in range(5):
+            G = gramian_oracle(form, N, noise)
+            assert np.array_equal(G, named(form, N, noise)), (n, N)
+            assert_close(G, gramian(form, N))

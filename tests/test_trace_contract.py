@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 
 import stochctrl.cli as cli
+from stochctrl.model import parse_instance_file
 from conftest import INSTANCE_DIR
 
 _SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -96,5 +97,11 @@ def test_tracer_records_every_route_layer(tmp_path):
     assert want <= layers, sorted(want - layers)
     counts = tracer.counts_in(0, len(tracer.spans))
     assert counts["criteria.oracle_products"] > 0
+    # Exactly one oracle span per oracle-check: an entry point that called a traced
+    # public name would nest a second span and count its paths twice.
+    paths = 0
+    for inst in map(parse_instance_file, bundled):
+        paths += sum(len(inst.system.noise.support) ** i for i in range(inst.N + 1))
+    assert counts["criteria.oracle_products"] == paths
     assert counts["pathspace.state_delay_unknowns"] > 0
     assert counts["synthesis.table_rows"] > 0
