@@ -57,13 +57,11 @@ from .partial import output_form, partial_decide, reduced_form, reduced_rank_set
 from .pathspace import DEFAULT_CAP, PathTree, forward_simulate, terminal_from_map
 from .synthesis import (
     FLOAT_FMT,
-    controller_csv_text,
     feedback_loop,
     law_text,
     read_controller_table,
     read_feedback_law,
     steer_to_target,
-    write_controller_csv,
 )
 from .transform import BsdeForm, TransformedSystem
 
@@ -252,14 +250,11 @@ def cmd_synthesize(args) -> int:
     ]
     law = law_text(ctrl)
     if args.out:
-        if law is None:
-            write_controller_csv(args.out, ctrl)
-        else:
-            _write(args.out, law)
+        _write(args.out, law)
         pairs.append(("controller", args.out))
         _emit(_render(pairs, args.format), None)
     else:
-        sys.stdout.write(controller_csv_text(ctrl) if law is None else law)
+        sys.stdout.write(law)
     return EXIT_YES if deviation <= args.tol else EXIT_NO
 
 

@@ -284,11 +284,15 @@ def decide(
     Gramian with N < n is already invertible. A delayed input or state is
     part of the form, so the report decides the delayed system.
     """
-    system = TransformedSystem.build(system)
-    form = system.form
+    return _decide(TransformedSystem.build(system), N_max)
+
+
+def _decide(ts: TransformedSystem, N_max: int | None) -> ControllabilityReport:
+    """The body of :func:`decide`, which ``delay``'s entry points share (a traced name would nest)."""
+    form = ts.form
     return decide_form(
         form,
-        system.spec.default_horizon if N_max is None else N_max,
+        ts.spec.default_horizon if N_max is None else N_max,
         kind="input-delay" if form.D1 is not None else "state-delay" if form.C1 is not None else "full",
-        transform_source=system.transform.source,
+        transform_source=ts.transform.source,
     )

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .criteria import ControllabilityReport, _gramian_oracle, decide
+from .criteria import ControllabilityReport, _decide, _gramian_oracle
 from .errors import DimensionMismatch
 from .model import NoiseModel, SystemSpec, ValidatedSystem
 from .pathspace import (
@@ -108,7 +108,7 @@ def input_delay_decide(
     ts = TransformedSystem.build(system)
     if ts.form.D1 is None:
         raise ValueError("system has no delayed input channel")
-    return decide(ts, N_max)
+    return _decide(ts, N_max)
 
 
 # ---------------------------------------------------------------------------
@@ -159,4 +159,4 @@ def state_delay_decide(
     ts = TransformedSystem.build(system)
     if ts.form.C1 is None:
         raise ValueError("system has no delayed state channel")
-    return decide(ts, N_max)
+    return _decide(ts, N_max)

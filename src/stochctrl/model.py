@@ -74,7 +74,15 @@ def level_values(mapping: dict, s: int, depth: int, n: int, what: str) -> np.nda
     """The n-vectors of a {label: vector} map over one tree level, as read-only rows in node order."""
     labels = sorted(mapping)
     check_level(labels, s, depth, f"{what} keys")
-    return _as_float_matrix(f"{what} values", [mapping[label] for label in labels], len(labels), n)
+    rows = [mapping[label] for label in labels]
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {n}:
+        try:  # one flat read; the row-wise read below names any entry it cannot take
+            flat = np.fromiter(chain.from_iterable(rows), float, len(rows) * n)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            return _float_array(f"{what} values", flat).reshape(len(rows), n)
+    return _as_float_matrix(f"{what} values", rows, len(rows), n)
 
 
 def _float_array(name: str, value) -> np.ndarray:

@@ -24,10 +24,12 @@ c_k = [z_h(k) M_q', 0] - (r_h(k) Pi_k') K_k', each c_k at its coarsest
 depth (one row for the origin and any constant target). The one closed
 loop, :func:`feedback_loop`, steps through :func:`pathspace.plant_step`,
 the step of forward simulation, so a replay of the written controller
-reproduces its states bit for bit. A law whose offsets are all one row is
-written as JSON, {"kind": "feedback", "N", "L", "c"} plus "u1" on a
-delayed input, with floats in ``repr`` (exact for float64); every other
-controller is a table of one row per (stage, history), 17 digits a value.
+reproduces its states bit for bit. Every controller is written as its
+law, JSON {"kind": "feedback", "N", "L", "c"} plus "u1" on a delayed
+input, with floats in ``repr`` (exact for float64); each c_k is one flat
+row-major list, of m + m1 numbers when one row serves every node, else
+of s^k (m + m1) in node order. The table of one row per (stage, history),
+17 digits a value, stays a library format that verify also reads.
 """
 from __future__ import annotations
 
@@ -74,7 +76,8 @@ class FeedbackLaw:
     """[u(k), u1(k)] = r(k) L_k' + c_k for k = 0..N, r(k) from :func:`_regressor`.
 
     ``L`` is (N+1, m+m1, n(1+d)+m1 tau). ``c`` holds each c_k as one row
-    (depth 0) when it is the same on every node, else at depth k.
+    (depth 0) when it is the same on every node, else at depth k; the
+    written law stores it flat at that depth (:func:`law_text`).
     ``u1_pre`` holds u1(-tau), u1(1-tau), ... that enter by stage N, one
     row each (None without a delayed input).
     """
@@ -247,12 +250,10 @@ def feedback_loop(
     return u, x, AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None
 
 
-def law_text(ctrl: ControllerProcess) -> str | None:
-    """The controller's law as JSON when every c_k is one row, else None (write the table)."""
+def law_text(ctrl: ControllerProcess) -> str:
+    """The controller's law as JSON, each c_k flat in row-major order at its own depth."""
     law = ctrl.law
-    if any(law.c.depths.values()):
-        return None
-    c = [law.c.at(k)[0].tolist() for k in range(len(law.L))]
+    c = [law.c.at(k).ravel().tolist() for k in range(len(law.L))]
     doc = {"kind": "feedback", "N": len(law.L) - 1, "L": law.L.tolist(), "c": c}
     if law.u1_pre is not None:
         doc["u1"] = law.u1_pre.tolist()
@@ -264,9 +265,11 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
 
     Raises :class:`SchemaError` for text that is not a JSON object with
     exactly the keys kind, N, L and c, plus u1 exactly on a delayed input;
-    a kind other than "feedback"; an N other than the tree's horizon; an L,
-    c or u1 not of the instance's shapes (:class:`FeedbackLaw`; u1 is
-    (min(tau, N+1), m1)); and entries that are not finite JSON numbers.
+    a kind other than "feedback"; an N other than the tree's horizon; an L
+    or u1 not of the instance's shapes (:class:`FeedbackLaw`; u1 is
+    (min(tau, N+1), m1)); a c that is not N+1 flat stages, stage k of
+    m+m1 numbers (depth 0) or s^k (m+m1) (depth k); and entries that are
+    not finite JSON numbers.
     """
     try:
         with _opened(source, "r") as fh:
@@ -286,10 +289,25 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
         raise SchemaError(f"law N is {N!r}, the horizon being verified is {tree.horizon}")
     m1, tau = (0, 0) if spec.B1 is None else (spec.B1.shape[1], spec.tau)
     L = _law_array("L", doc["L"], (N + 1, spec.m + m1, spec.n * (1 + (spec.d or 0)) + m1 * tau))
-    c = _law_array("c", doc["c"], (N + 1, spec.m + m1))
+    c = _law_offsets(doc["c"], tree, spec.m + m1)
     u1_pre = _law_array("u1", doc["u1"], (min(tau, N + 1), m1)) if m1 else None
-    rows = {k: c[k : k + 1] for k in range(N + 1)}
-    return FeedbackLaw(L, AdaptedProcess(tree, rows, dict.fromkeys(rows, 0)), u1_pre)
+    return FeedbackLaw(L, c, u1_pre)
+
+
+def _law_offsets(value, tree: PathTree, width: int) -> AdaptedProcess:
+    """The offsets c_k of a law: stage k one row of ``width`` numbers, or one per depth-k node."""
+    if type(value) is not list or len(value) != tree.horizon + 1:
+        raise SchemaError(f"c must be a list of N + 1 = {tree.horizon + 1} stages")
+    for k, stage in enumerate(value):
+        if type(stage) is not list or len(stage) not in (width, tree.s**k * width):
+            raise SchemaError(
+                f"c stage {k} must list {width} numbers (one row) or {tree.s**k} x {width} "
+                f"(one row per depth-{k} node)"
+            )
+    flat = _finite_floats("c", [x for stage in value for x in stage])
+    parts = np.split(flat, np.cumsum([len(stage) for stage in value[:-1]]))
+    depths = {k: 0 if len(part) == width else k for k, part in enumerate(parts)}
+    return AdaptedProcess(tree, {k: part.reshape(-1, width) for k, part in enumerate(parts)}, depths)
 
 
 def _law_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
@@ -299,6 +317,11 @@ def _law_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
         if not all(type(v) is list and len(v) == size for v in entries):
             raise SchemaError(f"{name} must be nested lists of shape {shape}")
         entries = [x for v in entries for x in v]
+    return _finite_floats(name, entries).reshape(shape)
+
+
+def _finite_floats(name: str, entries: list) -> np.ndarray:
+    """A flat list of finite JSON numbers as a float array, else :class:`SchemaError`."""
     if not set(map(type, entries)) <= _JSON_NUMBERS:
         raise SchemaError(f"{name} entries must be JSON numbers")
     try:
@@ -307,7 +330,7 @@ def _law_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
         raise SchemaError(f"{name} entries must be finite") from None
     if not np.isfinite(arr).all():
         raise SchemaError(f"{name} entries must be finite")
-    return arr.reshape(shape)
+    return arr
 
 
 def _opened(target, mode: str):

@@ -3,9 +3,11 @@
 On a delayed state the law reads r(k) = [x(k), x(k-1), ..., x(k-d)], on a
 delayed input r(k) = [x(k), u1(k-1), ..., u1(k-tau)], and decides
 [u(k), u1(k)] = r(k) L_k' + c_k; the pre-horizon inputs u1(-tau..) travel
-in the law as its "u1" key. synthesize writes it whenever every c_k is
-one row (the origin and constant targets), and verify replays it bit for
-bit. A path target whose offsets differ by node still writes the table.
+in the law as its "u1" key. synthesize writes every controller as its
+law, each c_k one row when every node shares it (the origin and constant
+targets) and one row per depth-k node otherwise (a path target), and
+verify replays it bit for bit. verify still takes a table written by
+``write_controller_csv``.
 """
 import io
 import json
@@ -21,6 +23,7 @@ from stochctrl import (
     law_text,
     read_feedback_law,
     serialize_instance,
+    steer_to_target,
     write_controller_csv,
 )
 from stochctrl.cli import main
@@ -34,7 +37,7 @@ from test_delay import delayed_attainable_terminal
 IN_DELAY = str(INSTANCE_DIR / "input_delay_tau1.json")  # n 2, m 3, m1 3, tau 1, N 2
 ST_DELAY = str(INSTANCE_DIR / "state_delay_d1.json")  # n 2, m 3, d 1, N 2
 LAWS = {"two-point": NoiseModel.rademacher(), "three-point": NoiseModel.symmetric_three_point()}
-ROUTES = {"tau": input_delay_controller, "d": state_delay_controller}
+ROUTES = {"full": steer_to_target, "tau": input_delay_controller, "d": state_delay_controller}
 
 
 def run(capsys, *argv):
@@ -48,16 +51,16 @@ def report(out):
 
 
 def draw(rng, noise, route, lag, n, N, target):
-    """A steerable system of the route with x0 and a target (None, "constant" or "path")."""
+    """A steerable system of the route (lag 0 on "full") with x0 and a target (None, "constant" or "path")."""
     tree = PathTree(noise, N)
     for _ in range(20):
-        ts = random_controllable(rng, n, 2 * n if N == 0 else n + 1, N, noise=noise, **{route: lag})
+        ts = random_controllable(rng, n, 2 * n if N == 0 else n + 1, N, noise=noise, **({route: lag} if lag else {}))
         x0 = random_x0(rng, n)
         if target is None:
             goal = None
         elif target == "constant":
             goal = rng.normal(size=n)
-        elif route == "tau":
+        elif route != "d":
             goal = random_attainable_terminal(rng, tree, ts.form)
         else:
             goal = delayed_attainable_terminal(rng, tree, ts.form, lag)
@@ -134,15 +137,21 @@ def test_synthesize_writes_the_law_that_verify_replays(capsys, tmp_path, law, ro
 
 
 @pytest.mark.parametrize("route,lag", [("tau", 1), ("tau", 2), ("d", 1), ("d", 2)])
-def test_path_target_writes_a_table_and_verify_takes_a_written_table(capsys, tmp_path, route, lag):
+def test_path_target_writes_a_law_and_verify_takes_a_written_table(capsys, tmp_path, route, lag):
     rng = np.random.default_rng([lag, len(route)])
     ts, tree, x0, goal, ctrl = draw(rng, LAWS["two-point"], route, lag, 2, lag + 1, "path")
-    assert law_text(ctrl) is None
+    assert any(ctrl.law.c.depths.values())  # offsets that differ by node
     inst = write_instance(tmp_path, ts, tree, x0, goal)
-    table = tmp_path / "table.csv"
-    code, out, _ = run(capsys, "synthesize", "--instance", inst, "--out", str(table))
+    law = tmp_path / "law.json"
+    code, out, _ = run(capsys, "synthesize", "--instance", inst, "--out", str(law))
     assert code == 0
     synthesized = report(out)
+    assert law.read_text() == law_text(ctrl)
+    code, out, _ = run(capsys, "verify", "--instance", inst, "--controller", str(law))
+    assert code == 0
+    assert report(out)["terminal_deviation"] == synthesized["terminal_deviation"]
+    table = tmp_path / "table.csv"
+    write_controller_csv(table, ctrl)
     assert table.read_text().startswith("stage,history,u_0")
     code, out, _ = run(capsys, "verify", "--instance", inst, "--controller", str(table))
     assert code == 0
@@ -181,7 +190,11 @@ MALFORMED = {
     "u1-string": (IN_DELAY, _edit("u1", [[0.0, "1", 0.0]]), "u1 entries must be JSON numbers"),
     "L-full-route-width": (ST_DELAY, _edit("L", [[[0.0] * 2] * 3] * 3), "L must be nested lists of shape (3, 3, 4)"),
     "L-without-u1-rows": (IN_DELAY, _edit("L", [[[0.0] * 5] * 3] * 3), "L must be nested lists of shape (3, 6, 5)"),
-    "c-without-u1-columns": (IN_DELAY, _edit("c", [[0.0] * 3] * 3), "c must be nested lists of shape (3, 6)"),
+    "c-without-u1-columns": (
+        IN_DELAY,
+        _edit("c", [[0.0] * 3] * 3),
+        "c stage 0 must list 6 numbers (one row) or 1 x 6 (one row per depth-0 node)",
+    ),
 }
 
 

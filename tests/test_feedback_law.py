@@ -1,8 +1,9 @@
 """The full route's controller artifact: the feedback law u(k) = x(k) L_k' + c_k.
 
-synthesize writes the law as JSON whenever every offset c_k is one row
-(the origin and any constant target), else the CSV table; verify tells
-the two apart by the file's first byte and replays a law through the
+synthesize writes every controller as its law in JSON, each offset c_k
+one row when every node shares it (the origin and any constant target),
+else one row per depth-k node; verify tells a law from a CSV table by the
+file's first byte and replays a law through the
 same loop synthesize ran, so its states and its reported deviation equal
 synthesize's exactly. A malformed law exits 5 with the reason named.
 """
@@ -99,11 +100,16 @@ def test_law_has_one_gain_and_one_offset_per_stage(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("law", sorted(LAWS))
-def test_path_target_with_node_varying_offsets_writes_a_table(capsys, tmp_path, law):
+def test_path_target_with_node_varying_offsets_writes_a_law(capsys, tmp_path, law):
     rng = np.random.default_rng(len(law))
     inst = write_instance(tmp_path, rng, LAWS[law], 2, 3, "path")
     text, synthesized, verified = synthesize_and_verify(capsys, tmp_path, inst)
-    assert text.startswith("stage,history,u_0,u_1,u_2\n")
+    doc = json.loads(text)
+    assert doc["kind"] == "feedback"
+    s = len(LAWS[law].support)
+    # m = 3: each c_k is one row of 3 or s^k rows of 3, and some stage has one row per node.
+    assert all(len(stage) in (3, s**k * 3) for k, stage in enumerate(doc["c"]))
+    assert any(len(stage) > 3 for stage in doc["c"])
     assert verified["terminal_deviation"] == synthesized["terminal_deviation"]
 
 
@@ -180,8 +186,11 @@ MALFORMED = {
     "L-one-stage-short": (_edit("L", ZEROS_L[:2]), "L must be nested lists of shape (3, 3, 2)"),
     "L-transposed": (_edit("L", [[[0.0] * 3] * 2] * 3), "L must be nested lists of shape (3, 3, 2)"),
     "L-flat": (_edit("L", [0.0] * 18), "L must be nested lists of shape (3, 3, 2)"),
-    "c-one-stage-long": (_edit("c", [[0.0] * 3] * 4), "c must be nested lists of shape (3, 3)"),
-    "c-ragged": (_edit("c", [[0.0] * 3, [0.0] * 2, [0.0] * 3]), "c must be nested lists of shape (3, 3)"),
+    "c-one-stage-long": (_edit("c", [[0.0] * 3] * 4), "c must be a list of N + 1 = 3 stages"),
+    "c-ragged": (
+        _edit("c", [[0.0] * 3, [0.0] * 2, [0.0] * 3]),
+        "c stage 1 must list 3 numbers (one row) or 2 x 3 (one row per depth-1 node)",
+    ),
     "L-true": (_entry("L", "true"), "L entries must be JSON numbers"),
     "L-string": (_entry("L", '"1"'), "L entries must be JSON numbers"),
     "c-null": (_entry("c", "null"), "c entries must be JSON numbers"),

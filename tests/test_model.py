@@ -216,6 +216,31 @@ def test_target_keys_checked(bench_full):
 
 
 @pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([[1.0, 2.0], [3.0]], r"not a numeric matrix \(setting an array element with a sequence"),
+        ([[1.0], [3.0]], r"expected shape \(2, 2\), got \(2, 1\)"),
+        ([[1.0, float("nan")], [3.0, 4.0]], "entries must be finite"),
+        ([[1.0, 2.0], [float("-inf"), 4.0]], "entries must be finite"),
+        ([[1.0, None], [3.0, 4.0]], "entries must be finite"),
+        ([[1.0, "x"], [3.0, 4.0]], r"not a numeric matrix \(could not convert string to float: 'x'\)"),
+        ([[1.0, 10**400], [3.0, 4.0]], r"not a numeric matrix \(int too large to convert to float\)"),
+        ([[1.0, [2.0]], [3.0, 4.0]], r"not a numeric matrix \(setting an array element with a sequence"),
+        ([[[1.0], [2.0]], [[3.0], [4.0]]], r"expected shape \(2, 2\), got \(2, 2, 1\)"),
+        (["12", "34"], r"expected shape \(2, 2\), got \(2,\)"),
+    ],
+    ids=["ragged", "short", "nan", "inf", "null", "string", "int-1e400", "nested-entry", "nested-rows", "string-rows"],
+)
+def test_target_values_read_flat_with_the_row_wise_messages(bench_full, rows, message):
+    spec, _ = bench_full  # n = 2; at N = 0 the target has the two leaves "0" and "1"
+    with pytest.raises(DimensionMismatch, match=f"^target values: {message}"):
+        ProblemInstance(system=spec, N=0, target=dict(zip("01", rows)))
+    for good in ([[1, 2.5], [3.0, -4]], [np.array([1.0, 2.5]), np.array([3.0, -4.0])]):
+        inst = ProblemInstance(system=spec, N=0, target=dict(zip("01", good)))
+        assert np.array_equal(inst.target, [[1.0, 2.5], [3.0, -4.0]]) and not inst.target.flags.writeable
+
+
+@pytest.mark.parametrize(
     "labels",
     [
         ["00", "01", "11", "10"],  # out of node order

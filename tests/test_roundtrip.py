@@ -4,10 +4,10 @@ For the full, input-delay and state-delay routes, a synthesized controller
 is written with ``write_controller_csv``, read back with
 ``read_controller_table`` and replayed with ``forward_simulate``; the
 replay must end on the target within 1e-10 of the problem's scale, at
-horizons up to 10 (two-point noise) and 6 (three-point noise). On every
-route a controller for the origin or a constant target is also a law:
-written with ``law_text``, read back with ``read_feedback_law`` and run
-with ``feedback_loop``, it reproduces the synthesized states bit for bit.
+horizons up to 10 (two-point noise) and 6 (three-point noise). Every
+controller, a path target's included, is also a law: written with
+``law_text``, read back with ``read_feedback_law`` and run with
+``feedback_loop``, it reproduces the synthesized states bit for bit.
 """
 import io
 
@@ -79,10 +79,7 @@ def test_written_table_replays_onto_the_target(problem, seed):
     assert np.abs(final - want).max() <= 1e-10 * scale
 
     law = law_text(ctrl)
-    if target != "path":
-        assert law is not None  # every offset is one row: a law, not a table
-    if law is not None:
-        _, x, _ = feedback_loop(tree, spec, x0, read_feedback_law(io.StringIO(law), tree, spec))
-        for k in range(N + 2):
-            assert np.array_equal(x.at(k), ctrl.x.at(k))
+    _, x, _ = feedback_loop(tree, spec, x0, read_feedback_law(io.StringIO(law), tree, spec))
+    for k in range(N + 2):
+        assert np.array_equal(x.at(k), ctrl.x.at(k))
 

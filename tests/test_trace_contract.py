@@ -15,7 +15,10 @@ import json
 from pathlib import Path
 
 import stochctrl.cli as cli
-from stochctrl.model import parse_instance_file
+import stochctrl.synthesis as synthesis
+from stochctrl.model import parse_instance_file, validate
+from stochctrl.pathspace import PathTree, terminal_from_map
+from stochctrl.transform import TransformedSystem
 from conftest import INSTANCE_DIR
 
 _SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -55,14 +58,17 @@ def test_tracer_records_every_route_layer(tmp_path):
     steered = [str(INSTANCE_DIR / name) for name in
                ("fullrank_2x3.json", "input_delay_tau1.json", "state_delay_d1.json")]
     # Path targets that differ by node: membership runs each route's homogeneous backward
-    # solve, and the offsets differ by node, so synthesize writes a table. Two-point noise
-    # makes every leaf array attainable.
+    # solve, and the offsets differ by node, so the law holds per-node offsets. synthesize
+    # writes only laws; each path target's table is written through the library and
+    # verified by the CLI. Two-point noise makes every leaf array attainable.
+    path_targets = []
     for name in ("fullrank_2x3.json", "state_delay_d1.json"):
         doc = json.loads((INSTANCE_DIR / name).read_text())
         doc["N"], doc["target"] = 1, {label: [float(i), 0.0] for i, label in enumerate(("00", "01", "10", "11"))}
         path_target = tmp_path / f"path_target_{name}"
         path_target.write_text(json.dumps(doc))
-        steered.append(str(path_target))
+        path_targets.append(str(path_target))
+    steered += path_targets
     original = cli.gramian_oracle
     tracer = spans.Tracer()
     tracer.install()
@@ -71,8 +77,18 @@ def test_tracer_records_every_route_layer(tmp_path):
             codes = [cli.main([command, "--instance", inst])
                      for inst in bundled for command in ("analyze", "oracle-check")]
             for inst in steered:
+                law = str(tmp_path / "c.json")
+                codes.append(cli.main(["synthesize", "--instance", inst, "--out", law]))
+                codes.append(cli.main(["verify", "--instance", inst, "--controller", law]))
+            for inst in path_targets:
+                problem = parse_instance_file(inst)
+                vs = validate(problem.system)
+                tree = PathTree(problem.system.noise, problem.N)
+                target = terminal_from_map(tree, problem.system.n, problem.target)
+                steer = cli.ROUTES[cli._route(vs)].controller
+                ctrl = steer(TransformedSystem.build(vs), tree, problem.x0, target, 1e-8)
                 table = str(tmp_path / "c.csv")
-                codes.append(cli.main(["synthesize", "--instance", inst, "--out", table]))
+                synthesis.write_controller_csv(table, ctrl)
                 codes.append(cli.main(["verify", "--instance", inst, "--controller", table]))
     finally:
         tracer.uninstall()
@@ -95,6 +111,10 @@ def test_tracer_records_every_route_layer(tmp_path):
         "synthesis.read_controller_table",
     }
     assert want <= layers, sorted(want - layers)
+    # The delay routes' scans run inside their own layer, not a nested criteria.decide span.
+    nested = [i for i, (layer, _, _, parent) in enumerate(tracer.spans)
+              if layer == "criteria.decide" and parent >= 0 and tracer.spans[parent][0] == "delay.decide"]
+    assert not nested
     counts = tracer.counts_in(0, len(tracer.spans))
     assert counts["criteria.oracle_products"] > 0
     # Exactly one oracle span per oracle-check: an entry point that called a traced
