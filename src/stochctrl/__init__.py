@@ -85,7 +85,6 @@ from .pathspace import (
 from .synthesis import (
     ControllerProcess,
     FeedbackLaw,
-    controller_csv_text,
     feedback_loop,
     law_text,
     null_controller,

@@ -331,12 +331,14 @@ def _nonnegative(convert):
 
 
 def _add_common(sub, tol_default: float | None) -> None:
+    """The flags every command takes; analyze (``tol_default`` None) has no --tol and no --cap."""
     sub.add_argument("--instance", required=True, help="path to a JSON instance file")
     sub.add_argument("--N", type=_nonnegative(int), default=None, help="horizon override (>= 0)")
     if tol_default is not None:
         sub.add_argument("--tol", type=_nonnegative(float), default=tol_default, help="decision tolerance")
     sub.add_argument("--format", choices=("text", "csv"), default="text", help="report format")
-    sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help="path enumeration cap")
+    if tol_default is not None:
+        sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help="path enumeration cap")
     sub.add_argument("--out", default=None, help="also write the report (or the controller) here")
 
 

@@ -361,7 +361,7 @@ def parse_instance(text: str) -> ProblemInstance:
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # bad JSON, an integer too long to read
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer too long, nesting too deep
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")

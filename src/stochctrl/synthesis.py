@@ -7,15 +7,18 @@ stages k..N from :func:`criteria.gramian_sequence` and y the costate
 carried from y(0) = S(N)^{-1} x0 by the stage factors; v and
 z = E[w x(k+1) | past] are fixed matrices times y. Each stage reads
 y = S(j)^+ p(k) off the states and applies u = M [z - Abar x; v] =
-K_k p(k), with the one gain law of :func:`_gains`,
+K_k p(k), with the one gain law
 K_k = M [S(j-1) Cbar'; D'] P(j)' S(j)^+ (S(-1) = 0, P the state-delay
 pivots, else I). The full route has p = x, v = D' y and
 z = S(j-1) Cbar' y, exact as range D and range Cbar S(j-1) lie in
 range S(j); the delay routes' predictors are derived in ``delay``. A
 target adds the homogeneous solution (x_h, z_h) reached with zero free
 input: the law acts on e = x - x_h and z gains z_h. One body,
-:func:`_steer`, builds every route's controller, the route read from the
-form; ``delay``'s controllers are channel checks in front of it.
+:func:`_steer`, builds every route's controller, gains included, the
+route read from the form: one state-delay elimination gives the pivots
+P and the lag gains, one ladder C^i D1 the input-delay gains' u1 rows,
+predictor and pre-horizon inputs. ``delay``'s controllers are channel
+checks in front of it.
 
 So every controller is one law (:class:`FeedbackLaw`) in the regressor
 r(k), p(k) = (r(k) - r_h(k)) Pi_k' with Pi_k = I on the full route:
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import math
 from array import array
@@ -52,7 +54,6 @@ from .pathspace import (
     member_of_S,
     path_products,
     plant_step,
-    state_delay_P,
     _state_delay_gains,
 )
 from .transform import TransformedSystem
@@ -100,41 +101,19 @@ class ControllerProcess:
     u1: AdaptedProcess | None = None
 
 
-def _check_gramian(G: np.ndarray, what: str) -> None:
-    ok, smin = gramian_invertible(G)
-    if not ok:
-        raise SingularGramian(f"{what} has min singular value {smin:.3e}; cannot invert")
-
-
 def _pinv(S: np.ndarray) -> np.ndarray:
     """Pseudo-inverse cut where :func:`gramian_invertible` cuts, at n eps sigma_max."""
     return np.linalg.pinv(S, rtol=S.shape[0] * np.finfo(float).eps)
 
 
-def _gains(ts: TransformedSystem, S) -> list[np.ndarray]:
-    """Every route's gains K_k = M [S(j-1) Cbar'; D'] P(j)' S(j)^+, k = 0..N, j = N - k.
-
-    ``S`` lists S(-1) = 0, S(0), ..., S(N); P(j) is the state-delay pivot at
-    stage k when the form has a delayed state, else I. On a delayed input
-    the rows D1' C^tau' S(j)^+ of u1(k) follow (zero if it enters after N).
-    """
-    N, form = len(S) - 2, ts.form
-    K = [ts.transform.M @ np.vstack([S[N - k] @ form.Cbar.T, form.D.T]) for k in range(N + 1)]
-    if form.C1 is not None:
-        K = [Kk @ Pk.T for Kk, Pk in zip(K, state_delay_P(form, N))]
-    if form.D1 is not None:
-        CD1 = (np.linalg.matrix_power(form.C, form.tau) @ form.D1).T
-        K = [np.vstack([Kk, CD1 if k <= N - form.tau else 0 * CD1]) for k, Kk in enumerate(K)]
-    return [Kk @ _pinv(S[N - k + 1]) for k, Kk in enumerate(K)]
-
-
 def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> ControllerProcess:
     """Steer x0 to ``target`` (None: the origin) by the law of this module's docstring, and run it.
 
-    The form picks the membership solve, the Gramian, the maps Pi_k (None,
-    i.e. I, on the full route; the Smith predictor or the lag gains of
-    ``delay``), the pre-horizon inputs ``u1_pre`` and the kind. r_h is the
-    regressor of the target's solution, zero without one and in its u1 blocks.
+    The form picks the membership solve, the Gramian, the kind and, per
+    delay channel, the gains' u1 rows or pivots P(j), the maps Pi_k (I on
+    the full route; the Smith predictor or the lag gains of ``delay``) and
+    the pre-horizon inputs ``u1_pre``. r_h is the regressor of the
+    target's solution, zero without one and in its u1 blocks.
     """
     form, spec, n, N = ts.form, ts.spec, ts.form.n, tree.horizon
     x0 = np.asarray(x0, dtype=float)
@@ -146,38 +125,42 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
         if not result.member:
             raise TargetNotInS(f"terminal residual {result.max_residual:.3e} exceeds tolerance {result.tol}")
         hom = result.solution
-    if form.D1 is not None:
-        kind, what = "input-delay", "delayed-input Gramian"
-    elif form.C1 is not None:
-        kind, what = "state-delay", "delayed-state Gramian"
-    else:
-        kind, what = "null" if hom is None else "target", "Gramian"
     S = [np.zeros((n, n)), *gramian_sequence(form, N)]  # S(j-1)
-    G = S[-1] if form.D1 is None else gramian(form, N)  # a delayed input adds its pre-horizon terms
-    _check_gramian(G, f"{what} at N = {N}")
-    K = _gains(ts, S)
-    Pi, u1_pre = [None] * (N + 1), None
+    K = [ts.transform.M @ np.vstack([S[N - k] @ form.Cbar.T, form.D.T]) for k in range(N + 1)]
+    G, Pi, u1_pre = S[-1], [np.eye(n)] * (N + 1), None
     if form.D1 is not None:
-        tau = form.tau
+        kind, what, tau = "input-delay", "delayed-input Gramian", form.tau
+        G = gramian(form, N)  # a delayed input adds its pre-horizon terms
         CD1 = [np.linalg.matrix_power(form.C, i) @ form.D1 for i in range(tau + 1)]  # C^i D1
-        # u1(k - i) enters at stage k - i + tau; none that enters after N is on its way.
+        # u1(k) has rows D1' C^tau' S(j)^+, zero if it enters after N; u1(k - i) enters at
+        # stage k - i + tau, and none that enters after N is on its way.
+        K = [np.vstack([Kk, CD1[tau].T if k <= N - tau else 0 * CD1[tau].T]) for k, Kk in enumerate(K)]
         Pi = [np.hstack([np.eye(n)] + [-CD1[tau - i] * (k - i + tau <= N) for i in range(1, tau + 1)])
               for k in range(N + 1)]
+    elif form.C1 is not None:
+        kind, what = "state-delay", "delayed-state Gramian"
+        P, Q = _state_delay_gains(form, N)
+        K = [Kk @ Pk.T for Kk, Pk in zip(K, P)]
+        Pi = [np.hstack([np.eye(n)] + [-Qj for Qj in Q[k]]) for k in range(N + 1)]
+    else:
+        kind, what = "null" if hom is None else "target", "Gramian"
+    ok, smin = gramian_invertible(G)
+    if not ok:
+        raise SingularGramian(f"{what} at N = {N} has min singular value {smin:.3e}; cannot invert")
+    if form.D1 is not None:
         g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
         u1_pre = np.array([g @ CD1[i] for i in range(min(tau, N + 1))])
-    elif form.C1 is not None:
-        _, Q = _state_delay_gains(form, N)
-        Pi = [np.hstack([np.eye(n)] + [-Qj for Qj in Q[k]]) for k in range(N + 1)]
+    K = [Kk @ _pinv(S[N - k + 1]) for k, Kk in enumerate(K)]
     Mq, rows = ts.transform.M[:, :n], len(K[0])
-    pad, width = (0, rows - spec.m), n if Pi[0] is None else Pi[0].shape[1]
-    Mq_Abar = np.pad(Mq @ spec.Abar, (pad, (0, width - n)))
-    L = np.stack([(Kk if P is None else Kk @ P) - Mq_Abar for Kk, P in zip(K, Pi)])
+    pad = (0, rows - spec.m)
+    Mq_Abar = np.pad(Mq @ spec.Abar, (pad, (0, Pi[0].shape[1] - n)))
+    L = np.stack([Kk @ P - Mq_Abar for Kk, P in zip(K, Pi)])
     vals, depths = {}, {}
     for k, (Kk, P) in enumerate(zip(K, Pi)):
         c = np.zeros((1, rows))
         if hom is not None:
             r = _regressor(tree, spec, k, hom.x.values, {})
-            c = np.pad(hom.z.at(k) @ Mq.T, ((0, 0), pad)) - (r if P is None else r @ P.T) @ Kk.T
+            c = np.pad(hom.z.at(k) @ Mq.T, ((0, 0), pad)) - (r @ P.T) @ Kk.T
         vals[k], depths[k] = (c[:1], 0) if (c == c[0]).all() else (c, k)
     law = FeedbackLaw(L, AdaptedProcess(tree, vals, depths), u1_pre)
     u, x, u1 = feedback_loop(tree, spec, x0, law)
@@ -274,7 +257,7 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     try:
         with _opened(source, "r") as fh:
             doc = json.loads(fh.read())
-    except ValueError as exc:  # bad UTF-8, bad JSON, an integer too long to read
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer too long, nesting too deep
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
@@ -333,11 +316,19 @@ def _finite_floats(name: str, entries: list) -> np.ndarray:
     return arr
 
 
+@contextlib.contextmanager
 def _opened(target, mode: str):
-    """A file opened on a path (closed on exit), or an open stream as it is."""
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        return open(target, mode, encoding="utf-8", newline="")
-    return contextlib.nullcontext(target)
+    """A file opened on a path (closed on exit), or an open stream as it is; text read
+    through it that is not UTF-8 raises :class:`SchemaError` naming the byte (the
+    decoder counts positions from its chunk, not the file)."""
+    try:
+        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+            with open(target, mode, encoding="utf-8", newline="") as fh:
+                yield fh
+        else:
+            yield target
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: byte {exc.object[exc.start]:#04x}, {exc.reason}") from None
 
 
 def write_controller_csv(dest, ctrl: ControllerProcess) -> None:
@@ -368,63 +359,58 @@ def write_controller_csv(dest, ctrl: ControllerProcess) -> None:
                 fh.writelines(row % (head, tail, *numbers) for tail, numbers in zip(tails, block))
 
 
-def controller_csv_text(ctrl: ControllerProcess) -> str:
-    buf = io.StringIO()
-    write_controller_csv(buf, ctrl)
-    return buf.getvalue()
-
-
 def read_controller_table(
     source, tree: PathTree, spec: SystemSpec
 ) -> tuple[AdaptedProcess, AdaptedProcess | None]:
-    """Parse a controller table of the system ``spec`` back into adapted processes.
+    """Parse a controller table, from a path or an open text stream, into adapted processes u and u1.
 
     The input widths, and the delayed input channel's lag where there is
-    one, are the spec's. Each stage's histories must be one tree level in
-    node order, as :func:`write_controller_csv` writes them. Malformed
-    tables (wrong header, ragged rows, u rows at stages outside 0..N, u1
-    rows outside -tau..N-tau, cells that are not ASCII or hold blanks or
-    '_', values that are not finite numbers, histories that are not one
-    level in node order) raise :class:`SchemaError`.
+    one, are the system ``spec``'s. Each stage's histories must be one tree
+    level in node order, as :func:`write_controller_csv` writes them.
+    Malformed tables (wrong header, ragged rows, u rows at stages outside
+    0..N, u1 rows outside -tau..N-tau, text that is not UTF-8, cells that
+    are not ASCII, hold blanks or '_' or exceed the csv field limit, values
+    that are not finite numbers, histories that are not one level in node
+    order) raise :class:`SchemaError`.
     """
     N, m, m1 = tree.horizon, spec.m, 0 if spec.B1 is None else spec.B1.shape[1]
     # channel -> (its columns, first and last stage, stage -> (first line, labels, values))
     channels = {"u": (slice(2, 2 + m), 0, N, {})}
     if m1:
         channels["u1"] = (slice(2 + m, None), -spec.tau, N - spec.tau, {})
-    if isinstance(source, str) and "\n" in source:
-        source = io.StringIO(source)
     with _opened(source, "r") as fh:
         reader = csv.reader(_checked_lines(fh))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("controller table is empty") from None
-        want = ["stage", "history"] + [f"u_{i}" for i in range(m)]
-        want += [f"u1_{i}" for i in range(m1)]
-        if header != want:
-            raise SchemaError(f"controller header {header!r} does not match expected {want!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(want):
-                raise SchemaError(f"line {lineno}: expected {len(want)} cells, got {len(row)}")
-            try:
-                stage = int(row[0])
-            except ValueError:
-                raise SchemaError(f"line {lineno}: stage {row[0]!r} is not an integer") from None
-            for what, (cols, first, last, stages) in channels.items():
-                part = row[cols]
-                if not any(part):
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError("controller table is empty")
+            want = ["stage", "history"] + [f"u_{i}" for i in range(m)]
+            want += [f"u1_{i}" for i in range(m1)]
+            if header != want:
+                raise SchemaError(f"controller header {header!r} does not match expected {want!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
                     continue
-                if not first <= stage <= last:
-                    raise SchemaError(f"line {lineno}: {what} row at stage {stage} outside {first}..{last}")
-                _, labels, values = stages.setdefault(stage, (lineno, [], array("d")))
-                labels.append(row[1])
+                if len(row) != len(want):
+                    raise SchemaError(f"line {lineno}: expected {len(want)} cells, got {len(row)}")
                 try:
-                    values.extend(map(float, part))
-                except ValueError as exc:
-                    raise SchemaError(f"line {lineno}: {exc}") from None
+                    stage = int(row[0])
+                except ValueError:
+                    raise SchemaError(f"line {lineno}: stage {row[0]!r} is not an integer") from None
+                for what, (cols, first, last, stages) in channels.items():
+                    part = row[cols]
+                    if not any(part):
+                        continue
+                    if not first <= stage <= last:
+                        raise SchemaError(f"line {lineno}: {what} row at stage {stage} outside {first}..{last}")
+                    _, labels, values = stages.setdefault(stage, (lineno, [], array("d")))
+                    labels.append(row[1])
+                    try:
+                        values.extend(map(float, part))
+                    except ValueError as exc:
+                        raise SchemaError(f"line {lineno}: {exc}") from None
+        except csv.Error as exc:  # a cell over the csv module's field size limit
+            raise SchemaError(f"line {reader.line_num}: {exc}") from None
     missing = sorted(set(range(N + 1)) - set(channels["u"][3]))
     if missing:
         raise SchemaError(f"controller table lacks u rows for stages {missing}")
@@ -439,17 +425,14 @@ def _plain(text: str) -> bool:
 
 def _checked_lines(fh):
     """The lines of a table, each block of data lines checked at once to hold only ``_LINE_CHARS``."""
-    try:
-        yield from fh.readlines(1)  # the header, compared with the expected one
-        lineno = 2
-        while block := fh.readlines(_CHARS_PER_READ):
-            if not _plain("".join(block)):
-                bad = lineno + next(i for i, line in enumerate(block) if not _plain(line))
-                raise SchemaError(f"line {bad}: cells must be ASCII, without blanks or '_'")
-            lineno += len(block)
-            yield from block
-    except UnicodeDecodeError as exc:  # its position counts from the decoder's chunk, not the file
-        raise SchemaError(f"not UTF-8 text: byte {exc.object[exc.start]:#04x}, {exc.reason}") from None
+    yield from fh.readlines(1)  # the header, compared with the expected one
+    lineno = 2
+    while block := fh.readlines(_CHARS_PER_READ):
+        if not _plain("".join(block)):
+            bad = lineno + next(i for i, line in enumerate(block) if not _plain(line))
+            raise SchemaError(f"line {bad}: cells must be ASCII, without blanks or '_'")
+        lineno += len(block)
+        yield from block
 
 
 def _stages_to_process(tree, stages, dim, what) -> AdaptedProcess:

@@ -6,13 +6,14 @@ treat them as regression pins, not as derivations.
 """
 from __future__ import annotations
 
+import io
 import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stochctrl import NoiseModel, SystemSpec, TransformedSystem
+from stochctrl import NoiseModel, SystemSpec, TransformedSystem, write_controller_csv
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -116,6 +117,13 @@ def bench_uncontrollable():
 @pytest.fixture
 def bench_full_ts(bench_full):
     return TransformedSystem.build(bench_full[0])
+
+
+def table_text(ctrl) -> str:
+    """The controller's table as ``write_controller_csv`` writes it."""
+    buf = io.StringIO()
+    write_controller_csv(buf, ctrl)
+    return buf.getvalue()
 
 
 def simulate_paths(spec: SystemSpec, x0, u_fn, N: int, u1_fn=None):

@@ -289,6 +289,24 @@ def test_instance_with_an_integer_too_long_to_read_exits_6(capsys, tmp_path):
     assert err.startswith("error: not valid JSON") and "4300 digits" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "verify", "oracle-check"])
+def test_instance_nested_too_deep_exits_6(capsys, tmp_path, command):
+    inst = tmp_path / "nested.json"
+    inst.write_text("[" * 100_000 + "]" * 100_000)
+    extra = ["--controller", str(written_table(tmp_path))] if command == "verify" else []
+    code, out, err = run(capsys, command, "--instance", str(inst), *extra)
+    assert code == 6 and out == ""
+    assert err.startswith("error: not valid JSON: maximum recursion depth exceeded")
+
+
+def test_verify_table_with_a_cell_over_the_field_limit_exits_5(capsys, tmp_path):
+    table = tmp_path / "controller.csv"
+    table.write_text("stage,history,u_0,u_1,u_2\n0," + "1" * 200_000 + ",1,2\n")
+    code, out, err = run(capsys, "verify", "--instance", FULL, "--controller", str(table))
+    assert code == 5 and out == ""
+    assert err == "bad controller table: line 2: field larger than field limit (131072)\n"
+
+
 def test_verify_table_with_a_byte_that_is_not_utf8_exits_5(capsys, tmp_path):
     table = tmp_path / "controller.csv"
     table.write_bytes(b"stage,history,u_0,u_1,u_2\n0,,1,\xff,3\n")
@@ -521,10 +539,11 @@ def test_bad_overrides_exit_6_before_any_work(capsys, monkeypatch, command, inst
         ["analyze", "--instance", FULL, "--format", "xml"],
         ["analyze", "--instance", FULL, "--N", "abc"],
         ["analyze", "--instance", FULL, "--tol", "1e-3"],
+        ["analyze", "--instance", FULL, "--cap", "1"],
         ["verify", "--instance", FULL],
         ["transmogrify", "--instance", FULL],
     ],
-    ids=["no-instance", "format-xml", "N-abc", "analyze-tol", "verify-no-controller", "no-such-command"],
+    ids=["no-instance", "format-xml", "N-abc", "analyze-tol", "analyze-cap", "verify-no-controller", "no-such-command"],
 )
 def test_usage_errors_exit_6(capsys, argv):
     with pytest.raises(SystemExit) as info:

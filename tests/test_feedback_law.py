@@ -176,7 +176,8 @@ ZEROS_L = [[[0.0] * 2] * 3] * 3
 MALFORMED = {
     "not-json": (lambda text: "{oops", "not valid JSON"),
     "integer-too-long": (lambda text: text.replace('"N": 2', '"N": 1' + "0" * 5000), "not valid JSON"),
-    "not-utf8": (lambda text: text[:-2] + "\udcff}", "not valid JSON"),
+    "not-utf8": (lambda text: text[:-2] + "\udcff}", "not UTF-8 text: byte 0xff, invalid start byte"),
+    "nested-too-deep": (lambda text: '{"L": ' + "[" * 100_000 + "]" * 100_000 + "}", "not valid JSON: maximum recursion"),
     "missing-key": (_edit("c", DROP), "missing ['c']"),
     "extra-key": (_edit("gain", 1.0), "unknown ['gain']"),
     "kind-table": (_edit("kind", "table"), "kind must be 'feedback'"),

@@ -72,7 +72,8 @@ def test_written_table_replays_onto_the_target(problem, seed):
     spec = ts.spec
     table = io.StringIO()
     write_controller_csv(table, ctrl)
-    u, u1 = read_controller_table(table.getvalue(), tree, spec)
+    table.seek(0)
+    u, u1 = read_controller_table(table, tree, spec)
     final = forward_simulate(tree, spec, x0, u, u1=u1).at(N + 1)
     want = 0.0 if goal is None else goal
     scale = max(1.0, float(np.abs(x0).max()), float(np.abs(want).max()))

@@ -94,3 +94,24 @@ def test_state_delay_entry_points_need_the_channel():
         member_of_S_state_delay(tree, ts.form, np.ones(2))
     with pytest.raises(DimensionMismatch):
         backward_solve_state_delay(tree, ts.form, np.ones(2))
+
+
+def test_a_state_delay_controller_eliminates_twice_and_its_target_once_more(monkeypatch):
+    # One elimination for the Gramian sequence and one for the law (pivots and lag gains);
+    # a target's membership solve runs the third.
+    import stochctrl.pathspace as pathspace
+    import stochctrl.synthesis as synthesis
+
+    calls = []
+    eliminate = pathspace._state_delay_gains
+    for module in (pathspace, synthesis):
+        monkeypatch.setattr(module, "_state_delay_gains", lambda form, N: calls.append(N) or eliminate(form, N))
+    rng = np.random.default_rng(4)
+    ts = random_controllable(rng, 2, 3, 3, d=2)
+    tree = PathTree(ts.spec.noise, 3)
+    x0 = rng.normal(size=2)
+    steer_to_target(ts, tree, x0, None)
+    assert calls == [3, 3]
+    calls.clear()
+    ctrl = steer_to_target(ts, tree, x0, delayed_attainable_terminal(rng, tree, ts.form, 2))
+    assert ctrl.kind == "state-delay" and calls == [3, 3, 3]

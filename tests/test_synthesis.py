@@ -1,4 +1,6 @@
 """Controller construction, closed-loop checks, and the table format."""
+import io
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from stochctrl import (
     SingularGramian,
     TargetNotInS,
     TransformedSystem,
-    controller_csv_text,
     forward_simulate,
     null_controller,
     random_attainable_terminal,
@@ -20,6 +21,7 @@ from stochctrl import (
     read_controller_table,
     steer_to_target,
 )
+from conftest import table_text
 from crosschecks import q_expanded, split_u
 
 
@@ -112,7 +114,7 @@ def test_csv_roundtrip_exact(rng, tmp_path):
         np.testing.assert_array_equal(u.at(k), ctrl.u.at_depth(k, u.depth(k)))
     # %.17g reproduces doubles exactly, so a rewrite is byte-identical
     text = path.read_text()
-    assert text == controller_csv_text(ctrl)
+    assert text == table_text(ctrl)
 
 
 def test_csv_roundtrip_with_delay_channel(rng):
@@ -121,8 +123,7 @@ def test_csv_roundtrip_with_delay_channel(rng):
     ts = TransformedSystem.build(random_system(rng, 2, 3, tau=1))
     tree = PathTree(ts.spec.noise, 2)
     ctrl = input_delay_controller(ts, tree, np.array([1.0, -1.0]))
-    text = controller_csv_text(ctrl)
-    u, u1 = read_controller_table(text, tree, ts.spec)
+    u, u1 = read_controller_table(io.StringIO(table_text(ctrl)), tree, ts.spec)
     assert u1 is not None
     assert sorted(u1.stages()) == sorted(ctrl.u1.stages())
     sim = forward_simulate(tree, ts.spec, np.array([1.0, -1.0]), u, u1=u1)
@@ -144,10 +145,10 @@ def test_malformed_tables_rejected(rng, mangle):
     ts = random_controllable(np.random.default_rng(3), 2, 3, 2)
     tree = PathTree(ts.spec.noise, 2)
     ctrl = null_controller(ts, tree, np.array([1.0, 0.0]))
-    lines = controller_csv_text(ctrl).strip().split("\n")
+    lines = table_text(ctrl).strip().split("\n")
     bad = "\n".join(mangle(lines)) + "\n"
     with pytest.raises(SchemaError):
-        read_controller_table(bad, tree, ts.spec)
+        read_controller_table(io.StringIO(bad), tree, ts.spec)
 
 
 def test_table_history_depth_checked(rng):
@@ -155,7 +156,7 @@ def test_table_history_depth_checked(rng):
     ts = random_controllable(np.random.default_rng(5), 2, 3, 1)
     tree = PathTree(ts.spec.noise, 1)
     ctrl = null_controller(ts, tree, np.array([0.5, 0.5]))
-    lines = controller_csv_text(ctrl).strip().split("\n")
+    lines = table_text(ctrl).strip().split("\n")
     lines = [lines[0]] + ["0,000,1.0,1.0,1.0"] + lines[2:]
     with pytest.raises(SchemaError):
-        read_controller_table("\n".join(lines) + "\n", tree, ts.spec)
+        read_controller_table(io.StringIO("\n".join(lines) + "\n"), tree, ts.spec)

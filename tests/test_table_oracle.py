@@ -17,7 +17,8 @@ import pytest
 from stochctrl import NoiseModel, PathTree, SingularGramian, read_controller_table
 from stochctrl.delay import input_delay_controller, state_delay_controller
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
-from stochctrl.synthesis import FLOAT_FMT, controller_csv_text, steer_to_target
+from stochctrl.synthesis import FLOAT_FMT, steer_to_target
+from conftest import table_text
 
 
 def reference_index_label(self, depth: int, index: int) -> str:
@@ -97,13 +98,13 @@ def test_tables_match_the_row_by_row_writer(law, N, route):
     ts, tree, ctrl = _controller(rng, LAWS[law], N, route)
     buf = io.StringIO()
     reference_write_controller_csv(buf, ctrl)
-    text = controller_csv_text(ctrl)
+    text = table_text(ctrl)
     assert text == buf.getvalue()
     if route == "input delay":  # pre-horizon u1 rows at depth 0 with empty u cells
         assert min(ctrl.u1.stages()) == -ts.spec.tau
         assert f"\n-1,,{',' * (ctrl.u.dim - 1)}," in text
 
-    u, u1 = read_controller_table(text, tree, ts.spec)
+    u, u1 = read_controller_table(io.StringIO(text), tree, ts.spec)
     for got, want in ((u, ctrl.u), (u1, ctrl.u1)):
         if want is None:
             assert got is None
