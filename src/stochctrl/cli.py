@@ -15,9 +15,9 @@ than ``--tol`` from the target (the report and controller are still
 written); 2 the criterion does not apply to the instance; 3 singular
 Gramian; 4 target not attainable; 5 malformed controller law or table;
 6 anything else, command-line usage errors included (a horizon below 0,
-a tolerance that is negative or not finite), a Gramian that overflows to
-a non-finite value, and a horizon whose path tree would exceed ``--cap``
-leaves.
+a tolerance that is negative or not finite, a cap below 1), a Gramian
+that overflows to a non-finite value, and a horizon whose path tree
+would exceed ``--cap`` leaves.
 """
 from __future__ import annotations
 
@@ -262,7 +262,9 @@ def cmd_verify(args) -> int:
     inst, _, route, tree = _steering_setup(args, "verification")
     spec = inst.system
     with open(args.controller, "rb") as fh:
-        artifact = "law" if fh.read(1) == b"{" else "table"
+        while (byte := fh.read(1)) and byte in b" \t\r\n":  # JSON's whitespace
+            pass
+    artifact = "law" if byte == b"{" else "table"
     try:
         if artifact == "law":
             _, xs, _ = feedback_loop(tree, spec, inst.x0, read_feedback_law(args.controller, tree, spec))
@@ -317,13 +319,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _nonnegative(convert):
-    """Argument type: ``convert(text)``, rejected unless finite and >= 0."""
+def _at_least(low, convert):
+    """Argument type: ``convert(text)``, rejected unless finite and >= ``low``."""
 
     def parse(text: str):
         value = convert(text)
-        if not 0 <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a finite value >= {low}, got {text!r}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value: 'abc'"
@@ -333,12 +335,12 @@ def _nonnegative(convert):
 def _add_common(sub, tol_default: float | None) -> None:
     """The flags every command takes; analyze (``tol_default`` None) has no --tol and no --cap."""
     sub.add_argument("--instance", required=True, help="path to a JSON instance file")
-    sub.add_argument("--N", type=_nonnegative(int), default=None, help="horizon override (>= 0)")
+    sub.add_argument("--N", type=_at_least(0, int), default=None, help="horizon override (>= 0)")
     if tol_default is not None:
-        sub.add_argument("--tol", type=_nonnegative(float), default=tol_default, help="decision tolerance")
+        sub.add_argument("--tol", type=_at_least(0, float), default=tol_default, help="decision tolerance")
     sub.add_argument("--format", choices=("text", "csv"), default="text", help="report format")
     if tol_default is not None:
-        sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help="path enumeration cap")
+        sub.add_argument("--cap", type=_at_least(1, int), default=DEFAULT_CAP, help="path enumeration cap")
     sub.add_argument("--out", default=None, help="also write the report (or the controller) here")
 
 

@@ -53,7 +53,7 @@ def gramian_sequence(form: BsdeForm, N: int):
     at horizon j.
     """
     DDt = form.D @ form.D.T
-    if form.tau is not None:
+    if form.tau is not None and form.tau <= N:
         CD1 = np.linalg.matrix_power(form.C, form.tau) @ form.D1
         E = CD1 @ CD1.T
     pivots = None if form.C1 is None else state_delay_P(form, N)[::-1]
@@ -210,36 +210,6 @@ class ControllabilityReport:
     transform_source: str | None = None
 
 
-def _scan_gramians(kind, form: BsdeForm, N_max: int, transform_source=None, span=None) -> ControllabilityReport:
-    """Report on the horizon-N Gramians for N = 0..N_max.
-
-    ``span`` is the rank test's outcome where it applies; without it the
-    rank-test fields stay None.
-    """
-    G = np.zeros((form.n, form.n))
-    min_sv = []
-    witness = None
-    for N, G in enumerate(_gramians(form, N_max)):
-        ok, smin = gramian_invertible(G)
-        min_sv.append(smin)
-        if ok and witness is None:
-            witness = N
-    return ControllabilityReport(
-        kind=kind,
-        dim=form.n,
-        N_max=N_max,
-        controllable=witness is not None,
-        witness_N=witness,
-        min_singular=tuple(min_sv),
-        gramian=G,
-        gramian_rank=int(np.linalg.matrix_rank(G)) if G.size else 0,
-        rank_R=None if span is None else span.rank,
-        span_depth=None if span is None else span.depth,
-        criteria_agree=None if span is None else True,
-        transform_source=transform_source,
-    )
-
-
 def decide_form(
     form: BsdeForm,
     N_max: int,
@@ -254,23 +224,39 @@ def decide_form(
     """
     dim = form.n
     span = None if form.D1 is not None or form.C1 is not None else word_span(form)
-    report = _scan_gramians(kind, form, N_max, transform_source, span)
-    if span is None:
-        return report
-    by_rank = span.rank == dim
-    if report.witness_N is None and by_rank:
-        # The window may simply be short: a controllable form has an
-        # invertible Gramian by N = dim - 1. Look further before calling
-        # the two criteria inconsistent; the report keeps the requested
-        # window for its figures, only the witness may exceed it.
-        report.witness_N = _scan_gramians(kind, form, max(N_max, 2 * dim)).witness_N
-        report.controllable = report.witness_N is not None
-    if report.controllable != by_rank:
+    by_rank = span is not None and span.rank == dim
+    # A controllable form has an invertible Gramian by N = dim - 1, so where the rank test
+    # says full rank the scan runs past a short window for its witness before calling the
+    # two criteria inconsistent; the report keeps the requested window for its figures.
+    min_sv, witness = [], None
+    for N, S in enumerate(_gramians(form, max(N_max, 2 * dim) if by_rank else N_max)):
+        ok, smin = gramian_invertible(S)
+        if N <= N_max:
+            G = S
+            min_sv.append(smin)
+        if ok and witness is None:
+            witness = N
+        if witness is not None and N >= N_max:
+            break
+    if span is not None and (witness is not None) != by_rank:
         raise CriteriaDisagreement(
-            f"Gramian scan says {report.controllable} (witness {report.witness_N}) but rank test says "
+            f"Gramian scan says {witness is not None} (witness {witness}) but rank test says "
             f"{by_rank} (rank {span.rank} of {dim}); check conditioning"
         )
-    return report
+    return ControllabilityReport(
+        kind=kind,
+        dim=dim,
+        N_max=N_max,
+        controllable=witness is not None,
+        witness_N=witness,
+        min_singular=tuple(min_sv),
+        gramian=G,
+        gramian_rank=int(np.linalg.matrix_rank(G)) if G.size else 0,
+        rank_R=None if span is None else span.rank,
+        span_depth=None if span is None else span.depth,
+        criteria_agree=None if span is None else True,
+        transform_source=transform_source,
+    )
 
 
 def decide(

@@ -32,13 +32,14 @@ on e = x - x_h with j = N - k: the one gain law of ``synthesis`` and a
 predictor map Pi_k from the lagged regressor (``synthesis.FeedbackLaw``)
 to the predictor p(k): y = S(j)^+ p(k), v = D' P(j)' y and
 z = z_h + S(j-1) Cbar' P(j)' y. Input delay, a Smith predictor:
-Pi_k = [I, -C^(tau-1) D1, ..., -D1] over [x(k), u1(k-1), ..., u1(k-tau)],
-the delayed inputs on their way (a block is zero for an input that
-enters after stage N); S(j) is the Gramian less its pre-horizon terms
-and u1(k) = D1' C^tau' y for k <= N - tau. The pre-horizon inputs
+Pi_k = [I, -C^(tau-i) D1, ..., -D1] over [x(k), u1(k-i), ..., u1(k-tau)],
+i = max(1, k + tau - N): the delayed inputs on their way, an input that
+enters after stage N never acting; S(j) is the Gramian less its
+pre-horizon terms and u1(k) = D1' C^tau' y for k <= N - tau. The pre-horizon inputs
 u1(i - tau) = D1' C^i' G_N^{-1} e(0) depend on x0 and travel with the
-law. State delay: Pi_k = [I, -Q_1(k), ..., -Q_d(k)] over
-[x(k), x(k-1), ..., x(k-d)] with the elimination's lag gains. The
+law. State delay: Pi_k = [I, -Q_1(k), ..., -Q_e(k)] over
+[x(k), x(k-1), ..., x(k-e)], e = min(d, k), with the elimination's lag
+gains (a state before stage 0 is zero). The
 pseudo-inverses are exact: the positive semi-definite sums S(j) (of
 P(j) D D' P(j)', P(j) Cbar S(j-1) Cbar' P(j)' and, for j >= tau,
 C^tau D1 D1' C^tau') span every range the laws map y through.

@@ -21,17 +21,21 @@ predictor and pre-horizon inputs. ``delay``'s controllers are channel
 checks in front of it.
 
 So every controller is one law (:class:`FeedbackLaw`) in the regressor
-r(k), p(k) = (r(k) - r_h(k)) Pi_k' with Pi_k = I on the full route:
-L_k = K_k Pi_k - [M_q Abar, 0] (M_q the first n columns of M) and
-c_k = [z_h(k) M_q', 0] - (r_h(k) Pi_k') K_k', each c_k at its coarsest
-depth (one row for the origin and any constant target). The one closed
-loop, :func:`feedback_loop`, steps through :func:`pathspace.plant_step`,
-the step of forward simulation, so a replay of the written controller
-reproduces its states bit for bit. Every controller is written as its
-law, JSON {"kind": "feedback", "N", "L", "c"} plus "u1" on a delayed
-input, with floats in ``repr`` (exact for float64); each c_k is one flat
-row-major list, of m + m1 numbers when one row serves every node, else
-of s^k (m + m1) in node order. The table of one row per (stage, history),
+r(k) of x(k) and the lags that act at stage k (a state before stage 0 is
+zero, an input entering after stage N never acts; no law grows with tau
+past N + 1 stages). With p(k) = (r(k) - r_h(k)) Pi_k', Pi_k = I on the
+full route, L_k = K_k Pi_k - [M_q Abar, 0] (M_q the first n columns of
+M) and c_k = [z_h(k) M_q', 0] - (r_h(k) Pi_k') K_k', each c_k at its
+coarsest depth (one row for the origin and any constant target). The one
+closed loop, :func:`feedback_loop`, steps through
+:func:`pathspace.plant_step`, the step of forward simulation, so a
+replay of the written controller reproduces its states bit for bit.
+Every controller is written as its law, JSON {"kind": "feedback", "N",
+"L", "c"} plus "u1" on a delayed input, with floats in ``repr`` (exact
+for float64); each c_k is one flat row-major list, of m + m1 numbers
+when one row serves every node, else of s^k (m + m1) in node order; a
+delay-route law with a column for a lag that never acts, as earlier
+versions wrote, is malformed. The table of one row per (stage, history),
 17 digits a value, stays a library format that verify also reads.
 """
 from __future__ import annotations
@@ -76,14 +80,16 @@ def stage_products(tree: PathTree, form, upto: int) -> list[np.ndarray]:
 class FeedbackLaw:
     """[u(k), u1(k)] = r(k) L_k' + c_k for k = 0..N, r(k) from :func:`_regressor`.
 
-    ``L`` is (N+1, m+m1, n(1+d)+m1 tau). ``c`` holds each c_k as one row
-    (depth 0) when it is the same on every node, else at depth k; the
-    written law stores it flat at that depth (:func:`law_text`).
+    ``L`` holds N+1 arrays, L_k (m+m1, n(1+min(d, k)) + m1 min(tau, N-k+1)),
+    a column per regressor entry that acts (d, tau, m1 zero without the
+    channel). ``c`` holds each c_k as one row (depth 0) when it is the same
+    on every node, else at depth k; the written law stores it flat at that
+    depth (:func:`law_text`).
     ``u1_pre`` holds u1(-tau), u1(1-tau), ... that enter by stage N, one
     row each (None without a delayed input).
     """
 
-    L: np.ndarray
+    L: list[np.ndarray]
     c: AdaptedProcess
     u1_pre: np.ndarray | None = None
 
@@ -127,21 +133,22 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
         hom = result.solution
     S = [np.zeros((n, n)), *gramian_sequence(form, N)]  # S(j-1)
     K = [ts.transform.M @ np.vstack([S[N - k] @ form.Cbar.T, form.D.T]) for k in range(N + 1)]
-    G, Pi, u1_pre = S[-1], [np.eye(n)] * (N + 1), None
+    G, Pi, u1_pre, u1_h = S[-1], [np.eye(n)] * (N + 1), None, {}
     if form.D1 is not None:
         kind, what, tau = "input-delay", "delayed-input Gramian", form.tau
         G = gramian(form, N)  # a delayed input adds its pre-horizon terms
-        CD1 = [np.linalg.matrix_power(form.C, i) @ form.D1 for i in range(tau + 1)]  # C^i D1
-        # u1(k) has rows D1' C^tau' S(j)^+, zero if it enters after N; u1(k - i) enters at
-        # stage k - i + tau, and none that enters after N is on its way.
-        K = [np.vstack([Kk, CD1[tau].T if k <= N - tau else 0 * CD1[tau].T]) for k, Kk in enumerate(K)]
-        Pi = [np.hstack([np.eye(n)] + [-CD1[tau - i] * (k - i + tau <= N) for i in range(1, tau + 1)])
+        CD1 = [np.linalg.matrix_power(form.C, i) @ form.D1 for i in range(min(tau, N) + 1)]  # C^i D1
+        # u1(k) has rows D1' C^tau' S(j)^+, zero if it enters after N; the lags u1(k - i) on
+        # their way are those that enter by stage N (:func:`_regressor`).
+        K = [np.vstack([Kk, CD1[tau].T if k <= N - tau else np.zeros_like(form.D1.T)]) for k, Kk in enumerate(K)]
+        Pi = [np.hstack([np.eye(n)] + [-CD1[tau - i] for i in range(max(1, k + tau - N), tau + 1)])
               for k in range(N + 1)]
+        u1_h = {j: np.zeros((tree.n_nodes(max(0, j)), form.D1.shape[1])) for j in range(-tau, N - tau + 1)}
     elif form.C1 is not None:
         kind, what = "state-delay", "delayed-state Gramian"
         P, Q = _state_delay_gains(form, N)
         K = [Kk @ Pk.T for Kk, Pk in zip(K, P)]
-        Pi = [np.hstack([np.eye(n)] + [-Qj for Qj in Q[k]]) for k in range(N + 1)]
+        Pi = [np.hstack([np.eye(n)] + [-Qj for Qj in Q[k][:k]]) for k in range(N + 1)]
     else:
         kind, what = "null" if hom is None else "target", "Gramian"
     ok, smin = gramian_invertible(G)
@@ -153,13 +160,14 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     K = [Kk @ _pinv(S[N - k + 1]) for k, Kk in enumerate(K)]
     Mq, rows = ts.transform.M[:, :n], len(K[0])
     pad = (0, rows - spec.m)
-    Mq_Abar = np.pad(Mq @ spec.Abar, (pad, (0, Pi[0].shape[1] - n)))
-    L = np.stack([Kk @ P - Mq_Abar for Kk, P in zip(K, Pi)])
-    vals, depths = {}, {}
+    Mq_Abar = Mq @ spec.Abar
+    L, vals, depths = [], {}, {}
     for k, (Kk, P) in enumerate(zip(K, Pi)):
+        L.append(Kk @ P)
+        L[k][: spec.m, :n] -= Mq_Abar
         c = np.zeros((1, rows))
         if hom is not None:
-            r = _regressor(tree, spec, k, hom.x.values, {})
+            r = _regressor(tree, spec, N, k, hom.x.values, u1_h)
             c = np.pad(hom.z.at(k) @ Mq.T, ((0, 0), pad)) - (r @ P.T) @ Kk.T
         vals[k], depths[k] = (c[:1], 0) if (c == c[0]).all() else (c, k)
     law = FeedbackLaw(L, AdaptedProcess(tree, vals, depths), u1_pre)
@@ -195,19 +203,18 @@ def steer_to_target(
     return _steer(ts, tree, x0, target, tol)
 
 
-def _regressor(tree: PathTree, spec: SystemSpec, k: int, xs: dict, u1s: dict) -> np.ndarray:
-    """r(k) at depth k: x(k), then x(k-1), ..., x(k-d) or u1(k-1), ..., u1(k-tau).
+def _regressor(tree: PathTree, spec: SystemSpec, N: int, k: int, xs: dict, u1s: dict) -> np.ndarray:
+    """r(k) at depth k: x(k), then the lags that act, x(k-1), ..., x(k - min(d, k)) or
+    u1(k-i) for i = max(1, k + tau - N)..tau, those that enter by stage N.
 
-    ``xs`` and ``u1s`` map a stage j to its values at depth max(0, j); a
-    stage they lack (before stage 0, or entering after stage N) is zero.
+    ``xs`` and ``u1s`` map a stage j to its values at depth max(0, j).
     """
-    lags = [(xs, k - j, spec.n) for j in range(1, (spec.d or 0) + 1)]
-    lags += [(u1s, k - j, spec.B1.shape[1]) for j in range(1, (spec.tau or 0) + 1)]
+    lags = [(xs, k - j) for j in range(1, min(spec.d or 0, k) + 1)]
+    if spec.tau:
+        lags += [(u1s, k - i) for i in range(max(1, k + spec.tau - N), spec.tau + 1)]
     if not lags:
         return xs[k]
-    blocks = [tree.lift(vals[j], max(0, j), k) if j in vals else np.zeros((tree.n_nodes(k), dim))
-              for vals, j, dim in lags]
-    return np.hstack([xs[k], *blocks])
+    return np.hstack([xs[k], *(tree.lift(vals[j], max(0, j), k) for vals, j in lags)])
 
 
 def feedback_loop(
@@ -223,7 +230,7 @@ def feedback_loop(
     xs, u_vals = {0: np.asarray(x0, dtype=float)[None, :].copy()}, {}
     u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
     for k, Lk in enumerate(law.L):
-        v = _regressor(tree, spec, k, xs, u1s) @ Lk.T + law.c.at_depth(k, k)
+        v = _regressor(tree, spec, N, k, xs, u1s) @ Lk.T + law.c.at_depth(k, k)
         u_vals[k] = np.ascontiguousarray(v[:, :m]) if tau else v  # laid out as a table reads back
         if tau and k <= N - tau:
             u1s[k] = np.ascontiguousarray(v[:, m:])
@@ -237,7 +244,7 @@ def law_text(ctrl: ControllerProcess) -> str:
     """The controller's law as JSON, each c_k flat in row-major order at its own depth."""
     law = ctrl.law
     c = [law.c.at(k).ravel().tolist() for k in range(len(law.L))]
-    doc = {"kind": "feedback", "N": len(law.L) - 1, "L": law.L.tolist(), "c": c}
+    doc = {"kind": "feedback", "N": len(law.L) - 1, "L": [Lk.tolist() for Lk in law.L], "c": c}
     if law.u1_pre is not None:
         doc["u1"] = law.u1_pre.tolist()
     return json.dumps(doc) + "\n"
@@ -249,10 +256,10 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     Raises :class:`SchemaError` for text that is not a JSON object with
     exactly the keys kind, N, L and c, plus u1 exactly on a delayed input;
     a kind other than "feedback"; an N other than the tree's horizon; an L
-    or u1 not of the instance's shapes (:class:`FeedbackLaw`; u1 is
-    (min(tau, N+1), m1)); a c that is not N+1 flat stages, stage k of
-    m+m1 numbers (depth 0) or s^k (m+m1) (depth k); and entries that are
-    not finite JSON numbers.
+    not N+1 stages of the instance's shapes (:class:`FeedbackLaw`: no
+    column for a lag that never acts) or a u1 not (min(tau, N+1), m1); a c
+    that is not N+1 flat stages, stage k of m+m1 numbers (depth 0) or
+    s^k (m+m1) (depth k); and entries that are not finite JSON numbers.
     """
     try:
         with _opened(source, "r") as fh:
@@ -270,8 +277,11 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     N = doc["N"]
     if type(N) is not int or N != tree.horizon:
         raise SchemaError(f"law N is {N!r}, the horizon being verified is {tree.horizon}")
-    m1, tau = (0, 0) if spec.B1 is None else (spec.B1.shape[1], spec.tau)
-    L = _law_array("L", doc["L"], (N + 1, spec.m + m1, spec.n * (1 + (spec.d or 0)) + m1 * tau))
+    (m1, tau), d = (0, 0) if spec.B1 is None else (spec.B1.shape[1], spec.tau), spec.d or 0
+    if type(doc["L"]) is not list or len(doc["L"]) != N + 1:
+        raise SchemaError(f"L must be a list of N + 1 = {N + 1} stages")
+    L = [_law_array(f"L stage {k}", Lk, (spec.m + m1, spec.n * (1 + min(d, k)) + m1 * min(tau, N - k + 1)))
+         for k, Lk in enumerate(doc["L"])]
     c = _law_offsets(doc["c"], tree, spec.m + m1)
     u1_pre = _law_array("u1", doc["u1"], (min(tau, N + 1), m1)) if m1 else None
     return FeedbackLaw(L, c, u1_pre)

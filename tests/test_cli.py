@@ -204,6 +204,26 @@ def test_verify_malformed_table(capsys, tmp_path):
     assert "bad controller table" in err
 
 
+@pytest.mark.parametrize("lead", ["\n", " \t\r\n"], ids=["newline", "json-whitespace"])
+def test_verify_reads_a_law_after_leading_whitespace(capsys, tmp_path, lead):
+    law = tmp_path / "law.json"
+    code, out, _ = run(capsys, "synthesize", "--instance", IN_DELAY, "--out", str(law))
+    assert code == 0
+    law.write_text(lead + law.read_text())
+    code, verified, err = run(capsys, "verify", "--instance", IN_DELAY, "--controller", str(law))
+    assert code == 0 and err == ""
+    assert as_dict(verified)["terminal_deviation"] == as_dict(out)["terminal_deviation"]
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\r\n"], ids=["empty", "whitespace-only"])
+def test_verify_reads_an_empty_or_blank_file_as_a_table(capsys, tmp_path, text):
+    blank = tmp_path / "blank"
+    blank.write_text(text)
+    code, out, err = run(capsys, "verify", "--instance", FULL, "--controller", str(blank))
+    assert code == 5 and out == ""
+    assert err.startswith("bad controller table: ")
+
+
 def test_verify_stage_gap_is_table_error(capsys, tmp_path):
     table = written_table(tmp_path, name="gap.csv")
     lines = table.read_text().strip().split("\n")
@@ -550,6 +570,19 @@ def test_usage_errors_exit_6(capsys, argv):
         main(argv)
     assert info.value.code == 6
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", ["synthesize", "verify", "oracle-check"])
+def test_cap_below_1_is_a_usage_error(capsys, tmp_path, command, cap):
+    # Refused before the instance is read, as a negative --N is: the missing file goes unreported.
+    argv = [command, "--instance", str(tmp_path / "nope.json"), f"--cap={cap}", *COMMANDS[command]]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 6
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument --cap: expected a finite value >= 1, got '{cap}'" in err
+    assert "nope.json" not in err
 
 
 def test_parser_is_built_once_and_keeps_no_parsed_state(capsys, monkeypatch):

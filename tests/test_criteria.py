@@ -209,3 +209,19 @@ def test_scan_reports_first_witness(bench_full):
     assert gramian_invertible(gramian(TransformedSystem.build(spec).form, expected["witness_N"]))[0]
     assert all(s > 0 for s in smin[expected["witness_N"] :])
     assert report.witness_N == expected["witness_N"]
+
+
+def test_a_short_window_is_scanned_once(monkeypatch):
+    # fullrank_2x3 has its witness at N = 1: a scan asked for N_max = 0 runs on past its
+    # window in the same pass over the Gramians, and reports figures for 0..N_max only.
+    import stochctrl.criteria as criteria
+    from conftest import INSTANCE_DIR
+    from stochctrl import parse_instance_file
+
+    passes = []
+    sequence = criteria.gramian_sequence
+    monkeypatch.setattr(criteria, "gramian_sequence", lambda form, N: passes.append(N) or sequence(form, N))
+    report = decide(parse_instance_file(str(INSTANCE_DIR / "fullrank_2x3.json")).system, N_max=0)
+    assert len(passes) == 1
+    assert report.controllable and report.witness_N == 1 and report.N_max == 0
+    assert len(report.min_singular) == 1

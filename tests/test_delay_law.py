@@ -1,7 +1,8 @@
 """The delay routes' controller artifact: the feedback law over the lagged regressor.
 
-On a delayed state the law reads r(k) = [x(k), x(k-1), ..., x(k-d)], on a
-delayed input r(k) = [x(k), u1(k-1), ..., u1(k-tau)], and decides
+On a delayed state the law reads r(k) = [x(k), x(k-1), ..., x(k-min(d, k))],
+on a delayed input r(k) = [x(k), u1(k-i), ..., u1(k-tau)] with
+i = max(1, k + tau - N), the lags that act, and decides
 [u(k), u1(k)] = r(k) L_k' + c_k; the pre-horizon inputs u1(-tau..) travel
 in the law as its "u1" key. synthesize writes every controller as its
 law, each c_k one row when every node shares it (the origin and constant
@@ -95,9 +96,12 @@ def test_law_text_reads_back_and_replays_bit_for_bit(law, n, route, lag):
             assert ("u1" in doc) == (route == "tau")
             read = read_feedback_law(io.StringIO(text), tree, spec)
             m1 = spec.B1.shape[1] if route == "tau" else 0
-            width = n * (1 + lag) if route == "d" else n + m1 * lag
-            assert read.L.shape == (N + 1, spec.m + m1, width)
-            np.testing.assert_array_equal(read.L, ctrl.law.L)
+            # Stage k keeps the lags that act: x(k-j) for j <= k, u1(k-i) entering by stage N.
+            widths = [n * (1 + min(lag, k)) if route == "d" else n + m1 * min(lag, N - k + 1) for k in range(N + 1)]
+            assert [Lk.shape for Lk in read.L] == [(spec.m + m1, w) for w in widths]
+            assert len(ctrl.law.L) == N + 1
+            for got, want in zip(read.L, ctrl.law.L):
+                np.testing.assert_array_equal(got, want)
             if route == "tau":
                 assert read.u1_pre.shape == (min(lag, N + 1), m1)
                 np.testing.assert_array_equal(read.u1_pre, ctrl.law.u1_pre)
@@ -188,8 +192,15 @@ MALFORMED = {
     "u1-short-row": (IN_DELAY, _edit("u1", [[0.0] * 2]), "u1 must be nested lists of shape (1, 3)"),
     "u1-NaN": (IN_DELAY, _edit("u1", [[0.0, float("nan"), 0.0]]), "u1 entries must be finite"),
     "u1-string": (IN_DELAY, _edit("u1", [[0.0, "1", 0.0]]), "u1 entries must be JSON numbers"),
-    "L-full-route-width": (ST_DELAY, _edit("L", [[[0.0] * 2] * 3] * 3), "L must be nested lists of shape (3, 3, 4)"),
-    "L-without-u1-rows": (IN_DELAY, _edit("L", [[[0.0] * 5] * 3] * 3), "L must be nested lists of shape (3, 6, 5)"),
+    # Stage 0 of a d = 1 law has no lag column (x(-1) is zero), so a full-route width fails at stage 1.
+    "L-full-route-width": (ST_DELAY, _edit("L", [[[0.0] * 2] * 3] * 3), "L stage 1 must be nested lists of shape (3, 4)"),
+    "L-without-u1-rows": (IN_DELAY, _edit("L", [[[0.0] * 5] * 3] * 3), "L stage 0 must be nested lists of shape (6, 5)"),
+    # A law written with every lag column at every stage, as earlier versions wrote it.
+    "L-never-acting-lag": (
+        ST_DELAY,
+        lambda doc: doc["L"].__setitem__(0, [row + [0.0, 0.0] for row in doc["L"][0]]),
+        "L stage 0 must be nested lists of shape (3, 2)",
+    ),
     "c-without-u1-columns": (
         IN_DELAY,
         _edit("c", [[0.0] * 3] * 3),
@@ -210,3 +221,23 @@ def test_malformed_delay_law_exits_5_with_its_reason(capsys, tmp_path, case):
     code, out, err = run(capsys, "verify", "--instance", inst, "--controller", str(law))
     assert code == 5 and out == ""
     assert err.startswith("bad controller law: ") and reason in err, err
+
+
+def test_a_long_input_delay_stores_only_the_lags_that_act(capsys, tmp_path):
+    # tau = 20,000 at N = 2: u1(k - i) acts only if it enters by stage N, so stage k keeps
+    # n + m1 min(tau, N - k + 1) columns, not n + m1 tau = 60,002.
+    doc = json.loads(open(IN_DELAY).read())
+    doc["tau"] = 20_000
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps(doc))
+    law = tmp_path / "law.json"
+    code, out, _ = run(capsys, "synthesize", "--instance", str(inst), "--out", str(law))
+    assert code == 0
+    assert law.stat().st_size < 4096
+    n, m1, N = 2, 3, 2
+    L = json.loads(law.read_text())["L"]
+    assert [np.shape(Lk) for Lk in L] == [(3 + m1, n + m1 * min(20_000, N - k + 1)) for k in range(N + 1)]
+    code, verified, _ = run(capsys, "verify", "--instance", str(inst), "--controller", str(law))
+    assert code == 0
+    assert report(verified)["terminal_deviation"] == report(out)["terminal_deviation"]
+

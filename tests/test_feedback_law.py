@@ -3,7 +3,7 @@
 synthesize writes every controller as its law in JSON, each offset c_k
 one row when every node shares it (the origin and any constant target),
 else one row per depth-k node; verify tells a law from a CSV table by the
-file's first byte and replays a law through the
+file's first byte after any whitespace and replays a law through the
 same loop synthesize ran, so its states and its reported deviation equal
 synthesize's exactly. A malformed law exits 5 with the reason named.
 """
@@ -125,7 +125,9 @@ def test_read_law_reproduces_the_synthesized_states_bit_for_bit(rng, law, target
     text = law_text(ctrl)
     assert text is not None
     law = read_feedback_law(io.StringIO(text), tree, ts.spec)
-    np.testing.assert_array_equal(law.L, ctrl.law.L)
+    assert len(law.L) == len(ctrl.law.L) == N + 1
+    for got, want in zip(law.L, ctrl.law.L):
+        np.testing.assert_array_equal(got, want)
     u, x, u1 = feedback_loop(tree, ts.spec, ctrl.x.at(0)[0], law)
     assert u1 is None
     for k in range(N + 2):
@@ -184,21 +186,22 @@ MALFORMED = {
     "N-other-horizon": (_edit("N", 3), "law N is 3, the horizon being verified is 2"),
     "N-true": (_edit("N", True), "law N is True"),
     "N-float": (_edit("N", 2.0), "law N is 2.0"),
-    "L-one-stage-short": (_edit("L", ZEROS_L[:2]), "L must be nested lists of shape (3, 3, 2)"),
-    "L-transposed": (_edit("L", [[[0.0] * 3] * 2] * 3), "L must be nested lists of shape (3, 3, 2)"),
-    "L-flat": (_edit("L", [0.0] * 18), "L must be nested lists of shape (3, 3, 2)"),
+    "L-one-stage-short": (_edit("L", ZEROS_L[:2]), "L must be a list of N + 1 = 3 stages"),
+    "L-transposed": (_edit("L", [[[0.0] * 3] * 2] * 3), "L stage 0 must be nested lists of shape (3, 2)"),
+    "L-flat": (_edit("L", [0.0] * 18), "L must be a list of N + 1 = 3 stages"),
+    "L-flat-stage": (_edit("L", [[0.0] * 6] * 3), "L stage 0 must be nested lists of shape (3, 2)"),
     "c-one-stage-long": (_edit("c", [[0.0] * 3] * 4), "c must be a list of N + 1 = 3 stages"),
     "c-ragged": (
         _edit("c", [[0.0] * 3, [0.0] * 2, [0.0] * 3]),
         "c stage 1 must list 3 numbers (one row) or 2 x 3 (one row per depth-1 node)",
     ),
-    "L-true": (_entry("L", "true"), "L entries must be JSON numbers"),
-    "L-string": (_entry("L", '"1"'), "L entries must be JSON numbers"),
+    "L-true": (_entry("L", "true"), "L stage 0 entries must be JSON numbers"),
+    "L-string": (_entry("L", '"1"'), "L stage 0 entries must be JSON numbers"),
     "c-null": (_entry("c", "null"), "c entries must be JSON numbers"),
-    "L-NaN": (_entry("L", "NaN"), "L entries must be finite"),
+    "L-NaN": (_entry("L", "NaN"), "L stage 0 entries must be finite"),
     "c-Infinity": (_entry("c", "Infinity"), "c entries must be finite"),
     "c-minus-Infinity": (_entry("c", "-Infinity"), "c entries must be finite"),
-    "L-1e400": (_entry("L", "1e400"), "L entries must be finite"),
+    "L-1e400": (_entry("L", "1e400"), "L stage 0 entries must be finite"),
     "c-huge-integer": (_entry("c", "1" + "0" * 400), "c entries must be finite"),
 }
 
