@@ -31,18 +31,16 @@ Both controllers are feedback laws run by ``synthesis.feedback_loop``,
 on e = x - x_h with j = N - k: the one gain law of ``synthesis`` and a
 predictor map Pi_k from the lagged regressor (``synthesis.FeedbackLaw``)
 to the predictor p(k): y = S(j)^+ p(k), v = D' P(j)' y and
-z = z_h + S(j-1) Cbar' P(j)' y. Input delay, a Smith predictor:
-Pi_k = [I, -C^(tau-i) D1, ..., -D1] over [x(k), u1(k-i), ..., u1(k-tau)],
-i = max(1, k + tau - N): the delayed inputs on their way, an input that
-enters after stage N never acting; S(j) is the Gramian less its
-pre-horizon terms and u1(k) = D1' C^tau' y for k <= N - tau. The pre-horizon inputs
-u1(i - tau) = D1' C^i' G_N^{-1} e(0) depend on x0 and travel with the
-law. State delay: Pi_k = [I, -Q_1(k), ..., -Q_e(k)] over
-[x(k), x(k-1), ..., x(k-e)], e = min(d, k), with the elimination's lag
-gains (a state before stage 0 is zero). The
-pseudo-inverses are exact: the positive semi-definite sums S(j) (of
-P(j) D D' P(j)', P(j) Cbar S(j-1) Cbar' P(j)' and, for j >= tau,
-C^tau D1 D1' C^tau') span every range the laws map y through.
+z = z_h + S(j-1) Cbar' P(j)' y. Pi_k = [I, -Q_j(k) ..., -C^(tau-i) D1 ...]
+over [x(k), x(k-j) ..., u1(k-i) ...], the lags that act at stage k
+(:func:`pathspace._acting_lags`). On a delayed input, a Smith predictor,
+S(j) is the Gramian less its pre-horizon terms and u1(k) = D1' C^tau' y
+for k <= N - tau; the pre-horizon inputs u1(i - tau) = D1' C^i' G_N^{-1} e(0)
+depend on x0 and travel with the law. On a delayed state the Q_j(k) are
+the elimination's lag gains. The pseudo-inverses are exact: the positive
+semi-definite sums S(j) (of P(j) D D' P(j)', P(j) Cbar S(j-1) Cbar' P(j)'
+and, for j >= tau, C^tau D1 D1' C^tau') span every range the laws map y
+through.
 
 Each Gramian has a literal path-enumeration oracle. The closed forms
 are derived (the collapse step is not written out in any one place);

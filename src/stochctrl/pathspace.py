@@ -290,6 +290,12 @@ def state_delay_P(form: BsdeForm, N: int) -> tuple[np.ndarray, ...]:
     return tuple(_state_delay_gains(form, N)[0])
 
 
+def _acting_lags(N: int, k: int, d: int, tau: int) -> tuple[range, range]:
+    """The lags j of x(k-j) and i of u1(k-i) that act at stage k (d, tau 0 without the channel):
+    x(k-j) from stage 0 on whose effect enters by stage N (else Q_j(k) = 0), u1(k-i) entering by N."""
+    return range(max(1, k + d - N), min(d, k) + 1), range(max(1, k + tau - N), tau + 1)
+
+
 def _state_delay_gains(form: BsdeForm, N: int):
     """Pivots P(k) and lag gains Q_j(k) of the delayed backward equation.
 
@@ -299,11 +305,11 @@ def _state_delay_gains(form: BsdeForm, N: int):
     inverts the bracket I - C P(k+1) ... C P(k+d) C1, multiplied out left to
     right so the Gramians keep their last digits. The system is singular
     exactly when a bracket is: rcond <= ``P_RCOND`` raises SingularPBracket(k).
-    The lag d is the form's.
+    The lag d is the form's; ``Q[k]`` maps each j acting at stage k (:func:`_acting_lags`) to Q_j(k).
     """
     n, d = form.n, form.d
     P = [np.eye(n)] * (N + 1)
-    Q = [[np.zeros((n, n))] * d] * (N + 2)
+    Q = [{}] * (N + 1)
     for k in range(N, -1, -1):
         if k + d <= N:
             bracket = np.eye(n)
@@ -315,7 +321,7 @@ def _state_delay_gains(form: BsdeForm, N: int):
                 raise SingularPBracket(k)
             P[k] = np.linalg.inv(bracket)
         PC = P[k] @ form.C
-        Q[k] = [PC @ Qj for Qj in Q[k + 1][1:]] + [P[k] @ form.C1]
+        Q[k] = {j: P[k] @ form.C1 if j == d else PC @ Q[k + 1][j + 1] for j in _acting_lags(N, k, d, 0)[0]}
     return P, Q
 
 
@@ -334,15 +340,15 @@ def backward_solve_state_delay(
     """
     if form.C1 is None:
         raise DimensionMismatch("form has no delayed state channel C1")
-    N, d = tree.horizon, form.d
+    N = tree.horizon
     P, Q = _state_delay_gains(form, N)
     cmats = form.stage_factors(tree.support)
     x_vals = {N + 1: _terminal_array(tree, form.n, terminal)}
     for k in range(N, -1, -1):
         x_vals[k] = _stage_step(tree, form, cmats, x_vals[k + 1], v, k) @ P[k].T
     for k in range(1, N + 1):
-        for j in range(1, min(d, k) + 1):
-            x_vals[k] += tree.lift(x_vals[k - j], k - j, k) @ Q[k][j - 1].T
+        for j, Qj in Q[k].items():
+            x_vals[k] += tree.lift(x_vals[k - j], k - j, k) @ Qj.T
     return _solution(tree, x_vals)
 
 
@@ -367,11 +373,13 @@ def expected_terminal_product(tree: PathTree, form: BsdeForm, terminal: np.ndarr
 
 @dataclass(eq=False)
 class SMembership:
-    """Outcome of the attainable-terminal test."""
+    """Outcome of the attainable-terminal test: the worst stage's residual against ``bound``."""
 
     member: bool
     max_residual: float
+    stage: int
     tol: float
+    bound: float
     x0: np.ndarray
     solution: BsdeSolution
 
@@ -393,12 +401,14 @@ def _membership(tree: PathTree, form: BsdeForm, terminal, tol: float) -> SMember
     terminal_arr = _terminal_array(tree, form.n, terminal)
     sol = backward_solve(tree, form, terminal_arr)
     residuals = representation_residual(sol)
-    worst = max(residuals.values()) if residuals else 0.0
-    scale = max(1.0, float(np.abs(terminal_arr).max()))
+    stage = max(residuals, key=residuals.get)
+    bound = tol * max(1.0, float(np.abs(terminal_arr).max()))
     return SMembership(
-        member=bool(worst <= tol * scale),
-        max_residual=worst,
+        member=bool(residuals[stage] <= bound),
+        max_residual=residuals[stage],
+        stage=stage,
         tol=tol,
+        bound=bound,
         x0=sol.x0,
         solution=sol,
     )

@@ -21,11 +21,10 @@ predictor and pre-horizon inputs. ``delay``'s controllers are channel
 checks in front of it.
 
 So every controller is one law (:class:`FeedbackLaw`) in the regressor
-r(k) of x(k) and the lags that act at stage k (a state before stage 0 is
-zero, an input entering after stage N never acts; no law grows with tau
-past N + 1 stages). With p(k) = (r(k) - r_h(k)) Pi_k', Pi_k = I on the
-full route, L_k = K_k Pi_k - [M_q Abar, 0] (M_q the first n columns of
-M) and c_k = [z_h(k) M_q', 0] - (r_h(k) Pi_k') K_k', each c_k at its
+r(k) of x(k) and the lags that act at stage k (:func:`pathspace._acting_lags`,
+never more than N + 1). With p(k) = (r(k) - r_h(k)) Pi_k', Pi_k = I on
+the full route, L_k = K_k Pi_k - [M_q Abar, 0] (M_q the first n columns
+of M) and c_k = [z_h(k) M_q', 0] - (r_h(k) Pi_k') K_k', each c_k at its
 coarsest depth (one row for the origin and any constant target). The one
 closed loop, :func:`feedback_loop`, steps through
 :func:`pathspace.plant_step`, the step of forward simulation, so a
@@ -58,6 +57,7 @@ from .pathspace import (
     member_of_S,
     path_products,
     plant_step,
+    _acting_lags,
     _state_delay_gains,
 )
 from .transform import TransformedSystem
@@ -80,11 +80,10 @@ def stage_products(tree: PathTree, form, upto: int) -> list[np.ndarray]:
 class FeedbackLaw:
     """[u(k), u1(k)] = r(k) L_k' + c_k for k = 0..N, r(k) from :func:`_regressor`.
 
-    ``L`` holds N+1 arrays, L_k (m+m1, n(1+min(d, k)) + m1 min(tau, N-k+1)),
-    a column per regressor entry that acts (d, tau, m1 zero without the
-    channel). ``c`` holds each c_k as one row (depth 0) when it is the same
-    on every node, else at depth k; the written law stores it flat at that
-    depth (:func:`law_text`).
+    ``L`` holds N+1 arrays, L_k with m+m1 rows (m1 zero without a delayed
+    input) and a column per entry of r(k). ``c`` holds each c_k as one row
+    (depth 0) when it is the same on every node, else at depth k; the
+    written law stores it flat at that depth (:func:`law_text`).
     ``u1_pre`` holds u1(-tau), u1(1-tau), ... that enter by stage N, one
     row each (None without a delayed input).
     """
@@ -116,9 +115,8 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     """Steer x0 to ``target`` (None: the origin) by the law of this module's docstring, and run it.
 
     The form picks the membership solve, the Gramian, the kind and, per
-    delay channel, the gains' u1 rows or pivots P(j), the maps Pi_k (I on
-    the full route; the Smith predictor or the lag gains of ``delay``) and
-    the pre-horizon inputs ``u1_pre``. r_h is the regressor of the
+    delay channel, the gains' u1 rows or pivots P(j), the lag blocks of
+    Pi_k and the pre-horizon inputs ``u1_pre``. r_h is the regressor of the
     target's solution, zero without one and in its u1 blocks.
     """
     form, spec, n, N = ts.form, ts.spec, ts.form.n, tree.horizon
@@ -129,26 +127,23 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     if target is not None:
         result = member_of_S(tree, form, target, tol=tol)
         if not result.member:
-            raise TargetNotInS(f"terminal residual {result.max_residual:.3e} exceeds tolerance {result.tol}")
+            raise TargetNotInS(f"representation residual {result.max_residual:.3e} at stage {result.stage} "
+                               f"exceeds {result.bound:.3e} (tolerance {result.tol} x max(1, max |target|))")
         hom = result.solution
     S = [np.zeros((n, n)), *gramian_sequence(form, N)]  # S(j-1)
     K = [ts.transform.M @ np.vstack([S[N - k] @ form.Cbar.T, form.D.T]) for k in range(N + 1)]
-    G, Pi, u1_pre, u1_h = S[-1], [np.eye(n)] * (N + 1), None, {}
+    G, Q, CD1, u1_pre, u1_h = S[-1], None, None, None, {}
     if form.D1 is not None:
         kind, what, tau = "input-delay", "delayed-input Gramian", form.tau
         G = gramian(form, N)  # a delayed input adds its pre-horizon terms
         CD1 = [np.linalg.matrix_power(form.C, i) @ form.D1 for i in range(min(tau, N) + 1)]  # C^i D1
-        # u1(k) has rows D1' C^tau' S(j)^+, zero if it enters after N; the lags u1(k - i) on
-        # their way are those that enter by stage N (:func:`_regressor`).
+        # u1(k) has rows D1' C^tau' S(j)^+, zero if it enters after N.
         K = [np.vstack([Kk, CD1[tau].T if k <= N - tau else np.zeros_like(form.D1.T)]) for k, Kk in enumerate(K)]
-        Pi = [np.hstack([np.eye(n)] + [-CD1[tau - i] for i in range(max(1, k + tau - N), tau + 1)])
-              for k in range(N + 1)]
         u1_h = {j: np.zeros((tree.n_nodes(max(0, j)), form.D1.shape[1])) for j in range(-tau, N - tau + 1)}
     elif form.C1 is not None:
         kind, what = "state-delay", "delayed-state Gramian"
         P, Q = _state_delay_gains(form, N)
         K = [Kk @ Pk.T for Kk, Pk in zip(K, P)]
-        Pi = [np.hstack([np.eye(n)] + [-Qj for Qj in Q[k][:k]]) for k in range(N + 1)]
     else:
         kind, what = "null" if hom is None else "target", "Gramian"
     ok, smin = gramian_invertible(G)
@@ -162,7 +157,9 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     pad = (0, rows - spec.m)
     Mq_Abar = Mq @ spec.Abar
     L, vals, depths = [], {}, {}
-    for k, (Kk, P) in enumerate(zip(K, Pi)):
+    for k, Kk in enumerate(K):
+        xlags, ulags = _acting_lags(N, k, form.d or 0, form.tau or 0)
+        P = np.hstack([np.eye(n), *(-Q[k][j] for j in xlags), *(-CD1[form.tau - i] for i in ulags)])  # Pi_k
         L.append(Kk @ P)
         L[k][: spec.m, :n] -= Mq_Abar
         c = np.zeros((1, rows))
@@ -204,14 +201,13 @@ def steer_to_target(
 
 
 def _regressor(tree: PathTree, spec: SystemSpec, N: int, k: int, xs: dict, u1s: dict) -> np.ndarray:
-    """r(k) at depth k: x(k), then the lags that act, x(k-1), ..., x(k - min(d, k)) or
-    u1(k-i) for i = max(1, k + tau - N)..tau, those that enter by stage N.
+    """r(k) at depth k: x(k), then the lags x(k-j) and u1(k-i) that act at stage k, in
+    :func:`pathspace._acting_lags`'s order.
 
     ``xs`` and ``u1s`` map a stage j to its values at depth max(0, j).
     """
-    lags = [(xs, k - j) for j in range(1, min(spec.d or 0, k) + 1)]
-    if spec.tau:
-        lags += [(u1s, k - i) for i in range(max(1, k + spec.tau - N), spec.tau + 1)]
+    xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
+    lags = [(xs, k - j) for j in xlags] + [(u1s, k - i) for i in ulags]
     if not lags:
         return xs[k]
     return np.hstack([xs[k], *(tree.lift(vals[j], max(0, j), k) for vals, j in lags)])
@@ -256,8 +252,8 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     Raises :class:`SchemaError` for text that is not a JSON object with
     exactly the keys kind, N, L and c, plus u1 exactly on a delayed input;
     a kind other than "feedback"; an N other than the tree's horizon; an L
-    not N+1 stages of the instance's shapes (:class:`FeedbackLaw`: no
-    column for a lag that never acts) or a u1 not (min(tau, N+1), m1); a c
+    not N+1 stages of the instance's shapes (:class:`FeedbackLaw`, so no
+    column for a lag that does not act) or a u1 not (min(tau, N+1), m1); a c
     that is not N+1 flat stages, stage k of m+m1 numbers (depth 0) or
     s^k (m+m1) (depth k); and entries that are not finite JSON numbers.
     """
@@ -277,13 +273,13 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     N = doc["N"]
     if type(N) is not int or N != tree.horizon:
         raise SchemaError(f"law N is {N!r}, the horizon being verified is {tree.horizon}")
-    (m1, tau), d = (0, 0) if spec.B1 is None else (spec.B1.shape[1], spec.tau), spec.d or 0
+    m1 = 0 if spec.B1 is None else spec.B1.shape[1]
     if type(doc["L"]) is not list or len(doc["L"]) != N + 1:
         raise SchemaError(f"L must be a list of N + 1 = {N + 1} stages")
-    L = [_law_array(f"L stage {k}", Lk, (spec.m + m1, spec.n * (1 + min(d, k)) + m1 * min(tau, N - k + 1)))
-         for k, Lk in enumerate(doc["L"])]
+    L = [_law_array(f"L stage {k}", Lk, (spec.m + m1, spec.n * (1 + len(xlags)) + m1 * len(ulags)))
+         for k, Lk in enumerate(doc["L"]) for xlags, ulags in [_acting_lags(N, k, spec.d or 0, spec.tau or 0)]]
     c = _law_offsets(doc["c"], tree, spec.m + m1)
-    u1_pre = _law_array("u1", doc["u1"], (min(tau, N + 1), m1)) if m1 else None
+    u1_pre = _law_array("u1", doc["u1"], (min(spec.tau, N + 1), m1)) if m1 else None
     return FeedbackLaw(L, c, u1_pre)
 
 

@@ -8,6 +8,9 @@ expanded tail sum on the tree, against the feedback law's q, which
 ``cond_expect`` average out trailing stages of node values.
 ``tree_rank_controllable`` decides exact controllability from the plant
 itself, by the rank of the map from adapted inputs to terminal leaves.
+``dense_state_delay_gains`` is the state-delay elimination that keeps
+all d lag gains Q_j(k) at every stage, against which the package's
+banded gains are checked.
 """
 import itertools
 
@@ -17,12 +20,14 @@ from stochctrl import (
     AdaptedProcess,
     InputTransform,
     PathTree,
+    SingularPBracket,
     StageMismatch,
     SystemSpec,
     TransformedSystem,
     backward_solve,
     forward_simulate,
 )
+from stochctrl.pathspace import P_RCOND
 
 
 def reconstruct_u(tr: InputTransform, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -151,3 +156,28 @@ def tree_rank_controllable(spec: SystemSpec, N: int) -> tuple[bool, float]:
     threshold = max(T.shape) * np.finfo(float).eps * svals[0]
     deciding = svals[rows - 1] if len(svals) >= rows else 0.0
     return bool(deciding > threshold), float(deciding / threshold)
+
+
+def dense_state_delay_gains(form, N: int):
+    """Pivots P(k) and every lag gain Q_j(k), j = 1..d, as ``Q[k][j - 1]`` for k = 0..N+1.
+
+    The recursion of ``pathspace._state_delay_gains`` run over all d lags at
+    every stage: Q(N+1) = 0, Q_j(k) = P(k) C Q_{j+1}(k+1) for j < d and
+    Q_d(k) = P(k) C1.
+    """
+    n, d = form.n, form.d
+    P = [np.eye(n)] * (N + 1)
+    Q = [[np.zeros((n, n))] * d] * (N + 2)
+    for k in range(N, -1, -1):
+        if k + d <= N:
+            bracket = np.eye(n)
+            for j in range(k + 1, k + d + 1):
+                bracket = bracket @ form.C @ P[j]
+            bracket = np.eye(n) - bracket @ form.C1
+            svals = np.linalg.svd(bracket, compute_uv=False)
+            if svals[0] == 0.0 or svals[-1] / svals[0] <= P_RCOND:
+                raise SingularPBracket(k)
+            P[k] = np.linalg.inv(bracket)
+        PC = P[k] @ form.C
+        Q[k] = [PC @ Qj for Qj in Q[k + 1][1:]] + [P[k] @ form.C1]
+    return P, Q

@@ -179,7 +179,12 @@ def test_synthesize_unattainable_target(capsys, tmp_path):
     inst.write_text(json.dumps(doc))
     code, _, err = run(capsys, "synthesize", "--instance", str(inst))
     assert code == 4
-    assert "not attainable" in err
+    # x(2) = [w^2, 0] leaves |w^2 - E w^2| = 3 at w = +-2 unrepresented at stage 1, against
+    # 1e-8 x max |target| = 4e-8.
+    assert err == (
+        "target not attainable: representation residual 3.000e+00 at stage 1 exceeds 4.000e-08 "
+        "(tolerance 1e-08 x max(1, max |target|))\n"
+    )
 
 
 def test_verify_rejects_wrong_controller(capsys, tmp_path):

@@ -1,8 +1,10 @@
 """The delay routes' controller artifact: the feedback law over the lagged regressor.
 
-On a delayed state the law reads r(k) = [x(k), x(k-1), ..., x(k-min(d, k))],
-on a delayed input r(k) = [x(k), u1(k-i), ..., u1(k-tau)] with
-i = max(1, k + tau - N), the lags that act, and decides
+The law reads r(k), x(k) and the lags that act at stage k: on a delayed
+state x(k-j) with j <= k and k - j + d <= N (a state before stage 0 is
+zero, and a lag whose effect would enter after stage N has a zero gain),
+on a delayed input u1(k-i), ..., u1(k-tau) with i = max(1, k + tau - N),
+those entering by stage N. It decides
 [u(k), u1(k)] = r(k) L_k' + c_k; the pre-horizon inputs u1(-tau..) travel
 in the law as its "u1" key. synthesize writes every controller as its
 law, each c_k one row when every node shares it (the origin and constant
@@ -96,8 +98,14 @@ def test_law_text_reads_back_and_replays_bit_for_bit(law, n, route, lag):
             assert ("u1" in doc) == (route == "tau")
             read = read_feedback_law(io.StringIO(text), tree, spec)
             m1 = spec.B1.shape[1] if route == "tau" else 0
-            # Stage k keeps the lags that act: x(k-j) for j <= k, u1(k-i) entering by stage N.
-            widths = [n * (1 + min(lag, k)) if route == "d" else n + m1 * min(lag, N - k + 1) for k in range(N + 1)]
+            # Stage k keeps the lags that act: x(k-j) for j <= k whose effect enters by stage N,
+            # u1(k-i) entering by stage N.
+            widths = [
+                n * (1 + len([j for j in range(1, k + 1) if j <= lag and k - j + lag <= N]))
+                if route == "d"
+                else n + m1 * min(lag, N - k + 1)
+                for k in range(N + 1)
+            ]
             assert [Lk.shape for Lk in read.L] == [(spec.m + m1, w) for w in widths]
             assert len(ctrl.law.L) == N + 1
             for got, want in zip(read.L, ctrl.law.L):
@@ -241,3 +249,41 @@ def test_a_long_input_delay_stores_only_the_lags_that_act(capsys, tmp_path):
     assert code == 0
     assert report(verified)["terminal_deviation"] == report(out)["terminal_deviation"]
 
+
+def test_a_state_delay_law_keeps_the_lags_that_act_stage_by_stage():
+    # d = 3, N = 6: x(k-j) acts for j <= k with k - j + 3 <= 6, so stages 0..6 hold
+    # 1, 2, 3, 4, 4, 3, 2 blocks of n columns.
+    rng = np.random.default_rng(3)
+    ts, tree, x0, _, ctrl = draw(rng, LAWS["two-point"], "d", 3, 2, 6, None)
+    assert [Lk.shape for Lk in ctrl.law.L] == [(ts.spec.m, 2 * blocks) for blocks in (1, 2, 3, 4, 4, 3, 2)]
+    read = read_feedback_law(io.StringIO(law_text(ctrl)), tree, ts.spec)
+    _, x, _ = feedback_loop(tree, ts.spec, x0, read)
+    for k in range(8):
+        assert np.array_equal(x.at(k), ctrl.x.at(k)), k
+
+
+def test_a_state_delay_past_the_horizon_is_the_plant_without_it(capsys, tmp_path):
+    # d = 10^18 at N = 2: no lag acts, so every command runs as at d = 3 (also past N), and the
+    # law is the one for the plant without A1 x(k - d).
+    doc = json.loads(open(ST_DELAY).read())
+    outputs = {}
+    for d in (3, 10**18, None):
+        if d is None:
+            del doc["A1"], doc["d"]
+        else:
+            doc["d"] = d
+        inst = tmp_path / f"instance_{d}.json"
+        inst.write_text(json.dumps(doc))
+        for command in ("analyze", "oracle-check"):
+            code, outputs[d, command], _ = run(capsys, command, "--instance", str(inst))
+            assert code == 0, (d, command)
+        law = tmp_path / f"law_{d}.json"
+        code, _, _ = run(capsys, "synthesize", "--instance", str(inst), "--out", str(law))
+        assert code == 0, d
+        code, outputs[d, "verify"], _ = run(capsys, "verify", "--instance", str(inst), "--controller", str(law))
+        assert code == 0, d
+        outputs[d, "law"] = law.read_text()
+    for command in ("analyze", "oracle-check"):
+        assert outputs[10**18, command] == outputs[3, command]
+    assert outputs[10**18, "law"] == outputs[None, "law"]
+    assert report(outputs[10**18, "verify"])["terminal_deviation"] == report(outputs[None, "verify"])["terminal_deviation"]

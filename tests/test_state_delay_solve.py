@@ -6,7 +6,10 @@ every node value as one unknown of a dense linear system, and the bracket
 iteration on its own. The elimination reorders the same arithmetic, so
 the solve must agree within a relative rounding tolerance fixed here;
 the P-sequence must agree to 1e-14. ``node_residual`` checks the delayed
-backward equation itself at every node, independently of both.
+backward equation itself at every node, independently of both. The
+banded lag gains, kept only for the lags that act, must equal the dense
+elimination of ``crosschecks`` bit for bit, which must be exactly zero
+on every other lag.
 """
 import numpy as np
 import pytest
@@ -27,7 +30,8 @@ from stochctrl import (
 )
 from stochctrl.cli import main
 from stochctrl.errors import DimensionMismatch, StageMismatch
-from stochctrl.pathspace import _check_input, _solution, _terminal_array
+from stochctrl.pathspace import _acting_lags, _check_input, _solution, _state_delay_gains, _terminal_array
+from crosschecks import dense_state_delay_gains
 
 P_RCOND = 1e-12
 RTOL = 1e-12
@@ -134,6 +138,36 @@ def test_elimination_matches_dense_solve(law, n, d):
             assert np.abs(sol.x.at(k) - ref.x.at(k)).max() <= RTOL * scale, (N, k)
             assert np.abs(sol.z.at(k) - ref.z.at(k)).max() <= RTOL * scale, (N, k)
         assert node_residual(tree, form, d, sol, v) <= RTOL, N
+
+
+def test_acting_lags_match_their_definition():
+    for N in range(7):
+        for k in range(N + 1):
+            for lag in range(9):
+                states, inputs = _acting_lags(N, k, lag, 0)[0], _acting_lags(N, k, 0, lag)[1]
+                assert list(states) == [j for j in range(1, 9) if j <= min(lag, k) and k - j + lag <= N]
+                assert list(inputs) == [i for i in range(1, 9) if i <= lag and k - i + lag <= N]
+                assert _acting_lags(N, k, lag, lag) == (states, inputs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_banded_lag_gains_equal_the_dense_elimination(law, d):
+    rng = np.random.default_rng([d, len(LAWS[law].support)])
+    for n in (1, 2, 3):
+        form = TransformedSystem.build(random_system(rng, n, n + 1, noise=LAWS[law], d=d)).form
+        for N in range(2, 10):
+            P, Q = _state_delay_gains(form, N)
+            P_ref, Q_ref = dense_state_delay_gains(form, N)
+            for k in range(N + 1):
+                assert np.array_equal(P[k], P_ref[k]), (n, N, k)
+                band = _acting_lags(N, k, d, 0)[0]
+                assert list(Q[k]) == list(band), (n, N, k)
+                for j in range(1, min(d, k) + 1):
+                    if j in band:
+                        assert np.array_equal(Q[k][j], Q_ref[k][j - 1]), (n, N, k, j)
+                    else:
+                        assert not Q_ref[k][j - 1].any(), (n, N, k, j)
 
 
 def test_horizon_beyond_the_dense_solve(rng, tmp_path, capsys):
