@@ -20,8 +20,8 @@ terms C^i D1 D1' C^i', i < tau, that :func:`criteria.gramian` adds. A
 delayed state adds the drift C1 x(k - d); the deterministic P(k)
 iteration (:func:`pathspace.state_delay_P`) absorbs that coupling and
 the Gramian weaves P(k) between the random stage factors, as the
-sequence's pivots P(j) = P(N - j). The same P(k) pivot the elimination
-that solves the delayed backward equation
+sequence's pivots P(j) = P(N - j). The same P(k) are the pivots of the
+elimination that solves the delayed backward equation
 (:func:`pathspace.backward_solve_state_delay`, which
 :func:`pathspace.backward_solve` hands a form with C1). P(k) depends on
 the horizon only through N - k, so one P-sequence serves every horizon

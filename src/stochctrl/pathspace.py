@@ -8,7 +8,10 @@ nothing here samples.
 
 Stage-k values that are measurable with respect to the noise up to stage
 k-1 live at depth k. An :class:`AdaptedProcess` stores each stage at its
-coarsest measurable depth and never replicates values per leaf.
+coarsest measurable depth and never replicates values per leaf. Each
+per-level kernel is one matmul of the level, a row per node (s n wide),
+against a stacked per-atom map: [(A + w_j Abar)']_j in :func:`plant_step`,
+[p_j C(j)']_j in :func:`_stage_step`, kron(weights, I_n) in :func:`_level_mean`.
 
 :func:`path_products` is the one place per-history products of the
 random factors C + w Cbar are built, with the state-delay pivots of
@@ -54,14 +57,14 @@ class PathTree:
                 raise EnumerationTooLarge(f"{self.s}^{self.horizon + 1} leaves exceed cap {cap}")
         self.support = np.asarray(noise.support, dtype=float)
         self.probs = np.asarray(noise.probs, dtype=float)
-        self._node_probs = [np.array([1.0])]
-        for _ in range(self.horizon + 1):
-            self._node_probs.append(np.kron(self._node_probs[-1], self.probs))
+        self._node_probs = [np.array([1.0])]  # extended on first use
 
     def n_nodes(self, depth: int) -> int:
         return self.s**depth
 
     def node_probs(self, depth: int) -> np.ndarray:
+        while len(self._node_probs) <= depth:
+            self._node_probs.append(np.kron(self._node_probs[-1], self.probs))
         return self._node_probs[depth]
 
     def histories(self, depth: int):
@@ -246,29 +249,36 @@ def backward_solve(
     """
     if form.C1 is not None:
         return backward_solve_state_delay(tree, form, terminal, v)
-    cmats = form.stage_factors(tree.support)
+    W = _stage_map(tree, form)
     x_vals = {tree.horizon + 1: _terminal_array(tree, form.n, terminal)}
     for k in range(tree.horizon, -1, -1):
-        x_vals[k] = _stage_step(tree, form, cmats, x_vals[k + 1], v, k)
+        x_vals[k] = _stage_step(tree, form, W, x_vals[k + 1], v, k)
     return _solution(tree, x_vals)
 
 
-def _stage_step(tree: PathTree, form: BsdeForm, cmats, x_next: np.ndarray, v, k: int) -> np.ndarray:
-    """E[C(k) x(k+1) | past] + D v(k), at depth k; no v is zero free input."""
-    xk = np.einsum("j,jab,hjb->ha", tree.probs, cmats, x_next.reshape(-1, tree.s, form.n))
+def _stage_map(tree: PathTree, form: BsdeForm) -> np.ndarray:
+    """The per-atom map W = [p_0 C(0)'; ...; p_(s-1) C(s-1)'] of shape (s n, n)."""
+    return (tree.probs[:, None, None] * form.stage_factors(tree.support).transpose(0, 2, 1)).reshape(-1, form.n)
+
+
+def _stage_step(tree: PathTree, form: BsdeForm, W: np.ndarray, x_next: np.ndarray, v, k: int) -> np.ndarray:
+    """E[C(k) x(k+1) | past] + D v(k) at depth k: x(k+1) times W (:func:`_stage_map`); no v means v = 0."""
+    xk = x_next.reshape(-1, tree.s * form.n) @ W
     if v is not None:
-        xk = xk + _check_input(tree, v, k, form.m_free, "v") @ form.D.T
+        xk += _check_input(tree, v, k, form.m_free, "v") @ form.D.T
     return xk
+
+
+def _level_mean(tree: PathTree, x_next: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] x(child j) at each parent node: the level times kron(weights, I_n)."""
+    n = x_next.shape[1]
+    return x_next.reshape(-1, tree.s * n) @ np.kron(weights[:, None], np.eye(n))
 
 
 def _solution(tree: PathTree, x_vals: dict[int, np.ndarray]) -> BsdeSolution:
     """Pair node states x(0..N+1) with z(k) = E[w(k) x(k+1) | past], stage k at depth k."""
     wprobs = tree.probs * tree.support
-    n = x_vals[tree.horizon + 1].shape[1]
-    z_vals = {
-        k: np.einsum("j,hjb->hb", wprobs, x_vals[k + 1].reshape(-1, tree.s, n))
-        for k in range(tree.horizon + 1)
-    }
+    z_vals = {k: _level_mean(tree, x_vals[k + 1], wprobs) for k in range(tree.horizon + 1)}
     return BsdeSolution(
         tree,
         AdaptedProcess(tree, x_vals, {k: k for k in x_vals}),
@@ -342,10 +352,10 @@ def backward_solve_state_delay(
         raise DimensionMismatch("form has no delayed state channel C1")
     N = tree.horizon
     P, Q = _state_delay_gains(form, N)
-    cmats = form.stage_factors(tree.support)
+    W = _stage_map(tree, form)
     x_vals = {N + 1: _terminal_array(tree, form.n, terminal)}
     for k in range(N, -1, -1):
-        x_vals[k] = _stage_step(tree, form, cmats, x_vals[k + 1], v, k) @ P[k].T
+        x_vals[k] = _stage_step(tree, form, W, x_vals[k + 1], v, k) @ P[k].T
     for k in range(1, N + 1):
         for j, Qj in Q[k].items():
             x_vals[k] += tree.lift(x_vals[k - j], k - j, k) @ Qj.T
@@ -354,13 +364,14 @@ def backward_solve_state_delay(
 
 def representation_residual(sol: BsdeSolution) -> dict[int, float]:
     """Max node residual of x(k+1) = E[x(k+1) | past] + w(k) z(k), per stage."""
-    tree = sol.tree
+    tree, n = sol.tree, sol.x.dim
+    every_child, by_atom = np.tile(np.eye(n), tree.s), np.kron(tree.support, np.eye(n))
     out = {}
     for k in range(tree.horizon + 1):
-        xk1 = sol.x.at(k + 1).reshape(-1, tree.s, sol.x.dim)
-        xbar = np.einsum("j,hjb->hb", tree.probs, xk1)
-        pred = xbar[:, None, :] + tree.support[None, :, None] * sol.z.at(k)[:, None, :]
-        out[k] = float(np.abs(xk1 - pred).max()) if xk1.size else 0.0
+        xk1 = sol.x.at(k + 1)
+        resid = xk1.reshape(-1, tree.s * n) - _level_mean(tree, xk1, tree.probs) @ every_child
+        resid -= sol.z.at(k) @ by_atom
+        out[k] = float(np.abs(resid).max()) if resid.size else 0.0
     return out
 
 
@@ -446,16 +457,15 @@ def forward_simulate(
 def plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk: np.ndarray, u1k=None) -> np.ndarray:
     """x(k+1) from the states ``xs`` up to stage k, u(k) and u1(k - tau), at depth k + 1.
 
+    Child j of a node is x(k) (A + w_j Abar)' + u(k) (B + w_j Bbar)' + u1 B1' + x(k-d) A1',
+    one matmul per input against its per-atom map, n columns per atom (s copies of B1' or A1').
     ``u1k`` is the delayed input entering at stage k, already at depth k.
-    Every route's closed loop takes this step too, so its table replays exactly.
+    Every route's closed loop takes this step too, so its law replays bit for bit.
     """
-    xk = xs[k]
-    drift = xk @ spec.A.T + uk @ spec.B.T
+    out = xs[k] @ np.hstack([(spec.A + w * spec.Abar).T for w in tree.support])
+    out += uk @ np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support])
     if u1k is not None:
-        drift = drift + u1k @ spec.B1.T
+        out += u1k @ np.tile(spec.B1.T, tree.s)
     if spec.A1 is not None and k - spec.d >= 0:
-        xkd = tree.lift(xs[k - spec.d], k - spec.d, k)
-        drift = drift + xkd @ spec.A1.T
-    diffusion = xk @ spec.Abar.T + uk @ spec.Bbar.T
-    step = drift[:, None, :] + tree.support[None, :, None] * diffusion[:, None, :]
-    return step.reshape(-1, spec.n)
+        out += tree.lift(xs[k - spec.d], k - spec.d, k) @ np.tile(spec.A1.T, tree.s)
+    return out.reshape(-1, spec.n)

@@ -226,7 +226,7 @@ def feedback_loop(
     xs, u_vals = {0: np.asarray(x0, dtype=float)[None, :].copy()}, {}
     u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
     for k, Lk in enumerate(law.L):
-        v = _regressor(tree, spec, N, k, xs, u1s) @ Lk.T + law.c.at_depth(k, k)
+        v = _regressor(tree, spec, N, k, xs, u1s) @ Lk.T + law.c.at(k)  # one row broadcasts
         u_vals[k] = np.ascontiguousarray(v[:, :m]) if tau else v  # laid out as a table reads back
         if tau and k <= N - tau:
             u1s[k] = np.ascontiguousarray(v[:, m:])

@@ -10,7 +10,10 @@ expanded tail sum on the tree, against the feedback law's q, which
 itself, by the rank of the map from adapted inputs to terminal leaves.
 ``dense_state_delay_gains`` is the state-delay elimination that keeps
 all d lag gains Q_j(k) at every stage, against which the package's
-banded gains are checked.
+banded gains are checked. ``broadcast_plant_step``, ``einsum_stage_mean``,
+``einsum_z`` and ``einsum_representation_residual`` are the tree kernels
+written as broadcasts and einsums over each node's s children, against
+which ``pathspace``'s per-atom matmuls are checked.
 """
 import itertools
 
@@ -181,3 +184,41 @@ def dense_state_delay_gains(form, N: int):
         PC = P[k] @ form.C
         Q[k] = [PC @ Qj for Qj in Q[k + 1][1:]] + [P[k] @ form.C1]
     return P, Q
+
+
+def broadcast_plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk, u1k=None) -> np.ndarray:
+    """``pathspace.plant_step`` as drift + w diffusion, broadcast over the s children of every node."""
+    xk = xs[k]
+    drift = xk @ spec.A.T + uk @ spec.B.T
+    if u1k is not None:
+        drift = drift + u1k @ spec.B1.T
+    if spec.A1 is not None and k - spec.d >= 0:
+        xkd = tree.lift(xs[k - spec.d], k - spec.d, k)
+        drift = drift + xkd @ spec.A1.T
+    diffusion = xk @ spec.Abar.T + uk @ spec.Bbar.T
+    step = drift[:, None, :] + tree.support[None, :, None] * diffusion[:, None, :]
+    return step.reshape(-1, spec.n)
+
+
+def einsum_stage_mean(tree: PathTree, form, x_next: np.ndarray) -> np.ndarray:
+    """E[C(k) x(k+1) | past] from the depth-(k+1) values, one einsum over the children."""
+    cmats = form.stage_factors(tree.support)
+    return np.einsum("j,jab,hjb->ha", tree.probs, cmats, x_next.reshape(-1, tree.s, form.n))
+
+
+def einsum_z(tree: PathTree, x_next: np.ndarray) -> np.ndarray:
+    """z(k) = E[w(k) x(k+1) | past] from the depth-(k+1) values, one einsum over the children."""
+    children = x_next.reshape(-1, tree.s, x_next.shape[1])
+    return np.einsum("j,hjb->hb", tree.probs * tree.support, children)
+
+
+def einsum_representation_residual(sol) -> dict[int, float]:
+    """``pathspace.representation_residual`` with an einsum mean and a broadcast prediction."""
+    tree = sol.tree
+    out = {}
+    for k in range(tree.horizon + 1):
+        xk1 = sol.x.at(k + 1).reshape(-1, tree.s, sol.x.dim)
+        xbar = np.einsum("j,hjb->hb", tree.probs, xk1)
+        pred = xbar[:, None, :] + tree.support[None, :, None] * sol.z.at(k)[:, None, :]
+        out[k] = float(np.abs(xk1 - pred).max()) if xk1.size else 0.0
+    return out

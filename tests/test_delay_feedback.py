@@ -29,6 +29,7 @@ from stochctrl.pathspace import (
     AdaptedProcess,
     _check_input,
     _solution,
+    _stage_map,
     _stage_step,
     _terminal_array,
     backward_solve_state_delay,
@@ -86,10 +87,10 @@ def reference_backward_solve(tree, form, terminal, v=None, *, u1=None, tau=None)
         raise StageMismatch("u1 and tau must be supplied together")
     if u1 is not None and form.D1 is None:
         raise DimensionMismatch("form has no delayed input channel D1")
-    cmats = form.stage_factors(tree.support)
+    W = _stage_map(tree, form)
     x_vals = {N + 1: _terminal_array(tree, n, terminal)}
     for k in range(N, -1, -1):
-        xk = _stage_step(tree, form, cmats, x_vals[k + 1], v, k)
+        xk = _stage_step(tree, form, W, x_vals[k + 1], v, k)
         if u1 is not None:
             xk = xk + _check_input(tree, u1, k - tau, form.D1.shape[1], "u1", to_depth=k) @ form.D1.T
         x_vals[k] = xk

@@ -8,24 +8,31 @@ horizons up to 10 (two-point noise) and 6 (three-point noise). Every
 controller, a path target's included, is also a law: written with
 ``law_text``, read back with ``read_feedback_law`` and run with
 ``feedback_loop``, it reproduces the synthesized states bit for bit.
+At the horizons that fill the default cap (two-point N = 19, 2^20
+leaves; three-point N = 11, 3^12) ``synthesize`` and ``verify`` round
+the null law through the CLI, and a constant target is steered onto.
 """
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochctrl import (
     NoiseModel,
     PathTree,
+    ProblemInstance,
     feedback_loop,
     forward_simulate,
     law_text,
     read_controller_table,
     read_feedback_law,
+    serialize_instance,
+    steer_to_target,
     write_controller_csv,
 )
-from stochctrl.cli import ROUTES
+from stochctrl.cli import ROUTES, main
 from stochctrl.errors import SingularGramian
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from test_delay import delayed_attainable_terminal
@@ -84,3 +91,22 @@ def test_written_table_replays_onto_the_target(problem, seed):
     for k in range(N + 2):
         assert np.array_equal(x.at(k), ctrl.x.at(k))
 
+
+@pytest.mark.parametrize("noise, N", [(NoiseModel.rademacher(), 19), (NoiseModel.symmetric_three_point(), 11)])
+def test_cap_horizon_round_trips_through_the_cli(tmp_path, capsys, noise, N):
+    rng = np.random.default_rng(0)
+    ts = random_controllable(rng, 3, 4, N, noise=noise)
+    x0 = random_x0(rng, 3)
+    inst, law = tmp_path / "instance.json", tmp_path / "law.json"
+    inst.write_text(serialize_instance(ProblemInstance(ts.spec, N, x0=x0)))
+    reports = []
+    for argv in (["synthesize", "--out", str(law)], ["verify", "--controller", str(law)]):
+        assert main([*argv, "--instance", str(inst)]) == 0
+        reports.append(dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()))
+    assert reports[0]["paths"] == str(len(noise.support) ** (N + 1))
+    assert reports[0]["terminal_deviation"] == reports[1]["terminal_deviation"]
+    assert float(reports[0]["terminal_deviation"]) <= 1e-10 * max(1.0, float(np.abs(x0).max()))
+
+    target = rng.normal(size=3)
+    final = steer_to_target(ts, PathTree(noise, N), x0, target).x.at(N + 1)
+    assert np.abs(final - target).max() <= 1e-10 * max(1.0, float(np.abs(x0).max()), float(np.abs(target).max()))
