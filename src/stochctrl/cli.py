@@ -297,13 +297,16 @@ def cmd_oracle_check(args) -> int:
     literal = ROUTES[route].oracle(form, N, inst.system.noise, args.cap)
     closed = gramian(form, N)
     error = float(np.linalg.norm(closed - literal))
-    ok = error <= args.tol
+    # Rounding grows with the Gramian, so the tolerance is relative to its norm (at least 1).
+    scale = max(1.0, float(np.linalg.norm(closed)))
+    ok = error <= args.tol * scale
     pairs = [
         ("command", "oracle-check"),
         ("kind", route),
         ("N", N),
         ("frobenius_error", error),
         ("tolerance", args.tol),
+        ("scale", scale),
         ("verdict", "ok" if ok else "mismatch"),
     ]
     pairs += list(_matrix_pairs("gramian", closed))

@@ -18,7 +18,13 @@ horizon-N Gramian, :func:`decide_form` every route's scan (with the rank
 test where no delay channel makes it inapplicable), and every
 controller's gains read the sequence. :func:`gramian_oracle`, every
 route's independent check, recomputes each term literally over all noise
-paths from the products of :func:`pathspace.path_products`.
+paths from the products of :func:`pathspace.path_products`: level i
+adds sum_h p_h (Pi_h D)(Pi_h D)' by one weighted Gram matmul
+(:func:`pathspace.weighted_gram`), and a delayed input adds the same
+Gram of each prefix's mean product, averaged over its continuations
+(:func:`pathspace.prefix_means`), times D1. oracle-check accepts the
+two Gramians when their Frobenius distance is within its tolerance
+times max(1, ||G_N||_F).
 
 The rank test spans {W D : W a word over {C, Cbar}}. Reachability of the
 whole state space by some horizon is equivalent to that span being full,
@@ -32,7 +38,7 @@ import numpy as np
 
 from .errors import CriteriaDisagreement, NonFiniteGramian
 from .model import NoiseModel, SystemSpec, ValidatedSystem
-from .pathspace import DEFAULT_CAP, PathTree, path_products, state_delay_P, weighted_gram
+from .pathspace import DEFAULT_CAP, PathTree, path_products, prefix_means, state_delay_P, weighted_gram
 from .transform import BsdeForm, TransformedSystem
 
 
@@ -105,15 +111,13 @@ def gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int = DEFAULT
 def _gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int) -> np.ndarray:
     """:func:`gramian_oracle`'s body, which ``delay``'s named oracles call too (a traced name would nest)."""
     tree = PathTree(noise, N, cap)
-    n, s = form.n, tree.s
-    G = np.zeros((n, n))
+    G = np.zeros((form.n, form.n))
     for i, prods in enumerate(path_products(form, tree.support, N)):
-        G += weighted_gram(tree.node_probs(i), prods @ form.D)
+        G += weighted_gram(tree.node_probs(i), prods, form.D)
         if form.D1 is not None:
             depth = max(0, i - form.tau)
-            tails = prods.reshape(s**depth, s ** (i - depth), n, n)
-            Phi = np.einsum("htab,t->hab", tails, tree.node_probs(i - depth))
-            G += weighted_gram(tree.node_probs(depth), Phi @ form.D1)
+            Phi = prefix_means(prods, tree.node_probs(i - depth))
+            G += weighted_gram(tree.node_probs(depth), Phi, form.D1)
     return G
 
 

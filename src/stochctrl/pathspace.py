@@ -17,7 +17,13 @@ against a stacked per-atom map: [(A + w_j Abar)']_j in :func:`plant_step`,
 random factors C + w Cbar are built, with the state-delay pivots of
 :func:`state_delay_P` woven in when the form has a delayed state: the
 terminal-product formula and every enumeration oracle take their
-products from it. :func:`backward_solve` hands a form with a delayed
+products from it. The enumeration kernels are matmuls too, run in row
+blocks of ``BLOCK_ENTRIES`` entries so that no temporary grows with the
+level: a level's (s^k n, n) rows times [C(j) P(k+1)]_j in
+:func:`path_products`, one probability-weighted Gram matmul in
+:func:`weighted_gram`, and :func:`prefix_means`' average over each
+prefix's continuations. Node probabilities are outer products, level
+by level. :func:`backward_solve` hands a form with a delayed
 state to :func:`backward_solve_state_delay`, so :func:`member_of_S`
 serves every full-state route.
 """
@@ -41,6 +47,9 @@ from .transform import BsdeForm
 
 DEFAULT_CAP = 2**20
 P_RCOND = 1e-12
+# Entries of a level a kernel processes per row block: temporaries stay
+# a few hundred KB however wide the level, so peak memory is the levels.
+BLOCK_ENTRIES = 2**15
 
 
 class PathTree:
@@ -64,7 +73,7 @@ class PathTree:
 
     def node_probs(self, depth: int) -> np.ndarray:
         while len(self._node_probs) <= depth:
-            self._node_probs.append(np.kron(self._node_probs[-1], self.probs))
+            self._node_probs.append(np.outer(self._node_probs[-1], self.probs).ravel())
         return self._node_probs[depth]
 
     def histories(self, depth: int):
@@ -153,8 +162,11 @@ def path_products(form: BsdeForm, support, depth: int):
     Level k has shape (s^k, n, n) with rows in node-index order; level 0
     is the identity. A form with a delayed state weaves in the pivots
     P(0..depth) of :func:`state_delay_P` at horizon ``depth``: the products
-    are P(0) C(0) P(1) ... C(k-1) P(k) instead. Only two levels are alive
-    at a time; take ``list`` of the result to keep them all.
+    are P(0) C(0) P(1) ... C(k-1) P(k) instead. Level k + 1 is level k's
+    (s^k n, n) rows times the per-atom map [C(j) P(k+1)]_j, one matmul per
+    row block, each block's columns regrouped child by child into node
+    order. Only two levels are alive at a time; take ``list`` of the
+    result to keep them all.
     """
     n = form.n
     cmats = form.stage_factors(support)
@@ -162,15 +174,58 @@ def path_products(form: BsdeForm, support, depth: int):
     prods = (np.eye(n) if P is None else P[0])[None, :, :]
     yield prods
     for k in range(depth):
-        prods = np.einsum("hab,jbc->hjac", prods, cmats).reshape(-1, n, n)
-        if P is not None:
-            prods = prods @ P[k + 1]
+        prods = _children(prods, cmats if P is None else cmats @ P[k + 1])
         yield prods
 
 
-def weighted_gram(probs: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """sum_h probs[h] cols[h] cols[h]' over a stack of (rows x k) blocks."""
-    return np.einsum("h,hab,hcb->ac", probs, cols, cols)
+def _children(prods: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Product h times factor j at row h s + j: the (h n, n) rows times [F_0, ..., F_(s-1)],
+    one matmul per row block, each row's s column blocks regrouped into its children.
+
+    A function of its own so that its views of the old level die on return:
+    :func:`path_products` then holds two levels, not three, while it builds the next.
+    """
+    s, n = len(factors), prods.shape[1]
+    step = factors.transpose(1, 0, 2).reshape(n, s * n)
+    children = np.empty((len(prods) * s, n, n))
+    rows = max(1, BLOCK_ENTRIES // max(1, s * n * n))
+    for h in range(0, len(prods), rows):
+        block = prods[h : h + rows].reshape(-1, n) @ step
+        children[h * s : (h + rows) * s].reshape(-1, s, n, n)[...] = block.reshape(-1, n, s, n).transpose(0, 2, 1, 3)
+    return children
+
+
+def weighted_gram(probs: np.ndarray, prods: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_h probs[h] X_h X_h' with X_h = prods[h] right, over a stack of (r x n) blocks.
+
+    Per row block, the rows X_h flattened to r k entries meet in one
+    probability-weighted Gram matmul; the (r k)^2 result's trace over the
+    k columns of ``right`` is the r x r Gram.
+    """
+    H, r, n = prods.shape
+    k = right.shape[1]
+    rows = max(1, BLOCK_ENTRIES // max(1, r * n, r * k))
+    gram = 0.0
+    for h in range(0, H, rows):
+        block = prods[h : h + rows]
+        X = (block.reshape(-1, n) @ right).reshape(len(block), r * k)
+        gram = gram + (X.T * probs[h : h + rows]) @ X
+    return gram.reshape(r, k, r, k).trace(axis1=1, axis2=3)
+
+
+def prefix_means(stack: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """sum_t probs[t] stack[h T + t] for each prefix h, T = len(probs): the mean over its T continuations.
+
+    Few prefixes take one matrix-vector product each; many have few
+    continuations, averaged for all of them by one matmul against kron(probs, I).
+    """
+    T, width = len(probs), stack[0].size
+    tails = stack.reshape(len(stack) // T, T, width)
+    if len(tails) <= T:
+        mean = probs @ tails
+    else:
+        mean = tails.reshape(len(tails), T * width) @ (probs[:, None, None] * np.eye(width)).reshape(T * width, width)
+    return mean.reshape(-1, *stack.shape[1:])
 
 
 def _check_input(tree, proc, stage, want_dim, what, to_depth=None) -> np.ndarray:
@@ -378,8 +433,7 @@ def representation_residual(sol: BsdeSolution) -> dict[int, float]:
 def expected_terminal_product(tree: PathTree, form: BsdeForm, terminal: np.ndarray) -> np.ndarray:
     """E[C(0) C(1) ... C(N) xi] by direct path enumeration."""
     *_, prods = path_products(form, tree.support, tree.horizon + 1)
-    leaf_p = tree.node_probs(tree.horizon + 1)
-    return np.einsum("h,hab,hb->a", leaf_p, prods, terminal)
+    return tree.node_probs(tree.horizon + 1) @ (prods * terminal[:, None, :]).sum(axis=2)
 
 
 @dataclass(eq=False)

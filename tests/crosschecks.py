@@ -13,7 +13,10 @@ all d lag gains Q_j(k) at every stage, against which the package's
 banded gains are checked. ``broadcast_plant_step``, ``einsum_stage_mean``,
 ``einsum_z`` and ``einsum_representation_residual`` are the tree kernels
 written as broadcasts and einsums over each node's s children, against
-which ``pathspace``'s per-atom matmuls are checked.
+which ``pathspace``'s per-atom matmuls are checked. ``einsum_children``,
+``einsum_weighted_gram``, ``einsum_prefix_means``,
+``einsum_terminal_product`` and ``kron_node_probs`` are the enumeration
+oracle's kernels in the same einsum and Kronecker forms.
 """
 import itertools
 
@@ -222,3 +225,34 @@ def einsum_representation_residual(sol) -> dict[int, float]:
         pred = xbar[:, None, :] + tree.support[None, :, None] * sol.z.at(k)[:, None, :]
         out[k] = float(np.abs(xk1 - pred).max()) if xk1.size else 0.0
     return out
+
+
+def kron_node_probs(tree: PathTree, depth: int) -> np.ndarray:
+    """Depth-``depth`` node probabilities as the Kronecker power of the law's probabilities."""
+    probs = np.array([1.0])
+    for _ in range(depth):
+        probs = np.kron(probs, tree.probs)
+    return probs
+
+
+def einsum_children(prods: np.ndarray, cmats: np.ndarray, pivot=None) -> np.ndarray:
+    """The next level of ``pathspace.path_products``: each product times each C(j), then the pivot."""
+    n = prods.shape[1]
+    children = np.einsum("hab,jbc->hjac", prods, cmats).reshape(-1, n, n)
+    return children if pivot is None else children @ pivot
+
+
+def einsum_weighted_gram(probs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum_h probs[h] cols[h] cols[h]' in one einsum."""
+    return np.einsum("h,hab,hcb->ac", probs, cols, cols)
+
+
+def einsum_prefix_means(stack: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The mean of each prefix's len(probs) continuations in one einsum."""
+    tails = stack.reshape(len(stack) // len(probs), len(probs), *stack.shape[1:])
+    return np.einsum("htab,t->hab", tails, probs)
+
+
+def einsum_terminal_product(leaf_probs: np.ndarray, prods: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+    """E[C(0) ... C(N) xi] from the leaf products in one einsum."""
+    return np.einsum("h,hab,hb->a", leaf_probs, prods, terminal)

@@ -4,8 +4,21 @@ import json
 import numpy as np
 import pytest
 
-from stochctrl import PathTree, TransformedSystem, parse_instance_file, validate, write_controller_csv
+from stochctrl import (
+    NoiseModel,
+    PathTree,
+    ProblemInstance,
+    SystemSpec,
+    TransformedSystem,
+    gramian,
+    gramian_oracle,
+    parse_instance_file,
+    serialize_instance,
+    validate,
+    write_controller_csv,
+)
 from stochctrl.cli import ROUTES, _route, main
+from stochctrl.sampling import random_controllable
 from conftest import INSTANCE_DIR
 
 FULL = str(INSTANCE_DIR / "fullrank_2x3.json")
@@ -272,6 +285,66 @@ def test_oracle_check_all_instances(capsys):
         code, out, _ = run(capsys, "oracle-check", "--instance", inst)
         assert code == 0, inst
         assert as_dict(out)["verdict"] == "ok"
+
+
+def halved_full_deep_draw(tmp_path):
+    """A draw whose Gramian at N = 12 has Frobenius norm 1.2e6: full_deep's seed-1 system, A and Abar halved."""
+    spec = random_controllable(np.random.default_rng([1, 0]), 3, 4, 17).spec
+    half = SystemSpec(A=spec.A / 2, B=spec.B, Abar=spec.Abar / 2, Bbar=spec.Bbar)
+    inst = tmp_path / "halved.json"
+    inst.write_text(serialize_instance(ProblemInstance(half, 12)))
+    return inst
+
+
+def test_oracle_check_tolerance_scales_with_the_gramian(capsys, tmp_path):
+    # Rounding alone puts the two Gramians about 1.4e-9 apart, over the absolute 1e-9.
+    inst = halved_full_deep_draw(tmp_path)
+    code, out, _ = run(capsys, "oracle-check", "--instance", str(inst))
+    got = as_dict(out)
+    assert code == 0 and got["verdict"] == "ok"
+    keys = list(got)
+    assert keys[keys.index("tolerance") + 1] == "scale"
+    vs = validate(parse_instance_file(inst).system)
+    scale = float(np.linalg.norm(gramian(ROUTES["full"].form(vs), 12)))
+    assert float(got["scale"]) == scale > 1e6
+    assert 1e-9 < float(got["frobenius_error"]) <= 1e-9 * scale
+
+
+def test_oracle_check_scale_still_catches_a_wrong_oracle(capsys, tmp_path, monkeypatch):
+    import stochctrl.cli as cli
+
+    def perturbed(form, N, noise, cap):
+        return gramian_oracle(form, N, noise, cap=cap) * (1 + 1e-6)
+
+    monkeypatch.setattr(cli, "gramian_oracle", perturbed)
+    code, out, _ = run(capsys, "oracle-check", "--instance", str(halved_full_deep_draw(tmp_path)))
+    assert code == 1 and as_dict(out)["verdict"] == "mismatch"
+
+
+def test_oracle_check_scale_is_at_least_one(capsys, tmp_path):
+    # Halving the free input column halves D, so G_0 = D D' has norm 1/4.
+    doc = json.loads((INSTANCE_DIR / "uncontrollable_2x3.json").read_text())
+    for row in doc["B"]:
+        row[2] /= 2
+    inst = tmp_path / "small.json"
+    inst.write_text(json.dumps(doc))
+    vs = validate(parse_instance_file(inst).system)
+    assert np.linalg.norm(gramian(ROUTES[_route(vs)].form(vs), 0)) == 0.25
+    code, out, _ = run(capsys, "oracle-check", "--instance", str(inst), "--N", "0")
+    assert code == 0 and as_dict(out)["scale"] == "1"
+
+
+@pytest.mark.parametrize("noise, N", [(NoiseModel.rademacher(), 19), (NoiseModel.symmetric_three_point(), 11)])
+@pytest.mark.parametrize("route, lag", [("full", {}), ("input-delay", {"tau": 1}), ("state-delay", {"d": 1})])
+def test_oracle_check_at_the_cap(capsys, tmp_path, noise, N, route, lag):
+    ts = random_controllable(np.random.default_rng(0), 3, 4, N, noise=noise, **lag)
+    inst = tmp_path / "instance.json"
+    inst.write_text(serialize_instance(ProblemInstance(ts.spec, N)))
+    code, out, _ = run(capsys, "oracle-check", "--instance", str(inst))
+    got = as_dict(out)
+    assert code == 0
+    assert (got["kind"], got["N"], got["verdict"]) == (route, str(N), "ok")
+    assert len(noise.support) ** (N + 1) <= 2**20 < len(noise.support) ** (N + 2)
 
 
 def test_oracle_check_respects_cap(capsys, tmp_path):
