@@ -228,7 +228,10 @@ def _steering_setup(args, what: str):
 def _deviation(tree: PathTree, xs, target) -> float:
     """Worst terminal gap from the target leaves (the origin when None)."""
     final = xs.at(tree.horizon + 1)
-    return float(np.abs(final if target is None else final - target).max())
+    if target is not None:
+        return float(np.abs(final - target).max())
+    # max |x| without a leaf-sized |x| copy; abs clears the sign of a -0.0 or NaN, as np.abs would.
+    return float(abs(np.maximum(final.max(), -final.min())))
 
 
 def cmd_synthesize(args) -> int:

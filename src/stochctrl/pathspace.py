@@ -12,6 +12,10 @@ coarsest measurable depth and never replicates values per leaf. Each
 per-level kernel is one matmul of the level, a row per node (s n wide),
 against a stacked per-atom map: [(A + w_j Abar)']_j in :func:`plant_step`,
 [p_j C(j)']_j in :func:`_stage_step`, kron(weights, I_n) in :func:`_level_mean`.
+A value stored at a coarser depth than the level it acts on, such as a
+delayed input or a lagged state in :func:`plant_step`, is multiplied at
+its own depth and the product added to every descendant through a
+reshaped view (:func:`_add_product`), never replicated per node.
 
 :func:`path_products` is the one place per-history products of the
 random factors C + w Cbar are built, with the state-delay pivots of
@@ -229,10 +233,11 @@ def prefix_means(stack: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def _check_input(tree, proc, stage, want_dim, what, to_depth=None) -> np.ndarray:
-    """Fetch an adapted input, policing measurability, lifted to a node array.
+    """Fetch an adapted input, policing measurability, at its own depth or lifted to ``to_depth``.
 
-    ``to_depth`` is the depth of the stage consuming the value; a delayed
-    input is decided at an earlier stage but enters the dynamics later.
+    A delayed input is decided at ``stage`` but enters the dynamics later.
+    The kernels take it at its own depth and add it to every descendant
+    (:func:`_add_product`).
     """
     if proc is None:
         raise StageMismatch(f"{what} is required but missing")
@@ -245,7 +250,7 @@ def _check_input(tree, proc, stage, want_dim, what, to_depth=None) -> np.ndarray
     arr = proc.at(stage)
     if arr.shape[1] != want_dim:
         raise DimensionMismatch(f"{what} has dimension {arr.shape[1]}, expected {want_dim}")
-    return tree.lift(arr, depth, cap if to_depth is None else to_depth)
+    return arr if to_depth is None else tree.lift(arr, depth, to_depth)
 
 
 def _terminal_array(tree: PathTree, n: int, terminal) -> np.ndarray:
@@ -320,7 +325,7 @@ def _stage_step(tree: PathTree, form: BsdeForm, W: np.ndarray, x_next: np.ndarra
     """E[C(k) x(k+1) | past] + D v(k) at depth k: x(k+1) times W (:func:`_stage_map`); no v means v = 0."""
     xk = x_next.reshape(-1, tree.s * form.n) @ W
     if v is not None:
-        xk += _check_input(tree, v, k, form.m_free, "v") @ form.D.T
+        _add_product(xk, _check_input(tree, v, k, form.m_free, "v"), form.D.T)
     return xk
 
 
@@ -501,25 +506,41 @@ def forward_simulate(
     xs = {0: x0[None, :].copy()}
     for k in range(N + 1):
         uk = _check_input(tree, u, k, spec.m, "u")
-        u1k = None if spec.B1 is None else _check_input(
-            tree, u1, k - spec.tau, spec.B1.shape[1], "u1", to_depth=k
-        )
+        u1k = None if spec.B1 is None else _check_input(tree, u1, k - spec.tau, spec.B1.shape[1], "u1")
         xs[k + 1] = plant_step(tree, spec, xs, k, uk, u1k)
     return AdaptedProcess(tree, xs, {k: k for k in range(N + 2)})
 
 
-def plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk: np.ndarray, u1k=None) -> np.ndarray:
+def plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk: np.ndarray, u1k=None, work=None) -> np.ndarray:
     """x(k+1) from the states ``xs`` up to stage k, u(k) and u1(k - tau), at depth k + 1.
 
     Child j of a node is x(k) (A + w_j Abar)' + u(k) (B + w_j Bbar)' + u1 B1' + x(k-d) A1',
     one matmul per input against its per-atom map, n columns per atom (s copies of B1' or A1').
-    ``u1k`` is the delayed input entering at stage k, already at depth k.
-    Every route's closed loop takes this step too, so its law replays bit for bit.
+    Each input term is formed at the input's own depth (u(k) at depth <= k,
+    u1(k - tau) and x(k - d) at theirs) and added to every descendant
+    (:func:`_add_product`), in ``work`` when given: a flat scratch array of
+    at least s^k s n entries, so that the one array allocated is the
+    returned level.
+    Forward simulation and every route's closed loop take this step, so a
+    law and its table replay bit for bit.
     """
     out = xs[k] @ np.hstack([(spec.A + w * spec.Abar).T for w in tree.support])
-    out += uk @ np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support])
+    _add_product(out, uk, np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support]), work)
     if u1k is not None:
-        out += u1k @ np.tile(spec.B1.T, tree.s)
+        _add_product(out, u1k, np.tile(spec.B1.T, tree.s), work)
     if spec.A1 is not None and k - spec.d >= 0:
-        out += tree.lift(xs[k - spec.d], k - spec.d, k) @ np.tile(spec.A1.T, tree.s)
+        _add_product(out, xs[k - spec.d], np.tile(spec.A1.T, tree.s), work)
     return out.reshape(-1, spec.n)
+
+
+def _add_product(out: np.ndarray, values: np.ndarray, coef: np.ndarray, work=None) -> None:
+    """out += values @ coef, ``values`` at a depth at most ``out``'s: each row's product is
+    formed once, in ``work`` (flat, C-contiguous) when given, and added to its descendants'
+    rows of ``out`` through a (rows, descendants, width) view, so no node array is replicated."""
+    rows, width = len(values), coef.shape[1]
+    if work is None:
+        prod = values @ coef
+    else:
+        prod = np.matmul(values, coef, out=work[: rows * width].reshape(rows, width))
+    view = out.reshape(rows, -1, width)
+    view += prod[:, None, :]

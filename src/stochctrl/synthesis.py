@@ -26,9 +26,14 @@ never more than N + 1). With p(k) = (r(k) - r_h(k)) Pi_k', Pi_k = I on
 the full route, L_k = K_k Pi_k - [M_q Abar, 0] (M_q the first n columns
 of M) and c_k = [z_h(k) M_q', 0] - (r_h(k) Pi_k') K_k', each c_k at its
 coarsest depth (one row for the origin and any constant target). The one
-closed loop, :func:`feedback_loop`, steps through
-:func:`pathspace.plant_step`, the step of forward simulation, so a
-replay of the written controller reproduces its states bit for bit.
+closed loop, :func:`feedback_loop`, allocates per level only the state it
+returns (and u1(k) on a delayed input): it evaluates [u(k), u1(k)] into
+one input buffer, multiplies each lag block of L_k at the lag's own depth
+and adds the product to the lag's descendants, and steps through
+:func:`pathspace.plant_step`, the step of forward simulation, with one
+work buffer. The inputs u are not kept; :class:`LawInputs` derives them
+on first access by the loop's own helper, so a replay of the written
+controller, law or table, reproduces its states bit for bit.
 Every controller is written as its law, JSON {"kind": "feedback", "N",
 "L", "c"} plus "u1" on a delayed input, with floats in ``repr`` (exact
 for float64); each c_k is one flat row-major list, of m + m1 numbers
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 from array import array
@@ -54,6 +60,7 @@ from .model import _JSON_NUMBERS, SystemSpec, check_level, path_labels
 from .pathspace import (
     AdaptedProcess,
     PathTree,
+    _add_product,
     member_of_S,
     path_products,
     plant_step,
@@ -95,7 +102,11 @@ class FeedbackLaw:
 
 @dataclass(eq=False)
 class ControllerProcess:
-    """Steering inputs, the law that decides them and the closed-loop states x(0..N+1)."""
+    """Steering inputs, the law that decides them and the closed-loop states x(0..N+1).
+
+    ``u`` is the loop's :class:`LawInputs`, computed on first access (only a
+    table needs it); ``u1`` holds the delayed inputs the loop kept.
+    """
 
     kind: str
     tree: PathTree
@@ -202,7 +213,7 @@ def steer_to_target(
 
 def _regressor(tree: PathTree, spec: SystemSpec, N: int, k: int, xs: dict, u1s: dict) -> np.ndarray:
     """r(k) at depth k: x(k), then the lags x(k-j) and u1(k-i) that act at stage k, in
-    :func:`pathspace._acting_lags`'s order.
+    :func:`pathspace._acting_lags`'s order; :func:`_steer` forms a target's offsets c_k from it.
 
     ``xs`` and ``u1s`` map a stage j to its values at depth max(0, j).
     """
@@ -220,20 +231,73 @@ def feedback_loop(
 
     Returns u (stages 0..N) and x (0..N+1), stage k at depth k, and u1
     (-tau..N-tau, at depth max(0, j); None without a delayed input).
+    Each level allocates only the state it returns, plus u1(k) on a delayed
+    input: [u(k), u1(k)] is evaluated by :func:`_law_inputs` into one input
+    buffer, and the step's products go into one work buffer, both sized
+    once for depth N. u is not kept: :class:`LawInputs` derives it on
+    first access with the same helper, so its bits are the loop's.
     Synthesis and verification both run a law here, bit for bit alike.
     """
-    m, N, tau = spec.m, len(law.L) - 1, spec.tau if spec.B1 is not None else 0
-    xs, u_vals = {0: np.asarray(x0, dtype=float)[None, :].copy()}, {}
+    m, N, s, n = spec.m, len(law.L) - 1, tree.s, spec.n
+    tau = spec.tau if spec.B1 is not None else 0
+    width = len(law.L[0])  # m + m1
+    inputs = np.empty((tree.n_nodes(N), width))
+    # The step's s n wide products, and the lag products at depth <= N - 1 of _law_inputs.
+    work = np.empty(max(tree.n_nodes(N) * s * n, tree.n_nodes(max(0, N - 1)) * width))
+    xs = {0: np.asarray(x0, dtype=float)[None, :].copy()}
     u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
-    for k, Lk in enumerate(law.L):
-        v = _regressor(tree, spec, N, k, xs, u1s) @ Lk.T + law.c.at(k)  # one row broadcasts
-        u_vals[k] = np.ascontiguousarray(v[:, :m]) if tau else v  # laid out as a table reads back
+    for k in range(N + 1):
+        v = _law_inputs(spec, law, k, xs, u1s, inputs[: tree.n_nodes(k)], work)
         if tau and k <= N - tau:
-            u1s[k] = np.ascontiguousarray(v[:, m:])
-        u1k = tree.lift(u1s[k - tau], max(0, k - tau), k) if tau else None
-        xs[k + 1] = plant_step(tree, spec, xs, k, u_vals[k], u1k)
-    u, x = (AdaptedProcess(tree, vals, {k: k for k in vals}) for vals in (u_vals, xs))
-    return u, x, AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None
+            u1s[k] = v[:, m:].copy()
+        xs[k + 1] = plant_step(tree, spec, xs, k, v[:, :m], u1s[k - tau] if tau else None, work)
+    x = AdaptedProcess(tree, xs, {k: k for k in xs})
+    u1 = AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None
+    return LawInputs(tree, spec, law, xs, u1s), x, u1
+
+
+def _law_inputs(spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict, out: np.ndarray, work=None):
+    """[u(k), u1(k)] = r(k) L_k' + c_k into ``out`` (C-contiguous, one row per depth-k node).
+
+    x(k) meets its columns of L_k in one matmul; each lag that acts
+    (:func:`pathspace._acting_lags`), x(k-j) or u1(k-i), meets its block
+    at its own depth, and the product is added to every depth-k
+    descendant (:func:`pathspace._add_product`, in ``work`` when given).
+    Then c_k is added in place. ``xs`` and ``u1s`` map a stage j to its
+    values at depth max(0, j).
+    """
+    n, N, Lk = spec.n, len(law.L) - 1, law.L[k]
+    np.matmul(xs[k], Lk[:, :n].T, out=out)
+    xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
+    col = n
+    for vals, j in [(xs, k - j) for j in xlags] + [(u1s, k - i) for i in ulags]:
+        lag = vals[j]
+        _add_product(out, lag, Lk[:, col : col + lag.shape[1]].T, work)
+        col += lag.shape[1]
+    out += law.c.at(k)  # one row broadcasts
+    return out
+
+
+class LawInputs(AdaptedProcess):
+    """The inputs u(0..N) of a closed loop run by :func:`feedback_loop`, stage k at depth k.
+
+    Nothing is computed until the values are first read; then every stage
+    is evaluated from the loop's states x and delayed inputs u1 by
+    :func:`_law_inputs`, the helper the loop ran, so the values equal the
+    loop's bit for bit, each a C-contiguous array as a table reads back.
+    """
+
+    def __init__(self, tree: PathTree, spec: SystemSpec, law: FeedbackLaw, xs: dict, u1s: dict):
+        self.tree, self.dim = tree, spec.m
+        self.depths = {k: k for k in range(len(law.L))}
+        self._run = spec, law, xs, u1s
+
+    @functools.cached_property
+    def values(self) -> dict[int, np.ndarray]:
+        spec, law, xs, u1s = self._run
+        width = len(law.L[0])
+        vals = {k: _law_inputs(spec, law, k, xs, u1s, np.empty((len(xs[k]), width))) for k in self.depths}
+        return {k: v if width == spec.m else v[:, : spec.m].copy() for k, v in vals.items()}
 
 
 def law_text(ctrl: ControllerProcess) -> str:
@@ -255,7 +319,10 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     not N+1 stages of the instance's shapes (:class:`FeedbackLaw`, so no
     column for a lag that does not act) or a u1 not (min(tau, N+1), m1); a c
     that is not N+1 flat stages, stage k of m+m1 numbers (depth 0) or
-    s^k (m+m1) (depth k); and entries that are not finite JSON numbers.
+    s^k (m+m1) (depth k); entries that are not finite JSON numbers; and, at
+    a stage k > N - tau, a nonzero entry in the u1 rows of L_k or the u1
+    entries of c_k, which would decide a u1(k) entering after stage N
+    (-0.0 counts as zero, as :func:`law_text` may write it).
     """
     try:
         with _opened(source, "r") as fh:
@@ -279,6 +346,10 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     L = [_law_array(f"L stage {k}", Lk, (spec.m + m1, spec.n * (1 + len(xlags)) + m1 * len(ulags)))
          for k, Lk in enumerate(doc["L"]) for xlags, ulags in [_acting_lags(N, k, spec.d or 0, spec.tau or 0)]]
     c = _law_offsets(doc["c"], tree, spec.m + m1)
+    for k in range(max(0, N - spec.tau + 1), N + 1) if m1 else ():  # u1(k) would enter after stage N
+        for name, rows in ((f"L stage {k}", L[k][spec.m :]), (f"c stage {k}", c.at(k)[:, spec.m :])):
+            if rows.any():
+                raise SchemaError(f"{name}: u1({k}) would enter after stage N = {N}, so its u1 entries must be 0")
     u1_pre = _law_array("u1", doc["u1"], (min(spec.tau, N + 1), m1)) if m1 else None
     return FeedbackLaw(L, c, u1_pre)
 

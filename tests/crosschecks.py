@@ -13,7 +13,12 @@ all d lag gains Q_j(k) at every stage, against which the package's
 banded gains are checked. ``broadcast_plant_step``, ``einsum_stage_mean``,
 ``einsum_z`` and ``einsum_representation_residual`` are the tree kernels
 written as broadcasts and einsums over each node's s children, against
-which ``pathspace``'s per-atom matmuls are checked. ``einsum_children``,
+which ``pathspace``'s per-atom matmuls are checked. ``reference_feedback_loop``
+is the closed loop as first written, against which ``synthesis.feedback_loop``
+is checked: it lifts every lag to depth k, stacks the regressor r(k) for
+one matmul with L_k', stores every u(k), and steps through
+``lifting_plant_step``, the plant step that lifts u1 and x(k - d) to depth
+k before its matmuls. ``einsum_children``,
 ``einsum_weighted_gram``, ``einsum_prefix_means``,
 ``einsum_terminal_product`` and ``kron_node_probs`` are the enumeration
 oracle's kernels in the same einsum and Kronecker forms.
@@ -33,7 +38,7 @@ from stochctrl import (
     backward_solve,
     forward_simulate,
 )
-from stochctrl.pathspace import P_RCOND
+from stochctrl.pathspace import P_RCOND, _acting_lags
 
 
 def reconstruct_u(tr: InputTransform, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -201,6 +206,44 @@ def broadcast_plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk,
     diffusion = xk @ spec.Abar.T + uk @ spec.Bbar.T
     step = drift[:, None, :] + tree.support[None, :, None] * diffusion[:, None, :]
     return step.reshape(-1, spec.n)
+
+
+def lifting_plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk, u1k=None) -> np.ndarray:
+    """``pathspace.plant_step`` with u1(k - tau) given at depth k and x(k - d) lifted to depth k."""
+    out = xs[k] @ np.hstack([(spec.A + w * spec.Abar).T for w in tree.support])
+    out += uk @ np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support])
+    if u1k is not None:
+        out += u1k @ np.tile(spec.B1.T, tree.s)
+    if spec.A1 is not None and k - spec.d >= 0:
+        out += tree.lift(xs[k - spec.d], k - spec.d, k) @ np.tile(spec.A1.T, tree.s)
+    return out.reshape(-1, spec.n)
+
+
+def lifted_regressor(tree: PathTree, spec: SystemSpec, N: int, k: int, xs: dict, u1s: dict) -> np.ndarray:
+    """r(k) at depth k: x(k), then each acting lag x(k-j) and u1(k-i) lifted to depth k, side by side."""
+    xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
+    lags = [(xs, k - j) for j in xlags] + [(u1s, k - i) for i in ulags]
+    if not lags:
+        return xs[k]
+    return np.hstack([xs[k], *(tree.lift(vals[j], max(0, j), k) for vals, j in lags)])
+
+
+def reference_feedback_loop(tree: PathTree, spec: SystemSpec, x0, law):
+    """[u(k), u1(k)] = r(k) L_k' + c_k with r(k) from :func:`lifted_regressor`, stepped by
+    :func:`lifting_plant_step`; returns u, x and u1 (None without a delayed input) like
+    ``synthesis.feedback_loop``, every u(k) stored."""
+    m, N, tau = spec.m, len(law.L) - 1, spec.tau if spec.B1 is not None else 0
+    xs, u_vals = {0: np.asarray(x0, dtype=float)[None, :].copy()}, {}
+    u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
+    for k, Lk in enumerate(law.L):
+        v = lifted_regressor(tree, spec, N, k, xs, u1s) @ Lk.T + law.c.at(k)
+        u_vals[k] = np.ascontiguousarray(v[:, :m]) if tau else v
+        if tau and k <= N - tau:
+            u1s[k] = np.ascontiguousarray(v[:, m:])
+        u1k = tree.lift(u1s[k - tau], max(0, k - tau), k) if tau else None
+        xs[k + 1] = lifting_plant_step(tree, spec, xs, k, u_vals[k], u1k)
+    u, x = (AdaptedProcess(tree, vals, {k: k for k in vals}) for vals in (u_vals, xs))
+    return u, x, AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None
 
 
 def einsum_stage_mean(tree: PathTree, form, x_next: np.ndarray) -> np.ndarray:

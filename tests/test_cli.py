@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stochctrl import (
+    AdaptedProcess,
     NoiseModel,
     PathTree,
     ProblemInstance,
@@ -17,7 +18,7 @@ from stochctrl import (
     validate,
     write_controller_csv,
 )
-from stochctrl.cli import ROUTES, _route, main
+from stochctrl.cli import ROUTES, _deviation, _route, main
 from stochctrl.sampling import random_controllable
 from conftest import INSTANCE_DIR
 
@@ -721,3 +722,39 @@ def test_oracle_check_refuses_over_cap_before_the_closed_form(capsys, monkeypatc
     for inst in BUNDLED:
         code, _, err = run(capsys, "oracle-check", "--instance", inst, "--N", "1000000")
         assert code == 6 and "exceed cap" in err, inst
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+DEVIATION_LEAVES = {
+    "signed": [[1.5, -2.5], [0.25, 2.5]],
+    "negative-max": [[-3.0, 1.0], [2.0, 0.5]],
+    "negative-zeros": [[-0.0, -0.0], [-0.0, -0.0]],
+    "mixed-zeros": [[0.0, -0.0], [-0.0, 0.0]],
+    "NaN": [[1.0, np.nan], [-2.0, 0.0]],
+    "negative-NaN": [[1.0, -np.nan], [np.nan, 0.0]],
+    "inf": [[1.0, np.inf], [-2.0, 0.0]],
+    "negative-inf": [[1.0, -np.inf], [-2.0, 0.0]],
+    "both-infs": [[np.inf, -np.inf], [np.nan, 0.0]],
+    "tiny": [[-5e-324, 0.0], [0.0, -0.0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEVIATION_LEAVES))
+def test_null_target_deviation_is_the_largest_magnitude_bit_for_bit(case):
+    tree = PathTree(NoiseModel.rademacher(), 0)
+    final = np.array(DEVIATION_LEAVES[case])
+    xs = AdaptedProcess(tree, {1: final}, {1: 1})
+    assert _bits(_deviation(tree, xs, None)) == _bits(np.abs(final).max())
+
+
+def test_null_target_deviation_matches_abs_max_on_random_leaves():
+    rng = np.random.default_rng(5)
+    tree = PathTree(NoiseModel.rademacher(), 3)
+    for _ in range(200):
+        final = rng.normal(size=(16, 3)) * 10.0 ** rng.integers(-300, 300)
+        final[rng.random(final.shape) < 0.1] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan])
+        xs = AdaptedProcess(tree, {4: final}, {4: 4})
+        assert _bits(_deviation(tree, xs, None)) == _bits(np.abs(final).max())

@@ -214,6 +214,22 @@ MALFORMED = {
         _edit("c", [[0.0] * 3] * 3),
         "c stage 0 must list 6 numbers (one row) or 1 x 6 (one row per depth-0 node)",
     ),
+    # tau 1, N 2: u1(2) would enter at stage 3, so stage 2's u1 rows of L and u1 entries of c never act.
+    "L-u1-row-after-N": (
+        IN_DELAY,
+        lambda doc: doc["L"][2][-1].__setitem__(-1, 1e6),
+        "L stage 2: u1(2) would enter after stage N = 2, so its u1 entries must be 0",
+    ),
+    "c-u1-entry-after-N": (
+        IN_DELAY,
+        lambda doc: doc["c"][2].__setitem__(-1, 1e6),
+        "c stage 2: u1(2) would enter after stage N = 2, so its u1 entries must be 0",
+    ),
+    "c-u1-entry-after-N-tiny": (
+        IN_DELAY,
+        lambda doc: doc["c"][2].__setitem__(3, 5e-324),
+        "c stage 2: u1(2) would enter after stage N = 2",
+    ),
 }
 
 
@@ -287,3 +303,19 @@ def test_a_state_delay_past_the_horizon_is_the_plant_without_it(capsys, tmp_path
         assert outputs[10**18, command] == outputs[3, command]
     assert outputs[10**18, "law"] == outputs[None, "law"]
     assert report(outputs[10**18, "verify"])["terminal_deviation"] == report(outputs[None, "verify"])["terminal_deviation"]
+
+
+def test_negative_zeros_in_rows_that_never_act_still_verify(capsys, tmp_path):
+    code, out, _ = run(capsys, "synthesize", "--instance", IN_DELAY, "--format", "text", "--out", str(tmp_path / "law.json"))
+    assert code == 0
+    synthesized = report(out)
+    doc = json.loads((tmp_path / "law.json").read_text())
+    # u1(2) never acts at N = 2, tau = 1: its L rows and c entries are zeros, and -0.0 is a zero.
+    m = 3
+    doc["L"][2][m:] = [[-0.0] * len(row) for row in doc["L"][2][m:]]
+    doc["c"][2][m:] = [-0.0] * (len(doc["c"][2]) - m)
+    law = tmp_path / "negative_zeros.json"
+    law.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--instance", IN_DELAY, "--controller", str(law))
+    assert code == 0
+    assert report(out)["terminal_deviation"] == synthesized["terminal_deviation"]

@@ -1,0 +1,104 @@
+"""The closed loop keeps only what it returns, and computes what the loop as first written did.
+
+``synthesis.feedback_loop`` evaluates each level's inputs into one
+buffer, multiplies each lag at its own depth, and keeps no u(k):
+``ControllerProcess.u`` and the loop's returned u are derived on first
+access by the loop's own helper. Checked against
+``crosschecks.reference_feedback_loop``, which stacks the lifted
+regressor and stores every u(k): on the full route bit for bit; on the
+delay routes, where the lag products are summed in another order, each
+stage's inputs and step within 8 eps times their entrywise bound
+sum |coefficient| |input|. Checked on every steerable route (full,
+tau 1/2, d 1/2) under both noise laws, with null, constant and path
+targets, for N <= 8. ``tracemalloc`` bounds the loop's peak at N = 17 by
+the states it returns, the u1 it must keep, its two buffers and 0.5 MB.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from stochctrl import NoiseModel, PathTree, feedback_loop, steer_to_target
+from stochctrl.sampling import random_controllable, random_x0
+from crosschecks import lifted_regressor, lifting_plant_step, reference_feedback_loop
+from test_delay_law import draw
+from test_tree_kernels import forward_bound
+
+EPS = np.finfo(float).eps
+LAWS = {"two-point": NoiseModel.rademacher(), "three-point": NoiseModel.symmetric_three_point()}
+ROUTES = [("full", 0), ("tau", 1), ("tau", 2), ("d", 1), ("d", 2)]
+N_MAX = 8
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("route,lag", ROUTES)
+@pytest.mark.parametrize("target", [None, "constant", "path"], ids=["null", "constant", "path"])
+def test_loop_matches_the_reference_loop(law, route, lag, target):
+    rng = np.random.default_rng([lag, len(law), len(route), 0 if target is None else len(target)])
+    for N in range(N_MAX + 1):
+        ts, tree, x0, _, ctrl = draw(rng, LAWS[law], route, lag, 2, N, target)
+        spec = ts.spec
+        u, x, u1 = feedback_loop(tree, spec, x0, ctrl.law)
+        for k in range(N + 2):
+            assert np.array_equal(x.at(k), ctrl.x.at(k)), (N, k)
+        for k in range(N + 1):
+            assert np.array_equal(u.at(k), ctrl.u.at(k)), (N, k)
+            assert u.depth(k) == ctrl.u.depth(k) == k
+        if route == "full":
+            ref_u, ref_x, ref_u1 = reference_feedback_loop(tree, spec, x0, ctrl.law)
+            assert u1 is None and ref_u1 is None
+            for k in range(N + 2):
+                assert np.array_equal(x.at(k), ref_x.at(k)), (N, k)
+            for k in range(N + 1):
+                assert np.array_equal(u.at(k), ref_u.at(k)), (N, k)
+            continue
+        # Stage by stage from the loop's own states: the stacked regressor's inputs, then the lifting step.
+        m = spec.m
+        u1s = u1.values if u1 is not None else {}
+        for k, Lk in enumerate(ctrl.law.L):
+            r = lifted_regressor(tree, spec, N, k, x.values, u1s)
+            want = r @ Lk.T + ctrl.law.c.at(k)
+            bound = 8 * EPS * (np.abs(r) @ np.abs(Lk.T) + np.abs(ctrl.law.c.at(k)))
+            assert np.all(np.abs(u.at(k) - want[:, :m]) <= bound[:, :m]), (N, k)
+            if u1 is not None and k in u1s:
+                assert np.all(np.abs(u1.at(k) - want[:, m:]) <= bound[:, m:]), (N, k)
+            u1k = tree.lift(u1.at(k - lag), u1.depth(k - lag), k) if u1 is not None else None
+            step = lifting_plant_step(tree, spec, x.values, k, u.at(k), u1k)
+            step_bound = 8 * EPS * forward_bound(tree, spec, x.values, k, u.at(k), u1k)
+            assert np.all(np.abs(x.at(k + 1) - step) <= step_bound), (N, k)
+
+
+def test_controller_inputs_are_derived_on_first_access():
+    rng = np.random.default_rng(4)
+    ts = random_controllable(rng, 2, 3, 4, tau=1)
+    tree = PathTree(NoiseModel.rademacher(), 4)
+    ctrl = steer_to_target(ts, tree, random_x0(rng, 2), None)
+    assert "values" not in vars(ctrl.u)
+    assert ctrl.u.stages() == list(range(5))
+    assert all(ctrl.u.at(k).shape == (tree.n_nodes(k), 3) and ctrl.u.at(k).flags.c_contiguous for k in range(5))
+    assert "values" in vars(ctrl.u)
+
+
+@pytest.mark.parametrize("lag", [{}, {"d": 2}, {"tau": 2}], ids=["full", "d2", "tau2"])
+def test_loop_keeps_only_what_it_returns(lag):
+    # Full route: 12.6 MB of states, 10.5 MB of buffers, 23.6 MB in all with the slack.
+    N, n, m = 17, 3, 4
+    rng = np.random.default_rng(1)
+    ts = random_controllable(rng, n, m, N, **lag)
+    tree = PathTree(NoiseModel.rademacher(), N)
+    x0 = random_x0(rng, n)
+    law = steer_to_target(ts, tree, x0, None).law
+    tracemalloc.start()
+    try:
+        _, x, u1 = feedback_loop(tree, ts.spec, x0, law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    s, m1 = tree.s, 0 if ts.spec.B1 is None else ts.spec.B1.shape[1]
+    returned = sum(x.at(k).nbytes for k in range(N + 2))
+    returned += sum(v.nbytes for v in u1.values.values()) if u1 is not None else 0  # u1 must be kept
+    buffers = s**N * (m + m1 + s * n) * 8
+    # A lag's product with its block of L_k lives at the lag's depth, at most N - 1, in the
+    # step's work buffer; only what exceeds that buffer would add to the peak.
+    lag_term = max(0, s ** (N - 1) * (m + m1) - s**N * s * n) * 8 if lag else 0
+    assert peak <= returned + buffers + lag_term + 0.5e6, (peak, returned, buffers, lag_term)
