@@ -43,7 +43,11 @@ class SingularPencil(StochctrlError):
 
 
 class EnumerationTooLarge(StochctrlError):
-    """Exact path enumeration would exceed the configured node cap."""
+    """Exact path enumeration over ``s``-point noise to ``horizon`` would exceed ``cap`` leaves."""
+
+    def __init__(self, s: int, horizon: int, cap: int):
+        self.s, self.horizon, self.cap = s, horizon, cap
+        super().__init__(f"{s}^{horizon + 1} leaves exceed cap {cap}")
 
 
 class StageMismatch(StochctrlError):
@@ -59,7 +63,11 @@ class CriteriaDisagreement(StochctrlError):
 
 
 class SingularGramian(StochctrlError):
-    """Steering Gramian is singular at the requested horizon."""
+    """The steering Gramian ``what`` is singular at the requested horizon ``N``."""
+
+    def __init__(self, what: str, N: int, smin: float):
+        self.N = N
+        super().__init__(f"{what} at N = {N} has min singular value {smin:.3e}; cannot invert")
 
 
 class NonFiniteGramian(StochctrlError):

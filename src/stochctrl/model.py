@@ -18,6 +18,7 @@ typos cannot silently change a run.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -37,6 +38,9 @@ from .errors import (
 MOMENT_TOL = 1e-12
 STRUCTURE_TOL = 1e-12
 MAX_SUPPORT = 10  # path labels use one decimal digit per stage
+# Labels are built from cached levels of at most this many; a whole level
+# is never cached, since at the 2^20 leaf cap it holds about 1M strings.
+LABEL_TABLE_MAX = 4096
 
 
 def _level_text(s: int, depth: int) -> str:
@@ -56,6 +60,30 @@ def path_labels(s: int, depth: int) -> list[str]:
     per stage, earliest stage first, so node order is lexicographic order.
     """
     return _level_text(s, depth).split("\n")[:-1]
+
+
+@functools.cache
+def _label_tables(s: int) -> tuple[tuple[str, ...], ...]:
+    """:func:`path_labels` of every level with at most ``LABEL_TABLE_MAX`` labels, shallowest first.
+
+    The deepest is the tail table: a longer label is a head label followed
+    by one of its entries.
+    """
+    depth = 0
+    while s ** (depth + 1) <= LABEL_TABLE_MAX:
+        depth += 1
+    return tuple(tuple(path_labels(s, d)) for d in range(depth + 1))
+
+
+def _level_labels(s: int, depth: int):
+    """One level's labels in node order, made lazily as head + tail from the bounded tables."""
+    tables = _label_tables(s)
+    if depth < len(tables):
+        yield from tables[depth]
+        return
+    for head in _level_labels(s, depth - len(tables) + 1):
+        for tail in tables[-1]:
+            yield head + tail
 
 
 def check_level(labels, s: int, depth: int, what: str) -> None:
@@ -413,8 +441,39 @@ def parse_instance_file(path) -> ProblemInstance:
             raise SchemaError(f"not UTF-8 text: {exc}") from None
 
 
+def _target_blocks(target: np.ndarray, s: int, depth: int):
+    """The entries of the ``"target"`` object as ``json.dumps(..., indent=2)`` writes them, a block of rows at a time.
+
+    A block is the rows under one head label, one per tail in the cached
+    table, so no temporary grows with the level. Its numbers are formatted
+    by one call of json's C encoder, which, like the indent encoder, writes
+    each float as ``float.__repr__`` does; its rows by one ``str.format``.
+    """
+    n = target.shape[1]
+    tables = _label_tables(s)
+    tail_depth = min(depth, len(tables) - 1)
+    tails = tables[tail_depth]
+    rows, width = len(tails), n + 2
+    row = '    "{}{}": [\n      ' + ",\n      ".join(["{}"] * n) + "\n    ]"
+    template = ",\n".join([row] * rows)
+    args = [None] * (rows * width)
+    args[1::width] = tails
+    for start, head in zip(range(0, len(target), rows), _level_labels(s, depth - tail_depth)):
+        numbers = json.dumps(target[start : start + rows].ravel().tolist())[1:-1].split(", ")
+        args[0::width] = [head] * rows
+        for j in range(n):
+            args[2 + j :: width] = numbers[j::n]
+        yield template.format(*args)
+
+
 def serialize_instance(inst: ProblemInstance) -> str:
-    """Canonical JSON rendering; parse(serialize(p)) reproduces p exactly."""
+    """Canonical JSON rendering; parse(serialize(p)) reproduces p exactly.
+
+    The text is ``json.dumps(doc, indent=2) + "\\n"`` byte for byte, where
+    ``doc`` holds the target as a {label: list} map, but the target costs
+    one ``float.__repr__`` per number: only the small head (matrices,
+    noise, x0) goes through json's pure-Python indent encoder.
+    """
     spec = inst.system
     doc: dict = {
         "n": spec.n,
@@ -438,7 +497,12 @@ def serialize_instance(inst: ProblemInstance) -> str:
     doc["noise"] = {"support": list(spec.noise.support), "probs": list(spec.noise.probs)}
     if inst.x0 is not None:
         doc["x0"] = inst.x0.tolist()
-    if inst.target is not None:
-        labels = path_labels(len(spec.noise.support), inst.N + 1)
-        doc["target"] = dict(zip(labels, inst.target.tolist()))
-    return json.dumps(doc, indent=2) + "\n"
+    head = json.dumps(doc, indent=2)
+    if inst.target is None:
+        return head + "\n"
+    # The target is the last key: reopen the object before its closing "\n}".
+    parts = [head[:-2], ',\n  "target": {\n']
+    for block in _target_blocks(inst.target, len(spec.noise.support), inst.N + 1):
+        parts += (block, ",\n")
+    parts[-1] = "\n  }\n}\n"
+    return "".join(parts)

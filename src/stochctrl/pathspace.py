@@ -46,7 +46,7 @@ from .errors import (
     SingularPBracket,
     StageMismatch,
 )
-from .model import NoiseModel, SystemSpec
+from .model import NoiseModel, SystemSpec, _label_tables
 from .transform import BsdeForm
 
 DEFAULT_CAP = 2**20
@@ -67,7 +67,7 @@ class PathTree:
         for _ in range(self.horizon + 1):  # stops past the cap, before s^(N+1) is formed
             leaves *= self.s
             if leaves > cap:
-                raise EnumerationTooLarge(f"{self.s}^{self.horizon + 1} leaves exceed cap {cap}")
+                raise EnumerationTooLarge(self.s, self.horizon, cap)
         self.support = np.asarray(noise.support, dtype=float)
         self.probs = np.asarray(noise.probs, dtype=float)
         self._node_probs = [np.array([1.0])]  # extended on first use
@@ -85,12 +85,22 @@ class PathTree:
         return itertools.product(range(self.s), repeat=depth)
 
     def index_label(self, depth: int, index: int) -> str:
-        """Label of one node (see ``model.path_labels`` for whole levels)."""
-        digits = []
-        for _ in range(depth):
-            digits.append(str(index % self.s))
-            index //= self.s
-        return "".join(reversed(digits))
+        """Label of one node (see ``model.path_labels`` for whole levels).
+
+        Raises :class:`StageMismatch` unless 0 <= depth <= horizon + 1 and
+        0 <= index < s^depth. The index splits by ``divmod`` into a head
+        and a tail, each looked up in a cached level of at most
+        ``model.LABEL_TABLE_MAX`` labels; no whole level is kept.
+        """
+        if not (0 <= depth <= self.horizon + 1 and 0 <= index < self.s**depth):
+            raise StageMismatch(f"no node {index} at depth {depth} of a tree of depth {self.horizon + 1}")
+        tables = _label_tables(self.s)
+        top, label = len(tables) - 1, ""
+        while depth > top:
+            index, tail = divmod(index, len(tables[top]))
+            label = tables[top][tail] + label
+            depth -= top
+        return tables[depth][index] + label
 
     def lift(self, values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
         """Replicate coarse values onto a finer depth."""

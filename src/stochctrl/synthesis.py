@@ -159,7 +159,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
         kind, what = "null" if hom is None else "target", "Gramian"
     ok, smin = gramian_invertible(G)
     if not ok:
-        raise SingularGramian(f"{what} at N = {N} has min singular value {smin:.3e}; cannot invert")
+        raise SingularGramian(what, N, smin)
     if form.D1 is not None:
         g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
         u1_pre = np.array([g @ CD1[i] for i in range(min(tau, N + 1))])

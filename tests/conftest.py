@@ -119,6 +119,12 @@ def bench_full_ts(bench_full):
     return TransformedSystem.build(bench_full[0])
 
 
+def uniform_noise(s: int) -> NoiseModel:
+    """Equally likely, evenly spaced points, scaled to unit variance: a noise law for any support size."""
+    support = np.linspace(-1.0, 1.0, s)
+    return NoiseModel((support / np.sqrt(np.mean(support**2))).tolist(), [1.0 / s] * s)
+
+
 def table_text(ctrl) -> str:
     """The controller's table as ``write_controller_csv`` writes it."""
     buf = io.StringIO()

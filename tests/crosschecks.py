@@ -22,8 +22,12 @@ k before its matmuls. ``einsum_children``,
 ``einsum_weighted_gram``, ``einsum_prefix_means``,
 ``einsum_terminal_product`` and ``kron_node_probs`` are the enumeration
 oracle's kernels in the same einsum and Kronecker forms.
+``reference_serialize_instance`` is the instance writer as first written,
+one ``json.dumps(doc, indent=2)`` over the whole document, against which
+``model.serialize_instance``'s blockwise target is checked byte for byte.
 """
 import itertools
+import json
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from stochctrl import (
     AdaptedProcess,
     InputTransform,
     PathTree,
+    ProblemInstance,
     SingularPBracket,
     StageMismatch,
     SystemSpec,
@@ -38,6 +43,7 @@ from stochctrl import (
     backward_solve,
     forward_simulate,
 )
+from stochctrl.model import path_labels
 from stochctrl.pathspace import P_RCOND, _acting_lags
 
 
@@ -299,3 +305,34 @@ def einsum_prefix_means(stack: np.ndarray, probs: np.ndarray) -> np.ndarray:
 def einsum_terminal_product(leaf_probs: np.ndarray, prods: np.ndarray, terminal: np.ndarray) -> np.ndarray:
     """E[C(0) ... C(N) xi] from the leaf products in one einsum."""
     return np.einsum("h,hab,hb->a", leaf_probs, prods, terminal)
+
+
+def reference_serialize_instance(inst: ProblemInstance) -> str:
+    """The whole document, target included, through json's indent encoder."""
+    spec = inst.system
+    doc: dict = {
+        "n": spec.n,
+        "m": spec.m,
+        "N": inst.N,
+        "A": spec.A.tolist(),
+        "B": spec.B.tolist(),
+        "Abar": spec.Abar.tolist(),
+        "Bbar": spec.Bbar.tolist(),
+    }
+    if spec.M is not None:
+        doc["M"] = spec.M.tolist()
+    if spec.H is not None:
+        doc["H"] = spec.H.tolist()
+    if spec.B1 is not None:
+        doc["B1"] = spec.B1.tolist()
+        doc["tau"] = spec.tau
+    if spec.A1 is not None:
+        doc["A1"] = spec.A1.tolist()
+        doc["d"] = spec.d
+    doc["noise"] = {"support": list(spec.noise.support), "probs": list(spec.noise.probs)}
+    if inst.x0 is not None:
+        doc["x0"] = inst.x0.tolist()
+    if inst.target is not None:
+        labels = path_labels(len(spec.noise.support), inst.N + 1)
+        doc["target"] = dict(zip(labels, inst.target.tolist()))
+    return json.dumps(doc, indent=2) + "\n"

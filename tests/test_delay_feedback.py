@@ -40,10 +40,10 @@ from stochctrl.sampling import random_attainable_terminal, random_controllable, 
 from test_delay import delayed_attainable_terminal
 
 
-def reference_check_gramian(G, what):
+def reference_check_gramian(G, what, N):
     ok, smin = gramian_invertible(G)
     if not ok:
-        raise SingularGramian(f"{what} has min singular value {smin:.3e}; cannot invert")
+        raise SingularGramian(what, N, smin)
 
 
 def reference_steering_start(tree, form, x0, target, membership):
@@ -106,7 +106,7 @@ def reference_input_delay_controller(ts, tree, x0, target=None, tol=1e-8):
         tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol)
     )
     G = gramian(form, N)
-    reference_check_gramian(G, f"delayed-input Gramian at N = {N}")
+    reference_check_gramian(G, "delayed-input Gramian", N)
     g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
     prods = reference_stage_products(tree, form, N)
     v = reference_free_input(tree, form, prods, g)
@@ -131,7 +131,7 @@ def reference_state_delay_controller(ts, tree, x0, target=None, tol=1e-8):
         tree, form, x0, target, lambda t: member_of_S_state_delay(tree, form, t, tol=tol)
     )
     G = gramian(form, N)
-    reference_check_gramian(G, f"delayed-state Gramian at N = {N}")
+    reference_check_gramian(G, "delayed-state Gramian", N)
     g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
     prods = reference_stage_products(tree, form, N)
     v = reference_free_input(tree, form, prods, g)

@@ -23,10 +23,10 @@ from stochctrl.sampling import random_attainable_terminal, random_controllable, 
 from stochctrl.synthesis import stage_products, steer_to_target
 
 
-def reference_invert_gramian(G, x0, what):
+def reference_invert_gramian(G, x0, what, N):
     ok, smin = gramian_invertible(G)
     if not ok:
-        raise SingularGramian(f"{what} has min singular value {smin:.3e}; cannot invert")
+        raise SingularGramian(what, N, smin)
     return np.linalg.solve(G, x0)
 
 
@@ -75,7 +75,7 @@ def reference_steer_to_target(ts, tree, x0, target, tol=1e-8):
         tree, form, x0, target, lambda t: member_of_S(tree, form, t, tol=tol)
     )
     G = gramian(form, tree.horizon)
-    g = reference_invert_gramian(G, x0 - offset, f"Gramian at N = {tree.horizon}")
+    g = reference_invert_gramian(G, x0 - offset, "Gramian", tree.horizon)
     prods = stage_products(tree, form, tree.horizon)
     v = reference_free_input(tree, form, prods, g)
     sol = backward_solve(tree, form, terminal, v)  # superposition of both parts

@@ -1,5 +1,7 @@
 """Noise law checks, structural validation, and the instance file format."""
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from stochctrl import (
     validate,
 )
 from stochctrl.model import check_level, path_labels
+from conftest import uniform_noise
+from crosschecks import reference_serialize_instance
 
 
 def test_rademacher_moments():
@@ -116,6 +120,7 @@ def test_instance_roundtrip(bench_full):
     )
     target = dict(zip(path_labels(3, 2), rng.normal(size=(9, 2))))
     inst = ProblemInstance(system=every_key, N=1, x0=expected["x0"], target=target)
+    assert serialize_instance(inst) == reference_serialize_instance(inst)
     again = parse_instance(serialize_instance(inst))
     assert again.N == 1
     for field in ("A", "B", "Abar", "Bbar", "M", "H", "B1", "tau", "A1", "d"):
@@ -124,6 +129,61 @@ def test_instance_roundtrip(bench_full):
     assert np.array_equal(again.x0, expected["x0"])
     assert np.array_equal(again.target, np.array([target[label] for label in path_labels(3, 2)]))
     assert not again.target.flags.writeable
+
+
+# Floats whose shortest repr takes each form: signed zero, subnormal,
+# exponent notation both ways, the largest double, an integral value.
+EDGE_FLOATS = [-0.0, 5e-324, 1e-7, 1e16, 1.7976931348623157e308, 3.0]
+
+
+def _random_spec(rng, n, noise):
+    return SystemSpec(
+        A=rng.normal(size=(n, n)), B=rng.normal(size=(n, 1)),
+        Abar=rng.normal(size=(n, n)), Bbar=rng.normal(size=(n, 1)), noise=noise,
+    )
+
+
+def _bits(a):
+    return None if a is None else (a.shape, a.tobytes())
+
+
+@pytest.mark.parametrize("N", [0, 1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s", [2, 3, 10])
+def test_serialize_is_the_indent_encoding(s, n, N):
+    """The blockwise writer's bytes are json.dumps(doc, indent=2)'s, and a parse gives every bit back."""
+    rng = np.random.default_rng(100 * s + 10 * n + N)
+    spec = _random_spec(rng, n, uniform_noise(s))
+    leaves = rng.normal(size=(s ** (N + 1), n)) * 10.0 ** rng.integers(-12, 13, size=(s ** (N + 1), n))
+    leaves.flat[::3] = np.resize(EDGE_FLOATS, leaves.flat[::3].size)
+    x0 = np.resize(EDGE_FLOATS[::-1], n)
+    target = dict(zip(path_labels(s, N + 1), leaves))
+    for inst in (ProblemInstance(spec, N), ProblemInstance(spec, N, x0=x0, target=target)):
+        text, expected = serialize_instance(inst), reference_serialize_instance(inst)
+        if text != expected:  # name the first difference: a diff of the whole text takes minutes
+            at = len(os.path.commonprefix([text, expected]))
+            pytest.fail(f"differs at {at}: {text[at - 40:at + 40]!r} != {expected[at - 40:at + 40]!r}")
+        again = parse_instance(text)
+        assert again.N == N and again.system.noise == spec.noise
+        for field in ("A", "B", "Abar", "Bbar"):
+            assert _bits(getattr(again.system, field)) == _bits(getattr(spec, field)), field
+        assert _bits(again.x0) == _bits(inst.x0)
+        assert _bits(again.target) == _bits(inst.target)
+
+
+def test_serialize_peak_memory_is_a_small_multiple_of_the_document():
+    """No temporary grows with the target's level: json's indent encoder held 7.9x the text."""
+    rng = np.random.default_rng(5)
+    noise = NoiseModel.symmetric_three_point()
+    target = dict(zip(path_labels(3, 10), rng.normal(size=(3**10, 2))))
+    inst = ProblemInstance(_random_spec(rng, 2, noise), 9, target=target)
+    tracemalloc.start()
+    try:
+        text = serialize_instance(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * len(text), (peak, len(text))
 
 
 def test_bundled_instances_parse():

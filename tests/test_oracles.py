@@ -34,9 +34,7 @@ def loop_gramian_oracle(form, N, noise, cap=DEFAULT_CAP):
     support = [float(w) for w in noise.support]
     probs = [float(p) for p in noise.probs]
     if len(support) ** (N + 1) > cap:
-        raise EnumerationTooLarge(
-            f"{len(support)}^{N + 1} paths exceed cap {cap}"
-        )
+        raise EnumerationTooLarge(len(support), N, cap)
     G = np.zeros((n, n))
     for i in range(N + 1):
         for path in itertools.product(range(len(support)), repeat=i):
@@ -58,7 +56,7 @@ def loop_input_delay_gramian_oracle(form, tau, N, noise, cap=DEFAULT_CAP):
     probs = [float(p) for p in noise.probs]
     s = len(support)
     if s ** (N + 1) > cap:
-        raise EnumerationTooLarge(f"{s}^{N + 1} paths exceed cap {cap}")
+        raise EnumerationTooLarge(s, N, cap)
     cmats = [form.C + w * form.Cbar for w in support]
     Y = form.D1 @ form.D1.T
     G = np.zeros((n, n))
@@ -96,7 +94,7 @@ def loop_state_delay_gramian_oracle(form, d, N, noise, cap=DEFAULT_CAP):
     probs = [float(p) for p in noise.probs]
     s = len(support)
     if s ** (N + 1) > cap:
-        raise EnumerationTooLarge(f"{s}^{N + 1} paths exceed cap {cap}")
+        raise EnumerationTooLarge(s, N, cap)
     cmats = [form.C + w * form.Cbar for w in support]
     G = np.zeros((n, n))
     for j in range(N + 1):

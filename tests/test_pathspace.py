@@ -23,7 +23,7 @@ from stochctrl import (
 )
 from stochctrl.model import check_level, path_labels
 from crosschecks import cond_expect
-from conftest import path_expectation, simulate_paths
+from conftest import path_expectation, simulate_paths, uniform_noise
 
 
 def test_tree_counts_and_probs():
@@ -36,17 +36,40 @@ def test_tree_counts_and_probs():
 
 
 def test_tree_cap():
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(EnumerationTooLarge, match=r"^2\^5 leaves exceed cap 16$") as exc:
         PathTree(NoiseModel.rademacher(), 4, cap=16)  # needs 2^5 leaves
+    assert (exc.value.s, exc.value.horizon, exc.value.cap) == (2, 4, 16)
 
 
 def test_label_roundtrip():
     tree = PathTree(NoiseModel.symmetric_three_point(), 2)
     labels = path_labels(tree.s, 2)
     assert labels == ["".join(map(str, h)) for h in tree.histories(2)]
-    assert labels == [tree.index_label(2, idx) for idx in range(tree.n_nodes(2))]
     check_level(labels, tree.s, 2, "level")
     assert path_labels(tree.s, 0) == [""]
+
+
+@pytest.mark.parametrize("s, depth", [(2, 14), (3, 9), (10, 5)])
+def test_index_label_is_path_labels_at_every_node(s, depth):
+    """Depth 0 up to past the 4096-label tail table: one table, then a head and a tail."""
+    tree = PathTree(uniform_noise(s), depth - 1)
+    for k in range(depth + 1):
+        bad = next((i for i, label in enumerate(path_labels(tree.s, k)) if tree.index_label(k, i) != label), None)
+        assert bad is None, (k, bad, tree.index_label(k, bad))
+
+
+def test_index_label_past_two_tail_tables():
+    """A depth-7 label over ten points is a head and two 1000-label tails: decimal digits, zero-padded."""
+    tree = PathTree(uniform_noise(10), 6, cap=10**7)
+    for index in (0, 1, 999, 1000, 1234567, 7654321, 10**7 - 1):
+        assert tree.index_label(7, index) == f"{index:07d}"
+
+
+@pytest.mark.parametrize("depth, index", [(2, 4), (2, 5), (2, -1), (0, 1), (-1, 0), (4, 0)])
+def test_index_label_refuses_a_node_outside_the_tree(depth, index):
+    tree = PathTree(NoiseModel.rademacher(), 2)
+    with pytest.raises(StageMismatch):
+        tree.index_label(depth, index)
 
 
 def test_lift_repeats_per_child(rng):

@@ -84,8 +84,9 @@ def test_steer_rejects_unattainable(rng):
 def test_singular_gramian_refused(bench_uncontrollable):
     ts = TransformedSystem.build(bench_uncontrollable)
     tree = PathTree(ts.spec.noise, 3)
-    with pytest.raises(SingularGramian):
+    with pytest.raises(SingularGramian, match=r"^Gramian at N = 3 has min singular value ") as exc:
         null_controller(ts, tree, np.array([1.0, 1.0]))
+    assert exc.value.N == 3
 
 
 def test_q_expanded_cross_check(rng):
