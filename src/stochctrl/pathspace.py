@@ -13,9 +13,11 @@ per-level kernel is one matmul of the level, a row per node (s n wide),
 against a stacked per-atom map: [(A + w_j Abar)']_j in :func:`plant_step`,
 [p_j C(j)']_j in :func:`_stage_step`, kron(weights, I_n) in :func:`_level_mean`.
 A value stored at a coarser depth than the level it acts on, such as a
-delayed input or a lagged state in :func:`plant_step`, is multiplied at
+delayed input or a lagged state in :func:`plant_step` or a lagged state
+in :func:`backward_solve_state_delay`'s forward sweep, is multiplied at
 its own depth and the product added to every descendant through a
-reshaped view (:func:`_add_product`), never replicated per node.
+reshaped view (:func:`_add_product`), never replicated per node; only
+:meth:`AdaptedProcess.at_depth` lifts values, for the controller table.
 
 :func:`path_products` is the one place per-history products of the
 random factors C + w Cbar are built, with the state-delay pivots of
@@ -33,7 +35,6 @@ serves every full-state route.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,10 +80,6 @@ class PathTree:
         while len(self._node_probs) <= depth:
             self._node_probs.append(np.outer(self._node_probs[-1], self.probs).ravel())
         return self._node_probs[depth]
-
-    def histories(self, depth: int):
-        """Tuples of support indices, in node-index order."""
-        return itertools.product(range(self.s), repeat=depth)
 
     def index_label(self, depth: int, index: int) -> str:
         """Label of one node (see ``model.path_labels`` for whole levels).
@@ -242,8 +239,8 @@ def prefix_means(stack: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return mean.reshape(-1, *stack.shape[1:])
 
 
-def _check_input(tree, proc, stage, want_dim, what, to_depth=None) -> np.ndarray:
-    """Fetch an adapted input, policing measurability, at its own depth or lifted to ``to_depth``.
+def _check_input(proc, stage, want_dim, what) -> np.ndarray:
+    """Fetch an adapted input at its own depth, policing measurability.
 
     A delayed input is decided at ``stage`` but enters the dynamics later.
     The kernels take it at its own depth and add it to every descendant
@@ -260,7 +257,7 @@ def _check_input(tree, proc, stage, want_dim, what, to_depth=None) -> np.ndarray
     arr = proc.at(stage)
     if arr.shape[1] != want_dim:
         raise DimensionMismatch(f"{what} has dimension {arr.shape[1]}, expected {want_dim}")
-    return arr if to_depth is None else tree.lift(arr, depth, to_depth)
+    return arr
 
 
 def _terminal_array(tree: PathTree, n: int, terminal) -> np.ndarray:
@@ -335,7 +332,7 @@ def _stage_step(tree: PathTree, form: BsdeForm, W: np.ndarray, x_next: np.ndarra
     """E[C(k) x(k+1) | past] + D v(k) at depth k: x(k+1) times W (:func:`_stage_map`); no v means v = 0."""
     xk = x_next.reshape(-1, tree.s * form.n) @ W
     if v is not None:
-        _add_product(xk, _check_input(tree, v, k, form.m_free, "v"), form.D.T)
+        _add_product(xk, _check_input(v, k, form.m_free, "v"), form.D.T)
     return xk
 
 
@@ -415,8 +412,9 @@ def backward_solve_state_delay(
 
     Block elimination with the P-sequence as pivots (:func:`_state_delay_gains`):
     r(k) = P(k) (E[C(k) r(k+1) | past] + D v(k)) backward from r(N+1) =
-    terminal, then x(k) = r(k) + sum_j Q_j(k) x(k-j) forward. Pre-horizon
-    states x(s), s < 0, are zero.
+    terminal, then x(k) = r(k) + sum_j Q_j(k) x(k-j) forward, each
+    x(k-j) Q_j(k)' formed at depth k - j and added to its descendants
+    (:func:`_add_product`). Pre-horizon states x(s), s < 0, are zero.
     """
     if form.C1 is None:
         raise DimensionMismatch("form has no delayed state channel C1")
@@ -428,7 +426,7 @@ def backward_solve_state_delay(
         x_vals[k] = _stage_step(tree, form, W, x_vals[k + 1], v, k) @ P[k].T
     for k in range(1, N + 1):
         for j, Qj in Q[k].items():
-            x_vals[k] += tree.lift(x_vals[k - j], k - j, k) @ Qj.T
+            _add_product(x_vals[k], x_vals[k - j], Qj.T)
     return _solution(tree, x_vals)
 
 
@@ -515,8 +513,8 @@ def forward_simulate(
         raise StageMismatch("system has a delayed input channel; u1 is required")
     xs = {0: x0[None, :].copy()}
     for k in range(N + 1):
-        uk = _check_input(tree, u, k, spec.m, "u")
-        u1k = None if spec.B1 is None else _check_input(tree, u1, k - spec.tau, spec.B1.shape[1], "u1")
+        uk = _check_input(u, k, spec.m, "u")
+        u1k = None if spec.B1 is None else _check_input(u1, k - spec.tau, spec.B1.shape[1], "u1")
         xs[k + 1] = plant_step(tree, spec, xs, k, uk, u1k)
     return AdaptedProcess(tree, xs, {k: k for k in range(N + 2)})
 

@@ -25,7 +25,11 @@ r(k) of x(k) and the lags that act at stage k (:func:`pathspace._acting_lags`,
 never more than N + 1). With p(k) = (r(k) - r_h(k)) Pi_k', Pi_k = I on
 the full route, L_k = K_k Pi_k - [M_q Abar, 0] (M_q the first n columns
 of M) and c_k = [z_h(k) M_q', 0] - (r_h(k) Pi_k') K_k', each c_k at its
-coarsest depth (one row for the origin and any constant target). The one
+coarsest depth (one row for the origin and any constant target). K_k
+has u1 rows only while u1(k) enters by stage N (k <= N - tau), so L_k
+and c_k have none past that. r_h(k) Pi_k' is x_h(k) plus each acting
+state lag's x_h(k-j) (-Q_j(k))', multiplied at the lag's own depth
+(:func:`pathspace._add_product`); the target's u1 is zero. The one
 closed loop, :func:`feedback_loop`, allocates per level only the state it
 returns (and u1(k) on a delayed input): it evaluates [u(k), u1(k)] into
 one input buffer, multiplies each lag block of L_k at the lag's own depth
@@ -36,11 +40,13 @@ on first access by the loop's own helper, so a replay of the written
 controller, law or table, reproduces its states bit for bit.
 Every controller is written as its law, JSON {"kind": "feedback", "N",
 "L", "c"} plus "u1" on a delayed input, with floats in ``repr`` (exact
-for float64); each c_k is one flat row-major list, of m + m1 numbers
-when one row serves every node, else of s^k (m + m1) in node order; a
-delay-route law with a column for a lag that never acts, as earlier
-versions wrote, is malformed. The table of one row per (stage, history),
-17 digits a value, stays a library format that verify also reads.
+for float64); each c_k is one flat row-major list, of w_k numbers when
+one row serves every node, else of s^k w_k in node order, where
+w_k = m + m1 [k <= N - tau] is L_k's row count. A delay-route law with a
+column for a lag that never acts, or with u1 rows or entries at a stage
+k > N - tau, as earlier versions wrote, is malformed. The table of one
+row per (stage, history), 17 digits a value, stays a library format that
+verify also reads.
 """
 from __future__ import annotations
 
@@ -48,7 +54,6 @@ import contextlib
 import csv
 import functools
 import json
-import math
 from array import array
 from dataclasses import dataclass
 
@@ -56,7 +61,7 @@ import numpy as np
 
 from .criteria import gramian, gramian_invertible, gramian_sequence
 from .errors import DimensionMismatch, SchemaError, SingularGramian, TargetNotInS
-from .model import _JSON_NUMBERS, SystemSpec, check_level, path_labels
+from .model import _JSON_NUMBERS, SystemSpec, _label_tables, _level_labels, check_level
 from .pathspace import (
     AdaptedProcess,
     PathTree,
@@ -70,7 +75,6 @@ from .pathspace import (
 from .transform import TransformedSystem
 
 FLOAT_FMT = "%.17g"
-_ROWS_PER_WRITE = 4096
 _CHARS_PER_READ = 1 << 16
 # Data lines hold printable ASCII but blank and '_', plus line ends: int() and float()
 # would also take blanks, '_' and non-ASCII digits.
@@ -85,18 +89,20 @@ def stage_products(tree: PathTree, form, upto: int) -> list[np.ndarray]:
 
 @dataclass(eq=False)
 class FeedbackLaw:
-    """[u(k), u1(k)] = r(k) L_k' + c_k for k = 0..N, r(k) from :func:`_regressor`.
+    """[u(k), u1(k)] = r(k) L_k' + c_k for k = 0..N; u1(k) only while it enters by stage N.
 
-    ``L`` holds N+1 arrays, L_k with m+m1 rows (m1 zero without a delayed
-    input) and a column per entry of r(k). ``c`` holds each c_k as one row
-    (depth 0) when it is the same on every node, else at depth k; the
-    written law stores it flat at that depth (:func:`law_text`).
-    ``u1_pre`` holds u1(-tau), u1(1-tau), ... that enter by stage N, one
-    row each (None without a delayed input).
+    r(k) is x(k) followed by the lags that act at stage k, in
+    :func:`pathspace._acting_lags`' order. ``L`` holds N+1 arrays, L_k with
+    m rows, plus m1 u1 rows for k <= N - tau on a delayed input, and a
+    column per entry of r(k). ``c`` holds N+1 arrays, c_k with L_k's row
+    count as its width: one row when it is the same on every node, else
+    one row per depth-k node; the written law stores it flat
+    (:func:`law_text`). ``u1_pre`` holds u1(-tau), u1(1-tau), ... that
+    enter by stage N, one row each (None without a delayed input).
     """
 
     L: list[np.ndarray]
-    c: AdaptedProcess
+    c: list[np.ndarray]
     u1_pre: np.ndarray | None = None
 
 
@@ -126,9 +132,10 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     """Steer x0 to ``target`` (None: the origin) by the law of this module's docstring, and run it.
 
     The form picks the membership solve, the Gramian, the kind and, per
-    delay channel, the gains' u1 rows or pivots P(j), the lag blocks of
-    Pi_k and the pre-horizon inputs ``u1_pre``. r_h is the regressor of the
-    target's solution, zero without one and in its u1 blocks.
+    delay channel, the gains' u1 rows (k <= N - tau) or pivots P(j), the
+    lag blocks of Pi_k and the pre-horizon inputs ``u1_pre``. r_h is the
+    regressor of the target's solution, zero without one and in its u1
+    blocks.
     """
     form, spec, n, N = ts.form, ts.spec, ts.form.n, tree.horizon
     x0 = np.asarray(x0, dtype=float)
@@ -143,14 +150,13 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
         hom = result.solution
     S = [np.zeros((n, n)), *gramian_sequence(form, N)]  # S(j-1)
     K = [ts.transform.M @ np.vstack([S[N - k] @ form.Cbar.T, form.D.T]) for k in range(N + 1)]
-    G, Q, CD1, u1_pre, u1_h = S[-1], None, None, None, {}
+    G, Q, CD1, u1_pre = S[-1], None, None, None
     if form.D1 is not None:
         kind, what, tau = "input-delay", "delayed-input Gramian", form.tau
         G = gramian(form, N)  # a delayed input adds its pre-horizon terms
         CD1 = [np.linalg.matrix_power(form.C, i) @ form.D1 for i in range(min(tau, N) + 1)]  # C^i D1
-        # u1(k) has rows D1' C^tau' S(j)^+, zero if it enters after N.
-        K = [np.vstack([Kk, CD1[tau].T if k <= N - tau else np.zeros_like(form.D1.T)]) for k, Kk in enumerate(K)]
-        u1_h = {j: np.zeros((tree.n_nodes(max(0, j)), form.D1.shape[1])) for j in range(-tau, N - tau + 1)}
+        # u1(k) has rows D1' C^tau' S(j)^+ while it enters by stage N, else none.
+        K = [np.vstack([Kk, CD1[tau].T]) if k <= N - tau else Kk for k, Kk in enumerate(K)]
     elif form.C1 is not None:
         kind, what = "state-delay", "delayed-state Gramian"
         P, Q = _state_delay_gains(form, N)
@@ -164,21 +170,22 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
         g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
         u1_pre = np.array([g @ CD1[i] for i in range(min(tau, N + 1))])
     K = [Kk @ _pinv(S[N - k + 1]) for k, Kk in enumerate(K)]
-    Mq, rows = ts.transform.M[:, :n], len(K[0])
-    pad = (0, rows - spec.m)
+    Mq = ts.transform.M[:, :n]
     Mq_Abar = Mq @ spec.Abar
-    L, vals, depths = [], {}, {}
+    L, c = [], []
     for k, Kk in enumerate(K):
         xlags, ulags = _acting_lags(N, k, form.d or 0, form.tau or 0)
         P = np.hstack([np.eye(n), *(-Q[k][j] for j in xlags), *(-CD1[form.tau - i] for i in ulags)])  # Pi_k
         L.append(Kk @ P)
         L[k][: spec.m, :n] -= Mq_Abar
-        c = np.zeros((1, rows))
+        ck = np.zeros((1, len(Kk)))
         if hom is not None:
-            r = _regressor(tree, spec, N, k, hom.x.values, u1_h)
-            c = np.pad(hom.z.at(k) @ Mq.T, ((0, 0), pad)) - (r @ P.T) @ Kk.T
-        vals[k], depths[k] = (c[:1], 0) if (c == c[0]).all() else (c, k)
-    law = FeedbackLaw(L, AdaptedProcess(tree, vals, depths), u1_pre)
+            p = hom.x.at(k).copy()  # r_h(k) Pi_k'; the target's u1 is zero, so its u1 lags add nothing
+            for j in xlags:
+                _add_product(p, hom.x.at(k - j), -Q[k][j].T)
+            ck = np.pad(hom.z.at(k) @ Mq.T, ((0, 0), (0, len(Kk) - spec.m))) - p @ Kk.T
+        c.append(ck[:1] if (ck == ck[0]).all() else ck)
+    law = FeedbackLaw(L, c, u1_pre)
     u, x, u1 = feedback_loop(tree, spec, x0, law)
     return ControllerProcess(kind=kind, tree=tree, u=u, x=x, gramian=G, law=law, u1=u1)
 
@@ -211,19 +218,6 @@ def steer_to_target(
     return _steer(ts, tree, x0, target, tol)
 
 
-def _regressor(tree: PathTree, spec: SystemSpec, N: int, k: int, xs: dict, u1s: dict) -> np.ndarray:
-    """r(k) at depth k: x(k), then the lags x(k-j) and u1(k-i) that act at stage k, in
-    :func:`pathspace._acting_lags`'s order; :func:`_steer` forms a target's offsets c_k from it.
-
-    ``xs`` and ``u1s`` map a stage j to its values at depth max(0, j).
-    """
-    xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
-    lags = [(xs, k - j) for j in xlags] + [(u1s, k - i) for i in ulags]
-    if not lags:
-        return xs[k]
-    return np.hstack([xs[k], *(tree.lift(vals[j], max(0, j), k) for vals, j in lags)])
-
-
 def feedback_loop(
     tree: PathTree, spec: SystemSpec, x0: np.ndarray, law: FeedbackLaw
 ) -> tuple[AdaptedProcess, AdaptedProcess, AdaptedProcess | None]:
@@ -240,14 +234,14 @@ def feedback_loop(
     """
     m, N, s, n = spec.m, len(law.L) - 1, tree.s, spec.n
     tau = spec.tau if spec.B1 is not None else 0
-    width = len(law.L[0])  # m + m1
-    inputs = np.empty((tree.n_nodes(N), width))
+    inputs = np.empty(max(tree.n_nodes(k) * len(Lk) for k, Lk in enumerate(law.L)))
     # The step's s n wide products, and the lag products at depth <= N - 1 of _law_inputs.
-    work = np.empty(max(tree.n_nodes(N) * s * n, tree.n_nodes(max(0, N - 1)) * width))
+    work = np.empty(max(tree.n_nodes(N) * s * n, tree.n_nodes(max(0, N - 1)) * len(law.L[0])))
     xs = {0: np.asarray(x0, dtype=float)[None, :].copy()}
     u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
     for k in range(N + 1):
-        v = _law_inputs(spec, law, k, xs, u1s, inputs[: tree.n_nodes(k)], work)
+        rows, width = tree.n_nodes(k), len(law.L[k])
+        v = _law_inputs(spec, law, k, xs, u1s, inputs[: rows * width].reshape(rows, width), work)
         if tau and k <= N - tau:
             u1s[k] = v[:, m:].copy()
         xs[k + 1] = plant_step(tree, spec, xs, k, v[:, :m], u1s[k - tau] if tau else None, work)
@@ -274,7 +268,7 @@ def _law_inputs(spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict,
         lag = vals[j]
         _add_product(out, lag, Lk[:, col : col + lag.shape[1]].T, work)
         col += lag.shape[1]
-    out += law.c.at(k)  # one row broadcasts
+    out += law.c[k]  # one row broadcasts
     return out
 
 
@@ -295,15 +289,17 @@ class LawInputs(AdaptedProcess):
     @functools.cached_property
     def values(self) -> dict[int, np.ndarray]:
         spec, law, xs, u1s = self._run
-        width = len(law.L[0])
-        vals = {k: _law_inputs(spec, law, k, xs, u1s, np.empty((len(xs[k]), width))) for k in self.depths}
-        return {k: v if width == spec.m else v[:, : spec.m].copy() for k, v in vals.items()}
+        vals = {k: _law_inputs(spec, law, k, xs, u1s, np.empty((len(xs[k]), len(law.L[k])))) for k in self.depths}
+        return {k: v if v.shape[1] == spec.m else v[:, : spec.m].copy() for k, v in vals.items()}
 
 
 def law_text(ctrl: ControllerProcess) -> str:
-    """The controller's law as JSON, each c_k flat in row-major order at its own depth."""
+    """The controller's law as JSON, each c_k flat in row-major order, one row or one per depth-k node.
+
+    Stage k's L_k and c_k hold u1 rows and entries only for k <= N - tau.
+    """
     law = ctrl.law
-    c = [law.c.at(k).ravel().tolist() for k in range(len(law.L))]
+    c = [ck.ravel().tolist() for ck in law.c]
     doc = {"kind": "feedback", "N": len(law.L) - 1, "L": [Lk.tolist() for Lk in law.L], "c": c}
     if law.u1_pre is not None:
         doc["u1"] = law.u1_pre.tolist()
@@ -316,13 +312,12 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     Raises :class:`SchemaError` for text that is not a JSON object with
     exactly the keys kind, N, L and c, plus u1 exactly on a delayed input;
     a kind other than "feedback"; an N other than the tree's horizon; an L
-    not N+1 stages of the instance's shapes (:class:`FeedbackLaw`, so no
-    column for a lag that does not act) or a u1 not (min(tau, N+1), m1); a c
-    that is not N+1 flat stages, stage k of m+m1 numbers (depth 0) or
-    s^k (m+m1) (depth k); entries that are not finite JSON numbers; and, at
-    a stage k > N - tau, a nonzero entry in the u1 rows of L_k or the u1
-    entries of c_k, which would decide a u1(k) entering after stage N
-    (-0.0 counts as zero, as :func:`law_text` may write it).
+    not N+1 stages of the instance's shapes (:class:`FeedbackLaw`: no
+    column for a lag that does not act, and w_k = m + m1 [k <= N - tau]
+    rows, so no u1 rows for a u1(k) entering after stage N) or a u1 not
+    (min(tau, N+1), m1); a c that is not N+1 flat stages, stage k of w_k
+    numbers (one row) or s^k w_k (one row per depth-k node); and entries
+    that are not finite JSON numbers.
     """
     try:
         with _opened(source, "r") as fh:
@@ -343,22 +338,19 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     m1 = 0 if spec.B1 is None else spec.B1.shape[1]
     if type(doc["L"]) is not list or len(doc["L"]) != N + 1:
         raise SchemaError(f"L must be a list of N + 1 = {N + 1} stages")
-    L = [_law_array(f"L stage {k}", Lk, (spec.m + m1, spec.n * (1 + len(xlags)) + m1 * len(ulags)))
+    rows = [spec.m + m1 * (k + (spec.tau or 0) <= N) for k in range(N + 1)]  # u1(k) rows while it enters by N
+    L = [_law_array(f"L stage {k}", Lk, (rows[k], spec.n * (1 + len(xlags)) + m1 * len(ulags)))
          for k, Lk in enumerate(doc["L"]) for xlags, ulags in [_acting_lags(N, k, spec.d or 0, spec.tau or 0)]]
-    c = _law_offsets(doc["c"], tree, spec.m + m1)
-    for k in range(max(0, N - spec.tau + 1), N + 1) if m1 else ():  # u1(k) would enter after stage N
-        for name, rows in ((f"L stage {k}", L[k][spec.m :]), (f"c stage {k}", c.at(k)[:, spec.m :])):
-            if rows.any():
-                raise SchemaError(f"{name}: u1({k}) would enter after stage N = {N}, so its u1 entries must be 0")
+    c = _law_offsets(doc["c"], tree, rows)
     u1_pre = _law_array("u1", doc["u1"], (min(spec.tau, N + 1), m1)) if m1 else None
     return FeedbackLaw(L, c, u1_pre)
 
 
-def _law_offsets(value, tree: PathTree, width: int) -> AdaptedProcess:
-    """The offsets c_k of a law: stage k one row of ``width`` numbers, or one per depth-k node."""
+def _law_offsets(value, tree: PathTree, widths: list[int]) -> list[np.ndarray]:
+    """The offsets c_k of a law: stage k one row of ``widths[k]`` numbers, or one per depth-k node."""
     if type(value) is not list or len(value) != tree.horizon + 1:
         raise SchemaError(f"c must be a list of N + 1 = {tree.horizon + 1} stages")
-    for k, stage in enumerate(value):
+    for k, (stage, width) in enumerate(zip(value, widths)):
         if type(stage) is not list or len(stage) not in (width, tree.s**k * width):
             raise SchemaError(
                 f"c stage {k} must list {width} numbers (one row) or {tree.s**k} x {width} "
@@ -366,8 +358,7 @@ def _law_offsets(value, tree: PathTree, width: int) -> AdaptedProcess:
             )
     flat = _finite_floats("c", [x for stage in value for x in stage])
     parts = np.split(flat, np.cumsum([len(stage) for stage in value[:-1]]))
-    depths = {k: 0 if len(part) == width else k for k, part in enumerate(parts)}
-    return AdaptedProcess(tree, {k: part.reshape(-1, width) for k, part in enumerate(parts)}, depths)
+    return [part.reshape(-1, width) for part, width in zip(parts, widths)]
 
 
 def _law_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
@@ -420,6 +411,7 @@ def write_controller_csv(dest, ctrl: ControllerProcess) -> None:
     header = ["stage", "history"] + [f"u_{i}" for i in range(ctrl.u.dim)]
     header += [f"u1_{i}" for i in range(ctrl.u1.dim)] if ctrl.u1 is not None else []
     s = ctrl.tree.s
+    tables = _label_tables(s)
     with _opened(dest, "w") as fh:
         fh.write(",".join(header) + "\n")
         for stage in sorted(set().union(*(p.values for p in channels))):
@@ -428,10 +420,10 @@ def write_controller_csv(dest, ctrl: ControllerProcess) -> None:
             cells = [FLOAT_FMT if p in present else "" for p in channels for _ in range(p.dim)]
             row = f"{stage},%s%s," + ",".join(cells) + "\n"
             values = np.hstack([p.at_depth(stage, depth) for p in present])
-            # Blocks of s^tail_depth rows, label = head + tail: only one block's floats are Python objects.
-            tail_depth = min(depth, int(math.log(_ROWS_PER_WRITE, s)))
-            tails = path_labels(s, tail_depth)
-            for i, head in enumerate(path_labels(s, depth - tail_depth)):
+            # Blocks of one tail table's rows, label = head + tail: only one block's floats are Python objects.
+            tail_depth = min(depth, len(tables) - 1)
+            tails = tables[tail_depth]
+            for i, head in enumerate(_level_labels(s, depth - tail_depth)):
                 block = values[i * len(tails) : (i + 1) * len(tails)].tolist()
                 fh.writelines(row % (head, tail, *numbers) for tail, numbers in zip(tails, block))
 

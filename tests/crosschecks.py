@@ -242,7 +242,7 @@ def reference_feedback_loop(tree: PathTree, spec: SystemSpec, x0, law):
     xs, u_vals = {0: np.asarray(x0, dtype=float)[None, :].copy()}, {}
     u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
     for k, Lk in enumerate(law.L):
-        v = lifted_regressor(tree, spec, N, k, xs, u1s) @ Lk.T + law.c.at(k)
+        v = lifted_regressor(tree, spec, N, k, xs, u1s) @ Lk.T + law.c[k]
         u_vals[k] = np.ascontiguousarray(v[:, :m]) if tau else v
         if tau and k <= N - tau:
             u1s[k] = np.ascontiguousarray(v[:, m:])

@@ -3,6 +3,7 @@ agreement at scale, closed-loop steering, the rank/Gramian equivalence,
 and the duality identity. Each check prints one PASS/FAIL line (visible
 under ``pytest -s``) and enforces its stated tolerance and time budget.
 """
+import itertools
 import time
 
 import numpy as np
@@ -218,7 +219,7 @@ def test_c7_target_membership_and_steering():
     noise = NoiseModel.symmetric_three_point()
     ts = random_controllable(rng, 2, 3, 2, noise=noise)
     tree = PathTree(noise, 2)
-    w_last = tree.support[[h[-1] for h in tree.histories(3)]]
+    w_last = tree.support[[h[-1] for h in itertools.product(range(tree.s), repeat=3)]]
     quadratic = (w_last**2)[:, None] * rng.normal(size=2)[None, :]
     rejected = not member_of_S(tree, ts.form, quadratic).member
 

@@ -1,4 +1,6 @@
 """Lagged input and lagged state: Gramians, P sequence, controllers."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -254,7 +256,7 @@ def test_state_delay_membership_three_point(rng):
     tree = PathTree(noise, 2)
     good = delayed_attainable_terminal(rng, tree, ts.form, 1, scale=0.5)
     assert member_of_S_state_delay(tree, ts.form, good).member
-    w_last = tree.support[[h[-1] for h in tree.histories(3)]]
+    w_last = tree.support[[h[-1] for h in itertools.product(range(tree.s), repeat=3)]]
     bad = (w_last**2)[:, None] * np.array([0.4, -0.2])[None, :]
     assert not member_of_S_state_delay(tree, ts.form, bad).member
 

@@ -92,7 +92,8 @@ def reference_backward_solve(tree, form, terminal, v=None, *, u1=None, tau=None)
     for k in range(N, -1, -1):
         xk = _stage_step(tree, form, W, x_vals[k + 1], v, k)
         if u1 is not None:
-            xk = xk + _check_input(tree, u1, k - tau, form.D1.shape[1], "u1", to_depth=k) @ form.D1.T
+            u1k = tree.lift(_check_input(u1, k - tau, form.D1.shape[1], "u1"), u1.depth(k - tau), k)
+            xk = xk + u1k @ form.D1.T
         x_vals[k] = xk
     return _solution(tree, x_vals)
 

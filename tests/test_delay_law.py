@@ -5,7 +5,9 @@ state x(k-j) with j <= k and k - j + d <= N (a state before stage 0 is
 zero, and a lag whose effect would enter after stage N has a zero gain),
 on a delayed input u1(k-i), ..., u1(k-tau) with i = max(1, k + tau - N),
 those entering by stage N. It decides
-[u(k), u1(k)] = r(k) L_k' + c_k; the pre-horizon inputs u1(-tau..) travel
+[u(k), u1(k)] = r(k) L_k' + c_k, u1(k) only while it enters by stage N
+(k <= N - tau), so a law with u1 rows or entries past that, as earlier
+versions wrote, exits 5; the pre-horizon inputs u1(-tau..) travel
 in the law as its "u1" key. synthesize writes every controller as its
 law, each c_k one row when every node shares it (the origin and constant
 targets) and one row per depth-k node otherwise (a path target), and
@@ -106,7 +108,8 @@ def test_law_text_reads_back_and_replays_bit_for_bit(law, n, route, lag):
                 else n + m1 * min(lag, N - k + 1)
                 for k in range(N + 1)
             ]
-            assert [Lk.shape for Lk in read.L] == [(spec.m + m1, w) for w in widths]
+            rows = [spec.m + m1 * (k + lag <= N) for k in range(N + 1)]  # u1(k) rows while it enters by N
+            assert [Lk.shape for Lk in read.L] == list(zip(rows, widths))
             assert len(ctrl.law.L) == N + 1
             for got, want in zip(read.L, ctrl.law.L):
                 np.testing.assert_array_equal(got, want)
@@ -152,7 +155,7 @@ def test_synthesize_writes_the_law_that_verify_replays(capsys, tmp_path, law, ro
 def test_path_target_writes_a_law_and_verify_takes_a_written_table(capsys, tmp_path, route, lag):
     rng = np.random.default_rng([lag, len(route)])
     ts, tree, x0, goal, ctrl = draw(rng, LAWS["two-point"], route, lag, 2, lag + 1, "path")
-    assert any(ctrl.law.c.depths.values())  # offsets that differ by node
+    assert any(len(ck) > 1 for ck in ctrl.law.c)  # offsets that differ by node
     inst = write_instance(tmp_path, ts, tree, x0, goal)
     law = tmp_path / "law.json"
     code, out, _ = run(capsys, "synthesize", "--instance", inst, "--out", str(law))
@@ -214,21 +217,22 @@ MALFORMED = {
         _edit("c", [[0.0] * 3] * 3),
         "c stage 0 must list 6 numbers (one row) or 1 x 6 (one row per depth-0 node)",
     ),
-    # tau 1, N 2: u1(2) would enter at stage 3, so stage 2's u1 rows of L and u1 entries of c never act.
-    "L-u1-row-after-N": (
+    # tau 1, N 2: u1(2) would enter at stage 3, so stage 2 has no u1 rows of L and no u1 entries of c;
+    # earlier versions wrote m1 = 3 of each, all zero.
+    "L-u1-rows-after-N": (
         IN_DELAY,
-        lambda doc: doc["L"][2][-1].__setitem__(-1, 1e6),
-        "L stage 2: u1(2) would enter after stage N = 2, so its u1 entries must be 0",
+        lambda doc: doc["L"][2].extend([[0.0] * 5] * 3),
+        "L stage 2 must be nested lists of shape (3, 5)",
     ),
-    "c-u1-entry-after-N": (
+    "c-u1-entries-after-N": (
         IN_DELAY,
-        lambda doc: doc["c"][2].__setitem__(-1, 1e6),
-        "c stage 2: u1(2) would enter after stage N = 2, so its u1 entries must be 0",
+        lambda doc: doc["c"][2].extend([0.0] * 3),
+        "c stage 2 must list 3 numbers (one row) or 4 x 3 (one row per depth-2 node)",
     ),
-    "c-u1-entry-after-N-tiny": (
+    "c-u1-entries-after-N-negative-zero": (
         IN_DELAY,
-        lambda doc: doc["c"][2].__setitem__(3, 5e-324),
-        "c stage 2: u1(2) would enter after stage N = 2",
+        lambda doc: doc["c"][2].extend([-0.0] * 3),
+        "c stage 2 must list 3 numbers (one row) or 4 x 3",
     ),
 }
 
@@ -249,7 +253,8 @@ def test_malformed_delay_law_exits_5_with_its_reason(capsys, tmp_path, case):
 
 def test_a_long_input_delay_stores_only_the_lags_that_act(capsys, tmp_path):
     # tau = 20,000 at N = 2: u1(k - i) acts only if it enters by stage N, so stage k keeps
-    # n + m1 min(tau, N - k + 1) columns, not n + m1 tau = 60,002.
+    # n + m1 min(tau, N - k + 1) columns, not n + m1 tau = 60,002, and no u1(k) enters by N,
+    # so no stage has u1 rows.
     doc = json.loads(open(IN_DELAY).read())
     doc["tau"] = 20_000
     inst = tmp_path / "instance.json"
@@ -260,7 +265,7 @@ def test_a_long_input_delay_stores_only_the_lags_that_act(capsys, tmp_path):
     assert law.stat().st_size < 4096
     n, m1, N = 2, 3, 2
     L = json.loads(law.read_text())["L"]
-    assert [np.shape(Lk) for Lk in L] == [(3 + m1, n + m1 * min(20_000, N - k + 1)) for k in range(N + 1)]
+    assert [np.shape(Lk) for Lk in L] == [(3, n + m1 * min(20_000, N - k + 1)) for k in range(N + 1)]
     code, verified, _ = run(capsys, "verify", "--instance", str(inst), "--controller", str(law))
     assert code == 0
     assert report(verified)["terminal_deviation"] == report(out)["terminal_deviation"]
@@ -305,17 +310,26 @@ def test_a_state_delay_past_the_horizon_is_the_plant_without_it(capsys, tmp_path
     assert report(outputs[10**18, "verify"])["terminal_deviation"] == report(outputs[None, "verify"])["terminal_deviation"]
 
 
-def test_negative_zeros_in_rows_that_never_act_still_verify(capsys, tmp_path):
-    code, out, _ = run(capsys, "synthesize", "--instance", IN_DELAY, "--format", "text", "--out", str(tmp_path / "law.json"))
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
+def test_u1_rows_that_would_enter_after_N_are_not_written_and_refused(capsys, tmp_path, zero):
+    # tau 2, N 3: u1(k) enters by stage N for k <= 1 only, so stages 2 and 3 have m rows of L
+    # and m entries per row of c, for the origin and a path target alike.
+    rng = np.random.default_rng(7)
+    m, m1 = 3, 3
+    for target in (None, "path"):
+        ts, tree, x0, goal, ctrl = draw(rng, LAWS["two-point"], "tau", 2, 2, 3, target)
+        assert (ts.spec.m, ts.spec.B1.shape[1]) == (m, m1)
+        assert [len(Lk) for Lk in ctrl.law.L] == [m + m1, m + m1, m, m]
+        assert [ck.shape[1] for ck in ctrl.law.c] == [m + m1, m + m1, m, m]
+    # The law as earlier versions wrote it, with u1 rows and u1 entries of zeros past N - tau, exits 5.
+    code, _, _ = run(capsys, "synthesize", "--instance", IN_DELAY, "--out", str(tmp_path / "law.json"))
     assert code == 0
-    synthesized = report(out)
     doc = json.loads((tmp_path / "law.json").read_text())
-    # u1(2) never acts at N = 2, tau = 1: its L rows and c entries are zeros, and -0.0 is a zero.
-    m = 3
-    doc["L"][2][m:] = [[-0.0] * len(row) for row in doc["L"][2][m:]]
-    doc["c"][2][m:] = [-0.0] * (len(doc["c"][2]) - m)
-    law = tmp_path / "negative_zeros.json"
+    assert [len(Lk) for Lk in doc["L"]] == [m + m1, m + m1, m] and len(doc["c"][2]) == m
+    doc["L"][2] += [[zero] * len(doc["L"][2][0])] * m1
+    doc["c"][2] += [zero] * m1
+    law = tmp_path / "old_width.json"
     law.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "verify", "--instance", IN_DELAY, "--controller", str(law))
-    assert code == 0
-    assert report(out)["terminal_deviation"] == synthesized["terminal_deviation"]
+    code, out, err = run(capsys, "verify", "--instance", IN_DELAY, "--controller", str(law))
+    assert code == 5 and out == ""
+    assert err.startswith("bad controller law: L stage 2 must be nested lists of shape (3, 5)"), err

@@ -10,15 +10,20 @@ delay routes, where the lag products are summed in another order, each
 stage's inputs and step within 8 eps times their entrywise bound
 sum |coefficient| |input|. Checked on every steerable route (full,
 tau 1/2, d 1/2) under both noise laws, with null, constant and path
-targets, for N <= 8. ``tracemalloc`` bounds the loop's peak at N = 17 by
-the states it returns, the u1 it must keep, its two buffers and 0.5 MB.
+targets, for N <= 8. On the same draws, the law evaluated on a target's
+own solution (its states, a zero u1) gives the target's input
+[(z_h - x_h Abar') M_q', 0] within rounding. ``tracemalloc`` bounds the
+loop's peak at N = 17 by the states it returns, the u1 it must keep, its
+two buffers and 0.5 MB.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from stochctrl import NoiseModel, PathTree, feedback_loop, steer_to_target
+from stochctrl import NoiseModel, PathTree, feedback_loop, member_of_S, steer_to_target
+from stochctrl.pathspace import _state_delay_gains
+from stochctrl.synthesis import _law_inputs
 from stochctrl.sampling import random_controllable, random_x0
 from crosschecks import lifted_regressor, lifting_plant_step, reference_feedback_loop
 from test_delay_law import draw
@@ -57,8 +62,8 @@ def test_loop_matches_the_reference_loop(law, route, lag, target):
         u1s = u1.values if u1 is not None else {}
         for k, Lk in enumerate(ctrl.law.L):
             r = lifted_regressor(tree, spec, N, k, x.values, u1s)
-            want = r @ Lk.T + ctrl.law.c.at(k)
-            bound = 8 * EPS * (np.abs(r) @ np.abs(Lk.T) + np.abs(ctrl.law.c.at(k)))
+            want = r @ Lk.T + ctrl.law.c[k]
+            bound = 8 * EPS * (np.abs(r) @ np.abs(Lk.T) + np.abs(ctrl.law.c[k]))
             assert np.all(np.abs(u.at(k) - want[:, :m]) <= bound[:, :m]), (N, k)
             if u1 is not None and k in u1s:
                 assert np.all(np.abs(u1.at(k) - want[:, m:]) <= bound[:, m:]), (N, k)
@@ -66,6 +71,39 @@ def test_loop_matches_the_reference_loop(law, route, lag, target):
             step = lifting_plant_step(tree, spec, x.values, k, u.at(k), u1k)
             step_bound = 8 * EPS * forward_bound(tree, spec, x.values, k, u.at(k), u1k)
             assert np.all(np.abs(x.at(k + 1) - step) <= step_bound), (N, k)
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("route,lag", ROUTES)
+@pytest.mark.parametrize("target", ["constant", "path"])
+def test_law_on_the_targets_own_solution_gives_the_targets_input(law, route, lag, target):
+    # L_k = K_k Pi_k - [M_q Abar, 0] and c_k = [z_h M_q', 0] - (r_h Pi_k') K_k', so at r(k) = r_h(k),
+    # the target's states with a zero u1, the law gives [(z_h - x_h Abar') M_q', 0]. The two
+    # products with K_k cancel, so the rounding bound sums the loop's terms (r L_k' and c_k) and
+    # theirs: (|r_h| |Pi_k'|) |K_k'| and (|z_h| + |x_h| |Abar'|) |M_q'|. A zero u1 meets no block of
+    # Pi_k, and Pi_k's first block is I, so K_k = L_k's first n columns + [M_q Abar; 0].
+    rng = np.random.default_rng([lag, len(law), len(route), len(target), 1])
+    for N in range(N_MAX + 1):
+        ts, tree, x0, goal, ctrl = draw(rng, LAWS[law], route, lag, 2, N, target)
+        spec, n, m = ts.spec, ts.spec.n, ts.spec.m
+        hom = member_of_S(tree, ts.form, goal).solution
+        xs = hom.x.values
+        u1s = {}
+        if route == "tau":
+            u1s = {j: np.zeros((tree.n_nodes(max(0, j)), spec.B1.shape[1])) for j in range(-lag, N - lag + 1)}
+        Q = _state_delay_gains(ts.form, N)[1] if route == "d" else [{}] * (N + 1)
+        Mq = ts.transform.M[:, :n]
+        for k, Lk in enumerate(ctrl.law.L):
+            got = _law_inputs(spec, ctrl.law, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
+            want = np.zeros_like(got)
+            want[:, :m] = (hom.z.at(k) - xs[k] @ spec.Abar.T) @ Mq.T
+            r = lifted_regressor(tree, spec, N, k, xs, u1s)
+            K = Lk[:, :n].copy()
+            K[:m] += Mq @ spec.Abar
+            r_pi = np.abs(xs[k]) + sum(tree.lift(np.abs(xs[k - j]), k - j, k) @ np.abs(Qj.T) for j, Qj in Q[k].items())
+            terms = np.abs(r) @ np.abs(Lk.T) + np.abs(ctrl.law.c[k]) + r_pi @ np.abs(K.T)
+            terms[:, :m] += (np.abs(hom.z.at(k)) + np.abs(xs[k]) @ np.abs(spec.Abar.T)) @ np.abs(Mq.T)
+            assert np.all(np.abs(got - want) <= 8 * EPS * terms), (N, k)
 
 
 def test_controller_inputs_are_derived_on_first_access():

@@ -15,7 +15,10 @@ entrywise bound sum |coefficient| |input|. A kernel that also sums over
 L nodes may differ by (8 + L) eps times that bound, since recursive
 summation of L terms can round by L eps in either form. Node
 probabilities are products in the same order, so they are equal bit for bit.
+Two source scans keep the package's kernels this way: no einsum, and no
+``.lift(`` call but ``AdaptedProcess.at_depth``'s, which the table writer uses.
 """
+import ast
 import pathlib
 
 import numpy as np
@@ -136,3 +139,26 @@ def test_no_einsum_in_the_package():
     sources = sorted(package.glob("*.py"))
     assert sources
     assert [path.name for path in sources if "einsum" in path.read_text(encoding="utf-8")] == []
+
+
+def _callers(node, attr: str, scope: tuple = ()):
+    """The qualified name of each function under ``node`` whose body calls ``<something>.attr(...)``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _callers(child, attr, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == attr:
+            yield ".".join(scope)
+        yield from _callers(child, attr, scope)
+
+
+def test_no_kernel_lifts_coarse_values_per_node():
+    # A coarse value is multiplied at its own depth (pathspace._add_product); only the table
+    # writer's AdaptedProcess.at_depth replicates values per node.
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "stochctrl"
+    callers = {
+        f"{path.stem}.{name}"
+        for path in sorted(package.glob("*.py"))
+        for name in _callers(ast.parse(path.read_text(encoding="utf-8")), "lift")
+    }
+    assert callers <= {"pathspace.AdaptedProcess.at_depth"}, sorted(callers)

@@ -3,7 +3,8 @@
 On every steerable route (full, delayed input with tau 1 and 2, delayed
 state with d 1 and 2), under both noise laws and n 1 to 3, synthesize
 writes the law of a path target, each c_k a flat row-major list of m+m1
-numbers (one row) or s^k (m+m1) (one row per node). verify replays that
+numbers (one row) or s^k (m+m1) (one row per node), with m1 = 0 at a
+stage whose u1(k) would enter after stage N. verify replays that
 law to synthesize's ``terminal_deviation`` bit for bit, and the table
 ``write_controller_csv`` writes for the same controller verifies to the
 same bits. A stage of any other length, a deep-stage entry that is not a
@@ -35,12 +36,13 @@ def test_path_target_law_verifies_to_the_synthesized_deviation_as_its_table_does
     synthesized = report(out)["terminal_deviation"]
     text = law_path.read_text()
     assert text == law_text(ctrl)  # the controller the table below is written from
-    width = ts.spec.m + (ts.spec.B1.shape[1] if route == "tau" else 0)
+    # u1(k) has entries only while it enters by stage N.
+    m1, N = ts.spec.B1.shape[1] if route == "tau" else 0, tree.horizon
+    widths = [ts.spec.m + m1 * (k + lag <= N) for k in range(N + 1)]
     stages = json.loads(text)["c"]
-    assert [len(stage) for stage in stages] == [
-        tree.n_nodes(ctrl.law.c.depth(k)) * width for k in range(tree.horizon + 1)
-    ]
-    assert any(len(stage) > width for stage in stages)
+    assert all(len(ck) in (1, tree.n_nodes(k)) for k, ck in enumerate(ctrl.law.c))
+    assert [len(stage) for stage in stages] == [len(ck) * width for ck, width in zip(ctrl.law.c, widths)]
+    assert any(len(stage) > width for stage, width in zip(stages, widths))
     table = tmp_path / "table.csv"
     write_controller_csv(table, ctrl)
     for artifact in (law_path, table):
@@ -93,8 +95,12 @@ MALFORMED = {
     "stage-two-rows": ("full", _stage(0, lambda c, w: [0.0] * 2 * w), None, "c stage 0 must list 3 numbers"),
     "stage-nested-rows": ("full", _stage(1, lambda c, w: [[0.0] * w] * 2), None, "c stage 1 must list 3 numbers"),
     "stage-not-a-list": ("full", _stage(1, lambda c, w: 0.0), None, "c stage 1 must list 3 numbers"),
-    # m 3, m1 3: a depth-2 stage of u columns only has 4 x 3 numbers.
-    "stage-without-u1-columns": ("tau", _stage(2, lambda c, w: [0.0] * 4 * 3), None, "or 4 x 6 (one row per depth-2"),
+    # m 3, m1 3, tau 1, N 2: stage 1 has u1 columns, so one row of u columns only is short; stage 2
+    # has none, as u1(2) would enter after stage N, so a depth-2 stage with them is long.
+    "stage-without-u1-columns": ("tau", _stage(1, lambda c, w: [0.0] * 3), None, "or 2 x 6 (one row per depth-1"),
+    "stage-with-u1-columns-after-N": (
+        "tau", _stage(2, lambda c, w: [0.0] * 4 * 6), None, "or 4 x 3 (one row per depth-2"
+    ),
     "deep-true": ("full", _deep_mark, "true", "c entries must be JSON numbers"),
     "deep-null": ("full", _deep_mark, "null", "c entries must be JSON numbers"),
     "deep-string": ("full", _deep_mark, '"1"', "c entries must be JSON numbers"),

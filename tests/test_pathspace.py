@@ -1,4 +1,6 @@
 """Path tree, adapted processes, backward solve, and attainability."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,6 @@ def test_tree_counts_and_probs():
     assert [tree.n_nodes(k) for k in range(4)] == [1, 3, 9, 27]
     for k in range(4):
         assert abs(tree.node_probs(k).sum() - 1.0) < 1e-12
-    assert len(list(tree.histories(2))) == 9
 
 
 def test_tree_cap():
@@ -44,7 +45,7 @@ def test_tree_cap():
 def test_label_roundtrip():
     tree = PathTree(NoiseModel.symmetric_three_point(), 2)
     labels = path_labels(tree.s, 2)
-    assert labels == ["".join(map(str, h)) for h in tree.histories(2)]
+    assert labels == ["".join(map(str, h)) for h in itertools.product(range(tree.s), repeat=2)]
     check_level(labels, tree.s, 2, "level")
     assert path_labels(tree.s, 0) == [""]
 
@@ -77,7 +78,7 @@ def test_lift_repeats_per_child(rng):
     vals = rng.normal(size=(2, 2))  # depth 1
     lifted = tree.lift(vals, 1, 3)
     assert lifted.shape == (8, 2)
-    for idx, h in enumerate(tree.histories(3)):
+    for idx, h in enumerate(itertools.product(range(tree.s), repeat=3)):
         np.testing.assert_array_equal(lifted[idx], vals[h[0]])
 
 
@@ -91,7 +92,7 @@ def test_cond_expect_tower(rng):
     np.testing.assert_allclose(coarse_direct, coarse_two_step, atol=1e-12)
     # and the unconditional mean matches plain path enumeration
     by_paths = path_expectation(
-        tree.noise, {h: proc.value(3, h) for h in tree.histories(3)}
+        tree.noise, {h: proc.value(3, h) for h in itertools.product(range(tree.s), repeat=3)}
     )
     np.testing.assert_allclose(coarse_direct[0], by_paths, atol=1e-12)
 
@@ -152,7 +153,7 @@ def test_three_point_membership_accept_and_reject(rng):
     m_good = member_of_S(tree, ts.form, good)
     assert m_good.member
     # quadratic dependence on the last digit cannot be represented
-    w_last = tree.support[[h[-1] for h in tree.histories(3)]]
+    w_last = tree.support[[h[-1] for h in itertools.product(range(tree.s), repeat=3)]]
     bad = (w_last**2)[:, None] * rng.normal(size=2)[None, :]
     m_bad = member_of_S(tree, ts.form, bad)
     assert not m_bad.member and m_bad.max_residual > 1e-3
@@ -173,7 +174,7 @@ def test_forward_simulate_matches_plain_loops(rng, bench_full):
     u = random_free_input(rng, tree, 3)
     sim = forward_simulate(tree, spec, expected["x0"], u)
     ref = simulate_paths(spec, expected["x0"], lambda k, pre: u.value(k, pre), 2)
-    for idx, h in enumerate(tree.histories(3)):
+    for idx, h in enumerate(itertools.product(range(tree.s), repeat=3)):
         np.testing.assert_allclose(sim.at(3)[idx], ref[h], atol=1e-10)
 
 
@@ -189,13 +190,13 @@ def test_forward_simulate_with_delays_matches_plain_loops(rng, bench_input_delay
         spec_in, exp_in["x0"], lambda k, pre: u.value(k, pre), 2,
         u1_fn=lambda k, pre: u1.value(k, pre),
     )
-    for idx, h in enumerate(tree.histories(3)):
+    for idx, h in enumerate(itertools.product(range(tree.s), repeat=3)):
         np.testing.assert_allclose(sim.at(3)[idx], ref[h], atol=1e-10)
 
     spec_st, exp_st = bench_state_delay
     sim_st = forward_simulate(tree, spec_st, exp_st["x0"], u)
     ref_st = simulate_paths(spec_st, exp_st["x0"], lambda k, pre: u.value(k, pre), 2)
-    for idx, h in enumerate(tree.histories(3)):
+    for idx, h in enumerate(itertools.product(range(tree.s), repeat=3)):
         np.testing.assert_allclose(sim_st.at(3)[idx], ref_st[h], atol=1e-10)
 
 

@@ -56,7 +56,7 @@ def dense_backward_solve_state_delay(tree, form, d, terminal, v=None):
         nodes = tree.n_nodes(k)
         drive = np.zeros((nodes, n))
         if form.m_free > 0:
-            drive = drive + _check_input(tree, v, k, form.m_free, "v") @ form.D.T
+            drive = drive + _check_input(v, k, form.m_free, "v") @ form.D.T
         if k == N:
             xk1 = terminal_arr.reshape(nodes, s, n)
             drive = drive + np.einsum("j,jab,hjb->ha", tree.probs, cmats, xk1)

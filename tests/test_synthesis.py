@@ -1,5 +1,6 @@
 """Controller construction, closed-loop checks, and the table format."""
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_steer_rejects_unattainable(rng):
     noise = NoiseModel.symmetric_three_point()
     ts = random_controllable(rng, 2, 3, 2, noise=noise)
     tree = PathTree(noise, 2)
-    w_last = tree.support[[h[-1] for h in tree.histories(3)]]
+    w_last = tree.support[[h[-1] for h in itertools.product(range(tree.s), repeat=3)]]
     bad = (w_last**2)[:, None] * np.array([1.0, 0.5])[None, :]
     with pytest.raises(TargetNotInS):
         steer_to_target(ts, tree, random_x0(rng, 2), bad)

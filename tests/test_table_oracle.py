@@ -16,6 +16,7 @@ import pytest
 
 from stochctrl import NoiseModel, PathTree, SingularGramian, read_controller_table
 from stochctrl.delay import input_delay_controller, state_delay_controller
+from stochctrl.model import LABEL_TABLE_MAX, path_labels
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import FLOAT_FMT, steer_to_target
 from conftest import table_text
@@ -112,3 +113,19 @@ def test_tables_match_the_row_by_row_writer(law, N, route):
         assert got.stages() == want.stages()
         for k in want.stages():
             np.testing.assert_array_equal(got.at(k), want.at_depth(k, got.depth(k)))
+
+
+@pytest.mark.parametrize("law,N,route", [("three-point", 8, "input delay"), ("two-point", 13, "null")])
+def test_levels_deeper_than_the_tail_table_match_the_row_by_row_writer(law, N, route):
+    # 3^8 and 2^13 labels exceed the LABEL_TABLE_MAX-label tail table, so stage N is written
+    # in blocks, one per head label.
+    rng = np.random.default_rng(N)
+    ts, tree, ctrl = _controller(rng, LAWS[law], N, route)
+    assert tree.n_nodes(N) > LABEL_TABLE_MAX
+    buf = io.StringIO()
+    reference_write_controller_csv(buf, ctrl)
+    text = table_text(ctrl)
+    assert text == buf.getvalue()
+    rows = [line.split(",", 2)[:2] for line in text.splitlines()[1:]]
+    for k in range(N + 1):
+        assert [label for stage, label in rows if stage == str(k)] == path_labels(tree.s, k), k
