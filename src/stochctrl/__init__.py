@@ -86,6 +86,7 @@ from .synthesis import (
     ControllerProcess,
     FeedbackLaw,
     feedback_loop,
+    folded_loop,
     law_text,
     null_controller,
     read_controller_table,

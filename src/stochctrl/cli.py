@@ -57,7 +57,7 @@ from .partial import output_form, partial_decide, reduced_form, reduced_rank_set
 from .pathspace import DEFAULT_CAP, PathTree, forward_simulate, terminal_from_map
 from .synthesis import (
     FLOAT_FMT,
-    feedback_loop,
+    folded_loop,
     law_text,
     read_controller_table,
     read_feedback_law,
@@ -225,11 +225,10 @@ def _steering_setup(args, what: str):
     return inst, vs, route, PathTree(inst.system.noise, N, cap=args.cap)
 
 
-def _deviation(tree: PathTree, xs, target) -> float:
-    """Worst terminal gap from the target leaves (the origin when None)."""
-    final = xs.at(tree.horizon + 1)
+def _deviation(final: np.ndarray, target) -> float:
+    """Worst terminal gap from the target leaves (the origin when None); ``final`` is overwritten with the gap."""
     if target is not None:
-        return float(np.abs(final - target).max())
+        final -= target
     # max |x| without a leaf-sized |x| copy; abs clears the sign of a -0.0 or NaN, as np.abs would.
     return float(abs(np.maximum(final.max(), -final.min())))
 
@@ -240,13 +239,14 @@ def cmd_synthesize(args) -> int:
     ts = TransformedSystem.build(vs)
     target = None if inst.target is None else terminal_from_map(tree, spec.n, inst.target)
     ctrl = ROUTES[route].controller(ts, tree, inst.x0, target, args.tol)
-    deviation = _deviation(tree, ctrl.x, target)
+    x0, final = folded_loop(tree, spec, inst.x0, ctrl.law)
+    deviation = _deviation(final, target)
     pairs = [
         ("command", "synthesize"),
         ("kind", ctrl.kind),
         ("N", tree.horizon),
         ("paths", tree.n_nodes(tree.horizon + 1)),
-        ("x0_error", float(np.abs(ctrl.x.at(0)[0] - inst.x0).max())),
+        ("x0_error", float(np.abs(x0[0] - inst.x0).max())),
         ("terminal_deviation", deviation),
         ("tolerance", args.tol),
         ("gramian_min_singular", float(np.linalg.svd(ctrl.gramian, compute_uv=False)[-1])),
@@ -270,15 +270,15 @@ def cmd_verify(args) -> int:
     artifact = "law" if byte == b"{" else "table"
     try:
         if artifact == "law":
-            _, xs, _ = feedback_loop(tree, spec, inst.x0, read_feedback_law(args.controller, tree, spec))
+            _, final = folded_loop(tree, spec, inst.x0, read_feedback_law(args.controller, tree, spec))
         else:
             u, u1 = read_controller_table(args.controller, tree, spec)
-            xs = forward_simulate(tree, spec, inst.x0, u, u1=u1)
+            final = forward_simulate(tree, spec, inst.x0, u, u1=u1).at(tree.horizon + 1)
     except (SchemaError, AdaptednessViolation, StageMismatch) as exc:
         sys.stderr.write(f"bad controller {artifact}: {exc}\n")
         return EXIT_BAD_TABLE
     target = None if inst.target is None else terminal_from_map(tree, spec.n, inst.target)
-    deviation = _deviation(tree, xs, target)
+    deviation = _deviation(final, target)
     ok = deviation <= args.tol
     pairs = [
         ("command", "verify"),

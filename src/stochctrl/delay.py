@@ -27,7 +27,7 @@ elimination that solves the delayed backward equation
 the horizon only through N - k, so one P-sequence serves every horizon
 up to its own.
 
-Both controllers are feedback laws run by ``synthesis.feedback_loop``,
+Both controllers are feedback laws run by ``synthesis.folded_loop``,
 on e = x - x_h with j = N - k: the one gain law of ``synthesis`` and a
 predictor map Pi_k from the lagged regressor (``synthesis.FeedbackLaw``)
 to the predictor p(k): y = S(j)^+ p(k), v = D' P(j)' y and

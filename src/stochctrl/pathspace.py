@@ -18,6 +18,11 @@ in :func:`backward_solve_state_delay`'s forward sweep, is multiplied at
 its own depth and the product added to every descendant through a
 reshaped view (:func:`_add_product`), never replicated per node; only
 :meth:`AdaptedProcess.at_depth` lifts values, for the controller table.
+:func:`plant_step` is the step of :func:`forward_simulate` and of
+``synthesis.feedback_loop``, the every-level closed loop behind a
+controller's table and ``ControllerProcess.x``; the commands run a law
+through ``synthesis.folded_loop``, which folds the law into the step's
+map and adds its lags through :func:`_add_product` the same way.
 
 :func:`path_products` is the one place per-history products of the
 random factors C + w Cbar are built, with the state-delay pivots of
@@ -529,8 +534,8 @@ def plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk: np.ndarra
     (:func:`_add_product`), in ``work`` when given: a flat scratch array of
     at least s^k s n entries, so that the one array allocated is the
     returned level.
-    Forward simulation and every route's closed loop take this step, so a
-    law and its table replay bit for bit.
+    Forward simulation and ``synthesis.feedback_loop`` take this step, so a
+    controller's every-level states and its table's replay agree bit for bit.
     """
     out = xs[k] @ np.hstack([(spec.A + w * spec.Abar).T for w in tree.support])
     _add_product(out, uk, np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support]), work)

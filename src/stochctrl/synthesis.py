@@ -29,15 +29,24 @@ coarsest depth (one row for the origin and any constant target). K_k
 has u1 rows only while u1(k) enters by stage N (k <= N - tau), so L_k
 and c_k have none past that. r_h(k) Pi_k' is x_h(k) plus each acting
 state lag's x_h(k-j) (-Q_j(k))', multiplied at the lag's own depth
-(:func:`pathspace._add_product`); the target's u1 is zero. The one
-closed loop, :func:`feedback_loop`, allocates per level only the state it
-returns (and u1(k) on a delayed input): it evaluates [u(k), u1(k)] into
-one input buffer, multiplies each lag block of L_k at the lag's own depth
-and adds the product to the lag's descendants, and steps through
-:func:`pathspace.plant_step`, the step of forward simulation, with one
-work buffer. The inputs u are not kept; :class:`LawInputs` derives them
-on first access by the loop's own helper, so a replay of the written
-controller, law or table, reproduces its states bit for bit.
+(:func:`pathspace._add_product`); the target's u1 is zero.
+
+Two closed loops run a law. The commands' loop, :func:`folded_loop`,
+folds u(k) into the plant step: stage k is one matmul of x(k) against
+the closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, with
+the offset and each acting lag added at its own depth, and it keeps only
+the levels a later stage reads (x(N+1), the state lags, the u1
+pipeline). synthesize and verify of a law both run it, so they report
+the same deviation to the last digit. The every-level loop,
+:func:`feedback_loop`, evaluates [u(k), u1(k)] into one input buffer and
+steps through :func:`pathspace.plant_step`, the step of forward
+simulation, keeping every state; :class:`LawInputs` derives its inputs
+u on first access by the loop's own helper, so the table written from
+them replays those states bit for bit. It backs
+``ControllerProcess.x``, ``.u`` and ``.u1``, run on first access, which
+no command reads. Both loops stay while tables do (ROADMAP item 2): a
+table's inputs taken from folded states do not replay open loop within
+the round-trip bound, as the plant step's do.
 Every controller is written as its law, JSON {"kind": "feedback", "N",
 "L", "c"} plus "u1" on a delayed input, with floats in ``repr`` (exact
 for float64); each c_k is one flat row-major list, of w_k numbers when
@@ -108,19 +117,36 @@ class FeedbackLaw:
 
 @dataclass(eq=False)
 class ControllerProcess:
-    """Steering inputs, the law that decides them and the closed-loop states x(0..N+1).
+    """A steering law, the Gramian it was built on, and its closed loop at every level.
 
-    ``u`` is the loop's :class:`LawInputs`, computed on first access (only a
-    table needs it); ``u1`` holds the delayed inputs the loop kept.
+    ``x`` (x(0..N+1)), ``u`` (the :class:`LawInputs`) and ``u1`` are
+    :func:`feedback_loop`'s, run on first access of any of them: only the
+    table writer and callers that want every level need them, and the
+    commands run the law through :func:`folded_loop` instead.
     """
 
     kind: str
     tree: PathTree
-    u: AdaptedProcess
-    x: AdaptedProcess
+    spec: SystemSpec
+    x0: np.ndarray
     gramian: np.ndarray
     law: FeedbackLaw
-    u1: AdaptedProcess | None = None
+
+    @functools.cached_property
+    def _loop(self) -> tuple[AdaptedProcess, AdaptedProcess, AdaptedProcess | None]:
+        return feedback_loop(self.tree, self.spec, self.x0, self.law)
+
+    @property
+    def u(self) -> AdaptedProcess:
+        return self._loop[0]
+
+    @property
+    def x(self) -> AdaptedProcess:
+        return self._loop[1]
+
+    @property
+    def u1(self) -> AdaptedProcess | None:
+        return self._loop[2]
 
 
 def _pinv(S: np.ndarray) -> np.ndarray:
@@ -129,7 +155,7 @@ def _pinv(S: np.ndarray) -> np.ndarray:
 
 
 def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> ControllerProcess:
-    """Steer x0 to ``target`` (None: the origin) by the law of this module's docstring, and run it.
+    """The law that steers x0 to ``target`` (None: the origin), as this module's docstring builds it.
 
     The form picks the membership solve, the Gramian, the kind and, per
     delay channel, the gains' u1 rows (k <= N - tau) or pivots P(j), the
@@ -138,7 +164,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     blocks.
     """
     form, spec, n, N = ts.form, ts.spec, ts.form.n, tree.horizon
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.array(x0, dtype=float)  # a copy: the closed loop runs from it on first access
     if x0.shape != (n,):
         raise DimensionMismatch(f"x0 must have length {n}, got {x0.shape}")
     hom = None
@@ -185,9 +211,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
                 _add_product(p, hom.x.at(k - j), -Q[k][j].T)
             ck = np.pad(hom.z.at(k) @ Mq.T, ((0, 0), (0, len(Kk) - spec.m))) - p @ Kk.T
         c.append(ck[:1] if (ck == ck[0]).all() else ck)
-    law = FeedbackLaw(L, c, u1_pre)
-    u, x, u1 = feedback_loop(tree, spec, x0, law)
-    return ControllerProcess(kind=kind, tree=tree, u=u, x=x, gramian=G, law=law, u1=u1)
+    return ControllerProcess(kind, tree, spec, x0, G, FeedbackLaw(L, c, u1_pre))
 
 
 def null_controller(ts: TransformedSystem, tree: PathTree, x0: np.ndarray) -> ControllerProcess:
@@ -211,9 +235,11 @@ def steer_to_target(
     The terminal may be a vector (constant over paths) or a full leaf
     array; None steers to the origin and gives the null controller.
     Rejects terminals outside the attainable set with
-    :class:`TargetNotInS`. The inputs come from one pass of the route's
-    :class:`FeedbackLaw` (this module's docstring), whose N+1 gains are
-    built in O(N n^3), no tree; on a delay route it is ``delay``'s controller.
+    :class:`TargetNotInS`. Returns the route's :class:`FeedbackLaw` (this
+    module's docstring), whose N+1 gains are built in O(N n^3), no tree
+    (a target's offsets read its solution on the tree); the closed loop
+    runs only when ``x``, ``u`` or ``u1`` is first read. On a delay route
+    it is ``delay``'s controller.
     """
     return _steer(ts, tree, x0, target, tol)
 
@@ -229,8 +255,9 @@ def feedback_loop(
     input: [u(k), u1(k)] is evaluated by :func:`_law_inputs` into one input
     buffer, and the step's products go into one work buffer, both sized
     once for depth N. u is not kept: :class:`LawInputs` derives it on
-    first access with the same helper, so its bits are the loop's.
-    Synthesis and verification both run a law here, bit for bit alike.
+    first access with the same helper, so its bits are the loop's and a
+    table written from it replays these states bit for bit. The commands
+    run a law through :func:`folded_loop` instead.
     """
     m, N, s, n = spec.m, len(law.L) - 1, tree.s, spec.n
     tau = spec.tau if spec.B1 is not None else 0
@@ -248,6 +275,63 @@ def feedback_loop(
     x = AdaptedProcess(tree, xs, {k: k for k in xs})
     u1 = AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None
     return LawInputs(tree, spec, law, xs, u1s), x, u1
+
+
+def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> tuple[np.ndarray, np.ndarray]:
+    """x(0) and x(N+1) of the law's closed loop, one row per node, one matmul per stage (:func:`_folded_step`).
+
+    Only what a later stage reads is kept: the state lags x(k-d+1..k) on a
+    delayed state and the u1 pipeline u1(k-tau+1..k) on a delayed input,
+    no input and no scratch buffer. synthesize and verify both run a law
+    here, so they report the same deviation to the last digit; the states
+    differ from :func:`feedback_loop`'s, the plant step's, by rounding.
+    """
+    N, d, tau = len(law.L) - 1, spec.d or 0, spec.tau or 0
+    xs = {0: np.asarray(x0, dtype=float)[None, :].copy()}
+    first = xs[0]
+    u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
+    for k in range(N + 1):
+        xs[k + 1], u1k = _folded_step(tree, spec, law, k, xs, u1s)
+        if u1k is not None:
+            u1s[k] = u1k
+        xs.pop(k - d, None)  # x(k - d) and u1(k - tau) act last at stage k
+        u1s.pop(k - tau, None)
+    return first, xs[N + 1]
+
+
+def _folded_step(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict):
+    """x(k+1) at depth k + 1, and u1(k) while it enters by stage N (else None), under the stage-k law.
+
+    u(k) = r(k) L_k,u' + c_k,u folded into the plant step: x(k) times the
+    closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, then
+    c_k,u (B + w_j Bbar)' at c_k's depth and each acting lag times
+    L_k,lag' (B + w_j Bbar)', plus A1' for x(k-d) and B1' for u1(k-tau),
+    at the lag's own depth (:func:`pathspace._add_product`). u1(k) =
+    r(k) L_k,u1' + c_k,u1 reads the same lags. ``xs`` and ``u1s`` map a
+    stage j to its values at depth max(0, j).
+    """
+    m, n, N = spec.m, spec.n, len(law.L) - 1
+    Lu, L1, c = law.L[k][:m], law.L[k][m:], law.c[k]
+    Bw = np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support])
+    out = xs[k] @ (np.hstack([(spec.A + w * spec.Abar).T for w in tree.support]) + Lu[:, :n].T @ Bw)
+    _add_product(out, c[:, :m], Bw)
+    u1 = xs[k] @ L1[:, :n].T if len(L1) else None
+    xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
+    lags = [(xs[k - j], spec.A1 if j == spec.d else None) for j in xlags]
+    lags += [(u1s[k - i], spec.B1 if i == spec.tau else None) for i in ulags]
+    col = n
+    for lag, direct in lags:
+        cols = slice(col, col + lag.shape[1])
+        block = Lu[:, cols].T @ Bw
+        if direct is not None:
+            block += np.tile(direct.T, tree.s)
+        _add_product(out, lag, block)
+        if u1 is not None:
+            _add_product(u1, lag, L1[:, cols].T)
+        col = cols.stop
+    if u1 is not None:
+        u1 += c[:, m:]
+    return out.reshape(-1, n), u1
 
 
 def _law_inputs(spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict, out: np.ndarray, work=None):

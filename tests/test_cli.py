@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from stochctrl import (
-    AdaptedProcess,
     NoiseModel,
     PathTree,
     ProblemInstance,
@@ -744,17 +743,38 @@ DEVIATION_LEAVES = {
 
 @pytest.mark.parametrize("case", sorted(DEVIATION_LEAVES))
 def test_null_target_deviation_is_the_largest_magnitude_bit_for_bit(case):
-    tree = PathTree(NoiseModel.rademacher(), 0)
     final = np.array(DEVIATION_LEAVES[case])
-    xs = AdaptedProcess(tree, {1: final}, {1: 1})
-    assert _bits(_deviation(tree, xs, None)) == _bits(np.abs(final).max())
+    assert _bits(_deviation(final.copy(), None)) == _bits(np.abs(final).max())
+
+
+@pytest.mark.parametrize("target_case", sorted(DEVIATION_LEAVES))
+def test_target_deviation_is_the_largest_gap_bit_for_bit(target_case):
+    # The gap is formed in place in the terminal array, then scanned as a null target's states are.
+    target = np.array(DEVIATION_LEAVES[target_case])
+    for case, leaves in sorted(DEVIATION_LEAVES.items()):
+        final = np.array(leaves)
+        gap = final.copy()
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = np.abs(final - target).max()
+            assert _bits(_deviation(gap, target)) == _bits(want), case
+            assert _bits(gap) == _bits(final - target), case
 
 
 def test_null_target_deviation_matches_abs_max_on_random_leaves():
     rng = np.random.default_rng(5)
-    tree = PathTree(NoiseModel.rademacher(), 3)
     for _ in range(200):
         final = rng.normal(size=(16, 3)) * 10.0 ** rng.integers(-300, 300)
         final[rng.random(final.shape) < 0.1] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan])
-        xs = AdaptedProcess(tree, {4: final}, {4: 4})
-        assert _bits(_deviation(tree, xs, None)) == _bits(np.abs(final).max())
+        assert _bits(_deviation(final.copy(), None)) == _bits(np.abs(final).max())
+
+
+def test_target_deviation_matches_abs_max_of_the_gap_on_random_leaves():
+    rng = np.random.default_rng(6)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    for _ in range(200):
+        final, target = (rng.normal(size=(16, 3)) * 10.0 ** rng.integers(-300, 300) for _ in range(2))
+        for arr in (final, target):
+            arr[rng.random(arr.shape) < 0.1] = rng.choice(special)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = np.abs(final - target).max()
+            assert _bits(_deviation(final, target)) == _bits(want)

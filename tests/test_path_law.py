@@ -7,7 +7,7 @@ numbers (one row) or s^k (m+m1) (one row per node), with m1 = 0 at a
 stage whose u1(k) would enter after stage N. verify replays that
 law to synthesize's ``terminal_deviation`` bit for bit, and the table
 ``write_controller_csv`` writes for the same controller verifies to the
-same bits. A stage of any other length, a deep-stage entry that is not a
+bits of the plant-step loop (``ControllerProcess.x``) it was written from. A stage of any other length, a deep-stage entry that is not a
 finite JSON number, and a ``c`` that is not N+1 stages exit 5.
 """
 import json
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from stochctrl import law_text, write_controller_csv
-from test_delay_law import LAWS, draw, report, run, write_instance
+from test_delay_law import LAWS, draw, report, run, table_deviation, write_instance
 
 ROUTES = [("full", 0), ("tau", 1), ("tau", 2), ("d", 1), ("d", 2)]
 
@@ -45,10 +45,11 @@ def test_path_target_law_verifies_to_the_synthesized_deviation_as_its_table_does
     assert any(len(stage) > width for stage, width in zip(stages, widths))
     table = tmp_path / "table.csv"
     write_controller_csv(table, ctrl)
-    for artifact in (law_path, table):
+    # The law replays synthesize's folded loop; the table, the plant-step loop it was written from.
+    for artifact, want in ((law_path, synthesized), (table, table_deviation(ctrl, goal))):
         code, out, _ = run(capsys, "verify", "--instance", inst, "--controller", str(artifact))
         assert code == 0
-        assert report(out)["terminal_deviation"] == synthesized, artifact.name
+        assert report(out)["terminal_deviation"] == want, artifact.name
 
 
 @pytest.fixture(scope="module")
