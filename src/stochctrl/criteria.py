@@ -126,9 +126,16 @@ def gramian_invertible(G: np.ndarray) -> tuple[bool, float]:
 
     Returns (invertible, min singular value).
     """
-    svals = np.linalg.svd(G, compute_uv=False)
+    svals, cut = _singular_values(G)
     smin = float(svals[-1])
-    return smin > G.shape[0] * np.finfo(float).eps * float(svals[0]), smin
+    return smin > cut, smin
+
+
+def _singular_values(G: np.ndarray) -> tuple[np.ndarray, float]:
+    """G's singular values, largest first, and the threshold dim * eps * sigma_max that
+    :func:`gramian_invertible` holds the smallest against and ``matrix_rank`` counts above."""
+    svals = np.linalg.svd(G, compute_uv=False)
+    return svals, G.shape[0] * np.finfo(float).eps * float(svals[0])
 
 
 @dataclass(eq=False)
@@ -234,11 +241,12 @@ def decide_form(
     # two criteria inconsistent; the report keeps the requested window for its figures.
     min_sv, witness = [], None
     for N, S in enumerate(_gramians(form, max(N_max, 2 * dim) if by_rank else N_max)):
-        ok, smin = gramian_invertible(S)
+        svals, cut = _singular_values(S)
+        smin = float(svals[-1])
         if N <= N_max:
-            G = S
+            G, rank = S, int(np.count_nonzero(svals > cut))
             min_sv.append(smin)
-        if ok and witness is None:
+        if smin > cut and witness is None:
             witness = N
         if witness is not None and N >= N_max:
             break
@@ -255,7 +263,7 @@ def decide_form(
         witness_N=witness,
         min_singular=tuple(min_sv),
         gramian=G,
-        gramian_rank=int(np.linalg.matrix_rank(G)) if G.size else 0,
+        gramian_rank=rank,
         rank_R=None if span is None else span.rank,
         span_depth=None if span is None else span.depth,
         criteria_agree=None if span is None else True,

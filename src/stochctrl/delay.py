@@ -27,10 +27,12 @@ elimination that solves the delayed backward equation
 the horizon only through N - k, so one P-sequence serves every horizon
 up to its own.
 
-Both controllers are feedback laws run by ``synthesis.folded_loop``,
-on e = x - x_h with j = N - k: the one gain law of ``synthesis`` and a
-predictor map Pi_k from the lagged regressor (``synthesis.FeedbackLaw``)
-to the predictor p(k): y = S(j)^+ p(k), v = D' P(j)' y and
+Both controllers are feedback laws run by ``synthesis.folded_loop``
+(subtree by subtree below a small level, each run reading the lags
+above it as its ancestor rows), on e = x - x_h with j = N - k: the one
+gain law of ``synthesis`` and a predictor map Pi_k from the lagged
+regressor (``synthesis.FeedbackLaw``) to the predictor p(k):
+y = S(j)^+ p(k), v = D' P(j)' y and
 z = z_h + S(j-1) Cbar' P(j)' y. Pi_k = [I, -Q_j(k) ..., -C^(tau-i) D1 ...]
 over [x(k), x(k-j) ..., u1(k-i) ...], the lags that act at stage k
 (:func:`pathspace._acting_lags`). On a delayed input, a Smith predictor,

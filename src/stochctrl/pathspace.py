@@ -22,7 +22,9 @@ reshaped view (:func:`_add_product`), never replicated per node; only
 ``synthesis.feedback_loop``, the every-level closed loop behind a
 controller's table and ``ControllerProcess.x``; the commands run a law
 through ``synthesis.folded_loop``, which folds the law into the step's
-map and adds its lags through :func:`_add_product` the same way.
+map, adds its lags through :func:`_add_product` the same way, and below
+a level of ``BLOCK_ENTRIES`` rows runs the tree subtree by subtree, a
+lag above a run passed as the run's ancestor rows.
 
 :func:`path_products` is the one place per-history products of the
 random factors C + w Cbar are built, with the state-delay pivots of
@@ -59,6 +61,8 @@ DEFAULT_CAP = 2**20
 P_RCOND = 1e-12
 # Entries of a level a kernel processes per row block: temporaries stay
 # a few hundred KB however wide the level, so peak memory is the levels.
+# synthesis.folded_loop counts it in rows, for the level it cuts into runs
+# and for each run's leaves.
 BLOCK_ENTRIES = 2**15
 
 

@@ -34,15 +34,18 @@ state lag's x_h(k-j) (-Q_j(k))', multiplied at the lag's own depth
 Two closed loops run a law. The commands' loop, :func:`folded_loop`,
 folds u(k) into the plant step: stage k is one matmul of x(k) against
 the closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, with
-the offset and each acting lag added at its own depth, and it keeps only
-the levels a later stage reads (x(N+1), the state lags, the u1
-pipeline). synthesize and verify of a law both run it, so they report
-the same deviation to the last digit. The every-level loop,
-:func:`feedback_loop`, evaluates [u(k), u1(k)] into one input buffer and
-steps through :func:`pathspace.plant_step`, the step of forward
-simulation, keeping every state; :class:`LawInputs` derives its inputs
-u on first access by the loop's own helper, so the table written from
-them replays those states bit for bit. It backs
+the offset and each acting lag added at its own depth. It runs
+breadth-first only while a level is small, then carries runs of that
+level's rows through the remaining stages one at a time and yields
+x(N+1) run by run, so it never holds a leaf level, and keeps of each
+only what a later stage reads (the state lags, the u1 pipeline).
+synthesize and verify of a law both run it and reduce the terminal gap
+run by run, so they report the same deviation to the last digit. The
+every-level loop, :func:`feedback_loop`, evaluates [u(k), u1(k)] into
+one input buffer and steps through :func:`pathspace.plant_step`, the
+step of forward simulation, keeping every state; :class:`LawInputs`
+derives its inputs u on first access by the loop's own helper, so the
+table written from them replays those states bit for bit. It backs
 ``ControllerProcess.x``, ``.u`` and ``.u1``, run on first access, which
 no command reads. Both loops stay while tables do (ROADMAP item 2): a
 table's inputs taken from folded states do not replay open loop within
@@ -64,10 +67,12 @@ import csv
 import functools
 import json
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import pathspace
 from .criteria import gramian, gramian_invertible, gramian_sequence
 from .errors import DimensionMismatch, SchemaError, SingularGramian, TargetNotInS
 from .model import _JSON_NUMBERS, SystemSpec, _label_tables, _level_labels, check_level
@@ -277,26 +282,59 @@ def feedback_loop(
     return LawInputs(tree, spec, law, xs, u1s), x, u1
 
 
-def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> tuple[np.ndarray, np.ndarray]:
-    """x(0) and x(N+1) of the law's closed loop, one row per node, one matmul per stage (:func:`_folded_step`).
+def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Iterator[tuple[int, np.ndarray]]:
+    """x(N+1) of the law's closed loop in runs of consecutive leaves, each with the index of its first leaf.
 
-    Only what a later stage reads is kept: the state lags x(k-d+1..k) on a
-    delayed state and the u1 pipeline u1(k-tau+1..k) on a delayed input,
-    no input and no scratch buffer. synthesize and verify both run a law
+    Stages run breadth-first (:func:`_folded_stages`) down to the top
+    level: the deepest with at most ``pathspace.BLOCK_ENTRIES`` rows, or
+    deeper where a top-level node's subtree would end in more leaves than
+    that. The top level is then cut into runs of s^p consecutive rows,
+    each carried alone through the remaining stages, with p as large as
+    keeps a run's leaves within ``BLOCK_ENTRIES`` rows but at least one
+    more than the longest lag. A lag above the run's depth is passed as
+    its ancestor rows, so every lag but a depth-0 one spans s rows or
+    more: a single row would go through the matrix-vector kernel, which
+    rounds differently from the level's matmul. A per-node c_k is passed
+    as the run's rows. So the runs, concatenated, are the breadth-first
+    loop's x(N+1) bit for bit, and no more is held than the top level
+    with its lags and one run's. synthesize and verify both run a law
     here, so they report the same deviation to the last digit; the states
     differ from :func:`feedback_loop`'s, the plant step's, by rounding.
     """
-    N, d, tau = len(law.L) - 1, spec.d or 0, spec.tau or 0
+    N, s, tau = len(law.L) - 1, tree.s, spec.tau or 0
+    fit = 0  # the deepest level of at most BLOCK_ENTRIES rows
+    while s ** (fit + 1) <= pathspace.BLOCK_ENTRIES:
+        fit += 1
+    top = min(N + 1, max(fit, N + 1 - fit))
+    p = min(top, max(fit - (N + 1 - top), max(spec.d or 0, tau) + 1))
+    leaves = s ** (N + 1 - top + p)  # a run's: s^p top-level rows' subtrees
     xs = {0: np.asarray(x0, dtype=float)[None, :].copy()}
-    first = xs[0]
     u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
-    for k in range(N + 1):
+    _folded_stages(tree, spec, law, range(top), xs, u1s)
+
+    def rows(values, depth, first):  # a level's ancestors or descendants of the run from leaf ``first``
+        q = s ** (N + 1 - depth)
+        return values[first // q : -(-(first + leaves) // q)]
+
+    for first in range(0, s ** (N + 1), leaves):
+        run_xs = {j: rows(v, j, first) for j, v in xs.items()}
+        run_u1s = {j: rows(v, max(0, j), first) for j, v in u1s.items()}
+        c = law.c[:top] + [ck if len(ck) == 1 else rows(ck, k, first) for k, ck in enumerate(law.c[top:], top)]
+        _folded_stages(tree, spec, FeedbackLaw(law.L, c, law.u1_pre), range(top, N + 1), run_xs, run_u1s)
+        yield first, run_xs[N + 1]
+
+
+def _folded_stages(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, stages: range, xs: dict, u1s: dict) -> None:
+    """Run ``stages`` through :func:`_folded_step` in place in ``xs`` and ``u1s``, keeping only what a later
+    stage reads: the state lags x(k-d+1..k) on a delayed state and the u1 pipeline u1(k-tau+1..k) on a
+    delayed input, besides x(k+1)."""
+    d, tau = spec.d or 0, spec.tau or 0
+    for k in stages:
         xs[k + 1], u1k = _folded_step(tree, spec, law, k, xs, u1s)
         if u1k is not None:
             u1s[k] = u1k
         xs.pop(k - d, None)  # x(k - d) and u1(k - tau) act last at stage k
         u1s.pop(k - tau, None)
-    return first, xs[N + 1]
 
 
 def _folded_step(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict):

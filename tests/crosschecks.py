@@ -18,7 +18,9 @@ is the closed loop as first written, against which ``synthesis.feedback_loop``
 is checked: it lifts every lag to depth k, stacks the regressor r(k) for
 one matmul with L_k', stores every u(k), and steps through
 ``lifting_plant_step``, the plant step that lifts u1 and x(k - d) to depth
-k before its matmuls. ``einsum_children``,
+k before its matmuls. ``breadth_first_folded_loop`` is the folded closed
+loop run level by level over the whole tree, against which
+``synthesis.folded_loop``'s runs of leaves are checked. ``einsum_children``,
 ``einsum_weighted_gram``, ``einsum_prefix_means``,
 ``einsum_terminal_product`` and ``kron_node_probs`` are the enumeration
 oracle's kernels in the same einsum and Kronecker forms.
@@ -45,6 +47,7 @@ from stochctrl import (
 )
 from stochctrl.model import path_labels
 from stochctrl.pathspace import P_RCOND, _acting_lags
+from stochctrl.synthesis import _folded_step
 
 
 def reconstruct_u(tr: InputTransform, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -250,6 +253,21 @@ def reference_feedback_loop(tree: PathTree, spec: SystemSpec, x0, law):
         xs[k + 1] = lifting_plant_step(tree, spec, xs, k, u_vals[k], u1k)
     u, x = (AdaptedProcess(tree, vals, {k: k for k in vals}) for vals in (u_vals, xs))
     return u, x, AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None
+
+
+def breadth_first_folded_loop(tree: PathTree, spec: SystemSpec, x0, law) -> np.ndarray:
+    """x(N+1) of the folded closed loop, stage by stage over whole levels: ``synthesis._folded_step``
+    run from x0 on every node of each level, keeping the state lags and the u1 pipeline."""
+    N, d, tau = len(law.L) - 1, spec.d or 0, spec.tau or 0
+    xs = {0: np.asarray(x0, dtype=float)[None, :].copy()}
+    u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
+    for k in range(N + 1):
+        xs[k + 1], u1k = _folded_step(tree, spec, law, k, xs, u1s)
+        if u1k is not None:
+            u1s[k] = u1k
+        xs.pop(k - d, None)
+        u1s.pop(k - tau, None)
+    return xs[N + 1]
 
 
 def einsum_stage_mean(tree: PathTree, form, x_next: np.ndarray) -> np.ndarray:

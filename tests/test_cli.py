@@ -741,10 +741,16 @@ DEVIATION_LEAVES = {
 }
 
 
+def runs_of(final, cuts=()):
+    """``final`` as runs of leaves (first leaf index, rows) cut before each row in ``cuts``, as the loop yields them."""
+    bounds = [0, *cuts, len(final)]
+    return [(a, final[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 @pytest.mark.parametrize("case", sorted(DEVIATION_LEAVES))
 def test_null_target_deviation_is_the_largest_magnitude_bit_for_bit(case):
     final = np.array(DEVIATION_LEAVES[case])
-    assert _bits(_deviation(final.copy(), None)) == _bits(np.abs(final).max())
+    assert _bits(_deviation(runs_of(final.copy()), None)) == _bits(np.abs(final).max())
 
 
 @pytest.mark.parametrize("target_case", sorted(DEVIATION_LEAVES))
@@ -756,8 +762,30 @@ def test_target_deviation_is_the_largest_gap_bit_for_bit(target_case):
         gap = final.copy()
         with np.errstate(invalid="ignore"):  # inf - inf
             want = np.abs(final - target).max()
-            assert _bits(_deviation(gap, target)) == _bits(want), case
+            assert _bits(_deviation(runs_of(gap), target)) == _bits(want), case
             assert _bits(gap) == _bits(final - target), case
+
+
+SPECIAL = {"NaN": np.nan, "-NaN": -np.nan, "inf": np.inf, "-inf": -np.inf, "-0.0": -0.0, "tiny": 5e-324, "-tiny": -5e-324}
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("value", sorted(SPECIAL))
+def test_deviation_over_runs_is_one_scan_of_the_leaves_bit_for_bit(value, where):
+    # Five runs of four leaves; the value lands in one run, the others hold ordinary numbers or zeros.
+    # Python's max over the runs' maxima would drop a NaN in a later run; np.maximum keeps it.
+    rng = np.random.default_rng(7)
+    row = {"first": 1, "middle": 9, "last": 18}[where]
+    for scale in (0.0, 1.0):
+        for target in (None, rng.normal(size=(20, 3))):
+            final = rng.normal(size=(20, 3)) * scale
+            final[row, 1] = SPECIAL[value]
+            gap = final.copy()
+            with np.errstate(invalid="ignore"):  # inf - inf
+                want = np.abs(final if target is None else final - target).max()
+                got = _deviation(runs_of(gap, (4, 8, 12, 16)), target)
+            assert _bits(got) == _bits(want), (scale, target is None)
+            assert _bits(got) == _bits(_deviation(runs_of(final.copy()), target))
 
 
 def test_null_target_deviation_matches_abs_max_on_random_leaves():
@@ -765,7 +793,8 @@ def test_null_target_deviation_matches_abs_max_on_random_leaves():
     for _ in range(200):
         final = rng.normal(size=(16, 3)) * 10.0 ** rng.integers(-300, 300)
         final[rng.random(final.shape) < 0.1] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan])
-        assert _bits(_deviation(final.copy(), None)) == _bits(np.abs(final).max())
+        cuts = sorted(set(rng.integers(1, 16, size=rng.integers(0, 4)).tolist()))
+        assert _bits(_deviation(runs_of(final.copy(), cuts), None)) == _bits(np.abs(final).max())
 
 
 def test_target_deviation_matches_abs_max_of_the_gap_on_random_leaves():
@@ -775,6 +804,7 @@ def test_target_deviation_matches_abs_max_of_the_gap_on_random_leaves():
         final, target = (rng.normal(size=(16, 3)) * 10.0 ** rng.integers(-300, 300) for _ in range(2))
         for arr in (final, target):
             arr[rng.random(arr.shape) < 0.1] = rng.choice(special)
+        cuts = sorted(set(rng.integers(1, 16, size=rng.integers(0, 4)).tolist()))
         with np.errstate(invalid="ignore"):  # inf - inf
             want = np.abs(final - target).max()
-            assert _bits(_deviation(final, target)) == _bits(want)
+            assert _bits(_deviation(runs_of(final, cuts), target)) == _bits(want)

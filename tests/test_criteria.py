@@ -225,3 +225,27 @@ def test_a_short_window_is_scanned_once(monkeypatch):
     assert len(passes) == 1
     assert report.controllable and report.witness_N == 1 and report.N_max == 0
     assert len(report.min_singular) == 1
+
+
+def test_gramian_rank_is_matrix_rank_of_the_reported_gramian(rng, monkeypatch):
+    # decide_form counts the singular values its scan computed above the invertibility threshold,
+    # n eps sigma_max, which is matrix_rank's default; it runs no second SVD of G.
+    import stochctrl.criteria as criteria
+
+    reports = []
+    for trial in range(40):
+        n = int(rng.integers(1, 5))
+        if trial % 2 and n > 1:
+            form = degenerate_form(rng, n, int(rng.integers(1, n)))
+        else:
+            form = TransformedSystem.build(random_system(rng, n, n + 1)).form
+        reports.append(criteria.decide_form(form, int(rng.integers(0, 2 * n + 1))))
+    ranks = {r.gramian_rank for r in reports}
+    assert [r.gramian_rank for r in reports] == [int(np.linalg.matrix_rank(r.gramian)) for r in reports]
+    assert len(ranks) > 2  # full and deficient ranks both exercised
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second SVD of G")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    criteria.decide_form(form, 2 * form.n)

@@ -191,7 +191,8 @@ def test_path_target_writes_a_law_and_verify_takes_a_written_table(capsys, tmp_p
         assert code == 0 and report(out)["verdict"] == "ok"
         verified.append(report(out)["terminal_deviation"])
     assert verified[0] == table_deviation(ctrl, None)
-    assert verified[1] == FLOAT_FMT % np.abs(folded_loop(tree, ts.spec, x0, ctrl.law)[1]).max()
+    final = np.concatenate([leaves for _, leaves in folded_loop(tree, ts.spec, x0, ctrl.law)])
+    assert verified[1] == FLOAT_FMT % np.abs(final).max()
 
 
 def _edit(key, value):

@@ -1,4 +1,4 @@
-"""The folded closed loop: one matmul per stage, only the levels a later stage reads.
+"""The folded closed loop: one matmul per stage, run subtree by subtree.
 
 ``synthesis.folded_loop`` multiplies x(k) by the stage's closed-loop map
 [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j and adds the offset and each
@@ -8,9 +8,14 @@ own states, its step is checked against ``pathspace.plant_step`` fed by
 d 1/2), both noise laws, null, constant and path targets and N <= 8,
 within c eps times the entrywise bound of both sums:
 |x| |A_w| + |x| |L_x'| |B_w| + |c| |B_w| + each lag's |lag| (|L_lag'| |B_w|
-+ |A1'| or |B1'|). ``tracemalloc`` bounds its peak at N = 17 on the full
-route by x(N), x(N+1) and 0.5 MB, on a delay route by the lags it keeps
-and one lag product more; and synthesize and verify of a law never run
++ |A1'| or |B1'|). The loop yields x(N+1) in runs of leaves; concatenated,
+they are ``crosschecks.breadth_first_folded_loop``'s level bit for bit, on
+the same routes, laws and targets, also with ``pathspace.BLOCK_ENTRIES``
+cut small so that runs start below the lags they read. ``tracemalloc``
+bounds its peak at N = 17 and 19 by the top level and one run, whatever
+N: 3 MB on the full route, and on a delay route the lags and u1 pipeline
+each keeps; synthesize and verify of a law at the 2^20-leaf cap stay
+under a bound the breadth-first loop alone exceeds; and they never run
 the plant-step loop.
 """
 import tracemalloc
@@ -18,10 +23,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stochctrl import NoiseModel, PathTree, folded_loop, law_text, steer_to_target, synthesis
+from stochctrl import (
+    NoiseModel,
+    PathTree,
+    ProblemInstance,
+    folded_loop,
+    law_text,
+    pathspace,
+    serialize_instance,
+    steer_to_target,
+    synthesis,
+)
 from stochctrl.pathspace import _acting_lags, plant_step
-from stochctrl.sampling import random_controllable, random_x0
+from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import _folded_step, _law_inputs
+from crosschecks import breadth_first_folded_loop
 from test_delay_law import draw, report, run, write_instance
 
 EPS = np.finfo(float).eps
@@ -80,45 +96,85 @@ def test_folded_step_matches_the_plant_step_of_the_laws_inputs(law, route, lag, 
 
 @pytest.mark.parametrize("law", sorted(LAWS))
 @pytest.mark.parametrize("route,lag", ROUTES)
-def test_folded_loop_ends_where_its_steps_end(law, route, lag):
-    # The loop is its steps run from x0, with the levels no later stage reads dropped.
-    rng = np.random.default_rng([lag, len(law), len(route), 3])
-    for N in range(5):
-        ts, tree, x0, _, ctrl = draw(rng, LAWS[law], route, lag, 2, N, "path")
-        first, final = folded_loop(tree, ts.spec, x0, ctrl.law)
-        xs = {0: x0[None, :]}
-        u1s = {} if ctrl.law.u1_pre is None else {i - lag: row[None] for i, row in enumerate(ctrl.law.u1_pre)}
-        for k in range(N + 1):
-            xs[k + 1], u1k = _folded_step(tree, ts.spec, ctrl.law, k, xs, u1s)
-            if u1k is not None:
-                u1s[k] = u1k
-        assert np.array_equal(first, x0[None, :]) and first is not x0
-        assert np.array_equal(final, xs[N + 1]), N
+@pytest.mark.parametrize("target", [None, "constant", "path"], ids=["null", "constant", "path"])
+@pytest.mark.parametrize("block", [2, 3, None], ids=["s^2", "s^3", "default"])
+def test_folded_loop_runs_are_the_breadth_first_loop_bit_for_bit(monkeypatch, law, route, lag, target, block):
+    # With BLOCK_ENTRIES = s^2 or s^3 the top level sits two or three stages above the leaves, and each run
+    # spans s^(lag+1) of its rows, so a run reads x(k-j) and u1(k-i) as a slice of a level it cuts.
+    noise = LAWS[law]
+    if block is not None:
+        monkeypatch.setattr(pathspace, "BLOCK_ENTRIES", len(noise.support) ** block)
+    rng = np.random.default_rng([lag, len(law), len(route), 0 if target is None else len(target), 3])
+    for N in range(8 if law == "two-point" else 6):
+        ts, tree, x0, _, ctrl = draw(rng, noise, route, lag, 2, N, target)
+        runs = list(folded_loop(tree, ts.spec, x0, ctrl.law))
+        firsts = [first for first, _ in runs]
+        assert firsts == [sum(len(x) for _, x in runs[:i]) for i in range(len(runs))], N
+        assert all(x.flags.c_contiguous for _, x in runs)
+        want = breadth_first_folded_loop(tree, ts.spec, x0, ctrl.law)
+        assert np.concatenate([x for _, x in runs]).tobytes() == want.tobytes(), N
+        if block is not None and N >= max(2 * block - 1, block + lag):  # top level at depth N + 1 - block
+            assert len(runs) == tree.s ** (N - block - lag), N
 
 
-@pytest.mark.parametrize("lag", [{}, {"d": 2}, {"tau": 2}], ids=["full", "d2", "tau2"])
-def test_folded_loop_keeps_only_the_levels_it_reads(lag):
-    # Full route: x(N) is 3.1 MB and x(N+1) 6.3 MB, 9.9 MB with the slack; the plant-step loop
-    # peaks at 23.1 MB there. A delay route adds the lags it keeps and one lag product.
-    N, n, m = 17, 3, 4
+@pytest.mark.parametrize("N", [17, 19])
+@pytest.mark.parametrize(
+    "lag,target", [({}, None), ({}, "path"), ({"d": 2}, None), ({"tau": 2}, None)], ids=["full", "full-path", "d2", "tau2"]
+)
+def test_folded_loop_keeps_only_the_levels_it_reads(lag, target, N):
+    # The top level has at most BLOCK_ENTRIES rows, as has each run's x(N+1), so the bound holds at any N;
+    # a path target's per-node offset meets its map one run at a time. On the full route the
+    # breadth-first loop peaks at 9.5 and 37.8 MB (N = 17, 19), with the path target at 15.7 and 62.9 MB.
+    n, m = 3, 4
     rng = np.random.default_rng(1)
     ts = random_controllable(rng, n, m, N, **lag)
     tree = PathTree(NoiseModel.rademacher(), N)
     x0 = random_x0(rng, n)
-    law = steer_to_target(ts, tree, x0, None).law
+    goal = None if target is None else random_attainable_terminal(rng, tree, ts.form)
+    law = steer_to_target(ts, tree, x0, goal).law
+    del goal
+    leaves = 0
     tracemalloc.start()
     try:
-        _, final = folded_loop(tree, ts.spec, x0, law)
+        for first, final in folded_loop(tree, ts.spec, x0, law):
+            assert first == leaves
+            leaves += len(final)
+            del final
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    s, d, tau = tree.s, lag.get("d", 0), lag.get("tau", 0)
+    assert leaves == tree.n_nodes(N + 1)
+    B, d, tau = pathspace.BLOCK_ENTRIES, lag.get("d", 0), lag.get("tau", 0)
     m1 = 0 if ts.spec.B1 is None else ts.spec.B1.shape[1]
-    levels = sum(tree.n_nodes(N + 1 - j) for j in range(d + 2)) * n * 8  # x(N-d..N+1)
-    pipeline = tau * tree.n_nodes(N - tau) * m1 * 8  # u1(N-2tau+1..N-tau)
-    product = tree.n_nodes(N - 1) * s * n * 8 if lag else 0  # a lag times its block, at depth <= N-1
-    assert final.shape == (tree.n_nodes(N + 1), n)
-    assert peak <= levels + pipeline + product + 0.5e6, (peak, levels, pipeline, product)
+    if not lag:
+        assert peak <= 3e6, peak
+        return
+    top = ((d + 1) * n + tau * m1) * B * 8  # x(top-d..top) and u1(top-tau..top-1), at most B rows each
+    one_run = ((d + 2) * n + tau * m1) * B * 8  # x(N-d..N+1) and the u1 pipeline, at most B rows each
+    product = B * n * 8  # a lag times its block, s n wide, at depth <= N - 1
+    assert peak <= top + one_run + product + 0.5e6, (peak, top, one_run, product)
+
+
+def test_synthesize_and_verify_at_the_cap_hold_no_leaf_level(capsys, tmp_path):
+    # Full route, two-point noise, N = 19: 2^20 leaves, 25.2 MB a level; the breadth-first loop alone
+    # peaks at 37.8 MB. Parsing, the law and the runs stay far below one level.
+    N, n, m = 19, 3, 4
+    rng = np.random.default_rng(1)
+    ts = random_controllable(rng, n, m, N)
+    inst = tmp_path / "instance.json"
+    inst.write_text(serialize_instance(ProblemInstance(ts.spec, N, x0=random_x0(rng, n))))
+    law = tmp_path / "law.json"
+    tracemalloc.start()
+    try:
+        synthesized = run(capsys, "synthesize", "--instance", str(inst), "--out", str(law))
+        verified = run(capsys, "verify", "--instance", str(inst), "--controller", str(law))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert synthesized[0] == 0 and verified[0] == 0
+    assert report(synthesized[1])["paths"] == str(2**20)
+    assert report(verified[1])["terminal_deviation"] == report(synthesized[1])["terminal_deviation"]
+    assert peak <= 5e6, peak
 
 
 @pytest.mark.parametrize("route,lag", ROUTES)
@@ -133,7 +189,7 @@ def test_synthesize_and_verify_of_a_law_never_run_the_plant_step_loop(capsys, tm
 
     monkeypatch.setattr(synthesis, "feedback_loop", refuse)
     code, out, _ = run(capsys, "synthesize", "--instance", inst, "--out", str(law))
-    assert code == 0 and report(out)["x0_error"] == "0"
+    assert code == 0 and "x0_error" not in report(out)
     assert law.read_text() == law_text(ctrl)
     code, out, _ = run(capsys, "verify", "--instance", inst, "--controller", str(law))
     assert code == 0 and report(out)["verdict"] == "ok"
