@@ -12,9 +12,10 @@ finite support. Optional features carried by :class:`SystemSpec`:
 * ``B1, tau``: an extra input channel acting with a fixed delay,
 * ``A1, d``: a delayed state term A1 x(k-d) in the drift.
 
-Instance files are UTF-8 JSON documents with row-major matrices; see
-``parse_instance`` for the accepted keys. Unknown keys are rejected so that
-typos cannot silently change a run.
+Instance files are UTF-8 JSON documents with row-major matrices and the
+target as one flat row-major list in node order; see ``parse_instance``
+for the accepted keys. Unknown keys are rejected so that typos cannot
+silently change a run.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ MAX_SUPPORT = 10  # path labels use one decimal digit per stage
 # Labels are built from cached levels of at most this many; a whole level
 # is never cached, since at the 2^20 leaf cap it holds about 1M strings.
 LABEL_TABLE_MAX = 4096
+_JSON_NUMBERS = {int, float}
 
 
 def _level_text(s: int, depth: int) -> str:
@@ -113,6 +115,19 @@ def level_values(mapping: dict, s: int, depth: int, n: int, what: str) -> np.nda
     return _as_float_matrix(f"{what} values", rows, len(rows), n)
 
 
+def _finite_floats(name: str, entries: list) -> np.ndarray:
+    """A flat list of finite JSON numbers as a float array, else :class:`SchemaError`."""
+    if not set(map(type, entries)) <= _JSON_NUMBERS:
+        raise SchemaError(f"{name} entries must be JSON numbers")
+    try:
+        arr = np.array(entries, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(f"{name} entries must be finite") from None
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{name} entries must be finite")
+    return arr
+
+
 def _float_array(name: str, value) -> np.ndarray:
     """A read-only float copy of ``value``; :class:`DimensionMismatch` unless numeric and finite."""
     try:
@@ -152,8 +167,8 @@ class NoiseModel:
     """Finite scalar noise law with zero mean and unit variance.
 
     ``support`` holds the distinct atoms and ``probs`` their probabilities,
-    in matching order. The order is meaningful: path labels and terminal
-    value maps refer to atoms by their index here.
+    in matching order. The order is meaningful: path labels and node
+    order refer to atoms by their index here.
     """
 
     support: tuple[float, ...] = (-1.0, 1.0)
@@ -341,10 +356,11 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
 class ProblemInstance:
     """A system together with a horizon and optional steering data.
 
-    ``target`` is given as a map from every full noise-path label (see
-    :func:`path_labels`; length N + 1) to a terminal n-vector, and stored
-    as the rows of one read-only leaf array in node order; ``None`` means
-    steer to the origin.
+    ``target`` is an n-vector, the same terminal value on every noise
+    path and so valid at any horizon, or the (s^(N+1), n) leaf rows in
+    node order (:func:`path_labels` order), or a map from every full
+    path label (length N + 1) to its n-vector, read into those rows. It
+    is stored read-only; ``None`` means steer to the origin.
     """
 
     system: SystemSpec
@@ -357,15 +373,39 @@ class ProblemInstance:
         if self.x0 is not None:
             object.__setattr__(self, "x0", _as_float_matrix("x0", [self.x0], 1, self.system.n)[0])
         if self.target is not None:
-            s = len(self.system.noise.support)
-            object.__setattr__(self, "target", level_values(self.target, s, self.N + 1, self.system.n, "target"))
+            s, n = len(self.system.noise.support), self.system.n
+            if isinstance(self.target, dict):
+                target = level_values(self.target, s, self.N + 1, n, "target")
+            else:
+                target = _float_array("target", self.target)
+                rows = target.ndim == 2 and target.shape[1] == n and _is_leaf_count(len(target), s, self.N + 1)
+                if target.shape != (n,) and not rows:
+                    raise DimensionMismatch(f"target: shape {target.shape}; it must be ({n},) or ({s}^{self.N + 1}, {n})")
+            object.__setattr__(self, "target", target)
+
+
+def _is_leaf_count(count: int, s: int, depth: int) -> bool:
+    """Whether ``count`` is s^depth, without forming a power past ``count`` (s >= 2)."""
+    return depth < count.bit_length() and s**depth == count
+
+
+def _target_list(value, n: int, s: int, N: int) -> np.ndarray:
+    """An instance file's target: a flat list of n finite numbers, or s^(N+1) rows of n row-major."""
+    leaves = f"{s}^{N + 1}*{n}" + (f" = {s ** (N + 1) * n}" if N < 64 else "")
+    forms = f"n = {n} numbers (a constant target) or s^(N+1)*n = {leaves} (one row per leaf, in node order)"
+    if type(value) is not list:
+        old = "; a {label: vector} map is not read: list its rows in label order" if type(value) is dict else ""
+        raise SchemaError(f"target must be a flat list of {forms}{old}")
+    if len(value) != n and not (len(value) % n == 0 and _is_leaf_count(len(value) // n, s, N + 1)):
+        raise SchemaError(f"target lists {len(value)} numbers; it needs {forms}")
+    flat = _finite_floats("target", value)
+    return flat if len(flat) == n else flat.reshape(-1, n)
 
 
 _REQUIRED_KEYS = ("n", "m", "N", "A", "B", "Abar", "Bbar")
 _OPTIONAL_KEYS = ("M", "H", "B1", "tau", "A1", "d", "noise", "x0", "target")
 _NOISE_KEYS = ("support", "probs")
 _MATRIX_KEYS = ("A", "B", "Abar", "Bbar", "M", "H", "B1", "A1")
-_JSON_NUMBERS = {int, float}
 
 
 def _json_numbers(rows) -> bool:
@@ -386,6 +426,13 @@ def parse_instance(text: str) -> ProblemInstance:
     ranges and finiteness are checked by :class:`SystemSpec`,
     :class:`ProblemInstance` and :class:`NoiseModel`, whose shape, pairing
     and range errors are raised here as :class:`SchemaError`.
+
+    ``target`` is one flat list: n numbers, a constant target valid at
+    any horizon, or s^(N+1) n numbers, one row of n per leaf, row-major
+    in node order (:func:`path_labels` order), as a law's per-node c_k
+    is written. It is read by one type check, one float array and one
+    finiteness check; any other length, entry or form, a {label: vector}
+    map included, is a :class:`SchemaError` naming both forms.
     """
     try:
         doc = json.loads(text)
@@ -415,20 +462,16 @@ def parse_instance(text: str) -> ProblemInstance:
         kwargs["noise"] = NoiseModel(noise_doc["support"], noise_doc["probs"])
     if "x0" in doc and not _json_numbers([doc["x0"]]):
         raise SchemaError("x0 must be a list of JSON numbers")
-    target = doc.get("target")
-    if "target" in doc:
-        if not isinstance(target, dict):
-            raise SchemaError("target must map path labels to vectors")
-        if not _json_numbers(target.values()):
-            bad = next(label for label, vec in target.items() if not _json_numbers([vec]))
-            raise SchemaError(f"target[{bad!r}] must be a list of JSON numbers")
 
     try:
         n, m = _integer("n", doc["n"], 1), _integer("m", doc["m"], 1)
         spec = SystemSpec(**kwargs)
         if (spec.n, spec.m) != (n, m):
             raise SchemaError(f"declared n = {n}, m = {m}, but A and B give n = {spec.n}, m = {spec.m}")
-        return ProblemInstance(spec, doc["N"], x0=doc.get("x0"), target=target)
+        N = _integer("N", doc["N"], 0)
+        # Popped, so the target's number objects go as soon as its array is made.
+        target = _target_list(doc.pop("target"), n, len(spec.noise.support), N) if "target" in doc else None
+        return ProblemInstance(spec, N, x0=doc.get("x0"), target=target)
     except (DimensionMismatch, ValueError) as exc:
         raise SchemaError(str(exc)) from None
 
@@ -441,38 +484,13 @@ def parse_instance_file(path) -> ProblemInstance:
             raise SchemaError(f"not UTF-8 text: {exc}") from None
 
 
-def _target_blocks(target: np.ndarray, s: int, depth: int):
-    """The entries of the ``"target"`` object as ``json.dumps(..., indent=2)`` writes them, a block of rows at a time.
-
-    A block is the rows under one head label, one per tail in the cached
-    table, so no temporary grows with the level. Its numbers are formatted
-    by one call of json's C encoder, which, like the indent encoder, writes
-    each float as ``float.__repr__`` does; its rows by one ``str.format``.
-    """
-    n = target.shape[1]
-    tables = _label_tables(s)
-    tail_depth = min(depth, len(tables) - 1)
-    tails = tables[tail_depth]
-    rows, width = len(tails), n + 2
-    row = '    "{}{}": [\n      ' + ",\n      ".join(["{}"] * n) + "\n    ]"
-    template = ",\n".join([row] * rows)
-    args = [None] * (rows * width)
-    args[1::width] = tails
-    for start, head in zip(range(0, len(target), rows), _level_labels(s, depth - tail_depth)):
-        numbers = json.dumps(target[start : start + rows].ravel().tolist())[1:-1].split(", ")
-        args[0::width] = [head] * rows
-        for j in range(n):
-            args[2 + j :: width] = numbers[j::n]
-        yield template.format(*args)
-
-
 def serialize_instance(inst: ProblemInstance) -> str:
     """Canonical JSON rendering; parse(serialize(p)) reproduces p exactly.
 
-    The text is ``json.dumps(doc, indent=2) + "\\n"`` byte for byte, where
-    ``doc`` holds the target as a {label: list} map, but the target costs
-    one ``float.__repr__`` per number: only the small head (matrices,
-    noise, x0) goes through json's pure-Python indent encoder.
+    The head (matrices, noise, x0) is ``json.dumps(doc, indent=2)``. The
+    target, the last key, is one line: its flat row-major numbers as
+    json's C encoder writes a list, each float as ``float.__repr__``
+    does, so it costs one repr per number.
     """
     spec = inst.system
     doc: dict = {
@@ -501,8 +519,4 @@ def serialize_instance(inst: ProblemInstance) -> str:
     if inst.target is None:
         return head + "\n"
     # The target is the last key: reopen the object before its closing "\n}".
-    parts = [head[:-2], ',\n  "target": {\n']
-    for block in _target_blocks(inst.target, len(spec.noise.support), inst.N + 1):
-        parts += (block, ",\n")
-    parts[-1] = "\n  }\n}\n"
-    return "".join(parts)
+    return "".join((head[:-2], ',\n  "target": ', json.dumps(inst.target.ravel().tolist()), "\n}\n"))

@@ -286,8 +286,16 @@ def _terminal_array(tree: PathTree, n: int, terminal) -> np.ndarray:
 
 
 def terminal_from_map(tree: PathTree, n: int, leaves: np.ndarray) -> np.ndarray:
-    """An instance's target leaf array (``ProblemInstance.target``), checked against the tree's depth."""
+    """An instance's target (``ProblemInstance.target``) as the tree's leaf rows, in node order.
+
+    An n-vector is constant over paths and so fits any horizon: it is
+    tiled on the leaves as a read-only ``np.broadcast_to`` view, which
+    the solves copy as they would its tiled rows, so both give the same
+    law bytes. Leaf rows are checked against the tree's depth.
+    """
     want = (tree.n_nodes(tree.horizon + 1), n)
+    if leaves.shape == (n,):
+        return np.broadcast_to(leaves, want)
     if leaves.shape != want:
         raise SchemaError(f"target leaf array has shape {leaves.shape}; depth {tree.horizon + 1} needs {want}")
     return leaves

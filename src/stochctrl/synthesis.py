@@ -75,7 +75,7 @@ import numpy as np
 from . import pathspace
 from .criteria import gramian, gramian_invertible, gramian_sequence
 from .errors import DimensionMismatch, SchemaError, SingularGramian, TargetNotInS
-from .model import _JSON_NUMBERS, SystemSpec, _label_tables, _level_labels, check_level
+from .model import SystemSpec, _finite_floats, _label_tables, _level_labels, check_level
 from .pathspace import (
     AdaptedProcess,
     PathTree,
@@ -295,9 +295,10 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
     its ancestor rows, so every lag but a depth-0 one spans s rows or
     more: a single row would go through the matrix-vector kernel, which
     rounds differently from the level's matmul. A per-node c_k is passed
-    as the run's rows. So the runs, concatenated, are the breadth-first
-    loop's x(N+1) bit for bit, and no more is held than the top level
-    with its lags and one run's. synthesize and verify both run a law
+    as the run's rows. Each stage's map is built once
+    (:func:`_stage_maps`) and read by every run. So the runs,
+    concatenated, are the breadth-first loop's x(N+1) bit for bit, and
+    no more is held than the top level with its lags and one run's. synthesize and verify both run a law
     here, so they report the same deviation to the last digit; the states
     differ from :func:`feedback_loop`'s, the plant step's, by rounding.
     """
@@ -310,7 +311,8 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
     leaves = s ** (N + 1 - top + p)  # a run's: s^p top-level rows' subtrees
     xs = {0: np.asarray(x0, dtype=float)[None, :].copy()}
     u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
-    _folded_stages(tree, spec, law, range(top), xs, u1s)
+    maps = _stage_maps(tree, spec, law)
+    _folded_stages(tree, spec, law, maps, range(top), xs, u1s)
 
     def rows(values, depth, first):  # a level's ancestors or descendants of the run from leaf ``first``
         q = s ** (N + 1 - depth)
@@ -320,24 +322,51 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
         run_xs = {j: rows(v, j, first) for j, v in xs.items()}
         run_u1s = {j: rows(v, max(0, j), first) for j, v in u1s.items()}
         c = law.c[:top] + [ck if len(ck) == 1 else rows(ck, k, first) for k, ck in enumerate(law.c[top:], top)]
-        _folded_stages(tree, spec, FeedbackLaw(law.L, c, law.u1_pre), range(top, N + 1), run_xs, run_u1s)
+        _folded_stages(tree, spec, FeedbackLaw(law.L, c, law.u1_pre), maps, range(top, N + 1), run_xs, run_u1s)
         yield first, run_xs[N + 1]
 
 
-def _folded_stages(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, stages: range, xs: dict, u1s: dict) -> None:
+def _folded_stages(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, maps: list, stages: range, xs: dict,
+                   u1s: dict) -> None:
     """Run ``stages`` through :func:`_folded_step` in place in ``xs`` and ``u1s``, keeping only what a later
     stage reads: the state lags x(k-d+1..k) on a delayed state and the u1 pipeline u1(k-tau+1..k) on a
-    delayed input, besides x(k+1)."""
+    delayed input, besides x(k+1). ``maps`` are :func:`_stage_maps`' for the law."""
     d, tau = spec.d or 0, spec.tau or 0
     for k in stages:
-        xs[k + 1], u1k = _folded_step(tree, spec, law, k, xs, u1s)
+        xs[k + 1], u1k = _folded_step(tree, spec, law, k, xs, u1s, maps[k])
         if u1k is not None:
             u1s[k] = u1k
         xs.pop(k - d, None)  # x(k - d) and u1(k - tau) act last at stage k
         u1s.pop(k - tau, None)
 
 
-def _folded_step(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict):
+def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tuple]:
+    """Each stage's closed-loop map, built once per loop for :func:`_folded_step`, which reads stage k's
+    once per run: [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, the atom stack Bw = [(B + w_j Bbar)']_j,
+    and for each acting lag (:func:`pathspace._acting_lags`' order) its block L_k,lag' Bw, plus s copies
+    of A1' for x(k-d) or B1' for u1(k-tau), with its u1 block L_k,lag,u1'."""
+    m, n, N = spec.m, spec.n, len(law.L) - 1
+    Aw = np.hstack([(spec.A + w * spec.Abar).T for w in tree.support])
+    Bw = np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support])
+    maps = []
+    for k, Lk in enumerate(law.L):
+        Lu, L1 = Lk[:m], Lk[m:]
+        xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
+        lags = [(n, spec.A1 if j == spec.d else None) for j in xlags]
+        lags += [(spec.B1.shape[1], spec.B1 if i == spec.tau else None) for i in ulags]
+        blocks, col = [], n
+        for width, direct in lags:
+            cols = slice(col, col + width)
+            block = Lu[:, cols].T @ Bw
+            if direct is not None:
+                block += np.tile(direct.T, tree.s)
+            blocks.append((block, L1[:, cols].T))
+            col = cols.stop
+        maps.append((Aw + Lu[:, :n].T @ Bw, Bw, blocks))
+    return maps
+
+
+def _folded_step(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict, stage: tuple):
     """x(k+1) at depth k + 1, and u1(k) while it enters by stage N (else None), under the stage-k law.
 
     u(k) = r(k) L_k,u' + c_k,u folded into the plant step: x(k) times the
@@ -345,28 +374,22 @@ def _folded_step(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, k: int, xs:
     c_k,u (B + w_j Bbar)' at c_k's depth and each acting lag times
     L_k,lag' (B + w_j Bbar)', plus A1' for x(k-d) and B1' for u1(k-tau),
     at the lag's own depth (:func:`pathspace._add_product`). u1(k) =
-    r(k) L_k,u1' + c_k,u1 reads the same lags. ``xs`` and ``u1s`` map a
-    stage j to its values at depth max(0, j).
+    r(k) L_k,u1' + c_k,u1 reads the same lags. ``stage`` is the stage's
+    entry of :func:`_stage_maps`. ``xs`` and ``u1s`` map a stage j to its values at
+    depth max(0, j).
     """
     m, n, N = spec.m, spec.n, len(law.L) - 1
-    Lu, L1, c = law.L[k][:m], law.L[k][m:], law.c[k]
-    Bw = np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support])
-    out = xs[k] @ (np.hstack([(spec.A + w * spec.Abar).T for w in tree.support]) + Lu[:, :n].T @ Bw)
+    fold, Bw, blocks = stage
+    L1, c = law.L[k][m:], law.c[k]
+    out = xs[k] @ fold
     _add_product(out, c[:, :m], Bw)
     u1 = xs[k] @ L1[:, :n].T if len(L1) else None
     xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
-    lags = [(xs[k - j], spec.A1 if j == spec.d else None) for j in xlags]
-    lags += [(u1s[k - i], spec.B1 if i == spec.tau else None) for i in ulags]
-    col = n
-    for lag, direct in lags:
-        cols = slice(col, col + lag.shape[1])
-        block = Lu[:, cols].T @ Bw
-        if direct is not None:
-            block += np.tile(direct.T, tree.s)
+    lags = [xs[k - j] for j in xlags] + [u1s[k - i] for i in ulags]
+    for lag, (block, u1_block) in zip(lags, blocks):
         _add_product(out, lag, block)
         if u1 is not None:
-            _add_product(u1, lag, L1[:, cols].T)
-        col = cols.stop
+            _add_product(u1, lag, u1_block)
     if u1 is not None:
         u1 += c[:, m:]
     return out.reshape(-1, n), u1
@@ -491,19 +514,6 @@ def _law_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
             raise SchemaError(f"{name} must be nested lists of shape {shape}")
         entries = [x for v in entries for x in v]
     return _finite_floats(name, entries).reshape(shape)
-
-
-def _finite_floats(name: str, entries: list) -> np.ndarray:
-    """A flat list of finite JSON numbers as a float array, else :class:`SchemaError`."""
-    if not set(map(type, entries)) <= _JSON_NUMBERS:
-        raise SchemaError(f"{name} entries must be JSON numbers")
-    try:
-        arr = np.array(entries, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise SchemaError(f"{name} entries must be finite") from None
-    if not np.isfinite(arr).all():
-        raise SchemaError(f"{name} entries must be finite")
-    return arr
 
 
 @contextlib.contextmanager

@@ -24,9 +24,10 @@ loop run level by level over the whole tree, against which
 ``einsum_weighted_gram``, ``einsum_prefix_means``,
 ``einsum_terminal_product`` and ``kron_node_probs`` are the enumeration
 oracle's kernels in the same einsum and Kronecker forms.
-``reference_serialize_instance`` is the instance writer as first written,
-one ``json.dumps(doc, indent=2)`` over the whole document, against which
-``model.serialize_instance``'s blockwise target is checked byte for byte.
+``reference_serialize_instance`` writes an instance with no encoder of
+its own: ``json.dumps(doc, indent=2)`` around a placeholder target,
+replaced by its numbers' ``float.__repr__`` joined by ", ", against which
+``model.serialize_instance``'s one-line target is checked byte for byte.
 """
 import itertools
 import json
@@ -45,9 +46,8 @@ from stochctrl import (
     backward_solve,
     forward_simulate,
 )
-from stochctrl.model import path_labels
 from stochctrl.pathspace import P_RCOND, _acting_lags
-from stochctrl.synthesis import _folded_step
+from stochctrl.synthesis import _folded_step, _stage_maps
 
 
 def reconstruct_u(tr: InputTransform, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -261,8 +261,9 @@ def breadth_first_folded_loop(tree: PathTree, spec: SystemSpec, x0, law) -> np.n
     N, d, tau = len(law.L) - 1, spec.d or 0, spec.tau or 0
     xs = {0: np.asarray(x0, dtype=float)[None, :].copy()}
     u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
+    maps = _stage_maps(tree, spec, law)
     for k in range(N + 1):
-        xs[k + 1], u1k = _folded_step(tree, spec, law, k, xs, u1s)
+        xs[k + 1], u1k = _folded_step(tree, spec, law, k, xs, u1s, maps[k])
         if u1k is not None:
             u1s[k] = u1k
         xs.pop(k - d, None)
@@ -326,7 +327,7 @@ def einsum_terminal_product(leaf_probs: np.ndarray, prods: np.ndarray, terminal:
 
 
 def reference_serialize_instance(inst: ProblemInstance) -> str:
-    """The whole document, target included, through json's indent encoder."""
+    """The head through json's indent encoder, the target one line of ``float.__repr__`` numbers."""
     spec = inst.system
     doc: dict = {
         "n": spec.n,
@@ -350,7 +351,8 @@ def reference_serialize_instance(inst: ProblemInstance) -> str:
     doc["noise"] = {"support": list(spec.noise.support), "probs": list(spec.noise.probs)}
     if inst.x0 is not None:
         doc["x0"] = inst.x0.tolist()
-    if inst.target is not None:
-        labels = path_labels(len(spec.noise.support), inst.N + 1)
-        doc["target"] = dict(zip(labels, inst.target.tolist()))
-    return json.dumps(doc, indent=2) + "\n"
+    if inst.target is None:
+        return json.dumps(doc, indent=2) + "\n"
+    doc["target"] = "TARGET"
+    numbers = "[" + ", ".join(map(float.__repr__, inst.target.ravel().tolist())) + "]"
+    return json.dumps(doc, indent=2).replace('"TARGET"', numbers) + "\n"

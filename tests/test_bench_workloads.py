@@ -1,0 +1,36 @@
+"""The benchmark's workloads must keep running on the package as it is.
+
+``bench/workloads.py`` builds each workload's instance files through the
+package's own writer and fixes each op's exit code from how its input was
+drawn. A change to the file format, the CLI or an exit code that would
+stop the benchmark fails here, at tiny horizons (``small=True``), with
+every op run through ``cli.main`` as the benchmark's worker runs it.
+"""
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+import stochctrl.cli as cli
+
+_WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+_spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS_PATH)
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = workloads  # its dataclasses look their module up there
+_spec.loader.exec_module(workloads)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_small_workload_op_exits_as_expected(tmp_path, name):
+    ops = workloads.build(name, 1, str(tmp_path), small=True)
+    assert ops
+    codes = []
+    for op in ops:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes.append(cli.main(op.argv()))
+        assert codes[-1] == op.expect, (op, out.getvalue(), err.getvalue())
+    assert len(codes) == len(ops)

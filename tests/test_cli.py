@@ -185,9 +185,7 @@ def test_synthesize_unattainable_target(capsys, tmp_path):
     doc["N"] = 1
     doc["noise"] = {"support": [-2.0, 0.0, 2.0], "probs": [0.125, 0.75, 0.125]}
     support = doc["noise"]["support"]
-    doc["target"] = {
-        f"{i}{j}": [support[j] ** 2, 0.0] for i in range(3) for j in range(3)
-    }
+    doc["target"] = [v for i in range(3) for j in range(3) for v in (support[j] ** 2, 0.0)]  # leaf "ij"
     inst = tmp_path / "unattainable.json"
     inst.write_text(json.dumps(doc))
     code, _, err = run(capsys, "synthesize", "--instance", str(inst))
@@ -495,7 +493,7 @@ def test_reduced_oracle_check_runs_no_criteria(capsys, tmp_path, monkeypatch):
 
 
 def _two_stage_target(tmp_path, key):
-    # fullrank_2x3 at N = 1 steered to the origin on every leaf but one relabelled key
+    # fullrank_2x3 at N = 1 steered to the origin on every leaf, one of them under the key given
     doc = json.loads((INSTANCE_DIR / "fullrank_2x3.json").read_text())
     doc["N"] = 1
     doc["target"] = {label: [0.0, 0.0] for label in ("00", "10", "11")}
@@ -505,14 +503,57 @@ def _two_stage_target(tmp_path, key):
     return str(inst)
 
 
+LABEL_MAP_ERROR = (
+    "error: target must be a flat list of n = 2 numbers (a constant target) or s^(N+1)*n = 2^2*2 = 8 "
+    "(one row per leaf, in node order); a {label: vector} map is not read: list its rows in label order\n"
+)
+
+
 @pytest.mark.parametrize("key", ["0²", "0١"])  # superscript two; Arabic-Indic one
 @pytest.mark.parametrize("command", ["analyze", "synthesize"])
 def test_non_ascii_target_digits_are_schema_errors(capsys, tmp_path, command, key):
-    code, _, err = run(capsys, command, "--instance", _two_stage_target(tmp_path, key))
-    assert code == 6
-    assert repr(key) in err
-    code, _, _ = run(capsys, command, "--instance", _two_stage_target(tmp_path, "01"))
+    # A file's target is a flat list: a label map exits 6 naming both forms, with any keys.
+    for label in (key, "01"):
+        code, out, err = run(capsys, command, "--instance", _two_stage_target(tmp_path, label))
+        assert (code, out, err) == (6, "", LABEL_MAP_ERROR)
+    doc = json.loads(open(_two_stage_target(tmp_path, "01")).read())
+    target = doc["target"]
+    doc["target"] = [v for label in sorted(target) for v in target[label]]  # README's migration
+    (tmp_path / "flat.json").write_text(json.dumps(doc))
+    code, _, _ = run(capsys, command, "--instance", str(tmp_path / "flat.json"))
     assert code == 0
+
+
+@pytest.mark.parametrize("instance", [FULL, IN_DELAY, ST_DELAY])
+def test_constant_target_is_its_tiled_rows_at_any_horizon(capsys, tmp_path, instance):
+    # n numbers give the stdout and law bytes of the same vector tiled on every leaf, at the
+    # file's N and under --N; a path target is tied to its N.
+    doc = json.loads(open(instance).read())
+    vector = [0.75, -1.5]
+    law = tmp_path / "law.json"
+    for N in (doc["N"], 0, 3):
+        constant, tiled = tmp_path / "constant.json", tmp_path / "tiled.json"
+        constant.write_text(json.dumps(dict(doc, target=vector)))  # run under --N
+        tiled.write_text(json.dumps(dict(doc, N=N, target=vector * 2 ** (N + 1))))  # written at N
+        outputs = []
+        for inst, flags in ((constant, ["--N", str(N)]), (tiled, [])):
+            law.unlink(missing_ok=True)
+            synthesized = run(capsys, "synthesize", "--instance", str(inst), "--out", str(law), *flags)
+            if not law.exists():
+                outputs.append((synthesized, None, None))
+                continue
+            verified = run(capsys, "verify", "--instance", str(inst), "--controller", str(law), *flags)
+            outputs.append((synthesized, verified, law.read_text()))
+        assert outputs[0] == outputs[1], N
+        (code, out, _), verified, _ = outputs[0]
+        if N:  # at N = 0 the bundled Gramians are singular (exit 3)
+            assert code == 0 and verified[0] == 0 and as_dict(verified[1])["verdict"] == "ok", N
+            assert as_dict(out)["paths"] == str(2 ** (N + 1))
+    doc["target"] = vector * 2 ** (doc["N"] + 1)
+    inst = tmp_path / "path.json"
+    inst.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "synthesize", "--instance", str(inst), "--N", "3")
+    assert code == 6 and err == f"error: target leaf array has shape ({2 ** (doc['N'] + 1)}, 2); depth 4 needs (16, 2)\n"
 
 
 # Edits of fullrank_2x3.json whose numbers json reads but no criterion can use.

@@ -216,6 +216,16 @@ def test_malformed_law_exits_5_with_its_reason(capsys, tmp_path, case):
     assert err.startswith("bad controller law: ") and reason in err, err
 
 
+@pytest.mark.parametrize("case", sorted(case for case, (_, reason) in MALFORMED.items() if " entries must be " in reason))
+def test_law_entry_errors_are_byte_identical(capsys, tmp_path, case):
+    # A law's numbers and an instance's target share one reader (model._finite_floats); the law's
+    # messages are these, whole.
+    edit, reason = MALFORMED[case]
+    law = tmp_path / "law.json"
+    law.write_text(edit(_full_law(capsys)))
+    assert run(capsys, "verify", "--instance", FULL, "--controller", str(law)) == (5, "", f"bad controller law: {reason}\n")
+
+
 def test_law_for_another_horizon_exits_5_under_N(capsys, tmp_path):
     law = tmp_path / "law.json"
     code, _, _ = run(capsys, "synthesize", "--instance", FULL, "--N", "3", "--out", str(law))

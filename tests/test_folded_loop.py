@@ -36,7 +36,7 @@ from stochctrl import (
 )
 from stochctrl.pathspace import _acting_lags, plant_step
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
-from stochctrl.synthesis import _folded_step, _law_inputs
+from stochctrl.synthesis import _folded_step, _law_inputs, _stage_maps
 from crosschecks import breadth_first_folded_loop
 from test_delay_law import draw, report, run, write_instance
 
@@ -81,10 +81,11 @@ def test_folded_step_matches_the_plant_step_of_the_laws_inputs(law, route, lag, 
         ts, tree, x0, _, ctrl = draw(rng, LAWS[law], route, lag, 2, N, target)
         spec, m, tau = ts.spec, ts.spec.m, ts.spec.tau or 0
         xs, u1s = ctrl.x.values, ctrl.u1.values if ctrl.u1 is not None else {}
+        maps = _stage_maps(tree, spec, ctrl.law)
         for k, Lk in enumerate(ctrl.law.L):
             v = _law_inputs(spec, ctrl.law, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
             want = plant_step(tree, spec, xs, k, v[:, :m], u1s[k - tau] if tau else None)
-            got, u1k = _folded_step(tree, spec, ctrl.law, k, xs, u1s)
+            got, u1k = _folded_step(tree, spec, ctrl.law, k, xs, u1s, maps[k])
             bound, u1_bound = fold_bound(tree, spec, ctrl.law, k, xs, u1s)
             assert got.shape == want.shape and got.flags.c_contiguous
             assert np.all(np.abs(got - want) <= C_BOUND * EPS * bound), (N, k)
@@ -195,3 +196,22 @@ def test_synthesize_and_verify_of_a_law_never_run_the_plant_step_loop(capsys, tm
     assert code == 0 and report(out)["verdict"] == "ok"
     with pytest.raises(AssertionError, match="plant-step loop"):
         steer_to_target(ts, tree, x0, goal).x
+
+
+def test_folded_loop_builds_each_stage_map_once(monkeypatch):
+    # Full route, N = 19: 2^20 leaves in 32 runs, so 175 stage steps. The atom stacks and each
+    # stage's closed-loop map are built once per loop, not once per run.
+    N, n, m = 19, 3, 4
+    rng = np.random.default_rng(1)
+    ts = random_controllable(rng, n, m, N)
+    tree = PathTree(NoiseModel.rademacher(), N)
+    x0 = random_x0(rng, n)
+    law = steer_to_target(ts, tree, x0, None).law
+    stage_maps, step = synthesis._stage_maps, synthesis._folded_step
+    built, read = [], []
+    monkeypatch.setattr(synthesis, "_stage_maps", lambda *args: built.append(stage_maps(*args)) or built[-1])
+    monkeypatch.setattr(synthesis, "_folded_step", lambda *args: read.append((args[3], args[-1])) or step(*args))
+    runs = [first for first, _ in folded_loop(tree, ts.spec, x0, law)]
+    assert len(runs) == 32 and len(read) == 175
+    assert len(built) == 1 and len(built[0]) == N + 1
+    assert all(stage is built[0][k] for k, stage in read)

@@ -151,14 +151,18 @@ def _bits(a):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("s", [2, 3, 10])
 def test_serialize_is_the_indent_encoding(s, n, N):
-    """The blockwise writer's bytes are json.dumps(doc, indent=2)'s, and a parse gives every bit back."""
+    """The writer's bytes are json.dumps(doc, indent=2)'s head with the target on one line of float reprs,
+    for a path target and a constant one, and a parse gives every bit back."""
     rng = np.random.default_rng(100 * s + 10 * n + N)
     spec = _random_spec(rng, n, uniform_noise(s))
     leaves = rng.normal(size=(s ** (N + 1), n)) * 10.0 ** rng.integers(-12, 13, size=(s ** (N + 1), n))
     leaves.flat[::3] = np.resize(EDGE_FLOATS, leaves.flat[::3].size)
     x0 = np.resize(EDGE_FLOATS[::-1], n)
-    target = dict(zip(path_labels(s, N + 1), leaves))
-    for inst in (ProblemInstance(spec, N), ProblemInstance(spec, N, x0=x0, target=target)):
+    for inst in (
+        ProblemInstance(spec, N),
+        ProblemInstance(spec, N, x0=x0, target=leaves),
+        ProblemInstance(spec, N, x0=x0, target=np.resize(EDGE_FLOATS, n)),
+    ):
         text, expected = serialize_instance(inst), reference_serialize_instance(inst)
         if text != expected:  # name the first difference: a diff of the whole text takes minutes
             at = len(os.path.commonprefix([text, expected]))
@@ -172,7 +176,7 @@ def test_serialize_is_the_indent_encoding(s, n, N):
 
 
 def test_serialize_peak_memory_is_a_small_multiple_of_the_document():
-    """No temporary grows with the target's level: json's indent encoder held 7.9x the text."""
+    """The one-line target costs json's C encoder's temporaries, 4.1x the text; json's indent encoder held 7.9x."""
     rng = np.random.default_rng(5)
     noise = NoiseModel.symmetric_three_point()
     target = dict(zip(path_labels(3, 10), rng.normal(size=(3**10, 2))))
@@ -231,7 +235,7 @@ def _set_entry(key, row, col, value):
         (lambda doc: doc.update(B1=[[1.0], [0.0]]), "^B1 and tau"),
         (lambda doc: doc.update(H=[]), "^H "),
         (lambda doc: doc.update(x0=None), "^x0 "),
-        (lambda doc: doc.update(target={"0": [0.0, 0.0], "1": [0.0, "0"]}), r"^target\['1'\]"),
+        (lambda doc: doc.update(target=[0.0, 0.0, 0.0, "0"]), "^target entries must be JSON numbers$"),
     ],
     ids=["bool", "string", "null", "ragged-row", "declared-n", "B1-without-tau", "empty-H", "null-x0", "target"],
 )
@@ -257,20 +261,25 @@ def test_entries_must_be_finite(bench_full, bad):
 
 
 def test_target_keys_checked(bench_full):
+    # A file's label map is refused whatever its keys; the constructor's map form still checks them.
     spec, _ = bench_full
     doc = json.loads(serialize_instance(ProblemInstance(system=spec, N=1)))
-    full = {"00": [0.0, 0.0], "01": [0.0, 0.0], "10": [0.0, 0.0], "11": [0.0, 0.0]}
-    doc["target"] = dict(full, **{"02": [0.0, 0.0]})  # digit 2 invalid for two atoms
-    doc["target"].pop("01")
-    with pytest.raises(SchemaError):
-        parse_instance(json.dumps(doc))
-    doc["target"] = dict(full)
-    doc["target"].pop("10")  # must cover every path
-    with pytest.raises(SchemaError):
-        parse_instance(json.dumps(doc))
-    doc["target"] = full
+    full = {"00": [0.0, 1.0], "01": [2.0, 3.0], "10": [4.0, 5.0], "11": [6.0, 7.0]}
+    bad_digit = dict(full, **{"02": [0.0, 0.0]})  # digit 2 invalid for two atoms
+    bad_digit.pop("01")
+    missing = dict(full)
+    missing.pop("10")  # must cover every path
+    for target in (bad_digit, missing, full):
+        doc["target"] = target
+        with pytest.raises(SchemaError, match=r"^target must be a flat list of .* a \{label: vector\} map is not read"):
+            parse_instance(json.dumps(doc))
+        if target is not full:
+            with pytest.raises(SchemaError, match="^target keys: "):
+                ProblemInstance(system=spec, N=1, target=target)
+    doc["target"] = [v for label in sorted(full) for v in full[label]]  # README's migration
     inst = parse_instance(json.dumps(doc))
     assert np.array_equal(inst.target, [full[label] for label in path_labels(2, 2)])
+    assert np.array_equal(ProblemInstance(system=spec, N=1, target=full).target, inst.target)
     with pytest.raises(DimensionMismatch):  # built directly, a short vector is no schema error
         ProblemInstance(system=spec, N=1, target=dict(full, **{"11": [0.0]}))
 
@@ -314,3 +323,99 @@ def test_check_level_is_exact(labels):
     check_level(["00", "01", "10", "11"], 2, 2, "level")
     with pytest.raises(SchemaError, match="^level"):
         check_level(labels, 2, 2, "level")
+
+
+def _target_doc(spec, N, target) -> str:
+    doc = json.loads(serialize_instance(ProblemInstance(system=spec, N=N)))
+    doc["target"] = target
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("N", [0, 1, 3])
+def test_target_list_of_another_length_names_both_forms(bench_full, N):
+    spec, _ = bench_full  # n = 2, two-point noise
+    leaves = 2 ** (N + 1)
+    for length in sorted({0, 1, 3, leaves, 2 * leaves - 2, 2 * leaves + 2, 4 * leaves} - {2, 2 * leaves}):
+        with pytest.raises(SchemaError) as err:
+            parse_instance(_target_doc(spec, N, [0.5] * length))
+        assert str(err.value) == (
+            f"target lists {length} numbers; it needs n = 2 numbers (a constant target) or "
+            f"s^(N+1)*n = 2^{N + 1}*2 = {2 * leaves} (one row per leaf, in node order)"
+        )
+    constant = parse_instance(_target_doc(spec, N, [0.5, -1]))
+    assert constant.target.shape == (2,) and constant.target.tolist() == [0.5, -1.0]
+    rows = parse_instance(_target_doc(spec, N, list(range(2 * leaves))))
+    assert rows.target.tolist() == np.arange(2.0 * leaves).reshape(leaves, 2).tolist()
+    assert not constant.target.flags.writeable and not rows.target.flags.writeable
+
+
+def test_target_forms_at_a_huge_horizon_form_no_power(bench_full):
+    # s^(N+1) at N = 10^18 cannot be formed: a constant target is read, any other length refused.
+    spec, _ = bench_full
+    assert parse_instance(_target_doc(spec, 10**18, [1.0, 2.0])).target.tolist() == [1.0, 2.0]
+    with pytest.raises(SchemaError, match=r"^target lists 4 numbers; .* = 2\^1000000000000000001\*2 \(one row"):
+        parse_instance(_target_doc(spec, 10**18, [1.0] * 4))
+    with pytest.raises(DimensionMismatch, match=r"^target: shape \(4, 2\); it must be \(2,\) or \(2\^1000000000000000001, 2\)$"):
+        ProblemInstance(system=spec, N=10**18, target=np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [("true", "JSON numbers"), ('"1"', "JSON numbers"), ("null", "JSON numbers"), ("[1.0]", "JSON numbers"),
+     ("NaN", "finite"), ("Infinity", "finite"), ("1e400", "finite"), ("1" + "0" * 400, "finite")],
+    ids=["true", "string", "null", "nested", "NaN", "Infinity", "1e400", "int-1e400"],
+)
+@pytest.mark.parametrize("length", [2, 8], ids=["constant", "path"])
+def test_target_entries_must_be_finite_json_numbers(bench_full, entry, message, length):
+    spec, _ = bench_full
+    text = _target_doc(spec, 1, [0.0] * length).replace('"target": [0.0', f'"target": [{entry}', 1)
+    assert f'"target": [{entry}, ' in text
+    with pytest.raises(SchemaError) as err:
+        parse_instance(text)
+    assert str(err.value) == f"target entries must be {message}"
+
+
+@pytest.mark.parametrize("value", ["{}", '"0.5"', "0.5", "null", "[[0.5, 1.0], [2.0, 3.0]]"])
+def test_target_of_another_form_names_both_forms(bench_full, value):
+    spec, _ = bench_full
+    text = _target_doc(spec, 0, None).replace('"target": null', f'"target": {value}')
+    with pytest.raises(SchemaError) as err:
+        parse_instance(text)
+    if value.startswith("[["):  # nested rows: two entries, as many as n, but not numbers
+        assert str(err.value) == "target entries must be JSON numbers"
+    else:
+        assert str(err.value).startswith("target must be a flat list of n = 2 numbers (a constant target) or "
+                                         "s^(N+1)*n = 2^1*2 = 4 (one row per leaf, in node order)")
+        assert str(err.value).endswith("map is not read: list its rows in label order") == (value == "{}")
+
+
+@pytest.mark.parametrize(
+    "target,message",
+    [(np.zeros(3), r"\(3,\)"), (np.zeros((4, 2)), r"\(4, 2\)"), (np.zeros((2, 3)), r"\(2, 3\)"),
+     (np.zeros((1, 2)), r"\(1, 2\)"), (np.zeros((2, 2, 1)), r"\(2, 2, 1\)"), (np.zeros(4), r"\(4,\)")],
+)
+def test_target_array_is_a_vector_or_leaf_rows(bench_full, target, message):
+    spec, _ = bench_full  # n = 2; at N = 0 two leaves
+    with pytest.raises(DimensionMismatch, match=rf"^target: shape {message}; it must be \(2,\) or \(2\^1, 2\)$"):
+        ProblemInstance(system=spec, N=0, target=target)
+    with pytest.raises(DimensionMismatch, match="^target: entries must be finite"):
+        ProblemInstance(system=spec, N=0, target=[np.nan, 0.0])
+    for good in ([1, 2.5], [[1, 2.5], [3.0, -4]]):
+        inst = ProblemInstance(system=spec, N=0, target=np.array(good))
+        assert inst.target.tolist() == np.asarray(good, dtype=float).tolist() and not inst.target.flags.writeable
+
+
+def test_parse_peak_memory_is_a_small_multiple_of_the_target_text():
+    """A flat 3^10-leaf, n = 2 target: json's number objects and one float array, 2.0x the text here;
+    the label map, decoded and then sorted and checked, held 3.6x."""
+    rng = np.random.default_rng(6)
+    inst = ProblemInstance(_random_spec(rng, 2, NoiseModel.symmetric_three_point()), 9, target=rng.normal(size=(3**10, 2)))
+    text = serialize_instance(inst)
+    tracemalloc.start()
+    try:
+        again = parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.target.tobytes() == inst.target.tobytes()
+    assert peak <= 2.5 * len(text), (peak, len(text))

@@ -64,7 +64,7 @@ def test_tracer_records_every_route_layer(tmp_path):
     path_targets = []
     for name in ("fullrank_2x3.json", "state_delay_d1.json"):
         doc = json.loads((INSTANCE_DIR / name).read_text())
-        doc["N"], doc["target"] = 1, {label: [float(i), 0.0] for i, label in enumerate(("00", "01", "10", "11"))}
+        doc["N"], doc["target"] = 1, [v for i in range(4) for v in (float(i), 0.0)]  # leaf i is [i, 0]
         path_target = tmp_path / f"path_target_{name}"
         path_target.write_text(json.dumps(doc))
         path_targets.append(str(path_target))
