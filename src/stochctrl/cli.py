@@ -253,7 +253,7 @@ def cmd_synthesize(args) -> int:
         ("paths", tree.n_nodes(tree.horizon + 1)),
         ("terminal_deviation", deviation),
         ("tolerance", args.tol),
-        ("gramian_min_singular", float(np.linalg.svd(ctrl.gramian, compute_uv=False)[-1])),
+        ("gramian_min_singular", ctrl.smin),
     ]
     law = law_text(ctrl)
     if args.out:

@@ -17,14 +17,14 @@ delayed input or a lagged state in :func:`plant_step` or a lagged state
 in :func:`backward_solve_state_delay`'s forward sweep, is multiplied at
 its own depth and the product added to every descendant through a
 reshaped view (:func:`_add_product`), never replicated per node; only
-:meth:`AdaptedProcess.at_depth` lifts values, for the controller table.
-:func:`plant_step` is the step of :func:`forward_simulate` and of
-``synthesis.feedback_loop``, the every-level closed loop behind a
-controller's table and ``ControllerProcess.x``; the commands run a law
-through ``synthesis.folded_loop``, which folds the law into the step's
-map, adds its lags through :func:`_add_product` the same way, and below
-a level of ``BLOCK_ENTRIES`` rows runs the tree subtree by subtree, a
-lag above a run passed as the run's ancestor rows.
+:meth:`AdaptedProcess.at_depth` lifts values, for a reader of a controller
+table's processes. :func:`plant_step` is the step of
+:func:`forward_simulate` and of ``synthesis.feedback_loop``, the plant-step
+closed loop a controller's table is written from, stage by stage; the
+commands run a law through ``synthesis.folded_loop``, which folds the
+law into the step's map, adds its lags through :func:`_add_product` the
+same way, and below a level of ``BLOCK_ENTRIES`` rows runs the tree
+subtree by subtree, a lag above a run passed as the run's ancestor rows.
 
 :func:`path_products` is the one place per-history products of the
 random factors C + w Cbar are built, with the state-delay pivots of
@@ -547,7 +547,7 @@ def plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk: np.ndarra
     at least s^k s n entries, so that the one array allocated is the
     returned level.
     Forward simulation and ``synthesis.feedback_loop`` take this step, so a
-    controller's every-level states and its table's replay agree bit for bit.
+    controller's plant-step states and its table's replay agree bit for bit.
     """
     out = xs[k] @ np.hstack([(spec.A + w * spec.Abar).T for w in tree.support])
     _add_product(out, uk, np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support]), work)

@@ -15,7 +15,7 @@ import numpy as np
 from .criteria import gramian, gramian_invertible
 from .errors import StochctrlError
 from .model import NoiseModel, SystemSpec
-from .pathspace import AdaptedProcess, PathTree
+from .pathspace import AdaptedProcess, PathTree, _add_product
 from .transform import BsdeForm, TransformedSystem, compute_M
 
 BBAR_MIN_SV = 0.3
@@ -146,15 +146,21 @@ def random_attainable_terminal(
 ) -> np.ndarray:
     """Terminal leaf array that the homogeneous backward equation can reach.
 
-    Runs that equation forward: x(k+1) = C^{-1}(x(k) - Cbar z(k)) + w(k) z(k)
-    with a random start and random adapted z, so membership holds by
-    construction whatever the noise law.
+    Runs that equation forward:
+    x(k+1) = C^{-1}(x(k) - Cbar z(k) - C1 x(k-d)) + w(k) z(k), the C1 term
+    only on a delayed state and from stage d on (earlier states are zero),
+    multiplied at the lag's own depth; with a random start and random
+    adapted z, so membership holds by construction whatever the noise law.
     """
-    n = form.n
+    n, d = form.n, form.d or 0
     Cinv = np.linalg.inv(form.C)
-    x = scale * rng.normal(size=(1, n))
+    xs = {0: scale * rng.normal(size=(1, n))}
     for k in range(tree.horizon + 1):
         z = scale * rng.normal(size=(tree.n_nodes(k), n))
-        a = (x - z @ form.Cbar.T) @ Cinv.T
-        x = (a[:, None, :] + tree.support[None, :, None] * z[:, None, :]).reshape(-1, n)
-    return x
+        a = xs[k] - z @ form.Cbar.T
+        if form.C1 is not None and k >= d:
+            _add_product(a, xs[k - d], -form.C1.T)
+        a = a @ Cinv.T
+        xs[k + 1] = (a[:, None, :] + tree.support[None, :, None] * z[:, None, :]).reshape(-1, n)
+        xs.pop(k - d, None)  # x(k - d) acts last at stage k
+    return xs[tree.horizon + 1]

@@ -41,15 +41,14 @@ x(N+1) run by run, so it never holds a leaf level, and keeps of each
 only what a later stage reads (the state lags, the u1 pipeline).
 synthesize and verify of a law both run it and reduce the terminal gap
 run by run, so they report the same deviation to the last digit. The
-every-level loop, :func:`feedback_loop`, evaluates [u(k), u1(k)] into
+plant-step loop, :func:`feedback_loop`, evaluates [u(k), u1(k)] into
 one input buffer and steps through :func:`pathspace.plant_step`, the
-step of forward simulation, keeping every state; :class:`LawInputs`
-derives its inputs u on first access by the loop's own helper, so the
-table written from them replays those states bit for bit. It backs
-``ControllerProcess.x``, ``.u`` and ``.u1``, run on first access, which
-no command reads. Both loops stay while tables do (ROADMAP item 2): a
-table's inputs taken from folded states do not replay open loop within
-the round-trip bound, as the plant step's do.
+step of forward simulation, yielding each stage's inputs and next state
+and keeping only what a later stage reads. :func:`write_controller_csv`
+writes a table from those inputs as they come, so the table replays the
+loop's states bit for bit. Both loops stay while tables do: a table's
+inputs taken from folded states do not replay open loop within the
+round-trip bound, as the plant step's do.
 Every controller is written as its law, JSON {"kind": "feedback", "N",
 "L", "c"} plus "u1" on a delayed input, with floats in ``repr`` (exact
 for float64); each c_k is one flat row-major list, of w_k numbers when
@@ -64,7 +63,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import json
 from array import array
 from collections.abc import Iterator
@@ -122,12 +120,10 @@ class FeedbackLaw:
 
 @dataclass(eq=False)
 class ControllerProcess:
-    """A steering law, the Gramian it was built on, and its closed loop at every level.
+    """A steering law, with the Gramian it was built on and that Gramian's smallest singular value.
 
-    ``x`` (x(0..N+1)), ``u`` (the :class:`LawInputs`) and ``u1`` are
-    :func:`feedback_loop`'s, run on first access of any of them: only the
-    table writer and callers that want every level need them, and the
-    commands run the law through :func:`folded_loop` instead.
+    ``x0`` is the start the law steers from: :func:`write_controller_csv`
+    runs the law's closed loop from it.
     """
 
     kind: str
@@ -136,22 +132,7 @@ class ControllerProcess:
     x0: np.ndarray
     gramian: np.ndarray
     law: FeedbackLaw
-
-    @functools.cached_property
-    def _loop(self) -> tuple[AdaptedProcess, AdaptedProcess, AdaptedProcess | None]:
-        return feedback_loop(self.tree, self.spec, self.x0, self.law)
-
-    @property
-    def u(self) -> AdaptedProcess:
-        return self._loop[0]
-
-    @property
-    def x(self) -> AdaptedProcess:
-        return self._loop[1]
-
-    @property
-    def u1(self) -> AdaptedProcess | None:
-        return self._loop[2]
+    smin: float
 
 
 def _pinv(S: np.ndarray) -> np.ndarray:
@@ -169,7 +150,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     blocks.
     """
     form, spec, n, N = ts.form, ts.spec, ts.form.n, tree.horizon
-    x0 = np.array(x0, dtype=float)  # a copy: the closed loop runs from it on first access
+    x0 = np.array(x0, dtype=float)  # a copy: the record keeps it for the table's closed loop
     if x0.shape != (n,):
         raise DimensionMismatch(f"x0 must have length {n}, got {x0.shape}")
     hom = None
@@ -216,7 +197,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
                 _add_product(p, hom.x.at(k - j), -Q[k][j].T)
             ck = np.pad(hom.z.at(k) @ Mq.T, ((0, 0), (0, len(Kk) - spec.m))) - p @ Kk.T
         c.append(ck[:1] if (ck == ck[0]).all() else ck)
-    return ControllerProcess(kind, tree, spec, x0, G, FeedbackLaw(L, c, u1_pre))
+    return ControllerProcess(kind, tree, spec, x0, G, FeedbackLaw(L, c, u1_pre), smin)
 
 
 def null_controller(ts: TransformedSystem, tree: PathTree, x0: np.ndarray) -> ControllerProcess:
@@ -242,30 +223,29 @@ def steer_to_target(
     Rejects terminals outside the attainable set with
     :class:`TargetNotInS`. Returns the route's :class:`FeedbackLaw` (this
     module's docstring), whose N+1 gains are built in O(N n^3), no tree
-    (a target's offsets read its solution on the tree); the closed loop
-    runs only when ``x``, ``u`` or ``u1`` is first read. On a delay route
-    it is ``delay``'s controller.
+    (a target's offsets read its solution on the tree); no closed loop
+    runs. On a delay route it is ``delay``'s controller.
     """
     return _steer(ts, tree, x0, target, tol)
 
 
 def feedback_loop(
     tree: PathTree, spec: SystemSpec, x0: np.ndarray, law: FeedbackLaw
-) -> tuple[AdaptedProcess, AdaptedProcess, AdaptedProcess | None]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Run [u(k), u1(k)] = r(k) L_k' + c_k through :func:`pathspace.plant_step` from x0.
 
-    Returns u (stages 0..N) and x (0..N+1), stage k at depth k, and u1
-    (-tau..N-tau, at depth max(0, j); None without a delayed input).
-    Each level allocates only the state it returns, plus u1(k) on a delayed
-    input: [u(k), u1(k)] is evaluated by :func:`_law_inputs` into one input
-    buffer, and the step's products go into one work buffer, both sized
-    once for depth N. u is not kept: :class:`LawInputs` derives it on
-    first access with the same helper, so its bits are the loop's and a
-    table written from it replays these states bit for bit. The commands
-    run a law through :func:`folded_loop` instead.
+    Yields (k, v, x(k+1)) for k = 0..N: v is [u(k), u1(k)], one row per
+    depth-k node (u1 only while it enters by stage N), evaluated by
+    :func:`_law_inputs` into one input buffer, so it is valid only until
+    the next step; x(k+1) is at depth k + 1. The step's products go into
+    one work buffer; both buffers are sized once for depth N. Of the
+    states and delayed inputs the loop keeps only what a later stage
+    reads: x(k+1), the state lags x(k-d+1..k) and the u1 pipeline
+    u1(k-tau+1..k). The commands run a law through :func:`folded_loop`
+    instead.
     """
     m, N, s, n = spec.m, len(law.L) - 1, tree.s, spec.n
-    tau = spec.tau if spec.B1 is not None else 0
+    d, tau = spec.d or 0, spec.tau if spec.B1 is not None else 0
     inputs = np.empty(max(tree.n_nodes(k) * len(Lk) for k, Lk in enumerate(law.L)))
     # The step's s n wide products, and the lag products at depth <= N - 1 of _law_inputs.
     work = np.empty(max(tree.n_nodes(N) * s * n, tree.n_nodes(max(0, N - 1)) * len(law.L[0])))
@@ -277,9 +257,9 @@ def feedback_loop(
         if tau and k <= N - tau:
             u1s[k] = v[:, m:].copy()
         xs[k + 1] = plant_step(tree, spec, xs, k, v[:, :m], u1s[k - tau] if tau else None, work)
-    x = AdaptedProcess(tree, xs, {k: k for k in xs})
-    u1 = AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None
-    return LawInputs(tree, spec, law, xs, u1s), x, u1
+        xs.pop(k - d, None)  # x(k - d) and u1(k - tau) act last at stage k
+        u1s.pop(k - tau, None)
+        yield k, v, xs[k + 1]
 
 
 def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Iterator[tuple[int, np.ndarray]]:
@@ -417,27 +397,6 @@ def _law_inputs(spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict,
     return out
 
 
-class LawInputs(AdaptedProcess):
-    """The inputs u(0..N) of a closed loop run by :func:`feedback_loop`, stage k at depth k.
-
-    Nothing is computed until the values are first read; then every stage
-    is evaluated from the loop's states x and delayed inputs u1 by
-    :func:`_law_inputs`, the helper the loop ran, so the values equal the
-    loop's bit for bit, each a C-contiguous array as a table reads back.
-    """
-
-    def __init__(self, tree: PathTree, spec: SystemSpec, law: FeedbackLaw, xs: dict, u1s: dict):
-        self.tree, self.dim = tree, spec.m
-        self.depths = {k: k for k in range(len(law.L))}
-        self._run = spec, law, xs, u1s
-
-    @functools.cached_property
-    def values(self) -> dict[int, np.ndarray]:
-        spec, law, xs, u1s = self._run
-        vals = {k: _law_inputs(spec, law, k, xs, u1s, np.empty((len(xs[k]), len(law.L[k])))) for k in self.depths}
-        return {k: v if v.shape[1] == spec.m else v[:, : spec.m].copy() for k, v in vals.items()}
-
-
 def law_text(ctrl: ControllerProcess) -> str:
     """The controller's law as JSON, each c_k flat in row-major order, one row or one per depth-k node.
 
@@ -535,29 +494,31 @@ def write_controller_csv(dest, ctrl: ControllerProcess) -> None:
     """One row per (stage, history): stage, history, u columns, u1 columns.
 
     Stages appear in increasing order, each with one tree level's labels in
-    node order (``model.path_labels``); for a delayed input channel the
-    pre-horizon stages carry only u1 values, and trailing stages past the
-    delayed channel's range leave the u1 cells empty.
+    node order (``model.path_labels``): for a delayed input channel the
+    pre-horizon stages -tau.. at depth 0 carry only u1 values, then stage k
+    at depth k holds :func:`feedback_loop`'s inputs as the loop yields them,
+    its u1 cells empty past the delayed channel's range.
     """
-    channels = [p for p in (ctrl.u, ctrl.u1) if p is not None]
-    header = ["stage", "history"] + [f"u_{i}" for i in range(ctrl.u.dim)]
-    header += [f"u1_{i}" for i in range(ctrl.u1.dim)] if ctrl.u1 is not None else []
-    s = ctrl.tree.s
+    law, m, s = ctrl.law, ctrl.spec.m, ctrl.tree.s
+    m1 = 0 if law.u1_pre is None else law.u1_pre.shape[1]
     tables = _label_tables(s)
+
+    def level(fh, stage, depth, values, cells):  # one stage's rows, one per depth-``depth`` node
+        row = f"{stage},%s%s," + ",".join(cells) + "\n"
+        # Blocks of one tail table's rows, label = head + tail: only one block's floats are Python objects.
+        tail_depth = min(depth, len(tables) - 1)
+        tails = tables[tail_depth]
+        for i, head in enumerate(_level_labels(s, depth - tail_depth)):
+            block = values[i * len(tails) : (i + 1) * len(tails)]
+            fh.writelines(row % (head, tail, *numbers) for tail, numbers in zip(tails, block.tolist()))
+
+    header = ["stage", "history"] + [f"u_{i}" for i in range(m)] + [f"u1_{i}" for i in range(m1)]
     with _opened(dest, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for stage in sorted(set().union(*(p.values for p in channels))):
-            present = [p for p in channels if stage in p.values]
-            depth = max(p.depth(stage) for p in present)
-            cells = [FLOAT_FMT if p in present else "" for p in channels for _ in range(p.dim)]
-            row = f"{stage},%s%s," + ",".join(cells) + "\n"
-            values = np.hstack([p.at_depth(stage, depth) for p in present])
-            # Blocks of one tail table's rows, label = head + tail: only one block's floats are Python objects.
-            tail_depth = min(depth, len(tables) - 1)
-            tails = tables[tail_depth]
-            for i, head in enumerate(_level_labels(s, depth - tail_depth)):
-                block = values[i * len(tails) : (i + 1) * len(tails)].tolist()
-                fh.writelines(row % (head, tail, *numbers) for tail, numbers in zip(tails, block))
+        for i, u1 in enumerate(() if law.u1_pre is None else law.u1_pre):
+            level(fh, i - ctrl.spec.tau, 0, u1[None], [""] * m + [FLOAT_FMT] * m1)
+        for k, v, _ in feedback_loop(ctrl.tree, ctrl.spec, ctrl.x0, law):
+            level(fh, k, k, v, [FLOAT_FMT] * v.shape[1] + [""] * (m + m1 - v.shape[1]))
 
 
 def read_controller_table(

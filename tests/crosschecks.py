@@ -20,7 +20,10 @@ one matmul with L_k', stores every u(k), and steps through
 ``lifting_plant_step``, the plant step that lifts u1 and x(k - d) to depth
 k before its matmuls. ``breadth_first_folded_loop`` is the folded closed
 loop run level by level over the whole tree, against which
-``synthesis.folded_loop``'s runs of leaves are checked. ``einsum_children``,
+``synthesis.folded_loop``'s runs of leaves are checked. ``loop_levels``
+collects ``synthesis.feedback_loop``'s stages into every level of u, x and
+u1, as the tests read them; ``controller_levels`` does so for a
+controller's own law and start. ``einsum_children``,
 ``einsum_weighted_gram``, ``einsum_prefix_means``,
 ``einsum_terminal_product`` and ``kron_node_probs`` are the enumeration
 oracle's kernels in the same einsum and Kronecker forms.
@@ -44,6 +47,7 @@ from stochctrl import (
     SystemSpec,
     TransformedSystem,
     backward_solve,
+    feedback_loop,
     forward_simulate,
 )
 from stochctrl.pathspace import P_RCOND, _acting_lags
@@ -253,6 +257,26 @@ def reference_feedback_loop(tree: PathTree, spec: SystemSpec, x0, law):
         xs[k + 1] = lifting_plant_step(tree, spec, xs, k, u_vals[k], u1k)
     u, x = (AdaptedProcess(tree, vals, {k: k for k in vals}) for vals in (u_vals, xs))
     return u, x, AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None
+
+
+def loop_levels(tree: PathTree, spec: SystemSpec, x0, law):
+    """u (stages 0..N) and x (0..N+1), stage k at depth k, and u1 (-tau..N-tau, at depth max(0, j); None
+    without a delayed input) of ``synthesis.feedback_loop``, each yielded input copied out of the loop's buffer."""
+    m, tau = spec.m, spec.tau if spec.B1 is not None else 0
+    xs, u_vals = {0: np.asarray(x0, dtype=float)[None, :].copy()}, {}
+    u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
+    for k, v, x_next in feedback_loop(tree, spec, x0, law):
+        u_vals[k] = v[:, :m].copy()
+        if v.shape[1] > m:
+            u1s[k] = v[:, m:].copy()
+        xs[k + 1] = x_next
+    u, x = (AdaptedProcess(tree, vals, {k: k for k in vals}) for vals in (u_vals, xs))
+    return u, x, AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None
+
+
+def controller_levels(ctrl):
+    """:func:`loop_levels` of a controller's law run from its own x0."""
+    return loop_levels(ctrl.tree, ctrl.spec, ctrl.x0, ctrl.law)
 
 
 def breadth_first_folded_loop(tree: PathTree, spec: SystemSpec, x0, law) -> np.ndarray:

@@ -33,7 +33,7 @@ from stochctrl import (
     steer_to_target,
     word_span,
 )
-from crosschecks import word_matrix
+from crosschecks import controller_levels, word_matrix
 
 
 def _report(tag, ok, detail):
@@ -169,7 +169,7 @@ def test_c6_closed_loop_null_steering(bench_full, bench_input_delay, bench_state
     ts = TransformedSystem.build(spec)
     tree = PathTree(spec.noise, 2)
     ctrl = null_controller(ts, tree, expected["x0"])
-    sim = forward_simulate(tree, spec, expected["x0"], ctrl.u)
+    sim = forward_simulate(tree, spec, expected["x0"], controller_levels(ctrl)[0])
     worst = max(worst, float(np.abs(sim.at(3)).max()))
 
     for _ in range(20):
@@ -180,21 +180,22 @@ def test_c6_closed_loop_null_steering(bench_full, bench_input_delay, bench_state
         for _ in range(20):
             x0 = random_x0(rng, n)
             c = null_controller(ts_r, tree_r, x0)
-            s = forward_simulate(tree_r, ts_r.spec, x0, c.u)
+            s = forward_simulate(tree_r, ts_r.spec, x0, controller_levels(c)[0])
             worst = max(worst, float(np.abs(s.at(N + 1)).max()))
 
     spec_in, exp_in = bench_input_delay
     ts_in = TransformedSystem.build(spec_in)
     tree_in = PathTree(spec_in.noise, 2)
     c_in = input_delay_controller(ts_in, tree_in, exp_in["x0"])
-    s_in = forward_simulate(tree_in, spec_in, exp_in["x0"], c_in.u, u1=c_in.u1)
+    u_in, _, u1_in = controller_levels(c_in)
+    s_in = forward_simulate(tree_in, spec_in, exp_in["x0"], u_in, u1=u1_in)
     worst = max(worst, float(np.abs(s_in.at(3)).max()))
 
     spec_st, exp_st = bench_state_delay
     ts_st = TransformedSystem.build(spec_st)
     tree_st = PathTree(spec_st.noise, 2)
     c_st = state_delay_controller(ts_st, tree_st, exp_st["x0"])
-    s_st = forward_simulate(tree_st, spec_st, exp_st["x0"], c_st.u)
+    s_st = forward_simulate(tree_st, spec_st, exp_st["x0"], controller_levels(c_st)[0])
     worst = max(worst, float(np.abs(s_st.at(3)).max()))
 
     ok = worst < 1e-8
@@ -213,7 +214,7 @@ def test_c7_target_membership_and_steering():
             assert membership.member
             x0 = random_x0(rng, 2)
             ctrl = steer_to_target(ts, tree, x0, target)
-            sim = forward_simulate(tree, ts.spec, x0, ctrl.u)
+            sim = forward_simulate(tree, ts.spec, x0, controller_levels(ctrl)[0])
             worst = max(worst, float(np.abs(sim.at(4) - target).max()))
 
     noise = NoiseModel.symmetric_three_point()

@@ -7,6 +7,7 @@ import pytest
 from stochctrl import (
     NoiseModel,
     PathTree,
+    ProblemInstance,
     SingularPBracket,
     SystemSpec,
     TransformedSystem,
@@ -18,14 +19,20 @@ from stochctrl import (
     input_delay_decide,
     input_delay_gramian_oracle,
     member_of_S_state_delay,
+    random_attainable_terminal,
+    random_controllable,
     random_free_input,
     random_system,
+    random_x0,
+    serialize_instance,
     state_delay_P,
     state_delay_controller,
     state_delay_decide,
     state_delay_gramian_oracle,
 )
+from stochctrl.cli import main
 from stochctrl.transform import BsdeForm
+from crosschecks import controller_levels
 
 
 def test_input_delay_benchmark_gramian(bench_input_delay):
@@ -83,10 +90,11 @@ def test_input_delay_controller_benchmark(bench_input_delay):
     ts = TransformedSystem.build(spec)
     tree = PathTree(spec.noise, 2)
     ctrl = input_delay_controller(ts, tree, expected["x0"])
-    sim = forward_simulate(tree, spec, expected["x0"], ctrl.u, u1=ctrl.u1)
+    u, _, u1 = controller_levels(ctrl)
+    sim = forward_simulate(tree, spec, expected["x0"], u, u1=u1)
     assert np.abs(sim.at(3)).max() < 1e-8
     # pre-horizon decisions are part of the controller
-    assert min(ctrl.u1.stages()) == -1
+    assert min(u1.stages()) == -1
 
 
 def test_input_delay_steer_to_target(rng):
@@ -98,7 +106,8 @@ def test_input_delay_steer_to_target(rng):
     x0 = np.array([1.0, 2.0])
     target = random_attainable_terminal(rng, tree, ts.form, scale=0.5)
     ctrl = input_delay_controller(ts, tree, x0, target=target)
-    sim = forward_simulate(tree, spec, x0, ctrl.u, u1=ctrl.u1)
+    u, _, u1 = controller_levels(ctrl)
+    sim = forward_simulate(tree, spec, x0, u, u1=u1)
     assert np.abs(sim.at(4) - target).max() < 1e-8
 
 
@@ -229,7 +238,7 @@ def test_state_delay_controller_benchmark(bench_state_delay):
     ts = TransformedSystem.build(spec)
     tree = PathTree(spec.noise, 2)
     ctrl = state_delay_controller(ts, tree, expected["x0"])
-    sim = forward_simulate(tree, spec, expected["x0"], ctrl.u)
+    sim = forward_simulate(tree, spec, expected["x0"], controller_levels(ctrl)[0])
     assert np.abs(sim.at(3)).max() < 1e-8
 
 
@@ -261,6 +270,24 @@ def test_state_delay_membership_three_point(rng):
     assert not member_of_S_state_delay(tree, ts.form, bad).member
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_sampling_draws_attainable_state_delay_targets(tmp_path, capsys, d):
+    # Under three-point noise a terminal run forward without C1 x(k - d) is not attainable on a
+    # state-delay form, and synthesize rejects it (exit 4).
+    noise = NoiseModel.symmetric_three_point()
+    for seed in range(5):
+        rng = np.random.default_rng([seed, 7, d])
+        ts = random_controllable(rng, 3, 4, 6, noise=noise, d=d)
+        tree = PathTree(noise, 6)
+        x0 = random_x0(rng, 3)
+        goal = random_attainable_terminal(rng, tree, ts.form)
+        assert member_of_S_state_delay(tree, ts.form, goal).member, seed
+        path = tmp_path / "instance.json"
+        path.write_text(serialize_instance(ProblemInstance(ts.spec, 6, x0=x0, target=goal)))
+        assert main(["synthesize", "--instance", str(path), "--out", str(tmp_path / "law.json")]) == 0, seed
+        capsys.readouterr()
+
+
 def test_state_delay_steer_to_target(rng):
     spec = random_system(rng, 2, 3, d=1)
     ts = TransformedSystem.build(spec)
@@ -268,7 +295,7 @@ def test_state_delay_steer_to_target(rng):
     x0 = np.array([-1.0, 0.5])
     target = delayed_attainable_terminal(rng, tree, ts.form, 1, scale=0.5)
     ctrl = state_delay_controller(ts, tree, x0, target=target)
-    sim = forward_simulate(tree, spec, x0, ctrl.u)
+    sim = forward_simulate(tree, spec, x0, controller_levels(ctrl)[0])
     assert np.abs(sim.at(4) - target).max() < 1e-8
 
 

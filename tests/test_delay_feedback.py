@@ -37,6 +37,7 @@ from stochctrl.pathspace import (
     path_products,
 )
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
+from crosschecks import controller_levels
 from test_delay import delayed_attainable_terminal
 
 
@@ -193,21 +194,22 @@ def test_feedback_inputs_match_open_loop(law, route, n, N):
             ctrl = ROUTES[route][1](ts, tree, x0, goal)
             assert ctrl.kind == ref.kind == route
             np.testing.assert_array_equal(ctrl.gramian, ref.gramian)
+            u, x, u1 = controller_levels(ctrl)
             for k in range(N + 1):
-                assert ctrl.u.depth(k) == k
-                assert _close(ctrl.u.at(k), ref.u.at_depth(k, k)), (lag, target, k)
+                assert u.depth(k) == k
+                assert _close(u.at(k), ref.u.at_depth(k, k)), (lag, target, k)
             if route == "input-delay":
-                assert ctrl.u1.stages() == ref.u1.stages() == list(range(-lag, N - lag + 1))
+                assert u1.stages() == ref.u1.stages() == list(range(-lag, N - lag + 1))
                 for j in ref.u1.stages():
-                    assert ctrl.u1.depth(j) == ref.u1.depth(j) == max(0, j)
-                    assert _close(ctrl.u1.at(j), ref.u1.at(j)), (lag, target, j)
+                    assert u1.depth(j) == ref.u1.depth(j) == max(0, j)
+                    assert _close(u1.at(j), ref.u1.at(j)), (lag, target, j)
             else:
-                assert ctrl.u1 is None
+                assert u1 is None
             # The table replays the closed loop's own states.
-            sim = forward_simulate(tree, ts.spec, x0, ctrl.u, u1=ctrl.u1)
+            sim = forward_simulate(tree, ts.spec, x0, u, u1=u1)
             for k in range(N + 2):
-                assert np.array_equal(sim.at(k), ctrl.x.at(k)), (lag, target, k)
-            assert np.array_equal(ctrl.x.at(0)[0], x0)
+                assert np.array_equal(sim.at(k), x.at(k)), (lag, target, k)
+            assert np.array_equal(x.at(0)[0], x0)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from stochctrl import (
     NoiseModel,
     PathTree,
     ProblemInstance,
-    feedback_loop,
     folded_loop,
     law_text,
     read_feedback_law,
@@ -39,6 +38,7 @@ from stochctrl.model import path_labels
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import FLOAT_FMT
 from conftest import INSTANCE_DIR
+from crosschecks import controller_levels, loop_levels
 from test_delay import delayed_attainable_terminal
 
 IN_DELAY = str(INSTANCE_DIR / "input_delay_tau1.json")  # n 2, m 3, m1 3, tau 1, N 2
@@ -59,7 +59,7 @@ def report(out):
 
 def table_deviation(ctrl, goal) -> str:
     """The terminal deviation of the plant-step loop a table is written from, as a report prints it."""
-    final = ctrl.x.at(ctrl.tree.horizon + 1)
+    final = controller_levels(ctrl)[1].at(ctrl.tree.horizon + 1)
     return FLOAT_FMT % np.abs(final if goal is None else final - goal).max()
 
 
@@ -124,18 +124,19 @@ def test_law_text_reads_back_and_replays_bit_for_bit(law, n, route, lag):
             if route == "tau":
                 assert read.u1_pre.shape == (min(lag, N + 1), m1)
                 np.testing.assert_array_equal(read.u1_pre, ctrl.law.u1_pre)
-            u, x, u1 = feedback_loop(tree, spec, x0, read)
+            u, x, u1 = loop_levels(tree, spec, x0, read)
+            ctrl_u, ctrl_x, ctrl_u1 = controller_levels(ctrl)
             for k in range(N + 2):
-                assert np.array_equal(x.at(k), ctrl.x.at(k)), (N, target, k)
+                assert np.array_equal(x.at(k), ctrl_x.at(k)), (N, target, k)
             for k in range(N + 1):
-                assert np.array_equal(u.at(k), ctrl.u.at(k)), (N, target, k)
+                assert np.array_equal(u.at(k), ctrl_u.at(k)), (N, target, k)
             if route == "tau":
-                assert u1.stages() == ctrl.u1.stages() == list(range(-lag, N - lag + 1))
+                assert u1.stages() == ctrl_u1.stages() == list(range(-lag, N - lag + 1))
                 for j in u1.stages():
-                    assert u1.depth(j) == ctrl.u1.depth(j) == max(0, j)
-                    assert np.array_equal(u1.at(j), ctrl.u1.at(j)), (N, target, j)
+                    assert u1.depth(j) == ctrl_u1.depth(j) == max(0, j)
+                    assert np.array_equal(u1.at(j), ctrl_u1.at(j)), (N, target, j)
             else:
-                assert u1 is None and ctrl.u1 is None
+                assert u1 is None and ctrl_u1 is None
 
 
 @pytest.mark.parametrize("law", sorted(LAWS))
@@ -288,9 +289,9 @@ def test_a_state_delay_law_keeps_the_lags_that_act_stage_by_stage():
     ts, tree, x0, _, ctrl = draw(rng, LAWS["two-point"], "d", 3, 2, 6, None)
     assert [Lk.shape for Lk in ctrl.law.L] == [(ts.spec.m, 2 * blocks) for blocks in (1, 2, 3, 4, 4, 3, 2)]
     read = read_feedback_law(io.StringIO(law_text(ctrl)), tree, ts.spec)
-    _, x, _ = feedback_loop(tree, ts.spec, x0, read)
+    x, ctrl_x = loop_levels(tree, ts.spec, x0, read)[1], controller_levels(ctrl)[1]
     for k in range(8):
-        assert np.array_equal(x.at(k), ctrl.x.at(k)), k
+        assert np.array_equal(x.at(k), ctrl_x.at(k)), k
 
 
 def test_a_state_delay_past_the_horizon_is_the_plant_without_it(capsys, tmp_path):

@@ -21,6 +21,7 @@ from stochctrl.errors import DimensionMismatch, SingularGramian, TargetNotInS
 from stochctrl.pathspace import AdaptedProcess, _terminal_array, backward_solve, member_of_S
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import stage_products, steer_to_target
+from crosschecks import controller_levels
 
 
 def reference_invert_gramian(G, x0, what, N):
@@ -113,10 +114,11 @@ def test_feedback_inputs_match_open_loop(law, n, N, target):
     ref = reference_steer_to_target(ts, tree, x0, goal)
     assert ctrl.kind == ref.kind
     np.testing.assert_array_equal(ctrl.gramian, ref.gramian)
+    u = controller_levels(ctrl)[0]
     for k in range(N + 1):
         want = ref.u.at_depth(k, k)
-        got = ctrl.u.at(k)
-        assert ctrl.u.depth(k) == k
+        got = u.at(k)
+        assert u.depth(k) == k
         assert (np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))).all(), k
 
 
@@ -124,10 +126,11 @@ def test_feedback_inputs_match_open_loop(law, n, N, target):
 def test_table_replays_the_closed_loop_bit_for_bit(law, n, N, target):
     ts, tree, x0, goal = _draw(law, n, N, target)
     ctrl = steer_to_target(ts, tree, x0, goal)
-    sim = forward_simulate(tree, ts.spec, x0, ctrl.u)
+    u, x, _ = controller_levels(ctrl)
+    sim = forward_simulate(tree, ts.spec, x0, u)
     for k in range(N + 2):
-        assert np.array_equal(sim.at(k), ctrl.x.at(k)), k
-    assert np.array_equal(ctrl.x.at(0)[0], x0)
+        assert np.array_equal(sim.at(k), x.at(k)), k
+    assert np.array_equal(x.at(0)[0], x0)
 
 
 def test_deep_full_route_stays_exact_through_the_cli(capsys, tmp_path):

@@ -18,7 +18,6 @@ from stochctrl import (
     PathTree,
     ProblemInstance,
     SchemaError,
-    feedback_loop,
     law_text,
     parse_instance_file,
     random_attainable_terminal,
@@ -31,6 +30,7 @@ from stochctrl import (
 from stochctrl.cli import main
 from stochctrl.model import path_labels
 from conftest import INSTANCE_DIR
+from crosschecks import controller_levels, loop_levels
 
 FULL = str(INSTANCE_DIR / "fullrank_2x3.json")  # n 2, m 3, N 2
 IN_DELAY = str(INSTANCE_DIR / "input_delay_tau1.json")
@@ -128,12 +128,13 @@ def test_read_law_reproduces_the_synthesized_states_bit_for_bit(rng, law, target
     assert len(law.L) == len(ctrl.law.L) == N + 1
     for got, want in zip(law.L, ctrl.law.L):
         np.testing.assert_array_equal(got, want)
-    u, x, u1 = feedback_loop(tree, ts.spec, ctrl.x.at(0)[0], law)
+    ctrl_u, ctrl_x, _ = controller_levels(ctrl)
+    u, x, u1 = loop_levels(tree, ts.spec, ctrl_x.at(0)[0], law)
     assert u1 is None
     for k in range(N + 2):
-        np.testing.assert_array_equal(x.at(k), ctrl.x.at(k))
+        np.testing.assert_array_equal(x.at(k), ctrl_x.at(k))
     for k in range(N + 1):
-        np.testing.assert_array_equal(u.at(k), ctrl.u.at(k))
+        np.testing.assert_array_equal(u.at(k), ctrl_u.at(k))
 
 
 def _full_law(capsys):

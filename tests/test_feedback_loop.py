@@ -1,9 +1,10 @@
-"""The closed loop keeps only what it returns, and computes what the loop as first written did.
+"""The closed loop keeps only what a later stage reads, and computes what the loop as first written did.
 
 ``synthesis.feedback_loop`` evaluates each level's inputs into one
-buffer, multiplies each lag at its own depth, and keeps no u(k):
-``ControllerProcess.u`` and the loop's returned u are derived on first
-access by the loop's own helper. Checked against
+buffer, multiplies each lag at its own depth, and yields each stage's
+inputs and next state, keeping no u(k) and of the states and delayed
+inputs only the lags a later stage reads. Its stages, collected by
+``crosschecks.loop_levels``, are checked against
 ``crosschecks.reference_feedback_loop``, which stacks the lifted
 regressor and stores every u(k): on the full route bit for bit; on the
 delay routes, where the lag products are summed in another order, each
@@ -13,19 +14,22 @@ tau 1/2, d 1/2) under both noise laws, with null, constant and path
 targets, for N <= 8. On the same draws, the law evaluated on a target's
 own solution (its states, a zero u1) gives the target's input
 [(z_h - x_h Abar') M_q', 0] within rounding. ``tracemalloc`` bounds the
-loop's peak at N = 17 by the states it returns, the u1 it must keep, its
-two buffers and 0.5 MB.
+loop's peak at N = 17, its stages consumed and dropped, by its two
+buffers, x(N), x(N+1), the lags it keeps and 0.5 MB, and
+``write_controller_csv``'s peak by the same and 1 MB: the loop that kept
+every level, and the writer that read it, exceeded both.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from stochctrl import NoiseModel, PathTree, feedback_loop, member_of_S, steer_to_target
+from stochctrl import NoiseModel, PathTree, feedback_loop, member_of_S, steer_to_target, write_controller_csv
+from stochctrl.model import _label_tables
 from stochctrl.pathspace import _state_delay_gains
 from stochctrl.synthesis import _law_inputs
 from stochctrl.sampling import random_controllable, random_x0
-from crosschecks import lifted_regressor, lifting_plant_step, reference_feedback_loop
+from crosschecks import controller_levels, lifted_regressor, lifting_plant_step, loop_levels, reference_feedback_loop
 from test_delay_law import draw
 from test_tree_kernels import forward_bound
 
@@ -43,12 +47,13 @@ def test_loop_matches_the_reference_loop(law, route, lag, target):
     for N in range(N_MAX + 1):
         ts, tree, x0, _, ctrl = draw(rng, LAWS[law], route, lag, 2, N, target)
         spec = ts.spec
-        u, x, u1 = feedback_loop(tree, spec, x0, ctrl.law)
+        u, x, u1 = loop_levels(tree, spec, x0, ctrl.law)
+        ctrl_u, ctrl_x, _ = controller_levels(ctrl)
         for k in range(N + 2):
-            assert np.array_equal(x.at(k), ctrl.x.at(k)), (N, k)
+            assert np.array_equal(x.at(k), ctrl_x.at(k)), (N, k)
         for k in range(N + 1):
-            assert np.array_equal(u.at(k), ctrl.u.at(k)), (N, k)
-            assert u.depth(k) == ctrl.u.depth(k) == k
+            assert np.array_equal(u.at(k), ctrl_u.at(k)), (N, k)
+            assert u.depth(k) == ctrl_u.depth(k) == k
         if route == "full":
             ref_u, ref_x, ref_u1 = reference_feedback_loop(tree, spec, x0, ctrl.law)
             assert u1 is None and ref_u1 is None
@@ -106,37 +111,53 @@ def test_law_on_the_targets_own_solution_gives_the_targets_input(law, route, lag
             assert np.all(np.abs(got - want) <= 8 * EPS * terms), (N, k)
 
 
-def test_controller_inputs_are_derived_on_first_access():
-    rng = np.random.default_rng(4)
-    ts = random_controllable(rng, 2, 3, 4, tau=1)
-    tree = PathTree(NoiseModel.rademacher(), 4)
-    ctrl = steer_to_target(ts, tree, random_x0(rng, 2), None)
-    assert "values" not in vars(ctrl.u)
-    assert ctrl.u.stages() == list(range(5))
-    assert all(ctrl.u.at(k).shape == (tree.n_nodes(k), 3) and ctrl.u.at(k).flags.c_contiguous for k in range(5))
-    assert "values" in vars(ctrl.u)
-
-
-@pytest.mark.parametrize("lag", [{}, {"d": 2}, {"tau": 2}], ids=["full", "d2", "tau2"])
-def test_loop_keeps_only_what_it_returns(lag):
-    # Full route: 12.6 MB of states, 10.5 MB of buffers, 23.6 MB in all with the slack.
-    N, n, m = 17, 3, 4
+def _loop_bound(N, lag):
+    """A law for the N = 17 draw, and the bytes of the loop's two buffers, x(N), x(N+1) and the lags it
+    keeps at stage N: x(N-d..N-1) on a delayed state, u1(N-tau) on a delayed input."""
+    n, m = 3, 4
     rng = np.random.default_rng(1)
     ts = random_controllable(rng, n, m, N, **lag)
     tree = PathTree(NoiseModel.rademacher(), N)
     x0 = random_x0(rng, n)
-    law = steer_to_target(ts, tree, x0, None).law
+    ctrl = steer_to_target(ts, tree, x0, None)
+    s, d, tau = tree.s, lag.get("d", 0), lag.get("tau", 0)
+    m1 = 0 if ts.spec.B1 is None else ts.spec.B1.shape[1]
+    inputs = max(tree.n_nodes(k) * len(Lk) for k, Lk in enumerate(ctrl.law.L))
+    work = max(s**N * s * n, s ** (N - 1) * len(ctrl.law.L[0]))
+    lags = sum(tree.n_nodes(N - j) * n for j in range(1, d + 1)) + (tree.n_nodes(N - tau) * m1 if tau else 0)
+    return ctrl, 8 * (inputs + work + (s**N + s ** (N + 1)) * n + lags)
+
+
+def _peak(run) -> int:
     tracemalloc.start()
     try:
-        _, x, u1 = feedback_loop(tree, ts.spec, x0, law)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    s, m1 = tree.s, 0 if ts.spec.B1 is None else ts.spec.B1.shape[1]
-    returned = sum(x.at(k).nbytes for k in range(N + 2))
-    returned += sum(v.nbytes for v in u1.values.values()) if u1 is not None else 0  # u1 must be kept
-    buffers = s**N * (m + m1 + s * n) * 8
-    # A lag's product with its block of L_k lives at the lag's depth, at most N - 1, in the
-    # step's work buffer; only what exceeds that buffer would add to the peak.
-    lag_term = max(0, s ** (N - 1) * (m + m1) - s**N * s * n) * 8 if lag else 0
-    assert peak <= returned + buffers + lag_term + 0.5e6, (peak, returned, buffers, lag_term)
+
+
+@pytest.mark.parametrize("lag", [{}, {"d": 2}, {"tau": 2}], ids=["full", "d2", "tau2"])
+def test_loop_keeps_only_what_it_returns(lag):
+    # Full route: 19.9 MB of buffers and the last two levels, 20.4 MB with the slack; the loop that
+    # kept every level peaked at 23.1 MB.
+    ctrl, bound = _loop_bound(17, lag)
+
+    def consume():
+        for _ in feedback_loop(ctrl.tree, ctrl.spec, ctrl.x0, ctrl.law):
+            pass
+
+    peak = _peak(consume)
+    assert peak <= bound + 0.5e6, (peak, bound)
+
+
+@pytest.mark.parametrize("lag", [{}, {"d": 2}, {"tau": 2}], ids=["full", "d2", "tau2"])
+def test_table_writer_streams_the_loop(tmp_path, lag):
+    # The writer formats a level in blocks of the 4096-label tail table, one block of Python floats
+    # (0.8 MB at m 4) at a time. Full route: 20.9 MB with the slack, for a 28 MB table; the writer
+    # that read every level peaked at 28.1 MB. The label tables are built once per process, so they
+    # are built before the measurement.
+    ctrl, bound = _loop_bound(17, lag)
+    _label_tables(ctrl.tree.s)
+    peak = _peak(lambda: write_controller_csv(tmp_path / "table.csv", ctrl))
+    assert peak <= bound + 1e6, (peak, bound)

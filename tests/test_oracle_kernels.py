@@ -15,8 +15,10 @@ entrywise bound sum |coefficient| |input|. A kernel that also sums over
 L nodes may differ by (8 + L) eps times that bound, since recursive
 summation of L terms can round by L eps in either form. Node
 probabilities are products in the same order, so they are equal bit for bit.
-Two source scans keep the package's kernels this way: no einsum, and no
-``.lift(`` call but ``AdaptedProcess.at_depth``'s, which the table writer uses.
+Source scans keep the package's kernels this way: no einsum; no
+``.lift(`` call but ``AdaptedProcess.at_depth``'s, and no ``.at_depth(``
+call, as only a reader of a table's processes lifts a stage; and no
+``functools.cached_property``, so reading an attribute computes nothing.
 """
 import ast
 import pathlib
@@ -153,12 +155,27 @@ def _callers(node, attr: str, scope: tuple = ()):
 
 
 def test_no_kernel_lifts_coarse_values_per_node():
-    # A coarse value is multiplied at its own depth (pathspace._add_product); only the table
-    # writer's AdaptedProcess.at_depth replicates values per node.
+    # A coarse value is multiplied at its own depth (pathspace._add_product); only
+    # AdaptedProcess.at_depth replicates values per node, and nothing in the package calls it.
     package = pathlib.Path(__file__).resolve().parent.parent / "src" / "stochctrl"
-    callers = {
-        f"{path.stem}.{name}"
-        for path in sorted(package.glob("*.py"))
-        for name in _callers(ast.parse(path.read_text(encoding="utf-8")), "lift")
-    }
-    assert callers <= {"pathspace.AdaptedProcess.at_depth"}, sorted(callers)
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    callers = {attr: {f"{stem}.{name}" for stem, tree in trees.items() for name in _callers(tree, attr)}
+               for attr in ("lift", "at_depth")}
+    assert callers["lift"] <= {"pathspace.AdaptedProcess.at_depth"}, sorted(callers["lift"])
+    assert callers["at_depth"] == set(), sorted(callers["at_depth"])
+
+
+def test_no_cached_property_in_the_package():
+    # Reading an attribute computes nothing: no functools.cached_property, by any import.
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "stochctrl"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    uses = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+        or (isinstance(node, ast.Name) and node.id == "cached_property")
+        or (isinstance(node, ast.alias) and node.name == "cached_property")
+    ]
+    assert uses == []

@@ -7,7 +7,8 @@ numbers (one row) or s^k (m+m1) (one row per node), with m1 = 0 at a
 stage whose u1(k) would enter after stage N. verify replays that
 law to synthesize's ``terminal_deviation`` bit for bit, and the table
 ``write_controller_csv`` writes for the same controller verifies to the
-bits of the plant-step loop (``ControllerProcess.x``) it was written from. A stage of any other length, a deep-stage entry that is not a
+bits of the plant-step loop (``synthesis.feedback_loop``) it was written
+from. A stage of any other length, a deep-stage entry that is not a
 finite JSON number, and a ``c`` that is not N+1 stages exit 5.
 """
 import json

@@ -23,11 +23,12 @@ from stochctrl import (
     steer_to_target,
 )
 from conftest import table_text
-from crosschecks import q_expanded, split_u
+from crosschecks import controller_levels, q_expanded, split_u
 
 
 def closed_loop_gap(ts, tree, x0, ctrl, target=None):
-    sim = forward_simulate(tree, ts.spec, x0, ctrl.u, u1=ctrl.u1)
+    u, _, u1 = controller_levels(ctrl)
+    sim = forward_simulate(tree, ts.spec, x0, u, u1=u1)
     xN1 = sim.at(tree.horizon + 1)
     return np.abs(xN1 - (0.0 if target is None else target)).max()
 
@@ -36,7 +37,7 @@ def test_null_controller_benchmark(bench_full_ts, bench_full):
     _, expected = bench_full
     tree = PathTree(bench_full_ts.spec.noise, 2)
     ctrl = null_controller(bench_full_ts, tree, expected["x0"])
-    assert np.abs(ctrl.x.at(0)[0] - expected["x0"]).max() < 1e-10
+    assert np.abs(controller_levels(ctrl)[1].at(0)[0] - expected["x0"]).max() < 1e-10
     assert closed_loop_gap(bench_full_ts, tree, expected["x0"], ctrl) < 1e-8
 
 
@@ -96,7 +97,8 @@ def test_q_expanded_cross_check(rng):
     ts = random_controllable(rng, 2, 3, 2)
     tree = PathTree(ts.spec.noise, 2)
     ctrl = null_controller(ts, tree, random_x0(rng, 2))
-    q, v = zip(*(split_u(ts.transform, ctrl.u.at_depth(k, k)) for k in range(3)))
+    u = controller_levels(ctrl)[0]
+    q, v = zip(*(split_u(ts.transform, u.at_depth(k, k)) for k in range(3)))
     alt = q_expanded(ts, tree, AdaptedProcess(tree, dict(enumerate(v)), {k: k for k in range(3)}))
     for k in range(3):
         np.testing.assert_allclose(q[k], alt.at(k), atol=1e-10)
@@ -112,8 +114,9 @@ def test_csv_roundtrip_exact(rng, tmp_path):
     write_controller_csv(path, ctrl)
     u, u1 = read_controller_table(path, tree, ts.spec)
     assert u1 is None
+    ctrl_u = controller_levels(ctrl)[0]
     for k in range(3):
-        np.testing.assert_array_equal(u.at(k), ctrl.u.at_depth(k, u.depth(k)))
+        np.testing.assert_array_equal(u.at(k), ctrl_u.at_depth(k, u.depth(k)))
     # %.17g reproduces doubles exactly, so a rewrite is byte-identical
     text = path.read_text()
     assert text == table_text(ctrl)
@@ -127,7 +130,7 @@ def test_csv_roundtrip_with_delay_channel(rng):
     ctrl = input_delay_controller(ts, tree, np.array([1.0, -1.0]))
     u, u1 = read_controller_table(io.StringIO(table_text(ctrl)), tree, ts.spec)
     assert u1 is not None
-    assert sorted(u1.stages()) == sorted(ctrl.u1.stages())
+    assert sorted(u1.stages()) == sorted(controller_levels(ctrl)[2].stages())
     sim = forward_simulate(tree, ts.spec, np.array([1.0, -1.0]), u, u1=u1)
     assert np.abs(sim.at(3)).max() < 1e-8
 

@@ -4,12 +4,15 @@
 ``_reference_opened`` are the writer, the label encoder (then a
 ``PathTree`` method, here a function of the tree) and the file opener as
 they stood before the path-label codec moved into ``model``, copied
-verbatim apart from their names. Tables from the current writer must be
-byte-equal to theirs and read back exactly.
+verbatim apart from their names. The reference writer reads a
+controller's every level of u and u1, which ``_levels`` collects from
+the plant-step loop. Tables from the current writer must be byte-equal
+to theirs and read back exactly.
 """
 import contextlib
 import csv
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from stochctrl.model import LABEL_TABLE_MAX, path_labels
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import FLOAT_FMT, steer_to_target
 from conftest import table_text
+from crosschecks import controller_levels
 
 
 def reference_index_label(self, depth: int, index: int) -> str:
@@ -68,6 +72,12 @@ def reference_write_controller_csv(dest, ctrl) -> None:
                 writer.writerow(row)
 
 
+def _levels(ctrl):
+    """The controller's tree with the u and u1 of its plant-step loop at every level."""
+    u, _, u1 = controller_levels(ctrl)
+    return SimpleNamespace(tree=ctrl.tree, u=u, u1=u1)
+
+
 LAWS = {"two-point": NoiseModel.rademacher(), "three-point": NoiseModel.symmetric_three_point()}
 CASES = [
     (law, N, route)
@@ -97,16 +107,17 @@ def _controller(rng, noise, N, route):
 def test_tables_match_the_row_by_row_writer(law, N, route):
     rng = np.random.default_rng(1000 * N + len(route) + len(law))
     ts, tree, ctrl = _controller(rng, LAWS[law], N, route)
+    levels = _levels(ctrl)
     buf = io.StringIO()
-    reference_write_controller_csv(buf, ctrl)
+    reference_write_controller_csv(buf, levels)
     text = table_text(ctrl)
     assert text == buf.getvalue()
     if route == "input delay":  # pre-horizon u1 rows at depth 0 with empty u cells
-        assert min(ctrl.u1.stages()) == -ts.spec.tau
-        assert f"\n-1,,{',' * (ctrl.u.dim - 1)}," in text
+        assert min(levels.u1.stages()) == -ts.spec.tau
+        assert f"\n-1,,{',' * (levels.u.dim - 1)}," in text
 
     u, u1 = read_controller_table(io.StringIO(text), tree, ts.spec)
-    for got, want in ((u, ctrl.u), (u1, ctrl.u1)):
+    for got, want in ((u, levels.u), (u1, levels.u1)):
         if want is None:
             assert got is None
             continue
@@ -123,7 +134,7 @@ def test_levels_deeper_than_the_tail_table_match_the_row_by_row_writer(law, N, r
     ts, tree, ctrl = _controller(rng, LAWS[law], N, route)
     assert tree.n_nodes(N) > LABEL_TABLE_MAX
     buf = io.StringIO()
-    reference_write_controller_csv(buf, ctrl)
+    reference_write_controller_csv(buf, _levels(ctrl))
     text = table_text(ctrl)
     assert text == buf.getvalue()
     rows = [line.split(",", 2)[:2] for line in text.splitlines()[1:]]
