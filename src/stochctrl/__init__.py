@@ -92,6 +92,8 @@ from .synthesis import (
     read_controller_table,
     read_feedback_law,
     steer_to_target,
+    target_digest,
+    target_offsets,
     write_controller_csv,
 )
 from .transform import (

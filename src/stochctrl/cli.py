@@ -13,7 +13,11 @@ Exit codes: 0 controllable / verified / matching; 1 negative outcome,
 including a synthesized controller whose own closed loop ends farther
 than ``--tol`` from the target (the report and controller are still
 written); 2 the criterion does not apply to the instance; 3 singular
-Gramian; 4 target not attainable; 5 malformed controller law or table;
+Gramian; 4 target not attainable; 5 malformed controller law or table,
+including a law whose target digest does not match the instance's
+target, a digest law for an instance without a leaf-row target, and a
+law in an earlier version's form (offsets c listed per node, which a
+path target's law now replaces by its target's digest);
 6 anything else, command-line usage errors included (a horizon below 0,
 a tolerance that is negative or not finite, a cap below 1), a Gramian
 that overflows to a non-finite value, and a horizon whose path tree
@@ -54,14 +58,17 @@ from .errors import (
 )
 from .model import NoiseModel, ValidatedSystem, parse_instance_file, validate
 from .partial import output_form, partial_decide, reduced_form, reduced_rank_setup
-from .pathspace import DEFAULT_CAP, PathTree, forward_simulate, terminal_from_map
+from .pathspace import DEFAULT_CAP, PathTree, backward_solve, forward_simulate, terminal_from_map
 from .synthesis import (
     FLOAT_FMT,
+    FeedbackLaw,
     folded_loop,
     law_text,
     read_controller_table,
     read_feedback_law,
     steer_to_target,
+    target_digest,
+    target_offsets,
 )
 from .transform import BsdeForm, TransformedSystem
 
@@ -265,8 +272,23 @@ def cmd_synthesize(args) -> int:
     return EXIT_YES if deviation <= args.tol else EXIT_NO
 
 
+def _named_target_offsets(law: FeedbackLaw, inst, vs: ValidatedSystem, tree: PathTree) -> list[np.ndarray]:
+    """The offsets of a law that names its target by digest, rebuilt as synthesize built them: the digest is
+    checked against the instance's leaf rows, the homogeneous backward equation is solved on them (no
+    membership verdict) and ``target_offsets`` reads that solution with the law's own L."""
+    if inst.target is None or inst.target.ndim != 2:
+        kind = "no target" if inst.target is None else "a constant (n-vector) target"
+        raise SchemaError(f"the law names a path target by digest, but the instance has {kind}")
+    digest = target_digest(inst.target)
+    if digest != law.target:
+        raise SchemaError(f"target digest {law.target} does not match the instance's target ({digest})")
+    ts = TransformedSystem.build(vs)
+    hom = backward_solve(tree, ts.form, terminal_from_map(tree, vs.spec.n, inst.target))
+    return target_offsets(ts, law.L, hom)
+
+
 def cmd_verify(args) -> int:
-    inst, _, route, tree = _steering_setup(args, "verification")
+    inst, vs, route, tree = _steering_setup(args, "verification")
     spec = inst.system
     with open(args.controller, "rb") as fh:
         while (byte := fh.read(1)) and byte in b" \t\r\n":  # JSON's whitespace
@@ -274,7 +296,10 @@ def cmd_verify(args) -> int:
     artifact = "law" if byte == b"{" else "table"
     try:
         if artifact == "law":
-            runs = folded_loop(tree, spec, inst.x0, read_feedback_law(args.controller, tree, spec))
+            law = read_feedback_law(args.controller, tree, spec)
+            if law.target is not None:
+                law.c = _named_target_offsets(law, inst, vs, tree)
+            runs = folded_loop(tree, spec, inst.x0, law)
         else:
             u, u1 = read_controller_table(args.controller, tree, spec)
             runs = [(0, forward_simulate(tree, spec, inst.x0, u, u1=u1).at(tree.horizon + 1))]

@@ -429,8 +429,8 @@ def parse_instance(text: str) -> ProblemInstance:
 
     ``target`` is one flat list: n numbers, a constant target valid at
     any horizon, or s^(N+1) n numbers, one row of n per leaf, row-major
-    in node order (:func:`path_labels` order), as a law's per-node c_k
-    is written. It is read by one type check, one float array and one
+    in node order (:func:`path_labels` order), whose SHA-256 digest a
+    path target's law holds. It is read by one type check, one float array and one
     finiteness check; any other length, entry or form, a {label: vector}
     map included, is a :class:`SchemaError` naming both forms.
     """

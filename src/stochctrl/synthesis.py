@@ -24,12 +24,17 @@ So every controller is one law (:class:`FeedbackLaw`) in the regressor
 r(k) of x(k) and the lags that act at stage k (:func:`pathspace._acting_lags`,
 never more than N + 1). With p(k) = (r(k) - r_h(k)) Pi_k', Pi_k = I on
 the full route, L_k = K_k Pi_k - [M_q Abar, 0] (M_q the first n columns
-of M) and c_k = [z_h(k) M_q', 0] - (r_h(k) Pi_k') K_k', each c_k at its
-coarsest depth (one row for the origin and any constant target). K_k
-has u1 rows only while u1(k) enters by stage N (k <= N - tau), so L_k
-and c_k have none past that. r_h(k) Pi_k' is x_h(k) plus each acting
-state lag's x_h(k-j) (-Q_j(k))', multiplied at the lag's own depth
-(:func:`pathspace._add_product`); the target's u1 is zero.
+of M) and c_k = [z_h(k) M_q', 0] - (r_h(k) Pi_k') K_k'. Pi_k's first
+block is I and r_h's u1 entries are zero, so (r_h(k) Pi_k') K_k' =
+r_h(k) L_k' + [x_h(k) Abar' M_q', 0], and
+c_k = [(z_h(k) - x_h(k) Abar') M_q', 0] - r_h(k) L_k': the offsets are
+fixed by the gains and the target's solution. :func:`target_offsets`
+builds them so, r_h(k) L_k' formed as the loop forms r(k) L_k', each
+acting state lag x_h(k-j) multiplied at its own depth
+(:func:`pathspace._add_product`), each c_k at its coarsest depth (one
+row for the origin and any constant target). K_k has u1 rows only while
+u1(k) enters by stage N (k <= N - tau), so L_k and c_k have none past
+that.
 
 Two closed loops run a law. The commands' loop, :func:`folded_loop`,
 folds u(k) into the plant step: stage k is one matmul of x(k) against
@@ -51,19 +56,29 @@ inputs taken from folded states do not replay open loop within the
 round-trip bound, as the plant step's do.
 Every controller is written as its law, JSON {"kind": "feedback", "N",
 "L", "c"} plus "u1" on a delayed input, with floats in ``repr`` (exact
-for float64); each c_k is one flat row-major list, of w_k numbers when
-one row serves every node, else of s^k w_k in node order, where
-w_k = m + m1 [k <= N - tau] is L_k's row count. A delay-route law with a
-column for a lag that never acts, or with u1 rows or entries at a stage
-k > N - tau, as earlier versions wrote, is malformed. The table of one
-row per (stage, history), 17 digits a value, stays a library format that
-verify also reads.
+for float64); each c_k is one flat row-major list of w_k numbers, where
+w_k = m + m1 [k <= N - tau] is L_k's row count. A law whose offsets
+differ by node (a path target's) holds "target" instead of "c": the
+SHA-256 hex digest of the target's leaf rows as little-endian float64
+bytes in C order (:func:`target_digest`). verify checks it against the
+instance's target, solves the homogeneous backward equation on that
+target and rebuilds the offsets with :func:`target_offsets` from the
+law's own L, as synthesize built them, so the two run the same offsets
+to the last bit; the plant is still stepped from x0, so an error in them
+shows in the terminal deviation. A c listing one row per node, as
+earlier versions wrote a path target's law, is malformed, as is a
+delay-route law with a column for a lag that never acts, or with u1
+rows or entries at a stage k > N - tau. The table of one row per
+(stage, history), 17 digits a value, stays a library format that verify
+also reads.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import json
+import re
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -76,6 +91,7 @@ from .errors import DimensionMismatch, SchemaError, SingularGramian, TargetNotIn
 from .model import SystemSpec, _finite_floats, _label_tables, _level_labels, check_level
 from .pathspace import (
     AdaptedProcess,
+    BsdeSolution,
     PathTree,
     _add_product,
     member_of_S,
@@ -91,7 +107,8 @@ _CHARS_PER_READ = 1 << 16
 # Data lines hold printable ASCII but blank and '_', plus line ends: int() and float()
 # would also take blanks, '_' and non-ASCII digits.
 _LINE_CHARS = bytes(c for c in range(0x21, 0x7F) if c != ord("_")) + b"\r\n"
-_LAW_KEYS = ("kind", "N", "L", "c")
+_LAW_KEYS = ("kind", "N", "L")
+_DIGEST = re.compile("[0-9a-f]{64}")
 
 
 def stage_products(tree: PathTree, form, upto: int) -> list[np.ndarray]:
@@ -108,14 +125,19 @@ class FeedbackLaw:
     m rows, plus m1 u1 rows for k <= N - tau on a delayed input, and a
     column per entry of r(k). ``c`` holds N+1 arrays, c_k with L_k's row
     count as its width: one row when it is the same on every node, else
-    one row per depth-k node; the written law stores it flat
-    (:func:`law_text`). ``u1_pre`` holds u1(-tau), u1(1-tau), ... that
-    enter by stage N, one row each (None without a delayed input).
+    one row per depth-k node, as :func:`target_offsets` builds them.
+    ``target`` is None when every c_k is one row, which the written law
+    stores flat (:func:`law_text`); else it is the SHA-256 digest of the
+    target's leaves (:func:`target_digest`), which the written law stores
+    instead of c, and a law read back has ``c`` None until its offsets are
+    rebuilt. ``u1_pre`` holds u1(-tau), u1(1-tau), ... that enter by stage
+    N, one row each (None without a delayed input).
     """
 
     L: list[np.ndarray]
-    c: list[np.ndarray]
+    c: list[np.ndarray] | None
     u1_pre: np.ndarray | None = None
+    target: str | None = None
 
 
 @dataclass(eq=False)
@@ -182,22 +204,45 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
         g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
         u1_pre = np.array([g @ CD1[i] for i in range(min(tau, N + 1))])
     K = [Kk @ _pinv(S[N - k + 1]) for k, Kk in enumerate(K)]
-    Mq = ts.transform.M[:, :n]
-    Mq_Abar = Mq @ spec.Abar
-    L, c = [], []
+    Mq_Abar = ts.transform.M[:, :n] @ spec.Abar
+    L = []
     for k, Kk in enumerate(K):
         xlags, ulags = _acting_lags(N, k, form.d or 0, form.tau or 0)
         P = np.hstack([np.eye(n), *(-Q[k][j] for j in xlags), *(-CD1[form.tau - i] for i in ulags)])  # Pi_k
         L.append(Kk @ P)
         L[k][: spec.m, :n] -= Mq_Abar
-        ck = np.zeros((1, len(Kk)))
-        if hom is not None:
-            p = hom.x.at(k).copy()  # r_h(k) Pi_k'; the target's u1 is zero, so its u1 lags add nothing
-            for j in xlags:
-                _add_product(p, hom.x.at(k - j), -Q[k][j].T)
-            ck = np.pad(hom.z.at(k) @ Mq.T, ((0, 0), (0, len(Kk) - spec.m))) - p @ Kk.T
+    c = target_offsets(ts, L, hom)
+    digest = target_digest(hom.x.at(N + 1)) if any(len(ck) > 1 for ck in c) else None
+    return ControllerProcess(kind, tree, spec, x0, G, FeedbackLaw(L, c, u1_pre, digest), smin)
+
+
+def target_offsets(ts: TransformedSystem, L: list[np.ndarray], hom: BsdeSolution | None) -> list[np.ndarray]:
+    """The offsets c_k of the law with gains ``L`` that steers to the target whose homogeneous solution is ``hom``.
+
+    c_k = [(z_h(k) - x_h(k) Abar') M_q', 0] - r_h(k) L_k', with
+    r_h(k) L_k' formed as :func:`_law_inputs` forms r(k) L_k': x_h(k) in
+    one matmul, each acting state lag x_h(k-j) at its own depth, the
+    target's u1 lags zero. So the law gives the target's own input on its
+    solution. A stage whose rows are all equal is kept as one row; without
+    a target (``hom`` None) every c_k is one row of zeros. synthesize and
+    verify both build a law's offsets here, from the same L and solution.
+    """
+    if hom is None:
+        return [np.zeros((1, len(Lk))) for Lk in L]
+    spec, n, m = ts.spec, ts.spec.n, ts.spec.m
+    Mq = ts.transform.M[:, :n]
+    c = []
+    for k, Lk in enumerate(L):
+        ck = np.zeros((len(hom.x.at(k)), len(Lk)))
+        ck[:, :m] = (hom.z.at(k) - hom.x.at(k) @ spec.Abar.T) @ Mq.T
+        ck -= _regressor_product(spec, L, k, hom.x.values, None, np.empty_like(ck))
         c.append(ck[:1] if (ck == ck[0]).all() else ck)
-    return ControllerProcess(kind, tree, spec, x0, G, FeedbackLaw(L, c, u1_pre), smin)
+    return c
+
+
+def target_digest(leaves: np.ndarray) -> str:
+    """SHA-256 hex digest of a target's leaf rows as little-endian float64 bytes in C order."""
+    return hashlib.sha256(np.ascontiguousarray(leaves, dtype="<f8")).hexdigest()
 
 
 def null_controller(ts: TransformedSystem, tree: PathTree, x0: np.ndarray) -> ControllerProcess:
@@ -240,9 +285,10 @@ def feedback_loop(
     the next step; x(k+1) is at depth k + 1. The step's products go into
     one work buffer; both buffers are sized once for depth N. Of the
     states and delayed inputs the loop keeps only what a later stage
-    reads: x(k+1), the state lags x(k-d+1..k) and the u1 pipeline
-    u1(k-tau+1..k). The commands run a law through :func:`folded_loop`
-    instead.
+    reads (:func:`_drop_read`): x(k+1), those of the state lags
+    x(k-d+1..k) that act at a later stage (none past N - d) and the u1
+    pipeline u1(k-tau+1..k). The commands run a law through
+    :func:`folded_loop` instead.
     """
     m, N, s, n = spec.m, len(law.L) - 1, tree.s, spec.n
     d, tau = spec.d or 0, spec.tau if spec.B1 is not None else 0
@@ -257,8 +303,7 @@ def feedback_loop(
         if tau and k <= N - tau:
             u1s[k] = v[:, m:].copy()
         xs[k + 1] = plant_step(tree, spec, xs, k, v[:, :m], u1s[k - tau] if tau else None, work)
-        xs.pop(k - d, None)  # x(k - d) and u1(k - tau) act last at stage k
-        u1s.pop(k - tau, None)
+        _drop_read(xs, u1s, k, N, d, tau)
         yield k, v, xs[k + 1]
 
 
@@ -309,15 +354,23 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
 def _folded_stages(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, maps: list, stages: range, xs: dict,
                    u1s: dict) -> None:
     """Run ``stages`` through :func:`_folded_step` in place in ``xs`` and ``u1s``, keeping only what a later
-    stage reads: the state lags x(k-d+1..k) on a delayed state and the u1 pipeline u1(k-tau+1..k) on a
-    delayed input, besides x(k+1). ``maps`` are :func:`_stage_maps`' for the law."""
-    d, tau = spec.d or 0, spec.tau or 0
+    stage reads (:func:`_drop_read`): the state lags x(k-d+1..k) that act later on a delayed state and the
+    u1 pipeline u1(k-tau+1..k) on a delayed input, besides x(k+1). ``maps`` are :func:`_stage_maps`' for the law."""
+    d, tau, N = spec.d or 0, spec.tau or 0, len(law.L) - 1
     for k in stages:
         xs[k + 1], u1k = _folded_step(tree, spec, law, k, xs, u1s, maps[k])
         if u1k is not None:
             u1s[k] = u1k
-        xs.pop(k - d, None)  # x(k - d) and u1(k - tau) act last at stage k
-        u1s.pop(k - tau, None)
+        _drop_read(xs, u1s, k, N, d, tau)
+
+
+def _drop_read(xs: dict, u1s: dict, k: int, N: int, d: int, tau: int) -> None:
+    """After stage k, drop what no later stage reads: x(k - d) and u1(k - tau), which act last at stage k, and
+    x(k) itself when k > N - d, as its effect as a lag would enter after stage N (:func:`pathspace._acting_lags`)."""
+    xs.pop(k - d, None)
+    if k + d > N:
+        xs.pop(k, None)
+    u1s.pop(k - tau, None)
 
 
 def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tuple]:
@@ -376,35 +429,47 @@ def _folded_step(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, k: int, xs:
 
 
 def _law_inputs(spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict, out: np.ndarray, work=None):
-    """[u(k), u1(k)] = r(k) L_k' + c_k into ``out`` (C-contiguous, one row per depth-k node).
+    """[u(k), u1(k)] = r(k) L_k' + c_k into ``out`` (C-contiguous, one row per depth-k node): r(k) L_k'
+    by :func:`_regressor_product`, then c_k added in place."""
+    _regressor_product(spec, law.L, k, xs, u1s, out, work)
+    out += law.c[k]  # one row broadcasts
+    return out
+
+
+def _regressor_product(spec: SystemSpec, L: list[np.ndarray], k: int, xs: dict, u1s: dict | None, out: np.ndarray,
+                work=None) -> np.ndarray:
+    """r(k) L_k' into ``out`` (C-contiguous, one row per depth-k node).
 
     x(k) meets its columns of L_k in one matmul; each lag that acts
     (:func:`pathspace._acting_lags`), x(k-j) or u1(k-i), meets its block
     at its own depth, and the product is added to every depth-k
     descendant (:func:`pathspace._add_product`, in ``work`` when given).
-    Then c_k is added in place. ``xs`` and ``u1s`` map a stage j to its
-    values at depth max(0, j).
+    ``xs`` and ``u1s`` map a stage j to its values at depth max(0, j);
+    ``u1s`` None takes the u1 lags as zero, as a target's are.
     """
-    n, N, Lk = spec.n, len(law.L) - 1, law.L[k]
+    n, N, Lk = spec.n, len(L) - 1, L[k]
     np.matmul(xs[k], Lk[:, :n].T, out=out)
     xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
     col = n
-    for vals, j in [(xs, k - j) for j in xlags] + [(u1s, k - i) for i in ulags]:
+    for vals, j in [(xs, k - j) for j in xlags] + ([] if u1s is None else [(u1s, k - i) for i in ulags]):
         lag = vals[j]
         _add_product(out, lag, Lk[:, col : col + lag.shape[1]].T, work)
         col += lag.shape[1]
-    out += law.c[k]  # one row broadcasts
     return out
 
 
 def law_text(ctrl: ControllerProcess) -> str:
-    """The controller's law as JSON, each c_k flat in row-major order, one row or one per depth-k node.
+    """The controller's law as JSON: kind, N and L, then its offsets c (each c_k one flat row) or, for a law
+    whose offsets differ by node, the ``target`` digest they are rebuilt from (:func:`target_offsets`).
 
     Stage k's L_k and c_k hold u1 rows and entries only for k <= N - tau.
     """
     law = ctrl.law
-    c = [ck.ravel().tolist() for ck in law.c]
-    doc = {"kind": "feedback", "N": len(law.L) - 1, "L": [Lk.tolist() for Lk in law.L], "c": c}
+    doc = {"kind": "feedback", "N": len(law.L) - 1, "L": [Lk.tolist() for Lk in law.L]}
+    if law.target is None:
+        doc["c"] = [ck.ravel().tolist() for ck in law.c]
+    else:
+        doc["target"] = law.target
     if law.u1_pre is not None:
         doc["u1"] = law.u1_pre.tolist()
     return json.dumps(doc) + "\n"
@@ -413,15 +478,19 @@ def law_text(ctrl: ControllerProcess) -> str:
 def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     """Parse a law written by :func:`law_text` for the system ``spec`` at the tree's horizon.
 
-    Raises :class:`SchemaError` for text that is not a JSON object with
-    exactly the keys kind, N, L and c, plus u1 exactly on a delayed input;
-    a kind other than "feedback"; an N other than the tree's horizon; an L
-    not N+1 stages of the instance's shapes (:class:`FeedbackLaw`: no
-    column for a lag that does not act, and w_k = m + m1 [k <= N - tau]
-    rows, so no u1 rows for a u1(k) entering after stage N) or a u1 not
-    (min(tau, N+1), m1); a c that is not N+1 flat stages, stage k of w_k
-    numbers (one row) or s^k w_k (one row per depth-k node); and entries
-    that are not finite JSON numbers.
+    A law that names its target comes back with ``c`` None and the digest
+    in ``target``: its offsets are rebuilt by :func:`target_offsets` from
+    the target it names. Raises :class:`SchemaError` for text that is not
+    a JSON object with exactly the keys kind, N, L and one of c and
+    target, plus u1 exactly on a delayed input; a kind other than
+    "feedback"; an N other than the tree's horizon; an L not N+1 stages of
+    the instance's shapes (:class:`FeedbackLaw`: no column for a lag that
+    does not act, and w_k = m + m1 [k <= N - tau] rows, so no u1 rows for
+    a u1(k) entering after stage N) or a u1 not (min(tau, N+1), m1); a c
+    that is not N+1 flat stages, stage k of w_k numbers (one row: offsets
+    that differ by node are not read, their law names its target); a
+    target that is not 64 lowercase hex characters; and entries that are
+    not finite JSON numbers.
     """
     try:
         with _opened(source, "r") as fh:
@@ -430,7 +499,9 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
-    keys = _LAW_KEYS + (("u1",) if spec.B1 is not None else ())
+    if "c" in doc and "target" in doc:
+        raise SchemaError("law has both c and target: it lists its offsets or names its target, not both")
+    keys = _LAW_KEYS + (("target",) if "target" in doc else ("c",)) + (("u1",) if spec.B1 is not None else ())
     if set(doc) != set(keys):
         missing, extra = sorted(set(keys) - set(doc)), sorted(set(doc) - set(keys))
         raise SchemaError(f"law keys must be {', '.join(keys)} (missing {missing}, unknown {extra})")
@@ -445,24 +516,27 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     rows = [spec.m + m1 * (k + (spec.tau or 0) <= N) for k in range(N + 1)]  # u1(k) rows while it enters by N
     L = [_law_array(f"L stage {k}", Lk, (rows[k], spec.n * (1 + len(xlags)) + m1 * len(ulags)))
          for k, Lk in enumerate(doc["L"]) for xlags, ulags in [_acting_lags(N, k, spec.d or 0, spec.tau or 0)]]
-    c = _law_offsets(doc["c"], tree, rows)
+    target, c = doc.get("target"), None
+    if "target" not in doc:
+        c = _law_offsets(doc["c"], tree, rows)
+    elif not (type(target) is str and _DIGEST.fullmatch(target)):
+        raise SchemaError(f"target must be a SHA-256 digest, 64 lowercase hex characters; got {target!r:.80}")
     u1_pre = _law_array("u1", doc["u1"], (min(spec.tau, N + 1), m1)) if m1 else None
-    return FeedbackLaw(L, c, u1_pre)
+    return FeedbackLaw(L, c, u1_pre, target)
 
 
 def _law_offsets(value, tree: PathTree, widths: list[int]) -> list[np.ndarray]:
-    """The offsets c_k of a law: stage k one row of ``widths[k]`` numbers, or one per depth-k node."""
+    """The offsets c_k of a law, stage k one row of ``widths[k]`` numbers."""
     if type(value) is not list or len(value) != tree.horizon + 1:
         raise SchemaError(f"c must be a list of N + 1 = {tree.horizon + 1} stages")
     for k, (stage, width) in enumerate(zip(value, widths)):
-        if type(stage) is not list or len(stage) not in (width, tree.s**k * width):
-            raise SchemaError(
-                f"c stage {k} must list {width} numbers (one row) or {tree.s**k} x {width} "
-                f"(one row per depth-{k} node)"
-            )
+        if type(stage) is not list or len(stage) != width:
+            per_node = k > 0 and type(stage) is list and len(stage) == tree.s**k * width
+            raise SchemaError(f"c stage {k} must list {width} numbers (one row)" + (
+                f"; one row per depth-{k} node is an earlier version's form: a path target's law names "
+                "its target by digest" if per_node else ""))
     flat = _finite_floats("c", [x for stage in value for x in stage])
-    parts = np.split(flat, np.cumsum([len(stage) for stage in value[:-1]]))
-    return [part.reshape(-1, width) for part, width in zip(parts, widths)]
+    return [part[None, :] for part in np.split(flat, np.cumsum(widths[:-1]))]
 
 
 def _law_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:

@@ -18,7 +18,10 @@ is the closed loop as first written, against which ``synthesis.feedback_loop``
 is checked: it lifts every lag to depth k, stacks the regressor r(k) for
 one matmul with L_k', stores every u(k), and steps through
 ``lifting_plant_step``, the plant step that lifts u1 and x(k - d) to depth
-k before its matmuls. ``breadth_first_folded_loop`` is the folded closed
+k before its matmuls. ``reference_offsets`` builds a target law's offsets per node from the gains
+before the predictor map, as the steering body first did, against which
+``synthesis.target_offsets``' build from L and the target's solution is
+checked. ``breadth_first_folded_loop`` is the folded closed
 loop run level by level over the whole tree, against which
 ``synthesis.folded_loop``'s runs of leaves are checked. ``loop_levels``
 collects ``synthesis.feedback_loop``'s stages into every level of u, x and
@@ -50,7 +53,7 @@ from stochctrl import (
     feedback_loop,
     forward_simulate,
 )
-from stochctrl.pathspace import P_RCOND, _acting_lags
+from stochctrl.pathspace import P_RCOND, _acting_lags, _add_product, _state_delay_gains
 from stochctrl.synthesis import _folded_step, _stage_maps
 
 
@@ -257,6 +260,25 @@ def reference_feedback_loop(tree: PathTree, spec: SystemSpec, x0, law):
         xs[k + 1] = lifting_plant_step(tree, spec, xs, k, u_vals[k], u1k)
     u, x = (AdaptedProcess(tree, vals, {k: k for k in vals}) for vals in (u_vals, xs))
     return u, x, AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None
+
+
+def reference_offsets(ts: TransformedSystem, law, hom) -> list[np.ndarray]:
+    """A target law's offsets built per node from its gains before the predictor map, as the steering body
+    first built them: c_k = [z_h(k) M_q', 0] - (r_h(k) Pi_k') K_k'. r_h(k) Pi_k' is x_h(k) plus each acting
+    state lag's x_h(k-j) (-Q_j(k))', multiplied at the lag's own depth (the target's u1 is zero), and K_k is
+    L_k's first n columns plus [M_q Abar; 0], as Pi_k's first block is I."""
+    spec, n, m, N = ts.spec, ts.spec.n, ts.spec.m, len(law.L) - 1
+    Q = _state_delay_gains(ts.form, N)[1] if ts.form.C1 is not None else [{}] * (N + 1)
+    Mq = ts.transform.M[:, :n]
+    c = []
+    for k, Lk in enumerate(law.L):
+        K = Lk[:, :n].copy()
+        K[:m] += Mq @ spec.Abar
+        p = hom.x.at(k).copy()
+        for j, Qj in Q[k].items():
+            _add_product(p, hom.x.at(k - j), -Qj.T)
+        c.append(np.pad(hom.z.at(k) @ Mq.T, ((0, 0), (0, len(Lk) - m))) - p @ K.T)
+    return c
 
 
 def loop_levels(tree: PathTree, spec: SystemSpec, x0, law):

@@ -10,8 +10,8 @@ those entering by stage N. It decides
 versions wrote, exits 5; the pre-horizon inputs u1(-tau..) travel
 in the law as its "u1" key. synthesize writes every controller as its
 law, each c_k one row when every node shares it (the origin and constant
-targets) and one row per depth-k node otherwise (a path target), and
-verify replays it bit for bit. verify still takes a table written by
+targets), else the target's digest, from which verify rebuilds the
+offsets (a path target), and verify replays it bit for bit. verify still takes a table written by
 ``write_controller_csv``.
 """
 import io
@@ -226,7 +226,7 @@ MALFORMED = {
     "c-without-u1-columns": (
         IN_DELAY,
         _edit("c", [[0.0] * 3] * 3),
-        "c stage 0 must list 6 numbers (one row) or 1 x 6 (one row per depth-0 node)",
+        "c stage 0 must list 6 numbers (one row)",
     ),
     # tau 1, N 2: u1(2) would enter at stage 3, so stage 2 has no u1 rows of L and no u1 entries of c;
     # earlier versions wrote m1 = 3 of each, all zero.
@@ -238,12 +238,12 @@ MALFORMED = {
     "c-u1-entries-after-N": (
         IN_DELAY,
         lambda doc: doc["c"][2].extend([0.0] * 3),
-        "c stage 2 must list 3 numbers (one row) or 4 x 3 (one row per depth-2 node)",
+        "c stage 2 must list 3 numbers (one row)",
     ),
     "c-u1-entries-after-N-negative-zero": (
         IN_DELAY,
         lambda doc: doc["c"][2].extend([-0.0] * 3),
-        "c stage 2 must list 3 numbers (one row) or 4 x 3",
+        "c stage 2 must list 3 numbers (one row)",
     ),
 }
 

@@ -1,8 +1,9 @@
 """The full route's controller artifact: the feedback law u(k) = x(k) L_k' + c_k.
 
 synthesize writes every controller as its law in JSON, each offset c_k
-one row when every node shares it (the origin and any constant target),
-else one row per depth-k node; verify tells a law from a CSV table by the
+one row when every node shares it (the origin and any constant target);
+a law whose offsets differ by node names its target by digest instead;
+verify tells a law from a CSV table by the
 file's first byte after any whitespace and replays a law through the
 same loop synthesize ran, so its states and its reported deviation equal
 synthesize's exactly. A malformed law exits 5 with the reason named.
@@ -26,6 +27,7 @@ from stochctrl import (
     read_feedback_law,
     serialize_instance,
     steer_to_target,
+    target_digest,
 )
 from stochctrl.cli import main
 from stochctrl.model import path_labels
@@ -106,10 +108,9 @@ def test_path_target_with_node_varying_offsets_writes_a_law(capsys, tmp_path, la
     text, synthesized, verified = synthesize_and_verify(capsys, tmp_path, inst)
     doc = json.loads(text)
     assert doc["kind"] == "feedback"
-    s = len(LAWS[law].support)
-    # m = 3: each c_k is one row of 3 or s^k rows of 3, and some stage has one row per node.
-    assert all(len(stage) in (3, s**k * 3) for k, stage in enumerate(doc["c"]))
-    assert any(len(stage) > 3 for stage in doc["c"])
+    # The offsets differ by node, so the law names its target instead of listing them.
+    assert sorted(doc) == ["L", "N", "kind", "target"]
+    assert doc["target"] == target_digest(parse_instance_file(inst).target)
     assert verified["terminal_deviation"] == synthesized["terminal_deviation"]
 
 
@@ -194,7 +195,7 @@ MALFORMED = {
     "c-one-stage-long": (_edit("c", [[0.0] * 3] * 4), "c must be a list of N + 1 = 3 stages"),
     "c-ragged": (
         _edit("c", [[0.0] * 3, [0.0] * 2, [0.0] * 3]),
-        "c stage 1 must list 3 numbers (one row) or 2 x 3 (one row per depth-1 node)",
+        "c stage 1 must list 3 numbers (one row)",
     ),
     "L-true": (_entry("L", "true"), "L stage 0 entries must be JSON numbers"),
     "L-string": (_entry("L", '"1"'), "L stage 0 entries must be JSON numbers"),

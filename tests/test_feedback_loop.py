@@ -13,23 +13,43 @@ sum |coefficient| |input|. Checked on every steerable route (full,
 tau 1/2, d 1/2) under both noise laws, with null, constant and path
 targets, for N <= 8. On the same draws, the law evaluated on a target's
 own solution (its states, a zero u1) gives the target's input
-[(z_h - x_h Abar') M_q', 0] within rounding. ``tracemalloc`` bounds the
-loop's peak at N = 17, its stages consumed and dropped, by its two
-buffers, x(N), x(N+1), the lags it keeps and 0.5 MB, and
+[(z_h - x_h Abar') M_q', 0] within rounding, and ``target_offsets``,
+which builds the offsets from L and that solution, matches the build
+from the gains before the predictor map (``crosschecks.reference_offsets``)
+within the same rounding bound. ``tracemalloc`` bounds the loop's peak
+at N = 17, its stages consumed and dropped, by its two buffers, x(N),
+x(N+1), the lags it still reads at stage N and 0.5 MB, and
 ``write_controller_csv``'s peak by the same and 1 MB: the loop that kept
-every level, and the writer that read it, exceeded both.
+every level, and the writer that read it, exceeded both, as did, on a
+delayed state, the loop that kept the states past N - d, which no later
+stage reads.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from stochctrl import NoiseModel, PathTree, feedback_loop, member_of_S, steer_to_target, write_controller_csv
+from stochctrl import (
+    NoiseModel,
+    PathTree,
+    feedback_loop,
+    member_of_S,
+    steer_to_target,
+    target_offsets,
+    write_controller_csv,
+)
 from stochctrl.model import _label_tables
 from stochctrl.pathspace import _state_delay_gains
 from stochctrl.synthesis import _law_inputs
 from stochctrl.sampling import random_controllable, random_x0
-from crosschecks import controller_levels, lifted_regressor, lifting_plant_step, loop_levels, reference_feedback_loop
+from crosschecks import (
+    controller_levels,
+    lifted_regressor,
+    lifting_plant_step,
+    loop_levels,
+    reference_feedback_loop,
+    reference_offsets,
+)
 from test_delay_law import draw
 from test_tree_kernels import forward_bound
 
@@ -78,16 +98,13 @@ def test_loop_matches_the_reference_loop(law, route, lag, target):
             assert np.all(np.abs(x.at(k + 1) - step) <= step_bound), (N, k)
 
 
-@pytest.mark.parametrize("law", sorted(LAWS))
-@pytest.mark.parametrize("route,lag", ROUTES)
-@pytest.mark.parametrize("target", ["constant", "path"])
-def test_law_on_the_targets_own_solution_gives_the_targets_input(law, route, lag, target):
-    # L_k = K_k Pi_k - [M_q Abar, 0] and c_k = [z_h M_q', 0] - (r_h Pi_k') K_k', so at r(k) = r_h(k),
-    # the target's states with a zero u1, the law gives [(z_h - x_h Abar') M_q', 0]. The two
-    # products with K_k cancel, so the rounding bound sums the loop's terms (r L_k' and c_k) and
-    # theirs: (|r_h| |Pi_k'|) |K_k'| and (|z_h| + |x_h| |Abar'|) |M_q'|. A zero u1 meets no block of
-    # Pi_k, and Pi_k's first block is I, so K_k = L_k's first n columns + [M_q Abar; 0].
-    rng = np.random.default_rng([lag, len(law), len(route), len(target), 1])
+def _own_solution(law, route, lag, target, seed):
+    """For N = 0..N_MAX, a draw's controller, the target's solution (states, a zero u1) and, per stage, the
+    entrywise rounding terms of the law on that solution against the target's input: the loop's terms
+    |r_h| |L_k'| and |c_k|, and those of the products with K_k and M_q, (|r_h| |Pi_k'|) |K_k'| and
+    (|z_h| + |x_h| |Abar'|) |M_q'|. A zero u1 meets no block of Pi_k, and Pi_k's first block is I, so
+    K_k = L_k's first n columns + [M_q Abar; 0]."""
+    rng = np.random.default_rng([lag, len(law), len(route), len(target), seed])
     for N in range(N_MAX + 1):
         ts, tree, x0, goal, ctrl = draw(rng, LAWS[law], route, lag, 2, N, target)
         spec, n, m = ts.spec, ts.spec.n, ts.spec.m
@@ -98,22 +115,55 @@ def test_law_on_the_targets_own_solution_gives_the_targets_input(law, route, lag
             u1s = {j: np.zeros((tree.n_nodes(max(0, j)), spec.B1.shape[1])) for j in range(-lag, N - lag + 1)}
         Q = _state_delay_gains(ts.form, N)[1] if route == "d" else [{}] * (N + 1)
         Mq = ts.transform.M[:, :n]
+        terms = []
         for k, Lk in enumerate(ctrl.law.L):
-            got = _law_inputs(spec, ctrl.law, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
-            want = np.zeros_like(got)
-            want[:, :m] = (hom.z.at(k) - xs[k] @ spec.Abar.T) @ Mq.T
             r = lifted_regressor(tree, spec, N, k, xs, u1s)
             K = Lk[:, :n].copy()
             K[:m] += Mq @ spec.Abar
             r_pi = np.abs(xs[k]) + sum(tree.lift(np.abs(xs[k - j]), k - j, k) @ np.abs(Qj.T) for j, Qj in Q[k].items())
-            terms = np.abs(r) @ np.abs(Lk.T) + np.abs(ctrl.law.c[k]) + r_pi @ np.abs(K.T)
-            terms[:, :m] += (np.abs(hom.z.at(k)) + np.abs(xs[k]) @ np.abs(spec.Abar.T)) @ np.abs(Mq.T)
-            assert np.all(np.abs(got - want) <= 8 * EPS * terms), (N, k)
+            terms.append(np.abs(r) @ np.abs(Lk.T) + np.abs(ctrl.law.c[k]) + r_pi @ np.abs(K.T))
+            terms[k][:, :m] += (np.abs(hom.z.at(k)) + np.abs(xs[k]) @ np.abs(spec.Abar.T)) @ np.abs(Mq.T)
+        yield N, ts, tree, ctrl, hom, u1s, terms
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("route,lag", ROUTES)
+@pytest.mark.parametrize("target", ["constant", "path"])
+def test_law_on_the_targets_own_solution_gives_the_targets_input(law, route, lag, target):
+    # L_k = K_k Pi_k - [M_q Abar, 0] and c_k = [z_h M_q', 0] - (r_h Pi_k') K_k', so at r(k) = r_h(k),
+    # the target's states with a zero u1, the law gives [(z_h - x_h Abar') M_q', 0]. The two
+    # products with K_k cancel, so the rounding bound sums the loop's terms and theirs.
+    for N, ts, tree, ctrl, hom, u1s, terms in _own_solution(law, route, lag, target, 1):
+        spec, m, Mq = ts.spec, ts.spec.m, ts.transform.M[:, : ts.spec.n]
+        xs = hom.x.values
+        for k, Lk in enumerate(ctrl.law.L):
+            got = _law_inputs(spec, ctrl.law, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
+            want = np.zeros_like(got)
+            want[:, :m] = (hom.z.at(k) - xs[k] @ spec.Abar.T) @ Mq.T
+            assert np.all(np.abs(got - want) <= 8 * EPS * terms[k]), (N, k)
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("route,lag", ROUTES)
+@pytest.mark.parametrize("target", ["constant", "path"])
+def test_offsets_from_L_match_the_gain_based_build(law, route, lag, target):
+    # target_offsets forms c_k = [(z_h - x_h Abar') M_q', 0] - r_h L_k'; the build it replaced formed
+    # [z_h M_q', 0] - (r_h Pi_k') K_k' (crosschecks.reference_offsets). The two are equal in exact
+    # arithmetic, so they differ by the rounding of the same terms. A stage that is one row serves every node.
+    for N, ts, tree, ctrl, hom, _, terms in _own_solution(law, route, lag, target, 1):
+        got = target_offsets(ts, ctrl.law.L, hom)
+        for k, (ck, ref) in enumerate(zip(got, reference_offsets(ts, ctrl.law, hom))):
+            assert np.array_equal(ck, ctrl.law.c[k]), (N, k)  # the controller's offsets are the helper's
+            assert len(ck) in (1, tree.n_nodes(k)) and ck.shape[1] == ref.shape[1]
+            assert np.all(np.abs(ck - ref) <= 8 * EPS * terms[k]), (N, k)
+        if target == "constant":
+            assert all(len(ck) == 1 for ck in got) and ctrl.law.target is None
 
 
 def _loop_bound(N, lag):
     """A law for the N = 17 draw, and the bytes of the loop's two buffers, x(N), x(N+1) and the lags it
-    keeps at stage N: x(N-d..N-1) on a delayed state, u1(N-tau) on a delayed input."""
+    keeps at stage N: x(N-d) on a delayed state (x(N-d+1..N-1) act at no later stage), u1(N-tau) on a
+    delayed input."""
     n, m = 3, 4
     rng = np.random.default_rng(1)
     ts = random_controllable(rng, n, m, N, **lag)
@@ -124,7 +174,7 @@ def _loop_bound(N, lag):
     m1 = 0 if ts.spec.B1 is None else ts.spec.B1.shape[1]
     inputs = max(tree.n_nodes(k) * len(Lk) for k, Lk in enumerate(ctrl.law.L))
     work = max(s**N * s * n, s ** (N - 1) * len(ctrl.law.L[0]))
-    lags = sum(tree.n_nodes(N - j) * n for j in range(1, d + 1)) + (tree.n_nodes(N - tau) * m1 if tau else 0)
+    lags = (tree.n_nodes(N - d) * n if d else 0) + (tree.n_nodes(N - tau) * m1 if tau else 0)
     return ctrl, 8 * (inputs + work + (s**N + s ** (N + 1)) * n + lags)
 
 
@@ -140,7 +190,8 @@ def _peak(run) -> int:
 @pytest.mark.parametrize("lag", [{}, {"d": 2}, {"tau": 2}], ids=["full", "d2", "tau2"])
 def test_loop_keeps_only_what_it_returns(lag):
     # Full route: 19.9 MB of buffers and the last two levels, 20.4 MB with the slack; the loop that
-    # kept every level peaked at 23.1 MB.
+    # kept every level peaked at 23.1 MB. d = 2: 21.2 MB with the slack; the loop that also kept
+    # x(N-1), which no stage after N - 1 reads, peaked at 22.35 MB.
     ctrl, bound = _loop_bound(17, lag)
 
     def consume():

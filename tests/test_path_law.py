@@ -1,25 +1,49 @@
-"""A path target's law: offsets c_k that differ by node, one row per depth-k node.
+"""A path target's law names its target by digest; its offsets are rebuilt from L and the target.
 
 On every steerable route (full, delayed input with tau 1 and 2, delayed
 state with d 1 and 2), under both noise laws and n 1 to 3, synthesize
-writes the law of a path target, each c_k a flat row-major list of m+m1
-numbers (one row) or s^k (m+m1) (one row per node), with m1 = 0 at a
-stage whose u1(k) would enter after stage N. verify replays that
-law to synthesize's ``terminal_deviation`` bit for bit, and the table
+writes the law of a path target as kind, N and L (plus u1 on a delayed
+input) and ``target``, the SHA-256 digest of the instance's leaf rows;
+the offsets c_k, which differ by node, are not written. verify checks
+the digest, rebuilds the offsets from the law's own L and the target's
+homogeneous solution as synthesize built them, and replays the law to
+synthesize's ``terminal_deviation`` bit for bit; the table
 ``write_controller_csv`` writes for the same controller verifies to the
 bits of the plant-step loop (``synthesis.feedback_loop``) it was written
-from. A stage of any other length, a deep-stage entry that is not a
-finite JSON number, and a ``c`` that is not N+1 stages exit 5.
+from. So the law holds (N+1) m n numbers on the full route, however
+many leaves the target has. A digest that does not match or is not 64
+lowercase hex characters, a digest law for an instance without a
+leaf-row target, a law with both c and target and a law with a per-node
+c, as earlier versions wrote, exit 5. So do one-row offsets c of any
+other length, entries that are not finite JSON numbers, and a c that is
+not N+1 stages.
 """
 import json
 
 import numpy as np
 import pytest
 
-from stochctrl import law_text, write_controller_csv
+from stochctrl import (
+    NoiseModel,
+    PathTree,
+    ProblemInstance,
+    law_text,
+    parse_instance_file,
+    random_attainable_terminal,
+    random_controllable,
+    random_x0,
+    serialize_instance,
+    target_digest,
+    write_controller_csv,
+)
 from test_delay_law import LAWS, draw, report, run, table_deviation, write_instance
 
 ROUTES = [("full", 0), ("tau", 1), ("tau", 2), ("d", 1), ("d", 2)]
+
+
+def _numbers(value) -> int:
+    """How many numbers nested lists hold."""
+    return sum(map(_numbers, value)) if type(value) is list else 1
 
 
 @pytest.mark.parametrize("law", sorted(LAWS))
@@ -37,13 +61,13 @@ def test_path_target_law_verifies_to_the_synthesized_deviation_as_its_table_does
     synthesized = report(out)["terminal_deviation"]
     text = law_path.read_text()
     assert text == law_text(ctrl)  # the controller the table below is written from
-    # u1(k) has entries only while it enters by stage N.
-    m1, N = ts.spec.B1.shape[1] if route == "tau" else 0, tree.horizon
-    widths = [ts.spec.m + m1 * (k + lag <= N) for k in range(N + 1)]
-    stages = json.loads(text)["c"]
-    assert all(len(ck) in (1, tree.n_nodes(k)) for k, ck in enumerate(ctrl.law.c))
-    assert [len(stage) for stage in stages] == [len(ck) * width for ck, width in zip(ctrl.law.c, widths)]
-    assert any(len(stage) > width for stage, width in zip(stages, widths))
+    # The offsets differ by node, so the law holds its gains (and u1) and the target's digest only.
+    assert any(len(ck) > 1 for ck in ctrl.law.c)
+    doc = json.loads(text)
+    assert sorted(doc) == sorted(["kind", "N", "L", "target"] + (["u1"] if route == "tau" else []))
+    assert doc["target"] == ctrl.law.target == target_digest(parse_instance_file(inst).target)
+    u1_size = 0 if ctrl.law.u1_pre is None else ctrl.law.u1_pre.size
+    assert _numbers(doc["L"]) + _numbers(doc.get("u1", [])) == sum(Lk.size for Lk in ctrl.law.L) + u1_size
     table = tmp_path / "table.csv"
     write_controller_csv(table, ctrl)
     # The law replays synthesize's folded loop; the table, the plant-step loop it was written from.
@@ -53,9 +77,33 @@ def test_path_target_law_verifies_to_the_synthesized_deviation_as_its_table_does
         assert report(out)["terminal_deviation"] == want, artifact.name
 
 
+@pytest.mark.parametrize("noise,N", [(NoiseModel.symmetric_three_point(), 9), (NoiseModel.rademacher(), 12)],
+                         ids=["three-point-N9", "two-point-N12"])
+def test_a_path_target_law_does_not_grow_with_the_tree(capsys, tmp_path, noise, N):
+    # n 2, m 3, full route: 59,049 or 8,192 leaves, and a law of (N+1) m n numbers and a 64-character
+    # digest either way; the law that listed the offsets held 29,524 or 8,191 rows of them more.
+    n, m = 2, 3
+    rng = np.random.default_rng([N, 27])
+    ts = random_controllable(rng, n, m, N, noise=noise)
+    tree = PathTree(noise, N)
+    leaves = random_attainable_terminal(rng, tree, ts.form)
+    inst = tmp_path / "instance.json"
+    inst.write_text(serialize_instance(ProblemInstance(ts.spec, N, x0=random_x0(rng, n), target=leaves)))
+    law = tmp_path / "law.json"
+    code, out, _ = run(capsys, "synthesize", "--instance", str(inst), "--out", str(law))
+    assert code == 0
+    doc = json.loads(law.read_text())
+    assert sorted(doc) == ["L", "N", "kind", "target"]
+    assert _numbers(doc["L"]) == (N + 1) * m * n
+    assert len(doc["target"]) == 64 and doc["target"] == target_digest(leaves)
+    code, verified, _ = run(capsys, "verify", "--instance", str(inst), "--controller", str(law))
+    assert code == 0
+    assert report(verified)["terminal_deviation"] == report(out)["terminal_deviation"]
+
+
 @pytest.fixture(scope="module")
 def path_laws(tmp_path_factory):
-    """route -> (instance, its path-target law as a dict, c's width m+m1); two-point noise, n 2, N 2."""
+    """route -> (instance path, its document, the path-target law as a dict); two-point noise, n 2, N 2."""
     tmp_path = tmp_path_factory.mktemp("path_laws")
     laws = {}
     for route, lag in (("full", 0), ("tau", 1)):
@@ -64,7 +112,81 @@ def path_laws(tmp_path_factory):
         (tmp_path / route).mkdir()
         inst = write_instance(tmp_path / route, ts, tree, x0, goal)
         doc = json.loads(law_text(ctrl))
-        assert len(doc["c"][2]) > len(doc["c"][0])  # stage 2 is deep
+        assert "target" in doc and "c" not in doc
+        # The law as earlier versions wrote it: the offsets, stage 2 one row per depth-2 node.
+        per_node = {k: v for k, v in doc.items() if k != "target"}
+        per_node["c"] = [ck.ravel().tolist() for ck in ctrl.law.c]
+        assert len(per_node["c"][2]) == tree.n_nodes(2) * len(ctrl.law.L[2])
+        laws[route] = (inst, json.loads(open(inst).read()), doc, per_node)
+    return laws
+
+
+def _digest(edit):
+    return lambda law, per_node: {**law, "target": edit(law["target"])}
+
+
+DIGEST_LAWS = {
+    # case: (route, edit of the law, edit of the instance document or None, reason)
+    "digest-of-another-target": (
+        "full", _digest(lambda t: ("0" if t[0] != "0" else "1") + t[1:]), None, "does not match the instance's target"
+    ),
+    "digest-uppercase": ("full", _digest(str.upper), None, "target must be a SHA-256 digest, 64 lowercase hex"),
+    "digest-63-characters": ("full", _digest(lambda t: t[:-1]), None, "target must be a SHA-256 digest"),
+    "digest-65-characters": ("tau", _digest(lambda t: t + "0"), None, "target must be a SHA-256 digest"),
+    "digest-not-hex": ("full", _digest(lambda t: "g" + t[1:]), None, "target must be a SHA-256 digest"),
+    "digest-a-number": ("full", _digest(lambda t: 0), None, "target must be a SHA-256 digest"),
+    "digest-null": ("full", _digest(lambda t: None), None, "target must be a SHA-256 digest"),
+    "instance-without-target": (
+        "full", lambda law, per_node: law, lambda doc: doc.pop("target"), "the instance has no target"
+    ),
+    "instance-with-an-n-vector-target": (
+        "tau", lambda law, per_node: law, lambda doc: doc.update(target=[0.5, -0.5]),
+        "the instance has a constant (n-vector) target",
+    ),
+    "both-c-and-target": (
+        "full", lambda law, per_node: {**law, "c": [[0.0] * 3] * 3}, None, "law has both c and target"
+    ),
+    "per-node-c": (
+        "full", lambda law, per_node: per_node, None,
+        "c stage 1 must list 3 numbers (one row); one row per depth-1 node is an earlier version's form",
+    ),
+    "per-node-c-with-u1": (
+        "tau", lambda law, per_node: per_node, None,
+        "c stage 1 must list 6 numbers (one row); one row per depth-1 node is an earlier version's form",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_LAWS))
+def test_a_digest_law_that_does_not_name_the_instances_leaf_rows_exits_5(capsys, tmp_path, path_laws, case):
+    route, edit_law, edit_instance, reason = DIGEST_LAWS[case]
+    inst, inst_doc, law, per_node = path_laws[route]
+    code, _, _ = run(capsys, "verify", "--instance", inst, "--controller", _write(tmp_path, json.dumps(law)))
+    assert code == 0  # the law as written verifies
+    if edit_instance is not None:
+        inst_doc = json.loads(json.dumps(inst_doc))
+        edit_instance(inst_doc)
+        inst = tmp_path / "instance.json"
+        inst.write_text(json.dumps(inst_doc))
+    text = json.dumps(edit_law(law, per_node))
+    code, out, err = run(capsys, "verify", "--instance", str(inst), "--controller", _write(tmp_path, text))
+    assert code == 5 and out == ""
+    assert err.startswith("bad controller law: ") and reason in err, err
+
+
+@pytest.fixture(scope="module")
+def one_row_laws(tmp_path_factory):
+    """route -> (instance, its constant-target law as a dict, c's width m+m1); two-point noise, n 2, N 2."""
+    tmp_path = tmp_path_factory.mktemp("one_row_laws")
+    laws = {}
+    for route, lag in (("full", 0), ("tau", 1)):
+        rng = np.random.default_rng([lag, 5])
+        ts, tree, x0, goal, ctrl = draw(rng, LAWS["two-point"], route, lag, 2, 2, "constant")
+        (tmp_path / route).mkdir()
+        inst = write_instance(tmp_path / route, ts, tree, x0, goal)
+        doc = json.loads(law_text(ctrl))
+        assert all(len(stage) == len(Lk) for stage, Lk in zip(doc["c"], ctrl.law.L))
+        assert any(x != 0.0 for stage in doc["c"] for x in stage)
         laws[route] = (inst, doc, len(doc["c"][0]))
     return laws
 
@@ -79,8 +201,8 @@ def _stage(k, edit):
     return apply
 
 
-def _deep_mark(c, width):
-    """Mark the last entry of the deepest stage, for a raw JSON token to replace."""
+def _last_mark(c, width):
+    """Mark the last entry of the last stage, for a raw JSON token to replace."""
     c[-1][-1] = "@@"
     return c
 
@@ -91,24 +213,22 @@ def _stages(n_stages):
 
 MALFORMED = {
     # case: (route, edit of c, raw JSON token for the "@@" mark, reason)
-    "stage-one-short": ("full", _stage(1, lambda c, w: c[1][:-1]), None, "must list 3 numbers (one row) or 2 x 3"),
+    "stage-one-short": ("full", _stage(1, lambda c, w: c[1][:-1]), None, "c stage 1 must list 3 numbers (one row)"),
     "stage-one-row-long": ("full", _stage(2, lambda c, w: c[2] + [0.0] * w), None, "c stage 2 must list 3 numbers"),
-    "stage-of-the-next-depth": ("full", _stage(1, lambda c, w: c[2]), None, "c stage 1 must list 3 numbers"),
+    "stage-per-node": ("full", _stage(1, lambda c, w: c[1] * 2), None, "one row per depth-1 node is an earlier"),
     "stage-two-rows": ("full", _stage(0, lambda c, w: [0.0] * 2 * w), None, "c stage 0 must list 3 numbers"),
     "stage-nested-rows": ("full", _stage(1, lambda c, w: [[0.0] * w] * 2), None, "c stage 1 must list 3 numbers"),
     "stage-not-a-list": ("full", _stage(1, lambda c, w: 0.0), None, "c stage 1 must list 3 numbers"),
     # m 3, m1 3, tau 1, N 2: stage 1 has u1 columns, so one row of u columns only is short; stage 2
-    # has none, as u1(2) would enter after stage N, so a depth-2 stage with them is long.
-    "stage-without-u1-columns": ("tau", _stage(1, lambda c, w: [0.0] * 3), None, "or 2 x 6 (one row per depth-1"),
-    "stage-with-u1-columns-after-N": (
-        "tau", _stage(2, lambda c, w: [0.0] * 4 * 6), None, "or 4 x 3 (one row per depth-2"
-    ),
-    "deep-true": ("full", _deep_mark, "true", "c entries must be JSON numbers"),
-    "deep-null": ("full", _deep_mark, "null", "c entries must be JSON numbers"),
-    "deep-string": ("full", _deep_mark, '"1"', "c entries must be JSON numbers"),
-    "deep-NaN": ("full", _deep_mark, "NaN", "c entries must be finite"),
-    "deep-1e400": ("full", _deep_mark, "1e400", "c entries must be finite"),
-    "deep-huge-integer": ("tau", _deep_mark, "1" + "0" * 400, "c entries must be finite"),
+    # has none, as u1(2) would enter after stage N, so a row with them is long.
+    "stage-without-u1-columns": ("tau", _stage(1, lambda c, w: [0.0] * 3), None, "c stage 1 must list 6 numbers"),
+    "stage-with-u1-columns-after-N": ("tau", _stage(2, lambda c, w: [0.0] * 6), None, "c stage 2 must list 3 numbers"),
+    "last-true": ("full", _last_mark, "true", "c entries must be JSON numbers"),
+    "last-null": ("full", _last_mark, "null", "c entries must be JSON numbers"),
+    "last-string": ("full", _last_mark, '"1"', "c entries must be JSON numbers"),
+    "last-NaN": ("full", _last_mark, "NaN", "c entries must be finite"),
+    "last-1e400": ("full", _last_mark, "1e400", "c entries must be finite"),
+    "last-huge-integer": ("tau", _last_mark, "1" + "0" * 400, "c entries must be finite"),
     "c-object": ("full", lambda c, w: dict(enumerate(c)), None, "c must be a list of N + 1 = 3 stages"),
     "c-number": ("full", lambda c, w: 0.0, None, "c must be a list of N + 1 = 3 stages"),
     "c-N-stages": ("full", _stages(2), None, "c must be a list of N + 1 = 3 stages"),
@@ -117,9 +237,9 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_path_law_exits_5_with_its_reason(capsys, tmp_path, path_laws, case):
+def test_malformed_one_row_offsets_exit_5_with_their_reason(capsys, tmp_path, one_row_laws, case):
     route, edit, token, reason = MALFORMED[case]
-    inst, doc, width = path_laws[route]
+    inst, doc, width = one_row_laws[route]
     doc = json.loads(json.dumps(doc))
     code, _, _ = run(capsys, "verify", "--instance", inst, "--controller", _write(tmp_path, json.dumps(doc)))
     assert code == 0  # the law as written verifies
