@@ -5,9 +5,12 @@ one channel, which the form carries with its lag (D1 with tau, C1 with
 d). The functions that do the work read the route from the form, so
 each name here is a channel check in front of the body every full-state
 route shares: the scan :func:`criteria.decide`, the enumeration of
-:func:`criteria.gramian_oracle`, the membership test of
-:func:`pathspace.member_of_S` and the steering law behind
-:func:`synthesis.steer_to_target`. This module holds no arithmetic.
+:func:`criteria.gramian_oracle`, the membership test
+:func:`pathspace.member_of_S` itself (which reads the target through
+:func:`pathspace.terminal_from_map` and copies it once) and the steering
+law behind :func:`synthesis.steer_to_target`. A form or system without
+the channel raises :class:`DimensionMismatch`. This module holds no
+arithmetic.
 
 The Gramians are :func:`criteria.gramian`, read off the one recursion
 :func:`criteria.gramian_sequence`,
@@ -62,7 +65,7 @@ from .pathspace import (
     DEFAULT_CAP,
     PathTree,
     SMembership,
-    _membership,
+    member_of_S,
     state_delay_P,  # noqa: F401  (part of this module's surface; defined next to the elimination)
 )
 from .synthesis import ControllerProcess, _steer
@@ -97,7 +100,7 @@ def input_delay_controller(
     The pre-horizon u1 stages -tau..-1 are deterministic and carried in the law as ``u1_pre``.
     """
     if ts.form.D1 is None:
-        raise ValueError("system has no delayed input channel")
+        raise DimensionMismatch("form has no delayed input channel D1")
     return _steer(ts, tree, x0, target, tol)
 
 
@@ -108,7 +111,7 @@ def input_delay_decide(
     """Scan the delayed-input Gramians; a witness proves controllability."""
     ts = TransformedSystem.build(system)
     if ts.form.D1 is None:
-        raise ValueError("system has no delayed input channel")
+        raise DimensionMismatch("form has no delayed input channel D1")
     return _decide(ts, N_max)
 
 
@@ -127,7 +130,7 @@ def member_of_S_state_delay(tree: PathTree, form: BsdeForm, terminal, tol: float
     """Attainability test against the delayed homogeneous backward equation (:func:`pathspace.member_of_S`)."""
     if form.C1 is None:
         raise DimensionMismatch("form has no delayed state channel C1")
-    return _membership(tree, form, terminal, tol)
+    return member_of_S(tree, form, terminal, tol)
 
 
 def state_delay_controller(
@@ -142,7 +145,7 @@ def state_delay_controller(
     Pre-horizon states are zero.
     """
     if ts.form.C1 is None:
-        raise ValueError("system has no delayed state channel")
+        raise DimensionMismatch("form has no delayed state channel C1")
     return _steer(ts, tree, x0, target, tol)
 
 
@@ -159,5 +162,5 @@ def state_delay_decide(
     """
     ts = TransformedSystem.build(system)
     if ts.form.C1 is None:
-        raise ValueError("system has no delayed state channel")
+        raise DimensionMismatch("form has no delayed state channel C1")
     return _decide(ts, N_max)

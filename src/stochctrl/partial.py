@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import ControllabilityReport, decide_form
-from .errors import NoIntertwiner, SingularBlock
+from .errors import DimensionMismatch, NoIntertwiner, SingularBlock
 from .model import SystemSpec, ValidatedSystem, validate
 from .transform import BsdeForm, TransformedSystem
 
@@ -54,7 +54,7 @@ def output_form(ts: TransformedSystem) -> BsdeForm:
     """Push the backward form through the output map H."""
     H = ts.spec.H
     if H is None:
-        raise ValueError("system has no output map H")
+        raise DimensionMismatch("system has no output map H")
     C1, _ = intertwine(H, ts.form.C)
     Cbar1, _ = intertwine(H, ts.form.Cbar)
     return BsdeForm(C=C1, Cbar=Cbar1, D=H @ ts.form.D)

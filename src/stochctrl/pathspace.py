@@ -39,6 +39,10 @@ prefix's continuations. Node probabilities are outer products, level
 by level. :func:`backward_solve` hands a form with a delayed
 state to :func:`backward_solve_state_delay`, so :func:`member_of_S`
 serves every full-state route.
+
+:func:`terminal_from_map` is the one conversion of a target (None, an
+n-vector or leaf rows) to leaf rows. Both solves copy it once, as x(N+1),
+and :func:`member_of_S` reads its bound off that copy.
 """
 from __future__ import annotations
 
@@ -50,7 +54,6 @@ from .errors import (
     AdaptednessViolation,
     DimensionMismatch,
     EnumerationTooLarge,
-    SchemaError,
     SingularPBracket,
     StageMismatch,
 )
@@ -269,35 +272,22 @@ def _check_input(proc, stage, want_dim, what) -> np.ndarray:
     return arr
 
 
-def _terminal_array(tree: PathTree, n: int, terminal) -> np.ndarray:
-    N = tree.horizon
-    if terminal is None:
-        return np.zeros((tree.n_nodes(N + 1), n))
-    arr = np.asarray(terminal, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape != (n,):
-            raise DimensionMismatch(f"terminal vector must have length {n}, got {arr.shape}")
-        return np.tile(arr, (tree.n_nodes(N + 1), 1))
-    if arr.shape != (tree.n_nodes(N + 1), n):
-        raise DimensionMismatch(
-            f"terminal must be ({tree.n_nodes(N + 1)}, {n}) at depth {N + 1}, got {arr.shape}"
-        )
-    return arr.copy()
+def terminal_from_map(tree: PathTree, n: int, terminal) -> np.ndarray:
+    """A terminal value as the tree's leaf rows, in node order: the one conversion of a target.
 
-
-def terminal_from_map(tree: PathTree, n: int, leaves: np.ndarray) -> np.ndarray:
-    """An instance's target (``ProblemInstance.target``) as the tree's leaf rows, in node order.
-
-    An n-vector is constant over paths and so fits any horizon: it is
-    tiled on the leaves as a read-only ``np.broadcast_to`` view, which
-    the solves copy as they would its tiled rows, so both give the same
-    law bytes. Leaf rows are checked against the tree's depth.
+    None is the origin and an n-vector is constant over paths, so it fits
+    any horizon; either is tiled on the leaves as a read-only
+    ``np.broadcast_to`` view. Leaf rows (``ProblemInstance.target``) are
+    checked against the tree's depth and returned as they are. Any other
+    shape raises :class:`DimensionMismatch`. The solves copy the result
+    once, and that copy is their x(N+1).
     """
     want = (tree.n_nodes(tree.horizon + 1), n)
+    leaves = np.zeros(n) if terminal is None else np.asarray(terminal, dtype=float)
     if leaves.shape == (n,):
         return np.broadcast_to(leaves, want)
     if leaves.shape != want:
-        raise SchemaError(f"target leaf array has shape {leaves.shape}; depth {tree.horizon + 1} needs {want}")
+        raise DimensionMismatch(f"target leaf array has shape {leaves.shape}; depth {tree.horizon + 1} needs {want}")
     return leaves
 
 
@@ -326,7 +316,9 @@ def backward_solve(
 ) -> BsdeSolution:
     """Solve x(k) = E[(C + w(k) Cbar) x(k+1) | past] + D v(k).
 
-    ``terminal`` may be None (origin), an n-vector, or a full leaf array.
+    ``terminal`` may be None (origin), an n-vector, or the leaf rows, as
+    :func:`terminal_from_map` reads them (a wrong shape raises
+    :class:`DimensionMismatch`); their one copy is x(N+1).
     ``v`` (None: zero free input) must hold stages 0..N with stage k
     measurable at depth <= k. A form with a delayed state is solved by
     :func:`backward_solve_state_delay`, with its drift C1 x(k - d).
@@ -334,7 +326,7 @@ def backward_solve(
     if form.C1 is not None:
         return backward_solve_state_delay(tree, form, terminal, v)
     W = _stage_map(tree, form)
-    x_vals = {tree.horizon + 1: _terminal_array(tree, form.n, terminal)}
+    x_vals = {tree.horizon + 1: terminal_from_map(tree, form.n, terminal).copy()}
     for k in range(tree.horizon, -1, -1):
         x_vals[k] = _stage_step(tree, form, W, x_vals[k + 1], v, k)
     return _solution(tree, x_vals)
@@ -438,7 +430,7 @@ def backward_solve_state_delay(
     N = tree.horizon
     P, Q = _state_delay_gains(form, N)
     W = _stage_map(tree, form)
-    x_vals = {N + 1: _terminal_array(tree, form.n, terminal)}
+    x_vals = {N + 1: terminal_from_map(tree, form.n, terminal).copy()}
     for k in range(N, -1, -1):
         x_vals[k] = _stage_step(tree, form, W, x_vals[k + 1], v, k) @ P[k].T
     for k in range(1, N + 1):
@@ -448,15 +440,20 @@ def backward_solve_state_delay(
 
 
 def representation_residual(sol: BsdeSolution) -> dict[int, float]:
-    """Max node residual of x(k+1) = E[x(k+1) | past] + w(k) z(k), per stage."""
-    tree, n = sol.tree, sol.x.dim
-    every_child, by_atom = np.tile(np.eye(n), tree.s), np.kron(tree.support, np.eye(n))
-    out = {}
+    """Max node residual of x(k+1) = E[x(k+1) | past] + w(k) z(k), per stage (0 on an empty level).
+
+    Each child j's gap x_j - mean - w_j z is formed on its own: no temporary is wider than a parent level.
+    """
+    tree, out = sol.tree, {}
     for k in range(tree.horizon + 1):
-        xk1 = sol.x.at(k + 1)
-        resid = xk1.reshape(-1, tree.s * n) - _level_mean(tree, xk1, tree.probs) @ every_child
-        resid -= sol.z.at(k) @ by_atom
-        out[k] = float(np.abs(resid).max()) if resid.size else 0.0
+        xk1, z = sol.x.at(k + 1), sol.z.at(k)
+        children, mean = xk1.reshape(len(z), tree.s, sol.x.dim), _level_mean(tree, xk1, tree.probs)
+        peaks = []
+        for j, w in enumerate(tree.support):
+            gap = children[:, j] - mean
+            gap -= w * z
+            peaks.append(np.abs(gap, out=gap).max(initial=0.0))
+        out[k] = float(np.max(peaks))  # np.max, not max: a NaN in any child shows
     return out
 
 
@@ -482,22 +479,19 @@ class SMembership:
 def member_of_S(tree: PathTree, form: BsdeForm, terminal, tol: float = 1e-8) -> SMembership:
     """Test whether a terminal value is attainable with zero free input.
 
-    Solves the homogeneous backward equation (:func:`backward_solve`,
-    delayed on a form with C1) from the terminal and checks the one-step
-    representation residual at every node, against ``tol`` times the
-    largest terminal entry (at least 1). On two-point noise every terminal
-    passes; richer laws reject terminals not affine in the final noise.
+    ``terminal`` is None (origin), an n-vector or the leaf rows, as
+    :func:`terminal_from_map` takes it (a wrong shape raises
+    :class:`DimensionMismatch`). Solves the homogeneous backward equation
+    (:func:`backward_solve`, delayed on a form with C1) from it and checks
+    the one-step representation residual at every node, against ``tol``
+    times the largest entry of the solution's x(N+1), the target's one
+    copy (at least 1). On two-point noise every terminal passes; richer
+    laws reject terminals not affine in the final noise.
     """
-    return _membership(tree, form, terminal, tol)
-
-
-def _membership(tree: PathTree, form: BsdeForm, terminal, tol: float) -> SMembership:
-    """:func:`member_of_S`'s body, which ``delay.member_of_S_state_delay`` calls too."""
-    terminal_arr = _terminal_array(tree, form.n, terminal)
-    sol = backward_solve(tree, form, terminal_arr)
+    sol = backward_solve(tree, form, terminal)
     residuals = representation_residual(sol)
     stage = max(residuals, key=residuals.get)
-    bound = tol * max(1.0, float(np.abs(terminal_arr).max()))
+    bound = tol * max(1.0, float(np.abs(sol.x.at(tree.horizon + 1)).max()))
     return SMembership(
         member=bool(residuals[stage] <= bound),
         max_residual=residuals[stage],

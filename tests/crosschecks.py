@@ -13,7 +13,11 @@ all d lag gains Q_j(k) at every stage, against which the package's
 banded gains are checked. ``broadcast_plant_step``, ``einsum_stage_mean``,
 ``einsum_z`` and ``einsum_representation_residual`` are the tree kernels
 written as broadcasts and einsums over each node's s children, against
-which ``pathspace``'s per-atom matmuls are checked. ``reference_feedback_loop``
+which ``pathspace``'s per-atom matmuls are checked.
+``kron_representation_residual`` is the residual as first written, each
+level's mean and z spread over the children by products with 0/1 and
+w_j blocks, against which ``pathspace.representation_residual``'s
+child-by-child gaps are checked bit for bit. ``reference_feedback_loop``
 is the closed loop as first written, against which ``synthesis.feedback_loop``
 is checked: it lifts every lag to depth k, stacks the regressor r(k) for
 one matmul with L_k', stores every u(k), and steps through
@@ -338,6 +342,21 @@ def einsum_representation_residual(sol) -> dict[int, float]:
         xbar = np.einsum("j,hjb->hb", tree.probs, xk1)
         pred = xbar[:, None, :] + tree.support[None, :, None] * sol.z.at(k)[:, None, :]
         out[k] = float(np.abs(xk1 - pred).max()) if xk1.size else 0.0
+    return out
+
+
+def kron_representation_residual(sol) -> dict[int, float]:
+    """``pathspace.representation_residual`` with the level's mean and w_j z(k) spread over
+    every child by matmuls against tile(I_n, s) and kron(support, I_n)."""
+    tree, n = sol.tree, sol.x.dim
+    every_child, by_atom = np.tile(np.eye(n), tree.s), np.kron(tree.support, np.eye(n))
+    out = {}
+    for k in range(tree.horizon + 1):
+        xk1 = sol.x.at(k + 1)
+        mean = xk1.reshape(-1, tree.s * n) @ np.kron(tree.probs[:, None], np.eye(n))
+        resid = xk1.reshape(-1, tree.s * n) - mean @ every_child
+        resid -= sol.z.at(k) @ by_atom
+        out[k] = float(np.abs(resid).max()) if resid.size else 0.0
     return out
 
 

@@ -31,10 +31,10 @@ from stochctrl.pathspace import (
     _solution,
     _stage_map,
     _stage_step,
-    _terminal_array,
     backward_solve_state_delay,
     member_of_S,
     path_products,
+    terminal_from_map,
 )
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from crosschecks import controller_levels
@@ -53,7 +53,7 @@ def reference_steering_start(tree, form, x0, target, membership):
         raise DimensionMismatch(f"x0 must have length {form.n}, got {x0.shape}")
     if target is None:
         return x0, None, None
-    terminal = _terminal_array(tree, form.n, target)
+    terminal = terminal_from_map(tree, form.n, target)
     result = membership(terminal)
     if not result.member:
         raise TargetNotInS(f"terminal residual {result.max_residual:.3e} exceeds tolerance {result.tol}")
@@ -89,7 +89,7 @@ def reference_backward_solve(tree, form, terminal, v=None, *, u1=None, tau=None)
     if u1 is not None and form.D1 is None:
         raise DimensionMismatch("form has no delayed input channel D1")
     W = _stage_map(tree, form)
-    x_vals = {N + 1: _terminal_array(tree, n, terminal)}
+    x_vals = {N + 1: terminal_from_map(tree, n, terminal)}
     for k in range(N, -1, -1):
         xk = _stage_step(tree, form, W, x_vals[k + 1], v, k)
         if u1 is not None:

@@ -18,7 +18,7 @@ from stochctrl import NoiseModel, PathTree, ProblemInstance, forward_simulate, s
 from stochctrl.cli import main
 from stochctrl.criteria import gramian, gramian_invertible
 from stochctrl.errors import DimensionMismatch, SingularGramian, TargetNotInS
-from stochctrl.pathspace import AdaptedProcess, _terminal_array, backward_solve, member_of_S
+from stochctrl.pathspace import AdaptedProcess, backward_solve, member_of_S, terminal_from_map
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import stage_products, steer_to_target
 from crosschecks import controller_levels
@@ -37,7 +37,7 @@ def reference_steering_start(tree, form, x0, target, membership):
         raise DimensionMismatch(f"x0 must have length {form.n}, got {x0.shape}")
     if target is None:
         return x0, None, np.zeros(form.n)
-    terminal = _terminal_array(tree, form.n, target)
+    terminal = terminal_from_map(tree, form.n, target)
     result = membership(terminal)
     if not result.member:
         raise TargetNotInS(f"terminal residual {result.max_residual:.3e} exceeds tolerance {result.tol}")

@@ -14,7 +14,9 @@ from. So the law holds (N+1) m n numbers on the full route, however
 many leaves the target has. A digest that does not match or is not 64
 lowercase hex characters, a digest law for an instance without a
 leaf-row target, a law with both c and target and a law with a per-node
-c, as earlier versions wrote, exit 5. So do one-row offsets c of any
+c, as earlier versions wrote, exit 5. A leaf-row target that does not fit
+a ``--N`` override is the instance's fault, not the law's: verify exits 6
+with synthesize's error. So do one-row offsets c of any
 other length, entries that are not finite JSON numbers, and a c that is
 not N+1 stages.
 """
@@ -172,6 +174,19 @@ def test_a_digest_law_that_does_not_name_the_instances_leaf_rows_exits_5(capsys,
     code, out, err = run(capsys, "verify", "--instance", str(inst), "--controller", _write(tmp_path, text))
     assert code == 5 and out == ""
     assert err.startswith("bad controller law: ") and reason in err, err
+
+
+def test_a_target_written_for_another_horizon_fails_verify_as_it_fails_synthesize(capsys, tmp_path, path_laws):
+    # The instance's target lists N = 1's four leaf rows and --N 2 asks for eight. The law names those
+    # very rows by digest, so the instance is at fault, not the law: verify exits 6 with synthesize's error.
+    inst, inst_doc, law, _ = path_laws["full"]
+    doc = {**inst_doc, "N": 1, "target": inst_doc["target"][: 4 * 2]}
+    short = tmp_path / "instance.json"
+    short.write_text(json.dumps(doc))
+    named = _write(tmp_path, json.dumps({**law, "target": target_digest(parse_instance_file(str(short)).target)}))
+    synthesized = run(capsys, "synthesize", "--instance", str(short), "--N", "2")
+    assert synthesized == (6, "", "error: target leaf array has shape (4, 2); depth 3 needs (8, 2)\n")
+    assert run(capsys, "verify", "--instance", str(short), "--N", "2", "--controller", named) == synthesized
 
 
 @pytest.fixture(scope="module")

@@ -6,11 +6,11 @@ import pytest
 
 from stochctrl import (
     AdaptedProcess,
+    DimensionMismatch,
     EnumerationTooLarge,
     NoiseModel,
     PathTree,
     ProblemInstance,
-    SchemaError,
     StageMismatch,
     TransformedSystem,
     backward_solve,
@@ -102,8 +102,6 @@ def test_adapted_process_guards(rng):
     proc = AdaptedProcess(tree, {0: rng.normal(size=(1, 2))}, {0: 0})
     with pytest.raises(StageMismatch):
         proc.at(1)
-    from stochctrl import DimensionMismatch
-
     with pytest.raises(DimensionMismatch):
         AdaptedProcess(tree, {0: rng.normal(size=(3, 2))}, {0: 0})  # wrong node count
 
@@ -115,8 +113,8 @@ def test_terminal_from_map(bench_full):
     arr = terminal_from_map(PathTree(spec.noise, 1), 2, leaves)
     assert arr.shape == (4, 2)
     np.testing.assert_array_equal(arr[2], [2.0, 0.0])  # node order: "10" is leaf 2
-    with pytest.raises(SchemaError):  # a horizon override that does not fit the target
-        terminal_from_map(PathTree(spec.noise, 2), 2, leaves)
+    with pytest.raises(DimensionMismatch, match=r"^target leaf array has shape \(4, 2\); depth 3 needs \(8, 2\)$"):
+        terminal_from_map(PathTree(spec.noise, 2), 2, leaves)  # a horizon override that does not fit the target
 
 
 def test_backward_solve_z_is_weighted_mean(rng):

@@ -15,15 +15,20 @@ from stochctrl import (
     backward_solve,
     backward_solve_state_delay,
     input_delay_controller,
+    input_delay_decide,
+    input_delay_gramian_oracle,
     member_of_S,
     member_of_S_state_delay,
     null_controller,
     random_attainable_terminal,
     random_controllable,
     state_delay_controller,
+    state_delay_decide,
+    state_delay_gramian_oracle,
     steer_to_target,
 )
 from stochctrl.errors import DimensionMismatch
+from stochctrl.partial import output_form
 from crosschecks import controller_levels
 from test_delay import delayed_attainable_terminal
 
@@ -91,12 +96,29 @@ def test_member_of_S_solves_the_delayed_equation():
 
 
 def test_state_delay_entry_points_need_the_channel():
+    # Every delay entry point, and the output map's form, refuses a form without its channel
+    # with the package's own DimensionMismatch.
     ts = random_controllable(np.random.default_rng(2), 2, 3, 2)
     tree = PathTree(ts.spec.noise, 2)
-    with pytest.raises(DimensionMismatch):
-        member_of_S_state_delay(tree, ts.form, np.ones(2))
-    with pytest.raises(DimensionMismatch):
-        backward_solve_state_delay(tree, ts.form, np.ones(2))
+    refusals = {
+        "form has no delayed input channel D1": [
+            lambda: input_delay_gramian_oracle(ts.form, 2, ts.spec.noise),
+            lambda: input_delay_controller(ts, tree, np.ones(2)),
+            lambda: input_delay_decide(ts, 2),
+        ],
+        "form has no delayed state channel C1": [
+            lambda: state_delay_gramian_oracle(ts.form, 2, ts.spec.noise),
+            lambda: member_of_S_state_delay(tree, ts.form, np.ones(2)),
+            lambda: state_delay_controller(ts, tree, np.ones(2)),
+            lambda: state_delay_decide(ts, 2),
+            lambda: backward_solve_state_delay(tree, ts.form, np.ones(2)),
+        ],
+        "system has no output map H": [lambda: output_form(ts)],
+    }
+    for message, calls in refusals.items():
+        for call in calls:
+            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+                call()
 
 
 def test_a_state_delay_controller_eliminates_twice_and_its_target_once_more(monkeypatch):

@@ -30,7 +30,7 @@ from stochctrl import (
 )
 from stochctrl.cli import main
 from stochctrl.errors import DimensionMismatch, StageMismatch
-from stochctrl.pathspace import _acting_lags, _check_input, _solution, _state_delay_gains, _terminal_array
+from stochctrl.pathspace import _acting_lags, _check_input, _solution, _state_delay_gains, terminal_from_map
 from crosschecks import dense_state_delay_gains
 
 P_RCOND = 1e-12
@@ -44,7 +44,7 @@ def dense_backward_solve_state_delay(tree, form, d, terminal, v=None):
         raise StageMismatch(f"state delay must be >= 1, got {d}")
     n, N, s = form.n, tree.horizon, tree.s
     cmats = form.stage_factors(tree.support)
-    terminal_arr = _terminal_array(tree, n, terminal)
+    terminal_arr = terminal_from_map(tree, n, terminal)
 
     offsets, total = {}, 0
     for k in range(N + 1):

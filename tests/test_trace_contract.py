@@ -58,7 +58,7 @@ def test_tracer_records_every_route_layer(tmp_path):
     steered = [str(INSTANCE_DIR / name) for name in
                ("fullrank_2x3.json", "input_delay_tau1.json", "state_delay_d1.json")]
     # Path targets that differ by node: membership runs each route's homogeneous backward
-    # solve, and the offsets differ by node, so the law holds per-node offsets. synthesize
+    # solve, and the offsets differ by node, so the law names its target by digest. synthesize
     # writes only laws; each path target's table is written through the library and
     # verified by the CLI. Two-point noise makes every leaf array attainable.
     path_targets = []
