@@ -19,7 +19,11 @@ class NoiseMomentViolation(StochctrlError):
 
 
 class SchemaError(StochctrlError):
-    """Instance document or controller table violates the file schema."""
+    """Instance document, controller table or a system's fields violate the schema.
+
+    A system's fields: a channel without its lag (or a lag without its
+    channel), or an integer field (n, m, N, a lag, ``horizon_max``) out of range.
+    """
 
 
 class UnsupportedReducedStructure(StochctrlError):

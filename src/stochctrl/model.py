@@ -104,15 +104,7 @@ def level_values(mapping: dict, s: int, depth: int, n: int, what: str) -> np.nda
     """The n-vectors of a {label: vector} map over one tree level, as read-only rows in node order."""
     labels = sorted(mapping)
     check_level(labels, s, depth, f"{what} keys")
-    rows = [mapping[label] for label in labels]
-    if set(map(type, rows)) == {list} and set(map(len, rows)) == {n}:
-        try:  # one flat read; the row-wise read below names any entry it cannot take
-            flat = np.fromiter(chain.from_iterable(rows), float, len(rows) * n)
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            return _float_array(f"{what} values", flat).reshape(len(rows), n)
-    return _as_float_matrix(f"{what} values", rows, len(rows), n)
+    return _as_float_matrix(f"{what} values", [mapping[label] for label in labels], len(labels), n)
 
 
 def _finite_floats(name: str, entries: list) -> np.ndarray:
@@ -148,9 +140,9 @@ def _as_float_matrix(name: str, value, rows: int, cols: int) -> np.ndarray:
 
 
 def _integer(name: str, value, minimum: int) -> int:
-    """``value`` if it is an int (not a bool) of at least ``minimum``, else ValueError naming ``name``."""
+    """``value`` if it is an int (not a bool) of at least ``minimum``, else :class:`SchemaError` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise SchemaError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
@@ -260,7 +252,7 @@ class SystemSpec:
                 raise DimensionMismatch(f"H must be l x {n} with 1 <= l <= {n}, got {H.shape}")
             object.__setattr__(self, "H", H)
         if (self.B1 is None) != (self.tau is None):
-            raise ValueError("B1 and tau must be given together")
+            raise SchemaError("B1 and tau must be given together")
         if self.B1 is not None:
             B1 = _float_array("B1", self.B1)
             if B1.ndim != 2 or B1.shape[0] != n or B1.shape[1] < 1:
@@ -268,7 +260,7 @@ class SystemSpec:
             object.__setattr__(self, "B1", B1)
             _integer("tau", self.tau, 1)
         if (self.A1 is None) != (self.d is None):
-            raise ValueError("A1 and d must be given together")
+            raise SchemaError("A1 and d must be given together")
         if self.A1 is not None:
             object.__setattr__(self, "A1", _as_float_matrix("A1", self.A1, n, n))
             _integer("d", self.d, 1)
@@ -301,14 +293,6 @@ class ValidatedSystem:
     rank_Bbar: int
     full_rank: bool
     reduced_r: int | None = None
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def m(self) -> int:
-        return self.spec.m
 
 
 def validate(spec: SystemSpec) -> ValidatedSystem:
@@ -406,6 +390,7 @@ _REQUIRED_KEYS = ("n", "m", "N", "A", "B", "Abar", "Bbar")
 _OPTIONAL_KEYS = ("M", "H", "B1", "tau", "A1", "d", "noise", "x0", "target")
 _NOISE_KEYS = ("support", "probs")
 _MATRIX_KEYS = ("A", "B", "Abar", "Bbar", "M", "H", "B1", "A1")
+_SPEC_KEYS = ("A", "B", "Abar", "Bbar", "M", "H", "B1", "tau", "A1", "d")  # SystemSpec's fields, in file order
 
 
 def _json_numbers(rows) -> bool:
@@ -447,11 +432,10 @@ def parse_instance(text: str) -> ProblemInstance:
     if missing:
         raise SchemaError(f"missing required keys: {', '.join(missing)}")
 
-    kwargs = {key: doc[key] for key in _MATRIX_KEYS if key in doc}
-    for key, rows in kwargs.items():
-        if not _json_numbers(rows):
+    for key in _MATRIX_KEYS:
+        if key in doc and not _json_numbers(doc[key]):
             raise SchemaError(f"{key} must be a list of rows of JSON numbers")
-    kwargs.update((key, doc[key]) for key in ("tau", "d") if key in doc)
+    kwargs = {key: doc[key] for key in _SPEC_KEYS if key in doc}
     if "noise" in doc:
         noise_doc = doc["noise"]
         if not isinstance(noise_doc, dict) or set(noise_doc) != set(_NOISE_KEYS):
@@ -472,7 +456,7 @@ def parse_instance(text: str) -> ProblemInstance:
         # Popped, so the target's number objects go as soon as its array is made.
         target = _target_list(doc.pop("target"), n, len(spec.noise.support), N) if "target" in doc else None
         return ProblemInstance(spec, N, x0=doc.get("x0"), target=target)
-    except (DimensionMismatch, ValueError) as exc:
+    except DimensionMismatch as exc:
         raise SchemaError(str(exc)) from None
 
 
@@ -493,25 +477,11 @@ def serialize_instance(inst: ProblemInstance) -> str:
     does, so it costs one repr per number.
     """
     spec = inst.system
-    doc: dict = {
-        "n": spec.n,
-        "m": spec.m,
-        "N": inst.N,
-        "A": spec.A.tolist(),
-        "B": spec.B.tolist(),
-        "Abar": spec.Abar.tolist(),
-        "Bbar": spec.Bbar.tolist(),
-    }
-    if spec.M is not None:
-        doc["M"] = spec.M.tolist()
-    if spec.H is not None:
-        doc["H"] = spec.H.tolist()
-    if spec.B1 is not None:
-        doc["B1"] = spec.B1.tolist()
-        doc["tau"] = spec.tau
-    if spec.A1 is not None:
-        doc["A1"] = spec.A1.tolist()
-        doc["d"] = spec.d
+    doc: dict = {"n": spec.n, "m": spec.m, "N": inst.N}
+    for key in _SPEC_KEYS:
+        value = getattr(spec, key)
+        if value is not None:
+            doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
     doc["noise"] = {"support": list(spec.noise.support), "probs": list(spec.noise.probs)}
     if inst.x0 is not None:
         doc["x0"] = inst.x0.tolist()

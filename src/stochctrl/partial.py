@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import ControllabilityReport, decide_form
-from .errors import DimensionMismatch, NoIntertwiner, SingularBlock
+from .errors import DimensionMismatch, NoIntertwiner, SingularBlock, StructureUnsupported
 from .model import SystemSpec, ValidatedSystem, validate
 from .transform import BsdeForm, TransformedSystem
 
@@ -101,14 +101,15 @@ def reduced_form(system: SystemSpec | ValidatedSystem) -> ReducedForm:
     """Assemble the reduced coefficients of a rank-deficient system.
 
     The structure requirements on Bbar and Abar were already enforced by
-    :func:`validate`. Raises :class:`SingularBlock` when the script-A
-    block matrix cannot be inverted and :class:`NoIntertwiner` when its
-    inverse does not respect the [I 0] projection.
+    :func:`validate`. Raises :class:`StructureUnsupported` on a full-rank
+    system, :class:`SingularBlock` when the script-A block matrix cannot
+    be inverted and :class:`NoIntertwiner` when its inverse does not
+    respect the [I 0] projection.
     """
     if isinstance(system, SystemSpec):
         system = validate(system)
     if system.full_rank or system.reduced_r is None:
-        raise ValueError("system is full rank; use the standard route")
+        raise StructureUnsupported("system is full rank; use the standard route")
     spec = system.spec
     r = system.reduced_r
     n = spec.n

@@ -16,9 +16,8 @@ A value stored at a coarser depth than the level it acts on, such as a
 delayed input or a lagged state in :func:`plant_step` or a lagged state
 in :func:`backward_solve_state_delay`'s forward sweep, is multiplied at
 its own depth and the product added to every descendant through a
-reshaped view (:func:`_add_product`), never replicated per node; only
-:meth:`AdaptedProcess.at_depth` lifts values, for a reader of a controller
-table's processes. :func:`plant_step` is the step of
+reshaped view (:func:`_add_product`); no node array is ever replicated
+onto finer depths. :func:`plant_step` is the step of
 :func:`forward_simulate` and of ``synthesis.feedback_loop``, the plant-step
 closed loop a controller's table is written from, stage by stage; the
 commands run a law through ``synthesis.folded_loop``, which folds the
@@ -111,14 +110,6 @@ class PathTree:
             depth -= top
         return tables[depth][index] + label
 
-    def lift(self, values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
-        """Replicate coarse values onto a finer depth."""
-        if to_depth < from_depth:
-            raise StageMismatch(f"cannot lift from depth {from_depth} to coarser depth {to_depth}")
-        if to_depth == from_depth:
-            return values
-        return np.repeat(values, self.s ** (to_depth - from_depth), axis=0)
-
 
 @dataclass(eq=False)
 class AdaptedProcess:
@@ -148,9 +139,6 @@ class AdaptedProcess:
             raise DimensionMismatch(f"inconsistent value dimensions across stages: {sorted(dims)}")
         self.dim = dims.pop() if dims else 0
 
-    def stages(self) -> list[int]:
-        return sorted(self.values)
-
     def depth(self, stage: int) -> int:
         try:
             return self.depths[stage]
@@ -162,21 +150,6 @@ class AdaptedProcess:
             return self.values[stage]
         except KeyError:
             raise StageMismatch(f"process has no stage {stage}") from None
-
-    def at_depth(self, stage: int, depth: int) -> np.ndarray:
-        return self.tree.lift(self.at(stage), self.depth(stage), depth)
-
-    def value(self, stage: int, history) -> np.ndarray:
-        """Value at a history (support indices) of any length >= the stage's depth."""
-        depth = self.depth(stage)
-        if len(history) < depth:
-            raise StageMismatch(
-                f"stage {stage} needs a history of length >= {depth}, got {len(history)}"
-            )
-        idx = 0
-        for i in history[:depth]:
-            idx = idx * self.tree.s + int(i)
-        return self.at(stage)[idx]
 
 
 def path_products(form: BsdeForm, support, depth: int):

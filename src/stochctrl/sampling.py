@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .criteria import gramian, gramian_invertible
-from .errors import StochctrlError
+from .errors import RankDeficient, StochctrlError
 from .model import NoiseModel, SystemSpec
 from .pathspace import AdaptedProcess, PathTree, _add_product
 from .transform import BsdeForm, TransformedSystem, compute_M
@@ -56,7 +56,7 @@ def random_system(
     noise-input matrix is rejection-sampled for conditioning.
     """
     if m < n:
-        raise ValueError(f"need m >= n for a full-rank Bbar, got n = {n}, m = {m}")
+        raise RankDeficient(f"need m >= n for a full-rank Bbar, got n = {n}, m = {m}")
     if noise is None:
         noise = NoiseModel.rademacher()
     for _ in range(max_tries):
@@ -88,7 +88,7 @@ def random_system(
         except StochctrlError:
             continue
         return spec
-    raise RuntimeError(f"no acceptable system in {max_tries} draws")
+    raise StochctrlError(f"no acceptable system in {max_tries} draws")
 
 
 def random_transformed(rng: np.random.Generator, n: int, m: int, **kwargs) -> TransformedSystem:
@@ -120,7 +120,7 @@ def random_controllable(
         if np.linalg.cond(G) > cond_cap:
             continue
         return ts
-    raise RuntimeError(f"no controllable system in {max_tries} draws")
+    raise StochctrlError(f"no controllable system in {max_tries} draws")
 
 
 def random_x0(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

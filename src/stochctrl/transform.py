@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadUserM, RankDeficient, SingularPencil
+from .errors import BadUserM, RankDeficient, SchemaError, SingularPencil
 from .model import SystemSpec, ValidatedSystem, _integer, validate
 
 USER_M_TOL = 1e-10
@@ -85,14 +85,6 @@ class InputTransform:
     F: np.ndarray
     source: str  # "user" or "constructed"
 
-    @property
-    def n(self) -> int:
-        return self.L.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.M.shape[0]
-
     @classmethod
     def from_system(cls, spec: SystemSpec) -> "InputTransform":
         M = compute_M(spec.Bbar, spec.M)
@@ -107,7 +99,7 @@ class BsdeForm:
 
     The delayed input D1 u1(k - tau) and the delayed state C1 x(k - d) each
     come with their lag; a channel without its lag, a lag without its
-    channel and a lag below 1 are rejected.
+    channel and a lag below 1 raise :class:`SchemaError`.
     """
 
     C: np.ndarray
@@ -121,7 +113,7 @@ class BsdeForm:
     def __post_init__(self):
         for channel, name, lag, lag_name in ((self.D1, "D1", self.tau, "tau"), (self.C1, "C1", self.d, "d")):
             if (channel is None) != (lag is None):
-                raise ValueError(f"{name} and {lag_name} must be given together")
+                raise SchemaError(f"{name} and {lag_name} must be given together")
             if lag is not None:
                 _integer(lag_name, lag, 1)
 

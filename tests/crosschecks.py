@@ -5,7 +5,10 @@
 closure is checked. ``q_expanded`` evaluates the absorbed input q as an
 expanded tail sum on the tree, against the feedback law's q, which
 ``split_u`` reads off u = M [q; v]; ``cond_expect_array`` and
-``cond_expect`` average out trailing stages of node values.
+``cond_expect`` average out trailing stages of node values. ``lift``,
+``at_depth`` and ``node_value`` copy node values onto finer depths or read
+one history's value, which the package never does: the literal
+references below use them on purpose.
 ``tree_rank_controllable`` decides exact controllability from the plant
 itself, by the rank of the map from adapted inputs to terminal leaves.
 ``dense_state_delay_gains`` is the state-delay elimination that keeps
@@ -75,8 +78,32 @@ def split_u(tr: InputTransform, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     single = np.asarray(u).ndim == 1
     u = np.atleast_2d(np.asarray(u, dtype=float))
     qv = u @ np.linalg.inv(tr.M).T
-    q, v = qv[:, : tr.n], qv[:, tr.n :]
+    n = tr.L.shape[1]
+    q, v = qv[:, :n], qv[:, n:]
     return (q[0], v[0]) if single else (q, v)
+
+
+def lift(tree: PathTree, values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
+    """Replicate depth-``from_depth`` node values onto every descendant at ``to_depth``."""
+    if to_depth < from_depth:
+        raise StageMismatch(f"cannot lift from depth {from_depth} to coarser depth {to_depth}")
+    return np.repeat(values, tree.s ** (to_depth - from_depth), axis=0)
+
+
+def at_depth(p: AdaptedProcess, stage: int, depth: int) -> np.ndarray:
+    """Stage ``stage`` of ``p`` lifted from its own depth to ``depth``."""
+    return lift(p.tree, p.at(stage), p.depth(stage), depth)
+
+
+def node_value(p: AdaptedProcess, stage: int, history) -> np.ndarray:
+    """Stage ``stage`` of ``p`` at a history (support indices) of any length >= the stage's depth."""
+    depth = p.depth(stage)
+    if len(history) < depth:
+        raise StageMismatch(f"stage {stage} needs a history of length >= {depth}, got {len(history)}")
+    idx = 0
+    for i in history[:depth]:
+        idx = idx * p.tree.s + int(i)
+    return p.at(stage)[idx]
 
 
 def cond_expect_array(tree: PathTree, values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
@@ -142,7 +169,7 @@ def q_expanded(ts: TransformedSystem, tree: PathTree, v: AdaptedProcess) -> Adap
     # psi(j) = D v(j) + C(j) psi(j+1), evaluated at full depth N
     psi = {N + 1: np.zeros((full, n))}
     for j in range(N, 0, -1):
-        vj = tree.lift(v.at_depth(j, j), j, N) @ form.D.T
+        vj = at_depth(v, j, N) @ form.D.T
         if j <= N - 1:
             rotated = np.einsum("hab,hb->ha", cmats[stage_digit(j)], psi[j + 1])
         else:
@@ -221,7 +248,7 @@ def broadcast_plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk,
     if u1k is not None:
         drift = drift + u1k @ spec.B1.T
     if spec.A1 is not None and k - spec.d >= 0:
-        xkd = tree.lift(xs[k - spec.d], k - spec.d, k)
+        xkd = lift(tree, xs[k - spec.d], k - spec.d, k)
         drift = drift + xkd @ spec.A1.T
     diffusion = xk @ spec.Abar.T + uk @ spec.Bbar.T
     step = drift[:, None, :] + tree.support[None, :, None] * diffusion[:, None, :]
@@ -235,7 +262,7 @@ def lifting_plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk, u
     if u1k is not None:
         out += u1k @ np.tile(spec.B1.T, tree.s)
     if spec.A1 is not None and k - spec.d >= 0:
-        out += tree.lift(xs[k - spec.d], k - spec.d, k) @ np.tile(spec.A1.T, tree.s)
+        out += lift(tree, xs[k - spec.d], k - spec.d, k) @ np.tile(spec.A1.T, tree.s)
     return out.reshape(-1, spec.n)
 
 
@@ -245,7 +272,7 @@ def lifted_regressor(tree: PathTree, spec: SystemSpec, N: int, k: int, xs: dict,
     lags = [(xs, k - j) for j in xlags] + [(u1s, k - i) for i in ulags]
     if not lags:
         return xs[k]
-    return np.hstack([xs[k], *(tree.lift(vals[j], max(0, j), k) for vals, j in lags)])
+    return np.hstack([xs[k], *(lift(tree, vals[j], max(0, j), k) for vals, j in lags)])
 
 
 def reference_feedback_loop(tree: PathTree, spec: SystemSpec, x0, law):
@@ -260,7 +287,7 @@ def reference_feedback_loop(tree: PathTree, spec: SystemSpec, x0, law):
         u_vals[k] = np.ascontiguousarray(v[:, :m]) if tau else v
         if tau and k <= N - tau:
             u1s[k] = np.ascontiguousarray(v[:, m:])
-        u1k = tree.lift(u1s[k - tau], max(0, k - tau), k) if tau else None
+        u1k = lift(tree, u1s[k - tau], max(0, k - tau), k) if tau else None
         xs[k + 1] = lifting_plant_step(tree, spec, xs, k, u_vals[k], u1k)
     u, x = (AdaptedProcess(tree, vals, {k: k for k in vals}) for vals in (u_vals, xs))
     return u, x, AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None

@@ -290,7 +290,7 @@ def test_c9_duality_identity():
             lhs = np.einsum("h,hb,hb->", pk, Y[k], sol.x.at(k)) - np.einsum(
                 "h,hb,hb->", pk1, Y[k + 1], sol.x.at(k + 1)
             )
-            rhs = np.einsum("h,hb,hb->", pk, Y[k], v.at_depth(k, k) @ form.D.T)
+            rhs = np.einsum("h,hb,hb->", pk, Y[k], v.at(k) @ form.D.T)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     ok = worst < 1e-9
     _report("C9", ok, f"pairing decrement equals input work within {worst:.2e} on 50 systems")

@@ -1,5 +1,6 @@
 """Command-line contract: verdicts, exit codes, formats, determinism."""
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -669,6 +670,29 @@ def test_bad_overrides_exit_6_before_any_work(capsys, monkeypatch, command, inst
             main([command, "--instance", inst, *COMMANDS[command], *override])
         assert info.value.code == 6, override
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "instance,edit,message",
+    [
+        (IN_DELAY, {"B1": None}, "B1 and tau must be given together"),
+        (ST_DELAY, {"A1": None}, "A1 and d must be given together"),
+        (IN_DELAY, {"tau": 0}, "tau must be an integer >= 1, got 0"),
+    ],
+    ids=["tau-without-B1", "d-without-A1", "tau-0"],
+)
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_unpaired_or_out_of_range_delay_fields_exit_6(capsys, tmp_path, command, instance, edit, message):
+    doc = json.loads(pathlib.Path(instance).read_text())
+    for key, value in edit.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    inst = tmp_path / "unpaired.json"
+    inst.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--instance", str(inst), *COMMANDS[command])
+    assert (code, out, err) == (6, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from stochctrl import (
     NoiseModel,
     PathTree,
     ProblemInstance,
+    SchemaError,
     SingularPBracket,
     SystemSpec,
     TransformedSystem,
@@ -32,7 +33,7 @@ from stochctrl import (
 )
 from stochctrl.cli import main
 from stochctrl.transform import BsdeForm
-from crosschecks import controller_levels
+from crosschecks import controller_levels, lift
 
 
 def test_input_delay_benchmark_gramian(bench_input_delay):
@@ -94,7 +95,7 @@ def test_input_delay_controller_benchmark(bench_input_delay):
     sim = forward_simulate(tree, spec, expected["x0"], u, u1=u1)
     assert np.abs(sim.at(3)).max() < 1e-8
     # pre-horizon decisions are part of the controller
-    assert min(u1.stages()) == -1
+    assert min(u1.values) == -1
 
 
 def test_input_delay_steer_to_target(rng):
@@ -252,7 +253,7 @@ def delayed_attainable_terminal(rng, tree, form, d, scale=1.0):
     for k in range(tree.horizon + 1):
         z = scale * rng.normal(size=(tree.n_nodes(k), n))
         lag = xs[k - d] if k - d >= 0 else np.zeros((1, n))
-        lag = tree.lift(lag, max(0, k - d), k)
+        lag = lift(tree, lag, max(0, k - d), k)
         a = (xs[k] - z @ form.Cbar.T - lag @ form.C1.T) @ Cinv.T
         xs[k + 1] = (a[:, None, :] + tree.support[None, :, None] * z[:, None, :]).reshape(-1, n)
     return xs[tree.horizon + 1]
@@ -327,7 +328,7 @@ def test_bsde_form_pairs_each_channel_with_its_lag():
         {"C1": np.eye(2), "d": 0},
         {"C1": np.eye(2), "d": -2},
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError):
             BsdeForm(C, Cbar, D, **bad)
     form = BsdeForm(C, Cbar, D, D1=np.ones((2, 1)), tau=2)
     assert (form.tau, form.d) == (2, None)

@@ -131,8 +131,8 @@ def test_law_text_reads_back_and_replays_bit_for_bit(law, n, route, lag):
             for k in range(N + 1):
                 assert np.array_equal(u.at(k), ctrl_u.at(k)), (N, target, k)
             if route == "tau":
-                assert u1.stages() == ctrl_u1.stages() == list(range(-lag, N - lag + 1))
-                for j in u1.stages():
+                assert sorted(u1.values) == sorted(ctrl_u1.values) == list(range(-lag, N - lag + 1))
+                for j in sorted(u1.values):
                     assert u1.depth(j) == ctrl_u1.depth(j) == max(0, j)
                     assert np.array_equal(u1.at(j), ctrl_u1.at(j)), (N, target, j)
             else:

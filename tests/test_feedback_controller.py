@@ -59,7 +59,7 @@ def reference_controller(kind, ts, x0, G, v, sol, terminal, u1=None):
     for k in range(tree.horizon + 1):
         xk = sol.x.at(k)
         qk = sol.z.at(k) - xk @ spec.Abar.T
-        vk = v.at_depth(k, k)
+        vk = v.at(k)
         q_vals[k] = qk
         u_vals[k] = np.hstack([qk, vk]) @ ts.transform.M.T
         depths[k] = k
@@ -116,7 +116,7 @@ def test_feedback_inputs_match_open_loop(law, n, N, target):
     np.testing.assert_array_equal(ctrl.gramian, ref.gramian)
     u = controller_levels(ctrl)[0]
     for k in range(N + 1):
-        want = ref.u.at_depth(k, k)
+        want = ref.u.at(k)
         got = u.at(k)
         assert u.depth(k) == k
         assert (np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))).all(), k

@@ -43,7 +43,9 @@ from stochctrl.pathspace import _state_delay_gains
 from stochctrl.synthesis import _law_inputs
 from stochctrl.sampling import random_controllable, random_x0
 from crosschecks import (
+    at_depth,
     controller_levels,
+    lift,
     lifted_regressor,
     lifting_plant_step,
     loop_levels,
@@ -92,7 +94,7 @@ def test_loop_matches_the_reference_loop(law, route, lag, target):
             assert np.all(np.abs(u.at(k) - want[:, :m]) <= bound[:, :m]), (N, k)
             if u1 is not None and k in u1s:
                 assert np.all(np.abs(u1.at(k) - want[:, m:]) <= bound[:, m:]), (N, k)
-            u1k = tree.lift(u1.at(k - lag), u1.depth(k - lag), k) if u1 is not None else None
+            u1k = at_depth(u1, k - lag, k) if u1 is not None else None
             step = lifting_plant_step(tree, spec, x.values, k, u.at(k), u1k)
             step_bound = 8 * EPS * forward_bound(tree, spec, x.values, k, u.at(k), u1k)
             assert np.all(np.abs(x.at(k + 1) - step) <= step_bound), (N, k)
@@ -120,7 +122,7 @@ def _own_solution(law, route, lag, target, seed):
             r = lifted_regressor(tree, spec, N, k, xs, u1s)
             K = Lk[:, :n].copy()
             K[:m] += Mq @ spec.Abar
-            r_pi = np.abs(xs[k]) + sum(tree.lift(np.abs(xs[k - j]), k - j, k) @ np.abs(Qj.T) for j, Qj in Q[k].items())
+            r_pi = np.abs(xs[k]) + sum(lift(tree, np.abs(xs[k - j]), k - j, k) @ np.abs(Qj.T) for j, Qj in Q[k].items())
             terms.append(np.abs(r) @ np.abs(Lk.T) + np.abs(ctrl.law.c[k]) + r_pi @ np.abs(K.T))
             terms[k][:, :m] += (np.abs(hom.z.at(k)) + np.abs(xs[k]) @ np.abs(spec.Abar.T)) @ np.abs(Mq.T)
         yield N, ts, tree, ctrl, hom, u1s, terms

@@ -37,7 +37,7 @@ from stochctrl import (
 from stochctrl.pathspace import _acting_lags, plant_step
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import _folded_step, _law_inputs, _stage_maps
-from crosschecks import breadth_first_folded_loop, controller_levels
+from crosschecks import breadth_first_folded_loop, controller_levels, lift
 from test_delay_law import draw, report, run, write_instance
 
 EPS = np.finfo(float).eps
@@ -63,7 +63,7 @@ def fold_bound(tree, spec, law, k, xs, u1s):
     col = n
     for lag, depth, direct in lags:
         cols = slice(col, col + lag.shape[1])
-        lifted = tree.lift(np.abs(lag), depth, k)
+        lifted = lift(tree, np.abs(lag), depth, k)
         step = step + (lifted @ Lk[:m, cols].T) @ Bw
         if direct is not None:
             step = step + lifted @ np.tile(np.abs(direct.T), tree.s)

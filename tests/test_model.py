@@ -106,7 +106,7 @@ def test_both_delays_rejected(bench_full):
 
 def test_delay_needs_both_fields(bench_full):
     spec, _ = bench_full
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         SystemSpec(A=spec.A, B=spec.B, Abar=spec.Abar, Bbar=spec.Bbar, tau=1)
 
 

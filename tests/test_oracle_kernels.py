@@ -16,9 +16,11 @@ L nodes may differ by (8 + L) eps times that bound, since recursive
 summation of L terms can round by L eps in either form. Node
 probabilities are products in the same order, so they are equal bit for bit.
 Source scans keep the package's kernels this way: no einsum; no
-``.lift(`` call but ``AdaptedProcess.at_depth``'s, and no ``.at_depth(``
-call, as only a reader of a table's processes lifts a stage; and no
+``lift`` or ``at_depth`` defined or called and no ``repeat`` call, so no
+coarse value is copied onto finer nodes; and no
 ``functools.cached_property``, so reading an attribute computes nothing.
+A last scan holds the package to ``errors.py``'s promise: every ``raise``
+names a :class:`StochctrlError` class or re-raises.
 """
 import ast
 import pathlib
@@ -26,7 +28,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from stochctrl import NoiseModel, PathTree, expected_terminal_product, parse_instance_file, validate
+from stochctrl import NoiseModel, PathTree, errors, expected_terminal_product, parse_instance_file, validate
 from stochctrl.cli import ROUTES
 from stochctrl.partial import reduced_form
 from stochctrl.pathspace import path_products, prefix_means, state_delay_P, weighted_gram
@@ -143,37 +145,55 @@ def test_no_einsum_in_the_package():
     assert [path.name for path in sources if "einsum" in path.read_text(encoding="utf-8")] == []
 
 
-def _callers(node, attr: str, scope: tuple = ()):
-    """The qualified name of each function under ``node`` whose body calls ``<something>.attr(...)``."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _callers(child, attr, scope + (child.name,))
-            continue
-        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == attr:
-            yield ".".join(scope)
-        yield from _callers(child, attr, scope)
+def _package_trees() -> dict:
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "stochctrl"
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    assert trees
+    return trees
+
+
+def _called_name(call: ast.Call) -> str:
+    """``f`` of ``f(...)`` or ``x.f(...)``; "" for any other callee."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else ""
 
 
 def test_no_kernel_lifts_coarse_values_per_node():
-    # A coarse value is multiplied at its own depth (pathspace._add_product); only
-    # AdaptedProcess.at_depth replicates values per node, and nothing in the package calls it.
-    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "stochctrl"
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
-    callers = {attr: {f"{stem}.{name}" for stem, tree in trees.items() for name in _callers(tree, attr)}
-               for attr in ("lift", "at_depth")}
-    assert callers["lift"] <= {"pathspace.AdaptedProcess.at_depth"}, sorted(callers["lift"])
-    assert callers["at_depth"] == set(), sorted(callers["at_depth"])
+    # A coarse value is multiplied at its own depth (pathspace._add_product): the package defines and calls
+    # no lift or at_depth and repeats no rows. The literal references that do lift live in tests/crosschecks.py.
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in ("lift", "at_depth"))
+        or (isinstance(node, ast.Call) and _called_name(node) in ("lift", "at_depth", "repeat"))
+    ]
+    assert found == []
+
+
+def test_every_raise_names_a_package_error():
+    # errors.py promises that every deliberate error derives from StochctrlError. A raise names a class of
+    # stochctrl.errors or re-raises; the CLI's argparse type check and its exit are argparse's and Python's own.
+    own = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, errors.StochctrlError)}
+    protocol = {("cli.py", "ArgumentTypeError"), ("cli.py", "SystemExit")}
+    found = []
+    for name, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:  # a bare raise re-raises
+                continue
+            exc = node.exc
+            raised = _called_name(exc) if isinstance(exc, ast.Call) else exc.id if isinstance(exc, ast.Name) else ""
+            if raised not in own and (name, raised) not in protocol:
+                found.append(f"{name}:{node.lineno} {ast.unparse(exc)[:60]}")
+    assert found == []
 
 
 def test_no_cached_property_in_the_package():
     # Reading an attribute computes nothing: no functools.cached_property, by any import.
-    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "stochctrl"
-    sources = sorted(package.glob("*.py"))
-    assert sources
     uses = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees().items()
+        for node in ast.walk(tree)
         if (isinstance(node, ast.Attribute) and node.attr == "cached_property")
         or (isinstance(node, ast.Name) and node.id == "cached_property")
         or (isinstance(node, ast.alias) and node.name == "cached_property")

@@ -5,6 +5,7 @@ import pytest
 from stochctrl import (
     NoIntertwiner,
     SingularBlock,
+    StructureUnsupported,
     SystemSpec,
     TransformedSystem,
     intertwine,
@@ -13,6 +14,7 @@ from stochctrl import (
     random_system,
     reduced_rank_setup,
 )
+from stochctrl.partial import reduced_form
 from crosschecks import word_matrix
 
 
@@ -120,3 +122,8 @@ def test_reduced_uncontrollable_when_free_block_vanishes():
     _, report = reduced_rank_setup(spec, N_max=3)
     assert not report.controllable
     assert report.witness_N is None
+
+
+def test_reduced_form_refuses_a_full_rank_system(rng):
+    with pytest.raises(StructureUnsupported, match="system is full rank; use the standard route"):
+        reduced_form(random_system(rng, 2, 3))

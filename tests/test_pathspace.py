@@ -24,7 +24,7 @@ from stochctrl import (
     terminal_from_map,
 )
 from stochctrl.model import check_level, path_labels
-from crosschecks import cond_expect
+from crosschecks import cond_expect, node_value
 from conftest import path_expectation, simulate_paths, uniform_noise
 
 
@@ -73,15 +73,6 @@ def test_index_label_refuses_a_node_outside_the_tree(depth, index):
         tree.index_label(depth, index)
 
 
-def test_lift_repeats_per_child(rng):
-    tree = PathTree(NoiseModel.rademacher(), 3)
-    vals = rng.normal(size=(2, 2))  # depth 1
-    lifted = tree.lift(vals, 1, 3)
-    assert lifted.shape == (8, 2)
-    for idx, h in enumerate(itertools.product(range(tree.s), repeat=3)):
-        np.testing.assert_array_equal(lifted[idx], vals[h[0]])
-
-
 def test_cond_expect_tower(rng):
     tree = PathTree(NoiseModel.symmetric_three_point(1.5), 3)
     proc = AdaptedProcess(tree, {3: rng.normal(size=(27, 2))}, {3: 3})
@@ -92,7 +83,7 @@ def test_cond_expect_tower(rng):
     np.testing.assert_allclose(coarse_direct, coarse_two_step, atol=1e-12)
     # and the unconditional mean matches plain path enumeration
     by_paths = path_expectation(
-        tree.noise, {h: proc.value(3, h) for h in itertools.product(range(tree.s), repeat=3)}
+        tree.noise, {h: node_value(proc, 3, h) for h in itertools.product(range(tree.s), repeat=3)}
     )
     np.testing.assert_allclose(coarse_direct[0], by_paths, atol=1e-12)
 
@@ -129,7 +120,7 @@ def test_backward_solve_z_is_weighted_mean(rng):
         np.testing.assert_allclose(sol.z.at(k), z_manual, atol=1e-12)
         # and x(k) satisfies the one-step equation it was built from
         xbar = np.einsum("j,hjb->hb", tree.probs, xk1)
-        rhs = xbar @ ts.form.C.T + sol.z.at(k) @ ts.form.Cbar.T + v.at_depth(k, k) @ ts.form.D.T
+        rhs = xbar @ ts.form.C.T + sol.z.at(k) @ ts.form.Cbar.T + v.at(k) @ ts.form.D.T
         np.testing.assert_allclose(sol.x.at(k), rhs, atol=1e-12)
 
 
@@ -171,7 +162,7 @@ def test_forward_simulate_matches_plain_loops(rng, bench_full):
     tree = PathTree(spec.noise, 2)
     u = random_free_input(rng, tree, 3)
     sim = forward_simulate(tree, spec, expected["x0"], u)
-    ref = simulate_paths(spec, expected["x0"], lambda k, pre: u.value(k, pre), 2)
+    ref = simulate_paths(spec, expected["x0"], lambda k, pre: node_value(u, k, pre), 2)
     for idx, h in enumerate(itertools.product(range(tree.s), repeat=3)):
         np.testing.assert_allclose(sim.at(3)[idx], ref[h], atol=1e-10)
 
@@ -185,15 +176,15 @@ def test_forward_simulate_with_delays_matches_plain_loops(rng, bench_input_delay
     u1 = AdaptedProcess(tree, u1_vals, {k: max(0, k) for k in u1_vals})
     sim = forward_simulate(tree, spec_in, exp_in["x0"], u, u1=u1)
     ref = simulate_paths(
-        spec_in, exp_in["x0"], lambda k, pre: u.value(k, pre), 2,
-        u1_fn=lambda k, pre: u1.value(k, pre),
+        spec_in, exp_in["x0"], lambda k, pre: node_value(u, k, pre), 2,
+        u1_fn=lambda k, pre: node_value(u1, k, pre),
     )
     for idx, h in enumerate(itertools.product(range(tree.s), repeat=3)):
         np.testing.assert_allclose(sim.at(3)[idx], ref[h], atol=1e-10)
 
     spec_st, exp_st = bench_state_delay
     sim_st = forward_simulate(tree, spec_st, exp_st["x0"], u)
-    ref_st = simulate_paths(spec_st, exp_st["x0"], lambda k, pre: u.value(k, pre), 2)
+    ref_st = simulate_paths(spec_st, exp_st["x0"], lambda k, pre: node_value(u, k, pre), 2)
     for idx, h in enumerate(itertools.product(range(tree.s), repeat=3)):
         np.testing.assert_allclose(sim_st.at(3)[idx], ref_st[h], atol=1e-10)
 
@@ -220,5 +211,5 @@ def test_duality_pairing(rng):
             lhs = np.einsum("h,hb,hb->", pk, Y[k], sol.x.at(k)) - np.einsum(
                 "h,hb,hb->", pk1, Y[k + 1], sol.x.at(k + 1)
             )
-            rhs = np.einsum("h,hb,hb->", pk, Y[k], v.at_depth(k, k) @ form.D.T)
+            rhs = np.einsum("h,hb,hb->", pk, Y[k], v.at(k) @ form.D.T)
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))

@@ -98,7 +98,7 @@ def test_q_expanded_cross_check(rng):
     tree = PathTree(ts.spec.noise, 2)
     ctrl = null_controller(ts, tree, random_x0(rng, 2))
     u = controller_levels(ctrl)[0]
-    q, v = zip(*(split_u(ts.transform, u.at_depth(k, k)) for k in range(3)))
+    q, v = zip(*(split_u(ts.transform, u.at(k)) for k in range(3)))
     alt = q_expanded(ts, tree, AdaptedProcess(tree, dict(enumerate(v)), {k: k for k in range(3)}))
     for k in range(3):
         np.testing.assert_allclose(q[k], alt.at(k), atol=1e-10)
@@ -116,7 +116,8 @@ def test_csv_roundtrip_exact(rng, tmp_path):
     assert u1 is None
     ctrl_u = controller_levels(ctrl)[0]
     for k in range(3):
-        np.testing.assert_array_equal(u.at(k), ctrl_u.at_depth(k, u.depth(k)))
+        assert u.depth(k) == ctrl_u.depth(k)
+        np.testing.assert_array_equal(u.at(k), ctrl_u.at(k))
     # %.17g reproduces doubles exactly, so a rewrite is byte-identical
     text = path.read_text()
     assert text == table_text(ctrl)
@@ -130,7 +131,7 @@ def test_csv_roundtrip_with_delay_channel(rng):
     ctrl = input_delay_controller(ts, tree, np.array([1.0, -1.0]))
     u, u1 = read_controller_table(io.StringIO(table_text(ctrl)), tree, ts.spec)
     assert u1 is not None
-    assert sorted(u1.stages()) == sorted(controller_levels(ctrl)[2].stages())
+    assert sorted(u1.values) == sorted(controller_levels(ctrl)[2].values)
     sim = forward_simulate(tree, ts.spec, np.array([1.0, -1.0]), u, u1=u1)
     assert np.abs(sim.at(3)).max() < 1e-8
 

@@ -23,7 +23,7 @@ from stochctrl.model import LABEL_TABLE_MAX, path_labels
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import FLOAT_FMT, steer_to_target
 from conftest import table_text
-from crosschecks import controller_levels
+from crosschecks import at_depth, controller_levels
 
 
 def reference_index_label(self, depth: int, index: int) -> str:
@@ -54,7 +54,7 @@ def reference_write_controller_csv(dest, ctrl) -> None:
         m1 = ctrl.u1.dim if ctrl.u1 is not None else 0
         header = ["stage", "history"] + [f"u_{i}" for i in range(m)] + [f"u1_{i}" for i in range(m1)]
         writer.writerow(header)
-        stages = sorted(set(ctrl.u.stages()) | (set(ctrl.u1.stages()) if ctrl.u1 else set()))
+        stages = sorted(set(ctrl.u.values) | (set(ctrl.u1.values) if ctrl.u1 else set()))
         for stage in stages:
             has_u = stage in ctrl.u.values
             has_u1 = ctrl.u1 is not None and stage in ctrl.u1.values
@@ -62,8 +62,8 @@ def reference_write_controller_csv(dest, ctrl) -> None:
                 ctrl.u.depth(stage) if has_u else 0,
                 ctrl.u1.depth(stage) if has_u1 else 0,
             )
-            u_rows = ctrl.u.at_depth(stage, depth) if has_u else None
-            u1_rows = ctrl.u1.at_depth(stage, depth) if has_u1 else None
+            u_rows = at_depth(ctrl.u, stage, depth) if has_u else None
+            u1_rows = at_depth(ctrl.u1, stage, depth) if has_u1 else None
             for idx in range(ctrl.tree.n_nodes(depth)):
                 label = reference_index_label(ctrl.tree, depth, idx)
                 row = [str(stage), label]
@@ -113,7 +113,7 @@ def test_tables_match_the_row_by_row_writer(law, N, route):
     text = table_text(ctrl)
     assert text == buf.getvalue()
     if route == "input delay":  # pre-horizon u1 rows at depth 0 with empty u cells
-        assert min(levels.u1.stages()) == -ts.spec.tau
+        assert min(levels.u1.values) == -ts.spec.tau
         assert f"\n-1,,{',' * (levels.u.dim - 1)}," in text
 
     u, u1 = read_controller_table(io.StringIO(text), tree, ts.spec)
@@ -121,9 +121,10 @@ def test_tables_match_the_row_by_row_writer(law, N, route):
         if want is None:
             assert got is None
             continue
-        assert got.stages() == want.stages()
-        for k in want.stages():
-            np.testing.assert_array_equal(got.at(k), want.at_depth(k, got.depth(k)))
+        assert sorted(got.values) == sorted(want.values)
+        for k in want.values:
+            assert got.depth(k) == want.depth(k)
+            np.testing.assert_array_equal(got.at(k), want.at(k))
 
 
 @pytest.mark.parametrize("law,N,route", [("three-point", 8, "input delay"), ("two-point", 13, "null")])

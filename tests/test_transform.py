@@ -8,10 +8,12 @@ from stochctrl import (
     BadUserM,
     RankDeficient,
     SingularPencil,
+    StochctrlError,
     SystemSpec,
     TransformedSystem,
     compute_M,
     decide,
+    random_controllable,
     random_system,
 )
 from crosschecks import reconstruct_u, split_u
@@ -51,9 +53,18 @@ def test_rank_deficient_Bbar_rejected():
         compute_M(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]))
 
 
-def test_wide_requirement():
+def test_wide_requirement(rng):
     with pytest.raises(RankDeficient):
         compute_M(np.ones((3, 2)))
+    with pytest.raises(RankDeficient, match="need m >= n"):
+        random_system(rng, 3, 2)
+
+
+def test_exhausted_draws_raise_a_package_error(rng):
+    with pytest.raises(StochctrlError, match="no acceptable system in 0 draws"):
+        random_system(rng, 2, 3, max_tries=0)
+    with pytest.raises(StochctrlError, match="no controllable system in 0 draws"):
+        random_controllable(rng, 2, 3, 2, max_tries=0)
 
 
 def test_singular_pencil_detected():

@@ -12,7 +12,7 @@ import pytest
 from stochctrl import NoiseModel, PathTree, backward_solve, representation_residual
 from stochctrl.pathspace import _stage_map, _stage_step, plant_step
 from stochctrl.sampling import random_free_input, random_system, random_transformed
-from crosschecks import broadcast_plant_step, einsum_representation_residual, einsum_stage_mean, einsum_z
+from crosschecks import broadcast_plant_step, einsum_representation_residual, einsum_stage_mean, einsum_z, lift
 
 EPS = np.finfo(float).eps
 LAWS = {"two-point": NoiseModel.rademacher(), "three-point": NoiseModel.symmetric_three_point()}
@@ -31,7 +31,7 @@ def forward_bound(tree, spec, xs, k, uk, u1k):
     if u1k is not None:
         drift += np.abs(u1k) @ np.abs(spec.B1.T)
     if spec.A1 is not None and k - spec.d >= 0:
-        drift += np.abs(tree.lift(xs[k - spec.d], k - spec.d, k)) @ np.abs(spec.A1.T)
+        drift += np.abs(lift(tree, xs[k - spec.d], k - spec.d, k)) @ np.abs(spec.A1.T)
     diffusion = ax @ np.abs(spec.Abar.T) + au @ np.abs(spec.Bbar.T)
     return (drift[:, None, :] + np.abs(tree.support)[None, :, None] * diffusion[:, None, :]).reshape(-1, spec.n)
 
