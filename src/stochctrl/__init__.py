@@ -60,7 +60,7 @@ from .model import (
     serialize_instance,
     validate,
 )
-from .partial import ReducedForm, intertwine, output_form, partial_decide, reduced_rank_setup
+from .partial import intertwine, output_form, partial_decide, reduced_rank_setup
 from .sampling import (
     random_attainable_terminal,
     random_controllable,

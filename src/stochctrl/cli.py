@@ -12,12 +12,14 @@ that tells the kinds apart.
 Exit codes: 0 controllable / verified / matching; 1 negative outcome,
 including a synthesized controller whose own closed loop ends farther
 than ``--tol`` from the target (the report and controller are still
-written); 2 the criterion does not apply to the instance; 3 singular
-Gramian; 4 target not attainable; 5 malformed controller law or table,
-including a law whose target digest does not match the instance's
-target, a digest law for an instance without a leaf-row target, and a
-law in an earlier version's form (offsets c listed per node, which a
-path target's law now replaces by its target's digest);
+written); 2 the criterion does not apply to the instance (no intertwined
+factor, a singular pencil, reduced block or delay bracket, or an
+unsupported structure); 3 singular Gramian; 4 target not attainable;
+5 malformed controller law or table, including a law whose target
+digest does not match the instance's target, a digest law for an
+instance without a leaf-row target, and a law in an earlier version's
+form (offsets c listed per node, which a path target's law now replaces
+by its target's digest);
 6 anything else, command-line usage errors included (a horizon below 0,
 a tolerance that is negative or not finite, a cap below 1), a Gramian
 that overflows to a non-finite value, and a horizon whose path tree
@@ -47,6 +49,7 @@ from .errors import (
     AdaptednessViolation,
     NoIntertwiner,
     SchemaError,
+    SingularBlock,
     SingularGramian,
     SingularPBracket,
     SingularPencil,
@@ -125,8 +128,8 @@ ROUTES = {
     ),
     "reduced": Route(
         ("leading-block exactly controllable", "not leading-block exactly controllable"),
-        lambda vs, N: reduced_rank_setup(vs, N_max=N)[1],
-        lambda vs: reduced_form(vs).form,
+        lambda vs, N: reduced_rank_setup(vs, N_max=N),
+        reduced_form,
         lambda form, N, noise, cap: gramian_oracle(form, N, noise, cap=cap),
         None,
     ),
@@ -414,6 +417,7 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except (
         NoIntertwiner,
+        SingularBlock,
         SingularPencil,
         SingularPBracket,
         StructureUnsupported,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriteriaDisagreement, NonFiniteGramian
-from .model import NoiseModel, SystemSpec, ValidatedSystem
+from .model import NoiseModel, SystemSpec, ValidatedSystem, _singular_values
 from .pathspace import DEFAULT_CAP, PathTree, path_products, prefix_means, state_delay_P, weighted_gram
 from .transform import BsdeForm, TransformedSystem
 
@@ -129,13 +129,6 @@ def gramian_invertible(G: np.ndarray) -> tuple[bool, float]:
     svals, cut = _singular_values(G)
     smin = float(svals[-1])
     return smin > cut, smin
-
-
-def _singular_values(G: np.ndarray) -> tuple[np.ndarray, float]:
-    """G's singular values, largest first, and the threshold dim * eps * sigma_max that
-    :func:`gramian_invertible` holds the smallest against and ``matrix_rank`` counts above."""
-    svals = np.linalg.svd(G, compute_uv=False)
-    return svals, G.shape[0] * np.finfo(float).eps * float(svals[0])
 
 
 @dataclass(eq=False)

@@ -146,12 +146,18 @@ def _integer(name: str, value, minimum: int) -> int:
     return value
 
 
+def _singular_values(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """``a``'s singular values, largest first, and the numerical-rank threshold
+    max(shape) * eps * sigma_max: the rank counts the values above it."""
+    svals = np.linalg.svd(a, compute_uv=False)
+    return svals, max(a.shape) * np.finfo(float).eps * float(svals[0])
+
+
 def _numerical_rank(a: np.ndarray) -> int:
     if a.size == 0:
         return 0
-    svals = np.linalg.svd(a, compute_uv=False)
-    tol = max(a.shape) * np.finfo(float).eps * svals[0]
-    return int(np.count_nonzero(svals > tol))
+    svals, cut = _singular_values(a)
+    return int(np.count_nonzero(svals > cut))
 
 
 @dataclass(frozen=True)
@@ -285,14 +291,17 @@ class SystemSpec:
 class ValidatedSystem:
     """A :class:`SystemSpec` that passed :func:`validate`.
 
-    ``full_rank`` selects the standard input-transform route; otherwise
-    ``reduced_r`` holds the block size of the supported rank-deficient form.
+    A full-rank ``Bbar`` selects the standard input-transform route;
+    otherwise ``rank_Bbar`` is the block size r of the supported
+    rank-deficient form.
     """
 
     spec: SystemSpec
     rank_Bbar: int
-    full_rank: bool
-    reduced_r: int | None = None
+
+    @property
+    def full_rank(self) -> bool:
+        return self.rank_Bbar == self.spec.n
 
 
 def validate(spec: SystemSpec) -> ValidatedSystem:
@@ -312,16 +321,15 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
         raise StructureUnsupported("partial controllability with delays is not supported")
     if spec.H is not None and _numerical_rank(spec.H) < spec.H.shape[0]:
         raise RankDeficient(f"H must have full row rank {spec.H.shape[0]}")
-    rank = _numerical_rank(spec.Bbar)
-    if rank == n:
-        return ValidatedSystem(spec, rank, True, None)
+    r = _numerical_rank(spec.Bbar)
+    if r == n:
+        return ValidatedSystem(spec, r)
 
-    r = rank
     pattern = np.zeros((n, m))
     pattern[:r, :r] = np.eye(r)
     if not np.allclose(spec.Bbar, pattern, atol=STRUCTURE_TOL):
         raise UnsupportedReducedStructure(
-            f"rank(Bbar) = {rank} < n = {n} and Bbar is not [[I_r, 0], [0, 0]]"
+            f"rank(Bbar) = {r} < n = {n} and Bbar is not [[I_r, 0], [0, 0]]"
         )
     if n - r != r:
         raise UnsupportedReducedStructure(
@@ -333,7 +341,7 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
         raise UnsupportedReducedStructure("reduced form needs Abar[r:, r:] = 0")
     if spec.H is not None or spec.B1 is not None or spec.A1 is not None or spec.M is not None:
         raise StructureUnsupported("reduced-rank route supports none of M, H, delays")
-    return ValidatedSystem(spec, rank, False, r)
+    return ValidatedSystem(spec, r)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadUserM, RankDeficient, SchemaError, SingularPencil
-from .model import SystemSpec, ValidatedSystem, _integer, validate
+from .model import SystemSpec, ValidatedSystem, _integer, _singular_values, validate
 
 USER_M_TOL = 1e-10
 PENCIL_RCOND = 1e-12
@@ -45,8 +45,8 @@ def compute_M(bbar: np.ndarray, user_m: np.ndarray | None = None) -> np.ndarray:
         user_m = np.asarray(user_m, dtype=float)
         if user_m.shape != (m, m):
             raise BadUserM(f"M must be {m} x {m}, got {user_m.shape}")
-        svals = np.linalg.svd(user_m, compute_uv=False)
-        if svals[-1] <= m * np.finfo(float).eps * svals[0]:
+        svals, cut = _singular_values(user_m)
+        if svals[-1] <= cut:
             raise BadUserM("M is numerically singular")
         want = np.hstack([np.eye(n), np.zeros((n, m - n))])
         gap = float(np.abs(bbar @ user_m - want).max())

@@ -1,4 +1,5 @@
 """Command-line contract: verdicts, exit codes, formats, determinism."""
+import inspect
 import json
 import pathlib
 
@@ -425,6 +426,72 @@ def test_singular_pencil_inapplicable(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "--instance", str(inst))
     assert code == 2
     assert "inapplicable" in err
+
+
+def test_singular_reduced_block_inapplicable(capsys, tmp_path):
+    # A - B Abar has a zero second row, so the reduced route's script-A block matrix is singular
+    doc = {
+        "n": 2, "m": 2, "N": 2,
+        "A": [[0.5, 0.3], [0.0, 0.0]],
+        "B": [[1.0, 0.0], [0.0, 1.0]],
+        "Abar": [[0.5, 0.3], [1.0, 0.0]],
+        "Bbar": [[1.0, 0.0], [0.0, 0.0]],
+    }
+    inst = tmp_path / "block.json"
+    inst.write_text(json.dumps(doc))
+    for command in ("analyze", "oracle-check"):
+        code, out, err = run(capsys, command, "--instance", str(inst))
+        assert (code, out) == (2, "")
+        assert err == "inapplicable: script-A block matrix has min singular value 0.000e+00; not invertible\n"
+
+
+# every package error class -> (exit code, stderr prefix) of main
+EXIT_BY_ERROR = {
+    "StochctrlError": (6, "error"),
+    "DimensionMismatch": (6, "error"),
+    "NoiseMomentViolation": (6, "error"),
+    "SchemaError": (6, "error"),
+    "UnsupportedReducedStructure": (2, "inapplicable"),
+    "StructureUnsupported": (2, "inapplicable"),
+    "RankDeficient": (6, "error"),
+    "BadUserM": (6, "error"),
+    "SingularPencil": (2, "inapplicable"),
+    "EnumerationTooLarge": (6, "error"),
+    "StageMismatch": (6, "error"),
+    "AdaptednessViolation": (6, "error"),
+    "CriteriaDisagreement": (6, "error"),
+    "SingularGramian": (3, "singular gramian"),
+    "NonFiniteGramian": (6, "error"),
+    "TargetNotInS": (4, "target not attainable"),
+    "NoIntertwiner": (2, "inapplicable"),
+    "SingularBlock": (2, "inapplicable"),
+    "SingularPBracket": (2, "inapplicable"),
+}
+ERROR_ARGS = {
+    "EnumerationTooLarge": (2, 20, 1024),
+    "SingularGramian": ("G_N", 3, 0.0),
+    "NonFiniteGramian": (7,),
+    "SingularPBracket": (4,),
+}
+
+
+def test_every_error_class_has_its_exit_code(capsys, monkeypatch):
+    import stochctrl.cli as cli
+    import stochctrl.errors as errors
+
+    classes = {name: cls for name, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.StochctrlError)}
+    assert set(classes) == set(EXIT_BY_ERROR)
+    for name, cls in classes.items():
+        exc = cls(*ERROR_ARGS.get(name, ("boom",)))
+
+        def raise_it(args, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "analyze", raise_it)
+        code, out, err = run(capsys, "analyze", "--instance", FULL)
+        want_code, prefix = EXIT_BY_ERROR[name]
+        assert (code, out, err) == (want_code, "", f"{prefix}: {exc}\n"), name
 
 
 REDUCED_DOC = {

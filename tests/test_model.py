@@ -1,4 +1,5 @@
 """Noise law checks, structural validation, and the instance file format."""
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -59,7 +60,8 @@ def test_bad_noise_rejected(support, probs):
 def test_validate_full_and_reduced_rank(bench_full):
     spec, _ = bench_full
     vs = validate(spec)
-    assert vs.full_rank and vs.rank_Bbar == 2 and vs.reduced_r is None
+    assert vs.full_rank and vs.rank_Bbar == 2
+    assert [f.name for f in dataclasses.fields(vs)] == ["spec", "rank_Bbar"]
 
 
 def test_reduced_structure_accepted():
@@ -70,7 +72,7 @@ def test_reduced_structure_accepted():
         Bbar=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
     )
     vs = validate(spec)
-    assert not vs.full_rank and vs.reduced_r == 1
+    assert not vs.full_rank and vs.rank_Bbar == 1
 
 
 def test_reduced_structure_wrong_abar_rejected():
@@ -199,6 +201,7 @@ def test_bundled_instances_parse():
         "fullrank_2x3.json",
         "input_delay_tau1.json",
         "output_1of2.json",
+        "reduced_2x3.json",
         "state_delay_d1.json",
         "uncontrollable_2x3.json",
     ]

@@ -61,7 +61,7 @@ def route_form(rng, noise, route):
     if route == "output":
         return ROUTES["partial"].form(validate(parse_instance_file(INSTANCE_DIR / "output_1of2.json").system))
     if route == "reduced":
-        return reduced_form(reduced_spec(A=[[2.0, 0.5], [1.0, 1.0]], B=[[2.0, 1.0, 0.0], [1.0, 0.0, 1.0]])).form
+        return reduced_form(reduced_spec(A=[[2.0, 0.5], [1.0, 1.0]], B=[[2.0, 1.0, 0.0], [1.0, 0.0, 1.0]]))
     return random_transformed(rng, 3, 4, noise=noise, **LAGS[route]).form
 
 

@@ -26,8 +26,8 @@ def test_intertwine_recovers_compatible_factor(rng):
         Hplus = H.T @ np.linalg.inv(H @ H.T)
         kernel = np.eye(n) - Hplus @ H
         X = Hplus @ X1_true @ H + kernel @ rng.normal(size=(n, n))
-        X1, residual = intertwine(H, X)
-        assert residual < 1e-10
+        X1 = intertwine(H, X)
+        assert np.linalg.norm(H @ X - X1 @ H) < 1e-10
         np.testing.assert_allclose(X1 @ H, H @ X, atol=1e-9)
         np.testing.assert_allclose(X1, X1_true, atol=1e-9)
 
@@ -84,7 +84,8 @@ def test_reduced_blocks_against_hand_assembly():
     # A12 = B11 * Ab12 makes the coupling block vanish, so the projection
     # onto the leading coordinate commutes with the assembled inverse.
     spec = reduced_spec(A=[[2.0, 0.5], [1.0, 1.0]], B=[[2.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-    red, report = reduced_rank_setup(spec, N_max=3)
+    form = reduced_form(spec)
+    report = reduced_rank_setup(spec, N_max=3)
     script = np.array(
         [
             [spec.A[0, 0] - 2.0 * 0.5, spec.A[0, 1] - 2.0 * 0.25],
@@ -92,15 +93,13 @@ def test_reduced_blocks_against_hand_assembly():
         ]
     )
     Ablk = np.linalg.inv(script)
-    np.testing.assert_allclose(red.Ablk, Ablk, atol=1e-12)
-    np.testing.assert_allclose(red.Bblk, -Ablk @ spec.B[:, :1], atol=1e-12)
-    np.testing.assert_allclose(red.Dblk, -Ablk @ spec.B[:, 1:], atol=1e-12)
-    np.testing.assert_allclose(red.A1, Ablk[:1, :1], atol=1e-12)
-    np.testing.assert_allclose(red.B1, red.Bblk[:1], atol=1e-12)
-    np.testing.assert_allclose(red.D1, red.Dblk[:1], atol=1e-12)
+    assert form.n == 1 and form.D1 is None and form.C1 is None
+    np.testing.assert_allclose(form.C, Ablk[:1, :1], atol=1e-12)
+    np.testing.assert_allclose(form.Cbar, (-Ablk @ spec.B[:, :1])[:1], atol=1e-12)
+    np.testing.assert_allclose(form.D, (-Ablk @ spec.B[:, 1:])[:1], atol=1e-12)
     assert report.kind == "reduced"
     assert report.dim == 1
-    assert report.controllable  # D1 = [-1, 0] spans the line
+    assert report.controllable  # D = [-1, 0] spans the line
 
 
 def test_reduced_singular_block():
@@ -119,7 +118,7 @@ def test_reduced_needs_intertwiner():
 
 def test_reduced_uncontrollable_when_free_block_vanishes():
     spec = reduced_spec(A=[[2.0, 0.5], [1.0, 1.0]], B=[[2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    _, report = reduced_rank_setup(spec, N_max=3)
+    report = reduced_rank_setup(spec, N_max=3)
     assert not report.controllable
     assert report.witness_N is None
 
