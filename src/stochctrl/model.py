@@ -13,12 +13,14 @@ finite support. Optional features carried by :class:`SystemSpec`:
 * ``A1, d``: a delayed state term A1 x(k-d) in the drift.
 
 Instance files are UTF-8 JSON documents with row-major matrices and the
-target as one flat row-major list in node order; see ``parse_instance``
-for the accepted keys. Unknown keys are rejected so that typos cannot
+target's numbers row-major in node order, as a flat list or as one base64
+string of their float64 bytes; see ``parse_instance`` for the accepted
+keys. Unknown keys are rejected so that typos cannot
 silently change a run.
 """
 from __future__ import annotations
 
+import binascii
 import functools
 import json
 import math
@@ -107,6 +109,13 @@ def level_values(mapping: dict, s: int, depth: int, n: int, what: str) -> np.nda
     return _as_float_matrix(f"{what} values", [mapping[label] for label in labels], len(labels), n)
 
 
+def _finite(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr`` if every entry is finite, else :class:`SchemaError`."""
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{name} entries must be finite")
+    return arr
+
+
 def _finite_floats(name: str, entries: list) -> np.ndarray:
     """A flat list of finite JSON numbers as a float array, else :class:`SchemaError`."""
     if not set(map(type, entries)) <= _JSON_NUMBERS:
@@ -115,9 +124,7 @@ def _finite_floats(name: str, entries: list) -> np.ndarray:
         arr = np.array(entries, dtype=float)
     except OverflowError:  # an integer beyond the float range
         raise SchemaError(f"{name} entries must be finite") from None
-    if not np.isfinite(arr).all():
-        raise SchemaError(f"{name} entries must be finite")
-    return arr
+    return _finite(name, arr)
 
 
 def _float_array(name: str, value) -> np.ndarray:
@@ -382,15 +389,31 @@ def _is_leaf_count(count: int, s: int, depth: int) -> bool:
 
 
 def _target_list(value, n: int, s: int, N: int) -> np.ndarray:
-    """An instance file's target: a flat list of n finite numbers, or s^(N+1) rows of n row-major."""
+    """An instance file's target: n finite numbers, or s^(N+1) rows of n row-major, as a flat
+    list of JSON numbers or as one base64 string of their little-endian float64 bytes."""
     leaves = f"{s}^{N + 1}*{n}" + (f" = {s ** (N + 1) * n}" if N < 64 else "")
-    forms = f"n = {n} numbers (a constant target) or s^(N+1)*n = {leaves} (one row per leaf, in node order)"
-    if type(value) is not list:
+    forms = (
+        f"a flat list of n = {n} numbers (a constant target) or s^(N+1)*n = {leaves} (one row per leaf, "
+        "in node order), or a base64 string of their little-endian float64 bytes"
+    )
+    if type(value) is str:
+        try:
+            raw = binascii.a2b_base64(value, strict_mode=True)
+        except ValueError as exc:  # binascii.Error, or a character beyond ASCII
+            raise SchemaError(f"target string is not base64 ({exc}); it needs {forms}") from None
+        count, spare = divmod(len(raw), 8)
+        if spare:
+            raise SchemaError(f"target string decodes to {len(raw)} bytes, not whole float64 values; it needs {forms}")
+        what = f"target string holds {count} float64 values"
+    elif type(value) is list:
+        count = len(value)
+        what = f"target lists {count} numbers"
+    else:
         old = "; a {label: vector} map is not read: list its rows in label order" if type(value) is dict else ""
-        raise SchemaError(f"target must be a flat list of {forms}{old}")
-    if len(value) != n and not (len(value) % n == 0 and _is_leaf_count(len(value) // n, s, N + 1)):
-        raise SchemaError(f"target lists {len(value)} numbers; it needs {forms}")
-    flat = _finite_floats("target", value)
+        raise SchemaError(f"target must be {forms}{old}")
+    if count != n and not (count % n == 0 and _is_leaf_count(count // n, s, N + 1)):
+        raise SchemaError(f"{what}; it needs {forms}")
+    flat = _finite("target", np.frombuffer(raw, "<f8")) if type(value) is str else _finite_floats("target", value)
     return flat if len(flat) == n else flat.reshape(-1, n)
 
 
@@ -420,12 +443,16 @@ def parse_instance(text: str) -> ProblemInstance:
     :class:`ProblemInstance` and :class:`NoiseModel`, whose shape, pairing
     and range errors are raised here as :class:`SchemaError`.
 
-    ``target`` is one flat list: n numbers, a constant target valid at
-    any horizon, or s^(N+1) n numbers, one row of n per leaf, row-major
-    in node order (:func:`path_labels` order), whose SHA-256 digest a
-    path target's law holds. It is read by one type check, one float array and one
-    finiteness check; any other length, entry or form, a {label: vector}
-    map included, is a :class:`SchemaError` naming both forms.
+    ``target`` holds n numbers, a constant target valid at any horizon,
+    or s^(N+1) n numbers, one row of n per leaf, row-major in node order
+    (:func:`path_labels` order). Either count is written as a flat list
+    of JSON numbers, read by one type check, one float array and one
+    finiteness check, or as one JSON string: the strict base64 (RFC 4648,
+    padded, no whitespace) of the numbers as little-endian float64,
+    decoded by ``binascii`` and viewed as an array without a copy before
+    the same finiteness check. A path target's law holds the SHA-256
+    digest of those bytes. Any other count, entry or form, a {label:
+    vector} map included, is a :class:`SchemaError` naming every form.
     """
     try:
         doc = json.loads(text)
@@ -480,9 +507,11 @@ def serialize_instance(inst: ProblemInstance) -> str:
     """Canonical JSON rendering; parse(serialize(p)) reproduces p exactly.
 
     The head (matrices, noise, x0) is ``json.dumps(doc, indent=2)``. The
-    target, the last key, is one line: its flat row-major numbers as
-    json's C encoder writes a list, each float as ``float.__repr__``
-    does, so it costs one repr per number.
+    target, the last key, is one line. A constant (n-vector) target is a
+    list, as json's C encoder writes it, each float as ``float.__repr__``
+    does. Leaf rows are one string: the base64 of their little-endian
+    float64 bytes in C order, the bytes ``synthesis.target_digest``
+    hashes, so they cost no repr per number.
     """
     spec = inst.system
     doc: dict = {"n": spec.n, "m": spec.m, "N": inst.N}
@@ -496,5 +525,10 @@ def serialize_instance(inst: ProblemInstance) -> str:
     head = json.dumps(doc, indent=2)
     if inst.target is None:
         return head + "\n"
+    if inst.target.ndim == 1:
+        target = (json.dumps(inst.target.tolist()),)
+    else:
+        leaves = np.ascontiguousarray(inst.target, "<f8")
+        target = ('"', binascii.b2a_base64(leaves, newline=False).decode("ascii"), '"')  # bytes freed before the join
     # The target is the last key: reopen the object before its closing "\n}".
-    return "".join((head[:-2], ',\n  "target": ', json.dumps(inst.target.ravel().tolist()), "\n}\n"))
+    return "".join((head[:-2], ',\n  "target": ', *target, "\n}\n"))

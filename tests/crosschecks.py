@@ -38,12 +38,16 @@ controller's own law and start. ``einsum_children``,
 ``einsum_terminal_product`` and ``kron_node_probs`` are the enumeration
 oracle's kernels in the same einsum and Kronecker forms.
 ``reference_serialize_instance`` writes an instance with no encoder of
-its own: ``json.dumps(doc, indent=2)`` around a placeholder target,
-replaced by its numbers' ``float.__repr__`` joined by ", ", against which
-``model.serialize_instance``'s one-line target is checked byte for byte.
+its own: ``json.dumps(doc, indent=2)`` around a placeholder constant
+target, replaced by its numbers' ``float.__repr__`` joined by ", ", or
+around leaf rows packed by ``struct`` and encoded by ``base64``, against
+which ``model.serialize_instance``'s one-line target is checked byte for
+byte.
 """
+import base64
 import itertools
 import json
+import struct
 
 import numpy as np
 
@@ -419,7 +423,8 @@ def einsum_terminal_product(leaf_probs: np.ndarray, prods: np.ndarray, terminal:
 
 
 def reference_serialize_instance(inst: ProblemInstance) -> str:
-    """The head through json's indent encoder, the target one line of ``float.__repr__`` numbers."""
+    """The document through json's indent encoder: a constant target one line of ``float.__repr__``
+    numbers, leaf rows one string of ``struct``-packed doubles through ``base64``."""
     spec = inst.system
     doc: dict = {
         "n": spec.n,
@@ -445,6 +450,10 @@ def reference_serialize_instance(inst: ProblemInstance) -> str:
         doc["x0"] = inst.x0.tolist()
     if inst.target is None:
         return json.dumps(doc, indent=2) + "\n"
+    values = inst.target.ravel().tolist()
+    if inst.target.ndim == 2:  # leaf rows: one JSON string of their little-endian doubles
+        doc["target"] = base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+        return json.dumps(doc, indent=2) + "\n"
     doc["target"] = "TARGET"
-    numbers = "[" + ", ".join(map(float.__repr__, inst.target.ravel().tolist())) + "]"
+    numbers = "[" + ", ".join(map(float.__repr__, values)) + "]"
     return json.dumps(doc, indent=2).replace('"TARGET"', numbers) + "\n"

@@ -9,12 +9,14 @@ every op run through ``cli.main`` as the benchmark's worker runs it.
 import contextlib
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 import stochctrl.cli as cli
+from stochctrl import parse_instance_file
 
 _WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 _spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS_PATH)
@@ -34,3 +36,18 @@ def test_every_small_workload_op_exits_as_expected(tmp_path, name):
             codes.append(cli.main(op.argv()))
         assert codes[-1] == op.expect, (op, out.getvalue(), err.getvalue())
     assert len(codes) == len(ops)
+
+
+def test_steer_mix_writes_its_leaf_rows_as_base64(tmp_path):
+    # The path-target ops read a base64 string, not number text: a writer that falls back to a list
+    # would pass the ops above and only show as a slower benchmark.
+    ops = workloads.build("steer_mix", 1, str(tmp_path), small=True)
+    paths = sorted({op.instance for op in ops})
+    leaf_rows = [path for path in paths if type(json.loads(Path(path).read_text()).get("target")) is str]
+    assert len(leaf_rows) == 2
+    for path in leaf_rows:
+        inst = parse_instance_file(path)
+        leaves = len(inst.system.noise.support) ** (inst.N + 1)
+        assert inst.target.shape == (leaves, inst.system.n) and not inst.target.flags.writeable
+    for path in set(paths) - set(leaf_rows):
+        assert parse_instance_file(path).target is None

@@ -1,7 +1,9 @@
 """Noise law checks, structural validation, and the instance file format."""
+import base64
 import dataclasses
 import json
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from stochctrl import (
     serialize_instance,
     validate,
 )
+from stochctrl.cli import main
 from stochctrl.model import check_level, path_labels
 from conftest import uniform_noise
 from crosschecks import reference_serialize_instance
@@ -178,7 +181,8 @@ def test_serialize_is_the_indent_encoding(s, n, N):
 
 
 def test_serialize_peak_memory_is_a_small_multiple_of_the_document():
-    """The one-line target costs json's C encoder's temporaries, 4.1x the text; json's indent encoder held 7.9x."""
+    """Leaf rows cost their base64 bytes and string, 2.0x the text here; their number text through json's
+    C encoder held 4.1x, and json's indent encoder 7.9x."""
     rng = np.random.default_rng(5)
     noise = NoiseModel.symmetric_three_point()
     target = dict(zip(path_labels(3, 10), rng.normal(size=(3**10, 2))))
@@ -190,6 +194,23 @@ def test_serialize_peak_memory_is_a_small_multiple_of_the_document():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * len(text), (peak, len(text))
+
+
+@pytest.mark.parametrize("s", [2, 3, 10])
+def test_base64_leaf_rows_come_back_bit_for_bit(s):
+    """Leaf rows are written as one base64 string of their little-endian doubles; n values in that
+    form are a constant target."""
+    rng = np.random.default_rng(s)
+    spec = _random_spec(rng, 3, uniform_noise(s))
+    leaves = np.resize(EDGE_FLOATS + [-x for x in EDGE_FLOATS], (s**2, 3))
+    text = serialize_instance(ProblemInstance(spec, 1, target=leaves))
+    value = json.loads(text)["target"]
+    assert value == base64.b64encode(struct.pack(f"<{leaves.size}d", *leaves.ravel().tolist())).decode("ascii")
+    assert value == base64.b64encode(leaves.astype("<f8").tobytes()).decode()  # README's conversion
+    again = parse_instance(text)
+    assert _bits(again.target) == _bits(leaves) and not again.target.flags.writeable
+    constant = parse_instance(_target_doc(spec, 1, _b64(leaves[0].tolist())))
+    assert _bits(constant.target) == _bits(leaves[0]) and not constant.target.flags.writeable
 
 
 def test_bundled_instances_parse():
@@ -328,6 +349,14 @@ def test_check_level_is_exact(labels):
         check_level(labels, 2, 2, "level")
 
 
+def _forms(N, n=2, s=2) -> str:
+    """The accepted target forms, as every target schema error names them."""
+    return (
+        f"a flat list of n = {n} numbers (a constant target) or s^(N+1)*n = {s}^{N + 1}*{n} = {s ** (N + 1) * n} "
+        "(one row per leaf, in node order), or a base64 string of their little-endian float64 bytes"
+    )
+
+
 def _target_doc(spec, N, target) -> str:
     doc = json.loads(serialize_instance(ProblemInstance(system=spec, N=N)))
     doc["target"] = target
@@ -341,10 +370,7 @@ def test_target_list_of_another_length_names_both_forms(bench_full, N):
     for length in sorted({0, 1, 3, leaves, 2 * leaves - 2, 2 * leaves + 2, 4 * leaves} - {2, 2 * leaves}):
         with pytest.raises(SchemaError) as err:
             parse_instance(_target_doc(spec, N, [0.5] * length))
-        assert str(err.value) == (
-            f"target lists {length} numbers; it needs n = 2 numbers (a constant target) or "
-            f"s^(N+1)*n = 2^{N + 1}*2 = {2 * leaves} (one row per leaf, in node order)"
-        )
+        assert str(err.value) == f"target lists {length} numbers; it needs {_forms(N)}"
     constant = parse_instance(_target_doc(spec, N, [0.5, -1]))
     assert constant.target.shape == (2,) and constant.target.tolist() == [0.5, -1.0]
     rows = parse_instance(_target_doc(spec, N, list(range(2 * leaves))))
@@ -378,6 +404,72 @@ def test_target_entries_must_be_finite_json_numbers(bench_full, entry, message, 
     assert str(err.value) == f"target entries must be {message}"
 
 
+def _b64(values) -> str:
+    """The base64 text of ``values`` packed as little-endian doubles."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+LEAVES_N1 = _b64([float(i) for i in range(8)])  # n = 2, two-point noise, N = 1: four leaf rows, 88 characters
+STRING_FAULTS = {
+    # case: (target string, why it is refused)
+    "non-alphabet": (LEAVES_N1[:5] + "*" + LEAVES_N1[6:], "is not base64 (Only base64 data is allowed)"),
+    "url-safe-alphabet": (_b64([-0.001, 123.456]).replace("/", "_"), "is not base64 (Only base64 data is allowed)"),
+    "newline": (LEAVES_N1[:44] + "\n" + LEAVES_N1[44:], "is not base64 (Only base64 data is allowed)"),
+    "space": (LEAVES_N1[:44] + " " + LEAVES_N1[44:], "is not base64 (Only base64 data is allowed)"),
+    "trailing-newline": (LEAVES_N1 + "\n", "is not base64 (Excess data after padding)"),
+    "padding-missing": (LEAVES_N1[:-1], "is not base64 (Incorrect padding)"),
+    "padding-inside": (LEAVES_N1[:4] + "=" + LEAVES_N1[5:], "is not base64 (Discontinuous padding not allowed)"),
+    "data-after-padding": (LEAVES_N1 + "AAAA", "is not base64 (Excess data after padding)"),
+    "non-ascii": (LEAVES_N1[:5] + "\u00e9" + LEAVES_N1[6:], "is not base64 (string argument should contain only ASCII characters)"),
+    "12-bytes": (base64.b64encode(bytes(12)).decode("ascii"), "decodes to 12 bytes, not whole float64 values"),
+    "63-bytes": (base64.b64encode(bytes(63)).decode("ascii"), "decodes to 63 bytes, not whole float64 values"),
+    "empty": ("", "holds 0 float64 values"),
+    "one-value": (_b64([0.5]), "holds 1 float64 values"),
+    "three-values": (_b64([0.5] * 3), "holds 3 float64 values"),
+    "N0-leaves": (_b64([0.5] * 4), "holds 4 float64 values"),
+    "N2-leaves": (_b64([0.5] * 16), "holds 16 float64 values"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRING_FAULTS))
+def test_a_target_string_that_is_not_strict_base64_of_whole_leaf_rows_is_refused(bench_full, case):
+    spec, _ = bench_full  # n = 2, two-point noise; at N = 1 four leaves
+    value, reason = STRING_FAULTS[case]
+    with pytest.raises(SchemaError) as err:
+        parse_instance(_target_doc(spec, 1, value))
+    assert str(err.value) == f"target string {reason}; it needs {_forms(1)}"
+    assert parse_instance(_target_doc(spec, 1, LEAVES_N1)).target.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
+
+
+NON_FINITE_BITS = {
+    "NaN": struct.pack("<d", float("nan")),
+    "NaN-payload": bytes.fromhex("010000000000f87f"),
+    "negative-NaN": bytes.fromhex("000000000000f8ff"),
+    "+inf": struct.pack("<d", float("inf")),
+    "-inf": struct.pack("<d", float("-inf")),
+}
+
+
+@pytest.mark.parametrize("bits", sorted(NON_FINITE_BITS))
+@pytest.mark.parametrize("length", [2, 8], ids=["constant", "path"])
+def test_a_target_string_of_non_finite_bits_is_refused(bench_full, bits, length):
+    spec, _ = bench_full
+    raw = bytearray(struct.pack(f"<{length}d", *range(length)))
+    raw[-8:] = NON_FINITE_BITS[bits]
+    with pytest.raises(SchemaError) as err:
+        parse_instance(_target_doc(spec, 1, base64.b64encode(raw).decode("ascii")))
+    assert str(err.value) == "target entries must be finite"
+
+
+def test_a_bad_target_string_exits_6_through_the_cli(bench_full, capsys, tmp_path):
+    spec, _ = bench_full
+    path = tmp_path / "instance.json"
+    path.write_text(_target_doc(spec, 1, LEAVES_N1[:-1]))
+    for command in ("analyze", "synthesize"):
+        assert main([command, "--instance", str(path)]) == 6
+        assert capsys.readouterr() == ("", f"error: target string is not base64 (Incorrect padding); it needs {_forms(1)}\n")
+
+
 @pytest.mark.parametrize("value", ["{}", '"0.5"', "0.5", "null", "[[0.5, 1.0], [2.0, 3.0]]"])
 def test_target_of_another_form_names_both_forms(bench_full, value):
     spec, _ = bench_full
@@ -386,10 +478,11 @@ def test_target_of_another_form_names_both_forms(bench_full, value):
         parse_instance(text)
     if value.startswith("[["):  # nested rows: two entries, as many as n, but not numbers
         assert str(err.value) == "target entries must be JSON numbers"
+    elif value == '"0.5"':  # a string is read as base64, and "." is not in its alphabet
+        assert str(err.value) == f"target string is not base64 (Only base64 data is allowed); it needs {_forms(0)}"
     else:
-        assert str(err.value).startswith("target must be a flat list of n = 2 numbers (a constant target) or "
-                                         "s^(N+1)*n = 2^1*2 = 4 (one row per leaf, in node order)")
-        assert str(err.value).endswith("map is not read: list its rows in label order") == (value == "{}")
+        old = "; a {label: vector} map is not read: list its rows in label order" if value == "{}" else ""
+        assert str(err.value) == f"target must be {_forms(0)}{old}"
 
 
 @pytest.mark.parametrize(
@@ -409,11 +502,11 @@ def test_target_array_is_a_vector_or_leaf_rows(bench_full, target, message):
 
 
 def test_parse_peak_memory_is_a_small_multiple_of_the_target_text():
-    """A flat 3^10-leaf, n = 2 target: json's number objects and one float array, 2.0x the text here;
+    """A flat-list 3^10-leaf, n = 2 target: json's number objects and one float array, 2.0x the text here;
     the label map, decoded and then sorted and checked, held 3.6x."""
     rng = np.random.default_rng(6)
     inst = ProblemInstance(_random_spec(rng, 2, NoiseModel.symmetric_three_point()), 9, target=rng.normal(size=(3**10, 2)))
-    text = serialize_instance(inst)
+    text = _target_doc(inst.system, 9, inst.target.ravel().tolist())
     tracemalloc.start()
     try:
         again = parse_instance(text)
@@ -422,3 +515,20 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_target_text():
         tracemalloc.stop()
     assert again.target.tobytes() == inst.target.tobytes()
     assert peak <= 2.5 * len(text), (peak, len(text))
+
+
+def test_parse_peak_memory_of_base64_leaf_rows_is_a_small_multiple_of_the_leaves():
+    """A base64 3^10-leaf, n = 2 target: its string, its decoded bytes and a finiteness mask, 2.46x the
+    leaf array here; the same leaves as a flat list held 5.2x."""
+    rng = np.random.default_rng(6)
+    inst = ProblemInstance(_random_spec(rng, 2, NoiseModel.symmetric_three_point()), 9, target=rng.normal(size=(3**10, 2)))
+    text = serialize_instance(inst)
+    assert type(json.loads(text)["target"]) is str
+    tracemalloc.start()
+    try:
+        again = parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.target.tobytes() == inst.target.tobytes()
+    assert peak <= 3 * inst.target.nbytes, (peak, inst.target.nbytes)

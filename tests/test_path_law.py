@@ -20,6 +20,8 @@ with synthesize's error. So do one-row offsets c of any
 other length, entries that are not finite JSON numbers, and a c that is
 not N+1 stages.
 """
+import binascii
+import hashlib
 import json
 
 import numpy as np
@@ -103,6 +105,43 @@ def test_a_path_target_law_does_not_grow_with_the_tree(capsys, tmp_path, noise, 
     assert report(verified)["terminal_deviation"] == report(out)["terminal_deviation"]
 
 
+@pytest.mark.parametrize("noise,N", [(NoiseModel.symmetric_three_point(), 9), (NoiseModel.rademacher(), 12)],
+                         ids=["three-point-N9", "two-point-N12"])
+def test_leaf_rows_as_a_list_and_as_base64_give_the_same_commands(capsys, tmp_path, noise, N):
+    # The writer's base64 string and the same leaves as a flat list of numbers: synthesize and verify
+    # print, exit and write alike, for an attainable target and a random one (not attainable under
+    # three-point noise). The law's digest is the SHA-256 of the string's decoded bytes.
+    n, m = 2, 3
+    rng = np.random.default_rng([N, 31])
+    ts = random_controllable(rng, n, m, N, noise=noise)
+    tree = PathTree(noise, N)
+    x0 = random_x0(rng, n)
+    attainable = random_attainable_terminal(rng, tree, ts.form)
+    targets = {"attainable": attainable, "random": rng.normal(size=attainable.shape)}
+    inst, law, other = tmp_path / "instance.json", tmp_path / "law.json", tmp_path / "other.json"
+    commands = {}
+    for form in ("base64", "list"):
+        for name, leaves in targets.items():
+            text = serialize_instance(ProblemInstance(ts.spec, N, x0=x0, target=leaves))
+            doc = json.loads(text)
+            assert type(doc["target"]) is str
+            inst.write_text(text if form == "base64" else json.dumps({**doc, "target": leaves.ravel().tolist()}))
+            law.unlink(missing_ok=True)
+            synthesized = run(capsys, "synthesize", "--instance", str(inst), "--out", str(law))
+            written = law.read_bytes() if law.exists() else None
+            if name == "attainable":
+                other.write_bytes(written)
+                assert json.loads(written)["target"] == hashlib.sha256(binascii.a2b_base64(doc["target"])).hexdigest()
+            # Against the attainable target's law, each instance verifies or its digest does not match.
+            verified = run(capsys, "verify", "--instance", str(inst), "--controller", str(other))
+            commands[form, name] = (synthesized, written, verified)
+    assert commands["base64", "attainable"][0][0] == commands["base64", "attainable"][2][0] == 0
+    assert commands["base64", "random"][0][0] == (4 if tree.s == 3 else 0)
+    assert commands["base64", "random"][2][0] == 5
+    for name in targets:
+        assert commands["base64", name] == commands["list", name], name
+
+
 @pytest.fixture(scope="module")
 def path_laws(tmp_path_factory):
     """route -> (instance path, its document, the path-target law as a dict); two-point noise, n 2, N 2."""
@@ -180,7 +219,7 @@ def test_a_target_written_for_another_horizon_fails_verify_as_it_fails_synthesiz
     # The instance's target lists N = 1's four leaf rows and --N 2 asks for eight. The law names those
     # very rows by digest, so the instance is at fault, not the law: verify exits 6 with synthesize's error.
     inst, inst_doc, law, _ = path_laws["full"]
-    doc = {**inst_doc, "N": 1, "target": inst_doc["target"][: 4 * 2]}
+    doc = {**inst_doc, "N": 1, "target": parse_instance_file(inst).target[:4].ravel().tolist()}
     short = tmp_path / "instance.json"
     short.write_text(json.dumps(doc))
     named = _write(tmp_path, json.dumps({**law, "target": target_digest(parse_instance_file(str(short)).target)}))
