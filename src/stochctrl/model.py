@@ -24,6 +24,7 @@ import binascii
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 
@@ -109,13 +110,6 @@ def level_values(mapping: dict, s: int, depth: int, n: int, what: str) -> np.nda
     return _as_float_matrix(f"{what} values", [mapping[label] for label in labels], len(labels), n)
 
 
-def _finite(name: str, arr: np.ndarray) -> np.ndarray:
-    """``arr`` if every entry is finite, else :class:`SchemaError`."""
-    if not np.isfinite(arr).all():
-        raise SchemaError(f"{name} entries must be finite")
-    return arr
-
-
 def _finite_floats(name: str, entries: list) -> np.ndarray:
     """A flat list of finite JSON numbers as a float array, else :class:`SchemaError`."""
     if not set(map(type, entries)) <= _JSON_NUMBERS:
@@ -124,7 +118,9 @@ def _finite_floats(name: str, entries: list) -> np.ndarray:
         arr = np.array(entries, dtype=float)
     except OverflowError:  # an integer beyond the float range
         raise SchemaError(f"{name} entries must be finite") from None
-    return _finite(name, arr)
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{name} entries must be finite")
+    return arr
 
 
 def _float_array(name: str, value) -> np.ndarray:
@@ -388,6 +384,12 @@ def _is_leaf_count(count: int, s: int, depth: int) -> bool:
     return depth < count.bit_length() and s**depth == count
 
 
+# Strict base64 (RFC 4648): the alphabet only, then at most two "=", in whole 4-character groups.
+# a2b_base64's strict_mode (Python 3.11) would say as much; this check needs only 3.10.
+_BASE64 = re.compile(r"[A-Za-z0-9+/]*={0,2}")
+_BASE64_RULE = "A-Z a-z 0-9 + / only, padded with = to a multiple of 4 characters"
+
+
 def _target_list(value, n: int, s: int, N: int) -> np.ndarray:
     """An instance file's target: n finite numbers, or s^(N+1) rows of n row-major, as a flat
     list of JSON numbers or as one base64 string of their little-endian float64 bytes."""
@@ -397,10 +399,9 @@ def _target_list(value, n: int, s: int, N: int) -> np.ndarray:
         "in node order), or a base64 string of their little-endian float64 bytes"
     )
     if type(value) is str:
-        try:
-            raw = binascii.a2b_base64(value, strict_mode=True)
-        except ValueError as exc:  # binascii.Error, or a character beyond ASCII
-            raise SchemaError(f"target string is not base64 ({exc}); it needs {forms}") from None
+        if len(value) % 4 or not _BASE64.fullmatch(value):
+            raise SchemaError(f"target string is not base64 ({_BASE64_RULE}); it needs {forms}")
+        raw = binascii.a2b_base64(value)
         count, spare = divmod(len(raw), 8)
         if spare:
             raise SchemaError(f"target string decodes to {len(raw)} bytes, not whole float64 values; it needs {forms}")
@@ -413,7 +414,8 @@ def _target_list(value, n: int, s: int, N: int) -> np.ndarray:
         raise SchemaError(f"target must be {forms}{old}")
     if count != n and not (count % n == 0 and _is_leaf_count(count // n, s, N + 1)):
         raise SchemaError(f"{what}; it needs {forms}")
-    flat = _finite("target", np.frombuffer(raw, "<f8")) if type(value) is str else _finite_floats("target", value)
+    # A decoded string's finiteness is ProblemInstance's check, made as it copies the array.
+    flat = np.frombuffer(raw, "<f8") if type(value) is str else _finite_floats("target", value)
     return flat if len(flat) == n else flat.reshape(-1, n)
 
 
@@ -449,9 +451,9 @@ def parse_instance(text: str) -> ProblemInstance:
     of JSON numbers, read by one type check, one float array and one
     finiteness check, or as one JSON string: the strict base64 (RFC 4648,
     padded, no whitespace) of the numbers as little-endian float64,
-    decoded by ``binascii`` and viewed as an array without a copy before
-    the same finiteness check. A path target's law holds the SHA-256
-    digest of those bytes. Any other count, entry or form, a {label:
+    decoded by ``binascii`` and checked for finiteness as
+    :class:`ProblemInstance` copies it, as it does every matrix. A path
+    target's law holds the SHA-256 digest of those bytes. Any other count, entry or form, a {label:
     vector} map included, is a :class:`SchemaError` naming every form.
     """
     try:

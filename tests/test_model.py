@@ -1,5 +1,6 @@
 """Noise law checks, structural validation, and the instance file format."""
 import base64
+import binascii
 import dataclasses
 import json
 import os
@@ -21,6 +22,7 @@ from stochctrl import (
     validate,
 )
 from stochctrl.cli import main
+from stochctrl import model
 from stochctrl.model import check_level, path_labels
 from conftest import uniform_noise
 from crosschecks import reference_serialize_instance
@@ -410,17 +412,22 @@ def _b64(values) -> str:
 
 
 LEAVES_N1 = _b64([float(i) for i in range(8)])  # n = 2, two-point noise, N = 1: four leaf rows, 88 characters
+BAD_BASE64 = "is not base64 (A-Z a-z 0-9 + / only, padded with = to a multiple of 4 characters)"
 STRING_FAULTS = {
     # case: (target string, why it is refused)
-    "non-alphabet": (LEAVES_N1[:5] + "*" + LEAVES_N1[6:], "is not base64 (Only base64 data is allowed)"),
-    "url-safe-alphabet": (_b64([-0.001, 123.456]).replace("/", "_"), "is not base64 (Only base64 data is allowed)"),
-    "newline": (LEAVES_N1[:44] + "\n" + LEAVES_N1[44:], "is not base64 (Only base64 data is allowed)"),
-    "space": (LEAVES_N1[:44] + " " + LEAVES_N1[44:], "is not base64 (Only base64 data is allowed)"),
-    "trailing-newline": (LEAVES_N1 + "\n", "is not base64 (Excess data after padding)"),
-    "padding-missing": (LEAVES_N1[:-1], "is not base64 (Incorrect padding)"),
-    "padding-inside": (LEAVES_N1[:4] + "=" + LEAVES_N1[5:], "is not base64 (Discontinuous padding not allowed)"),
-    "data-after-padding": (LEAVES_N1 + "AAAA", "is not base64 (Excess data after padding)"),
-    "non-ascii": (LEAVES_N1[:5] + "\u00e9" + LEAVES_N1[6:], "is not base64 (string argument should contain only ASCII characters)"),
+    "non-alphabet": (LEAVES_N1[:5] + "*" + LEAVES_N1[6:], BAD_BASE64),
+    "url-safe-alphabet": (_b64([-0.001, 123.456]).replace("/", "_"), BAD_BASE64),
+    "newline": (LEAVES_N1[:44] + "\n" + LEAVES_N1[44:], BAD_BASE64),
+    "space": (LEAVES_N1[:44] + " " + LEAVES_N1[44:], BAD_BASE64),
+    "trailing-newline": (LEAVES_N1 + "\n", BAD_BASE64),
+    "padding-missing": (LEAVES_N1[:-1], BAD_BASE64),
+    "padding-inside": (LEAVES_N1[:4] + "=" + LEAVES_N1[5:], BAD_BASE64),
+    "data-after-padding": (LEAVES_N1 + "AAAA", BAD_BASE64),
+    "padded-group-first": ("AA==" + LEAVES_N1, BAD_BASE64),
+    "three-pads": (LEAVES_N1[:-4] + "A===", BAD_BASE64),
+    "excess-padding": (LEAVES_N1 + "====", BAD_BASE64),
+    "arabic-indic-digit": (LEAVES_N1[:5] + "\u0663" + LEAVES_N1[6:], BAD_BASE64),
+    "non-ascii": (LEAVES_N1[:5] + "\u00e9" + LEAVES_N1[6:], BAD_BASE64),
     "12-bytes": (base64.b64encode(bytes(12)).decode("ascii"), "decodes to 12 bytes, not whole float64 values"),
     "63-bytes": (base64.b64encode(bytes(63)).decode("ascii"), "decodes to 63 bytes, not whole float64 values"),
     "empty": ("", "holds 0 float64 values"),
@@ -458,7 +465,20 @@ def test_a_target_string_of_non_finite_bits_is_refused(bench_full, bits, length)
     raw[-8:] = NON_FINITE_BITS[bits]
     with pytest.raises(SchemaError) as err:
         parse_instance(_target_doc(spec, 1, base64.b64encode(raw).decode("ascii")))
-    assert str(err.value) == "target entries must be finite"
+    assert str(err.value) == "target: entries must be finite"  # ProblemInstance's check, as for every matrix
+
+
+def test_the_target_reader_needs_only_the_python_3_10_binascii(bench_full, monkeypatch):
+    """Python 3.10's a2b_base64 takes the data alone; strict_mode came in 3.11. The reader refuses the
+    same strings and decodes the same bytes without it."""
+    spec, _ = bench_full
+    real = binascii.a2b_base64
+    monkeypatch.setattr(model.binascii, "a2b_base64", lambda data, /: real(data))
+    assert parse_instance(_target_doc(spec, 1, LEAVES_N1)).target.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
+    for value, reason in STRING_FAULTS.values():
+        with pytest.raises(SchemaError) as err:
+            parse_instance(_target_doc(spec, 1, value))
+        assert str(err.value) == f"target string {reason}; it needs {_forms(1)}"
 
 
 def test_a_bad_target_string_exits_6_through_the_cli(bench_full, capsys, tmp_path):
@@ -467,7 +487,7 @@ def test_a_bad_target_string_exits_6_through_the_cli(bench_full, capsys, tmp_pat
     path.write_text(_target_doc(spec, 1, LEAVES_N1[:-1]))
     for command in ("analyze", "synthesize"):
         assert main([command, "--instance", str(path)]) == 6
-        assert capsys.readouterr() == ("", f"error: target string is not base64 (Incorrect padding); it needs {_forms(1)}\n")
+        assert capsys.readouterr() == ("", f"error: target string {BAD_BASE64}; it needs {_forms(1)}\n")
 
 
 @pytest.mark.parametrize("value", ["{}", '"0.5"', "0.5", "null", "[[0.5, 1.0], [2.0, 3.0]]"])
@@ -479,7 +499,7 @@ def test_target_of_another_form_names_both_forms(bench_full, value):
     if value.startswith("[["):  # nested rows: two entries, as many as n, but not numbers
         assert str(err.value) == "target entries must be JSON numbers"
     elif value == '"0.5"':  # a string is read as base64, and "." is not in its alphabet
-        assert str(err.value) == f"target string is not base64 (Only base64 data is allowed); it needs {_forms(0)}"
+        assert str(err.value) == f"target string {BAD_BASE64}; it needs {_forms(0)}"
     else:
         old = "; a {label: vector} map is not read: list its rows in label order" if value == "{}" else ""
         assert str(err.value) == f"target must be {_forms(0)}{old}"
@@ -518,8 +538,8 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_target_text():
 
 
 def test_parse_peak_memory_of_base64_leaf_rows_is_a_small_multiple_of_the_leaves():
-    """A base64 3^10-leaf, n = 2 target: its string, its decoded bytes and a finiteness mask, 2.46x the
-    leaf array here; the same leaves as a flat list held 5.2x."""
+    """A base64 3^10-leaf, n = 2 target: its string and its decoded bytes, then those bytes and
+    ProblemInstance's checked copy, 2.34x the leaf array here; the same leaves as a flat list held 5.2x."""
     rng = np.random.default_rng(6)
     inst = ProblemInstance(_random_spec(rng, 2, NoiseModel.symmetric_three_point()), 9, target=rng.normal(size=(3**10, 2)))
     text = serialize_instance(inst)
