@@ -24,7 +24,6 @@ import binascii
 import functools
 import json
 import math
-import re
 from dataclasses import dataclass
 from itertools import chain
 
@@ -384,9 +383,6 @@ def _is_leaf_count(count: int, s: int, depth: int) -> bool:
     return depth < count.bit_length() and s**depth == count
 
 
-# Strict base64 (RFC 4648): the alphabet only, then at most two "=", in whole 4-character groups.
-# a2b_base64's strict_mode (Python 3.11) would say as much; this check needs only 3.10.
-_BASE64 = re.compile(r"[A-Za-z0-9+/]*={0,2}")
 _BASE64_RULE = "A-Z a-z 0-9 + / only, padded with = to a multiple of 4 characters"
 
 
@@ -399,9 +395,17 @@ def _target_list(value, n: int, s: int, N: int) -> np.ndarray:
         "in node order), or a base64 string of their little-endian float64 bytes"
     )
     if type(value) is str:
-        if len(value) % 4 or not _BASE64.fullmatch(value):
+        # Strict base64 without strict_mode, which is Python 3.11: the plain decoder skips a character
+        # outside the alphabet and stops at the first full padding, so any such fault leaves fewer
+        # bytes than 3 per 4 characters less one per trailing "=" (at most two).
+        pads = 2 if value.endswith("==") else int(value.endswith("="))
+        try:
+            raw = binascii.a2b_base64(value)
+            strict = len(value) % 4 == 0 and len(raw) == len(value) // 4 * 3 - pads
+        except ValueError:  # binascii.Error, or a character beyond ASCII
+            strict = False
+        if not strict:
             raise SchemaError(f"target string is not base64 ({_BASE64_RULE}); it needs {forms}")
-        raw = binascii.a2b_base64(value)
         count, spare = divmod(len(raw), 8)
         if spare:
             raise SchemaError(f"target string decodes to {len(raw)} bytes, not whole float64 values; it needs {forms}")

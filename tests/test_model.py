@@ -2,8 +2,10 @@
 import base64
 import binascii
 import dataclasses
+import itertools
 import json
 import os
+import re
 import struct
 import tracemalloc
 
@@ -439,13 +441,31 @@ STRING_FAULTS = {
 
 
 @pytest.mark.parametrize("case", sorted(STRING_FAULTS))
-def test_a_target_string_that_is_not_strict_base64_of_whole_leaf_rows_is_refused(bench_full, case):
+def test_a_target_string_that_is_not_strict_base64_of_whole_leaf_rows_is_refused(bench_full, case, monkeypatch):
     spec, _ = bench_full  # n = 2, two-point noise; at N = 1 four leaves
+    real = binascii.a2b_base64  # as Python 3.10 has it: the data alone, no strict_mode keyword
+    monkeypatch.setattr(model.binascii, "a2b_base64", lambda data, /: real(data))
     value, reason = STRING_FAULTS[case]
     with pytest.raises(SchemaError) as err:
         parse_instance(_target_doc(spec, 1, value))
     assert str(err.value) == f"target string {reason}; it needs {_forms(1)}"
     assert parse_instance(_target_doc(spec, 1, LEAVES_N1)).target.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
+
+
+def test_the_base64_check_is_the_rfc_4648_grammar_on_every_short_string():
+    """The reader refuses a string as not base64 exactly when it is not the alphabet then at most two
+    "=", in whole 4-character groups: every string of up to two groups over two letters of the
+    alphabet, the pad and a space."""
+    grammar = re.compile(r"[A-Za-z0-9+/]*={0,2}")
+    for length in range(9):
+        for chars in itertools.product("A/= ", repeat=length):
+            value = "".join(chars)
+            try:
+                model._target_list(value, 1, 2, 0)
+                refused = False
+            except SchemaError as err:
+                refused = "is not base64" in str(err)
+            assert refused == (len(value) % 4 != 0 or not grammar.fullmatch(value)), value
 
 
 NON_FINITE_BITS = {
@@ -466,19 +486,6 @@ def test_a_target_string_of_non_finite_bits_is_refused(bench_full, bits, length)
     with pytest.raises(SchemaError) as err:
         parse_instance(_target_doc(spec, 1, base64.b64encode(raw).decode("ascii")))
     assert str(err.value) == "target: entries must be finite"  # ProblemInstance's check, as for every matrix
-
-
-def test_the_target_reader_needs_only_the_python_3_10_binascii(bench_full, monkeypatch):
-    """Python 3.10's a2b_base64 takes the data alone; strict_mode came in 3.11. The reader refuses the
-    same strings and decodes the same bytes without it."""
-    spec, _ = bench_full
-    real = binascii.a2b_base64
-    monkeypatch.setattr(model.binascii, "a2b_base64", lambda data, /: real(data))
-    assert parse_instance(_target_doc(spec, 1, LEAVES_N1)).target.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
-    for value, reason in STRING_FAULTS.values():
-        with pytest.raises(SchemaError) as err:
-            parse_instance(_target_doc(spec, 1, value))
-        assert str(err.value) == f"target string {reason}; it needs {_forms(1)}"
 
 
 def test_a_bad_target_string_exits_6_through_the_cli(bench_full, capsys, tmp_path):
