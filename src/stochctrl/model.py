@@ -457,8 +457,9 @@ def parse_instance(text: str) -> ProblemInstance:
     padded, no whitespace) of the numbers as little-endian float64,
     decoded by ``binascii`` and checked for finiteness as
     :class:`ProblemInstance` copies it, as it does every matrix. A path
-    target's law holds the SHA-256 digest of those bytes. Any other count, entry or form, a {label:
-    vector} map included, is a :class:`SchemaError` naming every form.
+    target's law holds the SHA-256 digest of those bytes. Any other
+    count, entry or form, a {label: vector} map included, is a
+    :class:`SchemaError` naming every form.
     """
     try:
         doc = json.loads(text)

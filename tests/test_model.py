@@ -23,8 +23,8 @@ from stochctrl import (
     serialize_instance,
     validate,
 )
-from stochctrl.cli import main
 from stochctrl import model
+from stochctrl.cli import main
 from stochctrl.model import check_level, path_labels
 from conftest import uniform_noise
 from crosschecks import reference_serialize_instance
