@@ -158,8 +158,10 @@ class ControllerProcess:
 
 
 def _pinv(S: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse cut where :func:`gramian_invertible` cuts, at n eps sigma_max."""
-    return np.linalg.pinv(S, rtol=S.shape[0] * np.finfo(float).eps)
+    """Pseudo-inverse of each n x n matrix of the stack ``S`` in one call, cut where
+    :func:`gramian_invertible` cuts, at n eps sigma_max of that matrix (n the matrix size,
+    not the stack length)."""
+    return np.linalg.pinv(S, rtol=S.shape[-1] * np.finfo(float).eps)
 
 
 def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> ControllerProcess:
@@ -169,7 +171,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     delay channel, the gains' u1 rows (k <= N - tau) or pivots P(j), the
     lag blocks of Pi_k and the pre-horizon inputs ``u1_pre``. r_h is the
     regressor of the target's solution, zero without one and in its u1
-    blocks.
+    blocks. The gains' S(0..N)^+ is one stacked :func:`_pinv` call.
     """
     form, spec, n, N = ts.form, ts.spec, ts.form.n, tree.horizon
     x0 = np.array(x0, dtype=float)  # a copy: the record keeps it for the table's closed loop
@@ -203,7 +205,8 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     if form.D1 is not None:
         g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
         u1_pre = np.array([g @ CD1[i] for i in range(min(tau, N + 1))])
-    K = [Kk @ _pinv(S[N - k + 1]) for k, Kk in enumerate(K)]
+    S_pinv = _pinv(np.array(S[1:]))  # S(j)^+, j = 0..N
+    K = [Kk @ S_pinv[N - k] for k, Kk in enumerate(K)]
     Mq_Abar = ts.transform.M[:, :n] @ spec.Abar
     L = []
     for k, Kk in enumerate(K):
@@ -320,7 +323,9 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
     its ancestor rows, so every lag but a depth-0 one spans s rows or
     more: a single row would go through the matrix-vector kernel, which
     rounds differently from the level's matmul. A per-node c_k is passed
-    as the run's rows. Each stage's map is built once
+    as the run's rows; a c_k that is one row of zeros, as every stage of
+    the origin's law, is not applied at all, which changes no value but
+    the sign of a zero. Each stage's map is built once
     (:func:`_stage_maps`) and read by every run. So the runs,
     concatenated, are the breadth-first loop's x(N+1) bit for bit, and
     no more is held than the top level with its lags and one run's. synthesize and verify both run a law
@@ -376,13 +381,15 @@ def _drop_read(xs: dict, u1s: dict, k: int, N: int, d: int, tau: int) -> None:
 def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tuple]:
     """Each stage's closed-loop map, built once per loop for :func:`_folded_step`, which reads stage k's
     once per run: [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, the atom stack Bw = [(B + w_j Bbar)']_j,
-    and for each acting lag (:func:`pathspace._acting_lags`' order) its block L_k,lag' Bw, plus s copies
-    of A1' for x(k-d) or B1' for u1(k-tau), with its u1 block L_k,lag,u1'."""
+    for each acting lag (:func:`pathspace._acting_lags`' order) its block L_k,lag' Bw, plus s copies
+    of A1' for x(k-d) or B1' for u1(k-tau), with its u1 block L_k,lag,u1', and whether c_k is applied:
+    not when it is one row of zeros (every stage of the origin's law), as adding 0.0 changes no value
+    but the sign of a zero. A per-node c_k is always applied, its rows never read here."""
     m, n, N = spec.m, spec.n, len(law.L) - 1
     Aw = np.hstack([(spec.A + w * spec.Abar).T for w in tree.support])
     Bw = np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support])
     maps = []
-    for k, Lk in enumerate(law.L):
+    for k, (Lk, ck) in enumerate(zip(law.L, law.c)):
         Lu, L1 = Lk[:m], Lk[m:]
         xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
         lags = [(n, spec.A1 if j == spec.d else None) for j in xlags]
@@ -395,7 +402,7 @@ def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tupl
                 block += np.tile(direct.T, tree.s)
             blocks.append((block, L1[:, cols].T))
             col = cols.stop
-        maps.append((Aw + Lu[:, :n].T @ Bw, Bw, blocks))
+        maps.append((Aw + Lu[:, :n].T @ Bw, Bw, blocks, len(ck) > 1 or ck.any()))
     return maps
 
 
@@ -408,14 +415,16 @@ def _folded_step(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, k: int, xs:
     L_k,lag' (B + w_j Bbar)', plus A1' for x(k-d) and B1' for u1(k-tau),
     at the lag's own depth (:func:`pathspace._add_product`). u1(k) =
     r(k) L_k,u1' + c_k,u1 reads the same lags. ``stage`` is the stage's
-    entry of :func:`_stage_maps`. ``xs`` and ``u1s`` map a stage j to its values at
+    entry of :func:`_stage_maps`; a c_k it marks as one row of zeros is
+    not applied. ``xs`` and ``u1s`` map a stage j to its values at
     depth max(0, j).
     """
     m, n, N = spec.m, spec.n, len(law.L) - 1
-    fold, Bw, blocks = stage
+    fold, Bw, blocks, offset = stage
     L1, c = law.L[k][m:], law.c[k]
     out = xs[k] @ fold
-    _add_product(out, c[:, :m], Bw)
+    if offset:
+        _add_product(out, c[:, :m], Bw)
     u1 = xs[k] @ L1[:, :n].T if len(L1) else None
     xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
     lags = [xs[k - j] for j in xlags] + [u1s[k - i] for i in ulags]
@@ -423,7 +432,7 @@ def _folded_step(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, k: int, xs:
         _add_product(out, lag, block)
         if u1 is not None:
             _add_product(u1, lag, u1_block)
-    if u1 is not None:
+    if u1 is not None and offset:
         u1 += c[:, m:]
     return out.reshape(-1, n), u1
 

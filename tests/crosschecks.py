@@ -30,7 +30,10 @@ before the predictor map, as the steering body first did, against which
 ``synthesis.target_offsets``' build from L and the target's solution is
 checked. ``breadth_first_folded_loop`` is the folded closed
 loop run level by level over the whole tree, against which
-``synthesis.folded_loop``'s runs of leaves are checked. ``loop_levels``
+``synthesis.folded_loop``'s runs of leaves are checked; with
+``offset_folded_step``, the folded step as first written, it adds every
+c_k, a row of zeros included, against which the step's skip of a zero
+offset is checked. ``loop_levels``
 collects ``synthesis.feedback_loop``'s stages into every level of u, x and
 u1, as the tests read them; ``controller_levels`` does so for a
 controller's own law and start. ``einsum_children``,
@@ -336,20 +339,41 @@ def controller_levels(ctrl):
     return loop_levels(ctrl.tree, ctrl.spec, ctrl.x0, ctrl.law)
 
 
-def breadth_first_folded_loop(tree: PathTree, spec: SystemSpec, x0, law) -> np.ndarray:
-    """x(N+1) of the folded closed loop, stage by stage over whole levels: ``synthesis._folded_step``
-    run from x0 on every node of each level, keeping the state lags and the u1 pipeline."""
+def breadth_first_folded_loop(tree: PathTree, spec: SystemSpec, x0, law, step=_folded_step) -> np.ndarray:
+    """x(N+1) of the folded closed loop, stage by stage over whole levels: ``step``
+    (``synthesis._folded_step`` unless given) run from x0 on every node of each level, keeping the state
+    lags and the u1 pipeline."""
     N, d, tau = len(law.L) - 1, spec.d or 0, spec.tau or 0
     xs = {0: np.asarray(x0, dtype=float)[None, :].copy()}
     u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
     maps = _stage_maps(tree, spec, law)
     for k in range(N + 1):
-        xs[k + 1], u1k = _folded_step(tree, spec, law, k, xs, u1s, maps[k])
+        xs[k + 1], u1k = step(tree, spec, law, k, xs, u1s, maps[k])
         if u1k is not None:
             u1s[k] = u1k
         xs.pop(k - d, None)
         u1s.pop(k - tau, None)
     return xs[N + 1]
+
+
+def offset_folded_step(tree: PathTree, spec: SystemSpec, law, k: int, xs: dict, u1s: dict, stage: tuple):
+    """``synthesis._folded_step`` as first written: c_k,u (B + w_j Bbar)' and c_k,u1 added at every stage,
+    a c_k of one row of zeros included. ``stage`` is the stage's entry of ``synthesis._stage_maps``, its
+    closed-loop map, atom stack and lag blocks read, its mark of a zero offset ignored."""
+    m, n, N = spec.m, spec.n, len(law.L) - 1
+    fold, Bw, blocks = stage[:3]
+    L1, c = law.L[k][m:], law.c[k]
+    out = xs[k] @ fold
+    _add_product(out, c[:, :m], Bw)
+    u1 = xs[k] @ L1[:, :n].T if len(L1) else None
+    xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
+    for lag, (block, u1_block) in zip([xs[k - j] for j in xlags] + [u1s[k - i] for i in ulags], blocks):
+        _add_product(out, lag, block)
+        if u1 is not None:
+            _add_product(u1, lag, u1_block)
+    if u1 is not None:
+        u1 += c[:, m:]
+    return out.reshape(-1, n), u1
 
 
 def einsum_stage_mean(tree: PathTree, form, x_next: np.ndarray) -> np.ndarray:

@@ -51,3 +51,19 @@ def test_steer_mix_writes_its_leaf_rows_as_base64(tmp_path):
         assert inst.target.shape == (leaves, inst.system.n) and not inst.target.flags.writeable
     for path in set(paths) - set(leaf_rows):
         assert parse_instance_file(path).target is None
+
+
+def test_full_deep_and_the_steer_mix_delay_ops_steer_to_the_origin(tmp_path):
+    # Their laws' offsets are rows of zeros, which the folded loop never applies: a workload that stopped
+    # steering to the origin would stop measuring that path.
+    origin = {"full_deep": ("N2", "N3", "N4"), "steer_mix": ("state", "input")}
+    for name, tables in origin.items():
+        ops = workloads.build(name, 1, str(tmp_path), small=True)
+        names = tuple(f"{name}-{table}.csv" for table in tables)
+        laws = [op for op in ops if op.command == "synthesize" and op.table.endswith(names)]
+        assert len(laws) == len(tables)
+        for op in laws:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(op.argv()) == 0
+            c = json.loads(Path(op.table).read_text())["c"]
+            assert len(c) == op.N + 1 and all(x == 0 for ck in c for x in ck), op

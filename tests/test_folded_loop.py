@@ -11,7 +11,11 @@ within c eps times the entrywise bound of both sums:
 + |A1'| or |B1'|). The loop yields x(N+1) in runs of leaves; concatenated,
 they are ``crosschecks.breadth_first_folded_loop``'s level bit for bit, on
 the same routes, laws and targets, also with ``pathspace.BLOCK_ENTRIES``
-cut small so that runs start below the lags they read. ``tracemalloc``
+cut small so that runs start below the lags they read. A null law's
+zero offsets make no product: its leaves equal (==) those of the loop
+that adds them (``crosschecks.offset_folded_step``), as adding 0.0 can
+change only the sign of a zero, while zeroing a constant or path
+target's offsets changes its leaves. ``tracemalloc``
 bounds its peak at N = 17 and 19 by the top level and one run, whatever
 N: 3 MB on the full route, and on a delay route the lags and u1 pipeline
 each keeps; synthesize and verify of a law at the 2^20-leaf cap stay
@@ -24,6 +28,7 @@ import numpy as np
 import pytest
 
 from stochctrl import (
+    FeedbackLaw,
     NoiseModel,
     PathTree,
     ProblemInstance,
@@ -37,7 +42,7 @@ from stochctrl import (
 from stochctrl.pathspace import _acting_lags, plant_step
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import _folded_step, _law_inputs, _stage_maps
-from crosschecks import breadth_first_folded_loop, controller_levels, lift
+from crosschecks import breadth_first_folded_loop, controller_levels, lift, offset_folded_step
 from test_delay_law import draw, report, run, write_instance
 
 EPS = np.finfo(float).eps
@@ -117,6 +122,58 @@ def test_folded_loop_runs_are_the_breadth_first_loop_bit_for_bit(monkeypatch, la
         assert np.concatenate([x for _, x in runs]).tobytes() == want.tobytes(), N
         if block is not None and N >= max(2 * block - 1, block + lag):  # top level at depth N + 1 - block
             assert len(runs) == tree.s ** (N - block - lag), N
+
+
+def leaves(tree, spec, x0, law):
+    return np.concatenate([x for _, x in folded_loop(tree, spec, x0, law)])
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("route,lag", ROUTES)
+def test_a_null_laws_leaves_are_those_of_the_loop_that_adds_its_zero_offsets(law, route, lag):
+    # == rather than bytes: adding a row of 0.0 changes no finite value, NaN or inf, only the sign of a zero.
+    rng = np.random.default_rng([lag, len(law), len(route), 5])
+    for N in range(8 if law == "two-point" else 6):
+        ts, tree, x0, _, ctrl = draw(rng, LAWS[law], route, lag, 2, N, None)
+        assert all(len(ck) == 1 and not ck.any() for ck in ctrl.law.c)
+        want = breadth_first_folded_loop(tree, ts.spec, x0, ctrl.law, step=offset_folded_step)
+        assert np.array_equal(leaves(tree, ts.spec, x0, ctrl.law), want), N
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("route,lag", ROUTES)
+@pytest.mark.parametrize("target", ["constant", "path"])
+def test_zeroing_a_target_laws_offsets_changes_its_leaves(law, route, lag, target):
+    # A one-row nonzero c_k (a constant target) and a per-node one (a path target) are still applied.
+    rng = np.random.default_rng([lag, len(law), len(route), len(target), 6])
+    for N in range(5):
+        ts, tree, x0, goal, ctrl = draw(rng, LAWS[law], route, lag, 2, N, target)
+        got = leaves(tree, ts.spec, x0, ctrl.law)
+        assert np.allclose(got, goal, atol=1e-8), N
+        zeroed = FeedbackLaw(ctrl.law.L, [np.zeros((1, ck.shape[1])) for ck in ctrl.law.c], ctrl.law.u1_pre)
+        assert not np.array_equal(got, leaves(tree, ts.spec, x0, zeroed)), N
+
+
+@pytest.mark.parametrize("route,lag", ROUTES)
+@pytest.mark.parametrize("target", [None, "constant", "path"], ids=["null", "constant", "path"])
+def test_only_a_nonzero_offset_makes_an_offset_product(monkeypatch, route, lag, target):
+    # BLOCK_ENTRIES = s^2 cuts the top level into runs, so the count covers both phases of the loop.
+    monkeypatch.setattr(pathspace, "BLOCK_ENTRIES", 4)
+    rng = np.random.default_rng([lag, len(route), 0 if target is None else len(target), 7])
+    ts, tree, x0, _, ctrl = draw(rng, LAWS["two-point"], route, lag, 2, 6, target)
+    add, step = synthesis._add_product, synthesis._folded_step
+    offsets, steps = [], []
+
+    def counting_add(out, values, coef, work=None):
+        if any(np.shares_memory(values, ck) for ck in ctrl.law.c):
+            offsets.append(len(values))
+        return add(out, values, coef, work)
+
+    monkeypatch.setattr(synthesis, "_add_product", counting_add)
+    monkeypatch.setattr(synthesis, "_folded_step", lambda *args: steps.append(args[3]) or step(*args))
+    runs = list(folded_loop(tree, ts.spec, x0, ctrl.law))
+    assert len(runs) > 1 and len(steps) > len(ctrl.law.L)
+    assert len(offsets) == (0 if target is None else len(steps))
 
 
 @pytest.mark.parametrize("N", [17, 19])

@@ -22,6 +22,7 @@ from stochctrl import (
     read_controller_table,
     steer_to_target,
 )
+from stochctrl.synthesis import _pinv
 from conftest import table_text
 from crosschecks import controller_levels, q_expanded, split_u
 
@@ -51,6 +52,30 @@ def test_null_controller_random(rng):
             x0 = random_x0(rng, n)
             ctrl = null_controller(ts, tree, x0)
             assert closed_loop_gap(ts, tree, x0, ctrl) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pinv_of_a_stack_is_each_matrix_pinv_bit_for_bit(n):
+    # S(0..N), N = 17, with a singular S(j) and, for n >= 2, one whose smallest singular value lies
+    # between n eps sigma_max, the cut, and (N + 1) eps sigma_max, the cut of an rtol read from the stack length.
+    eps, N = np.finfo(float).eps, 17
+    rng = np.random.default_rng([n, 32])
+
+    def symmetric(svals):
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        return Q @ np.diag(svals) @ Q.T
+
+    stack = np.array([symmetric(rng.uniform(0.5, 2.0, size=n)) for _ in range(N + 1)])
+    stack[3] = symmetric([1.0] * (n - 1) + [0.0])
+    if n > 1:
+        stack[11] = symmetric([1.0] * (n - 1) + [10 * eps])
+        svals = np.linalg.svd(stack[11], compute_uv=False)
+        assert n * eps * svals[0] < svals[-1] < (N + 1) * eps * svals[0]
+    want = np.array([np.linalg.pinv(S, rtol=n * eps) for S in stack])
+    assert _pinv(stack).tobytes() == want.tobytes()
+    assert all(_pinv(S).tobytes() == W.tobytes() for S, W in zip(stack, want))
+    if n > 1:
+        assert not np.array_equal(np.linalg.pinv(stack, rtol=(N + 1) * eps)[11], want[11])
 
 
 def test_steer_roundtrip(rng):
