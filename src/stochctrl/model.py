@@ -354,7 +354,9 @@ class ProblemInstance:
     path and so valid at any horizon, or the (s^(N+1), n) leaf rows in
     node order (:func:`path_labels` order), or a map from every full
     path label (length N + 1) to its n-vector, read into those rows. It
-    is stored read-only; ``None`` means steer to the origin.
+    is stored as a read-only copy, but for a native float64 array over
+    immutable ``bytes`` (a decoded base64 target), which no one can write
+    and which is kept as it is; ``None`` means steer to the origin.
     """
 
     system: SystemSpec
@@ -370,12 +372,27 @@ class ProblemInstance:
             s, n = len(self.system.noise.support), self.system.n
             if isinstance(self.target, dict):
                 target = level_values(self.target, s, self.N + 1, n, "target")
+            elif _over_bytes(self.target):  # a decoded base64 target: nothing can write it, so it is not copied
+                target = self.target
+                if not np.isfinite(target).all():
+                    raise DimensionMismatch("target: entries must be finite")
             else:
                 target = _float_array("target", self.target)
                 rows = target.ndim == 2 and target.shape[1] == n and _is_leaf_count(len(target), s, self.N + 1)
                 if target.shape != (n,) and not rows:
                     raise DimensionMismatch(f"target: shape {target.shape}; it must be ({n},) or ({s}^{self.N + 1}, {n})")
             object.__setattr__(self, "target", target)
+
+
+def _over_bytes(value) -> bool:
+    """Whether ``value`` is a native float64 array over immutable ``bytes``, as a decoded base64 target is
+    (``np.frombuffer``): read-only, and no view of it can be made writeable."""
+    if not (isinstance(value, np.ndarray) and value.dtype == np.float64):  # native: == compares byte order too
+        return False
+    base = value
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return type(base) is bytes
 
 
 def _is_leaf_count(count: int, s: int, depth: int) -> bool:
@@ -418,7 +435,7 @@ def _target_list(value, n: int, s: int, N: int) -> np.ndarray:
         raise SchemaError(f"target must be {forms}{old}")
     if count != n and not (count % n == 0 and _is_leaf_count(count // n, s, N + 1)):
         raise SchemaError(f"{what}; it needs {forms}")
-    # A decoded string's finiteness is ProblemInstance's check, made as it copies the array.
+    # A decoded string's finiteness is ProblemInstance's check; it keeps the read-only view uncopied.
     flat = np.frombuffer(raw, "<f8") if type(value) is str else _finite_floats("target", value)
     return flat if len(flat) == n else flat.reshape(-1, n)
 
@@ -455,18 +472,45 @@ def parse_instance(text: str) -> ProblemInstance:
     of JSON numbers, read by one type check, one float array and one
     finiteness check, or as one JSON string: the strict base64 (RFC 4648,
     padded, no whitespace) of the numbers as little-endian float64,
-    decoded by ``binascii`` and checked for finiteness as
-    :class:`ProblemInstance` copies it, as it does every matrix. A path
-    target's law holds the SHA-256 digest of those bytes. Any other
-    count, entry or form, a {label: vector} map included, is a
-    :class:`SchemaError` naming every form.
+    decoded by ``binascii`` into read-only ``bytes`` and checked for
+    finiteness by :class:`ProblemInstance`, which keeps that array
+    without a copy. A path target's law holds the SHA-256 digest of those
+    bytes. Any other count, entry or form, a {label: vector} map
+    included, is a :class:`SchemaError` naming every form.
+
+    The text is not read past ``json.loads``: this function drops its own
+    reference to it there, and :func:`parse_instance_file` never holds
+    one, so a caller that keeps none frees it before the target decodes.
     """
+    doc = _document(text)
+    del text
+    return _instance(doc)
+
+
+def parse_instance_file(path) -> ProblemInstance:
+    """Parse the JSON instance document in the UTF-8 file at ``path``, as :func:`parse_instance` does;
+    the file's text goes as soon as ``json.loads`` has read it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = _document(fh.read())
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8 text: {exc}") from None
+    return _instance(doc)
+
+
+def _document(text: str) -> dict:
+    """An instance document's JSON object, or :class:`SchemaError`."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, an integer too long, nesting too deep
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
+    return doc
+
+
+def _instance(doc: dict) -> ProblemInstance:
+    """The :class:`ProblemInstance` an instance document's JSON object describes (:func:`parse_instance`)."""
     unknown = sorted(set(doc) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS))
     if unknown:
         raise SchemaError(f"unknown keys: {', '.join(unknown)}")
@@ -500,14 +544,6 @@ def parse_instance(text: str) -> ProblemInstance:
         return ProblemInstance(spec, N, x0=doc.get("x0"), target=target)
     except DimensionMismatch as exc:
         raise SchemaError(str(exc)) from None
-
-
-def parse_instance_file(path) -> ProblemInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse_instance(fh.read())
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"not UTF-8 text: {exc}") from None
 
 
 def serialize_instance(inst: ProblemInstance) -> str:

@@ -318,10 +318,10 @@ def _stage_step(tree: PathTree, form: BsdeForm, W: np.ndarray, x_next: np.ndarra
     return xk
 
 
-def _level_mean(tree: PathTree, x_next: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] x(child j) at each parent node: the level times kron(weights, I_n)."""
+def _level_mean(tree: PathTree, x_next: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
+    """sum_j weights[j] x(child j) at each parent node: the level times kron(weights, I_n), into ``out`` when given."""
     n = x_next.shape[1]
-    return x_next.reshape(-1, tree.s * n) @ np.kron(weights[:, None], np.eye(n))
+    return np.matmul(x_next.reshape(-1, tree.s * n), np.kron(weights[:, None], np.eye(n)), out=out)
 
 
 def _solution(tree: PathTree, x_vals: dict[int, np.ndarray]) -> BsdeSolution:
@@ -415,16 +415,22 @@ def backward_solve_state_delay(
 def representation_residual(sol: BsdeSolution) -> dict[int, float]:
     """Max node residual of x(k+1) = E[x(k+1) | past] + w(k) z(k), per stage (0 on an empty level).
 
-    Each child j's gap x_j - mean - w_j z is formed on its own: no temporary is wider than a parent level.
+    Each child j's gap x_j - mean - w_j z is formed on its own, the mean, w_j z and the gap each in one
+    array of the deepest parent level's size, allocated once and reused across children and levels: no
+    temporary is wider than a parent level.
     """
     tree, out = sol.tree, {}
+    size = sol.z.at(tree.horizon).size
+    mean_work, wz_work, gap_work = np.empty(size), np.empty(size), np.empty(size)
     for k in range(tree.horizon + 1):
         xk1, z = sol.x.at(k + 1), sol.z.at(k)
-        children, mean = xk1.reshape(len(z), tree.s, sol.x.dim), _level_mean(tree, xk1, tree.probs)
+        mean, wz, gap = (work[: z.size].reshape(z.shape) for work in (mean_work, wz_work, gap_work))
+        children = xk1.reshape(len(z), tree.s, sol.x.dim)
+        _level_mean(tree, xk1, tree.probs, mean)
         peaks = []
         for j, w in enumerate(tree.support):
-            gap = children[:, j] - mean
-            gap -= w * z
+            np.subtract(children[:, j], mean, out=gap)
+            gap -= np.multiply(w, z, out=wz)
             peaks.append(np.abs(gap, out=gap).max(initial=0.0))
         out[k] = float(np.max(peaks))  # np.max, not max: a NaN in any child shows
     return out

@@ -234,11 +234,12 @@ def target_offsets(ts: TransformedSystem, L: list[np.ndarray], hom: BsdeSolution
         return [np.zeros((1, len(Lk))) for Lk in L]
     spec, n, m = ts.spec, ts.spec.n, ts.spec.m
     Mq = ts.transform.M[:, :n]
+    scratch = np.empty(max(len(hom.x.at(k)) * len(Lk) for k, Lk in enumerate(L)))  # each stage's r_h(k) L_k'
     c = []
     for k, Lk in enumerate(L):
         ck = np.zeros((len(hom.x.at(k)), len(Lk)))
         ck[:, :m] = (hom.z.at(k) - hom.x.at(k) @ spec.Abar.T) @ Mq.T
-        ck -= _regressor_product(spec, L, k, hom.x.values, None, np.empty_like(ck))
+        ck -= _regressor_product(spec, L, k, hom.x.values, None, scratch[: ck.size].reshape(ck.shape))
         c.append(ck[:1] if (ck == ck[0]).all() else ck)
     return c
 
@@ -326,7 +327,10 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
     as the run's rows; a c_k that is one row of zeros, as every stage of
     the origin's law, is not applied at all, which changes no value but
     the sign of a zero. Each stage's map is built once
-    (:func:`_stage_maps`) and read by every run. So the runs,
+    (:func:`_stage_maps`) and read by every run, and each run writes its
+    arrays into the ones the first run allocated (:func:`_folded_stages`),
+    so a yielded run is valid only until the next run is requested, as
+    :func:`feedback_loop`'s inputs are until its next step. So the runs,
     concatenated, are the breadth-first loop's x(N+1) bit for bit, and
     no more is held than the top level with its lags and one run's. synthesize and verify both run a law
     here, so they report the same deviation to the last digit; the states
@@ -348,22 +352,57 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
         q = s ** (N + 1 - depth)
         return values[first // q : -(-(first + leaves) // q)]
 
+    bufs = {}  # every run's arrays, allocated by the first run
     for first in range(0, s ** (N + 1), leaves):
         run_xs = {j: rows(v, j, first) for j, v in xs.items()}
         run_u1s = {j: rows(v, max(0, j), first) for j, v in u1s.items()}
         c = law.c[:top] + [ck if len(ck) == 1 else rows(ck, k, first) for k, ck in enumerate(law.c[top:], top)]
-        _folded_stages(tree, spec, FeedbackLaw(law.L, c, law.u1_pre), maps, range(top, N + 1), run_xs, run_u1s)
+        _folded_stages(tree, spec, FeedbackLaw(law.L, c, law.u1_pre), maps, range(top, N + 1), run_xs, run_u1s,
+                       bufs)
         yield first, run_xs[N + 1]
 
 
 def _folded_stages(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, maps: list, stages: range, xs: dict,
-                   u1s: dict) -> None:
+                   u1s: dict, bufs: dict | None = None) -> None:
     """Run ``stages`` through :func:`_folded_step` in place in ``xs`` and ``u1s``, keeping only what a later
     stage reads (:func:`_drop_read`): the state lags x(k-d+1..k) that act later on a delayed state and the
-    u1 pipeline u1(k-tau+1..k) on a delayed input, besides x(k+1). ``maps`` are :func:`_stage_maps`' for the law."""
-    d, tau, N = spec.d or 0, spec.tau or 0, len(law.L) - 1
+    u1 pipeline u1(k-tau+1..k) on a delayed input, besides x(k+1). ``maps`` are :func:`_stage_maps`' for the law.
+
+    Without ``bufs`` every stage allocates its arrays. With it (a dict, empty on the first of a loop's runs,
+    which all have the same level sizes), each array is allocated once, on the first run, and written by every
+    later one: x(k+1) into one of d + 2 arrays by N - k modulo d + 2 (two by parity without a state delay),
+    sized for x(N+1) down to x(N-d), as stage k reads x(k-d..k), which lie in the other d + 1; u1(k) into
+    one array per stage; and the offset and lag products into one ``work`` array, sized for the run's
+    largest and made only if some stage forms one. So what a run leaves in ``xs`` and ``u1s`` is valid
+    until the next.
+    """
+    d, tau, N, s, n = spec.d or 0, spec.tau or 0, len(law.L) - 1, tree.s, spec.n
+    if bufs is not None and stages and "work" not in bufs:
+        k0 = stages[0]
+
+        def product(k):  # entries of stage k's largest offset or lag product
+            _, Bw, blocks, offset = maps[k]
+            sizes = [len(law.c[k]) * Bw.shape[1]] if offset else []
+            xlags, ulags = _acting_lags(N, k, d, tau)
+            for j, (block, u1_block) in zip([*xlags, *ulags], blocks):
+                # x(k-j) or u1(k-j) has 1/s^j of x(k)'s rows in a run, or one row (a depth-0 lag).
+                sizes.append(max(1, len(xs[k0]) * s ** (k - k0) // s**j) * max(block.shape[1], u1_block.shape[1]))
+            return max(sizes, default=0)
+
+        need = max(map(product, stages))
+        bufs["work"] = np.empty(need) if need else None
     for k in stages:
-        xs[k + 1], u1k = _folded_step(tree, spec, law, k, xs, u1s, maps[k])
+        out = u1_out = work = None
+        if bufs is not None:
+            rows, key = len(xs[k]), ("x", (N - k) % (d + 2))
+            if key not in bufs:  # sized for the deepest level it holds
+                bufs[key] = np.empty(rows * s ** (N - k - key[1] + 1) * n)
+            out, work = bufs[key][: rows * s * n].reshape(rows, s * n), bufs["work"]
+            if len(law.L[k]) > spec.m:
+                if ("u1", k) not in bufs:
+                    bufs["u1", k] = np.empty((rows, len(law.L[k]) - spec.m))
+                u1_out = bufs["u1", k]
+        xs[k + 1], u1k = _folded_step(tree, spec, law, k, xs, u1s, maps[k], out=out, u1_out=u1_out, work=work)
         if u1k is not None:
             u1s[k] = u1k
         _drop_read(xs, u1s, k, N, d, tau)
@@ -406,7 +445,8 @@ def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tupl
     return maps
 
 
-def _folded_step(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict, stage: tuple):
+def _folded_step(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict, stage: tuple,
+                 out=None, u1_out=None, work=None):
     """x(k+1) at depth k + 1, and u1(k) while it enters by stage N (else None), under the stage-k law.
 
     u(k) = r(k) L_k,u' + c_k,u folded into the plant step: x(k) times the
@@ -417,21 +457,25 @@ def _folded_step(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, k: int, xs:
     r(k) L_k,u1' + c_k,u1 reads the same lags. ``stage`` is the stage's
     entry of :func:`_stage_maps`; a c_k it marks as one row of zeros is
     not applied. ``xs`` and ``u1s`` map a stage j to its values at
-    depth max(0, j).
+    depth max(0, j). x(k+1), as (rows, s n), is written into ``out`` and
+    u1(k) into ``u1_out`` when given (C-contiguous, of those shapes), else
+    allocated; the offset and lag products go into ``work`` when given
+    (:func:`_add_product`). ``np.matmul`` into such an array is the same
+    call as ``@``, so the values do not depend on where they are written.
     """
     m, n, N = spec.m, spec.n, len(law.L) - 1
     fold, Bw, blocks, offset = stage
     L1, c = law.L[k][m:], law.c[k]
-    out = xs[k] @ fold
+    out = np.matmul(xs[k], fold, out=out)
     if offset:
-        _add_product(out, c[:, :m], Bw)
-    u1 = xs[k] @ L1[:, :n].T if len(L1) else None
+        _add_product(out, c[:, :m], Bw, work)
+    u1 = np.matmul(xs[k], L1[:, :n].T, out=u1_out) if len(L1) else None
     xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
     lags = [xs[k - j] for j in xlags] + [u1s[k - i] for i in ulags]
     for lag, (block, u1_block) in zip(lags, blocks):
-        _add_product(out, lag, block)
+        _add_product(out, lag, block, work)
         if u1 is not None:
-            _add_product(u1, lag, u1_block)
+            _add_product(u1, lag, u1_block, work)
     if u1 is not None and offset:
         u1 += c[:, m:]
     return out.reshape(-1, n), u1

@@ -192,7 +192,7 @@ def test_path_target_writes_a_law_and_verify_takes_a_written_table(capsys, tmp_p
         assert code == 0 and report(out)["verdict"] == "ok"
         verified.append(report(out)["terminal_deviation"])
     assert verified[0] == table_deviation(ctrl, None)
-    final = np.concatenate([leaves for _, leaves in folded_loop(tree, ts.spec, x0, ctrl.law)])
+    final = np.concatenate([leaves.copy() for _, leaves in folded_loop(tree, ts.spec, x0, ctrl.law)])
     assert verified[1] == FLOAT_FMT % np.abs(final).max()
 
 

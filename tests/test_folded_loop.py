@@ -11,7 +11,9 @@ within c eps times the entrywise bound of both sums:
 + |A1'| or |B1'|). The loop yields x(N+1) in runs of leaves; concatenated,
 they are ``crosschecks.breadth_first_folded_loop``'s level bit for bit, on
 the same routes, laws and targets, also with ``pathspace.BLOCK_ENTRIES``
-cut small so that runs start below the lags they read. A null law's
+cut small so that runs start below the lags they read; every run is
+written into the array the first run allocated, so a run is copied
+before the next is requested. A null law's
 zero offsets make no product: its leaves equal (==) those of the loop
 that adds them (``crosschecks.offset_folded_step``), as adding 0.0 can
 change only the sign of a zero, while zeroing a constant or path
@@ -114,18 +116,37 @@ def test_folded_loop_runs_are_the_breadth_first_loop_bit_for_bit(monkeypatch, la
     rng = np.random.default_rng([lag, len(law), len(route), 0 if target is None else len(target), 3])
     for N in range(8 if law == "two-point" else 6):
         ts, tree, x0, _, ctrl = draw(rng, noise, route, lag, 2, N, target)
-        runs = list(folded_loop(tree, ts.spec, x0, ctrl.law))
+        runs = []
+        for first, x in folded_loop(tree, ts.spec, x0, ctrl.law):
+            assert x.flags.c_contiguous
+            runs.append((first, x.copy()))  # a run is valid until the next is requested
         firsts = [first for first, _ in runs]
         assert firsts == [sum(len(x) for _, x in runs[:i]) for i in range(len(runs))], N
-        assert all(x.flags.c_contiguous for _, x in runs)
         want = breadth_first_folded_loop(tree, ts.spec, x0, ctrl.law)
         assert np.concatenate([x for _, x in runs]).tobytes() == want.tobytes(), N
         if block is not None and N >= max(2 * block - 1, block + lag):  # top level at depth N + 1 - block
             assert len(runs) == tree.s ** (N - block - lag), N
 
 
+@pytest.mark.parametrize("target", [None, "path"], ids=["null", "path"])
+@pytest.mark.parametrize("lag", [{}, {"d": 2}, {"tau": 2}], ids=["full", "d2", "tau2"])
+def test_successive_runs_are_written_into_one_array(monkeypatch, lag, target):
+    # Every run is held, so runs allocated afresh could not share an address; the bit-for-bit test above
+    # checks each run's values as it comes.
+    monkeypatch.setattr(pathspace, "BLOCK_ENTRIES", 2**4)
+    n, m, N = 2, 3, 8
+    rng = np.random.default_rng(8)
+    ts = random_controllable(rng, n, m, N, **lag)
+    tree = PathTree(NoiseModel.rademacher(), N)
+    x0 = random_x0(rng, n)
+    goal = None if target is None else random_attainable_terminal(rng, tree, ts.form)
+    runs = list(folded_loop(tree, ts.spec, x0, steer_to_target(ts, tree, x0, goal).law))
+    assert len(runs) > 1
+    assert len({x.ctypes.data for _, x in runs}) == 1
+
+
 def leaves(tree, spec, x0, law):
-    return np.concatenate([x for _, x in folded_loop(tree, spec, x0, law)])
+    return np.concatenate([x.copy() for _, x in folded_loop(tree, spec, x0, law)])  # each before the next run
 
 
 @pytest.mark.parametrize("law", sorted(LAWS))
@@ -170,7 +191,7 @@ def test_only_a_nonzero_offset_makes_an_offset_product(monkeypatch, route, lag, 
         return add(out, values, coef, work)
 
     monkeypatch.setattr(synthesis, "_add_product", counting_add)
-    monkeypatch.setattr(synthesis, "_folded_step", lambda *args: steps.append(args[3]) or step(*args))
+    monkeypatch.setattr(synthesis, "_folded_step", lambda *args, **kw: steps.append(args[3]) or step(*args, **kw))
     runs = list(folded_loop(tree, ts.spec, x0, ctrl.law))
     assert len(runs) > 1 and len(steps) > len(ctrl.law.L)
     assert len(offsets) == (0 if target is None else len(steps))
@@ -266,7 +287,7 @@ def test_folded_loop_builds_each_stage_map_once(monkeypatch):
     stage_maps, step = synthesis._stage_maps, synthesis._folded_step
     built, read = [], []
     monkeypatch.setattr(synthesis, "_stage_maps", lambda *args: built.append(stage_maps(*args)) or built[-1])
-    monkeypatch.setattr(synthesis, "_folded_step", lambda *args: read.append((args[3], args[-1])) or step(*args))
+    monkeypatch.setattr(synthesis, "_folded_step", lambda *args, **kw: read.append((args[3], args[6])) or step(*args, **kw))
     runs = [first for first, _ in folded_loop(tree, ts.spec, x0, law)]
     assert len(runs) == 32 and len(read) == 175
     assert len(built) == 1 and len(built[0]) == N + 1

@@ -20,6 +20,7 @@ from stochctrl import (
     SchemaError,
     SystemSpec,
     parse_instance,
+    parse_instance_file,
     serialize_instance,
     validate,
 )
@@ -545,8 +546,8 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_target_text():
 
 
 def test_parse_peak_memory_of_base64_leaf_rows_is_a_small_multiple_of_the_leaves():
-    """A base64 3^10-leaf, n = 2 target: its string and its decoded bytes, then those bytes and
-    ProblemInstance's checked copy, 2.34x the leaf array here; the same leaves as a flat list held 5.2x."""
+    """A base64 3^10-leaf, n = 2 target: its string and its decoded bytes, 2.34x the leaf array here, and
+    ProblemInstance keeps a view of those bytes; the same leaves as a flat list held 5.2x."""
     rng = np.random.default_rng(6)
     inst = ProblemInstance(_random_spec(rng, 2, NoiseModel.symmetric_three_point()), 9, target=rng.normal(size=(3**10, 2)))
     text = serialize_instance(inst)
@@ -559,3 +560,39 @@ def test_parse_peak_memory_of_base64_leaf_rows_is_a_small_multiple_of_the_leaves
         tracemalloc.stop()
     assert again.target.tobytes() == inst.target.tobytes()
     assert peak <= 3 * inst.target.nbytes, (peak, inst.target.nbytes)
+
+
+def test_parse_instance_file_drops_the_file_text_before_the_target_decodes(tmp_path):
+    """A base64 3^10-leaf, n = 2 target read from a file: the text and json's target string, then that
+    string and its decoded bytes, 2.7x the leaf array here; a parse that held the text while the target
+    decoded peaked at 3.7x."""
+    rng = np.random.default_rng(6)
+    inst = ProblemInstance(_random_spec(rng, 2, NoiseModel.symmetric_three_point()), 9, target=rng.normal(size=(3**10, 2)))
+    path = tmp_path / "instance.json"
+    path.write_text(serialize_instance(inst))
+    tracemalloc.start()
+    try:
+        again = parse_instance_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.target.tobytes() == inst.target.tobytes()
+    assert peak <= 3 * inst.target.nbytes, (peak, inst.target.nbytes)
+
+
+def test_a_decoded_target_is_kept_without_a_copy(bench_full):
+    """The base64 target's float64 view over its decoded bytes is the stored target; lists and arrays are
+    copied, and a view over bytes is still checked finite once, with the copy's message."""
+    spec, _ = bench_full  # n = 2, two-point noise
+    inst = parse_instance(_target_doc(spec, 1, LEAVES_N1))
+    base = inst.target
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert type(base) is bytes and not inst.target.flags.writeable
+    assert inst.target.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
+    for value in (inst.target.tolist(), np.arange(8.0).reshape(4, 2)):
+        copied = ProblemInstance(spec, 1, target=value).target
+        assert copied.base is None and copied.flags.owndata and not copied.flags.writeable
+    for bits in (struct.pack("<2d", 0.0, np.inf), struct.pack("<2d", np.nan, 0.0)):
+        with pytest.raises(DimensionMismatch, match="^target: entries must be finite$"):
+            ProblemInstance(spec, 0, target=np.frombuffer(bits, "<f8"))
