@@ -10,17 +10,20 @@ C + w Cbar; the i-th term equals the expectation of the i-fold product
 applied to D D' because the noise is independent across stages with zero
 mean and unit variance. It is accumulated in backward-equation form,
 G_N = D D' + Lambda(G_{N-1}) from G_{-1} = 0, by
-:func:`gramian_sequence`. Each function here reads the route from the
-form, which carries any delay channel with its lag. That recursion, with
-the channel's delayed-input term or state-delay pivots added, is the
-only place a steering Gramian is built: :func:`gramian` is every route's
-horizon-N Gramian, :func:`decide_form` every route's scan (with the rank
-test where no delay channel makes it inapplicable), and every
-controller's gains read the sequence. :func:`gramian_oracle`, every
-route's independent check, recomputes each term literally over all noise
-paths from the products of :func:`pathspace.path_products`: level i
-adds sum_h p_h (Pi_h D)(Pi_h D)' by one weighted Gram matmul
-(:func:`pathspace.weighted_gram`), and a delayed input adds the same
+:func:`gramian_sequence`, as one stack of every horizon's Gramian. Each
+function here reads the route from the form, which carries any delay
+channel with its lag. That recursion, with the channel's delayed-input
+term or state-delay pivots added, is the only place a steering Gramian
+is built: :func:`gramian` is every route's horizon-N Gramian,
+:func:`decide_form` every route's scan (one stacked SVD of the scanned
+horizons, with the rank test where no delay channel makes it
+inapplicable), and every controller's gains read the sequence.
+:func:`gramian_oracle`, every route's independent check, recomputes each
+term literally over all noise paths from the products of
+:func:`pathspace.path_products`, each level stored as node columns:
+level i adds sum_h p_h (Pi_h D)(Pi_h D)' by one weighted Gram matmul
+per block of nodes (:func:`pathspace.weighted_gram`), the levels smaller
+than a block joined into one, and a delayed input adds the same
 Gram of each prefix's mean product, averaged over its continuations
 (:func:`pathspace.prefix_means`), times D1. oracle-check accepts the
 two Gramians when their Frobenius distance is within its tolerance
@@ -38,7 +41,7 @@ import numpy as np
 
 from .errors import CriteriaDisagreement, NonFiniteGramian
 from .model import NoiseModel, SystemSpec, ValidatedSystem, _singular_values
-from .pathspace import DEFAULT_CAP, PathTree, path_products, prefix_means, state_delay_P, weighted_gram
+from .pathspace import BLOCK_ENTRIES, DEFAULT_CAP, PathTree, path_products, prefix_means, state_delay_P, weighted_gram
 from .transform import BsdeForm, TransformedSystem
 
 
@@ -47,53 +50,62 @@ def moment_step(C: np.ndarray, Cbar: np.ndarray, X: np.ndarray) -> np.ndarray:
     return C @ X @ C.T + Cbar @ X @ Cbar.T
 
 
-def gramian_sequence(form: BsdeForm, N: int):
-    """Yield S(0), ..., S(N): the one place a steering Gramian is accumulated.
+def gramian_sequence(form: BsdeForm, N: int) -> np.ndarray:
+    """S(0), ..., S(N) as one (N + 1, n, n) stack: the one place a steering Gramian is accumulated.
 
     S(j) = P(j) (D D' + E(j) + Lambda(S(j-1))) P(j)' from S(-1) = 0, the
     backward equation's Gramian over its last j + 1 stages. A delayed
     input adds E(j) = C^tau D1 D1' C^tau' for j >= tau, and E(j) = 0
     otherwise. A delayed state pivots by P(j), the pivot at stage N - j of
     :func:`pathspace.state_delay_P` at horizon N; otherwise P(j) = I. The
-    lags are the form's. A non-finite S(j) raises :class:`NonFiniteGramian`
-    at horizon j.
+    lags are the form's. The stack is checked for finiteness once and
+    ends before the first non-finite S(j): a reader that needs horizon j
+    raises :class:`NonFiniteGramian` there (:func:`_reaching`).
     """
     DDt = form.D @ form.D.T
     if form.tau is not None and form.tau <= N:
         CD1 = np.linalg.matrix_power(form.C, form.tau) @ form.D1
         E = CD1 @ CD1.T
     pivots = None if form.C1 is None else state_delay_P(form, N)[::-1]
+    out = np.empty((N + 1, form.n, form.n))
     S = np.zeros((form.n, form.n))
-    for j in range(N + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(N + 1):
             S = DDt + moment_step(form.C, form.Cbar, S)
             if form.tau is not None and j >= form.tau:
                 S = S + E
             if pivots is not None:
                 S = pivots[j] @ S @ pivots[j].T
-        if not np.isfinite(S).all():
-            raise NonFiniteGramian(j)
-        yield S
+            out[j] = S
+    finite = np.isfinite(out).all(axis=(1, 2))
+    return out if finite.all() else out[: int(np.argmin(finite))]
 
 
-def _gramians(form: BsdeForm, N: int):
-    """Yield the horizon-j Gramians, j = 0..N: S(j) of :func:`gramian_sequence`,
-    plus with a delayed input its pre-horizon terms C^i D1 D1' C^i', i < min(tau, j + 1)."""
-    if form.D1 is None:
-        yield from gramian_sequence(form, N)
-        return
-    pre, CD1 = np.zeros((form.n, form.n)), form.D1
-    for j, S in enumerate(gramian_sequence(form, N)):
-        if j < form.tau:
+def _reaching(stack: np.ndarray, N: int) -> np.ndarray:
+    """``stack`` if it holds horizons 0..N, else :class:`NonFiniteGramian` at the first horizon it lacks."""
+    if len(stack) <= N:
+        raise NonFiniteGramian(len(stack))
+    return stack
+
+
+def _gramians(form: BsdeForm, N: int) -> np.ndarray:
+    """The horizon-j Gramians, j = 0..N, stacked: S(j) of :func:`gramian_sequence`, plus with a
+    delayed input its pre-horizon terms C^i D1 D1' C^i', i < min(tau, j + 1). Like the sequence,
+    the stack ends before the first non-finite S(j)."""
+    G = gramian_sequence(form, N)
+    if form.D1 is not None:
+        pre, CD1 = np.zeros((form.n, form.n)), form.D1
+        for j in range(min(form.tau, len(G))):
             pre = pre + CD1 @ CD1.T
             CD1 = form.C @ CD1
-        yield S + pre
+            G[j] += pre
+        G[form.tau :] += pre
+    return G
 
 
 def gramian(form: BsdeForm, N: int) -> np.ndarray:
     """Steering Gramian over horizon N on every route, delay channels included."""
-    *_, G = _gramians(form, N)
-    return G
+    return _reaching(_gramians(form, N), N)[N]
 
 
 def gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -112,13 +124,29 @@ def _gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int) -> np.n
     """:func:`gramian_oracle`'s body, which ``delay``'s named oracles call too (a traced name would nest)."""
     tree = PathTree(noise, N, cap)
     G = np.zeros((form.n, form.n))
+    # Levels are held until they make up a block of BLOCK_ENTRIES entries, then joined into one
+    # Gram per term: the small levels take one Gram matmul between them, and each larger level is
+    # its own block. Only ``held`` refers to a level's prefix means, so they go before the next level.
+    held, size = ([], []), 0  # (probs, stack) of the held levels, for the D and the D1 term
     for i, prods in enumerate(path_products(form, tree.support, N)):
-        G += weighted_gram(tree.node_probs(i), prods, form.D)
+        held[0].append((tree.node_probs(i), prods))
         if form.D1 is not None:
             depth = max(0, i - form.tau)
-            Phi = prefix_means(prods, tree.node_probs(i - depth))
-            G += weighted_gram(tree.node_probs(depth), Phi, form.D1)
+            held[1].append((tree.node_probs(depth), prefix_means(prods, tree.node_probs(i - depth))))
+        size += prods.size
+        if size >= BLOCK_ENTRIES or i == N:
+            G += sum(weighted_gram(*_joined(levels), right) for levels, right in zip(held, (form.D, form.D1)) if levels)
+            held, size = ([], []), 0
     return G
+
+
+def _joined(levels) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, stack) pairs of consecutive levels as one pair: the probabilities and the node
+    columns concatenated, the stack returned as the transposed view :func:`pathspace.weighted_gram` reads."""
+    if len(levels) == 1:
+        return levels[0]
+    probs = np.concatenate([p for p, _ in levels])
+    return probs, np.concatenate([stack.transpose(1, 0, 2) for _, stack in levels], axis=1).transpose(1, 0, 2)
 
 
 def gramian_invertible(G: np.ndarray) -> tuple[bool, float]:
@@ -232,17 +260,18 @@ def decide_form(
     # A controllable form has an invertible Gramian by N = dim - 1, so where the rank test
     # says full rank the scan runs past a short window for its witness before calling the
     # two criteria inconsistent; the report keeps the requested window for its figures.
-    min_sv, witness = [], None
-    for N, S in enumerate(_gramians(form, max(N_max, 2 * dim) if by_rank else N_max)):
-        svals, cut = _singular_values(S)
-        smin = float(svals[-1])
-        if N <= N_max:
-            G, rank = S, int(np.count_nonzero(svals > cut))
-            min_sv.append(smin)
-        if smin > cut and witness is None:
+    scan = max(N_max, 2 * dim) if by_rank else N_max
+    stack = _gramians(form, scan)
+    svals, cuts = _singular_values(stack)  # every horizon's in one stacked SVD
+    witness = None
+    for N, (sv, cut) in enumerate(zip(svals, cuts)):
+        if sv[-1] > cut and witness is None:
             witness = N
         if witness is not None and N >= N_max:
             break
+    else:
+        _reaching(stack, scan)  # no early break: every horizon was read
+    G, rank = stack[N_max], int(np.count_nonzero(svals[N_max] > cuts[N_max]))
     if span is not None and (witness is not None) != by_rank:
         raise CriteriaDisagreement(
             f"Gramian scan says {witness is not None} (witness {witness}) but rank test says "
@@ -254,7 +283,7 @@ def decide_form(
         N_max=N_max,
         controllable=witness is not None,
         witness_N=witness,
-        min_singular=tuple(min_sv),
+        min_singular=tuple(float(v) for v in svals[: N_max + 1, -1]),
         gramian=G,
         gramian_rank=rank,
         rank_R=None if span is None else span.rank,

@@ -148,11 +148,12 @@ def _integer(name: str, value, minimum: int) -> int:
     return value
 
 
-def _singular_values(a: np.ndarray) -> tuple[np.ndarray, float]:
+def _singular_values(a: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """``a``'s singular values, largest first, and the numerical-rank threshold
-    max(shape) * eps * sigma_max: the rank counts the values above it."""
+    max(shape) * eps * sigma_max: the rank counts the values above it. A stack
+    of matrices gives each matrix's values and threshold, from one SVD call."""
     svals = np.linalg.svd(a, compute_uv=False)
-    return svals, max(a.shape) * np.finfo(float).eps * float(svals[0])
+    return svals, max(a.shape[-2:]) * np.finfo(float).eps * svals[..., 0]
 
 
 def _numerical_rank(a: np.ndarray) -> int:

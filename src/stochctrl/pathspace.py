@@ -29,15 +29,17 @@ subtree by subtree, a lag above a run passed as the run's ancestor rows.
 random factors C + w Cbar are built, with the state-delay pivots of
 :func:`state_delay_P` woven in when the form has a delayed state: the
 terminal-product formula and every enumeration oracle take their
-products from it. The enumeration kernels are matmuls too, run in row
-blocks of ``BLOCK_ENTRIES`` entries so that no temporary grows with the
-level: a level's (s^k n, n) rows times [C(j) P(k+1)]_j in
-:func:`path_products`, one probability-weighted Gram matmul in
-:func:`weighted_gram`, and :func:`prefix_means`' average over each
-prefix's continuations. Node probabilities are outer products, level
-by level. :func:`backward_solve` hands a form with a delayed
-state to :func:`backward_solve_state_delay`, so :func:`member_of_S`
-serves every full-state route.
+products from it. The enumeration kernels are matmuls too, on levels
+stored as node columns: an (n, s^k, n) array with node h's product at
+[:, h, :]. A level's (n s^k, n) rows times [C(j) P(k+1)]_j are the next
+level in node order, with no regrouping (:func:`path_products`);
+:func:`weighted_gram` forms its probability-weighted Gram as one
+(r, H k) @ (H k, r) matmul per block of ``BLOCK_ENTRIES`` entries, so
+that no temporary grows with the level; and :func:`prefix_means`
+averages each prefix's continuations into node columns too. Node
+probabilities are outer products, level by level. :func:`backward_solve`
+hands a form with a delayed state to :func:`backward_solve_state_delay`,
+so :func:`member_of_S` serves every full-state route.
 
 :func:`terminal_from_map` is the one conversion of a target (None, an
 n-vector or leaf rows) to leaf rows. Both solves copy it once, as x(N+1),
@@ -89,7 +91,7 @@ class PathTree:
 
     def node_probs(self, depth: int) -> np.ndarray:
         while len(self._node_probs) <= depth:
-            self._node_probs.append(np.outer(self._node_probs[-1], self.probs).ravel())
+            self._node_probs.append((self._node_probs[-1][:, None] * self.probs).ravel())
         return self._node_probs[depth]
 
     def index_label(self, depth: int, index: int) -> str:
@@ -158,70 +160,63 @@ def path_products(form: BsdeForm, support, depth: int):
     Level k has shape (s^k, n, n) with rows in node-index order; level 0
     is the identity. A form with a delayed state weaves in the pivots
     P(0..depth) of :func:`state_delay_P` at horizon ``depth``: the products
-    are P(0) C(0) P(1) ... C(k-1) P(k) instead. Level k + 1 is level k's
-    (s^k n, n) rows times the per-atom map [C(j) P(k+1)]_j, one matmul per
-    row block, each block's columns regrouped child by child into node
-    order. Only two levels are alive at a time; take ``list`` of the
-    result to keep them all.
+    are P(0) C(0) P(1) ... C(k-1) P(k) instead. Each level is stored as
+    node columns, an (n, s^k, n) array with node h's product at
+    [:, h, :], and yielded as its transposed view. Level k + 1 is then
+    one matmul of the level's (n s^k, n) rows by the per-atom map
+    [C(j) P(k+1)]_j, whose (n s^k, s n) output is already level k + 1
+    in node columns (child h s + j in column block j of row h). Only two
+    levels are alive at a time; take ``list`` of the result to keep them all.
     """
     n = form.n
     cmats = form.stage_factors(support)
     P = None if form.C1 is None else state_delay_P(form, depth)
-    prods = (np.eye(n) if P is None else P[0])[None, :, :]
-    yield prods
+    level = (np.eye(n) if P is None else P[0])[:, None, :]
+    yield level.transpose(1, 0, 2)
     for k in range(depth):
-        prods = _children(prods, cmats if P is None else cmats @ P[k + 1])
-        yield prods
-
-
-def _children(prods: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Product h times factor j at row h s + j: the (h n, n) rows times [F_0, ..., F_(s-1)],
-    one matmul per row block, each row's s column blocks regrouped into its children.
-
-    A function of its own so that its views of the old level die on return:
-    :func:`path_products` then holds two levels, not three, while it builds the next.
-    """
-    s, n = len(factors), prods.shape[1]
-    step = factors.transpose(1, 0, 2).reshape(n, s * n)
-    children = np.empty((len(prods) * s, n, n))
-    rows = max(1, BLOCK_ENTRIES // max(1, s * n * n))
-    for h in range(0, len(prods), rows):
-        block = prods[h : h + rows].reshape(-1, n) @ step
-        children[h * s : (h + rows) * s].reshape(-1, s, n, n)[...] = block.reshape(-1, n, s, n).transpose(0, 2, 1, 3)
-    return children
+        step = (cmats if P is None else cmats @ P[k + 1]).transpose(1, 0, 2).reshape(n, -1)
+        level = (level.reshape(-1, n) @ step).reshape(n, -1, n)
+        yield level.transpose(1, 0, 2)
 
 
 def weighted_gram(probs: np.ndarray, prods: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_h probs[h] X_h X_h' with X_h = prods[h] right, over a stack of (r x n) blocks.
 
-    Per row block, the rows X_h flattened to r k entries meet in one
-    probability-weighted Gram matmul; the (r k)^2 result's trace over the
-    k columns of ``right`` is the r x r Gram.
+    The stack is read as node columns, its (r, H, n) transpose, which is
+    contiguous for a level of :func:`path_products` or :func:`prefix_means`.
+    Per block of ``BLOCK_ENTRIES`` entries, the block's H nodes times
+    ``right`` are an (r, H k) array Y, and the block's share of the Gram
+    is one (r, H k) @ (H k, r) matmul of Y, weighted per node, by Y'.
     """
-    H, r, n = prods.shape
+    cols = prods.transpose(1, 0, 2)
+    r, H, n = cols.shape
     k = right.shape[1]
     rows = max(1, BLOCK_ENTRIES // max(1, r * n, r * k))
-    gram = 0.0
+    gram = np.zeros((r, r))
     for h in range(0, H, rows):
-        block = prods[h : h + rows]
-        X = (block.reshape(-1, n) @ right).reshape(len(block), r * k)
-        gram = gram + (X.T * probs[h : h + rows]) @ X
-    return gram.reshape(r, k, r, k).trace(axis1=1, axis2=3)
+        Y = cols[:, h : h + rows] @ right
+        gram += (Y * probs[h : h + rows, None]).reshape(r, -1) @ Y.reshape(r, -1).T
+    return gram
 
 
 def prefix_means(stack: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """sum_t probs[t] stack[h T + t] for each prefix h, T = len(probs): the mean over its T continuations.
 
-    Few prefixes take one matrix-vector product each; many have few
-    continuations, averaged for all of them by one matmul against kron(probs, I).
+    The stack is read as node columns, as :func:`weighted_gram` reads it,
+    and the means are returned the same way, as the transposed view of an
+    (r, H / T, w) array. Few prefixes take one matrix-vector product per
+    row; many have few continuations, averaged for all of them by one
+    matmul against kron(probs, I).
     """
-    T, width = len(probs), stack[0].size
-    tails = stack.reshape(len(stack) // T, T, width)
-    if len(tails) <= T:
+    T = len(probs)
+    cols = stack.transpose(1, 0, 2)
+    r, H, w = cols.shape
+    tails = cols.reshape(r * (H // T), T, w)
+    if H // T <= T:
         mean = probs @ tails
     else:
-        mean = tails.reshape(len(tails), T * width) @ (probs[:, None, None] * np.eye(width)).reshape(T * width, width)
-    return mean.reshape(-1, *stack.shape[1:])
+        mean = tails.reshape(-1, T * w) @ (probs[:, None, None] * np.eye(w)).reshape(T * w, w)
+    return mean.reshape(r, H // T, w).transpose(1, 0, 2)
 
 
 def _check_input(proc, stage, want_dim, what) -> np.ndarray:

@@ -86,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pathspace
-from .criteria import gramian, gramian_invertible, gramian_sequence
+from .criteria import _reaching, gramian, gramian_invertible, gramian_sequence
 from .errors import DimensionMismatch, SchemaError, SingularGramian, TargetNotInS
 from .model import SystemSpec, _finite_floats, _label_tables, _level_labels, check_level
 from .pathspace import (
@@ -184,9 +184,10 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
             raise TargetNotInS(f"representation residual {result.max_residual:.3e} at stage {result.stage} "
                                f"exceeds {result.bound:.3e} (tolerance {result.tol} x max(1, max |target|))")
         hom = result.solution
-    S = [np.zeros((n, n)), *gramian_sequence(form, N)]  # S(j-1)
+    seq = _reaching(gramian_sequence(form, N), N)  # S(j), j = 0..N
+    S = [np.zeros((n, n)), *seq]  # S(j-1)
     K = [ts.transform.M @ np.vstack([S[N - k] @ form.Cbar.T, form.D.T]) for k in range(N + 1)]
-    G, Q, CD1, u1_pre = S[-1], None, None, None
+    G, Q, CD1, u1_pre = seq[N], None, None, None
     if form.D1 is not None:
         kind, what, tau = "input-delay", "delayed-input Gramian", form.tau
         G = gramian(form, N)  # a delayed input adds its pre-horizon terms
@@ -205,7 +206,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     if form.D1 is not None:
         g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
         u1_pre = np.array([g @ CD1[i] for i in range(min(tau, N + 1))])
-    S_pinv = _pinv(np.array(S[1:]))  # S(j)^+, j = 0..N
+    S_pinv = _pinv(seq)  # S(j)^+, j = 0..N
     K = [Kk @ S_pinv[N - k] for k, Kk in enumerate(K)]
     Mq_Abar = ts.transform.M[:, :n] @ spec.Abar
     L = []
@@ -240,7 +241,7 @@ def target_offsets(ts: TransformedSystem, L: list[np.ndarray], hom: BsdeSolution
         ck = np.zeros((len(hom.x.at(k)), len(Lk)))
         ck[:, :m] = (hom.z.at(k) - hom.x.at(k) @ spec.Abar.T) @ Mq.T
         ck -= _regressor_product(spec, L, k, hom.x.values, None, scratch[: ck.size].reshape(ck.shape))
-        c.append(ck[:1] if (ck == ck[0]).all() else ck)
+        c.append(ck[:1].copy() if (ck == ck[0]).all() else ck)  # a copy: a view would keep every node's row
     return c
 
 

@@ -54,26 +54,25 @@ def compute_M(bbar: np.ndarray, user_m: np.ndarray | None = None) -> np.ndarray:
             raise BadUserM(f"Bbar M differs from [I 0] by {gap:.3e} (tolerance {USER_M_TOL})")
         return user_m.copy()
 
-    scale = np.linalg.norm(bbar, 2) if bbar.size else 0.0
+    scale = np.linalg.svd(bbar, compute_uv=False)[0] if bbar.size else 0.0  # the spectral norm
     pivot_tol = max(n, m) * np.finfo(float).eps * scale
-    T = bbar.copy()
-    M = np.eye(m)
+    # Columns as lists of Python floats: the same IEEE operations in the same order as whole-column
+    # numpy updates, without a numpy call per column. max keeps the first largest, as np.argmax does.
+    T, M = bbar.T.tolist(), np.eye(m).tolist()
     for i in range(n):
-        j = i + int(np.argmax(np.abs(T[i, i:])))
-        if abs(T[i, j]) <= pivot_tol:
+        j = max(range(i, m), key=lambda c: abs(T[c][i]))
+        if abs(T[j][i]) <= pivot_tol:
             raise RankDeficient(f"Bbar row {i} has no usable pivot; rank(Bbar) < {n}")
-        if j != i:
-            T[:, [i, j]] = T[:, [j, i]]
-            M[:, [i, j]] = M[:, [j, i]]
-        piv = T[i, i]
-        T[:, i] /= piv
-        M[:, i] /= piv
+        T[i], T[j], M[i], M[j] = T[j], T[i], M[j], M[i]
+        piv = T[i][i]
+        T[i] = [t / piv for t in T[i]]
+        M[i] = [t / piv for t in M[i]]
         for c in range(m):
-            if c != i and T[i, c] != 0.0:
-                f = T[i, c]
-                T[:, c] -= f * T[:, i]
-                M[:, c] -= f * M[:, i]
-    return M
+            if c != i and T[c][i] != 0.0:
+                f = T[c][i]
+                T[c] = [t - f * ti for t, ti in zip(T[c], T[i])]
+                M[c] = [t - f * ti for t, ti in zip(M[c], M[i])]
+    return np.array(M).T.copy()
 
 
 @dataclass(frozen=True, eq=False)

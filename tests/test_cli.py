@@ -287,18 +287,19 @@ def test_oracle_check_all_instances(capsys):
         assert as_dict(out)["verdict"] == "ok"
 
 
-def halved_full_deep_draw(tmp_path):
-    """A draw whose Gramian at N = 12 has Frobenius norm 1.2e6: full_deep's seed-1 system, A and Abar halved."""
+def shrunk_full_deep_draw(tmp_path):
+    """A draw whose Gramian at N = 12 has Frobenius norm 2.3e7: full_deep's seed-1 system,
+    A and Abar divided by 2.25."""
     spec = random_controllable(np.random.default_rng([1, 0]), 3, 4, 17).spec
-    half = SystemSpec(A=spec.A / 2, B=spec.B, Abar=spec.Abar / 2, Bbar=spec.Bbar)
-    inst = tmp_path / "halved.json"
-    inst.write_text(serialize_instance(ProblemInstance(half, 12)))
+    shrunk = SystemSpec(A=spec.A / 2.25, B=spec.B, Abar=spec.Abar / 2.25, Bbar=spec.Bbar)
+    inst = tmp_path / "shrunk.json"
+    inst.write_text(serialize_instance(ProblemInstance(shrunk, 12)))
     return inst
 
 
 def test_oracle_check_tolerance_scales_with_the_gramian(capsys, tmp_path):
-    # Rounding alone puts the two Gramians about 1.4e-9 apart, over the absolute 1e-9.
-    inst = halved_full_deep_draw(tmp_path)
+    # Rounding alone puts the two Gramians about 1.1e-8 apart, over the absolute 1e-9.
+    inst = shrunk_full_deep_draw(tmp_path)
     code, out, _ = run(capsys, "oracle-check", "--instance", str(inst))
     got = as_dict(out)
     assert code == 0 and got["verdict"] == "ok"
@@ -317,7 +318,7 @@ def test_oracle_check_scale_still_catches_a_wrong_oracle(capsys, tmp_path, monke
         return gramian_oracle(form, N, noise, cap=cap) * (1 + 1e-6)
 
     monkeypatch.setattr(cli, "gramian_oracle", perturbed)
-    code, out, _ = run(capsys, "oracle-check", "--instance", str(halved_full_deep_draw(tmp_path)))
+    code, out, _ = run(capsys, "oracle-check", "--instance", str(shrunk_full_deep_draw(tmp_path)))
     assert code == 1 and as_dict(out)["verdict"] == "mismatch"
 
 

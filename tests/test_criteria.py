@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from stochctrl import (
     EnumerationTooLarge,
     NoiseModel,
+    NonFiniteGramian,
     TransformedSystem,
     decide,
     gramian,
@@ -225,6 +226,25 @@ def test_a_short_window_is_scanned_once(monkeypatch):
     assert len(passes) == 1
     assert report.controllable and report.witness_N == 1 and report.N_max == 0
     assert len(report.min_singular) == 1
+
+
+@pytest.mark.parametrize("N_max", [0, 3, 4])
+def test_an_overflow_past_the_scans_break_is_never_read(N_max):
+    # S(j) = 1e(200 + 30 j) I overflows at j = 4. The rank test passes, so the scan reads on to
+    # 2 n = 4 for a witness, but it breaks at N_max once it has one (here S(0)): an overflow past
+    # the break is not an error; one at a horizon the scan reads is, at that horizon.
+    from stochctrl.criteria import decide_form
+    from stochctrl.transform import BsdeForm
+
+    form = BsdeForm(C=1e15 * np.eye(2), Cbar=np.zeros((2, 2)), D=1e100 * np.eye(2))
+    if N_max == 4:
+        with pytest.raises(NonFiniteGramian) as err:
+            decide_form(form, N_max)
+        assert err.value.horizon == 4
+        return
+    report = decide_form(form, N_max)
+    assert report.controllable and report.witness_N == 0
+    assert len(report.min_singular) == N_max + 1 and report.min_singular[0] == 1e200
 
 
 def test_gramian_rank_is_matrix_rank_of_the_reported_gramian(rng, monkeypatch):

@@ -101,6 +101,16 @@ def test_law_has_one_gain_and_one_offset_per_stage(capsys, tmp_path):
     assert np.asarray(doc["L"]).size + np.asarray(doc["c"]).size == 5 * (3 * 2 + 3)
 
 
+@pytest.mark.parametrize("lag", [{}, {"tau": 2}, {"d": 2}], ids=["full", "tau=2", "d=2"])
+def test_one_row_offsets_own_their_row(rng, lag):
+    # A constant target's offsets are the same on every node. Each c_k keeps one row of its own, not a
+    # view whose base, the per-node array, would stay alive for as long as the law does.
+    noise, N, n = NoiseModel.rademacher(), 8, 3
+    ts = random_controllable(rng, n, n + 1, N, noise=noise, **lag)
+    ctrl = steer_to_target(ts, PathTree(noise, N), random_x0(rng, n), rng.normal(size=n))
+    assert all(len(ck) == 1 and ck.base is None for ck in ctrl.law.c)
+
+
 @pytest.mark.parametrize("law", sorted(LAWS))
 def test_path_target_with_node_varying_offsets_writes_a_law(capsys, tmp_path, law):
     rng = np.random.default_rng(len(law))

@@ -1,10 +1,11 @@
 """The enumeration oracle's matmul kernels agree with their einsum and Kronecker forms.
 
-``pathspace.path_products`` steps a level with one matmul per row block,
-``weighted_gram`` forms a probability-weighted Gram per row block,
-``prefix_means`` averages continuations with one matrix-vector product
-or one matmul, ``expected_terminal_product`` weights the leaves with one
-matmul, and ``PathTree.node_probs`` takes outer products. Each is checked
+``pathspace.path_products`` stores each level as node columns and steps
+it with one matmul, ``weighted_gram`` forms a probability-weighted Gram
+as one matmul per block of nodes, ``prefix_means`` averages continuations
+with one matrix-vector product or one matmul,
+``expected_terminal_product`` weights the leaves with one matmul, and
+``PathTree.node_probs`` takes outer products. Each is checked
 against its reference in ``tests/crosschecks.py`` on every route (full,
 output, reduced, tau 1/2, d 1/2) under both noise laws and a lopsided
 two-point law, for N <= 8.
@@ -15,6 +16,9 @@ entrywise bound sum |coefficient| |input|. A kernel that also sums over
 L nodes may differ by (8 + L) eps times that bound, since recursive
 summation of L terms can round by L eps in either form. Node
 probabilities are products in the same order, so they are equal bit for bit.
+At two-point N = 16 the oracle's ``tracemalloc`` peak stays within its two
+deepest levels plus a few ``BLOCK_ENTRIES`` blocks, on the full route and
+with tau = 2 or d = 2.
 Source scans keep the package's kernels this way: no einsum; no
 ``lift`` or ``at_depth`` defined or called and no ``repeat`` call, so no
 coarse value is copied onto finer nodes; and no
@@ -24,14 +28,23 @@ names a :class:`StochctrlError` class or re-raises.
 """
 import ast
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stochctrl import NoiseModel, PathTree, errors, expected_terminal_product, parse_instance_file, validate
+from stochctrl import (
+    NoiseModel,
+    PathTree,
+    errors,
+    expected_terminal_product,
+    gramian_oracle,
+    parse_instance_file,
+    validate,
+)
 from stochctrl.cli import ROUTES
 from stochctrl.partial import reduced_form
-from stochctrl.pathspace import path_products, prefix_means, state_delay_P, weighted_gram
+from stochctrl.pathspace import BLOCK_ENTRIES, path_products, prefix_means, state_delay_P, weighted_gram
 from stochctrl.sampling import random_transformed
 from conftest import INSTANCE_DIR
 from crosschecks import (
@@ -136,6 +149,23 @@ def test_expected_terminal_product_matches_the_einsum_form(law, route):
         bound = einsum_terminal_product(leaf_probs, np.abs(prods), np.abs(terminal))
         want = einsum_terminal_product(leaf_probs, prods, terminal)
         assert np.all(np.abs(got - want) <= (8 + len(leaf_probs)) * EPS * bound), N
+
+
+@pytest.mark.parametrize("route", ["full", "tau=2", "d=2"])
+def test_the_oracle_holds_two_levels_and_a_few_blocks(route):
+    # Two-point N = 16, n 3: levels 15 and 16 of path_products are alive while level 16 is built.
+    # Every other temporary (a block of weighted_gram, a level's prefix means, node probabilities)
+    # stays within a few BLOCK_ENTRIES blocks.
+    noise, N, n = LAWS["two-point"], 16, 3
+    form = random_transformed(np.random.default_rng(5), n, 4, noise=noise, **LAGS[route]).form
+    tracemalloc.start()
+    try:
+        gramian_oracle(form, N, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    levels = (2**(N - 1) + 2**N) * n * n * 8
+    assert peak <= levels + 4 * BLOCK_ENTRIES * 8, (peak, levels)
 
 
 def test_no_einsum_in_the_package():
