@@ -39,10 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriteriaDisagreement, NonFiniteGramian
+from .errors import CriteriaDisagreement, NonFiniteGramian, StochctrlError
 from .model import NoiseModel, SystemSpec, ValidatedSystem, _singular_values
 from .pathspace import BLOCK_ENTRIES, DEFAULT_CAP, PathTree, path_products, prefix_means, state_delay_P, weighted_gram
 from .transform import BsdeForm, TransformedSystem
+
+
+# gramian_sequence checks every FINITE_CHECK-th S(j) and stops once it is not finite; a check at
+# every horizon made a stable 65,536-horizon scan 15-35% slower (2 vCPU, numpy 2.4).
+FINITE_CHECK = 64
 
 
 def moment_step(C: np.ndarray, Cbar: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -58,16 +63,22 @@ def gramian_sequence(form: BsdeForm, N: int) -> np.ndarray:
     input adds E(j) = C^tau D1 D1' C^tau' for j >= tau, and E(j) = 0
     otherwise. A delayed state pivots by P(j), the pivot at stage N - j of
     :func:`pathspace.state_delay_P` at horizon N; otherwise P(j) = I. The
-    lags are the form's. The stack is checked for finiteness once and
-    ends before the first non-finite S(j): a reader that needs horizon j
-    raises :class:`NonFiniteGramian` there (:func:`_reaching`).
+    lags are the form's. At every ``FINITE_CHECK``-th horizon the
+    recursion checks its newest S(j) and stops if it is not finite; the
+    stack then ends before the first non-finite S(j), wherever that is: a
+    reader that needs horizon j raises :class:`NonFiniteGramian` there
+    (:func:`_reaching`). A stack too large to allocate raises
+    :class:`StochctrlError`.
     """
+    try:
+        out = np.empty((N + 1, form.n, form.n))
+    except (MemoryError, ValueError):
+        raise StochctrlError(f"cannot allocate the Gramians of horizons 0..{N}") from None
     DDt = form.D @ form.D.T
     if form.tau is not None and form.tau <= N:
         CD1 = np.linalg.matrix_power(form.C, form.tau) @ form.D1
         E = CD1 @ CD1.T
     pivots = None if form.C1 is None else state_delay_P(form, N)[::-1]
-    out = np.empty((N + 1, form.n, form.n))
     S = np.zeros((form.n, form.n))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(N + 1):
@@ -77,6 +88,9 @@ def gramian_sequence(form: BsdeForm, N: int) -> np.ndarray:
             if pivots is not None:
                 S = pivots[j] @ S @ pivots[j].T
             out[j] = S
+            if j % FINITE_CHECK == FINITE_CHECK - 1 and not np.isfinite(S).all():
+                out = out[: j + 1]
+                break
     finite = np.isfinite(out).all(axis=(1, 2))
     return out if finite.all() else out[: int(np.argmin(finite))]
 
@@ -161,9 +175,8 @@ def gramian_invertible(G: np.ndarray) -> tuple[bool, float]:
 
 @dataclass(eq=False)
 class WordSpanBasis:
-    """Linearly independent columns W D collected in breadth-first order."""
+    """Size of the span of the columns W D: its rank, and the breadth-first rounds that reached it."""
 
-    basis: np.ndarray  # n x rank, admitted columns in admission order
     rank: int
     depth: int  # rounds applied before the span closed
 
@@ -184,8 +197,7 @@ def word_span(form: BsdeForm) -> WordSpanBasis:
     ) * max(1.0, np.linalg.norm(D, 2) if D.size else 0.0)
     threshold = max(n, max(1, D.shape[1])) * np.finfo(float).eps * scale
 
-    Q = np.zeros((n, 0))
-    basis_cols = []
+    Q = np.zeros((n, 0))  # orthonormal basis of the admitted columns
 
     def admit(col) -> bool:
         nonlocal Q
@@ -195,12 +207,11 @@ def word_span(form: BsdeForm) -> WordSpanBasis:
         if norm <= threshold:
             return False
         Q = np.hstack([Q, (resid / norm)[:, None]])
-        basis_cols.append(col)
         return True
 
     frontier = [D[:, j] for j in range(D.shape[1]) if admit(D[:, j])]
     depth = 0
-    while frontier and len(basis_cols) < n:
+    while frontier and Q.shape[1] < n:
         new_frontier = []
         grew = False
         for mat in (C, Cbar):
@@ -214,8 +225,7 @@ def word_span(form: BsdeForm) -> WordSpanBasis:
         depth += 1
         frontier = new_frontier
 
-    basis = np.column_stack(basis_cols) if basis_cols else np.zeros((n, 0))
-    return WordSpanBasis(basis=basis, rank=len(basis_cols), depth=depth)
+    return WordSpanBasis(rank=Q.shape[1], depth=depth)
 
 
 @dataclass(eq=False)
@@ -263,14 +273,9 @@ def decide_form(
     scan = max(N_max, 2 * dim) if by_rank else N_max
     stack = _gramians(form, scan)
     svals, cuts = _singular_values(stack)  # every horizon's in one stacked SVD
-    witness = None
-    for N, (sv, cut) in enumerate(zip(svals, cuts)):
-        if sv[-1] > cut and witness is None:
-            witness = N
-        if witness is not None and N >= N_max:
-            break
-    else:
-        _reaching(stack, scan)  # no early break: every horizon was read
+    invertible = svals[:, -1] > cuts
+    witness = int(np.argmax(invertible)) if invertible.any() else None
+    _reaching(stack, scan if witness is None else max(N_max, witness))  # the horizons the scan reads
     G, rank = stack[N_max], int(np.count_nonzero(svals[N_max] > cuts[N_max]))
     if span is not None and (witness is not None) != by_rank:
         raise CriteriaDisagreement(

@@ -331,17 +331,30 @@ def _solution(tree: PathTree, x_vals: dict[int, np.ndarray]) -> BsdeSolution:
 
 
 def state_delay_P(form: BsdeForm, N: int) -> tuple[np.ndarray, ...]:
-    """Pivots P(0..N) of the delayed backward equation over horizon N.
+    """Pivots P(0..N) of the delayed backward equation over horizon N: the one pivot loop.
 
-    P(k) is the identity on the tail band k = N .. N-d+1 and
-    [I - C P(k+1) ... C P(k+d) C1]^{-1} below it (:func:`_state_delay_gains`).
-    P(k) depends on the horizon only through N - k, so one sequence serves
-    every shorter horizon as its tail. A singular bracket raises
-    :class:`SingularPBracket`.
+    Eliminating stages N..0 (:func:`_state_delay_gains`) gives P(k) = I on
+    the tail band k > N - d and, below it, the inverse of the bracket
+    I - C P(k+1) ... C P(k+d) C1, multiplied out left to right so the
+    Gramians keep their last digits. The lag d is the form's. P(k) depends
+    on the horizon only through N - k, so one sequence serves every shorter
+    horizon as its tail. The system is singular exactly when a bracket is:
+    rcond <= ``P_RCOND`` raises :class:`SingularPBracket` (k).
     """
     if form.C1 is None:
         raise DimensionMismatch("form has no delayed state channel C1")
-    return tuple(_state_delay_gains(form, N)[0])
+    n, d = form.n, form.d
+    P = [np.eye(n)] * (N + 1)
+    for k in range(N - d, -1, -1):
+        bracket = np.eye(n)
+        for j in range(k + 1, k + d + 1):
+            bracket = bracket @ form.C @ P[j]
+        bracket = np.eye(n) - bracket @ form.C1
+        svals = np.linalg.svd(bracket, compute_uv=False)
+        if svals[0] == 0.0 or svals[-1] / svals[0] <= P_RCOND:
+            raise SingularPBracket(k)
+        P[k] = np.linalg.inv(bracket)
+    return tuple(P)
 
 
 def _acting_lags(N: int, k: int, d: int, tau: int) -> tuple[range, range]:
@@ -351,29 +364,16 @@ def _acting_lags(N: int, k: int, d: int, tau: int) -> tuple[range, range]:
 
 
 def _state_delay_gains(form: BsdeForm, N: int):
-    """Pivots P(k) and lag gains Q_j(k) of the delayed backward equation.
+    """Pivots P(k) of :func:`state_delay_P` and lag gains Q_j(k) of the delayed backward equation.
 
     Eliminating stages N..0 leaves x(k) = r(k) + sum_j Q_j(k) x(k-j), with
     Q(N+1) = 0, P(k) = (I - C Q_1(k+1))^{-1}, Q_j(k) = P(k) C Q_{j+1}(k+1)
-    for j < d and Q_d(k) = P(k) C1. So P(k) = I for k > N - d and below it
-    inverts the bracket I - C P(k+1) ... C P(k+d) C1, multiplied out left to
-    right so the Gramians keep their last digits. The system is singular
-    exactly when a bracket is: rcond <= ``P_RCOND`` raises SingularPBracket(k).
-    The lag d is the form's; ``Q[k]`` maps each j acting at stage k (:func:`_acting_lags`) to Q_j(k).
+    for j < d and Q_d(k) = P(k) C1. ``Q[k]`` maps each j acting at stage k
+    (:func:`_acting_lags`) to Q_j(k).
     """
-    n, d = form.n, form.d
-    P = [np.eye(n)] * (N + 1)
+    P, d = state_delay_P(form, N), form.d
     Q = [{}] * (N + 1)
     for k in range(N, -1, -1):
-        if k + d <= N:
-            bracket = np.eye(n)
-            for j in range(k + 1, k + d + 1):
-                bracket = bracket @ form.C @ P[j]
-            bracket = np.eye(n) - bracket @ form.C1
-            svals = np.linalg.svd(bracket, compute_uv=False)
-            if svals[0] == 0.0 or svals[-1] / svals[0] <= P_RCOND:
-                raise SingularPBracket(k)
-            P[k] = np.linalg.inv(bracket)
         PC = P[k] @ form.C
         Q[k] = {j: P[k] @ form.C1 if j == d else PC @ Q[k + 1][j + 1] for j in _acting_lags(N, k, d, 0)[0]}
     return P, Q

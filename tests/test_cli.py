@@ -446,6 +446,18 @@ def test_singular_reduced_block_inapplicable(capsys, tmp_path):
         assert err == "inapplicable: script-A block matrix has min singular value 0.000e+00; not invertible\n"
 
 
+@pytest.mark.parametrize("N", [10**12, 10**20])
+def test_analyze_at_an_N_whose_gramian_stack_cannot_be_allocated_exits_6(capsys, N):
+    # Only on fullrank_2x3, whose Gramian overflows at horizon 856: where the allocation
+    # succeeds after all (memory overcommit), the scan stops there and touches a few pages.
+    code, out, err = run(capsys, "analyze", "--instance", FULL, "--N", str(N))
+    assert (code, out) == (6, "")
+    assert err in (
+        f"error: cannot allocate the Gramians of horizons 0..{N}\n",
+        "error: Gramian is not finite at horizon 856; the moment recursion overflows\n",
+    )
+
+
 # every package error class -> (exit code, stderr prefix) of main
 EXIT_BY_ERROR = {
     "StochctrlError": (6, "error"),

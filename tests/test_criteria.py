@@ -132,7 +132,6 @@ def test_word_span_agrees_with_word_matrix_rank(rng):
         R, _ = word_matrix(ts.form.C, ts.form.Cbar, ts.form.D, n)
         assert span.rank == np.linalg.matrix_rank(R, tol=1e-9)
         assert span.depth <= n
-        assert span.basis.shape == (n, span.rank)
 
 
 def degenerate_form(rng, n, k):
@@ -245,6 +244,31 @@ def test_an_overflow_past_the_scans_break_is_never_read(N_max):
     report = decide_form(form, N_max)
     assert report.controllable and report.witness_N == 0
     assert len(report.min_singular) == N_max + 1 and report.min_singular[0] == 1e200
+
+
+@pytest.mark.parametrize("N", [1000, 65535, 1048575])
+def test_an_overflowing_scan_stops_soon_after_its_first_non_finite_horizon(N, capsys, monkeypatch):
+    # fullrank_2x3's Gramian overflows at horizon 856. The recursion checks every FINITE_CHECK-th
+    # S(j) and stops at the first non-finite one, so no --N runs it much past 856.
+    import stochctrl.criteria as criteria
+    from conftest import INSTANCE_DIR
+    from stochctrl import parse_instance_file
+    from stochctrl.cli import main
+
+    calls = []
+    step = criteria.moment_step
+    monkeypatch.setattr(criteria, "moment_step", lambda *args: calls.append(1) or step(*args))
+    instance = str(INSTANCE_DIR / "fullrank_2x3.json")
+    assert main(["analyze", "--instance", instance, "--N", str(N)]) == 6
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: Gramian is not finite at horizon 856; the moment recursion overflows\n")
+    assert 856 < len(calls) <= 856 + criteria.FINITE_CHECK
+    calls.clear()
+    form = TransformedSystem.build(parse_instance_file(instance).system).form
+    with pytest.raises(NonFiniteGramian) as err:
+        gramian(form, 10**6)
+    assert err.value.horizon == 856
+    assert 856 < len(calls) <= 856 + criteria.FINITE_CHECK
 
 
 def test_gramian_rank_is_matrix_rank_of_the_reported_gramian(rng, monkeypatch):

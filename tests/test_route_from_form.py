@@ -122,21 +122,26 @@ def test_state_delay_entry_points_need_the_channel():
 
 
 def test_a_state_delay_controller_eliminates_twice_and_its_target_once_more(monkeypatch):
-    # One elimination for the Gramian sequence and one for the law (pivots and lag gains);
-    # a target's membership solve runs the third.
+    # One pivot loop (state_delay_P) for the Gramian sequence and one for the law, whose lag
+    # gains are the one gain build; a target's membership solve runs a third pivot loop and
+    # a second gain build.
+    import stochctrl.criteria as criteria
     import stochctrl.pathspace as pathspace
     import stochctrl.synthesis as synthesis
 
-    calls = []
-    eliminate = pathspace._state_delay_gains
+    pivots, gains = [], []
+    pivot_loop, eliminate = pathspace.state_delay_P, pathspace._state_delay_gains
+    for module in (pathspace, criteria):
+        monkeypatch.setattr(module, "state_delay_P", lambda form, N: pivots.append(N) or pivot_loop(form, N))
     for module in (pathspace, synthesis):
-        monkeypatch.setattr(module, "_state_delay_gains", lambda form, N: calls.append(N) or eliminate(form, N))
+        monkeypatch.setattr(module, "_state_delay_gains", lambda form, N: gains.append(N) or eliminate(form, N))
     rng = np.random.default_rng(4)
     ts = random_controllable(rng, 2, 3, 3, d=2)
     tree = PathTree(ts.spec.noise, 3)
     x0 = rng.normal(size=2)
     steer_to_target(ts, tree, x0, None)
-    assert calls == [3, 3]
-    calls.clear()
+    assert (pivots, gains) == ([3, 3], [3])
+    pivots.clear()
+    gains.clear()
     ctrl = steer_to_target(ts, tree, x0, delayed_attainable_terminal(rng, tree, ts.form, 2))
-    assert ctrl.kind == "state-delay" and calls == [3, 3, 3]
+    assert ctrl.kind == "state-delay" and (pivots, gains) == ([3, 3, 3], [3, 3])
