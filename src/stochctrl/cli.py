@@ -286,8 +286,7 @@ def _named_target_offsets(law: FeedbackLaw, inst, vs: ValidatedSystem, tree: Pat
     if digest != law.target:
         raise SchemaError(f"target digest {law.target} does not match the instance's target ({digest})")
     ts = TransformedSystem.build(vs)
-    hom = backward_solve(tree, ts.form, terminal_from_map(tree, vs.spec.n, inst.target))
-    return target_offsets(ts, law.L, hom)
+    return target_offsets(ts, law.L, backward_solve(tree, ts.form, inst.target))
 
 
 def cmd_verify(args) -> int:

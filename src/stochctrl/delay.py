@@ -7,7 +7,8 @@ each name here is a channel check in front of the body every full-state
 route shares: the scan :func:`criteria.decide`, the enumeration of
 :func:`criteria.gramian_oracle`, the membership test
 :func:`pathspace.member_of_S` itself (which reads the target through
-:func:`pathspace.terminal_from_map` and copies it once) and the steering
+:func:`pathspace.terminal_from_map` and shares it as x(N+1) when it is
+read-only, else copies it once) and the steering
 law behind :func:`synthesis.steer_to_target`. A form or system without
 the channel raises :class:`DimensionMismatch`. This module holds no
 arithmetic.

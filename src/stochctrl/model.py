@@ -21,9 +21,11 @@ silently change a run.
 from __future__ import annotations
 
 import binascii
+import contextlib
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -103,10 +105,31 @@ def check_level(labels, s: int, depth: int, what: str) -> None:
 
 
 def level_values(mapping: dict, s: int, depth: int, n: int, what: str) -> np.ndarray:
-    """The n-vectors of a {label: vector} map over one tree level, as read-only rows in node order."""
-    labels = sorted(mapping)
-    check_level(labels, s, depth, f"{what} keys")
-    return _as_float_matrix(f"{what} values", [mapping[label] for label in labels], len(labels), n)
+    """The n-vectors of a {label: vector} map over one tree level, as read-only rows in node order.
+
+    Keys that come in node order, compared lazily with the level's labels (no whole level is made), are
+    taken as they are; any others must be ``str`` (else :class:`SchemaError`), and are sorted and checked
+    as one level (:func:`check_level`). Values that are all arrays of shape (n,) and read as finite floats
+    go into the rows in one pass, with no list of them; any others take the one row-wise conversion, which
+    names what is wrong.
+    """
+    in_order = len(mapping) == s**depth and all(map(operator.eq, mapping, _level_labels(s, depth)))
+    values = mapping.values()
+    # Shapes first: np.fromiter would broadcast a short row into n entries.
+    if in_order and set(map(type, values)) == {np.ndarray} and set(map(operator.attrgetter("shape"), values)) == {(n,)}:
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            rows = np.fromiter(values, dtype=(float, n), count=len(values))
+            if np.isfinite(rows).all():
+                rows.setflags(write=False)
+                return rows
+    if not in_order:
+        bad = next((key for key in mapping if not isinstance(key, str)), None)
+        if bad is not None:
+            raise SchemaError(f"{what} keys: {bad!r} is not a str label")
+        labels = sorted(mapping)
+        check_level(labels, s, depth, f"{what} keys")
+        values = [mapping[label] for label in labels]
+    return _as_float_matrix(f"{what} values", list(values), len(values), n)
 
 
 def _finite_floats(name: str, entries: list) -> np.ndarray:
@@ -354,10 +377,12 @@ class ProblemInstance:
     ``target`` is an n-vector, the same terminal value on every noise
     path and so valid at any horizon, or the (s^(N+1), n) leaf rows in
     node order (:func:`path_labels` order), or a map from every full
-    path label (length N + 1) to its n-vector, read into those rows. It
-    is stored as a read-only copy, but for a native float64 array over
+    path label (length N + 1) to its n-vector, read into those rows
+    (:func:`level_values`, in one pass when the keys come in node order).
+    It is stored as a read-only copy, but for a native float64 array over
     immutable ``bytes`` (a decoded base64 target), which no one can write
-    and which is kept as it is; ``None`` means steer to the origin.
+    and which is kept as it is; ``None`` means steer to the origin. The
+    solves share leaf rows as their x(N+1) and do not copy them.
     """
 
     system: SystemSpec

@@ -42,8 +42,11 @@ hands a form with a delayed state to :func:`backward_solve_state_delay`,
 so :func:`member_of_S` serves every full-state route.
 
 :func:`terminal_from_map` is the one conversion of a target (None, an
-n-vector or leaf rows) to leaf rows. Both solves copy it once, as x(N+1),
-and :func:`member_of_S` reads its bound off that copy.
+n-vector or leaf rows) to leaf rows. Both solves take read-only leaf rows,
+as an instance's target is, as x(N+1) without a copy, and copy any other
+terminal once (:func:`_leaf_level`); :func:`member_of_S` reads its bound
+off that x(N+1). :func:`representation_residual` reads each level in row
+blocks of ``BLOCK_ENTRIES`` entries, so no temporary grows with the tree.
 """
 from __future__ import annotations
 
@@ -68,6 +71,15 @@ P_RCOND = 1e-12
 # synthesis.folded_loop counts it in rows, for the level it cuts into runs
 # and for each run's leaves.
 BLOCK_ENTRIES = 2**15
+
+
+def _block_depth(s: int, width: int) -> int:
+    """The largest p such that s^p rows of ``width`` entries fit in ``BLOCK_ENTRIES`` (0 if none does):
+    blocks of s^p rows tile a level, each a whole number of subtrees."""
+    p = 0
+    while s ** (p + 1) * max(width, 1) <= BLOCK_ENTRIES:
+        p += 1
+    return p
 
 
 class PathTree:
@@ -247,8 +259,8 @@ def terminal_from_map(tree: PathTree, n: int, terminal) -> np.ndarray:
     any horizon; either is tiled on the leaves as a read-only
     ``np.broadcast_to`` view. Leaf rows (``ProblemInstance.target``) are
     checked against the tree's depth and returned as they are. Any other
-    shape raises :class:`DimensionMismatch`. The solves copy the result
-    once, and that copy is their x(N+1).
+    shape raises :class:`DimensionMismatch`. The solves take the result as
+    their x(N+1) through :func:`_leaf_level`.
     """
     want = (tree.n_nodes(tree.horizon + 1), n)
     leaves = np.zeros(n) if terminal is None else np.asarray(terminal, dtype=float)
@@ -257,6 +269,14 @@ def terminal_from_map(tree: PathTree, n: int, terminal) -> np.ndarray:
     if leaves.shape != want:
         raise DimensionMismatch(f"target leaf array has shape {leaves.shape}; depth {tree.horizon + 1} needs {want}")
     return leaves
+
+
+def _leaf_level(tree: PathTree, n: int, terminal) -> np.ndarray:
+    """x(N+1) of a solve: :func:`terminal_from_map`'s leaf rows, shared when they are read-only and
+    C-contiguous, as the leaf rows of a ``ProblemInstance.target`` always are, else copied (a writable
+    array, an n-vector's tiled view, None). No solve writes x(N+1)."""
+    leaves = terminal_from_map(tree, n, terminal)
+    return leaves if leaves.flags.c_contiguous and not leaves.flags.writeable else leaves.copy()
 
 
 @dataclass(eq=False)
@@ -286,7 +306,8 @@ def backward_solve(
 
     ``terminal`` may be None (origin), an n-vector, or the leaf rows, as
     :func:`terminal_from_map` reads them (a wrong shape raises
-    :class:`DimensionMismatch`); their one copy is x(N+1).
+    :class:`DimensionMismatch`); x(N+1) is read-only leaf rows themselves,
+    else their one copy (:func:`_leaf_level`).
     ``v`` (None: zero free input) must hold stages 0..N with stage k
     measurable at depth <= k. A form with a delayed state is solved by
     :func:`backward_solve_state_delay`, with its drift C1 x(k - d).
@@ -294,7 +315,7 @@ def backward_solve(
     if form.C1 is not None:
         return backward_solve_state_delay(tree, form, terminal, v)
     W = _stage_map(tree, form)
-    x_vals = {tree.horizon + 1: terminal_from_map(tree, form.n, terminal).copy()}
+    x_vals = {tree.horizon + 1: _leaf_level(tree, form.n, terminal)}
     for k in range(tree.horizon, -1, -1):
         x_vals[k] = _stage_step(tree, form, W, x_vals[k + 1], v, k)
     return _solution(tree, x_vals)
@@ -398,7 +419,7 @@ def backward_solve_state_delay(
     N = tree.horizon
     P, Q = _state_delay_gains(form, N)
     W = _stage_map(tree, form)
-    x_vals = {N + 1: terminal_from_map(tree, form.n, terminal).copy()}
+    x_vals = {N + 1: _leaf_level(tree, form.n, terminal)}
     for k in range(N, -1, -1):
         x_vals[k] = _stage_step(tree, form, W, x_vals[k + 1], v, k) @ P[k].T
     for k in range(1, N + 1):
@@ -410,24 +431,27 @@ def backward_solve_state_delay(
 def representation_residual(sol: BsdeSolution) -> dict[int, float]:
     """Max node residual of x(k+1) = E[x(k+1) | past] + w(k) z(k), per stage (0 on an empty level).
 
-    Each child j's gap x_j - mean - w_j z is formed on its own, the mean, w_j z and the gap each in one
-    array of the deepest parent level's size, allocated once and reused across children and levels: no
-    temporary is wider than a parent level.
+    Each level is read in blocks of s^p parent rows, the most whose n entries fit in ``BLOCK_ENTRIES``
+    (:func:`_block_depth`), so a block's mean is the level's matmul on its rows. Each child j's gap
+    x_j - mean - w_j z is formed on its own, the mean, w_j z and the gap each in one block-sized array,
+    allocated once and reused across children, blocks and levels: no temporary is wider than a block.
     """
-    tree, out = sol.tree, {}
-    size = sol.z.at(tree.horizon).size
-    mean_work, wz_work, gap_work = np.empty(size), np.empty(size), np.empty(size)
+    tree, out, n = sol.tree, {}, sol.x.dim
+    rows = tree.s ** _block_depth(tree.s, n)
+    mean_work, wz_work, gap_work = np.empty(rows * n), np.empty(rows * n), np.empty(rows * n)
     for k in range(tree.horizon + 1):
         xk1, z = sol.x.at(k + 1), sol.z.at(k)
-        mean, wz, gap = (work[: z.size].reshape(z.shape) for work in (mean_work, wz_work, gap_work))
-        children = xk1.reshape(len(z), tree.s, sol.x.dim)
-        _level_mean(tree, xk1, tree.probs, mean)
+        children = xk1.reshape(len(z), tree.s, n)
         peaks = []
-        for j, w in enumerate(tree.support):
-            np.subtract(children[:, j], mean, out=gap)
-            gap -= np.multiply(w, z, out=wz)
-            peaks.append(np.abs(gap, out=gap).max(initial=0.0))
-        out[k] = float(np.max(peaks))  # np.max, not max: a NaN in any child shows
+        for h in range(0, len(z), rows):
+            zb = z[h : h + rows]
+            mean, wz, gap = (work[: zb.size].reshape(zb.shape) for work in (mean_work, wz_work, gap_work))
+            _level_mean(tree, xk1[h * tree.s : (h + rows) * tree.s], tree.probs, mean)
+            for j, w in enumerate(tree.support):
+                np.subtract(children[h : h + rows, j], mean, out=gap)
+                gap -= np.multiply(w, zb, out=wz)
+                peaks.append(np.abs(gap, out=gap).max(initial=0.0))
+        out[k] = float(np.max(peaks))  # np.max, not max: a NaN in any child of any block shows
     return out
 
 
@@ -458,14 +482,16 @@ def member_of_S(tree: PathTree, form: BsdeForm, terminal, tol: float = 1e-8) -> 
     :class:`DimensionMismatch`). Solves the homogeneous backward equation
     (:func:`backward_solve`, delayed on a form with C1) from it and checks
     the one-step representation residual at every node, against ``tol``
-    times the largest entry of the solution's x(N+1), the target's one
-    copy (at least 1). On two-point noise every terminal passes; richer
+    times the largest entry of the solution's x(N+1), the target's rows
+    themselves when read-only (at least 1), found without a leaf-sized
+    temporary. On two-point noise every terminal passes; richer
     laws reject terminals not affine in the final noise.
     """
     sol = backward_solve(tree, form, terminal)
     residuals = representation_residual(sol)
     stage = max(residuals, key=residuals.get)
-    bound = tol * max(1.0, float(np.abs(sol.x.at(tree.horizon + 1)).max()))
+    leaves = sol.x.at(tree.horizon + 1)
+    bound = tol * max(1.0, float(np.maximum(leaves.max(), -leaves.min())))
     return SMembership(
         member=bool(residuals[stage] <= bound),
         max_residual=residuals[stage],

@@ -230,18 +230,33 @@ def target_offsets(ts: TransformedSystem, L: list[np.ndarray], hom: BsdeSolution
     solution. A stage whose rows are all equal is kept as one row; without
     a target (``hom`` None) every c_k is one row of zeros. synthesize and
     verify both build a law's offsets here, from the same L and solution.
+
+    Each c_k is built in place, in blocks of s^p rows, the most whose
+    entries fit in ``pathspace.BLOCK_ENTRIES`` but with p past the longest
+    lag (``pathspace._block_depth``), so a lag's block spans s rows or more
+    and every row meets the matmul kernel the whole stage would (see
+    :func:`folded_loop`): r_h(k) L_k' goes into the block's rows and the
+    first part is subtracted from it, so no temporary is larger than a
+    block. The all-rows-equal test reads the stage block by block too.
     """
     if hom is None:
         return [np.zeros((1, len(Lk))) for Lk in L]
-    spec, n, m = ts.spec, ts.spec.n, ts.spec.m
+    spec, n, m, s, d = ts.spec, ts.spec.n, ts.spec.m, hom.tree.s, ts.spec.d or 0
     Mq = ts.transform.M[:, :n]
-    scratch = np.empty(max(len(hom.x.at(k)) * len(Lk) for k, Lk in enumerate(L)))  # each stage's r_h(k) L_k'
+    rows = s ** max(d + 1, pathspace._block_depth(s, max(n, len(L[0]))))
     c = []
     for k, Lk in enumerate(L):
-        ck = np.zeros((len(hom.x.at(k)), len(Lk)))
-        ck[:, :m] = (hom.z.at(k) - hom.x.at(k) @ spec.Abar.T) @ Mq.T
-        ck -= _regressor_product(spec, L, k, hom.x.values, None, scratch[: ck.size].reshape(ck.shape))
-        c.append(ck[:1].copy() if (ck == ck[0]).all() else ck)  # a copy: a view would keep every node's row
+        ck = np.empty((len(hom.x.at(k)), len(Lk)))
+        for h in range(0, len(ck), rows):
+            block = ck[h : h + rows]
+            # x(k) and its lags x(k - j), the block's rows and their ancestors
+            xs = {j: xj[h // s ** (k - j) : (h + len(block)) // s ** (k - j)]
+                  for j, xj in hom.x.values.items() if k - d <= j <= k}
+            _regressor_product(spec, L, k, xs, None, block)
+            np.subtract((hom.z.at(k)[h : h + rows] - xs[k] @ spec.Abar.T) @ Mq.T, block[:, :m], out=block[:, :m])
+            np.subtract(0.0, block[:, m:], out=block[:, m:])  # 0 - r, not -r: a zero keeps its sign
+        same = all((ck[h : h + rows] == ck[0]).all() for h in range(0, len(ck), rows))
+        c.append(ck[:1].copy() if same else ck)  # a copy: a view would keep every node's row
     return c
 
 
@@ -338,9 +353,7 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
     differ from :func:`feedback_loop`'s, the plant step's, by rounding.
     """
     N, s, tau = len(law.L) - 1, tree.s, spec.tau or 0
-    fit = 0  # the deepest level of at most BLOCK_ENTRIES rows
-    while s ** (fit + 1) <= pathspace.BLOCK_ENTRIES:
-        fit += 1
+    fit = pathspace._block_depth(s, 1)  # the deepest level of at most BLOCK_ENTRIES rows
     top = min(N + 1, max(fit, N + 1 - fit))
     p = min(top, max(fit - (N + 1 - top), max(spec.d or 0, tau) + 1))
     leaves = s ** (N + 1 - top + p)  # a run's: s^p top-level rows' subtrees

@@ -2,6 +2,7 @@
 import inspect
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from stochctrl import (
     gramian,
     gramian_oracle,
     parse_instance_file,
+    random_attainable_terminal,
     serialize_instance,
     validate,
     write_controller_csv,
 )
 from stochctrl.cli import ROUTES, _deviation, _route, main
-from stochctrl.sampling import random_controllable
+from stochctrl.sampling import random_controllable, random_x0
 from conftest import INSTANCE_DIR
 
 FULL = str(INSTANCE_DIR / "fullrank_2x3.json")
@@ -346,6 +348,27 @@ def test_oracle_check_at_the_cap(capsys, tmp_path, noise, N, route, lag):
     assert code == 0
     assert (got["kind"], got["N"], got["verdict"]) == (route, str(N), "ok")
     assert len(noise.support) ** (N + 1) <= 2**20 < len(noise.support) ** (N + 2)
+
+
+def test_a_path_target_at_depth_holds_its_leaf_rows_once(capsys, tmp_path):
+    """Two-point N = 17 (2^18 leaves, n 3, m 4): the target's rows are x(N+1) of the solve, and the residual
+    and the offsets work in blocks, so each command peaks at the target, the solution and the per-node
+    offsets (28 MB traced here); with a copy of the target and level-sized temporaries it was 45 MB."""
+    rng = np.random.default_rng(5)
+    ts = random_controllable(rng, 3, 4, 17, noise=NoiseModel.rademacher())
+    target = random_attainable_terminal(rng, PathTree(ts.spec.noise, 17), ts.form)
+    inst, law = tmp_path / "instance.json", tmp_path / "law.json"
+    inst.write_text(serialize_instance(ProblemInstance(ts.spec, 17, x0=random_x0(rng, 3), target=target)))
+    del target
+    for argv in (["synthesize", "--out", str(law)], ["verify", "--controller", str(law)]):
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--instance", str(inst)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr()
+        assert peak <= 32e6, (argv[0], peak)
 
 
 def test_oracle_check_respects_cap(capsys, tmp_path):

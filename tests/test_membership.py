@@ -4,8 +4,8 @@
 products of the first form (``crosschecks.kron_representation_residual``)
 multiply by exact 0s, 1s and w_j, so the two agree bit for bit on every
 steerable route. :func:`member_of_S` reads its bound off the solve's own
-x(N+1), and its peak memory stays within the solve's levels plus two
-leaf arrays.
+x(N+1), which is the target itself when that is read-only, and its peak
+memory stays within the solve's levels plus three block-sized arrays.
 """
 import tracemalloc
 
@@ -22,6 +22,7 @@ from stochctrl import (
     representation_residual,
     terminal_from_map,
 )
+from stochctrl.pathspace import BLOCK_ENTRIES
 from stochctrl.sampling import random_transformed
 from crosschecks import kron_representation_residual
 from test_delay import delayed_attainable_terminal
@@ -64,26 +65,32 @@ def test_membership_bound_reads_the_solves_copy(rng):
     form = random_transformed(rng, 2, 3, noise=noise).form
     tree = PathTree(noise, 2)
     terminal = random_attainable_terminal(rng, tree, form)
-    result = member_of_S(tree, form, terminal, tol=1e-8)
-    x_final = result.solution.x.at(3)
-    assert np.array_equal(x_final, terminal) and not np.shares_memory(x_final, terminal)
-    assert result.bound == 1e-8 * max(1.0, float(np.abs(terminal).max()))
+    frozen = terminal.copy()
+    frozen.setflags(write=False)
+    for leaves, shared in ((terminal, False), (frozen, True)):  # writable leaf rows are copied, read-only shared
+        result = member_of_S(tree, form, leaves, tol=1e-8)
+        x_final = result.solution.x.at(3)
+        assert np.array_equal(x_final, terminal) and np.shares_memory(x_final, leaves) == shared
+        assert result.bound == 1e-8 * max(1.0, float(np.abs(terminal).max()))
 
 
 def test_membership_peak_stays_within_the_solve_and_two_leaf_arrays():
-    # Two-point N = 17: 2^18 leaves. The solve holds x(0..18) and z(0..17); the
-    # residual adds at most a few parent-level temporaries on top of them.
+    # Two-point N = 17: 2^18 leaves. The solve holds x(0..17) and z(0..17), and
+    # shares the read-only target as x(18); the residual and the bound add at
+    # most three block-sized temporaries on top of them.
     rng = np.random.default_rng(5)
     noise = NoiseModel.rademacher()
     form = random_transformed(rng, 3, 4, noise=noise).form
     tree = PathTree(noise, 17)
     terminal = random_attainable_terminal(rng, tree, form)
+    terminal.setflags(write=False)
     tracemalloc.start()
     try:
         result = member_of_S(tree, form, terminal)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sum(a.nbytes for proc in (result.solution.x, result.solution.z) for a in proc.values.values())
+    held = sum(a.nbytes for proc in (result.solution.x, result.solution.z) for a in proc.values.values()
+               if not np.shares_memory(a, terminal))
     assert result.member
-    assert peak <= held + 2 * terminal.nbytes, (peak, held, terminal.nbytes)
+    assert peak <= held + 3 * BLOCK_ENTRIES * 8, (peak, held)

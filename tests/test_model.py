@@ -314,6 +314,18 @@ def test_target_keys_checked(bench_full):
 
 
 @pytest.mark.parametrize(
+    "keys,named",
+    [([0, 1, 10, 11], "0"), (["00", 1, "10", "11"], "1"), ([b"00", b"01", b"10", b"11"], "b'00'")],
+    ids=["int", "str-and-int", "bytes"],
+)
+def test_target_keys_that_are_not_str_are_schema_errors(bench_full, keys, named):
+    spec, _ = bench_full
+    target = dict(zip(keys, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]))
+    with pytest.raises(SchemaError, match=f"^target keys: {re.escape(named)} is not a str label$"):
+        ProblemInstance(spec, 1, target=target)
+
+
+@pytest.mark.parametrize(
     "rows,message",
     [
         ([[1.0, 2.0], [3.0]], r"not a numeric matrix \(setting an array element with a sequence"),
