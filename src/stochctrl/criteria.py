@@ -107,14 +107,22 @@ def _gramians(form: BsdeForm, N: int) -> np.ndarray:
     delayed input its pre-horizon terms C^i D1 D1' C^i', i < min(tau, j + 1). Like the sequence,
     the stack ends before the first non-finite S(j)."""
     G = gramian_sequence(form, N)
-    if form.D1 is not None:
-        pre, CD1 = np.zeros((form.n, form.n)), form.D1
-        for j in range(min(form.tau, len(G))):
-            pre = pre + CD1 @ CD1.T
-            CD1 = form.C @ CD1
-            G[j] += pre
-        G[form.tau :] += pre
+    if form.D1 is not None and len(G):
+        pre = _pre_horizon_sums(form, min(form.tau, len(G)))
+        G[: len(pre)] += pre
+        G[len(pre) :] += pre[-1]
     return G
+
+
+def _pre_horizon_sums(form: BsdeForm, count: int) -> np.ndarray:
+    """The partial sums sum_{i <= j} C^i D1 D1' C^i', j < ``count``, stacked: a delayed input's
+    pre-horizon terms, accumulated in order i = 0, 1, ... with C^i D1 = C (C^(i-1) D1)."""
+    pre, CD1, out = np.zeros((form.n, form.n)), form.D1, []
+    for _ in range(count):
+        pre = pre + CD1 @ CD1.T
+        CD1 = form.C @ CD1
+        out.append(pre)
+    return np.array(out)
 
 
 def gramian(form: BsdeForm, N: int) -> np.ndarray:
@@ -190,11 +198,8 @@ def word_span(form: BsdeForm) -> WordSpanBasis:
     """
     n = form.n
     C, Cbar, D = form.C, form.Cbar, form.D
-    scale = max(
-        np.linalg.norm(C, 2) if n else 0.0,
-        np.linalg.norm(Cbar, 2) if n else 0.0,
-        1.0,
-    ) * max(1.0, np.linalg.norm(D, 2) if D.size else 0.0)
+    top = np.linalg.svd(np.stack([C, Cbar]), compute_uv=False)[:, 0] if n else (0.0,)  # ||C||_2, ||Cbar||_2
+    scale = max(*top, 1.0) * max(1.0, np.linalg.norm(D, 2) if D.size else 0.0)
     threshold = max(n, max(1, D.shape[1])) * np.finfo(float).eps * scale
 
     Q = np.zeros((n, 0))  # orthonormal basis of the admitted columns

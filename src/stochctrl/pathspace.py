@@ -11,7 +11,7 @@ k-1 live at depth k. An :class:`AdaptedProcess` stores each stage at its
 coarsest measurable depth and never replicates values per leaf. Each
 per-level kernel is one matmul of the level, a row per node (s n wide),
 against a stacked per-atom map: [(A + w_j Abar)']_j in :func:`plant_step`,
-[p_j C(j)']_j in :func:`_stage_step`, kron(weights, I_n) in :func:`_level_mean`.
+[p_j C(j)']_j in :func:`_stage_step`, [weights[j] I_n]_j in :func:`_level_mean`.
 A value stored at a coarser depth than the level it acts on, such as a
 delayed input or a lagged state in :func:`plant_step` or a lagged state
 in :func:`backward_solve_state_delay`'s forward sweep, is multiplied at
@@ -45,8 +45,10 @@ so :func:`member_of_S` serves every full-state route.
 n-vector or leaf rows) to leaf rows. Both solves take read-only leaf rows,
 as an instance's target is, as x(N+1) without a copy, and copy any other
 terminal once (:func:`_leaf_level`); :func:`member_of_S` reads its bound
-off that x(N+1). :func:`representation_residual` reads each level in row
-blocks of ``BLOCK_ENTRIES`` entries, so no temporary grows with the tree.
+off that x(N+1). :func:`representation_residual` multiplies each row
+block of x(k+1), ``BLOCK_ENTRIES`` entries at most, by one fixed
+projection, kron(Pi', I_n), into one array, so no temporary grows with
+the tree; on two-point noise Pi = 0 and it makes no pass.
 """
 from __future__ import annotations
 
@@ -334,10 +336,10 @@ def _stage_step(tree: PathTree, form: BsdeForm, W: np.ndarray, x_next: np.ndarra
     return xk
 
 
-def _level_mean(tree: PathTree, x_next: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
-    """sum_j weights[j] x(child j) at each parent node: the level times kron(weights, I_n), into ``out`` when given."""
+def _level_mean(tree: PathTree, x_next: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] x(child j) at each parent node: the level times [weights[j] I_n]_j."""
     n = x_next.shape[1]
-    return np.matmul(x_next.reshape(-1, tree.s * n), np.kron(weights[:, None], np.eye(n)), out=out)
+    return x_next.reshape(-1, tree.s * n) @ (weights[:, None, None] * np.eye(n)).reshape(-1, n)
 
 
 def _solution(tree: PathTree, x_vals: dict[int, np.ndarray]) -> BsdeSolution:
@@ -429,29 +431,30 @@ def backward_solve_state_delay(
 
 
 def representation_residual(sol: BsdeSolution) -> dict[int, float]:
-    """Max node residual of x(k+1) = E[x(k+1) | past] + w(k) z(k), per stage (0 on an empty level).
+    """Max node residual of x(k+1) = E[x(k+1) | past] + w(k) z(k), per stage, from x(k+1) alone.
 
-    Each level is read in blocks of s^p parent rows, the most whose n entries fit in ``BLOCK_ENTRIES``
-    (:func:`_block_depth`), so a block's mean is the level's matmul on its rows. Each child j's gap
-    x_j - mean - w_j z is formed on its own, the mean, w_j z and the gap each in one block-sized array,
-    allocated once and reused across children, blocks and levels: no temporary is wider than a block.
+    A parent's s children X (s x n) are represented exactly when they lie in span{1, w}, and their
+    residual is Pi X with the projection Pi = I - 1 p' - w (p w)'. So each block of s^p parents, the
+    most whose s n entries fit in ``BLOCK_ENTRIES`` (:func:`_block_depth`), is one matmul of its
+    (parents, s n) rows by kron(Pi', I_n), into one block-sized array allocated once, whose abs-max
+    is the block's. Pi has rank s - 2, so on two-point noise every residual is 0.0 and no pass is made.
     """
-    tree, out, n = sol.tree, {}, sol.x.dim
-    rows = tree.s ** _block_depth(tree.s, n)
-    mean_work, wz_work, gap_work = np.empty(rows * n), np.empty(rows * n), np.empty(rows * n)
+    tree, n, s = sol.tree, sol.x.dim, sol.tree.s
+    if s <= 2:
+        return dict.fromkeys(range(tree.horizon + 1), 0.0)
+    p, w = tree.probs, tree.support
+    proj = np.eye(s) - p - np.outer(w, p * w)  # Pi[j, i] = delta_ji - p_i - w_j p_i w_i
+    kron = (proj.T[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(s * n, s * n)
+    rows = s ** _block_depth(s, s * n)
+    work, out = np.empty(rows * s * n), {}
     for k in range(tree.horizon + 1):
-        xk1, z = sol.x.at(k + 1), sol.z.at(k)
-        children = xk1.reshape(len(z), tree.s, n)
+        level = sol.x.at(k + 1).reshape(tree.n_nodes(k), s * n)
         peaks = []
-        for h in range(0, len(z), rows):
-            zb = z[h : h + rows]
-            mean, wz, gap = (work[: zb.size].reshape(zb.shape) for work in (mean_work, wz_work, gap_work))
-            _level_mean(tree, xk1[h * tree.s : (h + rows) * tree.s], tree.probs, mean)
-            for j, w in enumerate(tree.support):
-                np.subtract(children[h : h + rows, j], mean, out=gap)
-                gap -= np.multiply(w, zb, out=wz)
-                peaks.append(np.abs(gap, out=gap).max(initial=0.0))
-        out[k] = float(np.max(peaks))  # np.max, not max: a NaN in any child of any block shows
+        for h in range(0, len(level), rows):
+            block = level[h : h + rows]
+            gap = np.matmul(block, kron, out=work[: block.size].reshape(block.shape))
+            peaks.append(np.abs(gap, out=gap).max(initial=0.0))
+        out[k] = float(np.max(peaks))  # np.max, not max: a NaN in any block shows
     return out
 
 
@@ -481,11 +484,13 @@ def member_of_S(tree: PathTree, form: BsdeForm, terminal, tol: float = 1e-8) -> 
     :func:`terminal_from_map` takes it (a wrong shape raises
     :class:`DimensionMismatch`). Solves the homogeneous backward equation
     (:func:`backward_solve`, delayed on a form with C1) from it and checks
-    the one-step representation residual at every node, against ``tol``
-    times the largest entry of the solution's x(N+1), the target's rows
-    themselves when read-only (at least 1), found without a leaf-sized
-    temporary. On two-point noise every terminal passes; richer
-    laws reject terminals not affine in the final noise.
+    the one-step representation residual at every node
+    (:func:`representation_residual`), against ``tol`` times the largest
+    entry of the solution's x(N+1), the target's rows themselves when
+    read-only (at least 1), found without a leaf-sized temporary. On
+    two-point noise every terminal passes, with residual 0.0 at every
+    stage and no residual pass; richer laws reject terminals not affine in
+    the final noise.
     """
     sol = backward_solve(tree, form, terminal)
     residuals = representation_residual(sol)

@@ -86,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pathspace
-from .criteria import _reaching, gramian, gramian_invertible, gramian_sequence
+from .criteria import _pre_horizon_sums, _reaching, gramian_invertible, gramian_sequence
 from .errors import DimensionMismatch, SchemaError, SingularGramian, TargetNotInS
 from .model import SystemSpec, _finite_floats, _label_tables, _level_labels, check_level
 from .pathspace import (
@@ -190,7 +190,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     G, Q, CD1, u1_pre = seq[N], None, None, None
     if form.D1 is not None:
         kind, what, tau = "input-delay", "delayed-input Gramian", form.tau
-        G = gramian(form, N)  # a delayed input adds its pre-horizon terms
+        G = seq[N] + _pre_horizon_sums(form, min(tau, N + 1))[-1]  # gramian(form, N), from the one scan
         CD1 = [np.linalg.matrix_power(form.C, i) @ form.D1 for i in range(min(tau, N) + 1)]  # C^i D1
         # u1(k) has rows D1' C^tau' S(j)^+ while it enters by stage N, else none.
         K = [np.vstack([Kk, CD1[tau].T]) if k <= N - tau else Kk for k, Kk in enumerate(K)]

@@ -1,0 +1,103 @@
+"""Digest the check set's outputs, so that two versions of the package compare by one diff.
+
+    python tests/check_set.py > digests.txt
+
+runs every command of the check set through ``stochctrl.cli.main`` in this process and prints one
+SHA-256 per record, then the total. A record is one invocation's exit code, its stdout and stderr
+with the run's scratch directory replaced by ``<dir>`` (synthesize's ``controller:`` line names the
+law it wrote), and the bytes of that law, if one was written. The check set:
+
+- each bundled instance (``instances/*.json``) under analyze, synthesize, verify and oracle-check, at
+  its own N, at ``--N 0`` and at ``--N 7``; verify reads the law synthesize wrote at the same N;
+- generated instances on the full, tau 1 and 2 and d 1 and 2 routes, under two-point and
+  three-point noise, each with no target, a constant target, an attainable path target and a
+  random leaf target (which three-point noise rejects), through the same commands and horizons.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from stochctrl import NoiseModel, PathTree, ProblemInstance, serialize_instance
+from stochctrl.cli import main as cli_main
+from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
+
+INSTANCES = sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))
+LAWS = {"two-point": NoiseModel.rademacher(), "three-point": NoiseModel.symmetric_three_point()}
+ROUTES = {"full": {}, "tau1": {"tau": 1}, "tau2": {"tau": 2}, "d1": {"d": 1}, "d2": {"d": 2}}
+HORIZONS = (None, 0, 7)  # the instance's own N, then --N 0 and --N 7
+TARGET_N = 3
+
+
+def generated(workdir: Path) -> list[Path]:
+    """The generated instances, written into ``workdir``: per route and law, one system and x0 with
+    each kind of target, from a generator seeded by the route's and the law's positions."""
+    paths = []
+    for i, (route, lag) in enumerate(ROUTES.items()):
+        for j, (law, noise) in enumerate(LAWS.items()):
+            rng = np.random.default_rng([i, j])
+            ts = random_controllable(rng, 2, 3, TARGET_N, noise=noise, **lag)
+            x0 = random_x0(rng, 2)
+            attainable = random_attainable_terminal(rng, PathTree(noise, TARGET_N), ts.form)
+            targets = {"null": None, "constant": rng.normal(size=2), "path": attainable,
+                       "random": rng.normal(size=attainable.shape)}
+            for kind, target in targets.items():
+                path = workdir / f"{route}-{law}-{kind}.json"
+                path.write_text(serialize_instance(ProblemInstance(ts.spec, TARGET_N, x0=x0, target=target)))
+                paths.append(path)
+    return paths
+
+
+def _run(argv: list[str], workdir: Path) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, *(text.getvalue().replace(str(workdir), "<dir>") for text in (out, err))
+
+
+def records(workdir: Path, instances=None):
+    """Yield (name, exit code, stdout, stderr, law bytes) for every command of the check set, or, with
+    ``instances``, for those instance files alone."""
+    workdir = Path(workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    if instances is None:
+        instances = INSTANCES + generated(workdir)
+    for path in instances:
+        for N in HORIZONS:
+            horizon, label = ([], "own") if N is None else (["--N", str(N)], str(N))
+            law = workdir / f"{Path(path).stem}-N{label}-law.json"
+            for command, extra in (("analyze", []), ("synthesize", ["--out", str(law)]),
+                                   ("verify", ["--controller", str(law)]), ("oracle-check", [])):
+                code, out, err = _run([command, "--instance", str(path), *horizon, *extra], workdir)
+                written = law.read_bytes() if command == "synthesize" and law.exists() else b""
+                yield f"{Path(path).stem} {command} N={label}", code, out, err, written
+
+
+def digest(code: int, out: str, err: str, law: bytes) -> str:
+    return hashlib.sha256(json.dumps([code, out, err, law.hex()]).encode()).hexdigest()
+
+
+def digests(workdir: Path, instances=None) -> list[tuple[str, str]]:
+    """(name, digest) of each record of :func:`records`, in order."""
+    return [(name, digest(*record)) for name, *record in records(workdir, instances)]
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as workdir:
+        lines = [f"{value}  {name}" for name, value in digests(Path(workdir))]
+    total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    sys.stdout.write("\n".join([*lines, f"{total}  total"]) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -19,8 +19,11 @@ written as broadcasts and einsums over each node's s children, against
 which ``pathspace``'s per-atom matmuls are checked.
 ``kron_representation_residual`` is the residual as first written, each
 level's mean and z spread over the children by products with 0/1 and
-w_j blocks, against which ``pathspace.representation_residual``'s
-child-by-child gaps are checked bit for bit. ``reference_feedback_loop``
+w_j blocks, whose membership verdicts ``pathspace.representation_residual``'s
+projection must repeat. ``exact_representation_residual`` is the same
+residual in ``fractions.Fraction``, from the solution's float levels and
+the law's float atoms, against which the projection's rounding is bounded.
+``reference_feedback_loop``
 is the closed loop as first written, against which ``synthesis.feedback_loop``
 is checked: it lifts every lag to depth k, stacks the regressor r(k) for
 one matmul with L_k', stores every u(k), and steps through
@@ -51,6 +54,7 @@ import base64
 import itertools
 import json
 import struct
+from fractions import Fraction
 
 import numpy as np
 
@@ -412,6 +416,24 @@ def kron_representation_residual(sol) -> dict[int, float]:
         resid = xk1.reshape(-1, tree.s * n) - mean @ every_child
         resid -= sol.z.at(k) @ by_atom
         out[k] = float(np.abs(resid).max()) if resid.size else 0.0
+    return out
+
+
+def exact_representation_residual(sol) -> dict[int, Fraction]:
+    """Each stage's max |x_j - sum_i p_i x_i - w_j sum_i p_i w_i x_i| over parents, children j and
+    entries, in exact arithmetic on the float x(k+1) and the law's float p and w: no z is read."""
+    tree, n = sol.tree, sol.x.dim
+    p, w = [Fraction(v) for v in tree.probs], [Fraction(v) for v in tree.support]
+    out = {}
+    for k in range(tree.horizon + 1):
+        worst = Fraction(0)
+        for children in sol.x.at(k + 1).reshape(-1, tree.s, n):
+            for a in range(n):
+                x = [Fraction(float(v)) for v in children[:, a]]
+                mean = sum(pi * xi for pi, xi in zip(p, x))
+                z = sum(pi * wi * xi for pi, wi, xi in zip(p, w, x))
+                worst = max(worst, *(abs(xj - mean - wj * z) for xj, wj in zip(x, w)))
+        out[k] = worst
     return out
 
 

@@ -32,6 +32,7 @@ from stochctrl import (
     write_controller_csv,
 )
 from stochctrl.cli import main
+from stochctrl.criteria import gramian
 from stochctrl.delay import input_delay_controller, state_delay_controller
 from stochctrl.errors import SingularGramian
 from stochctrl.model import path_labels
@@ -280,6 +281,17 @@ def test_a_long_input_delay_stores_only_the_lags_that_act(capsys, tmp_path):
     code, verified, _ = run(capsys, "verify", "--instance", str(inst), "--controller", str(law))
     assert code == 0
     assert report(verified)["terminal_deviation"] == report(out)["terminal_deviation"]
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3])
+def test_input_delay_gramian_adds_the_pre_horizon_terms_to_the_gains_scan(tau):
+    # The gains' one Gramian scan plus the pre-horizon sums is gramian(form, N) to the bit, below,
+    # at and past tau: synthesize decides on it without a second scan.
+    rng = np.random.default_rng(7)
+    for N in range(1, 6):  # the draw screens G_N without D1, rank one at N = 0
+        ts = random_controllable(rng, 2, 3, N, tau=tau)
+        ctrl = input_delay_controller(ts, PathTree(NoiseModel.rademacher(), N), random_x0(rng, 2))
+        assert np.array_equal(ctrl.gramian, gramian(ts.form, N)), N
 
 
 def test_a_state_delay_law_keeps_the_lags_that_act_stage_by_stage():
