@@ -30,7 +30,6 @@ from .delay import (
     state_delay_P,
 )
 from .errors import (
-    AdaptednessViolation,
     BadUserM,
     CriteriaDisagreement,
     DimensionMismatch,
@@ -70,8 +69,6 @@ from .sampling import (
     random_x0,
 )
 from .pathspace import (
-    AdaptedProcess,
-    BsdeSolution,
     PathTree,
     SMembership,
     backward_solve,
@@ -81,6 +78,7 @@ from .pathspace import (
     member_of_S,
     representation_residual,
     terminal_from_map,
+    z_level,
 )
 from .synthesis import (
     ControllerProcess,

@@ -15,7 +15,9 @@ than ``--tol`` from the target (the report and controller are still
 written); 2 the criterion does not apply to the instance (no intertwined
 factor, a singular pencil, reduced block or delay bracket, or an
 unsupported structure); 3 singular Gramian; 4 target not attainable;
-5 malformed controller law or table, including a law whose target
+5 malformed controller law or table, including a table whose stage k
+does not list the depth-max(0, k) level of histories (a coarser or a
+finer level, or none: stage k of u1 missing), a law whose target
 digest does not match the instance's target, a digest law for an
 instance without a leaf-row target, and a law in an earlier version's
 form (offsets c listed per node, which a path target's law now replaces
@@ -46,7 +48,6 @@ from .delay import (
     state_delay_gramian_oracle,
 )
 from .errors import (
-    AdaptednessViolation,
     NoIntertwiner,
     SchemaError,
     SingularBlock,
@@ -286,7 +287,7 @@ def _named_target_offsets(law: FeedbackLaw, inst, vs: ValidatedSystem, tree: Pat
     if digest != law.target:
         raise SchemaError(f"target digest {law.target} does not match the instance's target ({digest})")
     ts = TransformedSystem.build(vs)
-    return target_offsets(ts, law.L, backward_solve(tree, ts.form, inst.target))
+    return target_offsets(ts, tree, law.L, backward_solve(tree, ts.form, inst.target))
 
 
 def cmd_verify(args) -> int:
@@ -304,8 +305,8 @@ def cmd_verify(args) -> int:
             runs = folded_loop(tree, spec, inst.x0, law)
         else:
             u, u1 = read_controller_table(args.controller, tree, spec)
-            runs = [(0, forward_simulate(tree, spec, inst.x0, u, u1=u1).at(tree.horizon + 1))]
-    except (SchemaError, AdaptednessViolation, StageMismatch) as exc:
+            runs = [(0, forward_simulate(tree, spec, inst.x0, u, u1=u1)[tree.horizon + 1])]
+    except (SchemaError, StageMismatch) as exc:
         sys.stderr.write(f"bad controller {artifact}: {exc}\n")
         return EXIT_BAD_TABLE
     target = None if inst.target is None else terminal_from_map(tree, spec.n, inst.target)

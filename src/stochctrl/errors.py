@@ -58,10 +58,6 @@ class StageMismatch(StochctrlError):
     """A stage-indexed object is missing, or indexed outside its range."""
 
 
-class AdaptednessViolation(StochctrlError):
-    """A process value depends on noise not yet observable at its stage."""
-
-
 class CriteriaDisagreement(StochctrlError):
     """Gramian and word-span criteria disagree; numerically inconsistent run."""
 

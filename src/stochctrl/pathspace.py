@@ -6,12 +6,15 @@ children of node h are h*s + j and truncating a history is integer
 division. All expectations are finite weighted sums in a fixed order;
 nothing here samples.
 
-Stage-k values that are measurable with respect to the noise up to stage
-k-1 live at depth k. An :class:`AdaptedProcess` stores each stage at its
-coarsest measurable depth and never replicates values per leaf. Each
-per-level kernel is one matmul of the level, a row per node (s n wide),
-against a stacked per-atom map: [(A + w_j Abar)']_j in :func:`plant_step`,
-[p_j C(j)']_j in :func:`_stage_step`, [weights[j] I_n]_j in :func:`_level_mean`.
+Stage-k values are measurable with respect to the noise up to stage k-1,
+so a process is a plain ``{stage: level}`` dict whose stage-k level is at
+depth max(0, k): an (s^max(0, k), dim) array, one row per node, never
+replicated per leaf. The solves return the x levels alone: z(k) =
+E[w(k) x(k+1) | past] is a function of x(k+1), formed where it is read
+(:func:`z_level`). Each per-level kernel is one matmul of the level, a
+row per node (s n wide), against a stacked per-atom map:
+[(A + w_j Abar)']_j in :func:`plant_step`, [p_j C(j)']_j in
+:func:`_stage_step`, [p_j w_j I_n]_j in :func:`z_level`.
 A value stored at a coarser depth than the level it acts on, such as a
 delayed input or a lagged state in :func:`plant_step` or a lagged state
 in :func:`backward_solve_state_delay`'s forward sweep, is multiplied at
@@ -52,12 +55,11 @@ the tree; on two-point noise Pi = 0 and it makes no pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    AdaptednessViolation,
     DimensionMismatch,
     EnumerationTooLarge,
     SingularPBracket,
@@ -127,47 +129,6 @@ class PathTree:
         return tables[depth][index] + label
 
 
-@dataclass(eq=False)
-class AdaptedProcess:
-    """Stage-indexed node values, each stage at its own measurable depth."""
-
-    tree: PathTree
-    values: dict[int, np.ndarray]
-    depths: dict[int, int]
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        if set(self.values) != set(self.depths):
-            raise StageMismatch("values and depths must cover the same stages")
-        dims = set()
-        for stage, arr in self.values.items():
-            depth = self.depths[stage]
-            if not 0 <= depth <= self.tree.horizon + 1:
-                raise StageMismatch(f"stage {stage}: depth {depth} outside the tree")
-            arr = np.asarray(arr, dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != self.tree.n_nodes(depth):
-                raise DimensionMismatch(
-                    f"stage {stage}: expected {self.tree.n_nodes(depth)} rows at depth {depth}, got {arr.shape}"
-                )
-            self.values[stage] = arr
-            dims.add(arr.shape[1])
-        if len(dims) > 1:
-            raise DimensionMismatch(f"inconsistent value dimensions across stages: {sorted(dims)}")
-        self.dim = dims.pop() if dims else 0
-
-    def depth(self, stage: int) -> int:
-        try:
-            return self.depths[stage]
-        except KeyError:
-            raise StageMismatch(f"process has no stage {stage}") from None
-
-    def at(self, stage: int) -> np.ndarray:
-        try:
-            return self.values[stage]
-        except KeyError:
-            raise StageMismatch(f"process has no stage {stage}") from None
-
-
 def path_products(form: BsdeForm, support, depth: int):
     """Yield the per-history products C(0) ... C(k-1) for k = 0..depth.
 
@@ -233,24 +194,19 @@ def prefix_means(stack: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return mean.reshape(r, H // T, w).transpose(1, 0, 2)
 
 
-def _check_input(proc, stage, want_dim, what) -> np.ndarray:
-    """Fetch an adapted input at its own depth, policing measurability.
+def _check_input(tree: PathTree, levels, stage: int, dim: int, what: str) -> np.ndarray:
+    """Stage ``stage`` of an input, which must be its (s^max(0, stage), ``dim``) level: a missing stage
+    raises :class:`StageMismatch`, any other shape :class:`DimensionMismatch`.
 
     A delayed input is decided at ``stage`` but enters the dynamics later.
     The kernels take it at its own depth and add it to every descendant
     (:func:`_add_product`).
     """
-    if proc is None:
-        raise StageMismatch(f"{what} is required but missing")
-    depth = proc.depth(stage)
-    cap = max(0, stage)
-    if depth > cap:
-        raise AdaptednessViolation(
-            f"{what} at stage {stage} stored at depth {depth} > {cap}; not measurable in time"
-        )
-    arr = proc.at(stage)
-    if arr.shape[1] != want_dim:
-        raise DimensionMismatch(f"{what} has dimension {arr.shape[1]}, expected {want_dim}")
+    if levels is None or stage not in levels:
+        raise StageMismatch(f"{what} has no stage {stage}")
+    arr, want = np.asarray(levels[stage], dtype=float), (tree.n_nodes(max(0, stage)), dim)
+    if arr.shape != want:
+        raise DimensionMismatch(f"{what} at stage {stage} has shape {arr.shape}, expected {want}")
     return arr
 
 
@@ -281,38 +237,23 @@ def _leaf_level(tree: PathTree, n: int, terminal) -> np.ndarray:
     return leaves if leaves.flags.c_contiguous and not leaves.flags.writeable else leaves.copy()
 
 
-@dataclass(eq=False)
-class BsdeSolution:
-    """Solution pair of the backward equation on the tree.
-
-    ``x`` carries stages 0..N+1 (stage k at depth k); ``z`` carries stages
-    0..N and is the noise-weighted one-step conditional expectation of x.
-    """
-
-    tree: PathTree
-    x: AdaptedProcess
-    z: AdaptedProcess
-
-    @property
-    def x0(self) -> np.ndarray:
-        return self.x.at(0)[0]
-
-
 def backward_solve(
     tree: PathTree,
     form: BsdeForm,
     terminal,
-    v: AdaptedProcess | None = None,
-) -> BsdeSolution:
-    """Solve x(k) = E[(C + w(k) Cbar) x(k+1) | past] + D v(k).
+    v: dict[int, np.ndarray] | None = None,
+) -> dict[int, np.ndarray]:
+    """Solve x(k) = E[(C + w(k) Cbar) x(k+1) | past] + D v(k); returns the levels x(0..N+1), stage k at depth k.
 
     ``terminal`` may be None (origin), an n-vector, or the leaf rows, as
     :func:`terminal_from_map` reads them (a wrong shape raises
     :class:`DimensionMismatch`); x(N+1) is read-only leaf rows themselves,
     else their one copy (:func:`_leaf_level`).
-    ``v`` (None: zero free input) must hold stages 0..N with stage k
-    measurable at depth <= k. A form with a delayed state is solved by
-    :func:`backward_solve_state_delay`, with its drift C1 x(k - d).
+    ``v`` (None: zero free input) maps each stage k = 0..N to its
+    (s^k, m_free) level (:func:`_check_input`). z(k) = E[w(k) x(k+1) | past],
+    the solution's other half, is :func:`z_level` of x(k+1). A form with a
+    delayed state is solved by :func:`backward_solve_state_delay`, with its
+    drift C1 x(k - d).
     """
     if form.C1 is not None:
         return backward_solve_state_delay(tree, form, terminal, v)
@@ -320,7 +261,7 @@ def backward_solve(
     x_vals = {tree.horizon + 1: _leaf_level(tree, form.n, terminal)}
     for k in range(tree.horizon, -1, -1):
         x_vals[k] = _stage_step(tree, form, W, x_vals[k + 1], v, k)
-    return _solution(tree, x_vals)
+    return x_vals
 
 
 def _stage_map(tree: PathTree, form: BsdeForm) -> np.ndarray:
@@ -332,25 +273,15 @@ def _stage_step(tree: PathTree, form: BsdeForm, W: np.ndarray, x_next: np.ndarra
     """E[C(k) x(k+1) | past] + D v(k) at depth k: x(k+1) times W (:func:`_stage_map`); no v means v = 0."""
     xk = x_next.reshape(-1, tree.s * form.n) @ W
     if v is not None:
-        _add_product(xk, _check_input(v, k, form.m_free, "v"), form.D.T)
+        _add_product(xk, _check_input(tree, v, k, form.m_free, "v"), form.D.T)
     return xk
 
 
-def _level_mean(tree: PathTree, x_next: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] x(child j) at each parent node: the level times [weights[j] I_n]_j."""
+def z_level(tree: PathTree, x_next: np.ndarray) -> np.ndarray:
+    """z(k) = E[w(k) x(k+1) | past] at each parent of ``x_next``, x(k+1)'s level or a block of it in whole
+    sets of s siblings: the rows times [p_j w_j I_n]_j, so a block gives its parents' rows of z(k)."""
     n = x_next.shape[1]
-    return x_next.reshape(-1, tree.s * n) @ (weights[:, None, None] * np.eye(n)).reshape(-1, n)
-
-
-def _solution(tree: PathTree, x_vals: dict[int, np.ndarray]) -> BsdeSolution:
-    """Pair node states x(0..N+1) with z(k) = E[w(k) x(k+1) | past], stage k at depth k."""
-    wprobs = tree.probs * tree.support
-    z_vals = {k: _level_mean(tree, x_vals[k + 1], wprobs) for k in range(tree.horizon + 1)}
-    return BsdeSolution(
-        tree,
-        AdaptedProcess(tree, x_vals, {k: k for k in x_vals}),
-        AdaptedProcess(tree, z_vals, {k: k for k in z_vals}),
-    )
+    return x_next.reshape(-1, tree.s * n) @ ((tree.probs * tree.support)[:, None, None] * np.eye(n)).reshape(-1, n)
 
 
 def state_delay_P(form: BsdeForm, N: int) -> tuple[np.ndarray, ...]:
@@ -406,9 +337,9 @@ def backward_solve_state_delay(
     tree: PathTree,
     form: BsdeForm,
     terminal,
-    v: AdaptedProcess | None = None,
-) -> BsdeSolution:
-    """Solve the backward equation with the extra drift term C1 x(k-d), d the form's lag.
+    v: dict[int, np.ndarray] | None = None,
+) -> dict[int, np.ndarray]:
+    """Solve the backward equation with the extra drift term C1 x(k-d), d the form's lag; returns x(0..N+1).
 
     Block elimination with the P-sequence as pivots (:func:`_state_delay_gains`):
     r(k) = P(k) (E[C(k) r(k+1) | past] + D v(k)) backward from r(N+1) =
@@ -427,10 +358,10 @@ def backward_solve_state_delay(
     for k in range(1, N + 1):
         for j, Qj in Q[k].items():
             _add_product(x_vals[k], x_vals[k - j], Qj.T)
-    return _solution(tree, x_vals)
+    return x_vals
 
 
-def representation_residual(sol: BsdeSolution) -> dict[int, float]:
+def representation_residual(tree: PathTree, x: dict[int, np.ndarray]) -> dict[int, float]:
     """Max node residual of x(k+1) = E[x(k+1) | past] + w(k) z(k), per stage, from x(k+1) alone.
 
     A parent's s children X (s x n) are represented exactly when they lie in span{1, w}, and their
@@ -439,7 +370,7 @@ def representation_residual(sol: BsdeSolution) -> dict[int, float]:
     (parents, s n) rows by kron(Pi', I_n), into one block-sized array allocated once, whose abs-max
     is the block's. Pi has rank s - 2, so on two-point noise every residual is 0.0 and no pass is made.
     """
-    tree, n, s = sol.tree, sol.x.dim, sol.tree.s
+    n, s = x[0].shape[1], tree.s
     if s <= 2:
         return dict.fromkeys(range(tree.horizon + 1), 0.0)
     p, w = tree.probs, tree.support
@@ -448,7 +379,7 @@ def representation_residual(sol: BsdeSolution) -> dict[int, float]:
     rows = s ** _block_depth(s, s * n)
     work, out = np.empty(rows * s * n), {}
     for k in range(tree.horizon + 1):
-        level = sol.x.at(k + 1).reshape(tree.n_nodes(k), s * n)
+        level = x[k + 1].reshape(tree.n_nodes(k), s * n)
         peaks = []
         for h in range(0, len(level), rows):
             block = level[h : h + rows]
@@ -474,7 +405,7 @@ class SMembership:
     tol: float
     bound: float
     x0: np.ndarray
-    solution: BsdeSolution
+    solution: dict[int, np.ndarray]  # the levels x(0..N+1) of backward_solve
 
 
 def member_of_S(tree: PathTree, form: BsdeForm, terminal, tol: float = 1e-8) -> SMembership:
@@ -492,10 +423,10 @@ def member_of_S(tree: PathTree, form: BsdeForm, terminal, tol: float = 1e-8) -> 
     stage and no residual pass; richer laws reject terminals not affine in
     the final noise.
     """
-    sol = backward_solve(tree, form, terminal)
-    residuals = representation_residual(sol)
+    x = backward_solve(tree, form, terminal)
+    residuals = representation_residual(tree, x)
     stage = max(residuals, key=residuals.get)
-    leaves = sol.x.at(tree.horizon + 1)
+    leaves = x[tree.horizon + 1]
     bound = tol * max(1.0, float(np.maximum(leaves.max(), -leaves.min())))
     return SMembership(
         member=bool(residuals[stage] <= bound),
@@ -503,8 +434,8 @@ def member_of_S(tree: PathTree, form: BsdeForm, terminal, tol: float = 1e-8) -> 
         stage=stage,
         tol=tol,
         bound=bound,
-        x0=sol.x0,
-        solution=sol,
+        x0=x[0][0],
+        solution=x,
     )
 
 
@@ -512,27 +443,27 @@ def forward_simulate(
     tree: PathTree,
     spec: SystemSpec,
     x0: np.ndarray,
-    u: AdaptedProcess,
+    u: dict[int, np.ndarray],
     *,
-    u1: AdaptedProcess | None = None,
-) -> AdaptedProcess:
-    """Run the plant over every noise path; returns x at stages 0..N+1.
+    u1: dict[int, np.ndarray] | None = None,
+) -> dict[int, np.ndarray]:
+    """Run the plant over every noise path; returns the levels x(0..N+1), stage k at depth k.
 
-    Uses the delay channels declared on ``spec``: the delayed input needs
-    ``u1`` (stages -tau..N-tau), the delayed state uses zero pre-history.
+    ``u`` maps stages 0..N, and ``u1``, which the delayed input channel
+    declared on ``spec`` needs, stages -tau..N-tau, each stage j to its
+    depth-max(0, j) level (:func:`_check_input`). The delayed state uses
+    zero pre-history.
     """
     n, N = spec.n, tree.horizon
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise DimensionMismatch(f"x0 must have length {n}, got {x0.shape}")
-    if spec.B1 is not None and u1 is None:
-        raise StageMismatch("system has a delayed input channel; u1 is required")
     xs = {0: x0[None, :].copy()}
     for k in range(N + 1):
-        uk = _check_input(u, k, spec.m, "u")
-        u1k = None if spec.B1 is None else _check_input(u1, k - spec.tau, spec.B1.shape[1], "u1")
+        uk = _check_input(tree, u, k, spec.m, "u")
+        u1k = None if spec.B1 is None else _check_input(tree, u1, k - spec.tau, spec.B1.shape[1], "u1")
         xs[k + 1] = plant_step(tree, spec, xs, k, uk, u1k)
-    return AdaptedProcess(tree, xs, {k: k for k in range(N + 2)})
+    return xs
 
 
 def plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk: np.ndarray, u1k=None, work=None) -> np.ndarray:
@@ -540,7 +471,7 @@ def plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk: np.ndarra
 
     Child j of a node is x(k) (A + w_j Abar)' + u(k) (B + w_j Bbar)' + u1 B1' + x(k-d) A1',
     one matmul per input against its per-atom map, n columns per atom (s copies of B1' or A1').
-    Each input term is formed at the input's own depth (u(k) at depth <= k,
+    Each input term is formed at the input's own depth (u(k) at depth k,
     u1(k - tau) and x(k - d) at theirs) and added to every descendant
     (:func:`_add_product`), in ``work`` when given: a flat scratch array of
     at least s^k s n entries, so that the one array allocated is the

@@ -15,7 +15,7 @@ import numpy as np
 from .criteria import gramian, gramian_invertible
 from .errors import RankDeficient, StochctrlError
 from .model import NoiseModel, SystemSpec
-from .pathspace import AdaptedProcess, PathTree, _add_product
+from .pathspace import PathTree, _add_product
 from .transform import BsdeForm, TransformedSystem, compute_M
 
 BBAR_MIN_SV = 0.3
@@ -132,10 +132,9 @@ def random_free_input(
     tree: PathTree,
     dim: int,
     scale: float = 1.0,
-) -> AdaptedProcess:
-    """Adapted process with independent values at every tree node."""
-    vals = {k: scale * rng.normal(size=(tree.n_nodes(k), dim)) for k in range(tree.horizon + 1)}
-    return AdaptedProcess(tree, vals, {k: k for k in vals})
+) -> dict[int, np.ndarray]:
+    """Levels of stages 0..N, stage k at depth k, with independent values at every tree node."""
+    return {k: scale * rng.normal(size=(tree.n_nodes(k), dim)) for k in range(tree.horizon + 1)}
 
 
 def random_attainable_terminal(

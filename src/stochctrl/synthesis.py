@@ -90,8 +90,6 @@ from .criteria import _pre_horizon_sums, _reaching, gramian_invertible, gramian_
 from .errors import DimensionMismatch, SchemaError, SingularGramian, TargetNotInS
 from .model import SystemSpec, _finite_floats, _label_tables, _level_labels, check_level
 from .pathspace import (
-    AdaptedProcess,
-    BsdeSolution,
     PathTree,
     _add_product,
     member_of_S,
@@ -99,6 +97,7 @@ from .pathspace import (
     plant_step,
     _acting_lags,
     _state_delay_gains,
+    z_level,
 )
 from .transform import TransformedSystem
 
@@ -204,7 +203,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     if not ok:
         raise SingularGramian(what, N, smin)
     if form.D1 is not None:
-        g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
+        g = np.linalg.solve(G, x0 if hom is None else x0 - hom[0][0])
         u1_pre = np.array([g @ CD1[i] for i in range(min(tau, N + 1))])
     S_pinv = _pinv(seq)  # S(j)^+, j = 0..N
     K = [Kk @ S_pinv[N - k] for k, Kk in enumerate(K)]
@@ -215,13 +214,14 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
         P = np.hstack([np.eye(n), *(-Q[k][j] for j in xlags), *(-CD1[form.tau - i] for i in ulags)])  # Pi_k
         L.append(Kk @ P)
         L[k][: spec.m, :n] -= Mq_Abar
-    c = target_offsets(ts, L, hom)
-    digest = target_digest(hom.x.at(N + 1)) if any(len(ck) > 1 for ck in c) else None
+    c = target_offsets(ts, tree, L, hom)
+    digest = target_digest(hom[N + 1]) if any(len(ck) > 1 for ck in c) else None
     return ControllerProcess(kind, tree, spec, x0, G, FeedbackLaw(L, c, u1_pre, digest), smin)
 
 
-def target_offsets(ts: TransformedSystem, L: list[np.ndarray], hom: BsdeSolution | None) -> list[np.ndarray]:
-    """The offsets c_k of the law with gains ``L`` that steers to the target whose homogeneous solution is ``hom``.
+def target_offsets(ts: TransformedSystem, tree: PathTree, L: list[np.ndarray], hom: dict | None) -> list[np.ndarray]:
+    """The offsets c_k of the law with gains ``L`` that steers to the target whose homogeneous solution is ``hom``,
+    the levels x_h(0..N+1) of ``pathspace.backward_solve`` on the tree.
 
     c_k = [(z_h(k) - x_h(k) Abar') M_q', 0] - r_h(k) L_k', with
     r_h(k) L_k' formed as :func:`_law_inputs` forms r(k) L_k': x_h(k) in
@@ -237,23 +237,27 @@ def target_offsets(ts: TransformedSystem, L: list[np.ndarray], hom: BsdeSolution
     and every row meets the matmul kernel the whole stage would (see
     :func:`folded_loop`): r_h(k) L_k' goes into the block's rows and the
     first part is subtracted from it, so no temporary is larger than a
-    block. The all-rows-equal test reads the stage block by block too.
+    block. z_h(k) is formed block by block too, from the block's children
+    in x_h(k+1) (``pathspace.z_level``), and no z level is held. The
+    all-rows-equal test reads the stage block by block as well.
     """
     if hom is None:
         return [np.zeros((1, len(Lk))) for Lk in L]
-    spec, n, m, s, d = ts.spec, ts.spec.n, ts.spec.m, hom.tree.s, ts.spec.d or 0
+    spec, n, m, s, d = ts.spec, ts.spec.n, ts.spec.m, tree.s, ts.spec.d or 0
     Mq = ts.transform.M[:, :n]
     rows = s ** max(d + 1, pathspace._block_depth(s, max(n, len(L[0]))))
     c = []
     for k, Lk in enumerate(L):
-        ck = np.empty((len(hom.x.at(k)), len(Lk)))
+        ck = np.empty((len(hom[k]), len(Lk)))
         for h in range(0, len(ck), rows):
             block = ck[h : h + rows]
             # x(k) and its lags x(k - j), the block's rows and their ancestors
             xs = {j: xj[h // s ** (k - j) : (h + len(block)) // s ** (k - j)]
-                  for j, xj in hom.x.values.items() if k - d <= j <= k}
+                  for j, xj in hom.items() if k - d <= j <= k}
             _regressor_product(spec, L, k, xs, None, block)
-            np.subtract((hom.z.at(k)[h : h + rows] - xs[k] @ spec.Abar.T) @ Mq.T, block[:, :m], out=block[:, :m])
+            q = z_level(tree, hom[k + 1][h * s : (h + len(block)) * s])
+            q -= xs[k] @ spec.Abar.T
+            np.subtract(q @ Mq.T, block[:, :m], out=block[:, :m])
             np.subtract(0.0, block[:, m:], out=block[:, m:])  # 0 - r, not -r: a zero keeps its sign
         same = all((ck[h : h + rows] == ck[0]).all() for h in range(0, len(ck), rows))
         c.append(ck[:1].copy() if same else ck)  # a copy: a view would keep every node's row
@@ -664,17 +668,20 @@ def write_controller_csv(dest, ctrl: ControllerProcess) -> None:
 
 def read_controller_table(
     source, tree: PathTree, spec: SystemSpec
-) -> tuple[AdaptedProcess, AdaptedProcess | None]:
-    """Parse a controller table, from a path or an open text stream, into adapted processes u and u1.
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray] | None]:
+    """Parse a controller table, from a path or an open text stream, into the levels of u and u1.
 
     The input widths, and the delayed input channel's lag where there is
-    one, are the system ``spec``'s. Each stage's histories must be one tree
-    level in node order, as :func:`write_controller_csv` writes them.
-    Malformed tables (wrong header, ragged rows, u rows at stages outside
-    0..N, u1 rows outside -tau..N-tau, text that is not UTF-8, cells that
-    are not ASCII, hold blanks or '_' or exceed the csv field limit, values
-    that are not finite numbers, histories that are not one level in node
-    order) raise :class:`SchemaError`.
+    one, are the system ``spec``'s. u maps stages 0..N and u1 (None
+    without a delayed input) the stages its rows name, each stage j to
+    its (s^max(0, j), width) level. Stage j's histories must be the
+    depth-max(0, j) level in node order, as :func:`write_controller_csv`
+    writes them. Malformed tables (wrong header, ragged rows, u rows at
+    stages outside 0..N, u1 rows outside -tau..N-tau, text that is not
+    UTF-8, cells that are not ASCII, hold blanks or '_' or exceed the csv
+    field limit, values that are not finite numbers, a stage whose
+    histories are not its depth-max(0, j) level in node order, a coarser
+    or finer level included) raise :class:`SchemaError`.
     """
     N, m, m1 = tree.horizon, spec.m, 0 if spec.B1 is None else spec.B1.shape[1]
     # channel -> (its columns, first and last stage, stage -> (first line, labels, values))
@@ -717,8 +724,8 @@ def read_controller_table(
     missing = sorted(set(range(N + 1)) - set(channels["u"][3]))
     if missing:
         raise SchemaError(f"controller table lacks u rows for stages {missing}")
-    u = _stages_to_process(tree, channels["u"][3], m, "u")
-    u1 = _stages_to_process(tree, channels["u1"][3], m1, "u1") if m1 else None
+    u = _stage_levels(tree, channels["u"][3], m, "u")
+    u1 = _stage_levels(tree, channels["u1"][3], m1, "u1") if m1 else None
     return u, u1
 
 
@@ -738,18 +745,14 @@ def _checked_lines(fh):
         yield from block
 
 
-def _stages_to_process(tree, stages, dim, what) -> AdaptedProcess:
+def _stage_levels(tree, stages, dim, what) -> dict[int, np.ndarray]:
     if not stages:
         raise SchemaError(f"controller table has no {what} rows")
-    vals, depths = {}, {}
+    vals = {}
     for stage, (lineno, labels, values) in stages.items():
         where = f"{what} stage {stage} (from line {lineno})"
-        depth = len(labels[0])
-        if depth > tree.horizon + 1:  # before the level is built
-            raise SchemaError(f"{where}: history length {depth} exceeds the tree's {tree.horizon + 1}")
-        check_level(labels, tree.s, depth, f"{where} histories")
+        check_level(labels, tree.s, max(0, stage), f"{where} histories")
         vals[stage] = np.frombuffer(values).reshape(-1, dim)
         if not np.isfinite(vals[stage]).all():
             raise SchemaError(f"{where}: values must be finite")
-        depths[stage] = depth
-    return AdaptedProcess(tree, vals, depths)
+    return vals

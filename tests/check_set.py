@@ -5,10 +5,12 @@
 runs every command of the check set through ``stochctrl.cli.main`` in this process and prints one
 SHA-256 per record, then the total. A record is one invocation's exit code, its stdout and stderr
 with the run's scratch directory replaced by ``<dir>`` (synthesize's ``controller:`` line names the
-law it wrote), and the bytes of that law, if one was written. The check set:
+law it wrote), and the bytes of that law, if one was written, or of the table verify read. The check set:
 
 - each bundled instance (``instances/*.json``) under analyze, synthesize, verify and oracle-check, at
   its own N, at ``--N 0`` and at ``--N 7``; verify reads the law synthesize wrote at the same N;
+- where synthesize wrote a law, the same controller as a table, built by the route's controller and
+  written by ``write_controller_csv``, then verified;
 - generated instances on the full, tau 1 and 2 and d 1 and 2 routes, under two-point and
   three-point noise, each with no target, a constant target, an attainable path target and a
   random leaf target (which three-point noise rejects), through the same commands and horizons.
@@ -25,8 +27,17 @@ from pathlib import Path
 
 import numpy as np
 
-from stochctrl import NoiseModel, PathTree, ProblemInstance, serialize_instance
-from stochctrl.cli import main as cli_main
+from stochctrl import (
+    NoiseModel,
+    PathTree,
+    ProblemInstance,
+    TransformedSystem,
+    parse_instance_file,
+    serialize_instance,
+    validate,
+    write_controller_csv,
+)
+from stochctrl import cli
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 
 INSTANCES = sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))
@@ -59,14 +70,23 @@ def _run(argv: list[str], workdir: Path) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli_main(argv)
+            code = cli.main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     return code, *(text.getvalue().replace(str(workdir), "<dir>") for text in (out, err))
 
 
+def write_table(path: Path, N: int | None, table: Path) -> None:
+    """The controller synthesize builds for the instance at ``path`` and horizon ``N`` (None: its own), as a table."""
+    inst = parse_instance_file(path)
+    vs = validate(inst.system)
+    tree = PathTree(inst.system.noise, inst.N if N is None else N)
+    ts = TransformedSystem.build(vs)
+    write_controller_csv(table, cli.ROUTES[cli._route(vs)].controller(ts, tree, inst.x0, inst.target, 1e-8))
+
+
 def records(workdir: Path, instances=None):
-    """Yield (name, exit code, stdout, stderr, law bytes) for every command of the check set, or, with
+    """Yield (name, exit code, stdout, stderr, law or table bytes) for every command of the check set, or, with
     ``instances``, for those instance files alone."""
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -81,6 +101,11 @@ def records(workdir: Path, instances=None):
                 code, out, err = _run([command, "--instance", str(path), *horizon, *extra], workdir)
                 written = law.read_bytes() if command == "synthesize" and law.exists() else b""
                 yield f"{Path(path).stem} {command} N={label}", code, out, err, written
+            if law.exists():
+                table = workdir / f"{Path(path).stem}-N{label}-table.csv"
+                write_table(Path(path), N, table)
+                code, out, err = _run(["verify", "--instance", str(path), *horizon, "--controller", str(table)], workdir)
+                yield f"{Path(path).stem} verify-table N={label}", code, out, err, table.read_bytes()
 
 
 def digest(code: int, out: str, err: str, law: bytes) -> str:

@@ -4,11 +4,11 @@
 [W D] word by word, against which ``criteria.word_span``'s breadth-first
 closure is checked. ``q_expanded`` evaluates the absorbed input q as an
 expanded tail sum on the tree, against the feedback law's q, which
-``split_u`` reads off u = M [q; v]; ``cond_expect_array`` and
-``cond_expect`` average out trailing stages of node values. ``lift``,
-``at_depth`` and ``node_value`` copy node values onto finer depths or read
-one history's value, which the package never does: the literal
-references below use them on purpose.
+``split_u`` reads off u = M [q; v]; ``cond_expect`` averages out trailing
+stages of a level. ``lift`` and ``node_value`` copy a level onto finer
+depths or read one history's value, which the package never does: the
+literal references below use them on purpose. Each takes a level and its
+depth, stage k's level being at depth max(0, k).
 ``tree_rank_controllable`` decides exact controllability from the plant
 itself, by the rank of the map from adapted inputs to terminal leaves.
 ``dense_state_delay_gains`` is the state-delay elimination that keeps
@@ -59,7 +59,6 @@ from fractions import Fraction
 import numpy as np
 
 from stochctrl import (
-    AdaptedProcess,
     InputTransform,
     PathTree,
     ProblemInstance,
@@ -70,6 +69,7 @@ from stochctrl import (
     backward_solve,
     feedback_loop,
     forward_simulate,
+    z_level,
 )
 from stochctrl.pathspace import P_RCOND, _acting_lags, _add_product, _state_delay_gains
 from stochctrl.synthesis import _folded_step, _stage_maps
@@ -101,23 +101,17 @@ def lift(tree: PathTree, values: np.ndarray, from_depth: int, to_depth: int) -> 
     return np.repeat(values, tree.s ** (to_depth - from_depth), axis=0)
 
 
-def at_depth(p: AdaptedProcess, stage: int, depth: int) -> np.ndarray:
-    """Stage ``stage`` of ``p`` lifted from its own depth to ``depth``."""
-    return lift(p.tree, p.at(stage), p.depth(stage), depth)
-
-
-def node_value(p: AdaptedProcess, stage: int, history) -> np.ndarray:
-    """Stage ``stage`` of ``p`` at a history (support indices) of any length >= the stage's depth."""
-    depth = p.depth(stage)
+def node_value(tree: PathTree, values: np.ndarray, depth: int, history) -> np.ndarray:
+    """A depth-``depth`` level's value at a history (support indices) of any length >= ``depth``."""
     if len(history) < depth:
-        raise StageMismatch(f"stage {stage} needs a history of length >= {depth}, got {len(history)}")
+        raise StageMismatch(f"a depth-{depth} level needs a history of length >= {depth}, got {len(history)}")
     idx = 0
     for i in history[:depth]:
-        idx = idx * p.tree.s + int(i)
-    return p.at(stage)[idx]
+        idx = idx * tree.s + int(i)
+    return values[idx]
 
 
-def cond_expect_array(tree: PathTree, values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
+def cond_expect(tree: PathTree, values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
     """Average out the trailing from_depth - to_depth stages of depth-``from_depth`` node values."""
     if to_depth > from_depth:
         raise StageMismatch(f"conditioning depth {to_depth} exceeds value depth {from_depth}")
@@ -126,11 +120,6 @@ def cond_expect_array(tree: PathTree, values: np.ndarray, from_depth: int, to_de
     tail = tree.node_probs(from_depth - to_depth)
     shaped = values.reshape(tree.s**to_depth, len(tail), -1)
     return np.einsum("hsd,s->hd", shaped, tail)
-
-
-def cond_expect(p: AdaptedProcess, stage: int, to_depth: int) -> np.ndarray:
-    """E[p(stage) | noise up to depth to_depth], as a node array."""
-    return cond_expect_array(p.tree, p.at(stage), p.depth(stage), to_depth)
 
 
 def rank_test_words(max_len: int) -> list[tuple[int, ...]]:
@@ -161,7 +150,7 @@ def word_matrix(C: np.ndarray, Cbar: np.ndarray, D: np.ndarray, max_len: int) ->
     return np.hstack(blocks) if blocks else np.zeros((C.shape[0], 0)), words
 
 
-def q_expanded(ts: TransformedSystem, tree: PathTree, v: AdaptedProcess) -> AdaptedProcess:
+def q_expanded(ts: TransformedSystem, tree: PathTree, v: dict) -> dict:
     """Absorbed input via the expanded tail sum instead of the solved pair.
 
     Evaluates q(k) = E[w(k) sum_{i>k} C(k+1)...C(i-1) D v(i) | stage k-1]
@@ -171,7 +160,7 @@ def q_expanded(ts: TransformedSystem, tree: PathTree, v: AdaptedProcess) -> Adap
     form, spec = ts.form, ts.spec
     n, N, s = form.n, tree.horizon, tree.s
     cmats = form.stage_factors(tree.support)
-    sol = backward_solve(tree, form, None, v)
+    x = backward_solve(tree, form, None, v)
     full = tree.n_nodes(N)
 
     def stage_digit(t):
@@ -180,23 +169,22 @@ def q_expanded(ts: TransformedSystem, tree: PathTree, v: AdaptedProcess) -> Adap
     # psi(j) = D v(j) + C(j) psi(j+1), evaluated at full depth N
     psi = {N + 1: np.zeros((full, n))}
     for j in range(N, 0, -1):
-        vj = at_depth(v, j, N) @ form.D.T
+        vj = lift(tree, v[j], j, N) @ form.D.T
         if j <= N - 1:
             rotated = np.einsum("hab,hb->ha", cmats[stage_digit(j)], psi[j + 1])
         else:
             rotated = np.zeros((full, n))
         psi[j] = vj + rotated
 
-    out_vals, out_depths = {}, {}
+    out = {}
     for k in range(N + 1):
         if k == N:
             q_free = np.zeros((tree.n_nodes(N), n))
         else:
             weighted = psi[k + 1] * tree.support[stage_digit(k)][:, None]
-            q_free = cond_expect_array(tree, weighted, N, k)
-        out_vals[k] = q_free - sol.x.at(k) @ spec.Abar.T
-        out_depths[k] = k
-    return AdaptedProcess(tree, out_vals, out_depths)
+            q_free = cond_expect(tree, weighted, N, k)
+        out[k] = q_free - x[k] @ spec.Abar.T
+    return out
 
 
 def tree_rank_controllable(spec: SystemSpec, N: int) -> tuple[bool, float]:
@@ -217,8 +205,8 @@ def tree_rank_controllable(spec: SystemSpec, N: int) -> tuple[bool, float]:
         for entry in range(tree.n_nodes(k) * spec.m):
             unit = np.zeros(tree.n_nodes(k) * spec.m)
             unit[entry] = 1.0
-            u = AdaptedProcess(tree, {**zero, k: unit.reshape(-1, spec.m)}, {j: j for j in zero})
-            columns.append(forward_simulate(tree, spec, np.zeros(spec.n), u).at(N + 1).ravel())
+            u = {**zero, k: unit.reshape(-1, spec.m)}
+            columns.append(forward_simulate(tree, spec, np.zeros(spec.n), u)[N + 1].ravel())
     T = np.column_stack(columns)
     rows = T.shape[0]
     svals = np.linalg.svd(T, compute_uv=False)
@@ -300,15 +288,15 @@ def reference_feedback_loop(tree: PathTree, spec: SystemSpec, x0, law):
             u1s[k] = np.ascontiguousarray(v[:, m:])
         u1k = lift(tree, u1s[k - tau], max(0, k - tau), k) if tau else None
         xs[k + 1] = lifting_plant_step(tree, spec, xs, k, u_vals[k], u1k)
-    u, x = (AdaptedProcess(tree, vals, {k: k for k in vals}) for vals in (u_vals, xs))
-    return u, x, AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None
+    return u_vals, xs, u1s if tau else None
 
 
-def reference_offsets(ts: TransformedSystem, law, hom) -> list[np.ndarray]:
+def reference_offsets(ts: TransformedSystem, tree: PathTree, law, hom: dict) -> list[np.ndarray]:
     """A target law's offsets built per node from its gains before the predictor map, as the steering body
     first built them: c_k = [z_h(k) M_q', 0] - (r_h(k) Pi_k') K_k'. r_h(k) Pi_k' is x_h(k) plus each acting
     state lag's x_h(k-j) (-Q_j(k))', multiplied at the lag's own depth (the target's u1 is zero), and K_k is
-    L_k's first n columns plus [M_q Abar; 0], as Pi_k's first block is I."""
+    L_k's first n columns plus [M_q Abar; 0], as Pi_k's first block is I. ``hom`` is the target's x_h levels,
+    and z_h(k) is ``pathspace.z_level`` of x_h(k+1)."""
     spec, n, m, N = ts.spec, ts.spec.n, ts.spec.m, len(law.L) - 1
     Q = _state_delay_gains(ts.form, N)[1] if ts.form.C1 is not None else [{}] * (N + 1)
     Mq = ts.transform.M[:, :n]
@@ -316,10 +304,10 @@ def reference_offsets(ts: TransformedSystem, law, hom) -> list[np.ndarray]:
     for k, Lk in enumerate(law.L):
         K = Lk[:, :n].copy()
         K[:m] += Mq @ spec.Abar
-        p = hom.x.at(k).copy()
+        p = hom[k].copy()
         for j, Qj in Q[k].items():
-            _add_product(p, hom.x.at(k - j), -Qj.T)
-        c.append(np.pad(hom.z.at(k) @ Mq.T, ((0, 0), (0, len(Lk) - m))) - p @ K.T)
+            _add_product(p, hom[k - j], -Qj.T)
+        c.append(np.pad(z_level(tree, hom[k + 1]) @ Mq.T, ((0, 0), (0, len(Lk) - m))) - p @ K.T)
     return c
 
 
@@ -334,8 +322,7 @@ def loop_levels(tree: PathTree, spec: SystemSpec, x0, law):
         if v.shape[1] > m:
             u1s[k] = v[:, m:].copy()
         xs[k + 1] = x_next
-    u, x = (AdaptedProcess(tree, vals, {k: k for k in vals}) for vals in (u_vals, xs))
-    return u, x, AdaptedProcess(tree, u1s, {j: max(0, j) for j in u1s}) if tau else None
+    return u_vals, xs, u1s if tau else None
 
 
 def controller_levels(ctrl):
@@ -392,47 +379,46 @@ def einsum_z(tree: PathTree, x_next: np.ndarray) -> np.ndarray:
     return np.einsum("j,hjb->hb", tree.probs * tree.support, children)
 
 
-def einsum_representation_residual(sol) -> dict[int, float]:
-    """``pathspace.representation_residual`` with an einsum mean and a broadcast prediction."""
-    tree = sol.tree
+def einsum_representation_residual(tree: PathTree, x: dict) -> dict[int, float]:
+    """``pathspace.representation_residual`` with an einsum mean, :func:`einsum_z` and a broadcast prediction."""
     out = {}
     for k in range(tree.horizon + 1):
-        xk1 = sol.x.at(k + 1).reshape(-1, tree.s, sol.x.dim)
+        xk1 = x[k + 1].reshape(-1, tree.s, x[k + 1].shape[1])
         xbar = np.einsum("j,hjb->hb", tree.probs, xk1)
-        pred = xbar[:, None, :] + tree.support[None, :, None] * sol.z.at(k)[:, None, :]
+        pred = xbar[:, None, :] + tree.support[None, :, None] * einsum_z(tree, x[k + 1])[:, None, :]
         out[k] = float(np.abs(xk1 - pred).max()) if xk1.size else 0.0
     return out
 
 
-def kron_representation_residual(sol) -> dict[int, float]:
-    """``pathspace.representation_residual`` with the level's mean and w_j z(k) spread over
-    every child by matmuls against tile(I_n, s) and kron(support, I_n)."""
-    tree, n = sol.tree, sol.x.dim
+def kron_representation_residual(tree: PathTree, x: dict) -> dict[int, float]:
+    """``pathspace.representation_residual`` with the level's mean and w_j z(k) (``pathspace.z_level``)
+    spread over every child by matmuls against tile(I_n, s) and kron(support, I_n)."""
+    n = x[0].shape[1]
     every_child, by_atom = np.tile(np.eye(n), tree.s), np.kron(tree.support, np.eye(n))
     out = {}
     for k in range(tree.horizon + 1):
-        xk1 = sol.x.at(k + 1)
+        xk1 = x[k + 1]
         mean = xk1.reshape(-1, tree.s * n) @ np.kron(tree.probs[:, None], np.eye(n))
         resid = xk1.reshape(-1, tree.s * n) - mean @ every_child
-        resid -= sol.z.at(k) @ by_atom
+        resid -= z_level(tree, xk1) @ by_atom
         out[k] = float(np.abs(resid).max()) if resid.size else 0.0
     return out
 
 
-def exact_representation_residual(sol) -> dict[int, Fraction]:
+def exact_representation_residual(tree: PathTree, x: dict) -> dict[int, Fraction]:
     """Each stage's max |x_j - sum_i p_i x_i - w_j sum_i p_i w_i x_i| over parents, children j and
-    entries, in exact arithmetic on the float x(k+1) and the law's float p and w: no z is read."""
-    tree, n = sol.tree, sol.x.dim
+    entries, in exact arithmetic on the float x(k+1) and the law's float p and w."""
+    n = x[0].shape[1]
     p, w = [Fraction(v) for v in tree.probs], [Fraction(v) for v in tree.support]
     out = {}
     for k in range(tree.horizon + 1):
         worst = Fraction(0)
-        for children in sol.x.at(k + 1).reshape(-1, tree.s, n):
+        for children in x[k + 1].reshape(-1, tree.s, n):
             for a in range(n):
-                x = [Fraction(float(v)) for v in children[:, a]]
-                mean = sum(pi * xi for pi, xi in zip(p, x))
-                z = sum(pi * wi * xi for pi, wi, xi in zip(p, w, x))
-                worst = max(worst, *(abs(xj - mean - wj * z) for xj, wj in zip(x, w)))
+                xs = [Fraction(float(v)) for v in children[:, a]]
+                mean = sum(pi * xi for pi, xi in zip(p, xs))
+                z = sum(pi * wi * xi for pi, wi, xi in zip(p, w, xs))
+                worst = max(worst, *(abs(xj - mean - wj * z) for xj, wj in zip(xs, w)))
         out[k] = worst
     return out
 

@@ -170,7 +170,7 @@ def test_c6_closed_loop_null_steering(bench_full, bench_input_delay, bench_state
     tree = PathTree(spec.noise, 2)
     ctrl = null_controller(ts, tree, expected["x0"])
     sim = forward_simulate(tree, spec, expected["x0"], controller_levels(ctrl)[0])
-    worst = max(worst, float(np.abs(sim.at(3)).max()))
+    worst = max(worst, float(np.abs(sim[3]).max()))
 
     for _ in range(20):
         n = int(rng.integers(1, 4))
@@ -181,7 +181,7 @@ def test_c6_closed_loop_null_steering(bench_full, bench_input_delay, bench_state
             x0 = random_x0(rng, n)
             c = null_controller(ts_r, tree_r, x0)
             s = forward_simulate(tree_r, ts_r.spec, x0, controller_levels(c)[0])
-            worst = max(worst, float(np.abs(s.at(N + 1)).max()))
+            worst = max(worst, float(np.abs(s[N + 1]).max()))
 
     spec_in, exp_in = bench_input_delay
     ts_in = TransformedSystem.build(spec_in)
@@ -189,14 +189,14 @@ def test_c6_closed_loop_null_steering(bench_full, bench_input_delay, bench_state
     c_in = input_delay_controller(ts_in, tree_in, exp_in["x0"])
     u_in, _, u1_in = controller_levels(c_in)
     s_in = forward_simulate(tree_in, spec_in, exp_in["x0"], u_in, u1=u1_in)
-    worst = max(worst, float(np.abs(s_in.at(3)).max()))
+    worst = max(worst, float(np.abs(s_in[3]).max()))
 
     spec_st, exp_st = bench_state_delay
     ts_st = TransformedSystem.build(spec_st)
     tree_st = PathTree(spec_st.noise, 2)
     c_st = state_delay_controller(ts_st, tree_st, exp_st["x0"])
     s_st = forward_simulate(tree_st, spec_st, exp_st["x0"], controller_levels(c_st)[0])
-    worst = max(worst, float(np.abs(s_st.at(3)).max()))
+    worst = max(worst, float(np.abs(s_st[3]).max()))
 
     ok = worst < 1e-8
     _report("C6", ok, f"null steering terminal deviation {worst:.2e} across 403 closed loops")
@@ -215,7 +215,7 @@ def test_c7_target_membership_and_steering():
             x0 = random_x0(rng, 2)
             ctrl = steer_to_target(ts, tree, x0, target)
             sim = forward_simulate(tree, ts.spec, x0, controller_levels(ctrl)[0])
-            worst = max(worst, float(np.abs(sim.at(4) - target).max()))
+            worst = max(worst, float(np.abs(sim[4] - target).max()))
 
     noise = NoiseModel.symmetric_three_point()
     ts = random_controllable(rng, 2, 3, 2, noise=noise)
@@ -280,17 +280,15 @@ def test_c9_duality_identity():
         from stochctrl import backward_solve, random_free_input
 
         v = random_free_input(rng, tree, form.m_free)
-        sol = backward_solve(tree, form, terminal, v)
+        x = backward_solve(tree, form, terminal, v)
         Y = {0: rng.normal(size=(1, n))}
         steps = np.stack([form.C + w * form.Cbar for w in tree.support])
         for k in range(N + 1):
             Y[k + 1] = np.einsum("jab,ha->hjb", steps, Y[k]).reshape(-1, n)
         for k in range(N + 1):
             pk, pk1 = tree.node_probs(k), tree.node_probs(k + 1)
-            lhs = np.einsum("h,hb,hb->", pk, Y[k], sol.x.at(k)) - np.einsum(
-                "h,hb,hb->", pk1, Y[k + 1], sol.x.at(k + 1)
-            )
-            rhs = np.einsum("h,hb,hb->", pk, Y[k], v.at(k) @ form.D.T)
+            lhs = np.einsum("h,hb,hb->", pk, Y[k], x[k]) - np.einsum("h,hb,hb->", pk1, Y[k + 1], x[k + 1])
+            rhs = np.einsum("h,hb,hb->", pk, Y[k], v[k] @ form.D.T)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     ok = worst < 1e-9
     _report("C9", ok, f"pairing decrement equals input work within {worst:.2e} on 50 systems")

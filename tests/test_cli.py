@@ -249,8 +249,14 @@ def test_verify_stage_gap_is_table_error(capsys, tmp_path):
     lines = table.read_text().strip().split("\n")
     kept = [l for l in lines if not l.startswith("0,")]
     table.write_text("\n".join(kept) + "\n")
-    code, _, _ = run(capsys, "verify", "--instance", FULL, "--controller", str(table))
-    assert code == 5
+    code, out, err = run(capsys, "verify", "--instance", FULL, "--controller", str(table))
+    assert (code, out, err) == (5, "", "bad controller table: controller table lacks u rows for stages [0]\n")
+    # u1 stage 0 shares its rows with u stage 0: blank its cells there, and the replay finds no stage 0 of u1
+    table = written_table(tmp_path, IN_DELAY, name="delayed.csv")
+    u0 = table.read_text().splitlines()[2].split(",")[2:5]
+    _restaged(table, 0, [""], ",".join(u0) + ",,,")
+    code, out, err = run(capsys, "verify", "--instance", IN_DELAY, "--controller", str(table))
+    assert (code, out, err) == (5, "", "bad controller table: u1 has no stage 0\n")
 
 
 def test_verify_rejects_u_rows_outside_the_horizon(capsys, tmp_path):
@@ -271,8 +277,9 @@ def test_verify_rejects_u_rows_outside_the_horizon(capsys, tmp_path):
 
 @pytest.mark.parametrize("row", ["9,,,,,1,2,3", "-5,,,,,1,2,3"])
 def test_verify_rejects_u1_rows_outside_the_delayed_range(capsys, tmp_path, row):
-    # tau 1, N 2: the delayed channel's stages are -1..1
+    # tau 1, N 2: the delayed channel's stages are -1..1, u1(-1) at depth 0 with no u cells
     table = written_table(tmp_path, IN_DELAY, name="delayed.csv")
+    assert table.read_text().splitlines()[1].startswith("-1,,,,,")
     code, _, _ = run(capsys, "verify", "--instance", IN_DELAY, "--controller", str(table))
     assert code == 0
     with table.open("a") as fh:
@@ -280,6 +287,35 @@ def test_verify_rejects_u1_rows_outside_the_delayed_range(capsys, tmp_path, row)
     code, _, err = run(capsys, "verify", "--instance", IN_DELAY, "--controller", str(table))
     assert code == 5
     assert f"stage {row.split(',')[0]}" in err
+
+
+def _restaged(table, stage, labels, cells=None):
+    """The table with the rows of ``stage`` replaced by one row per label, each with the cells of the stage's
+    first row (or ``cells``); returns the file line of the first replacement row."""
+    lines = table.read_text().splitlines()
+    rows = [i for i, line in enumerate(lines) if line.split(",", 1)[0] == str(stage)]
+    cells = lines[rows[0]].split(",", 2)[2] if cells is None else cells
+    lines[rows[0] : rows[-1] + 1] = [f"{stage},{label},{cells}" for label in labels]
+    table.write_text("\n".join(lines) + "\n")
+    return rows[0] + 1
+
+
+@pytest.mark.parametrize(
+    "instance, stage, labels, what",
+    [
+        (FULL, 1, ["00", "01", "10", "11"], "u stage 1 (from line {}) histories: 4 labels, but a depth-1 level has 2 paths"),
+        (FULL, 2, ["0", "1"], "u stage 2 (from line {}) histories: 2 labels, but a depth-2 level has 4 paths"),
+        (IN_DELAY, -1, ["0", "1"], "u1 stage -1 (from line {}) histories: 2 labels, but a depth-0 level has 1 paths"),
+    ],
+    ids=["finer", "coarser", "finer-pre-horizon"],
+)
+def test_verify_reads_stage_k_only_at_depth_max_0_k(capsys, tmp_path, instance, stage, labels, what):
+    # A finer level is not measurable at its stage; a coarser one, which write_controller_csv never
+    # writes, was replayed before stage k's level had to be the depth-max(0, k) one.
+    table = written_table(tmp_path, instance)
+    line = _restaged(table, stage, labels)
+    code, out, err = run(capsys, "verify", "--instance", instance, "--controller", str(table))
+    assert (code, out, err) == (5, "", f"bad controller table: {what.format(line)}\n")
 
 
 def test_oracle_check_all_instances(capsys):
@@ -494,7 +530,6 @@ EXIT_BY_ERROR = {
     "SingularPencil": (2, "inapplicable"),
     "EnumerationTooLarge": (6, "error"),
     "StageMismatch": (6, "error"),
-    "AdaptednessViolation": (6, "error"),
     "CriteriaDisagreement": (6, "error"),
     "SingularGramian": (3, "singular gramian"),
     "NonFiniteGramian": (6, "error"),

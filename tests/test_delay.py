@@ -93,9 +93,9 @@ def test_input_delay_controller_benchmark(bench_input_delay):
     ctrl = input_delay_controller(ts, tree, expected["x0"])
     u, _, u1 = controller_levels(ctrl)
     sim = forward_simulate(tree, spec, expected["x0"], u, u1=u1)
-    assert np.abs(sim.at(3)).max() < 1e-8
+    assert np.abs(sim[3]).max() < 1e-8
     # pre-horizon decisions are part of the controller
-    assert min(u1.values) == -1
+    assert min(u1) == -1
 
 
 def test_input_delay_steer_to_target(rng):
@@ -109,7 +109,7 @@ def test_input_delay_steer_to_target(rng):
     ctrl = input_delay_controller(ts, tree, x0, target=target)
     u, _, u1 = controller_levels(ctrl)
     sim = forward_simulate(tree, spec, x0, u, u1=u1)
-    assert np.abs(sim.at(4) - target).max() < 1e-8
+    assert np.abs(sim[4] - target).max() < 1e-8
 
 
 def test_state_delay_P_benchmark(bench_state_delay):
@@ -240,7 +240,7 @@ def test_state_delay_controller_benchmark(bench_state_delay):
     tree = PathTree(spec.noise, 2)
     ctrl = state_delay_controller(ts, tree, expected["x0"])
     sim = forward_simulate(tree, spec, expected["x0"], controller_levels(ctrl)[0])
-    assert np.abs(sim.at(3)).max() < 1e-8
+    assert np.abs(sim[3]).max() < 1e-8
 
 
 def delayed_attainable_terminal(rng, tree, form, d, scale=1.0):
@@ -297,7 +297,7 @@ def test_state_delay_steer_to_target(rng):
     target = delayed_attainable_terminal(rng, tree, ts.form, 1, scale=0.5)
     ctrl = state_delay_controller(ts, tree, x0, target=target)
     sim = forward_simulate(tree, spec, x0, controller_levels(ctrl)[0])
-    assert np.abs(sim.at(4) - target).max() < 1e-8
+    assert np.abs(sim[4] - target).max() < 1e-8
 
 
 def test_no_public_function_takes_a_lag():

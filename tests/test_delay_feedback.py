@@ -7,7 +7,9 @@ or changed (``reference_steering_start``, ``reference_check_gramian``,
 ``reference_stage_products``, ``reference_free_input``,
 ``reference_controller`` and ``reference_backward_solve``, the backward
 solve with its delayed-input branch), copied verbatim apart from their
-names, their docstrings and the record they return. The feedback's
+names, their docstrings and the record they return, and but for stage
+levels held in plain dicts, stage j at depth max(0, j), with z read off
+x by ``pathspace.z_level``. The feedback's
 inputs must agree with theirs to rounding, replay bit for bit, and stay
 exact at depths where the open-loop tables drifted.
 """
@@ -26,15 +28,14 @@ from stochctrl.delay import (
 )
 from stochctrl.errors import DimensionMismatch, SingularGramian, StageMismatch, TargetNotInS
 from stochctrl.pathspace import (
-    AdaptedProcess,
     _check_input,
-    _solution,
     _stage_map,
     _stage_step,
     backward_solve_state_delay,
     member_of_S,
     path_products,
     terminal_from_map,
+    z_level,
 )
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from crosschecks import controller_levels, lift
@@ -69,17 +70,16 @@ def reference_free_input(tree, form, prods, g):
     for k in range(tree.horizon + 1):
         y = np.einsum("hab,a->hb", prods[k], g)  # (C(k-1)...C(0))' g per history
         vals[k] = y @ form.D
-    return AdaptedProcess(tree, vals, {k: k for k in vals})
+    return vals
 
 
-def reference_controller(kind, ts, G, v, sol, u1=None):
-    spec, tree = ts.spec, sol.tree
-    u_vals = {}
+def reference_controller(kind, ts, tree, G, v, x, u1=None):
+    spec = ts.spec
+    u = {}
     for k in range(tree.horizon + 1):
-        q = sol.z.at(k) - sol.x.at(k) @ spec.Abar.T
-        u_vals[k] = np.hstack([q, v.at(k)]) @ ts.transform.M.T
-    u = AdaptedProcess(tree, u_vals, {k: k for k in u_vals})
-    return SimpleNamespace(kind=kind, tree=tree, u=u, solution=sol, gramian=G, u1=u1)
+        q = z_level(tree, x[k + 1]) - x[k] @ spec.Abar.T
+        u[k] = np.hstack([q, v[k]]) @ ts.transform.M.T
+    return SimpleNamespace(kind=kind, tree=tree, u=u, solution=x, gramian=G, u1=u1)
 
 
 def reference_backward_solve(tree, form, terminal, v=None, *, u1=None, tau=None):
@@ -93,10 +93,10 @@ def reference_backward_solve(tree, form, terminal, v=None, *, u1=None, tau=None)
     for k in range(N, -1, -1):
         xk = _stage_step(tree, form, W, x_vals[k + 1], v, k)
         if u1 is not None:
-            u1k = lift(tree, _check_input(u1, k - tau, form.D1.shape[1], "u1"), u1.depth(k - tau), k)
+            u1k = lift(tree, _check_input(tree, u1, k - tau, form.D1.shape[1], "u1"), max(0, k - tau), k)
             xk = xk + u1k @ form.D1.T
         x_vals[k] = xk
-    return _solution(tree, x_vals)
+    return x_vals
 
 
 def reference_input_delay_controller(ts, tree, x0, target=None, tol=1e-8):
@@ -109,19 +109,17 @@ def reference_input_delay_controller(ts, tree, x0, target=None, tol=1e-8):
     )
     G = gramian(form, N)
     reference_check_gramian(G, "delayed-input Gramian", N)
-    g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
+    g = np.linalg.solve(G, x0 if hom is None else x0 - hom[0][0])
     prods = reference_stage_products(tree, form, N)
     v = reference_free_input(tree, form, prods, g)
-    u1_vals, u1_depths = {}, {}
+    u1 = {}
     for i in range(N + 1):
         depth = max(0, i - tau)
         Phi = prods[depth] @ np.linalg.matrix_power(form.C, min(i, tau))
         y = np.einsum("hab,a->hb", Phi, g)
-        u1_vals[i - tau] = y @ form.D1
-        u1_depths[i - tau] = depth
-    u1 = AdaptedProcess(tree, u1_vals, u1_depths)
-    sol = reference_backward_solve(tree, form, terminal, v, u1=u1, tau=tau)
-    return reference_controller("input-delay", ts, G, v, sol, u1)
+        u1[i - tau] = y @ form.D1
+    x = reference_backward_solve(tree, form, terminal, v, u1=u1, tau=tau)
+    return reference_controller("input-delay", ts, tree, G, v, x, u1)
 
 
 def reference_state_delay_controller(ts, tree, x0, target=None, tol=1e-8):
@@ -134,11 +132,11 @@ def reference_state_delay_controller(ts, tree, x0, target=None, tol=1e-8):
     )
     G = gramian(form, N)
     reference_check_gramian(G, "delayed-state Gramian", N)
-    g = np.linalg.solve(G, x0 if hom is None else x0 - hom.x0)
+    g = np.linalg.solve(G, x0 if hom is None else x0 - hom[0][0])
     prods = reference_stage_products(tree, form, N)
     v = reference_free_input(tree, form, prods, g)
-    sol = backward_solve_state_delay(tree, form, terminal, v)
-    return reference_controller("state-delay", ts, G, v, sol)
+    x = backward_solve_state_delay(tree, form, terminal, v)
+    return reference_controller("state-delay", ts, tree, G, v, x)
 
 
 LAWS = {"two-point": (NoiseModel.rademacher(), 5), "three-point": (NoiseModel.symmetric_three_point(), 4)}
@@ -196,20 +194,20 @@ def test_feedback_inputs_match_open_loop(law, route, n, N):
             np.testing.assert_array_equal(ctrl.gramian, ref.gramian)
             u, x, u1 = controller_levels(ctrl)
             for k in range(N + 1):
-                assert u.depth(k) == k
-                assert _close(u.at(k), ref.u.at(k)), (lag, target, k)
+                assert u[k].shape == ref.u[k].shape == (tree.n_nodes(k), ts.spec.m)
+                assert _close(u[k], ref.u[k]), (lag, target, k)
             if route == "input-delay":
-                assert sorted(u1.values) == sorted(ref.u1.values) == list(range(-lag, N - lag + 1))
-                for j in sorted(ref.u1.values):
-                    assert u1.depth(j) == ref.u1.depth(j) == max(0, j)
-                    assert _close(u1.at(j), ref.u1.at(j)), (lag, target, j)
+                assert sorted(u1) == sorted(ref.u1) == list(range(-lag, N - lag + 1))
+                for j in sorted(ref.u1):
+                    assert u1[j].shape == ref.u1[j].shape == (tree.n_nodes(max(0, j)), ts.spec.B1.shape[1])
+                    assert _close(u1[j], ref.u1[j]), (lag, target, j)
             else:
                 assert u1 is None
             # The table replays the closed loop's own states.
             sim = forward_simulate(tree, ts.spec, x0, u, u1=u1)
             for k in range(N + 2):
-                assert np.array_equal(sim.at(k), x.at(k)), (lag, target, k)
-            assert np.array_equal(x.at(0)[0], x0)
+                assert np.array_equal(sim[k], x[k]), (lag, target, k)
+            assert np.array_equal(x[0][0], x0)
 
 
 @pytest.mark.parametrize(

@@ -60,7 +60,7 @@ def report(out):
 
 def table_deviation(ctrl, goal) -> str:
     """The terminal deviation of the plant-step loop a table is written from, as a report prints it."""
-    final = controller_levels(ctrl)[1].at(ctrl.tree.horizon + 1)
+    final = controller_levels(ctrl)[1][ctrl.tree.horizon + 1]
     return FLOAT_FMT % np.abs(final if goal is None else final - goal).max()
 
 
@@ -128,14 +128,14 @@ def test_law_text_reads_back_and_replays_bit_for_bit(law, n, route, lag):
             u, x, u1 = loop_levels(tree, spec, x0, read)
             ctrl_u, ctrl_x, ctrl_u1 = controller_levels(ctrl)
             for k in range(N + 2):
-                assert np.array_equal(x.at(k), ctrl_x.at(k)), (N, target, k)
+                assert np.array_equal(x[k], ctrl_x[k]), (N, target, k)
             for k in range(N + 1):
-                assert np.array_equal(u.at(k), ctrl_u.at(k)), (N, target, k)
+                assert np.array_equal(u[k], ctrl_u[k]), (N, target, k)
             if route == "tau":
-                assert sorted(u1.values) == sorted(ctrl_u1.values) == list(range(-lag, N - lag + 1))
-                for j in sorted(u1.values):
-                    assert u1.depth(j) == ctrl_u1.depth(j) == max(0, j)
-                    assert np.array_equal(u1.at(j), ctrl_u1.at(j)), (N, target, j)
+                assert sorted(u1) == sorted(ctrl_u1) == list(range(-lag, N - lag + 1))
+                for j in sorted(u1):
+                    assert u1[j].shape == (tree.n_nodes(max(0, j)), m1)
+                    assert np.array_equal(u1[j], ctrl_u1[j]), (N, target, j)
             else:
                 assert u1 is None and ctrl_u1 is None
 
@@ -303,7 +303,7 @@ def test_a_state_delay_law_keeps_the_lags_that_act_stage_by_stage():
     read = read_feedback_law(io.StringIO(law_text(ctrl)), tree, ts.spec)
     x, ctrl_x = loop_levels(tree, ts.spec, x0, read)[1], controller_levels(ctrl)[1]
     for k in range(8):
-        assert np.array_equal(x.at(k), ctrl_x.at(k)), k
+        assert np.array_equal(x[k], ctrl_x[k]), k
 
 
 def test_a_state_delay_past_the_horizon_is_the_plant_without_it(capsys, tmp_path):

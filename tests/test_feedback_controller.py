@@ -5,7 +5,9 @@ open-loop ``steer_to_target`` and ``_controller`` as they stood before the
 full route became a state feedback, with the helpers they called
 (``reference_steering_start``, ``reference_invert_gramian``,
 ``reference_free_input``), copied verbatim apart from their names, their
-docstrings and the record they return. The feedback's inputs must agree
+docstrings and the record they return, and but for stage levels held in
+plain dicts, stage k at depth k, with z read off x by
+``pathspace.z_level``. The feedback's inputs must agree
 with theirs to rounding, replay bit for bit, and stay exact at depths
 where the open-loop table drifted.
 """
@@ -18,7 +20,7 @@ from stochctrl import NoiseModel, PathTree, ProblemInstance, forward_simulate, s
 from stochctrl.cli import main
 from stochctrl.criteria import gramian, gramian_invertible
 from stochctrl.errors import DimensionMismatch, SingularGramian, TargetNotInS
-from stochctrl.pathspace import AdaptedProcess, backward_solve, member_of_S, terminal_from_map
+from stochctrl.pathspace import backward_solve, member_of_S, terminal_from_map, z_level
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import stage_products, steer_to_target
 from crosschecks import controller_levels
@@ -45,28 +47,24 @@ def reference_steering_start(tree, form, x0, target, membership):
 
 
 def reference_free_input(tree, form, prods, g):
-    vals, depths = {}, {}
+    vals = {}
     for k in range(tree.horizon + 1):
         y = np.einsum("hab,a->hb", prods[k], g)  # (C(k-1)...C(0))' g per history
         vals[k] = y @ form.D
-        depths[k] = k
-    return AdaptedProcess(tree, vals, depths)
+    return vals
 
 
-def reference_controller(kind, ts, x0, G, v, sol, terminal, u1=None):
-    spec, tree = ts.spec, sol.tree
-    q_vals, u_vals, depths = {}, {}, {}
+def reference_controller(kind, ts, tree, x0, G, v, x, terminal, u1=None):
+    spec = ts.spec
+    q, u = {}, {}
     for k in range(tree.horizon + 1):
-        xk = sol.x.at(k)
-        qk = sol.z.at(k) - xk @ spec.Abar.T
-        vk = v.at(k)
-        q_vals[k] = qk
-        u_vals[k] = np.hstack([qk, vk]) @ ts.transform.M.T
-        depths[k] = k
-    q = AdaptedProcess(tree, q_vals, depths)
-    u = AdaptedProcess(tree, u_vals, dict(depths))
+        xk = x[k]
+        qk = z_level(tree, x[k + 1]) - xk @ spec.Abar.T
+        vk = v[k]
+        q[k] = qk
+        u[k] = np.hstack([qk, vk]) @ ts.transform.M.T
     return SimpleNamespace(
-        kind=kind, tree=tree, x0=x0, v=v, q=q, u=u, solution=sol, gramian=G, u1=u1, target=terminal
+        kind=kind, tree=tree, x0=x0, v=v, q=q, u=u, solution=x, gramian=G, u1=u1, target=terminal
     )
 
 
@@ -79,8 +77,8 @@ def reference_steer_to_target(ts, tree, x0, target, tol=1e-8):
     g = reference_invert_gramian(G, x0 - offset, "Gramian", tree.horizon)
     prods = stage_products(tree, form, tree.horizon)
     v = reference_free_input(tree, form, prods, g)
-    sol = backward_solve(tree, form, terminal, v)  # superposition of both parts
-    return reference_controller("null" if terminal is None else "target", ts, x0, G, v, sol, terminal)
+    x = backward_solve(tree, form, terminal, v)  # superposition of both parts
+    return reference_controller("null" if terminal is None else "target", ts, tree, x0, G, v, x, terminal)
 
 
 LAWS = {"two-point": (NoiseModel.rademacher(), 6), "three-point": (NoiseModel.symmetric_three_point(), 4)}
@@ -116,9 +114,9 @@ def test_feedback_inputs_match_open_loop(law, n, N, target):
     np.testing.assert_array_equal(ctrl.gramian, ref.gramian)
     u = controller_levels(ctrl)[0]
     for k in range(N + 1):
-        want = ref.u.at(k)
-        got = u.at(k)
-        assert u.depth(k) == k
+        want = ref.u[k]
+        got = u[k]
+        assert got.shape == want.shape == (tree.n_nodes(k), ts.spec.m)
         assert (np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))).all(), k
 
 
@@ -129,8 +127,8 @@ def test_table_replays_the_closed_loop_bit_for_bit(law, n, N, target):
     u, x, _ = controller_levels(ctrl)
     sim = forward_simulate(tree, ts.spec, x0, u)
     for k in range(N + 2):
-        assert np.array_equal(sim.at(k), x.at(k)), k
-    assert np.array_equal(x.at(0)[0], x0)
+        assert np.array_equal(sim[k], x[k]), k
+    assert np.array_equal(x[0][0], x0)
 
 
 def test_deep_full_route_stays_exact_through_the_cli(capsys, tmp_path):

@@ -140,12 +140,12 @@ def test_read_law_reproduces_the_synthesized_states_bit_for_bit(rng, law, target
     for got, want in zip(law.L, ctrl.law.L):
         np.testing.assert_array_equal(got, want)
     ctrl_u, ctrl_x, _ = controller_levels(ctrl)
-    u, x, u1 = loop_levels(tree, ts.spec, ctrl_x.at(0)[0], law)
+    u, x, u1 = loop_levels(tree, ts.spec, ctrl_x[0][0], law)
     assert u1 is None
     for k in range(N + 2):
-        np.testing.assert_array_equal(x.at(k), ctrl_x.at(k))
+        np.testing.assert_array_equal(x[k], ctrl_x[k])
     for k in range(N + 1):
-        np.testing.assert_array_equal(u.at(k), ctrl_u.at(k))
+        np.testing.assert_array_equal(u[k], ctrl_u[k])
 
 
 def _full_law(capsys):

@@ -39,11 +39,10 @@ from stochctrl import (
     write_controller_csv,
 )
 from stochctrl.model import _label_tables
-from stochctrl.pathspace import _state_delay_gains
+from stochctrl.pathspace import _state_delay_gains, z_level
 from stochctrl.synthesis import _law_inputs
 from stochctrl.sampling import random_controllable, random_x0
 from crosschecks import (
-    at_depth,
     controller_levels,
     lift,
     lifted_regressor,
@@ -72,32 +71,32 @@ def test_loop_matches_the_reference_loop(law, route, lag, target):
         u, x, u1 = loop_levels(tree, spec, x0, ctrl.law)
         ctrl_u, ctrl_x, _ = controller_levels(ctrl)
         for k in range(N + 2):
-            assert np.array_equal(x.at(k), ctrl_x.at(k)), (N, k)
+            assert np.array_equal(x[k], ctrl_x[k]), (N, k)
         for k in range(N + 1):
-            assert np.array_equal(u.at(k), ctrl_u.at(k)), (N, k)
-            assert u.depth(k) == ctrl_u.depth(k) == k
+            assert np.array_equal(u[k], ctrl_u[k]), (N, k)
+            assert u[k].shape == (tree.n_nodes(k), spec.m)
         if route == "full":
             ref_u, ref_x, ref_u1 = reference_feedback_loop(tree, spec, x0, ctrl.law)
             assert u1 is None and ref_u1 is None
             for k in range(N + 2):
-                assert np.array_equal(x.at(k), ref_x.at(k)), (N, k)
+                assert np.array_equal(x[k], ref_x[k]), (N, k)
             for k in range(N + 1):
-                assert np.array_equal(u.at(k), ref_u.at(k)), (N, k)
+                assert np.array_equal(u[k], ref_u[k]), (N, k)
             continue
         # Stage by stage from the loop's own states: the stacked regressor's inputs, then the lifting step.
         m = spec.m
-        u1s = u1.values if u1 is not None else {}
+        u1s = u1 if u1 is not None else {}
         for k, Lk in enumerate(ctrl.law.L):
-            r = lifted_regressor(tree, spec, N, k, x.values, u1s)
+            r = lifted_regressor(tree, spec, N, k, x, u1s)
             want = r @ Lk.T + ctrl.law.c[k]
             bound = 8 * EPS * (np.abs(r) @ np.abs(Lk.T) + np.abs(ctrl.law.c[k]))
-            assert np.all(np.abs(u.at(k) - want[:, :m]) <= bound[:, :m]), (N, k)
+            assert np.all(np.abs(u[k] - want[:, :m]) <= bound[:, :m]), (N, k)
             if u1 is not None and k in u1s:
-                assert np.all(np.abs(u1.at(k) - want[:, m:]) <= bound[:, m:]), (N, k)
-            u1k = at_depth(u1, k - lag, k) if u1 is not None else None
-            step = lifting_plant_step(tree, spec, x.values, k, u.at(k), u1k)
-            step_bound = 8 * EPS * forward_bound(tree, spec, x.values, k, u.at(k), u1k)
-            assert np.all(np.abs(x.at(k + 1) - step) <= step_bound), (N, k)
+                assert np.all(np.abs(u1[k] - want[:, m:]) <= bound[:, m:]), (N, k)
+            u1k = lift(tree, u1[k - lag], max(0, k - lag), k) if u1 is not None else None
+            step = lifting_plant_step(tree, spec, x, k, u[k], u1k)
+            step_bound = 8 * EPS * forward_bound(tree, spec, x, k, u[k], u1k)
+            assert np.all(np.abs(x[k + 1] - step) <= step_bound), (N, k)
 
 
 def _own_solution(law, route, lag, target, seed):
@@ -110,8 +109,7 @@ def _own_solution(law, route, lag, target, seed):
     for N in range(N_MAX + 1):
         ts, tree, x0, goal, ctrl = draw(rng, LAWS[law], route, lag, 2, N, target)
         spec, n, m = ts.spec, ts.spec.n, ts.spec.m
-        hom = member_of_S(tree, ts.form, goal).solution
-        xs = hom.x.values
+        xs = hom = member_of_S(tree, ts.form, goal).solution
         u1s = {}
         if route == "tau":
             u1s = {j: np.zeros((tree.n_nodes(max(0, j)), spec.B1.shape[1])) for j in range(-lag, N - lag + 1)}
@@ -124,7 +122,7 @@ def _own_solution(law, route, lag, target, seed):
             K[:m] += Mq @ spec.Abar
             r_pi = np.abs(xs[k]) + sum(lift(tree, np.abs(xs[k - j]), k - j, k) @ np.abs(Qj.T) for j, Qj in Q[k].items())
             terms.append(np.abs(r) @ np.abs(Lk.T) + np.abs(ctrl.law.c[k]) + r_pi @ np.abs(K.T))
-            terms[k][:, :m] += (np.abs(hom.z.at(k)) + np.abs(xs[k]) @ np.abs(spec.Abar.T)) @ np.abs(Mq.T)
+            terms[k][:, :m] += (np.abs(z_level(tree, xs[k + 1])) + np.abs(xs[k]) @ np.abs(spec.Abar.T)) @ np.abs(Mq.T)
         yield N, ts, tree, ctrl, hom, u1s, terms
 
 
@@ -137,11 +135,11 @@ def test_law_on_the_targets_own_solution_gives_the_targets_input(law, route, lag
     # products with K_k cancel, so the rounding bound sums the loop's terms and theirs.
     for N, ts, tree, ctrl, hom, u1s, terms in _own_solution(law, route, lag, target, 1):
         spec, m, Mq = ts.spec, ts.spec.m, ts.transform.M[:, : ts.spec.n]
-        xs = hom.x.values
+        xs = hom
         for k, Lk in enumerate(ctrl.law.L):
             got = _law_inputs(spec, ctrl.law, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
             want = np.zeros_like(got)
-            want[:, :m] = (hom.z.at(k) - xs[k] @ spec.Abar.T) @ Mq.T
+            want[:, :m] = (z_level(tree, xs[k + 1]) - xs[k] @ spec.Abar.T) @ Mq.T
             assert np.all(np.abs(got - want) <= 8 * EPS * terms[k]), (N, k)
 
 
@@ -153,8 +151,8 @@ def test_offsets_from_L_match_the_gain_based_build(law, route, lag, target):
     # [z_h M_q', 0] - (r_h Pi_k') K_k' (crosschecks.reference_offsets). The two are equal in exact
     # arithmetic, so they differ by the rounding of the same terms. A stage that is one row serves every node.
     for N, ts, tree, ctrl, hom, _, terms in _own_solution(law, route, lag, target, 1):
-        got = target_offsets(ts, ctrl.law.L, hom)
-        for k, (ck, ref) in enumerate(zip(got, reference_offsets(ts, ctrl.law, hom))):
+        got = target_offsets(ts, tree, ctrl.law.L, hom)
+        for k, (ck, ref) in enumerate(zip(got, reference_offsets(ts, tree, ctrl.law, hom))):
             assert np.array_equal(ck, ctrl.law.c[k]), (N, k)  # the controller's offsets are the helper's
             assert len(ck) in (1, tree.n_nodes(k)) and ck.shape[1] == ref.shape[1]
             assert np.all(np.abs(ck - ref) <= 8 * EPS * terms[k]), (N, k)

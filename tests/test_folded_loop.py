@@ -88,7 +88,7 @@ def test_folded_step_matches_the_plant_step_of_the_laws_inputs(law, route, lag, 
         ts, tree, x0, _, ctrl = draw(rng, LAWS[law], route, lag, 2, N, target)
         spec, m, tau = ts.spec, ts.spec.m, ts.spec.tau or 0
         _, x, u1 = controller_levels(ctrl)
-        xs, u1s = x.values, u1.values if u1 is not None else {}
+        xs, u1s = x, u1 if u1 is not None else {}
         maps = _stage_maps(tree, spec, ctrl.law)
         for k, Lk in enumerate(ctrl.law.L):
             v = _law_inputs(spec, ctrl.law, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))

@@ -1,11 +1,10 @@
-"""Path tree, adapted processes, backward solve, and attainability."""
+"""Path tree, stage levels, backward solve, and attainability."""
 import itertools
 
 import numpy as np
 import pytest
 
 from stochctrl import (
-    AdaptedProcess,
     DimensionMismatch,
     EnumerationTooLarge,
     NoiseModel,
@@ -22,6 +21,7 @@ from stochctrl import (
     random_system,
     representation_residual,
     terminal_from_map,
+    z_level,
 )
 from stochctrl.model import check_level, path_labels
 from crosschecks import cond_expect, node_value
@@ -75,26 +75,69 @@ def test_index_label_refuses_a_node_outside_the_tree(depth, index):
 
 def test_cond_expect_tower(rng):
     tree = PathTree(NoiseModel.symmetric_three_point(1.5), 3)
-    proc = AdaptedProcess(tree, {3: rng.normal(size=(27, 2))}, {3: 3})
-    fine = cond_expect(proc, 3, 2)
-    coarse_direct = cond_expect(proc, 3, 0)
-    step = AdaptedProcess(tree, {3: fine}, {3: 2})
-    coarse_two_step = cond_expect(step, 3, 0)
+    level = rng.normal(size=(27, 2))
+    fine = cond_expect(tree, level, 3, 2)
+    coarse_direct = cond_expect(tree, level, 3, 0)
+    coarse_two_step = cond_expect(tree, fine, 2, 0)
     np.testing.assert_allclose(coarse_direct, coarse_two_step, atol=1e-12)
     # and the unconditional mean matches plain path enumeration
     by_paths = path_expectation(
-        tree.noise, {h: node_value(proc, 3, h) for h in itertools.product(range(tree.s), repeat=3)}
+        tree.noise, {h: node_value(tree, level, 3, h) for h in itertools.product(range(tree.s), repeat=3)}
     )
     np.testing.assert_allclose(coarse_direct[0], by_paths, atol=1e-12)
 
 
-def test_adapted_process_guards(rng):
-    tree = PathTree(NoiseModel.rademacher(), 2)
-    proc = AdaptedProcess(tree, {0: rng.normal(size=(1, 2))}, {0: 0})
-    with pytest.raises(StageMismatch):
-        proc.at(1)
-    with pytest.raises(DimensionMismatch):
-        AdaptedProcess(tree, {0: rng.normal(size=(3, 2))}, {0: 0})  # wrong node count
+def _levels(rng, tree, stages, dim):
+    """Random levels of ``stages``, stage k at depth max(0, k)."""
+    return {k: rng.normal(size=(tree.n_nodes(max(0, k)), dim)) for k in stages}
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        ({1: None}, StageMismatch, "u has no stage 1"),
+        ({1: (4, 3)}, DimensionMismatch, r"u at stage 1 has shape \(4, 3\), expected \(2, 3\)"),  # finer
+        ({2: (2, 3)}, DimensionMismatch, r"u at stage 2 has shape \(2, 3\), expected \(4, 3\)"),  # coarser
+        ({0: (1, 2)}, DimensionMismatch, r"u at stage 0 has shape \(1, 2\), expected \(1, 3\)"),  # width
+    ],
+    ids=["missing", "finer", "coarser", "width"],
+)
+def test_forward_simulate_checks_each_stage_is_its_level(rng, bench_full, change, error, message):
+    spec, expected = bench_full
+    tree = PathTree(spec.noise, 2)
+    u = _levels(rng, tree, range(3), 3)
+    for k, shape in change.items():
+        if shape is None:
+            del u[k]
+        else:
+            u[k] = np.zeros(shape)
+    with pytest.raises(error, match=f"^{message}$"):
+        forward_simulate(tree, spec, expected["x0"], u)
+
+
+def test_forward_simulate_checks_the_delayed_input(rng, bench_input_delay):
+    spec, expected = bench_input_delay  # tau 1: u1 stages -1..1, stage -1 at depth 0
+    tree = PathTree(spec.noise, 2)
+    u = _levels(rng, tree, range(3), 3)
+    with pytest.raises(StageMismatch, match="^u1 has no stage -1$"):
+        forward_simulate(tree, spec, expected["x0"], u)
+    u1 = _levels(rng, tree, range(-1, 2), 3)
+    forward_simulate(tree, spec, expected["x0"], u, u1=u1)
+    u1[-1] = np.zeros((2, 3))  # a pre-horizon stage one level finer than depth 0
+    with pytest.raises(DimensionMismatch, match=r"^u1 at stage -1 has shape \(2, 3\), expected \(1, 3\)$"):
+        forward_simulate(tree, spec, expected["x0"], u, u1=u1)
+
+
+def test_backward_solve_checks_each_stage_of_v(rng):
+    ts = TransformedSystem.build(random_system(rng, 2, 3))
+    tree = PathTree(ts.spec.noise, 2)
+    v = random_free_input(rng, tree, ts.form.m_free)
+    del v[2]
+    with pytest.raises(StageMismatch, match="^v has no stage 2$"):
+        backward_solve(tree, ts.form, None, v)
+    v[2] = np.zeros((2, ts.form.m_free))  # depth 1, not 2
+    with pytest.raises(DimensionMismatch, match=r"^v at stage 2 has shape \(2, 1\), expected \(4, 1\)$"):
+        backward_solve(tree, ts.form, None, v)
 
 
 def test_terminal_from_map(bench_full):
@@ -113,15 +156,16 @@ def test_backward_solve_z_is_weighted_mean(rng):
     tree = PathTree(ts.spec.noise, 2)
     terminal = rng.normal(size=(tree.n_nodes(3), 2))
     v = random_free_input(rng, tree, ts.form.m_free)
-    sol = backward_solve(tree, ts.form, terminal, v)
+    x = backward_solve(tree, ts.form, terminal, v)
+    assert sorted(x) == [0, 1, 2, 3] and all(x[k].shape == (tree.n_nodes(k), 2) for k in x)
     for k in range(3):
-        xk1 = sol.x.at(k + 1).reshape(-1, tree.s, 2)
-        z_manual = np.einsum("j,j,hjb->hb", tree.probs, tree.support, xk1)
-        np.testing.assert_allclose(sol.z.at(k), z_manual, atol=1e-12)
+        xk1 = x[k + 1].reshape(-1, tree.s, 2)
+        z = z_level(tree, x[k + 1])
+        np.testing.assert_allclose(z, np.einsum("j,j,hjb->hb", tree.probs, tree.support, xk1), atol=1e-12)
         # and x(k) satisfies the one-step equation it was built from
         xbar = np.einsum("j,hjb->hb", tree.probs, xk1)
-        rhs = xbar @ ts.form.C.T + sol.z.at(k) @ ts.form.Cbar.T + v.at(k) @ ts.form.D.T
-        np.testing.assert_allclose(sol.x.at(k), rhs, atol=1e-12)
+        rhs = xbar @ ts.form.C.T + z @ ts.form.Cbar.T + v[k] @ ts.form.D.T
+        np.testing.assert_allclose(x[k], rhs, atol=1e-12)
 
 
 def test_two_point_noise_accepts_everything(rng):
@@ -162,9 +206,9 @@ def test_forward_simulate_matches_plain_loops(rng, bench_full):
     tree = PathTree(spec.noise, 2)
     u = random_free_input(rng, tree, 3)
     sim = forward_simulate(tree, spec, expected["x0"], u)
-    ref = simulate_paths(spec, expected["x0"], lambda k, pre: node_value(u, k, pre), 2)
+    ref = simulate_paths(spec, expected["x0"], lambda k, pre: node_value(tree, u[k], k, pre), 2)
     for idx, h in enumerate(itertools.product(range(tree.s), repeat=3)):
-        np.testing.assert_allclose(sim.at(3)[idx], ref[h], atol=1e-10)
+        np.testing.assert_allclose(sim[3][idx], ref[h], atol=1e-10)
 
 
 def test_forward_simulate_with_delays_matches_plain_loops(rng, bench_input_delay, bench_state_delay):
@@ -172,21 +216,20 @@ def test_forward_simulate_with_delays_matches_plain_loops(rng, bench_input_delay
     tree = PathTree(spec_in.noise, 2)
     u = random_free_input(rng, tree, 3)
     # delayed channel decided one stage early, stages -1..1
-    u1_vals = {k: rng.normal(size=(tree.n_nodes(max(0, k)), 3)) for k in range(-1, 2)}
-    u1 = AdaptedProcess(tree, u1_vals, {k: max(0, k) for k in u1_vals})
+    u1 = _levels(rng, tree, range(-1, 2), 3)
     sim = forward_simulate(tree, spec_in, exp_in["x0"], u, u1=u1)
     ref = simulate_paths(
-        spec_in, exp_in["x0"], lambda k, pre: node_value(u, k, pre), 2,
-        u1_fn=lambda k, pre: node_value(u1, k, pre),
+        spec_in, exp_in["x0"], lambda k, pre: node_value(tree, u[k], k, pre), 2,
+        u1_fn=lambda k, pre: node_value(tree, u1[k], max(0, k), pre),
     )
     for idx, h in enumerate(itertools.product(range(tree.s), repeat=3)):
-        np.testing.assert_allclose(sim.at(3)[idx], ref[h], atol=1e-10)
+        np.testing.assert_allclose(sim[3][idx], ref[h], atol=1e-10)
 
     spec_st, exp_st = bench_state_delay
     sim_st = forward_simulate(tree, spec_st, exp_st["x0"], u)
-    ref_st = simulate_paths(spec_st, exp_st["x0"], lambda k, pre: node_value(u, k, pre), 2)
+    ref_st = simulate_paths(spec_st, exp_st["x0"], lambda k, pre: node_value(tree, u[k], k, pre), 2)
     for idx, h in enumerate(itertools.product(range(tree.s), repeat=3)):
-        np.testing.assert_allclose(sim_st.at(3)[idx], ref_st[h], atol=1e-10)
+        np.testing.assert_allclose(sim_st[3][idx], ref_st[h], atol=1e-10)
 
 
 def test_duality_pairing(rng):
@@ -199,7 +242,7 @@ def test_duality_pairing(rng):
         tree = PathTree(ts.spec.noise, 2)
         terminal = rng.normal(size=(tree.n_nodes(3), 2))
         v = random_free_input(rng, tree, form.m_free)
-        sol = backward_solve(tree, form, terminal, v)
+        x = backward_solve(tree, form, terminal, v)
         Y = {0: rng.normal(size=(1, 2))}
         for k in range(3):
             Yk = Y[k]
@@ -208,8 +251,6 @@ def test_duality_pairing(rng):
         for k in range(3):
             pk = tree.node_probs(k)
             pk1 = tree.node_probs(k + 1)
-            lhs = np.einsum("h,hb,hb->", pk, Y[k], sol.x.at(k)) - np.einsum(
-                "h,hb,hb->", pk1, Y[k + 1], sol.x.at(k + 1)
-            )
-            rhs = np.einsum("h,hb,hb->", pk, Y[k], v.at(k) @ form.D.T)
+            lhs = np.einsum("h,hb,hb->", pk, Y[k], x[k]) - np.einsum("h,hb,hb->", pk1, Y[k + 1], x[k + 1])
+            rhs = np.einsum("h,hb,hb->", pk, Y[k], v[k] @ form.D.T)
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))

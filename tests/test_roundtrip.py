@@ -87,7 +87,7 @@ def test_written_table_replays_onto_the_target(problem, seed):
     write_controller_csv(table, ctrl)
     table.seek(0)
     u, u1 = read_controller_table(table, tree, spec)
-    final = forward_simulate(tree, spec, x0, u, u1=u1).at(N + 1)
+    final = forward_simulate(tree, spec, x0, u, u1=u1)[N + 1]
     want = 0.0 if goal is None else goal
     scale = max(1.0, float(np.abs(x0).max()), float(np.abs(want).max()))
     assert np.abs(final - want).max() <= 1e-10 * scale
@@ -95,11 +95,11 @@ def test_written_table_replays_onto_the_target(problem, seed):
     law = read_feedback_law(io.StringIO(law_text(ctrl)), tree, spec)
     if law.target is not None:  # offsets that differ by node: rebuilt from the target it names, as verify does
         assert law.target == target_digest(goal)
-        law.c = target_offsets(ts, law.L, backward_solve(tree, ts.form, goal))
+        law.c = target_offsets(ts, tree, law.L, backward_solve(tree, ts.form, goal))
     x = loop_levels(tree, spec, x0, law)[1]
     ctrl_x = controller_levels(ctrl)[1]
     for k in range(N + 2):
-        assert np.array_equal(x.at(k), ctrl_x.at(k))
+        assert np.array_equal(x[k], ctrl_x[k])
 
 
 @pytest.mark.parametrize("noise, N", [(NoiseModel.rademacher(), 19), (NoiseModel.symmetric_three_point(), 11)])

@@ -1,7 +1,8 @@
 """State-delay backward solve: elimination along the P-sequence.
 
 ``dense_backward_solve_state_delay`` and ``loop_state_delay_P`` below are
-the package's earlier implementations, kept verbatim as the reference:
+the package's earlier implementations, kept verbatim as the reference, but
+for stage levels held in plain dicts:
 every node value as one unknown of a dense linear system, and the bracket
 iteration on its own. The elimination reorders the same arithmetic, so
 the solve must agree within a relative rounding tolerance fixed here;
@@ -30,7 +31,7 @@ from stochctrl import (
 )
 from stochctrl.cli import main
 from stochctrl.errors import DimensionMismatch, StageMismatch
-from stochctrl.pathspace import _acting_lags, _check_input, _solution, _state_delay_gains, terminal_from_map
+from stochctrl.pathspace import _acting_lags, _check_input, _state_delay_gains, terminal_from_map, z_level
 from crosschecks import dense_state_delay_gains
 
 P_RCOND = 1e-12
@@ -56,7 +57,7 @@ def dense_backward_solve_state_delay(tree, form, d, terminal, v=None):
         nodes = tree.n_nodes(k)
         drive = np.zeros((nodes, n))
         if form.m_free > 0:
-            drive = drive + _check_input(v, k, form.m_free, "v") @ form.D.T
+            drive = drive + _check_input(tree, v, k, form.m_free, "v") @ form.D.T
         if k == N:
             xk1 = terminal_arr.reshape(nodes, s, n)
             drive = drive + np.einsum("j,jab,hjb->ha", tree.probs, cmats, xk1)
@@ -77,7 +78,7 @@ def dense_backward_solve_state_delay(tree, form, d, terminal, v=None):
 
     x_vals = {k: sol[offsets[k] : offsets[k] + tree.n_nodes(k) * n].reshape(-1, n) for k in range(N + 1)}
     x_vals[N + 1] = terminal_arr
-    return _solution(tree, x_vals)
+    return x_vals
 
 
 def loop_state_delay_P(form, d, N):
@@ -95,24 +96,24 @@ def loop_state_delay_P(form, d, N):
     return tuple(P[k] for k in range(N + 1))
 
 
-def node_residual(tree, form, d, sol, v):
+def node_residual(tree, form, d, x, v):
     """Worst |x(k) - E[C(k) x(k+1) | past] - C1 x(k-d) - D v(k)| over all nodes,
     relative to max(1, max |x|). One plain loop per stage and noise value."""
     n, N, s = form.n, tree.horizon, tree.s
     worst, scale = 0.0, 1.0
     for k in range(N + 1):
-        xk = sol.x.at(k)
-        children = sol.x.at(k + 1).reshape(s**k, s, n)
+        xk = x[k]
+        children = x[k + 1].reshape(s**k, s, n)
         gap = xk.copy()
         for j in range(s):
             gap -= tree.probs[j] * children[:, j, :] @ (form.C + tree.support[j] * form.Cbar).T
         if k >= d:
-            gap -= np.repeat(sol.x.at(k - d), s**d, axis=0) @ form.C1.T
+            gap -= np.repeat(x[k - d], s**d, axis=0) @ form.C1.T
         if form.m_free:
-            gap -= np.repeat(v.at(k), s ** (k - v.depth(k)), axis=0) @ form.D.T
+            gap -= v[k] @ form.D.T
         worst = max(worst, float(np.abs(gap).max()))
         scale = max(scale, float(np.abs(xk).max()))
-    return worst / max(scale, float(np.abs(sol.x.at(N + 1)).max()))
+    return worst / max(scale, float(np.abs(x[N + 1]).max()))
 
 
 LAWS = {"2pt": NoiseModel.rademacher(), "3pt": NoiseModel.symmetric_three_point()}
@@ -131,13 +132,13 @@ def test_elimination_matches_dense_solve(law, n, d):
         tree = PathTree(noise, N)
         v = random_free_input(rng, tree, form.m_free)
         terminal = rng.normal(size=(tree.n_nodes(N + 1), n))
-        sol = backward_solve_state_delay(tree, form, terminal, v)
+        x = backward_solve_state_delay(tree, form, terminal, v)
         ref = dense_backward_solve_state_delay(tree, form, d, terminal, v)
-        scale = max(1.0, max(float(np.abs(ref.x.at(k)).max()) for k in range(N + 2)))
+        scale = max(1.0, max(float(np.abs(ref[k]).max()) for k in range(N + 2)))
         for k in range(N + 1):
-            assert np.abs(sol.x.at(k) - ref.x.at(k)).max() <= RTOL * scale, (N, k)
-            assert np.abs(sol.z.at(k) - ref.z.at(k)).max() <= RTOL * scale, (N, k)
-        assert node_residual(tree, form, d, sol, v) <= RTOL, N
+            assert np.abs(x[k] - ref[k]).max() <= RTOL * scale, (N, k)
+            assert np.abs(z_level(tree, x[k + 1]) - z_level(tree, ref[k + 1])).max() <= RTOL * scale, (N, k)
+        assert node_residual(tree, form, d, x, v) <= RTOL, N
 
 
 def test_acting_lags_match_their_definition():

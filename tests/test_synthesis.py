@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from stochctrl import (
-    AdaptedProcess,
     NoiseModel,
     PathTree,
     SchemaError,
@@ -30,7 +29,7 @@ from crosschecks import controller_levels, q_expanded, split_u
 def closed_loop_gap(ts, tree, x0, ctrl, target=None):
     u, _, u1 = controller_levels(ctrl)
     sim = forward_simulate(tree, ts.spec, x0, u, u1=u1)
-    xN1 = sim.at(tree.horizon + 1)
+    xN1 = sim[tree.horizon + 1]
     return np.abs(xN1 - (0.0 if target is None else target)).max()
 
 
@@ -38,7 +37,7 @@ def test_null_controller_benchmark(bench_full_ts, bench_full):
     _, expected = bench_full
     tree = PathTree(bench_full_ts.spec.noise, 2)
     ctrl = null_controller(bench_full_ts, tree, expected["x0"])
-    assert np.abs(controller_levels(ctrl)[1].at(0)[0] - expected["x0"]).max() < 1e-10
+    assert np.abs(controller_levels(ctrl)[1][0][0] - expected["x0"]).max() < 1e-10
     assert closed_loop_gap(bench_full_ts, tree, expected["x0"], ctrl) < 1e-8
 
 
@@ -123,10 +122,10 @@ def test_q_expanded_cross_check(rng):
     tree = PathTree(ts.spec.noise, 2)
     ctrl = null_controller(ts, tree, random_x0(rng, 2))
     u = controller_levels(ctrl)[0]
-    q, v = zip(*(split_u(ts.transform, u.at(k)) for k in range(3)))
-    alt = q_expanded(ts, tree, AdaptedProcess(tree, dict(enumerate(v)), {k: k for k in range(3)}))
+    q, v = zip(*(split_u(ts.transform, u[k]) for k in range(3)))
+    alt = q_expanded(ts, tree, dict(enumerate(v)))
     for k in range(3):
-        np.testing.assert_allclose(q[k], alt.at(k), atol=1e-10)
+        np.testing.assert_allclose(q[k], alt[k], atol=1e-10)
 
 
 def test_csv_roundtrip_exact(rng, tmp_path):
@@ -140,9 +139,9 @@ def test_csv_roundtrip_exact(rng, tmp_path):
     u, u1 = read_controller_table(path, tree, ts.spec)
     assert u1 is None
     ctrl_u = controller_levels(ctrl)[0]
+    assert sorted(u) == sorted(ctrl_u) == [0, 1, 2]
     for k in range(3):
-        assert u.depth(k) == ctrl_u.depth(k)
-        np.testing.assert_array_equal(u.at(k), ctrl_u.at(k))
+        np.testing.assert_array_equal(u[k], ctrl_u[k])
     # %.17g reproduces doubles exactly, so a rewrite is byte-identical
     text = path.read_text()
     assert text == table_text(ctrl)
@@ -156,9 +155,9 @@ def test_csv_roundtrip_with_delay_channel(rng):
     ctrl = input_delay_controller(ts, tree, np.array([1.0, -1.0]))
     u, u1 = read_controller_table(io.StringIO(table_text(ctrl)), tree, ts.spec)
     assert u1 is not None
-    assert sorted(u1.values) == sorted(controller_levels(ctrl)[2].values)
+    assert sorted(u1) == sorted(controller_levels(ctrl)[2])
     sim = forward_simulate(tree, ts.spec, np.array([1.0, -1.0]), u, u1=u1)
-    assert np.abs(sim.at(3)).max() < 1e-8
+    assert np.abs(sim[3]).max() < 1e-8
 
 
 @pytest.mark.parametrize(

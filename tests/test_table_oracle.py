@@ -4,7 +4,8 @@
 ``_reference_opened`` are the writer, the label encoder (then a
 ``PathTree`` method, here a function of the tree) and the file opener as
 they stood before the path-label codec moved into ``model``, copied
-verbatim apart from their names. The reference writer reads a
+verbatim apart from their names and, in the writer, but for stage levels
+held in plain dicts, stage j at depth max(0, j). The reference writer reads a
 controller's every level of u and u1, which ``_levels`` collects from
 the plant-step loop. Tables from the current writer must be byte-equal
 to theirs and read back exactly.
@@ -23,7 +24,7 @@ from stochctrl.model import LABEL_TABLE_MAX, path_labels
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import FLOAT_FMT, steer_to_target
 from conftest import table_text
-from crosschecks import at_depth, controller_levels
+from crosschecks import controller_levels
 
 
 def reference_index_label(self, depth: int, index: int) -> str:
@@ -50,20 +51,17 @@ def reference_write_controller_csv(dest, ctrl) -> None:
     """
     with _reference_opened(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        m = ctrl.u.dim
-        m1 = ctrl.u1.dim if ctrl.u1 is not None else 0
+        m = ctrl.u[0].shape[1]
+        m1 = next(iter(ctrl.u1.values())).shape[1] if ctrl.u1 is not None else 0
         header = ["stage", "history"] + [f"u_{i}" for i in range(m)] + [f"u1_{i}" for i in range(m1)]
         writer.writerow(header)
-        stages = sorted(set(ctrl.u.values) | (set(ctrl.u1.values) if ctrl.u1 else set()))
+        stages = sorted(set(ctrl.u) | (set(ctrl.u1) if ctrl.u1 else set()))
         for stage in stages:
-            has_u = stage in ctrl.u.values
-            has_u1 = ctrl.u1 is not None and stage in ctrl.u1.values
-            depth = max(
-                ctrl.u.depth(stage) if has_u else 0,
-                ctrl.u1.depth(stage) if has_u1 else 0,
-            )
-            u_rows = at_depth(ctrl.u, stage, depth) if has_u else None
-            u1_rows = at_depth(ctrl.u1, stage, depth) if has_u1 else None
+            has_u = stage in ctrl.u
+            has_u1 = ctrl.u1 is not None and stage in ctrl.u1
+            depth = max(0, stage)
+            u_rows = ctrl.u[stage] if has_u else None
+            u1_rows = ctrl.u1[stage] if has_u1 else None
             for idx in range(ctrl.tree.n_nodes(depth)):
                 label = reference_index_label(ctrl.tree, depth, idx)
                 row = [str(stage), label]
@@ -113,18 +111,18 @@ def test_tables_match_the_row_by_row_writer(law, N, route):
     text = table_text(ctrl)
     assert text == buf.getvalue()
     if route == "input delay":  # pre-horizon u1 rows at depth 0 with empty u cells
-        assert min(levels.u1.values) == -ts.spec.tau
-        assert f"\n-1,,{',' * (levels.u.dim - 1)}," in text
+        assert min(levels.u1) == -ts.spec.tau
+        assert f"\n-1,,{',' * (ts.spec.m - 1)}," in text
 
     u, u1 = read_controller_table(io.StringIO(text), tree, ts.spec)
     for got, want in ((u, levels.u), (u1, levels.u1)):
         if want is None:
             assert got is None
             continue
-        assert sorted(got.values) == sorted(want.values)
-        for k in want.values:
-            assert got.depth(k) == want.depth(k)
-            np.testing.assert_array_equal(got.at(k), want.at(k))
+        assert sorted(got) == sorted(want)
+        for k in want:
+            assert got[k].shape == want[k].shape
+            np.testing.assert_array_equal(got[k], want[k])
 
 
 @pytest.mark.parametrize("law,N,route", [("three-point", 8, "input delay"), ("two-point", 13, "null")])

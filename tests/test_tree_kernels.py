@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stochctrl import NoiseModel, PathTree, backward_solve, representation_residual
-from stochctrl.pathspace import _stage_map, _stage_step, plant_step
+from stochctrl.pathspace import _stage_map, _stage_step, plant_step, z_level
 from stochctrl.sampling import random_free_input, random_system, random_transformed
 from crosschecks import broadcast_plant_step, einsum_representation_residual, einsum_stage_mean, einsum_z, lift
 
@@ -74,10 +74,11 @@ def test_backward_kernels_match_the_einsum_forms(law, lag):
             assert np.all(np.abs(got - einsum_stage_mean(tree, form, x_next)) <= 8 * EPS * bound), (N, k)
 
         terminal = scaled(rng, (tree.n_nodes(N + 1), form.n))
-        sol = backward_solve(tree, form, terminal, random_free_input(rng, tree, form.m_free))
-        residual, want_residual = representation_residual(sol), einsum_representation_residual(sol)
+        x = backward_solve(tree, form, terminal, random_free_input(rng, tree, form.m_free))
+        residual, want_residual = representation_residual(tree, x), einsum_representation_residual(tree, x)
         for k in range(N + 1):
-            x_next, z = sol.x.at(k + 1), sol.z.at(k)
+            x_next = x[k + 1]
+            z = z_level(tree, x_next)
             bound = children_sum(tree, x_next, tree.probs * tree.support)
             assert np.all(np.abs(z - einsum_z(tree, x_next)) <= 8 * EPS * bound), (N, k)
             mean = children_sum(tree, x_next, tree.probs)
