@@ -13,7 +13,7 @@ finite support. Optional features carried by :class:`SystemSpec`:
 * ``A1, d``: a delayed state term A1 x(k-d) in the drift.
 
 Instance files are UTF-8 JSON documents with row-major matrices and the
-target's numbers row-major in node order, as a flat list or as one base64
+target's numbers row-major in node order, as a flat list or as one hex
 string of their float64 bytes; see ``parse_instance`` for the accepted
 keys. Unknown keys are rejected so that typos cannot
 silently change a run.
@@ -25,6 +25,7 @@ import contextlib
 import functools
 import json
 import math
+import mmap
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -380,7 +381,7 @@ class ProblemInstance:
     path label (length N + 1) to its n-vector, read into those rows
     (:func:`level_values`, in one pass when the keys come in node order).
     It is stored as a read-only copy, but for a native float64 array over
-    immutable ``bytes`` (a decoded base64 target), which no one can write
+    immutable ``bytes`` (a decoded hex target), which no one can write
     and which is kept as it is; ``None`` means steer to the origin. The
     solves share leaf rows as their x(N+1) and do not copy them.
     """
@@ -398,7 +399,7 @@ class ProblemInstance:
             s, n = len(self.system.noise.support), self.system.n
             if isinstance(self.target, dict):
                 target = level_values(self.target, s, self.N + 1, n, "target")
-            elif _over_bytes(self.target):  # a decoded base64 target: nothing can write it, so it is not copied
+            elif _over_bytes(self.target):  # a decoded hex target: nothing can write it, so it is not copied
                 target = self.target
                 if not np.isfinite(target).all():
                     raise DimensionMismatch("target: entries must be finite")
@@ -411,7 +412,7 @@ class ProblemInstance:
 
 
 def _over_bytes(value) -> bool:
-    """Whether ``value`` is a native float64 array over immutable ``bytes``, as a decoded base64 target is
+    """Whether ``value`` is a native float64 array over immutable ``bytes``, as a decoded hex target is
     (``np.frombuffer``): read-only, and no view of it can be made writeable."""
     if not (isinstance(value, np.ndarray) and value.dtype == np.float64):  # native: == compares byte order too
         return False
@@ -426,32 +427,24 @@ def _is_leaf_count(count: int, s: int, depth: int) -> bool:
     return depth < count.bit_length() and s**depth == count
 
 
-_BASE64_RULE = "A-Z a-z 0-9 + / only, padded with = to a multiple of 4 characters"
-
-
 def _target_list(value, n: int, s: int, N: int) -> np.ndarray:
-    """An instance file's target: n finite numbers, or s^(N+1) rows of n row-major, as a flat
-    list of JSON numbers or as one base64 string of their little-endian float64 bytes."""
+    """An instance file's target: n finite numbers, or s^(N+1) rows of n row-major, as a flat list of
+    JSON numbers or as one hex string of their little-endian float64 bytes (``bytes`` once the
+    split read of :func:`_split_document` has decoded that string)."""
     leaves = f"{s}^{N + 1}*{n}" + (f" = {s ** (N + 1) * n}" if N < 64 else "")
     forms = (
         f"a flat list of n = {n} numbers (a constant target) or s^(N+1)*n = {leaves} (one row per leaf, "
-        "in node order), or a base64 string of their little-endian float64 bytes"
+        "in node order), or a hex string of their little-endian float64 bytes"
     )
     if type(value) is str:
-        # Strict base64 without strict_mode, which is Python 3.11: the plain decoder skips a character
-        # outside the alphabet and stops at the first full padding, so any such fault leaves fewer
-        # bytes than 3 per 4 characters less one per trailing "=" (at most two).
-        pads = 2 if value.endswith("==") else int(value.endswith("="))
         try:
-            raw = binascii.a2b_base64(value)
-            strict = len(value) % 4 == 0 and len(raw) == len(value) // 4 * 3 - pads
+            value = binascii.a2b_hex(value)  # strict: an odd length or any other character raises
         except ValueError:  # binascii.Error, or a character beyond ASCII
-            strict = False
-        if not strict:
-            raise SchemaError(f"target string is not base64 ({_BASE64_RULE}); it needs {forms}")
-        count, spare = divmod(len(raw), 8)
+            raise SchemaError(f"target string is not hex (two of 0-9 a-f A-F per byte); it needs {forms}") from None
+    if type(value) is bytes:
+        count, spare = divmod(len(value), 8)
         if spare:
-            raise SchemaError(f"target string decodes to {len(raw)} bytes, not whole float64 values; it needs {forms}")
+            raise SchemaError(f"target string decodes to {len(value)} bytes, not whole float64 values; it needs {forms}")
         what = f"target string holds {count} float64 values"
     elif type(value) is list:
         count = len(value)
@@ -461,8 +454,8 @@ def _target_list(value, n: int, s: int, N: int) -> np.ndarray:
         raise SchemaError(f"target must be {forms}{old}")
     if count != n and not (count % n == 0 and _is_leaf_count(count // n, s, N + 1)):
         raise SchemaError(f"{what}; it needs {forms}")
-    # A decoded string's finiteness is ProblemInstance's check; it keeps the read-only view uncopied.
-    flat = np.frombuffer(raw, "<f8") if type(value) is str else _finite_floats("target", value)
+    # Decoded bytes' finiteness is ProblemInstance's check; it keeps the read-only view uncopied.
+    flat = np.frombuffer(value, "<f8") if type(value) is bytes else _finite_floats("target", value)
     return flat if len(flat) == n else flat.reshape(-1, n)
 
 
@@ -496,32 +489,92 @@ def parse_instance(text: str) -> ProblemInstance:
     or s^(N+1) n numbers, one row of n per leaf, row-major in node order
     (:func:`path_labels` order). Either count is written as a flat list
     of JSON numbers, read by one type check, one float array and one
-    finiteness check, or as one JSON string: the strict base64 (RFC 4648,
-    padded, no whitespace) of the numbers as little-endian float64,
+    finiteness check, or as one JSON string: the hex (two of 0-9 a-f A-F
+    per byte, no whitespace) of the numbers as little-endian float64,
     decoded by ``binascii`` into read-only ``bytes`` and checked for
     finiteness by :class:`ProblemInstance`, which keeps that array
     without a copy. A path target's law holds the SHA-256 digest of those
-    bytes. Any other count, entry or form, a {label: vector} map
-    included, is a :class:`SchemaError` naming every form.
+    bytes. Any other count, entry or form, a {label: vector} map and a
+    base64 string included, is a :class:`SchemaError` naming every form.
 
-    The text is not read past ``json.loads``: this function drops its own
-    reference to it there, and :func:`parse_instance_file` never holds
-    one, so a caller that keeps none frees it before the target decodes.
+    A document that ends in the line :func:`serialize_instance` writes
+    for leaf rows is read in two parts (:func:`_split_document`): json
+    reads the head and ``binascii`` decodes the hex, a slice of the text
+    at a time, so no copy of the whole string is made. Any other
+    document, or a fault in either part, is read whole by ``json.loads``,
+    which names the fault; the two reads give the same instance.
     """
-    doc = _document(text)
+    doc = _split_document(text) or _document(text)
     del text
     return _instance(doc)
 
 
 def parse_instance_file(path) -> ProblemInstance:
-    """Parse the JSON instance document in the UTF-8 file at ``path``, as :func:`parse_instance` does;
-    the file's text goes as soon as ``json.loads`` has read it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = _document(fh.read())
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"not UTF-8 text: {exc}") from None
+    """Parse the JSON instance document in the UTF-8 file at ``path``, as :func:`parse_instance` does.
+
+    The file is mapped read-only, and a document in :func:`serialize_instance`'s layout is read in two
+    parts: json reads the head, and the hex decodes in one call from the mapping, so the file's text is
+    never held as a string. Any other document, or a fault in either part, is decoded whole as UTF-8
+    text with universal newlines, as a text-mode read gives it, and read by ``json.loads``. A file that
+    cannot be mapped (an empty file, a FIFO) is read into bytes and parsed the same way.
+    """
+    with open(path, "rb") as fh, _mapped(fh) as data:
+        doc = _split_document(data) or _whole_document(data)
     return _instance(doc)
+
+
+def _mapped(fh):
+    """A read-only mapping of the open file ``fh``, or, where it cannot be mapped, a context holding its bytes."""
+    try:
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (ValueError, OSError):  # an empty file, a FIFO
+        return contextlib.nullcontext(fh.read())
+
+
+# How serialize_instance ends a document with a target; leaf rows are a string there, which _split_document reads.
+_TARGET_KEY, _DOCUMENT_END = ',\n  "target": ', "\n}\n"
+
+
+def _split_document(data) -> dict | None:
+    """The JSON object of a document (a str, or a file's bytes or mapping) that ends in the leaf-row target
+    line; else None, as on any fault, for the whole-document read to report.
+
+    json reads the head with ``"\\n}"`` in place of that line, and ``binascii`` decodes the hex between
+    its quotes into ``doc["target"]``. Exact: if the head so closed is a non-empty object, the whole text
+    is that object plus one last string member, the decoded hex, and json lets a duplicate key's last
+    value win. A mapping's or bytes' hex decodes in one call from a view that is released before the
+    mapping closes; a str's a slice at a time, since a str slice is a copy.
+    """
+    text = type(data) is str
+    opening, closing = _TARGET_KEY + '"', '"' + _DOCUMENT_END
+    if not text:
+        opening, closing = opening.encode(), closing.encode()
+    end = len(data) - len(closing)
+    at = data.find(opening, 0, end) if end >= 0 and data[end:] == closing else -1
+    if at < 0:
+        return None
+    try:
+        doc = json.loads((data[:at] if text else str(data[:at], "utf-8")) + "\n}")
+        if not doc:  # the head was "{" alone, so the whole text is no object
+            return None
+        if text:
+            start, step = at + len(opening), 1 << 16  # even, so each slice is whole bytes
+            doc["target"] = b"".join([binascii.a2b_hex(data[i : min(i + step, end)]) for i in range(start, end, step)])
+        else:
+            with memoryview(data)[at + len(opening) : end] as hex_digits:
+                doc["target"] = binascii.a2b_hex(hex_digits)
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, not hex
+        return None
+    return doc
+
+
+def _whole_document(data) -> dict:
+    """The JSON object of a file's bytes or mapping, read as text mode reads it: UTF-8 with universal newlines."""
+    try:
+        text = str(data, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc}") from None
+    return _document(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _document(text: str) -> dict:
@@ -578,9 +631,11 @@ def serialize_instance(inst: ProblemInstance) -> str:
     The head (matrices, noise, x0) is ``json.dumps(doc, indent=2)``. The
     target, the last key, is one line. A constant (n-vector) target is a
     list, as json's C encoder writes it, each float as ``float.__repr__``
-    does. Leaf rows are one string: the base64 of their little-endian
-    float64 bytes in C order, the bytes ``synthesis.target_digest``
-    hashes, so they cost no repr per number.
+    does. Leaf rows are one string: the lowercase hex of their
+    little-endian float64 bytes in C order, the bytes
+    ``synthesis.target_digest`` hashes, so they cost no repr per number,
+    and the document ends in the line :func:`parse_instance_file` splits
+    off and decodes straight from the file.
     """
     spec = inst.system
     doc: dict = {"n": spec.n, "m": spec.m, "N": inst.N}
@@ -598,6 +653,6 @@ def serialize_instance(inst: ProblemInstance) -> str:
         target = (json.dumps(inst.target.tolist()),)
     else:
         leaves = np.ascontiguousarray(inst.target, "<f8")
-        target = ('"', binascii.b2a_base64(leaves, newline=False).decode("ascii"), '"')  # bytes freed before the join
+        target = ('"', binascii.b2a_hex(leaves).decode("ascii"), '"')  # bytes freed before the join
     # The target is the last key: reopen the object before its closing "\n}".
-    return "".join((head[:-2], ',\n  "target": ', *target, "\n}\n"))
+    return "".join((head[:-2], _TARGET_KEY, *target, _DOCUMENT_END))

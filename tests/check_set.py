@@ -13,7 +13,10 @@ law it wrote), and the bytes of that law, if one was written, or of the table ve
   written by ``write_controller_csv``, then verified;
 - generated instances on the full, tau 1 and 2 and d 1 and 2 routes, under two-point and
   three-point noise, each with no target, a constant target, an attainable path target and a
-  random leaf target (which three-point noise rejects), through the same commands and horizons.
+  random leaf target (which three-point noise rejects), through the same commands and horizons;
+- last, each generated path-target instance again, re-indented with its target first: the writer's
+  layout is read in two parts, the head by json and the hex from the mapped file, and this copy is
+  read whole by json, so both reader paths are digested.
 """
 from __future__ import annotations
 
@@ -66,6 +69,18 @@ def generated(workdir: Path) -> list[Path]:
     return paths
 
 
+def whole_read(workdir: Path, paths: list[Path]) -> list[Path]:
+    """Each path-target instance of ``paths`` written again into ``workdir`` as ``<stem>-whole.json``,
+    re-indented with its target first, a layout that ``parse_instance_file`` reads whole."""
+    copies = []
+    for path in paths:
+        doc = json.loads(path.read_text())
+        if type(doc.get("target")) is str:
+            copies.append(workdir / f"{path.stem}-whole.json")
+            copies[-1].write_text(json.dumps({"target": doc.pop("target"), **doc}, indent=1) + "\n")
+    return copies
+
+
 def _run(argv: list[str], workdir: Path) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -91,7 +106,8 @@ def records(workdir: Path, instances=None):
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     if instances is None:
-        instances = INSTANCES + generated(workdir)
+        paths = generated(workdir)
+        instances = INSTANCES + paths + whole_read(workdir, paths)
     for path in instances:
         for N in HORIZONS:
             horizon, label = ([], "own") if N is None else (["--N", str(N)], str(N))

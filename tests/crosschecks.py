@@ -46,11 +46,10 @@ oracle's kernels in the same einsum and Kronecker forms.
 ``reference_serialize_instance`` writes an instance with no encoder of
 its own: ``json.dumps(doc, indent=2)`` around a placeholder constant
 target, replaced by its numbers' ``float.__repr__`` joined by ", ", or
-around leaf rows packed by ``struct`` and encoded by ``base64``, against
+around leaf rows packed by ``struct`` and written as ``bytes.hex``, against
 which ``model.serialize_instance``'s one-line target is checked byte for
 byte.
 """
-import base64
 import itertools
 import json
 import struct
@@ -456,7 +455,7 @@ def einsum_terminal_product(leaf_probs: np.ndarray, prods: np.ndarray, terminal:
 
 def reference_serialize_instance(inst: ProblemInstance) -> str:
     """The document through json's indent encoder: a constant target one line of ``float.__repr__``
-    numbers, leaf rows one string of ``struct``-packed doubles through ``base64``."""
+    numbers, leaf rows one string of ``struct``-packed doubles through ``bytes.hex``."""
     spec = inst.system
     doc: dict = {
         "n": spec.n,
@@ -484,7 +483,7 @@ def reference_serialize_instance(inst: ProblemInstance) -> str:
         return json.dumps(doc, indent=2) + "\n"
     values = inst.target.ravel().tolist()
     if inst.target.ndim == 2:  # leaf rows: one JSON string of their little-endian doubles
-        doc["target"] = base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+        doc["target"] = struct.pack(f"<{len(values)}d", *values).hex()
         return json.dumps(doc, indent=2) + "\n"
     doc["target"] = "TARGET"
     numbers = "[" + ", ".join(map(float.__repr__, values)) + "]"

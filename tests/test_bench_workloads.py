@@ -10,6 +10,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -38,15 +39,20 @@ def test_every_small_workload_op_exits_as_expected(tmp_path, name):
     assert len(codes) == len(ops)
 
 
-def test_steer_mix_writes_its_leaf_rows_as_base64(tmp_path):
-    # The path-target ops read a base64 string, not number text: a writer that falls back to a list
-    # would pass the ops above and only show as a slower benchmark.
+def test_steer_mix_writes_its_leaf_rows_as_hex(tmp_path):
+    # The path-target ops read a hex string, in the layout the split read takes, not number text: a writer
+    # that falls back to a list or to another layout would pass the ops above and only show as a slower
+    # benchmark.
     ops = workloads.build("steer_mix", 1, str(tmp_path), small=True)
     paths = sorted({op.instance for op in ops})
     leaf_rows = [path for path in paths if type(json.loads(Path(path).read_text()).get("target")) is str]
     assert len(leaf_rows) == 2
     for path in leaf_rows:
+        text = Path(path).read_text()
+        hex_digits = json.loads(text)["target"]
+        assert re.fullmatch("[0-9a-f]+", hex_digits) and text.endswith(f',\n  "target": "{hex_digits}"\n}}\n')
         inst = parse_instance_file(path)
+        assert inst.target.tobytes() == bytes.fromhex(hex_digits)
         leaves = len(inst.system.noise.support) ** (inst.N + 1)
         assert inst.target.shape == (leaves, inst.system.n) and not inst.target.flags.writeable
     for path in set(paths) - set(leaf_rows):

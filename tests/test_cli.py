@@ -644,7 +644,7 @@ def _two_stage_target(tmp_path, key):
 
 LABEL_MAP_ERROR = (
     "error: target must be a flat list of n = 2 numbers (a constant target) or s^(N+1)*n = 2^2*2 = 8 "
-    "(one row per leaf, in node order), or a base64 string of their little-endian float64 bytes; "
+    "(one row per leaf, in node order), or a hex string of their little-endian float64 bytes; "
     "a {label: vector} map is not read: list its rows in label order\n"
 )
 
@@ -652,7 +652,7 @@ LABEL_MAP_ERROR = (
 @pytest.mark.parametrize("key", ["0²", "0١"])  # superscript two; Arabic-Indic one
 @pytest.mark.parametrize("command", ["analyze", "synthesize"])
 def test_non_ascii_target_digits_are_schema_errors(capsys, tmp_path, command, key):
-    # A file's target is a flat list or a base64 string: a label map exits 6 naming every form, with any keys.
+    # A file's target is a flat list or a hex string: a label map exits 6 naming every form, with any keys.
     for label in (key, "01"):
         code, out, err = run(capsys, command, "--instance", _two_stage_target(tmp_path, label))
         assert (code, out, err) == (6, "", LABEL_MAP_ERROR)

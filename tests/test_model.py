@@ -1,12 +1,13 @@
 """Noise law checks, structural validation, and the instance file format."""
 import base64
-import binascii
 import dataclasses
 import itertools
 import json
+import mmap
 import os
 import re
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -186,7 +187,7 @@ def test_serialize_is_the_indent_encoding(s, n, N):
 
 
 def test_serialize_peak_memory_is_a_small_multiple_of_the_document():
-    """Leaf rows cost their base64 bytes and string, 2.0x the text here; their number text through json's
+    """Leaf rows cost their hex bytes and string, 2.0x the text here; their number text through json's
     C encoder held 4.1x, and json's indent encoder 7.9x."""
     rng = np.random.default_rng(5)
     noise = NoiseModel.symmetric_three_point()
@@ -202,19 +203,19 @@ def test_serialize_peak_memory_is_a_small_multiple_of_the_document():
 
 
 @pytest.mark.parametrize("s", [2, 3, 10])
-def test_base64_leaf_rows_come_back_bit_for_bit(s):
-    """Leaf rows are written as one base64 string of their little-endian doubles; n values in that
-    form are a constant target."""
+def test_hex_leaf_rows_come_back_bit_for_bit(s):
+    """Leaf rows are written as one lowercase hex string of their little-endian doubles; n values in
+    that form are a constant target."""
     rng = np.random.default_rng(s)
     spec = _random_spec(rng, 3, uniform_noise(s))
     leaves = np.resize(EDGE_FLOATS + [-x for x in EDGE_FLOATS], (s**2, 3))
     text = serialize_instance(ProblemInstance(spec, 1, target=leaves))
     value = json.loads(text)["target"]
-    assert value == base64.b64encode(struct.pack(f"<{leaves.size}d", *leaves.ravel().tolist())).decode("ascii")
-    assert value == base64.b64encode(leaves.astype("<f8").tobytes()).decode()  # README's conversion
+    assert value == struct.pack(f"<{leaves.size}d", *leaves.ravel().tolist()).hex()
+    assert value == leaves.astype("<f8").tobytes().hex()  # README's conversion
     again = parse_instance(text)
     assert _bits(again.target) == _bits(leaves) and not again.target.flags.writeable
-    constant = parse_instance(_target_doc(spec, 1, _b64(leaves[0].tolist())))
+    constant = parse_instance(_target_doc(spec, 1, _hex(leaves[0].tolist())))
     assert _bits(constant.target) == _bits(leaves[0]) and not constant.target.flags.writeable
 
 
@@ -370,7 +371,7 @@ def _forms(N, n=2, s=2) -> str:
     """The accepted target forms, as every target schema error names them."""
     return (
         f"a flat list of n = {n} numbers (a constant target) or s^(N+1)*n = {s}^{N + 1}*{n} = {s ** (N + 1) * n} "
-        "(one row per leaf, in node order), or a base64 string of their little-endian float64 bytes"
+        "(one row per leaf, in node order), or a hex string of their little-endian float64 bytes"
     )
 
 
@@ -421,64 +422,75 @@ def test_target_entries_must_be_finite_json_numbers(bench_full, entry, message, 
     assert str(err.value) == f"target entries must be {message}"
 
 
-def _b64(values) -> str:
-    """The base64 text of ``values`` packed as little-endian doubles."""
-    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+def _hex(values) -> str:
+    """The hex text of ``values`` packed as little-endian doubles."""
+    return struct.pack(f"<{len(values)}d", *values).hex()
 
 
-LEAVES_N1 = _b64([float(i) for i in range(8)])  # n = 2, two-point noise, N = 1: four leaf rows, 88 characters
-BAD_BASE64 = "is not base64 (A-Z a-z 0-9 + / only, padded with = to a multiple of 4 characters)"
+LEAVES_N1 = _hex([float(i) for i in range(8)])  # n = 2, two-point noise, N = 1: four leaf rows, 128 characters
+NOT_HEX = "is not hex (two of 0-9 a-f A-F per byte)"
 STRING_FAULTS = {
     # case: (target string, why it is refused)
-    "non-alphabet": (LEAVES_N1[:5] + "*" + LEAVES_N1[6:], BAD_BASE64),
-    "url-safe-alphabet": (_b64([-0.001, 123.456]).replace("/", "_"), BAD_BASE64),
-    "newline": (LEAVES_N1[:44] + "\n" + LEAVES_N1[44:], BAD_BASE64),
-    "space": (LEAVES_N1[:44] + " " + LEAVES_N1[44:], BAD_BASE64),
-    "trailing-newline": (LEAVES_N1 + "\n", BAD_BASE64),
-    "padding-missing": (LEAVES_N1[:-1], BAD_BASE64),
-    "padding-inside": (LEAVES_N1[:4] + "=" + LEAVES_N1[5:], BAD_BASE64),
-    "data-after-padding": (LEAVES_N1 + "AAAA", BAD_BASE64),
-    "padded-group-first": ("AA==" + LEAVES_N1, BAD_BASE64),
-    "three-pads": (LEAVES_N1[:-4] + "A===", BAD_BASE64),
-    "excess-padding": (LEAVES_N1 + "====", BAD_BASE64),
-    "arabic-indic-digit": (LEAVES_N1[:5] + "\u0663" + LEAVES_N1[6:], BAD_BASE64),
-    "non-ascii": (LEAVES_N1[:5] + "\u00e9" + LEAVES_N1[6:], BAD_BASE64),
-    "12-bytes": (base64.b64encode(bytes(12)).decode("ascii"), "decodes to 12 bytes, not whole float64 values"),
-    "63-bytes": (base64.b64encode(bytes(63)).decode("ascii"), "decodes to 63 bytes, not whole float64 values"),
+    "non-hex-letter": (LEAVES_N1[:5] + "g" + LEAVES_N1[6:], NOT_HEX),
+    "odd-length": (LEAVES_N1[:-1], NOT_HEX),
+    "extra-digit": (LEAVES_N1 + "0", NOT_HEX),
+    "0x-prefix": ("0x" + LEAVES_N1[2:], NOT_HEX),
+    "newline": (LEAVES_N1[:64] + "\n" + LEAVES_N1[64:], NOT_HEX),
+    "space": (LEAVES_N1[:64] + " " + LEAVES_N1[64:], NOT_HEX),
+    "spaced-pairs": (" ".join(LEAVES_N1[i : i + 2] for i in range(0, len(LEAVES_N1), 2)), NOT_HEX),
+    "trailing-newline": (LEAVES_N1 + "\n", NOT_HEX),
+    "arabic-indic-digit": (LEAVES_N1[:5] + "\u0663" + LEAVES_N1[6:], NOT_HEX),
+    "fullwidth-digit": (LEAVES_N1[:5] + "\uff11" + LEAVES_N1[6:], NOT_HEX),
+    "non-ascii": (LEAVES_N1[:5] + "\u00e9" + LEAVES_N1[6:], NOT_HEX),
+    "base64": (base64.b64encode(struct.pack("<8d", *range(8))).decode("ascii"), NOT_HEX),  # the earlier form
+    "base64-of-hex-letters": ("ABCDabcd0123" * 8, "holds 6 float64 values"),
+    "12-bytes": (bytes(12).hex(), "decodes to 12 bytes, not whole float64 values"),
+    "63-bytes": (bytes(63).hex(), "decodes to 63 bytes, not whole float64 values"),
     "empty": ("", "holds 0 float64 values"),
-    "one-value": (_b64([0.5]), "holds 1 float64 values"),
-    "three-values": (_b64([0.5] * 3), "holds 3 float64 values"),
-    "N0-leaves": (_b64([0.5] * 4), "holds 4 float64 values"),
-    "N2-leaves": (_b64([0.5] * 16), "holds 16 float64 values"),
+    "one-value": (_hex([0.5]), "holds 1 float64 values"),
+    "three-values": (_hex([0.5] * 3), "holds 3 float64 values"),
+    "N0-leaves": (_hex([0.5] * 4), "holds 4 float64 values"),
+    "N2-leaves": (_hex([0.5] * 16), "holds 16 float64 values"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STRING_FAULTS))
-def test_a_target_string_that_is_not_strict_base64_of_whole_leaf_rows_is_refused(bench_full, case, monkeypatch):
+def test_a_target_string_that_is_not_hex_of_whole_leaf_rows_is_refused(bench_full, case):
     spec, _ = bench_full  # n = 2, two-point noise; at N = 1 four leaves
-    real = binascii.a2b_base64  # as Python 3.10 has it: the data alone, no strict_mode keyword
-    monkeypatch.setattr(model.binascii, "a2b_base64", lambda data, /: real(data))
     value, reason = STRING_FAULTS[case]
     with pytest.raises(SchemaError) as err:
         parse_instance(_target_doc(spec, 1, value))
     assert str(err.value) == f"target string {reason}; it needs {_forms(1)}"
     assert parse_instance(_target_doc(spec, 1, LEAVES_N1)).target.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
+    assert parse_instance(_target_doc(spec, 1, LEAVES_N1.upper())).target.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
 
 
-def test_the_base64_check_is_the_rfc_4648_grammar_on_every_short_string():
-    """The reader refuses a string as not base64 exactly when it is not the alphabet then at most two
-    "=", in whole 4-character groups: every string of up to two groups over two letters of the
-    alphabet, the pad and a space."""
-    grammar = re.compile(r"[A-Za-z0-9+/]*={0,2}")
-    for length in range(9):
-        for chars in itertools.product("A/= ", repeat=length):
+def test_the_hex_check_is_the_hex_grammar_on_every_short_string():
+    """The reader refuses a string as not hex exactly when it is not an even number of hex digits, either
+    case: every string of up to six characters over digits, letters in and out of the hex range, a sign
+    and a space."""
+    grammar = re.compile(r"(?:[0-9a-fA-F]{2})*")
+    for length in range(7):
+        for chars in itertools.product("0aFg- ", repeat=length):
             value = "".join(chars)
             try:
                 model._target_list(value, 1, 2, 0)
                 refused = False
             except SchemaError as err:
-                refused = "is not base64" in str(err)
-            assert refused == (len(value) % 4 != 0 or not grammar.fullmatch(value)), value
+                refused = "is not hex" in str(err)
+            assert refused == (not grammar.fullmatch(value)), value
+
+
+def test_an_earlier_base64_string_of_a_valid_count_is_refused_not_misread():
+    """A base64 string of k float64 values has 4 ceil(8k/3) characters, which read as hex hold between 2k/3
+    and k values, never a valid count. Zeros at a count divisible by 3 are all "A", valid hex: the count
+    refuses those, and the "=" padding the others."""
+    for s, N, n in itertools.product(range(2, 11), range(4), range(1, 7)):
+        leaves = s ** (N + 1) * n
+        for count in (n, leaves) if leaves <= 3000 else (n,):
+            value = base64.b64encode(bytes(8 * count)).decode("ascii")
+            with pytest.raises(SchemaError, match=r"^target string (is not hex \(|holds [0-9]+ float64 values;)"):
+                model._target_list(value, n, s, N)
 
 
 NON_FINITE_BITS = {
@@ -497,17 +509,23 @@ def test_a_target_string_of_non_finite_bits_is_refused(bench_full, bits, length)
     raw = bytearray(struct.pack(f"<{length}d", *range(length)))
     raw[-8:] = NON_FINITE_BITS[bits]
     with pytest.raises(SchemaError) as err:
-        parse_instance(_target_doc(spec, 1, base64.b64encode(raw).decode("ascii")))
+        parse_instance(_target_doc(spec, 1, raw.hex()))
     assert str(err.value) == "target: entries must be finite"  # ProblemInstance's check, as for every matrix
 
 
 def test_a_bad_target_string_exits_6_through_the_cli(bench_full, capsys, tmp_path):
+    # An odd length, and an earlier file's base64 string, in the serializer's layout and out of it.
     spec, _ = bench_full
     path = tmp_path / "instance.json"
-    path.write_text(_target_doc(spec, 1, LEAVES_N1[:-1]))
-    for command in ("analyze", "synthesize"):
-        assert main([command, "--instance", str(path)]) == 6
-        assert capsys.readouterr() == ("", f"error: target string {BAD_BASE64}; it needs {_forms(1)}\n")
+    base64_leaves = base64.b64encode(struct.pack("<8d", *range(8))).decode("ascii")
+    for value in (LEAVES_N1[:-1], base64_leaves):
+        for text in (_target_doc(spec, 1, value), serialize_instance(ProblemInstance(spec, 1)).replace(
+                "\n}\n", f',\n  "target": "{value}"\n}}\n')):
+            assert json.loads(text)["target"] == value
+            path.write_text(text)
+            for command in ("analyze", "synthesize"):
+                assert main([command, "--instance", str(path)]) == 6
+                assert capsys.readouterr() == ("", f"error: target string {NOT_HEX}; it needs {_forms(1)}\n")
 
 
 @pytest.mark.parametrize("value", ["{}", '"0.5"', "0.5", "null", "[[0.5, 1.0], [2.0, 3.0]]"])
@@ -518,8 +536,8 @@ def test_target_of_another_form_names_both_forms(bench_full, value):
         parse_instance(text)
     if value.startswith("[["):  # nested rows: two entries, as many as n, but not numbers
         assert str(err.value) == "target entries must be JSON numbers"
-    elif value == '"0.5"':  # a string is read as base64, and "." is not in its alphabet
-        assert str(err.value) == f"target string {BAD_BASE64}; it needs {_forms(0)}"
+    elif value == '"0.5"':  # a string is read as hex, and "." is not a hex digit
+        assert str(err.value) == f"target string {NOT_HEX}; it needs {_forms(0)}"
     else:
         old = "; a {label: vector} map is not read: list its rows in label order" if value == "{}" else ""
         assert str(err.value) == f"target must be {_forms(0)}{old}"
@@ -557,9 +575,10 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_target_text():
     assert peak <= 2.5 * len(text), (peak, len(text))
 
 
-def test_parse_peak_memory_of_base64_leaf_rows_is_a_small_multiple_of_the_leaves():
-    """A base64 3^10-leaf, n = 2 target: its string and its decoded bytes, 2.34x the leaf array here, and
-    ProblemInstance keeps a view of those bytes; the same leaves as a flat list held 5.2x."""
+def test_parse_peak_memory_of_hex_leaf_rows_is_a_small_multiple_of_the_leaves():
+    """A hex 3^10-leaf, n = 2 target parsed from a str: its decoded slices and their join, 2.0x the leaf
+    array here, and ProblemInstance keeps a view of the joined bytes; the string decoded whole would
+    add its copy (3.0x), and the same leaves as a flat list held 5.2x."""
     rng = np.random.default_rng(6)
     inst = ProblemInstance(_random_spec(rng, 2, NoiseModel.symmetric_three_point()), 9, target=rng.normal(size=(3**10, 2)))
     text = serialize_instance(inst)
@@ -575,9 +594,9 @@ def test_parse_peak_memory_of_base64_leaf_rows_is_a_small_multiple_of_the_leaves
 
 
 def test_parse_instance_file_drops_the_file_text_before_the_target_decodes(tmp_path):
-    """A base64 3^10-leaf, n = 2 target read from a file: the text and json's target string, then that
-    string and its decoded bytes, 2.7x the leaf array here; a parse that held the text while the target
-    decoded peaked at 3.7x."""
+    """A hex 3^10-leaf, n = 2 target read from a file: the hex decodes from the mapped file, so the peak is
+    the decoded bytes and the finiteness check's mask, 1.13x the leaf array here; reading the text and
+    json's target string, then that string and its decoded base64 bytes, peaked at 2.7x."""
     rng = np.random.default_rng(6)
     inst = ProblemInstance(_random_spec(rng, 2, NoiseModel.symmetric_three_point()), 9, target=rng.normal(size=(3**10, 2)))
     path = tmp_path / "instance.json"
@@ -589,22 +608,188 @@ def test_parse_instance_file_drops_the_file_text_before_the_target_decodes(tmp_p
     finally:
         tracemalloc.stop()
     assert again.target.tobytes() == inst.target.tobytes()
-    assert peak <= 3 * inst.target.nbytes, (peak, inst.target.nbytes)
+    assert peak <= 1.25 * inst.target.nbytes, (peak, inst.target.nbytes)
 
 
-def test_a_decoded_target_is_kept_without_a_copy(bench_full):
-    """The base64 target's float64 view over its decoded bytes is the stored target; lists and arrays are
-    copied, and a view over bytes is still checked finite once, with the copy's message."""
+def test_a_two_point_N17_file_parse_peaks_at_its_rows_and_1_mb(tmp_path):
+    """2^18 leaves of n = 3 (6.3 MB of rows, a 12.6 MB file): 7.1 MB traced; the whole text read, json's
+    string of it and its decoded base64 bytes peaked at 16.8 MB."""
+    rng = np.random.default_rng(5)
+    inst = ProblemInstance(_random_spec(rng, 3, NoiseModel.rademacher()), 17, target=rng.normal(size=(2**18, 3)))
+    path = tmp_path / "instance.json"
+    path.write_text(serialize_instance(inst))
+    tracemalloc.start()
+    try:
+        again = parse_instance_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.target.tobytes() == inst.target.tobytes()
+    assert peak <= inst.target.nbytes + 2**20, (peak, inst.target.nbytes)
+
+
+def _root_bytes(target: np.ndarray):
+    while isinstance(target, np.ndarray):
+        target = target.base
+    return target
+
+
+def test_a_decoded_target_is_kept_without_a_copy(bench_full, tmp_path):
+    """The hex target's float64 view over its decoded bytes is the stored target, parsed from a str or
+    from a file; lists and arrays are copied, and a view over bytes is still checked finite once, with the
+    copy's message."""
     spec, _ = bench_full  # n = 2, two-point noise
-    inst = parse_instance(_target_doc(spec, 1, LEAVES_N1))
-    base = inst.target
-    while isinstance(base, np.ndarray):
-        base = base.base
-    assert type(base) is bytes and not inst.target.flags.writeable
-    assert inst.target.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
+    path = tmp_path / "instance.json"
+    text = serialize_instance(ProblemInstance(spec, 1, target=np.arange(8.0).reshape(4, 2)))
+    path.write_text(text)
+    for inst in (parse_instance(_target_doc(spec, 1, LEAVES_N1)), parse_instance(text), parse_instance_file(path)):
+        assert type(_root_bytes(inst.target)) is bytes and not inst.target.flags.writeable
+        assert inst.target.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
     for value in (inst.target.tolist(), np.arange(8.0).reshape(4, 2)):
         copied = ProblemInstance(spec, 1, target=value).target
         assert copied.base is None and copied.flags.owndata and not copied.flags.writeable
     for bits in (struct.pack("<2d", 0.0, np.inf), struct.pack("<2d", np.nan, 0.0)):
         with pytest.raises(DimensionMismatch, match="^target: entries must be finite$"):
             ProblemInstance(spec, 0, target=np.frombuffer(bits, "<f8"))
+
+
+def _read_whole_text(path) -> ProblemInstance:
+    """An instance file read as text mode reads it and parsed whole by json, as every file was before the split."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = model._document(fh.read())
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8 text: {exc}") from None
+    return model._instance(doc)
+
+
+def _outcome(parse, source):
+    """Every field of the instance ``parse`` reads from ``source``, bit for bit, or its exception's type and message."""
+    try:
+        inst = parse(source)
+    except Exception as exc:
+        return type(exc), str(exc)
+    spec = inst.system
+    return (inst.N, spec.noise, _bits(inst.x0), _bits(inst.target),
+            *(_bits(value) if isinstance(value, np.ndarray) else value for value in map(spec.__getattribute__, model._SPEC_KEYS)))
+
+
+def _split_cases(spec) -> dict:
+    """case: (file bytes, whether the split read takes it), each a perturbed serializer document."""
+    rng = np.random.default_rng(8)
+    leaves, other = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
+    text = serialize_instance(ProblemInstance(spec, 2, x0=[1.0, -2.0], target=leaves))
+    hex_digits, other_hex = leaves.tobytes().hex(), other.tobytes().hex()
+    head, line = text.split(',\n  "target": ')
+    doc = json.loads(text)
+    first = json.dumps({"target": doc["target"], **doc}, indent=2) + "\n"
+    cases = {
+        "serializer": (text, True),
+        "target-not-last": (first, False),
+        "target-not-last-one-line": (json.dumps({"target": doc["target"], **doc}), False),
+        "crlf": (text.replace("\n", "\r\n"), False),
+        "lone-cr": (text.replace("\n", "\r"), False),
+        "crlf-bad-N": (text.replace('"N": 2', '"N": 2 2').replace("\n", "\r\n"), False),
+        "crlf-head": (head.replace("\n", "\r\n") + ',\n  "target": ' + line, True),
+        "space-after-colon": (text.replace('"target": "', '"target":  "'), False),
+        "space-after-string": (text.replace('"\n}\n', '" \n}\n'), False),
+        "no-final-newline": (text[:-1], False),
+        "two-final-newlines": (text + "\n", False),
+        "indent-1": (json.dumps(doc, indent=1) + "\n", False),
+        "duplicate-list-target": (text.replace('\n  "noise"', '\n  "target": [0.5, 0.25],\n  "noise"'), True),
+        "duplicate-bad-target": (text.replace('\n  "noise"', '\n  "target": {},\n  "noise"'), True),
+        "duplicate-string-target": (text.replace('\n  "noise"', f'\n  "target": "{other_hex}",\n  "noise"'), False),
+        "duplicate-target-last": (text.replace('"\n}\n', f'",\n  "target": "{other_hex}"\n}}\n'), False),
+        "head-brace-only": ('{,\n  "target": "' + hex_digits + '"\n}\n', False),
+        "head-empty-object": ('{}\n  "target": "' + hex_digits + '"\n}\n', False),
+        "head-trailing-comma": (head + ',,\n  "target": ' + line, False),
+        "head-unknown-key": (text.replace('\n  "noise"', '\n  "note": "x",\n  "noise"'), True),
+        "head-bad-N": (text.replace('"N": 2', '"N": -1'), True),
+        "head-not-json": (text.replace('"N": 2', '"N": 2 2'), False),
+        "head-bom": ("\ufeff" + text, False),
+        "head-array": ("[" + text[:-1] + "]\n", False),
+        "uppercase-hex": (text.replace(hex_digits, hex_digits.upper()), True),
+        "odd-length-hex": (text.replace(hex_digits, hex_digits[:-1]), False),
+        "spaced-hex": (text.replace(hex_digits, hex_digits[:32] + " " + hex_digits[32:]), False),
+        "escaped-hex": (text.replace(hex_digits, "\\u0030" + hex_digits[1:]), False),
+        "non-ascii-hex": (text.replace(hex_digits, hex_digits[:31] + "\u0663" + hex_digits[32:]), False),
+        "base64-target": (text.replace(hex_digits, base64.b64encode(leaves.tobytes()).decode("ascii")), False),
+        "short-hex": (text.replace(hex_digits, hex_digits[:32]), True),
+        "non-finite-hex": (text.replace(hex_digits, hex_digits[:-16] + np.array([np.inf]).tobytes().hex()), True),
+        "marker-in-target": (text.replace(hex_digits, '00\\",\\n  \\"target\\": \\"' + hex_digits), False),
+        "marker-in-key": (text.replace('\n  "noise"', '\n  "\\"target\\": \\"": 1,\n  "noise"'), True),
+        "marker-in-unclosed-string": (head + ',\n  "x": "a,\n  "target": ' + line, False),
+        "constant-target": (serialize_instance(ProblemInstance(spec, 2, target=[0.5, 0.25])), False),
+        "no-target": (serialize_instance(ProblemInstance(spec, 2)), False),
+    }
+    cases = {case: (value.encode(), split) for case, (value, split) in cases.items()}
+    data = text.encode()
+    cases["non-utf8-head"] = (data.replace(b'"noise"', b'"nois\xff"'), False)
+    cases["non-utf8-hex"] = (data.replace(hex_digits.encode(), b"\xff" + hex_digits[1:].encode()), False)
+    cases["latin-1-head"] = (data.replace(b'\n  "noise"', '\n  "é": 1,\n  "noise"'.encode("latin-1")), False)
+    return cases
+
+
+def test_the_split_read_equals_json_of_the_whole_text(bench_full, tmp_path):
+    """For each perturbation of a serializer document, parse_instance_file and parse_instance give the
+    instance, or the exception type and message, that json of the whole text gives; the split read takes
+    only documents that end in the serializer's target line after a non-empty head and hold hex there."""
+    spec, _ = bench_full  # n = 2, two-point noise
+    path = tmp_path / "instance.json"
+    seen = set()
+    for case, (data, split) in _split_cases(spec).items():
+        path.write_bytes(data)
+        outcome = _outcome(parse_instance_file, path)
+        assert outcome == _outcome(_read_whole_text, path), case
+        assert (model._split_document(data) is not None) == split, case
+        seen.add(outcome[0] if type(outcome[0]) is type else "instance")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            continue
+        assert _outcome(parse_instance, text) == _outcome(lambda t: model._instance(model._document(t)), text), case
+        assert (model._split_document(text) is not None) == split, case
+    assert seen == {"instance", SchemaError}
+
+
+def test_an_empty_file_and_a_fifo_are_read_as_before(bench_full, tmp_path):
+    """Neither can be mapped: each is read into bytes, and parses or fails as a text-mode read of it did."""
+    spec, _ = bench_full
+    empty = tmp_path / "empty.json"
+    empty.write_bytes(b"")
+    assert _outcome(parse_instance_file, empty) == (SchemaError, "not valid JSON: Expecting value: line 1 column 1 (char 0)")
+    text = serialize_instance(ProblemInstance(spec, 2, x0=[1.0, -2.0], target=np.arange(16.0).reshape(8, 2)))
+    fifo = tmp_path / "instance.fifo"
+    os.mkfifo(fifo)
+    for content in (text, text.replace("\n", "\r\n"), "{"):
+        writer = threading.Thread(target=fifo.write_text, args=(content,), daemon=True)
+        writer.start()
+        outcome = _outcome(parse_instance_file, fifo)
+        writer.join(timeout=10)
+        expected = _outcome(lambda t: model._instance(model._document(t)), content.replace("\r\n", "\n"))
+        assert outcome == expected, content[:20]
+    assert outcome[0] is SchemaError  # the last content, "{" alone
+
+
+def test_a_failed_parse_leaves_no_open_map(bench_full, tmp_path, monkeypatch):
+    """A parse that raises, in the split read or the whole one, closes its mapping, which it could not do
+    while a view of it was exported; the file is then rewritten and parsed again."""
+    spec, _ = bench_full
+    opened = []
+    real = mmap.mmap
+
+    def recording(*args, **kwargs):
+        opened.append(real(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(mmap, "mmap", recording)
+    path = tmp_path / "instance.json"
+    text = serialize_instance(ProblemInstance(spec, 2, target=np.arange(16.0).reshape(8, 2)))
+    hex_digits = np.arange(16.0).tobytes().hex()
+    for bad in (text.replace(hex_digits, hex_digits[:-1]), text.replace('"N": 2', '"N": -1'), text[:-3]):
+        path.write_text(bad)
+        with pytest.raises(SchemaError):
+            parse_instance_file(path)
+        path.write_text(text)
+        assert parse_instance_file(path).target.tolist() == np.arange(16.0).reshape(8, 2).tolist()
+    assert len(opened) == 6 and all(mapping.closed for mapping in opened)

@@ -20,7 +20,6 @@ with synthesize's error. So do one-row offsets c of any
 other length, entries that are not finite JSON numbers, and a c that is
 not N+1 stages.
 """
-import binascii
 import hashlib
 import json
 
@@ -107,8 +106,8 @@ def test_a_path_target_law_does_not_grow_with_the_tree(capsys, tmp_path, noise, 
 
 @pytest.mark.parametrize("noise,N", [(NoiseModel.symmetric_three_point(), 9), (NoiseModel.rademacher(), 12)],
                          ids=["three-point-N9", "two-point-N12"])
-def test_leaf_rows_as_a_list_and_as_base64_give_the_same_commands(capsys, tmp_path, noise, N):
-    # The writer's base64 string and the same leaves as a flat list of numbers: synthesize and verify
+def test_leaf_rows_as_a_list_and_as_hex_give_the_same_commands(capsys, tmp_path, noise, N):
+    # The writer's hex string and the same leaves as a flat list of numbers: synthesize and verify
     # print, exit and write alike, for an attainable target and a random one (not attainable under
     # three-point noise). The law's digest is the SHA-256 of the string's decoded bytes.
     n, m = 2, 3
@@ -120,26 +119,26 @@ def test_leaf_rows_as_a_list_and_as_base64_give_the_same_commands(capsys, tmp_pa
     targets = {"attainable": attainable, "random": rng.normal(size=attainable.shape)}
     inst, law, other = tmp_path / "instance.json", tmp_path / "law.json", tmp_path / "other.json"
     commands = {}
-    for form in ("base64", "list"):
+    for form in ("hex", "list"):
         for name, leaves in targets.items():
             text = serialize_instance(ProblemInstance(ts.spec, N, x0=x0, target=leaves))
             doc = json.loads(text)
             assert type(doc["target"]) is str
-            inst.write_text(text if form == "base64" else json.dumps({**doc, "target": leaves.ravel().tolist()}))
+            inst.write_text(text if form == "hex" else json.dumps({**doc, "target": leaves.ravel().tolist()}))
             law.unlink(missing_ok=True)
             synthesized = run(capsys, "synthesize", "--instance", str(inst), "--out", str(law))
             written = law.read_bytes() if law.exists() else None
             if name == "attainable":
                 other.write_bytes(written)
-                assert json.loads(written)["target"] == hashlib.sha256(binascii.a2b_base64(doc["target"])).hexdigest()
+                assert json.loads(written)["target"] == hashlib.sha256(bytes.fromhex(doc["target"])).hexdigest()
             # Against the attainable target's law, each instance verifies or its digest does not match.
             verified = run(capsys, "verify", "--instance", str(inst), "--controller", str(other))
             commands[form, name] = (synthesized, written, verified)
-    assert commands["base64", "attainable"][0][0] == commands["base64", "attainable"][2][0] == 0
-    assert commands["base64", "random"][0][0] == (4 if tree.s == 3 else 0)
-    assert commands["base64", "random"][2][0] == 5
+    assert commands["hex", "attainable"][0][0] == commands["hex", "attainable"][2][0] == 0
+    assert commands["hex", "random"][0][0] == (4 if tree.s == 3 else 0)
+    assert commands["hex", "random"][2][0] == 5
     for name in targets:
-        assert commands["base64", name] == commands["list", name], name
+        assert commands["hex", name] == commands["list", name], name
 
 
 @pytest.fixture(scope="module")
