@@ -29,9 +29,15 @@ Gram of each prefix's mean product, averaged over its continuations
 two Gramians when their Frobenius distance is within its tolerance
 times max(1, ||G_N||_F).
 
-The rank test spans {W D : W a word over {C, Cbar}}. Reachability of the
-whole state space by some horizon is equivalent to that span being full,
-and the span closes after at most n productive rounds.
+The rank test spans {W D : W a word over {C, Cbar}}, the columns of
+[D, C D, Cbar D, C^2 D, ...]. Reachability of the whole state space by
+some horizon is equivalent to that span being full. :func:`word_span`
+computes it as a subspace closure: an orthonormal basis K of range D,
+replaced each round by one of range [K, C K, Cbar K], until a round adds
+no rank; that is at most n rounds. Every range is cut by the package's
+one numerical-rank rule, max(shape) * eps * sigma_max of its own matrix,
+as the Gramian's invertibility is, so neither verdict moves with the
+state's units.
 """
 from __future__ import annotations
 
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriteriaDisagreement, NonFiniteGramian, StochctrlError
-from .model import NoiseModel, SystemSpec, ValidatedSystem, _singular_values
+from .model import NoiseModel, SystemSpec, ValidatedSystem, _range_basis, _singular_values
 from .pathspace import BLOCK_ENTRIES, DEFAULT_CAP, PathTree, path_products, prefix_means, state_delay_P, weighted_gram
 from .transform import BsdeForm, TransformedSystem
 
@@ -183,54 +189,33 @@ def gramian_invertible(G: np.ndarray) -> tuple[bool, float]:
 
 @dataclass(eq=False)
 class WordSpanBasis:
-    """Size of the span of the columns W D: its rank, and the breadth-first rounds that reached it."""
+    """Size of the span of the columns W D: its rank, and the closure rounds that grew it.
+
+    After r rounds the span is span{W D : |W| <= r}, so ``depth`` is the longest word the
+    span needs: the rank stops growing after round ``depth``, or the span is full there.
+    """
 
     rank: int
-    depth: int  # rounds applied before the span closed
+    depth: int  # closure rounds that added rank
 
 
 def word_span(form: BsdeForm) -> WordSpanBasis:
-    """Breadth-first closure of span{W D} under left products by C and Cbar.
+    """The closure of range D under left products by C and Cbar, at the one numerical-rank rule.
 
-    Columns are admitted in word-length order, C before Cbar, and within a
-    block in source-column order, so results are reproducible. Stops after
-    one full round adds nothing; the depth never needs to exceed n.
+    K starts as an orthonormal basis of range D; each round replaces it with one of the range
+    of [K, C K, Cbar K], both ranges cut by :func:`model._rank_cut` of the matrix they come
+    from. The closure stops when a round adds no rank or K spans the state space, so it takes
+    at most n rounds. Each cut is relative to its own matrix, and K is orthonormal, so scaling
+    D (the state's units) leaves the rank and the depth as they are.
     """
-    n = form.n
-    C, Cbar, D = form.C, form.Cbar, form.D
-    top = np.linalg.svd(np.stack([C, Cbar]), compute_uv=False)[:, 0] if n else (0.0,)  # ||C||_2, ||Cbar||_2
-    scale = max(*top, 1.0) * max(1.0, np.linalg.norm(D, 2) if D.size else 0.0)
-    threshold = max(n, max(1, D.shape[1])) * np.finfo(float).eps * scale
-
-    Q = np.zeros((n, 0))  # orthonormal basis of the admitted columns
-
-    def admit(col) -> bool:
-        nonlocal Q
-        resid = col - Q @ (Q.T @ col)
-        resid = resid - Q @ (Q.T @ resid)  # second pass for orthogonality
-        norm = np.linalg.norm(resid)
-        if norm <= threshold:
-            return False
-        Q = np.hstack([Q, (resid / norm)[:, None]])
-        return True
-
-    frontier = [D[:, j] for j in range(D.shape[1]) if admit(D[:, j])]
-    depth = 0
-    while frontier and Q.shape[1] < n:
-        new_frontier = []
-        grew = False
-        for mat in (C, Cbar):
-            for col in frontier:
-                cand = mat @ col
-                if admit(cand):
-                    new_frontier.append(cand)
-                    grew = True
-        if not grew:
+    C, Cbar = form.C, form.Cbar
+    K, depth = _range_basis(form.D), 0
+    while 0 < K.shape[1] < form.n:
+        grown = _range_basis(np.hstack([K, C @ K, Cbar @ K]))
+        if grown.shape[1] <= K.shape[1]:
             break
-        depth += 1
-        frontier = new_frontier
-
-    return WordSpanBasis(rank=Q.shape[1], depth=depth)
+        K, depth = grown, depth + 1
+    return WordSpanBasis(rank=K.shape[1], depth=depth)
 
 
 @dataclass(eq=False)

@@ -172,19 +172,30 @@ def _integer(name: str, value, minimum: int) -> int:
     return value
 
 
+def _rank_cut(a: np.ndarray, svals: np.ndarray) -> float | np.ndarray:
+    """The package's one numerical-rank threshold, max(shape) * eps * sigma_max of ``a`` (of each
+    matrix, for a stack) from its singular values ``svals``, and 0 for a matrix with no entries:
+    the rank counts the values above it."""
+    return max(a.shape[-2:]) * np.finfo(float).eps * svals.max(axis=-1, initial=0.0)
+
+
 def _singular_values(a: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-    """``a``'s singular values, largest first, and the numerical-rank threshold
-    max(shape) * eps * sigma_max: the rank counts the values above it. A stack
+    """``a``'s singular values, largest first, and their :func:`_rank_cut`. A stack
     of matrices gives each matrix's values and threshold, from one SVD call."""
     svals = np.linalg.svd(a, compute_uv=False)
-    return svals, max(a.shape[-2:]) * np.finfo(float).eps * svals[..., 0]
+    return svals, _rank_cut(a, svals)
 
 
 def _numerical_rank(a: np.ndarray) -> int:
-    if a.size == 0:
-        return 0
     svals, cut = _singular_values(a)
     return int(np.count_nonzero(svals > cut))
+
+
+def _range_basis(a: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of ``a``'s numerical range, as columns: the left singular
+    vectors whose values lie above :func:`_rank_cut`."""
+    U, svals, _ = np.linalg.svd(a, full_matrices=False)
+    return U[:, svals > _rank_cut(a, svals)]
 
 
 @dataclass(frozen=True)

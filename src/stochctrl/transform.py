@@ -54,8 +54,7 @@ def compute_M(bbar: np.ndarray, user_m: np.ndarray | None = None) -> np.ndarray:
             raise BadUserM(f"Bbar M differs from [I 0] by {gap:.3e} (tolerance {USER_M_TOL})")
         return user_m.copy()
 
-    scale = np.linalg.svd(bbar, compute_uv=False)[0] if bbar.size else 0.0  # the spectral norm
-    pivot_tol = max(n, m) * np.finfo(float).eps * scale
+    pivot_tol = _singular_values(bbar)[1]  # Bbar's numerical-rank cut
     # Columns as lists of Python floats: the same IEEE operations in the same order as whole-column
     # numpy updates, without a numpy call per column. max keeps the first largest, as np.argmax does.
     T, M = bbar.T.tolist(), np.eye(m).tolist()

@@ -1,7 +1,7 @@
 """Test-only cross-checks: literal constructions the package's closed forms are checked against.
 
 ``rank_test_words`` and ``word_matrix`` list the rank criterion's matrix
-[W D] word by word, against which ``criteria.word_span``'s breadth-first
+[W D] word by word, against which ``criteria.word_span``'s subspace
 closure is checked. ``q_expanded`` evaluates the absorbed input q as an
 expanded tail sum on the tree, against the feedback law's q, which
 ``split_u`` reads off u = M [q; v]; ``cond_expect`` averages out trailing

@@ -95,6 +95,28 @@ def test_analyze_uncontrollable(capsys):
     assert got["witness_N"] == "none"
 
 
+def test_analyze_of_a_state_in_small_units_agrees_with_itself(capsys, tmp_path):
+    # x -> s x leaves C and Cbar as they are and scales D by s. The form is mapped back to
+    # (A, B, Abar, Bbar) as sampling.random_system does: A = S + L Abar and B = [L F] M^-1,
+    # with S = C^-1, L = -S Cbar and F = -S D. At s = 1e-16 the rank test must still find
+    # the span the Gramian finds.
+    ts = random_controllable(np.random.default_rng(44), 2, 3, 2)
+    spec, form = ts.spec, ts.form
+    S = np.linalg.inv(form.C)
+    reports = []
+    for s in (1.0, 1e-16):
+        L, F = -S @ form.Cbar, -S @ (s * form.D)
+        system = SystemSpec(A=S + L @ spec.Abar, B=np.hstack([L, F]) @ np.linalg.inv(ts.transform.M), Abar=spec.Abar, Bbar=spec.Bbar)
+        inst = tmp_path / f"scaled_{s}.json"
+        inst.write_text(serialize_instance(ProblemInstance(system, 2)))
+        code, out, _ = run(capsys, "analyze", "--instance", str(inst))
+        assert code == 0
+        reports.append(as_dict(out))
+    for got in reports:
+        assert got["verdict"] == "exactly controllable" and got["criteria_agree"] == "yes"
+        assert (got["rank_R"], got["span_depth"], got["witness_N"]) == (reports[0]["rank_R"], reports[0]["span_depth"], reports[0]["witness_N"])
+
+
 def test_analyze_horizon_override(capsys):
     code, out, _ = run(capsys, "analyze", "--instance", FULL, "--N", "5")
     assert code == 0

@@ -124,14 +124,71 @@ def test_word_matrix_applies_letters_right_to_left(rng):
     assert R.shape == (2, 7 * D.shape[1])
 
 
+def word_matrix_span(form):
+    """The literal rank test: the rank of [W D : |W| <= n] and the shortest word length L at
+    which [W D : |W| <= L] reaches it."""
+    ranks = [np.linalg.matrix_rank(word_matrix(form.C, form.Cbar, form.D, L)[0], tol=1e-9) for L in range(form.n + 1)]
+    return ranks[-1], ranks.index(ranks[-1])
+
+
 def test_word_span_agrees_with_word_matrix_rank(rng):
+    from stochctrl import BsdeForm
+    from stochctrl.criteria import decide_form
+
     for _ in range(10):
         n = int(rng.integers(1, 4))
         ts = TransformedSystem.build(random_system(rng, n, n + 1))
         span = word_span(ts.form)
         R, _ = word_matrix(ts.form.C, ts.form.Cbar, ts.form.D, n)
         assert span.rank == np.linalg.matrix_rank(R, tol=1e-9)
-        assert span.depth <= n
+        assert (span.rank, span.depth) == word_matrix_span(ts.form)
+    for n in range(1, 5):
+        # A rank-1 D of three columns: the span grows from one direction.
+        form = TransformedSystem.build(random_system(rng, n, n + 3)).form
+        low = BsdeForm(form.C, form.Cbar, form.D[:, :1] @ rng.normal(size=(1, 3)))
+        span = word_span(low)
+        assert (span.rank, span.depth) == word_matrix_span(low)
+        # m = n: D has no columns, so nothing is reached.
+        form = TransformedSystem.build(random_system(rng, n, n)).form
+        assert form.D.shape == (n, 0)
+        span = word_span(form)
+        assert (span.rank, span.depth) == (0, 0) == word_matrix_span(form)
+        report = decide_form(form, 2 * n)
+        assert not report.controllable and (report.rank_R, report.span_depth, report.criteria_agree) == (0, 0, True)
+    for trial in range(30):
+        # Exactly block-triangular forms: the first k coordinates are invariant, with exact zeros.
+        n = 2 + trial % 3
+        k = int(rng.integers(1, n))
+        form = degenerate_form(rng, n, k)
+        span = word_span(form)
+        assert span.rank == k
+        assert (span.rank, span.depth) == word_matrix_span(form)
+
+
+SCALES = (1e-30, 1e-20, 1e-16, 1e-12, 1e12, 1e20, 1e30)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_rank_test_does_not_move_with_the_state_units(seed):
+    # x -> s x leaves C and Cbar as they are and scales D by s. The closure's ranges are cut
+    # relative to their own matrices, so the rank and depth are the unscaled form's at every s,
+    # and the two criteria still agree.
+    from stochctrl import BsdeForm
+    from stochctrl.criteria import decide_form
+
+    rng = np.random.default_rng([44, seed])
+    for n in range(1, 5):
+        forms = [TransformedSystem.build(random_system(rng, n, n + 1 + seed % 2)).form]
+        if n > 1:
+            forms.append(degenerate_form(rng, n, int(rng.integers(1, n))))
+        for form in forms:
+            span = word_span(form)
+            for s in SCALES:
+                scaled = BsdeForm(form.C, form.Cbar, s * form.D)
+                got = word_span(scaled)
+                assert (got.rank, got.depth) == (span.rank, span.depth), s
+                report = decide_form(scaled, 2 * n)
+                assert report.controllable == (span.rank == n) and report.span_depth == span.depth
 
 
 def degenerate_form(rng, n, k):
