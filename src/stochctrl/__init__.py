@@ -96,7 +96,6 @@ from .synthesis import (
 )
 from .transform import (
     BsdeForm,
-    InputTransform,
     TransformedSystem,
     compute_M,
     to_bsde,

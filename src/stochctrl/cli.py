@@ -62,17 +62,14 @@ from .errors import (
 )
 from .model import NoiseModel, ValidatedSystem, parse_instance_file, validate
 from .partial import output_form, partial_decide, reduced_form, reduced_rank_setup
-from .pathspace import DEFAULT_CAP, PathTree, backward_solve, forward_simulate, terminal_from_map
+from .pathspace import DEFAULT_CAP, PathTree, forward_simulate, terminal_from_map
 from .synthesis import (
     FLOAT_FMT,
-    FeedbackLaw,
     folded_loop,
     law_text,
     read_controller_table,
     read_feedback_law,
     steer_to_target,
-    target_digest,
-    target_offsets,
 )
 from .transform import BsdeForm, TransformedSystem
 
@@ -250,6 +247,12 @@ def _deviation(runs, target) -> float:
     return float(abs(np.maximum(hi, -lo)))
 
 
+def _loop_pairs(command: str, kind: str, tree: PathTree, deviation: float, tol: float) -> list[tuple]:
+    """The report lines synthesize and verify share, from the command to the tolerance its closed loop is held to."""
+    return [("command", command), ("kind", kind), ("N", tree.horizon), ("paths", tree.n_nodes(tree.horizon + 1)),
+            ("terminal_deviation", deviation), ("tolerance", tol)]
+
+
 def cmd_synthesize(args) -> int:
     inst, vs, route, tree = _steering_setup(args, "controller synthesis")
     spec = inst.system
@@ -257,15 +260,7 @@ def cmd_synthesize(args) -> int:
     target = None if inst.target is None else terminal_from_map(tree, spec.n, inst.target)
     ctrl = ROUTES[route].controller(ts, tree, inst.x0, target, args.tol)
     deviation = _deviation(folded_loop(tree, spec, inst.x0, ctrl.law), target)
-    pairs = [
-        ("command", "synthesize"),
-        ("kind", ctrl.kind),
-        ("N", tree.horizon),
-        ("paths", tree.n_nodes(tree.horizon + 1)),
-        ("terminal_deviation", deviation),
-        ("tolerance", args.tol),
-        ("gramian_min_singular", ctrl.smin),
-    ]
+    pairs = _loop_pairs("synthesize", ctrl.kind, tree, deviation, args.tol) + [("gramian_min_singular", ctrl.smin)]
     law = law_text(ctrl)
     if args.out:
         _write(args.out, law)
@@ -274,20 +269,6 @@ def cmd_synthesize(args) -> int:
     else:
         sys.stdout.write(law)
     return EXIT_YES if deviation <= args.tol else EXIT_NO
-
-
-def _named_target_offsets(law: FeedbackLaw, inst, vs: ValidatedSystem, tree: PathTree) -> list[np.ndarray]:
-    """The offsets of a law that names its target by digest, rebuilt as synthesize built them: the digest is
-    checked against the instance's leaf rows, the homogeneous backward equation is solved on them (no
-    membership verdict) and ``target_offsets`` reads that solution with the law's own L."""
-    if inst.target is None or inst.target.ndim != 2:
-        kind = "no target" if inst.target is None else "a constant (n-vector) target"
-        raise SchemaError(f"the law names a path target by digest, but the instance has {kind}")
-    digest = target_digest(inst.target)
-    if digest != law.target:
-        raise SchemaError(f"target digest {law.target} does not match the instance's target ({digest})")
-    ts = TransformedSystem.build(vs)
-    return target_offsets(ts, tree, law.L, backward_solve(tree, ts.form, inst.target))
 
 
 def cmd_verify(args) -> int:
@@ -299,10 +280,7 @@ def cmd_verify(args) -> int:
     artifact = "law" if byte == b"{" else "table"
     try:
         if artifact == "law":
-            law = read_feedback_law(args.controller, tree, spec)
-            if law.target is not None:
-                law.c = _named_target_offsets(law, inst, vs, tree)
-            runs = folded_loop(tree, spec, inst.x0, law)
+            runs = folded_loop(tree, spec, inst.x0, read_feedback_law(args.controller, tree, vs, inst.target))
         else:
             u, u1 = read_controller_table(args.controller, tree, spec)
             runs = [(0, forward_simulate(tree, spec, inst.x0, u, u1=u1)[tree.horizon + 1])]
@@ -312,15 +290,7 @@ def cmd_verify(args) -> int:
     target = None if inst.target is None else terminal_from_map(tree, spec.n, inst.target)
     deviation = _deviation(runs, target)
     ok = deviation <= args.tol
-    pairs = [
-        ("command", "verify"),
-        ("kind", route),
-        ("N", tree.horizon),
-        ("paths", tree.n_nodes(tree.horizon + 1)),
-        ("terminal_deviation", deviation),
-        ("tolerance", args.tol),
-        ("verdict", "ok" if ok else "failed"),
-    ]
+    pairs = _loop_pairs("verify", route, tree, deviation, args.tol) + [("verdict", "ok" if ok else "failed")]
     _emit(_render(pairs, args.format), args.out)
     return EXIT_YES if ok else EXIT_NO
 

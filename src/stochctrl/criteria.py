@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriteriaDisagreement, NonFiniteGramian, StochctrlError
-from .model import NoiseModel, SystemSpec, ValidatedSystem, _range_basis, _singular_values
+from .model import NoiseModel, SystemSpec, ValidatedSystem, _range_basis, _rank_rtol, _singular_values
 from .pathspace import BLOCK_ENTRIES, DEFAULT_CAP, PathTree, path_products, prefix_means, state_delay_P, weighted_gram
 from .transform import BsdeForm, TransformedSystem
 
@@ -187,6 +187,13 @@ def gramian_invertible(G: np.ndarray) -> tuple[bool, float]:
     return smin > cut, smin
 
 
+def _pinv(S: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of each n x n matrix of the stack ``S`` in one call, cut where
+    :func:`gramian_invertible` cuts: both read the one rank rule, ``model._rank_rtol`` times
+    sigma_max of that matrix (n eps, n the matrix size, not the stack length)."""
+    return np.linalg.pinv(S, rtol=_rank_rtol(S))
+
+
 @dataclass(eq=False)
 class WordSpanBasis:
     """Size of the span of the columns W D: its rank, and the closure rounds that grew it.
@@ -309,5 +316,5 @@ def _decide(ts: TransformedSystem, N_max: int | None) -> ControllabilityReport:
         form,
         ts.spec.default_horizon if N_max is None else N_max,
         kind="input-delay" if form.D1 is not None else "state-delay" if form.C1 is not None else "full",
-        transform_source=ts.transform.source,
+        transform_source=ts.source,
     )

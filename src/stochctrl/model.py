@@ -172,11 +172,16 @@ def _integer(name: str, value, minimum: int) -> int:
     return value
 
 
+def _rank_rtol(a: np.ndarray) -> float:
+    """The factor :func:`_rank_cut` multiplies sigma_max by: max(shape) * eps of ``a``'s matrices."""
+    return max(a.shape[-2:]) * np.finfo(float).eps
+
+
 def _rank_cut(a: np.ndarray, svals: np.ndarray) -> float | np.ndarray:
-    """The package's one numerical-rank threshold, max(shape) * eps * sigma_max of ``a`` (of each
+    """The package's one numerical-rank threshold, :func:`_rank_rtol` * sigma_max of ``a`` (of each
     matrix, for a stack) from its singular values ``svals``, and 0 for a matrix with no entries:
     the rank counts the values above it."""
-    return max(a.shape[-2:]) * np.finfo(float).eps * svals.max(axis=-1, initial=0.0)
+    return _rank_rtol(a) * svals.max(axis=-1, initial=0.0)
 
 
 def _singular_values(a: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:

@@ -71,7 +71,7 @@ def partial_decide(
         output_form(system),
         system.spec.default_horizon if N_max is None else N_max,
         kind="partial",
-        transform_source=system.transform.source,
+        transform_source=system.source,
     )
 
 

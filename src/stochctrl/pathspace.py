@@ -13,7 +13,7 @@ replicated per leaf. The solves return the x levels alone: z(k) =
 E[w(k) x(k+1) | past] is a function of x(k+1), formed where it is read
 (:func:`z_level`). Each per-level kernel is one matmul of the level, a
 row per node (s n wide), against a stacked per-atom map:
-[(A + w_j Abar)']_j in :func:`plant_step`, [p_j C(j)']_j in
+[(A + w_j Abar)']_j in :func:`plant_step` (:func:`plant_maps`), [p_j C(j)']_j in
 :func:`_stage_step`, [p_j w_j I_n]_j in :func:`z_level`.
 A value stored at a coarser depth than the level it acts on, such as a
 delayed input or a lagged state in :func:`plant_step` or a lagged state
@@ -459,18 +459,28 @@ def forward_simulate(
     if x0.shape != (n,):
         raise DimensionMismatch(f"x0 must have length {n}, got {x0.shape}")
     xs = {0: x0[None, :].copy()}
+    maps = plant_maps(tree, spec)
     for k in range(N + 1):
         uk = _check_input(tree, u, k, spec.m, "u")
         u1k = None if spec.B1 is None else _check_input(tree, u1, k - spec.tau, spec.B1.shape[1], "u1")
-        xs[k + 1] = plant_step(tree, spec, xs, k, uk, u1k)
+        xs[k + 1] = plant_step(tree, spec, maps, xs, k, uk, u1k)
     return xs
 
 
-def plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk: np.ndarray, u1k=None, work=None) -> np.ndarray:
+def plant_maps(tree: PathTree, spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The plant's per-atom maps [(A + w_j Abar)']_j and [(B + w_j Bbar)']_j, n columns per atom: built
+    once per loop, here, for :func:`plant_step` and ``synthesis._stage_maps``."""
+    return (np.hstack([(spec.A + w * spec.Abar).T for w in tree.support]),
+            np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support]))
+
+
+def plant_step(tree: PathTree, spec: SystemSpec, maps: tuple, xs: dict, k: int, uk: np.ndarray, u1k=None,
+               work=None) -> np.ndarray:
     """x(k+1) from the states ``xs`` up to stage k, u(k) and u1(k - tau), at depth k + 1.
 
     Child j of a node is x(k) (A + w_j Abar)' + u(k) (B + w_j Bbar)' + u1 B1' + x(k-d) A1',
-    one matmul per input against its per-atom map, n columns per atom (s copies of B1' or A1').
+    one matmul per input against its per-atom map, n columns per atom (``maps``, from
+    :func:`plant_maps`, for x(k) and u(k); s copies of B1' or A1').
     Each input term is formed at the input's own depth (u(k) at depth k,
     u1(k - tau) and x(k - d) at theirs) and added to every descendant
     (:func:`_add_product`), in ``work`` when given: a flat scratch array of
@@ -479,8 +489,8 @@ def plant_step(tree: PathTree, spec: SystemSpec, xs: dict, k: int, uk: np.ndarra
     Forward simulation and ``synthesis.feedback_loop`` take this step, so a
     controller's plant-step states and its table's replay agree bit for bit.
     """
-    out = xs[k] @ np.hstack([(spec.A + w * spec.Abar).T for w in tree.support])
-    _add_product(out, uk, np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support]), work)
+    out = xs[k] @ maps[0]
+    _add_product(out, uk, maps[1], work)
     if u1k is not None:
         _add_product(out, u1k, np.tile(spec.B1.T, tree.s), work)
     if spec.A1 is not None and k - spec.d >= 0:

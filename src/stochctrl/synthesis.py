@@ -60,12 +60,13 @@ for float64); each c_k is one flat row-major list of w_k numbers, where
 w_k = m + m1 [k <= N - tau] is L_k's row count. A law whose offsets
 differ by node (a path target's) holds "target" instead of "c": the
 SHA-256 hex digest of the target's leaf rows as little-endian float64
-bytes in C order (:func:`target_digest`). verify checks it against the
-instance's target, solves the homogeneous backward equation on that
-target and rebuilds the offsets with :func:`target_offsets` from the
-law's own L, as synthesize built them, so the two run the same offsets
-to the last bit; the plant is still stepped from x0, so an error in them
-shows in the terminal deviation. A c listing one row per node, as
+bytes in C order (:func:`target_digest`). :func:`read_feedback_law`
+checks it against the instance's target, solves the homogeneous backward
+equation on that target and rebuilds the offsets with
+:func:`target_offsets` from the law's own L, as synthesize built them, so
+every law read back is whole and synthesize and verify run the same
+offsets to the last bit; the plant is still stepped from x0, so an error
+in them shows in the terminal deviation. A c listing one row per node, as
 earlier versions wrote a path target's law, is malformed, as is a
 delay-route law with a column for a lag that never acts, or with u1
 rows or entries at a stage k > N - tau. The table of one row per
@@ -86,12 +87,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pathspace
-from .criteria import _pre_horizon_sums, _reaching, gramian_invertible, gramian_sequence
+from .criteria import _pinv, _pre_horizon_sums, _reaching, gramian_invertible, gramian_sequence
 from .errors import DimensionMismatch, SchemaError, SingularGramian, TargetNotInS
-from .model import SystemSpec, _finite_floats, _label_tables, _level_labels, check_level
+from .model import SystemSpec, ValidatedSystem, _document, _finite_floats, _label_tables, _level_labels, check_level
 from .pathspace import (
     PathTree,
     _add_product,
+    backward_solve,
     member_of_S,
     path_products,
     plant_step,
@@ -128,13 +130,13 @@ class FeedbackLaw:
     ``target`` is None when every c_k is one row, which the written law
     stores flat (:func:`law_text`); else it is the SHA-256 digest of the
     target's leaves (:func:`target_digest`), which the written law stores
-    instead of c, and a law read back has ``c`` None until its offsets are
-    rebuilt. ``u1_pre`` holds u1(-tau), u1(1-tau), ... that enter by stage
+    instead of c, and :func:`read_feedback_law` rebuilds c from the target
+    it names. ``u1_pre`` holds u1(-tau), u1(1-tau), ... that enter by stage
     N, one row each (None without a delayed input).
     """
 
     L: list[np.ndarray]
-    c: list[np.ndarray] | None
+    c: list[np.ndarray]
     u1_pre: np.ndarray | None = None
     target: str | None = None
 
@@ -156,13 +158,6 @@ class ControllerProcess:
     smin: float
 
 
-def _pinv(S: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of each n x n matrix of the stack ``S`` in one call, cut where
-    :func:`gramian_invertible` cuts, at n eps sigma_max of that matrix (n the matrix size,
-    not the stack length)."""
-    return np.linalg.pinv(S, rtol=S.shape[-1] * np.finfo(float).eps)
-
-
 def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> ControllerProcess:
     """The law that steers x0 to ``target`` (None: the origin), as this module's docstring builds it.
 
@@ -170,7 +165,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     delay channel, the gains' u1 rows (k <= N - tau) or pivots P(j), the
     lag blocks of Pi_k and the pre-horizon inputs ``u1_pre``. r_h is the
     regressor of the target's solution, zero without one and in its u1
-    blocks. The gains' S(0..N)^+ is one stacked :func:`_pinv` call.
+    blocks. The gains' S(0..N)^+ is one stacked :func:`criteria._pinv` call.
     """
     form, spec, n, N = ts.form, ts.spec, ts.form.n, tree.horizon
     x0 = np.array(x0, dtype=float)  # a copy: the record keeps it for the table's closed loop
@@ -185,7 +180,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
         hom = result.solution
     seq = _reaching(gramian_sequence(form, N), N)  # S(j), j = 0..N
     S = [np.zeros((n, n)), *seq]  # S(j-1)
-    K = [ts.transform.M @ np.vstack([S[N - k] @ form.Cbar.T, form.D.T]) for k in range(N + 1)]
+    K = [ts.M @ np.vstack([S[N - k] @ form.Cbar.T, form.D.T]) for k in range(N + 1)]
     G, Q, CD1, u1_pre = seq[N], None, None, None
     if form.D1 is not None:
         kind, what, tau = "input-delay", "delayed-input Gramian", form.tau
@@ -207,7 +202,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
         u1_pre = np.array([g @ CD1[i] for i in range(min(tau, N + 1))])
     S_pinv = _pinv(seq)  # S(j)^+, j = 0..N
     K = [Kk @ S_pinv[N - k] for k, Kk in enumerate(K)]
-    Mq_Abar = ts.transform.M[:, :n] @ spec.Abar
+    Mq_Abar = ts.M[:, :n] @ spec.Abar
     L = []
     for k, Kk in enumerate(K):
         xlags, ulags = _acting_lags(N, k, form.d or 0, form.tau or 0)
@@ -244,7 +239,7 @@ def target_offsets(ts: TransformedSystem, tree: PathTree, L: list[np.ndarray], h
     if hom is None:
         return [np.zeros((1, len(Lk))) for Lk in L]
     spec, n, m, s, d = ts.spec, ts.spec.n, ts.spec.m, tree.s, ts.spec.d or 0
-    Mq = ts.transform.M[:, :n]
+    Mq = ts.M[:, :n]
     rows = s ** max(d + 1, pathspace._block_depth(s, max(n, len(L[0]))))
     c = []
     for k, Lk in enumerate(L):
@@ -321,12 +316,13 @@ def feedback_loop(
     work = np.empty(max(tree.n_nodes(N) * s * n, tree.n_nodes(max(0, N - 1)) * len(law.L[0])))
     xs = {0: np.asarray(x0, dtype=float)[None, :].copy()}
     u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
+    maps = pathspace.plant_maps(tree, spec)
     for k in range(N + 1):
         rows, width = tree.n_nodes(k), len(law.L[k])
         v = _law_inputs(spec, law, k, xs, u1s, inputs[: rows * width].reshape(rows, width), work)
         if tau and k <= N - tau:
             u1s[k] = v[:, m:].copy()
-        xs[k + 1] = plant_step(tree, spec, xs, k, v[:, :m], u1s[k - tau] if tau else None, work)
+        xs[k + 1] = plant_step(tree, spec, maps, xs, k, v[:, :m], u1s[k - tau] if tau else None, work)
         _drop_read(xs, u1s, k, N, d, tau)
         yield k, v, xs[k + 1]
 
@@ -437,14 +433,14 @@ def _drop_read(xs: dict, u1s: dict, k: int, N: int, d: int, tau: int) -> None:
 
 def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tuple]:
     """Each stage's closed-loop map, built once per loop for :func:`_folded_step`, which reads stage k's
-    once per run: [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, the atom stack Bw = [(B + w_j Bbar)']_j,
-    for each acting lag (:func:`pathspace._acting_lags`' order) its block L_k,lag' Bw, plus s copies
-    of A1' for x(k-d) or B1' for u1(k-tau), with its u1 block L_k,lag,u1', and whether c_k is applied:
-    not when it is one row of zeros (every stage of the origin's law), as adding 0.0 changes no value
-    but the sign of a zero. A per-node c_k is always applied, its rows never read here."""
+    once per run: [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, the atom stack Bw = [(B + w_j Bbar)']_j
+    (both stacks from :func:`pathspace.plant_maps`), for each acting lag (:func:`pathspace._acting_lags`'
+    order) its block L_k,lag' Bw, plus s copies of A1' for x(k-d) or B1' for u1(k-tau), with its u1 block
+    L_k,lag,u1', and whether c_k is applied: not when it is one row of zeros (every stage of the origin's
+    law), as adding 0.0 changes no value but the sign of a zero. A per-node c_k is always applied, its rows
+    never read here."""
     m, n, N = spec.m, spec.n, len(law.L) - 1
-    Aw = np.hstack([(spec.A + w * spec.Abar).T for w in tree.support])
-    Bw = np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support])
+    Aw, Bw = pathspace.plant_maps(tree, spec)
     maps = []
     for k, (Lk, ck) in enumerate(zip(law.L, law.c)):
         Lu, L1 = Lk[:m], Lk[m:]
@@ -546,12 +542,17 @@ def law_text(ctrl: ControllerProcess) -> str:
     return json.dumps(doc) + "\n"
 
 
-def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
-    """Parse a law written by :func:`law_text` for the system ``spec`` at the tree's horizon.
+def read_feedback_law(source, tree: PathTree, system: ValidatedSystem | TransformedSystem, target=None) -> FeedbackLaw:
+    """Parse a law written by :func:`law_text` for ``system`` at the tree's horizon, its offsets included.
 
-    A law that names its target comes back with ``c`` None and the digest
-    in ``target``: its offsets are rebuilt by :func:`target_offsets` from
-    the target it names. Raises :class:`SchemaError` for text that is not
+    The shapes are those of ``system.spec``. A law that names its target
+    by digest is checked against ``target``, the instance's target (None,
+    an n-vector or the leaf rows, as ``ProblemInstance.target`` holds it),
+    and its offsets are rebuilt as synthesize built them: the homogeneous
+    backward equation is solved on the leaf rows (no membership verdict)
+    and :func:`target_offsets` reads that solution with the law's own L.
+    Only then is ``system`` transformed, so a law that lists its offsets
+    needs no transform. Raises :class:`SchemaError` for text that is not
     a JSON object with exactly the keys kind, N, L and one of c and
     target, plus u1 exactly on a delayed input; a kind other than
     "feedback"; an N other than the tree's horizon; an L not N+1 stages of
@@ -560,16 +561,13 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     a u1(k) entering after stage N) or a u1 not (min(tau, N+1), m1); a c
     that is not N+1 flat stages, stage k of w_k numbers (one row: offsets
     that differ by node are not read, their law names its target); a
-    target that is not 64 lowercase hex characters; and entries that are
-    not finite JSON numbers.
+    target that is not 64 lowercase hex characters, given with no leaf-row
+    target or with one whose digest differs; and entries that are not
+    finite JSON numbers.
     """
-    try:
-        with _opened(source, "r") as fh:
-            doc = json.loads(fh.read())
-    except (ValueError, RecursionError) as exc:  # bad JSON, an integer too long, nesting too deep
-        raise SchemaError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be a JSON object")
+    spec = system.spec
+    with _opened(source, "r") as fh:
+        doc = _document(fh.read())
     if "c" in doc and "target" in doc:
         raise SchemaError("law has both c and target: it lists its offsets or names its target, not both")
     keys = _LAW_KEYS + (("target",) if "target" in doc else ("c",)) + (("u1",) if spec.B1 is not None else ())
@@ -587,13 +585,21 @@ def read_feedback_law(source, tree: PathTree, spec: SystemSpec) -> FeedbackLaw:
     rows = [spec.m + m1 * (k + (spec.tau or 0) <= N) for k in range(N + 1)]  # u1(k) rows while it enters by N
     L = [_law_array(f"L stage {k}", Lk, (rows[k], spec.n * (1 + len(xlags)) + m1 * len(ulags)))
          for k, Lk in enumerate(doc["L"]) for xlags, ulags in [_acting_lags(N, k, spec.d or 0, spec.tau or 0)]]
-    target, c = doc.get("target"), None
+    digest = doc.get("target")
     if "target" not in doc:
         c = _law_offsets(doc["c"], tree, rows)
-    elif not (type(target) is str and _DIGEST.fullmatch(target)):
-        raise SchemaError(f"target must be a SHA-256 digest, 64 lowercase hex characters; got {target!r:.80}")
+    elif not (type(digest) is str and _DIGEST.fullmatch(digest)):
+        raise SchemaError(f"target must be a SHA-256 digest, 64 lowercase hex characters; got {digest!r:.80}")
     u1_pre = _law_array("u1", doc["u1"], (min(spec.tau, N + 1), m1)) if m1 else None
-    return FeedbackLaw(L, c, u1_pre, target)
+    if digest is not None:
+        if target is None or target.ndim != 2:
+            kind = "no target" if target is None else "a constant (n-vector) target"
+            raise SchemaError(f"the law names a path target by digest, but the instance has {kind}")
+        if (want := target_digest(target)) != digest:
+            raise SchemaError(f"target digest {digest} does not match the instance's target ({want})")
+        ts = TransformedSystem.build(system)
+        c = target_offsets(ts, tree, L, backward_solve(tree, ts.form, target))
+    return FeedbackLaw(L, c, u1_pre, digest)
 
 
 def _law_offsets(value, tree: PathTree, widths: list[int]) -> list[np.ndarray]:

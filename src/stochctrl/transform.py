@@ -75,23 +75,6 @@ def compute_M(bbar: np.ndarray, user_m: np.ndarray | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class InputTransform:
-    """Invertible input reorganization u = M [q; v] with B M = [L F]."""
-
-    M: np.ndarray
-    L: np.ndarray
-    F: np.ndarray
-    source: str  # "user" or "constructed"
-
-    @classmethod
-    def from_system(cls, spec: SystemSpec) -> "InputTransform":
-        M = compute_M(spec.Bbar, spec.M)
-        source = "user" if spec.M is not None else "constructed"
-        BM = spec.B @ M
-        return cls(M=M, L=BM[:, : spec.n], F=BM[:, spec.n :], source=source)
-
-
-@dataclass(frozen=True, eq=False)
 class BsdeForm:
     """Coefficients of the backward form, plus transformed delay channels and their lags.
 
@@ -128,13 +111,15 @@ class BsdeForm:
         return np.stack([self.C + w * self.Cbar for w in support])
 
 
-def to_bsde(spec: SystemSpec, tr: InputTransform) -> BsdeForm:
-    """Invert the drift pencil A - L Abar and assemble the backward form.
+def to_bsde(spec: SystemSpec, M: np.ndarray) -> BsdeForm:
+    """Split B M = [L F], invert the drift pencil A - L Abar and assemble the backward form.
 
     Raises :class:`SingularPencil` when the pencil's reciprocal condition
     number falls below ``PENCIL_RCOND``.
     """
-    S = spec.A - tr.L @ spec.Abar
+    BM = spec.B @ M
+    L, F = BM[:, : spec.n], BM[:, spec.n :]
+    S = spec.A - L @ spec.Abar
     svals = np.linalg.svd(S, compute_uv=False)
     rcond = svals[-1] / svals[0] if svals[0] > 0 else 0.0
     if rcond <= PENCIL_RCOND:
@@ -144,8 +129,8 @@ def to_bsde(spec: SystemSpec, tr: InputTransform) -> BsdeForm:
     C = np.linalg.inv(S)
     return BsdeForm(
         C=C,
-        Cbar=-C @ tr.L,
-        D=-C @ tr.F,
+        Cbar=-C @ L,
+        D=-C @ F,
         D1=None if spec.B1 is None else -C @ spec.B1,
         C1=None if spec.A1 is None else -C @ spec.A1,
         tau=spec.tau,
@@ -155,10 +140,15 @@ def to_bsde(spec: SystemSpec, tr: InputTransform) -> BsdeForm:
 
 @dataclass(frozen=True, eq=False)
 class TransformedSystem:
-    """Validated system bundled with its transform and backward form."""
+    """Validated system bundled with its input reorganization u = M [q; v] and backward form.
+
+    ``source`` says where M came from: "user" (the instance's M, checked by
+    :func:`compute_M`) or "constructed".
+    """
 
     system: ValidatedSystem
-    transform: InputTransform
+    M: np.ndarray
+    source: str
     form: BsdeForm
 
     @classmethod
@@ -172,8 +162,9 @@ class TransformedSystem:
             raise RankDeficient(
                 "standard transform requires rank(Bbar) = n; use the reduced-rank route"
             )
-        tr = InputTransform.from_system(system.spec)
-        return cls(system=system, transform=tr, form=to_bsde(system.spec, tr))
+        spec = system.spec
+        M = compute_M(spec.Bbar, spec.M)
+        return cls(system, M, "user" if spec.M is not None else "constructed", to_bsde(spec, M))
 
     @property
     def spec(self) -> SystemSpec:

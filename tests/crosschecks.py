@@ -58,7 +58,6 @@ from fractions import Fraction
 import numpy as np
 
 from stochctrl import (
-    InputTransform,
     PathTree,
     ProblemInstance,
     SingularPBracket,
@@ -74,21 +73,21 @@ from stochctrl.pathspace import P_RCOND, _acting_lags, _add_product, _state_dela
 from stochctrl.synthesis import _folded_step, _stage_maps
 
 
-def reconstruct_u(tr: InputTransform, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+def reconstruct_u(ts: TransformedSystem, q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u = M [q; v]; accepts single vectors or row-stacked batches."""
     single = np.asarray(q).ndim == 1
     q = np.atleast_2d(np.asarray(q, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    u = np.hstack([q, v]) @ tr.M.T
+    u = np.hstack([q, v]) @ ts.M.T
     return u[0] if single else u
 
 
-def split_u(tr: InputTransform, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def split_u(ts: TransformedSystem, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`reconstruct_u`."""
     single = np.asarray(u).ndim == 1
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    qv = u @ np.linalg.inv(tr.M).T
-    n = tr.L.shape[1]
+    qv = u @ np.linalg.inv(ts.M).T
+    n = ts.spec.n
     q, v = qv[:, :n], qv[:, n:]
     return (q[0], v[0]) if single else (q, v)
 
@@ -298,7 +297,7 @@ def reference_offsets(ts: TransformedSystem, tree: PathTree, law, hom: dict) -> 
     and z_h(k) is ``pathspace.z_level`` of x_h(k+1)."""
     spec, n, m, N = ts.spec, ts.spec.n, ts.spec.m, len(law.L) - 1
     Q = _state_delay_gains(ts.form, N)[1] if ts.form.C1 is not None else [{}] * (N + 1)
-    Mq = ts.transform.M[:, :n]
+    Mq = ts.M[:, :n]
     c = []
     for k, Lk in enumerate(law.L):
         K = Lk[:, :n].copy()

@@ -106,7 +106,7 @@ def test_analyze_of_a_state_in_small_units_agrees_with_itself(capsys, tmp_path):
     reports = []
     for s in (1.0, 1e-16):
         L, F = -S @ form.Cbar, -S @ (s * form.D)
-        system = SystemSpec(A=S + L @ spec.Abar, B=np.hstack([L, F]) @ np.linalg.inv(ts.transform.M), Abar=spec.Abar, Bbar=spec.Bbar)
+        system = SystemSpec(A=S + L @ spec.Abar, B=np.hstack([L, F]) @ np.linalg.inv(ts.M), Abar=spec.Abar, Bbar=spec.Bbar)
         inst = tmp_path / f"scaled_{s}.json"
         inst.write_text(serialize_instance(ProblemInstance(system, 2)))
         code, out, _ = run(capsys, "analyze", "--instance", str(inst))

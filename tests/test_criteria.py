@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochctrl import (
+    BsdeForm,
     EnumerationTooLarge,
     NoiseModel,
     NonFiniteGramian,
     TransformedSystem,
     decide,
+    decide_form,
     gramian,
     gramian_invertible,
     gramian_oracle,
@@ -208,19 +210,30 @@ def degenerate_form(rng, n, k):
 
 
 def test_rank_iff_invertible_gramian(rng):
-    # Two-sided check on a mix of controllable and degenerate draws.
+    # Two-sided check on a mix of random, low-rank-D and exactly block-triangular (degenerate) draws.
+    # Horizon by horizon, range G_N = span{W D : |W| <= N}: at every N <= 2n the numerical rank of G_N is
+    # the rank of the words' matrix, so a controllable form's first invertible Gramian (witness_N) is at
+    # the closure round where its word span became full (span_depth).
     hits = {True: 0, False: 0}
-    for trial in range(40):
+    for trial in range(60):
         n = int(rng.integers(1, 4))
-        if trial % 2 and n > 1:
+        if trial % 3 == 1 and n > 1:
             form = degenerate_form(rng, n, int(rng.integers(1, n)))
         else:
-            form = TransformedSystem.build(random_system(rng, n, n + 1)).form
+            form = TransformedSystem.build(random_system(rng, n, n + 1 + trial % 3)).form
+            if trial % 3 == 2:  # D of rank 1 with three columns
+                form = BsdeForm(form.C, form.Cbar, form.D[:, :1] @ rng.normal(size=(1, 3)))
         by_rank = word_span(form).rank == form.n
         by_gramian = any(
             gramian_invertible(gramian(form, N))[0] for N in range(2 * form.n + 1)
         )
         assert by_rank == by_gramian
+        for N in range(2 * form.n + 1):
+            words = word_matrix(form.C, form.Cbar, form.D, N)[0]
+            assert np.linalg.matrix_rank(gramian(form, N)) == np.linalg.matrix_rank(words), (trial, N)
+        if by_rank:
+            report = decide_form(form, 2 * form.n)
+            assert report.witness_N == report.span_depth, trial
         hits[by_rank] += 1
     assert hits[True] and hits[False]  # both sides actually exercised
 

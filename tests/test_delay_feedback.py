@@ -78,7 +78,7 @@ def reference_controller(kind, ts, tree, G, v, x, u1=None):
     u = {}
     for k in range(tree.horizon + 1):
         q = z_level(tree, x[k + 1]) - x[k] @ spec.Abar.T
-        u[k] = np.hstack([q, v[k]]) @ ts.transform.M.T
+        u[k] = np.hstack([q, v[k]]) @ ts.M.T
     return SimpleNamespace(kind=kind, tree=tree, u=u, solution=x, gramian=G, u1=u1)
 
 

@@ -107,7 +107,7 @@ def test_law_text_reads_back_and_replays_bit_for_bit(law, n, route, lag):
             assert text is not None, (N, target)
             doc = json.loads(text)
             assert ("u1" in doc) == (route == "tau")
-            read = read_feedback_law(io.StringIO(text), tree, spec)
+            read = read_feedback_law(io.StringIO(text), tree, ts)
             m1 = spec.B1.shape[1] if route == "tau" else 0
             # Stage k keeps the lags that act: x(k-j) for j <= k whose effect enters by stage N,
             # u1(k-i) entering by stage N.
@@ -300,7 +300,7 @@ def test_a_state_delay_law_keeps_the_lags_that_act_stage_by_stage():
     rng = np.random.default_rng(3)
     ts, tree, x0, _, ctrl = draw(rng, LAWS["two-point"], "d", 3, 2, 6, None)
     assert [Lk.shape for Lk in ctrl.law.L] == [(ts.spec.m, 2 * blocks) for blocks in (1, 2, 3, 4, 4, 3, 2)]
-    read = read_feedback_law(io.StringIO(law_text(ctrl)), tree, ts.spec)
+    read = read_feedback_law(io.StringIO(law_text(ctrl)), tree, ts)
     x, ctrl_x = loop_levels(tree, ts.spec, x0, read)[1], controller_levels(ctrl)[1]
     for k in range(8):
         assert np.array_equal(x[k], ctrl_x[k]), k

@@ -62,7 +62,7 @@ def reference_controller(kind, ts, tree, x0, G, v, x, terminal, u1=None):
         qk = z_level(tree, x[k + 1]) - xk @ spec.Abar.T
         vk = v[k]
         q[k] = qk
-        u[k] = np.hstack([qk, vk]) @ ts.transform.M.T
+        u[k] = np.hstack([qk, vk]) @ ts.M.T
     return SimpleNamespace(
         kind=kind, tree=tree, x0=x0, v=v, q=q, u=u, solution=x, gramian=G, u1=u1, target=terminal
     )

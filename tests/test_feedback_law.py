@@ -28,6 +28,7 @@ from stochctrl import (
     serialize_instance,
     steer_to_target,
     target_digest,
+    validate,
 )
 from stochctrl.cli import main
 from stochctrl.model import path_labels
@@ -135,7 +136,7 @@ def test_read_law_reproduces_the_synthesized_states_bit_for_bit(rng, law, target
     ctrl = steer_to_target(ts, tree, random_x0(rng, n), goal)
     text = law_text(ctrl)
     assert text is not None
-    law = read_feedback_law(io.StringIO(text), tree, ts.spec)
+    law = read_feedback_law(io.StringIO(text), tree, ts)
     assert len(law.L) == len(ctrl.law.L) == N + 1
     for got, want in zip(law.L, ctrl.law.L):
         np.testing.assert_array_equal(got, want)
@@ -264,6 +265,6 @@ def test_law_for_a_delay_route_exits_5(capsys, tmp_path):
 def test_top_level_must_be_an_object():
     # A file starting with '[' is read as a table; the law reader itself names the fault.
     tree = PathTree(NoiseModel.rademacher(), 2)
-    spec = parse_instance_file(FULL).system
+    vs = validate(parse_instance_file(FULL).system)
     with pytest.raises(SchemaError, match="top level must be a JSON object"):
-        read_feedback_law(io.StringIO("[1, 2]"), tree, spec)
+        read_feedback_law(io.StringIO("[1, 2]"), tree, vs)

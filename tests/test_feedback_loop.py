@@ -114,7 +114,7 @@ def _own_solution(law, route, lag, target, seed):
         if route == "tau":
             u1s = {j: np.zeros((tree.n_nodes(max(0, j)), spec.B1.shape[1])) for j in range(-lag, N - lag + 1)}
         Q = _state_delay_gains(ts.form, N)[1] if route == "d" else [{}] * (N + 1)
-        Mq = ts.transform.M[:, :n]
+        Mq = ts.M[:, :n]
         terms = []
         for k, Lk in enumerate(ctrl.law.L):
             r = lifted_regressor(tree, spec, N, k, xs, u1s)
@@ -134,7 +134,7 @@ def test_law_on_the_targets_own_solution_gives_the_targets_input(law, route, lag
     # the target's states with a zero u1, the law gives [(z_h - x_h Abar') M_q', 0]. The two
     # products with K_k cancel, so the rounding bound sums the loop's terms and theirs.
     for N, ts, tree, ctrl, hom, u1s, terms in _own_solution(law, route, lag, target, 1):
-        spec, m, Mq = ts.spec, ts.spec.m, ts.transform.M[:, : ts.spec.n]
+        spec, m, Mq = ts.spec, ts.spec.m, ts.M[:, : ts.spec.n]
         xs = hom
         for k, Lk in enumerate(ctrl.law.L):
             got = _law_inputs(spec, ctrl.law, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))

@@ -41,7 +41,7 @@ from stochctrl import (
     steer_to_target,
     synthesis,
 )
-from stochctrl.pathspace import _acting_lags, plant_step
+from stochctrl.pathspace import _acting_lags, plant_maps, plant_step
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import _folded_step, _law_inputs, _stage_maps
 from crosschecks import breadth_first_folded_loop, controller_levels, lift, offset_folded_step
@@ -92,7 +92,7 @@ def test_folded_step_matches_the_plant_step_of_the_laws_inputs(law, route, lag, 
         maps = _stage_maps(tree, spec, ctrl.law)
         for k, Lk in enumerate(ctrl.law.L):
             v = _law_inputs(spec, ctrl.law, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
-            want = plant_step(tree, spec, xs, k, v[:, :m], u1s[k - tau] if tau else None)
+            want = plant_step(tree, spec, plant_maps(tree, spec), xs, k, v[:, :m], u1s[k - tau] if tau else None)
             got, u1k = _folded_step(tree, spec, ctrl.law, k, xs, u1s, maps[k])
             bound, u1_bound = fold_bound(tree, spec, ctrl.law, k, xs, u1s)
             assert got.shape == want.shape and got.flags.c_contiguous

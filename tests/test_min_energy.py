@@ -26,7 +26,7 @@ ROUTES = [("full", 0), ("tau", 1), ("tau", 2), ("d", 1), ("d", 2)]
 def law_energy(ts, tree, ctrl) -> float:
     """E sum_k |v(k)|^2 + E sum_j |u1(j)|^2 of the controller's closed loop, u1's pre-horizon rows included."""
     m, n = ts.spec.m, ts.spec.n
-    v_of_u = np.linalg.inv(ts.transform.M)[n:].T  # u @ v_of_u = v, the free part of M^{-1} u
+    v_of_u = np.linalg.inv(ts.M)[n:].T  # u @ v_of_u = v, the free part of M^{-1} u
     energy = 0.0 if ctrl.law.u1_pre is None else float((ctrl.law.u1_pre**2).sum())
     for k, inputs, _ in feedback_loop(tree, ts.spec, ctrl.x0, ctrl.law):
         free = np.hstack([inputs[:, :m] @ v_of_u, inputs[:, m:]])

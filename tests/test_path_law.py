@@ -21,6 +21,7 @@ other length, entries that are not finite JSON numbers, and a c that is
 not N+1 stages.
 """
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -35,8 +36,10 @@ from stochctrl import (
     random_attainable_terminal,
     random_controllable,
     random_x0,
+    read_feedback_law,
     serialize_instance,
     target_digest,
+    validate,
     write_controller_csv,
 )
 from test_delay_law import LAWS, draw, report, run, table_deviation, write_instance
@@ -139,6 +142,20 @@ def test_leaf_rows_as_a_list_and_as_hex_give_the_same_commands(capsys, tmp_path,
     assert commands["hex", "random"][2][0] == 5
     for name in targets:
         assert commands["hex", name] == commands["list", name], name
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("route,lag", ROUTES)
+def test_a_digest_law_reads_back_with_synthesizes_offsets_bit_for_bit(law, route, lag):
+    # The reader rebuilds a digest law's offsets itself, from a validated system it transforms only then,
+    # so what it returns is the law synthesize built, every per-node c_k included, to the last bit.
+    rng = np.random.default_rng([lag, len(law), len(route), 45])
+    ts, tree, x0, goal, ctrl = draw(rng, LAWS[law], route, lag, 2, lag + 2, "path")
+    assert ctrl.law.target is not None and any(len(ck) > 1 for ck in ctrl.law.c)
+    read = read_feedback_law(io.StringIO(law_text(ctrl)), tree, validate(ts.spec), goal)
+    assert read.target == ctrl.law.target
+    assert [ck.shape for ck in read.c] == [ck.shape for ck in ctrl.law.c]
+    assert all(got.tobytes() == want.tobytes() for got, want in zip(read.c, ctrl.law.c))
 
 
 @pytest.fixture(scope="module")

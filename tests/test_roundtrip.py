@@ -6,10 +6,10 @@ is written with ``write_controller_csv``, read back with
 replay must end on the target within 1e-10 of the problem's scale, at
 horizons up to 10 (two-point noise) and 6 (three-point noise). Every
 controller, a path target's included, is also a law: written with
-``law_text``, read back with ``read_feedback_law`` (a path target's
-offsets rebuilt by ``target_offsets`` from the target its law names) and
-run with ``feedback_loop``, it reproduces the plant-step loop's states
-bit for bit.
+``law_text``, read back with ``read_feedback_law`` (which rebuilds a
+path target's offsets from the target its law names) and run with
+``feedback_loop``, it reproduces the plant-step loop's states bit for
+bit.
 At the horizons that fill the default cap (two-point N = 19, 2^20
 leaves; three-point N = 11, 3^12) ``synthesize`` and ``verify`` round
 the null law through the CLI, and a constant target is steered onto.
@@ -25,7 +25,6 @@ from stochctrl import (
     NoiseModel,
     PathTree,
     ProblemInstance,
-    backward_solve,
     feedback_loop,
     forward_simulate,
     law_text,
@@ -33,8 +32,6 @@ from stochctrl import (
     read_feedback_law,
     serialize_instance,
     steer_to_target,
-    target_digest,
-    target_offsets,
     write_controller_csv,
 )
 from stochctrl.cli import ROUTES, main
@@ -92,10 +89,7 @@ def test_written_table_replays_onto_the_target(problem, seed):
     scale = max(1.0, float(np.abs(x0).max()), float(np.abs(want).max()))
     assert np.abs(final - want).max() <= 1e-10 * scale
 
-    law = read_feedback_law(io.StringIO(law_text(ctrl)), tree, spec)
-    if law.target is not None:  # offsets that differ by node: rebuilt from the target it names, as verify does
-        assert law.target == target_digest(goal)
-        law.c = target_offsets(ts, tree, law.L, backward_solve(tree, ts.form, goal))
+    law = read_feedback_law(io.StringIO(law_text(ctrl)), tree, ts, goal)
     x = loop_levels(tree, spec, x0, law)[1]
     ctrl_x = controller_levels(ctrl)[1]
     for k in range(N + 2):

@@ -12,6 +12,7 @@ from stochctrl import (
     SingularGramian,
     TargetNotInS,
     TransformedSystem,
+    folded_loop,
     forward_simulate,
     null_controller,
     random_attainable_terminal,
@@ -21,7 +22,7 @@ from stochctrl import (
     read_controller_table,
     steer_to_target,
 )
-from stochctrl.synthesis import _pinv
+from stochctrl.criteria import _pinv, gramian_invertible
 from conftest import table_text
 from crosschecks import controller_levels, q_expanded, split_u
 
@@ -77,6 +78,30 @@ def test_pinv_of_a_stack_is_each_matrix_pinv_bit_for_bit(n):
         assert not np.array_equal(np.linalg.pinv(stack, rtol=(N + 1) * eps)[11], want[11])
 
 
+def test_pinv_zeros_exactly_the_directions_gramian_invertible_calls_singular():
+    # Diagonal S(j) have exact singular values. sigma_min sits just above and just below the cut
+    # n eps sigma_max (exact too: n = 3, sigma_max = 4), so a pseudo-inverse cut by any other rule
+    # keeps or drops a direction gramian_invertible does not.
+    cut = 3 * np.finfo(float).eps * 4.0
+    S = np.stack([np.diag([4.0, 0.5, cut * (1 + 2.0**-20)]), np.diag([4.0, 0.5, cut * (1 - 2.0**-20)])])
+    P = _pinv(S)
+    for j, want in enumerate([True, False]):
+        assert gramian_invertible(S[j])[0] == want
+        kept = np.diag(P[j]) != 0
+        assert kept.tolist() == [True, True, want]
+        np.testing.assert_array_equal(P[j] - np.diag(np.diag(P[j])), 0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="the gains lose cond(S(j)) eps: cond S(1) = 6.5e7 here (ROADMAP item 7)")
+def test_an_ill_conditioned_intermediate_gramian_still_steers_to_the_origin():
+    # random_controllable screens only G_5 (cond 6); S(1)^+ loses about cond(S(1)) eps, and the loop ends
+    # 4.646e-9 from the origin. A square-root Gramian is expected to bring it under 1e-12.
+    ts = random_controllable(np.random.default_rng(2036), 3, 4, 5)
+    tree, x0 = PathTree(ts.spec.noise, 5), np.ones(3)
+    ctrl = steer_to_target(ts, tree, x0, None)
+    assert max(float(np.abs(final).max()) for _, final in folded_loop(tree, ts.spec, x0, ctrl.law)) <= 1e-12
+
+
 def test_steer_roundtrip(rng):
     noise = NoiseModel.symmetric_three_point()
     ts = random_controllable(rng, 2, 3, 3, noise=noise)
@@ -122,7 +147,7 @@ def test_q_expanded_cross_check(rng):
     tree = PathTree(ts.spec.noise, 2)
     ctrl = null_controller(ts, tree, random_x0(rng, 2))
     u = controller_levels(ctrl)[0]
-    q, v = zip(*(split_u(ts.transform, u[k]) for k in range(3)))
+    q, v = zip(*(split_u(ts, u[k]) for k in range(3)))
     alt = q_expanded(ts, tree, dict(enumerate(v)))
     for k in range(3):
         np.testing.assert_allclose(q[k], alt[k], atol=1e-10)

@@ -80,22 +80,23 @@ def test_singular_pencil_detected():
 
 
 def test_split_reconstruct_roundtrip(bench_full_ts, rng):
-    tr = bench_full_ts.transform
+    ts = bench_full_ts
     for _ in range(10):
         u = rng.normal(size=3)
-        q, v = split_u(tr, u)
-        np.testing.assert_allclose(reconstruct_u(tr, q, v), u, atol=1e-12)
+        q, v = split_u(ts, u)
+        np.testing.assert_allclose(reconstruct_u(ts, q, v), u, atol=1e-12)
     batch = rng.normal(size=(5, 3))
-    q, v = split_u(tr, batch)
-    np.testing.assert_allclose(reconstruct_u(tr, q, v), batch, atol=1e-12)
+    q, v = split_u(ts, batch)
+    np.testing.assert_allclose(reconstruct_u(ts, q, v), batch, atol=1e-12)
 
 
 def test_backward_form_identities(bench_full_ts):
     ts = bench_full_ts
-    spec, tr, form = ts.spec, ts.transform, ts.form
-    np.testing.assert_allclose(form.C @ (spec.A - tr.L @ spec.Abar), np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(form.Cbar, -form.C @ tr.L, atol=1e-12)
-    np.testing.assert_allclose(form.D, -form.C @ tr.F, atol=1e-12)
+    spec, form = ts.spec, ts.form
+    L, F = np.hsplit(spec.B @ ts.M, [spec.n])  # B M = [L F]
+    np.testing.assert_allclose(form.C @ (spec.A - L @ spec.Abar), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(form.Cbar, -form.C @ L, atol=1e-12)
+    np.testing.assert_allclose(form.D, -form.C @ F, atol=1e-12)
 
 
 def test_verdict_ignores_M_source(bench_full):

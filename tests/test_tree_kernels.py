@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stochctrl import NoiseModel, PathTree, backward_solve, representation_residual
-from stochctrl.pathspace import _stage_map, _stage_step, plant_step, z_level
+from stochctrl.pathspace import _stage_map, _stage_step, plant_maps, plant_step, z_level
 from stochctrl.sampling import random_free_input, random_system, random_transformed
 from crosschecks import broadcast_plant_step, einsum_representation_residual, einsum_stage_mean, einsum_z, lift
 
@@ -53,7 +53,7 @@ def test_plant_step_matches_the_broadcast_step(law, lag):
         for k in range(N + 1):
             uk = scaled(rng, (tree.n_nodes(k), spec.m))
             u1k = None if spec.B1 is None else scaled(rng, (tree.n_nodes(k), spec.B1.shape[1]))
-            got = plant_step(tree, spec, xs, k, uk, u1k)
+            got = plant_step(tree, spec, plant_maps(tree, spec), xs, k, uk, u1k)
             want = broadcast_plant_step(tree, spec, xs, k, uk, u1k)
             assert np.all(np.abs(got - want) <= 8 * EPS * forward_bound(tree, spec, xs, k, uk, u1k)), (N, k)
 
