@@ -25,7 +25,7 @@ onto finer depths. :func:`plant_step` is the step of
 closed loop a controller's table is written from, stage by stage; the
 commands run a law through ``synthesis.folded_loop``, which folds the
 law into the step's map, adds its lags through :func:`_add_product` the
-same way, and below a level of ``BLOCK_ENTRIES`` rows runs the tree
+same way, and below the top level of :class:`RunCut` runs the tree
 subtree by subtree, a lag above a run passed as the run's ancestor rows.
 
 :func:`path_products` is the one place per-history products of the
@@ -72,8 +72,8 @@ DEFAULT_CAP = 2**20
 P_RCOND = 1e-12
 # Entries of a level a kernel processes per row block: temporaries stay
 # a few hundred KB however wide the level, so peak memory is the levels.
-# synthesis.folded_loop counts it in rows, for the level it cuts into runs
-# and for each run's leaves.
+# RunCut counts it in rows, for the level it cuts into runs and for each
+# run's leaves.
 BLOCK_ENTRIES = 2**15
 
 
@@ -84,6 +84,40 @@ def _block_depth(s: int, width: int) -> int:
     while s ** (p + 1) * max(width, 1) <= BLOCK_ENTRIES:
         p += 1
     return p
+
+
+class RunCut:
+    """A tree's levels cut into runs of consecutive leaves, each carried alone below a top level.
+
+    The top level is the deepest with at most ``BLOCK_ENTRIES`` rows, or
+    deeper where a top-level node's subtree would end in more leaves than
+    that. A run is s^p consecutive top-level rows with their subtrees,
+    with p as large as keeps its ``leaves`` within ``BLOCK_ENTRIES`` rows
+    but at least ``lag`` + 1, so that a level ``lag`` stages above one a
+    run holds, read as that run's ancestor rows (:meth:`rows`), spans s
+    rows or more wherever it lies below depth 0. ``firsts`` are the runs'
+    first leaves, in order; without a level to cut (``top`` = N + 1) one
+    run holds every leaf.
+    """
+
+    def __init__(self, tree: PathTree, lag: int):
+        N, s = tree.horizon, tree.s
+        fit = _block_depth(s, 1)  # the deepest level of at most BLOCK_ENTRIES rows
+        self.top = min(N + 1, max(fit, N + 1 - fit))
+        p = min(self.top, max(fit - (N + 1 - self.top), lag + 1))
+        self.leaves = s ** (N + 1 - self.top + p)
+        self.firsts = range(0, s ** (N + 1), self.leaves)
+        self._s, self._N = s, N
+
+    def rows(self, depth: int, first: int) -> slice:
+        """The rows of the depth-``depth`` level that the run from leaf ``first`` covers: its nodes there, or the
+        one ancestor above them all."""
+        q = self._s ** (self._N + 1 - depth)
+        return slice(first // q, -(-(first + self.leaves) // q))
+
+    def count(self, depth: int) -> int:
+        """How many rows :meth:`rows` gives at ``depth``, the same for every run."""
+        return max(1, self.leaves // self._s ** (self._N + 1 - depth))
 
 
 class PathTree:
@@ -467,11 +501,13 @@ def forward_simulate(
     return xs
 
 
-def plant_maps(tree: PathTree, spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The plant's per-atom maps [(A + w_j Abar)']_j and [(B + w_j Bbar)']_j, n columns per atom: built
-    once per loop, here, for :func:`plant_step` and ``synthesis._stage_maps``."""
+def plant_maps(tree: PathTree, spec: SystemSpec) -> tuple:
+    """The plant's per-atom maps, n columns per atom, built once per loop, here, for :func:`plant_step` and
+    ``synthesis._stage_maps``: [(A + w_j Abar)']_j and [(B + w_j Bbar)']_j, then s copies of A1' and of B1'
+    (None without a delayed state or input), which every child of a node receives alike."""
+    tiled = [None if direct is None else np.tile(direct.T, tree.s) for direct in (spec.A1, spec.B1)]
     return (np.hstack([(spec.A + w * spec.Abar).T for w in tree.support]),
-            np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support]))
+            np.hstack([(spec.B + w * spec.Bbar).T for w in tree.support]), *tiled)
 
 
 def plant_step(tree: PathTree, spec: SystemSpec, maps: tuple, xs: dict, k: int, uk: np.ndarray, u1k=None,
@@ -480,7 +516,7 @@ def plant_step(tree: PathTree, spec: SystemSpec, maps: tuple, xs: dict, k: int, 
 
     Child j of a node is x(k) (A + w_j Abar)' + u(k) (B + w_j Bbar)' + u1 B1' + x(k-d) A1',
     one matmul per input against its per-atom map, n columns per atom (``maps``, from
-    :func:`plant_maps`, for x(k) and u(k); s copies of B1' or A1').
+    :func:`plant_maps`: the atom stacks for x(k) and u(k), s copies of A1' and B1').
     Each input term is formed at the input's own depth (u(k) at depth k,
     u1(k - tau) and x(k - d) at theirs) and added to every descendant
     (:func:`_add_product`), in ``work`` when given: a flat scratch array of
@@ -489,12 +525,13 @@ def plant_step(tree: PathTree, spec: SystemSpec, maps: tuple, xs: dict, k: int, 
     Forward simulation and ``synthesis.feedback_loop`` take this step, so a
     controller's plant-step states and its table's replay agree bit for bit.
     """
-    out = xs[k] @ maps[0]
-    _add_product(out, uk, maps[1], work)
+    Aw, Bw, A1w, B1w = maps
+    out = xs[k] @ Aw
+    _add_product(out, uk, Bw, work)
     if u1k is not None:
-        _add_product(out, u1k, np.tile(spec.B1.T, tree.s), work)
-    if spec.A1 is not None and k - spec.d >= 0:
-        _add_product(out, xs[k - spec.d], np.tile(spec.A1.T, tree.s), work)
+        _add_product(out, u1k, B1w, work)
+    if A1w is not None and k - spec.d >= 0:
+        _add_product(out, xs[k - spec.d], A1w, work)
     return out.reshape(-1, spec.n)
 
 

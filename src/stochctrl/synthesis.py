@@ -39,11 +39,13 @@ that.
 Two closed loops run a law. The commands' loop, :func:`folded_loop`,
 folds u(k) into the plant step: stage k is one matmul of x(k) against
 the closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, with
-the offset and each acting lag added at its own depth. It runs
+the offset and each acting lag added at its own depth. It walks a plan
+built once per loop, each stage's maps and the arrays it writes into,
 breadth-first only while a level is small, then carries runs of that
-level's rows through the remaining stages one at a time and yields
-x(N+1) run by run, so it never holds a leaf level, and keeps of each
-only what a later stage reads (the state lags, the u1 pipeline).
+level's rows (:class:`pathspace.RunCut`) through the remaining stages
+one at a time and yields x(N+1) run by run, so it never holds a leaf
+level, and holds of each only what a later stage reads (the state lags,
+the u1 pipeline).
 synthesize and verify of a law both run it and reduce the terminal gap
 run by run, so they report the same deviation to the last digit. The
 plant-step loop, :func:`feedback_loop`, evaluates [u(k), u1(k)] into
@@ -78,6 +80,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import re
 from array import array
@@ -327,101 +330,6 @@ def feedback_loop(
         yield k, v, xs[k + 1]
 
 
-def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Iterator[tuple[int, np.ndarray]]:
-    """x(N+1) of the law's closed loop in runs of consecutive leaves, each with the index of its first leaf.
-
-    Stages run breadth-first (:func:`_folded_stages`) down to the top
-    level: the deepest with at most ``pathspace.BLOCK_ENTRIES`` rows, or
-    deeper where a top-level node's subtree would end in more leaves than
-    that. The top level is then cut into runs of s^p consecutive rows,
-    each carried alone through the remaining stages, with p as large as
-    keeps a run's leaves within ``BLOCK_ENTRIES`` rows but at least one
-    more than the longest lag. A lag above the run's depth is passed as
-    its ancestor rows, so every lag but a depth-0 one spans s rows or
-    more: a single row would go through the matrix-vector kernel, which
-    rounds differently from the level's matmul. A per-node c_k is passed
-    as the run's rows; a c_k that is one row of zeros, as every stage of
-    the origin's law, is not applied at all, which changes no value but
-    the sign of a zero. Each stage's map is built once
-    (:func:`_stage_maps`) and read by every run, and each run writes its
-    arrays into the ones the first run allocated (:func:`_folded_stages`),
-    so a yielded run is valid only until the next run is requested, as
-    :func:`feedback_loop`'s inputs are until its next step. So the runs,
-    concatenated, are the breadth-first loop's x(N+1) bit for bit, and
-    no more is held than the top level with its lags and one run's. synthesize and verify both run a law
-    here, so they report the same deviation to the last digit; the states
-    differ from :func:`feedback_loop`'s, the plant step's, by rounding.
-    """
-    N, s, tau = len(law.L) - 1, tree.s, spec.tau or 0
-    fit = pathspace._block_depth(s, 1)  # the deepest level of at most BLOCK_ENTRIES rows
-    top = min(N + 1, max(fit, N + 1 - fit))
-    p = min(top, max(fit - (N + 1 - top), max(spec.d or 0, tau) + 1))
-    leaves = s ** (N + 1 - top + p)  # a run's: s^p top-level rows' subtrees
-    xs = {0: np.asarray(x0, dtype=float)[None, :].copy()}
-    u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
-    maps = _stage_maps(tree, spec, law)
-    _folded_stages(tree, spec, law, maps, range(top), xs, u1s)
-
-    def rows(values, depth, first):  # a level's ancestors or descendants of the run from leaf ``first``
-        q = s ** (N + 1 - depth)
-        return values[first // q : -(-(first + leaves) // q)]
-
-    bufs = {}  # every run's arrays, allocated by the first run
-    for first in range(0, s ** (N + 1), leaves):
-        run_xs = {j: rows(v, j, first) for j, v in xs.items()}
-        run_u1s = {j: rows(v, max(0, j), first) for j, v in u1s.items()}
-        c = law.c[:top] + [ck if len(ck) == 1 else rows(ck, k, first) for k, ck in enumerate(law.c[top:], top)]
-        _folded_stages(tree, spec, FeedbackLaw(law.L, c, law.u1_pre), maps, range(top, N + 1), run_xs, run_u1s,
-                       bufs)
-        yield first, run_xs[N + 1]
-
-
-def _folded_stages(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, maps: list, stages: range, xs: dict,
-                   u1s: dict, bufs: dict | None = None) -> None:
-    """Run ``stages`` through :func:`_folded_step` in place in ``xs`` and ``u1s``, keeping only what a later
-    stage reads (:func:`_drop_read`): the state lags x(k-d+1..k) that act later on a delayed state and the
-    u1 pipeline u1(k-tau+1..k) on a delayed input, besides x(k+1). ``maps`` are :func:`_stage_maps`' for the law.
-
-    Without ``bufs`` every stage allocates its arrays. With it (a dict, empty on the first of a loop's runs,
-    which all have the same level sizes), each array is allocated once, on the first run, and written by every
-    later one: x(k+1) into one of d + 2 arrays by N - k modulo d + 2 (two by parity without a state delay),
-    sized for x(N+1) down to x(N-d), as stage k reads x(k-d..k), which lie in the other d + 1; u1(k) into
-    one array per stage; and the offset and lag products into one ``work`` array, sized for the run's
-    largest and made only if some stage forms one. So what a run leaves in ``xs`` and ``u1s`` is valid
-    until the next.
-    """
-    d, tau, N, s, n = spec.d or 0, spec.tau or 0, len(law.L) - 1, tree.s, spec.n
-    if bufs is not None and stages and "work" not in bufs:
-        k0 = stages[0]
-
-        def product(k):  # entries of stage k's largest offset or lag product
-            _, Bw, blocks, offset = maps[k]
-            sizes = [len(law.c[k]) * Bw.shape[1]] if offset else []
-            xlags, ulags = _acting_lags(N, k, d, tau)
-            for j, (block, u1_block) in zip([*xlags, *ulags], blocks):
-                # x(k-j) or u1(k-j) has 1/s^j of x(k)'s rows in a run, or one row (a depth-0 lag).
-                sizes.append(max(1, len(xs[k0]) * s ** (k - k0) // s**j) * max(block.shape[1], u1_block.shape[1]))
-            return max(sizes, default=0)
-
-        need = max(map(product, stages))
-        bufs["work"] = np.empty(need) if need else None
-    for k in stages:
-        out = u1_out = work = None
-        if bufs is not None:
-            rows, key = len(xs[k]), ("x", (N - k) % (d + 2))
-            if key not in bufs:  # sized for the deepest level it holds
-                bufs[key] = np.empty(rows * s ** (N - k - key[1] + 1) * n)
-            out, work = bufs[key][: rows * s * n].reshape(rows, s * n), bufs["work"]
-            if len(law.L[k]) > spec.m:
-                if ("u1", k) not in bufs:
-                    bufs["u1", k] = np.empty((rows, len(law.L[k]) - spec.m))
-                u1_out = bufs["u1", k]
-        xs[k + 1], u1k = _folded_step(tree, spec, law, k, xs, u1s, maps[k], out=out, u1_out=u1_out, work=work)
-        if u1k is not None:
-            u1s[k] = u1k
-        _drop_read(xs, u1s, k, N, d, tau)
-
-
 def _drop_read(xs: dict, u1s: dict, k: int, N: int, d: int, tau: int) -> None:
     """After stage k, drop what no later stage reads: x(k - d) and u1(k - tau), which act last at stage k, and
     x(k) itself when k > N - d, as its effect as a lag would enter after stage N (:func:`pathspace._acting_lags`)."""
@@ -431,36 +339,152 @@ def _drop_read(xs: dict, u1s: dict, k: int, N: int, d: int, tau: int) -> None:
     u1s.pop(k - tau, None)
 
 
+def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Iterator[tuple[int, np.ndarray]]:
+    """x(N+1) of the law's closed loop in runs of consecutive leaves, each with the index of its first leaf.
+
+    The loop walks a plan built once: each stage's maps (:func:`_stage_maps`)
+    and the arrays it writes x(k+1) and u1(k) into (:func:`_stage_buffers`),
+    allocated once for the top stages and once for the runs
+    (:func:`_stage_views`).
+    Stages run breadth-first over whole levels down to the top level of
+    :class:`pathspace.RunCut`, whose runs are then each carried alone
+    through the remaining stages. A run reads a level above it, the top
+    level or a lag, and a per-node c_k as its rows of them
+    (:meth:`pathspace.RunCut.rows`), so every lag but a depth-0 one spans s
+    rows or more: a single row would go through the matrix-vector kernel,
+    which rounds differently from the level's matmul. A c_k that is one row
+    of zeros, as every stage of the origin's law, is not applied at all,
+    which changes no value but the sign of a zero. Every run writes into
+    the same arrays, so a yielded run is valid only until the next run is
+    requested, as :func:`feedback_loop`'s inputs are until its next step.
+    So the runs, concatenated, are the breadth-first loop's x(N+1) bit for
+    bit, and no more is held than the top level with its lags and one
+    run's. synthesize and verify both run a law here, so they report the
+    same deviation to the last digit; the states differ from
+    :func:`feedback_loop`'s, the plant step's, by rounding.
+    """
+    N, tau = len(law.L) - 1, spec.tau or 0
+    cut = pathspace.RunCut(tree, max(spec.d or 0, tau))
+    stages = _stage_maps(tree, spec, law)
+    levels, vals = _stage_buffers(tree, spec, law, stages, cut), _start_values(x0, law, tau)
+
+    def walk(stages, outs):
+        for stage, (out, u1_out, work) in zip(stages, outs):
+            k = stage[0]
+            vals["x", k + 1], u1 = _folded_step(stage, vals, out, u1_out, work)
+            if u1 is not None:
+                vals["u1", k] = u1
+
+    top = _stage_views(levels[: cut.top])
+    walk(stages[: cut.top], top)
+    # What the runs read above them, each at its depth: the top level and its lags, and each per-node c_k.
+    above = [(("x", j), j) for j in range(max(0, cut.top - (spec.d or 0)), cut.top + 1)]
+    above += [(("u1", j), j) for j in range(max(0, cut.top - tau), cut.top)]  # not u1_pre's: one row each
+    above += [(("c", k), k) for k in range(cut.top, N + 1) if len(law.c[k]) > 1]
+    above = [(key, depth, vals[key]) for key, depth in above if key in vals]
+    read = {id(level.base) for _, _, level in above}
+    spare = {out.base.size: out.base for out, _, _ in top if id(out.base) not in read}  # x arrays no run reads
+    del top
+    vals = _start_values(x0, law, tau)  # the top levels no run reads are released, but for the spare arrays
+    runs = _stage_views(levels[cut.top :], spare)
+    for first in cut.firsts:
+        for key, depth, level in above:
+            vals[key] = level[cut.rows(depth, first)]
+        walk(stages[cut.top :], runs)
+        yield first, vals["x", N + 1]
+
+
+def _start_values(x0, law: FeedbackLaw, tau: int) -> dict:
+    """What a closed loop reads before stage 0, keyed as :func:`_folded_step` reads it: ("x", 0) the row x0,
+    ("u1", j) for j < 0 the pre-horizon inputs of ``law.u1_pre`` and ("c", k) the law's offsets."""
+    vals = {("x", 0): np.asarray(x0, dtype=float)[None, :].copy()}
+    if tau:
+        vals.update((("u1", i - tau), law.u1_pre[i : i + 1]) for i in range(len(law.u1_pre)))
+    vals.update((("c", k), ck) for k, ck in enumerate(law.c))
+    return vals
+
+
+def _stage_buffers(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, stages: list, cut) -> list[tuple]:
+    """Where :func:`folded_loop` writes each stage, for :func:`_stage_views`: per stage k, the array x(k+1)
+    goes into and its (rows, s n) shape, the array u1(k) goes into and its shape (no columns without u1
+    rows), and the entries of its largest offset or lag product. Rows are a whole level's above
+    ``cut.top`` and a run's below. x(j) goes into one of d + 2 arrays by j modulo d + 2, and u1(j) into one
+    of tau + 1 by j modulo tau + 1, as stage k reads x(k-d..k) and u1(k-tau..k-1).
+    """
+    N, s, n, m, top = len(law.L) - 1, tree.s, spec.n, spec.m, cut.top
+    d, tau = (lag if lag and lag <= N else 0 for lag in (spec.d, spec.tau))  # a lag past N reads no level
+    levels = []
+    for k, fold, _, offset, _, lags in stages:
+        here = tree.n_nodes(k) if k < top else cut.count(k)  # x(k)'s rows as stage k reads them
+        product = (here if len(law.c[k]) > 1 else 1) * fold.shape[1] if offset else 0
+        for (_, at), block, u1_block in lags:  # x(k)'s rows at the lag's depth, or one row at depth 0
+            product = max(product, max(1, here // s ** (k - max(0, at))) * max(block.shape[1], u1_block.shape[1]))
+        levels.append(((k + 1) % (d + 2), (here, s * n), d + 2 + k % (tau + 1), (here, len(law.L[k]) - m), product))
+    return levels
+
+
+def _stage_views(levels: list, spare: dict | None = None) -> list[tuple]:
+    """Per stage of ``levels`` (a span of :func:`_stage_buffers`' stages), x(k+1)'s and u1(k)'s arrays (None
+    without u1 rows) and ``work``, one flat array for the offset and lag products (None if no stage forms
+    one), each sized for the largest of the span's levels or products it holds.
+
+    An array is taken from ``spare`` ({size: flat array no longer read}) where one has its size, else
+    allocated; ``spare`` is emptied before any is allocated, so no unused one is held beside them. Under a
+    low mmap threshold a fresh array faults in every page it is written to, and a spare one none.
+    """
+    sizes = {}
+    for xi, (rows, width), ui, (u1_rows, w1), _ in levels:
+        sizes[xi], sizes[ui] = max(sizes.get(xi, 0), rows * width), max(sizes.get(ui, 0), u1_rows * w1)
+    spare = spare or {}
+    bufs = {i: spare.pop(size) for i, size in sizes.items() if size in spare}
+    spare.clear()
+    bufs.update((i, np.empty(size)) for i, size in sizes.items() if i not in bufs)
+    need = max((level[-1] for level in levels), default=0)
+    work = np.empty(need) if need else None
+    return [(bufs[xi][: rows * width].reshape(rows, width), bufs[ui][: u1_rows * w1].reshape(u1_rows, w1) if w1 else None,
+             work) for xi, (rows, width), ui, (u1_rows, w1), _ in levels]
+
+
 def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tuple]:
-    """Each stage's closed-loop map, built once per loop for :func:`_folded_step`, which reads stage k's
-    once per run: [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, the atom stack Bw = [(B + w_j Bbar)']_j
-    (both stacks from :func:`pathspace.plant_maps`), for each acting lag (:func:`pathspace._acting_lags`'
-    order) its block L_k,lag' Bw, plus s copies of A1' for x(k-d) or B1' for u1(k-tau), with its u1 block
-    L_k,lag,u1', and whether c_k is applied: not when it is one row of zeros (every stage of the origin's
-    law), as adding 0.0 changes no value but the sign of a zero. A per-node c_k is always applied, its rows
-    never read here."""
-    m, n, N = spec.m, spec.n, len(law.L) - 1
-    Aw, Bw = pathspace.plant_maps(tree, spec)
-    maps = []
+    """Each stage's maps, built once per loop for :func:`_folded_step`, which reads stage k's once per run:
+    (k, the closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, the atom stack Bw =
+    [(B + w_j Bbar)']_j, whether c_k is applied, L_k,u1,x' (None without u1 rows), the lags), with each
+    acting lag (:func:`pathspace._acting_lags`' order) as its key in the loop's values, ("x", k - j) or
+    ("u1", k - i), its block L_k,lag' Bw, plus s copies of A1' for x(k-d) or B1' for u1(k-tau), and its u1
+    block L_k,lag,u1'. The atom stacks and copies are :func:`pathspace.plant_maps`'. c_k is not applied
+    when it is one row of zeros (every stage of the origin's law), as adding 0.0 changes no value but the
+    sign of a zero; a per-node c_k always is.
+
+    The closed-loop maps are one stacked matmul for the stages whose L_k has the same width, so that each
+    L_k,x' keeps the strides of its own L_k's rows: at n = 1 it is a vector, whose product is a
+    matrix-vector kernel that rounds by its stride.
+    """
+    m, n, N, d, tau = spec.m, spec.n, len(law.L) - 1, spec.d or 0, spec.tau or 0
+    Aw, Bw, A1w, B1w = pathspace.plant_maps(tree, spec)
+    folds = [None] * (N + 1)
+    for width in {Lk.shape[1] for Lk in law.L}:
+        ks = [k for k, Lk in enumerate(law.L) if Lk.shape[1] == width]
+        for k, fold in zip(ks, Aw + np.stack([law.L[k][:m] for k in ks])[:, :, :n].transpose(0, 2, 1) @ Bw):
+            folds[k] = fold
+    stages = []
     for k, (Lk, ck) in enumerate(zip(law.L, law.c)):
         Lu, L1 = Lk[:m], Lk[m:]
-        xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
-        lags = [(n, spec.A1 if j == spec.d else None) for j in xlags]
-        lags += [(spec.B1.shape[1], spec.B1 if i == spec.tau else None) for i in ulags]
-        blocks, col = [], n
-        for width, direct in lags:
+        xlags, ulags = _acting_lags(N, k, d, tau)
+        lags, col = [], n
+        for key, width, direct in [(("x", k - j), n, A1w if j == d else None) for j in xlags] + [
+                (("u1", k - i), spec.B1.shape[1], B1w if i == tau else None) for i in ulags]:
             cols = slice(col, col + width)
             block = Lu[:, cols].T @ Bw
             if direct is not None:
-                block += np.tile(direct.T, tree.s)
-            blocks.append((block, L1[:, cols].T))
+                block += direct
+            lags.append((key, block, L1[:, cols].T))
             col = cols.stop
-        maps.append((Aw + Lu[:, :n].T @ Bw, Bw, blocks, len(ck) > 1 or ck.any()))
-    return maps
+        offset = len(ck) > 1 or any(ck[0].tolist())  # a NaN counts as nonzero, as in ck.any()
+        stages.append((k, folds[k], Bw, offset, L1[:, :n].T if len(L1) else None, tuple(lags)))
+    return stages
 
 
-def _folded_step(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict, stage: tuple,
-                 out=None, u1_out=None, work=None):
+def _folded_step(stage: tuple, vals: dict, out=None, u1_out=None, work=None):
     """x(k+1) at depth k + 1, and u1(k) while it enters by stage N (else None), under the stage-k law.
 
     u(k) = r(k) L_k,u' + c_k,u folded into the plant step: x(k) times the
@@ -468,31 +492,31 @@ def _folded_step(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, k: int, xs:
     c_k,u (B + w_j Bbar)' at c_k's depth and each acting lag times
     L_k,lag' (B + w_j Bbar)', plus A1' for x(k-d) and B1' for u1(k-tau),
     at the lag's own depth (:func:`pathspace._add_product`). u1(k) =
-    r(k) L_k,u1' + c_k,u1 reads the same lags. ``stage`` is the stage's
-    entry of :func:`_stage_maps`; a c_k it marks as one row of zeros is
-    not applied. ``xs`` and ``u1s`` map a stage j to its values at
-    depth max(0, j). x(k+1), as (rows, s n), is written into ``out`` and
-    u1(k) into ``u1_out`` when given (C-contiguous, of those shapes), else
-    allocated; the offset and lag products go into ``work`` when given
+    r(k) L_k,u1' + c_k,u1 reads the same lags. ``stage`` is stage k's entry
+    of :func:`_stage_maps`; a c_k it marks as one row of zeros is not
+    applied. ``vals`` holds x(k), the lags and c_k under their keys
+    (:func:`_start_values`), each at its depth, max(0, j) for stage j.
+    x(k+1), as (rows, s n), is written into ``out`` and u1(k) into
+    ``u1_out`` when given (C-contiguous, of those shapes), else allocated;
+    the offset and lag products go into ``work`` when given
     (:func:`_add_product`). ``np.matmul`` into such an array is the same
     call as ``@``, so the values do not depend on where they are written.
     """
-    m, n, N = spec.m, spec.n, len(law.L) - 1
-    fold, Bw, blocks, offset = stage
-    L1, c = law.L[k][m:], law.c[k]
-    out = np.matmul(xs[k], fold, out=out)
+    k, fold, Bw, offset, u1_map, lags = stage
+    x = vals["x", k]
+    out = np.matmul(x, fold, out=out)
     if offset:
-        _add_product(out, c[:, :m], Bw, work)
-    u1 = np.matmul(xs[k], L1[:, :n].T, out=u1_out) if len(L1) else None
-    xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
-    lags = [xs[k - j] for j in xlags] + [u1s[k - i] for i in ulags]
-    for lag, (block, u1_block) in zip(lags, blocks):
+        c = vals["c", k]
+        _add_product(out, c[:, : len(Bw)], Bw, work)
+    u1 = None if u1_map is None else np.matmul(x, u1_map, out=u1_out)
+    for key, block, u1_block in lags:
+        lag = vals[key]
         _add_product(out, lag, block, work)
         if u1 is not None:
             _add_product(u1, lag, u1_block, work)
     if u1 is not None and offset:
-        u1 += c[:, m:]
-    return out.reshape(-1, n), u1
+        u1 += c[:, len(Bw) :]
+    return out.reshape(-1, len(fold)), u1
 
 
 def _law_inputs(spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict, out: np.ndarray, work=None):
@@ -563,7 +587,9 @@ def read_feedback_law(source, tree: PathTree, system: ValidatedSystem | Transfor
     that differ by node are not read, their law names its target); a
     target that is not 64 lowercase hex characters, given with no leaf-row
     target or with one whose digest differs; and entries that are not
-    finite JSON numbers.
+    finite JSON numbers. L's entries are converted together
+    (:func:`_law_stages`), and a fault in them names the first stage that
+    holds one.
     """
     spec = system.spec
     with _opened(source, "r") as fh:
@@ -583,8 +609,8 @@ def read_feedback_law(source, tree: PathTree, system: ValidatedSystem | Transfor
     if type(doc["L"]) is not list or len(doc["L"]) != N + 1:
         raise SchemaError(f"L must be a list of N + 1 = {N + 1} stages")
     rows = [spec.m + m1 * (k + (spec.tau or 0) <= N) for k in range(N + 1)]  # u1(k) rows while it enters by N
-    L = [_law_array(f"L stage {k}", Lk, (rows[k], spec.n * (1 + len(xlags)) + m1 * len(ulags)))
-         for k, Lk in enumerate(doc["L"]) for xlags, ulags in [_acting_lags(N, k, spec.d or 0, spec.tau or 0)]]
+    L = _law_stages(doc["L"], [(rows[k], spec.n * (1 + len(xlags)) + m1 * len(ulags)) for k in range(N + 1)
+                               for xlags, ulags in [_acting_lags(N, k, spec.d or 0, spec.tau or 0)]])
     digest = doc.get("target")
     if "target" not in doc:
         c = _law_offsets(doc["c"], tree, rows)
@@ -612,8 +638,28 @@ def _law_offsets(value, tree: PathTree, widths: list[int]) -> list[np.ndarray]:
             raise SchemaError(f"c stage {k} must list {width} numbers (one row)" + (
                 f"; one row per depth-{k} node is an earlier version's form: a path target's law names "
                 "its target by digest" if per_node else ""))
-    flat = _finite_floats("c", [x for stage in value for x in stage])
-    return [part[None, :] for part in np.split(flat, np.cumsum(widths[:-1]))]
+    return _split(_finite_floats("c", [x for stage in value for x in stage]), [(1, w) for w in widths])
+
+
+def _law_stages(stages: list, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
+    """L's stages as float arrays of ``shapes``: after a ``len`` test of each stage's shape, every entry is
+    converted in one array and checked finite once, and the array is split by the shapes. After a fault the
+    stages are converted one by one (:func:`_law_array`), so the first faulty stage is named."""
+    if all(type(Lk) is list and len(Lk) == r and all(type(row) is list and len(row) == w for row in Lk)
+           for Lk, (r, w) in zip(stages, shapes)):
+        try:
+            flat = _finite_floats("L", [x for Lk in stages for row in Lk for x in row])
+        except SchemaError:
+            pass
+        else:
+            return _split(flat, shapes)
+    return [_law_array(f"L stage {k}", Lk, shape) for k, (Lk, shape) in enumerate(zip(stages, shapes))]
+
+
+def _split(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Consecutive parts of ``flat`` as views of ``shapes``."""
+    ends = itertools.accumulate(r * w for r, w in shapes)
+    return [flat[end - r * w : end].reshape(r, w) for end, (r, w) in zip(ends, shapes)]
 
 
 def _law_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:

@@ -14,9 +14,13 @@ law it wrote), and the bytes of that law, if one was written, or of the table ve
 - generated instances on the full, tau 1 and 2 and d 1 and 2 routes, under two-point and
   three-point noise, each with no target, a constant target, an attainable path target and a
   random leaf target (which three-point noise rejects), through the same commands and horizons;
-- last, each generated path-target instance again, re-indented with its target first: the writer's
+- each generated path-target instance again, re-indented with its target first: the writer's
   layout is read in two parts, the head by json and the hex from the mapped file, and this copy is
-  read whole by json, so both reader paths are digested.
+  read whole by json, so both reader paths are digested;
+- last, deep instances under synthesize and verify at their own N, deep enough that the closed loop
+  runs subtree by subtree below its top level (``pathspace.RunCut``): two-point N = 16 on the full,
+  tau 1 and d 1 routes, each with no target and an attainable path target, and three-point N = 10 on
+  the full route with an attainable path target.
 """
 from __future__ import annotations
 
@@ -48,6 +52,9 @@ LAWS = {"two-point": NoiseModel.rademacher(), "three-point": NoiseModel.symmetri
 ROUTES = {"full": {}, "tau1": {"tau": 1}, "tau2": {"tau": 2}, "d1": {"d": 1}, "d2": {"d": 2}}
 HORIZONS = (None, 0, 7)  # the instance's own N, then --N 0 and --N 7
 TARGET_N = 3
+DEEP_N = {"two-point": 16, "three-point": 10}  # horizons whose closed loop is cut into runs
+DEEP = [(route, "two-point", kind) for route in ("full", "tau1", "d1") for kind in ("null", "path")]
+DEEP.append(("full", "three-point", "path"))
 
 
 def generated(workdir: Path) -> list[Path]:
@@ -81,6 +88,21 @@ def whole_read(workdir: Path, paths: list[Path]) -> list[Path]:
     return copies
 
 
+def deep(workdir: Path) -> list[Path]:
+    """The deep instances, written into ``workdir``, each from a generator seeded by its route's, law's and
+    kind's positions."""
+    paths = []
+    for route, law, kind in DEEP:
+        noise, N = LAWS[law], DEEP_N[law]
+        rng = np.random.default_rng([list(ROUTES).index(route), list(LAWS).index(law), len(kind), N])
+        ts = random_controllable(rng, 2, 3, N, noise=noise, **ROUTES[route])
+        x0 = random_x0(rng, 2)
+        target = None if kind == "null" else random_attainable_terminal(rng, PathTree(noise, N), ts.form)
+        paths.append(workdir / f"deep-{route}-{law}-{kind}.json")
+        paths[-1].write_text(serialize_instance(ProblemInstance(ts.spec, N, x0=x0, target=target)))
+    return paths
+
+
 def _run(argv: list[str], workdir: Path) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -105,9 +127,10 @@ def records(workdir: Path, instances=None):
     ``instances``, for those instance files alone."""
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
+    deep_paths = []
     if instances is None:
         paths = generated(workdir)
-        instances = INSTANCES + paths + whole_read(workdir, paths)
+        instances, deep_paths = INSTANCES + paths + whole_read(workdir, paths), deep(workdir)
     for path in instances:
         for N in HORIZONS:
             horizon, label = ([], "own") if N is None else (["--N", str(N)], str(N))
@@ -122,6 +145,12 @@ def records(workdir: Path, instances=None):
                 write_table(Path(path), N, table)
                 code, out, err = _run(["verify", "--instance", str(path), *horizon, "--controller", str(table)], workdir)
                 yield f"{Path(path).stem} verify-table N={label}", code, out, err, table.read_bytes()
+    for path in deep_paths:
+        law = workdir / f"{path.stem}-law.json"
+        for command, extra in (("synthesize", ["--out", str(law)]), ("verify", ["--controller", str(law)])):
+            code, out, err = _run([command, "--instance", str(path), *extra], workdir)
+            written = law.read_bytes() if command == "synthesize" and law.exists() else b""
+            yield f"{path.stem} {command} N=own", code, out, err, written
 
 
 def digest(code: int, out: str, err: str, law: bytes) -> str:

@@ -70,7 +70,7 @@ from stochctrl import (
     z_level,
 )
 from stochctrl.pathspace import P_RCOND, _acting_lags, _add_product, _state_delay_gains
-from stochctrl.synthesis import _folded_step, _stage_maps
+from stochctrl.synthesis import _folded_step, _stage_maps, _start_values
 
 
 def reconstruct_u(ts: TransformedSystem, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -330,39 +330,32 @@ def controller_levels(ctrl):
 
 def breadth_first_folded_loop(tree: PathTree, spec: SystemSpec, x0, law, step=_folded_step) -> np.ndarray:
     """x(N+1) of the folded closed loop, stage by stage over whole levels: ``step``
-    (``synthesis._folded_step`` unless given) run from x0 on every node of each level, keeping the state
-    lags and the u1 pipeline."""
-    N, d, tau = len(law.L) - 1, spec.d or 0, spec.tau or 0
-    xs = {0: np.asarray(x0, dtype=float)[None, :].copy()}
-    u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
-    maps = _stage_maps(tree, spec, law)
-    for k in range(N + 1):
-        xs[k + 1], u1k = step(tree, spec, law, k, xs, u1s, maps[k])
+    (``synthesis._folded_step`` unless given) run from x0 on every node of each level, every level kept."""
+    vals = _start_values(x0, law, spec.tau or 0)
+    for stage in _stage_maps(tree, spec, law):
+        k = stage[0]
+        vals["x", k + 1], u1k = step(stage, vals)
         if u1k is not None:
-            u1s[k] = u1k
-        xs.pop(k - d, None)
-        u1s.pop(k - tau, None)
-    return xs[N + 1]
+            vals["u1", k] = u1k
+    return vals["x", len(law.L)]
 
 
-def offset_folded_step(tree: PathTree, spec: SystemSpec, law, k: int, xs: dict, u1s: dict, stage: tuple):
+def offset_folded_step(stage: tuple, vals: dict):
     """``synthesis._folded_step`` as first written: c_k,u (B + w_j Bbar)' and c_k,u1 added at every stage,
     a c_k of one row of zeros included. ``stage`` is the stage's entry of ``synthesis._stage_maps``, its
-    closed-loop map, atom stack and lag blocks read, its mark of a zero offset ignored."""
-    m, n, N = spec.m, spec.n, len(law.L) - 1
-    fold, Bw, blocks = stage[:3]
-    L1, c = law.L[k][m:], law.c[k]
-    out = xs[k] @ fold
+    maps read, its mark of a zero offset ignored."""
+    k, fold, Bw, _, u1_map, lags = stage
+    m, c = len(Bw), vals["c", k]
+    out = vals["x", k] @ fold
     _add_product(out, c[:, :m], Bw)
-    u1 = xs[k] @ L1[:, :n].T if len(L1) else None
-    xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
-    for lag, (block, u1_block) in zip([xs[k - j] for j in xlags] + [u1s[k - i] for i in ulags], blocks):
-        _add_product(out, lag, block)
+    u1 = None if u1_map is None else vals["x", k] @ u1_map
+    for key, block, u1_block in lags:
+        _add_product(out, vals[key], block)
         if u1 is not None:
-            _add_product(u1, lag, u1_block)
+            _add_product(u1, vals[key], u1_block)
     if u1 is not None:
         u1 += c[:, m:]
-    return out.reshape(-1, n), u1
+    return out.reshape(-1, len(fold)), u1
 
 
 def einsum_stage_mean(tree: PathTree, form, x_next: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """``tests/check_set.py`` digests each command's outputs the same way on every run."""
-from check_set import digests, generated, records, whole_read
+from check_set import DEEP, DEEP_N, LAWS, ROUTES, digests, generated, records, whole_read
 from conftest import INSTANCE_DIR
 
-from stochctrl import model
+from stochctrl import PathTree, model
+from stochctrl.pathspace import RunCut
 
 
 def test_check_set_digests_repeat_across_runs(tmp_path):
@@ -28,3 +29,10 @@ def test_a_path_target_read_whole_gives_the_records_of_the_split_read(tmp_path):
     for (name, *record), (copy_name, *copy_record) in zip(split, whole):
         assert copy_name == name.replace("-path ", "-path-whole ")
         assert [field.replace("-path-whole-", "-path-") if type(field) is str else field for field in copy_record] == record, name
+
+
+def test_the_deep_records_run_the_loop_in_runs():
+    # Their synthesize and verify carry runs of leaves below the top level, with every lag the routes have.
+    for route, law, _ in DEEP:
+        cut = RunCut(PathTree(LAWS[law], DEEP_N[law]), max(ROUTES[route].values(), default=0))
+        assert cut.top < DEEP_N[law] + 1 and len(cut.firsts) > 1, (route, law)

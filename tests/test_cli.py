@@ -510,6 +510,33 @@ def test_singular_pencil_inapplicable(capsys, tmp_path):
     assert "inapplicable" in err
 
 
+def rotated_output_system(tmp_path, seed):
+    """output_1of2.json's (A, B, Abar, Bbar) without its M and H, so on the full route, in the state frame
+    x' = Q x, Q orthogonal from ``np.linalg.qr`` of a normal draw."""
+    doc = json.loads(pathlib.Path(OUTPUT).read_text())
+    Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(2, 2)))[0]
+    A, Abar, B, Bbar = (np.array(doc[key], dtype=float) for key in ("A", "Abar", "B", "Bbar"))
+    rotated = {"A": Q @ A @ Q.T, "Abar": Q @ Abar @ Q.T, "B": Q @ B, "Bbar": Q @ Bbar}
+    inst = tmp_path / f"rotated-{seed[1]}.json"
+    inst.write_text(json.dumps({"n": 2, "m": 3, "N": 2, **{key: value.tolist() for key, value in rotated.items()}}))
+    return str(inst)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [pytest.param([20, 0], marks=pytest.mark.xfail(
+        strict=True, reason="compute_M's pivot follows the frame and makes A - L Abar singular (ROADMAP item 20)")),
+     [20, 2]],
+    ids=["pivot-singular-frame", "control-frame"],
+)
+def test_a_rotated_state_frame_keeps_the_verdict(capsys, tmp_path, seed):
+    # Unrotated, the system is exactly controllable with witness 1. In the first frame analyze exits 2
+    # (SingularPencil) today; in the control frame it already agrees.
+    code, out, _ = run(capsys, "analyze", "--instance", rotated_output_system(tmp_path, seed))
+    assert code == 0
+    assert as_dict(out)["witness_N"] == "1"
+
+
 def test_singular_reduced_block_inapplicable(capsys, tmp_path):
     # A - B Abar has a zero second row, so the reduced route's script-A block matrix is singular
     doc = {

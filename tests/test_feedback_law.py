@@ -34,6 +34,8 @@ from stochctrl.cli import main
 from stochctrl.model import path_labels
 from conftest import INSTANCE_DIR
 from crosschecks import controller_levels, loop_levels
+from test_delay_law import draw
+from test_delay_law import write_instance as write_delay_instance
 
 FULL = str(INSTANCE_DIR / "fullrank_2x3.json")  # n 2, m 3, N 2
 IN_DELAY = str(INSTANCE_DIR / "input_delay_tau1.json")
@@ -237,6 +239,54 @@ def test_law_entry_errors_are_byte_identical(capsys, tmp_path, case):
     law = tmp_path / "law.json"
     law.write_text(edit(_full_law(capsys)))
     assert run(capsys, "verify", "--instance", FULL, "--controller", str(law)) == (5, "", f"bad controller law: {reason}\n")
+
+
+def _stage_fault(k, fault):
+    """Put ``fault`` in L's stage k: a raw JSON token as the last entry of its last row, or "ragged" (that row
+    one entry short) or "row-short" (the stage one row short)."""
+
+    def edit(text):
+        doc = json.loads(text)
+        stage = doc["L"][k]
+        if fault == "ragged":
+            stage[-1].pop()
+        elif fault == "row-short":
+            stage.pop()
+        else:
+            stage[-1][-1] = "@@"
+        return json.dumps(doc).replace('"@@"', fault)
+
+    return edit
+
+
+STAGE_FAULTS = {
+    "true": "entries must be JSON numbers",
+    '"1.5"': "entries must be JSON numbers",
+    "1e999": "entries must be finite",
+    "NaN": "entries must be finite",
+    "ragged": None,  # the stage's shape, named with its (rows, columns)
+    "row-short": None,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STAGE_FAULTS))
+@pytest.mark.parametrize("route,lag", [("full", 0), ("tau", 1), ("d", 1)])
+def test_a_fault_in_any_stage_of_L_exits_5_naming_that_stage(capsys, tmp_path, route, lag, fault):
+    # L's stages are converted at once; a fault sends the reader back stage by stage, so the message names
+    # the stage as a per-stage reader does, in the first stage, a middle one and the last. The law itself
+    # reads back bit for bit.
+    N = 4
+    ts, tree, x0, _, ctrl = draw(np.random.default_rng([lag, len(route), 11]), LAWS["two-point"], route, lag, 2, N,
+                                 None)
+    inst, law = write_delay_instance(tmp_path, ts, tree, x0, None), tmp_path / "law.json"
+    text = law_text(ctrl)
+    read = read_feedback_law(io.StringIO(text), tree, ts)
+    assert [Lk.tobytes() for Lk in read.L] == [Lk.tobytes() for Lk in ctrl.law.L]
+    for k in (0, N // 2, N):
+        law.write_text(_stage_fault(k, fault)(text))
+        reason = STAGE_FAULTS[fault] or f"must be nested lists of shape {ctrl.law.L[k].shape}"
+        assert run(capsys, "verify", "--instance", inst, "--controller", str(law)) == (
+            5, "", f"bad controller law: L stage {k} {reason}\n"), k
 
 
 def test_law_for_another_horizon_exits_5_under_N(capsys, tmp_path):

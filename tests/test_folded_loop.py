@@ -12,7 +12,7 @@ within c eps times the entrywise bound of both sums:
 they are ``crosschecks.breadth_first_folded_loop``'s level bit for bit, on
 the same routes, laws and targets, also with ``pathspace.BLOCK_ENTRIES``
 cut small so that runs start below the lags they read; every run is
-written into the array the first run allocated, so a run is copied
+written into the same array, allocated once per loop, so a run is copied
 before the next is requested. A null law's
 zero offsets make no product: its leaves equal (==) those of the loop
 that adds them (``crosschecks.offset_folded_step``), as adding 0.0 can
@@ -43,7 +43,7 @@ from stochctrl import (
 )
 from stochctrl.pathspace import _acting_lags, plant_maps, plant_step
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
-from stochctrl.synthesis import _folded_step, _law_inputs, _stage_maps
+from stochctrl.synthesis import _folded_step, _law_inputs, _stage_maps, _start_values
 from crosschecks import breadth_first_folded_loop, controller_levels, lift, offset_folded_step
 from test_delay_law import draw, report, run, write_instance
 
@@ -89,11 +89,13 @@ def test_folded_step_matches_the_plant_step_of_the_laws_inputs(law, route, lag, 
         spec, m, tau = ts.spec, ts.spec.m, ts.spec.tau or 0
         _, x, u1 = controller_levels(ctrl)
         xs, u1s = x, u1 if u1 is not None else {}
-        maps = _stage_maps(tree, spec, ctrl.law)
+        stages = _stage_maps(tree, spec, ctrl.law)
+        vals = _start_values(x0, ctrl.law, tau)
+        vals.update({("x", j): level for j, level in xs.items()} | {("u1", j): level for j, level in u1s.items()})
         for k, Lk in enumerate(ctrl.law.L):
             v = _law_inputs(spec, ctrl.law, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
             want = plant_step(tree, spec, plant_maps(tree, spec), xs, k, v[:, :m], u1s[k - tau] if tau else None)
-            got, u1k = _folded_step(tree, spec, ctrl.law, k, xs, u1s, maps[k])
+            got, u1k = _folded_step(stages[k], vals)
             bound, u1_bound = fold_bound(tree, spec, ctrl.law, k, xs, u1s)
             assert got.shape == want.shape and got.flags.c_contiguous
             assert np.all(np.abs(got - want) <= C_BOUND * EPS * bound), (N, k)
@@ -191,7 +193,7 @@ def test_only_a_nonzero_offset_makes_an_offset_product(monkeypatch, route, lag, 
         return add(out, values, coef, work)
 
     monkeypatch.setattr(synthesis, "_add_product", counting_add)
-    monkeypatch.setattr(synthesis, "_folded_step", lambda *args, **kw: steps.append(args[3]) or step(*args, **kw))
+    monkeypatch.setattr(synthesis, "_folded_step", lambda *args: steps.append(args[0][0]) or step(*args))
     runs = list(folded_loop(tree, ts.spec, x0, ctrl.law))
     assert len(runs) > 1 and len(steps) > len(ctrl.law.L)
     assert len(offsets) == (0 if target is None else len(steps))
@@ -287,8 +289,8 @@ def test_folded_loop_builds_each_stage_map_once(monkeypatch):
     stage_maps, step = synthesis._stage_maps, synthesis._folded_step
     built, read = [], []
     monkeypatch.setattr(synthesis, "_stage_maps", lambda *args: built.append(stage_maps(*args)) or built[-1])
-    monkeypatch.setattr(synthesis, "_folded_step", lambda *args, **kw: read.append((args[3], args[6])) or step(*args, **kw))
+    monkeypatch.setattr(synthesis, "_folded_step", lambda *args: read.append(args[0]) or step(*args))
     runs = [first for first, _ in folded_loop(tree, ts.spec, x0, law)]
     assert len(runs) == 32 and len(read) == 175
     assert len(built) == 1 and len(built[0]) == N + 1
-    assert all(stage is built[0][k] for k, stage in read)
+    assert all(stage is built[0][stage[0]] for stage in read)
