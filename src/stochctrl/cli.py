@@ -9,7 +9,9 @@ Each route kind (full, partial, reduced, input-delay, state-delay) is one
 :class:`Route` record in ``ROUTES``; :func:`_route` is the only place
 that tells the kinds apart.
 
-Exit codes: 0 controllable / verified / matching; 1 negative outcome,
+Exit codes (an error that escapes a command takes the code and stderr
+prefix of the first ``_OUTCOMES`` row that matches it): 0 controllable /
+verified / matching; 1 negative outcome,
 including a synthesized controller whose own closed loop ends farther
 than ``--tol`` from the target (the report and controller are still
 written); 2 the criterion does not apply to the instance (no intertwined
@@ -381,32 +383,28 @@ _HANDLERS = {
 }
 
 
+# (errors, exit code, stderr prefix) for an error that escapes a command, tried in order: the first
+# row that matches sets the exit code and the prefix of the one stderr line.
+_OUTCOMES = (
+    (
+        (NoIntertwiner, SingularBlock, SingularPencil, SingularPBracket, StructureUnsupported, UnsupportedReducedStructure),
+        EXIT_INAPPLICABLE,
+        "inapplicable",
+    ),
+    ((SingularGramian,), EXIT_SINGULAR_GRAMIAN, "singular gramian"),
+    ((TargetNotInS,), EXIT_TARGET, "target not attainable"),
+    ((StochctrlError, OSError), EXIT_ERROR, "error"),
+)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (
-        NoIntertwiner,
-        SingularBlock,
-        SingularPencil,
-        SingularPBracket,
-        StructureUnsupported,
-        UnsupportedReducedStructure,
-    ) as exc:
-        sys.stderr.write(f"inapplicable: {exc}\n")
-        return EXIT_INAPPLICABLE
-    except SingularGramian as exc:
-        sys.stderr.write(f"singular gramian: {exc}\n")
-        return EXIT_SINGULAR_GRAMIAN
-    except TargetNotInS as exc:
-        sys.stderr.write(f"target not attainable: {exc}\n")
-        return EXIT_TARGET
-    except StochctrlError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
+    except (StochctrlError, OSError) as exc:
+        code, prefix = next((code, prefix) for errors, code, prefix in _OUTCOMES if isinstance(exc, errors))
+        sys.stderr.write(f"{prefix}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

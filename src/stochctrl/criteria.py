@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriteriaDisagreement, NonFiniteGramian, StochctrlError
-from .model import NoiseModel, SystemSpec, ValidatedSystem, _range_basis, _rank_rtol, _singular_values
+from .model import NoiseModel, SystemSpec, ValidatedSystem, _range_basis, _rank_rtol, _singular_values, gramian_invertible
 from .pathspace import BLOCK_ENTRIES, DEFAULT_CAP, PathTree, path_products, prefix_means, state_delay_P, weighted_gram
 from .transform import BsdeForm, TransformedSystem
 
@@ -177,16 +177,6 @@ def _joined(levels) -> tuple[np.ndarray, np.ndarray]:
     return probs, np.concatenate([stack.transpose(1, 0, 2) for _, stack in levels], axis=1).transpose(1, 0, 2)
 
 
-def gramian_invertible(G: np.ndarray) -> tuple[bool, float]:
-    """Invertibility decision at the scale-aware threshold dim * eps * sigma_max(G).
-
-    Returns (invertible, min singular value).
-    """
-    svals, cut = _singular_values(G)
-    smin = float(svals[-1])
-    return smin > cut, smin
-
-
 def _pinv(S: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of each n x n matrix of the stack ``S`` in one call, cut where
     :func:`gramian_invertible` cuts: both read the one rank rule, ``model._rank_rtol`` times
@@ -301,8 +291,8 @@ def decide(
 ) -> ControllabilityReport:
     """Full-rank route: transform, then the scan of :func:`decide_form`.
 
-    ``N_max`` defaults to the spec's horizon_max, else 2n, which always
-    suffices without a delay channel: if the rank test passes, some
+    ``N_max`` defaults to 2n (``SystemSpec.default_horizon``), which
+    always suffices without a delay channel: if the rank test passes, some
     Gramian with N < n is already invertible. A delayed input or state is
     part of the form, so the report decides the delayed system.
     """

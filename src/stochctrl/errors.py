@@ -22,7 +22,7 @@ class SchemaError(StochctrlError):
     """Instance document, controller table or a system's fields violate the schema.
 
     A system's fields: a channel without its lag (or a lag without its
-    channel), or an integer field (n, m, N, a lag, ``horizon_max``) out of range.
+    channel), or an integer field (n, m, N, a lag) out of range.
     """
 
 

@@ -191,6 +191,17 @@ def _singular_values(a: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     return svals, _rank_cut(a, svals)
 
 
+def gramian_invertible(G: np.ndarray) -> tuple[bool, float]:
+    """Invertibility decision for a square matrix (a Gramian, a user M, a reduced form's script-A
+    block): whether its smallest singular value exceeds :func:`_rank_cut`, dim * eps * sigma_max.
+
+    Returns (invertible, min singular value).
+    """
+    svals, cut = _singular_values(G)
+    smin = float(svals[-1])
+    return smin > cut, smin
+
+
 def _numerical_rank(a: np.ndarray) -> int:
     svals, cut = _singular_values(a)
     return int(np.count_nonzero(svals > cut))
@@ -265,6 +276,9 @@ class SystemSpec:
 
     Dimensions are inferred from ``A`` (n x n) and ``B`` (n x m). The
     optional pairs ``(B1, tau)`` and ``(A1, d)`` must be given together.
+    Every field but ``noise`` is one key of the instance file
+    (``_SPEC_KEYS``), and ``noise`` is its ``noise`` object, so
+    :func:`serialize_instance` carries a spec whole.
     """
 
     A: np.ndarray
@@ -272,7 +286,6 @@ class SystemSpec:
     Abar: np.ndarray
     Bbar: np.ndarray
     noise: NoiseModel = NoiseModel()
-    horizon_max: int | None = None
     M: np.ndarray | None = None
     H: np.ndarray | None = None
     B1: np.ndarray | None = None
@@ -313,8 +326,6 @@ class SystemSpec:
         if self.A1 is not None:
             object.__setattr__(self, "A1", _as_float_matrix("A1", self.A1, n, n))
             _integer("d", self.d, 1)
-        if self.horizon_max is not None:
-            _integer("horizon_max", self.horizon_max, 0)
 
     @property
     def n(self) -> int:
@@ -326,8 +337,8 @@ class SystemSpec:
 
     @property
     def default_horizon(self) -> int:
-        """Scan limit when none is given: ``horizon_max``, else 2n."""
-        return self.horizon_max if self.horizon_max is not None else 2 * self.n
+        """Scan limit when none is given: 2n."""
+        return 2 * self.n
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .criteria import ControllabilityReport, decide_form
 from .errors import DimensionMismatch, NoIntertwiner, SingularBlock, StructureUnsupported
-from .model import SystemSpec, ValidatedSystem, _singular_values, validate
+from .model import SystemSpec, ValidatedSystem, gramian_invertible, validate
 from .transform import BsdeForm, TransformedSystem
 
 INTERTWINE_TOL = 1e-8
@@ -84,8 +84,9 @@ def reduced_form(system: SystemSpec | ValidatedSystem) -> BsdeForm:
     columns. The structure requirements on Bbar and Abar were already
     enforced by :func:`validate`. Raises :class:`StructureUnsupported` on
     a full-rank system, :class:`SingularBlock` when the script-A block
-    matrix cannot be inverted and :class:`NoIntertwiner` when its inverse
-    does not respect the [I 0] projection.
+    matrix is singular by :func:`model.gramian_invertible` and
+    :class:`NoIntertwiner` when its inverse does not respect the [I 0]
+    projection.
     """
     if isinstance(system, SystemSpec):
         system = validate(system)
@@ -103,10 +104,10 @@ def reduced_form(system: SystemSpec | ValidatedSystem) -> BsdeForm:
             [A21 - B21 @ Ab11, A22 - B21 @ Ab12],
         ]
     )
-    svals, cut = _singular_values(script)
-    if svals[-1] <= cut:
+    invertible, smin = gramian_invertible(script)
+    if not invertible:
         raise SingularBlock(
-            f"script-A block matrix has min singular value {svals[-1]:.3e}; not invertible"
+            f"script-A block matrix has min singular value {smin:.3e}; not invertible"
         )
     Ablk = np.linalg.inv(script)
     return BsdeForm(

@@ -379,10 +379,9 @@ def backward_solve_state_delay(
     r(k) = P(k) (E[C(k) r(k+1) | past] + D v(k)) backward from r(N+1) =
     terminal, then x(k) = r(k) + sum_j Q_j(k) x(k-j) forward, each
     x(k-j) Q_j(k)' formed at depth k - j and added to its descendants
-    (:func:`_add_product`). Pre-horizon states x(s), s < 0, are zero.
+    (:func:`_add_product`). Pre-horizon states x(s), s < 0, are zero. A form
+    without C1 raises :class:`DimensionMismatch` (:func:`state_delay_P`).
     """
-    if form.C1 is None:
-        raise DimensionMismatch("form has no delayed state channel C1")
     N = tree.horizon
     P, Q = _state_delay_gains(form, N)
     W = _stage_map(tree, form)

@@ -23,7 +23,8 @@ BBAR_MAX_COND = 20.0
 COND_CAP = 1e6
 
 
-def _well_conditioned(rng: np.random.Generator, n: int, lo: float = 0.8, hi: float = 1.6) -> np.ndarray:
+def _well_conditioned(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
+    """A random n x n matrix with singular values drawn uniformly from [lo, hi]."""
     q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
     q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return q1 @ np.diag(rng.uniform(lo, hi, size=n)) @ q2
@@ -44,7 +45,6 @@ def random_system(
     noise: NoiseModel | None = None,
     tau: int | None = None,
     d: int | None = None,
-    horizon_max: int | None = None,
     max_tries: int = 200,
 ) -> SystemSpec:
     """Draw a full-rank system, optionally with one delay channel.
@@ -77,7 +77,6 @@ def random_system(
             Abar=Abar,
             Bbar=Bbar,
             noise=noise,
-            horizon_max=horizon_max,
             B1=-S @ _spectral_scaled(rng, (n, m), 1.0) if tau is not None else None,
             tau=tau,
             A1=-S @ _spectral_scaled(rng, (n, n), 0.2) if d is not None else None,
@@ -101,15 +100,16 @@ def random_controllable(
     m: int,
     N: int,
     *,
-    cond_cap: float = COND_CAP,
     max_tries: int = 200,
     **kwargs,
 ) -> TransformedSystem:
     """Draw a system whose Gramian at horizon N is comfortably invertible.
 
-    The conditioning cap keeps synthesized controllers' closed-loop
-    errors well inside the test tolerances. The screen reads the Gramian
-    without the delay channel, so a draw does not depend on its lag.
+    The Gramian's condition number must stay within ``COND_CAP``, which
+    keeps synthesized controllers' closed-loop errors well inside the
+    test tolerances; ``kwargs`` go to :func:`random_system`. The screen
+    reads the Gramian without the delay channel, so a draw does not
+    depend on its lag.
     """
     for _ in range(max_tries):
         ts = random_transformed(rng, n, m, **kwargs)
@@ -117,24 +117,24 @@ def random_controllable(
         ok, _ = gramian_invertible(G)
         if not ok:
             continue
-        if np.linalg.cond(G) > cond_cap:
+        if np.linalg.cond(G) > COND_CAP:
             continue
         return ts
     raise StochctrlError(f"no controllable system in {max_tries} draws")
 
 
-def random_x0(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    return scale * rng.normal(size=n)
+def random_x0(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A start state of n independent standard normal entries."""
+    return rng.normal(size=n)
 
 
 def random_free_input(
     rng: np.random.Generator,
     tree: PathTree,
     dim: int,
-    scale: float = 1.0,
 ) -> dict[int, np.ndarray]:
-    """Levels of stages 0..N, stage k at depth k, with independent values at every tree node."""
-    return {k: scale * rng.normal(size=(tree.n_nodes(k), dim)) for k in range(tree.horizon + 1)}
+    """Levels of stages 0..N, stage k at depth k, with independent standard normal values at every tree node."""
+    return {k: rng.normal(size=(tree.n_nodes(k), dim)) for k in range(tree.horizon + 1)}
 
 
 def random_attainable_terminal(

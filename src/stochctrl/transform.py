@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadUserM, RankDeficient, SchemaError, SingularPencil
-from .model import SystemSpec, ValidatedSystem, _integer, _singular_values, validate
+from .model import SystemSpec, ValidatedSystem, _integer, _singular_values, gramian_invertible, validate
 
 USER_M_TOL = 1e-10
 PENCIL_RCOND = 1e-12
@@ -34,8 +34,9 @@ def compute_M(bbar: np.ndarray, user_m: np.ndarray | None = None) -> np.ndarray:
 
     Without ``user_m`` the matrix is built by column-pivoted elimination
     (largest absolute entry in the working row), which is deterministic.
-    A supplied ``user_m`` is verified against the defining identity and
-    rejected with :class:`BadUserM` if it fails.
+    A supplied ``user_m`` must be invertible by
+    :func:`model.gramian_invertible` and satisfy the defining identity;
+    otherwise it is rejected with :class:`BadUserM`.
     """
     bbar = np.asarray(bbar, dtype=float)
     n, m = bbar.shape
@@ -45,8 +46,7 @@ def compute_M(bbar: np.ndarray, user_m: np.ndarray | None = None) -> np.ndarray:
         user_m = np.asarray(user_m, dtype=float)
         if user_m.shape != (m, m):
             raise BadUserM(f"M must be {m} x {m}, got {user_m.shape}")
-        svals, cut = _singular_values(user_m)
-        if svals[-1] <= cut:
+        if not gramian_invertible(user_m)[0]:
             raise BadUserM("M is numerically singular")
         want = np.hstack([np.eye(n), np.zeros((n, m - n))])
         gap = float(np.abs(bbar @ user_m - want).max())

@@ -20,7 +20,10 @@ law it wrote), and the bytes of that law, if one was written, or of the table ve
 - last, deep instances under synthesize and verify at their own N, deep enough that the closed loop
   runs subtree by subtree below its top level (``pathspace.RunCut``): two-point N = 16 on the full,
   tau 1 and d 1 routes, each with no target and an attainable path target, and three-point N = 10 on
-  the full route with an attainable path target.
+  the full route with an attainable path target;
+- last, instances whose one matrix to invert is singular, under analyze, synthesize and oracle-check
+  at their own N (:func:`refused`): a user M and a reduced route's script-A block with sigma_min just
+  under the rank cut (exit 6 and 2), a singular pencil (exit 2) and a singular P-bracket (exit 2).
 """
 from __future__ import annotations
 
@@ -55,6 +58,33 @@ TARGET_N = 3
 DEEP_N = {"two-point": 16, "three-point": 10}  # horizons whose closed loop is cut into runs
 DEEP = [(route, "two-point", kind) for route in ("full", "tau1", "d1") for kind in ("null", "path")]
 DEEP.append(("full", "three-point", "path"))
+UNDER = 1 - 2.0**-20  # a sigma_min of UNDER times the rank cut max(shape) eps sigma_max is singular
+EPS = np.finfo(float).eps
+# name -> (instance document, the exit code each of its commands gives)
+REFUSED = {
+    # Bbar M = [I 0] holds exactly, but M = diag(4, 0.5, sigma) has sigma just under its cut 3 eps 4.
+    "singular-user-M": ({
+        "n": 2, "m": 3, "N": 2, "A": [[1.0, 0.5], [0.0, 1.0]], "B": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+        "Abar": [[0.5, 0.0], [0.0, 0.5]], "Bbar": [[0.25, 0.0, 0.0], [0.0, 2.0, 0.0]],
+        "M": [[4.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 12 * EPS * UNDER]], "x0": [1.0, -1.0],
+    }, 6),
+    # B's first column is 0, so the script-A block is A = diag(4, sigma), sigma just under its cut 2 eps 4.
+    "singular-block": ({
+        "n": 2, "m": 2, "N": 2, "A": [[4.0, 0.0], [0.0, 8 * EPS * UNDER]], "B": [[0.0, 1.0], [0.0, 1.0]],
+        "Abar": [[0.5, 0.0], [1.0, 0.0]], "Bbar": [[1.0, 0.0], [0.0, 0.0]], "x0": [1.0, -1.0],
+    }, 2),
+    # Bbar = [I 0] gives M = I, and Abar = 0 makes the pencil A - L Abar the rank-1 A.
+    "singular-pencil": ({
+        "n": 2, "m": 3, "N": 2, "A": [[1.0, 2.0], [2.0, 4.0]], "B": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+        "Abar": [[0.0, 0.0], [0.0, 0.0]], "Bbar": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "x0": [1.0, -1.0],
+    }, 2),
+    # As above with A = I, so C = I, C1 = -A1 and the bracket I - C P(N) C1 at stage N - 1 is I + A1 = diag(0, 1.5).
+    "singular-bracket": ({
+        "n": 2, "m": 3, "N": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+        "Abar": [[0.0, 0.0], [0.0, 0.0]], "Bbar": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "x0": [1.0, -1.0],
+        "A1": [[-1.0, 0.0], [0.0, 0.5]], "d": 1,
+    }, 2),
+}
 
 
 def generated(workdir: Path) -> list[Path]:
@@ -127,8 +157,8 @@ def records(workdir: Path, instances=None):
     ``instances``, for those instance files alone."""
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    deep_paths = []
-    if instances is None:
+    deep_paths, every = [], instances is None
+    if every:
         paths = generated(workdir)
         instances, deep_paths = INSTANCES + paths + whole_read(workdir, paths), deep(workdir)
     for path in instances:
@@ -151,6 +181,20 @@ def records(workdir: Path, instances=None):
             code, out, err = _run([command, "--instance", str(path), *extra], workdir)
             written = law.read_bytes() if command == "synthesize" and law.exists() else b""
             yield f"{path.stem} {command} N=own", code, out, err, written
+    if every:
+        yield from refused(workdir)
+
+
+def refused(workdir: Path):
+    """Yield :func:`records`' records of the ``REFUSED`` instances, written into ``workdir``: analyze,
+    synthesize and oracle-check at the instance's own N."""
+    for name, (doc, _) in REFUSED.items():
+        path = Path(workdir) / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        law = Path(workdir) / f"{name}-law.json"
+        for command, extra in (("analyze", []), ("synthesize", ["--out", str(law)]), ("oracle-check", [])):
+            code, out, err = _run([command, "--instance", str(path), *extra], workdir)
+            yield f"{name} {command} N=own", code, out, err, law.read_bytes() if law.exists() else b""
 
 
 def digest(code: int, out: str, err: str, law: bytes) -> str:

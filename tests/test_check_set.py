@@ -1,5 +1,5 @@
 """``tests/check_set.py`` digests each command's outputs the same way on every run."""
-from check_set import DEEP, DEEP_N, LAWS, ROUTES, digests, generated, records, whole_read
+from check_set import DEEP, DEEP_N, LAWS, REFUSED, ROUTES, digests, generated, records, refused, whole_read
 from conftest import INSTANCE_DIR
 
 from stochctrl import PathTree, model
@@ -36,3 +36,19 @@ def test_the_deep_records_run_the_loop_in_runs():
     for route, law, _ in DEEP:
         cut = RunCut(PathTree(LAWS[law], DEEP_N[law]), max(ROUTES[route].values(), default=0))
         assert cut.top < DEEP_N[law] + 1 and len(cut.firsts) > 1, (route, law)
+
+
+def test_the_refused_records_reach_each_singular_matrix(tmp_path):
+    # analyze and oracle-check refuse each instance at the matrix it names, and so does synthesize on the
+    # routes that synthesize; none writes a law.
+    named = {"singular-user-M": "error: M is numerically singular\n",
+             "singular-block": "inapplicable: script-A block matrix has min singular value 1.776e-15; not invertible\n",
+             "singular-pencil": "inapplicable: A - L Abar has reciprocal condition number ",
+             "singular-bracket": "inapplicable: delay compensator bracket singular at stage 1\n"}
+    got = list(refused(tmp_path))
+    assert len(got) == 3 * len(REFUSED)
+    for name, code, out, err, law in got:
+        instance, command = name.split()[:2]
+        assert (code, out, law) == (REFUSED[instance][1], "", b""), name
+        if command != "synthesize" or instance != "singular-block":
+            assert err.startswith(named[instance]), name

@@ -8,6 +8,7 @@ from stochctrl import (
     StructureUnsupported,
     SystemSpec,
     TransformedSystem,
+    gramian_invertible,
     intertwine,
     output_form,
     partial_decide,
@@ -107,6 +108,22 @@ def test_reduced_singular_block():
     spec = reduced_spec(A=[[1.0, 0.5], [1.0, 1.0]], B=[[2.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     with pytest.raises(SingularBlock):
         reduced_rank_setup(spec)
+
+
+def test_a_script_A_block_is_singular_exactly_where_gramian_invertible_calls_it_singular():
+    # B's first column is 0, so the script-A block is A = diag(4, sigma), whose singular values are exact.
+    # sigma sits just above and just below the cut 2 eps 4, so a check by any other rule accepts or refuses
+    # a block that gramian_invertible does not.
+    cut = 2 * np.finfo(float).eps * 4.0
+    for sigma, want in ((cut * (1 + 2.0**-20), True), (cut * (1 - 2.0**-20), False)):
+        A = np.diag([4.0, sigma])
+        assert gramian_invertible(A)[0] == want
+        spec = reduced_spec(A=A, B=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        if want:
+            assert reduced_form(spec).C.tolist() == [[0.25]]
+        else:
+            with pytest.raises(SingularBlock, match="^script-A block matrix has min singular value .*; not invertible$"):
+                reduced_form(spec)
 
 
 def test_reduced_needs_intertwiner():

@@ -13,6 +13,7 @@ from stochctrl import (
     TransformedSystem,
     compute_M,
     decide,
+    gramian_invertible,
     random_controllable,
     random_system,
 )
@@ -46,6 +47,22 @@ def test_user_M_checked(bench_full):
         compute_M(spec.Bbar, bad)
     with pytest.raises(BadUserM):
         compute_M(spec.Bbar, np.zeros((3, 3)))
+
+
+def test_a_user_M_is_singular_exactly_where_gramian_invertible_calls_it_singular():
+    # M = diag(4, 0.5, sigma) has exact singular values, and Bbar M = [I 0] holds exactly. sigma sits just
+    # above and just below the cut 3 eps 4, so a check by any other rule accepts or refuses an M that
+    # gramian_invertible does not.
+    bbar = np.array([[0.25, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    cut = 3 * np.finfo(float).eps * 4.0
+    for sigma, want in ((cut * (1 + 2.0**-20), True), (cut * (1 - 2.0**-20), False)):
+        M = np.diag([4.0, 0.5, sigma])
+        assert gramian_invertible(M)[0] == want
+        if want:
+            np.testing.assert_array_equal(compute_M(bbar, M), M)
+        else:
+            with pytest.raises(BadUserM, match="^M is numerically singular$"):
+                compute_M(bbar, M)
 
 
 def test_rank_deficient_Bbar_rejected():
