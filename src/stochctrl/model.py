@@ -43,6 +43,7 @@ from .errors import (
 
 MOMENT_TOL = 1e-12
 STRUCTURE_TOL = 1e-12
+RCOND_CUT = 1e-12  # rcond_invertible's cut for the pencil and the P-brackets
 MAX_SUPPORT = 10  # path labels use one decimal digit per stage
 # Labels are built from cached levels of at most this many; a whole level
 # is never cached, since at the 2^20 leaf cap it holds about 1M strings.
@@ -200,6 +201,20 @@ def gramian_invertible(G: np.ndarray) -> tuple[bool, float]:
     svals, cut = _singular_values(G)
     smin = float(svals[-1])
     return smin > cut, smin
+
+
+def rcond_invertible(a: np.ndarray) -> tuple[bool, float]:
+    """The one rule for a matrix the package inverts outright (the drift pencil, a state-delay
+    P-bracket): invertible when its reciprocal condition number sigma_min / sigma_max, from one SVD,
+    exceeds ``RCOND_CUT``. Returns (invertible, rcond). A matrix holding inf or NaN is singular with
+    rcond 0.0, read off the same SVD: an inf gives NaN singular values, and a NaN does not converge.
+    """
+    try:
+        svals = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:  # "SVD did not converge": a NaN entry
+        return False, 0.0
+    rcond = float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0  # a NaN sigma_max is not > 0
+    return rcond > RCOND_CUT, rcond
 
 
 def _numerical_rank(a: np.ndarray) -> int:

@@ -24,9 +24,11 @@ onto finer depths. :func:`plant_step` is the step of
 :func:`forward_simulate` and of ``synthesis.feedback_loop``, the plant-step
 closed loop a controller's table is written from, stage by stage; the
 commands run a law through ``synthesis.folded_loop``, which folds the
-law into the step's map, adds its lags through :func:`_add_product` the
-same way, and below the top level of :class:`RunCut` runs the tree
-subtree by subtree, a lag above a run passed as the run's ancestor rows.
+law into the step's map, adds its lags as :func:`_add_product` does,
+through views shaped once per loop, and below the top level of
+:class:`RunCut`, the deepest of at most ``BLOCK_ENTRIES`` entries, runs
+the tree subtree by subtree, each run's leaves at most ``BLOCK_ENTRIES``
+entries too, a lag above a run passed as the run's ancestor rows.
 
 :func:`path_products` is the one place per-history products of the
 random factors C + w Cbar are built, with the state-delay pivots of
@@ -65,15 +67,14 @@ from .errors import (
     SingularPBracket,
     StageMismatch,
 )
-from .model import NoiseModel, SystemSpec, _label_tables
+from .model import NoiseModel, SystemSpec, _label_tables, rcond_invertible
 from .transform import BsdeForm
 
 DEFAULT_CAP = 2**20
-P_RCOND = 1e-12
 # Entries of a level a kernel processes per row block: temporaries stay
 # a few hundred KB however wide the level, so peak memory is the levels.
-# RunCut counts it in rows, for the level it cuts into runs and for each
-# run's leaves.
+# RunCut counts it in entries too, for the level it cuts into runs and for
+# each run's leaves.
 BLOCK_ENTRIES = 2**15
 
 
@@ -89,20 +90,21 @@ def _block_depth(s: int, width: int) -> int:
 class RunCut:
     """A tree's levels cut into runs of consecutive leaves, each carried alone below a top level.
 
-    The top level is the deepest with at most ``BLOCK_ENTRIES`` rows, or
-    deeper where a top-level node's subtree would end in more leaves than
-    that. A run is s^p consecutive top-level rows with their subtrees,
-    with p as large as keeps its ``leaves`` within ``BLOCK_ENTRIES`` rows
-    but at least ``lag`` + 1, so that a level ``lag`` stages above one a
-    run holds, read as that run's ancestor rows (:meth:`rows`), spans s
-    rows or more wherever it lies below depth 0. ``firsts`` are the runs'
-    first leaves, in order; without a level to cut (``top`` = N + 1) one
-    run holds every leaf.
+    The top level is the deepest whose nodes hold at most ``BLOCK_ENTRIES``
+    entries, ``width`` a node (:func:`_block_depth`), or deeper where a
+    top-level node's subtree would end in more leaves than that. A run is
+    s^p consecutive top-level rows with their subtrees, with p as large as
+    keeps its ``leaves`` within ``BLOCK_ENTRIES`` entries but at least
+    ``lag`` + 1, so that a level ``lag`` stages above one a run holds, read
+    as that run's ancestor rows (:meth:`rows`), spans s rows or more
+    wherever it lies below depth 0. ``firsts`` are the runs' first leaves,
+    in order; without a level to cut (``top`` = N + 1) one run holds every
+    leaf.
     """
 
-    def __init__(self, tree: PathTree, lag: int):
+    def __init__(self, tree: PathTree, width: int, lag: int):
         N, s = tree.horizon, tree.s
-        fit = _block_depth(s, 1)  # the deepest level of at most BLOCK_ENTRIES rows
+        fit = _block_depth(s, width)  # the deepest level of at most BLOCK_ENTRIES entries
         self.top = min(N + 1, max(fit, N + 1 - fit))
         p = min(self.top, max(fit - (N + 1 - self.top), lag + 1))
         self.leaves = s ** (N + 1 - self.top + p)
@@ -326,22 +328,23 @@ def state_delay_P(form: BsdeForm, N: int) -> tuple[np.ndarray, ...]:
     I - C P(k+1) ... C P(k+d) C1, multiplied out left to right so the
     Gramians keep their last digits. The lag d is the form's. P(k) depends
     on the horizon only through N - k, so one sequence serves every shorter
-    horizon as its tail. The system is singular exactly when a bracket is:
-    rcond <= ``P_RCOND`` raises :class:`SingularPBracket` (k).
+    horizon as its tail. The system is singular exactly when a bracket is,
+    by :func:`model.rcond_invertible`, a bracket holding inf or NaN
+    included: :class:`SingularPBracket` (k) is raised.
     """
     if form.C1 is None:
         raise DimensionMismatch("form has no delayed state channel C1")
     n, d = form.n, form.d
     P = [np.eye(n)] * (N + 1)
-    for k in range(N - d, -1, -1):
-        bracket = np.eye(n)
-        for j in range(k + 1, k + d + 1):
-            bracket = bracket @ form.C @ P[j]
-        bracket = np.eye(n) - bracket @ form.C1
-        svals = np.linalg.svd(bracket, compute_uv=False)
-        if svals[0] == 0.0 or svals[-1] / svals[0] <= P_RCOND:
-            raise SingularPBracket(k)
-        P[k] = np.linalg.inv(bracket)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bracket that overflows is singular, not a warning
+        for k in range(N - d, -1, -1):
+            bracket = np.eye(n)
+            for j in range(k + 1, k + d + 1):
+                bracket = bracket @ form.C @ P[j]
+            bracket = np.eye(n) - bracket @ form.C1
+            if not rcond_invertible(bracket)[0]:
+                raise SingularPBracket(k)
+            P[k] = np.linalg.inv(bracket)
     return tuple(P)
 
 

@@ -39,13 +39,15 @@ that.
 Two closed loops run a law. The commands' loop, :func:`folded_loop`,
 folds u(k) into the plant step: stage k is one matmul of x(k) against
 the closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, with
-the offset and each acting lag added at its own depth. It walks a plan
-built once per loop, each stage's maps and the arrays it writes into,
-breadth-first only while a level is small, then carries runs of that
-level's rows (:class:`pathspace.RunCut`) through the remaining stages
-one at a time and yields x(N+1) run by run, so it never holds a leaf
-level, and holds of each only what a later stage reads (the state lags,
-the u1 pipeline).
+the offset and each acting lag added at its own depth. It walks a flat
+plan built once per loop, each stage's maps with the arrays it writes
+into and the views it and the next stage read, breadth-first only while
+a level holds at most ``pathspace.BLOCK_ENTRIES`` entries, then carries
+runs of that level's rows (:class:`pathspace.RunCut`), each ending in at
+most as many entries of leaves, through the remaining stages one at a
+time and yields x(N+1) run by run, so it never holds a leaf level, and
+holds of each only what a later stage reads (the state lags, the u1
+pipeline).
 synthesize and verify of a law both run it and reduce the terminal gap
 run by run, so they report the same deviation to the last digit. The
 plant-step loop, :func:`feedback_loop`, evaluates [u(k), u1(k)] into
@@ -342,118 +344,133 @@ def _drop_read(xs: dict, u1s: dict, k: int, N: int, d: int, tau: int) -> None:
 def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Iterator[tuple[int, np.ndarray]]:
     """x(N+1) of the law's closed loop in runs of consecutive leaves, each with the index of its first leaf.
 
-    The loop walks a plan built once: each stage's maps (:func:`_stage_maps`)
-    and the arrays it writes x(k+1) and u1(k) into (:func:`_stage_buffers`),
-    allocated once for the top stages and once for the runs
-    (:func:`_stage_views`).
+    The loop walks a flat plan (:func:`_walk`) built once for the top stages and once for the runs
+    (:func:`_stage_views`): each stage's maps (:func:`_stage_maps`) with the arrays it writes x(k+1)
+    and u1(k) into (:func:`_stage_buffers`), the view of x(k+1) the next stage reads and each offset or
+    lag term's arrays, all shaped once.
     Stages run breadth-first over whole levels down to the top level of
-    :class:`pathspace.RunCut`, whose runs are then each carried alone
-    through the remaining stages. A run reads a level above it, the top
-    level or a lag, and a per-node c_k as its rows of them
-    (:meth:`pathspace.RunCut.rows`), so every lag but a depth-0 one spans s
-    rows or more: a single row would go through the matrix-vector kernel,
-    which rounds differently from the level's matmul. A c_k that is one row
-    of zeros, as every stage of the origin's law, is not applied at all,
-    which changes no value but the sign of a zero. Every run writes into
-    the same arrays, so a yielded run is valid only until the next run is
-    requested, as :func:`feedback_loop`'s inputs are until its next step.
+    :class:`pathspace.RunCut`, cut by the n entries a node holds, whose runs
+    are then each carried alone through the remaining stages. A run reads a
+    level above it, the top level or a lag, and a per-node c_k as its rows
+    of them (:meth:`pathspace.RunCut.rows`), so every lag but a depth-0 one
+    spans s rows or more: a single row would go through the matrix-vector
+    kernel, which rounds differently from the level's matmul. A c_k that is
+    one row of zeros, as every stage of the origin's law, is not applied at
+    all, which changes no value but the sign of a zero. Every run writes
+    into the same arrays, so a yielded run is valid only until the next run
+    is requested, as :func:`feedback_loop`'s inputs are until its next step.
     So the runs, concatenated, are the breadth-first loop's x(N+1) bit for
     bit, and no more is held than the top level with its lags and one
-    run's. synthesize and verify both run a law here, so they report the
-    same deviation to the last digit; the states differ from
+    run's, each level at most ``pathspace.BLOCK_ENTRIES`` entries.
+    synthesize and verify both run a law here, so they report the same
+    deviation to the last digit; the states differ from
     :func:`feedback_loop`'s, the plant step's, by rounding.
     """
     N, tau = len(law.L) - 1, spec.tau or 0
-    cut = pathspace.RunCut(tree, max(spec.d or 0, tau))
+    cut = pathspace.RunCut(tree, spec.n, max(spec.d or 0, tau))
     stages = _stage_maps(tree, spec, law)
     levels, vals = _stage_buffers(tree, spec, law, stages, cut), _start_values(x0, law, tau)
-
-    def walk(stages, outs):
-        for stage, (out, u1_out, work) in zip(stages, outs):
-            k = stage[0]
-            vals["x", k + 1], u1 = _folded_step(stage, vals, out, u1_out, work)
-            if u1 is not None:
-                vals["u1", k] = u1
-
-    top = _stage_views(levels[: cut.top])
-    walk(stages[: cut.top], top)
+    top = _stage_views(stages[: cut.top], levels[: cut.top])
+    vals["x", cut.top] = _walk(top, vals, vals["x", 0])
     # What the runs read above them, each at its depth: the top level and its lags, and each per-node c_k.
     above = [(("x", j), j) for j in range(max(0, cut.top - (spec.d or 0)), cut.top + 1)]
     above += [(("u1", j), j) for j in range(max(0, cut.top - tau), cut.top)]  # not u1_pre's: one row each
-    above += [(("c", k), k) for k in range(cut.top, N + 1) if len(law.c[k]) > 1]
+    above += [((c, k), k) for k in range(cut.top, N + 1) if len(law.c[k]) > 1 for c in ("c", "c1")]
     above = [(key, depth, vals[key]) for key, depth in above if key in vals]
     read = {id(level.base) for _, _, level in above}
-    spare = {out.base.size: out.base for out, _, _ in top if id(out.base) not in read}  # x arrays no run reads
+    spare = {out.base.size: out.base for _, _, out, *_ in top if id(out.base) not in read}  # x arrays no run reads
     del top
     vals = _start_values(x0, law, tau)  # the top levels no run reads are released, but for the spare arrays
-    runs = _stage_views(levels[cut.top :], spare)
+    runs = _stage_views(stages[cut.top :], levels[cut.top :], spare)
     for first in cut.firsts:
         for key, depth, level in above:
             vals[key] = level[cut.rows(depth, first)]
-        walk(stages[cut.top :], runs)
-        yield first, vals["x", N + 1]
+        yield first, _walk(runs, vals, vals["x", cut.top])
 
 
 def _start_values(x0, law: FeedbackLaw, tau: int) -> dict:
-    """What a closed loop reads before stage 0, keyed as :func:`_folded_step` reads it: ("x", 0) the row x0,
-    ("u1", j) for j < 0 the pre-horizon inputs of ``law.u1_pre`` and ("c", k) the law's offsets."""
+    """What a closed loop reads before stage 0, keyed as :func:`_walk` reads it: ("x", 0) the row x0,
+    ("u1", j) for j < 0 the pre-horizon inputs of ``law.u1_pre``, and ("c", k) and ("c1", k) the u and u1
+    columns of the law's offset c_k (no ("c1", k) without u1 columns)."""
     vals = {("x", 0): np.asarray(x0, dtype=float)[None, :].copy()}
     if tau:
         vals.update((("u1", i - tau), law.u1_pre[i : i + 1]) for i in range(len(law.u1_pre)))
-    vals.update((("c", k), ck) for k, ck in enumerate(law.c))
+    m = len(law.L[-1])  # stage N has no u1 rows, as u1(N) would enter after stage N
+    for k, ck in enumerate(law.c):
+        vals["c", k] = ck[:, :m]
+        if ck.shape[1] > m:
+            vals["c1", k] = ck[:, m:]
     return vals
 
 
 def _stage_buffers(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, stages: list, cut) -> list[tuple]:
     """Where :func:`folded_loop` writes each stage, for :func:`_stage_views`: per stage k, the array x(k+1)
-    goes into and its (rows, s n) shape, the array u1(k) goes into and its shape (no columns without u1
-    rows), and the entries of its largest offset or lag product. Rows are a whole level's above
+    goes into and its (rows, s, n) shape, the array u1(k) goes into and its shape (no columns without u1
+    rows), and the rows of each term's value (:func:`_stage_maps`). Rows are a whole level's above
     ``cut.top`` and a run's below. x(j) goes into one of d + 2 arrays by j modulo d + 2, and u1(j) into one
     of tau + 1 by j modulo tau + 1, as stage k reads x(k-d..k) and u1(k-tau..k-1).
     """
     N, s, n, m, top = len(law.L) - 1, tree.s, spec.n, spec.m, cut.top
     d, tau = (lag if lag and lag <= N else 0 for lag in (spec.d, spec.tau))  # a lag past N reads no level
     levels = []
-    for k, fold, _, offset, _, lags in stages:
+    for k, _, _, terms, _, _ in stages:
         here = tree.n_nodes(k) if k < top else cut.count(k)  # x(k)'s rows as stage k reads them
-        product = (here if len(law.c[k]) > 1 else 1) * fold.shape[1] if offset else 0
-        for (_, at), block, u1_block in lags:  # x(k)'s rows at the lag's depth, or one row at depth 0
-            product = max(product, max(1, here // s ** (k - max(0, at))) * max(block.shape[1], u1_block.shape[1]))
-        levels.append(((k + 1) % (d + 2), (here, s * n), d + 2 + k % (tau + 1), (here, len(law.L[k]) - m), product))
+        # c_k's rows (one row, or x(k)'s), or x(k)'s rows at the lag's depth, or one row at depth 0
+        rows = tuple((here if len(law.c[k]) > 1 else 1) if what == "c" else max(1, here // s ** (k - max(0, at)))
+                     for (what, at), _, _ in terms)
+        levels.append(((k + 1) % (d + 2), (here, s, n), d + 2 + k % (tau + 1), (here, len(law.L[k]) - m), rows))
     return levels
 
 
-def _stage_views(levels: list, spare: dict | None = None) -> list[tuple]:
-    """Per stage of ``levels`` (a span of :func:`_stage_buffers`' stages), x(k+1)'s and u1(k)'s arrays (None
-    without u1 rows) and ``work``, one flat array for the offset and lag products (None if no stage forms
-    one), each sized for the largest of the span's levels or products it holds.
+def _stage_views(stages: list, levels: list, spare: dict | None = None) -> list[tuple]:
+    """The plan :func:`_walk` walks over a span of stages: per stage, its maps with its
+    :func:`_stage_buffers` entry's arrays, shaped by :func:`_plan_entry`. The x and u1 arrays are sized
+    for the largest level each holds in the span, and one flat ``work`` array for the largest term product.
 
     An array is taken from ``spare`` ({size: flat array no longer read}) where one has its size, else
     allocated; ``spare`` is emptied before any is allocated, so no unused one is held beside them. Under a
     low mmap threshold a fresh array faults in every page it is written to, and a spare one none.
     """
     sizes = {}
-    for xi, (rows, width), ui, (u1_rows, w1), _ in levels:
-        sizes[xi], sizes[ui] = max(sizes.get(xi, 0), rows * width), max(sizes.get(ui, 0), u1_rows * w1)
+    for xi, (rows, s, n), ui, (u1_rows, w1), _ in levels:
+        sizes[xi], sizes[ui] = max(sizes.get(xi, 0), rows * s * n), max(sizes.get(ui, 0), u1_rows * w1)
     spare = spare or {}
     bufs = {i: spare.pop(size) for i, size in sizes.items() if size in spare}
     spare.clear()
     bufs.update((i, np.empty(size)) for i, size in sizes.items() if i not in bufs)
-    need = max((level[-1] for level in levels), default=0)
-    work = np.empty(need) if need else None
-    return [(bufs[xi][: rows * width].reshape(rows, width), bufs[ui][: u1_rows * w1].reshape(u1_rows, w1) if w1 else None,
-             work) for xi, (rows, width), ui, (u1_rows, w1), _ in levels]
+    work = np.empty(max((r * block.shape[1] for (*_, terms, _, _), (*_, term_rows) in zip(stages, levels)
+                         for r, (_, block, _) in zip(term_rows, terms)), default=0))
+    return [_plan_entry(stage, bufs[xi][: rows * s * n].reshape(rows, s * n),
+                        bufs[ui][: u1_rows * w1].reshape(u1_rows, w1) if w1 else None, term_rows, work)
+            for stage, (xi, (rows, s, n), ui, (u1_rows, w1), term_rows) in zip(stages, levels)]
+
+
+def _plan_entry(stage: tuple, out: np.ndarray, u1_out, rows: tuple, work: np.ndarray) -> tuple:
+    """Stage k's entry of a :func:`_walk` plan, from its maps (:func:`_stage_maps`), the C-contiguous
+    arrays x(k+1) (as (rows, s n)) and u1(k) go into, each term's value rows and a flat ``work`` array:
+    (k, the closed-loop map, out, out as the (rows s, n) level the next stage reads, L_k,u1,x', u1(k)'s
+    array, the terms, c_k's u1 key, whether x(k+1) is kept). A term is its key and block with the
+    product's array, a (rows, width) view of ``work``, the (rows, descendants, width) view of x(k+1) or
+    u1(k) it is added to, and the product as (rows, 1, width), which spreads it over the descendants."""
+    k, fold, u1_map, terms, c1, kept = stage
+    shaped = []
+    for r, (key, block, to_u1) in zip(rows, terms):
+        prod = work[: r * block.shape[1]].reshape(r, block.shape[1])
+        shaped.append((key, block, prod, (u1_out if to_u1 else out).reshape(r, -1, block.shape[1]), prod[:, None, :]))
+    return k, fold, out, out.reshape(-1, len(fold)), u1_map, u1_out, tuple(shaped), c1, kept
 
 
 def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tuple]:
-    """Each stage's maps, built once per loop for :func:`_folded_step`, which reads stage k's once per run:
-    (k, the closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, the atom stack Bw =
-    [(B + w_j Bbar)']_j, whether c_k is applied, L_k,u1,x' (None without u1 rows), the lags), with each
-    acting lag (:func:`pathspace._acting_lags`' order) as its key in the loop's values, ("x", k - j) or
-    ("u1", k - i), its block L_k,lag' Bw, plus s copies of A1' for x(k-d) or B1' for u1(k-tau), and its u1
-    block L_k,lag,u1'. The atom stacks and copies are :func:`pathspace.plant_maps`'. c_k is not applied
-    when it is one row of zeros (every stage of the origin's law), as adding 0.0 changes no value but the
-    sign of a zero; a per-node c_k always is.
+    """Each stage's maps, built once per loop for :func:`_walk`, which reads stage k's once per run: (k, the
+    closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, L_k,u1,x' (None without u1 rows), the
+    terms, ("c1", k) where c_k is applied to u1 rows, else None, whether x(k+1) is kept as a lag). A term
+    is a key in the loop's values, the block its value meets and whether the product goes to u1(k): first
+    ("c", k), c_k's u columns, with the atom stack Bw = [(B + w_j Bbar)']_j where c_k is applied, then
+    each acting lag (:func:`pathspace._acting_lags`' order), ("x", k - j) or ("u1", k - i), with L_k,lag'
+    Bw plus s copies of A1' for x(k-d) or B1' for u1(k-tau), and on u1 rows with L_k,lag,u1'. The atom
+    stacks and copies are :func:`pathspace.plant_maps`'. c_k is not applied when it is one row of zeros
+    (every stage of the origin's law), as adding 0.0 changes no value but the sign of a zero; a per-node c_k
+    always is. x(k+1) is kept where a later stage reads it as a lag (k + 1 <= N - d).
 
     The closed-loop maps are one stacked matmul for the stages whose L_k has the same width, so that each
     L_k,x' keeps the strides of its own L_k's rows: at n = 1 it is a vector, whose product is a
@@ -469,54 +486,55 @@ def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tupl
     stages = []
     for k, (Lk, ck) in enumerate(zip(law.L, law.c)):
         Lu, L1 = Lk[:m], Lk[m:]
+        offset = len(ck) > 1 or any(ck[0].tolist())  # a NaN counts as nonzero, as in ck.any()
+        terms = [(("c", k), Bw, False)] if offset else []
         xlags, ulags = _acting_lags(N, k, d, tau)
-        lags, col = [], n
+        col = n
         for key, width, direct in [(("x", k - j), n, A1w if j == d else None) for j in xlags] + [
                 (("u1", k - i), spec.B1.shape[1], B1w if i == tau else None) for i in ulags]:
             cols = slice(col, col + width)
             block = Lu[:, cols].T @ Bw
             if direct is not None:
                 block += direct
-            lags.append((key, block, L1[:, cols].T))
+            terms.append((key, block, False))
+            if len(L1):
+                terms.append((key, L1[:, cols].T, True))
             col = cols.stop
-        offset = len(ck) > 1 or any(ck[0].tolist())  # a NaN counts as nonzero, as in ck.any()
-        stages.append((k, folds[k], Bw, offset, L1[:, :n].T if len(L1) else None, tuple(lags)))
+        u1 = len(L1) > 0
+        stages.append((k, folds[k], L1[:, :n].T if u1 else None, tuple(terms), ("c1", k) if u1 and offset else None,
+                       0 < d <= N - k - 1))
     return stages
 
 
-def _folded_step(stage: tuple, vals: dict, out=None, u1_out=None, work=None):
-    """x(k+1) at depth k + 1, and u1(k) while it enters by stage N (else None), under the stage-k law.
+def _walk(plan: list, vals: dict, x: np.ndarray) -> np.ndarray:
+    """Run the stages of ``plan`` (:func:`_plan_entry`) from x, the first one's x(k), and return the last
+    one's x(k+1).
 
-    u(k) = r(k) L_k,u' + c_k,u folded into the plant step: x(k) times the
-    closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, then
-    c_k,u (B + w_j Bbar)' at c_k's depth and each acting lag times
-    L_k,lag' (B + w_j Bbar)', plus A1' for x(k-d) and B1' for u1(k-tau),
-    at the lag's own depth (:func:`pathspace._add_product`). u1(k) =
-    r(k) L_k,u1' + c_k,u1 reads the same lags. ``stage`` is stage k's entry
-    of :func:`_stage_maps`; a c_k it marks as one row of zeros is not
-    applied. ``vals`` holds x(k), the lags and c_k under their keys
-    (:func:`_start_values`), each at its depth, max(0, j) for stage j.
-    x(k+1), as (rows, s n), is written into ``out`` and u1(k) into
-    ``u1_out`` when given (C-contiguous, of those shapes), else allocated;
-    the offset and lag products go into ``work`` when given
-    (:func:`_add_product`). ``np.matmul`` into such an array is the same
-    call as ``@``, so the values do not depend on where they are written.
+    u(k) = r(k) L_k,u' + c_k,u folded into the plant step: x(k+1) is x(k) times the closed-loop map, one
+    matmul into ``out``; on u1 rows u1(k) = x(k) L_k,u1,x' is another. Then each term, c_k,u (B + w_j
+    Bbar)' at c_k's depth and each acting lag times L_k,lag' (B + w_j Bbar)', plus A1' for x(k-d) and B1'
+    for u1(k-tau), and on u1 rows times L_k,lag,u1', is formed at its value's own depth and added to every
+    descendant, so no node array is replicated; last, c_k,u1 is added to u1(k). ``vals`` holds the terms'
+    values under their keys (:func:`_start_values`), each at its depth, max(0, j) for stage j; u1(k) goes
+    into it, and x(k+1) where a later stage reads it as a lag. The next stage reads x(k+1) as ``view``, so
+    a stage with no offset, lag or u1 is its matmul alone. ``np.matmul`` into an array is the same call as
+    ``@``, so the values do not depend on where they are written, and each term is added as
+    ``pathspace._add_product`` adds it.
     """
-    k, fold, Bw, offset, u1_map, lags = stage
-    x = vals["x", k]
-    out = np.matmul(x, fold, out=out)
-    if offset:
-        c = vals["c", k]
-        _add_product(out, c[:, : len(Bw)], Bw, work)
-    u1 = None if u1_map is None else np.matmul(x, u1_map, out=u1_out)
-    for key, block, u1_block in lags:
-        lag = vals[key]
-        _add_product(out, lag, block, work)
-        if u1 is not None:
-            _add_product(u1, lag, u1_block, work)
-    if u1 is not None and offset:
-        u1 += c[:, len(Bw) :]
-    return out.reshape(-1, len(fold)), u1
+    for k, fold, out, view, u1_map, u1_out, terms, c1, kept in plan:
+        np.matmul(x, fold, out=out)
+        if u1_map is not None:
+            np.matmul(x, u1_map, out=u1_out)
+            vals["u1", k] = u1_out
+        for key, block, prod, into, spread in terms:
+            np.matmul(vals[key], block, out=prod)
+            into += spread
+        if c1 is not None:
+            u1_out += vals[c1]
+        if kept:
+            vals["x", k + 1] = view
+        x = view
+    return x
 
 
 def _law_inputs(spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict, out: np.ndarray, work=None):

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadUserM, RankDeficient, SchemaError, SingularPencil
-from .model import SystemSpec, ValidatedSystem, _integer, _singular_values, gramian_invertible, validate
+from .model import (RCOND_CUT, SystemSpec, ValidatedSystem, _integer, _singular_values, gramian_invertible,
+                    rcond_invertible, validate)
 
 USER_M_TOL = 1e-10
-PENCIL_RCOND = 1e-12
 
 
 def compute_M(bbar: np.ndarray, user_m: np.ndarray | None = None) -> np.ndarray:
@@ -114,25 +114,24 @@ class BsdeForm:
 def to_bsde(spec: SystemSpec, M: np.ndarray) -> BsdeForm:
     """Split B M = [L F], invert the drift pencil A - L Abar and assemble the backward form.
 
-    Raises :class:`SingularPencil` when the pencil's reciprocal condition
-    number falls below ``PENCIL_RCOND``.
+    Raises :class:`SingularPencil` when the pencil is singular by
+    :func:`model.rcond_invertible`, a pencil holding inf or NaN included.
     """
     BM = spec.B @ M
     L, F = BM[:, : spec.n], BM[:, spec.n :]
     S = spec.A - L @ spec.Abar
-    svals = np.linalg.svd(S, compute_uv=False)
-    rcond = svals[-1] / svals[0] if svals[0] > 0 else 0.0
-    if rcond <= PENCIL_RCOND:
-        raise SingularPencil(
-            f"A - L Abar has reciprocal condition number {rcond:.3e} (needs > {PENCIL_RCOND})"
-        )
+    ok, rcond = rcond_invertible(S)
+    if not ok:
+        raise SingularPencil(f"A - L Abar has reciprocal condition number {rcond:.3e} (needs > {RCOND_CUT})")
     C = np.linalg.inv(S)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite C1 makes a P-bracket singular (state_delay_P)
+        C1 = None if spec.A1 is None else -C @ spec.A1
     return BsdeForm(
         C=C,
         Cbar=-C @ L,
         D=-C @ F,
         D1=None if spec.B1 is None else -C @ spec.B1,
-        C1=None if spec.A1 is None else -C @ spec.A1,
+        C1=C1,
         tau=spec.tau,
         d=spec.d,
     )

@@ -23,7 +23,8 @@ law it wrote), and the bytes of that law, if one was written, or of the table ve
   the full route with an attainable path target;
 - last, instances whose one matrix to invert is singular, under analyze, synthesize and oracle-check
   at their own N (:func:`refused`): a user M and a reduced route's script-A block with sigma_min just
-  under the rank cut (exit 6 and 2), a singular pencil (exit 2) and a singular P-bracket (exit 2).
+  under the rank cut (exit 6 and 2), a singular pencil (exit 2), a singular P-bracket (exit 2) and
+  P-brackets holding inf and NaN, each singular by the one rcond rule (exit 2).
 """
 from __future__ import annotations
 
@@ -83,6 +84,18 @@ REFUSED = {
         "n": 2, "m": 3, "N": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
         "Abar": [[0.0, 0.0], [0.0, 0.0]], "Bbar": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "x0": [1.0, -1.0],
         "A1": [[-1.0, 0.0], [0.0, 0.5]], "d": 1,
+    }, 2),
+    # A = 0.5 I gives C = 2 I and C1 = -2 A1, so the bracket I - C P(N) C1 at stage N - 1 is I + 4 A1 = diag(inf, 5).
+    "inf-bracket": ({
+        "n": 2, "m": 3, "N": 2, "A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+        "Abar": [[0.0, 0.0], [0.0, 0.0]], "Bbar": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "x0": [1.0, -1.0],
+        "A1": [[5e307, 0.0], [0.0, 1.0]], "d": 1,
+    }, 2),
+    # As above with C1's first entry -2e308 = -inf, so C P(N) C1 holds 0 x -inf = NaN, and so does the bracket.
+    "nan-bracket": ({
+        "n": 2, "m": 3, "N": 2, "A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+        "Abar": [[0.0, 0.0], [0.0, 0.0]], "Bbar": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "x0": [1.0, -1.0],
+        "A1": [[1e308, 0.0], [0.0, 1.0]], "d": 1,
     }, 2),
 }
 

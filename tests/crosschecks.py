@@ -31,12 +31,13 @@ one matmul with L_k', stores every u(k), and steps through
 k before its matmuls. ``reference_offsets`` builds a target law's offsets per node from the gains
 before the predictor map, as the steering body first did, against which
 ``synthesis.target_offsets``' build from L and the target's solution is
-checked. ``breadth_first_folded_loop`` is the folded closed
-loop run level by level over the whole tree, against which
+checked. ``folded_step`` is one stage of ``synthesis._walk`` into fresh
+arrays, and ``breadth_first_folded_loop`` the folded closed loop run so
+level by level over the whole tree, against which
 ``synthesis.folded_loop``'s runs of leaves are checked; with
-``offset_folded_step``, the folded step as first written, it adds every
-c_k, a row of zeros included, against which the step's skip of a zero
-offset is checked. ``loop_levels``
+``offsets``, as the folded step was first written, it adds every c_k, a
+row of zeros included, against which the step's skip of a zero offset is
+checked. ``loop_levels``
 collects ``synthesis.feedback_loop``'s stages into every level of u, x and
 u1, as the tests read them; ``controller_levels`` does so for a
 controller's own law and start. ``einsum_children``,
@@ -69,8 +70,9 @@ from stochctrl import (
     forward_simulate,
     z_level,
 )
-from stochctrl.pathspace import P_RCOND, _acting_lags, _add_product, _state_delay_gains
-from stochctrl.synthesis import _folded_step, _stage_maps, _start_values
+from stochctrl.model import RCOND_CUT
+from stochctrl.pathspace import _acting_lags, _add_product, _state_delay_gains, plant_maps
+from stochctrl.synthesis import _plan_entry, _stage_maps, _start_values, _walk
 
 
 def reconstruct_u(ts: TransformedSystem, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -230,7 +232,7 @@ def dense_state_delay_gains(form, N: int):
                 bracket = bracket @ form.C @ P[j]
             bracket = np.eye(n) - bracket @ form.C1
             svals = np.linalg.svd(bracket, compute_uv=False)
-            if svals[0] == 0.0 or svals[-1] / svals[0] <= P_RCOND:
+            if svals[0] == 0.0 or svals[-1] / svals[0] <= RCOND_CUT:
                 raise SingularPBracket(k)
             P[k] = np.linalg.inv(bracket)
         PC = P[k] @ form.C
@@ -328,34 +330,30 @@ def controller_levels(ctrl):
     return loop_levels(ctrl.tree, ctrl.spec, ctrl.x0, ctrl.law)
 
 
-def breadth_first_folded_loop(tree: PathTree, spec: SystemSpec, x0, law, step=_folded_step) -> np.ndarray:
-    """x(N+1) of the folded closed loop, stage by stage over whole levels: ``step``
-    (``synthesis._folded_step`` unless given) run from x0 on every node of each level, every level kept."""
+def folded_step(stage: tuple, vals: dict):
+    """x(k+1), as (rows s, n), and u1(k) (None without u1 rows) of ``synthesis._walk`` run on one stage, its
+    entry of ``synthesis._stage_maps``, from ``vals`` into fresh arrays; u1(k), and x(k+1) where kept as a
+    lag, go into ``vals``."""
+    k, fold, u1_map, terms, _, _ = stage
+    x = vals["x", k]
+    rows = tuple(len(vals[key]) for key, _, _ in terms)
+    out = np.empty((len(x), fold.shape[1]))
+    u1_out = None if u1_map is None else np.empty((len(x), u1_map.shape[1]))
+    work = np.empty(max((r * block.shape[1] for r, (_, block, _) in zip(rows, terms)), default=0))
+    return _walk([_plan_entry(stage, out, u1_out, rows, work)], vals, x), u1_out
+
+
+def breadth_first_folded_loop(tree: PathTree, spec: SystemSpec, x0, law, offsets: bool = False) -> np.ndarray:
+    """x(N+1) of the folded closed loop, stage by stage over whole levels: :func:`folded_step` run from x0 on
+    every node of each level, every level kept. With ``offsets`` every stage adds c_k,u (B + w_j Bbar)' and
+    c_k,u1, a c_k of one row of zeros included, as the folded step was first written."""
+    Bw = plant_maps(tree, spec)[1]
     vals = _start_values(x0, law, spec.tau or 0)
-    for stage in _stage_maps(tree, spec, law):
-        k = stage[0]
-        vals["x", k + 1], u1k = step(stage, vals)
-        if u1k is not None:
-            vals["u1", k] = u1k
+    for k, fold, u1_map, terms, c1, kept in _stage_maps(tree, spec, law):
+        if offsets and c1 is None and (not terms or terms[0][0] != ("c", k)):
+            terms, c1 = ((("c", k), Bw, False), *terms), None if u1_map is None else ("c1", k)
+        vals["x", k + 1], _ = folded_step((k, fold, u1_map, terms, c1, kept), vals)
     return vals["x", len(law.L)]
-
-
-def offset_folded_step(stage: tuple, vals: dict):
-    """``synthesis._folded_step`` as first written: c_k,u (B + w_j Bbar)' and c_k,u1 added at every stage,
-    a c_k of one row of zeros included. ``stage`` is the stage's entry of ``synthesis._stage_maps``, its
-    maps read, its mark of a zero offset ignored."""
-    k, fold, Bw, _, u1_map, lags = stage
-    m, c = len(Bw), vals["c", k]
-    out = vals["x", k] @ fold
-    _add_product(out, c[:, :m], Bw)
-    u1 = None if u1_map is None else vals["x", k] @ u1_map
-    for key, block, u1_block in lags:
-        _add_product(out, vals[key], block)
-        if u1 is not None:
-            _add_product(u1, vals[key], u1_block)
-    if u1 is not None:
-        u1 += c[:, m:]
-    return out.reshape(-1, len(fold)), u1
 
 
 def einsum_stage_mean(tree: PathTree, form, x_next: np.ndarray) -> np.ndarray:

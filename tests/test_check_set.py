@@ -32,9 +32,10 @@ def test_a_path_target_read_whole_gives_the_records_of_the_split_read(tmp_path):
 
 
 def test_the_deep_records_run_the_loop_in_runs():
-    # Their synthesize and verify carry runs of leaves below the top level, with every lag the routes have.
+    # Their synthesize and verify carry runs of leaves below the top level, with every lag the routes have;
+    # the deep instances' systems have n = 2.
     for route, law, _ in DEEP:
-        cut = RunCut(PathTree(LAWS[law], DEEP_N[law]), max(ROUTES[route].values(), default=0))
+        cut = RunCut(PathTree(LAWS[law], DEEP_N[law]), 2, max(ROUTES[route].values(), default=0))
         assert cut.top < DEEP_N[law] + 1 and len(cut.firsts) > 1, (route, law)
 
 
@@ -44,7 +45,9 @@ def test_the_refused_records_reach_each_singular_matrix(tmp_path):
     named = {"singular-user-M": "error: M is numerically singular\n",
              "singular-block": "inapplicable: script-A block matrix has min singular value 1.776e-15; not invertible\n",
              "singular-pencil": "inapplicable: A - L Abar has reciprocal condition number ",
-             "singular-bracket": "inapplicable: delay compensator bracket singular at stage 1\n"}
+             "singular-bracket": "inapplicable: delay compensator bracket singular at stage 1\n",
+             "inf-bracket": "inapplicable: delay compensator bracket singular at stage 1\n",
+             "nan-bracket": "inapplicable: delay compensator bracket singular at stage 1\n"}
     got = list(refused(tmp_path))
     assert len(got) == 3 * len(REFUSED)
     for name, code, out, err, law in got:

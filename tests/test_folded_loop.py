@@ -13,13 +13,18 @@ they are ``crosschecks.breadth_first_folded_loop``'s level bit for bit, on
 the same routes, laws and targets, also with ``pathspace.BLOCK_ENTRIES``
 cut small so that runs start below the lags they read; every run is
 written into the same array, allocated once per loop, so a run is copied
-before the next is requested. A null law's
+before the next is requested. ``pathspace.RunCut`` counts the n entries
+a node holds, and at the real ``BLOCK_ENTRIES`` its runs are the
+breadth-first level bit for bit where the cut in rows made none or fewer
+(n = 3 at N = 14, three-point n = 2 at N = 9), at n = 1 and on a d = 2
+route. A null law's
 zero offsets make no product: its leaves equal (==) those of the loop
-that adds them (``crosschecks.offset_folded_step``), as adding 0.0 can
+that adds them (``crosschecks.breadth_first_folded_loop`` with
+``offsets``), as adding 0.0 can
 change only the sign of a zero, while zeroing a constant or path
 target's offsets changes its leaves. ``tracemalloc``
 bounds its peak at N = 17 and 19 by the top level and one run, whatever
-N: 3 MB on the full route, and on a delay route the lags and u1 pipeline
+N: 1 MB on the full route, and on a delay route the lags and u1 pipeline
 each keeps; synthesize and verify of a law at the 2^20-leaf cap stay
 under a bound the breadth-first loop alone exceeds; and they never run
 the plant-step loop.
@@ -43,8 +48,8 @@ from stochctrl import (
 )
 from stochctrl.pathspace import _acting_lags, plant_maps, plant_step
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
-from stochctrl.synthesis import _folded_step, _law_inputs, _stage_maps, _start_values
-from crosschecks import breadth_first_folded_loop, controller_levels, lift, offset_folded_step
+from stochctrl.synthesis import _law_inputs, _stage_maps, _start_values
+from crosschecks import breadth_first_folded_loop, controller_levels, folded_step, lift
 from test_delay_law import draw, report, run, write_instance
 
 EPS = np.finfo(float).eps
@@ -95,7 +100,7 @@ def test_folded_step_matches_the_plant_step_of_the_laws_inputs(law, route, lag, 
         for k, Lk in enumerate(ctrl.law.L):
             v = _law_inputs(spec, ctrl.law, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
             want = plant_step(tree, spec, plant_maps(tree, spec), xs, k, v[:, :m], u1s[k - tau] if tau else None)
-            got, u1k = _folded_step(stages[k], vals)
+            got, u1k = folded_step(stages[k], dict(vals))  # a copy: the step writes u1(k) and kept lags into it
             bound, u1_bound = fold_bound(tree, spec, ctrl.law, k, xs, u1s)
             assert got.shape == want.shape and got.flags.c_contiguous
             assert np.all(np.abs(got - want) <= C_BOUND * EPS * bound), (N, k)
@@ -110,11 +115,11 @@ def test_folded_step_matches_the_plant_step_of_the_laws_inputs(law, route, lag, 
 @pytest.mark.parametrize("target", [None, "constant", "path"], ids=["null", "constant", "path"])
 @pytest.mark.parametrize("block", [2, 3, None], ids=["s^2", "s^3", "default"])
 def test_folded_loop_runs_are_the_breadth_first_loop_bit_for_bit(monkeypatch, law, route, lag, target, block):
-    # With BLOCK_ENTRIES = s^2 or s^3 the top level sits two or three stages above the leaves, and each run
-    # spans s^(lag+1) of its rows, so a run reads x(k-j) and u1(k-i) as a slice of a level it cuts.
+    # With BLOCK_ENTRIES = n s^2 or n s^3 the top level sits two or three stages above the leaves, and each
+    # run spans s^(lag+1) of its rows, so a run reads x(k-j) and u1(k-i) as a slice of a level it cuts.
     noise = LAWS[law]
     if block is not None:
-        monkeypatch.setattr(pathspace, "BLOCK_ENTRIES", len(noise.support) ** block)
+        monkeypatch.setattr(pathspace, "BLOCK_ENTRIES", 2 * len(noise.support) ** block)  # n = 2
     rng = np.random.default_rng([lag, len(law), len(route), 0 if target is None else len(target), 3])
     for N in range(8 if law == "two-point" else 6):
         ts, tree, x0, _, ctrl = draw(rng, noise, route, lag, 2, N, target)
@@ -130,13 +135,36 @@ def test_folded_loop_runs_are_the_breadth_first_loop_bit_for_bit(monkeypatch, la
             assert len(runs) == tree.s ** (N - block - lag), N
 
 
+@pytest.mark.parametrize(
+    "law,n,N,lag,target,runs",
+    [("two-point", 3, 14, {}, "path", 4), ("three-point", 2, 9, {}, "path", 9), ("two-point", 1, 15, {}, None, 2),
+     ("two-point", 2, 15, {"d": 2}, None, 4)],
+    ids=["n3-N14", "three-point-n2-N9", "n1-N15", "d2-n2-N15"],
+)
+def test_the_cut_in_entries_gives_the_breadth_first_loop_bit_for_bit(law, n, N, lag, target, runs):
+    # At the real BLOCK_ENTRIES: n = 3 at N = 14 had one run when the cut counted rows and now has 4;
+    # three-point n = 2 at N = 9 had 3 and now has 9; n = 1 cuts as rows did.
+    rng = np.random.default_rng([n, N, 9])
+    noise = LAWS[law]
+    ts = random_controllable(rng, n, n + 1, N, noise=noise, **lag)
+    tree = PathTree(noise, N)
+    x0 = random_x0(rng, n)
+    goal = None if target is None else random_attainable_terminal(rng, tree, ts.form)
+    law_ = steer_to_target(ts, tree, x0, goal).law
+    assert len(pathspace.RunCut(tree, n, max(lag.values(), default=0)).firsts) == runs
+    got = [(first, x.copy()) for first, x in folded_loop(tree, ts.spec, x0, law_)]
+    assert [first for first, _ in got] == [i * tree.n_nodes(N + 1) // runs for i in range(runs)]
+    want = breadth_first_folded_loop(tree, ts.spec, x0, law_)
+    assert np.concatenate([x for _, x in got]).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("target", [None, "path"], ids=["null", "path"])
 @pytest.mark.parametrize("lag", [{}, {"d": 2}, {"tau": 2}], ids=["full", "d2", "tau2"])
 def test_successive_runs_are_written_into_one_array(monkeypatch, lag, target):
     # Every run is held, so runs allocated afresh could not share an address; the bit-for-bit test above
     # checks each run's values as it comes.
-    monkeypatch.setattr(pathspace, "BLOCK_ENTRIES", 2**4)
     n, m, N = 2, 3, 8
+    monkeypatch.setattr(pathspace, "BLOCK_ENTRIES", n * 2**4)
     rng = np.random.default_rng(8)
     ts = random_controllable(rng, n, m, N, **lag)
     tree = PathTree(NoiseModel.rademacher(), N)
@@ -159,7 +187,7 @@ def test_a_null_laws_leaves_are_those_of_the_loop_that_adds_its_zero_offsets(law
     for N in range(8 if law == "two-point" else 6):
         ts, tree, x0, _, ctrl = draw(rng, LAWS[law], route, lag, 2, N, None)
         assert all(len(ck) == 1 and not ck.any() for ck in ctrl.law.c)
-        want = breadth_first_folded_loop(tree, ts.spec, x0, ctrl.law, step=offset_folded_step)
+        want = breadth_first_folded_loop(tree, ts.spec, x0, ctrl.law, offsets=True)
         assert np.array_equal(leaves(tree, ts.spec, x0, ctrl.law), want), N
 
 
@@ -180,23 +208,19 @@ def test_zeroing_a_target_laws_offsets_changes_its_leaves(law, route, lag, targe
 @pytest.mark.parametrize("route,lag", ROUTES)
 @pytest.mark.parametrize("target", [None, "constant", "path"], ids=["null", "constant", "path"])
 def test_only_a_nonzero_offset_makes_an_offset_product(monkeypatch, route, lag, target):
-    # BLOCK_ENTRIES = s^2 cuts the top level into runs, so the count covers both phases of the loop.
-    monkeypatch.setattr(pathspace, "BLOCK_ENTRIES", 4)
+    # BLOCK_ENTRIES = n s^2 cuts the top level into runs, so the count covers both phases of the loop.
+    monkeypatch.setattr(pathspace, "BLOCK_ENTRIES", 2 * 4)  # n = 2
     rng = np.random.default_rng([lag, len(route), 0 if target is None else len(target), 7])
     ts, tree, x0, _, ctrl = draw(rng, LAWS["two-point"], route, lag, 2, 6, target)
-    add, step = synthesis._add_product, synthesis._folded_step
-    offsets, steps = [], []
-
-    def counting_add(out, values, coef, work=None):
-        if any(np.shares_memory(values, ck) for ck in ctrl.law.c):
-            offsets.append(len(values))
-        return add(out, values, coef, work)
-
-    monkeypatch.setattr(synthesis, "_add_product", counting_add)
-    monkeypatch.setattr(synthesis, "_folded_step", lambda *args: steps.append(args[0][0]) or step(*args))
+    # The walk forms one product per term of each stage it walks, so the walked terms are its products.
+    walk, steps = synthesis._walk, []
+    monkeypatch.setattr(synthesis, "_walk", lambda plan, *args: steps.extend(plan) or walk(plan, *args))
     runs = list(folded_loop(tree, ts.spec, x0, ctrl.law))
     assert len(runs) > 1 and len(steps) > len(ctrl.law.L)
-    assert len(offsets) == (0 if target is None else len(steps))
+    offsets = [key for k, *_, terms, _, _ in steps for key, *_ in terms if key[0] == "c"]
+    assert offsets == ([] if target is None else [("c", k) for k, *_ in steps])
+    # c_k's u1 columns are added exactly on a target law's stages with u1 rows
+    assert all((c1 is not None) == (target is not None and u1_map is not None) for _, _, _, _, u1_map, _, _, c1, _ in steps)
 
 
 @pytest.mark.parametrize("N", [17, 19])
@@ -204,8 +228,9 @@ def test_only_a_nonzero_offset_makes_an_offset_product(monkeypatch, route, lag, 
     "lag,target", [({}, None), ({}, "path"), ({"d": 2}, None), ({"tau": 2}, None)], ids=["full", "full-path", "d2", "tau2"]
 )
 def test_folded_loop_keeps_only_the_levels_it_reads(lag, target, N):
-    # The top level has at most BLOCK_ENTRIES rows, as has each run's x(N+1), so the bound holds at any N;
-    # a path target's per-node offset meets its map one run at a time. On the full route the
+    # The top level holds at most BLOCK_ENTRIES entries, as does each run's x(N+1), so the bound holds at
+    # any N; a path target's per-node offset meets its map one run at a time. Measured: 0.51 MB on the full
+    # route, 0.71 with the path target, 0.86 at d = 2 and 0.91 at tau = 2, at N = 17 and 19 alike. On the full route the
     # breadth-first loop peaks at 9.5 and 37.8 MB (N = 17, 19), with the path target at 15.7 and 62.9 MB.
     n, m = 3, 4
     rng = np.random.default_rng(1)
@@ -229,11 +254,12 @@ def test_folded_loop_keeps_only_the_levels_it_reads(lag, target, N):
     B, d, tau = pathspace.BLOCK_ENTRIES, lag.get("d", 0), lag.get("tau", 0)
     m1 = 0 if ts.spec.B1 is None else ts.spec.B1.shape[1]
     if not lag:
-        assert peak <= 3e6, peak
+        assert peak <= 1e6, peak
         return
-    top = ((d + 1) * n + tau * m1) * B * 8  # x(top-d..top) and u1(top-tau..top-1), at most B rows each
-    one_run = ((d + 2) * n + tau * m1) * B * 8  # x(N-d..N+1) and the u1 pipeline, at most B rows each
-    product = B * n * 8  # a lag times its block, s n wide, at depth <= N - 1
+    nodes = B // n  # of a level of at most B entries, n a node
+    top = ((d + 1) * n + tau * m1) * nodes * 8  # x(top-d..top) and u1(top-tau..top-1), at most B / n nodes each
+    one_run = ((d + 2) * n + tau * m1) * nodes * 8  # x(N-d..N+1) and the u1 pipeline, at most B / n nodes each
+    product = B * 8  # a lag times its block, s n wide, at depth <= N - 1: at most B entries
     assert peak <= top + one_run + product + 0.5e6, (peak, top, one_run, product)
 
 
@@ -278,19 +304,20 @@ def test_synthesize_and_verify_of_a_law_never_run_the_plant_step_loop(capsys, tm
 
 
 def test_folded_loop_builds_each_stage_map_once(monkeypatch):
-    # Full route, N = 19: 2^20 leaves in 32 runs, so 175 stage steps. The atom stacks and each
-    # stage's closed-loop map are built once per loop, not once per run.
+    # Full route, N = 19, n = 3: 2^20 leaves in 128 runs of 2^13 below a top level at depth 13, so
+    # 13 + 128 x 7 = 909 stage steps. The atom stacks and each stage's closed-loop map are built once
+    # per loop, not once per run.
     N, n, m = 19, 3, 4
     rng = np.random.default_rng(1)
     ts = random_controllable(rng, n, m, N)
     tree = PathTree(NoiseModel.rademacher(), N)
     x0 = random_x0(rng, n)
     law = steer_to_target(ts, tree, x0, None).law
-    stage_maps, step = synthesis._stage_maps, synthesis._folded_step
+    stage_maps, walk = synthesis._stage_maps, synthesis._walk
     built, read = [], []
     monkeypatch.setattr(synthesis, "_stage_maps", lambda *args: built.append(stage_maps(*args)) or built[-1])
-    monkeypatch.setattr(synthesis, "_folded_step", lambda *args: read.append(args[0]) or step(*args))
+    monkeypatch.setattr(synthesis, "_walk", lambda plan, *args: read.extend(plan) or walk(plan, *args))
     runs = [first for first, _ in folded_loop(tree, ts.spec, x0, law)]
-    assert len(runs) == 32 and len(read) == 175
+    assert len(runs) == 128 and len(read) == 909
     assert len(built) == 1 and len(built[0]) == N + 1
-    assert all(stage is built[0][stage[0]] for stage in read)
+    assert all(fold is built[0][k][1] for k, fold, *_ in read)

@@ -797,3 +797,15 @@ def test_a_failed_parse_leaves_no_open_map(bench_full, tmp_path, monkeypatch):
         path.write_text(text)
         assert parse_instance_file(path).target.tolist() == np.arange(16.0).reshape(8, 2).tolist()
     assert len(opened) == 6 and all(mapping.closed for mapping in opened)
+
+
+def test_one_rcond_rule_calls_a_non_finite_matrix_singular():
+    # The drift pencil and every state-delay P-bracket go through this rule. An inf entry makes the SVD's
+    # values NaN and a NaN entry stops it converging; both read as rcond 0.0, singular, as an exactly
+    # singular matrix does, while a finite matrix passes exactly when its rcond exceeds the cut.
+    assert model.rcond_invertible(np.diag([2.0, 1.0])) == (True, 0.5)
+    for a in (np.diag([np.inf, 5.0]), np.array([[np.nan, 0.0], [0.0, 5.0]]), np.diag([1.0, 0.0])):
+        assert model.rcond_invertible(a) == (False, 0.0)
+    cut = model.RCOND_CUT
+    assert not model.rcond_invertible(np.diag([1.0, cut]))[0]
+    assert model.rcond_invertible(np.diag([1.0, 2 * cut]))[0]
