@@ -27,6 +27,7 @@ import json
 import math
 import mmap
 import operator
+import os
 from dataclasses import dataclass
 from itertools import chain
 
@@ -49,6 +50,7 @@ MAX_SUPPORT = 10  # path labels use one decimal digit per stage
 # is never cached, since at the 2^20 leaf cap it holds about 1M strings.
 LABEL_TABLE_MAX = 4096
 _JSON_NUMBERS = {int, float}
+_EPS = float(np.finfo(float).eps)
 
 
 def _level_text(s: int, depth: int) -> str:
@@ -160,10 +162,41 @@ def _float_array(name: str, value) -> np.ndarray:
 
 
 def _as_float_matrix(name: str, value, rows: int, cols: int) -> np.ndarray:
-    arr = _float_array(name, value)
+    return _shaped(name, _float_array(name, value), rows, cols)
+
+
+def _shaped(name: str, arr: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """``arr`` if its shape is (rows, cols), else :class:`DimensionMismatch` naming ``name``."""
     if arr.shape != (rows, cols):
         raise DimensionMismatch(f"{name}: expected shape ({rows}, {cols}), got {arr.shape}")
     return arr
+
+
+def _list_matrices(values: list) -> list[np.ndarray] | None:
+    """``np.array(value, dtype=float)`` of each value, read-only, when each is a list of lists of JSON numbers
+    (ints and floats) that are finite as floats; else None, for :func:`_float_array` to convert each value,
+    or name its fault, one at a time.
+
+    One type check and one finiteness check serve every entry of every value, where the conversion one
+    value at a time makes one finiteness check per value.
+    """
+    if set(map(type, values)) != {list}:
+        return None
+    rows = list(chain.from_iterable(values))
+    if set(map(type, rows)) != {list}:
+        return None
+    entries = list(chain.from_iterable(rows))
+    if not set(map(type, entries)) <= _JSON_NUMBERS:
+        return None
+    try:
+        arrays = [np.array(value, dtype=float) for value in values]
+    except (ValueError, OverflowError):  # rows of unequal length, an int beyond the float range
+        return None
+    if not all(map(math.isfinite, entries)):  # exact once every int has converted
+        return None
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def _integer(name: str, value, minimum: int) -> int:
@@ -175,7 +208,7 @@ def _integer(name: str, value, minimum: int) -> int:
 
 def _rank_rtol(a: np.ndarray) -> float:
     """The factor :func:`_rank_cut` multiplies sigma_max by: max(shape) * eps of ``a``'s matrices."""
-    return max(a.shape[-2:]) * np.finfo(float).eps
+    return max(a.shape[-2:]) * _EPS
 
 
 def _rank_cut(a: np.ndarray, svals: np.ndarray) -> float | np.ndarray:
@@ -210,16 +243,17 @@ def rcond_invertible(a: np.ndarray) -> tuple[bool, float]:
     rcond 0.0, read off the same SVD: an inf gives NaN singular values, and a NaN does not converge.
     """
     try:
-        svals = np.linalg.svd(a, compute_uv=False)
+        svals = np.linalg.svd(a, compute_uv=False).tolist()
     except np.linalg.LinAlgError:  # "SVD did not converge": a NaN entry
         return False, 0.0
-    rcond = float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0  # a NaN sigma_max is not > 0
+    rcond = svals[-1] / svals[0] if svals[0] > 0 else 0.0  # a NaN sigma_max is not > 0
     return rcond > RCOND_CUT, rcond
 
 
-def _numerical_rank(a: np.ndarray) -> int:
+def _numerical_rank(a: np.ndarray) -> tuple[int, float]:
+    """``a``'s numerical rank and the :func:`_rank_cut` it counts singular values above, from one SVD."""
     svals, cut = _singular_values(a)
-    return int(np.count_nonzero(svals > cut))
+    return int(np.count_nonzero(svals > cut)), cut
 
 
 def _range_basis(a: np.ndarray) -> np.ndarray:
@@ -262,7 +296,7 @@ class NoiseModel:
             )
         if len(set(support)) != len(support):
             raise NoiseMomentViolation("support points must be distinct")
-        if any(p < 0 for p in probs):
+        if min(probs) < 0:
             raise NoiseMomentViolation("probabilities must be nonnegative")
         mass = sum(probs)
         mean = sum(p * s for p, s in zip(probs, support))
@@ -309,29 +343,38 @@ class SystemSpec:
     d: int | None = None
 
     def __post_init__(self):
-        A = _float_array("A", self.A)
+        # Matrices all given as nested lists (an instance file's) are converted with one check of their
+        # entries; any other value, or a fault, takes the conversion one matrix at a time, which names it.
+        given = {key: value for key in _MATRIX_KEYS if (value := getattr(self, key)) is not None}
+        converted = _list_matrices(list(given.values()))
+        arrays = dict(zip(given, converted)) if converted is not None else {}
+
+        def array(key: str) -> np.ndarray:
+            return arrays[key] if key in arrays else _float_array(key, getattr(self, key))
+
+        A = array("A")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
-        B = _float_array("B", self.B)
+        B = array("B")
         if B.ndim != 2 or B.shape[0] != n:
             raise DimensionMismatch(f"B must have {n} rows, got shape {B.shape}")
         m = B.shape[1]
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "Abar", _as_float_matrix("Abar", self.Abar, n, n))
-        object.__setattr__(self, "Bbar", _as_float_matrix("Bbar", self.Bbar, n, m))
+        object.__setattr__(self, "Abar", _shaped("Abar", array("Abar"), n, n))
+        object.__setattr__(self, "Bbar", _shaped("Bbar", array("Bbar"), n, m))
         if self.M is not None:
-            object.__setattr__(self, "M", _as_float_matrix("M", self.M, m, m))
+            object.__setattr__(self, "M", _shaped("M", array("M"), m, m))
         if self.H is not None:
-            H = _float_array("H", self.H)
+            H = array("H")
             if H.ndim != 2 or H.shape[1] != n or not 1 <= H.shape[0] <= n:
                 raise DimensionMismatch(f"H must be l x {n} with 1 <= l <= {n}, got {H.shape}")
             object.__setattr__(self, "H", H)
         if (self.B1 is None) != (self.tau is None):
             raise SchemaError("B1 and tau must be given together")
         if self.B1 is not None:
-            B1 = _float_array("B1", self.B1)
+            B1 = array("B1")
             if B1.ndim != 2 or B1.shape[0] != n or B1.shape[1] < 1:
                 raise DimensionMismatch(f"B1 must have {n} rows and at least one column, got {B1.shape}")
             object.__setattr__(self, "B1", B1)
@@ -339,7 +382,7 @@ class SystemSpec:
         if (self.A1 is None) != (self.d is None):
             raise SchemaError("A1 and d must be given together")
         if self.A1 is not None:
-            object.__setattr__(self, "A1", _as_float_matrix("A1", self.A1, n, n))
+            object.__setattr__(self, "A1", _shaped("A1", array("A1"), n, n))
             _integer("d", self.d, 1)
 
     @property
@@ -362,11 +405,13 @@ class ValidatedSystem:
 
     A full-rank ``Bbar`` selects the standard input-transform route;
     otherwise ``rank_Bbar`` is the block size r of the supported
-    rank-deficient form.
+    rank-deficient form. ``cut_Bbar`` is the :func:`_rank_cut` that
+    rank was counted above, which ``transform.compute_M`` pivots by.
     """
 
     spec: SystemSpec
     rank_Bbar: int
+    cut_Bbar: float
 
     @property
     def full_rank(self) -> bool:
@@ -376,11 +421,12 @@ class ValidatedSystem:
 def validate(spec: SystemSpec) -> ValidatedSystem:
     """Check rank structure and feature compatibility of a system.
 
-    Returns the spec annotated with the numerical rank of ``Bbar``. Systems
-    with rank(Bbar) = n take the standard transform route. Rank-deficient
-    ``Bbar`` is accepted only in the block form
-    ``[[I_r, 0], [0, 0]]`` with n = 2r, ``Abar[r:, :r] = I`` and
-    ``Abar[r:, r:] = 0``; anything else raises
+    Returns the spec annotated with the numerical rank of ``Bbar`` and the
+    cut it was counted above, from one SVD. Systems with rank(Bbar) = n
+    take the standard transform route. Rank-deficient ``Bbar`` is accepted
+    only in the block form ``[[I_r, 0], [0, 0]]`` with n = 2r,
+    ``Abar[r:, :r] = I`` and ``Abar[r:, r:] = 0``, every entry within
+    ``STRUCTURE_TOL`` of its pattern absolutely; anything else raises
     :class:`UnsupportedReducedStructure`.
     """
     n, m = spec.n, spec.m
@@ -388,15 +434,15 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
         raise StructureUnsupported("simultaneous input and state delays are not supported")
     if spec.H is not None and (spec.B1 is not None or spec.A1 is not None):
         raise StructureUnsupported("partial controllability with delays is not supported")
-    if spec.H is not None and _numerical_rank(spec.H) < spec.H.shape[0]:
+    if spec.H is not None and _numerical_rank(spec.H)[0] < spec.H.shape[0]:
         raise RankDeficient(f"H must have full row rank {spec.H.shape[0]}")
-    r = _numerical_rank(spec.Bbar)
+    r, cut = _numerical_rank(spec.Bbar)
     if r == n:
-        return ValidatedSystem(spec, r)
+        return ValidatedSystem(spec, r, cut)
 
-    pattern = np.zeros((n, m))
-    pattern[:r, :r] = np.eye(r)
-    if not np.allclose(spec.Bbar, pattern, atol=STRUCTURE_TOL):
+    pattern = np.eye(n, m)
+    pattern[r:, r:] = 0.0
+    if not _within(spec.Bbar, pattern):
         raise UnsupportedReducedStructure(
             f"rank(Bbar) = {r} < n = {n} and Bbar is not [[I_r, 0], [0, 0]]"
         )
@@ -404,13 +450,18 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
         raise UnsupportedReducedStructure(
             f"reduced form needs n = 2r, got n = {n} with rank r = {r}"
         )
-    if not np.allclose(spec.Abar[r:, :r], np.eye(n - r), atol=STRUCTURE_TOL):
+    if not _within(spec.Abar[r:, :r], pattern[:r, :r]):
         raise UnsupportedReducedStructure("reduced form needs Abar[r:, :r] = I")
-    if not np.allclose(spec.Abar[r:, r:], np.zeros((n - r, n - r)), atol=STRUCTURE_TOL):
+    if not _within(spec.Abar[r:, r:], 0.0):
         raise UnsupportedReducedStructure("reduced form needs Abar[r:, r:] = 0")
     if spec.H is not None or spec.B1 is not None or spec.A1 is not None or spec.M is not None:
         raise StructureUnsupported("reduced-rank route supports none of M, H, delays")
-    return ValidatedSystem(spec, r)
+    return ValidatedSystem(spec, r, cut)
+
+
+def _within(a: np.ndarray, pattern) -> bool:
+    """Whether every entry of ``a`` is within ``STRUCTURE_TOL`` of ``pattern``'s, absolutely."""
+    return float(np.abs(a - pattern).max()) <= STRUCTURE_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,6 +557,7 @@ _OPTIONAL_KEYS = ("M", "H", "B1", "tau", "A1", "d", "noise", "x0", "target")
 _NOISE_KEYS = ("support", "probs")
 _MATRIX_KEYS = ("A", "B", "Abar", "Bbar", "M", "H", "B1", "A1")
 _SPEC_KEYS = ("A", "B", "Abar", "Bbar", "M", "H", "B1", "tau", "A1", "d")  # SystemSpec's fields, in file order
+_REQUIRED, _KNOWN = frozenset(_REQUIRED_KEYS), frozenset(_REQUIRED_KEYS + _OPTIONAL_KEYS)
 
 
 def _json_numbers(rows) -> bool:
@@ -554,23 +606,39 @@ def parse_instance(text: str) -> ProblemInstance:
 def parse_instance_file(path) -> ProblemInstance:
     """Parse the JSON instance document in the UTF-8 file at ``path``, as :func:`parse_instance` does.
 
-    The file is mapped read-only, and a document in :func:`serialize_instance`'s layout is read in two
-    parts: json reads the head, and the hex decodes in one call from the mapping, so the file's text is
-    never held as a string. Any other document, or a fault in either part, is decoded whole as UTF-8
-    text with universal newlines, as a text-mode read gives it, and read by ``json.loads``. A file that
-    cannot be mapped (an empty file, a FIFO) is read into bytes and parsed the same way.
+    A file within one page (``mmap.PAGESIZE`` bytes) is read into bytes by one ``os.read``; a larger
+    one is mapped read-only, and one that cannot be mapped (a FIFO) is read into bytes. A document in
+    :func:`serialize_instance`'s layout is read in two parts: json reads the head, and the hex decodes in
+    one call from the bytes or the mapping, so a large file's text is never held as a string. Any other
+    document, or a fault in either part, is decoded whole as UTF-8 text with universal newlines, as a
+    text-mode read gives it, and read by ``json.loads``. :class:`SystemSpec` then converts the matrices
+    with one type check and one finiteness check of all their entries.
     """
-    with open(path, "rb") as fh, _mapped(fh) as data:
-        doc = _split_document(data) or _whole_document(data)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with _contents(fd, path) as data:
+            doc = _split_document(data) or _whole_document(data)
+    finally:
+        os.close(fd)
     return _instance(doc)
 
 
-def _mapped(fh):
-    """A read-only mapping of the open file ``fh``, or, where it cannot be mapped, a context holding its bytes."""
+def _contents(fd: int, path):
+    """A context holding the bytes of the file ``path``, open at ``fd``: those of one read where the file
+    is within one page, else a read-only mapping of it, or, where it cannot be mapped (a FIFO), every byte
+    read from it."""
     try:
-        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    except (ValueError, OSError):  # an empty file, a FIFO
-        return contextlib.nullcontext(fh.read())
+        head = os.read(fd, mmap.PAGESIZE + 1)
+    except IsADirectoryError as exc:  # named as open() names it, which refuses a directory before a read
+        exc.filename = os.fspath(path)
+        raise
+    if len(head) > mmap.PAGESIZE:
+        with contextlib.suppress(ValueError, OSError):  # a FIFO
+            return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    chunks = [head]
+    while chunk := os.read(fd, mmap.PAGESIZE + 1):  # at a file's end, none; from a FIFO, the rest
+        chunks.append(chunk)
+    return contextlib.nullcontext(b"".join(chunks))
 
 
 # How serialize_instance ends a document with a target; leaf rows are a string there, which _split_document reads.
@@ -632,16 +700,17 @@ def _document(text: str) -> dict:
 
 def _instance(doc: dict) -> ProblemInstance:
     """The :class:`ProblemInstance` an instance document's JSON object describes (:func:`parse_instance`)."""
-    unknown = sorted(set(doc) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS))
+    unknown = doc.keys() - _KNOWN
     if unknown:
-        raise SchemaError(f"unknown keys: {', '.join(unknown)}")
-    missing = sorted(set(_REQUIRED_KEYS) - set(doc))
+        raise SchemaError(f"unknown keys: {', '.join(sorted(unknown))}")
+    missing = _REQUIRED - doc.keys()
     if missing:
-        raise SchemaError(f"missing required keys: {', '.join(missing)}")
+        raise SchemaError(f"missing required keys: {', '.join(sorted(missing))}")
 
-    for key in _MATRIX_KEYS:
-        if key in doc and not _json_numbers(doc[key]):
-            raise SchemaError(f"{key} must be a list of rows of JSON numbers")
+    matrices = [key for key in _MATRIX_KEYS if key in doc]
+    if not _json_numbers(chain.from_iterable(doc[key] for key in matrices)):  # every matrix's rows at once
+        bad = next(key for key in matrices if not _json_numbers(doc[key]))
+        raise SchemaError(f"{bad} must be a list of rows of JSON numbers")
     kwargs = {key: doc[key] for key in _SPEC_KEYS if key in doc}
     if "noise" in doc:
         noise_doc = doc["noise"]

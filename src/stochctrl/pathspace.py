@@ -331,9 +331,22 @@ def state_delay_P(form: BsdeForm, N: int) -> tuple[np.ndarray, ...]:
     horizon as its tail. The system is singular exactly when a bracket is,
     by :func:`model.rcond_invertible`, a bracket holding inf or NaN
     included: :class:`SingularPBracket` (k) is raised.
+
+    The sequence is built once per form and horizon and kept on the form,
+    its matrices read-only, so the Gramians and the path products or the
+    law that pivot by it read one build (a form's arrays do not change
+    after it is made).
     """
     if form.C1 is None:
         raise DimensionMismatch("form has no delayed state channel C1")
+    built = vars(form).setdefault("_pivots", {})  # as functools.cached_property keeps a value on a frozen instance
+    if N not in built:
+        built[N] = _pivot_loop(form, N)
+    return built[N]
+
+
+def _pivot_loop(form: BsdeForm, N: int) -> tuple[np.ndarray, ...]:
+    """:func:`state_delay_P`'s pivots, built."""
     n, d = form.n, form.d
     P = [np.eye(n)] * (N + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # a bracket that overflows is singular, not a warning
@@ -345,6 +358,8 @@ def state_delay_P(form: BsdeForm, N: int) -> tuple[np.ndarray, ...]:
             if not rcond_invertible(bracket)[0]:
                 raise SingularPBracket(k)
             P[k] = np.linalg.inv(bracket)
+    for pivot in P:
+        pivot.setflags(write=False)
     return tuple(P)
 
 

@@ -53,8 +53,12 @@ def compute_M(bbar: np.ndarray, user_m: np.ndarray | None = None) -> np.ndarray:
         if gap > USER_M_TOL:
             raise BadUserM(f"Bbar M differs from [I 0] by {gap:.3e} (tolerance {USER_M_TOL})")
         return user_m.copy()
+    return _constructed_M(bbar, _singular_values(bbar)[1])
 
-    pivot_tol = _singular_values(bbar)[1]  # Bbar's numerical-rank cut
+
+def _constructed_M(bbar: np.ndarray, pivot_tol: float) -> np.ndarray:
+    """:func:`compute_M`'s elimination, given Bbar's numerical-rank cut ``pivot_tol`` (``model._rank_cut``)."""
+    n, m = bbar.shape
     # Columns as lists of Python floats: the same IEEE operations in the same order as whole-column
     # numpy updates, without a numpy call per column. max keeps the first largest, as np.argmax does.
     T, M = bbar.T.tolist(), np.eye(m).tolist()
@@ -124,13 +128,14 @@ def to_bsde(spec: SystemSpec, M: np.ndarray) -> BsdeForm:
     if not ok:
         raise SingularPencil(f"A - L Abar has reciprocal condition number {rcond:.3e} (needs > {RCOND_CUT})")
     C = np.linalg.inv(S)
+    negC = -C
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite C1 makes a P-bracket singular (state_delay_P)
-        C1 = None if spec.A1 is None else -C @ spec.A1
+        C1 = None if spec.A1 is None else negC @ spec.A1
     return BsdeForm(
         C=C,
-        Cbar=-C @ L,
-        D=-C @ F,
-        D1=None if spec.B1 is None else -C @ spec.B1,
+        Cbar=negC @ L,
+        D=negC @ F,
+        D1=None if spec.B1 is None else negC @ spec.B1,
         C1=C1,
         tau=spec.tau,
         d=spec.d,
@@ -162,7 +167,8 @@ class TransformedSystem:
                 "standard transform requires rank(Bbar) = n; use the reduced-rank route"
             )
         spec = system.spec
-        M = compute_M(spec.Bbar, spec.M)
+        # The pivot cut is validate's, from the one SVD of Bbar a command makes.
+        M = compute_M(spec.Bbar, spec.M) if spec.M is not None else _constructed_M(spec.Bbar, system.cut_Bbar)
         return cls(system, M, "user" if spec.M is not None else "constructed", to_bsde(spec, M))
 
     @property

@@ -24,7 +24,8 @@ law it wrote), and the bytes of that law, if one was written, or of the table ve
 - last, instances whose one matrix to invert is singular, under analyze, synthesize and oracle-check
   at their own N (:func:`refused`): a user M and a reduced route's script-A block with sigma_min just
   under the rank cut (exit 6 and 2), a singular pencil (exit 2), a singular P-bracket (exit 2) and
-  P-brackets holding inf and NaN, each singular by the one rcond rule (exit 2).
+  P-brackets holding inf and NaN, each singular by the one rcond rule (exit 2); then reduced instances
+  whose Bbar or Abar has a unit entry of the block pattern 5e-6 off (exit 2).
 """
 from __future__ import annotations
 
@@ -96,6 +97,15 @@ REFUSED = {
         "n": 2, "m": 3, "N": 2, "A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
         "Abar": [[0.0, 0.0], [0.0, 0.0]], "Bbar": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "x0": [1.0, -1.0],
         "A1": [[1e308, 0.0], [0.0, 1.0]], "d": 1,
+    }, 2),
+    # instances/reduced_2x3.json with one unit entry of its block pattern 5e-6 off, beyond the absolute 1e-12.
+    "reduced-Bbar-off": ({
+        "n": 2, "m": 3, "N": 2, "A": [[1.1, 0.21], [0.3, 0.7]], "B": [[0.3, 0.6, 0.1], [0.2, 0.9, 0.4]],
+        "Abar": [[0.4, 0.7], [1, 0]], "Bbar": [[1 + 5e-6, 0, 0], [0, 0, 0]], "x0": [1.0, -1.0],
+    }, 2),
+    "reduced-Abar-off": ({
+        "n": 2, "m": 3, "N": 2, "A": [[1.1, 0.21], [0.3, 0.7]], "B": [[0.3, 0.6, 0.1], [0.2, 0.9, 0.4]],
+        "Abar": [[0.4, 0.7], [1 + 5e-6, 0]], "Bbar": [[1, 0, 0], [0, 0, 0]], "x0": [1.0, -1.0],
     }, 2),
 }
 

@@ -40,14 +40,16 @@ def test_the_deep_records_run_the_loop_in_runs():
 
 
 def test_the_refused_records_reach_each_singular_matrix(tmp_path):
-    # analyze and oracle-check refuse each instance at the matrix it names, and so does synthesize on the
-    # routes that synthesize; none writes a law.
+    # analyze and oracle-check refuse each instance at the matrix it names, singular or, on the reduced
+    # route, off its block pattern, and so does synthesize on the routes that synthesize; none writes a law.
     named = {"singular-user-M": "error: M is numerically singular\n",
              "singular-block": "inapplicable: script-A block matrix has min singular value 1.776e-15; not invertible\n",
              "singular-pencil": "inapplicable: A - L Abar has reciprocal condition number ",
              "singular-bracket": "inapplicable: delay compensator bracket singular at stage 1\n",
              "inf-bracket": "inapplicable: delay compensator bracket singular at stage 1\n",
-             "nan-bracket": "inapplicable: delay compensator bracket singular at stage 1\n"}
+             "nan-bracket": "inapplicable: delay compensator bracket singular at stage 1\n",
+             "reduced-Bbar-off": "inapplicable: rank(Bbar) = 1 < n = 2 and Bbar is not [[I_r, 0], [0, 0]]\n",
+             "reduced-Abar-off": "inapplicable: reduced form needs Abar[r:, :r] = I\n"}
     got = list(refused(tmp_path))
     assert len(got) == 3 * len(REFUSED)
     for name, code, out, err, law in got:

@@ -1061,3 +1061,28 @@ def test_target_deviation_matches_abs_max_of_the_gap_on_random_leaves():
         with np.errstate(invalid="ignore"):  # inf - inf
             want = np.abs(final - target).max()
             assert _bits(_deviation(runs_of(final, cuts), target)) == _bits(want)
+
+
+@pytest.mark.parametrize("drop_M", [False, True], ids=["user-M", "constructed-M"])
+def test_a_command_makes_one_svd_of_bbar(monkeypatch, tmp_path, capsys, drop_M):
+    # validate's SVD of Bbar gives the rank and the cut the constructed M pivots by, so analyze and
+    # oracle-check each decompose Bbar once, with the instance's M or without it.
+    doc = json.loads(pathlib.Path(FULL).read_text())
+    if drop_M:
+        del doc["M"]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    bbar = np.array(doc["Bbar"], dtype=float)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a) == bbar.shape and np.array_equal(a, bbar))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for command in ("analyze", "oracle-check"):
+        calls.clear()
+        assert main([command, "--instance", str(path)]) == 0, command
+        assert sum(calls) == 1 and len(calls) > 1, command
+    capsys.readouterr()

@@ -121,6 +121,32 @@ def test_state_delay_P_benchmark(bench_state_delay):
     np.testing.assert_allclose(pseq[0], expected["P0"], atol=1e-9)
 
 
+def test_an_oracle_check_builds_the_pivots_once(monkeypatch, tmp_path, capsys):
+    # The path products and the closed-form Gramian read one pivot build, kept on the form; each gives the
+    # bits it gives from a form of its own, whose pivots are built afresh.
+    from stochctrl import pathspace
+
+    builds = []
+    build = pathspace._pivot_loop
+    monkeypatch.setattr(pathspace, "_pivot_loop", lambda form, N: builds.append(N) or build(form, N))
+    rng = np.random.default_rng(7)
+    spec = random_controllable(rng, 2, 3, 4, noise=NoiseModel.symmetric_three_point(), d=2).spec
+    path = tmp_path / "instance.json"
+    path.write_text(serialize_instance(ProblemInstance(spec, 4)))
+    assert main(["oracle-check", "--instance", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert builds == [4]
+    shared = TransformedSystem.build(spec).form
+    oracle = state_delay_gramian_oracle(shared, 4, spec.noise)
+    closed = gramian(shared, 4)
+    assert oracle.tobytes() == state_delay_gramian_oracle(TransformedSystem.build(spec).form, 4, spec.noise).tobytes()
+    assert closed.tobytes() == gramian(TransformedSystem.build(spec).form, 4).tobytes()
+    assert builds == [4, 4, 4, 4]  # one per form
+    report = dict(line.split(": ") for line in out.splitlines())
+    assert [float(report[f"gramian_{i}_{j}"]) for i in range(2) for j in range(2)] == closed.ravel().tolist()
+    assert all(not pivot.flags.writeable for pivot in state_delay_P(shared, 4))
+
+
 def test_state_delay_benchmark_gramian(bench_state_delay):
     spec, expected = bench_state_delay
     ts = TransformedSystem.build(spec)

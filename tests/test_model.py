@@ -28,7 +28,7 @@ from stochctrl import (
 from stochctrl import model
 from stochctrl.cli import main
 from stochctrl.model import check_level, path_labels
-from conftest import uniform_noise
+from conftest import INSTANCE_DIR, uniform_noise
 from crosschecks import reference_serialize_instance
 
 
@@ -70,7 +70,7 @@ def test_validate_full_and_reduced_rank(bench_full):
     spec, _ = bench_full
     vs = validate(spec)
     assert vs.full_rank and vs.rank_Bbar == 2
-    assert [f.name for f in dataclasses.fields(vs)] == ["spec", "rank_Bbar"]
+    assert [f.name for f in dataclasses.fields(vs)] == ["spec", "rank_Bbar", "cut_Bbar"]
 
 
 def test_reduced_structure_accepted():
@@ -95,6 +95,106 @@ def test_reduced_structure_wrong_abar_rejected():
     )
     with pytest.raises(UnsupportedReducedStructure):
         validate(spec)
+
+
+@pytest.mark.parametrize("where, message", [
+    ((0, 0), "Bbar is not [[I_r, 0], [0, 0]]"),  # Bbar's unit entry
+    ((1, 0), "reduced form needs Abar[r:, :r] = I"),  # Abar[r][0]'s unit entry
+])
+def test_a_reduced_unit_entry_is_held_to_the_structure_tolerance_absolutely(where, message):
+    # Each entry of the block pattern must lie within STRUCTURE_TOL = 1e-12 of it: 5e-13 off passes, and
+    # 2e-12 or 5e-6 off is refused, which a tolerance relative to the unit entry let through up to 1e-5.
+    from stochctrl import UnsupportedReducedStructure
+
+    for off, accepted in ((5e-13, True), (2e-12, False), (5e-6, False)):
+        Abar, Bbar = np.array([[0.5, 0.25], [1.0, 0.0]]), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        (Bbar if where == (0, 0) else Abar)[where] = 1.0 + off
+        spec = SystemSpec(A=np.eye(2), B=np.array([[0.1, 0.2, 0.3], [0.0, 0.1, -0.2]]), Abar=Abar, Bbar=Bbar)
+        if accepted:
+            assert validate(spec).rank_Bbar == 1, off
+        else:
+            with pytest.raises(UnsupportedReducedStructure, match=re.escape(message)):
+                validate(spec)
+
+
+def test_a_reduced_instance_off_its_pattern_is_inapplicable(tmp_path, capsys):
+    # reduced_2x3.json with Bbar[0][0] = 1 + 5e-6 analyzed as leading-block controllable (exit 0); it
+    # and the same instance with Abar[1][0] = 1 + 5e-6 are now refused as inapplicable (exit 2).
+    doc = json.loads((INSTANCE_DIR / "reduced_2x3.json").read_text())
+    assert main(["analyze", "--instance", str(INSTANCE_DIR / "reduced_2x3.json")]) == 0
+    for key, row in (("Bbar", 0), ("Abar", 1)):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({**doc, key: [[1 + 5e-6, *doc[key][row][1:]] if i == row else r
+                                                 for i, r in enumerate(doc[key])]}))
+        capsys.readouterr()
+        for command in ("analyze", "oracle-check"):
+            assert main([command, "--instance", str(path)]) == 2, (key, command)
+            assert capsys.readouterr().err.startswith("inapplicable: "), (key, command)
+
+
+def test_list_matrices_convert_as_arrays_do(bench_full):
+    # A spec given nested lists (an instance file's) holds the bits, shapes and read-only arrays of one given
+    # arrays, each converted on its own; one non-finite, bool or out-of-range entry takes the conversion one
+    # matrix at a time, which names the first faulty matrix.
+    spec, _ = bench_full
+    keys = ("A", "B", "Abar", "Bbar", "M")
+    listed = SystemSpec(**{key: getattr(spec, key).tolist() for key in keys})
+    for key in keys:
+        got, want = getattr(listed, key), getattr(spec, key)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), key
+        assert not got.flags.writeable and got.base is None, key
+    for bad, error in ((float("nan"), "Abar: entries must be finite"), (10**400, "Abar: not a numeric matrix"),
+                       (True, None), ("1", None)):
+        rows = spec.Abar.tolist()
+        rows[1][0] = bad
+        kwargs = {key: getattr(spec, key).tolist() for key in keys} | {"Abar": rows}
+        if error is None:  # converted as np.array converts it, one matrix at a time
+            assert SystemSpec(**kwargs).Abar[1, 0] == float(bad)
+        else:
+            with pytest.raises(DimensionMismatch, match=re.escape(error)):
+                SystemSpec(**kwargs)
+
+
+def test_a_file_within_one_page_is_read_and_a_larger_one_mapped(bench_full, tmp_path, monkeypatch):
+    # The parse of either gives the instance parse_instance gives the file's text: a page of bytes at most
+    # is one read, a byte more is mapped, and so is a hex-target document larger than a page.
+    spec, _ = bench_full
+    opened = []
+    real = mmap.mmap
+
+    def recording(*args, **kwargs):
+        opened.append(real(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(mmap, "mmap", recording)
+    small = serialize_instance(ProblemInstance(spec, 2, x0=[1.0, -2.0]))
+    leaves = np.arange(1024.0).reshape(512, 2) / 7
+    texts = {
+        "one page": (" " * (mmap.PAGESIZE - len(small)) + small, 0),
+        "one page and a byte": (" " * (mmap.PAGESIZE + 1 - len(small)) + small, 1),
+        "hex target": (serialize_instance(ProblemInstance(spec, 8, x0=[1.0, -2.0], target=leaves)), 1),
+    }
+    path = tmp_path / "instance.json"
+    for case, (text, maps) in texts.items():
+        path.write_text(text)
+        opened.clear()
+        got, want = parse_instance_file(path), parse_instance(text)
+        assert len(opened) == maps and all(mapping.closed for mapping in opened), case
+        assert serialize_instance(got) == serialize_instance(want), case
+        assert got.target is None or got.target.tobytes() == want.target.tobytes(), case
+    assert len(texts["one page"][0].encode()) == mmap.PAGESIZE and len(texts["hex target"][0]) > mmap.PAGESIZE
+
+
+def test_a_path_that_is_no_file_fails_as_open_fails(tmp_path, capsys):
+    # A missing file and a directory raise what open() raises, each naming the path, and exit 6.
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(OSError) as opened:
+            open(path, "rb")
+        with pytest.raises(type(opened.value)) as parsed:
+            parse_instance_file(path)
+        assert str(parsed.value) == str(opened.value)
+        assert main(["analyze", "--instance", str(path)]) == 6
+        assert capsys.readouterr().err == f"error: {opened.value}\n"
 
 
 def test_both_delays_rejected(bench_full):
@@ -777,7 +877,8 @@ def test_an_empty_file_and_a_fifo_are_read_as_before(bench_full, tmp_path):
 
 def test_a_failed_parse_leaves_no_open_map(bench_full, tmp_path, monkeypatch):
     """A parse that raises, in the split read or the whole one, closes its mapping, which it could not do
-    while a view of it was exported; the file is then rewritten and parsed again."""
+    while a view of it was exported; the file is then rewritten and parsed again. The target's 512 rows
+    make every file larger than a page, so each is mapped."""
     spec, _ = bench_full
     opened = []
     real = mmap.mmap
@@ -788,14 +889,16 @@ def test_a_failed_parse_leaves_no_open_map(bench_full, tmp_path, monkeypatch):
 
     monkeypatch.setattr(mmap, "mmap", recording)
     path = tmp_path / "instance.json"
-    text = serialize_instance(ProblemInstance(spec, 2, target=np.arange(16.0).reshape(8, 2)))
-    hex_digits = np.arange(16.0).tobytes().hex()
-    for bad in (text.replace(hex_digits, hex_digits[:-1]), text.replace('"N": 2', '"N": -1'), text[:-3]):
+    leaves = np.arange(1024.0).reshape(512, 2)
+    text = serialize_instance(ProblemInstance(spec, 8, target=leaves))
+    hex_digits = leaves.tobytes().hex()
+    for bad in (text.replace(hex_digits, hex_digits[:-1]), text.replace('"N": 8', '"N": -1'), text[:-3]):
+        assert len(bad) > mmap.PAGESIZE
         path.write_text(bad)
         with pytest.raises(SchemaError):
             parse_instance_file(path)
         path.write_text(text)
-        assert parse_instance_file(path).target.tolist() == np.arange(16.0).reshape(8, 2).tolist()
+        assert parse_instance_file(path).target.tolist() == leaves.tolist()
     assert len(opened) == 6 and all(mapping.closed for mapping in opened)
 
 
