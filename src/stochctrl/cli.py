@@ -370,9 +370,51 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process; each ``parse_args`` returns a fresh namespace."""
-    return _build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The one parser of this process, whose ``parse_args`` returns a fresh namespace each time, and each
+    command's one-value flags by option string, as its subparser holds them, for :func:`_plain_args`."""
+    parser = _build_parser()
+    subparsers = next(action for action in parser._actions if action.dest == "command")
+    commands = {
+        name: {flag: action for flag, action in sub._option_string_actions.items() if action.nargs is None}
+        for name, sub in subparsers.choices.items()
+    }
+    return parser, commands
+
+
+def _plain_args(argv) -> argparse.Namespace | None:
+    """The namespace ``parse_args`` gives ``argv`` when it is a command followed by distinct pairs of one of
+    that command's flags, spelled in full, and a value that does not start with "-"; else None, and
+    ``parse_args`` reads ``argv`` (naming any fault, or printing help).
+
+    Each value goes through its flag's own type and choices and each flag not given takes its default; a
+    value either refuses, or a required flag not given, returns None. ``parse_args`` costs about 0.1 ms
+    cold, a sixth of a small analyze; this read costs about a tenth of that.
+    """
+    if len(argv) % 2 == 0 or set(map(type, argv)) != {str}:
+        return None
+    _, commands = _parser()
+    flags, given = commands.get(argv[0]), dict(zip(argv[1::2], argv[2::2]))
+    if flags is None or len(given) < len(argv) // 2 or not given.keys() <= flags.keys():
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for flag, action in flags.items():
+        if flag not in given:
+            if action.required:
+                return None
+            setattr(args, action.dest, action.default)
+            continue
+        text = given[flag]
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        setattr(args, action.dest, value)
+    return args
 
 
 _HANDLERS = {
@@ -398,7 +440,10 @@ _OUTCOMES = (
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv)
+    if args is None:
+        args = _parser()[0].parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (StochctrlError, OSError) as exc:

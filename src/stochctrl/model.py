@@ -251,9 +251,11 @@ def rcond_invertible(a: np.ndarray) -> tuple[bool, float]:
 
 
 def _numerical_rank(a: np.ndarray) -> tuple[int, float]:
-    """``a``'s numerical rank and the :func:`_rank_cut` it counts singular values above, from one SVD."""
-    svals, cut = _singular_values(a)
-    return int(np.count_nonzero(svals > cut)), cut
+    """``a``'s numerical rank and the :func:`_rank_cut` it counts singular values above, from one SVD of
+    the matrix ``a``, whose values the cut and the count read as Python floats."""
+    svals = np.linalg.svd(a, compute_uv=False).tolist()
+    cut = _rank_rtol(a) * max(svals, default=0.0)
+    return sum(v > cut for v in svals), cut
 
 
 def _range_basis(a: np.ndarray) -> np.ndarray:

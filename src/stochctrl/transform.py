@@ -61,7 +61,7 @@ def _constructed_M(bbar: np.ndarray, pivot_tol: float) -> np.ndarray:
     n, m = bbar.shape
     # Columns as lists of Python floats: the same IEEE operations in the same order as whole-column
     # numpy updates, without a numpy call per column. max keeps the first largest, as np.argmax does.
-    T, M = bbar.T.tolist(), np.eye(m).tolist()
+    T, M = bbar.T.tolist(), [[float(i == j) for j in range(m)] for i in range(m)]
     for i in range(n):
         j = max(range(i, m), key=lambda c: abs(T[c][i]))
         if abs(T[j][i]) <= pivot_tol:
@@ -75,7 +75,7 @@ def _constructed_M(bbar: np.ndarray, pivot_tol: float) -> np.ndarray:
                 f = T[c][i]
                 T[c] = [t - f * ti for t, ti in zip(T[c], T[i])]
                 M[c] = [t - f * ti for t, ti in zip(M[c], M[i])]
-    return np.array(M).T.copy()
+    return np.array(list(zip(*M)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +129,10 @@ def to_bsde(spec: SystemSpec, M: np.ndarray) -> BsdeForm:
         raise SingularPencil(f"A - L Abar has reciprocal condition number {rcond:.3e} (needs > {RCOND_CUT})")
     C = np.linalg.inv(S)
     negC = -C
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite C1 makes a P-bracket singular (state_delay_P)
-        C1 = None if spec.A1 is None else negC @ spec.A1
+    C1 = None
+    if spec.A1 is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite C1 makes a P-bracket singular (state_delay_P)
+            C1 = negC @ spec.A1
     return BsdeForm(
         C=C,
         Cbar=negC @ L,

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochctrl import (
     NoiseModel,
@@ -932,6 +934,49 @@ def test_parser_is_built_once_and_keeps_no_parsed_state(capsys, monkeypatch):
     assert first[0] == second[0] == 0
     assert "N_max,5\n" in first[1]
     assert as_dict(second[1])["N_max"] == "2"  # the instance's N, in the default text format
+
+
+COMMAND_WORDS = ["analyze", "synthesize", "verify", "oracle-check", "analyse", "-h"]
+FLAG_WORDS = ["--instance", "--N", "--tol", "--format", "--cap", "--out", "--controller", "--inst", "--N=3", "-h", "--"]
+VALUE_WORDS = ["x.json", "3", "0", "-1", "1_0", " 5", "1e-3", "inf", "nan", "abc", "csv", "text", "xml", "", "--N"]
+WORDS = COMMAND_WORDS + FLAG_WORDS + VALUE_WORDS
+FLAG_VALUES = [("--N", "3"), ("--N", " 5"), ("--N", "1_0"), ("--tol", "1e-3"), ("--cap", "64"), ("--format", "csv"),
+               ("--out", "report.txt")]
+
+
+@st.composite
+def flag_lists(draw):
+    """A command, its required flags (mostly), and flag-value pairs (mostly well formed), in any order."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    pairs = [("--instance", "x.json")] + ([("--controller", "law.json")] if command == "verify" else [])
+    pairs = draw(st.sampled_from([pairs, pairs, pairs[1:]]))
+    pairs += draw(st.lists(st.sampled_from(FLAG_VALUES) | st.tuples(st.sampled_from(FLAG_WORDS), st.sampled_from(VALUE_WORDS)),
+                           max_size=3))
+    return [command, *(word for pair in draw(st.permutations(pairs)) for word in pair)]
+
+
+@settings(deadline=None, max_examples=500)
+@given(flag_lists() | st.lists(st.sampled_from(WORDS), max_size=9))
+def test_plain_args_are_parse_args_where_they_read_the_arguments(argv):
+    # The quick read of "command --flag value ..." gives parse_args's namespace or leaves the list to it.
+    import stochctrl.cli as cli
+
+    args = cli._plain_args(argv)
+    if args is not None:
+        assert args == cli._parser()[0].parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--instance", "x.json"],
+    ["oracle-check", "--instance", "x.json", "--N", "4", "--tol", "1e-6", "--cap", "64", "--format", "csv"],
+    ["synthesize", "--out", "law.json", "--instance", "x.json", "--N", "3"],
+    ["verify", "--instance", "x.json", "--controller", "law.json", "--out", "report.txt"],
+])
+def test_plain_args_read_the_commands_as_written(argv):
+    import stochctrl.cli as cli
+
+    assert cli._plain_args(argv) == cli._parser()[0].parse_args(argv)
+    assert cli._plain_args(argv) is not cli._plain_args(argv)  # a fresh namespace each time
 
 
 def test_help_exits_0(capsys):

@@ -73,6 +73,16 @@ def test_validate_full_and_reduced_rank(bench_full):
     assert [f.name for f in dataclasses.fields(vs)] == ["spec", "rank_Bbar", "cut_Bbar"]
 
 
+def test_numerical_rank_counts_and_cuts_as_the_rank_rule_does(rng):
+    # validate's rank and cut, read off the SVD as Python floats, are the bits of the numpy rule's.
+    for shape, rank in (((3, 4), 3), ((3, 4), 2), ((2, 5), 1), ((4, 4), 0), ((1, 1), 1)):
+        a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1])) * 10.0 ** rng.integers(-9, 9)
+        svals, cut = model._singular_values(a)
+        got = model._numerical_rank(a)
+        assert got == (int(np.count_nonzero(svals > cut)), cut) and got[0] == rank, shape
+        assert np.float64(got[1]).tobytes() == np.float64(cut).tobytes(), shape
+
+
 def test_reduced_structure_accepted():
     spec = SystemSpec(
         A=np.eye(2),
