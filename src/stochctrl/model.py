@@ -138,7 +138,7 @@ def level_values(mapping: dict, s: int, depth: int, n: int, what: str) -> np.nda
 
 def _finite_floats(name: str, entries: list) -> np.ndarray:
     """A flat list of finite JSON numbers as a float array, else :class:`SchemaError`."""
-    if not set(map(type, entries)) <= _JSON_NUMBERS:
+    if not _json_numbers([entries]):
         raise SchemaError(f"{name} entries must be JSON numbers")
     try:
         arr = np.array(entries, dtype=float)
@@ -170,33 +170,6 @@ def _shaped(name: str, arr: np.ndarray, rows: int, cols: int) -> np.ndarray:
     if arr.shape != (rows, cols):
         raise DimensionMismatch(f"{name}: expected shape ({rows}, {cols}), got {arr.shape}")
     return arr
-
-
-def _list_matrices(values: list) -> list[np.ndarray] | None:
-    """``np.array(value, dtype=float)`` of each value, read-only, when each is a list of lists of JSON numbers
-    (ints and floats) that are finite as floats; else None, for :func:`_float_array` to convert each value,
-    or name its fault, one at a time.
-
-    One type check and one finiteness check serve every entry of every value, where the conversion one
-    value at a time makes one finiteness check per value.
-    """
-    if set(map(type, values)) != {list}:
-        return None
-    rows = list(chain.from_iterable(values))
-    if set(map(type, rows)) != {list}:
-        return None
-    entries = list(chain.from_iterable(rows))
-    if not set(map(type, entries)) <= _JSON_NUMBERS:
-        return None
-    try:
-        arrays = [np.array(value, dtype=float) for value in values]
-    except (ValueError, OverflowError):  # rows of unequal length, an int beyond the float range
-        return None
-    if not all(map(math.isfinite, entries)):  # exact once every int has converted
-        return None
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
 
 
 def _integer(name: str, value, minimum: int) -> int:
@@ -248,14 +221,6 @@ def rcond_invertible(a: np.ndarray) -> tuple[bool, float]:
         return False, 0.0
     rcond = svals[-1] / svals[0] if svals[0] > 0 else 0.0  # a NaN sigma_max is not > 0
     return rcond > RCOND_CUT, rcond
-
-
-def _numerical_rank(a: np.ndarray) -> tuple[int, float]:
-    """``a``'s numerical rank and the :func:`_rank_cut` it counts singular values above, from one SVD of
-    the matrix ``a``, whose values the cut and the count read as Python floats."""
-    svals = np.linalg.svd(a, compute_uv=False).tolist()
-    cut = _rank_rtol(a) * max(svals, default=0.0)
-    return sum(v > cut for v in svals), cut
 
 
 def _range_basis(a: np.ndarray) -> np.ndarray:
@@ -345,38 +310,31 @@ class SystemSpec:
     d: int | None = None
 
     def __post_init__(self):
-        # Matrices all given as nested lists (an instance file's) are converted with one check of their
-        # entries; any other value, or a fault, takes the conversion one matrix at a time, which names it.
-        given = {key: value for key in _MATRIX_KEYS if (value := getattr(self, key)) is not None}
-        converted = _list_matrices(list(given.values()))
-        arrays = dict(zip(given, converted)) if converted is not None else {}
-
-        def array(key: str) -> np.ndarray:
-            return arrays[key] if key in arrays else _float_array(key, getattr(self, key))
-
-        A = array("A")
+        # Each matrix, an instance file's nested lists or a library caller's value alike, takes one
+        # conversion and one finiteness check here; the JSON-number types are the file reader's check.
+        A = _float_array("A", self.A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
-        B = array("B")
+        B = _float_array("B", self.B)
         if B.ndim != 2 or B.shape[0] != n:
             raise DimensionMismatch(f"B must have {n} rows, got shape {B.shape}")
         m = B.shape[1]
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "Abar", _shaped("Abar", array("Abar"), n, n))
-        object.__setattr__(self, "Bbar", _shaped("Bbar", array("Bbar"), n, m))
+        object.__setattr__(self, "Abar", _as_float_matrix("Abar", self.Abar, n, n))
+        object.__setattr__(self, "Bbar", _as_float_matrix("Bbar", self.Bbar, n, m))
         if self.M is not None:
-            object.__setattr__(self, "M", _shaped("M", array("M"), m, m))
+            object.__setattr__(self, "M", _as_float_matrix("M", self.M, m, m))
         if self.H is not None:
-            H = array("H")
+            H = _float_array("H", self.H)
             if H.ndim != 2 or H.shape[1] != n or not 1 <= H.shape[0] <= n:
                 raise DimensionMismatch(f"H must be l x {n} with 1 <= l <= {n}, got {H.shape}")
             object.__setattr__(self, "H", H)
         if (self.B1 is None) != (self.tau is None):
             raise SchemaError("B1 and tau must be given together")
         if self.B1 is not None:
-            B1 = array("B1")
+            B1 = _float_array("B1", self.B1)
             if B1.ndim != 2 or B1.shape[0] != n or B1.shape[1] < 1:
                 raise DimensionMismatch(f"B1 must have {n} rows and at least one column, got {B1.shape}")
             object.__setattr__(self, "B1", B1)
@@ -384,7 +342,7 @@ class SystemSpec:
         if (self.A1 is None) != (self.d is None):
             raise SchemaError("A1 and d must be given together")
         if self.A1 is not None:
-            object.__setattr__(self, "A1", _shaped("A1", array("A1"), n, n))
+            object.__setattr__(self, "A1", _as_float_matrix("A1", self.A1, n, n))
             _integer("d", self.d, 1)
 
     @property
@@ -436,9 +394,12 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
         raise StructureUnsupported("simultaneous input and state delays are not supported")
     if spec.H is not None and (spec.B1 is not None or spec.A1 is not None):
         raise StructureUnsupported("partial controllability with delays is not supported")
-    if spec.H is not None and _numerical_rank(spec.H)[0] < spec.H.shape[0]:
-        raise RankDeficient(f"H must have full row rank {spec.H.shape[0]}")
-    r, cut = _numerical_rank(spec.Bbar)
+    if spec.H is not None:
+        svals, cut = _singular_values(spec.H)
+        if np.count_nonzero(svals > cut) < spec.H.shape[0]:
+            raise RankDeficient(f"H must have full row rank {spec.H.shape[0]}")
+    svals, cut = _singular_values(spec.Bbar)
+    r = int(np.count_nonzero(svals > cut))
     if r == n:
         return ValidatedSystem(spec, r, cut)
 
@@ -575,9 +536,11 @@ def parse_instance(text: str) -> ProblemInstance:
 
     Required keys: n, m, N, A, B, Abar, Bbar. Optional: M, H, B1, tau,
     A1, d, noise {support, probs}, x0, target. Any other key raises
-    :class:`SchemaError`. This layer checks the keys, that every number is
-    a JSON number, and the declared n and m; shapes, pairings, integer
-    ranges and finiteness are checked by :class:`SystemSpec`,
+    :class:`SchemaError`. This layer checks what only JSON needs: the
+    keys, that every number is a JSON number (one type check per entry,
+    naming the faulty key), and the declared n and m. Conversion, shapes,
+    pairings, integer ranges and finiteness are the constructors' checks,
+    for files and library callers alike: :class:`SystemSpec`,
     :class:`ProblemInstance` and :class:`NoiseModel`, whose shape, pairing
     and range errors are raised here as :class:`SchemaError`.
 
@@ -585,8 +548,9 @@ def parse_instance(text: str) -> ProblemInstance:
     or s^(N+1) n numbers, one row of n per leaf, row-major in node order
     (:func:`path_labels` order). Either count is written as a flat list
     of JSON numbers, read by one type check, one float array and one
-    finiteness check, or as one JSON string: the hex (two of 0-9 a-f A-F
-    per byte, no whitespace) of the numbers as little-endian float64,
+    finiteness check, which :class:`ProblemInstance` then copies and
+    checks again, or as one JSON string: the hex (two of 0-9 a-f A-F per
+    byte, no whitespace) of the numbers as little-endian float64,
     decoded by ``binascii`` into read-only ``bytes`` and checked for
     finiteness by :class:`ProblemInstance`, which keeps that array
     without a copy. A path target's law holds the SHA-256 digest of those
@@ -613,8 +577,8 @@ def parse_instance_file(path) -> ProblemInstance:
     :func:`serialize_instance`'s layout is read in two parts: json reads the head, and the hex decodes in
     one call from the bytes or the mapping, so a large file's text is never held as a string. Any other
     document, or a fault in either part, is decoded whole as UTF-8 text with universal newlines, as a
-    text-mode read gives it, and read by ``json.loads``. :class:`SystemSpec` then converts the matrices
-    with one type check and one finiteness check of all their entries.
+    text-mode read gives it, and read by ``json.loads``. Each matrix entry then gets one type check in the
+    reader and one conversion and one finiteness check in :class:`SystemSpec`.
     """
     fd = os.open(path, os.O_RDONLY)
     try:

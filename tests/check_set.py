@@ -25,7 +25,13 @@ law it wrote), and the bytes of that law, if one was written, or of the table ve
   at their own N (:func:`refused`): a user M and a reduced route's script-A block with sigma_min just
   under the rank cut (exit 6 and 2), a singular pencil (exit 2), a singular P-bracket (exit 2) and
   P-brackets holding inf and NaN, each singular by the one rcond rule (exit 2); then reduced instances
-  whose Bbar or Abar has a unit entry of the block pattern 5e-6 off (exit 2).
+  whose Bbar or Abar has a unit entry of the block pattern 5e-6 off (exit 2);
+- last, malformed instance documents under analyze (exit 6, :func:`prologue`): one well-formed document
+  with one fault in each matrix key, in x0, in ``noise.support`` and in the target list (an entry that is
+  true, "1", null, [1.0], NaN, 1e400 or an integer beyond the float range; a ragged matrix row; a flat
+  list one entry short), so every message of the instance read is digested; then one well-formed
+  instance at n = 16 of the orthogonal family (:func:`orthogonal`), so the conversion of larger
+  matrices is too.
 """
 from __future__ import annotations
 
@@ -108,6 +114,55 @@ REFUSED = {
         "Abar": [[0.4, 0.7], [1 + 5e-6, 0]], "Bbar": [[1, 0, 0], [0, 0, 0]], "x0": [1.0, -1.0],
     }, 2),
 }
+
+# The instance every :func:`malformed` document breaks in one place: well formed, with every matrix key (so both
+# delay channels, which validate would refuse; a malformed document never reaches validate).
+WELL_FORMED = {
+    "n": 2, "m": 3, "N": 1, "A": [[1.0, 0.5], [0.0, 1.0]], "B": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+    "Abar": [[0.5, 0.0], [0.0, 0.5]], "Bbar": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    "M": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "H": [[1.0, 0.5], [0.0, 1.0]],
+    "B1": [[1.0], [0.0]], "tau": 1, "A1": [[0.5, 0.0], [0.0, 0.5]], "d": 1,
+    "noise": {"support": [-1.0, 1.0], "probs": [0.5, 0.5]}, "x0": [1.0, -1.0], "target": [0.5, -0.5],
+}
+# Each fault of one entry, as JSON text: not a JSON number (true, "1", null, [1.0]), not finite (NaN,
+# 1e400), an integer beyond the float range; and of one list, a ragged row in a matrix, one entry short in a
+# flat list.
+ENTRY_FAULTS = {"true": "true", "string": '"1"', "null": "null", "nested": "[1.0]", "NaN": "NaN", "1e400": "1e400",
+                "int-1e400": "1" + "0" * 400}
+MATRIX_KEYS = ("A", "B", "Abar", "Bbar", "M", "H", "B1", "A1")
+FLAT_KEYS = ("x0", "noise.support", "target")
+ORTHOGONAL_N = 16
+
+
+def malformed() -> dict[str, str]:
+    """name -> instance document text: ``WELL_FORMED`` with one fault of ``ENTRY_FAULTS`` in the first entry of
+    each matrix key and each flat list (``x0``, ``noise.support``, ``target``), or with the first row of a
+    matrix one entry longer, or a flat list one entry shorter."""
+    texts = {}
+    for key in MATRIX_KEYS + FLAT_KEYS:
+        for fault, entry in (*ENTRY_FAULTS.items(), ("ragged" if key in MATRIX_KEYS else "short", None)):
+            doc = json.loads(json.dumps(WELL_FORMED))
+            parent, name = (doc["noise"], "support") if key == "noise.support" else (doc, key)
+            values = parent[name][0] if key in MATRIX_KEYS else parent[name]
+            if entry is not None:
+                values[0] = "<entry>"
+            elif key in MATRIX_KEYS:
+                values.append(1.0)
+            else:
+                values.pop()
+            text = json.dumps(doc)
+            texts[f"malformed-{key}-{fault}"] = text if entry is None else text.replace('"<entry>"', entry, 1)
+    return texts
+
+
+def orthogonal(n: int) -> dict:
+    """A well-formed instance of the orthogonal family at state dimension ``n``: A orthogonal, Abar 0.3 times an
+    orthogonal matrix, B with N(0, 0.25 / n) entries, Bbar = [I 0], m = n + 1, two-point noise, N = 4, from a
+    generator seeded 3."""
+    rng = np.random.default_rng(3)
+    A, Q = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return {"n": n, "m": n + 1, "N": 4, "A": A.tolist(), "B": rng.normal(0.0, (0.25 / n) ** 0.5, (n, n + 1)).tolist(),
+            "Abar": (0.3 * Q).tolist(), "Bbar": np.eye(n, n + 1).tolist(), "x0": rng.standard_normal(n).tolist()}
 
 
 def generated(workdir: Path) -> list[Path]:
@@ -206,6 +261,7 @@ def records(workdir: Path, instances=None):
             yield f"{path.stem} {command} N=own", code, out, err, written
     if every:
         yield from refused(workdir)
+        yield from prologue(workdir)
 
 
 def refused(workdir: Path):
@@ -218,6 +274,16 @@ def refused(workdir: Path):
         for command, extra in (("analyze", []), ("synthesize", ["--out", str(law)]), ("oracle-check", [])):
             code, out, err = _run([command, "--instance", str(path), *extra], workdir)
             yield f"{name} {command} N=own", code, out, err, law.read_bytes() if law.exists() else b""
+
+
+def prologue(workdir: Path):
+    """Yield :func:`records`' records of the ``malformed`` documents and of the ``orthogonal`` instance at
+    n = ``ORTHOGONAL_N``, written into ``workdir``, each under analyze at its own N."""
+    texts = malformed() | {f"orthogonal-n{ORTHOGONAL_N}": json.dumps(orthogonal(ORTHOGONAL_N))}
+    for name, text in texts.items():
+        path = Path(workdir) / f"{name}.json"
+        path.write_text(text)
+        yield f"{name} analyze N=own", *_run(["analyze", "--instance", str(path)], workdir), b""
 
 
 def digest(code: int, out: str, err: str, law: bytes) -> str:

@@ -1,5 +1,8 @@
 """``tests/check_set.py`` digests each command's outputs the same way on every run."""
-from check_set import DEEP, DEEP_N, LAWS, REFUSED, ROUTES, digests, generated, records, refused, whole_read
+from check_set import (
+    DEEP, DEEP_N, ENTRY_FAULTS, FLAT_KEYS, LAWS, MATRIX_KEYS, ORTHOGONAL_N, REFUSED, ROUTES, digests, generated, prologue,
+    records, refused, whole_read,
+)
 from conftest import INSTANCE_DIR
 
 from stochctrl import PathTree, model
@@ -57,3 +60,20 @@ def test_the_refused_records_reach_each_singular_matrix(tmp_path):
         assert (code, out, law) == (REFUSED[instance][1], "", b""), name
         if command != "synthesize" or instance != "singular-block":
             assert err.startswith(named[instance]), name
+
+
+def test_the_prologue_records_name_each_fault_of_the_instance_read(tmp_path):
+    # Every malformed document exits 6 with the message that names its key, one record per key and fault;
+    # the orthogonal instance is analyzed at its own dimension. The check set's keys are the reader's.
+    assert MATRIX_KEYS == model._MATRIX_KEYS
+    got = {name.split()[0]: (code, out, err) for name, code, out, err, law in prologue(tmp_path)}
+    assert len(got) == len(MATRIX_KEYS + FLAT_KEYS) * (len(ENTRY_FAULTS) + 1) + 1
+    for key in MATRIX_KEYS + FLAT_KEYS:
+        named = (f"error: {key} ", f"error: {key}:")
+        if key == "noise.support":  # NoiseModel names the support in its own words
+            named += ("error: noise support ", "error: support and probs ")
+        for fault in (*ENTRY_FAULTS, "ragged" if key in MATRIX_KEYS else "short"):
+            code, out, err = got[f"malformed-{key}-{fault}"]
+            assert (code, out) == (6, "") and err.startswith(named), (key, fault)
+    code, out, err = got[f"orthogonal-n{ORTHOGONAL_N}"]
+    assert (code, err) == (0, "") and f"dim: {ORTHOGONAL_N}\n" in out

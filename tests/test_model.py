@@ -73,14 +73,33 @@ def test_validate_full_and_reduced_rank(bench_full):
     assert [f.name for f in dataclasses.fields(vs)] == ["spec", "rank_Bbar", "cut_Bbar"]
 
 
-def test_numerical_rank_counts_and_cuts_as_the_rank_rule_does(rng):
-    # validate's rank and cut, read off the SVD as Python floats, are the bits of the numpy rule's.
+def test_validate_counts_ranks_above_the_rank_cut(rng):
+    # validate counts the ranks of Bbar and H as the singular values above _singular_values' cut, and keeps
+    # Bbar's cut bit for bit. As Bbar (n = rows), a full-rank matrix is validated and a deficient one is
+    # refused naming its rank; as H (n = columns, Bbar = [I 0]), a deficient one is refused as RankDeficient.
+    from stochctrl import RankDeficient, UnsupportedReducedStructure
+
     for shape, rank in (((3, 4), 3), ((3, 4), 2), ((2, 5), 1), ((4, 4), 0), ((1, 1), 1)):
         a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1])) * 10.0 ** rng.integers(-9, 9)
         svals, cut = model._singular_values(a)
-        got = model._numerical_rank(a)
-        assert got == (int(np.count_nonzero(svals > cut)), cut) and got[0] == rank, shape
-        assert np.float64(got[1]).tobytes() == np.float64(cut).tobytes(), shape
+        assert np.count_nonzero(svals > cut) == rank, shape
+        n = shape[0]
+        as_Bbar = SystemSpec(A=np.eye(n), B=np.zeros(shape), Abar=np.zeros((n, n)), Bbar=a)
+        if rank == n:
+            vs = validate(as_Bbar)
+            assert vs.rank_Bbar == rank and type(vs.rank_Bbar) is int, shape
+            assert np.float64(vs.cut_Bbar).tobytes() == np.float64(cut).tobytes(), shape
+        else:
+            with pytest.raises(UnsupportedReducedStructure) as refused:
+                validate(as_Bbar)
+            assert re.search(rf"\b(rank\(Bbar\)|rank r) = {rank}\b", str(refused.value)), shape
+        n = shape[1]
+        as_H = SystemSpec(A=np.eye(n), B=np.zeros((n, n + 1)), Abar=np.zeros((n, n)), Bbar=np.eye(n, n + 1), H=a)
+        if rank == shape[0]:
+            assert validate(as_H).rank_Bbar == n, shape
+        else:
+            with pytest.raises(RankDeficient, match=f"^H must have full row rank {shape[0]}$"):
+                validate(as_H)
 
 
 def test_reduced_structure_accepted():
@@ -142,10 +161,10 @@ def test_a_reduced_instance_off_its_pattern_is_inapplicable(tmp_path, capsys):
             assert capsys.readouterr().err.startswith("inapplicable: "), (key, command)
 
 
-def test_list_matrices_convert_as_arrays_do(bench_full):
+def test_a_spec_converts_lists_and_arrays_alike(bench_full):
     # A spec given nested lists (an instance file's) holds the bits, shapes and read-only arrays of one given
-    # arrays, each converted on its own; one non-finite, bool or out-of-range entry takes the conversion one
-    # matrix at a time, which names the first faulty matrix.
+    # arrays: each matrix takes the one conversion. A library list may hold what np.array reads as a float,
+    # True and "1" included; the JSON-number rule is the file reader's, which refuses a file's true.
     spec, _ = bench_full
     keys = ("A", "B", "Abar", "Bbar", "M")
     listed = SystemSpec(**{key: getattr(spec, key).tolist() for key in keys})
@@ -158,11 +177,15 @@ def test_list_matrices_convert_as_arrays_do(bench_full):
         rows = spec.Abar.tolist()
         rows[1][0] = bad
         kwargs = {key: getattr(spec, key).tolist() for key in keys} | {"Abar": rows}
-        if error is None:  # converted as np.array converts it, one matrix at a time
-            assert SystemSpec(**kwargs).Abar[1, 0] == float(bad)
+        if error is None:
+            assert SystemSpec(**kwargs).Abar[1, 0] == 1.0
         else:
             with pytest.raises(DimensionMismatch, match=re.escape(error)):
                 SystemSpec(**kwargs)
+    doc = json.loads(serialize_instance(ProblemInstance(listed, 0)))
+    doc["Abar"][1][0] = True
+    with pytest.raises(SchemaError, match="^Abar must be a list of rows of JSON numbers$"):
+        parse_instance(json.dumps(doc))
 
 
 def test_a_file_within_one_page_is_read_and_a_larger_one_mapped(bench_full, tmp_path, monkeypatch):
@@ -371,24 +394,52 @@ def _set_entry(key, row, col, value):
 @pytest.mark.parametrize(
     "edit,field",
     [
-        (_set_entry("A", 0, 0, True), "^A "),
-        (_set_entry("B", 0, 1, "1"), "^B "),
-        (_set_entry("Abar", 1, 1, None), "^Abar "),
-        (lambda doc: doc.update(A=[[1.0, 0.0], [1.0]]), "^A: "),
         (lambda doc: doc.update(n=3), "declared n = 3"),
         (lambda doc: doc.update(B1=[[1.0], [0.0]]), "^B1 and tau"),
         (lambda doc: doc.update(H=[]), "^H "),
         (lambda doc: doc.update(x0=None), "^x0 "),
         (lambda doc: doc.update(target=[0.0, 0.0, 0.0, "0"]), "^target entries must be JSON numbers$"),
     ],
-    ids=["bool", "string", "null", "ragged-row", "declared-n", "B1-without-tau", "empty-H", "null-x0", "target"],
+    ids=["declared-n", "B1-without-tau", "empty-H", "null-x0", "target"],
 )
-def test_ragged_matrix_rejected(bench_full, edit, field):
+def test_malformed_document_rejected(bench_full, edit, field):
     spec, _ = bench_full
     doc = json.loads(serialize_instance(ProblemInstance(system=spec, N=0)))
     edit(doc)
     with pytest.raises(SchemaError, match=field):
         parse_instance(json.dumps(doc))
+
+
+NOT_JSON_NUMBERS = "{key} must be a list of rows of JSON numbers"
+# case -> (the entry's JSON text, or None for a ragged first row; the whole message it gets in any matrix key,
+# or for a ragged row the message's start, where numpy's text follows)
+MATRIX_ENTRY_FAULTS = {
+    "true": ("true", NOT_JSON_NUMBERS), "string": ('"1"', NOT_JSON_NUMBERS), "null": ("null", NOT_JSON_NUMBERS),
+    "nested": ("[1.0]", NOT_JSON_NUMBERS), "NaN": ("NaN", "{key}: entries must be finite"),
+    "1e400": ("1e400", "{key}: entries must be finite"),
+    "int-1e400": ("1" + "0" * 400, "{key}: not a numeric matrix (int too large to convert to float)"),
+    "ragged": (None, "{key}: not a numeric matrix (setting an array element with a sequence."),
+}
+
+
+@pytest.mark.parametrize("case", MATRIX_ENTRY_FAULTS)
+@pytest.mark.parametrize("key", model._MATRIX_KEYS)
+def test_ragged_matrix_rejected(bench_full, key, case):
+    # Every matrix key, M, H, B1 (with tau) and A1 (with d) too, is named by each fault of its entries: the
+    # reader's JSON-number check, then SystemSpec's conversion and finiteness check, raised as SchemaError.
+    spec, _ = bench_full
+    doc = json.loads(serialize_instance(ProblemInstance(system=spec, N=0)))
+    doc.update(H=[[1.0, 0.5], [0.0, 1.0]], B1=[[1.0], [0.0]], tau=1, A1=[[0.5, 0.0], [0.0, 0.5]], d=1)
+    assert set(model._MATRIX_KEYS) <= doc.keys()
+    entry, message = MATRIX_ENTRY_FAULTS[case]
+    if entry is None:
+        doc[key][0].append(1.0)
+    else:
+        doc[key][0][0] = "<entry>"
+    with pytest.raises(SchemaError) as err:
+        parse_instance(json.dumps(doc).replace('"<entry>"', entry or "", 1))
+    got, message = str(err.value), message.format(key=key)
+    assert got.startswith(message) if entry is None else got == message, got
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "int-1e400"])
