@@ -17,7 +17,10 @@ term or state-delay pivots added, is the only place a steering Gramian
 is built: :func:`gramian` is every route's horizon-N Gramian,
 :func:`decide_form` every route's scan (one stacked SVD of the scanned
 horizons, with the rank test where no delay channel makes it
-inapplicable), and every controller's gains read the sequence.
+inapplicable), and every controller's gains read the sequence. A
+delayed input's blocks C^i D1 are formed in one place,
+:func:`_input_block`, as C^i by ``matrix_power`` times D1, for the
+sequence's term, the pre-horizon terms and the steering law alike.
 :func:`gramian_oracle`, every route's independent check, recomputes each
 term literally over all noise paths from the products of
 :func:`pathspace.path_products`, each level stored as node columns:
@@ -82,7 +85,7 @@ def gramian_sequence(form: BsdeForm, N: int) -> np.ndarray:
         raise StochctrlError(f"cannot allocate the Gramians of horizons 0..{N}") from None
     DDt = form.D @ form.D.T
     if form.tau is not None and form.tau <= N:
-        CD1 = np.linalg.matrix_power(form.C, form.tau) @ form.D1
+        CD1 = _input_block(form, form.tau)
         E = CD1 @ CD1.T
     pivots = None if form.C1 is None else state_delay_P(form, N)[::-1]
     S = np.zeros((form.n, form.n))
@@ -122,13 +125,19 @@ def _gramians(form: BsdeForm, N: int) -> np.ndarray:
 
 def _pre_horizon_sums(form: BsdeForm, count: int) -> np.ndarray:
     """The partial sums sum_{i <= j} C^i D1 D1' C^i', j < ``count``, stacked: a delayed input's
-    pre-horizon terms, accumulated in order i = 0, 1, ... with C^i D1 = C (C^(i-1) D1)."""
-    pre, CD1, out = np.zeros((form.n, form.n)), form.D1, []
-    for _ in range(count):
+    pre-horizon terms, accumulated in order i = 0, 1, ..., each block from :func:`_input_block`."""
+    pre, out = np.zeros((form.n, form.n)), []
+    for i in range(count):
+        CD1 = _input_block(form, i)
         pre = pre + CD1 @ CD1.T
-        CD1 = form.C @ CD1
         out.append(pre)
     return np.array(out)
+
+
+def _input_block(form: BsdeForm, i: int) -> np.ndarray:
+    """C^i D1, the one place a delayed input's block is formed: ``matrix_power(C, i) @ D1``, which the
+    Gramian's terms and the steering law both read."""
+    return np.linalg.matrix_power(form.C, i) @ form.D1
 
 
 def gramian(form: BsdeForm, N: int) -> np.ndarray:

@@ -10,7 +10,9 @@ route shares: the scan :func:`criteria.decide`, the enumeration of
 :func:`pathspace.terminal_from_map` and shares it as x(N+1) when it is
 read-only, else copies it once) and the steering
 law behind :func:`synthesis.steer_to_target`. A form or system without
-the channel raises :class:`DimensionMismatch`. This module holds no
+the channel raises :class:`DimensionMismatch`
+(:meth:`transform.BsdeForm.check_channel`, the one check, which
+:func:`pathspace.state_delay_P` makes too). This module holds no
 arithmetic.
 
 The Gramians are :func:`criteria.gramian`, read off the one recursion
@@ -60,7 +62,6 @@ from __future__ import annotations
 import numpy as np
 
 from .criteria import ControllabilityReport, _decide, _gramian_oracle
-from .errors import DimensionMismatch
 from .model import NoiseModel, SystemSpec, ValidatedSystem
 from .pathspace import (
     DEFAULT_CAP,
@@ -84,8 +85,7 @@ def input_delay_gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: i
     max(0, i - tau), the squared conditional mean of the full product
     over its continuations. No collapse step is used.
     """
-    if form.D1 is None:
-        raise DimensionMismatch("form has no delayed input channel D1")
+    form.check_channel("D1")
     return _gramian_oracle(form, N, noise, cap)
 
 
@@ -100,8 +100,7 @@ def input_delay_controller(
 
     The pre-horizon u1 stages -tau..-1 are deterministic and carried in the law as ``u1_pre``.
     """
-    if ts.form.D1 is None:
-        raise DimensionMismatch("form has no delayed input channel D1")
+    ts.form.check_channel("D1")
     return _steer(ts, tree, x0, target, tol)
 
 
@@ -111,8 +110,7 @@ def input_delay_decide(
 ) -> ControllabilityReport:
     """Scan the delayed-input Gramians; a witness proves controllability."""
     ts = TransformedSystem.build(system)
-    if ts.form.D1 is None:
-        raise DimensionMismatch("form has no delayed input channel D1")
+    ts.form.check_channel("D1")
     return _decide(ts, N_max)
 
 
@@ -122,15 +120,13 @@ def input_delay_decide(
 
 def state_delay_gramian_oracle(form: BsdeForm, N: int, noise: NoiseModel, cap: int = DEFAULT_CAP) -> np.ndarray:
     """The delayed-state Gramian by literal enumeration of P(0)C(0)...P(j-1)C(j-1)P(j)D."""
-    if form.C1 is None:
-        raise DimensionMismatch("form has no delayed state channel C1")
+    form.check_channel("C1")
     return _gramian_oracle(form, N, noise, cap)
 
 
 def member_of_S_state_delay(tree: PathTree, form: BsdeForm, terminal, tol: float = 1e-8) -> SMembership:
     """Attainability test against the delayed homogeneous backward equation (:func:`pathspace.member_of_S`)."""
-    if form.C1 is None:
-        raise DimensionMismatch("form has no delayed state channel C1")
+    form.check_channel("C1")
     return member_of_S(tree, form, terminal, tol)
 
 
@@ -145,8 +141,7 @@ def state_delay_controller(
 
     Pre-horizon states are zero.
     """
-    if ts.form.C1 is None:
-        raise DimensionMismatch("form has no delayed state channel C1")
+    ts.form.check_channel("C1")
     return _steer(ts, tree, x0, target, tol)
 
 
@@ -162,6 +157,5 @@ def state_delay_decide(
     criterion is inapplicable there.
     """
     ts = TransformedSystem.build(system)
-    if ts.form.C1 is None:
-        raise DimensionMismatch("form has no delayed state channel C1")
+    ts.form.check_channel("C1")
     return _decide(ts, N_max)

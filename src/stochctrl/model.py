@@ -53,36 +53,27 @@ _JSON_NUMBERS = {int, float}
 _EPS = float(np.finfo(float).eps)
 
 
-def _level_text(s: int, depth: int) -> str:
-    """The depth-``depth`` labels in node order, each ended by a newline."""
-    digits = np.full((s**depth, depth + 1), ord("\n"), dtype=np.uint8)
-    per_stage = digits.reshape((s,) * depth + (depth + 1,))  # one axis per stage
-    ascii_digits = np.arange(ord("0"), ord("0") + s, dtype=np.uint8)
-    for j in range(depth):
-        per_stage[..., j] = ascii_digits.reshape((s,) + (1,) * (depth - 1 - j))
-    return digits.tobytes().decode("ascii")
-
-
 def path_labels(s: int, depth: int) -> list[str]:
     """Labels of the s^depth noise histories of one tree level, in node order.
 
     This module owns the label format: one ASCII digit (a support index)
     per stage, earliest stage first, so node order is lexicographic order.
     """
-    return _level_text(s, depth).split("\n")[:-1]
+    return list(_level_labels(s, depth))
 
 
 @functools.cache
 def _label_tables(s: int) -> tuple[tuple[str, ...], ...]:
-    """:func:`path_labels` of every level with at most ``LABEL_TABLE_MAX`` labels, shallowest first.
+    """:func:`path_labels` of every level with at most ``LABEL_TABLE_MAX`` labels, shallowest first,
+    each level its parent level's labels each followed by one digit.
 
     The deepest is the tail table: a longer label is a head label followed
     by one of its entries.
     """
-    depth = 0
-    while s ** (depth + 1) <= LABEL_TABLE_MAX:
-        depth += 1
-    return tuple(tuple(path_labels(s, d)) for d in range(depth + 1))
+    tables = [("",)]
+    while s ** len(tables) <= LABEL_TABLE_MAX:
+        tables.append(tuple(label + digit for label in tables[-1] for digit in "0123456789"[:s]))
+    return tuple(tables)
 
 
 def _level_labels(s: int, depth: int):
@@ -100,9 +91,8 @@ def check_level(labels, s: int, depth: int, what: str) -> None:
     """Raise :class:`SchemaError` unless ``labels`` are exactly one tree level in node order."""
     if len(labels) != s**depth:
         raise SchemaError(f"{what}: {len(labels)} labels, but a depth-{depth} level has {s**depth} paths")
-    # Exact: the newlines sit where the level's do only if no label holds one.
-    if "\n".join(labels) + "\n" != _level_text(s, depth):
-        bad = next(a for a, b in zip(labels, path_labels(s, depth)) if a != b)
+    bad = next((a for a, b in zip(labels, _level_labels(s, depth)) if a != b), None)
+    if bad is not None:
         raise SchemaError(
             f"{what}: {bad!r} breaks the node order of the length-{depth} paths over ASCII digits 0..{s - 1}"
         )
@@ -162,11 +152,8 @@ def _float_array(name: str, value) -> np.ndarray:
 
 
 def _as_float_matrix(name: str, value, rows: int, cols: int) -> np.ndarray:
-    return _shaped(name, _float_array(name, value), rows, cols)
-
-
-def _shaped(name: str, arr: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """``arr`` if its shape is (rows, cols), else :class:`DimensionMismatch` naming ``name``."""
+    """:func:`_float_array` of ``value`` if its shape is (rows, cols), else :class:`DimensionMismatch` naming ``name``."""
+    arr = _float_array(name, value)
     if arr.shape != (rows, cols):
         raise DimensionMismatch(f"{name}: expected shape ({rows}, {cols}), got {arr.shape}")
     return arr

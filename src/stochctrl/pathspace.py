@@ -337,8 +337,7 @@ def state_delay_P(form: BsdeForm, N: int) -> tuple[np.ndarray, ...]:
     law that pivot by it read one build (a form's arrays do not change
     after it is made).
     """
-    if form.C1 is None:
-        raise DimensionMismatch("form has no delayed state channel C1")
+    form.check_channel("C1")
     built = vars(form).setdefault("_pivots", {})  # as functools.cached_property keeps a value on a frozen instance
     if N not in built:
         built[N] = _pivot_loop(form, N)

@@ -54,6 +54,12 @@ def random_system(
     lagged-state factor at 0.2 so the delayed P recursion stays bounded
     at any horizon) and mapped to (A, B, Abar, Bbar); only the
     noise-input matrix is rejection-sampled for conditioning.
+
+    That screen (sigma_min(Bbar) >= ``BBAR_MIN_SV``, cond(Bbar) <=
+    ``BBAR_MAX_COND``) passes fewer Gaussian draws as n grows. Measured at
+    m = n + 1, seeds 0-9: a draw for every seed at n = 16, for 8 at
+    n = 32, and for none at n = 48 or n = 64, each of those refused after
+    ``max_tries`` = 200 tries with :class:`StochctrlError`.
     """
     if m < n:
         raise RankDeficient(f"need m >= n for a full-rank Bbar, got n = {n}, m = {m}")

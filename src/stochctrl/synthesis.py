@@ -16,9 +16,10 @@ target adds the homogeneous solution (x_h, z_h) reached with zero free
 input: the law acts on e = x - x_h and z gains z_h. One body,
 :func:`_steer`, builds every route's controller, gains included, the
 route read from the form: one state-delay elimination gives the pivots
-P and the lag gains, one ladder C^i D1 the input-delay gains' u1 rows,
-predictor and pre-horizon inputs. ``delay``'s controllers are channel
-checks in front of it.
+P and the lag gains, and the blocks C^i D1 of
+:func:`criteria._input_block`, the ones the Gramians read, give the
+input-delay gains' u1 rows, predictor and pre-horizon inputs.
+``delay``'s controllers are channel checks in front of it.
 
 So every controller is one law (:class:`FeedbackLaw`) in the regressor
 r(k) of x(k) and the lags that act at stage k (:func:`pathspace._acting_lags`,
@@ -92,7 +93,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pathspace
-from .criteria import _pinv, _pre_horizon_sums, _reaching, gramian_invertible, gramian_sequence
+from .criteria import _input_block, _pinv, _pre_horizon_sums, _reaching, gramian_invertible, gramian_sequence
 from .errors import DimensionMismatch, SchemaError, SingularGramian, TargetNotInS
 from .model import SystemSpec, ValidatedSystem, _document, _finite_floats, _label_tables, _level_labels, check_level
 from .pathspace import (
@@ -190,7 +191,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     if form.D1 is not None:
         kind, what, tau = "input-delay", "delayed-input Gramian", form.tau
         G = seq[N] + _pre_horizon_sums(form, min(tau, N + 1))[-1]  # gramian(form, N), from the one scan
-        CD1 = [np.linalg.matrix_power(form.C, i) @ form.D1 for i in range(min(tau, N) + 1)]  # C^i D1
+        CD1 = [_input_block(form, i) for i in range(min(tau, N) + 1)]  # C^i D1
         # u1(k) has rows D1' C^tau' S(j)^+ while it enters by stage N, else none.
         K = [np.vstack([Kk, CD1[tau].T]) if k <= N - tau else Kk for k, Kk in enumerate(K)]
     elif form.C1 is not None:

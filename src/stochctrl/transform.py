@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadUserM, RankDeficient, SchemaError, SingularPencil
+from .errors import BadUserM, DimensionMismatch, RankDeficient, SchemaError, SingularPencil
 from .model import (RCOND_CUT, SystemSpec, ValidatedSystem, _integer, _singular_values, gramian_invertible,
                     rcond_invertible, validate)
 
@@ -105,6 +105,11 @@ class BsdeForm:
     @property
     def n(self) -> int:
         return self.C.shape[0]
+
+    def check_channel(self, name: str) -> None:
+        """Raise :class:`DimensionMismatch` unless the form has the delay channel ``name``, "D1" or "C1"."""
+        if getattr(self, name) is None:
+            raise DimensionMismatch(f"form has no delayed {'input' if name == 'D1' else 'state'} channel {name}")
 
     @property
     def m_free(self) -> int:

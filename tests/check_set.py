@@ -11,7 +11,7 @@ law it wrote), and the bytes of that law, if one was written, or of the table ve
   its own N, at ``--N 0`` and at ``--N 7``; verify reads the law synthesize wrote at the same N;
 - where synthesize wrote a law, the same controller as a table, built by the route's controller and
   written by ``write_controller_csv``, then verified;
-- generated instances on the full, tau 1 and 2 and d 1 and 2 routes, under two-point and
+- generated instances on the full, tau 1, 2 and 3 and d 1, 2 and 3 routes, under two-point and
   three-point noise, each with no target, a constant target, an attainable path target and a
   random leaf target (which three-point noise rejects), through the same commands and horizons;
 - each generated path-target instance again, re-indented with its target first: the writer's
@@ -31,12 +31,15 @@ law it wrote), and the bytes of that law, if one was written, or of the table ve
   true, "1", null, [1.0], NaN, 1e400 or an integer beyond the float range; a ragged matrix row; a flat
   list one entry short), so every message of the instance read is digested; then one well-formed
   instance at n = 16 of the orthogonal family (:func:`orthogonal`), so the conversion of larger
-  matrices is too.
+  matrices is too;
+- last, the benchmark's certify_batch instances for seeds 1-3 at full size, from ``bench/workloads.py``
+  loaded by path (:func:`certify`), under analyze and oracle-check at their own N.
 """
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import sys
@@ -58,9 +61,12 @@ from stochctrl import (
 from stochctrl import cli
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 
-INSTANCES = sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))
+REPO = Path(__file__).resolve().parent.parent
+INSTANCES = sorted((REPO / "instances").glob("*.json"))
 LAWS = {"two-point": NoiseModel.rademacher(), "three-point": NoiseModel.symmetric_three_point()}
-ROUTES = {"full": {}, "tau1": {"tau": 1}, "tau2": {"tau": 2}, "d1": {"d": 1}, "d2": {"d": 2}}
+# Seeds follow a route's position, so a route is appended, never inserted.
+ROUTES = {"full": {}, "tau1": {"tau": 1}, "tau2": {"tau": 2}, "d1": {"d": 1}, "d2": {"d": 2}, "tau3": {"tau": 3},
+          "d3": {"d": 3}}
 HORIZONS = (None, 0, 7)  # the instance's own N, then --N 0 and --N 7
 TARGET_N = 3
 DEEP_N = {"two-point": 16, "three-point": 10}  # horizons whose closed loop is cut into runs
@@ -132,6 +138,7 @@ ENTRY_FAULTS = {"true": "true", "string": '"1"', "null": "null", "nested": "[1.0
 MATRIX_KEYS = ("A", "B", "Abar", "Bbar", "M", "H", "B1", "A1")
 FLAT_KEYS = ("x0", "noise.support", "target")
 ORTHOGONAL_N = 16
+CERTIFY_SEEDS = (1, 2, 3)
 
 
 def malformed() -> dict[str, str]:
@@ -262,6 +269,7 @@ def records(workdir: Path, instances=None):
     if every:
         yield from refused(workdir)
         yield from prologue(workdir)
+        yield from certify(workdir)
 
 
 def refused(workdir: Path):
@@ -284,6 +292,32 @@ def prologue(workdir: Path):
         path = Path(workdir) / f"{name}.json"
         path.write_text(text)
         yield f"{name} analyze N=own", *_run(["analyze", "--instance", str(path)], workdir), b""
+
+
+def bench_workloads():
+    """``bench/workloads.py``, loaded by path as ``tests/test_bench_workloads.py`` loads it (once per process)."""
+    if "bench_workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up there
+        spec.loader.exec_module(module)
+    return sys.modules["bench_workloads"]
+
+
+def certify_ops(workdir: Path):
+    """Yield (seed, op) for each op of the benchmark's full-size certify_batch at each of ``CERTIFY_SEEDS``, its
+    instances written into ``workdir/certify-<seed>``."""
+    for seed in CERTIFY_SEEDS:
+        seed_dir = Path(workdir) / f"certify-{seed}"
+        seed_dir.mkdir(parents=True, exist_ok=True)
+        for op in bench_workloads().build("certify_batch", seed, str(seed_dir), small=False):
+            yield seed, op
+
+
+def certify(workdir: Path):
+    """Yield :func:`records`' records of :func:`certify_ops`' ops, each at its instance's own N."""
+    for seed, op in certify_ops(workdir):
+        yield f"certify-{seed}-{Path(op.instance).stem} {op.command} N=own", *_run(op.argv(), workdir), b""
 
 
 def digest(code: int, out: str, err: str, law: bytes) -> str:

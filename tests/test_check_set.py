@@ -1,7 +1,7 @@
 """``tests/check_set.py`` digests each command's outputs the same way on every run."""
 from check_set import (
-    DEEP, DEEP_N, ENTRY_FAULTS, FLAT_KEYS, LAWS, MATRIX_KEYS, ORTHOGONAL_N, REFUSED, ROUTES, digests, generated, prologue,
-    records, refused, whole_read,
+    CERTIFY_SEEDS, DEEP, DEEP_N, ENTRY_FAULTS, FLAT_KEYS, LAWS, MATRIX_KEYS, ORTHOGONAL_N, REFUSED, ROUTES, certify,
+    certify_ops, digests, generated, prologue, records, refused, whole_read,
 )
 from conftest import INSTANCE_DIR
 
@@ -77,3 +77,14 @@ def test_the_prologue_records_name_each_fault_of_the_instance_read(tmp_path):
             assert (code, out) == (6, "") and err.startswith(named), (key, fault)
     code, out, err = got[f"orthogonal-n{ORTHOGONAL_N}"]
     assert (code, err) == (0, "") and f"dim: {ORTHOGONAL_N}\n" in out
+
+
+def test_the_certify_records_exit_as_their_ops_expect(tmp_path):
+    # The benchmark's certify_batch ops, built in one directory and run as records in another, in the same
+    # order: each exits as its op expects.
+    ops = [op for _, op in certify_ops(tmp_path / "ops")]
+    got = list(certify(tmp_path / "records"))
+    assert len(got) == len(ops) == len(CERTIFY_SEEDS) * 196
+    for (name, code, out, err, law), op in zip(got, ops):
+        assert (code, law) == (op.expect, b""), (name, out, err)
+        assert name.split()[1] == op.command, name

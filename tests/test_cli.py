@@ -799,8 +799,8 @@ def test_verify_wants_each_stage_in_node_order(capsys, tmp_path, monkeypatch, ed
     import stochctrl.model as model
 
     built = []
-    level_text = model._level_text
-    monkeypatch.setattr(model, "_level_text", lambda s, depth: built.append(depth) or level_text(s, depth))
+    level_labels = model._level_labels
+    monkeypatch.setattr(model, "_level_labels", lambda s, depth: built.append(depth) or level_labels(s, depth))
     table = _edited_table(capsys, tmp_path, edit)
     code, _, err = run(capsys, "verify", "--instance", FULL, "--controller", table)
     assert code == 5

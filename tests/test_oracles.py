@@ -152,7 +152,7 @@ def test_vectorized_oracles_keep_the_cap(bench_full_ts):
         oracle(bench_full_ts.form, 5, noise, cap=64)
 
 
-@pytest.mark.parametrize("lag", ["tau1", "tau2", "d1", "d2"])
+@pytest.mark.parametrize("lag", ["tau1", "tau2", "tau3", "tau4", "d1", "d2", "d3"])
 @pytest.mark.parametrize("law", sorted(LAWS))
 def test_gramian_oracle_reads_the_delay_channel_from_the_form(law, lag):
     # One enumeration serves every route: on a delayed input it adds the
