@@ -24,8 +24,9 @@ onto finer depths. :func:`plant_step` is the step of
 :func:`forward_simulate` and of ``synthesis.feedback_loop``, the plant-step
 closed loop a controller's table is written from, stage by stage; the
 commands run a law through ``synthesis.folded_loop``, which folds the
-law into the step's map, adds its lags as :func:`_add_product` does,
-through views shaped once per loop, and below the top level of
+law into the step's map, multiplies each lag at its own depth against a
+block tiled over its descendants, through views shaped once per loop, and
+below the top level of
 :class:`RunCut`, the deepest of at most ``BLOCK_ENTRIES`` entries, runs
 the tree subtree by subtree, each run's leaves at most ``BLOCK_ENTRIES``
 entries too, a lag above a run passed as the run's ancestor rows.

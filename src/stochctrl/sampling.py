@@ -116,14 +116,29 @@ def random_controllable(
     test tolerances; ``kwargs`` go to :func:`random_system`. The screen
     reads the Gramian without the delay channel, so a draw does not
     depend on its lag.
+
+    The Gramian's range is spanned by the words of length at most N in C
+    and Cbar applied to the m - n columns of D, so its rank is at most
+    (m - n)(2^(N+1) - 1); below n no draw can pass, and
+    :class:`StochctrlError` is raised before any is made. When
+    :func:`random_system` gives up, its error is raised again with the
+    count of draws the Gramian screen had rejected.
     """
+    if m >= n and (bound := (m - n) * (2 ** (N + 1) - 1)) < n:
+        raise StochctrlError(f"no system with n = {n}, m = {m} is controllable at N = {N}: the Gramian's rank is at "
+                             f"most (m - n)(2^(N+1) - 1) = {bound} < n")
+    rejected = 0
     for _ in range(max_tries):
-        ts = random_transformed(rng, n, m, **kwargs)
+        try:
+            ts = random_transformed(rng, n, m, **kwargs)
+        except RankDeficient:
+            raise
+        except StochctrlError as exc:
+            raise StochctrlError(f"{exc}, after the Gramian screen at N = {N} rejected {rejected} draws") from None
         G = gramian(BsdeForm(ts.form.C, ts.form.Cbar, ts.form.D), N)
         ok, _ = gramian_invertible(G)
-        if not ok:
-            continue
-        if np.linalg.cond(G) > COND_CAP:
+        if not ok or np.linalg.cond(G) > COND_CAP:
+            rejected += 1
             continue
         return ts
     raise StochctrlError(f"no controllable system in {max_tries} draws")

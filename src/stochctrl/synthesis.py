@@ -29,18 +29,28 @@ of M) and c_k = [z_h(k) M_q', 0] - (r_h(k) Pi_k') K_k'. Pi_k's first
 block is I and r_h's u1 entries are zero, so (r_h(k) Pi_k') K_k' =
 r_h(k) L_k' + [x_h(k) Abar' M_q', 0], and
 c_k = [(z_h(k) - x_h(k) Abar') M_q', 0] - r_h(k) L_k': the offsets are
-fixed by the gains and the target's solution. :func:`target_offsets`
-builds them so, r_h(k) L_k' formed as the loop forms r(k) L_k', each
-acting state lag x_h(k-j) multiplied at its own depth
-(:func:`pathspace._add_product`), each c_k at its coarsest depth (one
-row for the origin and any constant target). K_k has u1 rows only while
-u1(k) enters by stage N (k <= N - tau), so L_k and c_k have none past
-that.
+fixed by the gains and the target's solution. Where every c_k is the
+same on every node (the origin, a constant target, a target affine in
+the last noise) the law lists them, one row each; :func:`target_offsets`
+builds them per node, r_h(k) L_k' formed as the loop forms r(k) L_k',
+each acting state lag x_h(k-j) multiplied at its own depth
+(:func:`pathspace._add_product`), and synthesize stops at the first
+stage whose rows differ. Otherwise the law holds the target's solution,
+and the commands' loop adds c_k's terms of it at their own depths, so no
+per-node c_k is formed: x_h(k+1), as the rows of s n entries under each
+depth-k node, times the fixed map Z M_q' (B + w_j Bbar)'_j, with
+Z = [p_j w_j I_n]_j (``pathspace.z_level``'s map), and x_h(k) and each
+acting state lag x_h(k-j) times their columns of -L_k' (with -Abar' M_q'
+on x_h(k)). K_k has u1 rows only while u1(k) enters by stage N
+(k <= N - tau), so L_k and c_k have none past that.
 
 Two closed loops run a law. The commands' loop, :func:`folded_loop`,
 folds u(k) into the plant step: stage k is one matmul of x(k) against
 the closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, with
-the offset and each acting lag added at its own depth. It walks a flat
+the offset's terms and each acting lag added at their own depths: a
+value j stages above x(k) meets its block tiled s^j times, so that one
+product covers its descendants and is added to them in one contiguous
+add. It walks a flat
 plan built once per loop, each stage's maps with the arrays it writes
 into and the views it and the next stage read, breadth-first only while
 a level holds at most ``pathspace.BLOCK_ENTRIES`` entries, then carries
@@ -66,12 +76,11 @@ w_k = m + m1 [k <= N - tau] is L_k's row count. A law whose offsets
 differ by node (a path target's) holds "target" instead of "c": the
 SHA-256 hex digest of the target's leaf rows as little-endian float64
 bytes in C order (:func:`target_digest`). :func:`read_feedback_law`
-checks it against the instance's target, solves the homogeneous backward
-equation on that target and rebuilds the offsets with
-:func:`target_offsets` from the law's own L, as synthesize built them, so
-every law read back is whole and synthesize and verify run the same
-offsets to the last bit; the plant is still stepped from x0, so an error
-in them shows in the terminal deviation. A c listing one row per node, as
+checks it against the instance's target and solves the homogeneous
+backward equation on that target, the solve synthesize's membership test
+made, so every law read back is whole and synthesize and verify run the
+same offsets to the last bit; the plant is still stepped from x0, so an
+error in them shows in the terminal deviation. A c listing one row per node, as
 earlier versions wrote a path target's law, is malformed, as is a
 delay-route law with a column for a lag that never acts, or with u1
 rows or entries at a stage k > N - tau. The table of one row per
@@ -130,21 +139,28 @@ class FeedbackLaw:
     r(k) is x(k) followed by the lags that act at stage k, in
     :func:`pathspace._acting_lags`' order. ``L`` holds N+1 arrays, L_k with
     m rows, plus m1 u1 rows for k <= N - tau on a delayed input, and a
-    column per entry of r(k). ``c`` holds N+1 arrays, c_k with L_k's row
-    count as its width: one row when it is the same on every node, else
-    one row per depth-k node, as :func:`target_offsets` builds them.
-    ``target`` is None when every c_k is one row, which the written law
-    stores flat (:func:`law_text`); else it is the SHA-256 digest of the
-    target's leaves (:func:`target_digest`), which the written law stores
-    instead of c, and :func:`read_feedback_law` rebuilds c from the target
-    it names. ``u1_pre`` holds u1(-tau), u1(1-tau), ... that enter by stage
-    N, one row each (None without a delayed input).
+    column per entry of r(k). When every c_k is the same on every node
+    (the origin, a constant target, a target affine in the last noise),
+    ``c`` holds them, c_k one row with L_k's row count as its width, and
+    the written law lists them (:func:`law_text`). Else ``c`` is None and
+    the offsets are read from the target's homogeneous solution ``hom``,
+    its levels x_h(0..N+1), with ``Mq``, M's first n columns:
+    c_k = [(z_h(k) - x_h(k) Abar') M_q', 0] - r_h(k) L_k'. ``target`` is
+    then the SHA-256 digest of the target's leaves (:func:`target_digest`),
+    which the written law stores instead of c, and :func:`read_feedback_law`
+    solves for ``hom`` again from the target it names. :func:`folded_loop`
+    adds the solution's terms of c_k at their own depths and never forms
+    c_k; :func:`feedback_loop` forms it stage by stage
+    (:func:`target_offsets`). ``u1_pre`` holds u1(-tau), u1(1-tau), ...
+    that enter by stage N, one row each (None without a delayed input).
     """
 
     L: list[np.ndarray]
-    c: list[np.ndarray]
+    c: list[np.ndarray] | None
     u1_pre: np.ndarray | None = None
     target: str | None = None
+    hom: dict | None = None
+    Mq: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -172,6 +188,9 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
     lag blocks of Pi_k and the pre-horizon inputs ``u1_pre``. r_h is the
     regressor of the target's solution, zero without one and in its u1
     blocks. The gains' S(0..N)^+ is one stacked :func:`criteria._pinv` call.
+    The law lists c when every stage's :func:`target_offsets` rows are
+    equal, and else holds the solution that ``member_of_S`` returned; the
+    stages are built only up to the first whose rows differ.
     """
     form, spec, n, N = ts.form, ts.spec, ts.form.n, tree.horizon
     x0 = np.array(x0, dtype=float)  # a copy: the record keeps it for the table's closed loop
@@ -208,46 +227,53 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
         u1_pre = np.array([g @ CD1[i] for i in range(min(tau, N + 1))])
     S_pinv = _pinv(seq)  # S(j)^+, j = 0..N
     K = [Kk @ S_pinv[N - k] for k, Kk in enumerate(K)]
-    Mq_Abar = ts.M[:, :n] @ spec.Abar
+    Mq = ts.M[:, :n]
+    Mq_Abar = Mq @ spec.Abar
     L = []
     for k, Kk in enumerate(K):
         xlags, ulags = _acting_lags(N, k, form.d or 0, form.tau or 0)
         P = np.hstack([np.eye(n), *(-Q[k][j] for j in xlags), *(-CD1[form.tau - i] for i in ulags)])  # Pi_k
         L.append(Kk @ P)
         L[k][: spec.m, :n] -= Mq_Abar
-    c = target_offsets(ts, tree, L, hom)
-    digest = target_digest(hom[N + 1]) if any(len(ck) > 1 for ck in c) else None
-    return ControllerProcess(kind, tree, spec, x0, G, FeedbackLaw(L, c, u1_pre, digest), smin)
+    c = list(itertools.takewhile(lambda ck: len(ck) == 1, target_offsets(tree, spec, Mq, L, hom)))
+    if len(c) <= N:  # a stage's rows differ: the loop reads the offsets from the target's solution
+        law = FeedbackLaw(L, None, u1_pre, target_digest(hom[N + 1]), hom, Mq)
+    else:
+        law = FeedbackLaw(L, c, u1_pre)
+    return ControllerProcess(kind, tree, spec, x0, G, law, smin)
 
 
-def target_offsets(ts: TransformedSystem, tree: PathTree, L: list[np.ndarray], hom: dict | None) -> list[np.ndarray]:
-    """The offsets c_k of the law with gains ``L`` that steers to the target whose homogeneous solution is ``hom``,
-    the levels x_h(0..N+1) of ``pathspace.backward_solve`` on the tree.
+def target_offsets(tree: PathTree, spec: SystemSpec, Mq: np.ndarray, L: list[np.ndarray],
+                   hom: dict | None) -> Iterator[np.ndarray]:
+    """The offsets c_k, k = 0..N, of the law with gains ``L`` that steers to the target whose homogeneous
+    solution is ``hom``, the levels x_h(0..N+1) of ``pathspace.backward_solve`` on the tree, stage by stage;
+    ``Mq`` is M's first n columns.
 
     c_k = [(z_h(k) - x_h(k) Abar') M_q', 0] - r_h(k) L_k', with
     r_h(k) L_k' formed as :func:`_law_inputs` forms r(k) L_k': x_h(k) in
     one matmul, each acting state lag x_h(k-j) at its own depth, the
     target's u1 lags zero. So the law gives the target's own input on its
-    solution. A stage whose rows are all equal is kept as one row; without
-    a target (``hom`` None) every c_k is one row of zeros. synthesize and
-    verify both build a law's offsets here, from the same L and solution.
+    solution. A stage whose rows are all equal is yielded as one row;
+    without a target (``hom`` None) every c_k is one row of zeros.
+    synthesize takes the stages while each is one row, so it stops at
+    the first whose rows differ, and lists c when none does; the
+    plant-step loop (:func:`feedback_loop`) takes one stage per step.
 
     Each c_k is built in place, in blocks of s^p rows, the most whose
     entries fit in ``pathspace.BLOCK_ENTRIES`` but with p past the longest
     lag (``pathspace._block_depth``), so a lag's block spans s rows or more
-    and every row meets the matmul kernel the whole stage would (see
-    :func:`folded_loop`): r_h(k) L_k' goes into the block's rows and the
+    and every row meets the matmul kernel the whole stage would: r_h(k) L_k'
+    goes into the block's rows and the
     first part is subtracted from it, so no temporary is larger than a
     block. z_h(k) is formed block by block too, from the block's children
     in x_h(k+1) (``pathspace.z_level``), and no z level is held. The
     all-rows-equal test reads the stage block by block as well.
     """
     if hom is None:
-        return [np.zeros((1, len(Lk))) for Lk in L]
-    spec, n, m, s, d = ts.spec, ts.spec.n, ts.spec.m, tree.s, ts.spec.d or 0
-    Mq = ts.M[:, :n]
+        yield from (np.zeros((1, len(Lk))) for Lk in L)
+        return
+    n, m, s, d = spec.n, spec.m, tree.s, spec.d or 0
     rows = s ** max(d + 1, pathspace._block_depth(s, max(n, len(L[0]))))
-    c = []
     for k, Lk in enumerate(L):
         ck = np.empty((len(hom[k]), len(Lk)))
         for h in range(0, len(ck), rows):
@@ -261,8 +287,7 @@ def target_offsets(ts: TransformedSystem, tree: PathTree, L: list[np.ndarray], h
             np.subtract(q @ Mq.T, block[:, :m], out=block[:, :m])
             np.subtract(0.0, block[:, m:], out=block[:, m:])  # 0 - r, not -r: a zero keeps its sign
         same = all((ck[h : h + rows] == ck[0]).all() for h in range(0, len(ck), rows))
-        c.append(ck[:1].copy() if same else ck)  # a copy: a view would keep every node's row
-    return c
+        yield ck[:1].copy() if same else ck  # a copy: a view would keep every node's row
 
 
 def target_digest(leaves: np.ndarray) -> str:
@@ -307,7 +332,9 @@ def feedback_loop(
     Yields (k, v, x(k+1)) for k = 0..N: v is [u(k), u1(k)], one row per
     depth-k node (u1 only while it enters by stage N), evaluated by
     :func:`_law_inputs` into one input buffer, so it is valid only until
-    the next step; x(k+1) is at depth k + 1. The step's products go into
+    the next step; x(k+1) is at depth k + 1. A law without listed offsets
+    has its c_k built per node, one stage per step, by
+    :func:`target_offsets`. The step's products go into
     one work buffer; both buffers are sized once for depth N. Of the
     states and delayed inputs the loop keeps only what a later stage
     reads (:func:`_drop_read`): x(k+1), those of the state lags
@@ -323,9 +350,10 @@ def feedback_loop(
     xs = {0: np.asarray(x0, dtype=float)[None, :].copy()}
     u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
     maps = pathspace.plant_maps(tree, spec)
-    for k in range(N + 1):
+    offsets = law.c if law.c is not None else target_offsets(tree, spec, law.Mq, law.L, law.hom)
+    for k, ck in enumerate(offsets):
         rows, width = tree.n_nodes(k), len(law.L[k])
-        v = _law_inputs(spec, law, k, xs, u1s, inputs[: rows * width].reshape(rows, width), work)
+        v = _law_inputs(spec, law.L, ck, k, xs, u1s, inputs[: rows * width].reshape(rows, width), work)
         if tau and k <= N - tau:
             u1s[k] = v[:, m:].copy()
         xs[k + 1] = plant_step(tree, spec, maps, xs, k, v[:, :m], u1s[k - tau] if tau else None, work)
@@ -352,31 +380,38 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
     Stages run breadth-first over whole levels down to the top level of
     :class:`pathspace.RunCut`, cut by the n entries a node holds, whose runs
     are then each carried alone through the remaining stages. A run reads a
-    level above it, the top level or a lag, and a per-node c_k as its rows
-    of them (:meth:`pathspace.RunCut.rows`), so every lag but a depth-0 one
-    spans s rows or more: a single row would go through the matrix-vector
-    kernel, which rounds differently from the level's matmul. A c_k that is
-    one row of zeros, as every stage of the origin's law, is not applied at
-    all, which changes no value but the sign of a zero. Every run writes
+    level above it, the top level, a lag or a level of the target's
+    solution, as its rows of it (:meth:`pathspace.RunCut.rows`), so every
+    lag but a depth-0 one spans s rows or more: a single row would go
+    through the matrix-vector kernel, which rounds differently from the
+    level's matmul. The offsets are the law's listed one-row c_k or, for a
+    path target, terms of the target's solution (x_h, z_h) added at their
+    own depths, so no c_k is formed per node. A c_k that is one row of
+    zeros, as every stage of the origin's law, is not applied at all,
+    which changes no value but the sign of a zero. A lag's value, j stages
+    above x(k), meets its block tiled s^j times, so its product covers its
+    descendants and is added to them in one contiguous add. Every run writes
     into the same arrays, so a yielded run is valid only until the next run
     is requested, as :func:`feedback_loop`'s inputs are until its next step.
     So the runs, concatenated, are the breadth-first loop's x(N+1) bit for
     bit, and no more is held than the top level with its lags and one
-    run's, each level at most ``pathspace.BLOCK_ENTRIES`` entries.
+    run's, each level at most ``pathspace.BLOCK_ENTRIES`` entries, besides
+    the target's solution the law holds.
     synthesize and verify both run a law here, so they report the same
     deviation to the last digit; the states differ from
     :func:`feedback_loop`'s, the plant step's, by rounding.
     """
-    N, tau = len(law.L) - 1, spec.tau or 0
-    cut = pathspace.RunCut(tree, spec.n, max(spec.d or 0, tau))
+    N, d, tau = len(law.L) - 1, spec.d or 0, spec.tau or 0
+    cut = pathspace.RunCut(tree, spec.n, max(d, tau))
     stages = _stage_maps(tree, spec, law)
     levels, vals = _stage_buffers(tree, spec, law, stages, cut), _start_values(x0, law, tau)
     top = _stage_views(stages[: cut.top], levels[: cut.top])
     vals["x", cut.top] = _walk(top, vals, vals["x", 0])
-    # What the runs read above them, each at its depth: the top level and its lags, and each per-node c_k.
-    above = [(("x", j), j) for j in range(max(0, cut.top - (spec.d or 0)), cut.top + 1)]
+    # What the runs read above them, each at its depth: the top level and its lags, and the target's solution.
+    above = [(("x", j), j) for j in range(max(0, cut.top - d), cut.top + 1)]
     above += [(("u1", j), j) for j in range(max(0, cut.top - tau), cut.top)]  # not u1_pre's: one row each
-    above += [((c, k), k) for k in range(cut.top, N + 1) if len(law.c[k]) > 1 for c in ("c", "c1")]
+    above += [(("xh", j), j) for j in range(max(0, cut.top - d), N + 1)]
+    above += [(("zh", k), k) for k in range(cut.top, N + 1)]
     above = [(key, depth, vals[key]) for key, depth in above if key in vals]
     read = {id(level.base) for _, _, level in above}
     spare = {out.base.size: out.base for _, _, out, *_ in top if id(out.base) not in read}  # x arrays no run reads
@@ -391,11 +426,17 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
 
 def _start_values(x0, law: FeedbackLaw, tau: int) -> dict:
     """What a closed loop reads before stage 0, keyed as :func:`_walk` reads it: ("x", 0) the row x0,
-    ("u1", j) for j < 0 the pre-horizon inputs of ``law.u1_pre``, and ("c", k) and ("c1", k) the u and u1
-    columns of the law's offset c_k (no ("c1", k) without u1 columns)."""
+    ("u1", j) for j < 0 the pre-horizon inputs of ``law.u1_pre``, and either ("c", k) and ("c1", k) the u
+    and u1 columns of the law's listed offset c_k (no ("c1", k) without u1 columns) or, for a law that reads
+    its offsets from the target's solution, ("xh", k) the level x_h(k) and ("zh", k) the level x_h(k+1) as
+    the rows of s n entries under each depth-k node, k = 0..N."""
     vals = {("x", 0): np.asarray(x0, dtype=float)[None, :].copy()}
     if tau:
         vals.update((("u1", i - tau), law.u1_pre[i : i + 1]) for i in range(len(law.u1_pre)))
+    if law.c is None:
+        for k in range(len(law.L)):
+            vals["xh", k], vals["zh", k] = law.hom[k], law.hom[k + 1].reshape(len(law.hom[k]), -1)
+        return vals
     m = len(law.L[-1])  # stage N has no u1 rows, as u1(N) would enter after stage N
     for k, ck in enumerate(law.c):
         vals["c", k] = ck[:, :m]
@@ -407,18 +448,17 @@ def _start_values(x0, law: FeedbackLaw, tau: int) -> dict:
 def _stage_buffers(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, stages: list, cut) -> list[tuple]:
     """Where :func:`folded_loop` writes each stage, for :func:`_stage_views`: per stage k, the array x(k+1)
     goes into and its (rows, s, n) shape, the array u1(k) goes into and its shape (no columns without u1
-    rows), and the rows of each term's value (:func:`_stage_maps`). Rows are a whole level's above
-    ``cut.top`` and a run's below. x(j) goes into one of d + 2 arrays by j modulo d + 2, and u1(j) into one
-    of tau + 1 by j modulo tau + 1, as stage k reads x(k-d..k) and u1(k-tau..k-1).
+    rows), and the rows of each term's value (:func:`_stage_maps`), x(k)'s rows over s^up for a value up
+    stages above x(k), and at least one. Rows are a whole level's above ``cut.top`` and a run's below. x(j)
+    goes into one of d + 2 arrays by j modulo d + 2, and u1(j) into one of tau + 1 by j modulo tau + 1, as
+    stage k reads x(k-d..k) and u1(k-tau..k-1).
     """
     N, s, n, m, top = len(law.L) - 1, tree.s, spec.n, spec.m, cut.top
     d, tau = (lag if lag and lag <= N else 0 for lag in (spec.d, spec.tau))  # a lag past N reads no level
     levels = []
     for k, _, _, terms, _, _ in stages:
         here = tree.n_nodes(k) if k < top else cut.count(k)  # x(k)'s rows as stage k reads them
-        # c_k's rows (one row, or x(k)'s), or x(k)'s rows at the lag's depth, or one row at depth 0
-        rows = tuple((here if len(law.c[k]) > 1 else 1) if what == "c" else max(1, here // s ** (k - max(0, at)))
-                     for (what, at), _, _ in terms)
+        rows = tuple(max(1, here // s**up) for *_, up in terms)
         levels.append(((k + 1) % (d + 2), (here, s, n), d + 2 + k % (tau + 1), (here, len(law.L[k]) - m), rows))
     return levels
 
@@ -440,7 +480,7 @@ def _stage_views(stages: list, levels: list, spare: dict | None = None) -> list[
     spare.clear()
     bufs.update((i, np.empty(size)) for i, size in sizes.items() if i not in bufs)
     work = np.empty(max((r * block.shape[1] for (*_, terms, _, _), (*_, term_rows) in zip(stages, levels)
-                         for r, (_, block, _) in zip(term_rows, terms)), default=0))
+                         for r, (_, block, *_) in zip(term_rows, terms)), default=0))
     return [_plan_entry(stage, bufs[xi][: rows * s * n].reshape(rows, s * n),
                         bufs[ui][: u1_rows * w1].reshape(u1_rows, w1) if w1 else None, term_rows, work)
             for stage, (xi, (rows, s, n), ui, (u1_rows, w1), term_rows) in zip(stages, levels)]
@@ -451,60 +491,97 @@ def _plan_entry(stage: tuple, out: np.ndarray, u1_out, rows: tuple, work: np.nda
     arrays x(k+1) (as (rows, s n)) and u1(k) go into, each term's value rows and a flat ``work`` array:
     (k, the closed-loop map, out, out as the (rows s, n) level the next stage reads, L_k,u1,x', u1(k)'s
     array, the terms, c_k's u1 key, whether x(k+1) is kept). A term is its key and block with the
-    product's array, a (rows, width) view of ``work``, the (rows, descendants, width) view of x(k+1) or
-    u1(k) it is added to, and the product as (rows, 1, width), which spreads it over the descendants."""
+    product's array, a (rows, width) view of ``work``, the view of x(k+1) or u1(k) it is added to and the
+    product as added. Where the product covers the value's descendants, as a tiled block's does, the view
+    is the (rows, width) array itself, so the add is one contiguous 2-D add; else (a one-row c_k, or a lag
+    longer than its block is tiled) the view is (rows, descendants, width) and the product, as
+    (rows, 1, width), spreads over the descendants."""
     k, fold, u1_map, terms, c1, kept = stage
     shaped = []
-    for r, (key, block, to_u1) in zip(rows, terms):
+    for r, (key, block, to_u1, _) in zip(rows, terms):
         prod = work[: r * block.shape[1]].reshape(r, block.shape[1])
-        shaped.append((key, block, prod, (u1_out if to_u1 else out).reshape(r, -1, block.shape[1]), prod[:, None, :]))
+        into = (u1_out if to_u1 else out).reshape(r, -1, block.shape[1])
+        if into.shape[1] == 1:  # the product covers the value's descendants
+            shaped.append((key, block, prod, into[:, 0], prod))
+        else:
+            shaped.append((key, block, prod, into, prod[:, None, :]))
     return k, fold, out, out.reshape(-1, len(fold)), u1_map, u1_out, tuple(shaped), c1, kept
 
 
 def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tuple]:
     """Each stage's maps, built once per loop for :func:`_walk`, which reads stage k's once per run: (k, the
     closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, L_k,u1,x' (None without u1 rows), the
-    terms, ("c1", k) where c_k is applied to u1 rows, else None, whether x(k+1) is kept as a lag). A term
-    is a key in the loop's values, the block its value meets and whether the product goes to u1(k): first
-    ("c", k), c_k's u columns, with the atom stack Bw = [(B + w_j Bbar)']_j where c_k is applied, then
-    each acting lag (:func:`pathspace._acting_lags`' order), ("x", k - j) or ("u1", k - i), with L_k,lag'
-    Bw plus s copies of A1' for x(k-d) or B1' for u1(k-tau), and on u1 rows with L_k,lag,u1'. The atom
-    stacks and copies are :func:`pathspace.plant_maps`'. c_k is not applied when it is one row of zeros
-    (every stage of the origin's law), as adding 0.0 changes no value but the sign of a zero; a per-node c_k
-    always is. x(k+1) is kept where a later stage reads it as a lag (k + 1 <= N - d).
+    terms, ("c1", k) where a listed c_k is applied to u1 rows, else None, whether x(k+1) is kept as a lag).
+    A term is a key in the loop's values, the block its value meets, whether the product goes to u1(k) and
+    how many stages above x(k) its value sits. The atom stacks Bw = [(B + w_j Bbar)']_j and the s copies of
+    A1' and of B1' are :func:`pathspace.plant_maps`'. x(k+1) is kept where a later stage reads it as a lag
+    (k + 1 <= N - d).
+
+    The offset's terms come first. A listed c_k, one row, is ("c", k), its u columns, with Bw; it is not
+    applied when it is zeros (every stage of the origin's law), as adding 0.0 changes no value but the sign
+    of a zero. Otherwise c_k = [(z_h(k) - x_h(k) Abar') M_q', 0] - r_h(k) L_k' is expanded into terms of the
+    target's solution, each at its own depth: ("zh", k), x_h(k+1) as rows of s n, with Z M_q' Bw, where
+    Z = [p_j w_j I_n]_j is ``pathspace.z_level``'s map, and ("xh", k) with -(Abar' M_q' + L_k,x,u') Bw and,
+    on u1 rows, with -L_k,x,u1'. Then each acting lag (:func:`pathspace._acting_lags`' order), ("x", k - j)
+    or ("u1", k - i), with L_k,lag' Bw plus A1' for x(k-d) or B1' for u1(k-tau), and on u1 rows with
+    L_k,lag,u1'; after a state lag, for a target's solution, ("xh", k - j) with -L_k,lag,u' Bw and on u1
+    rows -L_k,lag,u1' (the target's u1 is zero). A lag's value sits min(j, k) stages above x(k), and its
+    block is tiled to match (:func:`_tiled`).
 
     The closed-loop maps are one stacked matmul for the stages whose L_k has the same width, so that each
     L_k,x' keeps the strides of its own L_k's rows: at n = 1 it is a vector, whose product is a
     matrix-vector kernel that rounds by its stride.
     """
-    m, n, N, d, tau = spec.m, spec.n, len(law.L) - 1, spec.d or 0, spec.tau or 0
+    m, n, N, d, tau, s = spec.m, spec.n, len(law.L) - 1, spec.d or 0, spec.tau or 0, tree.s
     Aw, Bw, A1w, B1w = pathspace.plant_maps(tree, spec)
     folds = [None] * (N + 1)
     for width in {Lk.shape[1] for Lk in law.L}:
         ks = [k for k, Lk in enumerate(law.L) if Lk.shape[1] == width]
         for k, fold in zip(ks, Aw + np.stack([law.L[k][:m] for k in ks])[:, :, :n].transpose(0, 2, 1) @ Bw):
             folds[k] = fold
+    path = law.c is None  # the offsets are terms of the target's solution
+    if path:
+        zmap = np.kron((tree.probs * tree.support)[:, None], law.Mq.T) @ Bw  # Z M_q' Bw
+        xmap = spec.Abar.T @ law.Mq.T
     stages = []
-    for k, (Lk, ck) in enumerate(zip(law.L, law.c)):
+    for k, Lk in enumerate(law.L):
         Lu, L1 = Lk[:m], Lk[m:]
-        offset = len(ck) > 1 or any(ck[0].tolist())  # a NaN counts as nonzero, as in ck.any()
-        terms = [(("c", k), Bw, False)] if offset else []
+        u1 = len(L1) > 0
+        offset = not path and any(law.c[k][0].tolist())  # a NaN counts as nonzero, as in ck.any()
+        if path:
+            terms = [(("zh", k), zmap, False, 0), (("xh", k), -(xmap + Lu[:, :n].T) @ Bw, False, 0)]
+            terms += [(("xh", k), -L1[:, :n].T, True, 0)] if u1 else []
+        else:
+            terms = [(("c", k), Bw, False, k)] if offset else []
         xlags, ulags = _acting_lags(N, k, d, tau)
         col = n
-        for key, width, direct in [(("x", k - j), n, A1w if j == d else None) for j in xlags] + [
-                (("u1", k - i), spec.B1.shape[1], B1w if i == tau else None) for i in ulags]:
+        for key, width, direct, up in [(("x", k - j), n, A1w if j == d else None, j) for j in xlags] + [
+                (("u1", k - i), spec.B1.shape[1], B1w if i == tau else None, min(i, k)) for i in ulags]:
             cols = slice(col, col + width)
             block = Lu[:, cols].T @ Bw
             if direct is not None:
                 block += direct
-            terms.append((key, block, False))
-            if len(L1):
-                terms.append((key, L1[:, cols].T, True))
+            blocks = [(key, block, False)] + ([(key, L1[:, cols].T, True)] if u1 else [])
+            if path and key[0] == "x":  # the target's state lag; its u1 is zero
+                blocks += [(("xh", key[1]), -Lu[:, cols].T @ Bw, False)] + (
+                    [(("xh", key[1]), -L1[:, cols].T, True)] if u1 else [])
+            terms += [(name, _tiled(b, s, up), to_u1, up) for name, b, to_u1 in blocks]
             col = cols.stop
-        u1 = len(L1) > 0
-        stages.append((k, folds[k], L1[:, :n].T if u1 else None, tuple(terms), ("c1", k) if u1 and offset else None,
-                       0 < d <= N - k - 1))
+        c1 = ("c1", k) if u1 and offset else None
+        stages.append((k, folds[k], L1[:, :n].T if u1 else None, tuple(terms), c1, 0 < d <= N - k - 1))
     return stages
+
+
+def _tiled(block: np.ndarray, s: int, up: int) -> np.ndarray:
+    """``block`` side by side s^up times, so that the product of a value ``up`` stages above x(k) covers
+    all its descendants there at once; but only as many times, a power of s, as keep the copies within
+    ``pathspace.BLOCK_ENTRIES`` entries, and the product spreads over the rest by a broadcast. The count
+    depends on s, the lag, the stage and the block's shape alone, never on a run's rows, so every run
+    meets the same blocks."""
+    copies = s**up
+    while copies > 1 and copies * block.size > pathspace.BLOCK_ENTRIES:
+        copies //= s
+    return np.concatenate([block] * copies, axis=1) if copies > 1 else block
 
 
 def _walk(plan: list, vals: dict, x: np.ndarray) -> np.ndarray:
@@ -512,15 +589,14 @@ def _walk(plan: list, vals: dict, x: np.ndarray) -> np.ndarray:
     one's x(k+1).
 
     u(k) = r(k) L_k,u' + c_k,u folded into the plant step: x(k+1) is x(k) times the closed-loop map, one
-    matmul into ``out``; on u1 rows u1(k) = x(k) L_k,u1,x' is another. Then each term, c_k,u (B + w_j
-    Bbar)' at c_k's depth and each acting lag times L_k,lag' (B + w_j Bbar)', plus A1' for x(k-d) and B1'
-    for u1(k-tau), and on u1 rows times L_k,lag,u1', is formed at its value's own depth and added to every
-    descendant, so no node array is replicated; last, c_k,u1 is added to u1(k). ``vals`` holds the terms'
-    values under their keys (:func:`_start_values`), each at its depth, max(0, j) for stage j; u1(k) goes
-    into it, and x(k+1) where a later stage reads it as a lag. The next stage reads x(k+1) as ``view``, so
-    a stage with no offset, lag or u1 is its matmul alone. ``np.matmul`` into an array is the same call as
-    ``@``, so the values do not depend on where they are written, and each term is added as
-    ``pathspace._add_product`` adds it.
+    matmul into ``out``; on u1 rows u1(k) = x(k) L_k,u1,x' is another. Then each term of
+    :func:`_stage_maps`, the offset's and each acting lag's, is formed at its value's own depth against its
+    block and added to the value's descendants, so no node array is replicated; last, a listed c_k,u1 is
+    added to u1(k). ``vals`` holds the terms' values under their keys (:func:`_start_values`), each at its
+    depth, max(0, j) for stage j; u1(k) goes into it, and x(k+1) where a later stage reads it as a lag. The
+    next stage reads x(k+1) as ``view``, so a stage with no offset, lag or u1 is its matmul alone.
+    ``np.matmul`` into an array is the same call as ``@``, so the values do not depend on where they are
+    written.
     """
     for k, fold, out, view, u1_map, u1_out, terms, c1, kept in plan:
         np.matmul(x, fold, out=out)
@@ -538,11 +614,12 @@ def _walk(plan: list, vals: dict, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _law_inputs(spec: SystemSpec, law: FeedbackLaw, k: int, xs: dict, u1s: dict, out: np.ndarray, work=None):
+def _law_inputs(spec: SystemSpec, L: list[np.ndarray], ck: np.ndarray, k: int, xs: dict, u1s: dict,
+                out: np.ndarray, work=None):
     """[u(k), u1(k)] = r(k) L_k' + c_k into ``out`` (C-contiguous, one row per depth-k node): r(k) L_k'
-    by :func:`_regressor_product`, then c_k added in place."""
-    _regressor_product(spec, law.L, k, xs, u1s, out, work)
-    out += law.c[k]  # one row broadcasts
+    by :func:`_regressor_product`, then c_k, one row or one per node, added in place."""
+    _regressor_product(spec, L, k, xs, u1s, out, work)
+    out += ck  # one row broadcasts
     return out
 
 
@@ -570,7 +647,7 @@ def _regressor_product(spec: SystemSpec, L: list[np.ndarray], k: int, xs: dict, 
 
 def law_text(ctrl: ControllerProcess) -> str:
     """The controller's law as JSON: kind, N and L, then its offsets c (each c_k one flat row) or, for a law
-    whose offsets differ by node, the ``target`` digest they are rebuilt from (:func:`target_offsets`).
+    whose offsets differ by node, the ``target`` digest of the target whose solution they are read from.
 
     Stage k's L_k and c_k hold u1 rows and entries only for k <= N - tau.
     """
@@ -591,11 +668,11 @@ def read_feedback_law(source, tree: PathTree, system: ValidatedSystem | Transfor
     The shapes are those of ``system.spec``. A law that names its target
     by digest is checked against ``target``, the instance's target (None,
     an n-vector or the leaf rows, as ``ProblemInstance.target`` holds it),
-    and its offsets are rebuilt as synthesize built them: the homogeneous
-    backward equation is solved on the leaf rows (no membership verdict)
-    and :func:`target_offsets` reads that solution with the law's own L.
-    Only then is ``system`` transformed, so a law that lists its offsets
-    needs no transform. Raises :class:`SchemaError` for text that is not
+    and its offsets are read as synthesize read them: the homogeneous
+    backward equation is solved on the leaf rows (no membership verdict),
+    and the law holds that solution with M_q (:class:`FeedbackLaw`). Only
+    then is ``system`` transformed, so a law that lists its offsets needs
+    no transform. Raises :class:`SchemaError` for text that is not
     a JSON object with exactly the keys kind, N, L and one of c and
     target, plus u1 exactly on a delayed input; a kind other than
     "feedback"; an N other than the tree's horizon; an L not N+1 stages of
@@ -643,8 +720,8 @@ def read_feedback_law(source, tree: PathTree, system: ValidatedSystem | Transfor
         if (want := target_digest(target)) != digest:
             raise SchemaError(f"target digest {digest} does not match the instance's target ({want})")
         ts = TransformedSystem.build(system)
-        c = target_offsets(ts, tree, L, backward_solve(tree, ts.form, target))
-    return FeedbackLaw(L, c, u1_pre, digest)
+        return FeedbackLaw(L, None, u1_pre, digest, backward_solve(tree, ts.form, target), ts.M[:, : spec.n])
+    return FeedbackLaw(L, c, u1_pre)
 
 
 def _law_offsets(value, tree: PathTree, widths: list[int]) -> list[np.ndarray]:

@@ -1,11 +1,14 @@
 """Digest the check set's outputs, so that two versions of the package compare by one diff.
 
     python tests/check_set.py > digests.txt
+    python tests/check_set.py --fields > fields.txt
 
 runs every command of the check set through ``stochctrl.cli.main`` in this process and prints one
-SHA-256 per record, then the total. A record is one invocation's exit code, its stdout and stderr
-with the run's scratch directory replaced by ``<dir>`` (synthesize's ``controller:`` line names the
-law it wrote), and the bytes of that law, if one was written, or of the table verify read. The check set:
+SHA-256 per record, then the total; with ``--fields``, each record's fields instead, one line each
+(:func:`fields`), so that a diff of two versions' outputs names the record and the field that moved.
+A record is one invocation's exit code, its stdout and stderr with the run's scratch directory
+replaced by ``<dir>`` (synthesize's ``controller:`` line names the law it wrote), and the bytes of
+that law, if one was written, or of the table verify read. The check set:
 
 - each bundled instance (``instances/*.json``) under analyze, synthesize, verify and oracle-check, at
   its own N, at ``--N 0`` and at ``--N 7``; verify reads the law synthesize wrote at the same N;
@@ -329,12 +332,27 @@ def digests(workdir: Path, instances=None) -> list[tuple[str, str]]:
     return [(name, digest(*record)) for name, *record in records(workdir, instances)]
 
 
-def main() -> None:
+def fields(name: str, code: int, out: str, err: str, law: bytes) -> list[str]:
+    """A record as lines "name<TAB>field<TAB>value": its exit code, each line of stdout and of stderr, and the
+    SHA-256 of its law or table bytes ("-" for none), so that a diff of two outputs names the field that moved."""
+    lines = [f"{name}\texit\t{code}"]
+    lines += [f"{name}\tstdout\t{line}" for line in out.splitlines()]
+    lines += [f"{name}\tstderr\t{line}" for line in err.splitlines()]
+    return [*lines, f"{name}\tlaw\t{hashlib.sha256(law).hexdigest() if law else '-'}"]
+
+
+def main(argv: list[str]) -> None:
+    if argv not in ([], ["--fields"]):
+        sys.exit("usage: python tests/check_set.py [--fields]")
     with tempfile.TemporaryDirectory() as workdir:
+        if argv:
+            for record in records(Path(workdir)):
+                sys.stdout.write("".join(line + "\n" for line in fields(*record)))
+            return
         lines = [f"{value}  {name}" for name, value in digests(Path(workdir))]
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     sys.stdout.write("\n".join([*lines, f"{total}  total"]) + "\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -31,7 +31,9 @@ one matmul with L_k', stores every u(k), and steps through
 k before its matmuls. ``reference_offsets`` builds a target law's offsets per node from the gains
 before the predictor map, as the steering body first did, against which
 ``synthesis.target_offsets``' build from L and the target's solution is
-checked. ``folded_step`` is one stage of ``synthesis._walk`` into fresh
+checked; ``law_offsets`` are a law's offsets as the plant-step loop reads
+them, listed or built per node by ``target_offsets``. ``folded_step`` is
+one stage of ``synthesis._walk`` into fresh
 arrays, and ``breadth_first_folded_loop`` the folded closed loop run so
 level by level over the whole tree, against which
 ``synthesis.folded_loop``'s runs of leaves are checked; with
@@ -72,7 +74,7 @@ from stochctrl import (
 )
 from stochctrl.model import RCOND_CUT
 from stochctrl.pathspace import _acting_lags, _add_product, _state_delay_gains, plant_maps
-from stochctrl.synthesis import _plan_entry, _stage_maps, _start_values, _walk
+from stochctrl.synthesis import _plan_entry, _stage_maps, _start_values, _walk, target_offsets
 
 
 def reconstruct_u(ts: TransformedSystem, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -281,14 +283,20 @@ def reference_feedback_loop(tree: PathTree, spec: SystemSpec, x0, law):
     m, N, tau = spec.m, len(law.L) - 1, spec.tau if spec.B1 is not None else 0
     xs, u_vals = {0: np.asarray(x0, dtype=float)[None, :].copy()}, {}
     u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
-    for k, Lk in enumerate(law.L):
-        v = lifted_regressor(tree, spec, N, k, xs, u1s) @ Lk.T + law.c[k]
+    for k, (Lk, ck) in enumerate(zip(law.L, law_offsets(tree, spec, law))):
+        v = lifted_regressor(tree, spec, N, k, xs, u1s) @ Lk.T + ck
         u_vals[k] = np.ascontiguousarray(v[:, :m]) if tau else v
         if tau and k <= N - tau:
             u1s[k] = np.ascontiguousarray(v[:, m:])
         u1k = lift(tree, u1s[k - tau], max(0, k - tau), k) if tau else None
         xs[k + 1] = lifting_plant_step(tree, spec, xs, k, u_vals[k], u1k)
     return u_vals, xs, u1s if tau else None
+
+
+def law_offsets(tree: PathTree, spec: SystemSpec, law) -> list[np.ndarray]:
+    """A law's offsets c_k, k = 0..N: the rows it lists, or those ``synthesis.target_offsets`` builds per node
+    from the target's solution the law holds, as the plant-step loop reads them."""
+    return law.c if law.c is not None else list(target_offsets(tree, spec, law.Mq, law.L, law.hom))
 
 
 def reference_offsets(ts: TransformedSystem, tree: PathTree, law, hom: dict) -> list[np.ndarray]:
@@ -336,10 +344,10 @@ def folded_step(stage: tuple, vals: dict):
     lag, go into ``vals``."""
     k, fold, u1_map, terms, _, _ = stage
     x = vals["x", k]
-    rows = tuple(len(vals[key]) for key, _, _ in terms)
+    rows = tuple(len(vals[key]) for key, *_ in terms)
     out = np.empty((len(x), fold.shape[1]))
     u1_out = None if u1_map is None else np.empty((len(x), u1_map.shape[1]))
-    work = np.empty(max((r * block.shape[1] for r, (_, block, _) in zip(rows, terms)), default=0))
+    work = np.empty(max((r * block.shape[1] for r, (_, block, *_) in zip(rows, terms)), default=0))
     return _walk([_plan_entry(stage, out, u1_out, rows, work)], vals, x), u1_out
 
 
@@ -351,7 +359,7 @@ def breadth_first_folded_loop(tree: PathTree, spec: SystemSpec, x0, law, offsets
     vals = _start_values(x0, law, spec.tau or 0)
     for k, fold, u1_map, terms, c1, kept in _stage_maps(tree, spec, law):
         if offsets and c1 is None and (not terms or terms[0][0] != ("c", k)):
-            terms, c1 = ((("c", k), Bw, False), *terms), None if u1_map is None else ("c1", k)
+            terms, c1 = ((("c", k), Bw, False, k), *terms), None if u1_map is None else ("c1", k)
         vals["x", k + 1], _ = folded_step((k, fold, u1_map, terms, c1, kept), vals)
     return vals["x", len(law.L)]
 

@@ -39,7 +39,7 @@ from stochctrl.model import path_labels
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import FLOAT_FMT
 from conftest import INSTANCE_DIR
-from crosschecks import controller_levels, loop_levels
+from crosschecks import controller_levels, law_offsets, loop_levels
 from test_delay import delayed_attainable_terminal
 
 IN_DELAY = str(INSTANCE_DIR / "input_delay_tau1.json")  # n 2, m 3, m1 3, tau 1, N 2
@@ -165,7 +165,7 @@ def test_synthesize_writes_the_law_that_verify_replays(capsys, tmp_path, law, ro
 def test_path_target_writes_a_law_and_verify_takes_a_written_table(capsys, tmp_path, route, lag):
     rng = np.random.default_rng([lag, len(route)])
     ts, tree, x0, goal, ctrl = draw(rng, LAWS["two-point"], route, lag, 2, lag + 1, "path")
-    assert any(len(ck) > 1 for ck in ctrl.law.c)  # offsets that differ by node
+    assert ctrl.law.c is None  # offsets that differ by node, read from the target's solution
     inst = write_instance(tmp_path, ts, tree, x0, goal)
     law = tmp_path / "law.json"
     code, out, _ = run(capsys, "synthesize", "--instance", inst, "--out", str(law))
@@ -343,7 +343,7 @@ def test_u1_rows_that_would_enter_after_N_are_not_written_and_refused(capsys, tm
         ts, tree, x0, goal, ctrl = draw(rng, LAWS["two-point"], "tau", 2, 2, 3, target)
         assert (ts.spec.m, ts.spec.B1.shape[1]) == (m, m1)
         assert [len(Lk) for Lk in ctrl.law.L] == [m + m1, m + m1, m, m]
-        assert [ck.shape[1] for ck in ctrl.law.c] == [m + m1, m + m1, m, m]
+        assert [ck.shape[1] for ck in law_offsets(tree, ts.spec, ctrl.law)] == [m + m1, m + m1, m, m]
     # The law as earlier versions wrote it, with u1 rows and u1 entries of zeros past N - tau, exits 5.
     code, _, _ = run(capsys, "synthesize", "--instance", IN_DELAY, "--out", str(tmp_path / "law.json"))
     assert code == 0

@@ -13,7 +13,9 @@ sum |coefficient| |input|. Checked on every steerable route (full,
 tau 1/2, d 1/2) under both noise laws, with null, constant and path
 targets, for N <= 8. On the same draws, the law evaluated on a target's
 own solution (its states, a zero u1) gives the target's input
-[(z_h - x_h Abar') M_q', 0] within rounding, and ``target_offsets``,
+[(z_h - x_h Abar') M_q', 0] within rounding (a path target's law, whose
+folded step adds terms of that solution, gives the plant step of that
+input), and ``target_offsets``,
 which builds the offsets from L and that solution, matches the build
 from the gains before the predictor map (``crosschecks.reference_offsets``)
 within the same rounding bound. ``tracemalloc`` bounds the loop's peak
@@ -39,11 +41,13 @@ from stochctrl import (
     write_controller_csv,
 )
 from stochctrl.model import _label_tables
-from stochctrl.pathspace import _state_delay_gains, z_level
-from stochctrl.synthesis import _law_inputs
+from stochctrl.pathspace import _state_delay_gains, plant_maps, plant_step, z_level
+from stochctrl.synthesis import _law_inputs, _stage_maps, _start_values
 from stochctrl.sampling import random_controllable, random_x0
 from crosschecks import (
     controller_levels,
+    folded_step,
+    law_offsets,
     lift,
     lifted_regressor,
     lifting_plant_step,
@@ -52,6 +56,7 @@ from crosschecks import (
     reference_offsets,
 )
 from test_delay_law import draw
+from test_folded_loop import C_BOUND, fold_bound
 from test_tree_kernels import forward_bound
 
 EPS = np.finfo(float).eps
@@ -86,10 +91,10 @@ def test_loop_matches_the_reference_loop(law, route, lag, target):
         # Stage by stage from the loop's own states: the stacked regressor's inputs, then the lifting step.
         m = spec.m
         u1s = u1 if u1 is not None else {}
-        for k, Lk in enumerate(ctrl.law.L):
+        for k, (Lk, ck) in enumerate(zip(ctrl.law.L, law_offsets(tree, spec, ctrl.law))):
             r = lifted_regressor(tree, spec, N, k, x, u1s)
-            want = r @ Lk.T + ctrl.law.c[k]
-            bound = 8 * EPS * (np.abs(r) @ np.abs(Lk.T) + np.abs(ctrl.law.c[k]))
+            want = r @ Lk.T + ck
+            bound = 8 * EPS * (np.abs(r) @ np.abs(Lk.T) + np.abs(ck))
             assert np.all(np.abs(u[k] - want[:, :m]) <= bound[:, :m]), (N, k)
             if u1 is not None and k in u1s:
                 assert np.all(np.abs(u1[k] - want[:, m:]) <= bound[:, m:]), (N, k)
@@ -116,12 +121,12 @@ def _own_solution(law, route, lag, target, seed):
         Q = _state_delay_gains(ts.form, N)[1] if route == "d" else [{}] * (N + 1)
         Mq = ts.M[:, :n]
         terms = []
-        for k, Lk in enumerate(ctrl.law.L):
+        for k, (Lk, ck) in enumerate(zip(ctrl.law.L, law_offsets(tree, spec, ctrl.law))):
             r = lifted_regressor(tree, spec, N, k, xs, u1s)
             K = Lk[:, :n].copy()
             K[:m] += Mq @ spec.Abar
             r_pi = np.abs(xs[k]) + sum(lift(tree, np.abs(xs[k - j]), k - j, k) @ np.abs(Qj.T) for j, Qj in Q[k].items())
-            terms.append(np.abs(r) @ np.abs(Lk.T) + np.abs(ctrl.law.c[k]) + r_pi @ np.abs(K.T))
+            terms.append(np.abs(r) @ np.abs(Lk.T) + np.abs(ck) + r_pi @ np.abs(K.T))
             terms[k][:, :m] += (np.abs(z_level(tree, xs[k + 1])) + np.abs(xs[k]) @ np.abs(spec.Abar.T)) @ np.abs(Mq.T)
         yield N, ts, tree, ctrl, hom, u1s, terms
 
@@ -132,15 +137,28 @@ def _own_solution(law, route, lag, target, seed):
 def test_law_on_the_targets_own_solution_gives_the_targets_input(law, route, lag, target):
     # L_k = K_k Pi_k - [M_q Abar, 0] and c_k = [z_h M_q', 0] - (r_h Pi_k') K_k', so at r(k) = r_h(k),
     # the target's states with a zero u1, the law gives [(z_h - x_h Abar') M_q', 0]. The two
-    # products with K_k cancel, so the rounding bound sums the loop's terms and theirs.
+    # products with K_k cancel, so the rounding bound sums the loop's terms and theirs. A law that lists
+    # its c_k is evaluated as the plant-step loop evaluates it. A path target's law adds its offset as terms
+    # of the target's solution instead (synthesis._stage_maps), so its folded step from that solution is
+    # the plant step of the target's input within the step's bound, and its u1(k) is zero within rounding.
     for N, ts, tree, ctrl, hom, u1s, terms in _own_solution(law, route, lag, target, 1):
-        spec, m, Mq = ts.spec, ts.spec.m, ts.M[:, : ts.spec.n]
+        spec, m, Mq, tau = ts.spec, ts.spec.m, ts.M[:, : ts.spec.n], ts.spec.tau or 0
         xs = hom
+        stages = _stage_maps(tree, spec, ctrl.law)
+        vals = _start_values(hom[0][0], ctrl.law, tau)
+        vals.update({("x", j): level for j, level in xs.items()} | {("u1", j): level for j, level in u1s.items()})
         for k, Lk in enumerate(ctrl.law.L):
-            got = _law_inputs(spec, ctrl.law, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
-            want = np.zeros_like(got)
+            want = np.zeros((tree.n_nodes(k), len(Lk)))
             want[:, :m] = (z_level(tree, xs[k + 1]) - xs[k] @ spec.Abar.T) @ Mq.T
-            assert np.all(np.abs(got - want) <= 8 * EPS * terms[k]), (N, k)
+            if ctrl.law.c is not None:
+                got = _law_inputs(spec, ctrl.law.L, ctrl.law.c[k], k, xs, u1s, np.empty_like(want))
+                assert np.all(np.abs(got - want) <= 8 * EPS * terms[k]), (N, k)
+                continue
+            got, u1k = folded_step(stages[k], dict(vals))
+            step = plant_step(tree, spec, plant_maps(tree, spec), xs, k, want[:, :m], u1s[k - tau] if tau else None)
+            bound, u1_bound = fold_bound(tree, spec, ctrl.law, k, xs, u1s, None)
+            assert np.all(np.abs(got - step) <= C_BOUND * EPS * bound), (N, k)
+            assert u1k is None if len(Lk) == m else np.all(np.abs(u1k) <= C_BOUND * EPS * u1_bound), (N, k)
 
 
 @pytest.mark.parametrize("law", sorted(LAWS))
@@ -150,10 +168,15 @@ def test_offsets_from_L_match_the_gain_based_build(law, route, lag, target):
     # target_offsets forms c_k = [(z_h - x_h Abar') M_q', 0] - r_h L_k'; the build it replaced formed
     # [z_h M_q', 0] - (r_h Pi_k') K_k' (crosschecks.reference_offsets). The two are equal in exact
     # arithmetic, so they differ by the rounding of the same terms. A stage that is one row serves every node.
+    # The controller lists the helper's offsets, or holds the solution they are built from.
     for N, ts, tree, ctrl, hom, _, terms in _own_solution(law, route, lag, target, 1):
-        got = target_offsets(ts, tree, ctrl.law.L, hom)
+        got = list(target_offsets(tree, ts.spec, ts.M[:, : ts.spec.n], ctrl.law.L, hom))
+        if ctrl.law.c is None:
+            assert all(np.array_equal(ctrl.law.hom[k], level) for k, level in hom.items())
+            assert np.array_equal(ctrl.law.Mq, ts.M[:, : ts.spec.n]) and any(len(ck) > 1 for ck in got)
+        else:
+            assert all(np.array_equal(ck, want) for ck, want in zip(got, ctrl.law.c)) and len(got) == N + 1
         for k, (ck, ref) in enumerate(zip(got, reference_offsets(ts, tree, ctrl.law, hom))):
-            assert np.array_equal(ck, ctrl.law.c[k]), (N, k)  # the controller's offsets are the helper's
             assert len(ck) in (1, tree.n_nodes(k)) and ck.shape[1] == ref.shape[1]
             assert np.all(np.abs(ck - ref) <= 8 * EPS * terms[k]), (N, k)
         if target == "constant":

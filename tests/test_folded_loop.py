@@ -8,7 +8,9 @@ own states, its step is checked against ``pathspace.plant_step`` fed by
 d 1/2), both noise laws, null, constant and path targets and N <= 8,
 within c eps times the entrywise bound of both sums:
 |x| |A_w| + |x| |L_x'| |B_w| + |c| |B_w| + each lag's |lag| (|L_lag'| |B_w|
-+ |A1'| or |B1'|). The loop yields x(N+1) in runs of leaves; concatenated,
++ |A1'| or |B1'|), where a path target's law, which adds terms of the
+target's solution (x_h, z_h) in place of c, has those terms' bound in
+place of |c| |B_w|. The loop yields x(N+1) in runs of leaves; concatenated,
 they are ``crosschecks.breadth_first_folded_loop``'s level bit for bit, on
 the same routes, laws and targets, also with ``pathspace.BLOCK_ENTRIES``
 cut small so that runs start below the lags they read; every run is
@@ -21,8 +23,11 @@ route. A null law's
 zero offsets make no product: its leaves equal (==) those of the loop
 that adds them (``crosschecks.breadth_first_folded_loop`` with
 ``offsets``), as adding 0.0 can
-change only the sign of a zero, while zeroing a constant or path
-target's offsets changes its leaves. ``tracemalloc``
+change only the sign of a zero, while zeroing a constant target's
+offsets or a path target's solution changes its leaves. Every term is
+added in one contiguous add but a listed one-row c_k; synthesize of a
+path target builds c_0 and c_1 only and verify none; and a delay route's
+path target ends within rounding of the plant-step loop. ``tracemalloc``
 bounds its peak at N = 17 and 19 by the top level and one run, whatever
 N: 1 MB on the full route, and on a delay route the lags and u1 pipeline
 each keeps; synthesize and verify of a law at the 2^20-leaf cap stay
@@ -49,7 +54,7 @@ from stochctrl import (
 from stochctrl.pathspace import _acting_lags, plant_maps, plant_step
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.synthesis import _law_inputs, _stage_maps, _start_values
-from crosschecks import breadth_first_folded_loop, controller_levels, folded_step, lift
+from crosschecks import breadth_first_folded_loop, controller_levels, folded_step, law_offsets, lift
 from test_delay_law import draw, report, run, write_instance
 
 EPS = np.finfo(float).eps
@@ -59,17 +64,32 @@ N_MAX = 8
 C_BOUND = 4
 
 
-def fold_bound(tree, spec, law, k, xs, u1s):
-    """Entrywise |x| |A_w| + |x| |L_x'| |B_w| + |c| |B_w| + sum over lags |lag| (|L_lag'| |B_w| + |A1'| or |B1'|),
-    lags lifted to depth k, as rows of x(k+1); and |r| |L_u1'| + |c_u1| for u1(k)."""
+def fold_bound(tree, spec, law, k, xs, u1s, ck):
+    """Entrywise |x| |A_w| + |x| |L_x'| |B_w| + the offset's + sum over lags |lag| (|L_lag'| |B_w| + |A1'| or |B1'|),
+    lags lifted to depth k, as rows of x(k+1); and |r| |L_u1'| + the offset's for u1(k). A listed offset c_k's
+    is |c| |B_w| and |c_u1|. A path target's, whose terms the folded step adds and whose per-node ``ck`` the
+    plant step adds, is that of the terms, which also bounds the rounding of ck:
+    (|x_h(k+1)| |Z| + |x_h(k)| |Abar'|) |M_q'| |B_w| + (|r_h| |L_u'|) |B_w| and |r_h| |L_u1'|, with
+    Z = [p_j w_j I_n]_j, x_h(k+1) as rows of s n and r_h x_h(k) with its state lags lifted to depth k."""
     m, n, N = spec.m, spec.n, len(law.L) - 1
-    Lk, c = np.abs(law.L[k]), np.abs(law.c[k])
+    Lk = np.abs(law.L[k])
     Aw = np.hstack([np.abs(spec.A.T) + abs(w) * np.abs(spec.Abar.T) for w in tree.support])
     Bw = np.hstack([np.abs(spec.B.T) + abs(w) * np.abs(spec.Bbar.T) for w in tree.support])
     x = np.abs(xs[k])
-    step = x @ Aw + (x @ Lk[:m, :n].T) @ Bw + c[:, :m] @ Bw
-    u1 = x @ Lk[m:, :n].T + c[:, m:]
+    step = x @ Aw + (x @ Lk[:m, :n].T) @ Bw
+    u1 = x @ Lk[m:, :n].T
     xlags, ulags = _acting_lags(N, k, spec.d or 0, spec.tau or 0)
+    if law.c is None:
+        hom = {j: np.abs(level) for j, level in law.hom.items()}
+        Z = np.kron(np.abs(tree.probs * tree.support)[:, None], np.eye(n))
+        q = hom[k + 1].reshape(len(hom[k]), -1) @ Z + hom[k] @ np.abs(spec.Abar.T)
+        r_h = np.hstack([hom[k], *(lift(tree, hom[k - j], k - j, k) for j in xlags)])
+        cols = r_h.shape[1]
+        step = step + (q @ np.abs(law.Mq.T)) @ Bw + (r_h @ Lk[:m, :cols].T) @ Bw
+        u1 = u1 + r_h @ Lk[m:, :cols].T
+    else:
+        c = np.abs(ck)
+        step, u1 = step + c[:, :m] @ Bw, u1 + c[:, m:]
     lags = [(xs[k - j], k - j, spec.A1 if j == spec.d else None) for j in xlags]
     lags += [(u1s[k - i], max(0, k - i), spec.B1 if i == spec.tau else None) for i in ulags]
     col = n
@@ -97,11 +117,11 @@ def test_folded_step_matches_the_plant_step_of_the_laws_inputs(law, route, lag, 
         stages = _stage_maps(tree, spec, ctrl.law)
         vals = _start_values(x0, ctrl.law, tau)
         vals.update({("x", j): level for j, level in xs.items()} | {("u1", j): level for j, level in u1s.items()})
-        for k, Lk in enumerate(ctrl.law.L):
-            v = _law_inputs(spec, ctrl.law, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
+        for k, (Lk, ck) in enumerate(zip(ctrl.law.L, law_offsets(tree, spec, ctrl.law))):
+            v = _law_inputs(spec, ctrl.law.L, ck, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
             want = plant_step(tree, spec, plant_maps(tree, spec), xs, k, v[:, :m], u1s[k - tau] if tau else None)
             got, u1k = folded_step(stages[k], dict(vals))  # a copy: the step writes u1(k) and kept lags into it
-            bound, u1_bound = fold_bound(tree, spec, ctrl.law, k, xs, u1s)
+            bound, u1_bound = fold_bound(tree, spec, ctrl.law, k, xs, u1s, ck)
             assert got.shape == want.shape and got.flags.c_contiguous
             assert np.all(np.abs(got - want) <= C_BOUND * EPS * bound), (N, k)
             if len(Lk) > m:
@@ -195,13 +215,19 @@ def test_a_null_laws_leaves_are_those_of_the_loop_that_adds_its_zero_offsets(law
 @pytest.mark.parametrize("route,lag", ROUTES)
 @pytest.mark.parametrize("target", ["constant", "path"])
 def test_zeroing_a_target_laws_offsets_changes_its_leaves(law, route, lag, target):
-    # A one-row nonzero c_k (a constant target) and a per-node one (a path target) are still applied.
+    # A one-row nonzero c_k (a constant target) is still applied, and so are a path target's solution terms:
+    # the same law on a zero solution steers elsewhere.
     rng = np.random.default_rng([lag, len(law), len(route), len(target), 6])
     for N in range(5):
         ts, tree, x0, goal, ctrl = draw(rng, LAWS[law], route, lag, 2, N, target)
         got = leaves(tree, ts.spec, x0, ctrl.law)
         assert np.allclose(got, goal, atol=1e-8), N
-        zeroed = FeedbackLaw(ctrl.law.L, [np.zeros((1, ck.shape[1])) for ck in ctrl.law.c], ctrl.law.u1_pre)
+        L, u1_pre = ctrl.law.L, ctrl.law.u1_pre
+        if ctrl.law.c is not None:  # a constant target, or a path target at N = 0, whose one stage is one node
+            zeroed = FeedbackLaw(L, [np.zeros((1, ck.shape[1])) for ck in ctrl.law.c], u1_pre)
+        else:
+            zero = {k: np.zeros_like(level) for k, level in ctrl.law.hom.items()}
+            zeroed = FeedbackLaw(L, None, u1_pre, ctrl.law.target, zero, ctrl.law.Mq)
         assert not np.array_equal(got, leaves(tree, ts.spec, x0, zeroed)), N
 
 
@@ -217,10 +243,17 @@ def test_only_a_nonzero_offset_makes_an_offset_product(monkeypatch, route, lag, 
     monkeypatch.setattr(synthesis, "_walk", lambda plan, *args: steps.extend(plan) or walk(plan, *args))
     runs = list(folded_loop(tree, ts.spec, x0, ctrl.law))
     assert len(runs) > 1 and len(steps) > len(ctrl.law.L)
-    offsets = [key for k, *_, terms, _, _ in steps for key, *_ in terms if key[0] == "c"]
-    assert offsets == ([] if target is None else [("c", k) for k, *_ in steps])
-    # c_k's u1 columns are added exactly on a target law's stages with u1 rows
-    assert all((c1 is not None) == (target is not None and u1_map is not None) for _, _, _, _, u1_map, _, _, c1, _ in steps)
+    for k, _, _, _, u1_map, _, terms, c1, _ in steps:
+        offsets = [key for key, *_ in terms if key[0] in ("c", "zh", "xh")]
+        u1 = u1_map is not None
+        if target == "path":
+            # The solution's terms: x_h(k+1) and x_h(k), then x_h(k) on u1 rows, then the state lags' x_h(k-j).
+            assert offsets[:2] == [("zh", k), ("xh", k)] and offsets.count(("xh", k)) == 1 + u1, k
+            assert all(key[0] == "xh" and key[1] < k for key in offsets[2 + u1 :]), k
+        else:
+            assert offsets == ([] if target is None else [("c", k)]), k
+        # a listed c_k's u1 columns are added exactly on a constant target law's stages with u1 rows
+        assert (c1 is not None) == (target == "constant" and u1), k
 
 
 @pytest.mark.parametrize("N", [17, 19])
@@ -321,3 +354,69 @@ def test_folded_loop_builds_each_stage_map_once(monkeypatch):
     assert len(runs) == 128 and len(read) == 909
     assert len(built) == 1 and len(built[0]) == N + 1
     assert all(fold is built[0][k][1] for k, fold, *_ in read)
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("route,lag", [("full", 0), ("tau", 1), ("tau", 3), ("d", 2)])
+def test_synthesize_and_verify_of_a_path_target_build_no_per_node_offsets(capsys, tmp_path, monkeypatch, law, route,
+                                                                         lag):
+    # synthesize builds c_0, one node, and c_1, whose s rows differ, and stops there: the law names its target
+    # and the loop reads the target's solution. verify builds none.
+    rng = np.random.default_rng([lag, len(law), len(route), 10])
+    ts, tree, x0, goal, ctrl = draw(rng, LAWS[law], route, lag, 2, lag + 3, "path")
+    inst = write_instance(tmp_path, ts, tree, x0, goal)
+    target_offsets, built = synthesis.target_offsets, []
+
+    def counted(*args):
+        for ck in target_offsets(*args):
+            built.append(len(ck))
+            yield ck
+
+    monkeypatch.setattr(synthesis, "target_offsets", counted)
+    law_path = tmp_path / "law.json"
+    code, out, _ = run(capsys, "synthesize", "--instance", inst, "--out", str(law_path))
+    assert code == 0 and built == [1, tree.s]
+    assert law_path.read_text() == law_text(ctrl)
+    code, verified, _ = run(capsys, "verify", "--instance", inst, "--controller", str(law_path))
+    assert code == 0 and built == [1, tree.s]
+    assert report(verified)["terminal_deviation"] == report(out)["terminal_deviation"]
+
+
+@pytest.mark.parametrize("route,lag", ROUTES + [("tau", 3)])
+@pytest.mark.parametrize("target", [None, "constant", "path"], ids=["null", "constant", "path"])
+@pytest.mark.parametrize("N", [7, 15])
+def test_every_term_is_one_contiguous_add_but_a_one_row_offset(monkeypatch, route, lag, target, N):
+    # A lag's value, x(k-j), u1(k-i) or x_h(k-j), meets its block tiled s^min(j, k) times, so its product has
+    # the rows and width of the view it is added to; so do the terms of a path target's solution. Only a
+    # listed one-row c_k is spread over the level by a broadcast. At N = 15 (n = 2, two-point) the loop runs
+    # in runs below its top level. (A block is tiled only while its copies hold at most BLOCK_ENTRIES entries,
+    # which no lag here reaches; the bit-for-bit tests above, with BLOCK_ENTRIES cut small, run past that.)
+    rng = np.random.default_rng([lag, len(route), 0 if target is None else len(target), N, 12])
+    ts, tree, x0, _, ctrl = draw(rng, LAWS["two-point"], route, lag, 2, N, target)
+    walk, steps = synthesis._walk, []
+    monkeypatch.setattr(synthesis, "_walk", lambda plan, *args: steps.extend(plan) or walk(plan, *args))
+    runs = list(folded_loop(tree, ts.spec, x0, ctrl.law))
+    assert (len(runs) > 1) == (N == 15)
+    added = [(key, prod, into, spread) for *_, terms, _, _ in steps for key, _, prod, into, spread in terms]
+    assert added or target is None and route == "full"
+    for key, prod, into, spread in added:
+        if into.ndim == 2:
+            assert spread is prod and into.shape == prod.shape and into.flags.c_contiguous, key
+        else:
+            assert key[0] == "c" and len(prod) == 1 and into.shape[1] > 1, key
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("route,lag", [("tau", 1), ("tau", 2), ("tau", 3), ("d", 1), ("d", 2)])
+def test_a_delay_route_path_target_ends_within_rounding_of_the_plant_step_loop(law, route, lag):
+    # The folded loop adds the target's solution terms and tiled lag products; the plant-step loop adds
+    # per-node offsets and lags through broadcasts. Their x(N+1) agree within 256 eps of the state's scale
+    # (measured: 23 eps at most, at N = 0 on tau 3).
+    rng = np.random.default_rng([lag, len(law), len(route), 11])
+    for N in range(lag + 3):
+        ts, tree, x0, goal, ctrl = draw(rng, LAWS[law], route, lag, 2, N, "path")
+        assert (ctrl.law.c is None) == (N > 0)
+        got = leaves(tree, ts.spec, x0, ctrl.law)
+        *_, (_, _, want) = synthesis.feedback_loop(tree, ts.spec, x0, ctrl.law)
+        scale = max(1.0, np.abs(want).max(), np.abs(goal).max())
+        assert np.abs(got - want).max() <= 256 * EPS * scale, N

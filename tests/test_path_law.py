@@ -1,12 +1,12 @@
-"""A path target's law names its target by digest; its offsets are rebuilt from L and the target.
+"""A path target's law names its target by digest; its offsets are read from L and the target's solution.
 
 On every steerable route (full, delayed input with tau 1 and 2, delayed
 state with d 1 and 2), under both noise laws and n 1 to 3, synthesize
 writes the law of a path target as kind, N and L (plus u1 on a delayed
 input) and ``target``, the SHA-256 digest of the instance's leaf rows;
 the offsets c_k, which differ by node, are not written. verify checks
-the digest, rebuilds the offsets from the law's own L and the target's
-homogeneous solution as synthesize built them, and replays the law to
+the digest, solves for the target's homogeneous solution as synthesize
+did, reads the offsets from it with the law's own L, and replays the law to
 synthesize's ``terminal_deviation`` bit for bit; the table
 ``write_controller_csv`` writes for the same controller verifies to the
 bits of the plant-step loop (``synthesis.feedback_loop``) it was written
@@ -42,6 +42,7 @@ from stochctrl import (
     validate,
     write_controller_csv,
 )
+from crosschecks import law_offsets
 from test_delay_law import LAWS, draw, report, run, table_deviation, write_instance
 
 ROUTES = [("full", 0), ("tau", 1), ("tau", 2), ("d", 1), ("d", 2)]
@@ -68,7 +69,7 @@ def test_path_target_law_verifies_to_the_synthesized_deviation_as_its_table_does
     text = law_path.read_text()
     assert text == law_text(ctrl)  # the controller the table below is written from
     # The offsets differ by node, so the law holds its gains (and u1) and the target's digest only.
-    assert any(len(ck) > 1 for ck in ctrl.law.c)
+    assert ctrl.law.c is None and ctrl.law.target is not None
     doc = json.loads(text)
     assert sorted(doc) == sorted(["kind", "N", "L", "target"] + (["u1"] if route == "tau" else []))
     assert doc["target"] == ctrl.law.target == target_digest(parse_instance_file(inst).target)
@@ -147,15 +148,17 @@ def test_leaf_rows_as_a_list_and_as_hex_give_the_same_commands(capsys, tmp_path,
 @pytest.mark.parametrize("law", sorted(LAWS))
 @pytest.mark.parametrize("route,lag", ROUTES)
 def test_a_digest_law_reads_back_with_synthesizes_offsets_bit_for_bit(law, route, lag):
-    # The reader rebuilds a digest law's offsets itself, from a validated system it transforms only then,
-    # so what it returns is the law synthesize built, every per-node c_k included, to the last bit.
+    # The reader solves for a digest law's target solution itself, from a validated system it transforms only
+    # then, so what it returns is the law synthesize built, every level x_h(k) and M_q included, to the last
+    # bit; the loop reads its offsets from them.
     rng = np.random.default_rng([lag, len(law), len(route), 45])
     ts, tree, x0, goal, ctrl = draw(rng, LAWS[law], route, lag, 2, lag + 2, "path")
-    assert ctrl.law.target is not None and any(len(ck) > 1 for ck in ctrl.law.c)
+    assert ctrl.law.target is not None and ctrl.law.c is None
     read = read_feedback_law(io.StringIO(law_text(ctrl)), tree, validate(ts.spec), goal)
-    assert read.target == ctrl.law.target
-    assert [ck.shape for ck in read.c] == [ck.shape for ck in ctrl.law.c]
-    assert all(got.tobytes() == want.tobytes() for got, want in zip(read.c, ctrl.law.c))
+    assert read.target == ctrl.law.target and read.c is None
+    assert sorted(read.hom) == sorted(ctrl.law.hom) == list(range(tree.horizon + 2))
+    assert all(read.hom[k].tobytes() == level.tobytes() for k, level in ctrl.law.hom.items())
+    assert read.Mq.tobytes() == ctrl.law.Mq.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +175,7 @@ def path_laws(tmp_path_factory):
         assert "target" in doc and "c" not in doc
         # The law as earlier versions wrote it: the offsets, stage 2 one row per depth-2 node.
         per_node = {k: v for k, v in doc.items() if k != "target"}
-        per_node["c"] = [ck.ravel().tolist() for ck in ctrl.law.c]
+        per_node["c"] = [ck.ravel().tolist() for ck in law_offsets(tree, ts.spec, ctrl.law)]
         assert len(per_node["c"][2]) == tree.n_nodes(2) * len(ctrl.law.L[2])
         laws[route] = (inst, json.loads(open(inst).read()), doc, per_node)
     return laws

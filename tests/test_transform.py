@@ -16,7 +16,9 @@ from stochctrl import (
     gramian_invertible,
     random_controllable,
     random_system,
+    sampling,
 )
+from stochctrl.sampling import random_transformed
 from crosschecks import reconstruct_u, split_u
 
 
@@ -82,6 +84,35 @@ def test_exhausted_draws_raise_a_package_error(rng):
         random_system(rng, 2, 3, max_tries=0)
     with pytest.raises(StochctrlError, match="no controllable system in 0 draws"):
         random_controllable(rng, 2, 3, 2, max_tries=0)
+
+
+def test_a_horizon_too_short_for_the_free_inputs_is_refused_before_any_draw(rng):
+    # n = 32, m = 33, N = 4: G_4's rank is at most 1 + 2 + 4 + 8 + 16 = 31 < 32 for every draw.
+    state = rng.bit_generator.state
+    with pytest.raises(StochctrlError, match=r"at N = 4: .* \(m - n\)\(2\^\(N\+1\) - 1\) = 31 < n") as info:
+        random_controllable(rng, 32, 33, 4)
+    assert "n = 32, m = 33" in str(info.value)
+    assert rng.bit_generator.state == state
+    with pytest.raises(StochctrlError, match="= 0 < n"):
+        random_controllable(rng, 2, 2, 6)
+    with pytest.raises(RankDeficient, match="need m >= n"):
+        random_controllable(rng, 3, 2, 2)
+
+
+def test_a_system_draw_that_gives_up_names_the_gramian_screens_rejections(rng, monkeypatch):
+    # The Gramian screen rejects two draws; then random_system gives up, and its error says so.
+    draws = iter([random_transformed(rng, 2, 3), random_transformed(rng, 2, 3)])
+
+    def transformed(*args, **kwargs):
+        for ts in draws:
+            return ts
+        raise StochctrlError("no acceptable system in 200 draws")
+
+    monkeypatch.setattr(sampling, "random_transformed", transformed)
+    monkeypatch.setattr(sampling, "gramian_invertible", lambda G: (False, 0.0))
+    with pytest.raises(StochctrlError, match=r"^no acceptable system in 200 draws, after the Gramian screen at N = 2 "
+                                             r"rejected 2 draws$"):
+        random_controllable(rng, 2, 3, 2)
 
 
 def test_singular_pencil_detected():
