@@ -60,14 +60,6 @@ from .model import (
     validate,
 )
 from .partial import intertwine, output_form, partial_decide, reduced_rank_setup
-from .sampling import (
-    random_attainable_terminal,
-    random_controllable,
-    random_free_input,
-    random_system,
-    random_transformed,
-    random_x0,
-)
 from .pathspace import (
     PathTree,
     SMembership,

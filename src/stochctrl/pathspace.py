@@ -314,11 +314,16 @@ def _stage_step(tree: PathTree, form: BsdeForm, W: np.ndarray, x_next: np.ndarra
     return xk
 
 
+def z_map(tree: PathTree, n: int) -> np.ndarray:
+    """Z = [p_j w_j I_n]_j, of shape (s n, n): a node's row of its s children's n entries times Z is its z(k)."""
+    return ((tree.probs * tree.support)[:, None, None] * np.eye(n)).reshape(-1, n)
+
+
 def z_level(tree: PathTree, x_next: np.ndarray) -> np.ndarray:
     """z(k) = E[w(k) x(k+1) | past] at each parent of ``x_next``, x(k+1)'s level or a block of it in whole
-    sets of s siblings: the rows times [p_j w_j I_n]_j, so a block gives its parents' rows of z(k)."""
+    sets of s siblings: the rows times :func:`z_map`, so a block gives its parents' rows of z(k)."""
     n = x_next.shape[1]
-    return x_next.reshape(-1, tree.s * n) @ ((tree.probs * tree.support)[:, None, None] * np.eye(n)).reshape(-1, n)
+    return x_next.reshape(-1, tree.s * n) @ z_map(tree, n)
 
 
 def state_delay_P(form: BsdeForm, N: int) -> tuple[np.ndarray, ...]:

@@ -39,7 +39,7 @@ stage whose rows differ. Otherwise the law holds the target's solution,
 and the commands' loop adds c_k's terms of it at their own depths, so no
 per-node c_k is formed: x_h(k+1), as the rows of s n entries under each
 depth-k node, times the fixed map Z M_q' (B + w_j Bbar)'_j, with
-Z = [p_j w_j I_n]_j (``pathspace.z_level``'s map), and x_h(k) and each
+Z = [p_j w_j I_n]_j (``pathspace.z_map``), and x_h(k) and each
 acting state lag x_h(k-j) times their columns of -L_k' (with -Abar' M_q'
 on x_h(k)). K_k has u1 rows only while u1(k) enters by stage N
 (k <= N - tau), so L_k and c_k have none past that.
@@ -145,9 +145,9 @@ class FeedbackLaw:
     the written law lists them (:func:`law_text`). Else ``c`` is None and
     the offsets are read from the target's homogeneous solution ``hom``,
     its levels x_h(0..N+1), with ``Mq``, M's first n columns:
-    c_k = [(z_h(k) - x_h(k) Abar') M_q', 0] - r_h(k) L_k'. ``target`` is
-    then the SHA-256 digest of the target's leaves (:func:`target_digest`),
-    which the written law stores instead of c, and :func:`read_feedback_law`
+    c_k = [(z_h(k) - x_h(k) Abar') M_q', 0] - r_h(k) L_k'. The written law
+    stores the SHA-256 digest of the target's leaves x_h(N+1)
+    (:func:`target_digest`) instead of c, and :func:`read_feedback_law`
     solves for ``hom`` again from the target it names. :func:`folded_loop`
     adds the solution's terms of c_k at their own depths and never forms
     c_k; :func:`feedback_loop` forms it stage by stage
@@ -158,7 +158,6 @@ class FeedbackLaw:
     L: list[np.ndarray]
     c: list[np.ndarray] | None
     u1_pre: np.ndarray | None = None
-    target: str | None = None
     hom: dict | None = None
     Mq: np.ndarray | None = None
 
@@ -237,7 +236,7 @@ def _steer(ts: TransformedSystem, tree: PathTree, x0, target, tol: float) -> Con
         L[k][: spec.m, :n] -= Mq_Abar
     c = list(itertools.takewhile(lambda ck: len(ck) == 1, target_offsets(tree, spec, Mq, L, hom)))
     if len(c) <= N:  # a stage's rows differ: the loop reads the offsets from the target's solution
-        law = FeedbackLaw(L, None, u1_pre, target_digest(hom[N + 1]), hom, Mq)
+        law = FeedbackLaw(L, None, u1_pre, hom, Mq)
     else:
         law = FeedbackLaw(L, c, u1_pre)
     return ControllerProcess(kind, tree, spec, x0, G, law, smin)
@@ -250,7 +249,8 @@ def target_offsets(tree: PathTree, spec: SystemSpec, Mq: np.ndarray, L: list[np.
     ``Mq`` is M's first n columns.
 
     c_k = [(z_h(k) - x_h(k) Abar') M_q', 0] - r_h(k) L_k', with
-    r_h(k) L_k' formed as :func:`_law_inputs` forms r(k) L_k': x_h(k) in
+    r_h(k) L_k' formed as :func:`feedback_loop` forms r(k) L_k'
+    (:func:`_regressor_product`): x_h(k) in
     one matmul, each acting state lag x_h(k-j) at its own depth, the
     target's u1 lags zero. So the law gives the target's own input on its
     solution. A stage whose rows are all equal is yielded as one row;
@@ -330,8 +330,9 @@ def feedback_loop(
     """Run [u(k), u1(k)] = r(k) L_k' + c_k through :func:`pathspace.plant_step` from x0.
 
     Yields (k, v, x(k+1)) for k = 0..N: v is [u(k), u1(k)], one row per
-    depth-k node (u1 only while it enters by stage N), evaluated by
-    :func:`_law_inputs` into one input buffer, so it is valid only until
+    depth-k node (u1 only while it enters by stage N), evaluated into one
+    input buffer, r(k) L_k' by :func:`_regressor_product` and then c_k
+    added in place (one row broadcasts), so it is valid only until
     the next step; x(k+1) is at depth k + 1. A law without listed offsets
     has its c_k built per node, one stage per step, by
     :func:`target_offsets`. The step's products go into
@@ -345,7 +346,7 @@ def feedback_loop(
     m, N, s, n = spec.m, len(law.L) - 1, tree.s, spec.n
     d, tau = spec.d or 0, spec.tau if spec.B1 is not None else 0
     inputs = np.empty(max(tree.n_nodes(k) * len(Lk) for k, Lk in enumerate(law.L)))
-    # The step's s n wide products, and the lag products at depth <= N - 1 of _law_inputs.
+    # The step's s n wide products, and the lag products at depth <= N - 1 of _regressor_product.
     work = np.empty(max(tree.n_nodes(N) * s * n, tree.n_nodes(max(0, N - 1)) * len(law.L[0])))
     xs = {0: np.asarray(x0, dtype=float)[None, :].copy()}
     u1s = {i - tau: law.u1_pre[i : i + 1] for i in range(len(law.u1_pre))} if tau else {}
@@ -353,7 +354,8 @@ def feedback_loop(
     offsets = law.c if law.c is not None else target_offsets(tree, spec, law.Mq, law.L, law.hom)
     for k, ck in enumerate(offsets):
         rows, width = tree.n_nodes(k), len(law.L[k])
-        v = _law_inputs(spec, law.L, ck, k, xs, u1s, inputs[: rows * width].reshape(rows, width), work)
+        v = _regressor_product(spec, law.L, k, xs, u1s, inputs[: rows * width].reshape(rows, width), work)
+        v += ck  # one row broadcasts
         if tau and k <= N - tau:
             u1s[k] = v[:, m:].copy()
         xs[k + 1] = plant_step(tree, spec, maps, xs, k, v[:, :m], u1s[k - tau] if tau else None, work)
@@ -373,10 +375,9 @@ def _drop_read(xs: dict, u1s: dict, k: int, N: int, d: int, tau: int) -> None:
 def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Iterator[tuple[int, np.ndarray]]:
     """x(N+1) of the law's closed loop in runs of consecutive leaves, each with the index of its first leaf.
 
-    The loop walks a flat plan (:func:`_walk`) built once for the top stages and once for the runs
-    (:func:`_stage_views`): each stage's maps (:func:`_stage_maps`) with the arrays it writes x(k+1)
-    and u1(k) into (:func:`_stage_buffers`), the view of x(k+1) the next stage reads and each offset or
-    lag term's arrays, all shaped once.
+    The loop walks a flat plan (:func:`_walk`), built by :func:`_plan` once for the top stages and once for
+    the runs: each stage's maps (:func:`_stage_maps`) with the arrays it writes x(k+1) and u1(k) into, the
+    view of x(k+1) the next stage reads and each term's arrays, all shaped once.
     Stages run breadth-first over whole levels down to the top level of
     :class:`pathspace.RunCut`, cut by the n entries a node holds, whose runs
     are then each carried alone through the remaining stages. A run reads a
@@ -384,7 +385,8 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
     solution, as its rows of it (:meth:`pathspace.RunCut.rows`), so every
     lag but a depth-0 one spans s rows or more: a single row would go
     through the matrix-vector kernel, which rounds differently from the
-    level's matmul. The offsets are the law's listed one-row c_k or, for a
+    level's matmul. The offsets are the law's listed one-row c_k, its u
+    columns with the atom stack of B and its u1 columns with I_m1, or, for a
     path target, terms of the target's solution (x_h, z_h) added at their
     own depths, so no c_k is formed per node. A c_k that is one row of
     zeros, as every stage of the origin's law, is not applied at all,
@@ -403,9 +405,9 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
     """
     N, d, tau = len(law.L) - 1, spec.d or 0, spec.tau or 0
     cut = pathspace.RunCut(tree, spec.n, max(d, tau))
-    stages = _stage_maps(tree, spec, law)
-    levels, vals = _stage_buffers(tree, spec, law, stages, cut), _start_values(x0, law, tau)
-    top = _stage_views(stages[: cut.top], levels[: cut.top])
+    stages, vals = _stage_maps(tree, spec, law), _start_values(x0, law, tau)
+    lags = [lag if lag <= N else 0 for lag in (d, tau)]  # a lag past N reads no level
+    top = _plan(stages[: cut.top], tree.n_nodes, *lags)
     vals["x", cut.top] = _walk(top, vals, vals["x", 0])
     # What the runs read above them, each at its depth: the top level and its lags, and the target's solution.
     above = [(("x", j), j) for j in range(max(0, cut.top - d), cut.top + 1)]
@@ -417,7 +419,7 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
     spare = {out.base.size: out.base for _, _, out, *_ in top if id(out.base) not in read}  # x arrays no run reads
     del top
     vals = _start_values(x0, law, tau)  # the top levels no run reads are released, but for the spare arrays
-    runs = _stage_views(stages[cut.top :], levels[cut.top :], spare)
+    runs = _plan(stages[cut.top :], cut.count, *lags, spare)
     for first in cut.firsts:
         for key, depth, level in above:
             vals[key] = level[cut.rows(depth, first)]
@@ -445,88 +447,74 @@ def _start_values(x0, law: FeedbackLaw, tau: int) -> dict:
     return vals
 
 
-def _stage_buffers(tree: PathTree, spec: SystemSpec, law: FeedbackLaw, stages: list, cut) -> list[tuple]:
-    """Where :func:`folded_loop` writes each stage, for :func:`_stage_views`: per stage k, the array x(k+1)
-    goes into and its (rows, s, n) shape, the array u1(k) goes into and its shape (no columns without u1
-    rows), and the rows of each term's value (:func:`_stage_maps`), x(k)'s rows over s^up for a value up
-    stages above x(k), and at least one. Rows are a whole level's above ``cut.top`` and a run's below. x(j)
-    goes into one of d + 2 arrays by j modulo d + 2, and u1(j) into one of tau + 1 by j modulo tau + 1, as
-    stage k reads x(k-d..k) and u1(k-tau..k-1).
+def _plan(stages: list, rows, d: int, tau: int, spare: dict | None = None) -> list[tuple]:
+    """The plan :func:`_walk` walks over a span of :func:`_stage_maps` stages, in which a level at depth j
+    has ``rows(j)`` rows (a whole level's above ``RunCut.top``, a run's below): per stage, (k, the
+    closed-loop map, the C-contiguous array x(k+1) goes into as (rows, s n), the same as the (rows s, n)
+    level the next stage reads, L_k,u1,x', the array u1(k) goes into (None without u1 rows), the terms,
+    whether x(k+1) is kept).
+
+    x(j) goes into one of d + 2 arrays by j modulo d + 2, and u1(j) into one of tau + 1 by j modulo
+    tau + 1, as stage k reads x(k-d..k) and u1(k-tau..k-1); each array is sized for the largest level it
+    holds in the span, and one flat ``work`` array for the largest term product. An array is taken from
+    ``spare`` ({size: flat array no longer read}) where one has its size, else allocated; ``spare`` is
+    emptied before any is allocated, so no unused one is held beside them. Under a low mmap threshold a
+    fresh array faults in every page it is written to, and a spare one none.
+
+    A term is its key and block with the product's array, a (rows, width) view of ``work`` whose rows are
+    those of its value, rows(k - up) for a value up stages above x(k), the view of x(k+1) or u1(k) it is
+    added to and the product as added. Where the product covers the value's descendants, as a tiled
+    block's does, the view is the (rows, width) array itself, so the add is one contiguous 2-D add; else
+    (a one-row c_k, or a lag longer than its block is tiled) the view is (rows, descendants, width) and the
+    product, as (rows, 1, width), spreads over the descendants.
     """
-    N, s, n, m, top = len(law.L) - 1, tree.s, spec.n, spec.m, cut.top
-    d, tau = (lag if lag and lag <= N else 0 for lag in (spec.d, spec.tau))  # a lag past N reads no level
-    levels = []
-    for k, _, _, terms, _, _ in stages:
-        here = tree.n_nodes(k) if k < top else cut.count(k)  # x(k)'s rows as stage k reads them
-        rows = tuple(max(1, here // s**up) for *_, up in terms)
-        levels.append(((k + 1) % (d + 2), (here, s, n), d + 2 + k % (tau + 1), (here, len(law.L[k]) - m), rows))
-    return levels
-
-
-def _stage_views(stages: list, levels: list, spare: dict | None = None) -> list[tuple]:
-    """The plan :func:`_walk` walks over a span of stages: per stage, its maps with its
-    :func:`_stage_buffers` entry's arrays, shaped by :func:`_plan_entry`. The x and u1 arrays are sized
-    for the largest level each holds in the span, and one flat ``work`` array for the largest term product.
-
-    An array is taken from ``spare`` ({size: flat array no longer read}) where one has its size, else
-    allocated; ``spare`` is emptied before any is allocated, so no unused one is held beside them. Under a
-    low mmap threshold a fresh array faults in every page it is written to, and a spare one none.
-    """
-    sizes = {}
-    for xi, (rows, s, n), ui, (u1_rows, w1), _ in levels:
-        sizes[xi], sizes[ui] = max(sizes.get(xi, 0), rows * s * n), max(sizes.get(ui, 0), u1_rows * w1)
+    sizes, arrays = {}, []
+    for k, fold, u1_map, *_ in stages:  # (array, rows, width) of x(k+1), then of u1(k)
+        arrays.append([((k + 1) % (d + 2), rows(k), fold.shape[1])])
+        if u1_map is not None:
+            arrays[-1].append((d + 2 + k % (tau + 1), rows(k), u1_map.shape[1]))
+        for i, r, w in arrays[-1]:
+            sizes[i] = max(sizes.get(i, 0), r * w)
     spare = spare or {}
     bufs = {i: spare.pop(size) for i, size in sizes.items() if size in spare}
     spare.clear()
     bufs.update((i, np.empty(size)) for i, size in sizes.items() if i not in bufs)
-    work = np.empty(max((r * block.shape[1] for (*_, terms, _, _), (*_, term_rows) in zip(stages, levels)
-                         for r, (_, block, *_) in zip(term_rows, terms)), default=0))
-    return [_plan_entry(stage, bufs[xi][: rows * s * n].reshape(rows, s * n),
-                        bufs[ui][: u1_rows * w1].reshape(u1_rows, w1) if w1 else None, term_rows, work)
-            for stage, (xi, (rows, s, n), ui, (u1_rows, w1), term_rows) in zip(stages, levels)]
-
-
-def _plan_entry(stage: tuple, out: np.ndarray, u1_out, rows: tuple, work: np.ndarray) -> tuple:
-    """Stage k's entry of a :func:`_walk` plan, from its maps (:func:`_stage_maps`), the C-contiguous
-    arrays x(k+1) (as (rows, s n)) and u1(k) go into, each term's value rows and a flat ``work`` array:
-    (k, the closed-loop map, out, out as the (rows s, n) level the next stage reads, L_k,u1,x', u1(k)'s
-    array, the terms, c_k's u1 key, whether x(k+1) is kept). A term is its key and block with the
-    product's array, a (rows, width) view of ``work``, the view of x(k+1) or u1(k) it is added to and the
-    product as added. Where the product covers the value's descendants, as a tiled block's does, the view
-    is the (rows, width) array itself, so the add is one contiguous 2-D add; else (a one-row c_k, or a lag
-    longer than its block is tiled) the view is (rows, descendants, width) and the product, as
-    (rows, 1, width), spreads over the descendants."""
-    k, fold, u1_map, terms, c1, kept = stage
-    shaped = []
-    for r, (key, block, to_u1, _) in zip(rows, terms):
-        prod = work[: r * block.shape[1]].reshape(r, block.shape[1])
-        into = (u1_out if to_u1 else out).reshape(r, -1, block.shape[1])
-        if into.shape[1] == 1:  # the product covers the value's descendants
-            shaped.append((key, block, prod, into[:, 0], prod))
-        else:
-            shaped.append((key, block, prod, into, prod[:, None, :]))
-    return k, fold, out, out.reshape(-1, len(fold)), u1_map, u1_out, tuple(shaped), c1, kept
+    work = np.empty(max((rows(k - up) * block.shape[1] for k, _, _, terms, _ in stages for _, block, _, up in terms),
+                        default=0))
+    plan = []
+    for (k, fold, u1_map, terms, kept), where in zip(stages, arrays):
+        out, u1_out = [*(bufs[i][: r * w].reshape(r, w) for i, r, w in where), None][:2]  # u1_out None without u1
+        shaped = []
+        for key, block, to_u1, up in terms:
+            r, w = rows(k - up), block.shape[1]
+            prod, into = work[: r * w].reshape(r, w), (u1_out if to_u1 else out).reshape(r, -1, w)
+            if into.shape[1] == 1:  # the product covers the value's descendants
+                shaped.append((key, block, prod, into[:, 0], prod))
+            else:
+                shaped.append((key, block, prod, into, prod[:, None, :]))
+        plan.append((k, fold, out, out.reshape(-1, len(fold)), u1_map, u1_out, tuple(shaped), kept))
+    return plan
 
 
 def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tuple]:
     """Each stage's maps, built once per loop for :func:`_walk`, which reads stage k's once per run: (k, the
     closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, L_k,u1,x' (None without u1 rows), the
-    terms, ("c1", k) where a listed c_k is applied to u1 rows, else None, whether x(k+1) is kept as a lag).
-    A term is a key in the loop's values, the block its value meets, whether the product goes to u1(k) and
-    how many stages above x(k) its value sits. The atom stacks Bw = [(B + w_j Bbar)']_j and the s copies of
-    A1' and of B1' are :func:`pathspace.plant_maps`'. x(k+1) is kept where a later stage reads it as a lag
-    (k + 1 <= N - d).
+    terms, whether x(k+1) is kept as a lag). A term is a key in the loop's values, the block its value meets,
+    whether the product goes to u1(k) and how many stages above x(k) its value sits. The atom stacks
+    Bw = [(B + w_j Bbar)']_j and the s copies of A1' and of B1' are :func:`pathspace.plant_maps`'. x(k+1) is
+    kept where a later stage reads it as a lag (k + 1 <= N - d).
 
     The offset's terms come first. A listed c_k, one row, is ("c", k), its u columns, with Bw; it is not
     applied when it is zeros (every stage of the origin's law), as adding 0.0 changes no value but the sign
     of a zero. Otherwise c_k = [(z_h(k) - x_h(k) Abar') M_q', 0] - r_h(k) L_k' is expanded into terms of the
     target's solution, each at its own depth: ("zh", k), x_h(k+1) as rows of s n, with Z M_q' Bw, where
-    Z = [p_j w_j I_n]_j is ``pathspace.z_level``'s map, and ("xh", k) with -(Abar' M_q' + L_k,x,u') Bw and,
+    Z = [p_j w_j I_n]_j is :func:`pathspace.z_map`, and ("xh", k) with -(Abar' M_q' + L_k,x,u') Bw and,
     on u1 rows, with -L_k,x,u1'. Then each acting lag (:func:`pathspace._acting_lags`' order), ("x", k - j)
     or ("u1", k - i), with L_k,lag' Bw plus A1' for x(k-d) or B1' for u1(k-tau), and on u1 rows with
-    L_k,lag,u1'; after a state lag, for a target's solution, ("xh", k - j) with -L_k,lag,u' Bw and on u1
-    rows -L_k,lag,u1' (the target's u1 is zero). A lag's value sits min(j, k) stages above x(k), and its
-    block is tiled to match (:func:`_tiled`).
+    L_k,lag,u1'; after a state lag, for a target's solution, ("xh", k - j) with -L_k,lag,u' Bw (a route with
+    a state lag has no u1 rows, and the target's u1 is zero). A lag's value sits min(j, k) stages above x(k),
+    and its block is tiled to match (:func:`_tiled`). Last, where a nonzero listed c_k has u1 columns,
+    ("c1", k) with I_m1 on u1 rows: its product is the row itself, but for the sign of a zero.
 
     The closed-loop maps are one stacked matmul for the stages whose L_k has the same width, so that each
     L_k,x' keeps the strides of its own L_k's rows: at n = 1 it is a vector, whose product is a
@@ -541,7 +529,7 @@ def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tupl
             folds[k] = fold
     path = law.c is None  # the offsets are terms of the target's solution
     if path:
-        zmap = np.kron((tree.probs * tree.support)[:, None], law.Mq.T) @ Bw  # Z M_q' Bw
+        zmap = pathspace.z_map(tree, n) @ law.Mq.T @ Bw  # Z M_q' Bw
         xmap = spec.Abar.T @ law.Mq.T
     stages = []
     for k, Lk in enumerate(law.L):
@@ -562,13 +550,13 @@ def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tupl
             if direct is not None:
                 block += direct
             blocks = [(key, block, False)] + ([(key, L1[:, cols].T, True)] if u1 else [])
-            if path and key[0] == "x":  # the target's state lag; its u1 is zero
-                blocks += [(("xh", key[1]), -Lu[:, cols].T @ Bw, False)] + (
-                    [(("xh", key[1]), -L1[:, cols].T, True)] if u1 else [])
+            if path and key[0] == "x":  # the target's state lag
+                blocks.append((("xh", key[1]), -Lu[:, cols].T @ Bw, False))
             terms += [(name, _tiled(b, s, up), to_u1, up) for name, b, to_u1 in blocks]
             col = cols.stop
-        c1 = ("c1", k) if u1 and offset else None
-        stages.append((k, folds[k], L1[:, :n].T if u1 else None, tuple(terms), c1, 0 < d <= N - k - 1))
+        if u1 and offset:
+            terms.append((("c1", k), np.eye(len(L1)), True, k))
+        stages.append((k, folds[k], L1[:, :n].T if u1 else None, tuple(terms), 0 < d <= N - k - 1))
     return stages
 
 
@@ -585,20 +573,19 @@ def _tiled(block: np.ndarray, s: int, up: int) -> np.ndarray:
 
 
 def _walk(plan: list, vals: dict, x: np.ndarray) -> np.ndarray:
-    """Run the stages of ``plan`` (:func:`_plan_entry`) from x, the first one's x(k), and return the last
-    one's x(k+1).
+    """Run the stages of ``plan`` (:func:`_plan`) from x, the first one's x(k), and return the last one's
+    x(k+1).
 
     u(k) = r(k) L_k,u' + c_k,u folded into the plant step: x(k+1) is x(k) times the closed-loop map, one
     matmul into ``out``; on u1 rows u1(k) = x(k) L_k,u1,x' is another. Then each term of
-    :func:`_stage_maps`, the offset's and each acting lag's, is formed at its value's own depth against its
-    block and added to the value's descendants, so no node array is replicated; last, a listed c_k,u1 is
-    added to u1(k). ``vals`` holds the terms' values under their keys (:func:`_start_values`), each at its
-    depth, max(0, j) for stage j; u1(k) goes into it, and x(k+1) where a later stage reads it as a lag. The
-    next stage reads x(k+1) as ``view``, so a stage with no offset, lag or u1 is its matmul alone.
-    ``np.matmul`` into an array is the same call as ``@``, so the values do not depend on where they are
-    written.
+    :func:`_stage_maps`, the offset's, each acting lag's and a listed c_k,u1, is formed at its value's own
+    depth against its block and added to the value's descendants, so no node array is replicated. ``vals``
+    holds the terms' values under their keys (:func:`_start_values`), each at its depth, max(0, j) for stage
+    j; u1(k) goes into it, and x(k+1) where a later stage reads it as a lag. The next stage reads x(k+1) as
+    ``view``, so a stage with no offset, lag or u1 is its matmul alone. ``np.matmul`` into an array is the
+    same call as ``@``, so the values do not depend on where they are written.
     """
-    for k, fold, out, view, u1_map, u1_out, terms, c1, kept in plan:
+    for k, fold, out, view, u1_map, u1_out, terms, kept in plan:
         np.matmul(x, fold, out=out)
         if u1_map is not None:
             np.matmul(x, u1_map, out=u1_out)
@@ -606,21 +593,10 @@ def _walk(plan: list, vals: dict, x: np.ndarray) -> np.ndarray:
         for key, block, prod, into, spread in terms:
             np.matmul(vals[key], block, out=prod)
             into += spread
-        if c1 is not None:
-            u1_out += vals[c1]
         if kept:
             vals["x", k + 1] = view
         x = view
     return x
-
-
-def _law_inputs(spec: SystemSpec, L: list[np.ndarray], ck: np.ndarray, k: int, xs: dict, u1s: dict,
-                out: np.ndarray, work=None):
-    """[u(k), u1(k)] = r(k) L_k' + c_k into ``out`` (C-contiguous, one row per depth-k node): r(k) L_k'
-    by :func:`_regressor_product`, then c_k, one row or one per node, added in place."""
-    _regressor_product(spec, L, k, xs, u1s, out, work)
-    out += ck  # one row broadcasts
-    return out
 
 
 def _regressor_product(spec: SystemSpec, L: list[np.ndarray], k: int, xs: dict, u1s: dict | None, out: np.ndarray,
@@ -647,16 +623,17 @@ def _regressor_product(spec: SystemSpec, L: list[np.ndarray], k: int, xs: dict, 
 
 def law_text(ctrl: ControllerProcess) -> str:
     """The controller's law as JSON: kind, N and L, then its offsets c (each c_k one flat row) or, for a law
-    whose offsets differ by node, the ``target`` digest of the target whose solution they are read from.
+    whose offsets differ by node, the ``target`` digest of the target whose solution they are read from, the
+    solution's leaves x_h(N+1) (:func:`target_digest`).
 
     Stage k's L_k and c_k hold u1 rows and entries only for k <= N - tau.
     """
-    law = ctrl.law
-    doc = {"kind": "feedback", "N": len(law.L) - 1, "L": [Lk.tolist() for Lk in law.L]}
-    if law.target is None:
+    law, N = ctrl.law, len(ctrl.law.L) - 1
+    doc = {"kind": "feedback", "N": N, "L": [Lk.tolist() for Lk in law.L]}
+    if law.c is not None:
         doc["c"] = [ck.ravel().tolist() for ck in law.c]
     else:
-        doc["target"] = law.target
+        doc["target"] = target_digest(law.hom[N + 1])
     if law.u1_pre is not None:
         doc["u1"] = law.u1_pre.tolist()
     return json.dumps(doc) + "\n"
@@ -720,7 +697,7 @@ def read_feedback_law(source, tree: PathTree, system: ValidatedSystem | Transfor
         if (want := target_digest(target)) != digest:
             raise SchemaError(f"target digest {digest} does not match the instance's target ({want})")
         ts = TransformedSystem.build(system)
-        return FeedbackLaw(L, None, u1_pre, digest, backward_solve(tree, ts.form, target), ts.M[:, : spec.n])
+        return FeedbackLaw(L, None, u1_pre, backward_solve(tree, ts.form, target), ts.M[:, : spec.n])
     return FeedbackLaw(L, c, u1_pre)
 
 

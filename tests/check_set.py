@@ -1,11 +1,14 @@
 """Digest the check set's outputs, so that two versions of the package compare by one diff.
 
-    python tests/check_set.py > digests.txt
-    python tests/check_set.py --fields > fields.txt
+    PYTHONPATH=src python tests/check_set.py > digests.txt
+    PYTHONPATH=src python tests/check_set.py --fields > fields.txt
+    PYTHONPATH=src python tests/check_set.py --against REV [--fields]
 
 runs every command of the check set through ``stochctrl.cli.main`` in this process and prints one
 SHA-256 per record, then the total; with ``--fields``, each record's fields instead, one line each
 (:func:`fields`), so that a diff of two versions' outputs names the record and the field that moved.
+With ``--against REV`` it runs itself twice, on the package of git revision REV (its ``src/`` from
+``git archive``) and on the working tree's, and prints only the lines that differ (:func:`against`).
 A record is one invocation's exit code, its stdout and stderr with the run's scratch directory
 replaced by ``<dir>`` (synthesize's ``controller:`` line names the law it wrote), and the bytes of
 that law, if one was written, or of the table verify read. The check set:
@@ -41,11 +44,15 @@ that law, if one was written, or of the table verify read. The check set:
 from __future__ import annotations
 
 import contextlib
+import difflib
 import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -142,6 +149,7 @@ MATRIX_KEYS = ("A", "B", "Abar", "Bbar", "M", "H", "B1", "A1")
 FLAT_KEYS = ("x0", "noise.support", "target")
 ORTHOGONAL_N = 16
 CERTIFY_SEEDS = (1, 2, 3)
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def malformed() -> dict[str, str]:
@@ -341,9 +349,55 @@ def fields(name: str, code: int, out: str, err: str, law: bytes) -> list[str]:
     return [*lines, f"{name}\tlaw\t{hashlib.sha256(law).hexdigest() if law else '-'}"]
 
 
+def extract(rev: str, dest: Path) -> Path:
+    """Git revision ``rev``'s ``src/`` tree, written by ``git archive`` under ``dest``; returns its path."""
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src"], capture_output=True)
+    if archive.returncode:
+        sys.exit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return Path(dest) / "src"
+
+
+def output(src: Path, argv: list[str]) -> list[str]:
+    """The lines this script prints with ``argv`` in a subprocess that imports the package from ``src``, with
+    one BLAS thread."""
+    env = {**os.environ, "PYTHONPATH": str(src), **dict.fromkeys(BLAS_THREADS, "1")}
+    where = subprocess.run([sys.executable, "-c", "import stochctrl; print(stochctrl.__file__)"], env=env,
+                           capture_output=True, text=True, check=True).stdout.strip()
+    if not Path(where).resolve().is_relative_to(Path(src).resolve()):
+        sys.exit(f"stochctrl imports from {where}, not from {src}")
+    done = subprocess.run([sys.executable, __file__, *argv], env=env, capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(f"the check set failed on {src}:\n{done.stderr}")
+    return done.stdout.splitlines()
+
+
+def compare(parent: list[str], change: list[str]) -> int:
+    """Print each line of two outputs that is not in the other, labeled "parent" or "change", then how many
+    lines differ: the larger side of each differing stretch (``difflib`` aligns the two, so an added or removed
+    record is one stretch). Returns 1 if any line differs, else 0."""
+    count = 0
+    for op, i1, i2, j1, j2 in difflib.SequenceMatcher(None, parent, change, autojunk=False).get_opcodes():
+        if op != "equal":
+            sys.stdout.writelines([f"parent\t{line}\n" for line in parent[i1:i2]]
+                                  + [f"change\t{line}\n" for line in change[j1:j2]])
+            count += max(i2 - i1, j2 - j1)
+    sys.stdout.write(f"{count} of {max(len(parent), len(change))} lines differ\n")
+    return 1 if count else 0
+
+
+def against(rev: str, argv: list[str]) -> int:
+    """:func:`compare` of this script's output with ``argv`` on ``rev``'s package and on the working tree's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return compare(output(extract(rev, Path(tmp)), argv), output(REPO / "src", argv))
+
+
 def main(argv: list[str]) -> None:
+    if len(argv) > 1 and argv[0] == "--against" and argv[2:] in ([], ["--fields"]):
+        sys.exit(against(argv[1], argv[2:]))
     if argv not in ([], ["--fields"]):
-        sys.exit("usage: python tests/check_set.py [--fields]")
+        sys.exit("usage: python tests/check_set.py [--against REV] [--fields]")
     with tempfile.TemporaryDirectory() as workdir:
         if argv:
             for record in records(Path(workdir)):

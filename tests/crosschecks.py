@@ -74,7 +74,7 @@ from stochctrl import (
 )
 from stochctrl.model import RCOND_CUT
 from stochctrl.pathspace import _acting_lags, _add_product, _state_delay_gains, plant_maps
-from stochctrl.synthesis import _plan_entry, _stage_maps, _start_values, _walk, target_offsets
+from stochctrl.synthesis import _plan, _stage_maps, _start_values, _walk, target_offsets
 
 
 def reconstruct_u(ts: TransformedSystem, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -338,17 +338,12 @@ def controller_levels(ctrl):
     return loop_levels(ctrl.tree, ctrl.spec, ctrl.x0, ctrl.law)
 
 
-def folded_step(stage: tuple, vals: dict):
+def folded_step(tree: PathTree, stage: tuple, vals: dict):
     """x(k+1), as (rows s, n), and u1(k) (None without u1 rows) of ``synthesis._walk`` run on one stage, its
-    entry of ``synthesis._stage_maps``, from ``vals`` into fresh arrays; u1(k), and x(k+1) where kept as a
-    lag, go into ``vals``."""
-    k, fold, u1_map, terms, _, _ = stage
-    x = vals["x", k]
-    rows = tuple(len(vals[key]) for key, *_ in terms)
-    out = np.empty((len(x), fold.shape[1]))
-    u1_out = None if u1_map is None else np.empty((len(x), u1_map.shape[1]))
-    work = np.empty(max((r * block.shape[1] for r, (_, block, *_) in zip(rows, terms)), default=0))
-    return _walk([_plan_entry(stage, out, u1_out, rows, work)], vals, x), u1_out
+    entry of ``synthesis._stage_maps``, from ``vals``, whole levels of the tree, into fresh arrays
+    (``synthesis._plan``); u1(k), and x(k+1) where kept as a lag, go into ``vals``."""
+    plan = _plan([stage], tree.n_nodes, 0, 0)
+    return _walk(plan, vals, vals["x", stage[0]]), plan[0][5]
 
 
 def breadth_first_folded_loop(tree: PathTree, spec: SystemSpec, x0, law, offsets: bool = False) -> np.ndarray:
@@ -357,10 +352,11 @@ def breadth_first_folded_loop(tree: PathTree, spec: SystemSpec, x0, law, offsets
     c_k,u1, a c_k of one row of zeros included, as the folded step was first written."""
     Bw = plant_maps(tree, spec)[1]
     vals = _start_values(x0, law, spec.tau or 0)
-    for k, fold, u1_map, terms, c1, kept in _stage_maps(tree, spec, law):
-        if offsets and c1 is None and (not terms or terms[0][0] != ("c", k)):
-            terms, c1 = ((("c", k), Bw, False, k), *terms), None if u1_map is None else ("c1", k)
-        vals["x", k + 1], _ = folded_step((k, fold, u1_map, terms, c1, kept), vals)
+    for k, fold, u1_map, terms, kept in _stage_maps(tree, spec, law):
+        if offsets and all(key != ("c", k) for key, *_ in terms):
+            terms = ((("c", k), Bw, False, k), *terms)
+            terms += () if u1_map is None else ((("c1", k), np.eye(u1_map.shape[1]), True, k),)
+        vals["x", k + 1], _ = folded_step(tree, (k, fold, u1_map, terms, kept), vals)
     return vals["x", len(law.L)]
 
 

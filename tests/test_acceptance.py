@@ -23,16 +23,13 @@ from stochctrl import (
     member_of_S,
     null_controller,
     output_form,
-    random_attainable_terminal,
-    random_controllable,
-    random_system,
-    random_x0,
     state_delay_P,
     state_delay_controller,
     state_delay_gramian_oracle,
     steer_to_target,
     word_span,
 )
+from stochctrl.sampling import random_attainable_terminal, random_controllable, random_system, random_x0
 from crosschecks import controller_levels, word_matrix
 
 
@@ -277,7 +274,8 @@ def test_c9_duality_identity():
         N = int(rng.integers(1, 4))
         tree = PathTree(ts.spec.noise, N)
         terminal = rng.normal(size=(tree.n_nodes(N + 1), n))
-        from stochctrl import backward_solve, random_free_input
+        from stochctrl import backward_solve
+        from stochctrl.sampling import random_free_input
 
         v = random_free_input(rng, tree, form.m_free)
         x = backward_solve(tree, form, terminal, v)

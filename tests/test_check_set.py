@@ -1,7 +1,13 @@
-"""``tests/check_set.py`` digests each command's outputs the same way on every run."""
+"""``tests/check_set.py`` digests each command's outputs the same way on every run, and compares two
+versions' outputs line by line."""
+import shutil
+import subprocess
+
+import pytest
+
 from check_set import (
-    CERTIFY_SEEDS, DEEP, DEEP_N, ENTRY_FAULTS, FLAT_KEYS, LAWS, MATRIX_KEYS, ORTHOGONAL_N, REFUSED, ROUTES, certify,
-    certify_ops, digests, generated, prologue, records, refused, whole_read,
+    CERTIFY_SEEDS, DEEP, DEEP_N, ENTRY_FAULTS, FLAT_KEYS, LAWS, MATRIX_KEYS, ORTHOGONAL_N, REFUSED, REPO, ROUTES,
+    certify, certify_ops, compare, digests, extract, fields, generated, prologue, records, refused, whole_read,
 )
 from conftest import INSTANCE_DIR
 
@@ -88,3 +94,23 @@ def test_the_certify_records_exit_as_their_ops_expect(tmp_path):
     for (name, code, out, err, law), op in zip(got, ops):
         assert (code, law) == (op.expect, b""), (name, out, err)
         assert name.split()[1] == op.command, name
+
+
+def test_the_comparison_prints_the_one_field_that_differs(capsys):
+    # Two outputs of one record whose stdout differs in one line: that line of each, labeled, and a count of 1.
+    name = "x synthesize N=own"
+    parent = fields(name, 0, "verdict: ok\ndeviation: 1e-16\n", "", b"law")
+    change = fields(name, 0, "verdict: ok\ndeviation: 2e-16\n", "", b"law")
+    assert compare(parent, change) == 1
+    assert capsys.readouterr().out == (f"parent\t{name}\tstdout\tdeviation: 1e-16\n"
+                                       f"change\t{name}\tstdout\tdeviation: 2e-16\n1 of 4 lines differ\n")
+    assert compare(parent, list(parent)) == 0
+    assert capsys.readouterr().out == "0 of 4 lines differ\n"
+
+
+@pytest.mark.skipif(shutil.which("git") is None or not (REPO / ".git").exists(), reason="needs git and the history")
+def test_a_revisions_package_is_extracted_by_git_archive(tmp_path):
+    src = extract("HEAD", tmp_path)
+    want = subprocess.run(["git", "-C", str(REPO), "show", "HEAD:src/stochctrl/synthesis.py"], capture_output=True,
+                          check=True).stdout
+    assert src == tmp_path / "src" and (src / "stochctrl" / "synthesis.py").read_bytes() == want

@@ -18,13 +18,12 @@ from stochctrl import (
     gramian,
     gramian_oracle,
     parse_instance_file,
-    random_attainable_terminal,
     serialize_instance,
     validate,
     write_controller_csv,
 )
 from stochctrl.cli import ROUTES, _deviation, _route, main
-from stochctrl.sampling import random_controllable, random_x0
+from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from conftest import INSTANCE_DIR
 
 FULL = str(INSTANCE_DIR / "fullrank_2x3.json")

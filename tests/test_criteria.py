@@ -16,9 +16,9 @@ from stochctrl import (
     gramian_invertible,
     gramian_oracle,
     moment_step,
-    random_system,
     word_span,
 )
+from stochctrl.sampling import random_system
 from crosschecks import rank_test_words, tree_rank_controllable, word_matrix
 
 

@@ -20,17 +20,13 @@ from stochctrl import (
     input_delay_decide,
     input_delay_gramian_oracle,
     member_of_S_state_delay,
-    random_attainable_terminal,
-    random_controllable,
-    random_free_input,
-    random_system,
-    random_x0,
     serialize_instance,
     state_delay_P,
     state_delay_controller,
     state_delay_decide,
     state_delay_gramian_oracle,
 )
+from stochctrl.sampling import random_attainable_terminal, random_controllable, random_free_input, random_system, random_x0
 from stochctrl.cli import main
 from stochctrl.transform import BsdeForm
 from crosschecks import controller_levels, lift
@@ -99,7 +95,7 @@ def test_input_delay_controller_benchmark(bench_input_delay):
 
 
 def test_input_delay_steer_to_target(rng):
-    from stochctrl import random_attainable_terminal
+    from stochctrl.sampling import random_attainable_terminal
 
     spec = random_system(rng, 2, 3, tau=1)
     ts = TransformedSystem.build(spec)

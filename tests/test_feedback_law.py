@@ -21,15 +21,13 @@ from stochctrl import (
     SchemaError,
     law_text,
     parse_instance_file,
-    random_attainable_terminal,
-    random_controllable,
-    random_x0,
     read_feedback_law,
     serialize_instance,
     steer_to_target,
     target_digest,
     validate,
 )
+from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from stochctrl.cli import main
 from stochctrl.model import path_labels
 from conftest import INSTANCE_DIR

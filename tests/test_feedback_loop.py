@@ -26,6 +26,7 @@ every level, and the writer that read it, exceeded both, as did, on a
 delayed state, the loop that kept the states past N - d, which no later
 stage reads.
 """
+import json
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,7 @@ from stochctrl import (
     NoiseModel,
     PathTree,
     feedback_loop,
+    law_text,
     member_of_S,
     steer_to_target,
     target_offsets,
@@ -42,7 +44,7 @@ from stochctrl import (
 )
 from stochctrl.model import _label_tables
 from stochctrl.pathspace import _state_delay_gains, plant_maps, plant_step, z_level
-from stochctrl.synthesis import _law_inputs, _stage_maps, _start_values
+from stochctrl.synthesis import _regressor_product, _stage_maps, _start_values
 from stochctrl.sampling import random_controllable, random_x0
 from crosschecks import (
     controller_levels,
@@ -151,10 +153,11 @@ def test_law_on_the_targets_own_solution_gives_the_targets_input(law, route, lag
             want = np.zeros((tree.n_nodes(k), len(Lk)))
             want[:, :m] = (z_level(tree, xs[k + 1]) - xs[k] @ spec.Abar.T) @ Mq.T
             if ctrl.law.c is not None:
-                got = _law_inputs(spec, ctrl.law.L, ctrl.law.c[k], k, xs, u1s, np.empty_like(want))
+                got = _regressor_product(spec, ctrl.law.L, k, xs, u1s, np.empty_like(want))
+                got += ctrl.law.c[k]
                 assert np.all(np.abs(got - want) <= 8 * EPS * terms[k]), (N, k)
                 continue
-            got, u1k = folded_step(stages[k], dict(vals))
+            got, u1k = folded_step(tree, stages[k], dict(vals))
             step = plant_step(tree, spec, plant_maps(tree, spec), xs, k, want[:, :m], u1s[k - tau] if tau else None)
             bound, u1_bound = fold_bound(tree, spec, ctrl.law, k, xs, u1s, None)
             assert np.all(np.abs(got - step) <= C_BOUND * EPS * bound), (N, k)
@@ -180,7 +183,7 @@ def test_offsets_from_L_match_the_gain_based_build(law, route, lag, target):
             assert len(ck) in (1, tree.n_nodes(k)) and ck.shape[1] == ref.shape[1]
             assert np.all(np.abs(ck - ref) <= 8 * EPS * terms[k]), (N, k)
         if target == "constant":
-            assert all(len(ck) == 1 for ck in got) and ctrl.law.target is None
+            assert all(len(ck) == 1 for ck in got) and "target" not in json.loads(law_text(ctrl))
 
 
 def _loop_bound(N, lag):

@@ -4,7 +4,7 @@
 [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j and adds the offset and each
 acting lag at its own depth. Stage by stage, from the plant-step loop's
 own states, its step is checked against ``pathspace.plant_step`` fed by
-``synthesis._law_inputs`` on every steerable route (full, tau 1/2,
+``synthesis._regressor_product`` plus c_k on every steerable route (full, tau 1/2,
 d 1/2), both noise laws, null, constant and path targets and N <= 8,
 within c eps times the entrywise bound of both sums:
 |x| |A_w| + |x| |L_x'| |B_w| + |c| |B_w| + each lag's |lag| (|L_lag'| |B_w|
@@ -25,7 +25,9 @@ that adds them (``crosschecks.breadth_first_folded_loop`` with
 ``offsets``), as adding 0.0 can
 change only the sign of a zero, while zeroing a constant target's
 offsets or a path target's solution changes its leaves. Every term is
-added in one contiguous add but a listed one-row c_k; synthesize of a
+added in one contiguous add but a listed one-row c_k, whose u1 columns
+are each stage's last term, as a reference that adds them on their own
+gives x(N+1) bit for bit; synthesize of a
 path target builds c_0 and c_1 only and verify none; and a delay route's
 path target ends within rounding of the plant-step loop. ``tracemalloc``
 bounds its peak at N = 17 and 19 by the top level and one run, whatever
@@ -53,7 +55,7 @@ from stochctrl import (
 )
 from stochctrl.pathspace import _acting_lags, plant_maps, plant_step
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
-from stochctrl.synthesis import _law_inputs, _stage_maps, _start_values
+from stochctrl.synthesis import _regressor_product, _stage_maps, _start_values
 from crosschecks import breadth_first_folded_loop, controller_levels, folded_step, law_offsets, lift
 from test_delay_law import draw, report, run, write_instance
 
@@ -118,9 +120,10 @@ def test_folded_step_matches_the_plant_step_of_the_laws_inputs(law, route, lag, 
         vals = _start_values(x0, ctrl.law, tau)
         vals.update({("x", j): level for j, level in xs.items()} | {("u1", j): level for j, level in u1s.items()})
         for k, (Lk, ck) in enumerate(zip(ctrl.law.L, law_offsets(tree, spec, ctrl.law))):
-            v = _law_inputs(spec, ctrl.law.L, ck, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
+            v = _regressor_product(spec, ctrl.law.L, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
+            v += ck
             want = plant_step(tree, spec, plant_maps(tree, spec), xs, k, v[:, :m], u1s[k - tau] if tau else None)
-            got, u1k = folded_step(stages[k], dict(vals))  # a copy: the step writes u1(k) and kept lags into it
+            got, u1k = folded_step(tree, stages[k], dict(vals))  # a copy: the step writes u1(k) and kept lags into it
             bound, u1_bound = fold_bound(tree, spec, ctrl.law, k, xs, u1s, ck)
             assert got.shape == want.shape and got.flags.c_contiguous
             assert np.all(np.abs(got - want) <= C_BOUND * EPS * bound), (N, k)
@@ -195,6 +198,34 @@ def test_successive_runs_are_written_into_one_array(monkeypatch, lag, target):
     assert len({x.ctypes.data for _, x in runs}) == 1
 
 
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("tau", [1, 2, 3])
+def test_a_listed_offsets_u1_columns_are_each_stages_last_term(monkeypatch, law, tau):
+    # On a constant target's law, ("c1", k) with I_m1 is the last term of each stage with u1 rows, after the
+    # u1 lags. With the top level cut into runs, the loop's x(N+1) is bit for bit that of a breadth-first
+    # reference that adds c_k's u1 columns to u1(k) on their own, after the stage's other terms.
+    noise = LAWS[law]
+    monkeypatch.setattr(pathspace, "BLOCK_ENTRIES", 2 * len(noise.support) ** 2)  # n = 2
+    rng = np.random.default_rng([tau, len(law), 13])
+    for N in range(tau, tau + 6):
+        ts, tree, x0, _, ctrl = draw(rng, noise, "tau", tau, 2, N, "constant")
+        vals, listed = _start_values(x0, ctrl.law, tau), 0
+        for k, fold, u1_map, terms, kept in _stage_maps(tree, ts.spec, ctrl.law):
+            keys = [key for key, *_ in terms]
+            if u1_map is not None:
+                assert keys.count(("c1", k)) == 1 and keys[-1] == ("c1", k) and terms[-1][2], (N, k)
+                assert np.array_equal(terms[-1][1], np.eye(u1_map.shape[1])) and terms[-1][3] == k, (N, k)
+                terms, listed = terms[:-1], listed + 1
+            else:
+                assert ("c1", k) not in keys, (N, k)
+            vals["x", k + 1], u1k = folded_step(tree, (k, fold, u1_map, terms, kept), vals)
+            if u1k is not None:
+                u1k += vals["c1", k]  # u1(k) in place, as vals holds it
+        runs = [x.copy() for _, x in folded_loop(tree, ts.spec, x0, ctrl.law)]
+        assert listed == N - tau + 1 and (len(runs) > 1) == (N >= tau + 3), N
+        assert np.concatenate(runs).tobytes() == vals["x", N + 1].tobytes(), N
+
+
 def leaves(tree, spec, x0, law):
     return np.concatenate([x.copy() for _, x in folded_loop(tree, spec, x0, law)])  # each before the next run
 
@@ -227,7 +258,7 @@ def test_zeroing_a_target_laws_offsets_changes_its_leaves(law, route, lag, targe
             zeroed = FeedbackLaw(L, [np.zeros((1, ck.shape[1])) for ck in ctrl.law.c], u1_pre)
         else:
             zero = {k: np.zeros_like(level) for k, level in ctrl.law.hom.items()}
-            zeroed = FeedbackLaw(L, None, u1_pre, ctrl.law.target, zero, ctrl.law.Mq)
+            zeroed = FeedbackLaw(L, None, u1_pre, zero, ctrl.law.Mq)
         assert not np.array_equal(got, leaves(tree, ts.spec, x0, zeroed)), N
 
 
@@ -243,7 +274,7 @@ def test_only_a_nonzero_offset_makes_an_offset_product(monkeypatch, route, lag, 
     monkeypatch.setattr(synthesis, "_walk", lambda plan, *args: steps.extend(plan) or walk(plan, *args))
     runs = list(folded_loop(tree, ts.spec, x0, ctrl.law))
     assert len(runs) > 1 and len(steps) > len(ctrl.law.L)
-    for k, _, _, _, u1_map, _, terms, c1, _ in steps:
+    for k, _, _, _, u1_map, _, terms, _ in steps:
         offsets = [key for key, *_ in terms if key[0] in ("c", "zh", "xh")]
         u1 = u1_map is not None
         if target == "path":
@@ -252,8 +283,8 @@ def test_only_a_nonzero_offset_makes_an_offset_product(monkeypatch, route, lag, 
             assert all(key[0] == "xh" and key[1] < k for key in offsets[2 + u1 :]), k
         else:
             assert offsets == ([] if target is None else [("c", k)]), k
-        # a listed c_k's u1 columns are added exactly on a constant target law's stages with u1 rows
-        assert (c1 is not None) == (target == "constant" and u1), k
+        # a listed c_k's u1 columns are a term exactly on a constant target law's stages with u1 rows
+        assert (("c1", k) in [key for key, *_ in terms]) == (target == "constant" and u1), k
 
 
 @pytest.mark.parametrize("N", [17, 19])
@@ -397,13 +428,13 @@ def test_every_term_is_one_contiguous_add_but_a_one_row_offset(monkeypatch, rout
     monkeypatch.setattr(synthesis, "_walk", lambda plan, *args: steps.extend(plan) or walk(plan, *args))
     runs = list(folded_loop(tree, ts.spec, x0, ctrl.law))
     assert (len(runs) > 1) == (N == 15)
-    added = [(key, prod, into, spread) for *_, terms, _, _ in steps for key, _, prod, into, spread in terms]
+    added = [(key, prod, into, spread) for *_, terms, _ in steps for key, _, prod, into, spread in terms]
     assert added or target is None and route == "full"
     for key, prod, into, spread in added:
         if into.ndim == 2:
             assert spread is prod and into.shape == prod.shape and into.flags.c_contiguous, key
         else:
-            assert key[0] == "c" and len(prod) == 1 and into.shape[1] > 1, key
+            assert key[0] in ("c", "c1") and len(prod) == 1 and into.shape[1] > 1, key
 
 
 @pytest.mark.parametrize("law", sorted(LAWS))

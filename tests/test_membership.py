@@ -32,14 +32,12 @@ from stochctrl import (
     PathTree,
     backward_solve,
     member_of_S,
-    random_attainable_terminal,
-    random_x0,
     representation_residual,
     steer_to_target,
     terminal_from_map,
 )
 from stochctrl.pathspace import BLOCK_ENTRIES
-from stochctrl.sampling import random_transformed
+from stochctrl.sampling import random_attainable_terminal, random_transformed, random_x0
 from crosschecks import exact_representation_residual, kron_representation_residual
 from test_delay import delayed_attainable_terminal
 

@@ -19,10 +19,10 @@ from stochctrl import (
     gramian,
     gramian_oracle,
     input_delay_gramian_oracle,
-    random_system,
     state_delay_P,
     state_delay_gramian_oracle,
 )
+from stochctrl.sampling import random_system
 from stochctrl.errors import DimensionMismatch, EnumerationTooLarge
 from stochctrl.pathspace import DEFAULT_CAP
 

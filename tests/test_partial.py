@@ -12,9 +12,9 @@ from stochctrl import (
     intertwine,
     output_form,
     partial_decide,
-    random_system,
     reduced_rank_setup,
 )
+from stochctrl.sampling import random_system
 from stochctrl.partial import reduced_form
 from crosschecks import word_matrix
 

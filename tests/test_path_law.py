@@ -33,15 +33,13 @@ from stochctrl import (
     ProblemInstance,
     law_text,
     parse_instance_file,
-    random_attainable_terminal,
-    random_controllable,
-    random_x0,
     read_feedback_law,
     serialize_instance,
     target_digest,
     validate,
     write_controller_csv,
 )
+from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
 from crosschecks import law_offsets
 from test_delay_law import LAWS, draw, report, run, table_deviation, write_instance
 
@@ -69,10 +67,11 @@ def test_path_target_law_verifies_to_the_synthesized_deviation_as_its_table_does
     text = law_path.read_text()
     assert text == law_text(ctrl)  # the controller the table below is written from
     # The offsets differ by node, so the law holds its gains (and u1) and the target's digest only.
-    assert ctrl.law.c is None and ctrl.law.target is not None
+    assert ctrl.law.c is None and ctrl.law.hom is not None
     doc = json.loads(text)
     assert sorted(doc) == sorted(["kind", "N", "L", "target"] + (["u1"] if route == "tau" else []))
-    assert doc["target"] == ctrl.law.target == target_digest(parse_instance_file(inst).target)
+    digest = target_digest(ctrl.law.hom[tree.horizon + 1])  # the law stores none: it derives it from x_h(N+1)
+    assert doc["target"] == digest == target_digest(parse_instance_file(inst).target)
     u1_size = 0 if ctrl.law.u1_pre is None else ctrl.law.u1_pre.size
     assert _numbers(doc["L"]) + _numbers(doc.get("u1", [])) == sum(Lk.size for Lk in ctrl.law.L) + u1_size
     table = tmp_path / "table.csv"
@@ -153,9 +152,11 @@ def test_a_digest_law_reads_back_with_synthesizes_offsets_bit_for_bit(law, route
     # bit; the loop reads its offsets from them.
     rng = np.random.default_rng([lag, len(law), len(route), 45])
     ts, tree, x0, goal, ctrl = draw(rng, LAWS[law], route, lag, 2, lag + 2, "path")
-    assert ctrl.law.target is not None and ctrl.law.c is None
+    N = tree.horizon
+    assert ctrl.law.hom is not None and ctrl.law.c is None
     read = read_feedback_law(io.StringIO(law_text(ctrl)), tree, validate(ts.spec), goal)
-    assert read.target == ctrl.law.target and read.c is None
+    assert target_digest(read.hom[N + 1]) == target_digest(ctrl.law.hom[N + 1]) == target_digest(goal)
+    assert read.c is None
     assert sorted(read.hom) == sorted(ctrl.law.hom) == list(range(tree.horizon + 2))
     assert all(read.hom[k].tobytes() == level.tobytes() for k, level in ctrl.law.hom.items())
     assert read.Mq.tobytes() == ctrl.law.Mq.tobytes()

@@ -16,13 +16,11 @@ from stochctrl import (
     expected_terminal_product,
     forward_simulate,
     member_of_S,
-    random_attainable_terminal,
-    random_free_input,
-    random_system,
     representation_residual,
     terminal_from_map,
     z_level,
 )
+from stochctrl.sampling import random_attainable_terminal, random_free_input, random_system
 from stochctrl.model import check_level, path_labels
 from crosschecks import cond_expect, node_value
 from conftest import path_expectation, simulate_paths, uniform_noise

@@ -22,13 +22,10 @@ from stochctrl import (
     SingularPBracket,
     TransformedSystem,
     backward_solve_state_delay,
-    random_controllable,
-    random_free_input,
-    random_system,
-    random_x0,
     serialize_instance,
     state_delay_P,
 )
+from stochctrl.sampling import random_controllable, random_free_input, random_system, random_x0
 from stochctrl.cli import main
 from stochctrl.errors import DimensionMismatch, StageMismatch
 from stochctrl.pathspace import _acting_lags, _check_input, _state_delay_gains, terminal_from_map, z_level

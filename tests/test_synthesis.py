@@ -15,13 +15,10 @@ from stochctrl import (
     folded_loop,
     forward_simulate,
     null_controller,
-    random_attainable_terminal,
-    random_controllable,
-    random_free_input,
-    random_x0,
     read_controller_table,
     steer_to_target,
 )
+from stochctrl.sampling import random_attainable_terminal, random_controllable, random_free_input, random_x0
 from stochctrl.criteria import _pinv, gramian_invertible
 from conftest import table_text
 from crosschecks import controller_levels, q_expanded, split_u
@@ -173,7 +170,8 @@ def test_csv_roundtrip_exact(rng, tmp_path):
 
 
 def test_csv_roundtrip_with_delay_channel(rng):
-    from stochctrl import input_delay_controller, random_system
+    from stochctrl import input_delay_controller
+    from stochctrl.sampling import random_system
 
     ts = TransformedSystem.build(random_system(rng, 2, 3, tau=1))
     tree = PathTree(ts.spec.noise, 2)

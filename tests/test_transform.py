@@ -14,11 +14,9 @@ from stochctrl import (
     compute_M,
     decide,
     gramian_invertible,
-    random_controllable,
-    random_system,
     sampling,
 )
-from stochctrl.sampling import random_transformed
+from stochctrl.sampling import random_controllable, random_system, random_transformed
 from crosschecks import reconstruct_u, split_u
 
 
