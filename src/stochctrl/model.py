@@ -88,9 +88,13 @@ def _level_labels(s: int, depth: int):
 
 
 def check_level(labels, s: int, depth: int, what: str) -> None:
-    """Raise :class:`SchemaError` unless ``labels`` are exactly one tree level in node order."""
-    if len(labels) != s**depth:
-        raise SchemaError(f"{what}: {len(labels)} labels, but a depth-{depth} level has {s**depth} paths")
+    """Raise :class:`SchemaError` unless ``labels`` are exactly one tree level in node order.
+
+    The count is tested without forming s^depth (:func:`_is_leaf_count`), and a message names it as the
+    number below depth 64, else as "s^depth", so a level of any depth is refused at once."""
+    if not _is_leaf_count(len(labels), s, depth):
+        paths = s**depth if depth < 64 else f"{s}^{depth}"
+        raise SchemaError(f"{what}: {len(labels)} labels, but a depth-{depth} level has {paths} paths")
     bad = next((a for a, b in zip(labels, _level_labels(s, depth)) if a != b), None)
     if bad is not None:
         raise SchemaError(
@@ -101,28 +105,27 @@ def check_level(labels, s: int, depth: int, what: str) -> None:
 def level_values(mapping: dict, s: int, depth: int, n: int, what: str) -> np.ndarray:
     """The n-vectors of a {label: vector} map over one tree level, as read-only rows in node order.
 
-    Keys that come in node order, compared lazily with the level's labels (no whole level is made), are
-    taken as they are; any others must be ``str`` (else :class:`SchemaError`), and are sorted and checked
-    as one level (:func:`check_level`). Values that are all arrays of shape (n,) and read as finite floats
-    go into the rows in one pass, with no list of them; any others take the one row-wise conversion, which
-    names what is wrong.
+    The keys must be the level's labels in node order (:func:`check_level`, which compares them lazily, so
+    no whole level is made): else :class:`SchemaError`, which names the first key that is not a ``str``,
+    or else the count or the first key out of node order. Values that are all arrays of shape (n,) and read
+    as finite floats go into the rows in one pass, with no list of them; any others take the one row-wise
+    conversion, which names what is wrong.
     """
-    in_order = len(mapping) == s**depth and all(map(operator.eq, mapping, _level_labels(s, depth)))
+    try:
+        check_level(mapping, s, depth, f"{what} keys")
+    except SchemaError:
+        bad = next((key for key in mapping if not isinstance(key, str)), None)
+        if bad is not None:
+            raise SchemaError(f"{what} keys: {bad!r} is not a str label") from None
+        raise
     values = mapping.values()
     # Shapes first: np.fromiter would broadcast a short row into n entries.
-    if in_order and set(map(type, values)) == {np.ndarray} and set(map(operator.attrgetter("shape"), values)) == {(n,)}:
+    if set(map(type, values)) == {np.ndarray} and set(map(operator.attrgetter("shape"), values)) == {(n,)}:
         with contextlib.suppress(TypeError, ValueError, OverflowError):
             rows = np.fromiter(values, dtype=(float, n), count=len(values))
             if np.isfinite(rows).all():
                 rows.setflags(write=False)
                 return rows
-    if not in_order:
-        bad = next((key for key in mapping if not isinstance(key, str)), None)
-        if bad is not None:
-            raise SchemaError(f"{what} keys: {bad!r} is not a str label")
-        labels = sorted(mapping)
-        check_level(labels, s, depth, f"{what} keys")
-        values = [mapping[label] for label in labels]
     return _as_float_matrix(f"{what} values", list(values), len(values), n)
 
 
@@ -421,8 +424,8 @@ class ProblemInstance:
     ``target`` is an n-vector, the same terminal value on every noise
     path and so valid at any horizon, or the (s^(N+1), n) leaf rows in
     node order (:func:`path_labels` order), or a map from every full
-    path label (length N + 1) to its n-vector, read into those rows
-    (:func:`level_values`, in one pass when the keys come in node order).
+    path label (length N + 1), in node order, to its n-vector, read into
+    those rows in one pass (:func:`level_values`).
     It is stored as a read-only copy, but for a native float64 array over
     immutable ``bytes`` (a decoded hex target), which no one can write
     and which is kept as it is; ``None`` means steer to the origin. The

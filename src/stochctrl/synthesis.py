@@ -47,18 +47,19 @@ on x_h(k)). K_k has u1 rows only while u1(k) enters by stage N
 Two closed loops run a law. The commands' loop, :func:`folded_loop`,
 folds u(k) into the plant step: stage k is one matmul of x(k) against
 the closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, with
-the offset's terms and each acting lag added at their own depths: a
-value j stages above x(k) meets its block tiled s^j times, so that one
+the offset's terms and each acting lag added at their own depths. A
+stage's terms are the one statement of what it reads: each names a value,
+the block it meets and how many stages above x(k) it sits, and a value
+j stages above x(k) meets its block tiled s^j times, so that one
 product covers its descendants and is added to them in one contiguous
-add. It walks a flat
+pass. It walks a flat
 plan built once per loop, each stage's maps with the arrays it writes
 into and the views it and the next stage read, breadth-first only while
 a level holds at most ``pathspace.BLOCK_ENTRIES`` entries, then carries
 runs of that level's rows (:class:`pathspace.RunCut`), each ending in at
 most as many entries of leaves, through the remaining stages one at a
-time and yields x(N+1) run by run, so it never holds a leaf level, and
-holds of each only what a later stage reads (the state lags, the u1
-pipeline).
+time and yields x(N+1) run by run, so it never holds a leaf level; of
+the levels above the runs it keeps only those the runs' terms name.
 synthesize and verify of a law both run it and reduce the terminal gap
 run by run, so they report the same deviation to the last digit. The
 plant-step loop, :func:`feedback_loop`, evaluates [u(k), u1(k)] into
@@ -261,7 +262,8 @@ def target_offsets(tree: PathTree, spec: SystemSpec, Mq: np.ndarray, L: list[np.
 
     Each c_k is built in place, in blocks of s^p rows, the most whose
     entries fit in ``pathspace.BLOCK_ENTRIES`` but with p past the longest
-    lag (``pathspace._block_depth``), so a lag's block spans s rows or more
+    lag (``pathspace._block_depth``; a lag past N acts at no stage and
+    counts as none), so a lag's block spans s rows or more
     and every row meets the matmul kernel the whole stage would: r_h(k) L_k'
     goes into the block's rows and the
     first part is subtracted from it, so no temporary is larger than a
@@ -273,6 +275,7 @@ def target_offsets(tree: PathTree, spec: SystemSpec, Mq: np.ndarray, L: list[np.
         yield from (np.zeros((1, len(Lk))) for Lk in L)
         return
     n, m, s, d = spec.n, spec.m, tree.s, spec.d or 0
+    d = d if d < len(L) else 0  # a lag past N acts at no stage, as in folded_loop
     rows = s ** max(d + 1, pathspace._block_depth(s, max(n, len(L[0]))))
     for k, Lk in enumerate(L):
         ck = np.empty((len(hom[k]), len(Lk)))
@@ -380,10 +383,13 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
     view of x(k+1) the next stage reads and each term's arrays, all shaped once.
     Stages run breadth-first over whole levels down to the top level of
     :class:`pathspace.RunCut`, cut by the n entries a node holds, whose runs
-    are then each carried alone through the remaining stages. A run reads a
-    level above it, the top level, a lag or a level of the target's
-    solution, as its rows of it (:meth:`pathspace.RunCut.rows`), so every
-    lag but a depth-0 one spans s rows or more: a single row would go
+    are then each carried alone through the remaining stages. The runs read
+    from above them what their terms name, each term's value (key, k - up)
+    at its depth, and the top level x(top): nothing else is listed, so a
+    listed c_k, k stages above x(k), sits at depth 0 by the same rule. Each
+    run starts from an empty dict holding those values as its rows of them
+    (:meth:`pathspace.RunCut.rows`), so every lag but a depth-0 one spans s
+    rows or more: a single row would go
     through the matrix-vector kernel, which rounds differently from the
     level's matmul. The offsets are the law's listed one-row c_k, its u
     columns with the atom stack of B and its u1 columns with I_m1, or, for a
@@ -392,7 +398,7 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
     zeros, as every stage of the origin's law, is not applied at all,
     which changes no value but the sign of a zero. A lag's value, j stages
     above x(k), meets its block tiled s^j times, so its product covers its
-    descendants and is added to them in one contiguous add. Every run writes
+    descendants and is added to them in one contiguous pass. Every run writes
     into the same arrays, so a yielded run is valid only until the next run
     is requested, as :func:`feedback_loop`'s inputs are until its next step.
     So the runs, concatenated, are the breadth-first loop's x(N+1) bit for
@@ -408,18 +414,14 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
     stages, vals = _stage_maps(tree, spec, law), _start_values(x0, law, tau)
     lags = [lag if lag <= N else 0 for lag in (d, tau)]  # a lag past N reads no level
     top = _plan(stages[: cut.top], tree.n_nodes, *lags)
-    vals["x", cut.top] = _walk(top, vals, vals["x", 0])
-    # What the runs read above them, each at its depth: the top level and its lags, and the target's solution.
-    above = [(("x", j), j) for j in range(max(0, cut.top - d), cut.top + 1)]
-    above += [(("u1", j), j) for j in range(max(0, cut.top - tau), cut.top)]  # not u1_pre's: one row each
-    above += [(("xh", j), j) for j in range(max(0, cut.top - d), N + 1)]
-    above += [(("zh", k), k) for k in range(cut.top, N + 1)]
-    above = [(key, depth, vals[key]) for key, depth in above if key in vals]
+    _walk(top, vals, vals["x", 0])
+    # What the runs read above them, each at its depth: the top level and what their terms name but do not write.
+    reads = {key: k - up for k, *_, terms in stages[cut.top :] for key, _, _, up in terms} | {("x", cut.top): cut.top}
+    above = [(key, depth, vals[key]) for key, depth in reads.items() if key in vals]
     read = {id(level.base) for _, _, level in above}
     spare = {out.base.size: out.base for _, _, out, *_ in top if id(out.base) not in read}  # x arrays no run reads
-    del top
-    vals = _start_values(x0, law, tau)  # the top levels no run reads are released, but for the spare arrays
-    runs = _plan(stages[cut.top :], cut.count, *lags, spare)
+    del top, vals  # the top levels no run reads are released, but for the spare arrays
+    runs, vals = _plan(stages[cut.top :], cut.count, *lags, spare), {}
     for first in cut.firsts:
         for key, depth, level in above:
             vals[key] = level[cut.rows(depth, first)]
@@ -429,9 +431,9 @@ def folded_loop(tree: PathTree, spec: SystemSpec, x0, law: FeedbackLaw) -> Itera
 def _start_values(x0, law: FeedbackLaw, tau: int) -> dict:
     """What a closed loop reads before stage 0, keyed as :func:`_walk` reads it: ("x", 0) the row x0,
     ("u1", j) for j < 0 the pre-horizon inputs of ``law.u1_pre``, and either ("c", k) and ("c1", k) the u
-    and u1 columns of the law's listed offset c_k (no ("c1", k) without u1 columns) or, for a law that reads
-    its offsets from the target's solution, ("xh", k) the level x_h(k) and ("zh", k) the level x_h(k+1) as
-    the rows of s n entries under each depth-k node, k = 0..N."""
+    and u1 columns of the law's listed offset c_k (an empty view where c_k has no u1 columns, which no term
+    names) or, for a law that reads its offsets from the target's solution, ("xh", k) the level x_h(k) and
+    ("zh", k) the level x_h(k+1) as the rows of s n entries under each depth-k node, k = 0..N."""
     vals = {("x", 0): np.asarray(x0, dtype=float)[None, :].copy()}
     if tau:
         vals.update((("u1", i - tau), law.u1_pre[i : i + 1]) for i in range(len(law.u1_pre)))
@@ -441,9 +443,7 @@ def _start_values(x0, law: FeedbackLaw, tau: int) -> dict:
         return vals
     m = len(law.L[-1])  # stage N has no u1 rows, as u1(N) would enter after stage N
     for k, ck in enumerate(law.c):
-        vals["c", k] = ck[:, :m]
-        if ck.shape[1] > m:
-            vals["c1", k] = ck[:, m:]
+        vals["c", k], vals["c1", k] = ck[:, :m], ck[:, m:]
     return vals
 
 
@@ -451,8 +451,7 @@ def _plan(stages: list, rows, d: int, tau: int, spare: dict | None = None) -> li
     """The plan :func:`_walk` walks over a span of :func:`_stage_maps` stages, in which a level at depth j
     has ``rows(j)`` rows (a whole level's above ``RunCut.top``, a run's below): per stage, (k, the
     closed-loop map, the C-contiguous array x(k+1) goes into as (rows, s n), the same as the (rows s, n)
-    level the next stage reads, L_k,u1,x', the array u1(k) goes into (None without u1 rows), the terms,
-    whether x(k+1) is kept).
+    level the next stage reads, L_k,u1,x', the array u1(k) goes into (None without u1 rows), the terms).
 
     x(j) goes into one of d + 2 arrays by j modulo d + 2, and u1(j) into one of tau + 1 by j modulo
     tau + 1, as stage k reads x(k-d..k) and u1(k-tau..k-1); each array is sized for the largest level it
@@ -462,11 +461,11 @@ def _plan(stages: list, rows, d: int, tau: int, spare: dict | None = None) -> li
     fresh array faults in every page it is written to, and a spare one none.
 
     A term is its key and block with the product's array, a (rows, width) view of ``work`` whose rows are
-    those of its value, rows(k - up) for a value up stages above x(k), the view of x(k+1) or u1(k) it is
-    added to and the product as added. Where the product covers the value's descendants, as a tiled
-    block's does, the view is the (rows, width) array itself, so the add is one contiguous 2-D add; else
-    (a one-row c_k, or a lag longer than its block is tiled) the view is (rows, descendants, width) and the
-    product, as (rows, 1, width), spreads over the descendants.
+    those of its value, rows(k - up) for a value up stages above x(k), the (rows, descendants, width) view of
+    x(k+1) or u1(k) it is added to and the product as added, (rows, 1, width): one kind of add for every
+    term. Where the product covers the value's descendants, as a tiled block's does, the view has one
+    descendant, and numpy runs the add as one contiguous pass; else (a one-row c_k, or a lag longer than its
+    block is tiled) the product spreads over the descendants.
     """
     sizes, arrays = {}, []
     for k, fold, u1_map, *_ in stages:  # (array, rows, width) of x(k+1), then of u1(k)
@@ -479,30 +478,27 @@ def _plan(stages: list, rows, d: int, tau: int, spare: dict | None = None) -> li
     bufs = {i: spare.pop(size) for i, size in sizes.items() if size in spare}
     spare.clear()
     bufs.update((i, np.empty(size)) for i, size in sizes.items() if i not in bufs)
-    work = np.empty(max((rows(k - up) * block.shape[1] for k, _, _, terms, _ in stages for _, block, _, up in terms),
+    work = np.empty(max((rows(k - up) * block.shape[1] for k, _, _, terms in stages for _, block, _, up in terms),
                         default=0))
     plan = []
-    for (k, fold, u1_map, terms, kept), where in zip(stages, arrays):
+    for (k, fold, u1_map, terms), where in zip(stages, arrays):
         out, u1_out = [*(bufs[i][: r * w].reshape(r, w) for i, r, w in where), None][:2]  # u1_out None without u1
         shaped = []
         for key, block, to_u1, up in terms:
             r, w = rows(k - up), block.shape[1]
-            prod, into = work[: r * w].reshape(r, w), (u1_out if to_u1 else out).reshape(r, -1, w)
-            if into.shape[1] == 1:  # the product covers the value's descendants
-                shaped.append((key, block, prod, into[:, 0], prod))
-            else:
-                shaped.append((key, block, prod, into, prod[:, None, :]))
-        plan.append((k, fold, out, out.reshape(-1, len(fold)), u1_map, u1_out, tuple(shaped), kept))
+            prod = work[: r * w].reshape(r, w)
+            shaped.append((key, block, prod, (u1_out if to_u1 else out).reshape(r, -1, w), prod[:, None, :]))
+        plan.append((k, fold, out, out.reshape(-1, len(fold)), u1_map, u1_out, tuple(shaped)))
     return plan
 
 
 def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tuple]:
     """Each stage's maps, built once per loop for :func:`_walk`, which reads stage k's once per run: (k, the
     closed-loop map [(A + w_j Abar)' + L_k,x' (B + w_j Bbar)']_j, L_k,u1,x' (None without u1 rows), the
-    terms, whether x(k+1) is kept as a lag). A term is a key in the loop's values, the block its value meets,
-    whether the product goes to u1(k) and how many stages above x(k) its value sits. The atom stacks
-    Bw = [(B + w_j Bbar)']_j and the s copies of A1' and of B1' are :func:`pathspace.plant_maps`'. x(k+1) is
-    kept where a later stage reads it as a lag (k + 1 <= N - d).
+    terms). A term is a key in the loop's values, the block its value meets, whether the product goes to
+    u1(k) and how many stages above x(k) its value sits (``up``); the terms are the one statement of what a
+    stage reads besides x(k), so :func:`folded_loop` hands the runs what the runs' terms name. The atom
+    stacks Bw = [(B + w_j Bbar)']_j and the s copies of A1' and of B1' are :func:`pathspace.plant_maps`'.
 
     The offset's terms come first. A listed c_k, one row, is ("c", k), its u columns, with Bw; it is not
     applied when it is zeros (every stage of the origin's law), as adding 0.0 changes no value but the sign
@@ -513,8 +509,9 @@ def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tupl
     or ("u1", k - i), with L_k,lag' Bw plus A1' for x(k-d) or B1' for u1(k-tau), and on u1 rows with
     L_k,lag,u1'; after a state lag, for a target's solution, ("xh", k - j) with -L_k,lag,u' Bw (a route with
     a state lag has no u1 rows, and the target's u1 is zero). A lag's value sits min(j, k) stages above x(k),
-    and its block is tiled to match (:func:`_tiled`). Last, where a nonzero listed c_k has u1 columns,
-    ("c1", k) with I_m1 on u1 rows: its product is the row itself, but for the sign of a zero.
+    and its block is tiled to match (:func:`_tiled`). Last, where a nonzero listed c_k has u1 columns (only a
+    stage with u1 rows), ("c1", k) with I_m1 on u1 rows: its product is the row itself, but for the sign of
+    a zero. A listed c_k's terms sit k stages above x(k), at depth 0.
 
     The closed-loop maps are one stacked matmul for the stages whose L_k has the same width, so that each
     L_k,x' keeps the strides of its own L_k's rows: at n = 1 it is a vector, whose product is a
@@ -556,16 +553,16 @@ def _stage_maps(tree: PathTree, spec: SystemSpec, law: FeedbackLaw) -> list[tupl
             col = cols.stop
         if u1 and offset:
             terms.append((("c1", k), np.eye(len(L1)), True, k))
-        stages.append((k, folds[k], L1[:, :n].T if u1 else None, tuple(terms), 0 < d <= N - k - 1))
+        stages.append((k, folds[k], L1[:, :n].T if u1 else None, tuple(terms)))
     return stages
 
 
 def _tiled(block: np.ndarray, s: int, up: int) -> np.ndarray:
     """``block`` side by side s^up times, so that the product of a value ``up`` stages above x(k) covers
     all its descendants there at once; but only as many times, a power of s, as keep the copies within
-    ``pathspace.BLOCK_ENTRIES`` entries, and the product spreads over the rest by a broadcast. The count
-    depends on s, the lag, the stage and the block's shape alone, never on a run's rows, so every run
-    meets the same blocks."""
+    ``pathspace.BLOCK_ENTRIES`` entries, and the product spreads over the rest of the (rows, descendants,
+    width) view it is added to. The count depends on s, the lag, the stage and the block's shape alone,
+    never on a run's rows, so every run meets the same blocks."""
     copies = s**up
     while copies > 1 and copies * block.size > pathspace.BLOCK_ENTRIES:
         copies //= s
@@ -581,11 +578,12 @@ def _walk(plan: list, vals: dict, x: np.ndarray) -> np.ndarray:
     :func:`_stage_maps`, the offset's, each acting lag's and a listed c_k,u1, is formed at its value's own
     depth against its block and added to the value's descendants, so no node array is replicated. ``vals``
     holds the terms' values under their keys (:func:`_start_values`), each at its depth, max(0, j) for stage
-    j; u1(k) goes into it, and x(k+1) where a later stage reads it as a lag. The next stage reads x(k+1) as
-    ``view``, so a stage with no offset, lag or u1 is its matmul alone. ``np.matmul`` into an array is the
-    same call as ``@``, so the values do not depend on where they are written.
+    j; u1(k) and every x(k+1) go into it, as views of the plan's arrays, and a later stage reads x(k+1) only
+    where a term names it. The next stage reads x(k+1) as ``view``, so a stage with no offset, lag or u1 is
+    its matmul alone. ``np.matmul`` into an array is the same call as ``@``, so the values do not depend on
+    where they are written.
     """
-    for k, fold, out, view, u1_map, u1_out, terms, kept in plan:
+    for k, fold, out, view, u1_map, u1_out, terms in plan:
         np.matmul(x, fold, out=out)
         if u1_map is not None:
             np.matmul(x, u1_map, out=u1_out)
@@ -593,9 +591,7 @@ def _walk(plan: list, vals: dict, x: np.ndarray) -> np.ndarray:
         for key, block, prod, into, spread in terms:
             np.matmul(vals[key], block, out=prod)
             into += spread
-        if kept:
-            vals["x", k + 1] = view
-        x = view
+        vals["x", k + 1] = x = view
     return x
 
 

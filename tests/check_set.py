@@ -8,7 +8,8 @@ runs every command of the check set through ``stochctrl.cli.main`` in this proce
 SHA-256 per record, then the total; with ``--fields``, each record's fields instead, one line each
 (:func:`fields`), so that a diff of two versions' outputs names the record and the field that moved.
 With ``--against REV`` it runs itself twice, on the package of git revision REV (its ``src/`` from
-``git archive``) and on the working tree's, and prints only the lines that differ (:func:`against`).
+``git archive``, ``code_lines.extract``) and on the working tree's, and prints only the lines that differ
+(:func:`against`).
 A record is one invocation's exit code, its stdout and stderr with the run's scratch directory
 replaced by ``<dir>`` (synthesize's ``controller:`` line names the law it wrote), and the bytes of
 that law, if one was written, or of the table verify read. The check set:
@@ -52,7 +53,6 @@ import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -70,6 +70,8 @@ from stochctrl import (
 )
 from stochctrl import cli
 from stochctrl.sampling import random_attainable_terminal, random_controllable, random_x0
+
+from code_lines import extract
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCES = sorted((REPO / "instances").glob("*.json"))
@@ -347,16 +349,6 @@ def fields(name: str, code: int, out: str, err: str, law: bytes) -> list[str]:
     lines += [f"{name}\tstdout\t{line}" for line in out.splitlines()]
     lines += [f"{name}\tstderr\t{line}" for line in err.splitlines()]
     return [*lines, f"{name}\tlaw\t{hashlib.sha256(law).hexdigest() if law else '-'}"]
-
-
-def extract(rev: str, dest: Path) -> Path:
-    """Git revision ``rev``'s ``src/`` tree, written by ``git archive`` under ``dest``; returns its path."""
-    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src"], capture_output=True)
-    if archive.returncode:
-        sys.exit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
-    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(dest, filter="data")
-    return Path(dest) / "src"
 
 
 def output(src: Path, argv: list[str]) -> list[str]:

@@ -2,19 +2,28 @@
 or docstrings.
 
     python tests/code_lines.py
+    python tests/code_lines.py --against REV
 
-prints one line per module and the total. A line counts when a token other than a comment or a line
-break starts, ends or runs through it (``tokenize``), unless it lies in a module, class or function
-docstring (``ast``). A multi-line string that is not a docstring counts every line it spans.
+prints one line per module and the total. With ``--against REV`` it prints each module's count at git
+revision REV (its ``src/`` from ``git archive``, :func:`extract`), in the working tree and the difference,
+then the totals (:func:`table`). A line counts when a token other than a comment or a line break starts,
+ends or runs through it (``tokenize``), unless it lies in a module, class or function docstring
+(``ast``). A multi-line string that is not a docstring counts every line it spans. The script imports
+nothing from the package.
 """
 from __future__ import annotations
 
 import ast
 import io
+import subprocess
+import sys
+import tarfile
+import tempfile
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stochctrl"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "stochctrl"
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
     tokenize.ENDMARKER,
@@ -42,14 +51,46 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(source))
 
 
-def main() -> None:
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{path.name:<16}{count:6d}")
-    print(f"{'total':<16}{total:6d}")
+def counts(package: Path) -> dict[str, int]:
+    """The code lines of each module of ``package``, by file name."""
+    return {path.name: code_lines(path.read_text(encoding="utf-8")) for path in sorted(Path(package).glob("*.py"))}
+
+
+def table(before: dict[str, int], after: dict[str, int]) -> list[str]:
+    """One line per module of either count, "name before after difference" (0 where a module is absent),
+    then the totals."""
+    names = sorted(before.keys() | after.keys())
+    rows = [(name, before.get(name, 0), after.get(name, 0)) for name in names]
+    rows.append(("total", sum(before.values()), sum(after.values())))
+    return [f"{name:<16}{old:6d}{new:6d}{new - old:+6d}" for name, old, new in rows]
+
+
+def extract(rev: str, dest: Path) -> Path:
+    """Git revision ``rev``'s ``src/`` tree, written by ``git archive`` under ``dest``; returns its path."""
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src"], capture_output=True)
+    if archive.returncode:
+        sys.exit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return Path(dest) / "src"
+
+
+def against(rev: str) -> list[str]:
+    """:func:`table` of git revision ``rev``'s package and the working tree's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return table(counts(extract(rev, Path(tmp)) / "stochctrl"), counts(PACKAGE))
+
+
+def main(argv: list[str]) -> None:
+    if len(argv) == 2 and argv[0] == "--against":
+        lines = against(argv[1])
+    elif not argv:
+        package = counts(PACKAGE)
+        lines = [f"{name:<16}{count:6d}" for name, count in [*package.items(), ("total", sum(package.values()))]]
+    else:
+        sys.exit("usage: python tests/code_lines.py [--against REV]")
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

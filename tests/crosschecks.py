@@ -341,7 +341,7 @@ def controller_levels(ctrl):
 def folded_step(tree: PathTree, stage: tuple, vals: dict):
     """x(k+1), as (rows s, n), and u1(k) (None without u1 rows) of ``synthesis._walk`` run on one stage, its
     entry of ``synthesis._stage_maps``, from ``vals``, whole levels of the tree, into fresh arrays
-    (``synthesis._plan``); u1(k), and x(k+1) where kept as a lag, go into ``vals``."""
+    (``synthesis._plan``); u1(k) and x(k+1) go into ``vals``."""
     plan = _plan([stage], tree.n_nodes, 0, 0)
     return _walk(plan, vals, vals["x", stage[0]]), plan[0][5]
 
@@ -352,11 +352,11 @@ def breadth_first_folded_loop(tree: PathTree, spec: SystemSpec, x0, law, offsets
     c_k,u1, a c_k of one row of zeros included, as the folded step was first written."""
     Bw = plant_maps(tree, spec)[1]
     vals = _start_values(x0, law, spec.tau or 0)
-    for k, fold, u1_map, terms, kept in _stage_maps(tree, spec, law):
+    for k, fold, u1_map, terms in _stage_maps(tree, spec, law):
         if offsets and all(key != ("c", k) for key, *_ in terms):
             terms = ((("c", k), Bw, False, k), *terms)
             terms += () if u1_map is None else ((("c1", k), np.eye(u1_map.shape[1]), True, k),)
-        vals["x", k + 1], _ = folded_step(tree, (k, fold, u1_map, terms, kept), vals)
+        folded_step(tree, (k, fold, u1_map, terms), vals)
     return vals["x", len(law.L)]
 
 

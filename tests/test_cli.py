@@ -200,6 +200,30 @@ def test_synthesize_inapplicable_routes(capsys):
     assert "inapplicable" in err
 
 
+@pytest.mark.parametrize("command", ["synthesize", "verify"])
+def test_steering_without_x0_exits_6(capsys, tmp_path, command):
+    doc = json.loads(pathlib.Path(FULL).read_text())
+    del doc["x0"]
+    inst = tmp_path / "no_x0.json"
+    inst.write_text(json.dumps(doc))
+    what = {"synthesize": "controller synthesis", "verify": "verification"}[command]
+    code, out, err = run(capsys, command, "--instance", str(inst), *COMMANDS[command])
+    assert (code, out, err) == (6, "", f"error: instance has no x0; {what} needs an initial state\n")
+
+
+@pytest.mark.parametrize("inst,rank,says", [(FULL, 1, "True (witness 1)"), (UNCTRL, 2, "False (witness None)")],
+                         ids=["scan-yes-rank-no", "scan-no-rank-yes"])
+def test_a_rank_test_that_disagrees_with_the_gramian_scan_exits_6(capsys, monkeypatch, inst, rank, says):
+    # The rank test's count of the word span is forced to the other verdict: analyze names both and exits 6.
+    from stochctrl import criteria
+
+    monkeypatch.setattr(criteria, "word_span", lambda form: criteria.WordSpanBasis(rank, 0))
+    code, out, err = run(capsys, "analyze", "--instance", inst)
+    assert (code, out) == (6, "")
+    assert err == (f"error: Gramian scan says {says} but rank test says {rank == 2} (rank {rank} of 2); "
+                   "check conditioning\n")
+
+
 def test_synthesize_singular_gramian(capsys):
     code, _, err = run(capsys, "synthesize", "--instance", UNCTRL)
     assert code == 3
@@ -245,6 +269,20 @@ def test_verify_malformed_table(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--instance", FULL, "--controller", str(table))
     assert code == 5
     assert "bad controller table" in err
+    table.write_text("stage,history,u_0,u_1,u_2\n0a,,1.0,2.0,3.0\n")
+    code, out, err = run(capsys, "verify", "--instance", FULL, "--controller", str(table))
+    assert (code, out, err) == (5, "", "bad controller table: line 2: stage '0a' is not an integer\n")
+
+
+def test_verify_skips_a_blank_line_of_a_table(capsys, tmp_path):
+    # A blank line is no row: the table with one between its stages verifies as the table does.
+    table = written_table(tmp_path)
+    code, out, _ = run(capsys, "verify", "--instance", FULL, "--controller", str(table))
+    assert code == 0
+    lines = table.read_text().splitlines()
+    table.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
+    code, blanked, err = run(capsys, "verify", "--instance", FULL, "--controller", str(table))
+    assert (code, blanked, err) == (0, out, "")
 
 
 @pytest.mark.parametrize("lead", ["\n", " \t\r\n"], ids=["newline", "json-whitespace"])
@@ -280,6 +318,12 @@ def test_verify_stage_gap_is_table_error(capsys, tmp_path):
     _restaged(table, 0, [""], ",".join(u0) + ",,,")
     code, out, err = run(capsys, "verify", "--instance", IN_DELAY, "--controller", str(table))
     assert (code, out, err) == (5, "", "bad controller table: u1 has no stage 0\n")
+    # with every u1 cell blank, the pre-horizon rows are no rows at all and no stage has u1
+    table = written_table(tmp_path, IN_DELAY, name="no_u1.csv")
+    lines = table.read_text().splitlines()
+    table.write_text("\n".join(lines[:1] + [",".join(line.split(",")[:5] + [""] * 3) for line in lines[1:]]) + "\n")
+    code, out, err = run(capsys, "verify", "--instance", IN_DELAY, "--controller", str(table))
+    assert (code, out, err) == (5, "", "bad controller table: controller table has no u1 rows\n")
 
 
 def test_verify_rejects_u_rows_outside_the_horizon(capsys, tmp_path):

@@ -24,8 +24,10 @@ from stochctrl import (
     NoiseModel,
     PathTree,
     ProblemInstance,
+    TransformedSystem,
     folded_loop,
     law_text,
+    parse_instance,
     read_feedback_law,
     serialize_instance,
     steer_to_target,
@@ -308,29 +310,38 @@ def test_a_state_delay_law_keeps_the_lags_that_act_stage_by_stage():
 
 def test_a_state_delay_past_the_horizon_is_the_plant_without_it(capsys, tmp_path):
     # d = 10^18 at N = 2: no lag acts, so every command runs as at d = 3 (also past N), and the
-    # law is the one for the plant without A1 x(k - d).
-    doc = json.loads(open(ST_DELAY).read())
-    outputs = {}
-    for d in (3, 10**18, None):
-        if d is None:
-            del doc["A1"], doc["d"]
-        else:
-            doc["d"] = d
-        inst = tmp_path / f"instance_{d}.json"
-        inst.write_text(json.dumps(doc))
+    # law is the one for the plant without A1 x(k - d), for the origin, a constant target and an
+    # attainable path target (two-point noise) alike. A target's offsets are built in blocks whose
+    # size the lag sets, so a lag past N counts as none there too: s^(d + 1) is never formed.
+    plain = parse_instance(json.dumps({key: value for key, value in json.loads(open(ST_DELAY).read()).items()
+                                       if key not in ("A1", "d")}))
+    tree = PathTree(plain.system.noise, plain.N)
+    goal = random_attainable_terminal(np.random.default_rng(8), tree, TransformedSystem.build(plain.system).form)
+    for target in (None, [1.0, 2.0], goal.ravel().tolist()):
+        doc = json.loads(open(ST_DELAY).read()) | ({} if target is None else {"target": target})
+        outputs = {}
+        for d in (3, 10**18, None):
+            if d is None:
+                del doc["A1"], doc["d"]
+            else:
+                doc["d"] = d
+            inst = tmp_path / f"instance_{d}.json"
+            inst.write_text(json.dumps(doc))
+            for command in ("analyze", "oracle-check"):
+                code, outputs[d, command], _ = run(capsys, command, "--instance", str(inst))
+                assert code == 0, (d, command)
+            law = tmp_path / f"law_{d}.json"
+            code, _, _ = run(capsys, "synthesize", "--instance", str(inst), "--out", str(law))
+            assert code == 0, d
+            code, outputs[d, "verify"], _ = run(capsys, "verify", "--instance", str(inst), "--controller", str(law))
+            assert code == 0, d
+            outputs[d, "law"] = law.read_text()
         for command in ("analyze", "oracle-check"):
-            code, outputs[d, command], _ = run(capsys, command, "--instance", str(inst))
-            assert code == 0, (d, command)
-        law = tmp_path / f"law_{d}.json"
-        code, _, _ = run(capsys, "synthesize", "--instance", str(inst), "--out", str(law))
-        assert code == 0, d
-        code, outputs[d, "verify"], _ = run(capsys, "verify", "--instance", str(inst), "--controller", str(law))
-        assert code == 0, d
-        outputs[d, "law"] = law.read_text()
-    for command in ("analyze", "oracle-check"):
-        assert outputs[10**18, command] == outputs[3, command]
-    assert outputs[10**18, "law"] == outputs[None, "law"]
-    assert report(outputs[10**18, "verify"])["terminal_deviation"] == report(outputs[None, "verify"])["terminal_deviation"]
+            assert outputs[10**18, command] == outputs[3, command]
+        assert outputs[10**18, "law"] == outputs[3, "law"] == outputs[None, "law"]
+        assert ('"target": ' in outputs[None, "law"]) == (target is not None and len(target) > 2)
+        deviation = report(outputs[None, "verify"])["terminal_deviation"]
+        assert report(outputs[10**18, "verify"])["terminal_deviation"] == deviation
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])

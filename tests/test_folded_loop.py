@@ -123,7 +123,7 @@ def test_folded_step_matches_the_plant_step_of_the_laws_inputs(law, route, lag, 
             v = _regressor_product(spec, ctrl.law.L, k, xs, u1s, np.empty((tree.n_nodes(k), len(Lk))))
             v += ck
             want = plant_step(tree, spec, plant_maps(tree, spec), xs, k, v[:, :m], u1s[k - tau] if tau else None)
-            got, u1k = folded_step(tree, stages[k], dict(vals))  # a copy: the step writes u1(k) and kept lags into it
+            got, u1k = folded_step(tree, stages[k], dict(vals))  # a copy: the step writes u1(k) and x(k+1) into it
             bound, u1_bound = fold_bound(tree, spec, ctrl.law, k, xs, u1s, ck)
             assert got.shape == want.shape and got.flags.c_contiguous
             assert np.all(np.abs(got - want) <= C_BOUND * EPS * bound), (N, k)
@@ -210,7 +210,7 @@ def test_a_listed_offsets_u1_columns_are_each_stages_last_term(monkeypatch, law,
     for N in range(tau, tau + 6):
         ts, tree, x0, _, ctrl = draw(rng, noise, "tau", tau, 2, N, "constant")
         vals, listed = _start_values(x0, ctrl.law, tau), 0
-        for k, fold, u1_map, terms, kept in _stage_maps(tree, ts.spec, ctrl.law):
+        for k, fold, u1_map, terms in _stage_maps(tree, ts.spec, ctrl.law):
             keys = [key for key, *_ in terms]
             if u1_map is not None:
                 assert keys.count(("c1", k)) == 1 and keys[-1] == ("c1", k) and terms[-1][2], (N, k)
@@ -218,7 +218,7 @@ def test_a_listed_offsets_u1_columns_are_each_stages_last_term(monkeypatch, law,
                 terms, listed = terms[:-1], listed + 1
             else:
                 assert ("c1", k) not in keys, (N, k)
-            vals["x", k + 1], u1k = folded_step(tree, (k, fold, u1_map, terms, kept), vals)
+            _, u1k = folded_step(tree, (k, fold, u1_map, terms), vals)
             if u1k is not None:
                 u1k += vals["c1", k]  # u1(k) in place, as vals holds it
         runs = [x.copy() for _, x in folded_loop(tree, ts.spec, x0, ctrl.law)]
@@ -274,7 +274,7 @@ def test_only_a_nonzero_offset_makes_an_offset_product(monkeypatch, route, lag, 
     monkeypatch.setattr(synthesis, "_walk", lambda plan, *args: steps.extend(plan) or walk(plan, *args))
     runs = list(folded_loop(tree, ts.spec, x0, ctrl.law))
     assert len(runs) > 1 and len(steps) > len(ctrl.law.L)
-    for k, _, _, _, u1_map, _, terms, _ in steps:
+    for k, _, _, _, u1_map, _, terms in steps:
         offsets = [key for key, *_ in terms if key[0] in ("c", "zh", "xh")]
         u1 = u1_map is not None
         if target == "path":
@@ -417,24 +417,28 @@ def test_synthesize_and_verify_of_a_path_target_build_no_per_node_offsets(capsys
 @pytest.mark.parametrize("target", [None, "constant", "path"], ids=["null", "constant", "path"])
 @pytest.mark.parametrize("N", [7, 15])
 def test_every_term_is_one_contiguous_add_but_a_one_row_offset(monkeypatch, route, lag, target, N):
-    # A lag's value, x(k-j), u1(k-i) or x_h(k-j), meets its block tiled s^min(j, k) times, so its product has
-    # the rows and width of the view it is added to; so do the terms of a path target's solution. Only a
-    # listed one-row c_k is spread over the level by a broadcast. At N = 15 (n = 2, two-point) the loop runs
-    # in runs below its top level. (A block is tiled only while its copies hold at most BLOCK_ENTRIES entries,
-    # which no lag here reaches; the bit-for-bit tests above, with BLOCK_ENTRIES cut small, run past that.)
+    # Every term adds its product, as (rows, 1, width), into a (rows, descendants, width) view. A lag's value,
+    # x(k-j), u1(k-i) or x_h(k-j), meets its block tiled s^min(j, k) times, so its product covers its one
+    # descendant there, and the add is one C-contiguous pass; so do the terms of a path target's solution. Only
+    # a listed one-row c_k is spread over more descendants. At N = 15 (n = 2, two-point) the loop runs in runs
+    # below its top level. (A block is tiled only while its copies hold at most BLOCK_ENTRIES entries, which
+    # no lag here reaches; the bit-for-bit tests above, with BLOCK_ENTRIES cut small, run past that.)
     rng = np.random.default_rng([lag, len(route), 0 if target is None else len(target), N, 12])
     ts, tree, x0, _, ctrl = draw(rng, LAWS["two-point"], route, lag, 2, N, target)
     walk, steps = synthesis._walk, []
     monkeypatch.setattr(synthesis, "_walk", lambda plan, *args: steps.extend(plan) or walk(plan, *args))
     runs = list(folded_loop(tree, ts.spec, x0, ctrl.law))
     assert (len(runs) > 1) == (N == 15)
-    added = [(key, prod, into, spread) for *_, terms, _ in steps for key, _, prod, into, spread in terms]
+    added = [(key, prod, into, spread) for *_, terms in steps for key, _, prod, into, spread in terms]
     assert added or target is None and route == "full"
     for key, prod, into, spread in added:
-        if into.ndim == 2:
-            assert spread is prod and into.shape == prod.shape and into.flags.c_contiguous, key
+        rows, width = prod.shape
+        assert spread.shape == (rows, 1, width) and spread.ctypes.data == prod.ctypes.data, key
+        assert into.ndim == 3 and (into.shape[0], into.shape[2]) == (rows, width), key
+        if into.shape[1] == 1:
+            assert into.flags.c_contiguous and spread.flags.c_contiguous, key
         else:
-            assert key[0] in ("c", "c1") and len(prod) == 1 and into.shape[1] > 1, key
+            assert key[0] in ("c", "c1") and rows == 1, key
 
 
 @pytest.mark.parametrize("law", sorted(LAWS))

@@ -19,6 +19,7 @@ from stochctrl import (
     NoiseMomentViolation,
     ProblemInstance,
     SchemaError,
+    StructureUnsupported,
     SystemSpec,
     parse_instance,
     parse_instance_file,
@@ -59,6 +60,8 @@ def test_three_point_moments_any_spread():
         ((-1.0, float("nan"), 1.0), (0.5, 0.0, 0.5)),  # a NaN atom without mass
         ((-1.0, float("inf"), 1.0), (0.5, 0.0, 0.5)),
         ((-1.0, 10**400), (0.5, 0.5)),  # an int beyond the float range
+        (tuple(range(-5, 6)), (0.1,) * 5 + (0.0,) + (0.1,) * 5),  # 11 atoms: a path label has one digit a stage
+        ((-1.0, 0.0, 1.0), (0.5, -0.1, 0.6)),  # a negative probability
     ],
 )
 def test_bad_noise_rejected(support, probs):
@@ -230,6 +233,43 @@ def test_a_path_that_is_no_file_fails_as_open_fails(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {opened.value}\n"
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        ({"A": [[1.0, 1.0]]}, r"A must be square, got shape \(1, 2\)"),
+        ({"B": [[1.0, 2.0, -2.0]]}, r"B must have 2 rows, got shape \(1, 3\)"),
+        ({"B1": [[], []], "tau": 1}, r"B1 must have 2 rows and at least one column, got \(2, 0\)"),
+    ],
+    ids=["A-not-square", "B-rows", "B1-no-column"],
+)
+def test_a_spec_of_mismatched_shapes_is_refused(bench_full, edit, message):
+    spec, _ = bench_full
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        SystemSpec(**{key: getattr(spec, key) for key in ("A", "B", "Abar", "Bbar")} | edit)
+
+
+REDUCED_SPEC = {"A": np.eye(2), "B": np.array([[0.1, 0.2, 0.3], [0.0, 0.1, -0.2]]),
+                "Abar": np.array([[0.5, 0.25], [1.0, 0.0]]), "Bbar": np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])}
+
+
+@pytest.mark.parametrize(
+    "reduced,edit,message",
+    [
+        (False, {"H": [[1.0, 0.0]], "B1": np.ones((2, 1)), "tau": 1},
+         "partial controllability with delays is not supported"),
+        (True, {"M": np.eye(3)}, "reduced-rank route supports none of M, H, delays"),
+        (True, {"H": [[1.0, 0.0]]}, "reduced-rank route supports none of M, H, delays"),
+        (True, {"A1": np.eye(2), "d": 1}, "reduced-rank route supports none of M, H, delays"),
+    ],
+    ids=["H-with-delay", "reduced-M", "reduced-H", "reduced-delay"],
+)
+def test_a_route_refuses_the_fields_it_does_not_support(bench_full, reduced, edit, message):
+    # A partial-controllability H with a delay channel on any route; M, H or a delay on the reduced route.
+    base = REDUCED_SPEC if reduced else {key: getattr(bench_full[0], key) for key in REDUCED_SPEC}
+    with pytest.raises(StructureUnsupported, match=f"^{message}$"):
+        validate(SystemSpec(**base | edit))
+
+
 def test_both_delays_rejected(bench_full):
     from stochctrl import StructureUnsupported
 
@@ -399,8 +439,9 @@ def _set_entry(key, row, col, value):
         (lambda doc: doc.update(H=[]), "^H "),
         (lambda doc: doc.update(x0=None), "^x0 "),
         (lambda doc: doc.update(target=[0.0, 0.0, 0.0, "0"]), "^target entries must be JSON numbers$"),
+        (lambda doc: doc["noise"].update(seed=1), "^noise must be an object with exactly the keys support and probs$"),
     ],
-    ids=["declared-n", "B1-without-tau", "empty-H", "null-x0", "target"],
+    ids=["declared-n", "B1-without-tau", "empty-H", "null-x0", "target", "noise-extra-key"],
 )
 def test_malformed_document_rejected(bench_full, edit, field):
     spec, _ = bench_full
@@ -479,6 +520,26 @@ def test_target_keys_checked(bench_full):
         ProblemInstance(system=spec, N=1, target=dict(full, **{"11": [0.0]}))
 
 
+@pytest.mark.parametrize("N", [10**6, 10**9, 10**18])
+def test_a_label_map_for_a_deep_level_is_refused_without_forming_its_count(bench_full, N):
+    # The key count is tested without forming s^(N+1), and the message names the count as s^depth; below
+    # depth 64 a message writes the number, as it always did.
+    spec, _ = bench_full
+    with pytest.raises(SchemaError, match=rf"^target keys: 1 labels, but a depth-{N + 1} level has 2\^{N + 1} paths$"):
+        ProblemInstance(spec, N, target={"00": [0.0, 1.0]})
+    with pytest.raises(SchemaError, match=rf"^level: 1 labels, but a depth-63 level has {2**63} paths$"):
+        check_level(["0"], 2, 63, "level")
+
+
+def test_a_label_map_out_of_node_order_is_refused_naming_its_first_such_key(bench_full):
+    # A map is read only with its keys in node order: the first key out of it is named.
+    spec, _ = bench_full
+    rows = {"00": [0.0, 1.0], "01": [2.0, 3.0], "10": [4.0, 5.0], "11": [6.0, 7.0]}
+    for order, named in ((("00", "10", "01", "11"), "10"), (("11", "10", "01", "00"), "11")):
+        with pytest.raises(SchemaError, match=f"^target keys: '{named}' breaks the node order of the length-2 paths"):
+            ProblemInstance(spec, 1, target={label: rows[label] for label in order})
+
+
 @pytest.mark.parametrize(
     "keys,named",
     [([0, 1, 10, 11], "0"), (["00", 1, "10", "11"], "1"), ([b"00", b"01", b"10", b"11"], "b'00'")],
@@ -504,8 +565,10 @@ def test_target_keys_that_are_not_str_are_schema_errors(bench_full, keys, named)
         ([[1.0, [2.0]], [3.0, 4.0]], r"not a numeric matrix \(setting an array element with a sequence"),
         ([[[1.0], [2.0]], [[3.0], [4.0]]], r"expected shape \(2, 2\), got \(2, 2, 1\)"),
         (["12", "34"], r"expected shape \(2, 2\), got \(2,\)"),
+        ([np.array([1.0, np.nan]), np.array([3.0, 4.0])], "entries must be finite"),  # (n,) arrays: the one-pass read
     ],
-    ids=["ragged", "short", "nan", "inf", "null", "string", "int-1e400", "nested-entry", "nested-rows", "string-rows"],
+    ids=["ragged", "short", "nan", "inf", "null", "string", "int-1e400", "nested-entry", "nested-rows", "string-rows",
+         "nan-arrays"],
 )
 def test_target_values_read_flat_with_the_row_wise_messages(bench_full, rows, message):
     spec, _ = bench_full  # n = 2; at N = 0 the target has the two leaves "0" and "1"
@@ -926,7 +989,7 @@ def test_an_empty_file_and_a_fifo_are_read_as_before(bench_full, tmp_path):
     text = serialize_instance(ProblemInstance(spec, 2, x0=[1.0, -2.0], target=np.arange(16.0).reshape(8, 2)))
     fifo = tmp_path / "instance.fifo"
     os.mkfifo(fifo)
-    for content in (text, text.replace("\n", "\r\n"), "{"):
+    for content in (text, text.replace("\n", "\r\n"), text + " " * mmap.PAGESIZE, "{"):  # the third is over a page
         writer = threading.Thread(target=fifo.write_text, args=(content,), daemon=True)
         writer.start()
         outcome = _outcome(parse_instance_file, fifo)

@@ -17,6 +17,7 @@ from stochctrl import (
     forward_simulate,
     member_of_S,
     representation_residual,
+    steer_to_target,
     terminal_from_map,
     z_level,
 )
@@ -111,6 +112,18 @@ def test_forward_simulate_checks_each_stage_is_its_level(rng, bench_full, change
             u[k] = np.zeros(shape)
     with pytest.raises(error, match=f"^{message}$"):
         forward_simulate(tree, spec, expected["x0"], u)
+
+
+def test_an_x0_of_another_length_is_refused(rng, bench_full):
+    # by the plant's forward simulation and by every route's controller build
+    spec, _ = bench_full
+    tree = PathTree(spec.noise, 2)
+    u = _levels(rng, tree, range(3), 3)
+    for x0 in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(DimensionMismatch, match=rf"^x0 must have length 2, got \({len(x0)},\)$"):
+            forward_simulate(tree, spec, x0, u)
+        with pytest.raises(DimensionMismatch, match=rf"^x0 must have length 2, got \({len(x0)},\)$"):
+            steer_to_target(TransformedSystem.build(spec), tree, x0, None)
 
 
 def test_forward_simulate_checks_the_delayed_input(rng, bench_input_delay):

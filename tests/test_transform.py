@@ -15,6 +15,7 @@ from stochctrl import (
     decide,
     gramian_invertible,
     sampling,
+    validate,
 )
 from stochctrl.sampling import random_controllable, random_system, random_transformed
 from crosschecks import reconstruct_u, split_u
@@ -47,6 +48,8 @@ def test_user_M_checked(bench_full):
         compute_M(spec.Bbar, bad)
     with pytest.raises(BadUserM):
         compute_M(spec.Bbar, np.zeros((3, 3)))
+    with pytest.raises(BadUserM, match=r"^M must be 3 x 3, got \(2, 2\)$"):
+        compute_M(spec.Bbar, np.eye(2))
 
 
 def test_a_user_M_is_singular_exactly_where_gramian_invertible_calls_it_singular():
@@ -68,6 +71,13 @@ def test_a_user_M_is_singular_exactly_where_gramian_invertible_calls_it_singular
 def test_rank_deficient_Bbar_rejected():
     with pytest.raises(RankDeficient):
         compute_M(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]))
+    # a validated reduced-rank system takes the reduced route, not the standard transform
+    reduced = validate(SystemSpec(A=np.eye(2), B=np.array([[0.1, 0.2, 0.3], [0.0, 0.1, -0.2]]),
+                                  Abar=np.array([[0.5, 0.25], [1.0, 0.0]]),
+                                  Bbar=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])))
+    assert not reduced.full_rank
+    with pytest.raises(RankDeficient, match="^standard transform requires rank"):
+        TransformedSystem.build(reduced)
 
 
 def test_wide_requirement(rng):
